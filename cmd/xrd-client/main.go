@@ -20,13 +20,11 @@
 package main
 
 import (
-	"crypto/tls"
 	"flag"
 	"fmt"
 	"log"
 	"os"
 	"path/filepath"
-	"strings"
 	"time"
 
 	"repro/internal/chainsel"
@@ -47,14 +45,21 @@ func main() {
 	)
 	flag.Parse()
 
-	endpoints, err := parseEndpoints(*addr, *cert, *gateways)
+	endpoints, err := rpc.ParseEndpoints(*addr, *cert, *gateways)
 	if err != nil {
 		log.Fatal(err)
 	}
+	coordTLS, err := rpc.ClientTLSFromFile(*cert)
+	if err != nil {
+		log.Fatal(err)
+	}
+	driver, err := rpc.Dial(*addr, coordTLS)
+	if err != nil {
+		log.Fatalf("dialing coordinator: %v", err)
+	}
+	defer driver.Close()
 
 	if *trigger {
-		driver := dialCoordinator(*addr, *cert)
-		defer driver.Close()
 		rep, err := driver.RunRound()
 		if err != nil {
 			log.Fatalf("round: %v", err)
@@ -71,8 +76,6 @@ func main() {
 	if err := front.Refresh(); err != nil {
 		log.Fatalf("discovering gateways: %v", err)
 	}
-	driver := dialCoordinator(*addr, *cert)
-	defer driver.Close()
 
 	if *drill != "" {
 		runCrashDrill(front, driver, *drill, *msg)
@@ -105,31 +108,7 @@ func main() {
 		fmt.Printf("cross-shard: alice on %s, bob on %s\n",
 			front.ClientFor(alice.Mailbox()).Addr(), front.ClientFor(bob.Mailbox()).Addr())
 	}
-	if err := alice.StartConversation(bob.PublicKey()); err != nil {
-		log.Fatal(err)
-	}
-	if err := bob.StartConversation(alice.PublicKey()); err != nil {
-		log.Fatal(err)
-	}
-	if err := alice.QueueMessage([]byte(*msg)); err != nil {
-		log.Fatal(err)
-	}
-
-	round := st.Round
-	outA, err := alice.BuildRound(round, front)
-	if err != nil {
-		log.Fatalf("alice build: %v", err)
-	}
-	outB, err := bob.BuildRound(round, front)
-	if err != nil {
-		log.Fatalf("bob build: %v", err)
-	}
-	if err := front.Submit(alice.Mailbox(), outA); err != nil {
-		log.Fatalf("alice submit: %v", err)
-	}
-	if err := front.Submit(bob.Mailbox(), outB); err != nil {
-		log.Fatalf("bob submit: %v", err)
-	}
+	outA := submitPair(front, alice, bob, st.Round, *msg)
 	fmt.Printf("submitted %d+%d messages (current + covers) per user; triggering round...\n",
 		len(outA.Current), len(outA.Cover))
 
@@ -154,6 +133,36 @@ func main() {
 		}
 	}
 	log.Fatal("conversation message not delivered")
+}
+
+// submitPair puts alice and bob in conversation with msg queued from
+// alice, builds both users' outputs for the round and submits them.
+// It returns alice's output.
+func submitPair(front *rpc.MultiClient, alice, bob *client.User, round uint64, msg string) *client.RoundOutput {
+	if err := alice.StartConversation(bob.PublicKey()); err != nil {
+		log.Fatal(err)
+	}
+	if err := bob.StartConversation(alice.PublicKey()); err != nil {
+		log.Fatal(err)
+	}
+	if err := alice.QueueMessage([]byte(msg)); err != nil {
+		log.Fatal(err)
+	}
+	outA, err := alice.BuildRound(round, front)
+	if err != nil {
+		log.Fatalf("alice build: %v", err)
+	}
+	outB, err := bob.BuildRound(round, front)
+	if err != nil {
+		log.Fatalf("bob build: %v", err)
+	}
+	if err := front.Submit(alice.Mailbox(), outA); err != nil {
+		log.Fatalf("alice submit: %v", err)
+	}
+	if err := front.Submit(bob.Mailbox(), outB); err != nil {
+		log.Fatalf("bob submit: %v", err)
+	}
+	return outA
 }
 
 // runCrashDrill is the client half of scripts/crash_e2e.sh. Both
@@ -190,31 +199,8 @@ func runCrashDrill(front *rpc.MultiClient, driver *rpc.Client, dir, msg string) 
 		}
 	}
 	alice, bob := draw(), draw()
-	if err := alice.StartConversation(bob.PublicKey()); err != nil {
-		log.Fatal(err)
-	}
-	if err := bob.StartConversation(alice.PublicKey()); err != nil {
-		log.Fatal(err)
-	}
-	if err := alice.QueueMessage([]byte(msg)); err != nil {
-		log.Fatal(err)
-	}
-	round := st.Round
-	outA, err := alice.BuildRound(round, front)
-	if err != nil {
-		log.Fatalf("alice build: %v", err)
-	}
-	outB, err := bob.BuildRound(round, front)
-	if err != nil {
-		log.Fatalf("bob build: %v", err)
-	}
-	if err := front.Submit(alice.Mailbox(), outA); err != nil {
-		log.Fatalf("alice submit: %v", err)
-	}
-	if err := front.Submit(bob.Mailbox(), outB); err != nil {
-		log.Fatalf("bob submit: %v", err)
-	}
-	fmt.Printf("crash-drill: round %d outputs acknowledged by %s\n", round, target)
+	submitPair(front, alice, bob, st.Round, msg)
+	fmt.Printf("crash-drill: round %d outputs acknowledged by %s\n", st.Round, target)
 
 	if err := os.WriteFile(filepath.Join(dir, "submitted"), nil, 0o644); err != nil {
 		log.Fatal(err)
@@ -298,50 +284,4 @@ func runCrashDrill(front *rpc.MultiClient, driver *rpc.Client, dir, msg string) 
 		log.Fatalf("crash-drill: acked mailbox still holds %d messages (err %v)", len(raw), err)
 	}
 	fmt.Println("crash-drill: PASS")
-}
-
-// parseEndpoints builds the user-facing gateway set: the -gateways
-// list when given, else the coordinator itself (monolith).
-func parseEndpoints(coordAddr, coordCert, gateways string) ([]rpc.Endpoint, error) {
-	specs := [][2]string{}
-	if strings.TrimSpace(gateways) == "" {
-		specs = append(specs, [2]string{coordAddr, coordCert})
-	} else {
-		for _, entry := range strings.Split(gateways, ",") {
-			parts := strings.Split(strings.TrimSpace(entry), "=")
-			if len(parts) != 2 {
-				return nil, fmt.Errorf(`-gateways entry %q: want "addr=certfile"`, entry)
-			}
-			specs = append(specs, [2]string{parts[0], parts[1]})
-		}
-	}
-	var eps []rpc.Endpoint
-	for _, s := range specs {
-		tlsCfg, err := loadTLS(s[1])
-		if err != nil {
-			return nil, err
-		}
-		eps = append(eps, rpc.Endpoint{Addr: s[0], TLS: tlsCfg})
-	}
-	return eps, nil
-}
-
-func loadTLS(certFile string) (*tls.Config, error) {
-	pem, err := os.ReadFile(certFile)
-	if err != nil {
-		return nil, fmt.Errorf("reading certificate %s: %w", certFile, err)
-	}
-	return rpc.ClientTLSFromPEM(pem)
-}
-
-func dialCoordinator(addr, certFile string) *rpc.Client {
-	tlsCfg, err := loadTLS(certFile)
-	if err != nil {
-		log.Fatal(err)
-	}
-	c, err := rpc.Dial(addr, tlsCfg)
-	if err != nil {
-		log.Fatalf("dialing coordinator: %v", err)
-	}
-	return c
 }

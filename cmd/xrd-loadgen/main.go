@@ -35,7 +35,6 @@ package main
 
 import (
 	"crypto/sha256"
-	"crypto/tls"
 	"encoding/binary"
 	"encoding/json"
 	"flag"
@@ -45,7 +44,6 @@ import (
 	"os"
 	"runtime"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -79,7 +77,7 @@ func main() {
 		*registered = *active
 	}
 
-	endpoints, err := parseEndpoints(*addr, *cert, *gateways)
+	endpoints, err := rpc.ParseEndpoints(*addr, *cert, *gateways)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -149,7 +147,14 @@ func main() {
 	report.add("LoadgenSubmit/"+label, int64(len(outs)), metrics)
 
 	// Phase 4: the mixing round itself.
-	driver := dialCoordinator(*addr, *cert)
+	coordTLS, err := rpc.ClientTLSFromFile(*cert)
+	if err != nil {
+		log.Fatal(err)
+	}
+	driver, err := rpc.Dial(*addr, coordTLS)
+	if err != nil {
+		log.Fatalf("dialing coordinator: %v", err)
+	}
 	driver.Timeout = 60 * time.Minute
 	defer driver.Close()
 	fmt.Println("xrd-loadgen: triggering round...")
@@ -503,50 +508,4 @@ func (r *benchReport) add(name string, iters int64, metrics map[string]float64) 
 	r.Benchmarks = append(r.Benchmarks, benchmark{
 		Pkg: "repro/cmd/xrd-loadgen", Name: name, Iterations: iters, Metrics: metrics,
 	})
-}
-
-// parseEndpoints builds the user-facing gateway set: the -gateways
-// list when given, else the coordinator itself (monolith).
-func parseEndpoints(coordAddr, coordCert, gateways string) ([]rpc.Endpoint, error) {
-	specs := [][2]string{}
-	if strings.TrimSpace(gateways) == "" {
-		specs = append(specs, [2]string{coordAddr, coordCert})
-	} else {
-		for _, entry := range strings.Split(gateways, ",") {
-			parts := strings.Split(strings.TrimSpace(entry), "=")
-			if len(parts) != 2 {
-				return nil, fmt.Errorf(`-gateways entry %q: want "addr=certfile"`, entry)
-			}
-			specs = append(specs, [2]string{parts[0], parts[1]})
-		}
-	}
-	var eps []rpc.Endpoint
-	for _, s := range specs {
-		tlsCfg, err := loadTLS(s[1])
-		if err != nil {
-			return nil, err
-		}
-		eps = append(eps, rpc.Endpoint{Addr: s[0], TLS: tlsCfg})
-	}
-	return eps, nil
-}
-
-func loadTLS(certFile string) (*tls.Config, error) {
-	pem, err := os.ReadFile(certFile)
-	if err != nil {
-		return nil, fmt.Errorf("reading certificate %s: %w", certFile, err)
-	}
-	return rpc.ClientTLSFromPEM(pem)
-}
-
-func dialCoordinator(addr, certFile string) *rpc.Client {
-	tlsCfg, err := loadTLS(certFile)
-	if err != nil {
-		log.Fatal(err)
-	}
-	c, err := rpc.Dial(addr, tlsCfg)
-	if err != nil {
-		log.Fatalf("dialing coordinator: %v", err)
-	}
-	return c
 }

@@ -12,7 +12,6 @@ package main
 // files).
 
 import (
-	"crypto/tls"
 	"fmt"
 	"os"
 	"strconv"
@@ -28,21 +27,11 @@ type hopSpec struct {
 	certFile string
 }
 
-// loadClientTLS reads a process's pinned certificate file into a TLS
-// config that trusts exactly that certificate.
-func loadClientTLS(certFile string) (*tls.Config, error) {
-	pem, err := os.ReadFile(certFile)
-	if err != nil {
-		return nil, fmt.Errorf("reading %s: %w", certFile, err)
-	}
-	return rpc.ClientTLSFromPEM(pem)
-}
-
 // dialSpec opens a hop client for one remote mix process, pinning its
 // certificate and installing the fault-injection wrapper when one is
 // configured.
 func dialSpec(spec hopSpec, label string, inj *faults.Injector) (*rpc.HopClient, error) {
-	tlsCfg, err := loadClientTLS(spec.certFile)
+	tlsCfg, err := rpc.ClientTLSFromFile(spec.certFile)
 	if err != nil {
 		return nil, err
 	}
@@ -53,13 +42,22 @@ func dialSpec(spec hopSpec, label string, inj *faults.Injector) (*rpc.HopClient,
 	return hc, nil
 }
 
-// splitSpec splits one "key=addr=certfile" entry.
-func splitSpec(entry, shape string) (key, addr, certFile string, err error) {
-	parts := strings.Split(strings.TrimSpace(entry), "=")
-	if len(parts) != 3 {
-		return "", "", "", fmt.Errorf("entry %q: want %s", entry, shape)
+// eachSpec walks a "key=addr=certfile,..." flag value, handing fn
+// each entry's key and location.
+func eachSpec(s, shape string, fn func(entry, key string, spec hopSpec) error) error {
+	if strings.TrimSpace(s) == "" {
+		return nil
 	}
-	return parts[0], parts[1], parts[2], nil
+	for _, entry := range strings.Split(s, ",") {
+		parts := strings.Split(strings.TrimSpace(entry), "=")
+		if len(parts) != 3 {
+			return fmt.Errorf("entry %q: want %s", entry, shape)
+		}
+		if err := fn(entry, parts[0], hopSpec{addr: parts[1], certFile: parts[2]}); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // parseIntPair splits "a:b" into two ints.
@@ -83,49 +81,37 @@ func parseIntPair(s, what string) (int, int, error) {
 // map.
 func parseHopSpecs(s string) (map[[2]int]hopSpec, error) {
 	out := make(map[[2]int]hopSpec)
-	if strings.TrimSpace(s) == "" {
-		return out, nil
-	}
-	for _, entry := range strings.Split(s, ",") {
-		key, addr, certFile, err := splitSpec(entry, "chain:pos=addr=certfile")
-		if err != nil {
-			return nil, err
-		}
+	err := eachSpec(s, "chain:pos=addr=certfile", func(entry, key string, spec hopSpec) error {
 		chain, pos, err := parseIntPair(key, "chain:pos")
 		if err != nil {
-			return nil, fmt.Errorf("entry %q: %w", entry, err)
+			return fmt.Errorf("entry %q: %w", entry, err)
 		}
 		k := [2]int{chain, pos}
 		if _, dup := out[k]; dup {
-			return nil, fmt.Errorf("position %d:%d listed twice", chain, pos)
+			return fmt.Errorf("position %d:%d listed twice", chain, pos)
 		}
-		out[k] = hopSpec{addr: addr, certFile: certFile}
-	}
-	return out, nil
+		out[k] = spec
+		return nil
+	})
+	return out, err
 }
 
 // parseServerSpecs parses "id=addr=certfile,..." into a server
 // identity map.
 func parseServerSpecs(s string) (map[int]hopSpec, error) {
 	out := make(map[int]hopSpec)
-	if strings.TrimSpace(s) == "" {
-		return out, nil
-	}
-	for _, entry := range strings.Split(s, ",") {
-		key, addr, certFile, err := splitSpec(entry, "id=addr=certfile")
-		if err != nil {
-			return nil, err
-		}
+	err := eachSpec(s, "id=addr=certfile", func(entry, key string, spec hopSpec) error {
 		id, err := strconv.Atoi(key)
 		if err != nil {
-			return nil, fmt.Errorf("entry %q: server id: %w", entry, err)
+			return fmt.Errorf("entry %q: server id: %w", entry, err)
 		}
 		if _, dup := out[id]; dup {
-			return nil, fmt.Errorf("server %d listed twice", id)
+			return fmt.Errorf("server %d listed twice", id)
 		}
-		out[id] = hopSpec{addr: addr, certFile: certFile}
-	}
-	return out, nil
+		out[id] = spec
+		return nil
+	})
+	return out, err
 }
 
 // gatewaySpec locates one gateway shard process and the registry
@@ -138,22 +124,16 @@ type gatewaySpec struct {
 // parseGatewaySpecs parses "lo:hi=addr=certfile,..." into shard
 // specs; range validity (partitioning) is checked by core.
 func parseGatewaySpecs(s string) ([]gatewaySpec, error) {
-	if strings.TrimSpace(s) == "" {
-		return nil, nil
-	}
 	var out []gatewaySpec
-	for _, entry := range strings.Split(s, ",") {
-		key, addr, certFile, err := splitSpec(entry, "lo:hi=addr=certfile")
-		if err != nil {
-			return nil, err
-		}
+	err := eachSpec(s, "lo:hi=addr=certfile", func(entry, key string, spec hopSpec) error {
 		lo, hi, err := parseIntPair(key, "lo:hi")
 		if err != nil {
-			return nil, fmt.Errorf("entry %q: %w", entry, err)
+			return fmt.Errorf("entry %q: %w", entry, err)
 		}
-		out = append(out, gatewaySpec{lo: lo, hi: hi, hopSpec: hopSpec{addr: addr, certFile: certFile}})
-	}
-	return out, nil
+		out = append(out, gatewaySpec{lo: lo, hi: hi, hopSpec: spec})
+		return nil
+	})
+	return out, err
 }
 
 func writeCert(pemOf func() ([]byte, error), path string) error {

@@ -235,12 +235,7 @@ func runGatewayShard(addr, certOut, shardRange, dataDir, adminAddr string, boxes
 		}
 	})
 	defer closeAdmin()
-	var ss *rpc.ShardServer
-	if serverTLS != nil {
-		ss, err = rpc.NewShardServerTLS(fe, addr, serverTLS, clientTLS)
-	} else {
-		ss, err = rpc.NewShardServer(fe, addr)
-	}
+	ss, err := rpc.NewShardServerTLS(fe, addr, serverTLS, clientTLS)
 	if err != nil {
 		log.Fatalf("starting gateway shard: %v", err)
 	}
@@ -316,7 +311,7 @@ func runCoordinator(o coordinatorOpts) {
 	}
 	var shardClients []*rpc.ShardClient
 	for _, gs := range gwSpecs {
-		tlsCfg, err := loadClientTLS(gs.certFile)
+		tlsCfg, err := rpc.ClientTLSFromFile(gs.certFile)
 		if err != nil {
 			log.Fatalf("-gateways %d:%d: %v", gs.lo, gs.hi, err)
 		}

@@ -52,11 +52,19 @@ func L(n int) int {
 	return l
 }
 
+// MaxChains bounds the chain count a plan is built for. The plan holds
+// about 2n chain indices, and n reaches gateway shards over the network
+// (shard.init/begin/rebalance, the status a client sizes its plan
+// from), so an absurd count must be an error, not an allocation. The
+// bound is orders of magnitude above any deployment — n is at most the
+// number of servers, and the paper evaluates up to 2000.
+const MaxChains = 1 << 20
+
 // NewPlan computes the chain-selection plan for n chains. It returns
-// an error for n < 1.
+// an error for n < 1 or n > MaxChains.
 func NewPlan(n int) (*Plan, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("chainsel: need at least one chain, got %d", n)
+	if n < 1 || n > MaxChains {
+		return nil, fmt.Errorf("chainsel: chain count %d outside [1, %d]", n, MaxChains)
 	}
 	l := L(n)
 	// Build the paper's 1-based construction, then wrap and shift to

@@ -64,6 +64,9 @@ func TestNewPlanRejectsBadN(t *testing.T) {
 	if _, err := NewPlan(-5); err == nil {
 		t.Fatal("NewPlan(-5) succeeded")
 	}
+	if _, err := NewPlan(MaxChains + 1); err == nil {
+		t.Fatal("NewPlan(MaxChains+1) succeeded")
+	}
 }
 
 // TestAllGroupPairsIntersect is the core correctness property (§4,

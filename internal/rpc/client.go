@@ -4,7 +4,6 @@ import (
 	"crypto/tls"
 	"errors"
 	"fmt"
-	"net"
 	"sync"
 	"time"
 
@@ -12,56 +11,21 @@ import (
 	"repro/internal/mix"
 )
 
-// DefaultCallTimeout bounds one Client request/response exchange.
-// Round triggering waits for the whole round to execute, so the
-// default is generous; tune Client.Timeout for very large
-// deployments or very tight tests.
-const DefaultCallTimeout = 3 * time.Minute
-
-// TransportError marks a connection-level failure — dial, write,
-// read, deadline — as opposed to an application error returned by the
-// server. The distinction drives failover: a gateway that answered
-// "round closed" is healthy and retrying elsewhere is pointless,
-// while one that cannot be reached may have died and its peers can
-// still take the traffic (see MultiClient).
-type TransportError struct {
-	Op  string
-	Err error
-}
-
-func (e *TransportError) Error() string { return fmt.Sprintf("rpc: %s: %v", e.Op, e.Err) }
-func (e *TransportError) Unwrap() error { return e.Err }
-
-// IsTransportError reports whether err (or anything it wraps) is a
-// connection-level failure.
-func IsTransportError(err error) bool {
-	var te *TransportError
-	return errors.As(err, &te)
-}
-
 // Client is a remote user's connection to an XRD gateway. It
 // implements client.ParamsSource, so a client.User can build rounds
 // against a remote deployment exactly as against an in-process one.
-//
-// The connection heals itself: a transport-level failure (timeout,
-// gateway shedding an idle connection, network blip) poisons the
-// current connection — its framing state is unknown, and reusing it
-// would pair the next request with a stale response — and the next
-// call dials a fresh one.
+// The coordinator's ShardClient rides on one too. Connections are
+// pooled and self-healing; see link.
 type Client struct {
 	// Timeout bounds one call's write-request/read-response exchange;
 	// zero disables the deadline. Defaults to DefaultCallTimeout.
 	Timeout time.Duration
 
-	addr   string
-	tlsCfg *tls.Config
+	*link
 
-	mu      sync.Mutex
-	closed  bool
-	conn    net.Conn  // nil after a transport failure; redialed on use
-	lastUse time.Time // when conn last completed an exchange
 	// paramsCache avoids refetching identical (chain, round) params
 	// during one BuildRound (2ℓ lookups).
+	paramsMu    sync.Mutex
 	paramsCache map[[2]uint64]mix.Params
 }
 
@@ -70,128 +34,50 @@ var _ client.ParamsSource = (*Client)(nil)
 // Dial connects to a gateway with the pinned TLS configuration
 // obtained from the deployment (Server.ClientTLS or the PKI).
 func Dial(addr string, tlsCfg *tls.Config) (*Client, error) {
-	conn, err := tls.Dial("tcp", addr, tlsCfg)
+	c := NewClient(addr, tlsCfg)
+	conn, err := c.get(false)
 	if err != nil {
 		return nil, fmt.Errorf("rpc: dialing %s: %w", addr, err)
 	}
-	return &Client{
-		Timeout:     DefaultCallTimeout,
-		addr:        addr,
-		tlsCfg:      tlsCfg,
-		conn:        conn,
-		lastUse:     time.Now(),
-		paramsCache: make(map[[2]uint64]mix.Params),
-	}, nil
+	c.put(conn)
+	return c, nil
 }
 
 // NewClient creates a client without connecting; the first call
 // dials. Use it when the target may not be up yet, or when failover
 // logic (MultiClient) should decide lazily which gateways to touch.
 func NewClient(addr string, tlsCfg *tls.Config) *Client {
-	return &Client{
-		Timeout:     DefaultCallTimeout,
-		addr:        addr,
-		tlsCfg:      tlsCfg,
-		paramsCache: make(map[[2]uint64]mix.Params),
+	c := &Client{Timeout: DefaultCallTimeout, paramsCache: make(map[[2]uint64]mix.Params)}
+	c.link = &link{
+		addr:      addr,
+		tlsCfg:    tlsCfg,
+		dials:     obsClientDials,
+		idleReaps: obsClientIdleRedials,
+		timeout: func(class deadlineClass) time.Duration {
+			if class == classBuild {
+				return DefaultShardCallTimeout
+			}
+			return c.Timeout
+		},
 	}
+	return c
 }
 
 // Addr returns the gateway address this client targets.
 func (c *Client) Addr() string { return c.addr }
 
-// Close closes the connection; subsequent calls fail.
-func (c *Client) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.closed = true
-	if c.conn == nil {
-		return nil
-	}
-	err := c.conn.Close()
-	c.conn = nil
-	return err
-}
-
-// call performs one request/response exchange; the protocol is
-// strictly alternating per connection. The configured Timeout covers
-// the whole exchange so a stalled or dead gateway surfaces as an
-// error instead of wedging the caller forever.
-func (c *Client) call(method string, reqBody any, respBody any) error {
-	b, err := encode(reqBody)
-	if err != nil {
-		return err
-	}
-	req, err := encode(request{Method: method, Body: b})
-	if err != nil {
-		return err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return errors.New("rpc: client closed")
-	}
-	// A connection idle past maxConnIdle has likely been shed by the
-	// server's idle deadline (see the hop pool's identical rule);
-	// reusing it would fail the call spuriously. Redial instead.
-	if c.conn != nil && time.Since(c.lastUse) > maxConnIdle {
-		obsClientIdleRedials.Inc()
-		c.conn.Close()
-		c.conn = nil
-	}
-	if c.conn == nil {
-		obsClientDials.Inc()
-		conn, err := tls.Dial("tcp", c.addr, c.tlsCfg)
-		if err != nil {
-			obsClientTransportErrors.Inc()
-			return &TransportError{Op: "dialing " + c.addr, Err: err}
-		}
-		c.conn = conn
-	}
-	// poison drops the connection after a transport failure: a late
-	// response arriving on it would otherwise be read as the answer
-	// to the next request.
-	poison := func() {
-		c.conn.Close()
-		c.conn = nil
-	}
-	if c.Timeout > 0 {
-		c.conn.SetDeadline(time.Now().Add(c.Timeout))
-	}
-	if err := WriteFrame(c.conn, req); err != nil {
-		poison()
-		obsClientTransportErrors.Inc()
-		return &TransportError{Op: "sending " + method, Err: err}
-	}
-	frame, err := ReadFrame(c.conn)
-	if err != nil {
-		poison()
-		obsClientTransportErrors.Inc()
-		return &TransportError{Op: "reading " + method + " response", Err: err}
-	}
-	var resp response
-	if err := decode(frame, &resp); err != nil {
-		poison()
-		return err
-	}
-	if c.Timeout > 0 {
-		c.conn.SetDeadline(time.Time{})
-	}
-	c.lastUse = time.Now()
-	if resp.Err != "" {
-		return errors.New(resp.Err)
-	}
-	return decode(resp.Body, respBody)
-}
+// Close closes the client's connections; subsequent calls fail.
+func (c *Client) Close() error { c.link.close(); return nil }
 
 // ChainParams fetches (and caches) a chain's parameters for a round.
 func (c *Client) ChainParams(chain int, round uint64) (mix.Params, error) {
 	key := [2]uint64{uint64(chain), round}
-	c.mu.Lock()
+	c.paramsMu.Lock()
 	if p, ok := c.paramsCache[key]; ok {
-		c.mu.Unlock()
+		c.paramsMu.Unlock()
 		return p, nil
 	}
-	c.mu.Unlock()
+	c.paramsMu.Unlock()
 
 	var wire ParamsResponse
 	if err := c.call("params", ParamsRequest{Chain: chain, Round: round}, &wire); err != nil {
@@ -201,12 +87,12 @@ func (c *Client) ChainParams(chain int, round uint64) (mix.Params, error) {
 	if err != nil {
 		return mix.Params{}, err
 	}
-	c.mu.Lock()
+	c.paramsMu.Lock()
 	c.paramsCache[key] = p
 	if len(c.paramsCache) > 4096 {
 		c.paramsCache = map[[2]uint64]mix.Params{key: p}
 	}
-	c.mu.Unlock()
+	c.paramsMu.Unlock()
 	return p, nil
 }
 
@@ -232,20 +118,16 @@ func (c *Client) Submit(mailbox []byte, out *client.RoundOutput) error {
 // Fetch downloads a mailbox for a round.
 func (c *Client) Fetch(round uint64, mailbox []byte) ([][]byte, error) {
 	var resp FetchResponse
-	if err := c.call("fetch", FetchRequest{Round: round, Mailbox: mailbox}, &resp); err != nil {
-		return nil, err
-	}
-	return resp.Messages, nil
+	err := c.call("fetch", FetchRequest{Round: round, Mailbox: mailbox}, &resp)
+	return resp.Messages, err
 }
 
 // Ack confirms receipt of a round's mailbox contents, letting the
 // gateway prune them. Returns the number of messages pruned.
 func (c *Client) Ack(round uint64, mailbox []byte) (int, error) {
 	var resp AckResponse
-	if err := c.call("ack", AckRequest{Round: round, Mailbox: mailbox}, &resp); err != nil {
-		return 0, err
-	}
-	return resp.Pruned, nil
+	err := c.call("ack", AckRequest{Round: round, Mailbox: mailbox}, &resp)
+	return resp.Pruned, err
 }
 
 // Status reports the deployment's shape and current round.
@@ -268,8 +150,6 @@ func (c *Client) RunRound() (RunRoundResponse, error) {
 // own are rejected.
 func (c *Client) Register(mailboxes [][]byte) (int, error) {
 	var resp RegisterResponse
-	if err := c.call("register", RegisterRequest{Mailboxes: mailboxes}, &resp); err != nil {
-		return 0, err
-	}
-	return resp.Registered, nil
+	err := c.call("register", RegisterRequest{Mailboxes: mailboxes}, &resp)
+	return resp.Registered, err
 }

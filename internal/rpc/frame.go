@@ -1,16 +1,28 @@
-// Package rpc provides the network transport of this reproduction:
-// length-prefixed binary frames over TCP with TLS, standing in for
-// the prototype's streaming gRPC over TLS (§7).
+// Package rpc is the network transport of this reproduction:
+// length-prefixed gob frames over TCP with TLS 1.3 and pinned
+// certificates, standing in for the prototype's streaming gRPC over
+// TLS (§7).
 //
-// Two services share the framing. The user-facing surface of an XRD
-// deployment (Server/Client): fetch chain parameters, submit a
-// round's messages and covers, download a mailbox, and (for the
-// round driver) trigger round execution. And the server↔server hop
-// transport (HopServer/HopClient): the gateway driving one remote
-// mix position through a chain's round — batch streaming in bounded
-// chunks, shuffle certification, blame reveals — so a chain can span
-// separate processes and machines; DESIGN.md documents the
-// deployment shape and what stays in-process.
+// There is one transport. Its dialing half is link (transport.go): a
+// small connection pool per endpoint and a single request/response
+// exchange, with each method's deadline class and retry rule read from
+// one table (policies). Its serving half is listenerCore
+// (listener.go): the TLS listener, the per-connection frame loop with
+// idle and write deadlines, and dispatch by method name into a table
+// of handlers whose typed adapter owns decoding and encoding. Batches
+// cross it in bounded chunks (MaxHopChunkEnvelopes per frame).
+//
+// Three endpoints are built from it. Server/Client is the user-facing
+// surface of a deployment: fetch chain parameters, submit a round's
+// messages and covers, register, download and acknowledge a mailbox,
+// and (for the round driver) trigger round execution; MultiClient adds
+// owner routing and failover across gateway shards. ShardServer serves
+// the same user methods for one gateway shard plus the coordinator's
+// shard.* round protocol, carried by ShardClient (core.GatewayShard).
+// HopServer/HopClient let the coordinator drive one remote mix
+// position through a chain's round (mix.Hop), so a chain can span
+// separate processes and machines. DESIGN.md's Transport section holds
+// the method table.
 package rpc
 
 import (

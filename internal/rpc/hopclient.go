@@ -2,11 +2,9 @@ package rpc
 
 import (
 	"crypto/tls"
-	"errors"
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/aead"
@@ -14,24 +12,6 @@ import (
 	"repro/internal/mix"
 	"repro/internal/nizk"
 	"repro/internal/onion"
-)
-
-// Hop transport client defaults. One exchange is bounded by
-// DefaultHopCallTimeout; hop.mix waits for the remote to mix the
-// whole batch, so it gets its own, much larger bound.
-const (
-	DefaultHopCallTimeout = time.Minute
-	DefaultHopMixTimeout  = 10 * time.Minute
-	// maxIdleHopConns bounds the pool; connections beyond it are
-	// closed on release rather than cached.
-	maxIdleHopConns = 4
-	// maxConnIdle is how long a pooled connection may sit unused
-	// before the pool discards it instead of handing it out. It must
-	// stay safely below the server side's DefaultIdleTimeout:
-	// otherwise the pool would return connections the hop endpoint
-	// has already shed, the call would fail spuriously, and the
-	// chain would blame a perfectly healthy position.
-	maxConnIdle = time.Minute
 )
 
 // HopClient is the gateway's handle on one remote mix position: the
@@ -50,16 +30,11 @@ type HopClient struct {
 	CallTimeout time.Duration
 	MixTimeout  time.Duration
 
-	pool *connPool
+	*link
 
-	// metrics is the per-position metric set, installed by InitEpoch
-	// when the binding is known and swapped atomically on re-binding;
-	// nil until the first Init (nothing to label the calls with yet).
-	metrics atomic.Pointer[hopMetrics]
-
-	mu    sync.Mutex
-	ready bool
-	keys  mix.HopKeys
+	keysMu sync.Mutex
+	ready  bool
+	keys   mix.HopKeys
 }
 
 var _ mix.Hop = (*HopClient)(nil)
@@ -69,24 +44,33 @@ var _ mix.Hop = (*HopClient)(nil)
 // out-of-band like every server identity, §3.1). Connections are
 // opened lazily and pooled.
 func DialHop(addr string, tlsCfg *tls.Config) *HopClient {
-	return &HopClient{
-		CallTimeout: DefaultHopCallTimeout,
-		MixTimeout:  DefaultHopMixTimeout,
-		pool:        &connPool{addr: addr, tlsCfg: tlsCfg},
+	h := &HopClient{CallTimeout: DefaultHopCallTimeout, MixTimeout: DefaultHopMixTimeout}
+	h.link = &link{
+		addr:      addr,
+		tlsCfg:    tlsCfg,
+		dials:     obsHopDials,
+		idleReaps: obsHopIdleReaps,
+		timeout: func(class deadlineClass) time.Duration {
+			if class == classMix {
+				return h.MixTimeout
+			}
+			return h.CallTimeout
+		},
 	}
+	return h
 }
 
 // Close releases all pooled connections.
-func (h *HopClient) Close() error { h.pool.close(); return nil }
+func (h *HopClient) Close() error { h.link.close(); return nil }
 
 // SetConnWrapper installs a wrapper applied to every connection the
 // client dials from now on — the fault-injection hook (a
 // faults.Injector.Wrapper value). nil removes the wrapper; already
 // pooled connections are unaffected.
 func (h *HopClient) SetConnWrapper(w func(net.Conn) net.Conn) {
-	h.pool.mu.Lock()
-	h.pool.wrap = w
-	h.pool.mu.Unlock()
+	h.link.mu.Lock()
+	h.link.wrap = w
+	h.link.mu.Unlock()
 }
 
 // Init binds the remote process to chain position (chain, index) with
@@ -104,7 +88,7 @@ func (h *HopClient) InitEpoch(epoch uint64, chain, index int, base group.Point) 
 	h.metrics.Store(newHopMetrics(chain, index))
 	var w HopKeysResponse
 	req := HopInitRequest{Epoch: epoch, Chain: chain, Index: index, Base: base.Bytes()}
-	if err := h.call("hop.init", req, &w, h.CallTimeout); err != nil {
+	if err := h.call("hop.init", req, &w); err != nil {
 		return mix.HopKeys{}, err
 	}
 	if w.Chain != chain || w.Index != index {
@@ -114,16 +98,16 @@ func (h *HopClient) InitEpoch(epoch uint64, chain, index int, base group.Point) 
 	if err != nil {
 		return mix.HopKeys{}, err
 	}
-	h.mu.Lock()
+	h.keysMu.Lock()
 	h.keys, h.ready = keys, true
-	h.mu.Unlock()
+	h.keysMu.Unlock()
 	return keys, nil
 }
 
 // Keys returns the keys fetched by Init.
 func (h *HopClient) Keys() mix.HopKeys {
-	h.mu.Lock()
-	defer h.mu.Unlock()
+	h.keysMu.Lock()
+	defer h.keysMu.Unlock()
 	if !h.ready {
 		panic("rpc: HopClient.Keys before Init")
 	}
@@ -133,7 +117,7 @@ func (h *HopClient) Keys() mix.HopKeys {
 // BeginRound implements mix.Hop.
 func (h *HopClient) BeginRound(round uint64) (group.Point, nizk.Proof, error) {
 	var resp HopBeginResponse
-	if err := h.call("hop.begin", HopBeginRequest{Round: round}, &resp, h.CallTimeout); err != nil {
+	if err := h.call("hop.begin", HopBeginRequest{Round: round}, &resp); err != nil {
 		return group.Point{}, nizk.Proof{}, err
 	}
 	ipk, err := group.ParsePoint(resp.Ipk)
@@ -150,7 +134,7 @@ func (h *HopClient) BeginRound(round uint64) (group.Point, nizk.Proof, error) {
 // RevealInnerKey implements mix.Hop.
 func (h *HopClient) RevealInnerKey(round uint64) (group.Scalar, error) {
 	var resp HopRevealResponse
-	if err := h.call("hop.reveal", HopRevealRequest{Round: round}, &resp, h.CallTimeout); err != nil {
+	if err := h.call("hop.reveal", HopRevealRequest{Round: round}, &resp); err != nil {
 		return group.Scalar{}, err
 	}
 	isk, err := group.ParseScalar(resp.Isk)
@@ -165,20 +149,19 @@ func (h *HopClient) RevealInnerKey(round uint64) (group.Scalar, error) {
 // validated structurally here (parses, sizes, index ranges); the
 // chain re-checks everything cryptographically.
 func (h *HopClient) Mix(round uint64, nonce [aead.NonceSize]byte, in []onion.Envelope) (*mix.MixResult, error) {
-	for seq, off := 0, 0; off < len(in); seq++ {
-		end := off + MaxHopChunkEnvelopes
-		if end > len(in) {
-			end = len(in)
-		}
+	err := chunks(len(in), func(seq, lo, hi int) error {
 		var ack HopBatchResponse
-		req := HopBatchRequest{Round: round, Seq: seq, Envelopes: envelopesToWire(in[off:end])}
-		if err := h.call("hop.batch", req, &ack, h.CallTimeout); err != nil {
-			return nil, fmt.Errorf("rpc: streaming batch chunk %d: %w", seq, err)
+		req := HopBatchRequest{Round: round, Seq: seq, Envelopes: envelopesToWire(in[lo:hi])}
+		if err := h.call("hop.batch", req, &ack); err != nil {
+			return fmt.Errorf("rpc: streaming batch chunk %d: %w", seq, err)
 		}
-		off = end
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	var mr HopMixResponse
-	if err := h.call("hop.mix", HopMixRequest{Round: round, Nonce: nonce[:], Count: len(in)}, &mr, h.MixTimeout); err != nil {
+	if err := h.call("hop.mix", HopMixRequest{Round: round, Nonce: nonce[:], Count: len(in)}, &mr); err != nil {
 		return nil, err
 	}
 	if len(mr.Failed) > 0 {
@@ -192,25 +175,23 @@ func (h *HopClient) Mix(round uint64, nonce [aead.NonceSize]byte, in []onion.Env
 		return nil, fmt.Errorf("rpc: hop reports %d outputs for %d inputs", mr.OutCount, len(in))
 	}
 	out := make([]onion.Envelope, 0, mr.OutCount)
-	for seq := 0; len(out) < mr.OutCount; seq++ {
+	err = chunks(mr.OutCount, func(seq, lo, hi int) error {
 		var pr HopPullResponse
-		if err := h.call("hop.pull", HopPullRequest{Round: round, Seq: seq}, &pr, h.CallTimeout); err != nil {
-			return nil, fmt.Errorf("rpc: pulling output chunk %d: %w", seq, err)
+		if err := h.call("hop.pull", HopPullRequest{Round: round, Seq: seq}, &pr); err != nil {
+			return fmt.Errorf("rpc: pulling output chunk %d: %w", seq, err)
 		}
-		if len(pr.Envelopes) == 0 || len(pr.Envelopes) > MaxHopChunkEnvelopes {
-			return nil, fmt.Errorf("rpc: output chunk of %d envelopes outside (0, %d]", len(pr.Envelopes), MaxHopChunkEnvelopes)
+		if len(pr.Envelopes) != hi-lo || pr.More != (hi < mr.OutCount) {
+			return fmt.Errorf("rpc: output chunk %d (%d envelopes, more=%v) disagrees with the hop's announced output count %d", seq, len(pr.Envelopes), pr.More, mr.OutCount)
 		}
 		envs, err := envelopesFromWire(pr.Envelopes)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		out = append(out, envs...)
-		if pr.More != (len(out) < mr.OutCount) {
-			return nil, fmt.Errorf("rpc: hop's chunk continuation disagrees with its announced output count %d", mr.OutCount)
-		}
-	}
-	if len(out) != mr.OutCount {
-		return nil, fmt.Errorf("rpc: hop streamed %d outputs, announced %d", len(out), mr.OutCount)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return &mix.MixResult{Out: out, Proof: proof, Out2In: mr.Out2In}, nil
 }
@@ -219,7 +200,7 @@ func (h *HopClient) Mix(round uint64, nonce [aead.NonceSize]byte, in []onion.Env
 func (h *HopClient) ReProveSubset(round uint64, epoch int, keep []bool) (nizk.Proof, error) {
 	req := HopCertifyRequest{Round: round, Epoch: epoch, N: len(keep), Keep: packBools(keep)}
 	var resp HopCertifyResponse
-	if err := h.call("hop.certify", req, &resp, h.CallTimeout); err != nil {
+	if err := h.call("hop.certify", req, &resp); err != nil {
 		return nizk.Proof{}, err
 	}
 	proof, err := nizk.ParseProof(resp.Proof)
@@ -232,7 +213,7 @@ func (h *HopClient) ReProveSubset(round uint64, epoch int, keep []bool) (nizk.Pr
 // BlameReveal implements mix.Hop.
 func (h *HopClient) BlameReveal(round uint64, msg, pos int) (mix.BlameReveal, error) {
 	var resp HopBlameResponse
-	if err := h.call("hop.blame", HopBlameRequest{Round: round, Msg: msg, Pos: pos}, &resp, h.CallTimeout); err != nil {
+	if err := h.call("hop.blame", HopBlameRequest{Round: round, Msg: msg, Pos: pos}, &resp); err != nil {
 		return mix.BlameReveal{}, err
 	}
 	var rev mix.BlameReveal
@@ -255,7 +236,7 @@ func (h *HopClient) BlameReveal(round uint64, msg, pos int) (mix.BlameReveal, er
 // Accuse implements mix.Hop.
 func (h *HopClient) Accuse(round uint64, msg int, key group.Point) (mix.AccuseReveal, error) {
 	var resp HopAccuseResponse
-	if err := h.call("hop.accuse", HopAccuseRequest{Round: round, Msg: msg, Key: key.Bytes()}, &resp, h.CallTimeout); err != nil {
+	if err := h.call("hop.accuse", HopAccuseRequest{Round: round, Msg: msg, Key: key.Bytes()}, &resp); err != nil {
 		return mix.AccuseReveal{}, err
 	}
 	var ar mix.AccuseReveal
@@ -267,161 +248,4 @@ func (h *HopClient) Accuse(round uint64, msg int, key group.Point) (mix.AccuseRe
 		return mix.AccuseReveal{}, fmt.Errorf("rpc: accuse proof: %w", err)
 	}
 	return ar, nil
-}
-
-// call performs one request/response exchange on a pooled connection.
-// A transport-level failure poisons the connection (framing state is
-// unknown), so it is closed instead of returned to the pool; an
-// application-level error (response.Err) leaves the connection
-// reusable.
-func (h *HopClient) call(method string, reqBody, respBody any, timeout time.Duration) error {
-	b, err := encode(reqBody)
-	if err != nil {
-		return err
-	}
-	req, err := encode(request{Method: method, Body: b})
-	if err != nil {
-		return err
-	}
-	m := h.metrics.Load()
-	conn, err := h.pool.get()
-	if err != nil {
-		if m != nil {
-			m.errors.Inc()
-		}
-		return fmt.Errorf("rpc: dialing hop for %s: %w", method, err)
-	}
-	healthy := false
-	defer func() {
-		if healthy {
-			h.pool.put(conn)
-		} else {
-			conn.Close()
-		}
-	}()
-	start := time.Now()
-	if timeout > 0 {
-		conn.SetDeadline(time.Now().Add(timeout))
-	}
-	if err := WriteFrame(conn, req); err != nil {
-		if m != nil {
-			m.errors.Inc()
-		}
-		return fmt.Errorf("rpc: sending %s: %w", method, err)
-	}
-	frame, err := ReadFrame(conn)
-	if err != nil {
-		if m != nil {
-			m.errors.Inc()
-		}
-		return fmt.Errorf("rpc: reading %s response: %w", method, err)
-	}
-	if m != nil {
-		m.bytesOut.Add(uint64(len(req)))
-		m.bytesIn.Add(uint64(len(frame)))
-		if lat := m.latency[method]; lat != nil {
-			lat.ObserveDuration(time.Since(start))
-		}
-	}
-	var resp response
-	if err := decode(frame, &resp); err != nil {
-		return err
-	}
-	if timeout > 0 {
-		conn.SetDeadline(time.Time{})
-	}
-	healthy = true
-	if resp.Err != "" {
-		return errors.New(resp.Err)
-	}
-	return decode(resp.Body, respBody)
-}
-
-// connPool is a small idle-connection pool: concurrent calls each
-// get their own connection (the frame protocol is strictly
-// alternating per connection), and up to maxIdleHopConns are kept
-// warm between calls. Connections idle past maxConnIdle are
-// discarded on checkout — the serving side sheds idle connections
-// too, and handing out one it already closed would surface as a
-// spurious transport failure.
-type connPool struct {
-	addr   string
-	tlsCfg *tls.Config
-
-	mu     sync.Mutex
-	closed bool
-	wrap   func(net.Conn) net.Conn
-	free   []pooledConn
-}
-
-type pooledConn struct {
-	conn  net.Conn
-	since time.Time
-}
-
-func (p *connPool) get() (net.Conn, error) {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return nil, errors.New("rpc: hop client closed")
-	}
-	var stale []net.Conn
-	var fresh net.Conn
-	for n := len(p.free); n > 0; n = len(p.free) {
-		pc := p.free[n-1]
-		p.free = p.free[:n-1]
-		if time.Since(pc.since) > maxConnIdle {
-			stale = append(stale, pc.conn)
-			continue
-		}
-		fresh = pc.conn
-		break
-	}
-	wrap := p.wrap
-	p.mu.Unlock()
-	if len(stale) > 0 {
-		obsHopIdleReaps.Add(uint64(len(stale)))
-		for _, c := range stale {
-			c.Close()
-		}
-	}
-	if fresh != nil {
-		return fresh, nil
-	}
-	obsHopDials.Inc()
-	c, err := tls.Dial("tcp", p.addr, p.tlsCfg)
-	if err != nil {
-		return nil, err
-	}
-	if wrap != nil {
-		c2 := wrap(c)
-		if c2 == nil {
-			c.Close()
-			return nil, errors.New("rpc: connection wrapper returned nil")
-		}
-		return c2, nil
-	}
-	return c, nil
-}
-
-func (p *connPool) put(conn net.Conn) {
-	p.mu.Lock()
-	if p.closed || len(p.free) >= maxIdleHopConns {
-		p.mu.Unlock()
-		conn.Close()
-		return
-	}
-	p.free = append(p.free, pooledConn{conn: conn, since: time.Now()})
-	p.mu.Unlock()
-}
-
-func (p *connPool) close() {
-	p.mu.Lock()
-	p.closed = true
-	free := p.free
-	p.free = nil
-	p.mu.Unlock()
-	for _, pc := range free {
-		pc.conn.Close()
-	}
 }

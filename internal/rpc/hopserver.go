@@ -2,6 +2,7 @@ package rpc
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"sync"
 
@@ -62,12 +63,37 @@ func NewHopServer(addr string, scheme aead.Scheme) (*HopServer, error) {
 		scheme = aead.ChaCha20Poly1305()
 	}
 	h := &HopServer{scheme: scheme}
-	lc, err := newListenerCore(addr, h.handle)
+	lc, err := newListenerCore(addr, nil, nil, h.methods())
 	if err != nil {
 		return nil, err
 	}
 	h.listenerCore = lc
 	return h, nil
+}
+
+// methods is the hop endpoint's method table. Every handler runs
+// under h.mu: the staging and binding state belongs to one round
+// conversation at a time.
+func (h *HopServer) methods() map[string]handler {
+	m := map[string]handler{
+		"hop.init":    typed(h.bind),
+		"hop.begin":   bound(h, h.begin),
+		"hop.reveal":  bound(h, h.reveal),
+		"hop.batch":   bound(h, h.batch),
+		"hop.mix":     bound(h, h.mix),
+		"hop.pull":    typed(h.pull),
+		"hop.certify": bound(h, h.certify),
+		"hop.blame":   bound(h, h.blame),
+		"hop.accuse":  bound(h, h.accuse),
+	}
+	for name, fn := range m {
+		m[name] = func(body []byte) ([]byte, error) {
+			h.mu.Lock()
+			defer h.mu.Unlock()
+			return fn(body)
+		}
+	}
+	return m
 }
 
 // HealthInfo reports the hop's binding state for the admin health
@@ -82,224 +108,161 @@ func (h *HopServer) HealthInfo() (bound bool, epoch uint64, chain, index int, ro
 	return true, h.bound.Epoch, h.bound.Chain, h.bound.Index, h.lastRound
 }
 
-// server returns the bound mix server or an error if hop.init has
-// not happened yet.
-func (h *HopServer) server() (*mix.Server, error) {
-	if h.srv == nil {
-		return nil, fmt.Errorf("rpc: hop not initialised; gateway must send hop.init first")
-	}
-	return h.srv, nil
+// bound adapts a handler that drives the bound mix server, refusing
+// the call while hop.init has not happened yet.
+func bound[Req, Resp any](h *HopServer, fn func(*mix.Server, *Req) (Resp, error)) handler {
+	return typed(func(req *Req) (Resp, error) {
+		if h.srv == nil {
+			var zero Resp
+			return zero, errors.New("rpc: hop not initialised; gateway must send hop.init first")
+		}
+		return fn(h.srv, req)
+	})
 }
 
-func (h *HopServer) handle(method string, body []byte) ([]byte, error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	switch method {
-	case "hop.init":
-		var req HopInitRequest
-		if err := decode(body, &req); err != nil {
-			return nil, err
+func (h *HopServer) bind(req *HopInitRequest) (HopKeysResponse, error) {
+	if h.bound != nil && req.Epoch == h.bound.Epoch {
+		if h.bound.Chain != req.Chain || h.bound.Index != req.Index || !bytes.Equal(h.bound.Base, req.Base) {
+			return HopKeysResponse{}, fmt.Errorf("rpc: hop already bound to chain %d position %d in epoch %d", h.bound.Chain, h.bound.Index, h.bound.Epoch)
 		}
-		if h.bound != nil && req.Epoch == h.bound.Epoch {
-			if h.bound.Chain != req.Chain || h.bound.Index != req.Index || !bytes.Equal(h.bound.Base, req.Base) {
-				return nil, fmt.Errorf("rpc: hop already bound to chain %d position %d in epoch %d", h.bound.Chain, h.bound.Index, h.bound.Epoch)
-			}
-			return encode(hopKeysToWire(h.srv.Keys()))
-		}
-		if h.bound != nil && req.Epoch < h.bound.Epoch {
-			return nil, fmt.Errorf("rpc: hop serving epoch %d, refusing rebind to stale epoch %d", h.bound.Epoch, req.Epoch)
-		}
-		if req.Index < 0 || req.Chain < 0 {
-			return nil, fmt.Errorf("rpc: invalid chain position %d:%d", req.Chain, req.Index)
-		}
-		base, err := group.ParsePoint(req.Base)
-		if err != nil {
-			return nil, fmt.Errorf("rpc: hop base point: %w", err)
-		}
-		// Fresh bind, or an epoch advance: the chain was re-formed, so
-		// the old position, keys and any half-staged round are gone.
-		h.srv = mix.NewChainServer(req.Chain, req.Index, base, h.scheme)
-		h.bound = &req
-		h.stage, h.mixed = nil, nil
-		return encode(hopKeysToWire(h.srv.Keys()))
-
-	case "hop.begin":
-		var req HopBeginRequest
-		if err := decode(body, &req); err != nil {
-			return nil, err
-		}
-		srv, err := h.server()
-		if err != nil {
-			return nil, err
-		}
-		if req.Round > h.lastRound {
-			h.lastRound = req.Round
-		}
-		ipk, proof := srv.BeginRound(req.Round)
-		return encode(HopBeginResponse{Ipk: ipk.Bytes(), Proof: proof.Bytes()})
-
-	case "hop.reveal":
-		var req HopRevealRequest
-		if err := decode(body, &req); err != nil {
-			return nil, err
-		}
-		srv, err := h.server()
-		if err != nil {
-			return nil, err
-		}
-		isk, err := srv.RevealInnerKey(req.Round)
-		if err != nil {
-			return nil, err
-		}
-		return encode(HopRevealResponse{Isk: isk.Bytes()})
-
-	case "hop.batch":
-		var req HopBatchRequest
-		if err := decode(body, &req); err != nil {
-			return nil, err
-		}
-		if _, err := h.server(); err != nil {
-			return nil, err
-		}
-		if len(req.Envelopes) == 0 || len(req.Envelopes) > MaxHopChunkEnvelopes {
-			return nil, fmt.Errorf("rpc: batch chunk of %d envelopes outside (0, %d]", len(req.Envelopes), MaxHopChunkEnvelopes)
-		}
-		envs, err := envelopesFromWire(req.Envelopes)
-		if err != nil {
-			return nil, err
-		}
-		if req.Seq == 0 {
-			// A fresh batch opens a new staging buffer, superseding
-			// anything half-staged (the orchestrator restarts from
-			// chunk 0 after blame removals or its own crash).
-			h.stage = &hopStage{round: req.Round}
-		}
-		if h.stage == nil || h.stage.round != req.Round || req.Seq != h.stage.nextSeq {
-			return nil, fmt.Errorf("rpc: unexpected batch chunk round=%d seq=%d", req.Round, req.Seq)
-		}
-		h.stage.envs = append(h.stage.envs, envs...)
-		h.stage.nextSeq++
-		return encode(HopBatchResponse{Received: len(h.stage.envs)})
-
-	case "hop.mix":
-		var req HopMixRequest
-		if err := decode(body, &req); err != nil {
-			return nil, err
-		}
-		srv, err := h.server()
-		if err != nil {
-			return nil, err
-		}
-		if len(req.Nonce) != aead.NonceSize {
-			return nil, fmt.Errorf("rpc: nonce has %d bytes, want %d", len(req.Nonce), aead.NonceSize)
-		}
-		if h.stage == nil || h.stage.round != req.Round {
-			return nil, fmt.Errorf("rpc: no staged batch for round %d", req.Round)
-		}
-		if len(h.stage.envs) != req.Count {
-			return nil, fmt.Errorf("rpc: staged %d envelopes, orchestrator announced %d", len(h.stage.envs), req.Count)
-		}
-		var nonce [aead.NonceSize]byte
-		copy(nonce[:], req.Nonce)
-		envs := h.stage.envs
-		h.stage = nil // consumed either way; retries restage from seq 0
-		mr, err := srv.Mix(req.Round, nonce, envs)
-		if err != nil {
-			return nil, err
-		}
-		if len(mr.Failed) > 0 {
-			h.mixed = nil
-			return encode(HopMixResponse{Failed: mr.Failed})
-		}
-		h.mixed = &hopMixed{round: req.Round, out: mr.Out}
-		return encode(HopMixResponse{
-			Proof:    mr.Proof.Bytes(),
-			Out2In:   mr.Out2In,
-			OutCount: len(mr.Out),
-		})
-
-	case "hop.pull":
-		var req HopPullRequest
-		if err := decode(body, &req); err != nil {
-			return nil, err
-		}
-		if h.mixed == nil || h.mixed.round != req.Round {
-			return nil, fmt.Errorf("rpc: no mixed output for round %d", req.Round)
-		}
-		// Bound Seq itself before multiplying: a huge value would
-		// overflow the offset computation into a negative slice index.
-		if req.Seq < 0 || req.Seq > len(h.mixed.out)/MaxHopChunkEnvelopes {
-			return nil, fmt.Errorf("rpc: output chunk %d out of range", req.Seq)
-		}
-		lo := req.Seq * MaxHopChunkEnvelopes
-		if lo >= len(h.mixed.out) {
-			return nil, fmt.Errorf("rpc: output chunk %d out of range", req.Seq)
-		}
-		hi := lo + MaxHopChunkEnvelopes
-		if hi > len(h.mixed.out) {
-			hi = len(h.mixed.out)
-		}
-		return encode(HopPullResponse{
-			Envelopes: envelopesToWire(h.mixed.out[lo:hi]),
-			More:      hi < len(h.mixed.out),
-		})
-
-	case "hop.certify":
-		var req HopCertifyRequest
-		if err := decode(body, &req); err != nil {
-			return nil, err
-		}
-		srv, err := h.server()
-		if err != nil {
-			return nil, err
-		}
-		keep, err := unpackBools(req.Keep, req.N)
-		if err != nil {
-			return nil, err
-		}
-		proof, err := srv.ReProveSubset(req.Round, req.Epoch, keep)
-		if err != nil {
-			return nil, err
-		}
-		return encode(HopCertifyResponse{Proof: proof.Bytes()})
-
-	case "hop.blame":
-		var req HopBlameRequest
-		if err := decode(body, &req); err != nil {
-			return nil, err
-		}
-		srv, err := h.server()
-		if err != nil {
-			return nil, err
-		}
-		rev, err := srv.BlameRevealAt(req.Round, req.Msg, req.Pos)
-		if err != nil {
-			return nil, err
-		}
-		return encode(HopBlameResponse{
-			Xin:        rev.Xin.Bytes(),
-			BlindProof: rev.BlindProof.Bytes(),
-			K:          rev.K.Bytes(),
-			KeyProof:   rev.KeyProof.Bytes(),
-		})
-
-	case "hop.accuse":
-		var req HopAccuseRequest
-		if err := decode(body, &req); err != nil {
-			return nil, err
-		}
-		srv, err := h.server()
-		if err != nil {
-			return nil, err
-		}
-		key, err := group.ParsePoint(req.Key)
-		if err != nil {
-			return nil, fmt.Errorf("rpc: accused key: %w", err)
-		}
-		ar := srv.Accuse(req.Round, req.Msg, key)
-		return encode(HopAccuseResponse{K: ar.K.Bytes(), Proof: ar.Proof.Bytes()})
-
-	default:
-		return nil, fmt.Errorf("rpc: unknown hop method %q", method)
+		return hopKeysToWire(h.srv.Keys()), nil
 	}
+	if h.bound != nil && req.Epoch < h.bound.Epoch {
+		return HopKeysResponse{}, fmt.Errorf("rpc: hop serving epoch %d, refusing rebind to stale epoch %d", h.bound.Epoch, req.Epoch)
+	}
+	if req.Index < 0 || req.Chain < 0 {
+		return HopKeysResponse{}, fmt.Errorf("rpc: invalid chain position %d:%d", req.Chain, req.Index)
+	}
+	base, err := group.ParsePoint(req.Base)
+	if err != nil {
+		return HopKeysResponse{}, fmt.Errorf("rpc: hop base point: %w", err)
+	}
+	// Fresh bind, or an epoch advance: the chain was re-formed, so
+	// the old position, keys and any half-staged round are gone.
+	h.srv = mix.NewChainServer(req.Chain, req.Index, base, h.scheme)
+	h.bound = req
+	h.stage, h.mixed = nil, nil
+	return hopKeysToWire(h.srv.Keys()), nil
+}
+
+func (h *HopServer) begin(srv *mix.Server, req *HopBeginRequest) (HopBeginResponse, error) {
+	if req.Round > h.lastRound {
+		h.lastRound = req.Round
+	}
+	ipk, proof := srv.BeginRound(req.Round)
+	return HopBeginResponse{Ipk: ipk.Bytes(), Proof: proof.Bytes()}, nil
+}
+
+func (h *HopServer) reveal(srv *mix.Server, req *HopRevealRequest) (HopRevealResponse, error) {
+	isk, err := srv.RevealInnerKey(req.Round)
+	if err != nil {
+		return HopRevealResponse{}, err
+	}
+	return HopRevealResponse{Isk: isk.Bytes()}, nil
+}
+
+func (h *HopServer) batch(_ *mix.Server, req *HopBatchRequest) (HopBatchResponse, error) {
+	if len(req.Envelopes) == 0 || len(req.Envelopes) > MaxHopChunkEnvelopes {
+		return HopBatchResponse{}, fmt.Errorf("rpc: batch chunk of %d envelopes outside (0, %d]", len(req.Envelopes), MaxHopChunkEnvelopes)
+	}
+	envs, err := envelopesFromWire(req.Envelopes)
+	if err != nil {
+		return HopBatchResponse{}, err
+	}
+	if req.Seq == 0 {
+		// A fresh batch opens a new staging buffer, superseding
+		// anything half-staged (the orchestrator restarts from
+		// chunk 0 after blame removals or its own crash).
+		h.stage = &hopStage{round: req.Round}
+	}
+	if h.stage == nil || h.stage.round != req.Round || req.Seq != h.stage.nextSeq {
+		return HopBatchResponse{}, fmt.Errorf("rpc: unexpected batch chunk round=%d seq=%d", req.Round, req.Seq)
+	}
+	h.stage.envs = append(h.stage.envs, envs...)
+	h.stage.nextSeq++
+	return HopBatchResponse{Received: len(h.stage.envs)}, nil
+}
+
+func (h *HopServer) mix(srv *mix.Server, req *HopMixRequest) (HopMixResponse, error) {
+	if len(req.Nonce) != aead.NonceSize {
+		return HopMixResponse{}, fmt.Errorf("rpc: nonce has %d bytes, want %d", len(req.Nonce), aead.NonceSize)
+	}
+	if h.stage == nil || h.stage.round != req.Round {
+		return HopMixResponse{}, fmt.Errorf("rpc: no staged batch for round %d", req.Round)
+	}
+	if len(h.stage.envs) != req.Count {
+		return HopMixResponse{}, fmt.Errorf("rpc: staged %d envelopes, orchestrator announced %d", len(h.stage.envs), req.Count)
+	}
+	var nonce [aead.NonceSize]byte
+	copy(nonce[:], req.Nonce)
+	envs := h.stage.envs
+	h.stage = nil // consumed either way; retries restage from seq 0
+	mr, err := srv.Mix(req.Round, nonce, envs)
+	if err != nil {
+		return HopMixResponse{}, err
+	}
+	if len(mr.Failed) > 0 {
+		h.mixed = nil
+		return HopMixResponse{Failed: mr.Failed}, nil
+	}
+	h.mixed = &hopMixed{round: req.Round, out: mr.Out}
+	return HopMixResponse{
+		Proof:    mr.Proof.Bytes(),
+		Out2In:   mr.Out2In,
+		OutCount: len(mr.Out),
+	}, nil
+}
+
+func (h *HopServer) pull(req *HopPullRequest) (HopPullResponse, error) {
+	if h.mixed == nil || h.mixed.round != req.Round {
+		return HopPullResponse{}, fmt.Errorf("rpc: no mixed output for round %d", req.Round)
+	}
+	// Bound Seq itself before multiplying: a huge value would
+	// overflow the offset computation into a negative slice index.
+	if req.Seq < 0 || req.Seq > len(h.mixed.out)/MaxHopChunkEnvelopes {
+		return HopPullResponse{}, fmt.Errorf("rpc: output chunk %d out of range", req.Seq)
+	}
+	lo := req.Seq * MaxHopChunkEnvelopes
+	if lo >= len(h.mixed.out) {
+		return HopPullResponse{}, fmt.Errorf("rpc: output chunk %d out of range", req.Seq)
+	}
+	hi := min(lo+MaxHopChunkEnvelopes, len(h.mixed.out))
+	return HopPullResponse{
+		Envelopes: envelopesToWire(h.mixed.out[lo:hi]),
+		More:      hi < len(h.mixed.out),
+	}, nil
+}
+
+func (h *HopServer) certify(srv *mix.Server, req *HopCertifyRequest) (HopCertifyResponse, error) {
+	keep, err := unpackBools(req.Keep, req.N)
+	if err != nil {
+		return HopCertifyResponse{}, err
+	}
+	proof, err := srv.ReProveSubset(req.Round, req.Epoch, keep)
+	if err != nil {
+		return HopCertifyResponse{}, err
+	}
+	return HopCertifyResponse{Proof: proof.Bytes()}, nil
+}
+
+func (h *HopServer) blame(srv *mix.Server, req *HopBlameRequest) (HopBlameResponse, error) {
+	rev, err := srv.BlameRevealAt(req.Round, req.Msg, req.Pos)
+	if err != nil {
+		return HopBlameResponse{}, err
+	}
+	return HopBlameResponse{
+		Xin:        rev.Xin.Bytes(),
+		BlindProof: rev.BlindProof.Bytes(),
+		K:          rev.K.Bytes(),
+		KeyProof:   rev.KeyProof.Bytes(),
+	}, nil
+}
+
+func (h *HopServer) accuse(srv *mix.Server, req *HopAccuseRequest) (HopAccuseResponse, error) {
+	key, err := group.ParsePoint(req.Key)
+	if err != nil {
+		return HopAccuseResponse{}, fmt.Errorf("rpc: accused key: %w", err)
+	}
+	ar := srv.Accuse(req.Round, req.Msg, key)
+	return HopAccuseResponse{K: ar.K.Bytes(), Proof: ar.Proof.Bytes()}, nil
 }

@@ -26,12 +26,6 @@ import (
 // plus hop.certify (re-certification after blame removals), hop.blame
 // and hop.accuse (blame reveals), and the key/round-setup calls.
 
-// MaxHopChunkEnvelopes bounds one streamed batch chunk. With ~100
-// bytes per envelope a full chunk is a few hundred KB — far below
-// MaxFrameSize — so memory per connection stays flat no matter how
-// large the round is; both sides reject bigger chunks.
-const MaxHopChunkEnvelopes = 4096
-
 // WireEnvelope is one onion.Envelope in wire form.
 type WireEnvelope struct {
 	DHKey []byte

@@ -124,13 +124,13 @@ func TestHopRejectsOversizedChunk(t *testing.T) {
 		big[i] = WireEnvelope{DHKey: group.Generator().Bytes()}
 	}
 	var resp HopBatchResponse
-	err := hc.call("hop.batch", HopBatchRequest{Round: 1, Seq: 0, Envelopes: big}, &resp, hc.CallTimeout)
+	err := hc.call("hop.batch", HopBatchRequest{Round: 1, Seq: 0, Envelopes: big}, &resp)
 	if err == nil || !strings.Contains(err.Error(), "chunk") {
 		t.Fatalf("oversized chunk accepted: %v", err)
 	}
 	// The rejection was an application error, not a poisoned stream:
 	// the same client keeps working.
-	if err := hc.call("hop.batch", HopBatchRequest{Round: 1, Seq: 0, Envelopes: big[:1]}, &resp, hc.CallTimeout); err != nil {
+	if err := hc.call("hop.batch", HopBatchRequest{Round: 1, Seq: 0, Envelopes: big[:1]}, &resp); err != nil {
 		t.Fatalf("connection unusable after rejection: %v", err)
 	}
 }
@@ -138,7 +138,7 @@ func TestHopRejectsOversizedChunk(t *testing.T) {
 func TestHopRejectsEmptyChunk(t *testing.T) {
 	_, hc := startHop(t)
 	var resp HopBatchResponse
-	if err := hc.call("hop.batch", HopBatchRequest{Round: 1, Seq: 0}, &resp, hc.CallTimeout); err == nil {
+	if err := hc.call("hop.batch", HopBatchRequest{Round: 1, Seq: 0}, &resp); err == nil {
 		t.Fatal("empty chunk accepted")
 	}
 }
@@ -147,13 +147,13 @@ func TestHopRejectsOutOfOrderChunks(t *testing.T) {
 	_, hc := startHop(t)
 	chunk := []WireEnvelope{{DHKey: group.Generator().Bytes(), Ct: []byte("x")}}
 	var resp HopBatchResponse
-	if err := hc.call("hop.batch", HopBatchRequest{Round: 1, Seq: 2, Envelopes: chunk}, &resp, hc.CallTimeout); err == nil {
+	if err := hc.call("hop.batch", HopBatchRequest{Round: 1, Seq: 2, Envelopes: chunk}, &resp); err == nil {
 		t.Fatal("chunk starting at seq 2 accepted")
 	}
-	if err := hc.call("hop.batch", HopBatchRequest{Round: 1, Seq: 0, Envelopes: chunk}, &resp, hc.CallTimeout); err != nil {
+	if err := hc.call("hop.batch", HopBatchRequest{Round: 1, Seq: 0, Envelopes: chunk}, &resp); err != nil {
 		t.Fatal(err)
 	}
-	if err := hc.call("hop.batch", HopBatchRequest{Round: 1, Seq: 5, Envelopes: chunk}, &resp, hc.CallTimeout); err == nil {
+	if err := hc.call("hop.batch", HopBatchRequest{Round: 1, Seq: 5, Envelopes: chunk}, &resp); err == nil {
 		t.Fatal("seq jump accepted")
 	}
 }
@@ -162,11 +162,11 @@ func TestHopRejectsCountMismatch(t *testing.T) {
 	_, hc := startHop(t)
 	chunk := []WireEnvelope{{DHKey: group.Generator().Bytes(), Ct: []byte("x")}}
 	var ack HopBatchResponse
-	if err := hc.call("hop.batch", HopBatchRequest{Round: 1, Seq: 0, Envelopes: chunk}, &ack, hc.CallTimeout); err != nil {
+	if err := hc.call("hop.batch", HopBatchRequest{Round: 1, Seq: 0, Envelopes: chunk}, &ack); err != nil {
 		t.Fatal(err)
 	}
 	var mr HopMixResponse
-	err := hc.call("hop.mix", HopMixRequest{Round: 1, Nonce: make([]byte, 12), Count: 2}, &mr, hc.CallTimeout)
+	err := hc.call("hop.mix", HopMixRequest{Round: 1, Nonce: make([]byte, 12), Count: 2}, &mr)
 	if err == nil {
 		t.Fatal("staged/announced count mismatch accepted")
 	}
@@ -176,11 +176,11 @@ func TestHopRejectsBadNonce(t *testing.T) {
 	_, hc := startHop(t)
 	chunk := []WireEnvelope{{DHKey: group.Generator().Bytes(), Ct: []byte("x")}}
 	var ack HopBatchResponse
-	if err := hc.call("hop.batch", HopBatchRequest{Round: 1, Seq: 0, Envelopes: chunk}, &ack, hc.CallTimeout); err != nil {
+	if err := hc.call("hop.batch", HopBatchRequest{Round: 1, Seq: 0, Envelopes: chunk}, &ack); err != nil {
 		t.Fatal(err)
 	}
 	var mr HopMixResponse
-	if err := hc.call("hop.mix", HopMixRequest{Round: 1, Nonce: []byte{1, 2, 3}, Count: 1}, &mr, hc.CallTimeout); err == nil {
+	if err := hc.call("hop.mix", HopMixRequest{Round: 1, Nonce: []byte{1, 2, 3}, Count: 1}, &mr); err == nil {
 		t.Fatal("short nonce accepted")
 	}
 }
@@ -192,11 +192,11 @@ func TestHopPullHugeSeqRejected(t *testing.T) {
 	_, hc := startHop(t)
 	chunk := []WireEnvelope{{DHKey: group.Generator().Bytes(), Ct: []byte("not an onion")}}
 	var ack HopBatchResponse
-	if err := hc.call("hop.batch", HopBatchRequest{Round: 1, Seq: 0, Envelopes: chunk}, &ack, hc.CallTimeout); err != nil {
+	if err := hc.call("hop.batch", HopBatchRequest{Round: 1, Seq: 0, Envelopes: chunk}, &ack); err != nil {
 		t.Fatal(err)
 	}
 	var mr HopMixResponse
-	if err := hc.call("hop.mix", HopMixRequest{Round: 1, Nonce: make([]byte, 12), Count: 1}, &mr, hc.CallTimeout); err != nil {
+	if err := hc.call("hop.mix", HopMixRequest{Round: 1, Nonce: make([]byte, 12), Count: 1}, &mr); err != nil {
 		t.Fatal(err)
 	}
 	// Garbage ct fails decryption, so there is no output; restage a
@@ -205,7 +205,7 @@ func TestHopPullHugeSeqRejected(t *testing.T) {
 	// or not output exists, on a live endpoint.
 	for _, seq := range []int{1 << 61, -(1 << 61), -1} {
 		var pr HopPullResponse
-		if err := hc.call("hop.pull", HopPullRequest{Round: 1, Seq: seq}, &pr, hc.CallTimeout); err == nil {
+		if err := hc.call("hop.pull", HopPullRequest{Round: 1, Seq: seq}, &pr); err == nil {
 			t.Fatalf("seq %d accepted", seq)
 		}
 	}
@@ -214,7 +214,7 @@ func TestHopPullHugeSeqRejected(t *testing.T) {
 func TestHopPullBeforeMixRejected(t *testing.T) {
 	_, hc := startHop(t)
 	var pr HopPullResponse
-	if err := hc.call("hop.pull", HopPullRequest{Round: 1, Seq: 0}, &pr, hc.CallTimeout); err == nil {
+	if err := hc.call("hop.pull", HopPullRequest{Round: 1, Seq: 0}, &pr); err == nil {
 		t.Fatal("pull with no mixed output accepted")
 	}
 }
@@ -233,7 +233,7 @@ func TestHopAccuseRejectsOffCurveKey(t *testing.T) {
 	_, hc := startHop(t)
 	var resp HopAccuseResponse
 	req := HopAccuseRequest{Round: 1, Msg: 0, Key: bytes.Repeat([]byte{0xFF}, group.PointSize)}
-	err := hc.call("hop.accuse", req, &resp, hc.CallTimeout)
+	err := hc.call("hop.accuse", req, &resp)
 	if err == nil || !strings.Contains(err.Error(), "point") {
 		t.Fatalf("off-curve accused key accepted: %v", err)
 	}
@@ -280,7 +280,7 @@ func TestHopInitRejectsOffCurveBase(t *testing.T) {
 	defer hc.Close()
 	var resp HopKeysResponse
 	req := HopInitRequest{Chain: 0, Index: 0, Base: bytes.Repeat([]byte{0xFF}, group.PointSize)}
-	err := hc.call("hop.init", req, &resp, hc.CallTimeout)
+	err := hc.call("hop.init", req, &resp)
 	if err == nil || !strings.Contains(err.Error(), "point") {
 		t.Fatalf("off-curve base accepted: %v", err)
 	}
@@ -291,7 +291,7 @@ func TestHopInitRejectsOffCurveBase(t *testing.T) {
 func TestHopUnknownMethodRejected(t *testing.T) {
 	_, hc := startHop(t)
 	var out struct{}
-	if err := hc.call("hop.nonsense", struct{}{}, &out, hc.CallTimeout); err == nil {
+	if err := hc.call("hop.nonsense", struct{}{}, &out); err == nil {
 		t.Fatal("unknown hop method accepted")
 	}
 }

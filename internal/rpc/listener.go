@@ -25,10 +25,30 @@ const (
 	DefaultWriteTimeout = time.Minute
 )
 
-// listenerCore is the shared TLS endpoint machinery: listener,
+// handler serves one method: request body in, response body out.
+type handler func(body []byte) ([]byte, error)
+
+// typed adapts a handler written against its request and response
+// types to the wire: it owns the body's decode and the reply's encode,
+// so a malformed body is an error response before fn ever runs.
+func typed[Req, Resp any](fn func(*Req) (Resp, error)) handler {
+	return func(body []byte) ([]byte, error) {
+		var req Req
+		if err := decode(body, &req); err != nil {
+			return nil, err
+		}
+		resp, err := fn(&req)
+		if err != nil {
+			return nil, err
+		}
+		return encode(resp)
+	}
+}
+
+// listenerCore is the serving half of the transport: TLS listener,
 // connection tracking, the per-connection frame loop with idle/write
-// deadlines, and shutdown. The user gateway (Server) and the mix hop
-// endpoint (HopServer) are both a listenerCore plus a dispatch table.
+// deadlines, dispatch by method name, and shutdown. Server, ShardServer
+// and HopServer are each a listenerCore plus a method table.
 type listenerCore struct {
 	ln net.Listener
 
@@ -43,8 +63,8 @@ type listenerCore struct {
 	// Logf receives connection-level errors; defaults to log.Printf.
 	Logf func(format string, args ...any)
 
-	// handle dispatches one decoded request.
-	handle func(method string, body []byte) ([]byte, error)
+	// methods is the endpoint's method table, fixed at construction.
+	methods map[string]handler
 
 	mu       sync.Mutex
 	closed   bool
@@ -62,24 +82,21 @@ func (s *listenerCore) SetConnWrapper(w func(net.Conn) net.Conn) {
 	s.mu.Unlock()
 }
 
-// newListenerCore starts a TLS listener on addr with a fresh
-// self-signed pinned certificate and begins accepting connections.
-func newListenerCore(addr string, handle func(method string, body []byte) ([]byte, error)) (*listenerCore, error) {
-	host, _, err := net.SplitHostPort(addr)
-	if err != nil || host == "" {
-		host = "127.0.0.1"
+// newListenerCore starts a TLS listener on addr serving methods and
+// begins accepting connections. A nil serverTLS generates a fresh
+// self-signed pinned certificate; a caller-supplied identity is how a
+// durable endpoint presents the same pinned certificate across
+// restarts (see LoadOrCreateTLSIdentity).
+func newListenerCore(addr string, serverTLS, clientTLS *tls.Config, methods map[string]handler) (*listenerCore, error) {
+	if serverTLS == nil {
+		host, _, err := net.SplitHostPort(addr)
+		if err != nil || host == "" {
+			host = "127.0.0.1"
+		}
+		if serverTLS, clientTLS, err = SelfSignedTLS(host); err != nil {
+			return nil, err
+		}
 	}
-	serverTLS, clientTLS, err := SelfSignedTLS(host)
-	if err != nil {
-		return nil, err
-	}
-	return newListenerCoreTLS(addr, serverTLS, clientTLS, handle)
-}
-
-// newListenerCoreTLS starts a TLS listener with a caller-supplied
-// identity — how a durable endpoint presents the same pinned
-// certificate across restarts (see LoadOrCreateTLSIdentity).
-func newListenerCoreTLS(addr string, serverTLS, clientTLS *tls.Config, handle func(method string, body []byte) ([]byte, error)) (*listenerCore, error) {
 	ln, err := tls.Listen("tcp", addr, serverTLS)
 	if err != nil {
 		return nil, fmt.Errorf("rpc: listening on %s: %w", addr, err)
@@ -91,7 +108,7 @@ func newListenerCoreTLS(addr string, serverTLS, clientTLS *tls.Config, handle fu
 		IdleTimeout:  DefaultIdleTimeout,
 		WriteTimeout: DefaultWriteTimeout,
 		Logf:         log.Printf,
-		handle:       handle,
+		methods:      methods,
 		conns:        make(map[net.Conn]bool),
 	}
 	s.wg.Add(1)
@@ -205,7 +222,11 @@ func (s *listenerCore) serveConn(conn net.Conn, idle, write time.Duration) {
 }
 
 func (s *listenerCore) dispatch(req request) response {
-	body, err := s.handle(req.Method, req.Body)
+	fn := s.methods[req.Method]
+	if fn == nil {
+		fn = func([]byte) ([]byte, error) { return nil, fmt.Errorf("rpc: unknown method %q", req.Method) }
+	}
+	body, err := fn(req.Body)
 	if err != nil {
 		obsServerErrors.Inc()
 		return response{Err: err.Error()}

@@ -2,6 +2,7 @@ package rpc
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/obs"
 )
@@ -13,24 +14,25 @@ import (
 // the process behind the listener. Everything on a request path is a
 // pre-created metric recorded with atomic ops only.
 var (
-	// User-gateway client (Client): connection churn.
-	obsClientDials           = obs.GetOrCreateCounter("xrd_rpc_client_dials_total")
-	obsClientIdleRedials     = obs.GetOrCreateCounter("xrd_rpc_client_idle_redials_total")
+	// Connection churn per kind of link — Client (users, and the
+	// coordinator's shard handles) and HopClient: dials, and stale
+	// pooled connections discarded on checkout.
+	obsClientDials       = obs.GetOrCreateCounter("xrd_rpc_client_dials_total")
+	obsClientIdleRedials = obs.GetOrCreateCounter("xrd_rpc_client_idle_redials_total")
+	obsHopDials          = obs.GetOrCreateCounter("xrd_rpc_hop_dials_total")
+	obsHopIdleReaps      = obs.GetOrCreateCounter("xrd_rpc_hop_idle_conns_reaped_total")
+
+	// Exchanges that ended in a *TransportError, on any link.
 	obsClientTransportErrors = obs.GetOrCreateCounter("xrd_rpc_client_transport_errors_total")
 
-	// Hop connection pool: dials and idle-connection reaps (stale
-	// pooled connections discarded on checkout).
-	obsHopDials     = obs.GetOrCreateCounter("xrd_rpc_hop_dials_total")
-	obsHopIdleReaps = obs.GetOrCreateCounter("xrd_rpc_hop_idle_conns_reaped_total")
-
 	// MultiClient failover machinery: retriable errors that moved the
-	// client to another gateway, full retry cycles, and the backoff
-	// pauses between them.
+	// client on to the next gateway or retry cycle, full retry cycles,
+	// and the backoff pauses between them.
 	obsFailovers      = obs.GetOrCreateCounter("xrd_rpc_failovers_total")
 	obsRetryCycles    = obs.GetOrCreateCounter("xrd_rpc_retry_cycles_total")
 	obsBackoffSeconds = obs.GetOrCreateHistogram("xrd_rpc_backoff_seconds")
 
-	// Coordinator→shard retries (ShardClient.callRetried redials).
+	// Coordinator→shard retries (policy.retry redials).
 	obsShardRetries = obs.GetOrCreateCounter("xrd_rpc_shard_retries_total")
 
 	// Listener side, shared by Server, ShardServer and HopServer:
@@ -41,14 +43,6 @@ var (
 	obsServerBytesIn       = obs.GetOrCreateCounter(`xrd_rpc_server_bytes_total{dir="in"}`)
 	obsServerBytesOut      = obs.GetOrCreateCounter(`xrd_rpc_server_bytes_total{dir="out"}`)
 )
-
-// hopMethods is the mix-hop protocol's method set (hopserver.go's
-// dispatch table). hopMetrics pre-creates one latency histogram per
-// method so the call path never touches the registry.
-var hopMethods = []string{
-	"hop.init", "hop.begin", "hop.reveal", "hop.batch", "hop.mix",
-	"hop.pull", "hop.certify", "hop.blame", "hop.accuse",
-}
 
 // hopMetrics is one HopClient's per-position metric set, rebuilt at
 // InitEpoch when the binding (chain, position) changes. The maps are
@@ -64,14 +58,18 @@ type hopMetrics struct {
 func newHopMetrics(chain, index int) *hopMetrics {
 	labels := fmt.Sprintf(`chain="%d",pos="%d"`, chain, index)
 	m := &hopMetrics{
-		latency:  make(map[string]*obs.Histogram, len(hopMethods)),
+		latency:  make(map[string]*obs.Histogram),
 		bytesOut: obs.GetOrCreateCounter(fmt.Sprintf(`xrd_hop_bytes_total{%s,dir="out"}`, labels)),
 		bytesIn:  obs.GetOrCreateCounter(fmt.Sprintf(`xrd_hop_bytes_total{%s,dir="in"}`, labels)),
 		errors:   obs.GetOrCreateCounter(fmt.Sprintf("xrd_hop_errors_total{%s}", labels)),
 	}
-	for _, method := range hopMethods {
-		m.latency[method] = obs.GetOrCreateHistogram(
-			fmt.Sprintf(`xrd_hop_call_seconds{%s,method="%s"}`, labels, method))
+	// One latency histogram per hop.* method, pre-created from the
+	// method table so the call path never touches the registry.
+	for method := range policies {
+		if strings.HasPrefix(method, "hop.") {
+			m.latency[method] = obs.GetOrCreateHistogram(
+				fmt.Sprintf(`xrd_hop_call_seconds{%s,method="%s"}`, labels, method))
+		}
 	}
 	return m
 }

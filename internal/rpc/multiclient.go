@@ -24,6 +24,33 @@ type Endpoint struct {
 	TLS  *tls.Config
 }
 
+// ParseEndpoints builds the user-facing gateway set from the xrd-*
+// commands' flags: the -gateways list ("addr=certfile,...", each
+// certfile the pinned certificate that gateway wrote) when given, else
+// the coordinator itself (monolith).
+func ParseEndpoints(coordAddr, coordCert, gateways string) ([]Endpoint, error) {
+	specs := [][]string{{coordAddr, coordCert}}
+	if strings.TrimSpace(gateways) != "" {
+		specs = nil
+		for _, entry := range strings.Split(gateways, ",") {
+			parts := strings.Split(strings.TrimSpace(entry), "=")
+			if len(parts) != 2 {
+				return nil, fmt.Errorf(`-gateways entry %q: want "addr=certfile"`, entry)
+			}
+			specs = append(specs, parts)
+		}
+	}
+	var eps []Endpoint
+	for _, s := range specs {
+		tlsCfg, err := ClientTLSFromFile(s[1])
+		if err != nil {
+			return nil, err
+		}
+		eps = append(eps, Endpoint{Addr: s[0], TLS: tlsCfg})
+	}
+	return eps, nil
+}
+
 // Backoff bounds MultiClient's retry schedule. One "attempt" is a
 // full failover cycle over every gateway; between attempts the client
 // sleeps an exponentially growing, jittered interval — long enough
@@ -180,8 +207,10 @@ func (m *MultiClient) Refresh() error {
 	return nil
 }
 
-// ownerIdx returns the index of the gateway owning a mailbox, or -1
-// when no discovered range covers it.
+// ownerIdx returns the index of the gateway owning a mailbox, falling
+// back to the first gateway when no discovered range covers it
+// (correct for a monolith; an application error from a shard that
+// does not own the mailbox otherwise).
 func (m *MultiClient) ownerIdx(mailbox []byte) int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -190,29 +219,22 @@ func (m *MultiClient) ownerIdx(mailbox []byte) int {
 			return i
 		}
 	}
-	return -1
+	return 0
 }
 
-// ClientFor returns the gateway owning a mailbox, falling back to the
-// first gateway when ownership is unknown.
-func (m *MultiClient) ClientFor(mailbox []byte) *Client {
-	if i := m.ownerIdx(mailbox); i >= 0 {
-		return m.clients[i]
-	}
-	return m.clients[0]
-}
+// ClientFor returns the gateway owning a mailbox (see ownerIdx).
+func (m *MultiClient) ClientFor(mailbox []byte) *Client { return m.clients[m.ownerIdx(mailbox)] }
 
-// tryEach runs op against the gateways starting from preferred,
-// failing over to the next on retriable errors (transport failures
-// and deadline expiries — see retriable); an application-level
-// rejection is authoritative and returned as is. When a whole cycle
-// fails it backs off (bounded exponential with jitter) and runs
-// another, up to Backoff.Attempts cycles — covering the window in
-// which a crashed gateway restarts and replays its data directory.
-func (m *MultiClient) tryEach(preferred int, op func(*Client) error) error {
-	if preferred < 0 {
-		preferred = 0
-	}
+// tryEach runs op against width gateways starting from preferred
+// (every gateway for operations any of them can serve, just the owner
+// for ones bound to its storage), failing over to the next on
+// retriable errors (transport failures and deadline expiries — see
+// retriable); an application-level rejection is authoritative and
+// returned as is. When a whole cycle fails it backs off (bounded
+// exponential with jitter) and runs another, up to Backoff.Attempts
+// cycles — covering the window in which a crashed gateway restarts
+// and replays its data directory.
+func (m *MultiClient) tryEach(preferred, width int, op func(*Client) error) error {
 	var lastErr error
 	for a := 0; a < m.Backoff.attempts(); a++ {
 		if a > 0 {
@@ -221,7 +243,7 @@ func (m *MultiClient) tryEach(preferred int, op func(*Client) error) error {
 			obsBackoffSeconds.ObserveDuration(d)
 			time.Sleep(d)
 		}
-		for k := 0; k < len(m.clients); k++ {
+		for k := 0; k < width; k++ {
 			c := m.clients[(preferred+k)%len(m.clients)]
 			err := op(c)
 			if err == nil || !retriable(err) {
@@ -238,7 +260,7 @@ func (m *MultiClient) tryEach(preferred int, op func(*Client) error) error {
 // parameters are public and identical on every gateway.
 func (m *MultiClient) ChainParams(chain int, round uint64) (mix.Params, error) {
 	var p mix.Params
-	err := m.tryEach(0, func(c *Client) error {
+	err := m.tryEach(0, len(m.clients), func(c *Client) error {
 		var err error
 		p, err = c.ChainParams(chain, round)
 		return err
@@ -249,7 +271,7 @@ func (m *MultiClient) ChainParams(chain int, round uint64) (mix.Params, error) {
 // Status returns the first reachable gateway's status.
 func (m *MultiClient) Status() (StatusResponse, error) {
 	var st StatusResponse
-	err := m.tryEach(0, func(c *Client) error {
+	err := m.tryEach(0, len(m.clients), func(c *Client) error {
 		var err error
 		st, err = c.Status()
 		return err
@@ -262,7 +284,7 @@ func (m *MultiClient) Status() (StatusResponse, error) {
 // batches, so a user whose own gateway is briefly unreachable still
 // makes her round through a peer.
 func (m *MultiClient) Submit(mailbox []byte, out *client.RoundOutput) error {
-	return m.tryEach(m.ownerIdx(mailbox), func(c *Client) error {
+	return m.tryEach(m.ownerIdx(mailbox), len(m.clients), func(c *Client) error {
 		return c.Submit(mailbox, out)
 	})
 }
@@ -270,53 +292,22 @@ func (m *MultiClient) Submit(mailbox []byte, out *client.RoundOutput) error {
 // Fetch downloads a mailbox from its owning gateway — mailbox storage
 // is not replicated, so there is no failover target; instead the
 // owner is retried with backoff, covering a crashed gateway's
-// restart-and-replay window. With ownership unknown every gateway is
-// asked and the first non-empty (or last empty) answer wins.
+// restart-and-replay window.
 //
 // Fetched messages are deduplicated against recent fetches: a
 // restarted gateway redelivers everything unacked (at-least-once),
 // and the digest set turns that into exactly-once for the caller.
 func (m *MultiClient) Fetch(round uint64, mailbox []byte) ([][]byte, error) {
-	if i := m.ownerIdx(mailbox); i >= 0 {
-		c := m.clients[i]
-		var msgs [][]byte
+	var msgs [][]byte
+	err := m.tryEach(m.ownerIdx(mailbox), 1, func(c *Client) error {
 		var err error
-		for a := 0; a < m.Backoff.attempts(); a++ {
-			if a > 0 {
-				obsRetryCycles.Inc()
-				d := m.Backoff.sleep(a)
-				obsBackoffSeconds.ObserveDuration(d)
-				time.Sleep(d)
-			}
-			msgs, err = c.Fetch(round, mailbox)
-			if err == nil || !retriable(err) {
-				break
-			}
-		}
-		if err != nil {
-			return nil, err
-		}
-		return m.dedupFetched(round, msgs), nil
+		msgs, err = c.Fetch(round, mailbox)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	// Owner unknown: probe every gateway once (no backoff — an empty
-	// answer from each is a legitimate "no mail", not a failure).
-	var empty bool
-	var lastErr error
-	for _, c := range m.clients {
-		msgs, err := c.Fetch(round, mailbox)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		if len(msgs) > 0 {
-			return m.dedupFetched(round, msgs), nil
-		}
-		empty = true
-	}
-	if empty || lastErr == nil {
-		return nil, nil // every reachable gateway answered empty
-	}
-	return nil, lastErr
+	return m.dedupFetched(round, msgs), nil
 }
 
 // dedupFetched filters out messages whose digest an earlier fetch
@@ -349,37 +340,15 @@ func (m *MultiClient) dedupFetched(round uint64, msgs [][]byte) [][]byte {
 // gateway so it can prune (and eventually compact) them. Best-effort:
 // losing an ack only means redelivery, which dedup absorbs.
 func (m *MultiClient) Ack(round uint64, mailbox []byte) (int, error) {
-	if i := m.ownerIdx(mailbox); i >= 0 {
-		return m.clients[i].Ack(round, mailbox)
-	}
-	total := 0
-	var lastErr error
-	ok := false
-	for _, c := range m.clients {
-		n, err := c.Ack(round, mailbox)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		ok = true
-		total += n
-	}
-	if !ok {
-		return 0, lastErr
-	}
-	return total, nil
+	return m.ClientFor(mailbox).Ack(round, mailbox)
 }
 
 // Register records mailbox identifiers, routing each batch to the
-// owning gateway. Identifiers whose owner is unknown go to the first
-// gateway (correct for a monolith; an error otherwise).
+// owning gateway.
 func (m *MultiClient) Register(mailboxes [][]byte) (int, error) {
 	buckets := make(map[int][][]byte)
 	for _, mb := range mailboxes {
 		i := m.ownerIdx(mb)
-		if i < 0 {
-			i = 0
-		}
 		buckets[i] = append(buckets[i], mb)
 	}
 	total := 0

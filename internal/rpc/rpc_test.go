@@ -290,9 +290,9 @@ func TestClientRedialsAfterConnFailure(t *testing.T) {
 	}
 	// Sever the underlying connection behind the client's back, as an
 	// idle-timeout shed or network blip would.
-	conn.mu.Lock()
-	conn.conn.Close()
-	conn.mu.Unlock()
+	conn.link.mu.Lock()
+	conn.free[0].conn.Close()
+	conn.link.mu.Unlock()
 	// The in-flight state is unrecoverable, so one call may fail...
 	if _, err := conn.Status(); err == nil {
 		// (a very fast shed notice can even make this first call

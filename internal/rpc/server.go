@@ -3,13 +3,65 @@ package rpc
 import (
 	"fmt"
 
+	"repro/internal/client"
 	"repro/internal/core"
+	"repro/internal/mix"
 )
 
-// Server exposes a core.Network to remote users over TLS: parameter
-// distribution, message submission, mailbox download, deployment
-// status, and round driving. Connection handling (deadlines,
-// shutdown) lives in listenerCore.
+// gateway is what the user-facing methods need from the deployment
+// behind an endpoint. *core.Network (the monolith) and *core.Frontend
+// (one gateway shard) both provide it.
+type gateway interface {
+	ChainParams(chain int, round uint64) (mix.Params, error)
+	SubmitExternal(mailbox string, out *client.RoundOutput) error
+	Register(mailbox []byte) error
+	FetchMailbox(round uint64, mailbox []byte) [][]byte
+	AckMailbox(round uint64, mailbox []byte) int
+}
+
+// userMethods is the user-facing part of a gateway endpoint's method
+// table: parameter distribution, message submission, registration,
+// mailbox download and acknowledgement. Server and ShardServer add
+// their own status (and round-driving or shard.*) methods to it.
+func userMethods(g gateway) map[string]handler {
+	return map[string]handler{
+		"params": typed(func(r *ParamsRequest) (ParamsResponse, error) {
+			p, err := g.ChainParams(r.Chain, r.Round)
+			if err != nil {
+				return ParamsResponse{}, err
+			}
+			return paramsToWire(p), nil
+		}),
+		"submit": typed(func(r *SubmitRequest) (SubmitResponse, error) {
+			out, err := submitFromWire(r)
+			if err != nil {
+				return SubmitResponse{}, err
+			}
+			if err := g.SubmitExternal(string(r.Mailbox), out); err != nil {
+				return SubmitResponse{}, err
+			}
+			return SubmitResponse{Accepted: true}, nil
+		}),
+		"register": typed(func(r *RegisterRequest) (RegisterResponse, error) {
+			for i, mb := range r.Mailboxes {
+				if err := g.Register(mb); err != nil {
+					return RegisterResponse{}, fmt.Errorf("rpc: after %d registrations: %w", i, err)
+				}
+			}
+			return RegisterResponse{Registered: len(r.Mailboxes)}, nil
+		}),
+		"fetch": typed(func(r *FetchRequest) (FetchResponse, error) {
+			return FetchResponse{Messages: g.FetchMailbox(r.Round, r.Mailbox)}, nil
+		}),
+		"ack": typed(func(r *AckRequest) (AckResponse, error) {
+			return AckResponse{Pruned: g.AckMailbox(r.Round, r.Mailbox)}, nil
+		}),
+	}
+}
+
+// Server exposes a core.Network to remote users over TLS: the user
+// methods plus deployment status and round driving. Connection
+// handling (deadlines, shutdown) lives in listenerCore.
 type Server struct {
 	*listenerCore
 	network *core.Network
@@ -19,7 +71,10 @@ type Server struct {
 // serving the given network. Connections are handled until Close.
 func NewServer(network *core.Network, addr string) (*Server, error) {
 	s := &Server{network: network}
-	lc, err := newListenerCore(addr, s.handle)
+	methods := userMethods(network)
+	methods["status"] = typed(s.status)
+	methods["runround"] = typed(s.runRound)
+	lc, err := newListenerCore(addr, nil, nil, methods)
 	if err != nil {
 		return nil, err
 	}
@@ -27,88 +82,29 @@ func NewServer(network *core.Network, addr string) (*Server, error) {
 	return s, nil
 }
 
-func (s *Server) handle(method string, body []byte) ([]byte, error) {
-	switch method {
-	case "params":
-		var pr ParamsRequest
-		if err := decode(body, &pr); err != nil {
-			return nil, err
-		}
-		p, err := s.network.ChainParams(pr.Chain, pr.Round)
-		if err != nil {
-			return nil, err
-		}
-		return encode(paramsToWire(p))
+func (s *Server) status(*struct{}) (StatusResponse, error) {
+	return StatusResponse{
+		Round:       s.network.Round(),
+		NumChains:   s.network.NumChains(),
+		ChainLength: s.network.Topology().ChainLength,
+		L:           s.network.Plan().L,
+		Epoch:       s.network.Epoch(),
+		Role:        "coordinator",
+		Users:       s.network.NumUsers(),
+	}, nil
+}
 
-	case "submit":
-		var sr SubmitRequest
-		if err := decode(body, &sr); err != nil {
-			return nil, err
-		}
-		out, err := submitFromWire(sr)
-		if err != nil {
-			return nil, err
-		}
-		if err := s.network.SubmitExternal(string(sr.Mailbox), out); err != nil {
-			return nil, err
-		}
-		return encode(SubmitResponse{Accepted: true})
-
-	case "register":
-		var rr RegisterRequest
-		if err := decode(body, &rr); err != nil {
-			return nil, err
-		}
-		registered := 0
-		for _, mb := range rr.Mailboxes {
-			if err := s.network.Register(mb); err != nil {
-				return nil, fmt.Errorf("rpc: after %d registrations: %w", registered, err)
-			}
-			registered++
-		}
-		return encode(RegisterResponse{Registered: registered})
-
-	case "fetch":
-		var fr FetchRequest
-		if err := decode(body, &fr); err != nil {
-			return nil, err
-		}
-		msgs := s.network.FetchMailbox(fr.Round, fr.Mailbox)
-		return encode(FetchResponse{Messages: msgs})
-
-	case "ack":
-		var ar AckRequest
-		if err := decode(body, &ar); err != nil {
-			return nil, err
-		}
-		return encode(AckResponse{Pruned: s.network.AckMailbox(ar.Round, ar.Mailbox)})
-
-	case "status":
-		return encode(StatusResponse{
-			Round:       s.network.Round(),
-			NumChains:   s.network.NumChains(),
-			ChainLength: s.network.Topology().ChainLength,
-			L:           s.network.Plan().L,
-			Epoch:       s.network.Epoch(),
-			Role:        "coordinator",
-			Users:       s.network.NumUsers(),
-		})
-
-	case "runround":
-		rep, err := s.network.RunRound()
-		if err != nil {
-			return nil, err
-		}
-		return encode(RunRoundResponse{
-			Round:          rep.Round,
-			Delivered:      rep.Delivered,
-			HaltedChains:   rep.HaltedChains,
-			FailedChains:   rep.FailedChains,
-			BlamedUsers:    rep.BlamedUsers,
-			OfflineCovered: rep.OfflineCovered,
-		})
-
-	default:
-		return nil, fmt.Errorf("rpc: unknown method %q", method)
+func (s *Server) runRound(*struct{}) (RunRoundResponse, error) {
+	rep, err := s.network.RunRound()
+	if err != nil {
+		return RunRoundResponse{}, err
 	}
+	return RunRoundResponse{
+		Round:          rep.Round,
+		Delivered:      rep.Delivered,
+		HaltedChains:   rep.HaltedChains,
+		FailedChains:   rep.FailedChains,
+		BlamedUsers:    rep.BlamedUsers,
+		OfflineCovered: rep.OfflineCovered,
+	}, nil
 }

@@ -3,21 +3,11 @@ package rpc
 import (
 	"crypto/tls"
 	"fmt"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/mix"
 	"repro/internal/onion"
 )
-
-// DefaultShardCallTimeout bounds one coordinator→shard exchange.
-// shard.begin covers the shard's whole build phase (every owned user's
-// onion construction), so the bound is far looser than a user call's.
-const DefaultShardCallTimeout = 10 * time.Minute
-
-// shardChunk bounds how many submissions or mailbox messages ride in
-// one frame of the chunked batch/deliver exchanges.
-const shardChunk = 4096
 
 // ShardClient is the coordinator's handle on a gateway shard hosted
 // in another process: it implements core.GatewayShard by carrying the
@@ -38,35 +28,10 @@ func NewShardClient(lo, hi int, addr string, tlsCfg *tls.Config) (*ShardClient, 
 	if err := rng.Validate(); err != nil {
 		return nil, err
 	}
-	c := NewClient(addr, tlsCfg)
-	c.Timeout = DefaultShardCallTimeout
-	return &ShardClient{rng: rng, c: c}, nil
+	return &ShardClient{rng: rng, c: NewClient(addr, tlsCfg)}, nil
 }
 
-// Addr returns the shard process's address.
-func (s *ShardClient) Addr() string { return s.c.Addr() }
-
-// callRetried performs one exchange with a single retry after a
-// transport failure. The Client poisons its connection on such a
-// failure, so the retry dials fresh — which is how the coordinator
-// reattaches to a gateway that crashed and restarted between rounds
-// instead of declaring it dead for a round on the stale connection.
-// Only exchanges that are safe to re-ask go through here: begin,
-// batch, init, rebalance and abort are idempotent at the shard (a
-// re-begin in the worst case rebuilds the batches; a re-pulled batch
-// chunk is a read of cached state). shard.deliver must NOT be
-// retried: a chunk processed but unacknowledged would be buffered —
-// and delivered — twice.
-func (s *ShardClient) callRetried(method string, req, resp any) error {
-	err := s.c.call(method, req, resp)
-	if err != nil && IsTransportError(err) {
-		obsShardRetries.Inc()
-		err = s.c.call(method, req, resp)
-	}
-	return err
-}
-
-// Close closes the underlying connection.
+// Close closes the underlying connections.
 func (s *ShardClient) Close() error { return s.c.Close() }
 
 // Range implements core.GatewayShard.
@@ -89,23 +54,20 @@ func (s *ShardClient) Init(n *core.Network) error {
 	}
 	cur := make([]mix.Params, numChains)
 	next := make([]mix.Params, numChains)
-	dead := make(map[int]bool)
 	for c := 0; c < numChains; c++ {
 		var err error
 		if cur[c], err = n.ChainParams(c, rho); err != nil {
-			dead[c] = true
 			req.Dead = append(req.Dead, c)
 			continue
 		}
 		if next[c], err = n.ChainParams(c, rho+1); err != nil {
-			dead[c] = true
 			req.Dead = append(req.Dead, c)
 		}
 	}
-	req.Cur = paramsSliceToWire(cur, dead)
-	req.Next = paramsSliceToWire(next, dead)
+	req.Cur = paramsSliceToWire(cur, req.Dead)
+	req.Next = paramsSliceToWire(next, req.Dead)
 	var resp ShardInitResponse
-	if err := s.callRetried("shard.init", req, &resp); err != nil {
+	if err := s.c.call("shard.init", req, &resp); err != nil {
 		return fmt.Errorf("rpc: initialising shard %s at %s: %w", s.rng, s.c.Addr(), err)
 	}
 	return nil
@@ -114,20 +76,16 @@ func (s *ShardClient) Init(n *core.Network) error {
 // BeginRound implements core.GatewayShard: push the round, pull the
 // shard's batches in chunks.
 func (s *ShardClient) BeginRound(br *core.BeginRound) (*core.ShardBuild, error) {
-	dead := make(map[int]bool, len(br.Dead))
-	for _, c := range br.Dead {
-		dead[c] = true
-	}
 	req := ShardBeginRequest{
 		Round:     br.Round,
 		Epoch:     br.Epoch,
 		NumChains: br.NumChains,
-		Cur:       paramsSliceToWire(br.Cur, dead),
-		Next:      paramsSliceToWire(br.Next, dead),
+		Cur:       paramsSliceToWire(br.Cur, br.Dead),
+		Next:      paramsSliceToWire(br.Next, br.Dead),
 		Dead:      br.Dead,
 	}
 	var resp ShardBeginResponse
-	if err := s.callRetried("shard.begin", req, &resp); err != nil {
+	if err := s.c.call("shard.begin", req, &resp); err != nil {
 		return nil, err
 	}
 	build := &core.ShardBuild{
@@ -139,28 +97,29 @@ func (s *ShardClient) BeginRound(br *core.BeginRound) (*core.ShardBuild, error) 
 		batch := &build.Batches[chain]
 		batch.Subs = make([]onion.Submission, 0, count)
 		batch.Submitters = make([]string, 0, count)
-		for off := 0; off < count; off += shardChunk {
+		err := chunks(count, func(_, lo, hi int) error {
 			var chunk ShardBatchResponse
-			err := s.callRetried("shard.batch", ShardBatchRequest{
-				Round: br.Round, Chain: chain, Offset: off, Max: shardChunk,
+			err := s.c.call("shard.batch", ShardBatchRequest{
+				Round: br.Round, Chain: chain, Offset: lo, Max: MaxHopChunkEnvelopes,
 			}, &chunk)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			if len(chunk.Subs) == 0 {
-				return nil, fmt.Errorf("rpc: shard %s returned empty batch chunk at %d/%d", s.rng, off, count)
+			if len(chunk.Subs) != hi-lo {
+				return fmt.Errorf("rpc: shard %s chain %d: batch chunk at %d/%d has %d submissions, want %d", s.rng, chain, lo, count, len(chunk.Subs), hi-lo)
 			}
 			for _, w := range chunk.Subs {
 				_, sub, err := submissionFromWire(w)
 				if err != nil {
-					return nil, fmt.Errorf("rpc: shard %s chain %d: %w", s.rng, chain, err)
+					return fmt.Errorf("rpc: shard %s chain %d: %w", s.rng, chain, err)
 				}
 				batch.Subs = append(batch.Subs, sub)
 			}
 			batch.Submitters = append(batch.Submitters, chunk.Submitters...)
-		}
-		if len(batch.Subs) != count {
-			return nil, fmt.Errorf("rpc: shard %s chain %d: pulled %d of %d submissions", s.rng, chain, len(batch.Subs), count)
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
 	}
 	return build, nil
@@ -169,22 +128,12 @@ func (s *ShardClient) BeginRound(br *core.BeginRound) (*core.ShardBuild, error) 
 // FinishRound implements core.GatewayShard: push the deliveries in
 // chunks, then commit the round.
 func (s *ShardClient) FinishRound(fr *core.FinishRound) (core.FinishStats, error) {
-	for off := 0; off < len(fr.Delivered); off += shardChunk {
-		end := off + shardChunk
-		if end > len(fr.Delivered) {
-			end = len(fr.Delivered)
-		}
+	err := chunks(len(fr.Delivered), func(_, lo, hi int) error {
 		var resp ShardDeliverResponse
-		err := s.c.call("shard.deliver", ShardDeliverRequest{
-			Round: fr.Round, Msgs: fr.Delivered[off:end],
-		}, &resp)
-		if err != nil {
-			return core.FinishStats{}, err
-		}
-	}
-	dead := make(map[int]bool, len(fr.Dead))
-	for _, c := range fr.Dead {
-		dead[c] = true
+		return s.c.call("shard.deliver", ShardDeliverRequest{Round: fr.Round, Msgs: fr.Delivered[lo:hi]}, &resp)
+	})
+	if err != nil {
+		return core.FinishStats{}, err
 	}
 	req := ShardFinishRequest{
 		Round:     fr.Round,
@@ -192,8 +141,8 @@ func (s *ShardClient) FinishRound(fr *core.FinishRound) (core.FinishStats, error
 		Stranded:  fr.Stranded,
 		Epoch:     fr.Epoch,
 		NumChains: fr.NumChains,
-		Cur:       paramsSliceToWire(fr.Cur, dead),
-		Next:      paramsSliceToWire(fr.Next, dead),
+		Cur:       paramsSliceToWire(fr.Cur, fr.Dead),
+		Next:      paramsSliceToWire(fr.Next, fr.Dead),
 		Dead:      fr.Dead,
 	}
 	var resp ShardFinishResponse
@@ -209,11 +158,11 @@ func (s *ShardClient) FinishRound(fr *core.FinishRound) (core.FinishStats, error
 // restarted shard is in.
 func (s *ShardClient) AbortRound(round uint64) {
 	var resp ack
-	_ = s.callRetried("shard.abort", ShardAbortRequest{Round: round}, &resp)
+	_ = s.c.call("shard.abort", ShardAbortRequest{Round: round}, &resp)
 }
 
 // Rebalance implements core.GatewayShard.
 func (s *ShardClient) Rebalance(epoch uint64, numChains int) error {
 	var resp ack
-	return s.callRetried("shard.rebalance", ShardRebalanceRequest{Epoch: epoch, NumChains: numChains}, &resp)
+	return s.c.call("shard.rebalance", ShardRebalanceRequest{Epoch: epoch, NumChains: numChains}, &resp)
 }

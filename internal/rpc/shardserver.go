@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/mix"
 )
@@ -41,22 +40,26 @@ type ShardServer struct {
 // NewShardServer starts a TLS listener on addr serving the given
 // gateway shard, with a fresh ephemeral certificate.
 func NewShardServer(fe *core.Frontend, addr string) (*ShardServer, error) {
-	s := &ShardServer{fe: fe}
-	lc, err := newListenerCore(addr, s.handle)
-	if err != nil {
-		return nil, err
-	}
-	s.listenerCore = lc
-	return s, nil
+	return NewShardServerTLS(fe, addr, nil, nil)
 }
 
 // NewShardServerTLS is NewShardServer with a caller-supplied TLS
 // identity, so a durable shard restarted over its data directory
 // presents the certificate its coordinator and clients already pinned
-// (see LoadOrCreateTLSIdentity).
+// (see LoadOrCreateTLSIdentity). A nil serverTLS means an ephemeral
+// certificate.
 func NewShardServerTLS(fe *core.Frontend, addr string, serverTLS, clientTLS *tls.Config) (*ShardServer, error) {
 	s := &ShardServer{fe: fe}
-	lc, err := newListenerCoreTLS(addr, serverTLS, clientTLS, s.handle)
+	methods := userMethods(fe)
+	methods["status"] = typed(s.status)
+	methods["shard.init"] = typed(s.init)
+	methods["shard.begin"] = typed(s.begin)
+	methods["shard.batch"] = typed(s.batch)
+	methods["shard.deliver"] = typed(s.deliver)
+	methods["shard.finish"] = typed(s.finish)
+	methods["shard.abort"] = typed(s.abort)
+	methods["shard.rebalance"] = typed(s.rebalance)
+	lc, err := newListenerCore(addr, serverTLS, clientTLS, methods)
 	if err != nil {
 		return nil, err
 	}
@@ -64,272 +67,162 @@ func NewShardServerTLS(fe *core.Frontend, addr string, serverTLS, clientTLS *tls
 	return s, nil
 }
 
-// Frontend returns the shard this server fronts (for tests).
-func (s *ShardServer) Frontend() *core.Frontend { return s.fe }
-
-func (s *ShardServer) handle(method string, body []byte) ([]byte, error) {
-	switch method {
-	case "params":
-		var pr ParamsRequest
-		if err := decode(body, &pr); err != nil {
-			return nil, err
-		}
-		p, err := s.fe.ChainParams(pr.Chain, pr.Round)
-		if err != nil {
-			return nil, err
-		}
-		return encode(paramsToWire(p))
-
-	case "submit":
-		var sr SubmitRequest
-		if err := decode(body, &sr); err != nil {
-			return nil, err
-		}
-		out, err := submitFromWire(sr)
-		if err != nil {
-			return nil, err
-		}
-		if err := s.fe.SubmitExternal(string(sr.Mailbox), out); err != nil {
-			return nil, err
-		}
-		return encode(SubmitResponse{Accepted: true})
-
-	case "fetch":
-		var fr FetchRequest
-		if err := decode(body, &fr); err != nil {
-			return nil, err
-		}
-		msgs := s.fe.FetchMailbox(fr.Round, fr.Mailbox)
-		return encode(FetchResponse{Messages: msgs})
-
-	case "ack":
-		var ar AckRequest
-		if err := decode(body, &ar); err != nil {
-			return nil, err
-		}
-		return encode(AckResponse{Pruned: s.fe.AckMailbox(ar.Round, ar.Mailbox)})
-
-	case "register":
-		var rr RegisterRequest
-		if err := decode(body, &rr); err != nil {
-			return nil, err
-		}
-		registered := 0
-		for _, mb := range rr.Mailboxes {
-			if err := s.fe.Register(mb); err != nil {
-				return nil, fmt.Errorf("rpc: after %d registrations: %w", registered, err)
-			}
-			registered++
-		}
-		return encode(RegisterResponse{Registered: registered})
-
-	case "status":
-		rng := s.fe.Range()
-		resp := StatusResponse{
-			Round:   s.fe.Round(),
-			Epoch:   s.fe.Epoch(),
-			Role:    "gateway",
-			ShardLo: rng.Lo,
-			ShardHi: rng.Hi,
-			Users:   s.fe.NumUsers(),
-		}
-		s.mu.Lock()
-		resp.ChainLength = s.chainLength
-		s.mu.Unlock()
-		if plan := s.fe.Plan(); plan != nil {
-			resp.NumChains = plan.NumChains
-			resp.L = plan.L
-		}
-		return encode(resp)
-
-	case "shard.init":
-		var ir ShardInitRequest
-		if err := decode(body, &ir); err != nil {
-			return nil, err
-		}
-		rng := s.fe.Range()
-		if ir.Lo != rng.Lo || ir.Hi != rng.Hi {
-			return nil, fmt.Errorf("rpc: coordinator expects shard range %d:%d but this gateway owns %s", ir.Lo, ir.Hi, rng)
-		}
-		if ir.NumChains > 0 {
-			if err := s.fe.Rebalance(ir.Epoch, ir.NumChains); err != nil {
-				return nil, err
-			}
-		}
-		if ir.Round > 0 {
-			s.fe.SetRound(ir.Round)
-		}
-		cur, next, err := initParams(ir.Cur, ir.Next)
-		if err != nil {
-			return nil, err
-		}
-		if len(cur) > 0 {
-			s.fe.SetParams(ir.Round, cur, next, ir.Dead)
-		}
-		s.mu.Lock()
-		s.chainLength = ir.ChainLength
-		s.mu.Unlock()
-		return encode(ShardInitResponse{Lo: rng.Lo, Hi: rng.Hi})
-
-	case "shard.begin":
-		var br ShardBeginRequest
-		if err := decode(body, &br); err != nil {
-			return nil, err
-		}
-		cur, next, err := initParams(br.Cur, br.Next)
-		if err != nil {
-			return nil, err
-		}
-		build, err := s.fe.BeginRound(&core.BeginRound{
-			Round:     br.Round,
-			Epoch:     br.Epoch,
-			NumChains: br.NumChains,
-			Cur:       cur,
-			Next:      next,
-			Dead:      br.Dead,
-		})
-		if err != nil {
-			return nil, err
-		}
-		s.mu.Lock()
-		s.buildRound = br.Round
-		s.build = build
-		// A retried round must not inherit the failed attempt's
-		// delivery buffer.
-		s.deliverRound = br.Round
-		s.buffered = nil
-		s.mu.Unlock()
-		resp := ShardBeginResponse{Covered: build.Covered, Skipped: build.Skipped}
-		resp.Counts = make([]int, len(build.Batches))
-		for c := range build.Batches {
-			resp.Counts[c] = len(build.Batches[c].Subs)
-		}
-		return encode(resp)
-
-	case "shard.batch":
-		var br ShardBatchRequest
-		if err := decode(body, &br); err != nil {
-			return nil, err
-		}
-		s.mu.Lock()
-		build := s.build
-		round := s.buildRound
-		s.mu.Unlock()
-		if build == nil || round != br.Round {
-			return nil, fmt.Errorf("rpc: no cached build for round %d", br.Round)
-		}
-		if br.Chain < 0 || br.Chain >= len(build.Batches) {
-			return nil, fmt.Errorf("rpc: no chain %d in build", br.Chain)
-		}
-		batch := build.Batches[br.Chain]
-		if br.Offset < 0 || br.Offset > len(batch.Subs) || br.Max <= 0 {
-			return nil, fmt.Errorf("rpc: bad batch window %d+%d of %d", br.Offset, br.Max, len(batch.Subs))
-		}
-		end := br.Offset + br.Max
-		if end > len(batch.Subs) {
-			end = len(batch.Subs)
-		}
-		resp := ShardBatchResponse{Submitters: batch.Submitters[br.Offset:end]}
-		resp.Subs = make([]WireSubmission, 0, end-br.Offset)
-		for _, sub := range batch.Subs[br.Offset:end] {
-			resp.Subs = append(resp.Subs, submissionToWire(br.Chain, sub))
-		}
-		return encode(resp)
-
-	case "shard.deliver":
-		var dr ShardDeliverRequest
-		if err := decode(body, &dr); err != nil {
-			return nil, err
-		}
-		s.mu.Lock()
-		if s.deliverRound != dr.Round {
-			s.deliverRound = dr.Round
-			s.buffered = nil
-		}
-		s.buffered = append(s.buffered, dr.Msgs...)
-		buffered := len(s.buffered)
-		s.mu.Unlock()
-		return encode(ShardDeliverResponse{Buffered: buffered})
-
-	case "shard.finish":
-		var fr ShardFinishRequest
-		if err := decode(body, &fr); err != nil {
-			return nil, err
-		}
-		cur, next, err := initParams(fr.Cur, fr.Next)
-		if err != nil {
-			return nil, err
-		}
-		s.mu.Lock()
-		msgs := s.buffered
-		if s.deliverRound != fr.Round {
-			msgs = nil
-		}
-		s.buffered = nil
-		s.build = nil
-		s.mu.Unlock()
-		stats, err := s.fe.FinishRound(&core.FinishRound{
-			Round:     fr.Round,
-			Delivered: msgs,
-			Removed:   fr.Removed,
-			Stranded:  fr.Stranded,
-			Epoch:     fr.Epoch,
-			NumChains: fr.NumChains,
-			Cur:       cur,
-			Next:      next,
-			Dead:      fr.Dead,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return encode(ShardFinishResponse{Delivered: stats.Delivered, Dropped: stats.Dropped})
-
-	case "shard.abort":
-		var ar ShardAbortRequest
-		if err := decode(body, &ar); err != nil {
-			return nil, err
-		}
-		s.fe.AbortRound(ar.Round)
-		s.mu.Lock()
-		s.build = nil
-		s.buffered = nil
-		s.mu.Unlock()
-		return encode(ack{})
-
-	case "shard.rebalance":
-		var rr ShardRebalanceRequest
-		if err := decode(body, &rr); err != nil {
-			return nil, err
-		}
-		if err := s.fe.Rebalance(rr.Epoch, rr.NumChains); err != nil {
-			return nil, err
-		}
-		return encode(ack{})
-
-	default:
-		return nil, fmt.Errorf("rpc: unknown method %q", method)
+func (s *ShardServer) status(*struct{}) (StatusResponse, error) {
+	rng := s.fe.Range()
+	resp := StatusResponse{
+		Round:   s.fe.Round(),
+		Epoch:   s.fe.Epoch(),
+		Role:    "gateway",
+		ShardLo: rng.Lo,
+		ShardHi: rng.Hi,
+		Users:   s.fe.NumUsers(),
 	}
+	s.mu.Lock()
+	resp.ChainLength = s.chainLength
+	s.mu.Unlock()
+	if plan := s.fe.Plan(); plan != nil {
+		resp.NumChains = plan.NumChains
+		resp.L = plan.L
+	}
+	return resp, nil
 }
 
-// submitFromWire converts a SubmitRequest into the client round
-// output core expects, validating every group element.
-func submitFromWire(sr SubmitRequest) (*client.RoundOutput, error) {
-	out := &client.RoundOutput{Round: sr.Round}
-	for _, w := range sr.Current {
-		chain, sub, err := submissionFromWire(w)
-		if err != nil {
-			return nil, err
-		}
-		out.Current = append(out.Current, client.ChainMessage{Chain: chain, Sub: sub})
+func (s *ShardServer) init(ir *ShardInitRequest) (ShardInitResponse, error) {
+	rng := s.fe.Range()
+	if ir.Lo != rng.Lo || ir.Hi != rng.Hi {
+		return ShardInitResponse{}, fmt.Errorf("rpc: coordinator expects shard range %d:%d but this gateway owns %s", ir.Lo, ir.Hi, rng)
 	}
-	for _, w := range sr.Cover {
-		chain, sub, err := submissionFromWire(w)
-		if err != nil {
-			return nil, err
+	if ir.NumChains > 0 {
+		if err := s.fe.Rebalance(ir.Epoch, ir.NumChains); err != nil {
+			return ShardInitResponse{}, err
 		}
-		out.Cover = append(out.Cover, client.ChainMessage{Chain: chain, Sub: sub})
 	}
-	return out, nil
+	if ir.Round > 0 {
+		s.fe.SetRound(ir.Round)
+	}
+	cur, next, err := initParams(ir.Cur, ir.Next)
+	if err != nil {
+		return ShardInitResponse{}, err
+	}
+	if len(cur) > 0 {
+		s.fe.SetParams(ir.Round, cur, next, ir.Dead)
+	}
+	s.mu.Lock()
+	s.chainLength = ir.ChainLength
+	s.mu.Unlock()
+	return ShardInitResponse{Lo: rng.Lo, Hi: rng.Hi}, nil
+}
+
+func (s *ShardServer) begin(br *ShardBeginRequest) (ShardBeginResponse, error) {
+	cur, next, err := initParams(br.Cur, br.Next)
+	if err != nil {
+		return ShardBeginResponse{}, err
+	}
+	build, err := s.fe.BeginRound(&core.BeginRound{
+		Round:     br.Round,
+		Epoch:     br.Epoch,
+		NumChains: br.NumChains,
+		Cur:       cur,
+		Next:      next,
+		Dead:      br.Dead,
+	})
+	if err != nil {
+		return ShardBeginResponse{}, err
+	}
+	s.mu.Lock()
+	s.buildRound = br.Round
+	s.build = build
+	// A retried round must not inherit the failed attempt's
+	// delivery buffer.
+	s.deliverRound = br.Round
+	s.buffered = nil
+	s.mu.Unlock()
+	resp := ShardBeginResponse{Covered: build.Covered, Skipped: build.Skipped}
+	resp.Counts = make([]int, len(build.Batches))
+	for c := range build.Batches {
+		resp.Counts[c] = len(build.Batches[c].Subs)
+	}
+	return resp, nil
+}
+
+func (s *ShardServer) batch(br *ShardBatchRequest) (ShardBatchResponse, error) {
+	s.mu.Lock()
+	build := s.build
+	round := s.buildRound
+	s.mu.Unlock()
+	if build == nil || round != br.Round {
+		return ShardBatchResponse{}, fmt.Errorf("rpc: no cached build for round %d", br.Round)
+	}
+	if br.Chain < 0 || br.Chain >= len(build.Batches) {
+		return ShardBatchResponse{}, fmt.Errorf("rpc: no chain %d in build", br.Chain)
+	}
+	batch := build.Batches[br.Chain]
+	if br.Offset < 0 || br.Offset > len(batch.Subs) || br.Max <= 0 {
+		return ShardBatchResponse{}, fmt.Errorf("rpc: bad batch window %d+%d of %d", br.Offset, br.Max, len(batch.Subs))
+	}
+	// Clamp Max before adding: a huge value would overflow the end
+	// computation into a negative slice bound.
+	end := min(br.Offset+min(br.Max, MaxHopChunkEnvelopes), len(batch.Subs))
+	resp := ShardBatchResponse{Submitters: batch.Submitters[br.Offset:end]}
+	resp.Subs = make([]WireSubmission, 0, end-br.Offset)
+	for _, sub := range batch.Subs[br.Offset:end] {
+		resp.Subs = append(resp.Subs, submissionToWire(br.Chain, sub))
+	}
+	return resp, nil
+}
+
+func (s *ShardServer) deliver(dr *ShardDeliverRequest) (ShardDeliverResponse, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.deliverRound != dr.Round {
+		s.deliverRound = dr.Round
+		s.buffered = nil
+	}
+	s.buffered = append(s.buffered, dr.Msgs...)
+	return ShardDeliverResponse{Buffered: len(s.buffered)}, nil
+}
+
+func (s *ShardServer) finish(fr *ShardFinishRequest) (ShardFinishResponse, error) {
+	cur, next, err := initParams(fr.Cur, fr.Next)
+	if err != nil {
+		return ShardFinishResponse{}, err
+	}
+	s.mu.Lock()
+	msgs := s.buffered
+	if s.deliverRound != fr.Round {
+		msgs = nil
+	}
+	s.buffered = nil
+	s.build = nil
+	s.mu.Unlock()
+	stats, err := s.fe.FinishRound(&core.FinishRound{
+		Round:     fr.Round,
+		Delivered: msgs,
+		Removed:   fr.Removed,
+		Stranded:  fr.Stranded,
+		Epoch:     fr.Epoch,
+		NumChains: fr.NumChains,
+		Cur:       cur,
+		Next:      next,
+		Dead:      fr.Dead,
+	})
+	if err != nil {
+		return ShardFinishResponse{}, err
+	}
+	return ShardFinishResponse{Delivered: stats.Delivered, Dropped: stats.Dropped}, nil
+}
+
+func (s *ShardServer) abort(ar *ShardAbortRequest) (ack, error) {
+	s.fe.AbortRound(ar.Round)
+	s.mu.Lock()
+	s.build = nil
+	s.buffered = nil
+	s.mu.Unlock()
+	return ack{}, nil
+}
+
+func (s *ShardServer) rebalance(rr *ShardRebalanceRequest) (ack, error) {
+	return ack{}, s.fe.Rebalance(rr.Epoch, rr.NumChains)
 }
 
 // initParams decodes a cur/next parameter snapshot pair.

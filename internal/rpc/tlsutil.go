@@ -39,6 +39,16 @@ func ClientTLSFromPEM(pemBytes []byte) (*tls.Config, error) {
 	return &tls.Config{RootCAs: pool, MinVersion: tls.VersionTLS13}, nil
 }
 
+// ClientTLSFromFile is ClientTLSFromPEM over a process's pinned
+// certificate file (what xrd-server -cert-out wrote).
+func ClientTLSFromFile(certFile string) (*tls.Config, error) {
+	pemBytes, err := os.ReadFile(certFile)
+	if err != nil {
+		return nil, fmt.Errorf("rpc: reading certificate %s: %w", certFile, err)
+	}
+	return ClientTLSFromPEM(pemBytes)
+}
+
 // TLSIdentityPEM serialises an endpoint's whole TLS identity —
 // certificate and private key — so a durable process can present the
 // same pinned certificate across restarts. Peers pin certificates at
@@ -73,11 +83,18 @@ func TLSIdentityFromPEM(pemBytes []byte) (server *tls.Config, client *tls.Config
 		return nil, nil, fmt.Errorf("rpc: parsing TLS identity certificate: %w", err)
 	}
 	cert.Leaf = leaf
+	server, client = pinned(cert)
+	return server, client, nil
+}
+
+// pinned returns the server config presenting cert and the client
+// config that trusts exactly its leaf certificate.
+func pinned(cert tls.Certificate) (server *tls.Config, client *tls.Config) {
 	pool := x509.NewCertPool()
-	pool.AddCert(leaf)
+	pool.AddCert(cert.Leaf)
 	server = &tls.Config{Certificates: []tls.Certificate{cert}, MinVersion: tls.VersionTLS13}
 	client = &tls.Config{RootCAs: pool, MinVersion: tls.VersionTLS13}
-	return server, client, nil
+	return server, client
 }
 
 // LoadOrCreateTLSIdentity returns the identity stored at path,
@@ -144,20 +161,6 @@ func SelfSignedTLS(hosts ...string) (server *tls.Config, client *tls.Config, err
 	if err != nil {
 		return nil, nil, fmt.Errorf("rpc: parsing certificate: %w", err)
 	}
-	pool := x509.NewCertPool()
-	pool.AddCert(cert)
-
-	server = &tls.Config{
-		Certificates: []tls.Certificate{{
-			Certificate: [][]byte{der},
-			PrivateKey:  priv,
-			Leaf:        cert,
-		}},
-		MinVersion: tls.VersionTLS13,
-	}
-	client = &tls.Config{
-		RootCAs:    pool,
-		MinVersion: tls.VersionTLS13,
-	}
+	server, client = pinned(tls.Certificate{Certificate: [][]byte{der}, PrivateKey: priv, Leaf: cert})
 	return server, client, nil
 }

@@ -1,0 +1,287 @@
+package rpc
+
+import (
+	"math"
+	"net"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
+	"sync/atomic"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/group"
+	"repro/internal/onion"
+)
+
+// endpoints stands up one of each serving endpoint — a monolith
+// Server, a ShardServer holding a cached build, a bound HopServer —
+// the fixtures of the method-table tests and of FuzzDispatch.
+type endpoints struct {
+	n     *core.Network
+	srv   *Server
+	shard *ShardServer
+	hop   *HopServer
+	// build is the shard's cached build, re-armed by cacheBuild.
+	build *core.ShardBuild
+}
+
+const cachedBuildRound = 7
+
+func startEndpoints(t testing.TB) *endpoints {
+	t.Helper()
+	e := &endpoints{}
+	e.n, e.srv = newDeployment(t)
+	_, _, shards := newShardedDeployment(t)
+	e.shard = shards[0]
+	e.hop = startHopFleet(t, 1)[0]
+	hc := DialHop(e.hop.Addr(), e.hop.ClientTLS())
+	t.Cleanup(func() { hc.Close() })
+	if _, err := hc.Init(0, 0, group.Generator()); err != nil {
+		t.Fatal(err)
+	}
+	// Real submissions for the cached build, so shard.batch has
+	// well-formed elements to encode.
+	conn, err := Dial(e.srv.Addr(), e.srv.ClientTLS())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	out, err := newRemoteUser(t, e.n).BuildRound(e.n.Round(), conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := core.ChainBatch{}
+	for _, cm := range append(out.Current, out.Cover...) {
+		batch.Subs = append(batch.Subs, cm.Sub)
+		batch.Submitters = append(batch.Submitters, "u")
+	}
+	e.build = &core.ShardBuild{Batches: []core.ChainBatch{batch}}
+	e.cacheBuild()
+	return e
+}
+
+// cacheBuild puts the shard between shard.begin and shard.finish.
+func (e *endpoints) cacheBuild() {
+	e.shard.mu.Lock()
+	e.shard.build, e.shard.buildRound = e.build, cachedBuildRound
+	e.shard.mu.Unlock()
+}
+
+func (e *endpoints) tables() []*listenerCore {
+	return []*listenerCore{e.srv.listenerCore, e.shard.listenerCore, e.hop.listenerCore}
+}
+
+// TestMethodTablesAgree pins the client policy table to the server
+// handler tables: every served method has a policy entry and vice
+// versa, and nothing that must not be re-sent is marked for retry.
+func TestMethodTablesAgree(t *testing.T) {
+	e := startEndpoints(t)
+	served := make(map[string]bool)
+	for _, lc := range e.tables() {
+		for name := range lc.methods {
+			served[name] = true
+			if _, ok := policies[name]; !ok {
+				t.Errorf("served method %q has no client policy entry", name)
+			}
+		}
+	}
+	for name, pol := range policies {
+		if !served[name] {
+			t.Errorf("policy entry %q is served by no endpoint", name)
+		}
+		if pol.retry && (strings.HasPrefix(name, "hop.") || name == "shard.deliver" || name == "shard.finish") {
+			t.Errorf("%s is marked for retry; re-sending it would double-stage or double-deliver", name)
+		}
+	}
+}
+
+// TestRetryPolicyDials drives every method against a gateway that
+// reads the request and hangs up, and counts dials: exactly one for a
+// method without retry — so "retry policy is data" cannot silently
+// start double-delivering — and exactly two, the second on a fresh
+// connection, for a retried one.
+func TestRetryPolicyDials(t *testing.T) {
+	ep, _ := startFakeGateway(t, func(conn net.Conn) {
+		ReadFrame(conn)
+		conn.Close()
+	})
+	for name, pol := range policies {
+		var dials atomic.Int32
+		count := func(c net.Conn) net.Conn { dials.Add(1); return c }
+		var l *link
+		if strings.HasPrefix(name, "hop.") {
+			hc := DialHop(ep.Addr, ep.TLS)
+			hc.SetConnWrapper(count)
+			l = hc.link
+		} else {
+			l = NewClient(ep.Addr, ep.TLS).link
+			l.wrap = count
+		}
+		var out struct{}
+		err := l.call(name, struct{}{}, &out)
+		l.close()
+		if !IsTransportError(err) {
+			t.Errorf("%s: error %v, want a transport error", name, err)
+		}
+		want := int32(1)
+		if pol.retry {
+			want = 2
+		}
+		if got := dials.Load(); got != want {
+			t.Errorf("%s: %d dials after a transport failure, want %d", name, got, want)
+		}
+	}
+}
+
+// TestShardBatchWindowOverflow: a batch window whose Offset+Max wraps
+// negative must be clamped, not sliced — the handler has no recover,
+// so the panic it used to cause took the gateway shard down.
+func TestShardBatchWindowOverflow(t *testing.T) {
+	e := startEndpoints(t)
+	c, err := Dial(e.shard.Addr(), e.shard.ClientTLS())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var resp ShardBatchResponse
+	req := ShardBatchRequest{Round: cachedBuildRound, Chain: 0, Offset: 1, Max: math.MaxInt}
+	if err := c.call("shard.batch", req, &resp); err != nil {
+		t.Fatal(err)
+	}
+	if want := len(e.build.Batches[0].Subs) - 1; len(resp.Subs) != want || len(resp.Submitters) != want {
+		t.Fatalf("window 1+MaxInt returned %d submissions and %d submitters, want %d", len(resp.Subs), len(resp.Submitters), want)
+	}
+}
+
+func TestParseEndpoints(t *testing.T) {
+	dir := t.TempDir()
+	serverTLS, _, err := SelfSignedTLS("127.0.0.1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pem, err := CertificatePEM(serverTLS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cert := filepath.Join(dir, "gw.pem")
+	if err := os.WriteFile(cert, pem, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	missing := filepath.Join(dir, "missing.pem")
+	cases := []struct {
+		name      string
+		coordCert string
+		gateways  string
+		want      []string // addresses; nil means an error
+	}{
+		{"monolith: the coordinator serves users", cert, "", []string{"coord:1"}},
+		{"blank list is the monolith too", cert, "  ", []string{"coord:1"}},
+		{"one gateway", missing, "a:1=" + cert, []string{"a:1"}},
+		{"two gateways, spaces around entries", missing, " a:1=" + cert + " , b:2=" + cert, []string{"a:1", "b:2"}},
+		{"entry without a certificate", cert, "a:1", nil},
+		{"entry with three parts", cert, "0:32=a:1=" + cert, nil},
+		{"trailing comma", cert, "a:1=" + cert + ",", nil},
+		{"unreadable gateway certificate", cert, "a:1=" + missing, nil},
+		{"unreadable coordinator certificate", missing, "", nil},
+	}
+	for _, tc := range cases {
+		eps, err := ParseEndpoints("coord:1", tc.coordCert, tc.gateways)
+		if tc.want == nil {
+			if err == nil {
+				t.Errorf("%s: accepted as %v", tc.name, eps)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+			continue
+		}
+		var got []string
+		for _, ep := range eps {
+			if ep.TLS == nil || ep.TLS.RootCAs == nil {
+				t.Errorf("%s: endpoint %s has no pinned certificate", tc.name, ep.Addr)
+			}
+			got = append(got, ep.Addr)
+		}
+		if strings.Join(got, ",") != strings.Join(tc.want, ",") {
+			t.Errorf("%s: endpoints %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
+// sampleRequests is one well-formed request per method — FuzzDispatch's
+// seed corpus, which must cover every served method.
+func sampleRequests(e *endpoints) map[string]any {
+	g := group.Generator().Bytes()
+	sub := e.build.Batches[0].Subs[0]
+	env := envelopesToWire([]onion.Envelope{sub.Envelope})
+	return map[string]any{
+		"params":   ParamsRequest{Chain: 0, Round: e.n.Round()},
+		"submit":   SubmitRequest{Round: e.n.Round(), Mailbox: []byte("u"), Current: []WireSubmission{submissionToWire(0, sub)}},
+		"register": RegisterRequest{Mailboxes: [][]byte{g}},
+		"fetch":    FetchRequest{Round: 1, Mailbox: g},
+		"ack":      AckRequest{Round: 1, Mailbox: g},
+		"status":   struct{}{},
+		"runround": struct{}{},
+
+		"hop.init":    HopInitRequest{Chain: 0, Index: 0, Base: g},
+		"hop.begin":   HopBeginRequest{Round: 1},
+		"hop.reveal":  HopRevealRequest{Round: 1},
+		"hop.batch":   HopBatchRequest{Round: 1, Seq: 0, Envelopes: env},
+		"hop.mix":     HopMixRequest{Round: 1, Nonce: make([]byte, 12), Count: 1},
+		"hop.pull":    HopPullRequest{Round: 1, Seq: 0},
+		"hop.certify": HopCertifyRequest{Round: 1, N: 1, Keep: []byte{1}},
+		"hop.blame":   HopBlameRequest{Round: 1, Msg: 0, Pos: 0},
+		"hop.accuse":  HopAccuseRequest{Round: 1, Msg: 0, Key: g},
+
+		"shard.init":      ShardInitRequest{Lo: 0, Hi: 32, Epoch: 0, Round: 1, NumChains: 2, ChainLength: 3},
+		"shard.begin":     ShardBeginRequest{Round: 1, NumChains: 2},
+		"shard.batch":     ShardBatchRequest{Round: cachedBuildRound, Chain: 0, Offset: 0, Max: MaxHopChunkEnvelopes},
+		"shard.deliver":   ShardDeliverRequest{Round: 1, Msgs: [][]byte{g}},
+		"shard.finish":    ShardFinishRequest{Round: 1, NumChains: 2},
+		"shard.abort":     ShardAbortRequest{Round: 1},
+		"shard.rebalance": ShardRebalanceRequest{Epoch: 1, NumChains: 2},
+	}
+}
+
+// FuzzDispatch feeds every handler of every endpoint arbitrary body
+// bytes. The handlers sit directly behind the network with no
+// recover, so the property is: an error response, never a panic.
+func FuzzDispatch(f *testing.F) {
+	e := startEndpoints(f)
+	samples := sampleRequests(e)
+	var names []string
+	for _, lc := range e.tables() {
+		for name := range lc.methods {
+			names = append(names, name)
+		}
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		req, ok := samples[name]
+		if !ok {
+			f.Fatalf("no sample request for served method %q", name)
+		}
+		body, err := encode(req)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(name, body)
+		f.Add(name, body[:len(body)/2])
+		f.Add(name, []byte{})
+	}
+	overflow, err := encode(ShardBatchRequest{Round: cachedBuildRound, Chain: 0, Offset: 1, Max: math.MaxInt})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add("shard.batch", overflow)
+
+	f.Fuzz(func(t *testing.T, method string, body []byte) {
+		e.cacheBuild()
+		for _, lc := range e.tables() {
+			lc.dispatch(request{Method: method, Body: body})
+		}
+	})
+}

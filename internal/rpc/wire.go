@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"slices"
 
+	"repro/internal/client"
 	"repro/internal/group"
 	"repro/internal/mix"
 	"repro/internal/nizk"
@@ -182,12 +184,12 @@ func paramsFromWire(w ParamsResponse) (mix.Params, error) {
 }
 
 // paramsSliceToWire converts a per-chain parameter snapshot. Chains
-// in the dead set carry zero parameters (they failed to announce) and
+// in the dead list carry zero parameters (they failed to announce) and
 // are sent as empty entries.
-func paramsSliceToWire(ps []mix.Params, dead map[int]bool) []ParamsResponse {
+func paramsSliceToWire(ps []mix.Params, dead []int) []ParamsResponse {
 	out := make([]ParamsResponse, len(ps))
 	for c, p := range ps {
-		if dead[c] || p.InnerAggregate.IsIdentity() {
+		if slices.Contains(dead, c) || p.InnerAggregate.IsIdentity() {
 			continue
 		}
 		out[c] = paramsToWire(p)
@@ -236,4 +238,25 @@ func submissionFromWire(w WireSubmission) (int, onion.Submission, error) {
 		Envelope: onion.Envelope{DHKey: key, Ct: w.Ct},
 		Proof:    proof,
 	}, nil
+}
+
+// submitFromWire converts a SubmitRequest into the client round
+// output core expects, validating every group element.
+func submitFromWire(sr *SubmitRequest) (*client.RoundOutput, error) {
+	out := &client.RoundOutput{Round: sr.Round}
+	for _, w := range sr.Current {
+		chain, sub, err := submissionFromWire(w)
+		if err != nil {
+			return nil, err
+		}
+		out.Current = append(out.Current, client.ChainMessage{Chain: chain, Sub: sub})
+	}
+	for _, w := range sr.Cover {
+		chain, sub, err := submissionFromWire(w)
+		if err != nil {
+			return nil, err
+		}
+		out.Cover = append(out.Cover, client.ChainMessage{Chain: chain, Sub: sub})
+	}
+	return out, nil
 }
