@@ -1,7 +1,7 @@
 package group
 
 // Batch Jacobian→affine conversion via the Montgomery inversion
-// trick: instead of one field inversion per point (~1.5µs each), the
+// trick: instead of one field inversion per point (~2.6µs each), the
 // batch pays a single inversion plus three multiplications per point.
 // This is the shared seam behind everything that materializes many
 // points at once — fixed-base table construction, BatchBase results,
@@ -20,44 +20,73 @@ func feInv(z, x *fe) {
 	*z = feFromBig(xb)
 }
 
-// BatchToAffine converts a slice of Jacobian points to affine Points
-// with one shared field inversion (Montgomery trick: prefix products
-// forward, one inversion, suffix unwinding backward). Identity points
-// (Z = 0) pass through as identity Points and do not disturb the
-// batch. It is the conversion behind BatchBase and Product; the MSM
-// table path uses the fe-domain sibling batchNormalize.
-func BatchToAffine(js []jacPoint) []Point {
-	n := len(js)
-	out := make([]Point, n)
+// feBatchInv replaces every non-zero element of den with its inverse
+// using one true inversion (Montgomery trick: prefix products forward
+// into scratch, one feInv, suffix unwinding backward — 3 field mults
+// per element). Zero elements stay zero and do not disturb the batch,
+// which is how callers carry identity points through. It is the one
+// copy of the trick: batch normalization, the fixed-base sweep and the
+// variable-base kernel of batchmul.go all divide through it. scratch
+// must hold len(den) elements and must not alias den.
+func feBatchInv(den, scratch []fe) {
+	n := len(den)
 	if n == 0 {
-		return out
+		return
 	}
-	prefix := make([]fe, n)
 	run := feOne
-	for i := range js {
-		if !js[i].z.isZero() {
-			feMul(&run, &run, &js[i].z)
+	for i := range den {
+		if !den[i].isZero() {
+			feMul(&run, &run, &den[i])
 		}
-		prefix[i] = run
+		scratch[i] = run
 	}
-	// If every point is the identity the running product is still
-	// feOne, which feInv handles like any other non-zero element.
+	// If every element is zero the running product is still feOne,
+	// which feInv handles like any other non-zero element.
 	var inv fe
-	feInv(&inv, &prefix[n-1])
-	for i := n - 1; i >= 0; i-- {
+	feInv(&inv, &run)
+	for i := n - 1; i > 0; i-- {
+		if den[i].isZero() {
+			continue
+		}
+		// den[i] is still needed to step inv down after its slot
+		// has been computed, so the inverse lands in a temporary.
+		var dinv fe
+		feMul(&dinv, &inv, &scratch[i-1])
+		feMul(&inv, &inv, &den[i])
+		den[i] = dinv
+	}
+	if !den[0].isZero() {
+		den[0] = inv
+	}
+}
+
+// invertZs returns 1/Z for every point with one shared inversion; an
+// identity's zero Z stays zero.
+func invertZs(js []jacPoint) []fe {
+	n := len(js)
+	zinv := make([]fe, 2*n) // inverses, then feBatchInv's scratch
+	for i := range js {
+		zinv[i] = js[i].z
+	}
+	feBatchInv(zinv[:n], zinv[n:])
+	return zinv[:n]
+}
+
+// BatchToAffine converts a slice of Jacobian points to affine Points
+// with one shared field inversion. Identity points (Z = 0) pass
+// through as identity Points and do not disturb the batch. It is the
+// conversion behind BatchBase and Product; the MSM table path uses
+// the fe-domain sibling batchNormalize.
+func BatchToAffine(js []jacPoint) []Point {
+	out := make([]Point, len(js))
+	zinv := invertZs(js)
+	for i := range js {
 		if js[i].z.isZero() {
 			continue // identity: out[i] stays the zero Point
 		}
-		var zinv fe
-		if i == 0 {
-			zinv = inv
-		} else {
-			feMul(&zinv, &inv, &prefix[i-1])
-			feMul(&inv, &inv, &js[i].z)
-		}
 		var zi2, zi3, xf, yf fe
-		feSqr(&zi2, &zinv)
-		feMul(&zi3, &zi2, &zinv)
+		feSqr(&zi2, &zinv[i])
+		feMul(&zi3, &zi2, &zinv[i])
 		feMul(&xf, &js[i].x, &zi2)
 		feMul(&yf, &js[i].y, &zi3)
 		out[i] = Point{xf.toBig(), yf.toBig()}
@@ -71,28 +100,11 @@ func BatchToAffine(js []jacPoint) []Point {
 // identity — it normalizes small multiples k·P of non-identity points
 // in a prime-order group, where k·P = O is impossible.
 func batchNormalize(js []jacPoint, out []affinePoint) {
-	n := len(js)
-	if n == 0 {
-		return
-	}
-	prefix := make([]fe, n)
-	prefix[0] = js[0].z
-	for i := 1; i < n; i++ {
-		feMul(&prefix[i], &prefix[i-1], &js[i].z)
-	}
-	var inv fe
-	feInv(&inv, &prefix[n-1])
-	for i := n - 1; i >= 0; i-- {
-		var zinv fe
-		if i == 0 {
-			zinv = inv
-		} else {
-			feMul(&zinv, &inv, &prefix[i-1])
-			feMul(&inv, &inv, &js[i].z)
-		}
+	zinv := invertZs(js)
+	for i := range js {
 		var zi2, zi3 fe
-		feSqr(&zi2, &zinv)
-		feMul(&zi3, &zi2, &zinv)
+		feSqr(&zi2, &zinv[i])
+		feMul(&zi3, &zi2, &zinv[i])
 		feMul(&out[i].x, &js[i].x, &zi2)
 		feMul(&out[i].y, &js[i].y, &zi3)
 		feNeg(&out[i].yNeg, &out[i].y)

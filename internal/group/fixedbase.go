@@ -156,7 +156,7 @@ func batchBaseAffine(digits []int16, n int) []Point {
 	den := make([]fe, 0, n)  // chord/tangent denominators
 	num := make([]fe, 0, n)  // chord/tangent numerators
 	exs := make([]fe, 0, n)  // entry x (equals accX for doublings)
-	prefix := make([]fe, n)
+	scratch := make([]fe, n) // for feBatchInv
 
 	for j := 0; j < fbWindows; j++ {
 		idx, den, num, exs = idx[:0], den[:0], num[:0], exs[:0]
@@ -208,28 +208,10 @@ func batchBaseAffine(digits []int16, n int) []Point {
 			num = append(num, nn)
 			exs = append(exs, e.x)
 		}
-		m := len(idx)
-		if m == 0 {
-			continue
-		}
-		// Montgomery trick: one inversion for all m denominators.
-		prefix[0] = den[0]
-		for k := 1; k < m; k++ {
-			feMul(&prefix[k], &prefix[k-1], &den[k])
-		}
-		var inv fe
-		feInv(&inv, &prefix[m-1])
-		for k := m - 1; k >= 0; k-- {
-			var dinv fe
-			if k == 0 {
-				dinv = inv
-			} else {
-				feMul(&dinv, &inv, &prefix[k-1])
-				feMul(&inv, &inv, &den[k])
-			}
-			i := idx[k]
+		feBatchInv(den, scratch)
+		for k, i := range idx {
 			var lam, x3, y3, t fe
-			feMul(&lam, &num[k], &dinv)
+			feMul(&lam, &num[k], &den[k])
 			feSqr(&x3, &lam)
 			feSub(&x3, &x3, &accX[i])
 			feSub(&x3, &x3, &exs[k])

@@ -489,15 +489,43 @@ func (c *Chain) RunRound(round uint64, lane byte, subs []onion.Submission) (*Rou
 		}
 		innerSum = innerSum.Add(isk)
 	}
-	for _, env := range st.envs {
-		msg, err := onion.OpenInner(c.scheme, innerSum, nonce, env.Ct)
-		if err != nil {
+	for _, msg := range openInnerBatch(c.scheme, innerSum, nonce, st.envs) {
+		if msg == nil {
 			res.DroppedInner++
 			continue
 		}
 		res.Delivered = append(res.Delivered, msg)
 	}
 	return res, nil
+}
+
+// openInnerBatch opens every envelope's inner ciphertext under the
+// revealed aggregate inner secret — onion.OpenInner for the whole
+// batch, fanned over the worker ranges. A nil entry is an envelope
+// that failed to parse or to authenticate.
+func openInnerBatch(scheme aead.Scheme, innerSum group.Scalar, nonce [aead.NonceSize]byte, envs []onion.Envelope) [][]byte {
+	msgs := make([][]byte, len(envs))
+	parallelRanges(len(envs), func(lo, hi int) {
+		ys := make([]group.Point, hi-lo)
+		parsed := make([]bool, hi-lo)
+		for j := range ys {
+			y, err := onion.InnerDHKey(envs[lo+j].Ct)
+			if err == nil {
+				ys[j], parsed[j] = y, true
+			}
+		}
+		exchanged := group.BatchMul(ys, innerSum)[0]
+		for j := range ys {
+			if !parsed[j] {
+				continue
+			}
+			msg, err := onion.OpenInnerWithKey(scheme, exchanged[j], nonce, envs[lo+j].Ct)
+			if err == nil {
+				msgs[lo+j] = msg
+			}
+		}
+	})
+	return msgs
 }
 
 // identitySlots resets the slot map when entering a new server (each

@@ -61,13 +61,14 @@ type Server struct {
 	// lastKeyRound is the highest round BeginRound has seen.
 	lastKeyRound uint64
 
-	// lastIn is the input batch of the last Mix call, retained for
-	// the blame protocol's reveals and for re-certification after
-	// blame removals. The outputs and the permutation are returned to
-	// the orchestrator in MixResult; each verifier keeps its own
-	// record of those (Chain does, per position), so the server holds
-	// only what it alone can produce.
-	lastIn []onion.Envelope
+	// lastIn holds the Diffie-Hellman keys of the last Mix call's
+	// input batch, retained for the blame protocol's reveals and for
+	// re-certification after blame removals — both read only the
+	// keys, so the ciphertexts are not kept. The outputs and the
+	// permutation are returned to the orchestrator in MixResult; each
+	// verifier keeps its own record of those (Chain does, per
+	// position), so the server holds only what it alone can produce.
+	lastIn []group.Point
 
 	// Corruption, when non-nil, makes the server misbehave; see
 	// corrupt.go.
@@ -218,20 +219,27 @@ type MixResult struct {
 // Diffie-Hellman key with bsk, shuffle both with one permutation, and
 // certify (∏ Xin)^bsk = ∏ Xout with a DLEQ against (bpkPrev, bpk).
 //
+// Steps 1 and 2 raise every key to two exponents that are the same
+// for the whole batch, X^msk for the AEAD key and X^bsk for the
+// blinding, so each worker range runs them as one group.BatchMul.
+//
 // If any decryption fails, Mix returns the failed indices and no
 // output; the chain moves to the blame protocol. Corrupt servers
 // tamper according to their Corruption before proving.
 func (s *Server) Mix(round uint64, nonce [aead.NonceSize]byte, in []onion.Envelope) (*MixResult, error) {
-	s.lastIn = cloneEnvelopes(in)
+	keys := dhKeys(in)
+	s.lastIn = keys
 
-	// Step 1: decrypt in parallel; collect failures.
 	peeled := make([][]byte, len(in))
-	failed := make([]int, 0)
+	blinded := make([]group.Point, len(in))
+	var failed []int
 	var mu sync.Mutex
 	parallelRanges(len(in), func(lo, hi int) {
+		pows := group.BatchMul(keys[lo:hi], s.msk, s.bsk)
+		copy(blinded[lo:hi], pows[1])
 		var localFailed []int
 		for j := lo; j < hi; j++ {
-			pt, err := onion.PeelAHS(s.scheme, s.msk, nonce, in[j])
+			pt, err := onion.OpenWithRevealedKey(s.scheme, pows[0][j-lo], nonce, in[j].Ct)
 			if err != nil {
 				localFailed = append(localFailed, j)
 				continue
@@ -254,17 +262,11 @@ func (s *Server) Mix(round uint64, nonce [aead.NonceSize]byte, in []onion.Envelo
 		return &MixResult{Failed: f}, nil
 	}
 
-	// Step 2: blind and shuffle, fanned over the same worker pool as
-	// step 1 — the per-message blinding exponentiation is the other
-	// half of the server's public-key cost (§6.3 step 2).
 	out := make([]onion.Envelope, len(in))
 	out2in := randomPermutation(len(in))
-	parallelRanges(len(in), func(lo, hi int) {
-		for p := lo; p < hi; p++ {
-			j := out2in[p]
-			out[p] = onion.Envelope{DHKey: in[j].DHKey.Mul(s.bsk), Ct: peeled[j]}
-		}
-	})
+	for p, j := range out2in {
+		out[p] = onion.Envelope{DHKey: blinded[j], Ct: peeled[j]}
+	}
 
 	const epoch = 0
 	if s.Corruption != nil {
@@ -272,8 +274,7 @@ func (s *Server) Mix(round uint64, nonce [aead.NonceSize]byte, in []onion.Envelo
 	}
 
 	// Step 3: shuffle certificate.
-	prodIn := productOfKeys(in)
-	proof := nizk.ProveDleq(mixContext(round, s.Chain, s.Index, epoch), prodIn, s.bpkPrev, s.bsk)
+	proof := nizk.ProveDleq(mixContext(round, s.Chain, s.Index, epoch), group.Product(keys), s.bpkPrev, s.bsk)
 	if s.Corruption != nil && s.Corruption.BadMixProof {
 		proof.S = proof.S.Add(group.NewScalar(1))
 	}
@@ -290,7 +291,7 @@ func (s *Server) BlameRevealAt(round uint64, msg, pos int) (BlameReveal, error) 
 	if pos < 0 || pos >= len(s.lastIn) {
 		return BlameReveal{}, fmt.Errorf("mix: server %d has no input position %d", s.Index, pos)
 	}
-	xin := s.lastIn[pos].DHKey
+	xin := s.lastIn[pos]
 	return BlameReveal{
 		Xin:        xin,
 		BlindProof: nizk.ProveDleq(blameContext(round, s.Chain, s.Index, msg, "blind"), xin, s.bpkPrev, s.bsk),
@@ -332,29 +333,26 @@ func (s *Server) ReProveSubset(round uint64, epoch int, keep []bool) (nizk.Proof
 	if len(keep) != len(s.lastIn) {
 		return nizk.Proof{}, fmt.Errorf("mix: server %d re-proof over %d messages, had %d", s.Index, len(keep), len(s.lastIn))
 	}
-	var kept []onion.Envelope
+	var kept []group.Point
 	for j, k := range keep {
 		if k {
 			kept = append(kept, s.lastIn[j])
 		}
 	}
-	return nizk.ProveDleq(mixContext(round, s.Chain, s.Index, epoch), productOfKeys(kept), s.bpkPrev, s.bsk), nil
+	return nizk.ProveDleq(mixContext(round, s.Chain, s.Index, epoch), group.Product(kept), s.bpkPrev, s.bsk), nil
 }
 
-func productOfKeys(envs []onion.Envelope) group.Point {
+// dhKeys returns the envelopes' Diffie-Hellman keys as a new slice.
+func dhKeys(envs []onion.Envelope) []group.Point {
 	keys := make([]group.Point, len(envs))
 	for i, e := range envs {
 		keys[i] = e.DHKey
 	}
-	return group.Product(keys)
+	return keys
 }
 
-func cloneEnvelopes(envs []onion.Envelope) []onion.Envelope {
-	out := make([]onion.Envelope, len(envs))
-	for i, e := range envs {
-		out[i] = e.Clone()
-	}
-	return out
+func productOfKeys(envs []onion.Envelope) group.Point {
+	return group.Product(dhKeys(envs))
 }
 
 // randomPermutation draws a uniform permutation from crypto/rand;
@@ -380,13 +378,21 @@ func randInt(n int) int {
 	return int(v.Int64())
 }
 
-// parallelRanges splits [0, n) into one contiguous range per worker
-// and runs fn on each concurrently. With a single worker (or tiny n)
-// it degenerates to a direct call.
+// minRange is the fewest messages parallelRanges gives a worker. The
+// ranges feed group.BatchMul, whose fixed cost (a few hundred field
+// inversions per call, whatever the batch size) is only amortised
+// over a hundred bases or more — and when several chains already mix
+// concurrently, cutting each one's batch finer buys no parallelism.
+const minRange = 128
+
+// parallelRanges splits [0, n) into contiguous ranges of at least
+// minRange, at most one per CPU, and runs fn on each concurrently.
+// With a single worker (or n below 2·minRange) it degenerates to a
+// direct call.
 func parallelRanges(n int, fn func(lo, hi int)) {
 	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
+	if most := n / minRange; workers > most {
+		workers = most
 	}
 	if workers <= 1 {
 		if n > 0 {
@@ -394,16 +400,10 @@ func parallelRanges(n int, fn func(lo, hi int)) {
 		}
 		return
 	}
-	stride := (n + workers - 1) / workers
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		lo, hi := w*stride, (w+1)*stride
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			continue
-		}
+		// Even split: every range holds at least n/workers ≥ minRange.
+		lo, hi := w*n/workers, (w+1)*n/workers
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()

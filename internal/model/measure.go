@@ -12,10 +12,17 @@ import (
 
 // This file times the repository's real crypto for the Measure
 // calibration. Each closure performs exactly the work the model
-// attributes to one unit: one message at one mixing hop, one client
+// attributes to one unit: one batch at one mixing hop, one client
 // wrap, or one blame layer.
 
-const measureChainLen = 32 // the paper's k at f=0.2
+const (
+	measureChainLen = 32 // the paper's k at f=0.2
+	// measureHopBatch is the batch one timed mixing hop carries. A
+	// server's per-message cost is an amortised one — the hop raises
+	// the whole batch to msk and bsk in one group.BatchMul — so the
+	// model times a batch and divides.
+	measureHopBatch = 512
+)
 
 type measureState struct {
 	scheme   aead.Scheme
@@ -28,6 +35,7 @@ type measureState struct {
 	innerAgg group.Point
 	nonce    [aead.NonceSize]byte
 	sub      onion.Submission
+	hopKeys  []group.Point // sub.DHKey, measureHopBatch times
 	mailbox  []byte
 }
 
@@ -75,21 +83,32 @@ func measureSetup() {
 			panic(err)
 		}
 		ms.sub = sub
+		// The hop's cost does not depend on the keys being distinct.
+		ms.hopKeys = make([]group.Point, measureHopBatch)
+		for i := range ms.hopKeys {
+			ms.hopKeys[i] = sub.DHKey
+		}
 	})
 }
 
-// benchMixOneMessage is one server's per-message mixing work (§6.3):
-// verify the submission proof, peel one layer, blind the key. The
+// benchMixHop is one server's mixing work on a measureHopBatch-message
+// batch (§6.3), the way mix.Server.Mix does it: verify every
+// submission proof, raise every key to the mixing and the blinding
+// secret in one batched exponentiation, open every layer. The
 // per-batch shuffle certificate amortises to nothing per message.
-func benchMixOneMessage() {
+func benchMixHop() {
 	measureSetup()
-	if err := onion.VerifySubmission(ms.sub, 1, 0); err != nil {
-		panic(err)
+	for range ms.hopKeys {
+		if err := onion.VerifySubmission(ms.sub, 1, 0); err != nil {
+			panic(err)
+		}
 	}
-	if _, err := onion.PeelAHS(ms.scheme, ms.mskFirst, ms.nonce, ms.sub.Envelope); err != nil {
-		panic(err)
+	pows := group.BatchMul(ms.hopKeys, ms.mskFirst, ms.bskFirst)
+	for _, exchanged := range pows[0] {
+		if _, err := onion.OpenWithRevealedKey(ms.scheme, exchanged, ms.nonce, ms.sub.Ct); err != nil {
+			panic(err)
+		}
 	}
-	_ = ms.sub.DHKey.Mul(ms.bskFirst)
 }
 
 // benchWrapOneMessage is the client cost of one AHS submission for a

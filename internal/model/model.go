@@ -94,7 +94,7 @@ func PaperCalibration() Calibration {
 // measurement effort.
 func Measure(iters int) Calibration {
 	c := PaperCalibration()
-	c.PerMsgServerSeconds = timePerOp(iters, benchMixOneMessage)
+	c.PerMsgServerSeconds = timePerOp(maxInt(iters/measureHopBatch, 1), benchMixHop) / measureHopBatch
 	c.PerMsgWrapSeconds = timePerOp(maxInt(iters/4, 2), benchWrapOneMessage)
 	c.PerUserLayerBlameSeconds = timePerOp(iters, benchBlameOneLayer)
 	return c

@@ -347,16 +347,33 @@ func OpenWithRevealedKey(s aead.Scheme, revealed group.Point, nonce [aead.NonceS
 }
 
 // OpenInner opens the AHS inner envelope once the aggregate inner
-// secret ∑iskᵢ is known (after all servers reveal, §6.3).
+// secret ∑iskᵢ is known (after all servers reveal, §6.3). It is the
+// single-message form of InnerDHKey → exponentiation →
+// OpenInnerWithKey, which the chain runs batch-wise.
 func OpenInner(s aead.Scheme, innerSecretSum group.Scalar, nonce [aead.NonceSize]byte, e []byte) ([]byte, error) {
-	if len(e) != innerEnvelopeSize {
-		return nil, fmt.Errorf("%w: inner envelope length %d", ErrFormat, len(e))
-	}
-	y, err := group.ParsePoint(e[:group.PointSize])
+	y, err := InnerDHKey(e)
 	if err != nil {
 		return nil, err
 	}
-	key := kdf.InnerKey(group.DH(y, innerSecretSum))
+	return OpenInnerWithKey(s, y.Mul(innerSecretSum), nonce, e)
+}
+
+// InnerDHKey parses the sender's ephemeral key g^y off an inner
+// envelope.
+func InnerDHKey(e []byte) (group.Point, error) {
+	if len(e) != innerEnvelopeSize {
+		return group.Point{}, fmt.Errorf("%w: inner envelope length %d", ErrFormat, len(e))
+	}
+	return group.ParsePoint(e[:group.PointSize])
+}
+
+// OpenInnerWithKey opens an inner envelope given the exchanged key
+// (g^y)^∑iskᵢ for the envelope's InnerDHKey.
+func OpenInnerWithKey(s aead.Scheme, exchanged group.Point, nonce [aead.NonceSize]byte, e []byte) ([]byte, error) {
+	if len(e) != innerEnvelopeSize {
+		return nil, fmt.Errorf("%w: inner envelope length %d", ErrFormat, len(e))
+	}
+	key := kdf.InnerKey(group.SharedSecret(exchanged))
 	k := [aead.KeySize]byte(key)
 	return s.Open(nil, &k, &nonce, e[group.PointSize:])
 }

@@ -15,8 +15,8 @@
 # too noisy for a hard gate on end-to-end throughput.
 #
 # Pass 2 (hard gate): the crypto microbenchmarks — ScalarBaseMult,
-# MultiScalarMult, SubmissionVerify — have their ns/op compared and
-# the script FAILS if any regresses past 25%. These are tight loops
+# MultiScalarMult, SubmissionVerify, BatchMul — have their ns/op
+# compared and the script FAILS if any regresses past 25%. These are tight loops
 # of pure computation; measured at -benchtime=5x (the second,
 # optional argument is a report from such a run; pass 2 falls back to
 # the first report without it) they are stable enough that a 25% jump
@@ -54,5 +54,5 @@ if [ ! -s "$crypto" ]; then
 fi
 # shellcheck disable=SC2086
 go run ./cmd/benchjson -compare -metric ns/op -lower-better -fail \
-    -match '^(ScalarBaseMult|MultiScalarMult|SubmissionVerify)($|[/-])' \
+    -match '^(ScalarBaseMult|MultiScalarMult|SubmissionVerify|BatchMul)($|[/-])' \
     -threshold 0.25 $baselines "$crypto"
