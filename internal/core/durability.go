@@ -29,8 +29,9 @@ import (
 // the submit hot path, and the formats below are stable by
 // construction (a decoder rejects, never misinterprets, unknown
 // bytes). Points and proofs re-enter through group.ParsePoint /
-// nizk.ParseDlogProof exactly like the RPC boundary, so a corrupted
-// payload cannot smuggle an invalid group element into a batch.
+// nizk.ParseDlogProof, the same validation the RPC boundary applies
+// as a message decodes, so a corrupted payload cannot smuggle an
+// invalid group element into a batch.
 const (
 	// opRegister: a transport user registered. Payload: mailbox bytes.
 	opRegister store.Op = 1

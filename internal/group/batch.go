@@ -7,8 +7,6 @@ package group
 // points at once — fixed-base table construction, BatchBase results,
 // the Straus MSM's per-point multiple tables, and Product.
 
-import "fmt"
-
 // feInv sets z to the Montgomery-domain inverse of a non-zero x. The
 // single inversion goes through big.Int's binary extended GCD, which
 // beats a Fermat exponentiation chain at this field size.
@@ -114,32 +112,4 @@ func batchNormalize(js []jacPoint, out []affinePoint) {
 // jacFromPoint loads a non-identity affine Point into Jacobian form.
 func jacFromPoint(p Point) jacPoint {
 	return jacPoint{x: feFromBig(p.x), y: feFromBig(p.y), z: feOne}
-}
-
-// EncodePoints encodes a slice of points to their canonical compressed
-// wire form. It is the serialization half of the batch seam: producers
-// that materialize many points at once (BatchBase outputs, mix batch
-// key columns, per-chain parameter sets) hand whole slices to the wire
-// layer instead of encoding point by point.
-func EncodePoints(ps []Point) [][]byte {
-	out := make([][]byte, len(ps))
-	for i, p := range ps {
-		out[i] = p.Bytes()
-	}
-	return out
-}
-
-// ParsePoints decodes and validates a slice of compressed encodings,
-// rejecting the whole batch on the first invalid entry. The returned
-// error wraps ErrInvalidPoint and names the offending index.
-func ParsePoints(bs [][]byte) ([]Point, error) {
-	out := make([]Point, len(bs))
-	for i, b := range bs {
-		p, err := ParsePoint(b)
-		if err != nil {
-			return nil, fmt.Errorf("point %d: %w", i, err)
-		}
-		out[i] = p
-	}
-	return out, nil
 }

@@ -153,6 +153,18 @@ func (s Scalar) Bytes() []byte {
 	return b
 }
 
+// MarshalBinary and UnmarshalBinary make a Scalar its own wire format
+// (encoding/gob and friends call them): the canonical encoding out,
+// and on the way in ParseScalar's validation, so a non-canonical
+// scalar is a decode error before any code sees the value.
+func (s Scalar) MarshalBinary() ([]byte, error) { return s.Bytes(), nil }
+
+// UnmarshalBinary implements encoding.BinaryUnmarshaler.
+func (s *Scalar) UnmarshalBinary(b []byte) (err error) {
+	*s, err = ParseScalar(b)
+	return err
+}
+
 // IsZero reports whether s is the zero scalar.
 func (s Scalar) IsZero() bool { return s.v == nil || s.v.Sign() == 0 }
 
@@ -257,6 +269,18 @@ func (p Point) Bytes() []byte {
 		return make([]byte, PointSize)
 	}
 	return elliptic.MarshalCompressed(curve, p.x, p.y)
+}
+
+// MarshalBinary and UnmarshalBinary make a Point its own wire format
+// (encoding/gob and friends call them): the compressed encoding out,
+// and on the way in ParsePoint's validation, so an off-curve point is
+// a decode error before any code sees the value.
+func (p Point) MarshalBinary() ([]byte, error) { return p.Bytes(), nil }
+
+// UnmarshalBinary implements encoding.BinaryUnmarshaler.
+func (p *Point) UnmarshalBinary(b []byte) (err error) {
+	*p, err = ParsePoint(b)
+	return err
 }
 
 // Equal reports whether p and q are the same group element.

@@ -2,6 +2,7 @@ package group
 
 import (
 	"bytes"
+	"errors"
 	"math/big"
 	"testing"
 	"testing/quick"
@@ -275,4 +276,100 @@ func BenchmarkDH(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		DH(p, s)
 	}
+}
+
+// TestUnmarshalBinary: Point and Scalar are their own wire format, so
+// this is where "validated on arrival" is decided for every message
+// that carries one.
+func TestUnmarshalBinary(t *testing.T) {
+	g := Generator().Bytes()
+	// A small x is below the field prime, so the only way to reject it
+	// is that x³−3x+b has no square root: a well-formed encoding of a
+	// point that is not on the curve.
+	offCurve := make([]byte, PointSize)
+	offCurve[0] = 0x02
+	for offCurve[PointSize-1] = 1; ; offCurve[PointSize-1]++ {
+		if _, err := ParsePoint(offCurve); err != nil {
+			break
+		}
+	}
+	uncompressed := append([]byte{0x04}, g[1:]...)
+	for _, tc := range []struct {
+		name string
+		in   []byte
+		ok   bool
+	}{
+		{"generator", g, true},
+		{"identity", make([]byte, PointSize), true},
+		{"empty", nil, false},
+		{"one byte short", g[:PointSize-1], false},
+		{"one byte long", append(g[:PointSize:PointSize], 0), false},
+		{"x not on the curve", offCurve, false},
+		{"x above the field prime", append([]byte{0x02}, bytes.Repeat([]byte{0xFF}, PointSize-1)...), false},
+		{"uncompressed-form prefix", uncompressed, false},
+	} {
+		p := Generator()
+		err := p.UnmarshalBinary(tc.in)
+		if !tc.ok {
+			if !errors.Is(err, ErrInvalidPoint) || !p.IsIdentity() {
+				t.Errorf("point, %s: err %v, left %v", tc.name, err, p)
+			}
+			continue
+		}
+		if out, _ := p.MarshalBinary(); err != nil || !bytes.Equal(out, tc.in) {
+			t.Errorf("point, %s: err %v, re-marshalled %x", tc.name, err, out)
+		}
+	}
+
+	top := ScalarFromBig(new(big.Int).Sub(Order(), big.NewInt(1))).Bytes()
+	for _, tc := range []struct {
+		name string
+		in   []byte
+		ok   bool
+	}{
+		{"zero", make([]byte, ScalarSize), true},
+		{"order − 1", top, true},
+		{"empty", nil, false},
+		{"one byte short", top[:ScalarSize-1], false},
+		{"one byte long", append(top[:ScalarSize:ScalarSize], 0), false},
+		{"the order itself", Order().Bytes(), false},
+		{"all ones", bytes.Repeat([]byte{0xFF}, ScalarSize), false},
+	} {
+		s := NewScalar(7)
+		err := s.UnmarshalBinary(tc.in)
+		if !tc.ok {
+			if !errors.Is(err, ErrInvalidScalar) || !s.IsZero() {
+				t.Errorf("scalar, %s: err %v, left %v", tc.name, err, s)
+			}
+			continue
+		}
+		if out, _ := s.MarshalBinary(); err != nil || !bytes.Equal(out, tc.in) {
+			t.Errorf("scalar, %s: err %v, re-marshalled %x", tc.name, err, out)
+		}
+	}
+}
+
+// FuzzUnmarshal: whatever arrives, decoding never panics, and what it
+// accepts is canonical — it re-marshals to the bytes that came in, so
+// no two encodings name the same element.
+func FuzzUnmarshal(f *testing.F) {
+	f.Add(Generator().Bytes())
+	f.Add(make([]byte, PointSize))
+	f.Add(NewScalar(-1).Bytes())
+	f.Add(Order().Bytes())
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		var p Point
+		if p.UnmarshalBinary(b) == nil {
+			if out, _ := p.MarshalBinary(); !bytes.Equal(out, b) {
+				t.Fatalf("point %x accepted, re-marshals as %x", b, out)
+			}
+		}
+		var s Scalar
+		if s.UnmarshalBinary(b) == nil {
+			if out, _ := s.MarshalBinary(); !bytes.Equal(out, b) {
+				t.Fatalf("scalar %x accepted, re-marshals as %x", b, out)
+			}
+		}
+	})
 }

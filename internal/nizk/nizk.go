@@ -34,10 +34,6 @@ import (
 	"repro/internal/group"
 )
 
-// ProofSize is the encoded size of both proof types (challenge scalar
-// followed by response scalar).
-const ProofSize = 2 * group.ScalarSize
-
 // ErrInvalidProof is returned when a proof fails to verify or decode.
 var ErrInvalidProof = errors.New("nizk: proof verification failed")
 
@@ -47,29 +43,6 @@ var ErrInvalidProof = errors.New("nizk: proof verification failed")
 type Proof struct {
 	C group.Scalar // Fiat-Shamir challenge
 	S group.Scalar // response s = v + c·x
-}
-
-// Bytes encodes the proof as C || S.
-func (p Proof) Bytes() []byte {
-	out := make([]byte, 0, ProofSize)
-	out = append(out, p.C.Bytes()...)
-	return append(out, p.S.Bytes()...)
-}
-
-// ParseProof decodes a proof encoded by Bytes.
-func ParseProof(b []byte) (Proof, error) {
-	if len(b) != ProofSize {
-		return Proof{}, ErrInvalidProof
-	}
-	c, err := group.ParseScalar(b[:group.ScalarSize])
-	if err != nil {
-		return Proof{}, ErrInvalidProof
-	}
-	s, err := group.ParseScalar(b[group.ScalarSize:])
-	if err != nil {
-		return Proof{}, ErrInvalidProof
-	}
-	return Proof{C: c, S: s}, nil
 }
 
 func dlogChallenge(context string, base, public, commit group.Point) group.Scalar {

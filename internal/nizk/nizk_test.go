@@ -135,35 +135,6 @@ func TestDleqContextBinding(t *testing.T) {
 	}
 }
 
-func TestProofEncodingRoundTrip(t *testing.T) {
-	x := group.MustRandomScalar()
-	p := ProveDlog("ctx", group.Generator(), x)
-	b := p.Bytes()
-	if len(b) != ProofSize {
-		t.Fatalf("encoded size = %d, want %d", len(b), ProofSize)
-	}
-	got, err := ParseProof(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := VerifyDlog("ctx", group.Generator(), group.Base(x), got); err != nil {
-		t.Fatalf("round-tripped proof rejected: %v", err)
-	}
-}
-
-func TestParseProofRejectsGarbage(t *testing.T) {
-	if _, err := ParseProof(make([]byte, ProofSize-1)); err == nil {
-		t.Fatal("short proof accepted")
-	}
-	bad := make([]byte, ProofSize)
-	for i := range bad {
-		bad[i] = 0xff // both scalars >= order
-	}
-	if _, err := ParseProof(bad); err == nil {
-		t.Fatal("non-canonical scalars accepted")
-	}
-}
-
 func BenchmarkProveDlog(b *testing.B) {
 	x := group.MustRandomScalar()
 	base := group.Generator()

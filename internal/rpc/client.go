@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/client"
+	"repro/internal/core"
 	"repro/internal/mix"
 )
 
@@ -79,12 +80,8 @@ func (c *Client) ChainParams(chain int, round uint64) (mix.Params, error) {
 	}
 	c.paramsMu.Unlock()
 
-	var wire ParamsResponse
-	if err := c.call("params", ParamsRequest{Chain: chain, Round: round}, &wire); err != nil {
-		return mix.Params{}, err
-	}
-	p, err := paramsFromWire(wire)
-	if err != nil {
+	var p mix.Params
+	if err := c.call("params", ParamsRequest{Chain: chain, Round: round}, &p); err != nil {
 		return mix.Params{}, err
 	}
 	c.paramsMu.Lock()
@@ -98,13 +95,7 @@ func (c *Client) ChainParams(chain int, round uint64) (mix.Params, error) {
 
 // Submit uploads a user's round output (current messages + covers).
 func (c *Client) Submit(mailbox []byte, out *client.RoundOutput) error {
-	req := SubmitRequest{Round: out.Round, Mailbox: mailbox}
-	for _, cm := range out.Current {
-		req.Current = append(req.Current, submissionToWire(cm.Chain, cm.Sub))
-	}
-	for _, cm := range out.Cover {
-		req.Cover = append(req.Cover, submissionToWire(cm.Chain, cm.Sub))
-	}
+	req := SubmitRequest{Round: out.Round, Mailbox: mailbox, Current: out.Current, Cover: out.Cover}
 	var resp SubmitResponse
 	if err := c.call("submit", req, &resp); err != nil {
 		return err
@@ -138,10 +129,10 @@ func (c *Client) Status() (StatusResponse, error) {
 }
 
 // RunRound triggers execution of the open round (round driver role).
-func (c *Client) RunRound() (RunRoundResponse, error) {
-	var resp RunRoundResponse
-	err := c.call("runround", struct{}{}, &resp)
-	return resp, err
+func (c *Client) RunRound() (core.RoundReport, error) {
+	var rep core.RoundReport
+	err := c.call("runround", struct{}{}, &rep)
+	return rep, err
 }
 
 // Register records a batch of mailbox identifiers with the gateway:

@@ -17,8 +17,9 @@ import (
 // HopClient is the gateway's handle on one remote mix position: the
 // dialing half of the hop transport, implementing mix.Hop over pooled
 // TLS connections with per-call deadlines. Batches stream in bounded
-// chunks (MaxHopChunkEnvelopes per frame) and everything received is
-// re-parsed and validated before it reaches the chain orchestrator.
+// chunks (MaxHopChunkEnvelopes per frame) and every point and proof
+// received was validated when it decoded, before it reaches the chain
+// orchestrator.
 //
 // Init must run once, before the chain is assembled, to bind the
 // remote process to its chain position and fetch its keys.
@@ -86,18 +87,18 @@ func (h *HopClient) Init(chain, index int, base group.Point) (mix.HopKeys, error
 // fresh keys at its new position.
 func (h *HopClient) InitEpoch(epoch uint64, chain, index int, base group.Point) (mix.HopKeys, error) {
 	h.metrics.Store(newHopMetrics(chain, index))
-	var w HopKeysResponse
-	req := HopInitRequest{Epoch: epoch, Chain: chain, Index: index, Base: base.Bytes()}
-	if err := h.call("hop.init", req, &w); err != nil {
+	var keys mix.HopKeys
+	req := HopInitRequest{Epoch: epoch, Chain: chain, Index: index, Base: base}
+	if err := h.call("hop.init", req, &keys); err != nil {
 		return mix.HopKeys{}, err
 	}
-	if w.Chain != chain || w.Index != index {
-		return mix.HopKeys{}, fmt.Errorf("rpc: hop answered for chain %d position %d, asked for %d:%d", w.Chain, w.Index, chain, index)
+	if keys.Chain != chain || keys.Index != index {
+		return mix.HopKeys{}, fmt.Errorf("rpc: hop answered for chain %d position %d, asked for %d:%d", keys.Chain, keys.Index, chain, index)
 	}
-	keys, err := hopKeysFromWire(w, base)
-	if err != nil {
-		return mix.HopKeys{}, err
-	}
+	// The base is the orchestrator's choice, never the peer's word: a
+	// hop that proved its keys over some other base must fail
+	// VerifyHopKeys against the one it was asked to chain off.
+	keys.BpkPrev = base
 	h.keysMu.Lock()
 	h.keys, h.ready = keys, true
 	h.keysMu.Unlock()
@@ -117,41 +118,26 @@ func (h *HopClient) Keys() mix.HopKeys {
 // BeginRound implements mix.Hop.
 func (h *HopClient) BeginRound(round uint64) (group.Point, nizk.Proof, error) {
 	var resp HopBeginResponse
-	if err := h.call("hop.begin", HopBeginRequest{Round: round}, &resp); err != nil {
-		return group.Point{}, nizk.Proof{}, err
-	}
-	ipk, err := group.ParsePoint(resp.Ipk)
-	if err != nil {
-		return group.Point{}, nizk.Proof{}, fmt.Errorf("rpc: inner key: %w", err)
-	}
-	proof, err := nizk.ParseProof(resp.Proof)
-	if err != nil {
-		return group.Point{}, nizk.Proof{}, fmt.Errorf("rpc: inner key proof: %w", err)
-	}
-	return ipk, proof, nil
+	err := h.call("hop.begin", HopBeginRequest{Round: round}, &resp)
+	return resp.Ipk, resp.Proof, err
 }
 
 // RevealInnerKey implements mix.Hop.
 func (h *HopClient) RevealInnerKey(round uint64) (group.Scalar, error) {
 	var resp HopRevealResponse
-	if err := h.call("hop.reveal", HopRevealRequest{Round: round}, &resp); err != nil {
-		return group.Scalar{}, err
-	}
-	isk, err := group.ParseScalar(resp.Isk)
-	if err != nil {
-		return group.Scalar{}, fmt.Errorf("rpc: inner secret: %w", err)
-	}
-	return isk, nil
+	err := h.call("hop.reveal", HopRevealRequest{Round: round}, &resp)
+	return resp.Isk, err
 }
 
 // Mix implements mix.Hop: stream the batch in chunks, trigger the
 // mixing step, pull the output back in chunks. The response is
-// validated structurally here (parses, sizes, index ranges); the
-// chain re-checks everything cryptographically.
+// validated structurally here (sizes, index ranges; its points and
+// proof already were when it decoded); the chain re-checks everything
+// cryptographically.
 func (h *HopClient) Mix(round uint64, nonce [aead.NonceSize]byte, in []onion.Envelope) (*mix.MixResult, error) {
 	err := chunks(len(in), func(seq, lo, hi int) error {
 		var ack HopBatchResponse
-		req := HopBatchRequest{Round: round, Seq: seq, Envelopes: envelopesToWire(in[lo:hi])}
+		req := HopBatchRequest{Round: round, Seq: seq, Envelopes: in[lo:hi]}
 		if err := h.call("hop.batch", req, &ack); err != nil {
 			return fmt.Errorf("rpc: streaming batch chunk %d: %w", seq, err)
 		}
@@ -167,10 +153,6 @@ func (h *HopClient) Mix(round uint64, nonce [aead.NonceSize]byte, in []onion.Env
 	if len(mr.Failed) > 0 {
 		return &mix.MixResult{Failed: mr.Failed}, nil
 	}
-	proof, err := nizk.ParseProof(mr.Proof)
-	if err != nil {
-		return nil, fmt.Errorf("rpc: shuffle certificate: %w", err)
-	}
 	if mr.OutCount < 0 || mr.OutCount > len(in) {
 		return nil, fmt.Errorf("rpc: hop reports %d outputs for %d inputs", mr.OutCount, len(in))
 	}
@@ -183,69 +165,33 @@ func (h *HopClient) Mix(round uint64, nonce [aead.NonceSize]byte, in []onion.Env
 		if len(pr.Envelopes) != hi-lo || pr.More != (hi < mr.OutCount) {
 			return fmt.Errorf("rpc: output chunk %d (%d envelopes, more=%v) disagrees with the hop's announced output count %d", seq, len(pr.Envelopes), pr.More, mr.OutCount)
 		}
-		envs, err := envelopesFromWire(pr.Envelopes)
-		if err != nil {
-			return err
-		}
-		out = append(out, envs...)
+		out = append(out, pr.Envelopes...)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &mix.MixResult{Out: out, Proof: proof, Out2In: mr.Out2In}, nil
+	return &mix.MixResult{Out: out, Proof: mr.Proof, Out2In: mr.Out2In}, nil
 }
 
 // ReProveSubset implements mix.Hop.
 func (h *HopClient) ReProveSubset(round uint64, epoch int, keep []bool) (nizk.Proof, error) {
+	var proof nizk.Proof
 	req := HopCertifyRequest{Round: round, Epoch: epoch, N: len(keep), Keep: packBools(keep)}
-	var resp HopCertifyResponse
-	if err := h.call("hop.certify", req, &resp); err != nil {
-		return nizk.Proof{}, err
-	}
-	proof, err := nizk.ParseProof(resp.Proof)
-	if err != nil {
-		return nizk.Proof{}, fmt.Errorf("rpc: re-certification proof: %w", err)
-	}
-	return proof, nil
+	err := h.call("hop.certify", req, &proof)
+	return proof, err
 }
 
 // BlameReveal implements mix.Hop.
 func (h *HopClient) BlameReveal(round uint64, msg, pos int) (mix.BlameReveal, error) {
-	var resp HopBlameResponse
-	if err := h.call("hop.blame", HopBlameRequest{Round: round, Msg: msg, Pos: pos}, &resp); err != nil {
-		return mix.BlameReveal{}, err
-	}
 	var rev mix.BlameReveal
-	var err error
-	if rev.Xin, err = group.ParsePoint(resp.Xin); err != nil {
-		return mix.BlameReveal{}, fmt.Errorf("rpc: blame Xin: %w", err)
-	}
-	if rev.BlindProof, err = nizk.ParseProof(resp.BlindProof); err != nil {
-		return mix.BlameReveal{}, fmt.Errorf("rpc: blame blind proof: %w", err)
-	}
-	if rev.K, err = group.ParsePoint(resp.K); err != nil {
-		return mix.BlameReveal{}, fmt.Errorf("rpc: blame key: %w", err)
-	}
-	if rev.KeyProof, err = nizk.ParseProof(resp.KeyProof); err != nil {
-		return mix.BlameReveal{}, fmt.Errorf("rpc: blame key proof: %w", err)
-	}
-	return rev, nil
+	err := h.call("hop.blame", HopBlameRequest{Round: round, Msg: msg, Pos: pos}, &rev)
+	return rev, err
 }
 
 // Accuse implements mix.Hop.
 func (h *HopClient) Accuse(round uint64, msg int, key group.Point) (mix.AccuseReveal, error) {
-	var resp HopAccuseResponse
-	if err := h.call("hop.accuse", HopAccuseRequest{Round: round, Msg: msg, Key: key.Bytes()}, &resp); err != nil {
-		return mix.AccuseReveal{}, err
-	}
 	var ar mix.AccuseReveal
-	var err error
-	if ar.K, err = group.ParsePoint(resp.K); err != nil {
-		return mix.AccuseReveal{}, fmt.Errorf("rpc: accuse key: %w", err)
-	}
-	if ar.Proof, err = nizk.ParseProof(resp.Proof); err != nil {
-		return mix.AccuseReveal{}, fmt.Errorf("rpc: accuse proof: %w", err)
-	}
-	return ar, nil
+	err := h.call("hop.accuse", HopAccuseRequest{Round: round, Msg: msg, Key: key}, &ar)
+	return ar, err
 }

@@ -1,14 +1,13 @@
 package rpc
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"sync"
 
 	"repro/internal/aead"
-	"repro/internal/group"
 	"repro/internal/mix"
+	"repro/internal/nizk"
 	"repro/internal/onion"
 )
 
@@ -22,7 +21,7 @@ import (
 // path — grows with the round size.
 //
 // The hop trusts its orchestrator for liveness only: every incoming
-// point and proof is re-parsed and validated, chunk sizes and
+// point is validated as its request decodes, chunk sizes and
 // sequence numbers are enforced, and a malformed request gets an
 // error response, never a panic. Secrets never leave except where
 // the protocol says so (inner key reveal after a successful round,
@@ -120,29 +119,25 @@ func bound[Req, Resp any](h *HopServer, fn func(*mix.Server, *Req) (Resp, error)
 	})
 }
 
-func (h *HopServer) bind(req *HopInitRequest) (HopKeysResponse, error) {
+func (h *HopServer) bind(req *HopInitRequest) (mix.HopKeys, error) {
 	if h.bound != nil && req.Epoch == h.bound.Epoch {
-		if h.bound.Chain != req.Chain || h.bound.Index != req.Index || !bytes.Equal(h.bound.Base, req.Base) {
-			return HopKeysResponse{}, fmt.Errorf("rpc: hop already bound to chain %d position %d in epoch %d", h.bound.Chain, h.bound.Index, h.bound.Epoch)
+		if h.bound.Chain != req.Chain || h.bound.Index != req.Index || !h.bound.Base.Equal(req.Base) {
+			return mix.HopKeys{}, fmt.Errorf("rpc: hop already bound to chain %d position %d in epoch %d", h.bound.Chain, h.bound.Index, h.bound.Epoch)
 		}
-		return hopKeysToWire(h.srv.Keys()), nil
+		return h.srv.Keys(), nil
 	}
 	if h.bound != nil && req.Epoch < h.bound.Epoch {
-		return HopKeysResponse{}, fmt.Errorf("rpc: hop serving epoch %d, refusing rebind to stale epoch %d", h.bound.Epoch, req.Epoch)
+		return mix.HopKeys{}, fmt.Errorf("rpc: hop serving epoch %d, refusing rebind to stale epoch %d", h.bound.Epoch, req.Epoch)
 	}
 	if req.Index < 0 || req.Chain < 0 {
-		return HopKeysResponse{}, fmt.Errorf("rpc: invalid chain position %d:%d", req.Chain, req.Index)
-	}
-	base, err := group.ParsePoint(req.Base)
-	if err != nil {
-		return HopKeysResponse{}, fmt.Errorf("rpc: hop base point: %w", err)
+		return mix.HopKeys{}, fmt.Errorf("rpc: invalid chain position %d:%d", req.Chain, req.Index)
 	}
 	// Fresh bind, or an epoch advance: the chain was re-formed, so
 	// the old position, keys and any half-staged round are gone.
-	h.srv = mix.NewChainServer(req.Chain, req.Index, base, h.scheme)
+	h.srv = mix.NewChainServer(req.Chain, req.Index, req.Base, h.scheme)
 	h.bound = req
 	h.stage, h.mixed = nil, nil
-	return hopKeysToWire(h.srv.Keys()), nil
+	return h.srv.Keys(), nil
 }
 
 func (h *HopServer) begin(srv *mix.Server, req *HopBeginRequest) (HopBeginResponse, error) {
@@ -150,24 +145,17 @@ func (h *HopServer) begin(srv *mix.Server, req *HopBeginRequest) (HopBeginRespon
 		h.lastRound = req.Round
 	}
 	ipk, proof := srv.BeginRound(req.Round)
-	return HopBeginResponse{Ipk: ipk.Bytes(), Proof: proof.Bytes()}, nil
+	return HopBeginResponse{Ipk: ipk, Proof: proof}, nil
 }
 
 func (h *HopServer) reveal(srv *mix.Server, req *HopRevealRequest) (HopRevealResponse, error) {
 	isk, err := srv.RevealInnerKey(req.Round)
-	if err != nil {
-		return HopRevealResponse{}, err
-	}
-	return HopRevealResponse{Isk: isk.Bytes()}, nil
+	return HopRevealResponse{Isk: isk}, err
 }
 
 func (h *HopServer) batch(_ *mix.Server, req *HopBatchRequest) (HopBatchResponse, error) {
 	if len(req.Envelopes) == 0 || len(req.Envelopes) > MaxHopChunkEnvelopes {
 		return HopBatchResponse{}, fmt.Errorf("rpc: batch chunk of %d envelopes outside (0, %d]", len(req.Envelopes), MaxHopChunkEnvelopes)
-	}
-	envs, err := envelopesFromWire(req.Envelopes)
-	if err != nil {
-		return HopBatchResponse{}, err
 	}
 	if req.Seq == 0 {
 		// A fresh batch opens a new staging buffer, superseding
@@ -178,7 +166,7 @@ func (h *HopServer) batch(_ *mix.Server, req *HopBatchRequest) (HopBatchResponse
 	if h.stage == nil || h.stage.round != req.Round || req.Seq != h.stage.nextSeq {
 		return HopBatchResponse{}, fmt.Errorf("rpc: unexpected batch chunk round=%d seq=%d", req.Round, req.Seq)
 	}
-	h.stage.envs = append(h.stage.envs, envs...)
+	h.stage.envs = append(h.stage.envs, req.Envelopes...)
 	h.stage.nextSeq++
 	return HopBatchResponse{Received: len(h.stage.envs)}, nil
 }
@@ -207,7 +195,7 @@ func (h *HopServer) mix(srv *mix.Server, req *HopMixRequest) (HopMixResponse, er
 	}
 	h.mixed = &hopMixed{round: req.Round, out: mr.Out}
 	return HopMixResponse{
-		Proof:    mr.Proof.Bytes(),
+		Proof:    mr.Proof,
 		Out2In:   mr.Out2In,
 		OutCount: len(mr.Out),
 	}, nil
@@ -228,41 +216,23 @@ func (h *HopServer) pull(req *HopPullRequest) (HopPullResponse, error) {
 	}
 	hi := min(lo+MaxHopChunkEnvelopes, len(h.mixed.out))
 	return HopPullResponse{
-		Envelopes: envelopesToWire(h.mixed.out[lo:hi]),
+		Envelopes: h.mixed.out[lo:hi],
 		More:      hi < len(h.mixed.out),
 	}, nil
 }
 
-func (h *HopServer) certify(srv *mix.Server, req *HopCertifyRequest) (HopCertifyResponse, error) {
+func (h *HopServer) certify(srv *mix.Server, req *HopCertifyRequest) (nizk.Proof, error) {
 	keep, err := unpackBools(req.Keep, req.N)
 	if err != nil {
-		return HopCertifyResponse{}, err
+		return nizk.Proof{}, err
 	}
-	proof, err := srv.ReProveSubset(req.Round, req.Epoch, keep)
-	if err != nil {
-		return HopCertifyResponse{}, err
-	}
-	return HopCertifyResponse{Proof: proof.Bytes()}, nil
+	return srv.ReProveSubset(req.Round, req.Epoch, keep)
 }
 
-func (h *HopServer) blame(srv *mix.Server, req *HopBlameRequest) (HopBlameResponse, error) {
-	rev, err := srv.BlameRevealAt(req.Round, req.Msg, req.Pos)
-	if err != nil {
-		return HopBlameResponse{}, err
-	}
-	return HopBlameResponse{
-		Xin:        rev.Xin.Bytes(),
-		BlindProof: rev.BlindProof.Bytes(),
-		K:          rev.K.Bytes(),
-		KeyProof:   rev.KeyProof.Bytes(),
-	}, nil
+func (h *HopServer) blame(srv *mix.Server, req *HopBlameRequest) (mix.BlameReveal, error) {
+	return srv.BlameRevealAt(req.Round, req.Msg, req.Pos)
 }
 
-func (h *HopServer) accuse(srv *mix.Server, req *HopAccuseRequest) (HopAccuseResponse, error) {
-	key, err := group.ParsePoint(req.Key)
-	if err != nil {
-		return HopAccuseResponse{}, fmt.Errorf("rpc: accused key: %w", err)
-	}
-	ar := srv.Accuse(req.Round, req.Msg, key)
-	return HopAccuseResponse{K: ar.K.Bytes(), Proof: ar.Proof.Bytes()}, nil
+func (h *HopServer) accuse(srv *mix.Server, req *HopAccuseRequest) (mix.AccuseReveal, error) {
+	return srv.Accuse(req.Round, req.Msg, req.Key), nil
 }

@@ -4,18 +4,19 @@ import (
 	"fmt"
 
 	"repro/internal/group"
-	"repro/internal/mix"
 	"repro/internal/nizk"
 	"repro/internal/onion"
 )
 
 // Server↔server wire messages for the hop transport: how a chain
-// orchestrator (gateway) drives one remote mix position. Everything
-// that crosses the wire is canonical bytes re-parsed and re-validated
-// on arrival — ParsePoint rejects off-curve encodings, ParseProof and
-// ParseScalar reject non-canonical field elements — and batches move
-// in bounded chunks so neither side ever allocates a frame
-// proportional to the whole round.
+// orchestrator (gateway) drives one remote mix position. Messages
+// carry the domain types themselves — onion.Envelope and nizk.Proof as
+// fields, mix.HopKeys, mix.BlameReveal and mix.AccuseReveal as whole
+// replies — and their group elements validate on arrival in
+// group.Point/Scalar.UnmarshalBinary, so an off-curve point or a
+// non-canonical scalar fails the decode before any handler runs.
+// Batches move in bounded chunks so neither side ever allocates a
+// frame proportional to the whole round.
 //
 // One mixing step is a short conversation:
 //
@@ -26,35 +27,17 @@ import (
 // plus hop.certify (re-certification after blame removals), hop.blame
 // and hop.accuse (blame reveals), and the key/round-setup calls.
 
-// WireEnvelope is one onion.Envelope in wire form.
-type WireEnvelope struct {
-	DHKey []byte
-	Ct    []byte
-}
-
 // HopInitRequest binds a hop process to a chain position: the hop
 // generates its long-term keys chained off Base (bpk_{i-1}, or g for
-// position 0) and publishes them. Re-sending the same binding is
-// idempotent; a conflicting one at the same epoch is refused, and a
-// higher Epoch rebinds the hop in place with fresh keys (chain
-// re-formation after an eviction). Gob decodes an absent Epoch as 0,
-// so pre-epoch orchestrators keep working.
+// position 0) and publishes them as mix.HopKeys. Re-sending the same
+// binding is idempotent; a conflicting one at the same epoch is
+// refused, and a higher Epoch rebinds the hop in place with fresh keys
+// (chain re-formation after an eviction).
 type HopInitRequest struct {
 	Epoch uint64
 	Chain int
 	Index int
-	Base  []byte
-}
-
-// HopKeysResponse carries mix.HopKeys in wire form.
-type HopKeysResponse struct {
-	Chain       int
-	Index       int
-	Bpk         []byte
-	Mpk         []byte
-	BaselinePub []byte
-	BskProof    []byte
-	MskProof    []byte
+	Base  group.Point
 }
 
 // HopBeginRequest asks for the per-round inner key announcement.
@@ -64,8 +47,8 @@ type HopBeginRequest struct {
 
 // HopBeginResponse carries the inner public key and knowledge proof.
 type HopBeginResponse struct {
-	Ipk   []byte
-	Proof []byte
+	Ipk   group.Point
+	Proof nizk.Proof
 }
 
 // HopRevealRequest asks the hop to disclose its per-round inner
@@ -78,7 +61,7 @@ type HopRevealRequest struct {
 
 // HopRevealResponse carries the inner secret scalar.
 type HopRevealResponse struct {
-	Isk []byte
+	Isk group.Scalar
 }
 
 // HopBatchRequest streams one bounded chunk of the round's onion
@@ -88,7 +71,7 @@ type HopRevealResponse struct {
 type HopBatchRequest struct {
 	Round     uint64
 	Seq       int
-	Envelopes []WireEnvelope
+	Envelopes []onion.Envelope
 }
 
 // HopBatchResponse acknowledges a chunk with the running total.
@@ -113,7 +96,7 @@ type HopMixRequest struct {
 // chunks.
 type HopMixResponse struct {
 	Failed   []int
-	Proof    []byte
+	Proof    nizk.Proof
 	Out2In   []int
 	OutCount int
 }
@@ -127,13 +110,13 @@ type HopPullRequest struct {
 // HopPullResponse carries the chunk; More reports whether another
 // chunk follows.
 type HopPullResponse struct {
-	Envelopes []WireEnvelope
+	Envelopes []onion.Envelope
 	More      bool
 }
 
-// HopCertifyRequest asks for a re-issued shuffle certificate over the
-// messages that survived blame removal (§6.4). Keep is a bitmap over
-// the hop's last input, N its bit length.
+// HopCertifyRequest asks for a re-issued shuffle certificate (a
+// nizk.Proof) over the messages that survived blame removal (§6.4).
+// Keep is a bitmap over the hop's last input, N its bit length.
 type HopCertifyRequest struct {
 	Round uint64
 	Epoch int
@@ -141,111 +124,22 @@ type HopCertifyRequest struct {
 	Keep  []byte
 }
 
-// HopCertifyResponse carries the re-certification DLEQ proof.
-type HopCertifyResponse struct {
-	Proof []byte
-}
-
 // HopBlameRequest asks for the hop's blame disclosure (§6.4 steps
-// 1-2) for the message at its input position Pos; Msg names the
-// accused working index and binds the proof contexts.
+// 1-2, a mix.BlameReveal) for the message at its input position Pos;
+// Msg names the accused working index and binds the proof contexts.
 type HopBlameRequest struct {
 	Round uint64
 	Msg   int
 	Pos   int
 }
 
-// HopBlameResponse carries the blame reveal.
-type HopBlameResponse struct {
-	Xin        []byte
-	BlindProof []byte
-	K          []byte
-	KeyProof   []byte
-}
-
-// HopAccuseRequest asks the accusing hop for its step 4 disclosure
-// over the accused message's submitted Diffie-Hellman key.
+// HopAccuseRequest asks the accusing hop for its step 4 disclosure (a
+// mix.AccuseReveal) over the accused message's submitted
+// Diffie-Hellman key.
 type HopAccuseRequest struct {
 	Round uint64
 	Msg   int
-	Key   []byte
-}
-
-// HopAccuseResponse carries the exchanged key and matching proof.
-type HopAccuseResponse struct {
-	K     []byte
-	Proof []byte
-}
-
-// envelopesToWire converts a batch chunk for transmission. The
-// Diffie-Hellman key column is encoded through the group batch seam.
-func envelopesToWire(envs []onion.Envelope) []WireEnvelope {
-	keys := make([]group.Point, len(envs))
-	for i, e := range envs {
-		keys[i] = e.DHKey
-	}
-	enc := group.EncodePoints(keys)
-	out := make([]WireEnvelope, len(envs))
-	for i, e := range envs {
-		out[i] = WireEnvelope{DHKey: enc[i], Ct: e.Ct}
-	}
-	return out
-}
-
-// envelopesFromWire validates and converts a received chunk. Every
-// Diffie-Hellman key is checked to be on the curve; a single bad
-// envelope rejects the chunk.
-func envelopesFromWire(ws []WireEnvelope) ([]onion.Envelope, error) {
-	enc := make([][]byte, len(ws))
-	for i, w := range ws {
-		enc[i] = w.DHKey
-	}
-	keys, err := group.ParsePoints(enc)
-	if err != nil {
-		return nil, fmt.Errorf("rpc: envelope key: %w", err)
-	}
-	out := make([]onion.Envelope, len(ws))
-	for i, w := range ws {
-		out[i] = onion.Envelope{DHKey: keys[i], Ct: w.Ct}
-	}
-	return out, nil
-}
-
-// hopKeysToWire converts published position keys for transmission.
-func hopKeysToWire(k mix.HopKeys) HopKeysResponse {
-	return HopKeysResponse{
-		Chain:       k.Chain,
-		Index:       k.Index,
-		Bpk:         k.Bpk.Bytes(),
-		Mpk:         k.Mpk.Bytes(),
-		BaselinePub: k.BaselinePub.Bytes(),
-		BskProof:    k.BskProof.Bytes(),
-		MskProof:    k.MskProof.Bytes(),
-	}
-}
-
-// hopKeysFromWire validates and converts received position keys.
-// BpkPrev is supplied by the receiver (it chose the base), not taken
-// from the wire.
-func hopKeysFromWire(w HopKeysResponse, bpkPrev group.Point) (mix.HopKeys, error) {
-	k := mix.HopKeys{Chain: w.Chain, Index: w.Index, BpkPrev: bpkPrev}
-	var err error
-	if k.Bpk, err = group.ParsePoint(w.Bpk); err != nil {
-		return mix.HopKeys{}, fmt.Errorf("rpc: hop blinding key: %w", err)
-	}
-	if k.Mpk, err = group.ParsePoint(w.Mpk); err != nil {
-		return mix.HopKeys{}, fmt.Errorf("rpc: hop mixing key: %w", err)
-	}
-	if k.BaselinePub, err = group.ParsePoint(w.BaselinePub); err != nil {
-		return mix.HopKeys{}, fmt.Errorf("rpc: hop baseline key: %w", err)
-	}
-	if k.BskProof, err = nizk.ParseProof(w.BskProof); err != nil {
-		return mix.HopKeys{}, fmt.Errorf("rpc: hop bsk proof: %w", err)
-	}
-	if k.MskProof, err = nizk.ParseProof(w.MskProof); err != nil {
-		return mix.HopKeys{}, fmt.Errorf("rpc: hop msk proof: %w", err)
-	}
-	return k, nil
+	Key   group.Point
 }
 
 // packBools encodes a []bool as a bitmap (LSB-first within bytes).

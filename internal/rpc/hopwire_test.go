@@ -1,7 +1,6 @@
 package rpc
 
 import (
-	"bytes"
 	"crypto/tls"
 	"net"
 	"strings"
@@ -29,66 +28,6 @@ func startHop(t *testing.T) (*HopServer, *HopClient) {
 		t.Fatal(err)
 	}
 	return fleet[0], hc
-}
-
-func TestEnvelopeWireRoundTrip(t *testing.T) {
-	envs := []onion.Envelope{
-		{DHKey: group.Base(group.MustRandomScalar()), Ct: []byte("alpha")},
-		{DHKey: group.Base(group.MustRandomScalar()), Ct: nil},
-	}
-	got, err := envelopesFromWire(envelopesToWire(envs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range envs {
-		if !got[i].DHKey.Equal(envs[i].DHKey) || !bytes.Equal(got[i].Ct, envs[i].Ct) {
-			t.Fatalf("envelope %d did not round trip", i)
-		}
-	}
-}
-
-func TestEnvelopeWireRejectsOffCurve(t *testing.T) {
-	w := []WireEnvelope{{DHKey: bytes.Repeat([]byte{0xFF}, group.PointSize), Ct: []byte("x")}}
-	if _, err := envelopesFromWire(w); err == nil {
-		t.Fatal("off-curve envelope key accepted")
-	}
-	// Truncated key bytes are rejected too.
-	w[0].DHKey = w[0].DHKey[:7]
-	if _, err := envelopesFromWire(w); err == nil {
-		t.Fatal("truncated envelope key accepted")
-	}
-}
-
-func TestHopKeysWireRoundTrip(t *testing.T) {
-	s := mix.NewChainServer(3, 2, group.Generator(), nil)
-	keys := s.Keys()
-	got, err := hopKeysFromWire(hopKeysToWire(keys), group.Generator())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Chain != 3 || got.Index != 2 || !got.Bpk.Equal(keys.Bpk) || !got.Mpk.Equal(keys.Mpk) {
-		t.Fatal("hop keys did not round trip")
-	}
-	if err := mix.VerifyHopKeys(got); err != nil {
-		t.Fatalf("round-tripped keys fail verification: %v", err)
-	}
-}
-
-func TestHopKeysWireRejectsMalformed(t *testing.T) {
-	s := mix.NewChainServer(0, 0, group.Generator(), nil)
-	good := hopKeysToWire(s.Keys())
-
-	offCurve := good
-	offCurve.Mpk = bytes.Repeat([]byte{0xFF}, group.PointSize)
-	if _, err := hopKeysFromWire(offCurve, group.Generator()); err == nil {
-		t.Fatal("off-curve mixing key accepted")
-	}
-
-	truncated := good
-	truncated.BskProof = good.BskProof[:len(good.BskProof)-1]
-	if _, err := hopKeysFromWire(truncated, group.Generator()); err == nil {
-		t.Fatal("truncated proof accepted")
-	}
 }
 
 func TestPackBoolsRoundTrip(t *testing.T) {
@@ -119,9 +58,9 @@ func TestPackBoolsRoundTrip(t *testing.T) {
 // refused with an error and the connection stays usable.
 func TestHopRejectsOversizedChunk(t *testing.T) {
 	_, hc := startHop(t)
-	big := make([]WireEnvelope, MaxHopChunkEnvelopes+1)
+	big := make([]onion.Envelope, MaxHopChunkEnvelopes+1)
 	for i := range big {
-		big[i] = WireEnvelope{DHKey: group.Generator().Bytes()}
+		big[i] = onion.Envelope{DHKey: group.Generator()}
 	}
 	var resp HopBatchResponse
 	err := hc.call("hop.batch", HopBatchRequest{Round: 1, Seq: 0, Envelopes: big}, &resp)
@@ -145,7 +84,7 @@ func TestHopRejectsEmptyChunk(t *testing.T) {
 
 func TestHopRejectsOutOfOrderChunks(t *testing.T) {
 	_, hc := startHop(t)
-	chunk := []WireEnvelope{{DHKey: group.Generator().Bytes(), Ct: []byte("x")}}
+	chunk := []onion.Envelope{{DHKey: group.Generator(), Ct: []byte("x")}}
 	var resp HopBatchResponse
 	if err := hc.call("hop.batch", HopBatchRequest{Round: 1, Seq: 2, Envelopes: chunk}, &resp); err == nil {
 		t.Fatal("chunk starting at seq 2 accepted")
@@ -160,7 +99,7 @@ func TestHopRejectsOutOfOrderChunks(t *testing.T) {
 
 func TestHopRejectsCountMismatch(t *testing.T) {
 	_, hc := startHop(t)
-	chunk := []WireEnvelope{{DHKey: group.Generator().Bytes(), Ct: []byte("x")}}
+	chunk := []onion.Envelope{{DHKey: group.Generator(), Ct: []byte("x")}}
 	var ack HopBatchResponse
 	if err := hc.call("hop.batch", HopBatchRequest{Round: 1, Seq: 0, Envelopes: chunk}, &ack); err != nil {
 		t.Fatal(err)
@@ -174,7 +113,7 @@ func TestHopRejectsCountMismatch(t *testing.T) {
 
 func TestHopRejectsBadNonce(t *testing.T) {
 	_, hc := startHop(t)
-	chunk := []WireEnvelope{{DHKey: group.Generator().Bytes(), Ct: []byte("x")}}
+	chunk := []onion.Envelope{{DHKey: group.Generator(), Ct: []byte("x")}}
 	var ack HopBatchResponse
 	if err := hc.call("hop.batch", HopBatchRequest{Round: 1, Seq: 0, Envelopes: chunk}, &ack); err != nil {
 		t.Fatal(err)
@@ -190,7 +129,7 @@ func TestHopRejectsBadNonce(t *testing.T) {
 // negative slice index panic.
 func TestHopPullHugeSeqRejected(t *testing.T) {
 	_, hc := startHop(t)
-	chunk := []WireEnvelope{{DHKey: group.Generator().Bytes(), Ct: []byte("not an onion")}}
+	chunk := []onion.Envelope{{DHKey: group.Generator(), Ct: []byte("not an onion")}}
 	var ack HopBatchResponse
 	if err := hc.call("hop.batch", HopBatchRequest{Round: 1, Seq: 0, Envelopes: chunk}, &ack); err != nil {
 		t.Fatal(err)
@@ -231,9 +170,9 @@ func TestHopBlameOutOfRangeRejected(t *testing.T) {
 
 func TestHopAccuseRejectsOffCurveKey(t *testing.T) {
 	_, hc := startHop(t)
-	var resp HopAccuseResponse
-	req := HopAccuseRequest{Round: 1, Msg: 0, Key: bytes.Repeat([]byte{0xFF}, group.PointSize)}
-	err := hc.call("hop.accuse", req, &resp)
+	var resp mix.AccuseReveal
+	req := HopAccuseRequest{Round: 1, Msg: 0, Key: group.Generator()}
+	err := hc.callBody("hop.accuse", forge(t, req, group.Generator().Bytes(), offCurve), &resp)
 	if err == nil || !strings.Contains(err.Error(), "point") {
 		t.Fatalf("off-curve accused key accepted: %v", err)
 	}
@@ -278,9 +217,9 @@ func TestHopInitRejectsOffCurveBase(t *testing.T) {
 	fleet := startHopFleet(t, 1)
 	hc := DialHop(fleet[0].Addr(), fleet[0].ClientTLS())
 	defer hc.Close()
-	var resp HopKeysResponse
-	req := HopInitRequest{Chain: 0, Index: 0, Base: bytes.Repeat([]byte{0xFF}, group.PointSize)}
-	err := hc.call("hop.init", req, &resp)
+	var resp mix.HopKeys
+	req := HopInitRequest{Chain: 0, Index: 0, Base: group.Generator()}
+	err := hc.callBody("hop.init", forge(t, req, group.Generator().Bytes(), offCurve), &resp)
 	if err == nil || !strings.Contains(err.Error(), "point") {
 		t.Fatalf("off-curve base accepted: %v", err)
 	}

@@ -263,12 +263,9 @@ func TestSubmitValidation(t *testing.T) {
 		t.Fatal("duplicate submission accepted")
 	}
 	// Corrupt wire key is rejected at parse time.
-	req := SubmitRequest{Round: out.Round, Mailbox: []byte("eve")}
-	bad := submissionToWire(out.Current[0].Chain, out.Current[0].Sub)
-	bad.DHKey = bytes.Repeat([]byte{0xFF}, len(bad.DHKey))
-	req.Current = []WireSubmission{bad}
+	req := SubmitRequest{Round: out.Round, Mailbox: []byte("eve"), Current: out.Current[:1]}
 	var resp SubmitResponse
-	err = conn.call("submit", req, &resp)
+	err = conn.callBody("submit", forge(t, req, out.Current[0].Sub.DHKey.Bytes(), offCurve), &resp)
 	if err == nil || !strings.Contains(err.Error(), "point") {
 		t.Fatalf("off-curve key accepted: %v", err)
 	}

@@ -25,18 +25,11 @@ type gateway interface {
 // their own status (and round-driving or shard.*) methods to it.
 func userMethods(g gateway) map[string]handler {
 	return map[string]handler{
-		"params": typed(func(r *ParamsRequest) (ParamsResponse, error) {
-			p, err := g.ChainParams(r.Chain, r.Round)
-			if err != nil {
-				return ParamsResponse{}, err
-			}
-			return paramsToWire(p), nil
+		"params": typed(func(r *ParamsRequest) (mix.Params, error) {
+			return g.ChainParams(r.Chain, r.Round)
 		}),
 		"submit": typed(func(r *SubmitRequest) (SubmitResponse, error) {
-			out, err := submitFromWire(r)
-			if err != nil {
-				return SubmitResponse{}, err
-			}
+			out := &client.RoundOutput{Round: r.Round, Current: r.Current, Cover: r.Cover}
 			if err := g.SubmitExternal(string(r.Mailbox), out); err != nil {
 				return SubmitResponse{}, err
 			}
@@ -94,17 +87,6 @@ func (s *Server) status(*struct{}) (StatusResponse, error) {
 	}, nil
 }
 
-func (s *Server) runRound(*struct{}) (RunRoundResponse, error) {
-	rep, err := s.network.RunRound()
-	if err != nil {
-		return RunRoundResponse{}, err
-	}
-	return RunRoundResponse{
-		Round:          rep.Round,
-		Delivered:      rep.Delivered,
-		HaltedChains:   rep.HaltedChains,
-		FailedChains:   rep.FailedChains,
-		BlamedUsers:    rep.BlamedUsers,
-		OfflineCovered: rep.OfflineCovered,
-	}, nil
+func (s *Server) runRound(*struct{}) (*core.RoundReport, error) {
+	return s.network.RunRound()
 }

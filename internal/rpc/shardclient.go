@@ -52,20 +52,18 @@ func (s *ShardClient) Init(n *core.Network) error {
 		NumChains:   numChains,
 		ChainLength: n.Topology().ChainLength,
 	}
-	cur := make([]mix.Params, numChains)
-	next := make([]mix.Params, numChains)
+	req.Cur = make([]mix.Params, numChains)
+	req.Next = make([]mix.Params, numChains)
 	for c := 0; c < numChains; c++ {
-		var err error
-		if cur[c], err = n.ChainParams(c, rho); err != nil {
+		cur, errCur := n.ChainParams(c, rho)
+		next, errNext := n.ChainParams(c, rho+1)
+		if errCur != nil || errNext != nil {
+			// A dead chain's entries stay zero, as in a BeginRound.
 			req.Dead = append(req.Dead, c)
 			continue
 		}
-		if next[c], err = n.ChainParams(c, rho+1); err != nil {
-			req.Dead = append(req.Dead, c)
-		}
+		req.Cur[c], req.Next[c] = cur, next
 	}
-	req.Cur = paramsSliceToWire(cur, req.Dead)
-	req.Next = paramsSliceToWire(next, req.Dead)
 	var resp ShardInitResponse
 	if err := s.c.call("shard.init", req, &resp); err != nil {
 		return fmt.Errorf("rpc: initialising shard %s at %s: %w", s.rng, s.c.Addr(), err)
@@ -76,16 +74,8 @@ func (s *ShardClient) Init(n *core.Network) error {
 // BeginRound implements core.GatewayShard: push the round, pull the
 // shard's batches in chunks.
 func (s *ShardClient) BeginRound(br *core.BeginRound) (*core.ShardBuild, error) {
-	req := ShardBeginRequest{
-		Round:     br.Round,
-		Epoch:     br.Epoch,
-		NumChains: br.NumChains,
-		Cur:       paramsSliceToWire(br.Cur, br.Dead),
-		Next:      paramsSliceToWire(br.Next, br.Dead),
-		Dead:      br.Dead,
-	}
 	var resp ShardBeginResponse
-	if err := s.c.call("shard.begin", req, &resp); err != nil {
+	if err := s.c.call("shard.begin", br, &resp); err != nil {
 		return nil, err
 	}
 	build := &core.ShardBuild{
@@ -98,7 +88,7 @@ func (s *ShardClient) BeginRound(br *core.BeginRound) (*core.ShardBuild, error) 
 		batch.Subs = make([]onion.Submission, 0, count)
 		batch.Submitters = make([]string, 0, count)
 		err := chunks(count, func(_, lo, hi int) error {
-			var chunk ShardBatchResponse
+			var chunk core.ChainBatch
 			err := s.c.call("shard.batch", ShardBatchRequest{
 				Round: br.Round, Chain: chain, Offset: lo, Max: MaxHopChunkEnvelopes,
 			}, &chunk)
@@ -108,13 +98,7 @@ func (s *ShardClient) BeginRound(br *core.BeginRound) (*core.ShardBuild, error) 
 			if len(chunk.Subs) != hi-lo {
 				return fmt.Errorf("rpc: shard %s chain %d: batch chunk at %d/%d has %d submissions, want %d", s.rng, chain, lo, count, len(chunk.Subs), hi-lo)
 			}
-			for _, w := range chunk.Subs {
-				_, sub, err := submissionFromWire(w)
-				if err != nil {
-					return fmt.Errorf("rpc: shard %s chain %d: %w", s.rng, chain, err)
-				}
-				batch.Subs = append(batch.Subs, sub)
-			}
+			batch.Subs = append(batch.Subs, chunk.Subs...)
 			batch.Submitters = append(batch.Submitters, chunk.Submitters...)
 			return nil
 		})
@@ -135,21 +119,11 @@ func (s *ShardClient) FinishRound(fr *core.FinishRound) (core.FinishStats, error
 	if err != nil {
 		return core.FinishStats{}, err
 	}
-	req := ShardFinishRequest{
-		Round:     fr.Round,
-		Removed:   fr.Removed,
-		Stranded:  fr.Stranded,
-		Epoch:     fr.Epoch,
-		NumChains: fr.NumChains,
-		Cur:       paramsSliceToWire(fr.Cur, fr.Dead),
-		Next:      paramsSliceToWire(fr.Next, fr.Dead),
-		Dead:      fr.Dead,
-	}
-	var resp ShardFinishResponse
-	if err := s.c.call("shard.finish", req, &resp); err != nil {
-		return core.FinishStats{}, err
-	}
-	return core.FinishStats{Delivered: resp.Delivered, Dropped: resp.Dropped}, nil
+	commit := *fr
+	commit.Delivered = nil // already pushed, chunk by chunk
+	var stats core.FinishStats
+	err = s.c.call("shard.finish", commit, &stats)
+	return stats, err
 }
 
 // AbortRound implements core.GatewayShard. Best-effort: an

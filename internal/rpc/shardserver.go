@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"repro/internal/core"
-	"repro/internal/mix"
 )
 
 // ShardServer exposes one gateway shard (a core.Frontend) over TLS.
@@ -100,12 +99,8 @@ func (s *ShardServer) init(ir *ShardInitRequest) (ShardInitResponse, error) {
 	if ir.Round > 0 {
 		s.fe.SetRound(ir.Round)
 	}
-	cur, next, err := initParams(ir.Cur, ir.Next)
-	if err != nil {
-		return ShardInitResponse{}, err
-	}
-	if len(cur) > 0 {
-		s.fe.SetParams(ir.Round, cur, next, ir.Dead)
+	if len(ir.Cur) > 0 {
+		s.fe.SetParams(ir.Round, ir.Cur, ir.Next, ir.Dead)
 	}
 	s.mu.Lock()
 	s.chainLength = ir.ChainLength
@@ -113,19 +108,8 @@ func (s *ShardServer) init(ir *ShardInitRequest) (ShardInitResponse, error) {
 	return ShardInitResponse{Lo: rng.Lo, Hi: rng.Hi}, nil
 }
 
-func (s *ShardServer) begin(br *ShardBeginRequest) (ShardBeginResponse, error) {
-	cur, next, err := initParams(br.Cur, br.Next)
-	if err != nil {
-		return ShardBeginResponse{}, err
-	}
-	build, err := s.fe.BeginRound(&core.BeginRound{
-		Round:     br.Round,
-		Epoch:     br.Epoch,
-		NumChains: br.NumChains,
-		Cur:       cur,
-		Next:      next,
-		Dead:      br.Dead,
-	})
+func (s *ShardServer) begin(br *core.BeginRound) (ShardBeginResponse, error) {
+	build, err := s.fe.BeginRound(br)
 	if err != nil {
 		return ShardBeginResponse{}, err
 	}
@@ -145,30 +129,25 @@ func (s *ShardServer) begin(br *ShardBeginRequest) (ShardBeginResponse, error) {
 	return resp, nil
 }
 
-func (s *ShardServer) batch(br *ShardBatchRequest) (ShardBatchResponse, error) {
+func (s *ShardServer) batch(br *ShardBatchRequest) (core.ChainBatch, error) {
 	s.mu.Lock()
 	build := s.build
 	round := s.buildRound
 	s.mu.Unlock()
 	if build == nil || round != br.Round {
-		return ShardBatchResponse{}, fmt.Errorf("rpc: no cached build for round %d", br.Round)
+		return core.ChainBatch{}, fmt.Errorf("rpc: no cached build for round %d", br.Round)
 	}
 	if br.Chain < 0 || br.Chain >= len(build.Batches) {
-		return ShardBatchResponse{}, fmt.Errorf("rpc: no chain %d in build", br.Chain)
+		return core.ChainBatch{}, fmt.Errorf("rpc: no chain %d in build", br.Chain)
 	}
 	batch := build.Batches[br.Chain]
 	if br.Offset < 0 || br.Offset > len(batch.Subs) || br.Max <= 0 {
-		return ShardBatchResponse{}, fmt.Errorf("rpc: bad batch window %d+%d of %d", br.Offset, br.Max, len(batch.Subs))
+		return core.ChainBatch{}, fmt.Errorf("rpc: bad batch window %d+%d of %d", br.Offset, br.Max, len(batch.Subs))
 	}
 	// Clamp Max before adding: a huge value would overflow the end
 	// computation into a negative slice bound.
 	end := min(br.Offset+min(br.Max, MaxHopChunkEnvelopes), len(batch.Subs))
-	resp := ShardBatchResponse{Submitters: batch.Submitters[br.Offset:end]}
-	resp.Subs = make([]WireSubmission, 0, end-br.Offset)
-	for _, sub := range batch.Subs[br.Offset:end] {
-		resp.Subs = append(resp.Subs, submissionToWire(br.Chain, sub))
-	}
-	return resp, nil
+	return core.ChainBatch{Subs: batch.Subs[br.Offset:end], Submitters: batch.Submitters[br.Offset:end]}, nil
 }
 
 func (s *ShardServer) deliver(dr *ShardDeliverRequest) (ShardDeliverResponse, error) {
@@ -182,34 +161,18 @@ func (s *ShardServer) deliver(dr *ShardDeliverRequest) (ShardDeliverResponse, er
 	return ShardDeliverResponse{Buffered: len(s.buffered)}, nil
 }
 
-func (s *ShardServer) finish(fr *ShardFinishRequest) (ShardFinishResponse, error) {
-	cur, next, err := initParams(fr.Cur, fr.Next)
-	if err != nil {
-		return ShardFinishResponse{}, err
-	}
+func (s *ShardServer) finish(fr *core.FinishRound) (core.FinishStats, error) {
 	s.mu.Lock()
-	msgs := s.buffered
+	// Deliveries come from the shard.deliver chunks, never from the
+	// commit message itself.
+	fr.Delivered = s.buffered
 	if s.deliverRound != fr.Round {
-		msgs = nil
+		fr.Delivered = nil
 	}
 	s.buffered = nil
 	s.build = nil
 	s.mu.Unlock()
-	stats, err := s.fe.FinishRound(&core.FinishRound{
-		Round:     fr.Round,
-		Delivered: msgs,
-		Removed:   fr.Removed,
-		Stranded:  fr.Stranded,
-		Epoch:     fr.Epoch,
-		NumChains: fr.NumChains,
-		Cur:       cur,
-		Next:      next,
-		Dead:      fr.Dead,
-	})
-	if err != nil {
-		return ShardFinishResponse{}, err
-	}
-	return ShardFinishResponse{Delivered: stats.Delivered, Dropped: stats.Dropped}, nil
+	return s.fe.FinishRound(fr)
 }
 
 func (s *ShardServer) abort(ar *ShardAbortRequest) (ack, error) {
@@ -223,17 +186,4 @@ func (s *ShardServer) abort(ar *ShardAbortRequest) (ack, error) {
 
 func (s *ShardServer) rebalance(rr *ShardRebalanceRequest) (ack, error) {
 	return ack{}, s.fe.Rebalance(rr.Epoch, rr.NumChains)
-}
-
-// initParams decodes a cur/next parameter snapshot pair.
-func initParams(curW, nextW []ParamsResponse) ([]mix.Params, []mix.Params, error) {
-	cur, err := paramsSliceFromWire(curW)
-	if err != nil {
-		return nil, nil, err
-	}
-	next, err := paramsSliceFromWire(nextW)
-	if err != nil {
-		return nil, nil, err
-	}
-	return cur, next, nil
 }

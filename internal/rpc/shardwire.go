@@ -12,9 +12,15 @@ package rpc
 // epoch, and shard.init attaches a (re)started shard process to a
 // running deployment.
 //
+// shard.begin's request is core.BeginRound itself; shard.finish's is
+// core.FinishRound with Delivered left empty (the deliveries were
+// already pushed in chunks) and its reply core.FinishStats.
+//
 // Chunking keeps every frame far below MaxFrameSize: a shard owning
 // hundreds of thousands of users would otherwise ship its whole
 // build in one frame.
+
+import "repro/internal/mix"
 
 // ShardInitRequest pushes a joining gateway shard everything it needs
 // to serve clients before its first round: the epoch (and its chain
@@ -26,7 +32,7 @@ type ShardInitRequest struct {
 	Round       uint64
 	NumChains   int
 	ChainLength int
-	Cur, Next   []ParamsResponse
+	Cur, Next   []mix.Params
 	Dead        []int
 }
 
@@ -34,15 +40,6 @@ type ShardInitRequest struct {
 // coordinator can detect a mis-wired deployment.
 type ShardInitResponse struct {
 	Lo, Hi int
-}
-
-// ShardBeginRequest is core.BeginRound in wire form.
-type ShardBeginRequest struct {
-	Round     uint64
-	Epoch     uint64
-	NumChains int
-	Cur, Next []ParamsResponse
-	Dead      []int
 }
 
 // ShardBeginResponse summarises the shard's build; the submissions
@@ -56,18 +53,13 @@ type ShardBeginResponse struct {
 }
 
 // ShardBatchRequest pulls one chunk of a chain's batch from the
-// shard's cached build for the round.
+// shard's cached build for the round; the reply is that window as a
+// core.ChainBatch, index-aligned.
 type ShardBatchRequest struct {
 	Round  uint64
 	Chain  int
 	Offset int
 	Max    int
-}
-
-// ShardBatchResponse carries the chunk, index-aligned.
-type ShardBatchResponse struct {
-	Subs       []WireSubmission
-	Submitters []string
 }
 
 // ShardDeliverRequest pushes one chunk of the round's routed mailbox
@@ -80,26 +72,6 @@ type ShardDeliverRequest struct {
 // ShardDeliverResponse acknowledges the chunk.
 type ShardDeliverResponse struct {
 	Buffered int
-}
-
-// ShardFinishRequest is core.FinishRound in wire form, minus the
-// deliveries (already pushed in chunks).
-type ShardFinishRequest struct {
-	Round     uint64
-	Removed   []string
-	Stranded  []string
-	Epoch     uint64
-	NumChains int
-	Cur, Next []ParamsResponse
-	Dead      []int
-}
-
-// ShardFinishResponse reports the number of messages stored and the
-// old messages evicted by the shard's mailbox depth cap. Dropped is
-// zero from pre-cap shard builds (gob leaves absent fields zero).
-type ShardFinishResponse struct {
-	Delivered int
-	Dropped   int
 }
 
 // ShardAbortRequest reopens the submission window for a failed round.

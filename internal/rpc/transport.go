@@ -189,6 +189,11 @@ func (l *link) call(method string, reqBody, respBody any) error {
 	if err != nil {
 		return err
 	}
+	return l.callBody(method, b, respBody)
+}
+
+// callBody is call for a request body that is already encoded.
+func (l *link) callBody(method string, b []byte, respBody any) error {
 	req, err := encode(request{Method: method, Body: b})
 	if err != nil {
 		return err

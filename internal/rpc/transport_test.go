@@ -10,8 +10,10 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/group"
+	"repro/internal/mix"
 	"repro/internal/onion"
 )
 
@@ -145,7 +147,7 @@ func TestShardBatchWindowOverflow(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	var resp ShardBatchResponse
+	var resp core.ChainBatch
 	req := ShardBatchRequest{Round: cachedBuildRound, Chain: 0, Offset: 1, Max: math.MaxInt}
 	if err := c.call("shard.batch", req, &resp); err != nil {
 		t.Fatal(err)
@@ -214,33 +216,36 @@ func TestParseEndpoints(t *testing.T) {
 // sampleRequests is one well-formed request per method — FuzzDispatch's
 // seed corpus, which must cover every served method.
 func sampleRequests(e *endpoints) map[string]any {
-	g := group.Generator().Bytes()
+	g := group.Generator()
 	sub := e.build.Batches[0].Subs[0]
-	env := envelopesToWire([]onion.Envelope{sub.Envelope})
+	params := make([]mix.Params, 2)
+	for c := range params {
+		params[c], _ = e.n.ChainParams(c, e.n.Round())
+	}
 	return map[string]any{
 		"params":   ParamsRequest{Chain: 0, Round: e.n.Round()},
-		"submit":   SubmitRequest{Round: e.n.Round(), Mailbox: []byte("u"), Current: []WireSubmission{submissionToWire(0, sub)}},
-		"register": RegisterRequest{Mailboxes: [][]byte{g}},
-		"fetch":    FetchRequest{Round: 1, Mailbox: g},
-		"ack":      AckRequest{Round: 1, Mailbox: g},
+		"submit":   SubmitRequest{Round: e.n.Round(), Mailbox: []byte("u"), Current: []client.ChainMessage{{Chain: 0, Sub: sub}}},
+		"register": RegisterRequest{Mailboxes: [][]byte{g.Bytes()}},
+		"fetch":    FetchRequest{Round: 1, Mailbox: g.Bytes()},
+		"ack":      AckRequest{Round: 1, Mailbox: g.Bytes()},
 		"status":   struct{}{},
 		"runround": struct{}{},
 
 		"hop.init":    HopInitRequest{Chain: 0, Index: 0, Base: g},
 		"hop.begin":   HopBeginRequest{Round: 1},
 		"hop.reveal":  HopRevealRequest{Round: 1},
-		"hop.batch":   HopBatchRequest{Round: 1, Seq: 0, Envelopes: env},
+		"hop.batch":   HopBatchRequest{Round: 1, Seq: 0, Envelopes: []onion.Envelope{sub.Envelope}},
 		"hop.mix":     HopMixRequest{Round: 1, Nonce: make([]byte, 12), Count: 1},
 		"hop.pull":    HopPullRequest{Round: 1, Seq: 0},
 		"hop.certify": HopCertifyRequest{Round: 1, N: 1, Keep: []byte{1}},
 		"hop.blame":   HopBlameRequest{Round: 1, Msg: 0, Pos: 0},
 		"hop.accuse":  HopAccuseRequest{Round: 1, Msg: 0, Key: g},
 
-		"shard.init":      ShardInitRequest{Lo: 0, Hi: 32, Epoch: 0, Round: 1, NumChains: 2, ChainLength: 3},
-		"shard.begin":     ShardBeginRequest{Round: 1, NumChains: 2},
+		"shard.init":      ShardInitRequest{Lo: 0, Hi: 32, Epoch: 0, Round: 1, NumChains: 2, ChainLength: 3, Cur: params, Next: params},
+		"shard.begin":     core.BeginRound{Round: 1, NumChains: 2, Cur: params, Next: params},
 		"shard.batch":     ShardBatchRequest{Round: cachedBuildRound, Chain: 0, Offset: 0, Max: MaxHopChunkEnvelopes},
-		"shard.deliver":   ShardDeliverRequest{Round: 1, Msgs: [][]byte{g}},
-		"shard.finish":    ShardFinishRequest{Round: 1, NumChains: 2},
+		"shard.deliver":   ShardDeliverRequest{Round: 1, Msgs: [][]byte{g.Bytes()}},
+		"shard.finish":    core.FinishRound{Round: 1, NumChains: 2, Cur: params, Next: params},
 		"shard.abort":     ShardAbortRequest{Round: 1},
 		"shard.rebalance": ShardRebalanceRequest{Epoch: 1, NumChains: 2},
 	}

@@ -4,18 +4,17 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
-	"slices"
 
 	"repro/internal/client"
-	"repro/internal/group"
-	"repro/internal/mix"
-	"repro/internal/nizk"
-	"repro/internal/onion"
 )
 
-// Wire DTOs: every group element and proof crosses the network as
-// canonical bytes and is re-validated on arrival (ParsePoint rejects
-// off-curve encodings, ParseProof rejects non-canonical scalars).
+// Messages are gob-encoded domain types: mix.Params, onion.Submission,
+// core.RoundReport and the rest cross the network as themselves, and
+// the group elements inside them validate on arrival in
+// group.Point/Scalar.UnmarshalBinary (off-curve encodings and
+// non-canonical scalars are decode errors). The structs declared here
+// are the per-method requests and replies that no domain type already
+// is.
 
 // request wraps every client->server message with a method tag.
 type request struct {
@@ -30,29 +29,11 @@ type response struct {
 	Body []byte
 }
 
-// ParamsRequest asks for a chain's public parameters for a round.
+// ParamsRequest asks for a chain's public parameters (a mix.Params)
+// for a round.
 type ParamsRequest struct {
 	Chain int
 	Round uint64
-}
-
-// ParamsResponse carries mix.Params in wire form.
-type ParamsResponse struct {
-	ChainID        int
-	Round          uint64
-	MixKeys        [][]byte
-	BlindKeys      [][]byte
-	BaselineKeys   [][]byte
-	InnerAggregate []byte
-}
-
-// WireSubmission is one onion.Submission in wire form. Proof is a
-// commitment-format knowledge proof (nizk.DlogProofSize bytes).
-type WireSubmission struct {
-	Chain int
-	DHKey []byte
-	Ct    []byte
-	Proof []byte
 }
 
 // SubmitRequest carries a user's full round output: current messages
@@ -61,8 +42,8 @@ type WireSubmission struct {
 type SubmitRequest struct {
 	Round   uint64
 	Mailbox []byte
-	Current []WireSubmission
-	Cover   []WireSubmission
+	Current []client.ChainMessage
+	Cover   []client.ChainMessage
 }
 
 // SubmitResponse acknowledges a submission.
@@ -125,16 +106,6 @@ type RegisterResponse struct {
 	Registered int
 }
 
-// RunRoundResponse summarises an executed round for the driver.
-type RunRoundResponse struct {
-	Round          uint64
-	Delivered      int
-	HaltedChains   []int
-	FailedChains   []int
-	BlamedUsers    []string
-	OfflineCovered int
-}
-
 func encode(v any) ([]byte, error) {
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
@@ -148,115 +119,4 @@ func decode(b []byte, v any) error {
 		return fmt.Errorf("rpc: decoding %T: %w", v, err)
 	}
 	return nil
-}
-
-// paramsToWire converts mix.Params for transmission. The per-chain
-// key columns are whole slices of points, so they go through the
-// batch encode seam rather than point-by-point marshalling.
-func paramsToWire(p mix.Params) ParamsResponse {
-	return ParamsResponse{
-		ChainID:        p.ChainID,
-		Round:          p.Round,
-		InnerAggregate: p.InnerAggregate.Bytes(),
-		MixKeys:        group.EncodePoints(p.MixKeys),
-		BlindKeys:      group.EncodePoints(p.BlindKeys),
-		BaselineKeys:   group.EncodePoints(p.BaselineKeys),
-	}
-}
-
-// paramsFromWire validates and converts a received ParamsResponse.
-func paramsFromWire(w ParamsResponse) (mix.Params, error) {
-	p := mix.Params{ChainID: w.ChainID, Round: w.Round}
-	var err error
-	if p.InnerAggregate, err = group.ParsePoint(w.InnerAggregate); err != nil {
-		return mix.Params{}, fmt.Errorf("rpc: inner aggregate: %w", err)
-	}
-	if p.MixKeys, err = group.ParsePoints(w.MixKeys); err != nil {
-		return mix.Params{}, fmt.Errorf("rpc: mix key: %w", err)
-	}
-	if p.BlindKeys, err = group.ParsePoints(w.BlindKeys); err != nil {
-		return mix.Params{}, fmt.Errorf("rpc: blind key: %w", err)
-	}
-	if p.BaselineKeys, err = group.ParsePoints(w.BaselineKeys); err != nil {
-		return mix.Params{}, fmt.Errorf("rpc: baseline key: %w", err)
-	}
-	return p, nil
-}
-
-// paramsSliceToWire converts a per-chain parameter snapshot. Chains
-// in the dead list carry zero parameters (they failed to announce) and
-// are sent as empty entries.
-func paramsSliceToWire(ps []mix.Params, dead []int) []ParamsResponse {
-	out := make([]ParamsResponse, len(ps))
-	for c, p := range ps {
-		if slices.Contains(dead, c) || p.InnerAggregate.IsIdentity() {
-			continue
-		}
-		out[c] = paramsToWire(p)
-	}
-	return out
-}
-
-// paramsSliceFromWire validates and converts a received snapshot;
-// empty entries (dead chains) stay zero.
-func paramsSliceFromWire(ws []ParamsResponse) ([]mix.Params, error) {
-	out := make([]mix.Params, len(ws))
-	for c, w := range ws {
-		if len(w.InnerAggregate) == 0 {
-			continue
-		}
-		p, err := paramsFromWire(w)
-		if err != nil {
-			return nil, fmt.Errorf("rpc: chain %d params: %w", c, err)
-		}
-		out[c] = p
-	}
-	return out, nil
-}
-
-// submissionToWire converts a chain submission for transmission.
-func submissionToWire(chain int, s onion.Submission) WireSubmission {
-	return WireSubmission{
-		Chain: chain,
-		DHKey: s.DHKey.Bytes(),
-		Ct:    append([]byte(nil), s.Ct...),
-		Proof: s.Proof.Bytes(),
-	}
-}
-
-// submissionFromWire validates and converts a received submission.
-func submissionFromWire(w WireSubmission) (int, onion.Submission, error) {
-	key, err := group.ParsePoint(w.DHKey)
-	if err != nil {
-		return 0, onion.Submission{}, fmt.Errorf("rpc: submission key: %w", err)
-	}
-	proof, err := nizk.ParseDlogProof(w.Proof)
-	if err != nil {
-		return 0, onion.Submission{}, fmt.Errorf("rpc: submission proof: %w", err)
-	}
-	return w.Chain, onion.Submission{
-		Envelope: onion.Envelope{DHKey: key, Ct: w.Ct},
-		Proof:    proof,
-	}, nil
-}
-
-// submitFromWire converts a SubmitRequest into the client round
-// output core expects, validating every group element.
-func submitFromWire(sr *SubmitRequest) (*client.RoundOutput, error) {
-	out := &client.RoundOutput{Round: sr.Round}
-	for _, w := range sr.Current {
-		chain, sub, err := submissionFromWire(w)
-		if err != nil {
-			return nil, err
-		}
-		out.Current = append(out.Current, client.ChainMessage{Chain: chain, Sub: sub})
-	}
-	for _, w := range sr.Cover {
-		chain, sub, err := submissionFromWire(w)
-		if err != nil {
-			return nil, err
-		}
-		out.Cover = append(out.Cover, client.ChainMessage{Chain: chain, Sub: sub})
-	}
-	return out, nil
 }
