@@ -451,20 +451,6 @@ func runCoordinator(o coordinatorOpts) {
 				fmt.Printf("round %d: re-formed chains at epoch %d after evicting servers %v\n",
 					rep.Round, rep.Epoch, rep.Evicted)
 			}
-			net.PruneBefore(pruneHorizon(rep.Round))
 		}
 	}
-}
-
-// pruneHorizon is the round before which the monolith drops mailbox
-// state once round has executed: it keeps the last keptRounds, and
-// nothing goes until there are more than that. The bare subtraction
-// wraps on a uint64, so after rounds 1–3 it named a horizon near 2⁶⁴
-// and every mailbox was wiped, the round just delivered included.
-func pruneHorizon(round uint64) uint64 {
-	const keptRounds = 4
-	if round <= keptRounds {
-		return 0
-	}
-	return round - keptRounds
 }

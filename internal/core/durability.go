@@ -2,36 +2,43 @@ package core
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
+	"repro/internal/chainsel"
 	"repro/internal/client"
 	"repro/internal/group"
-	"repro/internal/mailbox"
 	"repro/internal/nizk"
 	"repro/internal/onion"
 	"repro/internal/store"
 )
 
-// WAL record types and encodings for a gateway shard's durable state.
-// The store engine (internal/store) persists opaque (op, payload)
-// records; this file defines what they mean. Everything a restarted
-// shard must come back with lives here: mailbox contents, transport
-// registrations and the banned set, accepted-but-unmixed external
-// submissions, and the round/epoch watermark. In-process users
-// (NewUser/AddUser) hold live client key material that cannot be
-// serialised, so they are deliberately NOT persisted — the durable
-// edge is for network-transport clients, which is what a production
-// gateway serves.
+// The gateway shard's durable state is one log. The store engine
+// (internal/store) persists opaque (op, payload) records; this file
+// defines the seven record types, and replayOneLocked is the only
+// interpreter they have. A snapshot image is not a second format: it
+// is the shortest run of the same records that reproduces the current
+// state (imageLocked), so recovery walks the image and then the WAL
+// tail through that one interpreter, and a live mutation takes the
+// same apply step replay takes before it appends its record.
 //
-// Encodings are hand-rolled uvarint/length-prefixed binary rather
-// than gob: replay happens on every restart, records are written on
-// the submit hot path, and the formats below are stable by
-// construction (a decoder rejects, never misinterprets, unknown
-// bytes). Points and proofs re-enter through group.ParsePoint /
-// nizk.ParseDlogProof, the same validation the RPC boundary applies
-// as a message decodes, so a corrupted payload cannot smuggle an
-// invalid group element into a batch.
+// Everything a restarted shard must come back with is in the log:
+// mailbox contents, transport registrations and the banned set,
+// accepted-but-unmixed external submissions, and the round/epoch
+// watermark. In-process users (NewUser/AddUser) hold live client key
+// material that cannot be serialised, so they are deliberately NOT
+// persisted — the durable edge is for network-transport clients,
+// which is what a production gateway serves.
+//
+// Payloads are hand-rolled uvarint/length-prefixed binary rather than
+// gob: replay happens on every restart, records are written on the
+// submit hot path, and a decoder rejects, never misinterprets,
+// unknown or trailing bytes. Points and proofs re-enter through
+// group.ParsePoint / nizk.ParseDlogProof, the same validation the RPC
+// boundary applies as a message decodes, so a corrupted payload
+// cannot smuggle an invalid group element into a batch.
 const (
 	// opRegister: a transport user registered. Payload: mailbox bytes.
 	opRegister store.Op = 1
@@ -43,18 +50,31 @@ const (
 	// opAck: the owner confirmed receipt of a round's mailbox.
 	// Payload: round, then mailbox bytes.
 	opAck store.Op = 4
-	// opWatermark: the shard committed a round. Payload: upcoming
-	// round, epoch, chain count, collected round.
+	// opWatermark: the shard committed a round or adopted an epoch.
+	// Payload: upcoming round, epoch, chain count, collected round.
+	// Mailbox retention is derived from it (applyWatermarkLocked), and
+	// every image opens with one.
 	opWatermark store.Op = 5
 	// opSubmit: an external submission was accepted. Payload:
-	// mailbox, round, current messages, cover messages.
+	// mailbox, round, current messages, cover messages; a lane with no
+	// messages is absent.
 	opSubmit store.Op = 6
-	// opPrune: mailbox rounds before the payload round were dropped.
+	// opPrune: mailbox rounds before the payload round were dropped
+	// on request (Frontend.PruneBefore).
 	opPrune store.Op = 7
 )
 
-// snapshotVersion guards the full-state image layout.
-const snapshotVersion = 1
+// mailboxRetention is how many finished rounds of mail a shard keeps:
+// a user who was away may fetch the last four rounds, older mail is
+// dropped as the round commits.
+const mailboxRetention = 4
+
+// ErrImageFormat refuses a snapshot image that does not open with a
+// watermark record — in particular the versioned full-state layout
+// this package wrote before images became record runs. Such a data
+// directory is not half-read; it has to be discarded (or replayed by
+// the build that wrote it).
+var ErrImageFormat = errors.New("core: snapshot image does not open with a watermark record")
 
 // --- primitive append/read helpers ---
 
@@ -153,7 +173,7 @@ func (r *reader) chainMessages() ([]client.ChainMessage, error) {
 	if err != nil {
 		return nil, err
 	}
-	if n > uint64(len(r.b)) { // every message takes >1 byte
+	if n > uint64(len(r.b))/(group.PointSize+nizk.DlogProofSize) { // the least a message takes
 		return nil, fmt.Errorf("core: durable record claims %d messages in %d bytes", n, len(r.b))
 	}
 	out := make([]client.ChainMessage, 0, n)
@@ -170,7 +190,13 @@ func (r *reader) chainMessages() ([]client.ChainMessage, error) {
 // --- record payload codecs ---
 
 func encodeDeliver(round uint64, msgs [][]byte) []byte {
-	b := appendUvarint(nil, round)
+	// Sized up front: a round's mail is megabytes, and growing into it
+	// by append allocates several times the record.
+	size := 2 * binary.MaxVarintLen64
+	for _, m := range msgs {
+		size += binary.MaxVarintLen32 + len(m)
+	}
+	b := appendUvarint(make([]byte, 0, size), round)
 	b = appendUvarint(b, uint64(len(msgs)))
 	for _, m := range msgs {
 		b = appendBytes(b, m)
@@ -211,6 +237,9 @@ func decodeAck(p []byte) (uint64, []byte, error) {
 	round, err := r.uvarint()
 	if err != nil {
 		return 0, nil, err
+	}
+	if len(r.b) == 0 {
+		return 0, nil, errors.New("core: ack record names no mailbox")
 	}
 	return round, r.b, nil
 }
@@ -280,245 +309,105 @@ func decodeSubmit(p []byte) (string, *client.RoundOutput, error) {
 	return string(mb), &client.RoundOutput{Round: round, Current: cur, Cover: cover}, r.done()
 }
 
-// --- snapshot codec ---
+// --- the image: a compacted log ---
 
-// encodeSnapshotLocked serialises the shard's full durable state.
-// Callers hold f.mu.
-func (f *Frontend) encodeSnapshotLocked() []byte {
-	b := appendUvarint(nil, snapshotVersion)
-	b = appendUvarint(b, f.round)
-	b = appendUvarint(b, f.epoch)
-	nc := 0
+// appendRecord frames one record into an image: op, then the
+// length-prefixed payload.
+func appendRecord(b []byte, op store.Op, payload []byte) []byte {
+	return appendBytes(append(b, byte(op)), payload)
+}
+
+// record reads one frame appendRecord wrote; r must not be empty.
+func (r *reader) record() (store.Record, error) {
+	op := store.Op(r.b[0])
+	r.b = r.b[1:]
+	payload, err := r.bytes()
+	return store.Record{Op: op, Payload: payload}, err
+}
+
+// watermarkLocked is the shard's current position. Callers hold f.mu.
+func (f *Frontend) watermarkLocked() watermark {
+	w := watermark{round: f.round, epoch: f.epoch, collected: f.collected}
 	if f.plan != nil {
-		nc = f.plan.NumChains
+		w.numChains = f.plan.NumChains
 	}
-	b = appendUvarint(b, uint64(nc))
-	b = appendUvarint(b, f.collected)
+	return w
+}
 
-	regs := f.reg.transportKeys(f.rng)
-	b = appendUvarint(b, uint64(len(regs)))
-	for _, k := range regs {
-		b = appendBytes(b, []byte(k))
+// imageLocked emits the shard's durable state as the shortest record
+// run that reproduces it: the watermark first (so the plan is in place
+// before any submission is checked against it), then registrations,
+// bans, one delivery per retained round and one submission per (user,
+// round). Every collection is walked in sorted order, so equal states
+// emit equal bytes. Callers hold f.mu.
+func (f *Frontend) imageLocked() []byte {
+	b := appendRecord(nil, opWatermark, encodeWatermark(f.watermarkLocked()))
+	for _, who := range f.reg.transportKeys(f.rng) {
+		b = appendRecord(b, opRegister, []byte(who))
 	}
-
-	banned := make([]string, 0, len(f.banned))
-	for k := range f.banned {
-		banned = append(banned, k)
+	for _, who := range slices.Sorted(maps.Keys(f.banned)) {
+		b = appendRecord(b, opBan, []byte(who))
 	}
-	sort.Strings(banned)
-	b = appendUvarint(b, uint64(len(banned)))
-	for _, k := range banned {
-		b = appendBytes(b, []byte(k))
+	for _, rm := range f.boxes.Export() {
+		b = appendRecord(b, opDeliver, encodeDeliver(rm.Round, rm.Msgs))
 	}
-
-	entries := f.boxes.Export()
-	b = appendUvarint(b, uint64(len(entries)))
-	for _, e := range entries {
-		b = appendUvarint(b, e.Round)
-		b = appendBytes(b, e.Mailbox)
-		b = appendUvarint(b, uint64(len(e.Msgs)))
-		for _, m := range e.Msgs {
-			b = appendBytes(b, m)
+	for _, who := range slices.Sorted(maps.Keys(f.externals)) {
+		eu := f.externals[who]
+		// A submission for round r fills current[r] and cover[r+1].
+		rounds := slices.Collect(maps.Keys(eu.current))
+		for r := range eu.cover {
+			rounds = append(rounds, r-1)
 		}
-	}
-
-	extKeys := make([]string, 0, len(f.externals))
-	for k := range f.externals {
-		extKeys = append(extKeys, k)
-	}
-	sort.Strings(extKeys)
-	b = appendUvarint(b, uint64(len(extKeys)))
-	for _, k := range extKeys {
-		eu := f.externals[k]
-		b = appendBytes(b, []byte(k))
-		b = appendRoundMessages(b, eu.current)
-		b = appendRoundMessages(b, eu.cover)
+		slices.Sort(rounds)
+		for _, r := range slices.Compact(rounds) {
+			b = appendRecord(b, opSubmit, encodeSubmit(who, &client.RoundOutput{
+				Round: r, Current: eu.current[r], Cover: eu.cover[r+1],
+			}))
+		}
 	}
 	return b
 }
 
-func appendRoundMessages(b []byte, m map[uint64][]client.ChainMessage) []byte {
-	rounds := make([]uint64, 0, len(m))
-	for r := range m {
-		rounds = append(rounds, r)
-	}
-	sort.Slice(rounds, func(i, j int) bool { return rounds[i] < rounds[j] })
-	b = appendUvarint(b, uint64(len(rounds)))
-	for _, r := range rounds {
-		b = appendUvarint(b, r)
-		b = appendChainMessages(b, m[r])
-	}
-	return b
-}
-
-func (r *reader) roundMessages() (map[uint64][]client.ChainMessage, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[uint64][]client.ChainMessage, n)
-	for i := uint64(0); i < n; i++ {
-		round, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		cms, err := r.chainMessages()
-		if err != nil {
-			return nil, err
-		}
-		out[round] = cms
-	}
-	return out, nil
-}
-
-// applySnapshotLocked restores the shard's state from a snapshot
-// image. Callers hold f.mu on a freshly-constructed Frontend.
-func (f *Frontend) applySnapshotLocked(p []byte) error {
-	r := &reader{b: p}
-	ver, err := r.uvarint()
-	if err != nil {
-		return err
-	}
-	if ver != snapshotVersion {
-		return fmt.Errorf("core: snapshot version %d, want %d", ver, snapshotVersion)
-	}
-	var w watermark
-	if w.round, err = r.uvarint(); err != nil {
-		return err
-	}
-	if w.epoch, err = r.uvarint(); err != nil {
-		return err
-	}
-	nc, err := r.uvarint()
-	if err != nil {
-		return err
-	}
-	w.numChains = int(nc)
-	if w.collected, err = r.uvarint(); err != nil {
-		return err
-	}
-	if err := f.applyWatermarkLocked(w); err != nil {
-		return err
-	}
-
-	nRegs, err := r.uvarint()
-	if err != nil {
-		return err
-	}
-	for i := uint64(0); i < nRegs; i++ {
-		mb, err := r.bytes()
-		if err != nil {
-			return err
-		}
-		f.reg.insert(string(mb), &registeredUser{})
-	}
-
-	nBan, err := r.uvarint()
-	if err != nil {
-		return err
-	}
-	for i := uint64(0); i < nBan; i++ {
-		mb, err := r.bytes()
-		if err != nil {
-			return err
-		}
-		f.banned[string(mb)] = true
-		f.reg.markRemoved(string(mb))
-	}
-
-	nBox, err := r.uvarint()
-	if err != nil {
-		return err
-	}
-	var entries []mailbox.Entry
-	for i := uint64(0); i < nBox; i++ {
-		var e mailbox.Entry
-		if e.Round, err = r.uvarint(); err != nil {
-			return err
-		}
-		if e.Mailbox, err = r.bytes(); err != nil {
-			return err
-		}
-		nMsg, err := r.uvarint()
-		if err != nil {
-			return err
-		}
-		for j := uint64(0); j < nMsg; j++ {
-			m, err := r.bytes()
-			if err != nil {
-				return err
-			}
-			e.Msgs = append(e.Msgs, m)
-		}
-		entries = append(entries, e)
-	}
-	f.boxes.Import(entries)
-
-	nExt, err := r.uvarint()
-	if err != nil {
-		return err
-	}
-	for i := uint64(0); i < nExt; i++ {
-		mb, err := r.bytes()
-		if err != nil {
-			return err
-		}
-		cur, err := r.roundMessages()
-		if err != nil {
-			return err
-		}
-		cover, err := r.roundMessages()
-		if err != nil {
-			return err
-		}
-		f.externals[string(mb)] = &externalUser{current: cur, cover: cover}
-	}
-	return r.done()
-}
-
-// applyWatermarkLocked adopts a recovered round/epoch position:
-// rebuild the (deterministic) chain plan and fast-forward the round
-// counters. Callers hold f.mu.
-func (f *Frontend) applyWatermarkLocked(w watermark) error {
-	if w.numChains > 0 {
-		if err := f.adoptLocked(w.epoch, w.numChains); err != nil {
-			return err
-		}
-	}
-	if w.round > f.round {
-		f.round = w.round
-	}
-	if w.collected > f.collected {
-		f.collected = w.collected
-	}
-	return nil
-}
-
-// replayRecords applies recovered WAL records, in append order, on
-// top of whatever the snapshot restored. Damaged records fail the
-// recovery — the WAL engine already cut torn tails, so a record that
-// frames correctly but decodes badly means real corruption and silent
-// skipping would de-sync the shard from what clients were promised.
-func (f *Frontend) replayRecords(recs []store.Record) error {
+// recover rebuilds the shard's durable state from what store.Open
+// read back: the image's records first, then the WAL records appended
+// after it, in order. Damaged records fail the recovery — the WAL
+// engine already cut torn tails, so a record that frames correctly
+// but decodes badly means real corruption, and silent skipping would
+// de-sync the shard from what clients were promised.
+func (f *Frontend) recover(rec *store.Recovered) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	for i, rec := range recs {
-		if err := f.replayOneLocked(rec); err != nil {
-			return fmt.Errorf("core: replaying WAL record %d (op %d): %w", i, rec.Op, err)
+	if img := rec.Snapshot; img != nil {
+		if len(img) == 0 || store.Op(img[0]) != opWatermark {
+			return fmt.Errorf("core: shard %s: %w", f.rng, ErrImageFormat)
+		}
+		for r := (&reader{b: img}); len(r.b) > 0; {
+			rc, err := r.record()
+			if err == nil {
+				err = f.replayOneLocked(rc)
+			}
+			if err != nil {
+				return fmt.Errorf("core: shard %s: replaying image record (op %d): %w", f.rng, rc.Op, err)
+			}
+		}
+	}
+	for i, rc := range rec.Records {
+		if err := f.replayOneLocked(rc); err != nil {
+			return fmt.Errorf("core: shard %s: replaying WAL record %d (op %d): %w", f.rng, i, rc.Op, err)
 		}
 	}
 	return nil
 }
 
+// replayOneLocked is the log's one interpreter: it decodes a record
+// and takes the apply step the live path took when it wrote it.
+// Callers hold f.mu.
 func (f *Frontend) replayOneLocked(rec store.Record) error {
 	switch rec.Op {
 	case opRegister:
 		f.reg.insert(string(rec.Payload), &registeredUser{})
 	case opBan:
-		who := string(rec.Payload)
-		f.banned[who] = true
-		delete(f.externals, who)
-		f.reg.markRemoved(who)
+		f.applyBanLocked(string(rec.Payload))
 	case opDeliver:
 		round, msgs, err := decodeDeliver(rec.Payload)
 		if err != nil {
@@ -542,28 +431,122 @@ func (f *Frontend) replayOneLocked(rec store.Record) error {
 		if err != nil {
 			return err
 		}
-		if f.banned[mb] {
-			return nil
-		}
-		eu, ok := f.externals[mb]
-		if !ok {
-			eu = &externalUser{
-				current: make(map[uint64][]client.ChainMessage),
-				cover:   make(map[uint64][]client.ChainMessage),
-			}
-			f.externals[mb] = eu
-		}
-		eu.current[out.Round] = out.Current
-		eu.cover[out.Round+1] = out.Cover
+		return f.applySubmitLocked(mb, out)
 	case opPrune:
 		r := &reader{b: rec.Payload}
 		round, err := r.uvarint()
+		if err == nil {
+			err = r.done()
+		}
 		if err != nil {
 			return err
 		}
 		f.boxes.PruneBefore(round)
 	default:
 		return fmt.Errorf("core: unknown durable record op %d", rec.Op)
+	}
+	return nil
+}
+
+// --- apply steps shared by the live path and replay ---
+
+// applyBanLocked bans a convicted user at the transport layer and
+// drops her banked traffic, which must never run (§6.4): external
+// users have no registry client state for markRemoved to act on.
+// Callers hold f.mu.
+func (f *Frontend) applyBanLocked(who string) {
+	f.banned[who] = true
+	delete(f.externals, who)
+	f.reg.markRemoved(who)
+}
+
+// onPlanLocked reports whether the shard already runs the epoch's
+// plan. Callers hold f.mu.
+func (f *Frontend) onPlanLocked(epoch uint64, numChains int) bool {
+	return f.plan != nil && f.epoch == epoch && f.plan.NumChains == numChains
+}
+
+// applyWatermarkLocked moves the shard to a position: it adopts the
+// epoch's (deterministic) chain plan if the shard is not on it yet,
+// sets the round counters, and drops what the position makes
+// unreachable — external traffic for collected rounds and mail older
+// than the retention window. Callers hold f.mu.
+func (f *Frontend) applyWatermarkLocked(w watermark) error {
+	if w.numChains > 0 && !f.onPlanLocked(w.epoch, w.numChains) {
+		plan, err := chainsel.NewPlan(w.numChains)
+		if err != nil {
+			return fmt.Errorf("core: shard %s plan for epoch %d: %w", f.rng, w.epoch, err)
+		}
+		f.plan, f.epoch = plan, w.epoch
+		// Banked covers and external submissions were built against
+		// the old chains' keys; running them under the new epoch would
+		// get their honest owners blamed (see recover.go).
+		f.externals = make(map[string]*externalUser)
+		for i := f.rng.Lo; i < f.rng.Hi; i++ {
+			sh := &f.reg.shards[i]
+			sh.mu.Lock()
+			for _, ru := range sh.users {
+				if ru.removed || ru.u == nil {
+					continue
+				}
+				ru.cover = nil
+				ru.coverRound = 0
+				ru.built = nil
+				ru.u.Rebalance(plan)
+			}
+			sh.mu.Unlock()
+		}
+	}
+	f.round, f.collected = w.round, w.collected
+	f.dropExternalsThroughLocked(w.collected)
+	if w.round > mailboxRetention {
+		f.boxes.PruneBefore(w.round - mailboxRetention)
+	}
+	return nil
+}
+
+// commitWatermarkLocked applies a new position and logs it. Callers
+// hold f.mu.
+func (f *Frontend) commitWatermarkLocked(w watermark) error {
+	if err := f.applyWatermarkLocked(w); err != nil {
+		return err
+	}
+	return f.st.Append(opWatermark, encodeWatermark(w))
+}
+
+// applySubmitLocked banks one external submission: current for its
+// round, cover for the round after. The chain indices are checked
+// here, so bytes read back from disk index the round's batches no
+// more freely than bytes off the wire. A lane without messages stays
+// absent: an empty current[ρ] would shadow that round's cover in
+// collectExternalsLocked. Callers hold f.mu.
+func (f *Frontend) applySubmitLocked(mailbox string, out *client.RoundOutput) error {
+	if f.banned[mailbox] {
+		return fmt.Errorf("core: user was removed for misbehaviour; submissions are refused")
+	}
+	if f.plan == nil {
+		return fmt.Errorf("core: shard %s has no chain plan yet; submissions are refused", f.rng)
+	}
+	for _, lane := range [][]client.ChainMessage{out.Current, out.Cover} {
+		for _, cm := range lane {
+			if cm.Chain < 0 || cm.Chain >= f.plan.NumChains {
+				return fmt.Errorf("core: submission to unknown chain %d", cm.Chain)
+			}
+		}
+	}
+	eu, ok := f.externals[mailbox]
+	if !ok {
+		eu = &externalUser{
+			current: make(map[uint64][]client.ChainMessage),
+			cover:   make(map[uint64][]client.ChainMessage),
+		}
+		f.externals[mailbox] = eu
+	}
+	if len(out.Current) > 0 {
+		eu.current[out.Round] = out.Current
+	}
+	if len(out.Cover) > 0 {
+		eu.cover[out.Round+1] = out.Cover
 	}
 	return nil
 }

@@ -37,46 +37,38 @@ type externalUser struct {
 func (f *Frontend) SubmitExternal(mailbox string, out *client.RoundOutput) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.banned[mailbox] {
-		return fmt.Errorf("core: user was removed for misbehaviour; submissions are refused")
-	}
-	if f.plan == nil {
-		return fmt.Errorf("core: shard %s has no chain plan yet; submissions are refused", f.rng)
-	}
 	if out.Round != f.round {
 		return fmt.Errorf("core: submission for round %d but round %d is open", out.Round, f.round)
 	}
 	if out.Round <= f.collected {
 		return fmt.Errorf("core: round %d is already mixing; submissions are closed", out.Round)
 	}
-	for _, cm := range append(out.Current, out.Cover...) {
-		if cm.Chain < 0 || cm.Chain >= f.plan.NumChains {
-			return fmt.Errorf("core: submission to unknown chain %d", cm.Chain)
+	if len(out.Current) == 0 {
+		return fmt.Errorf("core: submission carries no messages for round %d", out.Round)
+	}
+	if eu := f.externals[mailbox]; eu != nil {
+		if _, dup := eu.current[out.Round]; dup {
+			return fmt.Errorf("core: duplicate submission for round %d", out.Round)
 		}
 	}
-	eu, ok := f.externals[mailbox]
-	if !ok {
-		eu = &externalUser{
-			current: make(map[uint64][]client.ChainMessage),
-			cover:   make(map[uint64][]client.ChainMessage),
-		}
-		f.externals[mailbox] = eu
-	}
-	if _, dup := eu.current[out.Round]; dup {
-		return fmt.Errorf("core: duplicate submission for round %d", out.Round)
+	if err := f.applySubmitLocked(mailbox, out); err != nil {
+		return err
 	}
 	// Durability point: the accepted submission is logged and synced
 	// BEFORE the client sees success, so an accepted-but-unmixed
 	// message survives a crash — the restarted shard replays it into
-	// the same round's batch.
-	if err := f.st.Append(opSubmit, encodeSubmit(mailbox, out)); err != nil {
+	// the same round's batch. A submission that cannot be logged is
+	// refused and leaves no trace.
+	err := f.st.Append(opSubmit, encodeSubmit(mailbox, out))
+	if err == nil {
+		err = f.st.Sync()
+	}
+	if err != nil {
+		eu := f.externals[mailbox]
+		delete(eu.current, out.Round)
+		delete(eu.cover, out.Round+1)
 		return fmt.Errorf("core: persisting submission: %w", err)
 	}
-	if err := f.st.Sync(); err != nil {
-		return fmt.Errorf("core: persisting submission: %w", err)
-	}
-	eu.current[out.Round] = out.Current
-	eu.cover[out.Round+1] = out.Cover
 	return nil
 }
 
@@ -90,27 +82,34 @@ func (f *Frontend) collectExternalsLocked(rho uint64, batches []ChainBatch) int 
 	}
 	covered := 0
 	for who, eu := range f.externals {
-		if msgs, ok := eu.current[rho]; ok {
-			for _, cm := range msgs {
-				batches[cm.Chain].add(cm.Sub, who)
-			}
-		} else if covers, ok := eu.cover[rho]; ok {
-			for _, cm := range covers {
-				batches[cm.Chain].add(cm.Sub, who)
-			}
-			covered++
-		}
-		// Drop state that can no longer be used.
-		for r := range eu.current {
-			if r <= rho {
-				delete(eu.current, r)
+		msgs, ok := eu.current[rho]
+		if !ok {
+			if msgs, ok = eu.cover[rho]; ok {
+				covered++
 			}
 		}
-		for r := range eu.cover {
-			if r <= rho {
-				delete(eu.cover, r)
-			}
+		for _, cm := range msgs {
+			batches[cm.Chain].add(cm.Sub, who)
 		}
 	}
+	f.dropExternalsThroughLocked(rho)
 	return covered
+}
+
+// dropExternalsThroughLocked drops external traffic for rounds up to
+// and including rho — state that can no longer be used — and users
+// left with none. Callers hold f.mu.
+func (f *Frontend) dropExternalsThroughLocked(rho uint64) {
+	for who, eu := range f.externals {
+		for _, lane := range []map[uint64][]client.ChainMessage{eu.current, eu.cover} {
+			for r := range lane {
+				if r <= rho {
+					delete(lane, r)
+				}
+			}
+		}
+		if len(eu.current)+len(eu.cover) == 0 {
+			delete(f.externals, who)
+		}
+	}
 }

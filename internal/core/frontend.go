@@ -34,7 +34,7 @@ type FrontendConfig struct {
 	Workers int
 	// MailboxDepth caps each mailbox's retained messages, evicting
 	// oldest first past the cap (accounted in RoundReport); zero means
-	// unlimited.
+	// no cap beyond the four-round retention FinishRound applies.
 	MailboxDepth int
 	// Store is the durability engine for this shard's client-facing
 	// state (mailboxes, transport registrations, bans, external
@@ -45,8 +45,9 @@ type FrontendConfig struct {
 	// Recovered is the state store.Open read back from Store's data
 	// directory, replayed into the fresh frontend.
 	Recovered *store.Recovered
-	// SnapshotEvery takes a full-state snapshot (compacting the WAL)
-	// every N finished rounds; zero means 16. Ignored without Store.
+	// SnapshotEvery installs a snapshot image (the state as a compacted
+	// record run, retiring the WAL behind it) every N finished rounds;
+	// zero means 16. Ignored without Store.
 	SnapshotEvery int
 }
 
@@ -156,21 +157,6 @@ func NewFrontend(cfg FrontendConfig) (*Frontend, error) {
 	return f, nil
 }
 
-// recover rebuilds the shard's durable state from what store.Open
-// read back: the snapshot image first, then the WAL records appended
-// after it, in order.
-func (f *Frontend) recover(rec *store.Recovered) error {
-	if len(rec.Snapshot) > 0 {
-		f.mu.Lock()
-		err := f.applySnapshotLocked(rec.Snapshot)
-		f.mu.Unlock()
-		if err != nil {
-			return fmt.Errorf("core: shard %s snapshot recovery: %w", f.rng, err)
-		}
-	}
-	return f.replayRecords(rec.Records)
-}
-
 // Range implements GatewayShard.
 func (f *Frontend) Range() ShardRange { return f.rng }
 
@@ -232,53 +218,24 @@ func (f *Frontend) ChainParams(chain int, round uint64) (mix.Params, error) {
 	return p.ChainParams(chain, round)
 }
 
-// adoptLocked installs the plan for an epoch; see Rebalance. Callers
-// hold f.mu.
-func (f *Frontend) adoptLocked(epoch uint64, numChains int) error {
-	plan, err := chainsel.NewPlan(numChains)
-	if err != nil {
-		return fmt.Errorf("core: shard %s plan for epoch %d: %w", f.rng, epoch, err)
-	}
-	f.plan = plan
-	f.epoch = epoch
-	// External submissions were built against the old chains' keys;
-	// resubmitting them under the new epoch would get their honest
-	// owners blamed (see recover.go).
-	f.externals = make(map[string]*externalUser)
-	return nil
-}
-
 // Rebalance implements GatewayShard: it installs the new epoch's
 // deterministic chain-selection plan, re-derives every owned user's
 // chain assignments and discards banked covers and stored external
-// submissions (all keyed to the old chains' keys).
+// submissions (all keyed to the old chains' keys). An epoch the shard
+// already runs is a no-op.
 func (f *Frontend) Rebalance(epoch uint64, numChains int) error {
 	f.mu.Lock()
-	if err := f.adoptLocked(epoch, numChains); err != nil {
-		f.mu.Unlock()
-		return err
-	}
-	plan := f.plan
-	f.st.Append(opWatermark, encodeWatermark(watermark{
-		round: f.round, epoch: epoch, numChains: numChains, collected: f.collected,
-	}))
-	f.mu.Unlock()
+	defer f.mu.Unlock()
+	return f.rebalanceLocked(epoch, numChains)
+}
 
-	for i := f.rng.Lo; i < f.rng.Hi; i++ {
-		sh := &f.reg.shards[i]
-		sh.mu.Lock()
-		for _, ru := range sh.users {
-			if ru.removed || ru.u == nil {
-				continue
-			}
-			ru.cover = nil
-			ru.coverRound = 0
-			ru.built = nil
-			ru.u.Rebalance(plan)
-		}
-		sh.mu.Unlock()
+func (f *Frontend) rebalanceLocked(epoch uint64, numChains int) error {
+	if f.onPlanLocked(epoch, numChains) {
+		return nil
 	}
-	return nil
+	w := f.watermarkLocked()
+	w.epoch, w.numChains = epoch, numChains
+	return f.commitWatermarkLocked(w)
 }
 
 // NewUser creates and registers a user owned by this shard; with a
@@ -386,7 +343,9 @@ func (f *Frontend) AckMailbox(round uint64, mailboxID []byte) int {
 	return n
 }
 
-// PruneBefore discards mailbox state older than the given round.
+// PruneBefore discards mailbox state older than the given round, for
+// callers that keep less than the mailboxRetention rounds FinishRound
+// already enforces.
 func (f *Frontend) PruneBefore(round uint64) {
 	f.boxes.PruneBefore(round)
 	f.st.Append(opPrune, appendUvarint(nil, round))
@@ -414,34 +373,12 @@ func (f *Frontend) StrandedError(round uint64, mailboxID []byte) error {
 func (f *Frontend) BeginRound(br *BeginRound) (*ShardBuild, error) {
 	defer func(t0 time.Time) { obsShardBuildSeconds.ObserveDuration(time.Since(t0)) }(time.Now())
 	f.mu.Lock()
-	if f.plan == nil || f.epoch != br.Epoch || f.plan.NumChains != br.NumChains {
-		// A shard that missed (or predates) the epoch broadcast adopts
-		// it here: the plan is deterministic in the chain count, so no
-		// separate state transfer is needed. Already-installed epochs
-		// are a no-op.
-		if err := f.adoptLocked(br.Epoch, br.NumChains); err != nil {
-			f.mu.Unlock()
-			return nil, err
-		}
-		plan := f.plan
+	// A shard that missed (or predates) the epoch broadcast adopts it
+	// here: the plan is deterministic in the chain count, so no
+	// separate state transfer is needed.
+	if err := f.rebalanceLocked(br.Epoch, br.NumChains); err != nil {
 		f.mu.Unlock()
-		// Users still carry the old plan; rebalance them before
-		// building (mirrors Rebalance, which callers normally invoke
-		// first).
-		for i := f.rng.Lo; i < f.rng.Hi; i++ {
-			sh := &f.reg.shards[i]
-			sh.mu.Lock()
-			for _, ru := range sh.users {
-				if !ru.removed && ru.u != nil {
-					ru.cover = nil
-					ru.coverRound = 0
-					ru.built = nil
-					ru.u.Rebalance(plan)
-				}
-			}
-			sh.mu.Unlock()
-		}
-		f.mu.Lock()
+		return nil, err
 	}
 	f.params = newRoundParams(br.Round, br.Cur, br.Next, br.Dead)
 	f.round = br.Round
@@ -468,9 +405,6 @@ func (f *Frontend) BeginRound(br *BeginRound) (*ShardBuild, error) {
 func (f *Frontend) FinishRound(fr *FinishRound) (FinishStats, error) {
 	defer func(t0 time.Time) { obsShardFinishSeconds.ObserveDuration(time.Since(t0)) }(time.Now())
 	delivered, _, dropped := f.boxes.Deliver(fr.Round, fr.Delivered)
-	for _, who := range fr.Removed {
-		f.reg.markRemoved(who)
-	}
 
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -478,11 +412,7 @@ func (f *Frontend) FinishRound(fr *FinishRound) (FinishStats, error) {
 		f.st.Append(opDeliver, encodeDeliver(fr.Round, fr.Delivered))
 	}
 	for _, who := range fr.Removed {
-		// Ban at the transport layer too: external users have no
-		// registry client state, and a removed user's banked traffic
-		// must never run (§6.4).
-		f.banned[who] = true
-		delete(f.externals, who)
+		f.applyBanLocked(who)
 		f.st.Append(opBan, []byte(who))
 	}
 	if len(fr.Stranded) > 0 {
@@ -497,24 +427,27 @@ func (f *Frontend) FinishRound(fr *FinishRound) (FinishStats, error) {
 			delete(f.stranded, r)
 		}
 	}
-	f.round = fr.Round + 1
 	if len(fr.Cur) > 0 {
 		f.params = newRoundParams(fr.Round+1, fr.Cur, fr.Next, fr.Dead)
 	}
-	f.st.Append(opWatermark, encodeWatermark(watermark{
-		round: f.round, epoch: fr.Epoch, numChains: fr.NumChains, collected: f.collected,
-	}))
-	var err error
-	if f.sinceSnap++; f.sinceSnap >= f.snapshotEvery {
-		// Compact: the snapshot covers everything logged so far, so
-		// replay cost and disk use stay bounded by the snapshot
-		// cadence rather than deployment lifetime. Snapshot is
-		// internally durable (tmp+fsync+rename).
-		if err = f.st.Snapshot(f.encodeSnapshotLocked()); err == nil {
-			f.sinceSnap = 0
+	// The commit is the advanced watermark; applying it also drops the
+	// mail that just left the retention window, so no separate prune
+	// is logged.
+	w := f.watermarkLocked()
+	w.round = fr.Round + 1
+	err := f.commitWatermarkLocked(w)
+	if err == nil {
+		if f.sinceSnap++; f.sinceSnap >= f.snapshotEvery {
+			// Compact: the image covers everything logged so far, so
+			// replay cost and disk use stay bounded by the snapshot
+			// cadence rather than deployment lifetime. Snapshot is
+			// internally durable (tmp+fsync+rename).
+			if err = f.st.Snapshot(f.imageLocked()); err == nil {
+				f.sinceSnap = 0
+			}
+		} else {
+			err = f.st.Sync()
 		}
-	} else {
-		err = f.st.Sync()
 	}
 	if err != nil {
 		return FinishStats{}, fmt.Errorf("core: shard %s round %d commit: %w", f.rng, fr.Round, err)
@@ -524,11 +457,13 @@ func (f *Frontend) FinishRound(fr *FinishRound) (FinishStats, error) {
 
 // AbortRound implements GatewayShard: the round failed after its
 // submission window closed and will be retried, so external users
-// must be able to resubmit for it.
+// must be able to resubmit for it. Rounds start at 1; round 0, which
+// only a remote peer can name, is ignored — round-1 would wrap and
+// close every future round's window.
 func (f *Frontend) AbortRound(round uint64) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.collected >= round {
+	if round > 0 && f.collected >= round {
 		f.collected = round - 1
 	}
 }

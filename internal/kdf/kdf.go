@@ -1,65 +1,28 @@
-// Package kdf implements HKDF-SHA256 (RFC 5869) and the XRD key
-// schedule built on it.
+// Package kdf is the XRD key schedule: four labelled derivations
+// over the standard library's HKDF-SHA256 (crypto/hkdf, RFC 5869).
 //
 // The paper's user protocol (Algorithm 2) derives directional
 // conversation keys with a KDF: s_B = KDF(s_AB, pk_B) encrypts
 // messages *to* Bob and s_A = KDF(s_AB, pk_A) encrypts messages *to*
 // Alice, where s_AB = DH(pk_B, sk_A) is the shared secret. Loopback
 // messages use a chain-specific key s_xA known only to the mailbox
-// owner. This package provides all three derivations.
+// owner. This package provides those three, plus the per-layer onion
+// key and the inner-envelope key of the mix chains (§6).
 package kdf
 
 import (
-	"crypto/hmac"
+	"crypto/hkdf"
 	"crypto/sha256"
 	"encoding/binary"
-	"fmt"
 )
 
 // KeySize is the size of all derived symmetric keys.
 const KeySize = 32
 
-// Extract implements HKDF-Extract: PRK = HMAC-Hash(salt, ikm). A nil
-// salt is replaced by a string of hash-length zeros per RFC 5869.
-func Extract(salt, ikm []byte) []byte {
-	if salt == nil {
-		salt = make([]byte, sha256.Size)
-	}
-	mac := hmac.New(sha256.New, salt)
-	mac.Write(ikm)
-	return mac.Sum(nil)
-}
-
-// Expand implements HKDF-Expand, producing length bytes of output key
-// material from the pseudorandom key prk and context info. It panics
-// if length exceeds 255 hash lengths, mirroring the RFC bound; XRD
-// only derives short keys so this is an internal invariant.
-func Expand(prk, info []byte, length int) []byte {
-	if length > 255*sha256.Size {
-		panic(fmt.Sprintf("kdf: expand length %d exceeds RFC 5869 bound", length))
-	}
-	var (
-		out  = make([]byte, 0, length)
-		prev []byte
-	)
-	for counter := byte(1); len(out) < length; counter++ {
-		mac := hmac.New(sha256.New, prk)
-		mac.Write(prev)
-		mac.Write(info)
-		mac.Write([]byte{counter})
-		prev = mac.Sum(nil)
-		out = append(out, prev...)
-	}
-	return out[:length]
-}
-
-// Derive is the composed HKDF: Expand(Extract(salt, secret), info, n).
-func Derive(secret, salt, info []byte, n int) []byte {
-	return Expand(Extract(salt, secret), info, n)
-}
-
 // Key is a 32-byte symmetric key for the AEAD.
 type Key [KeySize]byte
+
+var salt = []byte("xrd-v1")
 
 func deriveKey(secret []byte, domain string, context ...[]byte) Key {
 	info := make([]byte, 0, 64)
@@ -70,9 +33,12 @@ func deriveKey(secret []byte, domain string, context ...[]byte) Key {
 		info = append(info, l[:]...)
 		info = append(info, c...)
 	}
-	var k Key
-	copy(k[:], Derive(secret, []byte("xrd-v1"), info, KeySize))
-	return k
+	out, err := hkdf.Key(sha256.New, secret, salt, string(info), KeySize)
+	if err != nil {
+		// hkdf.Key fails only for a length above 255 hashes.
+		panic(err)
+	}
+	return Key(out)
 }
 
 // ConversationKey derives the directional key s_R = KDF(s_AB, pk_R)

@@ -2,6 +2,7 @@ package mailbox
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"repro/internal/group"
@@ -97,47 +98,48 @@ func TestPruneBeforeReleasesDepth(t *testing.T) {
 	}
 }
 
-func TestExportImportRoundTrip(t *testing.T) {
+// TestExportIsTheShortestRedelivery: Export yields one delivery per
+// retained round, rounds ascending, and delivering them to an empty
+// cluster — of a different size, so routing is redone — reproduces
+// every mailbox message for message and exports the same sequence.
+func TestExportIsTheShortestRedelivery(t *testing.T) {
 	c, err := NewCluster(3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.serverFor([]byte("u1")).Put(1, []byte("u1"), []byte("m1"))
-	c.serverFor([]byte("u1")).Put(2, []byte("u1"), []byte("m2"))
-	c.serverFor([]byte("u2")).Put(1, []byte("u2"), []byte("m3"))
+	u1, u2 := group.Base(group.NewScalar(1)), group.Base(group.NewScalar(2))
+	c.Deliver(2, [][]byte{mailboxMsg(t, u1, 2)})
+	c.Deliver(1, [][]byte{mailboxMsg(t, u2, 1), mailboxMsg(t, u1, 1), mailboxMsg(t, u2, 1)})
+	c.Deliver(3, [][]byte{mailboxMsg(t, u2, 3)})
+	c.Ack(3, u2.Bytes()) // an emptied round exports nothing
 
 	exp := c.Export()
-	if len(exp) != 3 {
-		t.Fatalf("exported %d entries, want 3", len(exp))
-	}
-	// Deterministic order: (round, mailbox) ascending.
-	for i := 1; i < len(exp); i++ {
-		a, b := exp[i-1], exp[i]
-		if a.Round > b.Round || (a.Round == b.Round && bytes.Compare(a.Mailbox, b.Mailbox) >= 0) {
-			t.Fatalf("export order broken at %d: %+v then %+v", i, a, b)
-		}
+	if len(exp) != 2 || exp[0].Round != 1 || exp[1].Round != 2 || len(exp[0].Msgs) != 3 || len(exp[1].Msgs) != 1 {
+		t.Fatalf("export = %d rounds %+v, want round 1 with 3 messages then round 2 with 1", len(exp), exp)
 	}
 
-	c2, err := NewCluster(3)
+	c2, err := NewCluster(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2.Import(exp)
-	for _, e := range exp {
-		got := c2.Fetch(e.Round, e.Mailbox)
-		if len(got) != len(e.Msgs) {
-			t.Fatalf("round %d mailbox %q: %d msgs after import, want %d", e.Round, e.Mailbox, len(got), len(e.Msgs))
-		}
-		for i := range got {
-			if !bytes.Equal(got[i], e.Msgs[i]) {
-				t.Fatalf("message %d mismatch after import", i)
+	for _, rm := range exp {
+		c2.Deliver(rm.Round, rm.Msgs)
+	}
+	for round := uint64(1); round <= 3; round++ {
+		for _, u := range []group.Point{u1, u2} {
+			want, got := c.Fetch(round, u.Bytes()), c2.Fetch(round, u.Bytes())
+			if len(got) != len(want) {
+				t.Fatalf("round %d: %d messages after redelivery, want %d", round, len(got), len(want))
+			}
+			for i := range got {
+				if !bytes.Equal(got[i], want[i]) {
+					t.Fatalf("round %d message %d differs after redelivery", round, i)
+				}
 			}
 		}
 	}
-	// Export of the copy matches the original byte for byte.
-	exp2 := c2.Export()
-	if len(exp2) != len(exp) {
-		t.Fatalf("re-export %d entries, want %d", len(exp2), len(exp))
+	if exp2 := c2.Export(); !reflect.DeepEqual(exp2, exp) {
+		t.Fatal("the redelivered cluster exports a different sequence")
 	}
 }
 

@@ -12,11 +12,11 @@
 package mailbox
 
 import (
-	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/obs"
@@ -209,38 +209,6 @@ func (s *Server) PruneBefore(round uint64) {
 	}
 }
 
-// Entry is one mailbox's retained messages for one round, as exported
-// for snapshots.
-type Entry struct {
-	Round   uint64
-	Mailbox []byte
-	Msgs    [][]byte
-}
-
-// export deep-copies the server's retained state, sorted by (round,
-// mailbox) so snapshots are deterministic.
-func (s *Server) export() []Entry {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var out []Entry
-	for r, rb := range s.boxes {
-		for mb, msgs := range rb {
-			cp := make([][]byte, len(msgs))
-			for i, m := range msgs {
-				cp[i] = append([]byte(nil), m...)
-			}
-			out = append(out, Entry{Round: r, Mailbox: []byte(mb), Msgs: cp})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Round != out[j].Round {
-			return out[i].Round < out[j].Round
-		}
-		return bytes.Compare(out[i].Mailbox, out[j].Mailbox) < 0
-	})
-	return out
-}
-
 // Cluster shards mailboxes over several servers by identifier hash,
 // mirroring "different users' mailboxes can be maintained by
 // different servers" (§5.1).
@@ -352,31 +320,47 @@ func (c *Cluster) Ack(round uint64, mailbox []byte) int {
 	return c.serverFor(mailbox).Ack(round, mailbox)
 }
 
-// Export deep-copies the cluster's retained state in deterministic
-// (round, mailbox) order, for durability snapshots.
-func (c *Cluster) Export() []Entry {
-	var out []Entry
-	for _, s := range c.servers {
-		out = append(out, s.export()...)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Round != out[j].Round {
-			return out[i].Round < out[j].Round
-		}
-		return bytes.Compare(out[i].Mailbox, out[j].Mailbox) < 0
-	})
-	return out
+// RoundMail is one round's retained messages.
+type RoundMail struct {
+	Round uint64
+	Msgs  [][]byte
 }
 
-// Import loads exported entries back into the cluster, routing each
-// mailbox to its home server. Used on crash recovery before WAL
-// records replay on top.
-func (c *Cluster) Import(entries []Entry) {
-	for _, e := range entries {
-		for _, m := range e.Msgs {
-			c.serverFor(e.Mailbox).Put(e.Round, e.Mailbox, m)
-		}
+// Export returns the cluster's retained mail as the shortest sequence
+// of deliveries that reproduces it: one RoundMail per retained round,
+// rounds ascending, and within a round each mailbox's messages in
+// arrival order, mailboxes sorted — so equal clusters export equal
+// sequences, and Deliver-ing each element to an empty cluster yields
+// an equal one. Stored messages are never written after Put, so the
+// result aliases them; callers must not modify the bytes.
+func (c *Cluster) Export() []RoundMail {
+	type box struct {
+		round   uint64
+		mailbox string
+		msgs    [][]byte
 	}
+	var boxes []box
+	for _, s := range c.servers {
+		s.mu.RLock()
+		for r, rb := range s.boxes {
+			for mb, msgs := range rb {
+				boxes = append(boxes, box{r, mb, msgs})
+			}
+		}
+		s.mu.RUnlock()
+	}
+	slices.SortFunc(boxes, func(a, b box) int {
+		return cmp.Or(cmp.Compare(a.round, b.round), cmp.Compare(a.mailbox, b.mailbox))
+	})
+	var out []RoundMail
+	for _, b := range boxes {
+		if len(out) == 0 || out[len(out)-1].Round != b.round {
+			out = append(out, RoundMail{Round: b.round})
+		}
+		last := &out[len(out)-1]
+		last.Msgs = append(last.Msgs, b.msgs...)
+	}
+	return out
 }
 
 // TotalForRound sums stored messages across all servers for a round.

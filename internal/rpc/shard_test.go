@@ -254,3 +254,29 @@ func TestShardProcessDeathMidRound(t *testing.T) {
 		t.Fatalf("fetch from the dead shard: %v, want a transport error", err)
 	}
 }
+
+// TestShardAbortRoundZero: shard.abort takes its round off the wire,
+// and rounds start at 1. A round-0 frame used to wrap the shard's
+// collected watermark to 2⁶⁴−1, after which every submission was
+// answered "already mixing" — for good, once a watermark persisted it.
+// The frame must leave the submission window as it was.
+func TestShardAbortRoundZero(t *testing.T) {
+	n, _, servers := newShardedDeployment(t)
+	front := shardedFront(t, servers)
+	for _, ss := range servers {
+		peer := NewClient(ss.Addr(), ss.ClientTLS())
+		defer peer.Close()
+		var resp ack
+		if err := peer.call("shard.abort", ShardAbortRequest{Round: 0}, &resp); err != nil {
+			t.Fatalf("shard.abort round 0: %v", err)
+		}
+	}
+	u := client.NewUser(nil, n.Plan())
+	out, err := u.BuildRound(n.Round(), front)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := front.Submit(u.Mailbox(), out); err != nil {
+		t.Fatalf("submission after a round-0 abort frame: %v", err)
+	}
+}

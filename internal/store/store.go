@@ -1,30 +1,33 @@
 // Package store is the durability engine under a gateway shard's
 // client-facing state: an append-only write-ahead log of typed
-// records plus periodic full-state snapshots, both living in one
-// data directory.
+// records plus a periodic snapshot image that lets the log behind it
+// be retired, both living in one data directory.
 //
 // The paper's deployment story assumes the client-facing edge
-// survives failures — users poll mailboxes across rounds (§5.1), so
-// a gateway that crashes and restarts must come back with the
-// mailboxes, the registered/banned user sets, and its round/epoch
-// watermarks intact. The engine is deliberately domain-agnostic: it
-// persists (op, payload) records and opaque snapshot bytes; the
-// owning layer (internal/core's Frontend) defines the record types
-// and encodings. That keeps the crash-recovery invariants — what is
-// fsync'd when, how a torn tail is detected, which files survive a
-// crash mid-compaction — testable in isolation from protocol logic.
+// survives failures — users poll mailboxes across rounds (§5.1) and
+// pre-submit covers for the next one (§5.3.3), so a gateway that
+// crashes and restarts must come back with the mailboxes, the
+// registered/banned user sets, the accepted-but-unmixed submissions
+// and its round/epoch watermark intact. The engine is deliberately
+// domain-agnostic: it persists (op, payload) records and opaque image
+// bytes; the owning layer (internal/core's Frontend) defines the
+// record types, and emits its image as a compacted run of those same
+// records so one decoder recovers both. That keeps the crash-recovery
+// invariants — what is fsync'd when, how a torn tail is detected,
+// which files survive a crash mid-compaction — testable in isolation
+// from protocol logic.
 //
 // Write path: records append to the current WAL segment
 // (CRC-framed; see wal.go), with Sync draining to stable storage at
 // the caller's durability points (a submission acknowledgement, a
-// round commit). Snapshot atomically installs a full-state image and
-// retires every segment the image covers, bounding both replay time
-// and disk use.
+// round commit). Snapshot atomically installs an image and retires
+// every segment the image covers, bounding both replay time and disk
+// use.
 //
 // Read path: Open scans the directory, loads the newest intact
 // snapshot, replays every later segment in order — truncating a torn
 // tail at the first frame that fails its length or checksum — and
-// hands the caller the snapshot bytes plus the ordered surviving
+// hands the caller the image bytes plus the ordered surviving
 // records.
 package store
 
@@ -66,8 +69,8 @@ type Store interface {
 	// invoke it at durability points: before acknowledging a
 	// submission, after committing a round.
 	Sync() error
-	// Snapshot installs a full-state image and retires the WAL
-	// records it covers. After a successful Snapshot, Open returns
+	// Snapshot installs an image of the caller's whole state and
+	// retires the WAL records it covers. After a successful Snapshot, Open returns
 	// the image plus only records appended after it.
 	Snapshot(state []byte) error
 	// Close releases the store; a Durable store syncs first.
