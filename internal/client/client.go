@@ -78,14 +78,14 @@ type User struct {
 
 	// partners maps a meeting chain to the partner this user
 	// converses with there (§9: one conversation per chain).
-	partners map[int]group.Point
+	partners map[int]*peer
 	// outbox queues message bodies per partner (keyed by compressed
 	// public key).
 	outbox map[string][][]byte
 	// former retains ended partners' keys so stragglers — most
 	// notably a former partner's banked cover messages arriving a
 	// round after the offline signal — still decrypt.
-	former []group.Point
+	former []*peer
 
 	// drained records the conversation bodies each recent build
 	// consumed from the outbox, keyed by round. Rebalance marks every
@@ -96,6 +96,43 @@ type User struct {
 	// execute in order, so rebuilding round ρ proves no round ≥ ρ
 	// ever ran, and those bodies would otherwise be silently lost).
 	drained map[uint64]*drainRecord
+}
+
+// peer is a conversation partner and the Diffie-Hellman secret her
+// identity key shares with this user's. Both keys are long-term, so
+// the exchange has one answer for as long as the partner is known: it
+// is made once, by the first message built for her or mailbox opened
+// (not when she is added, so starting a conversation stays free), and
+// travels with her through Rebalance and into former instead of being
+// redone for every message and every download — which also means the
+// identity secret only ever meets the constant-time Point.Mul of a
+// bare point.
+type peer struct {
+	key       group.Point
+	shared    [32]byte
+	exchanged bool
+}
+
+// secret returns the static shared secret with p, exchanging on first
+// use.
+func (u *User) secret(p *peer) [32]byte {
+	if !p.exchanged {
+		p.shared, p.exchanged = group.DH(p.key, u.identity.Private), true
+	}
+	return p.shared
+}
+
+// peerFor returns the record a new conversation with partner starts
+// from: her retained one if she is a former partner, so the secret
+// comes back with her, otherwise a fresh one.
+func (u *User) peerFor(partner group.Point) *peer {
+	for i, p := range u.former {
+		if p.key.Equal(partner) {
+			u.former = append(u.former[:i:i], u.former[i+1:]...)
+			return p
+		}
+	}
+	return &peer{key: partner}
 }
 
 // drainRecord is the outbox bodies one round's build consumed.
@@ -116,7 +153,7 @@ func NewUser(scheme aead.Scheme, plan *chainsel.Plan) *User {
 		scheme:   scheme,
 		plan:     plan,
 		identity: group.GenerateBaseKeyPair(),
-		partners: make(map[int]group.Point),
+		partners: make(map[int]*peer),
 		outbox:   make(map[string][][]byte),
 	}
 	copy(u.loopbackSecret[:], group.MustRandomScalar().Bytes())
@@ -143,12 +180,12 @@ func (u *User) Chains() []int { return u.plan.ChainsForUser(u.Mailbox()) }
 func (u *User) StartConversation(partner group.Point) error {
 	meeting := u.plan.MeetingChainForUsers(u.Mailbox(), partner.Bytes())
 	if existing, ok := u.partners[meeting]; ok {
-		if existing.Equal(partner) {
+		if existing.key.Equal(partner) {
 			return nil
 		}
 		return fmt.Errorf("%w: chain %d", ErrChainClash, meeting)
 	}
-	u.partners[meeting] = partner
+	u.partners[meeting] = u.peerFor(partner)
 	return nil
 }
 
@@ -161,13 +198,15 @@ func (u *User) StartConversations(partners []group.Point) error {
 		if existing, ok := staged[meeting]; ok && !existing.Equal(p) {
 			return fmt.Errorf("%w: chain %d", ErrChainClash, meeting)
 		}
-		if existing, ok := u.partners[meeting]; ok && !existing.Equal(p) {
+		if existing, ok := u.partners[meeting]; ok && !existing.key.Equal(p) {
 			return fmt.Errorf("%w: chain %d", ErrChainClash, meeting)
 		}
 		staged[meeting] = p
 	}
 	for c, p := range staged {
-		u.partners[c] = p
+		if _, ok := u.partners[c]; !ok {
+			u.partners[c] = u.peerFor(p)
+		}
 	}
 	return nil
 }
@@ -177,10 +216,10 @@ func (u *User) StartConversations(partners []group.Point) error {
 // messages from them still decrypt.
 func (u *User) EndConversation(partner group.Point) {
 	for c, p := range u.partners {
-		if p.Equal(partner) {
+		if p.key.Equal(partner) {
 			u.retainFormer(p)
 			delete(u.partners, c)
-			delete(u.outbox, string(p.Bytes()))
+			delete(u.outbox, string(p.key.Bytes()))
 		}
 	}
 }
@@ -190,11 +229,11 @@ func (u *User) EndAllConversations() {
 	for _, p := range u.partners {
 		u.retainFormer(p)
 	}
-	u.partners = make(map[int]group.Point)
+	u.partners = make(map[int]*peer)
 	u.outbox = make(map[string][][]byte)
 }
 
-func (u *User) retainFormer(p group.Point) {
+func (u *User) retainFormer(p *peer) {
 	u.former = append(u.former, p)
 	if len(u.former) > maxFormerPartners {
 		u.former = u.former[len(u.former)-maxFormerPartners:]
@@ -208,7 +247,7 @@ func (u *User) InConversation() bool { return len(u.partners) > 0 }
 func (u *User) Partners() []group.Point {
 	out := make([]group.Point, 0, len(u.partners))
 	for _, p := range u.partners {
-		out = append(out, p)
+		out = append(out, p.key)
 	}
 	return out
 }
@@ -223,7 +262,7 @@ func (u *User) QueueMessage(body []byte) error {
 		return errors.New("client: several conversations active; use QueueMessageFor")
 	}
 	for _, p := range u.partners {
-		return u.QueueMessageFor(p, body)
+		return u.QueueMessageFor(p.key, body)
 	}
 	return nil // unreachable
 }
@@ -235,7 +274,7 @@ func (u *User) QueueMessageFor(partner group.Point, body []byte) error {
 		return fmt.Errorf("client: body %d bytes exceeds %d", len(body), onion.BodySize)
 	}
 	for _, p := range u.partners {
-		if p.Equal(partner) {
+		if p.key.Equal(partner) {
 			key := string(partner.Bytes())
 			u.outbox[key] = append(u.outbox[key], append([]byte(nil), body...))
 			return nil
@@ -261,7 +300,7 @@ func (u *User) MeetingChain() (int, error) {
 func (u *User) MeetingChains() map[int]group.Point {
 	out := make(map[int]group.Point, len(u.partners))
 	for c, p := range u.partners {
-		out[c] = p
+		out[c] = p.key
 	}
 	return out
 }
@@ -273,12 +312,12 @@ func (u *User) MeetingChains() map[int]group.Point {
 // the pair's meeting chain under the new plan; if two partners now
 // collide on one chain — the clash XRD cannot multiplex (§9) — all
 // but the first (by partner key order, so both sides agree) are
-// dropped and returned. Dropped partners' keys are retained so their
-// in-flight messages still decrypt.
+// dropped and returned. Dropped partners' keys (and shared secrets)
+// are retained so their in-flight messages still decrypt.
 func (u *User) Rebalance(plan *chainsel.Plan) (dropped []group.Point) {
 	old := u.partners
 	u.plan = plan
-	u.partners = make(map[int]group.Point, len(old))
+	u.partners = make(map[int]*peer, len(old))
 	// Builds made so far were wrapped against the old epoch's chain
 	// keys, so any of them not yet executed will be rebuilt; mark
 	// their drained bodies restorable.
@@ -288,19 +327,19 @@ func (u *User) Rebalance(plan *chainsel.Plan) (dropped []group.Point) {
 
 	// Deterministic order: both ends of every conversation, and every
 	// replica of this user, resolve clashes identically.
-	ps := make([]group.Point, 0, len(old))
+	ps := make([]*peer, 0, len(old))
 	for _, p := range old {
 		ps = append(ps, p)
 	}
 	sort.Slice(ps, func(i, j int) bool {
-		return string(ps[i].Bytes()) < string(ps[j].Bytes())
+		return string(ps[i].key.Bytes()) < string(ps[j].key.Bytes())
 	})
 	for _, p := range ps {
-		meeting := plan.MeetingChainForUsers(u.Mailbox(), p.Bytes())
+		meeting := plan.MeetingChainForUsers(u.Mailbox(), p.key.Bytes())
 		if _, taken := u.partners[meeting]; taken {
 			u.retainFormer(p)
-			delete(u.outbox, string(p.Bytes()))
-			dropped = append(dropped, p)
+			delete(u.outbox, string(p.key.Bytes()))
+			dropped = append(dropped, p.key)
 			continue
 		}
 		u.partners[meeting] = p
@@ -415,14 +454,14 @@ func (u *User) buildLane(round uint64, lane byte, src ParamsSource) ([]ChainMess
 // lane, or the KindOffline signal for the cover lane. A popped body
 // is recorded in drained so a discarded build's bodies can be
 // restored (see restoreDrained).
-func (u *User) conversationMessage(round uint64, partner group.Point, lane byte, nonce [aead.NonceSize]byte) ([]byte, error) {
-	shared := group.DH(partner, u.identity.Private)
-	key := kdf.ConversationKey(shared, partner.Bytes())
+func (u *User) conversationMessage(round uint64, partner *peer, lane byte, nonce [aead.NonceSize]byte) ([]byte, error) {
+	pkb := partner.key.Bytes()
+	key := kdf.ConversationKey(u.secret(partner), pkb)
 	payload := onion.Payload{Kind: onion.KindConversation}
 	if lane == LaneCover {
 		payload.Kind = onion.KindOffline
 	} else {
-		pk := string(partner.Bytes())
+		pk := string(pkb)
 		if q := u.outbox[pk]; len(q) > 0 {
 			payload.Body = q[0]
 			u.outbox[pk] = q[1:]
@@ -435,7 +474,7 @@ func (u *User) conversationMessage(round uint64, partner group.Point, lane byte,
 			u.drained[round].bodies[pk] = payload.Body
 		}
 	}
-	return onion.SealMailboxMessage(u.scheme, key, nonce, partner, payload)
+	return onion.SealMailboxMessage(u.scheme, key, nonce, partner.key, payload)
 }
 
 // loopbackMessage builds a dummy message back to the user's own
@@ -470,27 +509,28 @@ type Received struct {
 // locally, mirroring §5.3.3: from the next round the user sends a
 // loopback on that chain, so the pair's disappearance is
 // unobservable.
-// keyedPartner pairs a partner with the derived inbound key.
-type keyedPartner struct {
-	p   group.Point
-	key kdf.Key
-}
-
 func (u *User) OpenMailbox(rho uint64, msgs [][]byte) (received []Received, undecryptable int) {
-	actives := make([]keyedPartner, 0, len(u.partners))
-	for _, p := range u.partners {
-		shared := group.DH(p, u.identity.Private)
-		actives = append(actives, keyedPartner{p, kdf.ConversationKey(shared, u.Mailbox())})
+	// Everything that does not depend on the message is derived once
+	// per download: the inbound conversation keys and the loopback key
+	// of every distinct chain this user sends on.
+	own := u.Mailbox()
+	keys := mailboxKeys{
+		actives: make([]keyedPartner, 0, len(u.partners)),
+		formers: make([]keyedPartner, 0, len(u.former)),
 	}
-	formers := make([]keyedPartner, 0, len(u.former))
+	for _, p := range u.partners {
+		keys.actives = append(keys.actives, keyedPartner{p.key, kdf.ConversationKey(u.secret(p), own)})
+	}
 	for _, p := range u.former {
-		shared := group.DH(p, u.identity.Private)
-		formers = append(formers, keyedPartner{p, kdf.ConversationKey(shared, u.Mailbox())})
+		keys.formers = append(keys.formers, keyedPartner{p.key, kdf.ConversationKey(u.secret(p), own)})
+	}
+	for _, chain := range distinct(u.plan.ChainsForUser(own)) {
+		keys.loopbacks = append(keys.loopbacks, kdf.LoopbackKey(u.loopbackSecret, chain))
 	}
 
 	var gone []group.Point
 	for _, m := range msgs {
-		r, ok := u.openOne(rho, m, actives, formers)
+		r, ok := u.openOne(rho, m, &keys)
 		if !ok {
 			undecryptable++
 			continue
@@ -506,21 +546,32 @@ func (u *User) OpenMailbox(rho uint64, msgs [][]byte) (received []Received, unde
 	return received, undecryptable
 }
 
-func (u *User) openOne(rho uint64, m []byte, actives, formers []keyedPartner) (Received, bool) {
+// keyedPartner pairs a partner with the derived inbound key.
+type keyedPartner struct {
+	p   group.Point
+	key kdf.Key
+}
+
+// mailboxKeys is every key one mailbox download is tried against.
+type mailboxKeys struct {
+	actives, formers []keyedPartner
+	loopbacks        []kdf.Key
+}
+
+func (u *User) openOne(rho uint64, m []byte, keys *mailboxKeys) (Received, bool) {
 	for _, lane := range []byte{LaneCurrent, LaneCover} {
 		nonce := aead.RoundNonce(rho, lane)
-		for _, kp := range actives {
+		for _, kp := range keys.actives {
 			if p, err := onion.OpenMailboxMessage(u.scheme, kp.key, nonce, m); err == nil {
 				return Received{Kind: p.Kind, Body: p.Body, FromPartner: true, From: kp.p}, true
 			}
 		}
-		for _, kp := range formers {
+		for _, kp := range keys.formers {
 			if p, err := onion.OpenMailboxMessage(u.scheme, kp.key, nonce, m); err == nil {
 				return Received{Kind: p.Kind, Body: p.Body, FromFormerPartner: true, From: kp.p}, true
 			}
 		}
-		for _, chain := range distinct(u.Chains()) {
-			key := kdf.LoopbackKey(u.loopbackSecret, chain)
+		for _, key := range keys.loopbacks {
 			if p, err := onion.OpenMailboxMessage(u.scheme, key, nonce, m); err == nil {
 				return Received{Kind: p.Kind, Body: p.Body}, true
 			}

@@ -5,10 +5,14 @@ import (
 	"testing"
 
 	"repro/internal/aead"
+	"repro/internal/chainsel"
 	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/group"
+	"repro/internal/kdf"
+	"repro/internal/mix"
 	"repro/internal/onion"
+	"repro/internal/rpc"
 )
 
 func testNet(t testing.TB) *core.Network {
@@ -396,5 +400,181 @@ func TestQueueMessageAmbiguousWithSeveralPartners(t *testing.T) {
 	}
 	if err := a.QueueMessage([]byte("for whom?")); err == nil {
 		t.Fatal("ambiguous QueueMessage accepted")
+	}
+}
+
+// innerOnly is a ParamsSource for chains with no mix servers: an
+// onion built against it is just the inner envelope, which the test
+// opens with the one inner secret it holds.
+type innerOnly struct{ isk group.Scalar }
+
+func (s innerOnly) ChainParams(chain int, round uint64) (mix.Params, error) {
+	return mix.Params{ChainID: chain, Round: round, InnerAggregate: group.Base(s.isk)}, nil
+}
+
+// TestPartnerSecretSurvivesRebalance: the static exchange with a
+// partner is made once, when she is added. It must keep working in
+// both directions while Rebalance moves her between chains, drops her
+// to the former partners on a clash (her stragglers still open), and
+// when she is added again afterwards.
+func TestPartnerSecretSurvivesRebalance(t *testing.T) {
+	wide, err := chainsel.NewPlan(21)
+	if err != nil {
+		t.Fatal(err)
+	}
+	narrow, err := chainsel.NewPlan(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scheme := aead.ChaCha20Poly1305()
+	a := client.NewUser(scheme, wide)
+	// Two partners (bare key pairs: the test plays their side) who meet
+	// a on distinct chains of the wide plan and on one chain of the
+	// narrow one.
+	var b, c group.KeyPair
+	for attempt := 0; ; attempt++ {
+		if attempt == 500 {
+			t.Skip("no pair that clashes only under the narrow plan")
+		}
+		b, c = group.GenerateBaseKeyPair(), group.GenerateBaseKeyPair()
+		meet := func(p *chainsel.Plan, kp group.KeyPair) int {
+			return p.MeetingChainForUsers(a.Mailbox(), kp.Public.Bytes())
+		}
+		if meet(wide, b) != meet(wide, c) && meet(narrow, b) == meet(narrow, c) {
+			break
+		}
+	}
+	if err := a.StartConversations([]group.Point{b.Public, c.Public}); err != nil {
+		t.Fatal(err)
+	}
+
+	const rho = 9
+	// inbound is what partner kp would deliver to a's mailbox.
+	inbound := func(kp group.KeyPair, body string) []byte {
+		t.Helper()
+		key := kdf.ConversationKey(group.DH(a.PublicKey(), kp.Private), a.Mailbox())
+		msg, err := onion.SealMailboxMessage(scheme, key, aead.RoundNonce(rho, client.LaneCurrent), a.PublicKey(),
+			onion.Payload{Kind: onion.KindConversation, Body: []byte(body)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return msg
+	}
+	// open returns how a classifies a message from kp.
+	open := func(kp group.KeyPair) client.Received {
+		t.Helper()
+		recv, bad := a.OpenMailbox(rho, [][]byte{inbound(kp, "hi")})
+		if bad != 0 || len(recv) != 1 || string(recv[0].Body) != "hi" || !recv[0].From.Equal(kp.Public) {
+			t.Fatalf("message from a partner did not open: %+v (%d undecryptable)", recv, bad)
+		}
+		return recv[0]
+	}
+	// outbound reports whether a's next build carries body to kp.
+	src := innerOnly{isk: group.MustRandomScalar()}
+	outbound := func(kp group.KeyPair, body string) bool {
+		t.Helper()
+		out, err := a.BuildRound(rho, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		key := kdf.ConversationKey(group.DH(a.PublicKey(), kp.Private), kp.Public.Bytes())
+		nonce := aead.RoundNonce(rho, client.LaneCurrent)
+		for _, cm := range out.Current {
+			msg, err := onion.OpenInner(scheme, src.isk, nonce, cm.Sub.Ct)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p, err := onion.OpenMailboxMessage(scheme, key, nonce, msg); err == nil && string(p.Body) == body {
+				return true
+			}
+		}
+		return false
+	}
+
+	if !open(b).FromPartner || !open(c).FromPartner {
+		t.Fatal("active partners' messages must open as such")
+	}
+	dropped := a.Rebalance(narrow)
+	if len(dropped) != 1 {
+		t.Fatalf("Rebalance dropped %d partners, want 1", len(dropped))
+	}
+	gone, kept := b, c
+	if dropped[0].Equal(c.Public) {
+		gone, kept = c, b
+	}
+	if !open(kept).FromPartner {
+		t.Fatal("the surviving partner moved chains and lost her key")
+	}
+	if !open(gone).FromFormerPartner {
+		t.Fatal("a dropped partner's straggler must open against the retained secret")
+	}
+	if err := a.QueueMessageFor(kept.Public, []byte("still here")); err != nil {
+		t.Fatal(err)
+	}
+	if !outbound(kept, "still here") {
+		t.Fatal("message to the surviving partner was not sealed under the shared secret")
+	}
+
+	// Back on the wide plan the dropped partner fits again.
+	if d := a.Rebalance(wide); len(d) != 0 {
+		t.Fatalf("Rebalance to the wide plan dropped %d partners", len(d))
+	}
+	if err := a.StartConversation(gone.Public); err != nil {
+		t.Fatal(err)
+	}
+	if !open(gone).FromPartner || !open(kept).FromPartner {
+		t.Fatal("re-added partner's messages must open as an active partner's")
+	}
+	if err := a.QueueMessageFor(gone.Public, []byte("welcome back")); err != nil {
+		t.Fatal(err)
+	}
+	if !outbound(gone, "welcome back") {
+		t.Fatal("message to the re-added partner was not sealed under the shared secret")
+	}
+}
+
+// BenchmarkBuildRoundRemote is BenchmarkBuildRound for a lone remote
+// client: one user building successive rounds through rpc.Client's
+// parameter cache against a live deployment, with a fresh inner
+// aggregate per round. It is the case with the fewest uses per
+// fixed-key table — every mix-key table twice a round, every
+// aggregate's twice in its life — so it is where a table that cost
+// more to build than it saved would show.
+func BenchmarkBuildRoundRemote(b *testing.B) {
+	n, err := core.NewNetwork(core.Config{
+		NumServers:          8,
+		ChainLengthOverride: 6,
+		Seed:                []byte("bench-remote"),
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv, err := rpc.NewServer(n, "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv.Logf = func(string, ...any) {}
+	defer srv.Close()
+	conn, err := rpc.Dial(srv.Addr(), srv.ClientTLS())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer conn.Close()
+	u := client.NewUser(nil, n.Plan())
+	// One warm-up round: steady state is what a long-lived client sees.
+	if _, err := u.BuildRound(n.Round(), conn); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if _, err := n.RunRound(); err != nil { // next round: new aggregates
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if _, err := u.BuildRound(n.Round(), conn); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -665,8 +665,29 @@ type roundParams struct {
 }
 
 // newRoundParams assembles a snapshot from its wire representation.
-func newRoundParams(rho uint64, cur, next []mix.Params, dead []int) *roundParams {
-	p := &roundParams{rho: rho, cur: cur, next: next}
+// Every key the shard's users will exponentiate gets a fixed-key table
+// (a no-op for parameters that came from an in-process mix.Chain,
+// which carry theirs already); a remote shard, whose parameters arrive
+// as bare points every round, keeps the tables of prev, the snapshot
+// being replaced, for keys that did not change — round rho's aggregate
+// was prev's next, and mix keys live for the epoch. The input slices
+// are shared between in-process shards and are not written.
+func newRoundParams(prev *roundParams, rho uint64, cur, next []mix.Params, dead []int) *roundParams {
+	p := &roundParams{rho: rho, cur: make([]mix.Params, len(cur)), next: make([]mix.Params, len(next))}
+	for c := range cur {
+		var old mix.Params
+		if prev != nil {
+			old, _ = prev.ChainParams(c, rho) // no such chain or round: nothing to keep
+		}
+		p.cur[c] = cur[c].Precomputed(old)
+	}
+	for c := range next {
+		var sameEpoch mix.Params
+		if c < len(p.cur) {
+			sameEpoch = p.cur[c]
+		}
+		p.next[c] = next[c].Precomputed(sameEpoch)
+	}
 	if len(dead) > 0 {
 		p.dead = make(map[int]bool, len(dead))
 		for _, c := range dead {

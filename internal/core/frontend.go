@@ -202,7 +202,7 @@ func (f *Frontend) SetRound(round uint64) {
 func (f *Frontend) SetParams(rho uint64, cur, next []mix.Params, dead []int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.params = newRoundParams(rho, cur, next, dead)
+	f.params = newRoundParams(f.params, rho, cur, next, dead)
 }
 
 // ChainParams implements client.ParamsSource from the last pushed
@@ -380,7 +380,7 @@ func (f *Frontend) BeginRound(br *BeginRound) (*ShardBuild, error) {
 		f.mu.Unlock()
 		return nil, err
 	}
-	f.params = newRoundParams(br.Round, br.Cur, br.Next, br.Dead)
+	f.params = newRoundParams(f.params, br.Round, br.Cur, br.Next, br.Dead)
 	f.round = br.Round
 	params := f.params
 	f.mu.Unlock()
@@ -428,7 +428,7 @@ func (f *Frontend) FinishRound(fr *FinishRound) (FinishStats, error) {
 		}
 	}
 	if len(fr.Cur) > 0 {
-		f.params = newRoundParams(fr.Round+1, fr.Cur, fr.Next, fr.Dead)
+		f.params = newRoundParams(f.params, fr.Round+1, fr.Cur, fr.Next, fr.Dead)
 	}
 	// The commit is the advanced watermark; applying it also drops the
 	// mail that just left the retention window, so no separate prune

@@ -87,16 +87,16 @@ func BatchToAffine(js []jacPoint) []Point {
 		feMul(&zi3, &zi2, &zinv[i])
 		feMul(&xf, &js[i].x, &zi2)
 		feMul(&yf, &js[i].y, &zi3)
-		out[i] = Point{xf.toBig(), yf.toBig()}
+		out[i] = Point{x: xf.toBig(), y: yf.toBig()}
 	}
 	return out
 }
 
 // batchNormalize is BatchToAffine staying in the fe domain: it fills
-// out with affine table entries (including the precomputed yNeg) and
-// never leaves Montgomery form. The inputs must not contain the
-// identity — it normalizes small multiples k·P of non-identity points
-// in a prime-order group, where k·P = O is impossible.
+// out with affine table entries and never leaves Montgomery form. The
+// inputs must not contain the identity — it normalizes small multiples
+// k·P of non-identity points in a prime-order group, where k·P = O is
+// impossible.
 func batchNormalize(js []jacPoint, out []affinePoint) {
 	zinv := invertZs(js)
 	for i := range js {
@@ -105,7 +105,6 @@ func batchNormalize(js []jacPoint, out []affinePoint) {
 		feMul(&zi3, &zi2, &zinv[i])
 		feMul(&out[i].x, &js[i].x, &zi2)
 		feMul(&out[i].y, &js[i].y, &zi3)
-		feNeg(&out[i].yNeg, &out[i].y)
 	}
 }
 

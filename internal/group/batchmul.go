@@ -349,7 +349,7 @@ func BatchMul(points []Point, scalars ...Scalar) [][]Point {
 			if rows[r].neg {
 				feNeg(&y, &y)
 			}
-			out[rows[r].k][i] = Point{res.x[j].toBig(), y.toBig()}
+			out[rows[r].k][i] = Point{x: res.x[j].toBig(), y: y.toBig()}
 		}
 	}
 	return out

@@ -141,7 +141,7 @@ func TestBatchKernelAdd(t *testing.T) {
 			continue
 		}
 		for i, p := range pts {
-			got := Point{dst.x[i].toBig(), dst.y[i].toBig()}
+			got := Point{x: dst.x[i].toBig(), y: dst.y[i].toBig()}
 			if !got.Equal(p.Mul(NewScalar(want))) {
 				t.Fatalf("%+v: lane %d wrong", tc, i)
 			}

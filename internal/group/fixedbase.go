@@ -1,102 +1,258 @@
 package group
 
-// Precomputed fixed-base scalar multiplication for the generator g.
-// Client onion building, per-round key announcement, and NIZK proving
-// all compute g^s; routing them through crypto/elliptic's generic
-// ScalarBaseMult costs ~15µs per point on commodity hardware. Here the
-// generator's multiples are tabulated once and a scalar mult becomes
-// one table lookup-and-add per signed 13-bit window — no doublings at
-// all, because window j's table already holds multiples of 2^(13j)·g.
+// Precomputed fixed-point scalar multiplication: one table mechanism,
+// two shapes.
 //
-// Two evaluation strategies share the same tables:
+// A fixedTable holds small multiples of one point P so that P^s costs a
+// table walk instead of a 256-step double-and-add. The scalar is
+// recoded into signed w-bit digits s = Σ dᵢ·2^(w·i); digit i = q·j + r
+// (row j, group r, q groups) looks up |dᵢ|·2^(w·q·j)·P in row j. The
+// rows of one group are summed with mixed additions and no doublings;
+// between groups the accumulator is doubled w times (Horner over r), so
+// a walk is one addition per non-zero digit and w·(q−1) doublings.
 //
-//   - Base (single scalar) accumulates the 21 window entries in
-//     Jacobian coordinates and pays one field inversion at the end;
-//   - BatchBase (many scalars) keeps every accumulator in affine
-//     coordinates and batches the per-window division across the whole
-//     batch with the Montgomery inversion trick, which brings the
-//     amortized cost down to ~5 field mults per window per point.
+//   - The generator (genShape: w = 13, q = 1) is used by every process
+//     for its whole life — client onion building, per-round key
+//     announcement, NIZK proving all compute g^s — so it gets the wide
+//     shape: 21 rows × 4096 entries, ~5.3 MiB, built once in ~50 ms,
+//     21 additions and no doubling per scalar.
+//   - A chain's public keys (keyShape: w = 4, q = 4) are fixed for an
+//     epoch (mix keys) or a round (inner aggregates) and raised to a
+//     fresh scalar by every user of the chain (§6.2), so they get a
+//     shape that is cheap to build and to keep: 17 rows × 8 entries,
+//     8.5 KiB, built in under two Point.Muls' time by the first
+//     multiplier (ensure); 65 additions and 12 doublings per scalar
+//     against the stdlib's 256 doublings. Point.Precomputed attaches
+//     one.
+//
+// The generator's tables additionally serve BatchBase's all-affine
+// sweep, which batches the per-window division across many scalars.
 //
 // Everything here is variable-time (digit-dependent table indexing and
 // branches). That is a deliberate trade against the constant-time
-// stdlib path: the scalars are per-message/per-round ephemerals and
-// the deployment model is a server-side mix network, not a shared
-// host with a cache-timing adversary. See DESIGN.md for the
-// discussion; revert Base to curve.ScalarBaseMult for a hardened
-// build.
+// stdlib path: the scalars that meet a table are per-message or
+// per-round ephemerals (and public NIZK challenges), never a long-term
+// secret — a point only takes this path if it is the generator or was
+// explicitly Precomputed, and the only points precomputed are mix keys
+// and inner aggregates, which users raise to the onion's x and y. The
+// deployment model is a server-side mix network, not a shared host
+// with a cache-timing adversary. See DESIGN.md for the discussion;
+// revert Mul's table branch to curve.ScalarMult for a hardened build.
 
-import "sync"
-
-const (
-	// fbWindow is the signed-window width in bits. 13 bits means 21
-	// windows over a 256-bit scalar (plus recoding carry) and
-	// 2^12 = 4096 table entries per window: 86016 affine points,
-	// ~8 MiB, built lazily on first use in ~50ms.
-	fbWindow = 13
-	// fbHalf is the number of precomputed multiples per window; signed
-	// digits halve the table because −d·P is a stored y-negation.
-	fbHalf = 1 << (fbWindow - 1)
-	// fbWindows must equal digitWindows(256, fbWindow); asserted when
-	// the tables are built.
-	fbWindows = 21
-	// fbBatchMin is the batch size where the affine accumulation with
-	// per-window batched inversions overtakes per-point Jacobian
-	// accumulation (21 inversions amortize across the batch).
-	fbBatchMin = 8
+import (
+	"math/big"
+	"sync"
 )
+
+// tableShape fixes a table's layout: the signed-digit width and how
+// many digit groups share one row. Everything else follows from it.
+type tableShape struct {
+	window int // digit width w in bits
+	groups int // q: row j holds multiples of 2^(w·q·j)·P
+}
 
 var (
-	fbOnce  sync.Once
-	fbTable []affinePoint // fbWindows windows × fbHalf entries, flat
+	genShape = tableShape{window: 13, groups: 1}
+	keyShape = tableShape{window: 4, groups: 4}
 )
 
-// fbInit builds the generator tables: window j holds k·2^(13j)·g for
-// k = 1..4096. Entries are accumulated in Jacobian coordinates and
-// normalized with one batched inversion per window.
-func fbInit() {
-	fbOnce.Do(func() {
-		if digitWindows(256, fbWindow) != fbWindows {
-			panic("group: fbWindows constant is wrong")
-		}
-		table := make([]affinePoint, fbWindows*fbHalf)
-		base := newAffinePoint(Generator())
-		jtab := make([]jacPoint, fbHalf+1)
-		scratch := make([]affinePoint, fbHalf+1)
-		for j := 0; j < fbWindows; j++ {
-			jtab[0].fromAffine(&base, false)
-			for k := 1; k < fbHalf; k++ {
-				jtab[k] = jtab[k-1]
-				jtab[k].addAffine(&base, false)
+// maxDigits bounds digits() over both shapes (keyShape's 66), so a
+// walk's digit buffer lives on the stack.
+const maxDigits = 66
+
+// digits is how many signed digits cover a 256-bit scalar plus the
+// recoding carry.
+func (s tableShape) digits() int { return digitWindows(256, s.window) }
+
+// rows is the number of table rows: digits spread over the groups.
+func (s tableShape) rows() int { return (s.digits() + s.groups - 1) / s.groups }
+
+// half is the number of entries per row; signed digits halve it because
+// −d·P is a y-negation on lookup.
+func (s tableShape) half() int { return 1 << (s.window - 1) }
+
+// fixedTable is a lazily built table of one point's multiples. The
+// point itself is not stored: whoever holds the pointer (the package
+// for the generator, every copy of a Precomputed Point for a key) also
+// holds the coordinates and passes them to ensure.
+type fixedTable struct {
+	shape   tableShape
+	once    sync.Once
+	entries []affinePoint // rows() × half(), flat
+}
+
+// genPoint aliases the curve's generator coordinates (never mutated);
+// genTable is its table.
+var (
+	genPoint = Point{x: curve.Params().Gx, y: curve.Params().Gy}
+	genTable = fixedTable{shape: genShape}
+)
+
+// normalizeChunk bounds how many Jacobian entries a table build holds
+// before converting them to affine: a key's whole table (136 entries)
+// shares one inversion, the generator's converts row by row instead of
+// holding 86 016 Jacobian points at once.
+const normalizeChunk = 4096
+
+// ensure builds the table of p on first use; concurrent first users
+// wait for the one build. Row j's multiples d·Bⱼ of its base
+// Bⱼ = 2^(w·q·j)·P are built in Jacobian form — even ones by doubling
+// d/2, odd ones by adding Bⱼ — and the next base is the last entry
+// 2^(w−1)·Bⱼ doubled the rest of the way, so a key's table costs 276
+// doublings, 51 additions and one inversion: under two Point.Muls.
+func (t *fixedTable) ensure(p Point) {
+	t.once.Do(func() {
+		rows, half := t.shape.rows(), t.shape.half()
+		toNext := t.shape.window*t.shape.groups - (t.shape.window - 1)
+		chunkRows := max(1, min(rows, normalizeChunk/half))
+		entries := make([]affinePoint, rows*half)
+		jtab := make([]jacPoint, chunkRows*half)
+		base := jacFromPoint(p)
+		for j0 := 0; j0 < rows; j0 += chunkRows {
+			j1 := min(j0+chunkRows, rows)
+			for j := j0; j < j1; j++ {
+				row := jtab[(j-j0)*half : (j-j0+1)*half]
+				row[0] = base
+				for d := 2; d <= half; d++ {
+					if d%2 == 0 {
+						row[d-1] = row[d/2-1]
+						row[d-1].double()
+					} else {
+						row[d-1] = row[d-2]
+						row[d-1].add(&base)
+					}
+				}
+				base = row[half-1]
+				for i := 0; i < toNext; i++ {
+					base.double()
+				}
 			}
-			// jtab[fbHalf-1] = 2^(fbWindow-1)·B; doubling it gives the
-			// next window's base 2^fbWindow·B.
-			jtab[fbHalf] = jtab[fbHalf-1]
-			jtab[fbHalf].double()
-			batchNormalize(jtab, scratch)
-			copy(table[j*fbHalf:(j+1)*fbHalf], scratch[:fbHalf])
-			base = scratch[fbHalf]
+			// Small multiples of a non-identity point in a prime-order
+			// group are never the identity, so batchNormalize applies.
+			batchNormalize(jtab[:(j1-j0)*half], entries[j0*half:j1*half])
 		}
-		fbTable = table
+		t.entries = entries
 	})
 }
 
-// fixedBaseMult computes g^s for a non-zero scalar via the tables:
-// one mixed addition per non-zero window digit, one final inversion.
-func fixedBaseMult(s Scalar) Point {
-	fbInit()
+// recode writes s's signed digits for this table's shape into buf and
+// returns the slice holding them.
+func (t *fixedTable) recode(s Scalar, buf *[maxDigits]int16) []int16 {
 	l := scalarLimbs(s)
-	var digits [fbWindows]int16
-	signedDigits(&l, fbWindow, fbWindows, digits[:])
-	var acc jacPoint
-	for j, d := range digits {
-		if d > 0 {
-			acc.addAffine(&fbTable[j*fbHalf+int(d)-1], false)
-		} else if d < 0 {
-			acc.addAffine(&fbTable[j*fbHalf-int(d)-1], true)
+	nd := t.shape.digits()
+	signedDigits(&l, t.shape.window, nd, buf[:nd])
+	return buf[:nd]
+}
+
+// walk adds Σ digitsᵢ·2^(w·i)·P to an identity accumulator: the one
+// digit-and-accumulate loop behind Base, BatchBase's small batches and
+// every Precomputed key. The table must be built.
+func (t *fixedTable) walk(acc *jacPoint, digits []int16) {
+	w, q, half := t.shape.window, t.shape.groups, t.shape.half()
+	for r := q - 1; r >= 0; r-- {
+		if r < q-1 {
+			for i := 0; i < w; i++ {
+				acc.double()
+			}
+		}
+		row := 0
+		for i := r; i < len(digits); i += q {
+			if d := int(digits[i]); d > 0 {
+				acc.addAffine(&t.entries[row+d-1], false)
+			} else if d < 0 {
+				acc.addAffine(&t.entries[row-d-1], true)
+			}
+			row += half
 		}
 	}
+}
+
+// mul returns p^s by the table of p.
+func (t *fixedTable) mul(p Point, s Scalar) Point {
+	t.ensure(p)
+	var buf [maxDigits]int16
+	var acc jacPoint
+	t.walk(&acc, t.recode(s, &buf))
 	return acc.toPoint()
 }
+
+// table returns the table p's multiplications run on: the generator's
+// for g however it was obtained, a Precomputed point's own, or nil for
+// a bare point (the constant-time stdlib path). p is not the identity.
+func (p Point) table() *fixedTable {
+	if p.x.Cmp(genPoint.x) == 0 && p.y.Cmp(genPoint.y) == 0 {
+		return &genTable
+	}
+	return p.tab
+}
+
+// Precomputed returns the same group element carrying a fixed-key
+// table, so Mul, DH and BatchDH on it (and on every copy of it) run a
+// table walk instead of the stdlib's double-and-add — several times
+// faster, and variable-time in the scalar. Use it only for public keys
+// that are raised to ephemeral scalars: a chain's mix keys and inner
+// aggregates. The 8.5 KiB table is built by the first multiplication,
+// not here, so holding a precomputed key costs one pointer until it is
+// used; it is never encoded, and Equal ignores it. Precomputing a
+// point that already has a table, or the identity, returns it as is.
+func (p Point) Precomputed() Point {
+	if p.IsIdentity() || p.tab != nil {
+		return p
+	}
+	p.tab = &fixedTable{shape: keyShape}
+	return p
+}
+
+// BatchDH returns DH(pubs[i], privs[i]) for every i. Precomputed keys
+// (and the generator) are walked into Jacobian accumulators that share
+// one field inversion, and a run of keys under the same Scalar value —
+// an onion's mix keys under its x — recodes that scalar once; bare
+// points take Point.Mul's stdlib path one by one, exactly as DH does.
+func BatchDH(pubs []Point, privs []Scalar) [][32]byte {
+	if len(pubs) != len(privs) {
+		panic("group: BatchDH length mismatch")
+	}
+	out := make([][32]byte, len(pubs))
+	js := make([]jacPoint, len(pubs))
+	var buf [maxDigits]int16
+	var digits []int16 // nil until a key is walked; then of.v in of.shape
+	var of struct {
+		shape tableShape
+		v     *big.Int // Scalars are immutable: same pointer, same value
+	}
+	for i, p := range pubs {
+		var t *fixedTable
+		if !p.IsIdentity() && !privs[i].IsZero() {
+			t = p.table()
+		}
+		if t == nil {
+			out[i] = DH(p, privs[i])
+			continue
+		}
+		t.ensure(p)
+		if digits == nil || of.shape != t.shape || of.v != privs[i].v {
+			digits = t.recode(privs[i], &buf)
+			of.shape, of.v = t.shape, privs[i].v
+		}
+		t.walk(&js[i], digits)
+	}
+	if digits == nil {
+		return out
+	}
+	// A walked accumulator is never the identity (non-zero scalar,
+	// non-identity key, prime order), so Z marks the walked slots.
+	for i, pt := range BatchToAffine(js) {
+		if !pt.IsIdentity() {
+			out[i] = SharedSecret(pt)
+		}
+	}
+	return out
+}
+
+// fbBatchMin is the batch size where the affine accumulation with
+// per-window batched inversions overtakes per-point Jacobian
+// accumulation (21 inversions amortize across the batch).
+const fbBatchMin = 8
 
 // BatchBase computes g^scalars[i] for every scalar with one shared
 // table walk. Large batches run the window sweep entirely in affine
@@ -109,35 +265,22 @@ func BatchBase(scalars []Scalar) []Point {
 	if n == 0 {
 		return nil
 	}
-	fbInit()
+	genTable.ensure(genPoint)
+	nd := genShape.digits()
 	if n < fbBatchMin {
 		// Jacobian accumulation per point, one shared inversion at
 		// the end.
 		js := make([]jacPoint, n)
-		var digits [fbWindows]int16
+		var buf [maxDigits]int16
 		for i, s := range scalars {
-			if s.IsZero() {
-				continue
-			}
-			l := scalarLimbs(s)
-			signedDigits(&l, fbWindow, fbWindows, digits[:])
-			for j, d := range digits {
-				if d > 0 {
-					js[i].addAffine(&fbTable[j*fbHalf+int(d)-1], false)
-				} else if d < 0 {
-					js[i].addAffine(&fbTable[j*fbHalf-int(d)-1], true)
-				}
-			}
+			genTable.walk(&js[i], genTable.recode(s, &buf))
 		}
 		return BatchToAffine(js)
 	}
-	digits := make([]int16, n*fbWindows)
+	digits := make([]int16, n*nd)
 	for i, s := range scalars {
-		if s.IsZero() {
-			continue // all-zero digits, the sweep skips the point
-		}
 		l := scalarLimbs(s)
-		signedDigits(&l, fbWindow, fbWindows, digits[i*fbWindows:(i+1)*fbWindows])
+		signedDigits(&l, genShape.window, nd, digits[i*nd:(i+1)*nd])
 	}
 	return batchBaseAffine(digits, n)
 }
@@ -146,8 +289,11 @@ func BatchBase(scalars []Scalar) []Point {
 // Accumulators stay in affine coordinates; each window collects every
 // point's pending addition (or doubling, when the table entry equals
 // the accumulator), inverts all denominators with one inversion, and
-// applies the affine chord/tangent formulas.
+// applies the affine chord/tangent formulas. It reads the generator's
+// table row by row, which its one-group shape (no doublings between
+// digits) is what allows.
 func batchBaseAffine(digits []int16, n int) []Point {
+	nd, half := genShape.digits(), genShape.half()
 	accX := make([]fe, n)
 	accY := make([]fe, n)
 	has := make([]bool, n)
@@ -158,11 +304,11 @@ func batchBaseAffine(digits []int16, n int) []Point {
 	exs := make([]fe, 0, n)  // entry x (equals accX for doublings)
 	scratch := make([]fe, n) // for feBatchInv
 
-	for j := 0; j < fbWindows; j++ {
+	for j := 0; j < nd; j++ {
 		idx, den, num, exs = idx[:0], den[:0], num[:0], exs[:0]
-		win := fbTable[j*fbHalf : (j+1)*fbHalf]
+		win := genTable.entries[j*half : (j+1)*half]
 		for i := 0; i < n; i++ {
-			d := digits[i*fbWindows+j]
+			d := digits[i*nd+j]
 			if d == 0 {
 				continue
 			}
@@ -173,7 +319,7 @@ func batchBaseAffine(digits []int16, n int) []Point {
 				ey = e.y
 			} else {
 				e = &win[-d-1]
-				ey = e.yNeg
+				feNeg(&ey, &e.y)
 			}
 			if !has[i] {
 				accX[i], accY[i], has[i] = e.x, ey, true
@@ -225,7 +371,7 @@ func batchBaseAffine(digits []int16, n int) []Point {
 	out := make([]Point, n)
 	for i := range out {
 		if has[i] {
-			out[i] = Point{accX[i].toBig(), accY[i].toBig()}
+			out[i] = Point{x: accX[i].toBig(), y: accY[i].toBig()}
 		}
 	}
 	return out

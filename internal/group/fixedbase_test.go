@@ -132,6 +132,10 @@ func TestBatchToAffineMatchesToPoint(t *testing.T) {
 // recodes into the low windows, encodes e there, and then adds the
 // window-20 entry itself, forcing acc == entry.
 func TestBatchBaseAffineExceptionalPaths(t *testing.T) {
+	const fbWindows = 21
+	if genShape.digits() != fbWindows {
+		t.Fatalf("generator shape has %d digits, test assumes %d", genShape.digits(), fbWindows)
+	}
 	ords := Order()
 	shift := new(big.Int).Lsh(big.NewInt(1), 13*20) // window-20 base 2^260
 	var kHit int
@@ -141,7 +145,7 @@ func TestBatchBaseAffineExceptionalPaths(t *testing.T) {
 		e.Mod(e, ords)
 		l := scalarLimbs(ScalarFromBig(e))
 		d := make([]int16, fbWindows)
-		signedDigits(&l, fbWindow, fbWindows, d)
+		signedDigits(&l, genShape.window, fbWindows, d)
 		if d[20] == 0 { // e fits in windows 0..19: window 20 is free
 			kHit, digits = k, d
 			break
@@ -165,7 +169,7 @@ func TestBatchBaseAffineExceptionalPaths(t *testing.T) {
 	}
 	cancel[20] = int16(kHit)
 
-	fbInit()
+	genTable.ensure(genPoint)
 	all := append(append([]int16(nil), tangent...), cancel...)
 	got := batchBaseAffine(all, 2)
 
@@ -315,7 +319,7 @@ func BenchmarkFixedBase(b *testing.B) {
 		}
 	})
 	b.Run("precomp", func(b *testing.B) {
-		fbInit()
+		genTable.ensure(genPoint)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			Base(s)
@@ -327,7 +331,7 @@ func BenchmarkFixedBase(b *testing.B) {
 		for i := range scalars {
 			scalars[i] = MustRandomScalar()
 		}
-		fbInit()
+		genTable.ensure(genPoint)
 		b.ResetTimer()
 		for i := 0; i < b.N; i += n {
 			BatchBase(scalars)

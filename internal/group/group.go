@@ -56,6 +56,10 @@ type Scalar struct {
 // (point at infinity).
 type Point struct {
 	x, y *big.Int // nil means identity
+	// tab is set on Precomputed points only: the fixed-key table every
+	// copy of the point shares (fixedbase.go). It is not part of the
+	// element — Equal, Bytes and the binary encoding ignore it.
+	tab *fixedTable
 }
 
 // NewScalar returns the scalar v mod the group order.
@@ -215,24 +219,24 @@ func (s Scalar) String() string { return fmt.Sprintf("scalar(%x…)", s.Bytes()[
 // Generator returns the group generator g.
 func Generator() Point {
 	p := curve.Params()
-	return Point{new(big.Int).Set(p.Gx), new(big.Int).Set(p.Gy)}
+	return Point{x: new(big.Int).Set(p.Gx), y: new(big.Int).Set(p.Gy)}
 }
 
 // Identity returns the identity element (point at infinity).
 func Identity() Point { return Point{} }
 
 // Base returns g^s, the generator raised to scalar s. It runs on the
-// precomputed signed-window tables of fixedbase.go (one mixed
-// addition per 13-bit window, no doublings), which is several times
-// faster than crypto/elliptic's ScalarBaseMult; callers producing
-// many points at once should prefer BatchBase, which also amortizes
-// the final inversion. See fixedbase.go for the variable-time
-// trade-off discussion.
+// generator's table of fixedbase.go (one mixed addition per 13-bit
+// digit, no doublings), which is several times faster than
+// crypto/elliptic's ScalarBaseMult; callers producing many points at
+// once should prefer BatchBase, which also amortizes the final
+// inversion. See fixedbase.go for the variable-time trade-off
+// discussion.
 func Base(s Scalar) Point {
 	if s.IsZero() {
 		return Point{}
 	}
-	return fixedBaseMult(s)
+	return genTable.mul(genPoint, s)
 }
 
 // ParsePoint decodes a compressed 33-byte point encoding as produced
@@ -248,7 +252,7 @@ func ParsePoint(b []byte) (Point, error) {
 	if x == nil {
 		return Point{}, ErrInvalidPoint
 	}
-	return Point{x, y}, nil
+	return Point{x: x, y: y}, nil
 }
 
 func isAllZero(b []byte) bool {
@@ -305,7 +309,7 @@ func (p Point) Add(q Point) Point {
 	if x.Sign() == 0 && y.Sign() == 0 {
 		return Point{}
 	}
-	return Point{x, y}
+	return Point{x: x, y: y}
 }
 
 // Neg returns the inverse element -p.
@@ -315,25 +319,26 @@ func (p Point) Neg() Point {
 	}
 	y := new(big.Int).Neg(p.y)
 	y.Mod(y, curve.Params().P)
-	return Point{new(big.Int).Set(p.x), y}
+	return Point{x: new(big.Int).Set(p.x), y: y}
 }
 
 // Mul returns p^s in multiplicative notation (scalar multiplication
-// [s]p). Mul implements the paper's DH(p, s) = p^s.
+// [s]p). Mul implements the paper's DH(p, s) = p^s. The generator
+// (NIZK provers and verifiers pass it as an explicit base) and
+// Precomputed points run on their tables; every other point takes the
+// constant-time stdlib path.
 func (p Point) Mul(s Scalar) Point {
 	if p.IsIdentity() || s.IsZero() {
 		return Point{}
 	}
-	if pp := curve.Params(); p.x.Cmp(pp.Gx) == 0 && p.y.Cmp(pp.Gy) == 0 {
-		// NIZK provers and verifiers pass the generator as an explicit
-		// base; route them through the precomputed tables.
-		return fixedBaseMult(s)
+	if t := p.table(); t != nil {
+		return t.mul(p, s)
 	}
 	x, y := curve.ScalarMult(p.x, p.y, s.Bytes())
 	if x.Sign() == 0 && y.Sign() == 0 {
 		return Point{}
 	}
-	return Point{x, y}
+	return Point{x: x, y: y}
 }
 
 // DH performs a Diffie-Hellman key exchange and returns the 32-byte

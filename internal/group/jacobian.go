@@ -9,11 +9,13 @@ package group
 // inputs must fold correctly rather than "never happen".
 
 // affinePoint is a table/input entry: affine coordinates in the
-// Montgomery domain plus the negated y, so a signed-digit lookup costs
-// nothing. Never the identity (identity inputs are filtered out by the
-// MSM before building tables).
+// Montgomery domain, 64 bytes. A negative signed digit negates y on
+// lookup (one feNeg against a mixed addition's eleven multiplications)
+// rather than storing −y beside it, which would make every table half
+// as large again. Never the identity (identity inputs are filtered out
+// by the MSM before building tables).
 type affinePoint struct {
-	x, y, yNeg fe
+	x, y fe
 }
 
 // jacPoint is a working point in Jacobian coordinates.
@@ -28,21 +30,16 @@ func (p *jacPoint) setIdentity() { *p = jacPoint{} }
 // fromAffine loads an affinePoint (Z = 1 in the Montgomery domain).
 func (p *jacPoint) fromAffine(a *affinePoint, neg bool) {
 	p.x = a.x
+	p.y = a.y
 	if neg {
-		p.y = a.yNeg
-	} else {
-		p.y = a.y
+		feNeg(&p.y, &p.y)
 	}
 	p.z = feOne
 }
 
 // newAffinePoint converts a non-identity Point into table form.
 func newAffinePoint(pt Point) affinePoint {
-	var a affinePoint
-	a.x = feFromBig(pt.x)
-	a.y = feFromBig(pt.y)
-	feNeg(&a.yNeg, &a.y)
-	return a
+	return affinePoint{x: feFromBig(pt.x), y: feFromBig(pt.y)}
 }
 
 // toPoint converts back to the package's affine big.Int Point. The
@@ -59,7 +56,7 @@ func (p *jacPoint) toPoint() Point {
 	feMul(&zi3, &zi2, &zinv)
 	feMul(&xf, &p.x, &zi2)
 	feMul(&yf, &p.y, &zi3)
-	return Point{xf.toBig(), yf.toBig()}
+	return Point{x: xf.toBig(), y: yf.toBig()}
 }
 
 // double sets p = 2p (dbl-2001-b, a = −3).
@@ -163,21 +160,19 @@ func (p *jacPoint) add(q *jacPoint) {
 // (madd-2007-bl, Z2 = 1). This is the hot call of the MSM bucket
 // accumulation: 7M + 4S instead of the full add's 11M + 5S.
 func (p *jacPoint) addAffine(a *affinePoint, neg bool) {
-	ay := &a.y
-	if neg {
-		ay = &a.yNeg
-	}
 	if p.isIdentity() {
-		p.x = a.x
-		p.y = *ay
-		p.z = feOne
+		p.fromAffine(a, neg)
 		return
+	}
+	ay := a.y
+	if neg {
+		feNeg(&ay, &ay)
 	}
 	var z1z1, u2, s2, h, r, t fe
 	feSqr(&z1z1, &p.z)
 	feMul(&u2, &a.x, &z1z1)
 	feMul(&t, &p.z, &z1z1)
-	feMul(&s2, ay, &t)
+	feMul(&s2, &ay, &t)
 	feSub(&h, &u2, &p.x)
 	feSub(&r, &s2, &p.y)
 

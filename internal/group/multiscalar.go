@@ -131,8 +131,8 @@ func digitWindows(maxBits, w int) int {
 // lookup-and-add per point per window. The multiple tables are built
 // in Jacobian form and normalized to affine with one batched
 // inversion (batchNormalize), so every window lookup is a 7M+4S mixed
-// addition instead of a full 11M+5S Jacobian addition, with stored
-// y-negations for the signed digits.
+// addition instead of a full 11M+5S Jacobian addition, with y negated
+// on lookup for the negative digits.
 func strausMSM(acc *jacPoint, aff []affinePoint, limbs [][4]uint64, maxBits int) {
 	const w = 4
 	const tableSize = 1 << (w - 1) // multiples 1..8

@@ -48,7 +48,11 @@ type Chain struct {
 
 	// hops are the transport handles, one per position.
 	hops []Hop
-	// keys caches every position's verified public key material.
+	// keys caches every position's verified public key material. The
+	// mixing keys are group.Precomputed, as are the aggregates in
+	// innerAggs: every user of the chain raises exactly these points to
+	// her onion's fresh scalars (§6.2), so they carry a fixed-key table
+	// that the first build fills and every Params copy shares.
 	keys []HopKeys
 
 	scheme aead.Scheme
@@ -90,6 +94,35 @@ type Params struct {
 	InnerAggregate group.Point
 	// Round is the round InnerAggregate is valid for.
 	Round uint64
+}
+
+// Precomputed returns p with the keys an onion build exponentiates —
+// MixKeys and InnerAggregate — carrying fixed-key tables
+// (group.Point.Precomputed), for holders whose Params did not come
+// from an in-process Chain (which attaches them itself): a gateway
+// shard's round snapshot and a remote client's cache. A key Equal to
+// prev's in the same place is replaced by prev's point, so a table
+// already built for an epoch-long mix key or for this round's
+// aggregate is kept rather than rebuilt; pass the zero Params when
+// there is nothing to share. p's own slices are not written.
+func (p Params) Precomputed(prev Params) Params {
+	share := func(k, old group.Point) group.Point {
+		if old.Equal(k) {
+			k = old
+		}
+		return k.Precomputed()
+	}
+	keys := make([]group.Point, len(p.MixKeys))
+	for i, k := range p.MixKeys {
+		var old group.Point
+		if i < len(prev.MixKeys) {
+			old = prev.MixKeys[i]
+		}
+		keys[i] = share(k, old)
+	}
+	p.MixKeys = keys
+	p.InnerAggregate = share(p.InnerAggregate, prev.InnerAggregate)
+	return p
 }
 
 // NewChain creates a chain of k freshly keyed in-process servers and
@@ -136,6 +169,7 @@ func NewChainFromHops(id int, hops []Hop, scheme aead.Scheme) (*Chain, error) {
 		if err := VerifyHopKeys(k); err != nil {
 			return nil, err
 		}
+		k.Mpk = k.Mpk.Precomputed()
 		c.hops = append(c.hops, h)
 		c.keys = append(c.keys, k)
 		if lh, ok := h.(localHop); ok {
@@ -194,7 +228,7 @@ func (c *Chain) BeginRound(round uint64) error {
 	if round > c.lastBegun {
 		c.lastBegun = round
 	}
-	c.innerAggs[round] = agg
+	c.innerAggs[round] = agg.Precomputed()
 	c.innerKeys[round] = ipks
 	// Drop aggregates no round can use any more. A pipelined
 	// coordinator announces up to ρ+2 while round ρ is still mixing

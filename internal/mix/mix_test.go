@@ -2,6 +2,7 @@ package mix
 
 import (
 	"bytes"
+	"encoding/gob"
 	"runtime"
 	"sort"
 	"testing"
@@ -871,4 +872,81 @@ func TestVerifySubmissionProofsBisectionAndChunks(t *testing.T) {
 	old := runtime.GOMAXPROCS(8)
 	defer runtime.GOMAXPROCS(old)
 	check("multi-chunk")
+}
+
+// TestParamsTablesStayOffTheWire: a Chain's Params carry fixed-key
+// tables (group.Point.Precomputed); a gob round trip — what every
+// remote client and gateway shard receives — yields the same elements
+// in the same number of bytes, bare, and they can be precomputed again.
+// Onions wrapped against all three forms of the same keys travel the
+// chain and open.
+func TestParamsTablesStayOffTheWire(t *testing.T) {
+	c := testChain(t, 3)
+	tabled := c.Params()
+
+	var wire bytes.Buffer
+	if err := gob.NewEncoder(&wire).Encode(tabled); err != nil {
+		t.Fatal(err)
+	}
+	wireLen := wire.Len()
+	var bare Params
+	if err := gob.NewDecoder(&wire).Decode(&bare); err != nil {
+		t.Fatal(err)
+	}
+	var again bytes.Buffer
+	if err := gob.NewEncoder(&again).Encode(bare); err != nil {
+		t.Fatal(err)
+	}
+	if again.Len() != wireLen {
+		t.Fatalf("precomputed params encode to %d bytes, bare ones to %d", wireLen, again.Len())
+	}
+	if !bare.InnerAggregate.Equal(tabled.InnerAggregate) || len(bare.MixKeys) != len(tabled.MixKeys) {
+		t.Fatal("decoded params differ")
+	}
+	for i := range bare.MixKeys {
+		if !bare.MixKeys[i].Equal(tabled.MixKeys[i]) {
+			t.Fatalf("decoded mix key %d differs", i)
+		}
+	}
+	retabled := bare.Precomputed(Params{})
+	if &retabled.MixKeys[0] == &bare.MixKeys[0] {
+		t.Fatal("Params.Precomputed wrote into its receiver's slice")
+	}
+	// Keys equal to prev's are taken from prev, whatever else changed.
+	next := bare
+	next.InnerAggregate = group.Base(group.MustRandomScalar())
+	shared := next.Precomputed(retabled)
+	if !shared.InnerAggregate.Equal(next.InnerAggregate) || !shared.MixKeys[2].Equal(bare.MixKeys[2]) {
+		t.Fatal("Params.Precomputed changed an element")
+	}
+
+	var subs []onion.Submission
+	want := make(map[string]bool)
+	for i, p := range []Params{tabled, bare, retabled, tabled, bare, retabled} {
+		nonce := aead.RoundNonce(p.Round, 0)
+		recipient := group.GenerateBaseKeyPair()
+		msg, err := onion.SealMailboxMessage(scheme, kdf.Key{byte(i)}, nonce, recipient.Public,
+			onion.Payload{Kind: onion.KindConversation, Body: []byte{byte(i)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sub, err := onion.WrapAHS(scheme, p.InnerAggregate, p.MixKeys, p.Round, p.ChainID, nonce, msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		subs = append(subs, sub)
+		want[string(msg)] = true
+	}
+	res, err := c.RunRound(1, 0, subs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Halted || len(res.BlamedUsers) != 0 || res.DroppedInner != 0 || len(res.Delivered) != len(subs) {
+		t.Fatalf("round over mixed key forms misbehaved: %+v", res)
+	}
+	for _, m := range res.Delivered {
+		if !want[string(m)] {
+			t.Fatal("delivered message not among submissions")
+		}
+	}
 }

@@ -7,7 +7,14 @@
 //     Algorithm 2 (a fresh Diffie-Hellman key per layer, secure only
 //     against passive adversaries) and the AHS double envelope of
 //     §6.2 (a single Diffie-Hellman key g^x with a knowledge proof,
-//     blinded as it travels).
+//     blinded as it travels). Building an AHS onion costs k+1
+//     exponentiations of public keys that are fixed for the epoch
+//     (mpkᵢ) or the round (∏ipkᵢ) while only the scalars x, y are
+//     per message: WrapAHS hands all of them to group.BatchDH in one
+//     call, which walks the fixed-key tables of keys that carry one
+//     (group.Point.Precomputed — mix.Chain, core's round snapshot and
+//     rpc.Client attach them) under a single field inversion, and
+//     takes the stdlib path for bare points.
 //
 //  2. Inner ciphertext (AHS only): a one-shot encryption under the
 //     product of the servers' per-round inner keys ∏ipkᵢ, opened
@@ -253,25 +260,43 @@ func WrapAHS(s aead.Scheme, innerAgg group.Point, mixKeys []group.Point, round u
 	pts := group.BatchBase([]group.Scalar{y, x, v})
 	gy, gx, gv := pts[0], pts[1], pts[2]
 
+	// All k+1 exchanges of the onion — ∏ipk under y, every mpkᵢ under
+	// the single x — in one batched call.
+	pubs := append([]group.Point{innerAgg}, mixKeys...)
+	privs := append([]group.Scalar{y}, sameScalar(x, len(mixKeys))...)
+	secrets := group.BatchDH(pubs, privs)
+
 	// Inner envelope: e = (g^y, AEnc(DH(∏ipk, y), ρ, m)).
-	innerKey := kdf.InnerKey(group.DH(innerAgg, y))
-	ik := [aead.KeySize]byte(innerKey)
+	ik := [aead.KeySize]byte(kdf.InnerKey(secrets[0]))
 	e := make([]byte, 0, innerEnvelopeSize)
 	e = append(e, gy.Bytes()...)
 	e = s.Seal(e, &ik, &nonce, mailboxMsg)
 
-	// Outer layers under the single x.
-	ct := e
-	for i := len(mixKeys) - 1; i >= 0; i-- {
-		key := kdf.OnionKey(group.DH(mixKeys[i], x))
-		k := [aead.KeySize]byte(key)
-		ct = s.Seal(make([]byte, 0, len(ct)+aead.Overhead), &k, &nonce, ct)
-	}
 	proof := nizk.ProveDlogCommitPrecomputed(SubmitContext(round, chain), group.Generator(), gx, x, v, gv)
 	return Submission{
-		Envelope: Envelope{DHKey: gx, Ct: ct},
+		Envelope: Envelope{DHKey: gx, Ct: sealOuterLayers(s, secrets[1:], nonce, e)},
 		Proof:    proof,
 	}, nil
+}
+
+// sameScalar returns n copies of one Scalar value, which is what lets
+// group.BatchDH recode it once for the whole run.
+func sameScalar(x group.Scalar, n int) []group.Scalar {
+	out := make([]group.Scalar, n)
+	for i := range out {
+		out[i] = x
+	}
+	return out
+}
+
+// sealOuterLayers wraps ct in one AEAD layer per server, innermost
+// (last server) first; secrets[i] is DH(mpkᵢ, x).
+func sealOuterLayers(s aead.Scheme, secrets [][32]byte, nonce [aead.NonceSize]byte, ct []byte) []byte {
+	for i := len(secrets) - 1; i >= 0; i-- {
+		k := [aead.KeySize]byte(kdf.OnionKey(secrets[i]))
+		ct = s.Seal(make([]byte, 0, len(ct)+aead.Overhead), &k, &nonce, ct)
+	}
+	return ct
 }
 
 // WrapPartialAHS wraps an arbitrary byte string in outer AHS layers
@@ -285,12 +310,8 @@ func WrapPartialAHS(s aead.Scheme, mixKeys []group.Point, round uint64, chain in
 	v := group.MustRandomScalar()
 	pts := group.BatchBase([]group.Scalar{x, v})
 	gx, gv := pts[0], pts[1]
-	ct := append([]byte(nil), inner...)
-	for i := len(mixKeys) - 1; i >= 0; i-- {
-		key := kdf.OnionKey(group.DH(mixKeys[i], x))
-		k := [aead.KeySize]byte(key)
-		ct = s.Seal(make([]byte, 0, len(ct)+aead.Overhead), &k, &nonce, ct)
-	}
+	secrets := group.BatchDH(mixKeys, sameScalar(x, len(mixKeys)))
+	ct := sealOuterLayers(s, secrets, nonce, append([]byte(nil), inner...))
 	proof := nizk.ProveDlogCommitPrecomputed(SubmitContext(round, chain), group.Generator(), gx, x, v, gv)
 	return Submission{
 		Envelope: Envelope{DHKey: gx, Ct: ct},

@@ -2,6 +2,7 @@ package onion
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -334,14 +335,25 @@ func TestWireSizes(t *testing.T) {
 	}
 }
 
-func BenchmarkWrapAHS32Layers(b *testing.B) {
-	const k = 32
+// benchWrapAHS times WrapAHS against a k-server chain whose keys are
+// bare points (the stdlib exponentiation per key) or carry fixed-key
+// tables, already built (what every user after a chain's first pays).
+func benchWrapAHS(b *testing.B, k int, precomputed bool) {
 	nonce := aead.RoundNonce(1, 0)
 	_, _, _, mpk := ahsBlindingChain(k)
 	innerAgg, _ := aggInner(k)
+	if precomputed {
+		innerAgg = innerAgg.Precomputed()
+		for i := range mpk {
+			mpk[i] = mpk[i].Precomputed()
+		}
+	}
 	recipient := group.GenerateBaseKeyPair()
 	msg, err := SealMailboxMessage(scheme, testKey(), nonce, recipient.Public, Payload{Kind: KindLoopback})
 	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := WrapAHS(scheme, innerAgg, mpk, 1, 0, nonce, msg); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
@@ -350,6 +362,18 @@ func BenchmarkWrapAHS32Layers(b *testing.B) {
 		if _, err := WrapAHS(scheme, innerAgg, mpk, 1, 0, nonce, msg); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+func BenchmarkWrapAHS32Layers(b *testing.B) { benchWrapAHS(b, 32, false) }
+
+// BenchmarkWrapAHSPrecomputed is the build side as deployments run it:
+// keys from mix.Chain, a shard's snapshot or rpc.Client carry tables.
+// bare/k=… is the same onion against bare points, for the ratio.
+func BenchmarkWrapAHSPrecomputed(b *testing.B) {
+	for _, k := range []int{2, 6, 32} {
+		b.Run(fmt.Sprintf("bare/k=%d", k), func(b *testing.B) { benchWrapAHS(b, k, false) })
+		b.Run(fmt.Sprintf("tabled/k=%d", k), func(b *testing.B) { benchWrapAHS(b, k, true) })
 	}
 }
 

@@ -25,9 +25,14 @@ type Client struct {
 	*link
 
 	// paramsCache avoids refetching identical (chain, round) params
-	// during one BuildRound (2ℓ lookups).
+	// during one BuildRound (2ℓ lookups), and is where a remote
+	// client's keys get their fixed-key tables (mix.Params.Precomputed).
+	// It holds the newest round fetched and the one before it — what
+	// mix.Chain itself keeps — so a long-lived client's memory does not
+	// grow with the rounds it has seen.
 	paramsMu    sync.Mutex
 	paramsCache map[[2]uint64]mix.Params
+	newestRound uint64
 }
 
 var _ client.ParamsSource = (*Client)(nil)
@@ -85,11 +90,22 @@ func (c *Client) ChainParams(chain int, round uint64) (mix.Params, error) {
 		return mix.Params{}, err
 	}
 	c.paramsMu.Lock()
-	c.paramsCache[key] = p
-	if len(c.paramsCache) > 4096 {
-		c.paramsCache = map[[2]uint64]mix.Params{key: p}
+	defer c.paramsMu.Unlock()
+	// The chain's mix keys rarely change between rounds: keep the
+	// previous round's points, and with them their tables, so a lone
+	// client does not rebuild epoch-long tables every round.
+	p = p.Precomputed(c.paramsCache[[2]uint64{uint64(chain), round - 1}])
+	if round > c.newestRound {
+		c.newestRound = round
+		for k := range c.paramsCache {
+			if k[1]+1 < round {
+				delete(c.paramsCache, k)
+			}
+		}
 	}
-	c.paramsMu.Unlock()
+	if round+1 >= c.newestRound {
+		c.paramsCache[key] = p
+	}
 	return p, nil
 }
 

@@ -383,3 +383,68 @@ func TestManyConcurrentClients(t *testing.T) {
 		}
 	}
 }
+
+// TestParamsCacheBoundedByRound: a client that follows a deployment
+// for many rounds keeps the newest round's parameters and the one
+// before it, not every round it ever built against, and still answers
+// the round it is building from memory.
+func TestParamsCacheBoundedByRound(t *testing.T) {
+	n, err := core.NewNetwork(core.Config{NumServers: 8, ChainLengthOverride: 2, Seed: []byte("params-cache")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServer(n, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Logf = func(string, ...any) {}
+	defer srv.Close()
+	c, err := Dial(srv.Addr(), srv.ClientTLS())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	fetchBuildRounds := func() {
+		t.Helper()
+		for _, round := range []uint64{n.Round(), n.Round() + 1} { // what one BuildRound asks for
+			for chain := 0; chain < n.NumChains(); chain++ {
+				if _, err := c.ChainParams(chain, round); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	for i := 0; i < 50; i++ {
+		fetchBuildRounds()
+		if _, err := n.RunRound(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fetchBuildRounds()
+
+	rounds := make(map[uint64]bool)
+	c.paramsMu.Lock()
+	for k := range c.paramsCache {
+		rounds[k[1]] = true
+	}
+	c.paramsMu.Unlock()
+	if len(rounds) > 3 {
+		t.Fatalf("%d rounds resident after 50 rounds, want at most 3", len(rounds))
+	}
+	srv.Close() // from here on only memory can answer
+	for chain := 0; chain < n.NumChains(); chain++ {
+		p, err := c.ChainParams(chain, n.Round())
+		if err != nil {
+			t.Fatalf("current round's chain %d not served from memory: %v", chain, err)
+		}
+		if want, _ := n.ChainParams(chain, n.Round()); !p.InnerAggregate.Equal(want.InnerAggregate) {
+			t.Fatalf("chain %d: cached parameters are not the current round's", chain)
+		}
+	}
+	// A straggling request for a long-gone round is answered (here:
+	// refused by the closed gateway) without displacing anything.
+	if _, err := c.ChainParams(0, 1); err == nil {
+		t.Fatal("round 1 should no longer be resident")
+	}
+}
