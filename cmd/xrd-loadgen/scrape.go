@@ -4,7 +4,9 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"log"
+	"math"
 	"net/http"
 	"sort"
 	"strconv"
@@ -121,16 +123,23 @@ func (h *scrapedHist) quantile(q float64) float64 {
 	return h.les[len(h.les)-1]
 }
 
-// fetchHistograms parses /metrics and returns the scraped histograms
-// keyed by series name (base name plus any non-le labels). Label
-// values in this repo's metric names never contain commas or escaped
-// quotes, so the flat split below is safe for what it parses.
+// fetchHistograms scrapes /metrics for the histograms worth archiving.
 func fetchHistograms(httpc *http.Client, addr string) (map[string]*scrapedHist, error) {
 	resp, err := httpc.Get("http://" + addr + "/metrics")
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
+	return parseHistograms(resp.Body)
+}
+
+// parseHistograms reads Prometheus text exposition and returns the
+// scrapedHistograms series keyed by series name (base name plus any
+// non-le labels). Label values in this repo's metric names never
+// contain commas or escaped quotes, so the flat split below is safe
+// for what it parses; anything else on a line it cannot place is
+// skipped, never an error.
+func parseHistograms(r io.Reader) (map[string]*scrapedHist, error) {
 	hists := make(map[string]*scrapedHist)
 	get := func(series string) *scrapedHist {
 		h := hists[series]
@@ -140,7 +149,7 @@ func fetchHistograms(httpc *http.Client, addr string) (map[string]*scrapedHist, 
 		}
 		return h
 	}
-	sc := bufio.NewScanner(resp.Body)
+	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
@@ -153,7 +162,7 @@ func fetchHistograms(httpc *http.Client, addr string) (map[string]*scrapedHist, 
 		}
 		series, valStr := line[:sp], line[sp+1:]
 		val, err := strconv.ParseFloat(valStr, 64)
-		if err != nil {
+		if err != nil || !finite(val) {
 			continue
 		}
 		name, labels := series, ""
@@ -187,9 +196,11 @@ func fetchHistograms(httpc *http.Client, addr string) (map[string]*scrapedHist, 
 		case "count":
 			h.count = val
 		case "bucket":
+			// The +Inf bucket is skipped: the _count line already
+			// carries its total, and a quantile is one of these bounds.
 			bound, err := strconv.ParseFloat(le, 64)
-			if err != nil {
-				continue // +Inf: the _count line already carries the total
+			if err != nil || !finite(bound) {
+				continue
 			}
 			if _, seen := h.cums[bound]; !seen {
 				h.les = append(h.les, bound)
@@ -202,6 +213,11 @@ func fetchHistograms(httpc *http.Client, addr string) (map[string]*scrapedHist, 
 	}
 	return hists, nil
 }
+
+// finite reports whether a parsed number can go into the report:
+// ParseFloat accepts "+Inf" and "NaN", and encoding/json refuses both —
+// one would take the whole report file with it.
+func finite(v float64) bool { return !math.IsInf(v, 0) && !math.IsNaN(v) }
 
 // splitHistSuffix strips the Prometheus histogram suffix from a
 // sample name: "xrd_round_seconds_bucket" -> ("xrd_round_seconds",

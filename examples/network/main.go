@@ -3,9 +3,10 @@
 // connection, and the mix chain itself spanning separate server
 // processes. Three hop endpoints stand in for three machines: the
 // gateway binds each to one chain position and relays the round's
-// onion batches hop to hop over the TLS hop transport (chunked
-// streaming, pinned certificates), so every mixing step here crosses
-// a real socket. Users trust the gateway only for availability.
+// onion batches hop to hop over the TLS hop transport (one exchange
+// per mixing step, pinned certificates), so every mixing step here
+// crosses a real socket. Users trust the gateway only for
+// availability.
 //
 // Run with: go run ./examples/network
 package main

@@ -952,7 +952,14 @@ func (n *Network) prepareRound(rho uint64) (*preparedRound, error) {
 		go func(i int, sh GatewayShard) {
 			defer beginWG.Done()
 			child := buildPhase.StartChild("shard " + sh.Range().String())
-			builds[i], beginErrs[i] = sh.BeginRound(br)
+			build, err := sh.BeginRound(br)
+			if err == nil {
+				err = build.validate()
+			}
+			if err == nil {
+				builds[i] = build
+			}
+			beginErrs[i] = err
 			child.End()
 		}(i, sh)
 	}

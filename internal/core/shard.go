@@ -110,6 +110,18 @@ type ShardBuild struct {
 	Skipped []string
 }
 
+// validate refuses a build whose batches are not index-aligned. A
+// remote shard's reply is a peer's word, and the merge indexes
+// Submitters by position in Subs.
+func (b *ShardBuild) validate() error {
+	for c := range b.Batches {
+		if subs, who := len(b.Batches[c].Subs), len(b.Batches[c].Submitters); subs != who {
+			return fmt.Errorf("core: shard build has %d submissions but %d submitters on chain %d", subs, who, c)
+		}
+	}
+	return nil
+}
+
 // FinishRound closes a round on a gateway shard: the mailbox messages
 // routed to this shard's users, the users it owns that were convicted
 // (to remove and ban) or stranded (for StrandedError), and — so the

@@ -17,7 +17,7 @@ type Health struct {
 	Role  string `json:"role"`
 	Epoch uint64 `json:"epoch"`
 	// Round is the process's round watermark: the next round for the
-	// coordinator and gateways, the last round staged for a mix hop.
+	// coordinator and gateways, the last round begun for a mix hop.
 	Round uint64 `json:"round"`
 	// ShardLo/ShardHi report a gateway's registry shard range.
 	ShardLo int `json:"shard_lo,omitempty"`

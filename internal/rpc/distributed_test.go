@@ -1,6 +1,8 @@
 package rpc
 
 import (
+	"crypto/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/aead"
@@ -200,32 +202,182 @@ func TestDistributedHopDeath(t *testing.T) {
 	}
 }
 
-// TestHopBatchChunking streams a batch larger than one chunk through
-// a live hop endpoint and back. The garbage ciphertexts make every
-// decryption fail, so the response also exercises a full-size Failed
-// list; a second Mix call proves staging restarts cleanly at seq 0.
-func TestHopBatchChunking(t *testing.T) {
-	fleet := startHopFleet(t, 1)
-	hc := DialHop(fleet[0].Addr(), fleet[0].ClientTLS())
-	defer hc.Close()
-	if _, err := hc.Init(0, 0, group.Generator()); err != nil {
-		t.Fatal(err)
+// TestLargeBatchRoundTrip carries round-sized bodies — bigger than any
+// one read of the frame layer, bigger than the chunk bound the
+// protocol used to have — through each seam in a single exchange and
+// requires the remote answer to be the in-process one.
+func TestLargeBatchRoundTrip(t *testing.T) {
+	const megabyte = 1 << 20
+	wireSize := func(v any) int {
+		t.Helper()
+		frame, err := encodeFrame("", v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return frame.Len()
 	}
 
-	n := MaxHopChunkEnvelopes + 17
-	envs := make([]onion.Envelope, n)
-	for i := range envs {
-		envs[i] = onion.Envelope{DHKey: group.Base(group.MustRandomScalar()), Ct: []byte("not an onion")}
-	}
-	for attempt := 0; attempt < 2; attempt++ {
-		mr, err := hc.Mix(1, [12]byte{}, envs)
+	// hop.mix: 4096 + 17 well-formed onions into one position and
+	// back. The shuffle is the position's secret coin, so two mixes of
+	// one batch differ in order and in nothing else: undone by the
+	// disclosed permutation, the remote output is the in-process one.
+	t.Run("hop.mix", func(t *testing.T) {
+		hs, hc := startHop(t)
+		chain, err := mix.NewChainFromHops(0, []mix.Hop{hc}, nil)
 		if err != nil {
-			t.Fatalf("attempt %d: %v", attempt, err)
+			t.Fatal(err)
 		}
-		if len(mr.Failed) != n {
-			t.Fatalf("attempt %d: %d of %d garbage envelopes failed", attempt, len(mr.Failed), n)
+		if err := chain.BeginRound(1); err != nil {
+			t.Fatal(err)
 		}
-	}
+		params, err := chain.ParamsFor(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := make([]onion.Envelope, 4096+17)
+		for i := range in {
+			sub, err := mix.CraftValidOnion(aead.ChaCha20Poly1305(), params, 1, client.LaneCurrent, group.Generator())
+			if err != nil {
+				t.Fatal(err)
+			}
+			in[i] = sub.Envelope
+		}
+		nonce := aead.RoundNonce(1, client.LaneCurrent)
+		byInput := func(hop mix.Hop) []onion.Envelope {
+			t.Helper()
+			mr, err := hop.Mix(1, nonce, in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(mr.Failed) != 0 || len(mr.Out) != len(in) || len(mr.Out2In) != len(in) {
+				t.Fatalf("%d inputs: %d failed, %d outputs, permutation of %d", len(in), len(mr.Failed), len(mr.Out), len(mr.Out2In))
+			}
+			keys := hop.Keys()
+			if err := mix.VerifyMix(1, 0, 0, 0, keys.BpkPrev, keys.Bpk, in, mr.Out, mr.Proof); err != nil {
+				t.Fatal(err)
+			}
+			out := make([]onion.Envelope, len(in))
+			for p, j := range mr.Out2In {
+				out[j] = mr.Out[p]
+			}
+			return out
+		}
+		remote, local := byInput(hc), byInput(mix.LocalHop(hs.srv))
+		if !reflect.DeepEqual(remote, local) {
+			t.Fatal("hop.mix over the wire and LocalHop disagree on the mixed batch")
+		}
+		if size := wireSize(remote); size < megabyte {
+			t.Fatalf("batch is %d bytes on the wire, not a large one", size)
+		}
+	})
+
+	// shard.begin and shard.finish against one full-range gateway
+	// shard. A round's build is cached per user, so beginning the same
+	// round in-process and over the wire yields the same submissions;
+	// the deliveries go to the shard and to an in-process twin.
+	t.Run("shard", func(t *testing.T) {
+		newFrontend := func() *core.Frontend {
+			fe, err := core.NewFrontend(core.FrontendConfig{MailboxServers: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return fe
+		}
+		fe, twin := newFrontend(), newFrontend()
+		ss, err := NewShardServer(fe, "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ss.Logf = func(string, ...any) {}
+		defer ss.Close()
+		sc, err := NewShardClient(0, 64, ss.Addr(), ss.ClientTLS())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sc.Close()
+		n, err := core.NewNetwork(core.Config{
+			NumServers:          4,
+			ChainLengthOverride: 2,
+			Seed:                []byte("large-batch"),
+			Shards:              []core.GatewayShard{sc},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sc.Init(n); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2200/n.Plan().L; i++ {
+			fe.NewUser()
+		}
+		rho := n.Round()
+		br := &core.BeginRound{Round: rho, Epoch: n.Epoch(), NumChains: n.NumChains()}
+		for c := 0; c < n.NumChains(); c++ {
+			cur, err := n.ChainParams(c, rho)
+			if err != nil {
+				t.Fatal(err)
+			}
+			next, err := n.ChainParams(c, rho+1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			br.Cur, br.Next = append(br.Cur, cur), append(br.Next, next)
+		}
+		bySubmitter := func(build *core.ShardBuild, err error) []map[string]onion.Submission {
+			t.Helper()
+			if err != nil {
+				t.Fatal(err)
+			}
+			out := make([]map[string]onion.Submission, len(build.Batches))
+			for c, b := range build.Batches {
+				out[c] = make(map[string]onion.Submission, len(b.Subs))
+				for i, who := range b.Submitters {
+					out[c][who] = b.Subs[i]
+				}
+			}
+			return out
+		}
+		local := bySubmitter(fe.BeginRound(br))
+		build, err := sc.BeginRound(br)
+		remote := bySubmitter(build, err)
+		if !reflect.DeepEqual(remote, local) {
+			t.Fatal("shard.begin over the wire and Frontend.BeginRound disagree on the build")
+		}
+		if size := wireSize(build); size < megabyte {
+			t.Fatalf("build is %d bytes on the wire, not a large one", size)
+		}
+
+		fr := &core.FinishRound{Round: rho, Epoch: br.Epoch, NumChains: br.NumChains}
+		for i := 0; i < 4000; i++ {
+			msg := make([]byte, onion.MailboxMessageSize)
+			if _, err := rand.Read(msg); err != nil {
+				t.Fatal(err)
+			}
+			msg[0] = byte(i % 50) // 50 mailboxes, 80 messages each
+			copy(msg[1:group.PointSize], "a mailbox identifier, 33 bytes..")
+			fr.Delivered = append(fr.Delivered, msg)
+		}
+		got, err := sc.FinishRound(fr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := twin.FinishRound(fr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want || got.Delivered != len(fr.Delivered) {
+			t.Fatalf("shard.finish stored %+v, the in-process twin %+v, of %d sent", got, want, len(fr.Delivered))
+		}
+		for i := 0; i < 50; i++ {
+			mailbox := fr.Delivered[i][:group.PointSize]
+			if !reflect.DeepEqual(fe.FetchMailbox(rho, mailbox), twin.FetchMailbox(rho, mailbox)) {
+				t.Fatalf("mailbox %d differs between the remote shard and its twin", i)
+			}
+		}
+		if size := wireSize(fr); size < megabyte {
+			t.Fatalf("finish is %d bytes on the wire, not a large one", size)
+		}
+	})
 }
 
 // coreUser wraps a registered user with mailbox reading.

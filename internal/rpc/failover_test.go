@@ -40,7 +40,7 @@ func TestRetriableClassification(t *testing.T) {
 		{"net.Error timeout", fakeTimeout{}, true},
 		{"wrapped net.Error timeout", fmt.Errorf("hop 2: %w", fakeTimeout{}), true},
 		// Server-relayed errors cross the wire flattened to strings
-		// (response.Err); the pre-failover client treated these as
+		// (the reply's error string); the pre-failover client treated these as
 		// authoritative application errors and gave up.
 		{"relayed deadline string", errors.New("core: awaiting chain keys: context deadline exceeded"), true},
 		{"relayed i/o timeout string", errors.New("read tcp 10.0.0.7:443: i/o timeout"), true},
@@ -120,11 +120,11 @@ func wedgedHandler(conn net.Conn) {
 		if _, err := ReadFrame(conn); err != nil {
 			return
 		}
-		body, err := encode(response{Err: "core: awaiting chain keys: context deadline exceeded"})
+		reply, err := encodeFrame("core: awaiting chain keys: context deadline exceeded", nil)
 		if err != nil {
 			return
 		}
-		if err := WriteFrame(conn, body); err != nil {
+		if err := WriteFrame(conn, reply); err != nil {
 			return
 		}
 	}

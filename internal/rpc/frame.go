@@ -9,56 +9,83 @@
 // one table (policies). Its serving half is listenerCore
 // (listener.go): the TLS listener, the per-connection frame loop with
 // idle and write deadlines, and dispatch by method name into a table
-// of handlers whose typed adapter owns decoding and encoding. Batches
-// cross it in bounded chunks (MaxHopChunkEnvelopes per frame).
+// of handlers whose typed adapter owns decoding and encoding. A
+// message is one frame, however large the batch inside it: carrying a
+// round-sized body is this file's job, not the protocol's.
 //
-// Three endpoints are built from it. Server/Client is the user-facing
-// surface of a deployment: fetch chain parameters, submit a round's
-// messages and covers, register, download and acknowledge a mailbox,
-// and (for the round driver) trigger round execution; MultiClient adds
-// owner routing and failover across gateway shards. ShardServer serves
-// the same user methods for one gateway shard plus the coordinator's
-// shard.* round protocol, carried by ShardClient (core.GatewayShard).
-// HopServer/HopClient let the coordinator drive one remote mix
-// position through a chain's round (mix.Hop), so a chain can span
-// separate processes and machines. DESIGN.md's Transport section holds
-// the method table.
+// Three endpoints are built from it, each a method-for-method mapping
+// of an interface the rest of the system already has. Server/Client is
+// the user-facing surface of a deployment: fetch chain parameters,
+// submit a round's messages and covers, register, download and
+// acknowledge a mailbox, and (for the round driver) trigger round
+// execution; MultiClient adds owner routing and failover across
+// gateway shards. ShardServer serves the same user methods for one
+// gateway shard plus the coordinator's shard.* methods, one per
+// core.GatewayShard method, carried by ShardClient. HopServer and
+// HopClient are mix.Hop, one hop.* exchange per method, so a chain can
+// span separate processes and machines. DESIGN.md's Transport section
+// holds the method table.
 package rpc
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 )
 
-// MaxFrameSize bounds a single frame; a full round's submissions for
-// one user are far below this, and the cap keeps a malicious peer
-// from ballooning server memory.
-const MaxFrameSize = 64 << 20
+// MaxFrameSize is the one message cap of the transport: no peer can
+// make a receiver buffer more than this for a single message, and no
+// sender emits more. It is sized from the largest message the seams
+// produce at the scale the ROADMAP targets, not from a chunking rule.
+// A hop batch is one onion.Envelope per message on the chain, ≈ 493 B
+// each at k = 6: 1M registered / 100k active users is ≈ 50 MB per
+// hop.mix (BENCH_0002 recorded 27–49 MB), and the paper's headline
+// point — 2M users, 100 chains, ≈ 280k envelopes a chain — is
+// ≈ 138 MB. 256 MiB covers both with headroom. A gateway shard's
+// whole build (shard.begin's reply) is bounded the way the protocol
+// scales everything else about a gateway: by adding shards.
+const MaxFrameSize = 256 << 20
+
+// prefixLen is the big-endian payload length in front of every frame.
+const prefixLen = 4
 
 // ErrFrameTooLarge is returned for frames exceeding MaxFrameSize.
 var ErrFrameTooLarge = errors.New("rpc: frame exceeds maximum size")
 
-// WriteFrame writes one length-prefixed frame.
-func WriteFrame(w io.Writer, payload []byte) error {
-	if len(payload) > MaxFrameSize {
-		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, len(payload))
+// NewFrame returns an empty frame for a payload to be written into:
+// the length prefix is already reserved, so the payload is encoded in
+// place and WriteFrame sends prefix and payload as one Write.
+func NewFrame() *bytes.Buffer {
+	frame := new(bytes.Buffer)
+	frame.Write(make([]byte, prefixLen))
+	return frame
+}
+
+// WriteFrame fills in the prefix of a frame built on NewFrame and
+// sends it with a single Write. An oversized payload is refused before
+// anything is sent.
+func WriteFrame(w io.Writer, frame *bytes.Buffer) error {
+	b := frame.Bytes()
+	n := len(b) - prefixLen
+	if n > MaxFrameSize {
+		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("rpc: writing frame header: %w", err)
-	}
-	if _, err := w.Write(payload); err != nil {
-		return fmt.Errorf("rpc: writing frame body: %w", err)
+	binary.BigEndian.PutUint32(b, uint32(n))
+	if _, err := w.Write(b); err != nil {
+		return fmt.Errorf("rpc: writing frame: %w", err)
 	}
 	return nil
 }
 
-// ReadFrame reads one length-prefixed frame, enforcing MaxFrameSize.
+// ReadFrame reads one frame's payload. The prefix is only a claim: it
+// is refused above MaxFrameSize, and below it the buffer grows as
+// bytes actually arrive (bytes.Buffer's doubling), so a peer that
+// announces a large frame and stalls or hangs up has made the receiver
+// allocate no more than a small multiple of what it really sent.
 func ReadFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
+	var hdr [prefixLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err // io.EOF passes through for clean shutdown
 	}
@@ -66,9 +93,12 @@ func ReadFrame(r io.Reader) ([]byte, error) {
 	if n > MaxFrameSize {
 		return nil, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
+	var buf bytes.Buffer
+	if _, err := io.CopyN(&buf, r, int64(n)); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
 		return nil, fmt.Errorf("rpc: reading frame body: %w", err)
 	}
-	return buf, nil
+	return buf.Bytes(), nil
 }

@@ -16,17 +16,16 @@ import (
 
 // HopClient is the gateway's handle on one remote mix position: the
 // dialing half of the hop transport, implementing mix.Hop over pooled
-// TLS connections with per-call deadlines. Batches stream in bounded
-// chunks (MaxHopChunkEnvelopes per frame) and every point and proof
-// received was validated when it decoded, before it reaches the chain
-// orchestrator.
+// TLS connections with per-call deadlines, one exchange per method.
+// Every point and proof received was validated when it decoded, before
+// it reaches the chain orchestrator.
 //
 // Init must run once, before the chain is assembled, to bind the
 // remote process to its chain position and fetch its keys.
 type HopClient struct {
 	// CallTimeout bounds one ordinary request/response exchange;
 	// MixTimeout bounds the hop.mix exchange, which waits for the
-	// remote to mix the entire staged batch. Zero disables the
+	// remote to mix the entire batch. Zero disables the
 	// respective deadline.
 	CallTimeout time.Duration
 	MixTimeout  time.Duration
@@ -129,49 +128,15 @@ func (h *HopClient) RevealInnerKey(round uint64) (group.Scalar, error) {
 	return resp.Isk, err
 }
 
-// Mix implements mix.Hop: stream the batch in chunks, trigger the
-// mixing step, pull the output back in chunks. The response is
-// validated structurally here (sizes, index ranges; its points and
-// proof already were when it decoded); the chain re-checks everything
-// cryptographically.
+// Mix implements mix.Hop. The result's points and proof were
+// validated when it decoded; its shape — output count, permutation,
+// failure indices — is the chain's to check, as for any hop.
 func (h *HopClient) Mix(round uint64, nonce [aead.NonceSize]byte, in []onion.Envelope) (*mix.MixResult, error) {
-	err := chunks(len(in), func(seq, lo, hi int) error {
-		var ack HopBatchResponse
-		req := HopBatchRequest{Round: round, Seq: seq, Envelopes: in[lo:hi]}
-		if err := h.call("hop.batch", req, &ack); err != nil {
-			return fmt.Errorf("rpc: streaming batch chunk %d: %w", seq, err)
-		}
-		return nil
-	})
-	if err != nil {
+	var mr mix.MixResult
+	if err := h.call("hop.mix", HopMixRequest{Round: round, Nonce: nonce, Envelopes: in}, &mr); err != nil {
 		return nil, err
 	}
-	var mr HopMixResponse
-	if err := h.call("hop.mix", HopMixRequest{Round: round, Nonce: nonce[:], Count: len(in)}, &mr); err != nil {
-		return nil, err
-	}
-	if len(mr.Failed) > 0 {
-		return &mix.MixResult{Failed: mr.Failed}, nil
-	}
-	if mr.OutCount < 0 || mr.OutCount > len(in) {
-		return nil, fmt.Errorf("rpc: hop reports %d outputs for %d inputs", mr.OutCount, len(in))
-	}
-	out := make([]onion.Envelope, 0, mr.OutCount)
-	err = chunks(mr.OutCount, func(seq, lo, hi int) error {
-		var pr HopPullResponse
-		if err := h.call("hop.pull", HopPullRequest{Round: round, Seq: seq}, &pr); err != nil {
-			return fmt.Errorf("rpc: pulling output chunk %d: %w", seq, err)
-		}
-		if len(pr.Envelopes) != hi-lo || pr.More != (hi < mr.OutCount) {
-			return fmt.Errorf("rpc: output chunk %d (%d envelopes, more=%v) disagrees with the hop's announced output count %d", seq, len(pr.Envelopes), pr.More, mr.OutCount)
-		}
-		out = append(out, pr.Envelopes...)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &mix.MixResult{Out: out, Proof: mr.Proof, Out2In: mr.Out2In}, nil
+	return &mr, nil
 }
 
 // ReProveSubset implements mix.Hop.

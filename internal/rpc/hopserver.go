@@ -1,14 +1,16 @@
 package rpc
 
 import (
+	"bytes"
+	"encoding/gob"
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/aead"
 	"repro/internal/mix"
 	"repro/internal/nizk"
-	"repro/internal/onion"
 )
 
 // HopServer hosts one mix server position for a remote chain
@@ -16,43 +18,31 @@ import (
 // `xrd-server -role mix` process runs. It starts keyless; the
 // gateway binds it to a chain position with hop.init (supplying the
 // base point its keys chain off, §6.1) and then drives rounds
-// through the hop.* methods. Incoming batches are staged chunk by
-// chunk so no single frame — and no single allocation on the read
-// path — grows with the round size.
+// through the hop.* methods, each of which is the mix.Server method
+// of the same name and nothing else: the endpoint keeps no batch and
+// no round state of its own.
 //
 // The hop trusts its orchestrator for liveness only: every incoming
-// point is validated as its request decodes, chunk sizes and
-// sequence numbers are enforced, and a malformed request gets an
-// error response, never a panic. Secrets never leave except where
-// the protocol says so (inner key reveal after a successful round,
-// blame reveals with their DLEQ proofs).
+// point is validated as its request decodes, and a malformed request
+// gets an error response, never a panic. Secrets never leave except
+// where the protocol says so (inner key reveal after a successful
+// round, blame reveals with their DLEQ proofs).
 type HopServer struct {
 	*listenerCore
 	scheme aead.Scheme
 
+	// mu serialises the handlers: mix.Server keeps its last input for
+	// the blame protocol unguarded, and a rebind swaps srv.
 	mu  sync.Mutex
 	srv *mix.Server
+
 	// bound remembers the init binding for idempotent re-inits (a
-	// gateway that restarts mid-setup re-sends the same request).
-	bound *HopInitRequest
-	// stage is the inbound batch being assembled for a round.
-	stage *hopStage
-	// mixed is the last mixing step's output awaiting pulls.
-	mixed *hopMixed
-	// lastRound is the highest round a hop.begin has been seen for,
-	// reported on the admin health endpoint as a liveness watermark.
-	lastRound uint64
-}
-
-type hopStage struct {
-	round   uint64
-	nextSeq int
-	envs    []onion.Envelope
-}
-
-type hopMixed struct {
-	round uint64
-	out   []onion.Envelope
+	// gateway that restarts mid-setup re-sends the same request), and
+	// lastRound is the highest round a hop.begin has been seen for, a
+	// liveness watermark. Both are written under mu but atomic, so the
+	// admin health endpoint reads them while a hop.mix holds mu.
+	bound     atomic.Pointer[HopInitRequest]
+	lastRound atomic.Uint64
 }
 
 // NewHopServer starts a hop endpoint on addr. A nil scheme selects
@@ -71,22 +61,19 @@ func NewHopServer(addr string, scheme aead.Scheme) (*HopServer, error) {
 }
 
 // methods is the hop endpoint's method table. Every handler runs
-// under h.mu: the staging and binding state belongs to one round
-// conversation at a time.
+// under h.mu.
 func (h *HopServer) methods() map[string]handler {
 	m := map[string]handler{
 		"hop.init":    typed(h.bind),
 		"hop.begin":   bound(h, h.begin),
 		"hop.reveal":  bound(h, h.reveal),
-		"hop.batch":   bound(h, h.batch),
 		"hop.mix":     bound(h, h.mix),
-		"hop.pull":    typed(h.pull),
 		"hop.certify": bound(h, h.certify),
 		"hop.blame":   bound(h, h.blame),
 		"hop.accuse":  bound(h, h.accuse),
 	}
 	for name, fn := range m {
-		m[name] = func(body []byte) ([]byte, error) {
+		m[name] = func(body *gob.Decoder) (*bytes.Buffer, error) {
 			h.mu.Lock()
 			defer h.mu.Unlock()
 			return fn(body)
@@ -97,14 +84,14 @@ func (h *HopServer) methods() map[string]handler {
 
 // HealthInfo reports the hop's binding state for the admin health
 // endpoint: whether a coordinator has bound it yet, the epoch and
-// chain coordinate it serves, and the last round it began.
+// chain coordinate it serves, and the last round it began. It never
+// waits for a handler, so it answers while the hop is mixing.
 func (h *HopServer) HealthInfo() (bound bool, epoch uint64, chain, index int, round uint64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.bound == nil {
-		return false, 0, 0, 0, h.lastRound
+	b := h.bound.Load()
+	if b == nil {
+		return false, 0, 0, 0, h.lastRound.Load()
 	}
-	return true, h.bound.Epoch, h.bound.Chain, h.bound.Index, h.lastRound
+	return true, b.Epoch, b.Chain, b.Index, h.lastRound.Load()
 }
 
 // bound adapts a handler that drives the bound mix server, refusing
@@ -120,29 +107,30 @@ func bound[Req, Resp any](h *HopServer, fn func(*mix.Server, *Req) (Resp, error)
 }
 
 func (h *HopServer) bind(req *HopInitRequest) (mix.HopKeys, error) {
-	if h.bound != nil && req.Epoch == h.bound.Epoch {
-		if h.bound.Chain != req.Chain || h.bound.Index != req.Index || !h.bound.Base.Equal(req.Base) {
-			return mix.HopKeys{}, fmt.Errorf("rpc: hop already bound to chain %d position %d in epoch %d", h.bound.Chain, h.bound.Index, h.bound.Epoch)
+	if cur := h.bound.Load(); cur != nil {
+		if req.Epoch == cur.Epoch {
+			if cur.Chain != req.Chain || cur.Index != req.Index || !cur.Base.Equal(req.Base) {
+				return mix.HopKeys{}, fmt.Errorf("rpc: hop already bound to chain %d position %d in epoch %d", cur.Chain, cur.Index, cur.Epoch)
+			}
+			return h.srv.Keys(), nil
 		}
-		return h.srv.Keys(), nil
-	}
-	if h.bound != nil && req.Epoch < h.bound.Epoch {
-		return mix.HopKeys{}, fmt.Errorf("rpc: hop serving epoch %d, refusing rebind to stale epoch %d", h.bound.Epoch, req.Epoch)
+		if req.Epoch < cur.Epoch {
+			return mix.HopKeys{}, fmt.Errorf("rpc: hop serving epoch %d, refusing rebind to stale epoch %d", cur.Epoch, req.Epoch)
+		}
 	}
 	if req.Index < 0 || req.Chain < 0 {
 		return mix.HopKeys{}, fmt.Errorf("rpc: invalid chain position %d:%d", req.Chain, req.Index)
 	}
 	// Fresh bind, or an epoch advance: the chain was re-formed, so
-	// the old position, keys and any half-staged round are gone.
+	// the old position and keys are gone.
 	h.srv = mix.NewChainServer(req.Chain, req.Index, req.Base, h.scheme)
-	h.bound = req
-	h.stage, h.mixed = nil, nil
+	h.bound.Store(req)
 	return h.srv.Keys(), nil
 }
 
 func (h *HopServer) begin(srv *mix.Server, req *HopBeginRequest) (HopBeginResponse, error) {
-	if req.Round > h.lastRound {
-		h.lastRound = req.Round
+	if req.Round > h.lastRound.Load() {
+		h.lastRound.Store(req.Round)
 	}
 	ipk, proof := srv.BeginRound(req.Round)
 	return HopBeginResponse{Ipk: ipk, Proof: proof}, nil
@@ -153,72 +141,8 @@ func (h *HopServer) reveal(srv *mix.Server, req *HopRevealRequest) (HopRevealRes
 	return HopRevealResponse{Isk: isk}, err
 }
 
-func (h *HopServer) batch(_ *mix.Server, req *HopBatchRequest) (HopBatchResponse, error) {
-	if len(req.Envelopes) == 0 || len(req.Envelopes) > MaxHopChunkEnvelopes {
-		return HopBatchResponse{}, fmt.Errorf("rpc: batch chunk of %d envelopes outside (0, %d]", len(req.Envelopes), MaxHopChunkEnvelopes)
-	}
-	if req.Seq == 0 {
-		// A fresh batch opens a new staging buffer, superseding
-		// anything half-staged (the orchestrator restarts from
-		// chunk 0 after blame removals or its own crash).
-		h.stage = &hopStage{round: req.Round}
-	}
-	if h.stage == nil || h.stage.round != req.Round || req.Seq != h.stage.nextSeq {
-		return HopBatchResponse{}, fmt.Errorf("rpc: unexpected batch chunk round=%d seq=%d", req.Round, req.Seq)
-	}
-	h.stage.envs = append(h.stage.envs, req.Envelopes...)
-	h.stage.nextSeq++
-	return HopBatchResponse{Received: len(h.stage.envs)}, nil
-}
-
-func (h *HopServer) mix(srv *mix.Server, req *HopMixRequest) (HopMixResponse, error) {
-	if len(req.Nonce) != aead.NonceSize {
-		return HopMixResponse{}, fmt.Errorf("rpc: nonce has %d bytes, want %d", len(req.Nonce), aead.NonceSize)
-	}
-	if h.stage == nil || h.stage.round != req.Round {
-		return HopMixResponse{}, fmt.Errorf("rpc: no staged batch for round %d", req.Round)
-	}
-	if len(h.stage.envs) != req.Count {
-		return HopMixResponse{}, fmt.Errorf("rpc: staged %d envelopes, orchestrator announced %d", len(h.stage.envs), req.Count)
-	}
-	var nonce [aead.NonceSize]byte
-	copy(nonce[:], req.Nonce)
-	envs := h.stage.envs
-	h.stage = nil // consumed either way; retries restage from seq 0
-	mr, err := srv.Mix(req.Round, nonce, envs)
-	if err != nil {
-		return HopMixResponse{}, err
-	}
-	if len(mr.Failed) > 0 {
-		h.mixed = nil
-		return HopMixResponse{Failed: mr.Failed}, nil
-	}
-	h.mixed = &hopMixed{round: req.Round, out: mr.Out}
-	return HopMixResponse{
-		Proof:    mr.Proof,
-		Out2In:   mr.Out2In,
-		OutCount: len(mr.Out),
-	}, nil
-}
-
-func (h *HopServer) pull(req *HopPullRequest) (HopPullResponse, error) {
-	if h.mixed == nil || h.mixed.round != req.Round {
-		return HopPullResponse{}, fmt.Errorf("rpc: no mixed output for round %d", req.Round)
-	}
-	// Bound Seq itself before multiplying: a huge value would
-	// overflow the offset computation into a negative slice index.
-	if req.Seq < 0 || req.Seq > len(h.mixed.out)/MaxHopChunkEnvelopes {
-		return HopPullResponse{}, fmt.Errorf("rpc: output chunk %d out of range", req.Seq)
-	}
-	lo := req.Seq * MaxHopChunkEnvelopes
-	if lo >= len(h.mixed.out) {
-		return HopPullResponse{}, fmt.Errorf("rpc: output chunk %d out of range", req.Seq)
-	}
-	hi := min(lo+MaxHopChunkEnvelopes, len(h.mixed.out))
-	return HopPullResponse{
-		Envelopes: h.mixed.out[lo:hi],
-		More:      hi < len(h.mixed.out),
-	}, nil
+func (h *HopServer) mix(srv *mix.Server, req *HopMixRequest) (*mix.MixResult, error) {
+	return srv.Mix(req.Round, req.Nonce, req.Envelopes)
 }
 
 func (h *HopServer) certify(srv *mix.Server, req *HopCertifyRequest) (nizk.Proof, error) {

@@ -3,6 +3,7 @@ package rpc
 import (
 	"fmt"
 
+	"repro/internal/aead"
 	"repro/internal/group"
 	"repro/internal/nizk"
 	"repro/internal/onion"
@@ -15,17 +16,12 @@ import (
 // replies — and their group elements validate on arrival in
 // group.Point/Scalar.UnmarshalBinary, so an off-curve point or a
 // non-canonical scalar fails the decode before any handler runs.
-// Batches move in bounded chunks so neither side ever allocates a
-// frame proportional to the whole round.
 //
-// One mixing step is a short conversation:
-//
-//	hop.batch × ⌈n/MaxHopChunkEnvelopes⌉   (HopBatchRequest, streamed in)
-//	hop.mix                                (HopMixRequest → proof/permutation/failures)
-//	hop.pull  × ⌈n/MaxHopChunkEnvelopes⌉   (HopPullRequest, streamed out)
-//
-// plus hop.certify (re-certification after blame removals), hop.blame
-// and hop.accuse (blame reveals), and the key/round-setup calls.
+// The methods are mix.Hop's, one exchange each: hop.begin, hop.reveal,
+// hop.mix (the whole batch in, the whole mix.MixResult back),
+// hop.certify (re-certification after blame removals), hop.blame and
+// hop.accuse (blame reveals) — plus hop.init, which binds the process
+// to a chain position and is what Keys() was fetched by.
 
 // HopInitRequest binds a hop process to a chain position: the hop
 // generates its long-term keys chained off Base (bpk_{i-1}, or g for
@@ -64,54 +60,13 @@ type HopRevealResponse struct {
 	Isk group.Scalar
 }
 
-// HopBatchRequest streams one bounded chunk of the round's onion
-// batch into the hop. Chunks must arrive in Seq order starting at 0;
-// Seq 0 opens a fresh staging buffer for Round, dropping any older
-// staged batch.
-type HopBatchRequest struct {
-	Round     uint64
-	Seq       int
-	Envelopes []onion.Envelope
-}
-
-// HopBatchResponse acknowledges a chunk with the running total.
-type HopBatchResponse struct {
-	Received int
-}
-
-// HopMixRequest runs the mixing step (§6.3 steps 1-3) over the staged
-// batch. Count is the orchestrator's view of the batch size; a
-// mismatch with what was staged is refused (the input-agreement
-// analogue at the transport layer).
+// HopMixRequest is one mixing step (§6.3 steps 1-3): the round, the
+// round nonce and the position's whole input batch. The reply is the
+// mix.MixResult itself. A nonce of any other length fails the decode.
 type HopMixRequest struct {
-	Round uint64
-	Nonce []byte
-	Count int
-}
-
-// HopMixResponse is the mixing step's summary: either Failed is
-// non-empty (decryption failures, the blame protocol follows and no
-// output exists) or the shuffle certificate, the disclosed
-// permutation and the output size, with the output itself pulled in
-// chunks.
-type HopMixResponse struct {
-	Failed   []int
-	Proof    nizk.Proof
-	Out2In   []int
-	OutCount int
-}
-
-// HopPullRequest fetches one bounded chunk of the last mix output.
-type HopPullRequest struct {
-	Round uint64
-	Seq   int
-}
-
-// HopPullResponse carries the chunk; More reports whether another
-// chunk follows.
-type HopPullResponse struct {
+	Round     uint64
+	Nonce     [aead.NonceSize]byte
 	Envelopes []onion.Envelope
-	More      bool
 }
 
 // HopCertifyRequest asks for a re-issued shuffle certificate (a

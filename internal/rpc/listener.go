@@ -1,7 +1,9 @@
 package rpc
 
 import (
+	"bytes"
 	"crypto/tls"
+	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -19,29 +21,35 @@ import (
 // configurable on the owning Server/HopServer/Client.
 const (
 	// DefaultIdleTimeout is how long a server connection may sit
-	// between request frames before it is dropped.
+	// between request frames before it is dropped. It also covers
+	// reading one frame, round-sized bodies included.
 	DefaultIdleTimeout = 3 * time.Minute
-	// DefaultWriteTimeout bounds writing one response frame.
+	// DefaultWriteTimeout bounds writing one response frame. A reply
+	// may be round-sized (hop.mix's output, shard.begin's build), so
+	// this is the time a peer has to drain a whole batch, not a few
+	// hundred KB: a minute for the 138 MB batch MaxFrameSize is sized
+	// from asks the peer for ≈ 2.3 MB/s.
 	DefaultWriteTimeout = time.Minute
 )
 
-// handler serves one method: request body in, response body out.
-type handler func(body []byte) ([]byte, error)
+// handler serves one method: a decoder positioned at the request body
+// in, the finished reply frame out.
+type handler func(body *gob.Decoder) (*bytes.Buffer, error)
 
 // typed adapts a handler written against its request and response
 // types to the wire: it owns the body's decode and the reply's encode,
 // so a malformed body is an error response before fn ever runs.
 func typed[Req, Resp any](fn func(*Req) (Resp, error)) handler {
-	return func(body []byte) ([]byte, error) {
+	return func(body *gob.Decoder) (*bytes.Buffer, error) {
 		var req Req
-		if err := decode(body, &req); err != nil {
+		if err := decodeBody(body, &req); err != nil {
 			return nil, err
 		}
 		resp, err := fn(&req)
 		if err != nil {
 			return nil, err
 		}
-		return encode(resp)
+		return encodeFrame("", resp)
 	}
 }
 
@@ -197,39 +205,44 @@ func (s *listenerCore) serveConn(conn net.Conn, idle, write time.Duration) {
 		}
 		obsServerRequests.Inc()
 		obsServerBytesIn.Add(uint64(len(frame)))
-		var req request
-		if err := decode(frame, &req); err != nil {
-			obsServerErrors.Inc()
+		handleStart := time.Now()
+		reply, err := s.dispatch(frame)
+		if err != nil {
 			s.Logf("rpc: bad request from %s: %v", conn.RemoteAddr(), err)
 			return
 		}
-		handleStart := time.Now()
-		resp := s.dispatch(req)
 		obsServerHandleSeconds.ObserveDuration(time.Since(handleStart))
-		out, err := encode(resp)
-		if err != nil {
-			s.Logf("rpc: encoding response: %v", err)
-			return
-		}
-		obsServerBytesOut.Add(uint64(len(out)))
+		obsServerBytesOut.Add(uint64(reply.Len() - prefixLen))
 		if write > 0 {
 			conn.SetWriteDeadline(time.Now().Add(write))
 		}
-		if err := WriteFrame(conn, out); err != nil {
+		if err := WriteFrame(conn, reply); err != nil {
+			if errors.Is(err, ErrFrameTooLarge) {
+				s.Logf("rpc: reply to %s: %v", conn.RemoteAddr(), err)
+			}
 			return
 		}
 	}
 }
 
-func (s *listenerCore) dispatch(req request) response {
-	fn := s.methods[req.Method]
-	if fn == nil {
-		fn = func([]byte) ([]byte, error) { return nil, fmt.Errorf("rpc: unknown method %q", req.Method) }
-	}
-	body, err := fn(req.Body)
+// dispatch answers one request payload with its reply frame. A
+// handler's failure is an error reply; only a payload whose method
+// name does not decode is an error here, and costs the peer its
+// connection.
+func (s *listenerCore) dispatch(payload []byte) (*bytes.Buffer, error) {
+	method, body, err := openFrame(payload)
 	if err != nil {
 		obsServerErrors.Inc()
-		return response{Err: err.Error()}
+		return nil, err
 	}
-	return response{Body: body}
+	fn := s.methods[method]
+	if fn == nil {
+		fn = func(*gob.Decoder) (*bytes.Buffer, error) { return nil, fmt.Errorf("rpc: unknown method %q", method) }
+	}
+	reply, err := fn(body)
+	if err != nil {
+		obsServerErrors.Inc()
+		return encodeFrame(err.Error(), nil)
+	}
+	return reply, nil
 }

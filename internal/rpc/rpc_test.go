@@ -1,7 +1,6 @@
 package rpc
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 
@@ -9,49 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/onion"
 )
-
-func TestFrameRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	payloads := [][]byte{nil, {}, []byte("x"), bytes.Repeat([]byte("ab"), 5000)}
-	for _, p := range payloads {
-		if err := WriteFrame(&buf, p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, p := range payloads {
-		got, err := ReadFrame(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, p) {
-			t.Fatalf("frame round trip: got %d bytes, want %d", len(got), len(p))
-		}
-	}
-}
-
-func TestFrameSizeLimit(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, make([]byte, MaxFrameSize+1)); err == nil {
-		t.Fatal("oversized frame written")
-	}
-	// A forged oversized header must be rejected before allocation.
-	buf.Reset()
-	buf.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF})
-	if _, err := ReadFrame(&buf); err == nil {
-		t.Fatal("oversized header accepted")
-	}
-}
-
-func TestFrameTruncated(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, []byte("hello world")); err != nil {
-		t.Fatal(err)
-	}
-	trunc := buf.Bytes()[:buf.Len()-3]
-	if _, err := ReadFrame(bytes.NewReader(trunc)); err == nil {
-		t.Fatal("truncated frame accepted")
-	}
-}
 
 func TestSelfSignedTLSPinning(t *testing.T) {
 	s1, c1, err := SelfSignedTLS("127.0.0.1")
@@ -265,7 +221,7 @@ func TestSubmitValidation(t *testing.T) {
 	// Corrupt wire key is rejected at parse time.
 	req := SubmitRequest{Round: out.Round, Mailbox: []byte("eve"), Current: out.Current[:1]}
 	var resp SubmitResponse
-	err = conn.callBody("submit", forge(t, req, out.Current[0].Sub.DHKey.Bytes(), offCurve), &resp)
+	err = conn.send("submit", forge(t, "submit", req, out.Current[0].Sub.DHKey.Bytes(), offCurve), &resp)
 	if err == nil || !strings.Contains(err.Error(), "point") {
 		t.Fatalf("off-curve key accepted: %v", err)
 	}

@@ -6,13 +6,12 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/mix"
-	"repro/internal/onion"
 )
 
 // ShardClient is the coordinator's handle on a gateway shard hosted
-// in another process: it implements core.GatewayShard by carrying the
-// begin/batch/deliver/finish protocol (shardwire.go) over the shared
-// TLS RPC transport, mirroring how HopClient carries mix.Hop.
+// in another process: it implements core.GatewayShard by carrying each
+// method as one shard.* exchange (shardwire.go) over the shared TLS
+// RPC transport, mirroring how HopClient carries mix.Hop.
 type ShardClient struct {
 	rng core.ShardRange
 	c   *Client
@@ -71,58 +70,19 @@ func (s *ShardClient) Init(n *core.Network) error {
 	return nil
 }
 
-// BeginRound implements core.GatewayShard: push the round, pull the
-// shard's batches in chunks.
+// BeginRound implements core.GatewayShard.
 func (s *ShardClient) BeginRound(br *core.BeginRound) (*core.ShardBuild, error) {
-	var resp ShardBeginResponse
-	if err := s.c.call("shard.begin", br, &resp); err != nil {
+	var build core.ShardBuild
+	if err := s.c.call("shard.begin", br, &build); err != nil {
 		return nil, err
 	}
-	build := &core.ShardBuild{
-		Covered: resp.Covered,
-		Skipped: resp.Skipped,
-		Batches: make([]core.ChainBatch, len(resp.Counts)),
-	}
-	for chain, count := range resp.Counts {
-		batch := &build.Batches[chain]
-		batch.Subs = make([]onion.Submission, 0, count)
-		batch.Submitters = make([]string, 0, count)
-		err := chunks(count, func(_, lo, hi int) error {
-			var chunk core.ChainBatch
-			err := s.c.call("shard.batch", ShardBatchRequest{
-				Round: br.Round, Chain: chain, Offset: lo, Max: MaxHopChunkEnvelopes,
-			}, &chunk)
-			if err != nil {
-				return err
-			}
-			if len(chunk.Subs) != hi-lo {
-				return fmt.Errorf("rpc: shard %s chain %d: batch chunk at %d/%d has %d submissions, want %d", s.rng, chain, lo, count, len(chunk.Subs), hi-lo)
-			}
-			batch.Subs = append(batch.Subs, chunk.Subs...)
-			batch.Submitters = append(batch.Submitters, chunk.Submitters...)
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	return build, nil
+	return &build, nil
 }
 
-// FinishRound implements core.GatewayShard: push the deliveries in
-// chunks, then commit the round.
+// FinishRound implements core.GatewayShard.
 func (s *ShardClient) FinishRound(fr *core.FinishRound) (core.FinishStats, error) {
-	err := chunks(len(fr.Delivered), func(_, lo, hi int) error {
-		var resp ShardDeliverResponse
-		return s.c.call("shard.deliver", ShardDeliverRequest{Round: fr.Round, Msgs: fr.Delivered[lo:hi]}, &resp)
-	})
-	if err != nil {
-		return core.FinishStats{}, err
-	}
-	commit := *fr
-	commit.Delivered = nil // already pushed, chunk by chunk
 	var stats core.FinishStats
-	err = s.c.call("shard.finish", commit, &stats)
+	err := s.c.call("shard.finish", fr, &stats)
 	return stats, err
 }
 

@@ -1,24 +1,17 @@
 package rpc
 
-// Coordinator ↔ gateway-shard protocol (the network form of
-// core.GatewayShard; see internal/core/shard.go for the roles). One
-// round makes four exchanges: shard.begin pushes the round's
-// parameters and returns the shard's batch sizes, shard.batch pulls
-// the batched submissions in bounded chunks, shard.deliver pushes the
-// routed mailbox messages in bounded chunks, and shard.finish commits
-// the round (deliveries, blame verdicts, stranded records, next
-// round's parameters). shard.abort reopens the submission window
-// after a failed round, shard.rebalance broadcasts a re-formed
-// epoch, and shard.init attaches a (re)started shard process to a
-// running deployment.
-//
-// shard.begin's request is core.BeginRound itself; shard.finish's is
-// core.FinishRound with Delivered left empty (the deliveries were
-// already pushed in chunks) and its reply core.FinishStats.
-//
-// Chunking keeps every frame far below MaxFrameSize: a shard owning
-// hundreds of thousands of users would otherwise ship its whole
-// build in one frame.
+// Coordinator ↔ gateway-shard protocol: the network form of
+// core.GatewayShard (see internal/core/shard.go for the roles), one
+// exchange per method and the interface's own types on the wire.
+// shard.begin carries core.BeginRound and answers with the shard's
+// core.ShardBuild; shard.finish carries core.FinishRound — routed
+// deliveries included — and answers with core.FinishStats. shard.abort
+// reopens the submission window after a failed round, shard.rebalance
+// broadcasts a re-formed epoch, and shard.init, the one method the
+// interface does not have, attaches a (re)started shard process to a
+// running deployment. The endpoint keeps nothing between exchanges, so
+// a pipelined coordinator may begin round ρ+1 while round ρ is still
+// on its way to shard.finish.
 
 import "repro/internal/mix"
 
@@ -40,38 +33,6 @@ type ShardInitRequest struct {
 // coordinator can detect a mis-wired deployment.
 type ShardInitResponse struct {
 	Lo, Hi int
-}
-
-// ShardBeginResponse summarises the shard's build; the submissions
-// themselves are pulled with ShardBatchRequest using Counts to bound
-// the chunk walk.
-type ShardBeginResponse struct {
-	Covered int
-	Skipped []string
-	// Counts is the per-chain batch size.
-	Counts []int
-}
-
-// ShardBatchRequest pulls one chunk of a chain's batch from the
-// shard's cached build for the round; the reply is that window as a
-// core.ChainBatch, index-aligned.
-type ShardBatchRequest struct {
-	Round  uint64
-	Chain  int
-	Offset int
-	Max    int
-}
-
-// ShardDeliverRequest pushes one chunk of the round's routed mailbox
-// messages; the shard buffers them until ShardFinishRequest commits.
-type ShardDeliverRequest struct {
-	Round uint64
-	Msgs  [][]byte
-}
-
-// ShardDeliverResponse acknowledges the chunk.
-type ShardDeliverResponse struct {
-	Buffered int
 }
 
 // ShardAbortRequest reopens the submission window for a failed round.

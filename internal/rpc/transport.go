@@ -1,6 +1,7 @@
 package rpc
 
 import (
+	"bytes"
 	"crypto/tls"
 	"errors"
 	"fmt"
@@ -36,28 +37,6 @@ const (
 	maxConnIdle = time.Minute
 )
 
-// MaxHopChunkEnvelopes bounds one chunk of every streamed exchange:
-// envelopes per hop.batch/hop.pull frame, submissions per shard.batch
-// frame, mailbox messages per shard.deliver frame. With ~100 bytes per
-// envelope a full chunk is a few hundred KB — far below MaxFrameSize —
-// so memory per connection stays flat no matter how large the round
-// is; the receiving side rejects or clamps bigger chunks.
-const MaxHopChunkEnvelopes = 4096
-
-// chunks walks n items in windows of at most MaxHopChunkEnvelopes,
-// calling fn with each window's sequence number and [lo, hi) bounds
-// until the items are covered or fn fails.
-func chunks(n int, fn func(seq, lo, hi int) error) error {
-	for seq, lo := 0, 0; lo < n; seq++ {
-		hi := min(lo+MaxHopChunkEnvelopes, n)
-		if err := fn(seq, lo, hi); err != nil {
-			return err
-		}
-		lo = hi
-	}
-	return nil
-}
-
 // TransportError marks a connection-level failure — dial, write,
 // read, deadline — as opposed to an application error returned by the
 // server. The distinction drives failover: a gateway that answered
@@ -85,7 +64,7 @@ type deadlineClass int
 
 const (
 	classCall  deadlineClass = iota // one ordinary request/response
-	classMix                        // the remote mixes a whole staged batch
+	classMix                        // the remote mixes a whole batch
 	classBuild                      // coordinator→shard; may span a shard's build phase
 )
 
@@ -116,29 +95,24 @@ var policies = map[string]policy{
 	"status":   {},
 	"runround": {},
 
-	// Coordinator → mix position. Never retried: a re-sent hop.batch
-	// or hop.mix would double-stage, and a position that misses its
-	// deadline is the chain's to blame, not the transport's to mask.
+	// Coordinator → mix position. Never retried: a position that
+	// misses its deadline is the chain's to blame, not the transport's
+	// to mask.
 	"hop.init":    {},
 	"hop.begin":   {},
 	"hop.reveal":  {},
-	"hop.batch":   {},
 	"hop.mix":     {class: classMix},
-	"hop.pull":    {},
 	"hop.certify": {},
 	"hop.blame":   {},
 	"hop.accuse":  {},
 
-	// Coordinator → gateway shard. Begin, batch, init, rebalance and
-	// abort are idempotent at the shard (a re-begin at worst rebuilds
-	// the batches; a re-pulled chunk is a read of cached state).
-	// shard.deliver must NOT be retried: a chunk processed but
-	// unacknowledged would be buffered — and delivered — twice; nor
-	// shard.finish, which commits the round.
+	// Coordinator → gateway shard. Begin, init, rebalance and abort
+	// are idempotent at the shard (a re-begin at worst rebuilds the
+	// batches). shard.finish must NOT be retried: it commits the
+	// round, and a commit processed but unacknowledged would deliver
+	// twice.
 	"shard.init":      {class: classBuild, retry: true},
 	"shard.begin":     {class: classBuild, retry: true},
-	"shard.batch":     {class: classBuild, retry: true},
-	"shard.deliver":   {class: classBuild},
 	"shard.finish":    {class: classBuild},
 	"shard.abort":     {class: classBuild, retry: true},
 	"shard.rebalance": {class: classBuild, retry: true},
@@ -182,92 +156,82 @@ type pooledConn struct {
 }
 
 // call performs one request/response exchange under the method's
-// policy. An application-level error (response.Err) comes back as a
-// plain error; connection-level failures as *TransportError.
+// policy. An application-level error (the reply's error string) comes
+// back as a plain error; connection-level failures as *TransportError.
 func (l *link) call(method string, reqBody, respBody any) error {
-	b, err := encode(reqBody)
+	frame, err := encodeFrame(method, reqBody)
 	if err != nil {
 		return err
 	}
-	return l.callBody(method, b, respBody)
+	return l.send(method, frame, respBody)
 }
 
-// callBody is call for a request body that is already encoded.
-func (l *link) callBody(method string, b []byte, respBody any) error {
-	req, err := encode(request{Method: method, Body: b})
-	if err != nil {
-		return err
-	}
+// send is call for a request frame that is already built.
+func (l *link) send(method string, frame *bytes.Buffer, respBody any) error {
 	pol := policies[method]
 	timeout := l.timeout(pol.class)
-	resp, err := l.exchange(method, req, timeout, false)
+	reply, err := l.exchange(method, frame, timeout, false)
 	if pol.retry && IsTransportError(err) {
 		obsShardRetries.Inc()
-		resp, err = l.exchange(method, req, timeout, true)
+		reply, err = l.exchange(method, frame, timeout, true)
 	}
 	if err != nil {
 		return err
 	}
-	if resp.Err != "" {
-		return errors.New(resp.Err)
+	errText, body, err := openFrame(reply)
+	if err != nil {
+		return err
 	}
-	return decode(resp.Body, respBody)
+	if errText != "" {
+		return errors.New(errText)
+	}
+	return decodeBody(body, respBody)
 }
 
-// exchange writes one request frame and reads its response on a
-// pooled connection (a freshly dialed one when fresh is set). The
+// exchange writes one request frame and reads the reply's payload on
+// a pooled connection (a freshly dialed one when fresh is set). The
 // timeout covers the whole exchange so a stalled or dead endpoint
 // surfaces as an error instead of wedging the caller forever. Only a
 // connection that completed the exchange cleanly goes back to the
 // pool.
-func (l *link) exchange(method string, req []byte, timeout time.Duration, fresh bool) (response, error) {
+func (l *link) exchange(method string, frame *bytes.Buffer, timeout time.Duration, fresh bool) ([]byte, error) {
 	m := l.metrics.Load()
-	fail := func(op string, err error) (response, error) {
+	fail := func(op string, err error) ([]byte, error) {
 		obsClientTransportErrors.Inc()
 		if m != nil {
 			m.errors.Inc()
 		}
-		return response{}, &TransportError{Op: op, Err: err}
+		return nil, &TransportError{Op: op, Err: err}
 	}
 	conn, err := l.get(fresh)
 	if err != nil {
 		return fail("dialing "+l.addr+" for "+method, err)
 	}
-	healthy := false
-	defer func() {
-		if healthy {
-			l.put(conn)
-		} else {
-			conn.Close()
-		}
-	}()
 	start := time.Now()
 	if timeout > 0 {
 		conn.SetDeadline(start.Add(timeout))
 	}
-	if err := WriteFrame(conn, req); err != nil {
+	if err := WriteFrame(conn, frame); err != nil {
+		conn.Close()
 		return fail("sending "+method, err)
 	}
-	frame, err := ReadFrame(conn)
+	reply, err := ReadFrame(conn)
 	if err != nil {
+		conn.Close()
 		return fail("reading "+method+" response", err)
 	}
 	if m != nil {
-		m.bytesOut.Add(uint64(len(req)))
-		m.bytesIn.Add(uint64(len(frame)))
+		m.bytesOut.Add(uint64(frame.Len() - prefixLen))
+		m.bytesIn.Add(uint64(len(reply)))
 		if lat := m.latency[method]; lat != nil {
 			lat.ObserveDuration(time.Since(start))
 		}
 	}
-	var resp response
-	if err := decode(frame, &resp); err != nil {
-		return response{}, err
-	}
 	if timeout > 0 {
 		conn.SetDeadline(time.Time{})
 	}
-	healthy = true
-	return resp, nil
+	l.put(conn)
+	return reply, nil
 }
 
 // get checks a connection out of the pool, or dials when the pool is

@@ -1,7 +1,6 @@
 package rpc
 
 import (
-	"math"
 	"net"
 	"os"
 	"path/filepath"
@@ -18,18 +17,17 @@ import (
 )
 
 // endpoints stands up one of each serving endpoint — a monolith
-// Server, a ShardServer holding a cached build, a bound HopServer —
-// the fixtures of the method-table tests and of FuzzDispatch.
+// Server, a ShardServer, a bound HopServer — the fixtures of the
+// method-table tests and of FuzzDispatch.
 type endpoints struct {
 	n     *core.Network
 	srv   *Server
 	shard *ShardServer
 	hop   *HopServer
-	// build is the shard's cached build, re-armed by cacheBuild.
-	build *core.ShardBuild
+	// sub is a real submission, so sample requests carry well-formed
+	// elements.
+	sub onion.Submission
 }
-
-const cachedBuildRound = 7
 
 func startEndpoints(t testing.TB) *endpoints {
 	t.Helper()
@@ -43,8 +41,6 @@ func startEndpoints(t testing.TB) *endpoints {
 	if _, err := hc.Init(0, 0, group.Generator()); err != nil {
 		t.Fatal(err)
 	}
-	// Real submissions for the cached build, so shard.batch has
-	// well-formed elements to encode.
 	conn, err := Dial(e.srv.Addr(), e.srv.ClientTLS())
 	if err != nil {
 		t.Fatal(err)
@@ -54,21 +50,8 @@ func startEndpoints(t testing.TB) *endpoints {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch := core.ChainBatch{}
-	for _, cm := range append(out.Current, out.Cover...) {
-		batch.Subs = append(batch.Subs, cm.Sub)
-		batch.Submitters = append(batch.Submitters, "u")
-	}
-	e.build = &core.ShardBuild{Batches: []core.ChainBatch{batch}}
-	e.cacheBuild()
+	e.sub = out.Current[0].Sub
 	return e
-}
-
-// cacheBuild puts the shard between shard.begin and shard.finish.
-func (e *endpoints) cacheBuild() {
-	e.shard.mu.Lock()
-	e.shard.build, e.shard.buildRound = e.build, cachedBuildRound
-	e.shard.mu.Unlock()
 }
 
 func (e *endpoints) tables() []*listenerCore {
@@ -93,8 +76,8 @@ func TestMethodTablesAgree(t *testing.T) {
 		if !served[name] {
 			t.Errorf("policy entry %q is served by no endpoint", name)
 		}
-		if pol.retry && (strings.HasPrefix(name, "hop.") || name == "shard.deliver" || name == "shard.finish") {
-			t.Errorf("%s is marked for retry; re-sending it would double-stage or double-deliver", name)
+		if pol.retry && (strings.HasPrefix(name, "hop.") || name == "shard.finish") {
+			t.Errorf("%s is marked for retry; a hop's failure is the chain's to blame and a re-sent finish would deliver twice", name)
 		}
 	}
 }
@@ -134,26 +117,6 @@ func TestRetryPolicyDials(t *testing.T) {
 		if got := dials.Load(); got != want {
 			t.Errorf("%s: %d dials after a transport failure, want %d", name, got, want)
 		}
-	}
-}
-
-// TestShardBatchWindowOverflow: a batch window whose Offset+Max wraps
-// negative must be clamped, not sliced — the handler has no recover,
-// so the panic it used to cause took the gateway shard down.
-func TestShardBatchWindowOverflow(t *testing.T) {
-	e := startEndpoints(t)
-	c, err := Dial(e.shard.Addr(), e.shard.ClientTLS())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	var resp core.ChainBatch
-	req := ShardBatchRequest{Round: cachedBuildRound, Chain: 0, Offset: 1, Max: math.MaxInt}
-	if err := c.call("shard.batch", req, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if want := len(e.build.Batches[0].Subs) - 1; len(resp.Subs) != want || len(resp.Submitters) != want {
-		t.Fatalf("window 1+MaxInt returned %d submissions and %d submitters, want %d", len(resp.Subs), len(resp.Submitters), want)
 	}
 }
 
@@ -217,7 +180,7 @@ func TestParseEndpoints(t *testing.T) {
 // seed corpus, which must cover every served method.
 func sampleRequests(e *endpoints) map[string]any {
 	g := group.Generator()
-	sub := e.build.Batches[0].Subs[0]
+	sub := e.sub
 	params := make([]mix.Params, 2)
 	for c := range params {
 		params[c], _ = e.n.ChainParams(c, e.n.Round())
@@ -234,21 +197,39 @@ func sampleRequests(e *endpoints) map[string]any {
 		"hop.init":    HopInitRequest{Chain: 0, Index: 0, Base: g},
 		"hop.begin":   HopBeginRequest{Round: 1},
 		"hop.reveal":  HopRevealRequest{Round: 1},
-		"hop.batch":   HopBatchRequest{Round: 1, Seq: 0, Envelopes: []onion.Envelope{sub.Envelope}},
-		"hop.mix":     HopMixRequest{Round: 1, Nonce: make([]byte, 12), Count: 1},
-		"hop.pull":    HopPullRequest{Round: 1, Seq: 0},
+		"hop.mix":     HopMixRequest{Round: 1, Envelopes: []onion.Envelope{sub.Envelope}},
 		"hop.certify": HopCertifyRequest{Round: 1, N: 1, Keep: []byte{1}},
 		"hop.blame":   HopBlameRequest{Round: 1, Msg: 0, Pos: 0},
 		"hop.accuse":  HopAccuseRequest{Round: 1, Msg: 0, Key: g},
 
 		"shard.init":      ShardInitRequest{Lo: 0, Hi: 32, Epoch: 0, Round: 1, NumChains: 2, ChainLength: 3, Cur: params, Next: params},
 		"shard.begin":     core.BeginRound{Round: 1, NumChains: 2, Cur: params, Next: params},
-		"shard.batch":     ShardBatchRequest{Round: cachedBuildRound, Chain: 0, Offset: 0, Max: MaxHopChunkEnvelopes},
-		"shard.deliver":   ShardDeliverRequest{Round: 1, Msgs: [][]byte{g.Bytes()}},
-		"shard.finish":    core.FinishRound{Round: 1, NumChains: 2, Cur: params, Next: params},
+		"shard.finish":    core.FinishRound{Round: 1, Delivered: [][]byte{g.Bytes()}, NumChains: 2, Cur: params, Next: params},
 		"shard.abort":     ShardAbortRequest{Round: 1},
 		"shard.rebalance": ShardRebalanceRequest{Epoch: 1, NumChains: 2},
 	}
+}
+
+// fuzzBody is a sample request's body as it sits in a frame, after
+// the method name; withMethod is the inverse, the payload dispatch
+// takes. The method name is a bare string, so a body encodes the same
+// whether or not a header came before it in the stream.
+func fuzzBody(t testing.TB, method string, req any) []byte {
+	t.Helper()
+	frame, err := encodeFrame(method, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return frame.Bytes()[len(withMethod(t, method, nil)):]
+}
+
+func withMethod(t testing.TB, method string, body []byte) []byte {
+	t.Helper()
+	frame, err := encodeFrame(method, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(frame.Bytes(), body...)
 }
 
 // FuzzDispatch feeds every handler of every endpoint arbitrary body
@@ -269,24 +250,27 @@ func FuzzDispatch(f *testing.F) {
 		if !ok {
 			f.Fatalf("no sample request for served method %q", name)
 		}
-		body, err := encode(req)
-		if err != nil {
-			f.Fatal(err)
-		}
+		body := fuzzBody(f, name, req)
 		f.Add(name, body)
 		f.Add(name, body[:len(body)/2])
 		f.Add(name, []byte{})
 	}
-	overflow, err := encode(ShardBatchRequest{Round: cachedBuildRound, Chain: 0, Offset: 1, Max: math.MaxInt})
-	if err != nil {
-		f.Fatal(err)
+	// A round-sized batch — the benchmark's 512 envelopes into one
+	// position, ≈ 250 KB in one body — whole and cut short.
+	batch := HopMixRequest{Round: 1, Envelopes: make([]onion.Envelope, 512)}
+	for i := range batch.Envelopes {
+		batch.Envelopes[i] = e.sub.Envelope
 	}
-	f.Add("shard.batch", overflow)
+	body := fuzzBody(f, "hop.mix", batch)
+	f.Add("hop.mix", body)
+	f.Add("hop.mix", body[:len(body)-len(body)/3])
 
 	f.Fuzz(func(t *testing.T, method string, body []byte) {
-		e.cacheBuild()
+		payload := withMethod(t, method, body)[prefixLen:]
 		for _, lc := range e.tables() {
-			lc.dispatch(request{Method: method, Body: body})
+			if _, err := lc.dispatch(payload); err != nil {
+				t.Fatalf("%s: a well-formed method name cost the connection: %v", method, err)
+			}
 		}
 	})
 }

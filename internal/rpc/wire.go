@@ -15,19 +15,13 @@ import (
 // non-canonical scalars are decode errors). The structs declared here
 // are the per-method requests and replies that no domain type already
 // is.
-
-// request wraps every client->server message with a method tag.
-type request struct {
-	Method string
-	Body   []byte
-}
-
-// response wraps every server->client message; Err is empty on
-// success.
-type response struct {
-	Err  string
-	Body []byte
-}
+//
+// A frame's payload is one gob stream of two values: a string, then
+// the body. In a request the string is the method name; in a reply it
+// is the error, empty on success, and a failed call has no body. One
+// encoder writes both straight into the frame, so a body is encoded
+// once and copied never; the reader decodes the string and hands the
+// same decoder, positioned at the body, to whoever knows its type.
 
 // ParamsRequest asks for a chain's public parameters (a mix.Params)
 // for a round.
@@ -106,16 +100,36 @@ type RegisterResponse struct {
 	Registered int
 }
 
-func encode(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, fmt.Errorf("rpc: encoding %T: %w", v, err)
+// encodeFrame builds the frame for head and body; a nil body is
+// omitted.
+func encodeFrame(head string, body any) (*bytes.Buffer, error) {
+	frame := NewFrame()
+	enc := gob.NewEncoder(frame)
+	if err := enc.Encode(head); err != nil {
+		return nil, fmt.Errorf("rpc: encoding frame header: %w", err)
 	}
-	return buf.Bytes(), nil
+	if body != nil {
+		if err := enc.Encode(body); err != nil {
+			return nil, fmt.Errorf("rpc: encoding %T: %w", body, err)
+		}
+	}
+	return frame, nil
 }
 
-func decode(b []byte, v any) error {
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(v); err != nil {
+// openFrame decodes a payload's leading string and returns it with
+// the decoder positioned at the body.
+func openFrame(payload []byte) (string, *gob.Decoder, error) {
+	dec := gob.NewDecoder(bytes.NewReader(payload))
+	var head string
+	if err := dec.Decode(&head); err != nil {
+		return "", nil, fmt.Errorf("rpc: decoding frame header: %w", err)
+	}
+	return head, dec, nil
+}
+
+// decodeBody decodes the body a frame's decoder is positioned at.
+func decodeBody(dec *gob.Decoder, v any) error {
+	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("rpc: decoding %T: %w", v, err)
 	}
 	return nil

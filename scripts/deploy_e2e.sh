@@ -11,8 +11,9 @@
 # then runs two full rounds through xrd-client with -cross-shard, so
 # each round proves a message submitted on one gateway shard comes out
 # of a mailbox owned by the other — end-to-end coverage of the
-# coordinator round protocol (begin/batch/deliver/finish), the hop
-# transport, and cross-shard delivery routing. If any of those
+# coordinator round protocol (shard.begin/shard.finish), the hop
+# transport (hop.begin/hop.mix/hop.reveal), and cross-shard delivery
+# routing. If any of those
 # regress, the conversation dies and this script exits non-zero.
 #
 # Every process also gets an -admin-addr; the script asserts /healthz
