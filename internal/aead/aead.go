@@ -42,7 +42,9 @@ var ErrAuth = errors.New("aead: message authentication failed")
 // Implementations must be safe for concurrent use.
 type Scheme interface {
 	// Seal encrypts and authenticates plaintext, appending the result
-	// to dst. It implements the paper's AEnc(s, nonce, m).
+	// to dst. It implements the paper's AEnc(s, nonce, m). dst may be
+	// plaintext[:0] — sealing in place, which is how an onion's layers
+	// share one buffer — and must otherwise not overlap plaintext.
 	Seal(dst []byte, key *[KeySize]byte, nonce *[NonceSize]byte, plaintext []byte) []byte
 	// Open authenticates and decrypts ciphertext, appending the
 	// plaintext to dst. It implements ADec(s, nonce, c), returning

@@ -169,6 +169,39 @@ func TestSealAppendsToDst(t *testing.T) {
 	}
 }
 
+// TestSealInPlace pins the aliasing the onion builder relies on: for
+// both schemes Seal(pt[:0], …, pt) gives the bytes Seal(nil, …, pt)
+// gives, in pt's own array when its capacity holds the tag and in a
+// grown one when it does not.
+func TestSealInPlace(t *testing.T) {
+	for _, s := range schemes() {
+		t.Run(s.Name(), func(t *testing.T) {
+			var k [KeySize]byte
+			var n [NonceSize]byte
+			if _, err := rand.Read(k[:]); err != nil {
+				t.Fatal(err)
+			}
+			for _, size := range []int{0, 1, 16, 255, 387} {
+				msg := make([]byte, size)
+				if _, err := rand.Read(msg); err != nil {
+					t.Fatal(err)
+				}
+				want := s.Seal(nil, &k, &n, msg)
+				for _, spare := range []int{0, Overhead, 3 * Overhead} {
+					buf := append(make([]byte, 0, size+spare), msg...)
+					got := s.Seal(buf[:0], &k, &n, buf)
+					if !bytes.Equal(got, want) {
+						t.Fatalf("size %d, spare %d: in-place ciphertext differs", size, spare)
+					}
+					if inPlace := size > 0 && &got[0] == &buf[0]; inPlace != (spare >= Overhead && size > 0) {
+						t.Fatalf("size %d, spare %d: sealed in place = %v", size, spare, inPlace)
+					}
+				}
+			}
+		})
+	}
+}
+
 func TestRoundNonceUniqueness(t *testing.T) {
 	seen := make(map[[NonceSize]byte]bool)
 	for rho := uint64(0); rho < 100; rho++ {

@@ -374,20 +374,41 @@ type RoundOutput struct {
 // the bodies its stale predecessor drained are restored first.
 func (u *User) BuildRound(rho uint64, src ParamsSource) (*RoundOutput, error) {
 	u.restoreDrained(rho)
-	cur, err := u.buildLane(rho, LaneCurrent, src)
+	cur, err := u.laneJobs(rho, LaneCurrent, src)
 	if err != nil {
 		return nil, fmt.Errorf("client: building round %d: %w", rho, err)
 	}
-	cover, err := u.buildLane(rho+1, LaneCover, src)
+	cover, err := u.laneJobs(rho+1, LaneCover, src)
 	if err != nil {
 		return nil, fmt.Errorf("client: building covers for round %d: %w", rho+1, err)
+	}
+	// Both lanes' onions are wrapped in one call: 2ℓ(k+1) exchanges are
+	// what the batched table sums of group.BatchDH amortise over.
+	subs, err := onion.WrapAHSBatch(u.scheme, append(cur, cover...))
+	if err != nil {
+		return nil, fmt.Errorf("client: building round %d: %w", rho, err)
 	}
 	for r := range u.drained {
 		if r+2 <= rho {
 			delete(u.drained, r)
 		}
 	}
-	return &RoundOutput{Round: rho, Current: cur, Cover: cover}, nil
+	// The lanes get an array each: covers are banked for a round after
+	// the current lane's messages are done with.
+	return &RoundOutput{
+		Round:   rho,
+		Current: chainMessages(cur, subs[:len(cur)]),
+		Cover:   chainMessages(cover, subs[len(cur):]),
+	}, nil
+}
+
+// chainMessages addresses each wrapped job to its chain.
+func chainMessages(jobs []onion.WrapJob, subs []onion.Submission) []ChainMessage {
+	out := make([]ChainMessage, len(jobs))
+	for i, sub := range subs {
+		out[i] = ChainMessage{Chain: jobs[i].Chain, Sub: sub}
+	}
+	return out
 }
 
 // restoreDrained pushes back every outbox body consumed by a stale
@@ -411,11 +432,12 @@ func (u *User) restoreDrained(rho uint64) {
 	}
 }
 
-// buildLane constructs the ℓ messages of one lane for the given
-// round: the fresh messages (LaneCurrent) or the covers (LaneCover).
-// A cover conversation message carries KindOffline so each partner
-// learns the sender went away if it is ever used.
-func (u *User) buildLane(round uint64, lane byte, src ParamsSource) ([]ChainMessage, error) {
+// laneJobs lays out the ℓ onions of one lane for the given round: the
+// fresh messages (LaneCurrent) or the covers (LaneCover), each sealed
+// for its mailbox and paired with its chain's parameters, ready to be
+// wrapped. A cover conversation message carries KindOffline so each
+// partner learns the sender went away if it is ever used.
+func (u *User) laneJobs(round uint64, lane byte, src ParamsSource) ([]onion.WrapJob, error) {
 	// The chain-layer nonce is always lane 0: every message processed
 	// in round τ is mixed under RoundNonce(τ, 0) regardless of when
 	// it was built. Only the mailbox layer is lane-separated.
@@ -423,7 +445,7 @@ func (u *User) buildLane(round uint64, lane byte, src ParamsSource) ([]ChainMess
 	chainNonce := aead.RoundNonce(round, LaneCurrent)
 
 	chains := u.Chains()
-	out := make([]ChainMessage, 0, len(chains))
+	jobs := make([]onion.WrapJob, 0, len(chains))
 	used := make(map[int]bool, len(u.partners)) // first occurrence of a chain carries its conversation
 	for _, chain := range chains {
 		params, err := src.ChainParams(chain, round)
@@ -440,13 +462,16 @@ func (u *User) buildLane(round uint64, lane byte, src ParamsSource) ([]ChainMess
 		if err != nil {
 			return nil, err
 		}
-		sub, err := onion.WrapAHS(u.scheme, params.InnerAggregate, params.MixKeys, round, chain, chainNonce, msg)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, ChainMessage{Chain: chain, Sub: sub})
+		jobs = append(jobs, onion.WrapJob{
+			InnerAgg:   params.InnerAggregate,
+			MixKeys:    params.MixKeys,
+			Round:      round,
+			Chain:      chain,
+			Nonce:      chainNonce,
+			MailboxMsg: msg,
+		})
 	}
-	return out, nil
+	return jobs, nil
 }
 
 // conversationMessage builds the message for one partner: a fresh

@@ -42,6 +42,11 @@ func TestBuildRoundShape(t *testing.T) {
 	if len(out.Cover) != l {
 		t.Fatalf("cover lane has %d messages, want ℓ=%d", len(out.Cover), l)
 	}
+	// The lanes must not share an array: covers are banked for a round,
+	// and would pin the current lane's onions with them.
+	if cap(out.Current) != l || cap(out.Cover) != l {
+		t.Fatalf("lane capacities %d and %d, want ℓ=%d each", cap(out.Current), cap(out.Cover), l)
+	}
 	// Messages go exactly to the user's selected chains, in order.
 	chains := u.Chains()
 	for i, cm := range out.Current {
@@ -530,6 +535,157 @@ func TestPartnerSecretSurvivesRebalance(t *testing.T) {
 	}
 	if !outbound(gone, "welcome back") {
 		t.Fatal("message to the re-added partner was not sealed under the shared secret")
+	}
+}
+
+// epochChains is a ParamsSource over real in-process chains that
+// serves rounds up to split from one set and later rounds from
+// another — what a user building round split's messages and round
+// split+1's covers sees when the chains re-form between the two.
+type epochChains struct {
+	split        uint64
+	before, from []*mix.Chain
+}
+
+func (e epochChains) chain(chain int, round uint64) *mix.Chain {
+	if round > e.split {
+		return e.from[chain]
+	}
+	return e.before[chain]
+}
+
+func (e epochChains) ChainParams(chain int, round uint64) (mix.Params, error) {
+	return e.chain(chain, round).ParamsFor(round)
+}
+
+// TestBatchedBuildRoundThroughRealChains: BuildRound wraps both lanes'
+// onions in one batch, so every onion of it must still be the onion
+// its own chain and round expect. Two conversing users' builds are
+// mixed by real three-server chains — the current lane in round ρ, the
+// cover lane in round ρ+1 as if both had gone offline — and every
+// delivered message must open: the queued body and the offline signals
+// between the partners, loopbacks otherwise. "split" re-keys the chains
+// between the two rounds, so one batch carries two epochs' mix keys.
+func TestBatchedBuildRoundThroughRealChains(t *testing.T) {
+	const rho, numChains, k = 5, 3, 3
+	scheme := aead.ChaCha20Poly1305()
+	plan, err := chainsel.NewPlan(numChains)
+	if err != nil {
+		t.Fatal(err)
+	}
+	newChains := func(rounds ...uint64) []*mix.Chain {
+		chains := make([]*mix.Chain, numChains)
+		for id := range chains {
+			c, err := mix.NewChain(id, k, scheme)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range rounds {
+				if err := c.BeginRound(r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			chains[id] = c
+		}
+		return chains
+	}
+	for _, tc := range []struct {
+		name string
+		src  func() epochChains
+	}{
+		{"one epoch", func() epochChains {
+			c := newChains(rho, rho+1)
+			return epochChains{split: rho, before: c, from: c}
+		}},
+		{"split", func() epochChains {
+			return epochChains{split: rho, before: newChains(rho), from: newChains(rho + 1)}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			src := tc.src()
+			a, b := client.NewUser(scheme, plan), client.NewUser(scheme, plan)
+			if err := a.StartConversation(b.PublicKey()); err != nil {
+				t.Fatal(err)
+			}
+			if err := b.StartConversation(a.PublicKey()); err != nil {
+				t.Fatal(err)
+			}
+			if err := a.QueueMessage([]byte("hello")); err != nil {
+				t.Fatal(err)
+			}
+			outA, err := a.BuildRound(rho, src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			outB, err := b.BuildRound(rho, src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// deliver mixes one lane of both builds through the round's
+			// chains and hands each user her mailbox.
+			deliver := func(round uint64, lanes ...[]client.ChainMessage) (toA, toB []client.Received) {
+				t.Helper()
+				perChain := make([][]onion.Submission, numChains)
+				for _, lane := range lanes {
+					if len(lane) != plan.L {
+						t.Fatalf("lane holds %d messages, want ℓ = %d", len(lane), plan.L)
+					}
+					for _, cm := range lane {
+						perChain[cm.Chain] = append(perChain[cm.Chain], cm.Sub)
+					}
+				}
+				boxes := map[string][][]byte{}
+				for id, subs := range perChain {
+					res, err := src.chain(id, round).RunRound(round, client.LaneCurrent, subs)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if res.Halted || len(res.BlamedUsers) != 0 || res.DroppedInner != 0 || len(res.Delivered) != len(subs) {
+						t.Fatalf("chain %d round %d: %d of %d delivered, halted=%v blamed=%v dropped=%d",
+							id, round, len(res.Delivered), len(subs), res.Halted, res.BlamedUsers, res.DroppedInner)
+					}
+					for _, m := range res.Delivered {
+						to, err := onion.Recipient(m)
+						if err != nil {
+							t.Fatal(err)
+						}
+						boxes[string(to)] = append(boxes[string(to)], m)
+					}
+				}
+				var bad int
+				if toA, bad = a.OpenMailbox(round, boxes[string(a.Mailbox())]); bad != 0 || len(toA) != plan.L {
+					t.Fatalf("round %d: a opened %d of ℓ = %d (%d undecryptable)", round, len(toA), plan.L, bad)
+				}
+				if toB, bad = b.OpenMailbox(round, boxes[string(b.Mailbox())]); bad != 0 || len(toB) != plan.L {
+					t.Fatalf("round %d: b opened %d of ℓ = %d (%d undecryptable)", round, len(toB), plan.L, bad)
+				}
+				return toA, toB
+			}
+			fromPartner := func(recv []client.Received) (got []client.Received) {
+				for _, r := range recv {
+					if r.FromPartner {
+						got = append(got, r)
+					} else if r.Kind != onion.KindLoopback {
+						t.Fatalf("a message not from the partner is %v, want a loopback", r.Kind)
+					}
+				}
+				return got
+			}
+
+			toA, toB := deliver(rho, outA.Current, outB.Current)
+			if got := fromPartner(toB); len(got) != 1 || got[0].Kind != onion.KindConversation || string(got[0].Body) != "hello" {
+				t.Fatalf("b's mailbox from a: %+v, want the queued body", got)
+			}
+			if got := fromPartner(toA); len(got) != 1 || got[0].Kind != onion.KindConversation || len(got[0].Body) != 0 {
+				t.Fatalf("a's mailbox from b: %+v, want one empty conversation message", got)
+			}
+			toA, toB = deliver(rho+1, outA.Cover, outB.Cover)
+			for name, recv := range map[string][]client.Received{"a": toA, "b": toB} {
+				if got := fromPartner(recv); len(got) != 1 || got[0].Kind != onion.KindOffline {
+					t.Fatalf("%s's round-ρ+1 mailbox from the partner: %+v, want the offline signal", name, got)
+				}
+			}
+		})
 	}
 }
 

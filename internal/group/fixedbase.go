@@ -23,7 +23,9 @@ package group
 //     8.5 KiB, built in under two Point.Muls' time by the first
 //     multiplier (ensure); 65 additions and 12 doublings per scalar
 //     against the stdlib's 256 doublings. Point.Precomputed attaches
-//     one.
+//     one. BatchDH, which raises many such keys at once, does not walk
+//     them one by one: it adds all their entries as one tree of affine
+//     additions under shared inversions (treeSum).
 //
 // The generator's tables additionally serve BatchBase's all-affine
 // sweep, which batches the per-window division across many scalars.
@@ -203,50 +205,247 @@ func (p Point) Precomputed() Point {
 	return p
 }
 
+// treeSumMin is the tabled-lane count from which BatchDH sums its table
+// entries as one tree instead of walking each lane on a Jacobian
+// accumulator: the tree saves ≈ 4 µs a lane and costs five field
+// inversions (≈ 13 µs) a time, so it breaks even between two and four
+// lanes (BenchmarkBatchDH: level at 4, −12 % at 7, −20 % from 28 up).
+const treeSumMin = 4
+
+// dhChunk is how many exchanges BatchDH resolves at a time. The tree's
+// buffers hold ≈ 6 KiB a lane, and past a few hundred KiB they fall out
+// of cache and cost more to allocate and clear than five more
+// inversions do: 64 lanes (≈ 400 KiB, reused from chunk to chunk) is
+// level with one pass at 56 lanes, −10 % at 231 and −20 % at 924, the
+// paper's n = 100, k = 32 round.
+const dhChunk = 64
+
 // BatchDH returns DH(pubs[i], privs[i]) for every i. Precomputed keys
-// (and the generator) are walked into Jacobian accumulators that share
-// one field inversion, and a run of keys under the same Scalar value —
-// an onion's mix keys under its x — recodes that scalar once; bare
-// points take Point.Mul's stdlib path one by one, exactly as DH does.
+// (and the generator) run on their tables — dhChunk lanes at a time,
+// summed as one tree from treeSumMin lanes up, walked one by one below
+// — into Jacobian accumulators that share one field inversion, and a
+// run of keys under the same Scalar value — an onion's mix keys under
+// its x — recodes that scalar once; bare points take Point.Mul's stdlib
+// path one by one, exactly as DH does.
 func BatchDH(pubs []Point, privs []Scalar) [][32]byte {
 	if len(pubs) != len(privs) {
 		panic("group: BatchDH length mismatch")
 	}
 	out := make([][32]byte, len(pubs))
+	var ts treeSum
+	for lo := 0; lo < len(pubs); lo += dhChunk {
+		hi := min(lo+dhChunk, len(pubs))
+		batchDHChunk(&ts, pubs[lo:hi], privs[lo:hi], out[lo:hi])
+	}
+	return out
+}
+
+// batchDHChunk is BatchDH for one chunk, its tree (if the chunk has the
+// lanes for one) on ts's buffers.
+func batchDHChunk(ts *treeSum, pubs []Point, privs []Scalar, out [][32]byte) {
+	tabs := make([]*fixedTable, len(pubs)) // nil: not a tabled lane
+	lanes, slots := 0, 0                   // tabled lanes, and the digits they recode to
+	for i, p := range pubs {
+		if !p.IsIdentity() && !privs[i].IsZero() {
+			tabs[i] = p.table()
+		}
+		if tabs[i] == nil {
+			out[i] = DH(p, privs[i])
+			continue
+		}
+		lanes++
+		slots += tabs[i].shape.digits()
+	}
+	if lanes == 0 {
+		return
+	}
+	tree := lanes >= treeSumMin
+	if tree {
+		ts.reset(slots)
+	}
 	js := make([]jacPoint, len(pubs))
 	var buf [maxDigits]int16
-	var digits []int16 // nil until a key is walked; then of.v in of.shape
+	var digits []int16 // nil until a key is recoded; then of.v in of.shape
 	var of struct {
 		shape tableShape
 		v     *big.Int // Scalars are immutable: same pointer, same value
 	}
-	for i, p := range pubs {
-		var t *fixedTable
-		if !p.IsIdentity() && !privs[i].IsZero() {
-			t = p.table()
-		}
+	for i, t := range tabs {
 		if t == nil {
-			out[i] = DH(p, privs[i])
 			continue
 		}
-		t.ensure(p)
+		t.ensure(pubs[i])
 		if digits == nil || of.shape != t.shape || of.v != privs[i].v {
 			digits = t.recode(privs[i], &buf)
 			of.shape, of.v = t.shape, privs[i].v
 		}
-		t.walk(&js[i], digits)
+		if tree {
+			ts.gather(t, digits)
+		} else {
+			t.walk(&js[i], digits)
+		}
 	}
-	if digits == nil {
-		return out
+	if tree {
+		ts.reduce()
+		for i, t := range tabs {
+			if t != nil {
+				ts.finish(t, privs[i], &js[i])
+			}
+		}
 	}
-	// A walked accumulator is never the identity (non-zero scalar,
-	// non-identity key, prime order), so Z marks the walked slots.
+	// A tabled lane's accumulator is never the identity (non-zero
+	// scalar, non-identity key, prime order), so Z marks those slots.
 	for i, pt := range BatchToAffine(js) {
 		if !pt.IsIdentity() {
 			out[i] = SharedSecret(pt)
 		}
 	}
-	return out
+}
+
+// treeSum is the batched form of walk. A walk is a sum of known table
+// entries, and a sum can be re-associated: every lane's entries are
+// gathered per digit group into contiguous runs, and all runs of all
+// lanes are then reduced level by level, adjacent pairs added in affine
+// coordinates with every chord denominator of a level put through one
+// feBatchInv. A run of 17 halves 17→9→5→3→2→1, so a whole call costs
+// five true inversions and ≈ 6 field multiplications per addition
+// against addAffine's 11; only the w·(q−1) doublings between group
+// sums stay on a Jacobian accumulator (finish).
+//
+// The chord formula divides by x₂−x₁, which is zero exactly when a pair
+// doubles or cancels. No canonical recoding reaches that — in every
+// pair the right operand's rows outweigh the left's, as in walk (see
+// TestKeyTableExceptionalPaths) — but a wrong answer here would be a
+// silent one, so each denominator is checked: a run that meets a zero
+// is dropped at that level, and finish sends its lane through walk,
+// which folds both cases itself. The fallback is the reference, so the
+// answer is exact either way.
+type treeSum struct {
+	pts          []affinePoint // every run's entries, packed
+	runs         []sumRun      // groups() per lane, in gather order
+	next         int           // finish's cursor into runs
+	den, scratch []fe          // one level's denominators; feBatchInv's scratch
+}
+
+// sumRun is one digit group's entries, pts[start:start+n]: n shrinks to
+// 1 (the group's sum) as the levels go by, 0 is a group with no
+// non-zero digit.
+type sumRun struct {
+	start, n int
+	bad      bool // met a doubling or cancelling pair
+}
+
+// reset empties ts for lanes recoding to slots digits in all, growing
+// its buffers if they are short: 64 B of pts per digit and 32 B of
+// denominator and scratch, ≈ 6 KiB for a key-shaped lane's 66 digits,
+// none of it kept past the BatchDH call.
+func (ts *treeSum) reset(slots int) {
+	if cap(ts.pts) < slots {
+		ts.pts = make([]affinePoint, 0, slots)
+		ts.den = make([]fe, 0, slots/2)
+		ts.scratch = make([]fe, slots/2)
+	}
+	ts.pts, ts.runs, ts.next = ts.pts[:0], ts.runs[:0], 0
+}
+
+// gather appends one lane: for each digit group, walk's entries in
+// walk's order, y negated for a negative digit.
+func (ts *treeSum) gather(t *fixedTable, digits []int16) {
+	q, half := t.shape.groups, t.shape.half()
+	for r := 0; r < q; r++ {
+		start, row := len(ts.pts), 0
+		for i := r; i < len(digits); i += q {
+			if d := int(digits[i]); d > 0 {
+				ts.pts = append(ts.pts, t.entries[row+d-1])
+			} else if d < 0 {
+				e := t.entries[row-d-1]
+				feNeg(&e.y, &e.y)
+				ts.pts = append(ts.pts, e)
+			}
+			row += half
+		}
+		ts.runs = append(ts.runs, sumRun{start: start, n: len(ts.pts) - start})
+	}
+}
+
+// reduce halves every run until each holds its group's sum.
+func (ts *treeSum) reduce() {
+	for {
+		ts.den = ts.den[:0]
+		for ri := range ts.runs {
+			r := &ts.runs[ri]
+			base := len(ts.den)
+			for i := 0; i+1 < r.n; i += 2 {
+				var d fe
+				feSub(&d, &ts.pts[r.start+i+1].x, &ts.pts[r.start+i].x)
+				if d.isZero() {
+					ts.den = ts.den[:base]
+					r.n, r.bad = 0, true
+					break
+				}
+				ts.den = append(ts.den, d)
+			}
+		}
+		if len(ts.den) == 0 {
+			return
+		}
+		feBatchInv(ts.den, ts.scratch[:len(ts.den)])
+		k := 0
+		for ri := range ts.runs {
+			r := &ts.runs[ri]
+			if r.n < 2 {
+				continue
+			}
+			run := ts.pts[r.start : r.start+r.n]
+			for i := 0; i+1 < r.n; i += 2 {
+				// Chord through a = run[i], b = run[i+1]:
+				// λ = (y_b−y_a)/(x_b−x_a), x₃ = λ²−x_a−x_b,
+				// y₃ = λ(x_a−x₃)−y_a. Slot i/2 is behind both reads.
+				a, b := &run[i], &run[i+1]
+				var lam, x3, y3 fe
+				feSub(&lam, &b.y, &a.y)
+				feMul(&lam, &lam, &ts.den[k])
+				feSqr(&x3, &lam)
+				feSub(&x3, &x3, &a.x)
+				feSub(&x3, &x3, &b.x)
+				feSub(&y3, &a.x, &x3)
+				feMul(&y3, &lam, &y3)
+				feSub(&y3, &y3, &a.y)
+				run[i/2] = affinePoint{x: x3, y: y3}
+				k++
+			}
+			if r.n%2 == 1 {
+				run[r.n/2] = run[r.n-1]
+			}
+			r.n = (r.n + 1) / 2
+		}
+	}
+}
+
+// finish resolves the next gathered lane, t's under s, into the
+// identity accumulator acc: its group sums folded the way walk orders
+// them — highest group first, w doublings between groups — or, if one
+// of its runs went bad, the walk itself.
+func (ts *treeSum) finish(t *fixedTable, s Scalar, acc *jacPoint) {
+	w, q := t.shape.window, t.shape.groups
+	runs := ts.runs[ts.next : ts.next+q]
+	ts.next += q
+	for r := q - 1; r >= 0; r-- {
+		if runs[r].bad {
+			var buf [maxDigits]int16
+			acc.setIdentity()
+			t.walk(acc, t.recode(s, &buf))
+			return
+		}
+		if r < q-1 {
+			for i := 0; i < w; i++ {
+				acc.double()
+			}
+		}
+		if runs[r].n == 1 {
+			acc.addAffine(&ts.pts[runs[r].start], false)
+		}
+	}
 }
 
 // fbBatchMin is the batch size where the affine accumulation with

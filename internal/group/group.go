@@ -266,13 +266,19 @@ func isAllZero(b []byte) bool {
 // IsIdentity reports whether p is the identity element.
 func (p Point) IsIdentity() bool { return p.x == nil }
 
-// Bytes returns the 33-byte compressed encoding of p. The identity
-// encodes as 33 zero bytes.
+// Bytes returns the 33-byte compressed encoding of p (SEC 1: 0x02 or
+// 0x03 for y's parity, then x). The identity encodes as 33 zero bytes.
+// It writes the bytes itself: elliptic.MarshalCompressed first proves
+// the point on the curve through a big.Int → nistec round trip, and a
+// Point's coordinates are on the curve by construction (ParsePoint
+// validated them, or this package's arithmetic produced them).
 func (p Point) Bytes() []byte {
-	if p.IsIdentity() {
-		return make([]byte, PointSize)
+	out := make([]byte, PointSize)
+	if !p.IsIdentity() {
+		out[0] = 2 | byte(p.y.Bit(0))
+		p.x.FillBytes(out[1:])
 	}
-	return elliptic.MarshalCompressed(curve, p.x, p.y)
+	return out
 }
 
 // MarshalBinary and UnmarshalBinary make a Point its own wire format

@@ -2,6 +2,7 @@ package group
 
 import (
 	"bytes"
+	"crypto/elliptic"
 	"errors"
 	"math/big"
 	"testing"
@@ -85,6 +86,42 @@ func TestPointRoundTrip(t *testing.T) {
 	if !got.Equal(p) {
 		t.Fatal("round-tripped point differs")
 	}
+}
+
+// TestBytesMatchesMarshalCompressed pins Bytes, which writes the
+// compressed encoding itself, to crypto/elliptic's: random points (both
+// y parities, and x with leading zero bytes turn up among 512), the
+// generator, a point that came in through ParsePoint, and results of
+// this package's own arithmetic.
+func TestBytesMatchesMarshalCompressed(t *testing.T) {
+	check := func(name string, p Point) {
+		t.Helper()
+		if got, want := p.Bytes(), elliptic.MarshalCompressed(curve, p.x, p.y); !bytes.Equal(got, want) {
+			t.Fatalf("%s: Bytes = %x, MarshalCompressed = %x", name, got, want)
+		}
+	}
+	check("generator", Generator())
+	parities := [2]bool{}
+	for i := 0; i < 512; i++ {
+		p := Base(MustRandomScalar())
+		check("random", p)
+		parities[p.y.Bit(0)] = true
+	}
+	if !parities[0] || !parities[1] {
+		t.Fatal("512 random points did not cover both y parities")
+	}
+	// x = 5 is on the curve and encodes with 31 leading zero bytes.
+	small, err := ParsePoint(append([]byte{2}, NewScalar(5).Bytes()...))
+	if err != nil {
+		t.Fatalf("x = 5 should decompress: %v", err)
+	}
+	check("small x", small)
+	check("parsed", small.Neg())
+	p := Base(MustRandomScalar())
+	check("sum", p.Add(small))
+	check("mul", small.Mul(MustRandomScalar()))
+	check("tabled mul", p.Precomputed().Mul(MustRandomScalar()))
+	check("batch", BatchBase([]Scalar{MustRandomScalar()})[0])
 }
 
 func TestIdentityRoundTrip(t *testing.T) {

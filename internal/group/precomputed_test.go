@@ -3,6 +3,7 @@ package group
 import (
 	"bytes"
 	"crypto/rand"
+	"fmt"
 	"math/big"
 	"sync"
 	"testing"
@@ -116,43 +117,110 @@ func TestKeyTableExceptionalPaths(t *testing.T) {
 }
 
 // TestBatchDHMatchesDH checks the batched helper against separate DH
-// calls on bare points: precomputed and bare keys mixed, an identity
-// base, a zero scalar, the generator, a run under one scalar followed
-// by another scalar, and the empty batch.
+// calls on bare points, on both sides of treeSumMin and at the sizes of
+// whole rounds (56 lanes: the bench's k = 6 round; 924: the paper's
+// n = 100, k = 32, fifteen chunks): each call mixes precomputed and bare keys, an
+// identity base, a zero scalar, the generator, a run under one scalar
+// followed by another scalar, and an equal-valued but distinct Scalar —
+// so the tabled lanes are never contiguous and the once-per-run
+// recoding is crossed both ways.
 func TestBatchDHMatchesDH(t *testing.T) {
 	if got := BatchDH(nil, nil); len(got) != 0 {
 		t.Fatalf("empty batch returned %d secrets", len(got))
 	}
-	x, y := MustRandomScalar(), MustRandomScalar()
-	var bare, pubs []Point
-	var privs []Scalar
-	add := func(p Point, pre bool, s Scalar) {
-		bare = append(bare, p)
-		if pre {
-			p = p.Precomputed()
+	// dhChunk−2 tabled lanes make dhChunk+2 exchanges with the four other
+	// kinds: a tree chunk, then a two-lane chunk that walks.
+	for _, tabled := range []int{0, 1, treeSumMin - 1, treeSumMin, treeSumMin + 1, 56, dhChunk - 2, 924} {
+		x, y := MustRandomScalar(), MustRandomScalar()
+		var bare, pubs []Point
+		var privs []Scalar
+		add := func(p Point, pre bool, s Scalar) {
+			bare = append(bare, p)
+			if pre {
+				p = p.Precomputed()
+			}
+			pubs = append(pubs, p)
+			privs = append(privs, s)
 		}
-		pubs = append(pubs, p)
-		privs = append(privs, s)
-	}
-	add(Base(MustRandomScalar()), true, y)
-	for i := 0; i < 6; i++ {
-		add(Base(MustRandomScalar()), i != 3, x) // one bare key mid-run
-	}
-	add(Identity(), true, x)
-	add(Base(MustRandomScalar()), true, Scalar{})
-	add(Generator(), false, x)
-	add(Base(MustRandomScalar()), true, ScalarFromBig(x.big())) // equal value, different Scalar
-	add(Base(MustRandomScalar()), true, y)
-	got := BatchDH(pubs, privs)
-	for i := range bare {
-		if want := SharedSecret(stdlibMul(bare[i], privs[i])); got[i] != want {
-			t.Fatalf("BatchDH[%d] differs from DH on the bare point", i)
+		add(Base(MustRandomScalar()), false, x) // bare
+		add(Identity(), true, x)
+		add(Base(MustRandomScalar()), true, Scalar{})
+		for i := 0; i < tabled; i++ {
+			switch {
+			case i%7 == 0: // an onion's inner aggregate under y, then its mix keys under x
+				add(Base(MustRandomScalar()), true, y)
+			case i == 3:
+				add(Generator(), false, x)
+			case i == 5:
+				add(Base(MustRandomScalar()), true, ScalarFromBig(x.big())) // equal value, different Scalar
+			default:
+				add(Base(MustRandomScalar()), true, x)
+			}
+			if i == 2 {
+				add(Base(MustRandomScalar()), false, x) // one bare key mid-run
+			}
+			if i%7 == 6 {
+				x, y = MustRandomScalar(), keyEdgeScalars()[i%len(keyEdgeScalars())]
+			}
+		}
+		got := BatchDH(pubs, privs)
+		for i := range bare {
+			if want := SharedSecret(stdlibMul(bare[i], privs[i])); got[i] != want {
+				t.Fatalf("%d tabled lanes: BatchDH[%d] differs from DH on the bare point", tabled, i)
+			}
+		}
+		// All-bare batches take the stdlib path throughout.
+		for i, sec := range BatchDH(bare[:3], privs[:3]) {
+			if sec != got[i] {
+				t.Fatalf("bare BatchDH[%d] differs", i)
+			}
 		}
 	}
-	// All-bare batches take the stdlib path throughout.
-	for i, sec := range BatchDH(bare[:3], privs[:3]) {
-		if sec != got[i] {
-			t.Fatalf("bare BatchDH[%d] differs", i)
+}
+
+// TestTreeSumExceptionalRuns drives the reducer's zero-denominator
+// branch and the walk fallback behind it. No digit vector reaches them
+// through gather (every pair's right operand outweighs its left), so
+// the runs are doctored after gathering: lane 0's first group is made
+// to start P, P (a doubling pair) and lane 1's last group Q, −Q (a
+// cancelling pair); lane 2 is left alone next to them, and its first
+// group is an odd run at every level but the last (17 → 9 → 5 → 3: the
+// carried last entry). All three must come out as the stdlib's answer — the
+// doctored lanes because finish recomputes them from the scalar.
+func TestTreeSumExceptionalRuns(t *testing.T) {
+	// Nibble 9 recodes to −7, then −6 with a carry all the way up: no
+	// zero digit, and the carry out of the top fills row 16 of group 0.
+	all := ScalarFromBig(new(big.Int).SetBytes(bytes.Repeat([]byte{0x99}, 32)))
+	keys := []Point{Base(MustRandomScalar()).Precomputed(), Base(MustRandomScalar()).Precomputed(), Base(MustRandomScalar()).Precomputed()}
+	var ts treeSum
+	ts.reset(3 * keyShape.digits())
+	var buf [maxDigits]int16
+	for _, k := range keys {
+		k.tab.ensure(k)
+		ts.gather(k.tab, k.tab.recode(all, &buf))
+	}
+	if n := ts.runs[8].n; n != 17 {
+		t.Fatalf("lane 2's first run holds %d entries, want all 17 rows", n)
+	}
+	first := ts.runs[0]
+	ts.pts[first.start+1] = ts.pts[first.start]
+	last := ts.runs[7]
+	ts.pts[last.start+1] = ts.pts[last.start]
+	feNeg(&ts.pts[last.start+1].y, &ts.pts[last.start+1].y)
+	ts.reduce()
+	if !ts.runs[0].bad || !ts.runs[7].bad {
+		t.Fatal("a doubling and a cancelling pair must mark their runs")
+	}
+	for ri, r := range ts.runs {
+		if ri != 0 && ri != 7 && (r.bad || r.n != 1) {
+			t.Fatalf("run %d: bad=%v n=%d, want one clean sum", ri, r.bad, r.n)
+		}
+	}
+	for i, k := range keys {
+		var acc jacPoint
+		ts.finish(k.tab, all, &acc)
+		if got, want := acc.toPoint(), stdlibMul(k, all); !got.Equal(want) {
+			t.Fatalf("lane %d = %v, want %v", i, got, want)
 		}
 	}
 }
@@ -216,6 +284,46 @@ func FuzzPrecomputedMul(f *testing.F) {
 	})
 }
 
+// FuzzBatchDH cross-checks the tree-summed BatchDH against the stdlib
+// for arbitrary key and scalar material: lanes distinct keys (at least
+// treeSumMin, so the tree runs) alternate between two scalars, with a
+// bare and an identity key among them.
+func FuzzBatchDH(f *testing.F) {
+	pow := func(k uint) []byte { return new(big.Int).Lsh(big.NewInt(1), k).Bytes() }
+	nMinus := func(d int64) []byte { return new(big.Int).Sub(Order(), big.NewInt(d)).Bytes() }
+	f.Add([]byte{1}, nMinus(1), nMinus(2), uint8(0))
+	f.Add([]byte{2}, pow(16), pow(252), uint8(3))
+	f.Add([]byte{3}, pow(255), pow(4), uint8(13))
+	f.Add([]byte{4}, bytes.Repeat([]byte{0xFF}, 32), bytes.Repeat([]byte{0x88}, 32), uint8(7))
+	f.Add([]byte{5}, bytes.Repeat([]byte{0x11}, 32), []byte{}, uint8(60))
+	f.Fuzz(func(t *testing.T, key, s1, s2 []byte, lanes uint8) {
+		trim := func(b []byte) *big.Int {
+			if len(b) > 32 {
+				b = b[:32]
+			}
+			return new(big.Int).SetBytes(b)
+		}
+		k0 := trim(key)
+		scalars := [2]Scalar{ScalarFromBig(trim(s1)), ScalarFromBig(trim(s2))}
+		n := treeSumMin + int(lanes%64)
+		bare := make([]Point, n+2)
+		pubs := make([]Point, n+2)
+		privs := make([]Scalar, n+2)
+		for i := 0; i < n; i++ {
+			bare[i] = Base(ScalarFromBig(new(big.Int).Add(k0, big.NewInt(int64(i)))))
+			pubs[i] = bare[i].Precomputed()
+			privs[i] = scalars[i/3%2]
+		}
+		bare[n], pubs[n], privs[n] = bare[0], bare[0], scalars[0]
+		privs[n+1] = scalars[1] // under the identity
+		for i, sec := range BatchDH(pubs, privs) {
+			if sec != SharedSecret(stdlibMul(bare[i], privs[i])) {
+				t.Fatalf("BatchDH[%d] of %d disagrees with the stdlib", i, n)
+			}
+		}
+	})
+}
+
 // BenchmarkPrecomputedMul is the fixed-key record: stdlib is what a
 // bare point pays per exponentiation, walk what a built table pays,
 // build the one-off cost the first multiplier adds, and batch7 one key
@@ -260,3 +368,58 @@ func BenchmarkPrecomputedMul(b *testing.B) {
 		}
 	})
 }
+
+// onionLanes returns n tabled lanes shaped like a round's exchanges:
+// distinct precomputed keys, one fresh scalar per run of seven (an
+// onion at k = 6), tables built.
+func onionLanes(n int) ([]Point, []Scalar) {
+	pubs := make([]Point, n)
+	privs := make([]Scalar, n)
+	for i := range pubs {
+		pubs[i] = Base(MustRandomScalar()).Precomputed()
+		pubs[i].tab.ensure(pubs[i])
+		if i%7 == 0 {
+			privs[i] = MustRandomScalar()
+		} else {
+			privs[i] = privs[i-1]
+		}
+	}
+	return pubs, privs
+}
+
+// BenchmarkBatchDH is the record treeSumMin is chosen from: µs per key
+// of one BatchDH call over 4 lanes (the cutover), 7 (one onion at
+// k = 6), 48 and 56 (a user's whole round on the bench's sim-build and
+// mix-k6 workloads) and 924 (the paper's n = 100, k = 32 round: 28
+// onions of 33 keys), hash and shared inversions included. N/walk is
+// the same work done the way BatchDH does it below the cutover, one
+// Jacobian walk per lane.
+func BenchmarkBatchDH(b *testing.B) {
+	for _, n := range []int{4, 7, 48, 56, 924} {
+		pubs, privs := onionLanes(n)
+		perKey := func(b *testing.B) {
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*n), "µs/key")
+		}
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				batchDHSink = BatchDH(pubs, privs)
+			}
+			perKey(b)
+		})
+		b.Run(fmt.Sprintf("%d/walk", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				js := make([]jacPoint, n)
+				var buf [maxDigits]int16
+				for l, p := range pubs {
+					p.tab.walk(&js[l], p.tab.recode(privs[l], &buf))
+				}
+				for l, pt := range BatchToAffine(js) {
+					batchDHSink[l] = SharedSecret(pt)
+				}
+			}
+			perKey(b)
+		})
+	}
+}
+
+var batchDHSink [][32]byte

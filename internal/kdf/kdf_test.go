@@ -1,6 +1,10 @@
 package kdf
 
 import (
+	"bytes"
+	"crypto/hkdf"
+	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"testing"
 )
@@ -74,4 +78,50 @@ func BenchmarkDerive32(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		OnionKey(secret)
 	}
+}
+
+// TestDeriveKeyMatchesHKDF checks the single-block fast path and the
+// crypto/hkdf path it hands longer inputs to against crypto/hkdf itself,
+// on both sides of each limit: secrets of 0, 32, 64 and 65 bytes, info
+// of 0, 62, 63 (the last that fits beside the block counter), 64 and 200
+// bytes.
+func TestDeriveKeyMatchesHKDF(t *testing.T) {
+	fill := func(n int, b byte) []byte { return bytes.Repeat([]byte{b}, n) }
+	for _, secretLen := range []int{0, 32, 64, 65} {
+		for _, ctxLen := range []int{-1, 0, 50, 51, 52, 188} { // info = "12345678" + 4 + ctxLen
+			secret := fill(secretLen, 0xA5)
+			info := []byte("12345678")
+			var context [][]byte
+			if ctxLen >= 0 {
+				c := fill(ctxLen, 0x3C)
+				context = append(context, c)
+				info = binary.BigEndian.AppendUint32(info, uint32(ctxLen))
+				info = append(info, c...)
+			}
+			want, err := hkdf.Key(sha256.New, secret, salt, string(info), KeySize)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := deriveKey(secret, "12345678", context...); !bytes.Equal(got[:], want) {
+				t.Errorf("secret %d B, info %d B: deriveKey = %x, crypto/hkdf = %x", secretLen, len(info), got, want)
+			}
+		}
+	}
+}
+
+// TestDerivationsDoNotAllocate pins the reason the fast path exists:
+// every derivation the protocol makes stays on the stack.
+func TestDerivationsDoNotAllocate(t *testing.T) {
+	var s [32]byte
+	pk := make([]byte, 33)
+	var sink Key
+	if n := testing.AllocsPerRun(100, func() {
+		sink = OnionKey(s)
+		sink = InnerKey(s)
+		sink = LoopbackKey(s, 7)
+		sink = ConversationKey(s, pk)
+	}); n != 0 {
+		t.Fatalf("four derivations allocate %v times, want 0", n)
+	}
+	_ = sink
 }

@@ -12,8 +12,8 @@ import (
 
 // This file times the repository's real crypto for the Measure
 // calibration. Each closure performs exactly the work the model
-// attributes to one unit: one batch at one mixing hop, one client
-// wrap, or one blame layer.
+// attributes to one unit: one batch at one mixing hop, one client's
+// round of wraps, or one blame layer.
 
 const (
 	measureChainLen = 32 // the paper's k at f=0.2
@@ -22,6 +22,13 @@ const (
 	// the whole batch to msk and bsk in one group.BatchMul — so the
 	// model times a batch and divides.
 	measureHopBatch = 512
+	// measureRoundOnions is the one timed client round: the paper's
+	// headline n = 100 gives ℓ = 14 chains, a message and a cover for
+	// each. A client's per-onion cost is amortised the same way —
+	// client.User.BuildRound wraps both lanes in one onion.WrapAHSBatch,
+	// whose exponentiations batch across onions — so the model times a
+	// round and divides.
+	measureRoundOnions = 28
 )
 
 type measureState struct {
@@ -36,7 +43,7 @@ type measureState struct {
 	nonce    [aead.NonceSize]byte
 	sub      onion.Submission
 	hopKeys  []group.Point // sub.DHKey, measureHopBatch times
-	mailbox  []byte
+	round    []onion.WrapJob
 }
 
 var (
@@ -77,7 +84,6 @@ func measureSetup() {
 		if err != nil {
 			panic(err)
 		}
-		ms.mailbox = mb
 		sub, err := onion.WrapAHS(ms.scheme, ms.innerAgg, ms.mixKeys, 1, 0, ms.nonce, mb)
 		if err != nil {
 			panic(err)
@@ -87,6 +93,25 @@ func measureSetup() {
 		ms.hopKeys = make([]group.Point, measureHopBatch)
 		for i := range ms.hopKeys {
 			ms.hopKeys[i] = sub.DHKey
+		}
+
+		// One user's round: a message and a cover for each of her ℓ
+		// chains, against keys that carry tables like every
+		// client.ParamsSource's do — the mix keys shared by the chain's
+		// two onions, the inner aggregate per round. Only the build is
+		// timed, so the keys need not form a chain.
+		tabled := func() group.Point { return group.Base(group.MustRandomScalar()).Precomputed() }
+		for c := 0; c < measureRoundOnions/2; c++ {
+			keys := make([]group.Point, measureChainLen)
+			for i := range keys {
+				keys[i] = tabled()
+			}
+			for _, r := range []uint64{1, 2} {
+				ms.round = append(ms.round, onion.WrapJob{
+					InnerAgg: tabled(), MixKeys: keys, Round: r, Chain: c,
+					Nonce: aead.RoundNonce(r, 0), MailboxMsg: mb,
+				})
+			}
 		}
 	})
 }
@@ -111,11 +136,11 @@ func benchMixHop() {
 	}
 }
 
-// benchWrapOneMessage is the client cost of one AHS submission for a
-// 32-server chain (Figure 3's unit).
-func benchWrapOneMessage() {
+// benchWrapRound is the client cost of one round's measureRoundOnions
+// submissions on 32-server chains (Figure 3's unit, times as many).
+func benchWrapRound() {
 	measureSetup()
-	if _, err := onion.WrapAHS(ms.scheme, ms.innerAgg, ms.mixKeys, 1, 0, ms.nonce, ms.mailbox); err != nil {
+	if _, err := onion.WrapAHSBatch(ms.scheme, ms.round); err != nil {
 		panic(err)
 	}
 }

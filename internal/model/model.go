@@ -95,7 +95,7 @@ func PaperCalibration() Calibration {
 func Measure(iters int) Calibration {
 	c := PaperCalibration()
 	c.PerMsgServerSeconds = timePerOp(maxInt(iters/measureHopBatch, 1), benchMixHop) / measureHopBatch
-	c.PerMsgWrapSeconds = timePerOp(maxInt(iters/4, 2), benchWrapOneMessage)
+	c.PerMsgWrapSeconds = timePerOp(maxInt(iters/(4*measureRoundOnions), 2), benchWrapRound) / measureRoundOnions
 	c.PerUserLayerBlameSeconds = timePerOp(iters, benchBlameOneLayer)
 	return c
 }

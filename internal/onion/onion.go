@@ -10,10 +10,11 @@
 //     blinded as it travels). Building an AHS onion costs k+1
 //     exponentiations of public keys that are fixed for the epoch
 //     (mpkᵢ) or the round (∏ipkᵢ) while only the scalars x, y are
-//     per message: WrapAHS hands all of them to group.BatchDH in one
-//     call, which walks the fixed-key tables of keys that carry one
+//     per message: WrapAHSBatch hands those of every onion a user
+//     builds in a round to group.BatchDH in one call, which sums the
+//     fixed-key table entries of keys that carry a table
 //     (group.Point.Precomputed — mix.Chain, core's round snapshot and
-//     rpc.Client attach them) under a single field inversion, and
+//     rpc.Client attach them) as one tree of affine additions, and
 //     takes the stdlib path for bare points.
 //
 //  2. Inner ciphertext (AHS only): a one-shot encryption under the
@@ -242,59 +243,103 @@ func SubmitContext(round uint64, chain int) string {
 	return fmt.Sprintf("xrd/submit/round=%d/chain=%d", round, chain)
 }
 
+// WrapJob is one onion to build: a mailbox message for one chain in
+// one round, under that round's parameters of the chain.
+type WrapJob struct {
+	InnerAgg   group.Point   // ∏ipkᵢ for Round
+	MixKeys    []group.Point // mpkᵢ, first server first
+	Round      uint64
+	Chain      int
+	Nonce      [aead.NonceSize]byte
+	MailboxMsg []byte
+}
+
 // WrapAHS builds an AHS double envelope (§6.2): the mailbox message
 // is sealed under the aggregate inner key innerAgg = ∏ipkᵢ with a
 // fresh g^y, then wrapped in one outer AEAD layer per server, all
 // derived from a single fresh x with key DH(mpkᵢ, x). Returns the
-// submission ready to send to the chain.
+// submission ready to send to the chain. It is WrapAHSBatch of one job.
 func WrapAHS(s aead.Scheme, innerAgg group.Point, mixKeys []group.Point, round uint64, chain int, nonce [aead.NonceSize]byte, mailboxMsg []byte) (Submission, error) {
-	if len(mailboxMsg) != MailboxMessageSize {
-		return Submission{}, fmt.Errorf("%w: mailbox message length %d", ErrFormat, len(mailboxMsg))
+	subs, err := WrapAHSBatch(s, []WrapJob{{
+		InnerAgg: innerAgg, MixKeys: mixKeys, Round: round, Chain: chain, Nonce: nonce, MailboxMsg: mailboxMsg,
+	}})
+	if err != nil {
+		return Submission{}, err
 	}
-	// The three fixed-base points of one onion — the inner ephemeral
-	// g^y, the outer DH key g^x, and the proof commitment g^v — share
-	// one batched table walk.
-	y := group.MustRandomScalar()
-	x := group.MustRandomScalar()
-	v := group.MustRandomScalar()
-	pts := group.BatchBase([]group.Scalar{y, x, v})
-	gy, gx, gv := pts[0], pts[1], pts[2]
-
-	// All k+1 exchanges of the onion — ∏ipk under y, every mpkᵢ under
-	// the single x — in one batched call.
-	pubs := append([]group.Point{innerAgg}, mixKeys...)
-	privs := append([]group.Scalar{y}, sameScalar(x, len(mixKeys))...)
-	secrets := group.BatchDH(pubs, privs)
-
-	// Inner envelope: e = (g^y, AEnc(DH(∏ipk, y), ρ, m)).
-	ik := [aead.KeySize]byte(kdf.InnerKey(secrets[0]))
-	e := make([]byte, 0, innerEnvelopeSize)
-	e = append(e, gy.Bytes()...)
-	e = s.Seal(e, &ik, &nonce, mailboxMsg)
-
-	proof := nizk.ProveDlogCommitPrecomputed(SubmitContext(round, chain), group.Generator(), gx, x, v, gv)
-	return Submission{
-		Envelope: Envelope{DHKey: gx, Ct: sealOuterLayers(s, secrets[1:], nonce, e)},
-		Proof:    proof,
-	}, nil
+	return subs[0], nil
 }
 
-// sameScalar returns n copies of one Scalar value, which is what lets
-// group.BatchDH recode it once for the whole run.
-func sameScalar(x group.Scalar, n int) []group.Scalar {
-	out := make([]group.Scalar, n)
-	for i := range out {
-		out[i] = x
+// WrapAHSBatch builds one AHS double envelope per job — a user's whole
+// round, both lanes, is one call — with the public-key work of all of
+// them batched: the three fixed-base points of every onion (the inner
+// ephemeral g^y, the outer DH key g^x and the proof commitment g^v)
+// share one group.BatchBase sweep, and all Σ(kⱼ+1) exchanges — each
+// job's ∏ipk under its y, its every mpkᵢ under its single x — one
+// group.BatchDH, which is what gives the tree-summed table walks their
+// lanes. Sealing and proving then run per onion. Jobs are independent:
+// sub[j] is distributed exactly as WrapAHS of job j alone.
+func WrapAHSBatch(s aead.Scheme, jobs []WrapJob) ([]Submission, error) {
+	exchanges := 0
+	for _, j := range jobs {
+		if len(j.MailboxMsg) != MailboxMessageSize {
+			return nil, fmt.Errorf("%w: mailbox message length %d", ErrFormat, len(j.MailboxMsg))
+		}
+		exchanges += 1 + len(j.MixKeys)
 	}
-	return out
+	// Job j owns scalars[3j:3j+3] = y, x, v.
+	scalars := make([]group.Scalar, 3*len(jobs))
+	for i := range scalars {
+		scalars[i] = group.MustRandomScalar()
+	}
+	pts := group.BatchBase(scalars)
+
+	pubs := make([]group.Point, 0, exchanges)
+	privs := make([]group.Scalar, 0, exchanges)
+	for j, job := range jobs {
+		y, x := scalars[3*j], scalars[3*j+1]
+		pubs = append(pubs, job.InnerAgg)
+		privs = append(privs, y)
+		pubs = append(pubs, job.MixKeys...)
+		for range job.MixKeys {
+			// The same Scalar value down the run is what lets BatchDH
+			// recode x once per onion.
+			privs = append(privs, x)
+		}
+	}
+	secrets := group.BatchDH(pubs, privs)
+
+	subs := make([]Submission, len(jobs))
+	for j, job := range jobs {
+		x, v := scalars[3*j+1], scalars[3*j+2]
+		gy, gx, gv := pts[3*j], pts[3*j+1], pts[3*j+2]
+		k := len(job.MixKeys)
+		mine := secrets[:1+k]
+		secrets = secrets[1+k:]
+
+		// Inner envelope: e = (g^y, AEnc(DH(∏ipk, y), ρ, m)), in a
+		// buffer with room for the k outer tags.
+		ik := [aead.KeySize]byte(kdf.InnerKey(mine[0]))
+		e := make([]byte, 0, AHSCiphertextSize(k))
+		e = append(e, gy.Bytes()...)
+		e = s.Seal(e, &ik, &job.Nonce, job.MailboxMsg)
+
+		subs[j] = Submission{
+			Envelope: Envelope{DHKey: gx, Ct: sealOuterLayers(s, mine[1:], job.Nonce, e)},
+			Proof:    nizk.ProveDlogCommitPrecomputed(SubmitContext(job.Round, job.Chain), group.Generator(), gx, x, v, gv),
+		}
+	}
+	return subs, nil
 }
 
 // sealOuterLayers wraps ct in one AEAD layer per server, innermost
-// (last server) first; secrets[i] is DH(mpkᵢ, x).
+// (last server) first; secrets[i] is DH(mpkᵢ, x). Each layer is sealed
+// over the one before it in place (aead.Scheme allows dst = pt[:0]), so
+// a ct with capacity for len(secrets) more tags is the only buffer the
+// onion ever has; a shorter one just grows.
 func sealOuterLayers(s aead.Scheme, secrets [][32]byte, nonce [aead.NonceSize]byte, ct []byte) []byte {
 	for i := len(secrets) - 1; i >= 0; i-- {
 		k := [aead.KeySize]byte(kdf.OnionKey(secrets[i]))
-		ct = s.Seal(make([]byte, 0, len(ct)+aead.Overhead), &k, &nonce, ct)
+		ct = s.Seal(ct[:0], &k, &nonce, ct)
 	}
 	return ct
 }
@@ -310,8 +355,13 @@ func WrapPartialAHS(s aead.Scheme, mixKeys []group.Point, round uint64, chain in
 	v := group.MustRandomScalar()
 	pts := group.BatchBase([]group.Scalar{x, v})
 	gx, gv := pts[0], pts[1]
-	secrets := group.BatchDH(mixKeys, sameScalar(x, len(mixKeys)))
-	ct := sealOuterLayers(s, secrets, nonce, append([]byte(nil), inner...))
+	privs := make([]group.Scalar, len(mixKeys))
+	for i := range privs {
+		privs[i] = x
+	}
+	secrets := group.BatchDH(mixKeys, privs)
+	ct := make([]byte, 0, len(inner)+len(mixKeys)*aead.Overhead)
+	ct = sealOuterLayers(s, secrets, nonce, append(ct, inner...))
 	proof := nizk.ProveDlogCommitPrecomputed(SubmitContext(round, chain), group.Generator(), gx, x, v, gv)
 	return Submission{
 		Envelope: Envelope{DHKey: gx, Ct: ct},

@@ -2,6 +2,7 @@ package onion
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 	"testing/quick"
@@ -236,6 +237,75 @@ func TestAHSFullPath(t *testing.T) {
 	}
 	if !bytes.Equal(got, mailbox) {
 		t.Fatal("AHS did not deliver the mailbox message")
+	}
+}
+
+// TestWrapAHSBatchJobsAreIndependent builds onions for chains of
+// different lengths (one with no mix server at all), rounds, and key
+// kinds — tabled and bare — in one batch, and peels each with its own
+// chain's secrets: sharing the exponentiation batches must not leak one
+// job's keys, scalars or buffers into another's. A malformed job
+// refuses the whole batch.
+func TestWrapAHSBatchJobsAreIndependent(t *testing.T) {
+	type chainSecrets struct {
+		bsk, msk []group.Scalar
+		innerSum group.Scalar
+	}
+	var jobs []WrapJob
+	var keys []chainSecrets
+	for i, k := range []int{4, 0, 7, 1, 4} {
+		bsk, msk, _, mpk := ahsBlindingChain(k)
+		innerAgg, innerSum := aggInner(max(k, 1))
+		if i%2 == 0 {
+			innerAgg = innerAgg.Precomputed()
+			for j := range mpk {
+				mpk[j] = mpk[j].Precomputed()
+			}
+		}
+		round := uint64(9 + i%2)
+		nonce := aead.RoundNonce(round, 0)
+		jobs = append(jobs, WrapJob{innerAgg, mpk, round, i, nonce, testMailboxMsg(t, nonce)})
+		keys = append(keys, chainSecrets{bsk, msk, innerSum})
+	}
+	subs, err := WrapAHSBatch(scheme, jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j, sub := range subs {
+		job, k := jobs[j], len(jobs[j].MixKeys)
+		if len(sub.Ct) != AHSCiphertextSize(k) {
+			t.Fatalf("job %d: ciphertext size %d, want %d", j, len(sub.Ct), AHSCiphertextSize(k))
+		}
+		if err := VerifySubmission(sub, job.Round, job.Chain); err != nil {
+			t.Fatalf("job %d: valid submission rejected: %v", j, err)
+		}
+		env := sub.Envelope
+		for i := 0; i < k; i++ {
+			next, err := PeelAHS(scheme, keys[j].msk[i], job.Nonce, env)
+			if err != nil {
+				t.Fatalf("job %d server %d peel: %v", j, i, err)
+			}
+			env = Envelope{DHKey: env.DHKey.Mul(keys[j].bsk[i]), Ct: next}
+		}
+		got, err := OpenInner(scheme, keys[j].innerSum, job.Nonce, env.Ct)
+		if err != nil {
+			t.Fatalf("job %d inner open: %v", j, err)
+		}
+		if !bytes.Equal(got, job.MailboxMsg) {
+			t.Fatalf("job %d did not deliver its mailbox message", j)
+		}
+		for i := 0; i < j; i++ {
+			if subs[i].DHKey.Equal(sub.DHKey) {
+				t.Fatalf("jobs %d and %d share a DH key", i, j)
+			}
+		}
+	}
+	jobs[2].MailboxMsg = jobs[2].MailboxMsg[1:]
+	if _, err := WrapAHSBatch(scheme, jobs); !errors.Is(err, ErrFormat) {
+		t.Fatalf("a short mailbox message gave %v, want ErrFormat", err)
+	}
+	if subs, err := WrapAHSBatch(scheme, nil); err != nil || len(subs) != 0 {
+		t.Fatalf("the empty batch gave %d submissions, %v", len(subs), err)
 	}
 }
 
