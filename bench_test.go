@@ -139,12 +139,17 @@ func BenchmarkFig6ImpactOfF(b *testing.B) {
 // BenchmarkFig7BlameLatency regenerates Figure 7 at laptop scale: a
 // real chain runs the real blame protocol against real malicious
 // submissions, and the per-user cost scales the model to the paper's
-// axis.
+// axis. The batch is 512 honest messages and the malicious ones fail
+// at two layers (k/3 and k−1, alternately), so a cost per batch — a
+// position mixing the survivors over again — shows as a step per
+// blame run over the malicious=0 row; the figure's shape, and the
+// model's, is a line in the number of convicts.
 func BenchmarkFig7BlameLatency(b *testing.B) {
 	scheme := aead.ChaCha20Poly1305()
-	for _, bad := range []int{1, 4, 16} {
+	const k, honest = 8, 512
+	for _, bad := range []int{0, 1, 4, 16} {
 		b.Run(fmt.Sprintf("real/malicious=%d", bad), func(b *testing.B) {
-			chain, err := mix.NewChain(0, 8, scheme)
+			chain, err := mix.NewChain(0, k, scheme)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -152,9 +157,13 @@ func BenchmarkFig7BlameLatency(b *testing.B) {
 				b.Fatal(err)
 			}
 			params := chain.Params()
-			subs := makeHonestSubs(b, chain, 16)
+			subs := makeHonestSubs(b, chain, honest)
 			for i := 0; i < bad; i++ {
-				m, err := mix.MaliciousSubmission(scheme, params, 1, 0, 7)
+				layer := k - 1
+				if i%2 == 1 {
+					layer = k / 3
+				}
+				m, err := mix.MaliciousSubmission(scheme, params, 1, 0, layer)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -166,8 +175,8 @@ func BenchmarkFig7BlameLatency(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if len(res.BlamedUsers) != bad {
-					b.Fatalf("blamed %d, want %d", len(res.BlamedUsers), bad)
+				if len(res.BlamedUsers) != bad || len(res.Delivered) != honest {
+					b.Fatalf("blamed %d and delivered %d, want %d and %d", len(res.BlamedUsers), len(res.Delivered), bad, honest)
 				}
 			}
 		})

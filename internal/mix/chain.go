@@ -450,7 +450,12 @@ func (c *Chain) RunRound(round uint64, lane byte, subs []onion.Submission) (*Rou
 			}
 			// All bad messages traced to users: remove them and have
 			// the upstream servers re-certify the surviving subset
-			// (§6.4 closing paragraph), then retry this server.
+			// (§6.4 closing paragraph), then retry this server. The
+			// retry is a whole Mix call over the survivors — one
+			// exchange, the same one a span decorator or a remote
+			// position already sees — but not a whole Mix's work: the
+			// server kept the failing call's exponentiations and
+			// recalls them for every survivor (Server.lastPows).
 			removed := make(map[int]bool, len(mr.Failed))
 			for _, j := range mr.Failed {
 				removed[j] = true

@@ -62,13 +62,24 @@ type Server struct {
 	lastKeyRound uint64
 
 	// lastIn holds the Diffie-Hellman keys of the last Mix call's
-	// input batch, retained for the blame protocol's reveals and for
-	// re-certification after blame removals — both read only the
-	// keys, so the ciphertexts are not kept. The outputs and the
-	// permutation are returned to the orchestrator in MixResult; each
-	// verifier keeps its own record of those (Chain does, per
-	// position), so the server holds only what it alone can produce.
-	lastIn []group.Point
+	// input batch and lastRound the round that call named, retained
+	// for the blame protocol's reveals and for re-certification after
+	// blame removals — both read only the keys, so the ciphertexts are
+	// not kept, and both refuse a caller that names another round. The
+	// outputs and the permutation are returned to the orchestrator in
+	// MixResult; each verifier keeps its own record of those (Chain
+	// does, per position), so the server holds only what it alone can
+	// produce.
+	lastIn    []group.Point
+	lastRound uint64
+	// lastPows is set only between a Mix that found decryption
+	// failures and the next Mix: lastIn[j]^msk in [0] and lastIn[j]^bsk
+	// in [1], which the failing call computed and the re-mix of the
+	// survivors would otherwise compute again. Each entry is a function
+	// of its point under the long-term keys and of nothing else — no
+	// ciphertext, round or nonce — so whatever batch the next Mix is
+	// handed, an input Equal to lastIn[j] has exactly these two powers.
+	lastPows [2][]group.Point
 
 	// Corruption, when non-nil, makes the server misbehave; see
 	// corrupt.go.
@@ -221,39 +232,54 @@ type MixResult struct {
 //
 // Steps 1 and 2 raise every key to two exponents that are the same
 // for the whole batch, X^msk for the AEAD key and X^bsk for the
-// blinding, so each worker range runs them as one group.BatchMul.
+// blinding, so each worker range runs them as one group.BatchMul —
+// over the keys the call before this one has not already raised. A
+// Mix that found decryption failures leaves its powers in lastPows
+// and the re-mix of the survivors recalls them, so blame costs
+// exponentiations per convict, not per batch. Every layer is opened
+// afresh either way: an open is a thirtieth of the pair of
+// exponentiations, and redoing it keeps what is recalled a function
+// of the point alone.
 //
 // If any decryption fails, Mix returns the failed indices and no
 // output; the chain moves to the blame protocol. Corrupt servers
 // tamper according to their Corruption before proving.
 func (s *Server) Mix(round uint64, nonce [aead.NonceSize]byte, in []onion.Envelope) (*MixResult, error) {
 	keys := dhKeys(in)
-	s.lastIn = keys
+	exchanged := make([]group.Point, len(in)) // X^msk
+	blinded := make([]group.Point, len(in))   // X^bsk
+	hit, miss := s.recall(keys, exchanged, blinded)
+	s.lastIn, s.lastRound, s.lastPows = keys, round, [2][]group.Point{}
 
 	peeled := make([][]byte, len(in))
-	blinded := make([]group.Point, len(in))
-	var failed []int
-	var mu sync.Mutex
-	parallelRanges(len(in), func(lo, hi int) {
-		pows := group.BatchMul(keys[lo:hi], s.msk, s.bsk)
-		copy(blinded[lo:hi], pows[1])
-		var localFailed []int
-		for j := lo; j < hi; j++ {
-			pt, err := onion.OpenWithRevealedKey(s.scheme, pows[0][j-lo], nonce, in[j].Ct)
-			if err != nil {
-				localFailed = append(localFailed, j)
-				continue
-			}
-			peeled[j] = pt
+	opened := make([]bool, len(in))
+	open := func(js []int) {
+		for _, j := range js {
+			pt, err := onion.OpenWithRevealedKey(s.scheme, exchanged[j], nonce, in[j].Ct)
+			peeled[j], opened[j] = pt, err == nil
 		}
-		if len(localFailed) > 0 {
-			mu.Lock()
-			failed = append(failed, localFailed...)
-			mu.Unlock()
+	}
+	bases := make([]group.Point, len(miss))
+	for t, j := range miss {
+		bases[t] = keys[j]
+	}
+	parallelRanges(len(miss), func(lo, hi int) {
+		pows := group.BatchMul(bases[lo:hi], s.msk, s.bsk)
+		for t, j := range miss[lo:hi] {
+			exchanged[j], blinded[j] = pows[0][t], pows[1][t]
 		}
+		open(miss[lo:hi])
 	})
+	parallelRanges(len(hit), func(lo, hi int) { open(hit[lo:hi]) })
+
+	var failed []int
+	for j, ok := range opened {
+		if !ok {
+			failed = append(failed, j)
+		}
+	}
 	if len(failed) > 0 {
-		sort.Ints(failed)
+		s.lastPows = [2][]group.Point{exchanged, blinded}
 		return &MixResult{Failed: failed}, nil
 	}
 	if s.Corruption != nil && len(s.Corruption.FalselyAccuse) > 0 {
@@ -282,12 +308,43 @@ func (s *Server) Mix(round uint64, nonce [aead.NonceSize]byte, in []onion.Envelo
 	return &MixResult{Out: out, Proof: proof, Out2In: out2in}, nil
 }
 
+// recall fills exchanged[j] and blinded[j] for every key that
+// lastPows already holds the powers of, and returns those indices
+// (hit) and the ones it holds nothing for (miss) — all of them unless
+// the Mix before this one found decryption failures. Blame removes
+// messages and keeps the rest in order, so one forward walk over
+// lastIn finds every survivor; the walk never steps back, which
+// bounds it at len(keys)+len(lastIn) comparisons whatever it is
+// handed, and a batch that is not an in-order subset of lastIn only
+// misses more.
+func (s *Server) recall(keys, exchanged, blinded []group.Point) (hit, miss []int) {
+	had := s.lastIn[:len(s.lastPows[0])]
+	p := 0
+	for j, x := range keys {
+		for p < len(had) && !had[p].Equal(x) {
+			p++
+		}
+		if p == len(had) {
+			miss = append(miss, j)
+			continue
+		}
+		exchanged[j], blinded[j] = s.lastPows[0][p], s.lastPows[1][p]
+		hit = append(hit, j)
+		p++
+	}
+	return hit, miss
+}
+
 // BlameRevealAt produces the server's blame disclosure for the
 // message at input position pos of its last Mix call; msg names the
-// accused working index and only binds the proof contexts. The bounds
-// check matters for the remote transport: a confused or hostile
-// orchestrator must get an error, never a panic.
+// accused working index and only binds the proof contexts. The round
+// and bounds checks matter for the remote transport: a confused or
+// hostile orchestrator must get an error — never a panic, and never a
+// reveal bound to one round's context over another round's keys.
 func (s *Server) BlameRevealAt(round uint64, msg, pos int) (BlameReveal, error) {
+	if err := s.mixedIn(round); err != nil {
+		return BlameReveal{}, err
+	}
 	if pos < 0 || pos >= len(s.lastIn) {
 		return BlameReveal{}, fmt.Errorf("mix: server %d has no input position %d", s.Index, pos)
 	}
@@ -328,8 +385,12 @@ func VerifyMix(round uint64, chain, index, epoch int, bpkPrev, bpk group.Point, 
 
 // ReProveSubset re-issues the shuffle certificate over the messages
 // that survived blame removal (§6.4: "the servers just have to repeat
-// step 3"). keep[j] says whether this server's input j survived.
+// step 3"). keep[j] says whether input j of this server's last Mix
+// call, which must have been round's, survived.
 func (s *Server) ReProveSubset(round uint64, epoch int, keep []bool) (nizk.Proof, error) {
+	if err := s.mixedIn(round); err != nil {
+		return nizk.Proof{}, err
+	}
 	if len(keep) != len(s.lastIn) {
 		return nizk.Proof{}, fmt.Errorf("mix: server %d re-proof over %d messages, had %d", s.Index, len(keep), len(s.lastIn))
 	}
@@ -340,6 +401,15 @@ func (s *Server) ReProveSubset(round uint64, epoch int, keep []bool) (nizk.Proof
 		}
 	}
 	return nizk.ProveDleq(mixContext(round, s.Chain, s.Index, epoch), group.Product(kept), s.bpkPrev, s.bsk), nil
+}
+
+// mixedIn refuses a blame or re-certification request for a round
+// other than the one lastIn was mixed in.
+func (s *Server) mixedIn(round uint64) error {
+	if round != s.lastRound {
+		return fmt.Errorf("mix: server %d last mixed round %d, not %d", s.Index, s.lastRound, round)
+	}
+	return nil
 }
 
 // dhKeys returns the envelopes' Diffie-Hellman keys as a new slice.

@@ -1,8 +1,10 @@
 package rpc
 
 import (
+	"bytes"
 	"crypto/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/aead"
@@ -169,6 +171,85 @@ func TestDistributedBlameOverTransport(t *testing.T) {
 	}
 	if got := bob.read(t, rep.Round); string(got) != "survives blame" {
 		t.Fatalf("honest message lost to blame round: %q", got)
+	}
+}
+
+// TestDistributedBlameTwoLayersMatchesLocal runs a batch wide enough
+// for the batched hop kernel and its worker ranges through one set of
+// three mix servers twice — reached over TLS, and in-process through
+// mix.LocalHop — with ciphertexts that fail at two different
+// positions. Each failing position re-mixes the survivors, recalling
+// the failed call's exponentiations on whichever side of the wire the
+// server sits; both chains must convict exactly the injected
+// submissions and deliver the same messages.
+func TestDistributedBlameTwoLayersMatchesLocal(t *testing.T) {
+	const k, honest = 3, 260
+	scheme := aead.ChaCha20Poly1305()
+	fleet := startHopFleet(t, k)
+	remote, local := make([]mix.Hop, k), make([]mix.Hop, k)
+	base := group.Generator()
+	for i, hs := range fleet {
+		hc := DialHop(hs.Addr(), hs.ClientTLS())
+		t.Cleanup(func() { hc.Close() })
+		keys, err := hc.Init(0, i, base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		remote[i], local[i], base = hc, mix.LocalHop(hs.srv), keys.Bpk
+	}
+	newChain := func(hops []mix.Hop) *mix.Chain {
+		t.Helper()
+		chain, err := mix.NewChainFromHops(0, hops, scheme)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := chain.BeginRound(1); err != nil {
+			t.Fatal(err)
+		}
+		return chain
+	}
+	overTLS, inProcess := newChain(remote), newChain(local)
+	params, err := overTLS.ParamsFor(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	subs := make([]onion.Submission, honest)
+	for i := range subs {
+		if subs[i], err = mix.CraftValidOnion(scheme, params, 1, client.LaneCurrent, group.Generator()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	injected := map[int]int{17: 1, 140: 2, 201: 1} // submission index → failing position
+	var wantBlamed []int
+	for at, layer := range injected {
+		if subs[at], err = mix.MaliciousSubmission(scheme, params, 1, client.LaneCurrent, layer); err != nil {
+			t.Fatal(err)
+		}
+		wantBlamed = append(wantBlamed, at)
+	}
+	sort.Ints(wantBlamed)
+
+	results := make(map[string]*mix.RoundResult)
+	for name, chain := range map[string]*mix.Chain{"over TLS": overTLS, "in-process": inProcess} {
+		res, err := chain.RunRound(1, client.LaneCurrent, subs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Halted || len(res.BlamedServers) != 0 {
+			t.Fatalf("%s: honest chain halted blaming %v", name, res.BlamedServers)
+		}
+		sort.Ints(res.BlamedUsers)
+		if res.BlameRounds != 2 || !reflect.DeepEqual(res.BlamedUsers, wantBlamed) {
+			t.Fatalf("%s: %d blame runs convicted %v, want 2 convicting %v", name, res.BlameRounds, res.BlamedUsers, wantBlamed)
+		}
+		if len(res.Delivered) != honest-len(injected) {
+			t.Fatalf("%s: delivered %d of %d honest messages", name, len(res.Delivered), honest-len(injected))
+		}
+		sort.Slice(res.Delivered, func(i, j int) bool { return bytes.Compare(res.Delivered[i], res.Delivered[j]) < 0 })
+		results[name] = res
+	}
+	if !reflect.DeepEqual(results["over TLS"].Delivered, results["in-process"].Delivered) {
+		t.Fatal("the chain over TLS and the in-process chain delivered different messages")
 	}
 }
 

@@ -32,7 +32,8 @@ type HopServer struct {
 	scheme aead.Scheme
 
 	// mu serialises the handlers: mix.Server keeps its last input for
-	// the blame protocol unguarded, and a rebind swaps srv.
+	// the blame protocol (and a failed Mix's powers for the retry)
+	// unguarded, and a rebind swaps srv.
 	mu  sync.Mutex
 	srv *mix.Server
 

@@ -145,6 +145,52 @@ func TestHopBlameOutOfRangeRejected(t *testing.T) {
 	}
 }
 
+// TestHopBlameWrongRoundRejected: a position answers blame reveals
+// and re-certification over the batch it mixed last, so a request
+// naming another round is an error on the wire — not a panic, not
+// material bound to that round's context — and the connection keeps
+// serving.
+func TestHopBlameWrongRoundRejected(t *testing.T) {
+	_, hc := startHop(t)
+	chain, err := mix.NewChainFromHops(0, []mix.Hop{hc}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := chain.BeginRound(7); err != nil {
+		t.Fatal(err)
+	}
+	params, err := chain.ParamsFor(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := make([]onion.Envelope, 3)
+	for i := range in {
+		sub, err := mix.CraftValidOnion(aead.ChaCha20Poly1305(), params, 7, 0, group.Generator())
+		if err != nil {
+			t.Fatal(err)
+		}
+		in[i] = sub.Envelope
+	}
+	if mr, err := hc.Mix(7, aead.RoundNonce(7, 0), in); err != nil || len(mr.Failed) != 0 {
+		t.Fatalf("mix: %v", err)
+	}
+	keep := []bool{true, false, true}
+	for _, round := range []uint64{6, 8} {
+		if _, err := hc.BlameReveal(round, 0, 1); err == nil || !strings.Contains(err.Error(), "last mixed round 7") {
+			t.Fatalf("blame reveal for round %d over round 7's batch: %v", round, err)
+		}
+		if _, err := hc.ReProveSubset(round, 1, keep); err == nil || !strings.Contains(err.Error(), "last mixed round 7") {
+			t.Fatalf("re-certification for round %d over round 7's batch: %v", round, err)
+		}
+	}
+	if rev, err := hc.BlameReveal(7, 0, 1); err != nil || !rev.Xin.Equal(in[1].DHKey) {
+		t.Fatalf("blame reveal for the mixed round: %v", err)
+	}
+	if _, err := hc.ReProveSubset(7, 1, keep); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestHopAccuseRejectsOffCurveKey(t *testing.T) {
 	_, hc := startHop(t)
 	var resp mix.AccuseReveal
