@@ -232,13 +232,22 @@ func BatchDH(pubs []Point, privs []Scalar) [][32]byte {
 		panic("group: BatchDH length mismatch")
 	}
 	out := make([][32]byte, len(pubs))
-	var ts treeSum
+	ts := treeSums.Get().(*treeSum)
+	defer treeSums.Put(ts)
 	for lo := 0; lo < len(pubs); lo += dhChunk {
 		hi := min(lo+dhChunk, len(pubs))
-		batchDHChunk(&ts, pubs[lo:hi], privs[lo:hi], out[lo:hi])
+		batchDHChunk(ts, pubs[lo:hi], privs[lo:hi], out[lo:hi])
 	}
 	return out
 }
+
+// treeSums keeps BatchDH's tree buffers from one call to the next: a
+// user's round is one call and a chunk's worth of buffers (≈ 400 KiB),
+// and allocating and clearing those per call was most of what a
+// building process allocated. Every byte a call reads it wrote first
+// (gather and reduce append; feBatchInv fills its scratch), so a
+// recycled buffer needs no clearing.
+var treeSums = sync.Pool{New: func() any { return new(treeSum) }}
 
 // batchDHChunk is BatchDH for one chunk, its tree (if the chunk has the
 // lanes for one) on ts's buffers.
@@ -338,7 +347,7 @@ type sumRun struct {
 // reset empties ts for lanes recoding to slots digits in all, growing
 // its buffers if they are short: 64 B of pts per digit and 32 B of
 // denominator and scratch, ≈ 6 KiB for a key-shaped lane's 66 digits,
-// none of it kept past the BatchDH call.
+// kept from chunk to chunk and, through treeSums, from call to call.
 func (ts *treeSum) reset(slots int) {
 	if cap(ts.pts) < slots {
 		ts.pts = make([]affinePoint, 0, slots)

@@ -28,6 +28,8 @@ const (
 	ScalarSize = 32
 	// PointSize is the byte length of a compressed encoded point.
 	PointSize = 33
+	// UncompressedSize is the byte length of a point encoded as x‖y.
+	UncompressedSize = 64
 )
 
 var (
@@ -240,7 +242,12 @@ func Base(s Scalar) Point {
 }
 
 // ParsePoint decodes a compressed 33-byte point encoding as produced
-// by Bytes. The all-zero encoding decodes to the identity.
+// by Bytes. The all-zero encoding decodes to the identity. It accepts
+// exactly what elliptic.UnmarshalCompressed accepts and recovers y in
+// this package's field arithmetic: one exponentiation by (p+1)/4 and a
+// squaring to reject an x with no point over it, where the stdlib call
+// goes big.Int → nistec → big.Int and inverts a Z that is 1 on the way
+// back.
 func ParsePoint(b []byte) (Point, error) {
 	if len(b) != PointSize {
 		return Point{}, fmt.Errorf("%w: length %d", ErrInvalidPoint, len(b))
@@ -248,11 +255,52 @@ func ParsePoint(b []byte) (Point, error) {
 	if isAllZero(b) {
 		return Point{}, nil
 	}
-	x, y := elliptic.UnmarshalCompressed(curve, b)
-	if x == nil {
+	if b[0] != 2 && b[0] != 3 {
 		return Point{}, ErrInvalidPoint
 	}
-	return Point{x: x, y: y}, nil
+	x, ok := feFromBytes(b[1:])
+	if !ok {
+		return Point{}, ErrInvalidPoint
+	}
+	var rhs, y, y2 fe
+	feCurveRHS(&rhs, &x)
+	feSqrt(&y, &rhs)
+	feSqr(&y2, &y)
+	if !y2.equal(&rhs) {
+		return Point{}, ErrInvalidPoint
+	}
+	y = y.fromMont()
+	if byte(y[0])&1 != b[0]&1 {
+		feNeg(&y, &y)
+	}
+	return Point{x: new(big.Int).SetBytes(b[1:]), y: y.rawBig()}, nil
+}
+
+// ParseUncompressed decodes the 64-byte x‖y encoding AppendUncompressed
+// writes: both coordinates below p and satisfying the curve equation,
+// or all zeros for the identity. Checking a point costs three field
+// multiplications where recovering y from its sign costs ≈ 260, which
+// is why server↔server batches (onion.Batch) carry y; everything a user
+// sends or stores, and everything hashed, stays compressed.
+func ParseUncompressed(b []byte) (Point, error) {
+	if len(b) != UncompressedSize {
+		return Point{}, fmt.Errorf("%w: length %d", ErrInvalidPoint, len(b))
+	}
+	if isAllZero(b) {
+		return Point{}, nil
+	}
+	x, okx := feFromBytes(b[:32])
+	y, oky := feFromBytes(b[32:])
+	if !okx || !oky {
+		return Point{}, ErrInvalidPoint
+	}
+	var rhs, y2 fe
+	feCurveRHS(&rhs, &x)
+	feSqr(&y2, &y)
+	if !y2.equal(&rhs) {
+		return Point{}, ErrInvalidPoint
+	}
+	return Point{x: new(big.Int).SetBytes(b[:32]), y: new(big.Int).SetBytes(b[32:])}, nil
 }
 
 func isAllZero(b []byte) bool {
@@ -279,6 +327,18 @@ func (p Point) Bytes() []byte {
 		p.x.FillBytes(out[1:])
 	}
 	return out
+}
+
+// AppendUncompressed appends the 64-byte x‖y encoding of p to dst, the
+// identity as 64 zero bytes.
+func (p Point) AppendUncompressed(dst []byte) []byte {
+	n := len(dst)
+	dst = append(dst, make([]byte, UncompressedSize)...)
+	if !p.IsIdentity() {
+		p.x.FillBytes(dst[n : n+32])
+		p.y.FillBytes(dst[n+32:])
+	}
+	return dst
 }
 
 // MarshalBinary and UnmarshalBinary make a Point its own wire format

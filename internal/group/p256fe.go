@@ -1,11 +1,12 @@
 package group
 
-// Fast arithmetic in the P-256 base field GF(p), used only by the
-// multi-scalar multiplication (multiscalar.go). crypto/elliptic's
-// affine Add pays a field inversion per call, which makes any
-// addition-chain algorithm slower than its assembly ScalarMult; this
-// file provides inversion-free field elements so Jacobian-coordinate
-// chains actually win.
+// Fast arithmetic in the P-256 base field GF(p): what the multi-scalar
+// multiplication, the batched exponentiations, the fixed-key tables and
+// the point decoders of group.go run on. crypto/elliptic's affine Add
+// pays a field inversion per call, which makes any addition-chain
+// algorithm slower than its assembly ScalarMult; this file provides
+// inversion-free field elements so Jacobian-coordinate chains actually
+// win.
 //
 // Representation: four little-endian uint64 limbs in the Montgomery
 // domain (value·2^256 mod p). P-256's lowest prime limb is 2^64−1, so
@@ -18,6 +19,7 @@ package group
 // crypto/elliptic's.
 
 import (
+	"encoding/binary"
 	"math/big"
 	"math/bits"
 )
@@ -42,6 +44,7 @@ var (
 	feP   fe // the prime p
 	feR2  fe // 2^512 mod p, for toMont
 	feOne fe // 1 in the Montgomery domain (2^256 mod p)
+	feB   fe // the curve's b in the Montgomery domain
 )
 
 func init() {
@@ -56,6 +59,18 @@ func init() {
 	one := new(big.Int).Lsh(big.NewInt(1), 256)
 	one.Mod(one, p)
 	feOne = feFromBigRaw(one)
+	feB = feFromBig(curve.Params().B)
+}
+
+// feRawFromBytes reads 32 big-endian bytes into limbs, no reduction and
+// no domain conversion.
+func feRawFromBytes(b []byte) fe {
+	return fe{
+		binary.BigEndian.Uint64(b[24:32]),
+		binary.BigEndian.Uint64(b[16:24]),
+		binary.BigEndian.Uint64(b[8:16]),
+		binary.BigEndian.Uint64(b[0:8]),
+	}
 }
 
 // feFromBigRaw copies a reduced big.Int into limbs without any domain
@@ -63,13 +78,7 @@ func init() {
 func feFromBigRaw(v *big.Int) fe {
 	var b [32]byte
 	v.FillBytes(b[:])
-	var z fe
-	for i := 0; i < 4; i++ {
-		z[i] = uint64(b[31-8*i]) | uint64(b[30-8*i])<<8 | uint64(b[29-8*i])<<16 |
-			uint64(b[28-8*i])<<24 | uint64(b[27-8*i])<<32 | uint64(b[26-8*i])<<40 |
-			uint64(b[25-8*i])<<48 | uint64(b[24-8*i])<<56
-	}
-	return z
+	return feRawFromBytes(b[:])
 }
 
 // feFromBig converts a reduced big.Int into the Montgomery domain.
@@ -80,23 +89,44 @@ func feFromBig(v *big.Int) fe {
 	return z
 }
 
-// toBig leaves the Montgomery domain and returns the standard value.
-func (x *fe) toBig() *big.Int {
+// feFromBytes reads 32 big-endian bytes, a coordinate as it crosses the
+// wire, into the Montgomery domain. ok is false for a value ≥ p: a
+// field element has one encoding.
+func feFromBytes(b []byte) (z fe, ok bool) {
+	raw := feRawFromBytes(b)
+	_, br := bits.Sub64(raw[0], feP0, 0)
+	_, br = bits.Sub64(raw[1], feP1, br)
+	_, br = bits.Sub64(raw[2], feP2, br)
+	_, br = bits.Sub64(raw[3], feP3, br)
+	if br == 0 { // no borrow: raw ≥ p
+		return fe{}, false
+	}
+	feMul(&z, &raw, &feR2)
+	return z, true
+}
+
+// fromMont leaves the Montgomery domain: the standard value's limbs.
+func (x *fe) fromMont() fe {
 	one := fe{1, 0, 0, 0}
 	var raw fe
 	feMul(&raw, x, &one)
+	return raw
+}
+
+// rawBig returns the integer whose limbs x holds, no domain conversion:
+// feFromBigRaw's inverse.
+func (x *fe) rawBig() *big.Int {
 	var b [32]byte
 	for i := 0; i < 4; i++ {
-		b[31-8*i] = byte(raw[i])
-		b[30-8*i] = byte(raw[i] >> 8)
-		b[29-8*i] = byte(raw[i] >> 16)
-		b[28-8*i] = byte(raw[i] >> 24)
-		b[27-8*i] = byte(raw[i] >> 32)
-		b[26-8*i] = byte(raw[i] >> 40)
-		b[25-8*i] = byte(raw[i] >> 48)
-		b[24-8*i] = byte(raw[i] >> 56)
+		binary.BigEndian.PutUint64(b[24-8*i:], x[i])
 	}
 	return new(big.Int).SetBytes(b[:])
+}
+
+// toBig leaves the Montgomery domain and returns the standard value.
+func (x *fe) toBig() *big.Int {
+	raw := x.fromMont()
+	return raw.rawBig()
 }
 
 func (x *fe) isZero() bool { return x[0]|x[1]|x[2]|x[3] == 0 }
@@ -183,112 +213,119 @@ func feMul(z, x, y *fe) {
 	z[3] = t3&mask | r3&^mask
 }
 
-// feSqr sets z = x²·2^−256 mod p. The six cross products are computed
-// once and doubled, then the four shift-only reduction steps of feMul
-// run over the full 512-bit square.
-func feSqr(z, x *fe) {
+// feSqr sets z = x²·2^−256 mod p.
+func feSqr(z, x *fe) { feSqrN(z, x, 1) }
+
+// feSqrN sets z = x^(2^n) in the Montgomery domain, n ≥ 1: n squarings
+// with the running value held in locals, which is what an
+// exponentiation chain (feSqrt) is made of. For each squaring the six
+// cross products are computed once and doubled, then the four
+// shift-only reduction steps of feMul run over the full 512-bit square.
+func feSqrN(z, x *fe, n int) {
 	x0, x1, x2, x3 := x[0], x[1], x[2], x[3]
+	for ; n > 0; n-- {
+		// Off-diagonal products into t1..t6.
+		h01, l01 := bits.Mul64(x0, x1)
+		h02, l02 := bits.Mul64(x0, x2)
+		h03, l03 := bits.Mul64(x0, x3)
+		h12, l12 := bits.Mul64(x1, x2)
+		h13, l13 := bits.Mul64(x1, x3)
+		h23, l23 := bits.Mul64(x2, x3)
 
-	// Off-diagonal products into t1..t6.
-	h01, l01 := bits.Mul64(x0, x1)
-	h02, l02 := bits.Mul64(x0, x2)
-	h03, l03 := bits.Mul64(x0, x3)
-	h12, l12 := bits.Mul64(x1, x2)
-	h13, l13 := bits.Mul64(x1, x3)
-	h23, l23 := bits.Mul64(x2, x3)
+		t1 := l01
+		t2, c := bits.Add64(l02, h01, 0)
+		t3, c := bits.Add64(l03, h02, c)
+		t4, c := bits.Add64(h03, 0, c)
+		t5 := c
+		t3, c = bits.Add64(t3, l12, 0)
+		t4, c = bits.Add64(t4, l13, c)
+		t5, _ = bits.Add64(t5, 0, c)
+		t4, c = bits.Add64(t4, h12, 0)
+		t5, c = bits.Add64(t5, h13, c)
+		t6 := c
+		t5, c = bits.Add64(t5, l23, 0)
+		t6, _ = bits.Add64(t6, h23, c)
 
-	t1 := l01
-	t2, c := bits.Add64(l02, h01, 0)
-	t3, c := bits.Add64(l03, h02, c)
-	t4, c := bits.Add64(h03, 0, c)
-	t5 := c
-	t3, c = bits.Add64(t3, l12, 0)
-	t4, c = bits.Add64(t4, l13, c)
-	t5, _ = bits.Add64(t5, 0, c)
-	t4, c = bits.Add64(t4, h12, 0)
-	t5, c = bits.Add64(t5, h13, c)
-	t6 := c
-	t5, c = bits.Add64(t5, l23, 0)
-	t6, _ = bits.Add64(t6, h23, c)
+		// Double the off-diagonal part and add the diagonal squares.
+		t7 := t6 >> 63
+		t6 = t6<<1 | t5>>63
+		t5 = t5<<1 | t4>>63
+		t4 = t4<<1 | t3>>63
+		t3 = t3<<1 | t2>>63
+		t2 = t2<<1 | t1>>63
+		t1 = t1 << 1
 
-	// Double the off-diagonal part and add the diagonal squares.
-	t7 := t6 >> 63
-	t6 = t6<<1 | t5>>63
-	t5 = t5<<1 | t4>>63
-	t4 = t4<<1 | t3>>63
-	t3 = t3<<1 | t2>>63
-	t2 = t2<<1 | t1>>63
-	t1 = t1 << 1
+		h, t0 := bits.Mul64(x0, x0)
+		t1, c = bits.Add64(t1, h, 0)
+		h, l := bits.Mul64(x1, x1)
+		t2, c = bits.Add64(t2, l, c)
+		t3, c = bits.Add64(t3, h, c)
+		h, l = bits.Mul64(x2, x2)
+		t4, c = bits.Add64(t4, l, c)
+		t5, c = bits.Add64(t5, h, c)
+		h, l = bits.Mul64(x3, x3)
+		t6, c = bits.Add64(t6, l, c)
+		t7, _ = bits.Add64(t7, h, c)
 
-	h, t0 := bits.Mul64(x0, x0)
-	t1, c = bits.Add64(t1, h, 0)
-	h, l := bits.Mul64(x1, x1)
-	t2, c = bits.Add64(t2, l, c)
-	t3, c = bits.Add64(t3, h, c)
-	h, l = bits.Mul64(x2, x2)
-	t4, c = bits.Add64(t4, l, c)
-	t5, c = bits.Add64(t5, h, c)
-	h, l = bits.Mul64(x3, x3)
-	t6, c = bits.Add64(t6, l, c)
-	t7, _ = bits.Add64(t7, h, c)
+		// Four shift-only Montgomery reduction steps over t0..t7; t8
+		// catches the final carries (the running value can reach 2p·2^256).
+		var t8 uint64
 
-	// Four shift-only Montgomery reduction steps over t0..t7; t8
-	// catches the final carries (the running value can reach 2p·2^256).
-	var t8 uint64
+		m := t0
+		lo, bb := bits.Sub64(m, m<<32, 0)
+		hi := m - m>>32 - bb
+		t1, c = bits.Add64(t1, m<<32, 0)
+		t2, c = bits.Add64(t2, m>>32, c)
+		t3, c = bits.Add64(t3, lo, c)
+		t4, c = bits.Add64(t4, hi, c)
+		t5, c = bits.Add64(t5, 0, c)
+		t6, c = bits.Add64(t6, 0, c)
+		t7, c = bits.Add64(t7, 0, c)
+		t8 += c
 
-	m := t0
-	lo, bb := bits.Sub64(m, m<<32, 0)
-	hi := m - m>>32 - bb
-	t1, c = bits.Add64(t1, m<<32, 0)
-	t2, c = bits.Add64(t2, m>>32, c)
-	t3, c = bits.Add64(t3, lo, c)
-	t4, c = bits.Add64(t4, hi, c)
-	t5, c = bits.Add64(t5, 0, c)
-	t6, c = bits.Add64(t6, 0, c)
-	t7, c = bits.Add64(t7, 0, c)
-	t8 += c
+		m = t1
+		lo, bb = bits.Sub64(m, m<<32, 0)
+		hi = m - m>>32 - bb
+		t2, c = bits.Add64(t2, m<<32, 0)
+		t3, c = bits.Add64(t3, m>>32, c)
+		t4, c = bits.Add64(t4, lo, c)
+		t5, c = bits.Add64(t5, hi, c)
+		t6, c = bits.Add64(t6, 0, c)
+		t7, c = bits.Add64(t7, 0, c)
+		t8 += c
 
-	m = t1
-	lo, bb = bits.Sub64(m, m<<32, 0)
-	hi = m - m>>32 - bb
-	t2, c = bits.Add64(t2, m<<32, 0)
-	t3, c = bits.Add64(t3, m>>32, c)
-	t4, c = bits.Add64(t4, lo, c)
-	t5, c = bits.Add64(t5, hi, c)
-	t6, c = bits.Add64(t6, 0, c)
-	t7, c = bits.Add64(t7, 0, c)
-	t8 += c
+		m = t2
+		lo, bb = bits.Sub64(m, m<<32, 0)
+		hi = m - m>>32 - bb
+		t3, c = bits.Add64(t3, m<<32, 0)
+		t4, c = bits.Add64(t4, m>>32, c)
+		t5, c = bits.Add64(t5, lo, c)
+		t6, c = bits.Add64(t6, hi, c)
+		t7, c = bits.Add64(t7, 0, c)
+		t8 += c
 
-	m = t2
-	lo, bb = bits.Sub64(m, m<<32, 0)
-	hi = m - m>>32 - bb
-	t3, c = bits.Add64(t3, m<<32, 0)
-	t4, c = bits.Add64(t4, m>>32, c)
-	t5, c = bits.Add64(t5, lo, c)
-	t6, c = bits.Add64(t6, hi, c)
-	t7, c = bits.Add64(t7, 0, c)
-	t8 += c
+		m = t3
+		lo, bb = bits.Sub64(m, m<<32, 0)
+		hi = m - m>>32 - bb
+		t4, c = bits.Add64(t4, m<<32, 0)
+		t5, c = bits.Add64(t5, m>>32, c)
+		t6, c = bits.Add64(t6, lo, c)
+		t7, c = bits.Add64(t7, hi, c)
+		t8 += c
 
-	m = t3
-	lo, bb = bits.Sub64(m, m<<32, 0)
-	hi = m - m>>32 - bb
-	t4, c = bits.Add64(t4, m<<32, 0)
-	t5, c = bits.Add64(t5, m>>32, c)
-	t6, c = bits.Add64(t6, lo, c)
-	t7, c = bits.Add64(t7, hi, c)
-	t8 += c
-
-	// Result in t4..t8 is < 2p; subtract p once if needed.
-	r0, b := bits.Sub64(t4, feP0, 0)
-	r1, b := bits.Sub64(t5, feP1, b)
-	r2, b := bits.Sub64(t6, feP2, b)
-	r3, b := bits.Sub64(t7, feP3, b)
-	_, b = bits.Sub64(t8, 0, b)
-	mask := -b
-	z[0] = t4&mask | r0&^mask
-	z[1] = t5&mask | r1&^mask
-	z[2] = t6&mask | r2&^mask
-	z[3] = t7&mask | r3&^mask
+		// Result in t4..t8 is < 2p; subtract p once if needed.
+		r0, b := bits.Sub64(t4, feP0, 0)
+		r1, b := bits.Sub64(t5, feP1, b)
+		r2, b := bits.Sub64(t6, feP2, b)
+		r3, b := bits.Sub64(t7, feP3, b)
+		_, b = bits.Sub64(t8, 0, b)
+		mask := -b
+		x0 = t4&mask | r0&^mask
+		x1 = t5&mask | r1&^mask
+		x2 = t6&mask | r2&^mask
+		x3 = t7&mask | r3&^mask
+	}
+	z[0], z[1], z[2], z[3] = x0, x1, x2, x3
 }
 
 // feAdd sets z = x + y mod p, branch-free.
@@ -337,4 +374,41 @@ func feNeg(z, x *fe) {
 	}
 	var zero fe
 	feSub(z, &zero, x)
+}
+
+// feSqrt sets z = a^((p+1)/4), which is a square root of a if a has
+// one (p ≡ 3 mod 4) and of −a if not; the caller squares it to tell.
+// (p+1)/4 = 2^254 − 2^222 + 2^190 + 2^94 is reached by the addition
+// chain crypto/internal/nistec uses: runs of 2, 4, 8, 16 and 32 ones
+// by doubling, then ((x32 << 32 + 1) << 96 + 1) << 94 — 253 squarings
+// and 7 multiplications.
+func feSqrt(z, a *fe) {
+	var t0, t1 fe
+	feSqr(&t0, a)
+	feMul(&t0, &t0, a) // 2 ones
+	feSqrN(&t1, &t0, 2)
+	feMul(&t0, &t0, &t1) // 4
+	feSqrN(&t1, &t0, 4)
+	feMul(&t0, &t0, &t1) // 8
+	feSqrN(&t1, &t0, 8)
+	feMul(&t0, &t0, &t1) // 16
+	feSqrN(&t1, &t0, 16)
+	feMul(&t0, &t0, &t1) // 32
+	feSqrN(&t0, &t0, 32)
+	feMul(&t0, &t0, a)
+	feSqrN(&t0, &t0, 96)
+	feMul(&t0, &t0, a)
+	feSqrN(z, &t0, 94)
+}
+
+// feCurveRHS sets z = x³ − 3x + b, the right-hand side of the curve
+// equation y² = x³ − 3x + b.
+func feCurveRHS(z, x *fe) {
+	var x3, t fe
+	feSqr(&x3, x)
+	feMul(&x3, &x3, x)
+	feDouble(&t, x)
+	feAdd(&t, &t, x)
+	feSub(&x3, &x3, &t)
+	feAdd(z, &x3, &feB)
 }

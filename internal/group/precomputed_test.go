@@ -178,6 +178,40 @@ func TestBatchDHMatchesDH(t *testing.T) {
 	}
 }
 
+// TestBatchDHConcurrent: BatchDH's tree buffers are pooled across calls
+// (treeSums), so calls from several goroutines at once — batches of
+// different sizes, so a recycled buffer is both longer and shorter than
+// what its next call needs — must each get DH's answers. Run it under
+// -race -count=10.
+func TestBatchDHConcurrent(t *testing.T) {
+	keys := make([]Point, 80)
+	for i := range keys {
+		keys[i] = Base(MustRandomScalar()).Precomputed()
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 6; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for round := 0; round < 4; round++ {
+				n := []int{7, 80, 28, 66}[(g+round)%4]
+				x := MustRandomScalar()
+				privs := make([]Scalar, n)
+				for i := range privs {
+					privs[i] = x
+				}
+				got := BatchDH(keys[:n], privs)
+				for _, i := range []int{0, n / 2, n - 1} {
+					if got[i] != DH(keys[i], x) {
+						t.Errorf("goroutine %d round %d: BatchDH[%d] of %d differs from DH", g, round, i, n)
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
 // TestTreeSumExceptionalRuns drives the reducer's zero-denominator
 // branch and the walk fallback behind it. No digit vector reaches them
 // through gather (every pair's right operand outweighs its left), so

@@ -296,6 +296,10 @@ type RoundResult struct {
 	DroppedInner int
 	// BlameRounds counts how many blame protocol executions ran.
 	BlameRounds int
+	// InputDigest is InputDigest over the submissions the chain
+	// accepted (those whose knowledge proofs verified), in submission
+	// order: what the round's members agree they mixed (§6.3).
+	InputDigest [32]byte
 	// VerifyDur and MixDur are the round's stage timings for
 	// observability: the submission-proof/input-agreement stage and
 	// everything after it (mixing steps, reveal, inner decryption).
@@ -339,7 +343,7 @@ type posRecord struct {
 }
 
 // RunRound executes one full AHS round (§6.3) over the submissions:
-// submission proof checks, input agreement, k mixing steps each
+// submission proof checks, the input digest, k mixing steps each
 // verified by all members, blame on decryption failures (§6.4), inner
 // key reveal and inner decryption.
 //
@@ -379,20 +383,18 @@ func (c *Chain) RunRound(round uint64, lane byte, subs []onion.Submission) (*Rou
 		st.subs[i] = sub
 	}
 
-	// Input agreement (§6.3): all servers hash the accepted input set
-	// and compare. In-process every server sees the same slice; the
-	// digest is recomputed per position to mirror the distributed
-	// check.
+	// Input agreement (§6.3): "the servers first agree on the inputs
+	// for this round". The orchestrator hashes the accepted set once and
+	// publishes the digest with the result. Comparing it per position
+	// belongs to a position that is handed the digest and holds its own
+	// copy of the submissions to hash; no mix.Hop method carries either
+	// today — every position's input is the batch this orchestrator
+	// sends it — so a loop here would compare this hash with itself.
 	accepted := make([]onion.Submission, len(st.envs))
 	for j := range st.envs {
 		accepted[j] = st.subs[st.origin[j]]
 	}
-	want := InputDigest(round, c.ID, accepted)
-	for range c.hops {
-		if InputDigest(round, c.ID, accepted) != want {
-			return nil, fmt.Errorf("mix: chain %d: input agreement failed", c.ID)
-		}
-	}
+	res.InputDigest = InputDigest(round, c.ID, accepted)
 	res.VerifyDur = time.Since(verifyStart)
 	obsChainVerifySeconds.ObserveDuration(res.VerifyDur)
 	mixStart := time.Now()

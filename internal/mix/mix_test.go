@@ -147,6 +147,11 @@ func TestMaliciousUserInvalidProof(t *testing.T) {
 	if len(res.Delivered) != 5 {
 		t.Fatalf("delivered %d of 5 honest messages", len(res.Delivered))
 	}
+	// The round's input digest covers what was accepted, not what was
+	// submitted.
+	if res.InputDigest != InputDigest(1, c.ID, subs[:5]) || res.InputDigest == InputDigest(1, c.ID, subs) {
+		t.Fatal("RoundResult.InputDigest is not the digest of the five accepted submissions")
+	}
 }
 
 // TestMaliciousUserMisauthenticatedCiphertext: a user whose onion

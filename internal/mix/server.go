@@ -218,9 +218,11 @@ func mixContext(round uint64, chain, index, epoch int) string {
 // the orchestrator for lineage attribution and blame tracing — the
 // same information the blame protocol would reveal per message (see
 // roundState.origin); an honest deployment's privacy rests on the
-// honest member's permutation staying inside that member.
+// honest member's permutation staying inside that member. Out is an
+// onion.Batch so that a remote position's reply crosses as one block
+// (rpc's hop.mix); in process it is the slice it always was.
 type MixResult struct {
-	Out    []onion.Envelope
+	Out    onion.Batch
 	Proof  nizk.Proof
 	Failed []int
 	Out2In []int

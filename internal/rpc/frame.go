@@ -39,13 +39,14 @@ import (
 // make a receiver buffer more than this for a single message, and no
 // sender emits more. It is sized from the largest message the seams
 // produce at the scale the ROADMAP targets, not from a chunking rule.
-// A hop batch is one onion.Envelope per message on the chain, ≈ 493 B
-// each at k = 6: 1M registered / 100k active users is ≈ 50 MB per
-// hop.mix (BENCH_0002 recorded 27–49 MB), and the paper's headline
-// point — 2M users, 100 chains, ≈ 280k envelopes a chain — is
-// ≈ 138 MB. 256 MiB covers both with headroom. A gateway shard's
-// whole build (shard.begin's reply) is bounded the way the protocol
-// scales everything else about a gateway: by adding shards.
+// A hop batch is one onion.Batch block, 64 B of key and the ciphertext
+// per message on the chain — 517 B each at k = 6 (493 B while keys
+// crossed compressed): 1M registered / 100k active users is ≈ 52 MB per
+// hop.mix (BENCH_0002 recorded 27–49 MB at 493 B), and the paper's
+// headline point — 2M users, 100 chains, ≈ 280k envelopes a chain — is
+// ≈ 145 MB (was ≈ 138). 256 MiB covers both with headroom. A gateway
+// shard's whole build (shard.begin's reply) is bounded the way the
+// protocol scales everything else about a gateway: by adding shards.
 const MaxFrameSize = 256 << 20
 
 // prefixLen is the big-endian payload length in front of every frame.

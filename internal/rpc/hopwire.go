@@ -11,11 +11,12 @@ import (
 
 // Server↔server wire messages for the hop transport: how a chain
 // orchestrator (gateway) drives one remote mix position. Messages
-// carry the domain types themselves — onion.Envelope and nizk.Proof as
+// carry the domain types themselves — onion.Batch and nizk.Proof as
 // fields, mix.HopKeys, mix.BlameReveal and mix.AccuseReveal as whole
 // replies — and their group elements validate on arrival in
-// group.Point/Scalar.UnmarshalBinary, so an off-curve point or a
-// non-canonical scalar fails the decode before any handler runs.
+// group.Point/Scalar.UnmarshalBinary and onion.Batch.UnmarshalBinary,
+// so an off-curve point or a non-canonical scalar fails the decode
+// before any handler runs.
 //
 // The methods are mix.Hop's, one exchange each: hop.begin, hop.reveal,
 // hop.mix (the whole batch in, the whole mix.MixResult back),
@@ -62,11 +63,15 @@ type HopRevealResponse struct {
 
 // HopMixRequest is one mixing step (§6.3 steps 1-3): the round, the
 // round nonce and the position's whole input batch. The reply is the
-// mix.MixResult itself. A nonce of any other length fails the decode.
+// mix.MixResult itself, whose Out is an onion.Batch too: in both
+// directions the batch crosses as one block with its keys as x‖y,
+// checked against the curve equation on arrival (see onion.Batch), and
+// hop.mix has no other encoding. A nonce of any other length fails the
+// decode.
 type HopMixRequest struct {
 	Round     uint64
 	Nonce     [aead.NonceSize]byte
-	Envelopes []onion.Envelope
+	Envelopes onion.Batch
 }
 
 // HopCertifyRequest asks for a re-issued shuffle certificate (a

@@ -27,8 +27,8 @@ const (
 	// DefaultWriteTimeout bounds writing one response frame. A reply
 	// may be round-sized (hop.mix's output, shard.begin's build), so
 	// this is the time a peer has to drain a whole batch, not a few
-	// hundred KB: a minute for the 138 MB batch MaxFrameSize is sized
-	// from asks the peer for ≈ 2.3 MB/s.
+	// hundred KB: a minute for the 145 MB batch MaxFrameSize is sized
+	// from asks the peer for ≈ 2.4 MB/s.
 	DefaultWriteTimeout = time.Minute
 )
 

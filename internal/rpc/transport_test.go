@@ -256,14 +256,20 @@ func FuzzDispatch(f *testing.F) {
 		f.Add(name, []byte{})
 	}
 	// A round-sized batch — the benchmark's 512 envelopes into one
-	// position, ≈ 250 KB in one body — whole and cut short.
-	batch := HopMixRequest{Round: 1, Envelopes: make([]onion.Envelope, 512)}
+	// position, one ≈ 265 KB onion.Batch block in one body — whole and
+	// cut short; a batch in the block's per-envelope layout; and one
+	// whose block is cut inside its key column, so its count claims
+	// envelopes that are not there.
+	batch := HopMixRequest{Round: 1, Envelopes: make(onion.Batch, 512)}
 	for i := range batch.Envelopes {
 		batch.Envelopes[i] = e.sub.Envelope
 	}
 	body := fuzzBody(f, "hop.mix", batch)
 	f.Add("hop.mix", body)
 	f.Add("hop.mix", body[:len(body)-len(body)/3])
+	f.Add("hop.mix", body[:len(body)/20])
+	uneven := HopMixRequest{Round: 1, Envelopes: onion.Batch{e.sub.Envelope, {DHKey: e.sub.DHKey, Ct: []byte("short")}}}
+	f.Add("hop.mix", fuzzBody(f, "hop.mix", uneven))
 
 	f.Fuzz(func(t *testing.T, method string, body []byte) {
 		payload := withMethod(t, method, body)[prefixLen:]

@@ -18,11 +18,13 @@ import (
 	"repro/internal/onion"
 )
 
-// offCurve and overOrder are what a hostile peer puts where a point
-// or a scalar belongs: right length, no such group element.
+// offCurve, offCurveXY and overOrder are what a hostile peer puts where
+// a point (compressed, or x‖y inside an onion.Batch) or a scalar
+// belongs: right length, no such group element.
 var (
-	offCurve  = bytes.Repeat([]byte{0xFF}, group.PointSize)
-	overOrder = bytes.Repeat([]byte{0xFF}, group.ScalarSize)
+	offCurve   = bytes.Repeat([]byte{0xFF}, group.PointSize)
+	offCurveXY = bytes.Repeat([]byte{0xFF}, group.UncompressedSize)
+	overOrder  = bytes.Repeat([]byte{0xFF}, group.ScalarSize)
 )
 
 // forge builds the frame for head and v — a request under its method
@@ -60,9 +62,15 @@ func replyError(t testing.TB, lc *listenerCore, frame *bytes.Buffer) string {
 }
 
 // elements collects the encoding of every non-zero group.Point and
-// group.Scalar reachable from v, proofs' included.
+// group.Scalar reachable from v, proofs' included — as the message
+// carries it: x‖y for the keys of an onion.Batch, compressed elsewhere.
 func elements(v reflect.Value, out *[][]byte) {
 	switch x := v.Interface().(type) {
+	case onion.Batch:
+		for _, env := range x {
+			*out = append(*out, env.DHKey.AppendUncompressed(nil))
+		}
+		return
 	case group.Point:
 		if !x.IsIdentity() {
 			*out = append(*out, x.Bytes())
@@ -107,8 +115,11 @@ func TestCorruptElementFailsDecode(t *testing.T) {
 		}
 		for i, good := range elems {
 			bad := offCurve
-			if len(good) == group.ScalarSize {
+			switch len(good) {
+			case group.ScalarSize:
 				bad = overOrder
+			case group.UncompressedSize:
+				bad = offCurveXY
 			}
 			frame := forge(t, name, samples[name], good, bad)
 			for _, lc := range e.tables() {
@@ -309,7 +320,8 @@ func TestHostileShardBuildRefused(t *testing.T) {
 // the shapes: points, scalars and ciphertexts have fixed sizes and
 // every integer here fits one byte, so the pins are exact and a change
 // to the envelope or to a message type shows up here as a number.
-// DESIGN.md's Transport section tabulates them against the sizes at
+// DESIGN.md's Transport section tabulates them against the sizes
+// before a hop batch crossed as one block with x‖y keys (6b140db), at
 // the commit before the envelope stopped double-wrapping (747a665) and
 // against the hand-written byte-slice DTOs before that (b19402d).
 func TestWireSizes(t *testing.T) {
@@ -355,11 +367,16 @@ func TestWireSizes(t *testing.T) {
 		got, want int
 	}{
 		// The benchmark's per-chain batch into one position: the
-		// frame that dominates rpc.hop_bytes_out. 512 × (33-byte key +
-		// 448-byte ciphertext) and 12 bytes of gob per envelope; its
-		// reply, a mix.MixResult, is the same batch plus a proof and
-		// a permutation.
-		{"hop.mix request, 512 envelopes", size("hop.mix", HopMixRequest{Round: 7, Nonce: aead.RoundNonce(7, client.LaneCurrent), Envelopes: envs}), 252635},
+		// frame that dominates rpc.hop_bytes_out. One onion.Batch
+		// block — 9 bytes of header, then 512 × (64-byte x‖y key +
+		// 453-byte ciphertext) = 264 713 — inside 206 bytes of gob
+		// (method name, type descriptors, round, nonce). While the
+		// keys crossed compressed, one reflected struct per envelope,
+		// it was 252 635 = 512 × (33 + 453 + 7 of gob) + 219: 517 B
+		// an envelope against 493, +4.9 %. Its reply, a
+		// mix.MixResult, is the same block plus a proof and a
+		// permutation.
+		{"hop.mix request, 512 envelopes", size("hop.mix", HopMixRequest{Round: 7, Nonce: aead.RoundNonce(7, client.LaneCurrent), Envelopes: envs}), 264919},
 		// What every user fetches 2ℓ times a round: 3k+1 points.
 		{"params reply, k=6", size("", params), 823},
 		// A user's upload, ℓ current + ℓ cover submissions, and what
