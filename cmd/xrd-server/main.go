@@ -92,7 +92,7 @@ func main() {
 		shardRange = flag.String("shard-range", "0:64", `registry-shard range this gateway owns, as "lo:hi" (gateway role)`)
 		dataDir    = flag.String("data-dir", "", "directory for durable WAL+snapshot state; restart with the same directory to recover (gateway role; empty = in-memory only)")
 		recoverOn  = flag.Bool("recover", false, "evict blamed servers and re-form chains after a halt (on by default with -mix-servers)")
-		pipeline   = flag.Int("pipeline", 1, "round pipeline depth: 2 overlaps the next round's build with the current mix (coordinator role)")
+		pipeline   = flag.Int("pipeline", 1, "round pipeline depth (coordinator role): 2 overlaps the next round's build with the current mix — for gateway-hosted users only; remote clients find no submission window open after round 1")
 		faultSpec  = flag.String("faults", "", `fault-injection spec, e.g. "delay,target=srv1,delay=2s,after=3;drop,target=srv2" (see internal/faults)`)
 		faultSeed  = flag.Int64("fault-seed", 1, "deterministic seed for -faults probability coins")
 		adminAddr  = flag.String("admin-addr", "", "plain-HTTP admin listen address serving /metrics, /healthz and /debug/pprof (empty = disabled; bind to loopback or a management network)")

@@ -33,7 +33,7 @@ func main() {
 		attack    = flag.Bool("attack", false, "corrupt one server with a product-preserving tamper")
 		seed      = flag.Int64("seed", 1, "workload seed")
 		workers   = flag.Int("workers", 0, "build worker pool size (0 = GOMAXPROCS)")
-		pipeline  = flag.Int("pipeline", 1, "round pipeline depth: 2 overlaps the next round's build with the current mix")
+		pipeline  = flag.Int("pipeline", 1, "round pipeline depth: 2 overlaps the next round's build with the current mix (gateway-hosted users, which is all this simulation has; external submitters get no window at depth > 1)")
 		adminAddr = flag.String("admin-addr", "", "plain-HTTP admin listen address serving /metrics, /healthz and /debug/pprof (empty = disabled)")
 	)
 	flag.Parse()

@@ -22,6 +22,15 @@ import (
 // number and rebuild for the next round. If the round fails and will
 // be retried, AbortRound reopens the window so consumed submissions
 // can be resent.
+//
+// That window exists under a serial coordinator only. At pipeline depth
+// 2 the coordinator begins round ρ+1 — which collects it — while ρ
+// mixes, so from round 2 on the upcoming round is closed the moment it
+// is announced and an external user is refused every time; the refusal
+// says so (Frontend.pipelined). Depth > 1 is for gateway-hosted users
+// until the window rule moves into a pipeline type (ROADMAP item 8);
+// TestExternalSubmitWhilePipelined pins today's behaviour for that PR
+// to flip.
 
 type externalUser struct {
 	current map[uint64][]client.ChainMessage
@@ -37,11 +46,15 @@ type externalUser struct {
 func (f *Frontend) SubmitExternal(mailbox string, out *client.RoundOutput) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if out.Round != f.round {
+	switch open := f.round > f.collected; {
+	case out.Round == f.round && open:
+	case f.pipelined:
+		return fmt.Errorf("core: submission for round %d refused: the coordinator pipelines rounds (-pipeline 2 collects round %d while round %d mixes), "+
+			"which leaves external users no submission window; pipeline depth > 1 is for gateway-hosted users", out.Round, f.collected, f.collected-1)
+	case open:
 		return fmt.Errorf("core: submission for round %d but round %d is open", out.Round, f.round)
-	}
-	if out.Round <= f.collected {
-		return fmt.Errorf("core: round %d is already mixing; submissions are closed", out.Round)
+	default:
+		return fmt.Errorf("core: submission for round %d: round %d is already mixing; submissions are closed", out.Round, f.round)
 	}
 	if len(out.Current) == 0 {
 		return fmt.Errorf("core: submission carries no messages for round %d", out.Round)

@@ -111,3 +111,52 @@ func TestConvictedExternalUserIsBanned(t *testing.T) {
 		t.Fatal("ban lapsed after a round")
 	}
 }
+
+// TestExternalSubmitWhilePipelined pins what a depth-2 coordinator does
+// to an external user today: round 1's window is open before the first
+// RunRound, and from then on every round is collected the moment it is
+// begun — while its predecessor mixes — so she is refused whether she
+// builds for the round the gateway announces or tries to get ahead of
+// it, and the refusal names the pipeline, not a round that "is open".
+// Depth > 1 is for gateway-hosted users; the PR that moves the window
+// rule into a pipeline type (ROADMAP item 8) flips the second half of
+// this test.
+func TestExternalSubmitWhilePipelined(t *testing.T) {
+	n := depthNetwork(t, 6, 2, 2, false)
+	u := client.NewUser(nil, n.Plan())
+	mailbox := string(u.Mailbox())
+	out, err := u.BuildRound(n.Round(), n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := n.SubmitExternal(mailbox, out); err != nil {
+		t.Fatalf("round 1 has a window at any depth: %v", err)
+	}
+	if rep := runRound(t, n); rep.Round != 1 || rep.Delivered == 0 {
+		t.Fatalf("round 1 did not carry her messages: %+v", rep)
+	}
+
+	// The round the gateway announces, and — what she cannot even build,
+	// its cover keys being unannounced, but could try — the one after.
+	out, err = u.BuildRound(n.Round(), n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ahead := *out
+	ahead.Round++
+	for _, out := range []*client.RoundOutput{out, &ahead} {
+		err := n.SubmitExternal(mailbox, out)
+		if err == nil {
+			t.Fatalf("round %d accepted an external submission under -pipeline 2: the window rule has changed, update this test and the -pipeline help", out.Round)
+		}
+		if msg := err.Error(); !strings.Contains(msg, "-pipeline 2") || !strings.Contains(msg, "gateway-hosted") || strings.Contains(msg, "is open") {
+			t.Fatalf("round %d refused without naming the pipeline: %v", out.Round, err)
+		}
+	}
+
+	// A serial coordinator's refusals are unchanged.
+	serial := depthNetwork(t, 6, 2, 1, false)
+	if err := serial.SubmitExternal(mailbox, &ahead); err == nil || !strings.Contains(err.Error(), "round 1 is open") {
+		t.Fatalf("serial early submission: %v", err)
+	}
+}

@@ -5,17 +5,25 @@ package group
 // batch pays a single inversion plus three multiplications per point.
 // This is the shared seam behind everything that materializes many
 // points at once — fixed-base table construction, BatchBase results,
-// the Straus MSM's per-point multiple tables, and Product.
+// the Straus MSM's per-point multiple tables, and BatchDH's secrets.
 
-// feInv sets z to the Montgomery-domain inverse of a non-zero x. The
-// single inversion goes through big.Int's binary extended GCD, which
-// beats a Fermat exponentiation chain at this field size.
+import "math/big"
+
+// fePrime is p as feInv wants it.
+var fePrime, _ = new(big.Int).SetString("ffffffff00000001000000000000000000000000ffffffffffffffffffffffff", 16)
+
+// feInv sets z to the Montgomery-domain inverse of a non-zero x. It is
+// the one place field arithmetic leaves fe: big.Int's Lehmer GCD inverts
+// in ≈ 3.1 µs, allocations and both conversions included, where the
+// 255-squaring Fermat chain over feSqrN takes ≈ 5.
 func feInv(z, x *fe) {
-	xb := x.toBig()
-	if xb.ModInverse(xb, curve.Params().P) == nil {
+	var b [32]byte
+	x.putBytes(b[:])
+	v := new(big.Int).SetBytes(b[:])
+	if v.ModInverse(v, fePrime) == nil {
 		panic("group: inverse of zero field element")
 	}
-	*z = feFromBig(xb)
+	*z, _ = feFromBytes(v.FillBytes(b[:]))
 }
 
 // feBatchInv replaces every non-zero element of den with its inverse
@@ -73,42 +81,32 @@ func invertZs(js []jacPoint) []fe {
 // BatchToAffine converts a slice of Jacobian points to affine Points
 // with one shared field inversion. Identity points (Z = 0) pass
 // through as identity Points and do not disturb the batch. It is the
-// conversion behind BatchBase and Product; the MSM table path uses
-// the fe-domain sibling batchNormalize.
+// conversion behind BatchBase and BatchDH.
 func BatchToAffine(js []jacPoint) []Point {
 	out := make([]Point, len(js))
 	zinv := invertZs(js)
 	for i := range js {
-		if js[i].z.isZero() {
-			continue // identity: out[i] stays the zero Point
-		}
-		var zi2, zi3, xf, yf fe
-		feSqr(&zi2, &zinv[i])
-		feMul(&zi3, &zi2, &zinv[i])
-		feMul(&xf, &js[i].x, &zi2)
-		feMul(&yf, &js[i].y, &zi3)
-		out[i] = Point{x: xf.toBig(), y: yf.toBig()}
+		normalize(&out[i].affinePoint, &js[i], &zinv[i])
 	}
 	return out
 }
 
-// batchNormalize is BatchToAffine staying in the fe domain: it fills
-// out with affine table entries and never leaves Montgomery form. The
-// inputs must not contain the identity — it normalizes small multiples
-// k·P of non-identity points in a prime-order group, where k·P = O is
-// impossible.
+// batchNormalize is BatchToAffine for table entries, which never hold
+// the identity: small multiples k·P of a non-identity point in a
+// prime-order group, where k·P = O is impossible.
 func batchNormalize(js []jacPoint, out []affinePoint) {
 	zinv := invertZs(js)
 	for i := range js {
-		var zi2, zi3 fe
-		feSqr(&zi2, &zinv[i])
-		feMul(&zi3, &zi2, &zinv[i])
-		feMul(&out[i].x, &js[i].x, &zi2)
-		feMul(&out[i].y, &js[i].y, &zi3)
+		normalize(&out[i], &js[i], &zinv[i])
 	}
 }
 
-// jacFromPoint loads a non-identity affine Point into Jacobian form.
-func jacFromPoint(p Point) jacPoint {
-	return jacPoint{x: feFromBig(p.x), y: feFromBig(p.y), z: feOne}
+// normalize sets out = (X/Z², Y/Z³) given zinv = 1/Z; an identity's
+// zero zinv lands on (0, 0), the identity again.
+func normalize(out *affinePoint, j *jacPoint, zinv *fe) {
+	var zi2, zi3 fe
+	feSqr(&zi2, zinv)
+	feMul(&zi3, &zi2, zinv)
+	feMul(&out.x, &j.x, &zi2)
+	feMul(&out.y, &j.y, &zi3)
 }

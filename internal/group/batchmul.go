@@ -3,9 +3,9 @@ package group
 // Batched variable-base exponentiation: many bases, a few scalars
 // that are the same for every base. A mix server raises every
 // message's Diffie-Hellman key to its mixing secret and to its
-// blinding secret (§6.3 steps 1–2); done one crypto/elliptic
-// ScalarMult at a time that is two ~57µs exponentiations per message
-// per hop, and it is most of a round's CPU.
+// blinding secret (§6.3 steps 1–2); done one ladder at a time that is
+// two ≈ 52 µs exponentiations per message per hop, and it is most of a
+// round's CPU.
 //
 // BatchMul runs all of them in lockstep, right to left over signed
 // odd 4-bit digits:
@@ -47,15 +47,16 @@ const (
 	bmDigits = 256 / bmWindow
 	// bmBuckets is one bucket per odd digit magnitude 1,3,…,15.
 	bmBuckets = 1 << (bmWindow - 1)
-	// batchMulMin is the cutover to the kernel, in doubling chains
-	// saved. Point.Mul (crypto/elliptic's assembly) walks one chain
-	// per base per scalar in ~55µs; the kernel walks one per base in
-	// ~45µs plus ~9µs per scalar, and pays ~260 true inversions
-	// (≈0.7ms) per run whatever the batch size. With s scalars it
-	// saves s−1 chains per base, so it wins from about a dozen saved
-	// chains on — and never with a single scalar, where there is
-	// nothing to share and the two are level.
-	batchMulMin = 16
+	// batchMulMin is the cutover to the kernel, in units of ≈ 11 µs
+	// saved. The ladder behind Point.Mul walks one chain per base per
+	// scalar in ≈ 52 µs; the kernel walks one per base in ≈ 33 µs plus
+	// ≈ 8 µs per scalar, and pays ≈ 260 true inversions (≈ 0.55 ms) per
+	// run whatever the batch size. With s scalars it therefore saves
+	// 4s − 3 units per base against 50 fixed: measured level at 11
+	// bases under two scalars and at 50–60 under one (the inner-layer
+	// opening, which at a chain's few hundred messages runs ≈ 18 %
+	// under the ladder).
+	batchMulMin = 50
 )
 
 // lanes holds one affine point per base of the batch, in the
@@ -155,39 +156,24 @@ func (k *bmKernel) flush() {
 					feNeg(&dst.y[i], &dst.y[i])
 				}
 			}
-		case b == nil: // tangent: λ = 3(x²−1)/(2y), a = −3 folded in
+		case b == nil: // tangent: λ = 3(x²−1)/(2y)
 			for i := 0; i < k.n; i++ {
-				var t, lam, x3, y3 fe
-				feSqr(&t, &a.x[i])
-				feSub(&t, &t, &feOne)
-				feDouble(&lam, &t)
-				feAdd(&lam, &lam, &t)
+				var lam fe
+				feTangentNum(&lam, &a.x[i])
 				feMul(&lam, &lam, &inv[i])
-				feSqr(&x3, &lam)
-				feSub(&x3, &x3, &a.x[i])
-				feSub(&x3, &x3, &a.x[i])
-				feSub(&t, &a.x[i], &x3)
-				feMul(&y3, &lam, &t)
-				feSub(&y3, &y3, &a.y[i])
-				dst.x[i], dst.y[i] = x3, y3
+				feChord(&dst.x[i], &dst.y[i], &lam, &a.x[i], &a.y[i], &a.x[i])
 			}
 		default: // chord: λ = (y₂−y₁)/(x₂−x₁)
 			for i := 0; i < k.n; i++ {
-				var t, lam, x3, y3 fe
+				var lam fe
 				if op.neg {
-					feAdd(&t, &b.y[i], &a.y[i])
-					feNeg(&t, &t)
+					feAdd(&lam, &b.y[i], &a.y[i])
+					feNeg(&lam, &lam)
 				} else {
-					feSub(&t, &b.y[i], &a.y[i])
+					feSub(&lam, &b.y[i], &a.y[i])
 				}
-				feMul(&lam, &t, &inv[i])
-				feSqr(&x3, &lam)
-				feSub(&x3, &x3, &a.x[i])
-				feSub(&x3, &x3, &b.x[i])
-				feSub(&t, &a.x[i], &x3)
-				feMul(&y3, &lam, &t)
-				feSub(&y3, &y3, &a.y[i])
-				dst.x[i], dst.y[i] = x3, y3
+				feMul(&lam, &lam, &inv[i])
+				feChord(&dst.x[i], &dst.y[i], &lam, &a.x[i], &a.y[i], &b.x[i])
 			}
 		}
 	}
@@ -216,6 +202,50 @@ func oddDigits(l *[4]uint64, out *[bmDigits]int8) {
 	out[bmDigits-1] = int8(v[0])
 }
 
+// oddRecode recodes a non-zero scalar for the kernel and the ladder. An
+// even s is run as the odd n−s, which is returned with neg set, and
+// its results negated.
+func oddRecode(s Scalar, digits *[bmDigits]int8) (odd Scalar, neg bool) {
+	l := scalarLimbs(s)
+	if l[0]&1 == 0 {
+		s, neg = s.Neg(), true
+		l = scalarLimbs(s)
+	}
+	oddDigits(&l, digits)
+	return s, neg
+}
+
+// ladder returns p^s for a bare point and a non-zero scalar: the
+// kernel's recoding run left to right on one Jacobian accumulator, over
+// the odd multiples P, 3P, …, 15P made affine with one inversion. No
+// digit is zero, so every window is four doublings and one mixed
+// addition whatever the scalar — the operation sequence is uniform,
+// and only which entry is added, and its sign, follow the scalar
+// (DESIGN.md, "The variable-time trade, explicitly").
+func (p Point) ladder(s Scalar) Point {
+	var digits [bmDigits]int8
+	_, neg := oddRecode(s, &digits)
+	var multiples [bmBuckets]jacPoint
+	multiples[0].fromAffine(&p.affinePoint, false)
+	two := multiples[0]
+	two.double()
+	for i := 1; i < bmBuckets; i++ {
+		multiples[i] = multiples[i-1]
+		multiples[i].add(&two)
+	}
+	var tab [bmBuckets]affinePoint
+	batchNormalize(multiples[:], tab[:])
+	var acc jacPoint
+	for j := bmDigits - 1; j >= 0; j-- {
+		for t := 0; t < bmWindow; t++ {
+			acc.double()
+		}
+		d := digits[j]
+		acc.addAffine(&tab[max(d, -d)>>1], (d < 0) != neg)
+	}
+	return acc.toPoint()
+}
+
 // BatchMul returns out[k][i] = points[i]^scalars[k]: every point
 // raised to every scalar, bit-for-bit what Point.Mul returns for each
 // pair. Batches that share too few doubling chains to pay for the
@@ -233,7 +263,7 @@ func BatchMul(points []Point, scalars ...Scalar) [][]Point {
 		}
 	}
 	n := len(live)
-	if n*(len(scalars)-1) < batchMulMin {
+	if n*(4*len(scalars)-3) < batchMulMin {
 		for k, s := range scalars {
 			for _, i := range live {
 				out[k][i] = points[i].Mul(s)
@@ -242,8 +272,7 @@ func BatchMul(points []Point, scalars ...Scalar) [][]Point {
 		return out
 	}
 
-	// An even scalar s is run as the odd n−s and its results negated;
-	// a zero scalar has no digits and its row stays the identity.
+	// A zero scalar has no digits and its row stays the identity.
 	type row struct {
 		k       int
 		odd     Scalar
@@ -256,12 +285,8 @@ func BatchMul(points []Point, scalars ...Scalar) [][]Point {
 		if s.IsZero() {
 			continue
 		}
-		r := row{k: k, odd: s}
-		if s.big().Bit(0) == 0 {
-			r.odd, r.neg = s.Neg(), true
-		}
-		l := scalarLimbs(r.odd)
-		oddDigits(&l, &r.digits)
+		r := row{k: k}
+		r.odd, r.neg = oddRecode(s, &r.digits)
 		rows = append(rows, r)
 	}
 	if len(rows) == 0 {
@@ -282,8 +307,7 @@ func BatchMul(points []Point, scalars ...Scalar) [][]Point {
 	q := &bmAcc{lanes: lanes{take(n), take(n)}, coef: NewScalar(1)}
 	q2 := &bmAcc{lanes: lanes{take(n), take(n)}}
 	for j, i := range live {
-		q.x[j] = feFromBig(points[i].x)
-		q.y[j] = feFromBig(points[i].y)
+		q.x[j], q.y[j] = points[i].x, points[i].y
 	}
 	for r := range rows {
 		for b := range rows[r].buckets {
@@ -296,11 +320,7 @@ func BatchMul(points []Point, scalars ...Scalar) [][]Point {
 	for j := 0; j < bmDigits; j++ {
 		for r := range rows {
 			d := rows[r].digits[j]
-			mag := d
-			if d < 0 {
-				mag = -d
-			}
-			kern.add(&rows[r].buckets[mag>>1], q, d < 0)
+			kern.add(&rows[r].buckets[max(d, -d)>>1], q, d < 0)
 		}
 		if j == bmDigits-1 {
 			kern.flush()
@@ -349,7 +369,7 @@ func BatchMul(points []Point, scalars ...Scalar) [][]Point {
 			if rows[r].neg {
 				feNeg(&y, &y)
 			}
-			out[rows[r].k][i] = Point{x: res.x[j].toBig(), y: y.toBig()}
+			out[rows[r].k][i] = affine(res.x[j], y)
 		}
 	}
 	return out

@@ -61,9 +61,10 @@ func TestBatchMulMatchesMul(t *testing.T) {
 	edges := batchMulEdgeScalars()
 	random := []Scalar{MustRandomScalar(), MustRandomScalar(), MustRandomScalar()}
 
-	// Sizes: empty, below any cutover, the two-scalar cutover and its
+	// Sizes: empty, below any cutover, the cutover under three, two and
+	// one scalars (n·(4s−3) = batchMulMin: 6, 10 and 50 bases) with its
 	// neighbours, and one well past it that is not a round number.
-	for _, n := range []int{0, 1, 2, batchMulMin - 1, batchMulMin, batchMulMin + 1, 257} {
+	for _, n := range []int{0, 1, 2, 5, 6, 9, 10, 11, batchMulMin - 1, batchMulMin, batchMulMin + 1, 257} {
 		pts := testBases("batchmul/sizes", n)
 		for ns := 1; ns <= 3; ns++ {
 			checkBatchMul(t, pts, random[:ns])
@@ -72,8 +73,9 @@ func TestBatchMulMatchesMul(t *testing.T) {
 
 	// Identity, duplicate and mutually inverse bases interleaved: the
 	// lanes are independent, so none may disturb its neighbours. The
-	// identities also pull the live count under the cutover at 17.
-	for _, n := range []int{batchMulMin + 1, 40} {
+	// identities also pull the live count under the two-scalar cutover
+	// at 12.
+	for _, n := range []int{12, 40} {
 		pts := testBases("batchmul/mixed", n)
 		pts[0] = Identity()
 		pts[5] = pts[4]
@@ -86,7 +88,7 @@ func TestBatchMulMatchesMul(t *testing.T) {
 
 	// Every pair of exceptional scalars, plus each beside a random
 	// one, through the kernel.
-	pts := testBases("batchmul/edges", batchMulMin+3)
+	pts := testBases("batchmul/edges", 13)
 	for _, a := range edges {
 		checkBatchMul(t, pts, []Scalar{a, random[0]})
 		for _, b := range edges {
@@ -111,7 +113,7 @@ func TestBatchKernelAdd(t *testing.T) {
 		a := &bmAcc{lanes: lanes{make([]fe, len(pts)), make([]fe, len(pts))}, coef: NewScalar(c)}
 		for i, p := range pts {
 			if q := p.Mul(a.coef); !q.IsIdentity() {
-				a.x[i], a.y[i] = feFromBig(q.x), feFromBig(q.y)
+				a.x[i], a.y[i] = q.x, q.y
 			}
 		}
 		return a
@@ -141,7 +143,7 @@ func TestBatchKernelAdd(t *testing.T) {
 			continue
 		}
 		for i, p := range pts {
-			got := Point{x: dst.x[i].toBig(), y: dst.y[i].toBig()}
+			got := affine(dst.x[i], dst.y[i])
 			if !got.Equal(p.Mul(NewScalar(want))) {
 				t.Fatalf("%+v: lane %d wrong", tc, i)
 			}
@@ -210,7 +212,7 @@ func TestFeBatchInv(t *testing.T) {
 			}
 			feBatchInv(den, make([]fe, n))
 			for i := range den {
-				if !den[i].equal(&want[i]) {
+				if den[i] != want[i] {
 					t.Fatalf("n=%d zeroAt=%d: element %d wrong", n, zeroAt, i)
 				}
 			}
@@ -262,9 +264,8 @@ func FuzzBatchMul(f *testing.F) {
 
 // BenchmarkBatchMul reports the per-base cost of raising a batch to
 // one and to two shared scalars; BenchmarkPointMul is the per-base,
-// per-scalar cost it replaces. A single scalar shares nothing and
-// takes the Point.Mul path (see batchMulMin), so x1 is the reference
-// the x2 rows are read against.
+// per-scalar cost it replaces. x1 is the inner-layer opening's shape
+// and x2 a hop's; both run the kernel at these sizes (see batchMulMin).
 func BenchmarkBatchMul(b *testing.B) {
 	scalars := []Scalar{MustRandomScalar(), MustRandomScalar()}
 	for _, n := range []int{128, 512, 2048} {

@@ -1,3 +1,5 @@
+//lint:file-ignore SA1019 crypto/elliptic's deprecated methods are the reference these tests compare against
+
 package group
 
 import (
@@ -22,7 +24,7 @@ func agreesWithStdlib(t *testing.T, name string, in []byte) (accepted bool) {
 		}
 		return false
 	}
-	if err != nil || got.x.Cmp(wantX) != 0 || got.y.Cmp(wantY) != 0 {
+	if err != nil || got.bigX().Cmp(wantX) != 0 || got.bigY().Cmp(wantY) != 0 {
 		t.Fatalf("%s: %x is (%x, %x) to the stdlib, ParsePoint gave %v, %v", name, in, wantX, wantY, got, err)
 	}
 	if !bytes.Equal(got.Bytes(), in) {
@@ -124,7 +126,7 @@ func TestUncompressedRoundTrip(t *testing.T) {
 		}
 		enc = enc[4:]
 		if !p.IsIdentity() {
-			if want := elliptic.Marshal(curve, p.x, p.y)[1:]; !bytes.Equal(enc, want) {
+			if want := elliptic.Marshal(curve, p.bigX(), p.bigY())[1:]; !bytes.Equal(enc, want) {
 				t.Fatalf("%v: %x, elliptic.Marshal has %x", p, enc, want)
 			}
 		}
@@ -162,13 +164,13 @@ func TestParseUncompressedRejects(t *testing.T) {
 		{"one byte short", good[:UncompressedSize-1]},
 		{"one byte long", append(good[:UncompressedSize:UncompressedSize], 0)},
 		{"SEC 1 prefix", append([]byte{4}, good...)},
-		{"y + 1", with(g.x, new(big.Int).Add(g.y, big.NewInt(1)))},
-		{"x + 1", with(new(big.Int).Add(g.x, big.NewInt(1)), g.y)},
-		{"coordinates swapped", with(g.y, g.x)},
-		{"(x, 0)", with(g.x, zero)},
-		{"(0, y)", with(zero, g.y)},
-		{"x = p", with(p, g.y)},
-		{"y = p", with(g.x, p)},
+		{"y + 1", with(g.bigX(), new(big.Int).Add(g.bigY(), big.NewInt(1)))},
+		{"x + 1", with(new(big.Int).Add(g.bigX(), big.NewInt(1)), g.bigY())},
+		{"coordinates swapped", with(g.bigY(), g.bigX())},
+		{"(x, 0)", with(g.bigX(), zero)},
+		{"(0, y)", with(zero, g.bigY())},
+		{"x = p", with(p, g.bigY())},
+		{"y = p", with(g.bigX(), p)},
 		{"all ones", bytes.Repeat([]byte{0xFF}, UncompressedSize)},
 	} {
 		if got, err := ParseUncompressed(tc.in); !errors.Is(err, ErrInvalidPoint) || !got.IsIdentity() {
@@ -181,10 +183,10 @@ func TestParseUncompressedRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ParseUncompressed(with(small.x, small.y)); err != nil {
+	if _, err := ParseUncompressed(with(small.bigX(), small.bigY())); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ParseUncompressed(with(new(big.Int).Add(small.x, p), small.y)); !errors.Is(err, ErrInvalidPoint) {
+	if _, err := ParseUncompressed(with(new(big.Int).Add(small.bigX(), p), small.bigY())); !errors.Is(err, ErrInvalidPoint) {
 		t.Fatalf("x + p accepted: %v", err)
 	}
 }

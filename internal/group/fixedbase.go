@@ -22,7 +22,7 @@ package group
 //     shape that is cheap to build and to keep: 17 rows × 8 entries,
 //     8.5 KiB, built in under two Point.Muls' time by the first
 //     multiplier (ensure); 65 additions and 12 doublings per scalar
-//     against the stdlib's 256 doublings. Point.Precomputed attaches
+//     against the ladder's 252 doublings. Point.Precomputed attaches
 //     one. BatchDH, which raises many such keys at once, does not walk
 //     them one by one: it adds all their entries as one tree of affine
 //     additions under shared inversions (treeSum).
@@ -31,20 +31,16 @@ package group
 // sweep, which batches the per-window division across many scalars.
 //
 // Everything here is variable-time (digit-dependent table indexing and
-// branches). That is a deliberate trade against the constant-time
-// stdlib path: the scalars that meet a table are per-message or
-// per-round ephemerals (and public NIZK challenges), never a long-term
-// secret — a point only takes this path if it is the generator or was
-// explicitly Precomputed, and the only points precomputed are mix keys
-// and inner aggregates, which users raise to the onion's x and y. The
-// deployment model is a server-side mix network, not a shared host
-// with a cache-timing adversary. See DESIGN.md for the discussion;
-// revert Mul's table branch to curve.ScalarMult for a hardened build.
+// branches, zero digits skipped). That is a deliberate trade: the
+// scalars that meet a table are per-message or per-round ephemerals
+// (and public NIZK challenges), never a long-term secret — a point only
+// takes this path if it is the generator or was explicitly Precomputed,
+// and the only points precomputed are mix keys and inner aggregates,
+// which users raise to the onion's x and y. The deployment model is a
+// server-side mix network, not a shared host with a cache-timing
+// adversary. See DESIGN.md for the discussion.
 
-import (
-	"math/big"
-	"sync"
-)
+import "sync"
 
 // tableShape fixes a table's layout: the signed-digit width and how
 // many digit groups share one row. Everything else follows from it.
@@ -83,12 +79,8 @@ type fixedTable struct {
 	entries []affinePoint // rows() × half(), flat
 }
 
-// genPoint aliases the curve's generator coordinates (never mutated);
-// genTable is its table.
-var (
-	genPoint = Point{x: curve.Params().Gx, y: curve.Params().Gy}
-	genTable = fixedTable{shape: genShape}
-)
+// genTable is the table of the generator, genPoint (p256fe.go).
+var genTable = fixedTable{shape: genShape}
 
 // normalizeChunk bounds how many Jacobian entries a table build holds
 // before converting them to affine: a key's whole table (136 entries)
@@ -109,7 +101,8 @@ func (t *fixedTable) ensure(p Point) {
 		chunkRows := max(1, min(rows, normalizeChunk/half))
 		entries := make([]affinePoint, rows*half)
 		jtab := make([]jacPoint, chunkRows*half)
-		base := jacFromPoint(p)
+		var base jacPoint
+		base.fromAffine(&p.affinePoint, false)
 		for j0 := 0; j0 < rows; j0 += chunkRows {
 			j1 := min(j0+chunkRows, rows)
 			for j := j0; j < j1; j++ {
@@ -180,9 +173,9 @@ func (t *fixedTable) mul(p Point, s Scalar) Point {
 
 // table returns the table p's multiplications run on: the generator's
 // for g however it was obtained, a Precomputed point's own, or nil for
-// a bare point (the constant-time stdlib path). p is not the identity.
+// a bare point (the ladder). p is not the identity.
 func (p Point) table() *fixedTable {
-	if p.x.Cmp(genPoint.x) == 0 && p.y.Cmp(genPoint.y) == 0 {
+	if p.affinePoint == genPoint.affinePoint {
 		return &genTable
 	}
 	return p.tab
@@ -190,7 +183,7 @@ func (p Point) table() *fixedTable {
 
 // Precomputed returns the same group element carrying a fixed-key
 // table, so Mul, DH and BatchDH on it (and on every copy of it) run a
-// table walk instead of the stdlib's double-and-add — several times
+// table walk instead of the ladder's double-and-add — several times
 // faster, and variable-time in the scalar. Use it only for public keys
 // that are raised to ephemeral scalars: a chain's mix keys and inner
 // aggregates. The 8.5 KiB table is built by the first multiplication,
@@ -225,8 +218,8 @@ const dhChunk = 64
 // summed as one tree from treeSumMin lanes up, walked one by one below
 // — into Jacobian accumulators that share one field inversion, and a
 // run of keys under the same Scalar value — an onion's mix keys under
-// its x — recodes that scalar once; bare points take Point.Mul's stdlib
-// path one by one, exactly as DH does.
+// its x — recodes that scalar once; bare points take Point.Mul's ladder
+// one by one, exactly as DH does.
 func BatchDH(pubs []Point, privs []Scalar) [][32]byte {
 	if len(pubs) != len(privs) {
 		panic("group: BatchDH length mismatch")
@@ -274,19 +267,17 @@ func batchDHChunk(ts *treeSum, pubs []Point, privs []Scalar, out [][32]byte) {
 	}
 	js := make([]jacPoint, len(pubs))
 	var buf [maxDigits]int16
-	var digits []int16 // nil until a key is recoded; then of.v in of.shape
-	var of struct {
-		shape tableShape
-		v     *big.Int // Scalars are immutable: same pointer, same value
-	}
+	var digits []int16 // nil until a key is recoded; then of in ofShape
+	var ofShape tableShape
+	var of Scalar // Scalars are immutable: same v, same value
 	for i, t := range tabs {
 		if t == nil {
 			continue
 		}
 		t.ensure(pubs[i])
-		if digits == nil || of.shape != t.shape || of.v != privs[i].v {
+		if digits == nil || ofShape != t.shape || of.v != privs[i].v {
 			digits = t.recode(privs[i], &buf)
-			of.shape, of.v = t.shape, privs[i].v
+			ofShape, of = t.shape, privs[i]
 		}
 		if tree {
 			ts.gather(t, digits)
@@ -410,17 +401,11 @@ func (ts *treeSum) reduce() {
 				// Chord through a = run[i], b = run[i+1]:
 				// λ = (y_b−y_a)/(x_b−x_a), x₃ = λ²−x_a−x_b,
 				// y₃ = λ(x_a−x₃)−y_a. Slot i/2 is behind both reads.
-				a, b := &run[i], &run[i+1]
-				var lam, x3, y3 fe
+				a, b, sum := &run[i], &run[i+1], &run[i/2]
+				var lam fe
 				feSub(&lam, &b.y, &a.y)
 				feMul(&lam, &lam, &ts.den[k])
-				feSqr(&x3, &lam)
-				feSub(&x3, &x3, &a.x)
-				feSub(&x3, &x3, &b.x)
-				feSub(&y3, &a.x, &x3)
-				feMul(&y3, &lam, &y3)
-				feSub(&y3, &y3, &a.y)
-				run[i/2] = affinePoint{x: x3, y: y3}
+				feChord(&sum.x, &sum.y, &lam, &a.x, &a.y, &b.x)
 				k++
 			}
 			if r.n%2 == 1 {
@@ -533,17 +518,12 @@ func batchBaseAffine(digits []int16, n int) []Point {
 				accX[i], accY[i], has[i] = e.x, ey, true
 				continue
 			}
-			if accX[i].equal(&e.x) {
-				if accY[i].equal(&ey) {
-					// Tangent: λ = 3(x²−1)/(2y). a = −3 folds the
-					// numerator to 3(x²−1); y ≠ 0 because the group
-					// order is prime (no 2-torsion).
-					var dd, nn, t fe
+			if accX[i] == e.x {
+				if accY[i] == ey {
+					// Tangent: λ = 3(x²−1)/(2y).
+					var dd, nn fe
 					feDouble(&dd, &accY[i])
-					feSqr(&t, &accX[i])
-					feSub(&t, &t, &feOne)
-					feDouble(&nn, &t)
-					feAdd(&nn, &nn, &t)
+					feTangentNum(&nn, &accX[i])
 					idx = append(idx, i)
 					den = append(den, dd)
 					num = append(num, nn)
@@ -564,22 +544,16 @@ func batchBaseAffine(digits []int16, n int) []Point {
 		}
 		feBatchInv(den, scratch)
 		for k, i := range idx {
-			var lam, x3, y3, t fe
+			var lam fe
 			feMul(&lam, &num[k], &den[k])
-			feSqr(&x3, &lam)
-			feSub(&x3, &x3, &accX[i])
-			feSub(&x3, &x3, &exs[k])
-			feSub(&t, &accX[i], &x3)
-			feMul(&y3, &lam, &t)
-			feSub(&y3, &y3, &accY[i])
-			accX[i], accY[i] = x3, y3
+			feChord(&accX[i], &accY[i], &lam, &accX[i], &accY[i], &exs[k])
 		}
 	}
 
 	out := make([]Point, n)
 	for i := range out {
 		if has[i] {
-			out[i] = Point{x: accX[i].toBig(), y: accY[i].toBig()}
+			out[i] = affine(accX[i], accY[i])
 		}
 	}
 	return out

@@ -1,3 +1,5 @@
+//lint:file-ignore SA1019 crypto/elliptic's deprecated methods are the reference these tests compare against
+
 package group
 
 import (
@@ -38,7 +40,7 @@ func TestFixedBaseMatchesCurve(t *testing.T) {
 			return
 		}
 		wx, wy := curve.ScalarBaseMult(s.Bytes())
-		if got.IsIdentity() || got.x.Cmp(wx) != 0 || got.y.Cmp(wy) != 0 {
+		if got.IsIdentity() || got.bigX().Cmp(wx) != 0 || got.bigY().Cmp(wy) != 0 {
 			t.Fatalf("Base(%v) disagrees with curve.ScalarBaseMult", s)
 		}
 	}
@@ -90,7 +92,7 @@ func TestBatchBaseMatchesBase(t *testing.T) {
 // against per-point toPoint over points with non-trivial Z, including
 // identity points mid-batch.
 func TestBatchToAffineMatchesToPoint(t *testing.T) {
-	g := newAffinePoint(Generator())
+	g := Generator().affinePoint
 	js := make([]jacPoint, 33)
 	for i := range js {
 		switch i % 5 {
@@ -221,7 +223,7 @@ func TestMulGeneratorFastPath(t *testing.T) {
 		}
 		wx, wy := curve.ScalarMult(curve.Params().Gx, curve.Params().Gy, s.Bytes())
 		got := g.Mul(s)
-		if got.x.Cmp(wx) != 0 || got.y.Cmp(wy) != 0 {
+		if got.bigX().Cmp(wx) != 0 || got.bigY().Cmp(wy) != 0 {
 			t.Fatalf("g.Mul(%v) disagrees with curve.ScalarMult", s)
 		}
 	}
@@ -249,7 +251,7 @@ func FuzzScalarBaseMult(f *testing.F) {
 			}
 		} else {
 			wx, wy := curve.ScalarBaseMult(s.Bytes())
-			if got.IsIdentity() || got.x.Cmp(wx) != 0 || got.y.Cmp(wy) != 0 {
+			if got.IsIdentity() || got.bigX().Cmp(wx) != 0 || got.bigY().Cmp(wy) != 0 {
 				t.Fatal("Base disagrees with curve.ScalarBaseMult")
 			}
 		}
@@ -280,7 +282,7 @@ func FuzzBatchToAffine(f *testing.F) {
 		if len(data) > 64 {
 			data = data[:64]
 		}
-		g := newAffinePoint(Generator())
+		g := Generator().affinePoint
 		js := make([]jacPoint, len(data))
 		for i, b := range data {
 			if b%7 == 0 {
@@ -344,7 +346,7 @@ func BenchmarkFixedBase(b *testing.B) {
 // batch one inversion for all (ns/op is per point in both).
 func BenchmarkBatchToAffine(b *testing.B) {
 	const n = 1024
-	g := newAffinePoint(Generator())
+	g := Generator().affinePoint
 	js := make([]jacPoint, n)
 	js[0].fromAffine(&g, false)
 	js[0].double()

@@ -4,9 +4,11 @@
 //
 // The paper assumes "a group of prime order p with a generator g in
 // which discrete log is hard and the decisional Diffie-Hellman
-// assumption holds". We instantiate it with NIST P-256 from the
-// standard library. Scalars are integers modulo the group order;
-// points are curve points with the point at infinity as the identity.
+// assumption holds". We instantiate it with NIST P-256, on this
+// package's own field and curve arithmetic (p256fe.go, jacobian.go;
+// crypto/elliptic is the reference the tests hold it against). Scalars
+// are integers modulo the group order; points are curve points with the
+// point at infinity as the identity.
 //
 // All types are immutable: operations return new values and never
 // modify their receivers, so values can be shared freely across the
@@ -14,7 +16,6 @@
 package group
 
 import (
-	"crypto/elliptic"
 	"crypto/rand"
 	"crypto/sha256"
 	"errors"
@@ -33,9 +34,8 @@ const (
 )
 
 var (
-	curve = elliptic.P256()
 	// order is the prime order of the P-256 base-point group.
-	order = curve.Params().N
+	order, _ = new(big.Int).SetString("ffffffff00000000ffffffffffffffffbce6faada7179e84f3b9cac2fc632551", 16)
 
 	// ErrInvalidPoint is returned when decoding bytes that are not a
 	// valid compressed group element.
@@ -54,15 +54,23 @@ type Scalar struct {
 	v *big.Int // nil means 0
 }
 
-// Point is an element of the group. The zero value is the identity
-// (point at infinity).
+// Point is an element of the group: its affine coordinates in the
+// Montgomery domain, in place — 72 bytes, a value with nothing behind
+// it but a Precomputed point's shared table. The zero value is the
+// identity (point at infinity): (0, 0) is not on the curve, and since
+// the group has no element of order two no point has y = 0, so y alone
+// tells. DESIGN.md, "A point is a value".
 type Point struct {
-	x, y *big.Int // nil means identity
+	affinePoint
 	// tab is set on Precomputed points only: the fixed-key table every
 	// copy of the point shares (fixedbase.go). It is not part of the
 	// element — Equal, Bytes and the binary encoding ignore it.
 	tab *fixedTable
 }
+
+// affine is the bare Point at (x, y), which the caller knows to be on
+// the curve.
+func affine(x, y fe) Point { return Point{affinePoint: affinePoint{x: x, y: y}} }
 
 // NewScalar returns the scalar v mod the group order.
 func NewScalar(v int64) Scalar {
@@ -219,10 +227,7 @@ func (s Scalar) Inverse() Scalar {
 func (s Scalar) String() string { return fmt.Sprintf("scalar(%x…)", s.Bytes()[:4]) }
 
 // Generator returns the group generator g.
-func Generator() Point {
-	p := curve.Params()
-	return Point{x: new(big.Int).Set(p.Gx), y: new(big.Int).Set(p.Gy)}
-}
+func Generator() Point { return genPoint }
 
 // Identity returns the identity element (point at infinity).
 func Identity() Point { return Point{} }
@@ -243,11 +248,9 @@ func Base(s Scalar) Point {
 
 // ParsePoint decodes a compressed 33-byte point encoding as produced
 // by Bytes. The all-zero encoding decodes to the identity. It accepts
-// exactly what elliptic.UnmarshalCompressed accepts and recovers y in
-// this package's field arithmetic: one exponentiation by (p+1)/4 and a
-// squaring to reject an x with no point over it, where the stdlib call
-// goes big.Int → nistec → big.Int and inverts a Z that is 1 on the way
-// back.
+// exactly what elliptic.UnmarshalCompressed accepts: y is recovered by
+// one exponentiation by (p+1)/4, and a squaring rejects an x with no
+// point over it.
 func ParsePoint(b []byte) (Point, error) {
 	if len(b) != PointSize {
 		return Point{}, fmt.Errorf("%w: length %d", ErrInvalidPoint, len(b))
@@ -266,14 +269,13 @@ func ParsePoint(b []byte) (Point, error) {
 	feCurveRHS(&rhs, &x)
 	feSqrt(&y, &rhs)
 	feSqr(&y2, &y)
-	if !y2.equal(&rhs) {
+	if y2 != rhs {
 		return Point{}, ErrInvalidPoint
 	}
-	y = y.fromMont()
-	if byte(y[0])&1 != b[0]&1 {
+	if y.isOdd() != (b[0] == 3) {
 		feNeg(&y, &y)
 	}
-	return Point{x: new(big.Int).SetBytes(b[1:]), y: y.rawBig()}, nil
+	return affine(x, y), nil
 }
 
 // ParseUncompressed decodes the 64-byte x‖y encoding AppendUncompressed
@@ -297,10 +299,10 @@ func ParseUncompressed(b []byte) (Point, error) {
 	var rhs, y2 fe
 	feCurveRHS(&rhs, &x)
 	feSqr(&y2, &y)
-	if !y2.equal(&rhs) {
+	if y2 != rhs {
 		return Point{}, ErrInvalidPoint
 	}
-	return Point{x: new(big.Int).SetBytes(b[:32]), y: new(big.Int).SetBytes(b[32:])}, nil
+	return affine(x, y), nil
 }
 
 func isAllZero(b []byte) bool {
@@ -312,19 +314,21 @@ func isAllZero(b []byte) bool {
 }
 
 // IsIdentity reports whether p is the identity element.
-func (p Point) IsIdentity() bool { return p.x == nil }
+func (p Point) IsIdentity() bool { return p.y.isZero() }
 
 // Bytes returns the 33-byte compressed encoding of p (SEC 1: 0x02 or
 // 0x03 for y's parity, then x). The identity encodes as 33 zero bytes.
-// It writes the bytes itself: elliptic.MarshalCompressed first proves
-// the point on the curve through a big.Int → nistec round trip, and a
-// Point's coordinates are on the curve by construction (ParsePoint
-// validated them, or this package's arithmetic produced them).
+// A Point's coordinates are on the curve by construction (a parser
+// validated them, or this package's arithmetic produced them), so there
+// is nothing to check on the way out.
 func (p Point) Bytes() []byte {
 	out := make([]byte, PointSize)
 	if !p.IsIdentity() {
-		out[0] = 2 | byte(p.y.Bit(0))
-		p.x.FillBytes(out[1:])
+		out[0] = 2
+		if p.y.isOdd() {
+			out[0] = 3
+		}
+		p.x.putBytes(out[1:])
 	}
 	return out
 }
@@ -332,13 +336,12 @@ func (p Point) Bytes() []byte {
 // AppendUncompressed appends the 64-byte x‖y encoding of p to dst, the
 // identity as 64 zero bytes.
 func (p Point) AppendUncompressed(dst []byte) []byte {
-	n := len(dst)
-	dst = append(dst, make([]byte, UncompressedSize)...)
+	var b [UncompressedSize]byte
 	if !p.IsIdentity() {
-		p.x.FillBytes(dst[n : n+32])
-		p.y.FillBytes(dst[n+32:])
+		p.x.putBytes(b[:32])
+		p.y.putBytes(b[32:])
 	}
-	return dst
+	return append(dst, b[:]...)
 }
 
 // MarshalBinary and UnmarshalBinary make a Point its own wire format
@@ -353,15 +356,12 @@ func (p *Point) UnmarshalBinary(b []byte) (err error) {
 	return err
 }
 
-// Equal reports whether p and q are the same group element.
-func (p Point) Equal(q Point) bool {
-	if p.IsIdentity() || q.IsIdentity() {
-		return p.IsIdentity() && q.IsIdentity()
-	}
-	return p.x.Cmp(q.x) == 0 && p.y.Cmp(q.y) == 0
-}
+// Equal reports whether p and q are the same group element: reduced
+// Montgomery limbs are canonical, and the identity is all zeros.
+func (p Point) Equal(q Point) bool { return p.affinePoint == q.affinePoint }
 
-// Add returns p + q (group operation).
+// Add returns p + q (group operation): one affine chord or tangent, its
+// division the call's only cost beyond a dozen field operations.
 func (p Point) Add(q Point) Point {
 	if p.IsIdentity() {
 		return q
@@ -369,30 +369,36 @@ func (p Point) Add(q Point) Point {
 	if q.IsIdentity() {
 		return p
 	}
-	// crypto/elliptic's affine Add mishandles doubling edge cases on
-	// some inputs only when given the identity, which we excluded.
-	x, y := curve.Add(p.x, p.y, q.x, q.y)
-	if x.Sign() == 0 && y.Sign() == 0 {
+	var lam, den fe
+	switch {
+	case p.x != q.x:
+		feSub(&lam, &q.y, &p.y)
+		feSub(&den, &q.x, &p.x)
+	case p.y != q.y: // p + (−p)
 		return Point{}
+	default:
+		feTangentNum(&lam, &p.x)
+		feDouble(&den, &p.y)
 	}
-	return Point{x: x, y: y}
+	feInv(&den, &den)
+	feMul(&lam, &lam, &den)
+	var sum Point
+	feChord(&sum.x, &sum.y, &lam, &p.x, &p.y, &q.x)
+	return sum
 }
 
 // Neg returns the inverse element -p.
 func (p Point) Neg() Point {
-	if p.IsIdentity() {
-		return p
-	}
-	y := new(big.Int).Neg(p.y)
-	y.Mod(y, curve.Params().P)
-	return Point{x: new(big.Int).Set(p.x), y: y}
+	var ny fe
+	feNeg(&ny, &p.y)
+	return affine(p.x, ny)
 }
 
 // Mul returns p^s in multiplicative notation (scalar multiplication
 // [s]p). Mul implements the paper's DH(p, s) = p^s. The generator
 // (NIZK provers and verifiers pass it as an explicit base) and
 // Precomputed points run on their tables; every other point takes the
-// constant-time stdlib path.
+// fixed-window ladder of batchmul.go.
 func (p Point) Mul(s Scalar) Point {
 	if p.IsIdentity() || s.IsZero() {
 		return Point{}
@@ -400,11 +406,7 @@ func (p Point) Mul(s Scalar) Point {
 	if t := p.table(); t != nil {
 		return t.mul(p, s)
 	}
-	x, y := curve.ScalarMult(p.x, p.y, s.Bytes())
-	if x.Sign() == 0 && y.Sign() == 0 {
-		return Point{}
-	}
-	return Point{x: x, y: y}
+	return p.ladder(s)
 }
 
 // DH performs a Diffie-Hellman key exchange and returns the 32-byte
@@ -425,16 +427,13 @@ func SharedSecret(p Point) [32]byte {
 // notation). AHS verification works with products of users' DH keys
 // (∏ X_j, §6.3 step 3); an empty product is the identity. The points
 // are accumulated in Jacobian coordinates, so the whole product pays
-// one field inversion instead of crypto/elliptic's hidden inversion
-// per addition.
+// one field inversion instead of Add's one per addition.
 func Product(points []Point) Point {
 	var acc jacPoint
-	for _, p := range points {
-		if p.IsIdentity() {
-			continue
+	for i := range points {
+		if !points[i].IsIdentity() {
+			acc.addAffine(&points[i].affinePoint, false)
 		}
-		a := newAffinePoint(p)
-		acc.addAffine(&a, false)
 	}
 	return acc.toPoint()
 }

@@ -1,21 +1,49 @@
 package group
 
-// Jacobian-coordinate P-256 points over the fe field, used by the
-// multi-scalar multiplication. (X:Y:Z) represents the affine point
+// Jacobian-coordinate P-256 points over the fe field: what the
+// multi-scalar multiplication, the table walks and the ladder
+// accumulate in. (X:Y:Z) represents the affine point
 // (X/Z², Y/Z³); the identity is any point with Z = 0. Formulas are
-// the standard a=−3 ones from the EFD (dbl-2001-b, add-2007-bl,
-// madd-2007-bl) with explicit handling of the exceptional cases —
-// MSM inputs are adversarial submissions, so doubling and cancelling
-// inputs must fold correctly rather than "never happen".
+// the standard a=−3 ones (the full addition is the EFD's add-2007-bl;
+// the doubling and the mixed addition are the textbook forms with the
+// fewest field additions) with explicit handling of the exceptional
+// cases — MSM inputs are adversarial submissions, so doubling and
+// cancelling inputs must fold correctly rather than "never happen".
 
-// affinePoint is a table/input entry: affine coordinates in the
-// Montgomery domain, 64 bytes. A negative signed digit negates y on
-// lookup (one feNeg against a mixed addition's eleven multiplications)
-// rather than storing −y beside it, which would make every table half
-// as large again. Never the identity (identity inputs are filtered out
-// by the MSM before building tables).
+// affinePoint is affine coordinates in the Montgomery domain, 64 bytes:
+// a Point's element and a table entry. A negative signed digit negates
+// y on lookup (one feNeg against a mixed addition's eleven
+// multiplications) rather than storing −y beside it, which would make
+// every table half as large again. (0, 0) stands for the identity in a
+// Point; tables and MSM inputs never hold it.
 type affinePoint struct {
 	x, y fe
+}
+
+// feTangentNum sets z = 3(x²−1), the numerator of the tangent's slope
+// 3(x²−1)/(2y) at (x, y) with a = −3 folded in. The denominator is
+// never zero: the group order is odd, so no point has order two.
+func feTangentNum(z, x *fe) {
+	var t fe
+	feSqr(&t, x)
+	feSub(&t, &t, &feOne)
+	feDouble(z, &t)
+	feAdd(z, z, &t)
+}
+
+// feChord sets (x3, y3) to the sum of (xa, ya) and a point at xb, given
+// the slope lam of the line through them (a tangent when the two are
+// one point): x₃ = λ²−x_a−x_b, y₃ = λ(x_a−x₃)−y_a. The outputs may alias
+// the inputs.
+func feChord(x3, y3, lam, xa, ya, xb *fe) {
+	var x, t fe
+	feSqr(&x, lam)
+	feSub(&x, &x, xa)
+	feSub(&x, &x, xb)
+	feSub(&t, xa, &x)
+	feMul(&t, lam, &t)
+	feSub(y3, &t, ya)
+	*x3 = x
 }
 
 // jacPoint is a working point in Jacobian coordinates.
@@ -37,66 +65,47 @@ func (p *jacPoint) fromAffine(a *affinePoint, neg bool) {
 	p.z = feOne
 }
 
-// newAffinePoint converts a non-identity Point into table form.
-func newAffinePoint(pt Point) affinePoint {
-	return affinePoint{x: feFromBig(pt.x), y: feFromBig(pt.y)}
-}
-
-// toPoint converts back to the package's affine big.Int Point. The
-// single field inversion per chain lives here; everything around it
-// stays in the fe domain, so the conversion costs one inversion plus
-// four field mults rather than a chain of big.Int modular ops.
+// toPoint converts back to an affine Point: the single field inversion
+// of a chain, plus four field multiplications.
 func (p *jacPoint) toPoint() Point {
 	if p.isIdentity() {
 		return Point{}
 	}
-	var zinv, zi2, zi3, xf, yf fe
+	var zinv fe
 	feInv(&zinv, &p.z)
-	feSqr(&zi2, &zinv)
-	feMul(&zi3, &zi2, &zinv)
-	feMul(&xf, &p.x, &zi2)
-	feMul(&yf, &p.y, &zi3)
-	return Point{x: xf.toBig(), y: yf.toBig()}
+	var out Point
+	normalize(&out.affinePoint, p, &zinv)
+	return out
 }
 
-// double sets p = 2p (dbl-2001-b, a = −3).
+// double sets p = 2p for a = −3: M = 3(X−Z²)(X+Z²), S = 4XY²,
+// X3 = M² − 2S, Y3 = M(S−X3) − 8Y⁴, Z3 = 2YZ, arranged around 2Y the way
+// ecp_nistz256 does so that ten field additions serve the four
+// multiplications and four squarings (dbl-2001-b spends seventeen on
+// its 3M + 5S, and an addition is a quarter of a multiplication here).
 func (p *jacPoint) double() {
 	if p.isIdentity() {
 		return
 	}
-	var delta, gamma, beta, alpha, t1, t2 fe
-	feSqr(&delta, &p.z)        // delta = Z²
-	feSqr(&gamma, &p.y)        // gamma = Y²
-	feMul(&beta, &p.x, &gamma) // beta = X·gamma
-	feSub(&t1, &p.x, &delta)   // X − delta
-	feAdd(&t2, &p.x, &delta)   // X + delta
-	feMul(&alpha, &t1, &t2)    // (X−delta)(X+delta)
-	feDouble(&t1, &alpha)
-	feAdd(&alpha, &t1, &alpha) // alpha = 3(X−delta)(X+delta)
-
-	var x3, y3, z3 fe
-	feSqr(&x3, &alpha) // alpha²
-	feDouble(&t1, &beta)
-	feDouble(&t1, &t1)
-	feDouble(&t1, &t1)   // 8beta
-	feSub(&x3, &x3, &t1) // X3 = alpha² − 8beta
-
-	feAdd(&z3, &p.y, &p.z)
-	feSqr(&z3, &z3)
-	feSub(&z3, &z3, &gamma)
-	feSub(&z3, &z3, &delta) // Z3 = (Y+Z)² − gamma − delta
-
-	feDouble(&t1, &beta)
-	feDouble(&t1, &t1)      // 4beta
-	feSub(&t1, &t1, &x3)    // 4beta − X3
-	feMul(&y3, &alpha, &t1) // alpha(4beta − X3)
-	feSqr(&t2, &gamma)      // gamma²
-	feDouble(&t2, &t2)
-	feDouble(&t2, &t2)
-	feDouble(&t2, &t2)   // 8gamma²
-	feSub(&y3, &y3, &t2) // Y3 = alpha(4beta−X3) − 8gamma²
-
-	p.x, p.y, p.z = x3, y3, z3
+	var delta, y2, y4, s, m, t fe
+	feSqr(&delta, &p.z)
+	feDouble(&y2, &p.y)
+	feMul(&p.z, &y2, &p.z) // Z3 = 2YZ
+	feSqr(&y2, &y2)        // 4Y²
+	feMul(&s, &y2, &p.x)   // S
+	feSqr(&y4, &y2)
+	feHalf(&y4, &y4) // 8Y⁴
+	feAdd(&m, &p.x, &delta)
+	feSub(&t, &p.x, &delta)
+	feMul(&m, &m, &t)
+	feDouble(&t, &m)
+	feAdd(&m, &m, &t) // M
+	feSqr(&p.x, &m)
+	feDouble(&t, &s)
+	feSub(&p.x, &p.x, &t) // X3
+	feSub(&s, &s, &p.x)
+	feMul(&s, &s, &m)
+	feSub(&p.y, &s, &y4) // Y3
 }
 
 // add sets p = p + q for a full Jacobian q (add-2007-bl).
@@ -157,8 +166,11 @@ func (p *jacPoint) add(q *jacPoint) {
 }
 
 // addAffine sets p = p + (a, possibly negated) for an affine input
-// (madd-2007-bl, Z2 = 1). This is the hot call of the MSM bucket
-// accumulation: 7M + 4S instead of the full add's 11M + 5S.
+// (Z2 = 1): H = x₂Z² − X, R = y₂Z³ − Y, Z3 = Z·H, X3 = R² − H³ − 2XH²,
+// Y3 = R(XH² − X3) − YH³. This is the hot call of the MSM bucket
+// accumulation, the table walks and the ladder: 8M + 3S and seven
+// additions against the full add's 11M + 5S (madd-2007-bl trades one of
+// the multiplications for a squaring and seven more additions).
 func (p *jacPoint) addAffine(a *affinePoint, neg bool) {
 	if p.isIdentity() {
 		p.fromAffine(a, neg)
@@ -168,11 +180,11 @@ func (p *jacPoint) addAffine(a *affinePoint, neg bool) {
 	if neg {
 		feNeg(&ay, &ay)
 	}
-	var z1z1, u2, s2, h, r, t fe
-	feSqr(&z1z1, &p.z)
-	feMul(&u2, &a.x, &z1z1)
-	feMul(&t, &p.z, &z1z1)
-	feMul(&s2, &ay, &t)
+	var z2, u2, s2, h, r fe
+	feSqr(&z2, &p.z)
+	feMul(&u2, &a.x, &z2)
+	feMul(&s2, &p.z, &z2)
+	feMul(&s2, &ay, &s2)
 	feSub(&h, &u2, &p.x)
 	feSub(&r, &s2, &p.y)
 
@@ -185,29 +197,17 @@ func (p *jacPoint) addAffine(a *affinePoint, neg bool) {
 		return
 	}
 
-	var hh, i, j, v, x3, y3, z3 fe
-	feSqr(&hh, &h) // HH = H²
-	feDouble(&i, &hh)
-	feDouble(&i, &i)    // I = 4HH
-	feMul(&j, &h, &i)   // J = H·I
-	feDouble(&r, &r)    // r = 2(S2−Y1)
-	feMul(&v, &p.x, &i) // V = X1·I
-
-	feSqr(&x3, &r)
-	feSub(&x3, &x3, &j)
-	feSub(&x3, &x3, &v)
-	feSub(&x3, &x3, &v) // X3 = r² − J − 2V
-
-	feSub(&y3, &v, &x3)
-	feMul(&y3, &r, &y3)
-	feMul(&t, &p.y, &j)
-	feDouble(&t, &t)
-	feSub(&y3, &y3, &t) // Y3 = r(V−X3) − 2·Y1·J
-
-	feAdd(&z3, &p.z, &h)
-	feSqr(&z3, &z3)
-	feSub(&z3, &z3, &z1z1)
-	feSub(&z3, &z3, &hh) // Z3 = (Z1+H)² − Z1Z1 − HH
-
-	p.x, p.y, p.z = x3, y3, z3
+	var h2, h3, v, t fe
+	feSqr(&h2, &h)
+	feMul(&h3, &h2, &h)
+	feMul(&v, &p.x, &h2)
+	feMul(&p.z, &p.z, &h) // Z3
+	feSqr(&p.x, &r)
+	feSub(&p.x, &p.x, &h3)
+	feDouble(&t, &v)
+	feSub(&p.x, &p.x, &t) // X3
+	feSub(&v, &v, &p.x)
+	feMul(&v, &v, &r)
+	feMul(&t, &p.y, &h3)
+	feSub(&p.y, &v, &t) // Y3
 }

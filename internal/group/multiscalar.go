@@ -14,7 +14,7 @@ package group
 //     so the per-point cost approaches one addition per window).
 //
 // Both run on the Jacobian/fe arithmetic of jacobian.go; the naive
-// product pays crypto/elliptic's hidden field inversion on every
+// product pays a ladder per term and a field inversion on every
 // addition, which is exactly what this avoids. Identity points and
 // zero scalars contribute nothing and are filtered out first.
 
@@ -54,7 +54,7 @@ func MultiScalarMult(points []Point, scalars []Scalar) Point {
 	limbs := make([][4]uint64, n)
 	maxBits := 0
 	for j, i := range kept {
-		aff[j] = newAffinePoint(points[i])
+		aff[j] = points[i].affinePoint
 		limbs[j] = scalarLimbs(scalars[i])
 		if b := limbsBitLen(&limbs[j]); b > maxBits {
 			maxBits = b
@@ -71,15 +71,8 @@ func MultiScalarMult(points []Point, scalars []Scalar) Point {
 
 // scalarLimbs returns the scalar as four little-endian uint64 limbs.
 func scalarLimbs(s Scalar) [4]uint64 {
-	b := s.Bytes() // 32 bytes, big-endian
-	var l [4]uint64
-	for i := 0; i < 4; i++ {
-		hi := 32 - 8*i
-		for k := 0; k < 8; k++ {
-			l[i] |= uint64(b[hi-1-k]) << (8 * k)
-		}
-	}
-	return l
+	var b [ScalarSize]byte
+	return limbsFromBytes(s.big().FillBytes(b[:]))
 }
 
 func limbsBitLen(l *[4]uint64) int {

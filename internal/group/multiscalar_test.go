@@ -107,7 +107,7 @@ func TestJacobianMatchesCurve(t *testing.T) {
 		p1 := Base(MustRandomScalar())
 		p2 := Base(MustRandomScalar())
 
-		a1, a2 := newAffinePoint(p1), newAffinePoint(p2)
+		a1, a2 := p1.affinePoint, p2.affinePoint
 		var j1 jacPoint
 		j1.fromAffine(&a1, false)
 

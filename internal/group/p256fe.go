@@ -2,35 +2,31 @@ package group
 
 // Fast arithmetic in the P-256 base field GF(p): what the multi-scalar
 // multiplication, the batched exponentiations, the fixed-key tables and
-// the point decoders of group.go run on. crypto/elliptic's affine Add
-// pays a field inversion per call, which makes any addition-chain
-// algorithm slower than its assembly ScalarMult; this file provides
-// inversion-free field elements so Jacobian-coordinate chains actually
-// win.
+// the point decoders of group.go run on, and what a Point's coordinates
+// are. An affine addition pays a field inversion, so every chain of
+// them runs on Jacobian coordinates (jacobian.go) or shares its
+// inversions across a batch (feBatchInv); this file is the
+// inversion-free arithmetic under both.
 //
 // Representation: four little-endian uint64 limbs in the Montgomery
 // domain (value·2^256 mod p). P-256's lowest prime limb is 2^64−1, so
 // the Montgomery constant −p⁻¹ mod 2^64 is exactly 1 and each
 // reduction step needs no multiplication to derive its quotient word.
 //
-// Everything here is variable-time. The MSM only ever touches public
-// proof data and verifier-local batching randomizers, never long-term
-// secrets; the constant-time paths for secret scalars remain
-// crypto/elliptic's.
+// Everything here is variable-time; DESIGN.md ("The variable-time
+// trade, explicitly") says which scalars that is allowed to meet.
 
 import (
 	"encoding/binary"
-	"math/big"
 	"math/bits"
 )
 
-// fe is a field element in the Montgomery domain, little-endian limbs.
+// fe is a field element in the Montgomery domain, little-endian limbs,
+// always fully reduced: equal values have equal limbs.
 type fe [4]uint64
 
 // The prime's limbs as constants so the hot paths can fold them into
-// immediates: p = 2^256 − 2^224 + 2^192 + 2^96 − 1. The init below
-// cross-checks them against the curve parameters so a typo here cannot
-// silently corrupt arithmetic.
+// immediates: p = 2^256 − 2^224 + 2^192 + 2^96 − 1.
 const (
 	feP0 uint64 = 0xffffffffffffffff
 	feP1 uint64 = 0x00000000ffffffff
@@ -38,71 +34,26 @@ const (
 	feP3 uint64 = 0xffffffff00000001
 )
 
-// Prime limbs and Montgomery constants, filled from the curve
-// parameters at init so no hand-transcribed constant can drift.
+// The Montgomery constants and the curve's parameters, the latter
+// written as their standard values (limbs little-endian, so FIPS 186's
+// hex reads bottom-up). TestConstantsMatchStdlib holds every one of
+// them against crypto/elliptic's.
 var (
-	feP   fe // the prime p
-	feR2  fe // 2^512 mod p, for toMont
-	feOne fe // 1 in the Montgomery domain (2^256 mod p)
-	feB   fe // the curve's b in the Montgomery domain
+	feOne = fe{1, 0xffffffff00000000, 0xffffffffffffffff, 0x00000000fffffffe} // 2^256 mod p
+	feR2  = fe{3, 0xfffffffbffffffff, 0xfffffffffffffffe, 0x00000004fffffffd} // 2^512 mod p
+	// feB is the curve's b.
+	feB = fe{0x3bce3c3e27d2604b, 0x651d06b0cc53b0f6, 0xb3ebbd55769886bc, 0x5ac635d8aa3a93e7}.toMont()
+	// genPoint is the generator; genTable (fixedbase.go) is its table.
+	genPoint = affine(
+		fe{0xf4a13945d898c296, 0x77037d812deb33a0, 0xf8bce6e563a440f2, 0x6b17d1f2e12c4247}.toMont(),
+		fe{0xcbb6406837bf51f5, 0x2bce33576b315ece, 0x8ee7eb4a7c0f9e16, 0x4fe342e2fe1a7f9b}.toMont())
 )
 
-func init() {
-	p := curve.Params().P
-	feP = feFromBigRaw(p)
-	if feP != (fe{feP0, feP1, feP2, feP3}) {
-		panic("group: feP constants disagree with curve.Params().P")
-	}
-	r2 := new(big.Int).Lsh(big.NewInt(1), 512)
-	r2.Mod(r2, p)
-	feR2 = feFromBigRaw(r2)
-	one := new(big.Int).Lsh(big.NewInt(1), 256)
-	one.Mod(one, p)
-	feOne = feFromBigRaw(one)
-	feB = feFromBig(curve.Params().B)
-}
-
-// feRawFromBytes reads 32 big-endian bytes into limbs, no reduction and
-// no domain conversion.
-func feRawFromBytes(b []byte) fe {
-	return fe{
-		binary.BigEndian.Uint64(b[24:32]),
-		binary.BigEndian.Uint64(b[16:24]),
-		binary.BigEndian.Uint64(b[8:16]),
-		binary.BigEndian.Uint64(b[0:8]),
-	}
-}
-
-// feFromBigRaw copies a reduced big.Int into limbs without any domain
-// conversion.
-func feFromBigRaw(v *big.Int) fe {
-	var b [32]byte
-	v.FillBytes(b[:])
-	return feRawFromBytes(b[:])
-}
-
-// feFromBig converts a reduced big.Int into the Montgomery domain.
-func feFromBig(v *big.Int) fe {
-	raw := feFromBigRaw(v)
+// toMont enters the Montgomery domain from a reduced standard value.
+func (x fe) toMont() fe {
 	var z fe
-	feMul(&z, &raw, &feR2)
+	feMul(&z, &x, &feR2)
 	return z
-}
-
-// feFromBytes reads 32 big-endian bytes, a coordinate as it crosses the
-// wire, into the Montgomery domain. ok is false for a value ≥ p: a
-// field element has one encoding.
-func feFromBytes(b []byte) (z fe, ok bool) {
-	raw := feRawFromBytes(b)
-	_, br := bits.Sub64(raw[0], feP0, 0)
-	_, br = bits.Sub64(raw[1], feP1, br)
-	_, br = bits.Sub64(raw[2], feP2, br)
-	_, br = bits.Sub64(raw[3], feP3, br)
-	if br == 0 { // no borrow: raw ≥ p
-		return fe{}, false
-	}
-	feMul(&z, &raw, &feR2)
-	return z, true
 }
 
 // fromMont leaves the Montgomery domain: the standard value's limbs.
@@ -113,27 +64,49 @@ func (x *fe) fromMont() fe {
 	return raw
 }
 
-// rawBig returns the integer whose limbs x holds, no domain conversion:
-// feFromBigRaw's inverse.
-func (x *fe) rawBig() *big.Int {
-	var b [32]byte
-	for i := 0; i < 4; i++ {
-		binary.BigEndian.PutUint64(b[24-8*i:], x[i])
+// limbsFromBytes reads 32 big-endian bytes — a coordinate or a scalar —
+// into little-endian limbs, no reduction and no domain conversion.
+func limbsFromBytes(b []byte) [4]uint64 {
+	return [4]uint64{
+		binary.BigEndian.Uint64(b[24:32]),
+		binary.BigEndian.Uint64(b[16:24]),
+		binary.BigEndian.Uint64(b[8:16]),
+		binary.BigEndian.Uint64(b[0:8]),
 	}
-	return new(big.Int).SetBytes(b[:])
 }
 
-// toBig leaves the Montgomery domain and returns the standard value.
-func (x *fe) toBig() *big.Int {
+// feFromBytes reads 32 big-endian bytes, a coordinate as it crosses the
+// wire, into the Montgomery domain. ok is false for a value ≥ p: a
+// field element has one encoding.
+func feFromBytes(b []byte) (z fe, ok bool) {
+	raw := fe(limbsFromBytes(b))
+	_, br := bits.Sub64(raw[0], feP0, 0)
+	_, br = bits.Sub64(raw[1], feP1, br)
+	_, br = bits.Sub64(raw[2], feP2, br)
+	_, br = bits.Sub64(raw[3], feP3, br)
+	if br == 0 { // no borrow: raw ≥ p
+		return fe{}, false
+	}
+	return raw.toMont(), true
+}
+
+// putBytes writes x's standard value into b[:32], big-endian:
+// feFromBytes' inverse.
+func (x *fe) putBytes(b []byte) {
 	raw := x.fromMont()
-	return raw.rawBig()
+	for i := 0; i < 4; i++ {
+		binary.BigEndian.PutUint64(b[24-8*i:], raw[i])
+	}
+}
+
+// isOdd reports the parity of x's standard value, a compressed point's
+// sign bit.
+func (x *fe) isOdd() bool {
+	raw := x.fromMont()
+	return raw[0]&1 == 1
 }
 
 func (x *fe) isZero() bool { return x[0]|x[1]|x[2]|x[3] == 0 }
-
-func (x *fe) equal(y *fe) bool {
-	return x[0] == y[0] && x[1] == y[1] && x[2] == y[2] && x[3] == y[3]
-}
 
 // feMul sets z = x·y·2^−256 mod p (Montgomery product). Fully
 // unrolled CIOS: each of the four rounds adds one product row x[i]·y
@@ -364,6 +337,18 @@ func feSub(z, x, y *fe) {
 
 // feDouble sets z = 2x mod p.
 func feDouble(z, x *fe) { feAdd(z, x, x) }
+
+// feHalf sets z = x/2 mod p: an odd x has p added first, and the carry
+// out of that sum is the halved value's top bit. Halving commutes with
+// the Montgomery factor.
+func feHalf(z, x *fe) {
+	mask := -(x[0] & 1)
+	s0, c := bits.Add64(x[0], feP0&mask, 0)
+	s1, c := bits.Add64(x[1], feP1&mask, c)
+	s2, c := bits.Add64(x[2], feP2&mask, c)
+	s3, c := bits.Add64(x[3], feP3&mask, c)
+	z[0], z[1], z[2], z[3] = s0>>1|s1<<63, s1>>1|s2<<63, s2>>1|s3<<63, s3>>1|c<<63
+}
 
 // feNeg sets z = −x mod p. feSub via zero takes the borrow path for
 // any non-zero x and lands on p−x.

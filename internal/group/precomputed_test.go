@@ -1,3 +1,5 @@
+//lint:file-ignore SA1019 crypto/elliptic's deprecated methods are the reference these tests compare against
+
 package group
 
 import (
@@ -16,8 +18,8 @@ func stdlibMul(p Point, s Scalar) Point {
 	if p.IsIdentity() || s.IsZero() {
 		return Point{}
 	}
-	x, y := curve.ScalarMult(p.x, p.y, s.Bytes())
-	return Point{x: x, y: y}
+	x, y := curve.ScalarMult(p.bigX(), p.bigY(), s.Bytes())
+	return pointFromBig(x, y)
 }
 
 // keyEdgeScalars are the 4-bit-walk edges on top of edgeScalars: every

@@ -104,6 +104,28 @@ func TestBatchRoundTrip(t *testing.T) {
 	}
 }
 
+// TestBatchDecodeAllocationsAreFlat: a key is a value inside its
+// envelope, so decoding a uniform batch allocates the envelopes and the
+// ciphertext column — two objects — however many envelopes it holds.
+// (While group.Point held big.Ints it was four more per key.)
+func TestBatchDecodeAllocationsAreFlat(t *testing.T) {
+	allocs := func(n int) float64 {
+		data, err := testBatch(n, uniformLen(AHSCiphertextSize(6))).MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(10, func() {
+			var b Batch
+			if err := b.UnmarshalBinary(data); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := allocs(8), allocs(512); small != large || large > 2 {
+		t.Fatalf("decoding 8 envelopes allocates %v objects, 512 envelopes %v; want 2 and 2", small, large)
+	}
+}
+
 // allocated reports the bytes fn allocates by TotalAlloc, the least of
 // up to three runs above limit (the counter is process-wide).
 func allocated(limit uint64, fn func()) uint64 {
