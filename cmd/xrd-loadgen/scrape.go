@@ -30,6 +30,7 @@ var scrapedHistograms = map[string]bool{
 	"xrd_shard_build_seconds":  true,
 	"xrd_shard_finish_seconds": true,
 	"xrd_wal_fsync_seconds":    true,
+	"xrd_hop_call_seconds":     true,
 }
 
 func scrapeAdmin(report *benchReport, adminList string) {

@@ -494,6 +494,7 @@ func (f *Frontend) applyWatermarkLocked(w watermark) error {
 				ru.built = nil
 				ru.u.Rebalance(plan)
 			}
+			sh.built = nil
 			sh.mu.Unlock()
 		}
 	}

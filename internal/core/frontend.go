@@ -457,7 +457,31 @@ func (f *Frontend) FinishRound(fr *FinishRound) (FinishStats, error) {
 	if err != nil {
 		return FinishStats{}, fmt.Errorf("core: shard %s round %d commit: %w", f.rng, fr.Round, err)
 	}
+	f.dropBuiltThroughLocked(fr.Round)
 	return FinishStats{Delivered: delivered, Dropped: dropped}, nil
+}
+
+// dropBuiltThroughLocked releases what in-process users submitted in
+// rounds up to round, which has committed: only a round still to
+// commit — a failed one retried under its number, a pipelined
+// preparation re-requested — is ever resubmitted from built. Callers
+// hold f.mu.
+func (f *Frontend) dropBuiltThroughLocked(round uint64) {
+	for i := f.rng.Lo; i < f.rng.Hi; i++ {
+		sh := &f.reg.shards[i]
+		sh.mu.Lock()
+		kept := sh.built[:0]
+		for _, ru := range sh.built {
+			if ru.builtRound > round {
+				kept = append(kept, ru)
+			} else {
+				ru.built.Current = nil
+			}
+		}
+		clear(sh.built[len(kept):])
+		sh.built = kept
+		sh.mu.Unlock()
+	}
 }
 
 // AbortRound implements GatewayShard: the round failed after its
@@ -577,6 +601,9 @@ func (f *Frontend) buildShard(sh *userShard, rho uint64, src client.ParamsSource
 				out, err := ru.u.BuildRound(rho, src)
 				if err != nil {
 					return fmt.Errorf("core: user build failed: %w", err)
+				}
+				if ru.built == nil || ru.built.Current == nil {
+					sh.built = append(sh.built, ru)
 				}
 				ru.built, ru.builtRound = out, rho
 			}

@@ -232,3 +232,41 @@ func BenchmarkRoundThroughput(b *testing.B) {
 		})
 	}
 }
+
+// TestCommittedRoundReleasesSubmissions checks what a gateway keeps of
+// a user's built round once that round has committed: the covers, which
+// the next round may need, and not the ℓ submissions, which nothing
+// resubmits. A depth-2 network holds exactly the round it has prepared
+// ahead, whose retry must find it.
+func TestCommittedRoundReleasesSubmissions(t *testing.T) {
+	const users = 12
+	for _, depth := range []int{1, 2} {
+		n := depthNetwork(t, 6, 3, depth, false)
+		for i := 0; i < users; i++ {
+			n.NewUser()
+		}
+		f := n.shards[0].(*Frontend)
+		for round := 1; round <= 3; round++ {
+			rep := runRound(t, n)
+			held, listed := 0, 0
+			for i := range f.reg.shards {
+				sh := &f.reg.shards[i]
+				listed += len(sh.built)
+				for _, ru := range sh.users {
+					if ru.built == nil || len(ru.built.Cover) == 0 || &ru.built.Cover[0] != &ru.cover[0] {
+						t.Fatalf("depth %d round %d: a user's built round lost its covers", depth, round)
+					}
+					if committed := ru.builtRound <= rep.Round; committed != (ru.built.Current == nil) {
+						t.Fatalf("depth %d: after round %d, submissions for round %d held: %v", depth, rep.Round, ru.builtRound, !committed)
+					}
+					if ru.built.Current != nil {
+						held++
+					}
+				}
+			}
+			if want := users * (depth - 1); held != want || listed != want {
+				t.Fatalf("depth %d round %d: %d users hold submissions, %d listed, want %d", depth, round, held, listed, want)
+			}
+		}
+	}
+}

@@ -33,6 +33,10 @@ type registry struct {
 type userShard struct {
 	mu    sync.RWMutex
 	users map[string]*registeredUser
+	// built lists the users whose built still holds its Current, so
+	// that a round's commit releases those submissions without a walk
+	// over the users who never built.
+	built []*registeredUser
 }
 
 // registeredUser is the network's bookkeeping for one in-process
@@ -51,8 +55,11 @@ type registeredUser struct {
 	// a pipelined preparation that was discarded and re-requested. A
 	// user's outbox drains at build time, so rebuilding would lose
 	// queued bodies; reuse keeps the resubmission byte-identical.
-	// Cleared on Rebalance — an epoch re-formation invalidates the
-	// onions — whereupon client.User restores the drained bodies.
+	// Once the round has committed nothing resubmits it, and
+	// FinishRound drops Current, ℓ whole submissions; Cover, which
+	// cover aliases, stays. Cleared on Rebalance — an epoch
+	// re-formation invalidates the onions — whereupon client.User
+	// restores the drained bodies.
 	built      *client.RoundOutput
 	builtRound uint64
 	// coversUsed records that the covers ran while the user was away:

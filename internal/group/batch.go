@@ -26,43 +26,66 @@ func feInv(z, x *fe) {
 	*z, _ = feFromBytes(v.FillBytes(b[:]))
 }
 
+// feInvChain is the Montgomery trick — the one copy of it — taken apart
+// so that a caller can work in its two passes: push every denominator
+// going forward, invert the product once, and coming back take each
+// denominator's inverse and drop it, last pushed first: 3 field mults
+// per element. feBatchInv is written on it, and with it everything
+// that normalizes in bulk; batchmul.go's steps apply their chords in
+// the backward pass.
+type feInvChain struct {
+	prefix []fe // prefix[i] is the product ahead of push i
+	run    fe   // from invert on, 1/∏ of what is still to drop
+}
+
+// reset empties the chain onto buf, which must hold its pushes and one
+// element more.
+func (c *feInvChain) reset(buf []fe) { c.prefix = append(buf[:0], feOne) }
+
+// push multiplies the non-zero d into the chain.
+func (c *feInvChain) push(d *fe) {
+	n := len(c.prefix)
+	c.prefix = c.prefix[:n+1]
+	feMul(&c.prefix[n], &c.prefix[n-1], d)
+}
+
+// invert is the chain's one true inversion; a factor multiplied into
+// run after it rides on every inverse still to come.
+func (c *feInvChain) invert() {
+	n := len(c.prefix) - 1
+	feInv(&c.run, &c.prefix[n])
+	c.prefix = c.prefix[:n]
+}
+
+// inverse sets dinv to the inverse of the last push not yet dropped;
+// drop steps past that push, d being its value again.
+func (c *feInvChain) inverse(dinv *fe) { feMul(dinv, &c.run, &c.prefix[len(c.prefix)-1]) }
+
+func (c *feInvChain) drop(d *fe) {
+	feMul(&c.run, &c.run, d)
+	c.prefix = c.prefix[:len(c.prefix)-1]
+}
+
 // feBatchInv replaces every non-zero element of den with its inverse
-// using one true inversion (Montgomery trick: prefix products forward
-// into scratch, one feInv, suffix unwinding backward — 3 field mults
-// per element). Zero elements stay zero and do not disturb the batch,
-// which is how callers carry identity points through. It is the one
-// copy of the trick: batch normalization, the fixed-base sweep and the
-// variable-base kernel of batchmul.go all divide through it. scratch
-// must hold len(den) elements and must not alias den.
+// using one true inversion. Zero elements stay zero and do not disturb
+// the batch, which is how callers carry identity points through.
+// scratch must hold len(den)+1 elements and must not alias den.
 func feBatchInv(den, scratch []fe) {
-	n := len(den)
-	if n == 0 {
-		return
-	}
-	run := feOne
+	var c feInvChain
+	c.reset(scratch)
 	for i := range den {
 		if !den[i].isZero() {
-			feMul(&run, &run, &den[i])
+			c.push(&den[i])
 		}
-		scratch[i] = run
 	}
-	// If every element is zero the running product is still feOne,
-	// which feInv handles like any other non-zero element.
-	var inv fe
-	feInv(&inv, &run)
-	for i := n - 1; i > 0; i-- {
-		if den[i].isZero() {
-			continue
+	c.invert()
+	for i := len(den) - 1; i >= 0; i-- {
+		if !den[i].isZero() {
+			var dinv fe
+			c.inverse(&dinv)
+			c.drop(&den[i])
+			den[i] = dinv
 		}
-		// den[i] is still needed to step inv down after its slot
-		// has been computed, so the inverse lands in a temporary.
-		var dinv fe
-		feMul(&dinv, &inv, &scratch[i-1])
-		feMul(&inv, &inv, &den[i])
-		den[i] = dinv
-	}
-	if !den[0].isZero() {
-		den[0] = inv
 	}
 }
 
@@ -70,7 +93,7 @@ func feBatchInv(den, scratch []fe) {
 // identity's zero Z stays zero.
 func invertZs(js []jacPoint) []fe {
 	n := len(js)
-	zinv := make([]fe, 2*n) // inverses, then feBatchInv's scratch
+	zinv := make([]fe, 2*n+1) // inverses, then feBatchInv's scratch
 	for i := range js {
 		zinv[i] = js[i].z
 	}

@@ -1,5 +1,7 @@
 package group
 
+import "math/bits"
+
 // Batched variable-base exponentiation: many bases, a few scalars
 // that are the same for every base. A mix server raises every
 // message's Diffie-Hellman key to its mixing secret and to its
@@ -16,10 +18,14 @@ package group
 //     for |d| (eight buckets, |d| ∈ {1,3,…,15}), and the buckets are
 //     folded at the end as Σ|d|·bucket with two running sums;
 //   - every point stays affine, and because the digit pattern is the
-//     same for every base, each doubling or addition is one
-//     operation applied to the whole batch, whose divisions share a
-//     single field inversion (feBatchInv): 7 field mults per
-//     doubling, 6 per addition, against 8 and 11 in Jacobian form.
+//     same for every base, each doubling or addition is one step over
+//     the whole batch: a pass forward that multiplies every lane's
+//     denominator into one chain (feInvChain), the chain's one field
+//     inversion, and a pass backward that unwinds each lane's inverse
+//     and applies its tangent or chord at once. Per lane a doubling is
+//     7 field mults and 5 add/subs (the tangent's 3/2 rides on the
+//     inversion), an addition 6 and 7, against 8 and 11 mults in
+//     Jacobian form; a call makes 261 inversions and one per scalar.
 //
 // The exceptional cases of affine arithmetic — adding a point to
 // itself, to its inverse, or to the identity — cannot depend on the
@@ -27,7 +33,7 @@ package group
 // c, and every non-identity P-256 point has the prime order n, so two
 // accumulators collide in one lane exactly when their coefficients
 // are congruent mod n, that is, in every lane at once. The kernel
-// therefore tracks each accumulator's coefficient as a Scalar and
+// therefore tracks each accumulator's coefficient mod n (bmCoef) and
 // picks chord, tangent, copy or cancel once per operation from the
 // coefficients alone; no lane ever sees a zero denominator.
 //
@@ -47,137 +53,153 @@ const (
 	bmDigits = 256 / bmWindow
 	// bmBuckets is one bucket per odd digit magnitude 1,3,…,15.
 	bmBuckets = 1 << (bmWindow - 1)
-	// batchMulMin is the cutover to the kernel, in units of ≈ 11 µs
-	// saved. The ladder behind Point.Mul walks one chain per base per
-	// scalar in ≈ 52 µs; the kernel walks one per base in ≈ 33 µs plus
-	// ≈ 8 µs per scalar, and pays ≈ 260 true inversions (≈ 0.55 ms) per
-	// run whatever the batch size. With s scalars it therefore saves
-	// 4s − 3 units per base against 50 fixed: measured level at 11
-	// bases under two scalars and at 50–60 under one (the inner-layer
-	// opening, which at a chain's few hundred messages runs ≈ 18 %
-	// under the ladder).
+	// batchMulMin is the cutover to the kernel, in units of ≈ 13 µs
+	// saved. Against the ladder behind Point.Mul at ≈ 64 µs per base
+	// per scalar, timed in one process, the kernel costs ≈ 0.63 ms a
+	// call whatever the batch size (its inversions) plus ≈ 36 µs per
+	// base and ≈ 11 µs per base per scalar. With s scalars it saves
+	// ≈ 4s − 3 units per base against ≈ 48 fixed: measured level at
+	// 9–10 bases under two scalars, 5–6 under three and already 37
+	// under one (the inner-layer opening, which at a chain's few
+	// hundred messages runs ≈ 25 % under the ladder).
 	batchMulMin = 50
 )
 
-// lanes holds one affine point per base of the batch, in the
-// Montgomery domain.
-type lanes struct{ x, y []fe }
+// bmCoef is an accumulator's coefficient mod n, little-endian limbs;
+// bmOrder is n.
+type bmCoef [4]uint64
 
-// bmAcc is one accumulator of the kernel: lane i holds coef·Pᵢ. A
-// zero coef means every lane is the identity, whatever x and y hold.
+var bmOrder = bmCoef(limbsFromBytes(order.FillBytes(make([]byte, ScalarSize))))
+
+func (a bmCoef) add(b bmCoef) bmCoef {
+	var sum, red bmCoef
+	var carry, borrow uint64
+	for i := range sum {
+		sum[i], carry = bits.Add64(a[i], b[i], carry)
+		red[i], borrow = bits.Sub64(sum[i], bmOrder[i], borrow)
+	}
+	if carry == 0 && borrow == 1 {
+		return sum // below n as it stands
+	}
+	return red
+}
+
+func (a bmCoef) neg() bmCoef {
+	var borrow uint64
+	if a != (bmCoef{}) {
+		for i := range a {
+			a[i], borrow = bits.Sub64(bmOrder[i], a[i], borrow)
+		}
+	}
+	return a
+}
+
+// bmAcc is one accumulator of the kernel: lane i holds coef·Pᵢ, affine
+// and in the Montgomery domain. A zero coef means every lane is the
+// identity, whatever x and y hold.
 type bmAcc struct {
-	lanes
-	coef Scalar
+	x, y []fe
+	coef bmCoef
 }
 
-// bmOp is one pending affine operation over all lanes: dst = a + b,
-// with b negated if neg, or dst = 2·a when b is nil. inv is where the
-// operation's denominators sit in the kernel's den slice; a copy (a
-// is nil: dst = ±b) has none.
-type bmOp struct {
-	dst, a, b *lanes
-	neg       bool
-	inv       int
-}
+// bmAdd is one addition of a step: dst += src.
+type bmAdd struct{ dst, src *bmAcc }
 
-// bmKernel queues operations that do not depend on one another and
-// runs them with one shared inversion per flush. No queued operation
-// may read or write lanes another queued operation writes.
+// bmKernel runs the sweep's steps; buf is for their chains' prefix
+// products, a lane per operation of a step and one element.
 type bmKernel struct {
-	n            int
-	ops          []bmOp
-	den, scratch []fe
+	buf        []fe
+	inversions int
 }
 
-// add queues dst += src, or dst −= src if neg, choosing the affine
-// formula from the coefficients.
-func (k *bmKernel) add(dst, src *bmAcc, neg bool) {
-	c := src.coef
-	if neg {
-		c = c.Neg()
-	}
-	switch {
-	case c.IsZero():
-		return
-	case dst.coef.IsZero():
-		k.queue(bmOp{dst: &dst.lanes, b: &src.lanes, neg: neg})
-	case dst.coef.Equal(c):
-		k.queue(bmOp{dst: &dst.lanes, a: &dst.lanes})
-	case dst.coef.Equal(c.Neg()):
-		// P + (−P): the lanes are dead, the coefficient says so.
-	default:
-		k.queue(bmOp{dst: &dst.lanes, a: &dst.lanes, b: &src.lanes, neg: neg})
-	}
-	dst.coef = dst.coef.Add(c)
-}
+// doubleAll sets a = 2·a. The tangent's denominator is never zero: the
+// group order is odd, so no point has order two.
+func (k *bmKernel) doubleAll(a *bmAcc) { k.addAll(nil, a) }
 
-// double queues dst = 2·src. The tangent's denominator 2y is never
-// zero: the group order is odd, so no point has order two.
-func (k *bmKernel) double(dst, src *bmAcc) {
-	if !src.coef.IsZero() {
-		k.queue(bmOp{dst: &dst.lanes, a: &src.lanes})
-	}
-	dst.coef = src.coef.Add(src.coef)
-}
-
-// queue appends op and stages its denominators: x₂−x₁ for a chord,
-// 2y for a tangent.
-func (k *bmKernel) queue(op bmOp) {
-	if op.a != nil {
-		op.inv = len(k.den)
-		k.den = k.den[:op.inv+k.n]
-		den := k.den[op.inv:]
-		if op.b == nil {
-			for i := range den {
-				feDouble(&den[i], &op.a.y[i])
-			}
-		} else {
-			for i := range den {
-				feSub(&den[i], &op.b.x[i], &op.a.x[i])
-			}
-		}
-	}
-	k.ops = append(k.ops, op)
-}
-
-// flush inverts every queued denominator with one inversion and
-// applies the queued operations.
-func (k *bmKernel) flush() {
-	feBatchInv(k.den, k.scratch)
-	for _, op := range k.ops {
-		dst, a, b := op.dst, op.a, op.b
-		inv := k.den[op.inv:]
+// addAll is a step: it runs adds, none of which may read or write lanes
+// another writes, and then doubles dbl if there is one — which the
+// additions may read — all under one inversion. Chord, tangent, copy or
+// cancel is chosen per addition from the coefficients; a tangent takes
+// a step of its own.
+func (k *bmKernel) addAll(adds []bmAdd, dbl *bmAcc) {
+	chords := adds[:0] // filtered in place
+	for _, a := range adds {
+		c, d := a.src.coef, a.dst.coef
 		switch {
-		case a == nil: // copy
-			copy(dst.x, b.x)
-			copy(dst.y, b.y)
-			if op.neg {
-				for i := range dst.y {
-					feNeg(&dst.y[i], &dst.y[i])
-				}
-			}
-		case b == nil: // tangent: λ = 3(x²−1)/(2y)
-			for i := 0; i < k.n; i++ {
-				var lam fe
-				feTangentNum(&lam, &a.x[i])
-				feMul(&lam, &lam, &inv[i])
-				feChord(&dst.x[i], &dst.y[i], &lam, &a.x[i], &a.y[i], &a.x[i])
-			}
-		default: // chord: λ = (y₂−y₁)/(x₂−x₁)
-			for i := 0; i < k.n; i++ {
-				var lam fe
-				if op.neg {
-					feAdd(&lam, &b.y[i], &a.y[i])
-					feNeg(&lam, &lam)
-				} else {
-					feSub(&lam, &b.y[i], &a.y[i])
-				}
-				feMul(&lam, &lam, &inv[i])
-				feChord(&dst.x[i], &dst.y[i], &lam, &a.x[i], &a.y[i], &b.x[i])
-			}
+		case c == bmCoef{}:
+		case d == bmCoef{}:
+			copy(a.dst.x, a.src.x)
+			copy(a.dst.y, a.src.y)
+			a.dst.coef = c
+		case d == c:
+			k.addAll(nil, a.dst)
+		case d == c.neg():
+			// P + (−P): the lanes are dead, the coefficient says so.
+			a.dst.coef = bmCoef{}
+		default:
+			chords = append(chords, a)
+			a.dst.coef = d.add(c)
 		}
 	}
-	k.ops, k.den = k.ops[:0], k.den[:0]
+	if dbl != nil && dbl.coef == (bmCoef{}) {
+		dbl = nil
+	}
+	if len(chords) == 0 && dbl == nil {
+		return
+	}
+
+	// Forward, every denominator into the chain. The tangent's, y, go in
+	// first and so come out last, after every chord has read dbl.
+	var c feInvChain
+	c.reset(k.buf)
+	if dbl != nil {
+		for i := range dbl.y {
+			c.push(&dbl.y[i])
+		}
+	}
+	for _, a := range chords {
+		ax, bx := a.dst.x, a.src.x
+		for i := range ax {
+			var d fe
+			feSub(&d, &bx[i], &ax[i])
+			c.push(&d)
+		}
+	}
+	c.invert()
+	k.inversions++
+
+	// Backward: one iteration unwinds a lane's inverse and applies it.
+	for r := len(chords) - 1; r >= 0; r-- {
+		a := chords[r]
+		ax, ay, bx, by := a.dst.x, a.dst.y, a.src.x, a.src.y
+		for i := len(ax) - 1; i >= 0; i-- {
+			var d, lam, dinv fe // λ = (y_b−y_a)/(x_b−x_a)
+			feSub(&d, &bx[i], &ax[i])
+			feSub(&lam, &by[i], &ay[i])
+			c.inverse(&dinv)
+			c.drop(&d)
+			feMul(&lam, &lam, &dinv)
+			feChord(&ax[i], &ay[i], &lam, &ax[i], &ay[i], &bx[i])
+		}
+	}
+	if dbl != nil {
+		// λ = 3(x²−1)/(2y): the 3/2 goes onto what is left of the inverse.
+		var t fe
+		feDouble(&t, &c.run)
+		feAdd(&t, &t, &c.run)
+		feHalf(&c.run, &t)
+		x, y := dbl.x, dbl.y
+		for i := len(x) - 1; i >= 0; i-- {
+			var lam, dinv fe
+			c.inverse(&dinv)
+			c.drop(&y[i])
+			feSqr(&lam, &x[i])
+			feSub(&lam, &lam, &feOne)
+			feMul(&lam, &lam, &dinv)
+			feChord(&x[i], &y[i], &lam, &x[i], &y[i], &x[i])
+		}
+		dbl.coef = dbl.coef.add(dbl.coef)
+	}
 }
 
 // oddDigits recodes an odd scalar into bmDigits signed odd digits,
@@ -271,7 +293,13 @@ func BatchMul(points []Point, scalars ...Scalar) [][]Point {
 		}
 		return out
 	}
+	batchMulKernel(points, live, scalars, out)
+	return out
+}
 
+// batchMulKernel is BatchMul past its cutover, over the non-identity
+// bases points[i], i in live; the tests pin the inversions it returns.
+func batchMulKernel(points []Point, live []int, scalars []Scalar, out [][]Point) int {
 	// A zero scalar has no digits and its row stays the identity.
 	type row struct {
 		k       int
@@ -290,78 +318,83 @@ func BatchMul(points []Point, scalars ...Scalar) [][]Point {
 		rows = append(rows, r)
 	}
 	if len(rows) == 0 {
-		return out
+		return 0
 	}
+	n := len(live)
 
-	// One slab for every lane of the run: the chain and its double
-	// buffer, the buckets, and the kernel's denominators and scratch
-	// (no flush queues more than two operations per scalar).
+	// One slab for every lane of the run: the chain, the buckets, and
+	// the kernel's prefix products (no step holds more than two
+	// operations per scalar).
 	maxOps := 2 * len(rows)
-	slab := make([]fe, (4+2*bmBuckets*len(rows)+2*maxOps)*n)
+	slab := make([]fe, (3+2*bmBuckets*len(rows)+maxOps)*n+1)
 	take := func(m int) []fe {
 		s := slab[:m:m]
 		slab = slab[m:]
 		return s
 	}
-	kern := &bmKernel{n: n, den: take(maxOps * n)[:0], scratch: take(maxOps * n)}
-	q := &bmAcc{lanes: lanes{take(n), take(n)}, coef: NewScalar(1)}
-	q2 := &bmAcc{lanes: lanes{take(n), take(n)}}
+	kern := &bmKernel{buf: take(maxOps*n + 1)}
+	adds := make([]bmAdd, 0, maxOps)
+	q := &bmAcc{x: take(n), y: take(n), coef: bmCoef{1}}
+	qneg := &bmAcc{x: q.x, y: take(n)} // −q, for the negative digits
+	signed := [2]*bmAcc{q, qneg}       // by a digit's sign bit
 	for j, i := range live {
 		q.x[j], q.y[j] = points[i].x, points[i].y
 	}
 	for r := range rows {
 		for b := range rows[r].buckets {
-			rows[r].buckets[b].lanes = lanes{take(n), take(n)}
+			rows[r].buckets[b].x, rows[r].buckets[b].y = take(n), take(n)
 		}
 	}
 
 	// The sweep. Window j's additions and the first of the four
-	// doublings to window j+1 both read 16ʲ·P and share an inversion.
+	// doublings to window j+1 both read ±16ʲ·P and share an inversion.
 	for j := 0; j < bmDigits; j++ {
+		qneg.coef = q.coef.neg()
+		for i := range qneg.y {
+			feNeg(&qneg.y[i], &q.y[i])
+		}
+		adds = adds[:0]
 		for r := range rows {
 			d := rows[r].digits[j]
-			kern.add(&rows[r].buckets[max(d, -d)>>1], q, d < 0)
+			adds = append(adds, bmAdd{&rows[r].buckets[max(d, -d)>>1], signed[uint8(d)>>7]})
 		}
 		if j == bmDigits-1 {
-			kern.flush()
+			kern.addAll(adds, nil)
 			break
 		}
-		kern.double(q2, q)
-		kern.flush()
-		q, q2 = q2, q
+		kern.addAll(adds, q)
 		for t := 1; t < bmWindow; t++ {
-			kern.double(q, q)
-			kern.flush()
+			kern.doubleAll(q)
 		}
 	}
 
 	// The fold: Σ_b (2b+1)·B_b = T₀ + 2·Σ_{b≥1} T_b over the suffix
 	// sums T_b = Σ_{c≥b} B_c. T_b overwrites bucket b, the sum of the
 	// T_b grows in the top bucket, and every scalar takes each step
-	// in the same flush.
+	// under the same inversion.
 	const top = bmBuckets - 1
 	for b := top - 1; b >= 0; b-- {
+		adds = adds[:0]
 		for r := range rows {
 			bk := &rows[r].buckets
-			kern.add(&bk[b], &bk[b+1], false)
+			adds = append(adds, bmAdd{dst: &bk[b], src: &bk[b+1]})
 			if b+1 < top {
-				kern.add(&bk[top], &bk[b+1], false)
+				adds = append(adds, bmAdd{dst: &bk[top], src: &bk[b+1]})
 			}
 		}
-		kern.flush()
+		kern.addAll(adds, nil)
 	}
+	adds = adds[:0]
 	for r := range rows {
-		kern.double(&rows[r].buckets[top], &rows[r].buckets[top])
+		bk := &rows[r].buckets
+		kern.doubleAll(&bk[top])
+		adds = append(adds, bmAdd{dst: &bk[0], src: &bk[top]})
 	}
-	kern.flush()
-	for r := range rows {
-		kern.add(&rows[r].buckets[0], &rows[r].buckets[top], false)
-	}
-	kern.flush()
+	kern.addAll(adds, nil)
 
 	for r := range rows {
 		res := &rows[r].buckets[0]
-		if !res.coef.Equal(rows[r].odd) {
+		if res.coef != scalarLimbs(rows[r].odd) {
 			panic("group: BatchMul coefficient bookkeeping is wrong")
 		}
 		for j, i := range live {
@@ -372,5 +405,5 @@ func BatchMul(points []Point, scalars ...Scalar) [][]Point {
 			out[rows[r].k][i] = affine(res.x[j], y)
 		}
 	}
-	return out
+	return kern.inversions
 }

@@ -104,61 +104,169 @@ func TestBatchMulMatchesMul(t *testing.T) {
 	}
 }
 
-// TestBatchKernelAdd drives the kernel's addition through each case
-// the coefficients select — copy, chord, tangent, cancel, identity
-// operand — with both signs, against Point arithmetic.
-func TestBatchKernelAdd(t *testing.T) {
-	pts := testBases("batchmul/kernel", 5)
-	acc := func(c int64) *bmAcc {
-		a := &bmAcc{lanes: lanes{make([]fe, len(pts)), make([]fe, len(pts))}, coef: NewScalar(c)}
-		for i, p := range pts {
-			if q := p.Mul(a.coef); !q.IsIdentity() {
-				a.x[i], a.y[i] = q.x, q.y
-			}
-		}
-		return a
+// TestBatchMulBucketEdges runs the scalars at every edge of the bucket
+// bookkeeping: 16ʲ and its neighbours for every window j. 16ʲ−1
+// recodes to one digit 15 under a run of 1s or of −1s, so one bucket
+// fills window after window while six never fill and the fold meets
+// copies, tangents and cancellations; the even ones run as n−s, whose
+// digits wrap around the order.
+func TestBatchMulBucketEdges(t *testing.T) {
+	pts := testBases("batchmul/edges", batchMulMin/5+1)
+	one := big.NewInt(1)
+	for j := 0; j < bmDigits; j++ {
+		p := new(big.Int).Lsh(one, uint(bmWindow*j))
+		checkBatchMul(t, pts, []Scalar{ScalarFromBig(p), ScalarFromBig(new(big.Int).Sub(p, one))})
+		checkBatchMul(t, pts, []Scalar{ScalarFromBig(new(big.Int).Add(p, one)), ScalarFromBig(new(big.Int).Sub(Order(), p))})
 	}
-	kern := &bmKernel{n: len(pts), den: make([]fe, 0, len(pts)), scratch: make([]fe, len(pts))}
-	for _, tc := range []struct {
-		dst, src int64
-		neg      bool
-	}{
-		{0, 3, false}, {0, 3, true}, // copy
-		{2, 5, false}, {2, 5, true}, // chord
-		{3, 3, false}, {3, -3, true}, // tangent
-		{3, -3, false}, {3, 3, true}, // cancel
-		{4, 0, false}, {0, 0, true}, // identity operand
-	} {
-		dst, src := acc(tc.dst), acc(tc.src)
-		want := tc.dst + tc.src
-		if tc.neg {
-			want = tc.dst - tc.src
+}
+
+// TestBatchMulCost pins what a kernel run pays beyond field
+// multiplications: 261 true inversions and one per non-zero scalar,
+// whatever the batch size, and no heap object that is not one of
+// feInv's — the coefficients and the step lists never leave the stack
+// or the slab, so the count is feInv's 15 per inversion and a constant.
+func TestBatchMulCost(t *testing.T) {
+	scalars := []Scalar{HashToScalar("cost", []byte{1}), {}, HashToScalar("cost", []byte{2})}
+	x, z := Generator().x, fe{}
+	perInv := testing.AllocsPerRun(10, func() { feInv(&z, &x) })
+	for _, n := range []int{64, 512} {
+		pts := testBases("batchmul/cost", n)
+		live := make([]int, n)
+		for i := range live {
+			live[i] = i
 		}
-		kern.add(dst, src, tc.neg)
-		kern.flush()
-		if !dst.coef.Equal(NewScalar(want)) {
-			t.Fatalf("%+v: coefficient %v, want %d", tc, dst.coef, want)
-		}
-		if want == 0 {
-			continue
-		}
-		for i, p := range pts {
-			got := affine(dst.x[i], dst.y[i])
-			if !got.Equal(p.Mul(NewScalar(want))) {
-				t.Fatalf("%+v: lane %d wrong", tc, i)
+		out := [][]Point{make([]Point, n), make([]Point, n), make([]Point, n)}
+		for ns, want := range []int{0: 0, 1: 262, 2: 262, 3: 263} {
+			if got := batchMulKernel(pts, live, scalars[:ns], out); got != want {
+				t.Fatalf("%d bases, %d scalars: %d true inversions, want %d", n, ns, got, want)
 			}
+		}
+		allocs := testing.AllocsPerRun(3, func() { BatchMul(pts, scalars...) })
+		// One more per inversion than measured: big.Int's count moves
+		// by one with the operand. The kernel before this one, which
+		// kept its coefficients in big.Ints, made ≈ 5 per inversion more.
+		if most := 263*(perInv+1) + 16; allocs > most {
+			t.Fatalf("BatchMul of %d×3 allocates %v objects, feInv %v each: want at most %v", n, allocs, perInv, most)
 		}
 	}
 }
 
-// TestBatchKernelDoubleIdentity checks doubling an identity
-// accumulator queues nothing and stays the identity.
-func TestBatchKernelDoubleIdentity(t *testing.T) {
-	kern := &bmKernel{n: 1}
+// testAcc returns an accumulator holding c·P for every base, with a
+// kernel whose chain has room for ops operations over them.
+func testAcc(pts []Point, c int64) *bmAcc {
+	a := &bmAcc{x: make([]fe, len(pts)), y: make([]fe, len(pts)), coef: scalarLimbs(NewScalar(c))}
+	for i, p := range pts {
+		if q := p.Mul(NewScalar(c)); !q.IsIdentity() {
+			a.x[i], a.y[i] = q.x, q.y
+		}
+	}
+	return a
+}
+
+func checkAcc(t *testing.T, what string, pts []Point, a *bmAcc, want int64) {
+	t.Helper()
+	if a.coef != scalarLimbs(NewScalar(want)) {
+		t.Fatalf("%s: coefficient %x, want %d", what, a.coef, want)
+	}
+	if want == 0 {
+		return
+	}
+	for i, p := range pts {
+		if got := affine(a.x[i], a.y[i]); !got.Equal(p.Mul(NewScalar(want))) {
+			t.Fatalf("%s: lane %d is not %d·P", what, i, want)
+		}
+	}
+}
+
+// TestBatchKernelAdd drives addAll through each case the coefficients
+// select — copy, chord, tangent, cancel, identity operand — alone and
+// all in one step beside a doubling that the additions read, against
+// Point arithmetic; and pins what each costs: one inversion for any
+// number of chords and the doubling together, one more per tangent,
+// none for a copy, a cancel or an identity.
+func TestBatchKernelAdd(t *testing.T) {
+	pts := testBases("batchmul/kernel", 5)
+	cases := []struct {
+		dst, src   int64
+		inversions int
+	}{
+		{0, 3, 0}, {0, -3, 0}, // copy
+		{2, 5, 1}, {2, -5, 1}, {-7, 3, 1}, // chord
+		{3, 3, 1}, {-3, -3, 1}, // tangent
+		{3, -3, 0}, {-3, 3, 0}, // cancel
+		{4, 0, 0}, {0, 0, 0}, // identity operand
+	}
+	for _, tc := range cases {
+		kern := &bmKernel{buf: make([]fe, len(pts)+1)}
+		dst, src := testAcc(pts, tc.dst), testAcc(pts, tc.src)
+		kern.addAll([]bmAdd{{dst, src}}, nil)
+		checkAcc(t, fmt.Sprintf("%+v", tc), pts, dst, tc.dst+tc.src)
+		checkAcc(t, fmt.Sprintf("%+v source", tc), pts, src, tc.src)
+		if kern.inversions != tc.inversions {
+			t.Fatalf("%+v: %d inversions, want %d", tc, kern.inversions, tc.inversions)
+		}
+	}
+
+	// One step: every case that adds ±3·P adds the same q or −q, which
+	// share their x as the sweep's do, and q doubles under the same
+	// inversion.
+	kern := &bmKernel{buf: make([]fe, (len(cases)+1)*len(pts)+1)}
+	q, qneg := testAcc(pts, 3), testAcc(pts, -3)
+	qneg.x = q.x
+	var adds []bmAdd
+	var dsts []*bmAcc
+	for _, tc := range cases {
+		src := map[int64]*bmAcc{3: q, -3: qneg}[tc.src]
+		if src == nil {
+			src = testAcc(pts, tc.src)
+		}
+		dsts = append(dsts, testAcc(pts, tc.dst))
+		adds = append(adds, bmAdd{dsts[len(dsts)-1], src})
+	}
+	kern.addAll(adds, q)
+	for i, tc := range cases {
+		checkAcc(t, fmt.Sprintf("one step, %+v", tc), pts, dsts[i], tc.dst+tc.src)
+	}
+	checkAcc(t, "one step, doubled source", pts, q, 6)
+	if kern.inversions != 3 { // the step's, and one per tangent
+		t.Fatalf("one step took %d inversions, want 3", kern.inversions)
+	}
+}
+
+// TestBatchKernelDouble checks doubleAll against Point arithmetic, and
+// that doubling an identity accumulator costs nothing and stays the
+// identity.
+func TestBatchKernelDouble(t *testing.T) {
+	pts := testBases("batchmul/kernel", 5)
+	kern := &bmKernel{buf: make([]fe, len(pts)+1)}
+	for _, c := range []int64{1, -1, 7} {
+		a := testAcc(pts, c)
+		kern.doubleAll(a)
+		checkAcc(t, fmt.Sprintf("2·%d", c), pts, a, 2*c)
+	}
+	if kern.inversions != 3 {
+		t.Fatalf("three doublings took %d inversions", kern.inversions)
+	}
 	var a bmAcc
-	kern.double(&a, &a)
-	if len(kern.ops) != 0 || !a.coef.IsZero() {
-		t.Fatalf("doubling the identity queued %d ops, coefficient %v", len(kern.ops), a.coef)
+	kern.doubleAll(&a)
+	if kern.inversions != 3 || a.coef != (bmCoef{}) {
+		t.Fatalf("doubling the identity: %d inversions, coefficient %x", kern.inversions, a.coef)
+	}
+}
+
+// TestBatchCoef holds the kernel's four-limb coefficients against
+// Scalar's arithmetic around zero and the order.
+func TestBatchCoef(t *testing.T) {
+	scalars := append(batchMulEdgeScalars(), MustRandomScalar(), MustRandomScalar())
+	for _, a := range scalars {
+		if got := bmCoef(scalarLimbs(a)).neg(); got != scalarLimbs(a.Neg()) {
+			t.Fatalf("−%v is %x", a, got)
+		}
+		for _, b := range scalars {
+			if got := bmCoef(scalarLimbs(a)).add(scalarLimbs(b)); got != scalarLimbs(a.Add(b)) {
+				t.Fatalf("%v + %v is %x", a, b, got)
+			}
+		}
 	}
 }
 
@@ -210,7 +318,7 @@ func TestFeBatchInv(t *testing.T) {
 					feInv(&want[i], &den[i])
 				}
 			}
-			feBatchInv(den, make([]fe, n))
+			feBatchInv(den, make([]fe, n+1))
 			for i := range den {
 				if den[i] != want[i] {
 					t.Fatalf("n=%d zeroAt=%d: element %d wrong", n, zeroAt, i)
@@ -266,9 +374,11 @@ func FuzzBatchMul(f *testing.F) {
 // one and to two shared scalars; BenchmarkPointMul is the per-base,
 // per-scalar cost it replaces. x1 is the inner-layer opening's shape
 // and x2 a hop's; both run the kernel at these sizes (see batchMulMin).
+// 200 and 400 are what a mix-k6 hop really runs: a 404-message median
+// batch mixed over two worker ranges, and opened whole.
 func BenchmarkBatchMul(b *testing.B) {
 	scalars := []Scalar{MustRandomScalar(), MustRandomScalar()}
-	for _, n := range []int{128, 512, 2048} {
+	for _, n := range []int{128, 200, 400, 512, 2048} {
 		pts := testBases("benchbatchmul", n)
 		for ns := 1; ns <= 2; ns++ {
 			b.Run(fmt.Sprintf("%dx%d", n, ns), func(b *testing.B) {
@@ -279,4 +389,21 @@ func BenchmarkBatchMul(b *testing.B) {
 			})
 		}
 	}
+}
+
+// BenchmarkFeBatchInv is the Montgomery trick on its own: ns per
+// element, the true inversion's share included.
+func BenchmarkFeBatchInv(b *testing.B) {
+	const n = 512
+	src, den, scratch := make([]fe, n), make([]fe, n), make([]fe, n+1)
+	for i, p := range testBases("benchfebatchinv", n) {
+		src[i] = p.x
+	}
+	b.Run(fmt.Sprint(n), func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			copy(den, src)
+			feBatchInv(den, scratch)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/elem")
+	})
 }

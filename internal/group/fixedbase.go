@@ -343,7 +343,7 @@ func (ts *treeSum) reset(slots int) {
 	if cap(ts.pts) < slots {
 		ts.pts = make([]affinePoint, 0, slots)
 		ts.den = make([]fe, 0, slots/2)
-		ts.scratch = make([]fe, slots/2)
+		ts.scratch = make([]fe, slots/2+1)
 	}
 	ts.pts, ts.runs, ts.next = ts.pts[:0], ts.runs[:0], 0
 }
@@ -389,7 +389,7 @@ func (ts *treeSum) reduce() {
 		if len(ts.den) == 0 {
 			return
 		}
-		feBatchInv(ts.den, ts.scratch[:len(ts.den)])
+		feBatchInv(ts.den, ts.scratch)
 		k := 0
 		for ri := range ts.runs {
 			r := &ts.runs[ri]
@@ -491,11 +491,11 @@ func batchBaseAffine(digits []int16, n int) []Point {
 	accY := make([]fe, n)
 	has := make([]bool, n)
 
-	idx := make([]int, 0, n) // points with a pending op this window
-	den := make([]fe, 0, n)  // chord/tangent denominators
-	num := make([]fe, 0, n)  // chord/tangent numerators
-	exs := make([]fe, 0, n)  // entry x (equals accX for doublings)
-	scratch := make([]fe, n) // for feBatchInv
+	idx := make([]int, 0, n)   // points with a pending op this window
+	den := make([]fe, 0, n)    // chord/tangent denominators
+	num := make([]fe, 0, n)    // chord/tangent numerators
+	exs := make([]fe, 0, n)    // entry x (equals accX for doublings)
+	scratch := make([]fe, n+1) // for feBatchInv
 
 	for j := 0; j < nd; j++ {
 		idx, den, num, exs = idx[:0], den[:0], num[:0], exs[:0]

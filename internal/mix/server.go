@@ -451,10 +451,11 @@ func randInt(n int) int {
 }
 
 // minRange is the fewest messages parallelRanges gives a worker. The
-// ranges feed group.BatchMul, whose fixed cost (a few hundred field
-// inversions per call, whatever the batch size) is only amortised
-// over a hundred bases or more — and when several chains already mix
-// concurrently, cutting each one's batch finer buys no parallelism.
+// ranges feed group.BatchMul, which pays 263 true field inversions per
+// call whatever the batch size: ≈ 0.6 ms, against ≈ 55 µs a message
+// under a hop's two secrets, so 9 % of a call at 128 messages, 4 % at
+// 256 — and when several chains already mix concurrently, cutting
+// each one's batch finer buys no parallelism at all.
 const minRange = 128
 
 // parallelRanges splits [0, n) into contiguous ranges of at least

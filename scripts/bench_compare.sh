@@ -1,58 +1,95 @@
 #!/usr/bin/env bash
-# bench_compare.sh — compare a fresh benchmark run against the repo's
-# committed baselines, in two passes of different strictness.
+# bench_compare.sh — CI's crypto gate: the microbenchmarks of two trees
+# on one box, alternated, compared as a ratio of medians.
 #
-#   scripts/bench_compare.sh BENCH_ci.json [BENCH_crypto.json]
+#   scripts/bench_compare.sh BASE [HEAD] [N]
 #
-# The baseline is the set of committed BENCH_*.json archives (the
-# files are numbered BENCH_0001, BENCH_0002, ...; per benchmark the
-# newest archive carrying it wins, so loadgen archives and
-# microbenchmark archives coexist).
+# BASE and HEAD are each a commit (anything `git rev-parse` takes) or a
+# directory holding a checkout; HEAD defaults to `.`, the working tree.
+# CI passes the merge base and the head. N is the number of pairs
+# (default 5).
 #
-# Pass 1 (warn-only): every benchmark present on both sides has its
-# users/s compared; a drop of more than 20% prints a GitHub Actions
-# ::warning:: annotation for a human to read. Shared CI runners are
-# too noisy for a hard gate on end-to-end throughput.
-#
-# Pass 2 (hard gate): the crypto microbenchmarks — ScalarBaseMult,
-# MultiScalarMult, SubmissionVerify, BatchMul — have their ns/op
-# compared and the script FAILS if any regresses past 25%. These are tight loops
-# of pure computation; measured at -benchtime=5x (the second,
-# optional argument is a report from such a run; pass 2 falls back to
-# the first report without it) they are stable enough that a 25% jump
-# means a real change — a lost precomputation path, a batch seam
-# silently falling back to serial — not noise. Refresh the committed
-# baselines when the runner hardware class changes.
+# The gated families — ScalarBaseMult, MultiScalarMult, SubmissionVerify
+# and BatchMul — are tight loops of pure computation, and what a
+# regression in them means is a lost precomputation path or a batch
+# seam silently falling back to serial. Their absolute ns/op say
+# nothing across boxes or days (one untouched benchmark has read
+# 14–28 µs on one machine within one PR), so nothing here is compared
+# with a committed number: each side's test binaries are built once,
+# pair i runs both at -benchtime=200ms (a fixed 5x times the cheapest
+# of them for 30 µs, cold), the base first on odd i and the head first
+# on even i, as bench_pair.sh alternates the end-to-end benchmark, and
+# the script FAILS if any benchmark's median ns/op on the head is more
+# than 20 % above its median on the base. A benchmark only one side
+# has is listed and not gated.
 set -euo pipefail
 
-cd "$(dirname "$0")/.."
+usage="usage: bench_compare.sh BASE [HEAD=.] [N=5]"
+base=${1:?$usage}
+head=${2:-.}
+pairs=${3:-5}
+gated='^Benchmark(ScalarBaseMult|MultiScalarMult|SubmissionVerify|BatchMul)$'
+packages=". ./internal/group" # where the gated families live
 
-fresh=${1:?usage: bench_compare.sh FRESH.json [CRYPTO.json]}
-crypto=${2:-$fresh}
-# The fresh reports may live in the repo root too (CI writes
-# BENCH_ci.json there) — never pick one as its own baseline.
-baselines=$(ls BENCH_*.json 2>/dev/null | grep -vxF "$(basename "$fresh")" | grep -vxF "$(basename "$crypto")" | sort || true)
-if [ -z "$baselines" ]; then
-    echo "bench_compare: no committed BENCH_*.json baseline; nothing to compare"
-    exit 0
-fi
-if [ ! -s "$fresh" ]; then
-    echo "bench_compare: fresh report $fresh missing or empty" >&2
-    exit 1
-fi
+repo=$(cd "$(dirname "$0")/.." && pwd)
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
 
-echo "bench_compare: baselines:" $baselines
+# build SIDE REV-OR-DIR: one test binary per package; trees[SIDE] is where
+# its packages lie, so that each binary runs from its package directory.
+declare -A trees
+build() {
+    local side=$1 src=$2 tree i=0 pkg
+    if [ -d "$src" ]; then
+        tree=$(cd "$src" && pwd)
+    else
+        tree=$work/tree-$side
+        mkdir -p "$tree"
+        git -C "$repo" archive "$(git -C "$repo" rev-parse --verify "$src^{commit}")" | tar -x -C "$tree"
+    fi
+    trees[$side]=$tree
+    for pkg in $packages; do
+        (cd "$tree" && go test -c -o "$work/$side-$i.test" "$pkg")
+        i=$((i + 1))
+    done
+}
+build base "$base"
+build head "$head"
 
-echo "bench_compare: pass 1 — throughput (warn-only)"
-# shellcheck disable=SC2086 # the baseline list is word-split on purpose
-go run ./cmd/benchjson -compare -metric users/s -threshold 0.20 $baselines "$fresh"
+# run SIDE: "side name ns/op" per benchmark line, -cpu suffix dropped.
+run() {
+    local side=$1 i=0 pkg
+    for pkg in $packages; do
+        (cd "${trees[$side]}/$pkg" && "$work/$side-$i.test" -test.run '^$' -test.bench "$gated" -test.benchtime 200ms -test.timeout 20m) |
+            awk -v side="$side" '/^Benchmark/ { for (i = 3; i < NF; i++) if ($(i + 1) == "ns/op") { sub(/-[0-9]+$/, "", $1); print side, $1, $i } }'
+        i=$((i + 1))
+    done
+}
+for i in $(seq 1 "$pairs"); do
+    order="base head"
+    [ $((i % 2)) -eq 0 ] && order="head base"
+    for side in $order; do
+        run "$side" >>"$work/values.txt"
+    done
+    echo "pair $i/$pairs done ($order)" >&2
+done
 
-echo "bench_compare: pass 2 — crypto ns/op (hard gate, 25%)"
-if [ ! -s "$crypto" ]; then
-    echo "bench_compare: crypto report $crypto missing or empty" >&2
-    exit 1
-fi
-# shellcheck disable=SC2086
-go run ./cmd/benchjson -compare -metric ns/op -lower-better -fail \
-    -match '^(ScalarBaseMult|MultiScalarMult|SubmissionVerify|BatchMul)($|[/-])' \
-    -threshold 0.25 $baselines "$crypto"
+echo "bench_compare: $pairs pairs at -benchtime=200ms; base = $base, head = $head"
+sort -k2,2 -k1,1 -k3,3g "$work/values.txt" | awk '
+    { v[$2, $1, ++n[$2, $1]] = $3; names[$2] = 1 }
+    function median(name, side,    m) {
+        m = n[name, side]
+        return m == 0 ? 0 : m % 2 ? v[name, side, (m + 1) / 2] : (v[name, side, m / 2] + v[name, side, m / 2 + 1]) / 2
+    }
+    END {
+        for (name in names) {
+            b = median(name, "base"); h = median(name, "head")
+            if (b == 0 || h == 0) { printf "%-44s only on the %s\n", name, b == 0 ? "head" : "base"; continue }
+            gated++
+            worse = h > 1.20 * b
+            printf "%-44s base %12.0f ns/op  head %12.0f ns/op  ratio %.3f%s\n", name, b, h, h / b, worse ? "  REGRESSION" : ""
+            bad += worse
+        }
+        if (gated == 0) { print "bench_compare: no gated benchmark ran on both sides" > "/dev/stderr"; exit 1 }
+        if (bad) { printf "bench_compare: %d of %d benchmarks regressed past 20 %%\n", bad, gated > "/dev/stderr"; exit 1 }
+    }' | sort

@@ -21,6 +21,15 @@
 # /metrics carries the round-phase histograms. Set METRICS_OUT to a
 # directory to keep the post-round /metrics dumps (CI archives them
 # as a workflow artifact).
+#
+# With LOADGEN_OUT set the same six processes carry one xrd-loadgen
+# round instead of the two xrd-client ones — LOADGEN_REGISTERED
+# registered users, LOADGEN_ACTIVE of them submitting, on
+# LOADGEN_SEED (default 1 000 000 / 100 000 / 1), the gateways
+# WAL-backed so that the round pays its fsyncs — and the script leaves
+# the loadgen report, every admin endpoint's histograms merged in, at
+# $LOADGEN_OUT, and each process's peak resident set (VmHWM, kB) in
+# $LOADGEN_OUT.rss. BENCH_0005.json is two such runs.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -36,9 +45,13 @@ cleanup() {
 }
 trap cleanup EXIT
 
+loadgen_out=${LOADGEN_OUT:+$(realpath -m "$LOADGEN_OUT")}
+[ -n "${METRICS_OUT:-}" ] && METRICS_OUT=$(realpath -m "$METRICS_OUT")
+
 echo "== building binaries"
 go build -o "$workdir/xrd-server" ./cmd/xrd-server
 go build -o "$workdir/xrd-client" ./cmd/xrd-client
+[ -n "$loadgen_out" ] && go build -o "$workdir/xrd-loadgen" ./cmd/xrd-loadgen
 
 cd "$workdir"
 
@@ -69,10 +82,10 @@ done
 
 echo "== launching 2 gateway shards"
 ./xrd-server -role gateway -addr 127.0.0.1:7921 -shard-range 0:32 -cert-out gw1.pem \
-    -admin-addr 127.0.0.1:7931 >gw1.log 2>&1 &
+    ${loadgen_out:+-data-dir gw1.data} -admin-addr 127.0.0.1:7931 >gw1.log 2>&1 &
 pids+=($!)
 ./xrd-server -role gateway -addr 127.0.0.1:7922 -shard-range 32:64 -cert-out gw2.pem \
-    -admin-addr 127.0.0.1:7932 >gw2.log 2>&1 &
+    ${loadgen_out:+-data-dir gw2.data} -admin-addr 127.0.0.1:7932 >gw2.log 2>&1 &
 pids+=($!)
 wait_for_file gw1.pem
 wait_for_file gw2.pem
@@ -156,26 +169,50 @@ run_round() {
     fi
 }
 
+dump_metrics() {
+    echo "== dumping post-round /metrics from all 6 processes"
+    metrics_dir=${METRICS_OUT:-$workdir/metrics}
+    mkdir -p "$metrics_dir"
+    for ep in $admin_endpoints; do
+        name=${ep%=*} port=${ep#*=}
+        if ! fetch "http://127.0.0.1:$port/metrics" >"$metrics_dir/$name.metrics.txt"; then
+            echo "$name: /metrics on port $port did not answer" >&2
+            dump_logs
+            exit 1
+        fi
+        if ! [ -s "$metrics_dir/$name.metrics.txt" ]; then
+            echo "$name: /metrics dump is empty" >&2
+            exit 1
+        fi
+    done
+}
+
+if [ -n "$loadgen_out" ]; then
+    echo "== one xrd-loadgen round"
+    admins=$(sed 's/[a-z0-9]*=/127.0.0.1:/g; s/ /,/g' <<<"$admin_endpoints")
+    if ! ./xrd-loadgen -addr 127.0.0.1:7910 -cert coord.pem -gateways "$gateways" \
+            -registered "${LOADGEN_REGISTERED:-1000000}" -active "${LOADGEN_ACTIVE:-100000}" \
+            -seed "${LOADGEN_SEED:-1}" -admin "$admins" -out "$loadgen_out"; then
+        dump_logs
+        exit 1
+    fi
+    dump_metrics
+    # pids are in launch order.
+    i=0
+    for name in mix0 mix1 mix2 gw1 gw2 coord; do
+        echo "$name $(awk '/^VmHWM:/ { print $2 }' "/proc/${pids[$i]}/status")"
+        i=$((i + 1))
+    done | tee "$loadgen_out.rss"
+    echo "PASS: one loadgen round delivered across 6 processes; report at $loadgen_out"
+    exit 0
+fi
+
 echo "== round 1"
 run_round 1
 echo "== round 2"
 run_round 2
 
-echo "== dumping post-round /metrics from all 6 processes"
-metrics_dir=${METRICS_OUT:-$workdir/metrics}
-mkdir -p "$metrics_dir"
-for ep in $admin_endpoints; do
-    name=${ep%=*} port=${ep#*=}
-    if ! fetch "http://127.0.0.1:$port/metrics" >"$metrics_dir/$name.metrics.txt"; then
-        echo "$name: /metrics on port $port did not answer" >&2
-        dump_logs
-        exit 1
-    fi
-    if ! [ -s "$metrics_dir/$name.metrics.txt" ]; then
-        echo "$name: /metrics dump is empty" >&2
-        exit 1
-    fi
-done
+dump_metrics
 if ! grep -q '^xrd_round_phase_seconds_bucket{' "$metrics_dir/coord.metrics.txt"; then
     echo "coordinator /metrics has no round-phase histograms after two rounds" >&2
     head -50 "$metrics_dir/coord.metrics.txt" >&2
