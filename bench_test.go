@@ -517,7 +517,11 @@ func makeHonestSubs(b *testing.B, chain *mix.Chain, n int) []onion.Submission {
 // (one VerifyDlogCommit per proof, as the seed did) versus batched
 // (mix.VerifySubmissionProofs: one multi-scalar multiplication per
 // chunk, fanned over the worker pool). The us/proof metrics are the
-// comparable series; batch must stay well above 2x at 4096.
+// comparable series; batch must stay well above 2x at 4096. The dirty
+// rows price blame attribution: bad proofs at the end of the batch (1,
+// 2), spread evenly (16) and one in every bisection leaf (n/8, the
+// flood), as us/convict beside us/proof — the clean row of the same n
+// is what a convict is paid over.
 func BenchmarkSubmissionVerify(b *testing.B) {
 	const round, chain = 1, 0
 	makeProofSubs := func(n int) []onion.Submission {
@@ -532,7 +536,7 @@ func BenchmarkSubmissionVerify(b *testing.B) {
 		}
 		return subs
 	}
-	for _, n := range []int{256, 1024, 4096} {
+	for _, n := range []int{256, 400, 1024, 4096} {
 		subs := makeProofSubs(n)
 		b.Run(fmt.Sprintf("serial/n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -552,5 +556,28 @@ func BenchmarkSubmissionVerify(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N)/float64(n), "us/proof")
 		})
+		if n != 400 && n != 4096 {
+			continue
+		}
+		for _, bad := range []int{1, 2, 16, n / 8} {
+			dirty := append([]onion.Submission(nil), subs...)
+			for t := 0; t < bad; t++ {
+				i := n - 1 - t // 1, 2: the end of the last chunk
+				if bad > 2 {
+					i = t * (n / bad)
+				}
+				dirty[i].Proof.S = dirty[i].Proof.S.Add(group.NewScalar(1))
+			}
+			b.Run(fmt.Sprintf("dirty/n=%d/bad=%d", n, bad), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if got := mix.VerifySubmissionProofs(dirty, round, chain); len(got) != bad {
+						b.Fatalf("blamed %d of %d bad proofs", len(got), bad)
+					}
+				}
+				us := float64(b.Elapsed().Microseconds()) / float64(b.N)
+				b.ReportMetric(us/float64(n), "us/proof")
+				b.ReportMetric(us/float64(bad), "us/convict")
+			})
+		}
 	}
 }

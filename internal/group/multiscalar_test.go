@@ -153,10 +153,10 @@ func TestJacobianMatchesCurve(t *testing.T) {
 }
 
 // TestMultiScalarMultMatchesNaive pins the MSM against the naive
-// product across both code paths (naive fallback, Straus, Pippenger)
+// product across its code paths (one point's Mul, Straus, Pippenger)
 // and the window-count boundaries.
 func TestMultiScalarMultMatchesNaive(t *testing.T) {
-	for _, n := range []int{0, 1, 2, 3, 4, 8, 31, 32, 33, 100, 200} {
+	for _, n := range []int{0, 1, 2, 3, 4, 8, 31, 32, 33, 79, 80, 81, 100, 200} {
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
 			points := make([]Point, n)
 			scalars := make([]Scalar, n)
@@ -198,8 +198,8 @@ func TestMultiScalarMultDegenerateInputs(t *testing.T) {
 	build([]Point{Identity(), p}, []Scalar{MustRandomScalar(), NewScalar(0)})
 	// The same point many times (forces repeated bucket hits, the
 	// add-equal-points path).
-	many := make([]Point, 64)
-	sc := make([]Scalar, 64)
+	many := make([]Point, 96)
+	sc := make([]Scalar, 96)
 	for i := range many {
 		many[i] = p
 		sc[i] = NewScalar(int64(i%5) + 1)
@@ -207,9 +207,16 @@ func TestMultiScalarMultDegenerateInputs(t *testing.T) {
 	build(many, sc)
 	// Cancelling pair: x·P + (q−x)·P = identity.
 	x := MustRandomScalar()
-	build([]Point{p, p, g, g, g, g}, []Scalar{x, ScalarFromBig(new(big.Int).Sub(Order(), x.big())), NewScalar(1), NewScalar(2), NewScalar(3), NewScalar(4)})
+	negX := ScalarFromBig(new(big.Int).Sub(Order(), x.big()))
+	build([]Point{p, p, g, g, g, g}, []Scalar{x, negX, NewScalar(1), NewScalar(2), NewScalar(3), NewScalar(4)})
+	// The two-term products a DLEQ verifier runs: the same base twice,
+	// a base and its inverse, and a pair that cancels.
+	build([]Point{p, p}, []Scalar{x, MustRandomScalar()})
+	build([]Point{p, p.Neg()}, []Scalar{x, MustRandomScalar()})
+	build([]Point{p, p}, []Scalar{x, negX})
+	build([]Point{p, p.Neg()}, []Scalar{x, x})
 	// Extreme scalars: 1 and q−1 across both algorithms.
-	for _, n := range []int{8, 64} {
+	for _, n := range []int{8, 96} {
 		pts := make([]Point, n)
 		scs := make([]Scalar, n)
 		for i := range pts {

@@ -253,11 +253,12 @@ func (c *Chain) ParamsFor(round uint64) (Params, error) {
 	if !ok {
 		return Params{}, fmt.Errorf("mix: chain %d has not begun round %d", c.ID, round)
 	}
-	p := Params{ChainID: c.ID, InnerAggregate: agg, Round: round}
-	for _, k := range c.keys {
-		p.MixKeys = append(p.MixKeys, k.Mpk)
-		p.BlindKeys = append(p.BlindKeys, k.Bpk)
-		p.BaselineKeys = append(p.BaselineKeys, k.BaselinePub)
+	// Sized once: this runs once per user per chain per round.
+	k := len(c.keys)
+	p := Params{ChainID: c.ID, InnerAggregate: agg, Round: round,
+		MixKeys: make([]group.Point, k), BlindKeys: make([]group.Point, k), BaselineKeys: make([]group.Point, k)}
+	for i, hk := range c.keys {
+		p.MixKeys[i], p.BlindKeys[i], p.BaselineKeys[i] = hk.Mpk, hk.Bpk, hk.BaselinePub
 	}
 	return p, nil
 }
@@ -598,6 +599,17 @@ func (st *roundState) filter(removed map[int]bool) {
 	st.envs, st.origin, st.slot = envs, origin, slot
 }
 
+// keptKeys returns the Diffie-Hellman keys of the envelopes keep marks.
+func keptKeys(envs []onion.Envelope, keep []bool) []group.Point {
+	keys := make([]group.Point, 0, len(envs))
+	for j, k := range keep {
+		if k {
+			keys = append(keys, envs[j].DHKey)
+		}
+	}
+	return keys
+}
+
 // reCertifyUpstream makes positions 0..upto-1 re-issue their shuffle
 // certificates over the surviving messages after blame removal, and
 // verifies them against the reduced key products. keepFull is indexed
@@ -619,19 +631,9 @@ func (c *Chain) reCertifyUpstream(round uint64, upto int, keepFull []bool, epoch
 		if err != nil {
 			return fmt.Errorf("mix: server %d re-certification: %w", i, err)
 		}
-		var keptIn, keptOut []onion.Envelope
-		for j, k := range inKeep {
-			if k {
-				keptIn = append(keptIn, rec.in[j])
-			}
-		}
-		for p, k := range keepAt {
-			if k {
-				keptOut = append(keptOut, rec.out[p])
-			}
-		}
 		if err := nizk.VerifyDleq(mixContext(round, c.ID, i, epochs[i]),
-			productOfKeys(keptIn), productOfKeys(keptOut), c.keys[i].BpkPrev, c.keys[i].Bpk, proof); err != nil {
+			group.Product(keptKeys(rec.in, inKeep)), group.Product(keptKeys(rec.out, keepAt)),
+			c.keys[i].BpkPrev, c.keys[i].Bpk, proof); err != nil {
 			return fmt.Errorf("mix: server %d re-certification: %w", i, err)
 		}
 		if i == 0 {

@@ -3,14 +3,12 @@ package mix
 import (
 	"bytes"
 	"encoding/gob"
-	"runtime"
 	"sort"
 	"testing"
 
 	"repro/internal/aead"
 	"repro/internal/group"
 	"repro/internal/kdf"
-	"repro/internal/nizk"
 	"repro/internal/onion"
 )
 
@@ -687,9 +685,8 @@ func TestMixedUserAndServerMisbehaviour(t *testing.T) {
 // batched submission verification end to end through RunRound: the
 // chain blames exactly the same user indices a serial per-proof sweep
 // identifies, plus the same deep failures the blame protocol finds.
-// (At this size a failing batch falls back to the serial sweep; the
-// recursion and chunking layers above it are pinned separately by
-// TestVerifySubmissionProofsBisectionAndChunks.)
+// (The walk and the chunking above it are pinned at size by
+// TestDefectWalkMatchesSweep.)
 func TestBatchBlamePathMatchesSerial(t *testing.T) {
 	c := testChain(t, 3)
 	params := c.Params()
@@ -836,47 +833,6 @@ func TestInnerAggPruning(t *testing.T) {
 			t.Fatalf("server %d lost the current round's inner key", s.Index)
 		}
 	}
-}
-
-// TestVerifySubmissionProofsBisectionAndChunks drives the production
-// paths the small round tests cannot reach: a failing range larger
-// than bisectSerialCutoff (so the recursion actually splits) and a
-// submission count spread over multiple worker chunks (so the
-// chunk-boundary math and cross-chunk merge are exercised). Proof-only
-// submissions keep it fast — VerifySubmissionProofs never reads the
-// ciphertexts.
-func TestVerifySubmissionProofsBisectionAndChunks(t *testing.T) {
-	const n = 600
-	ctx := onion.SubmitContext(1, 0)
-	subs := make([]onion.Submission, n)
-	for i := range subs {
-		x := group.MustRandomScalar()
-		subs[i] = onion.Submission{
-			Envelope: onion.Envelope{DHKey: group.Base(x)},
-			Proof:    nizk.ProveDlogCommit(ctx, group.Generator(), x),
-		}
-	}
-	// Invalid proofs at the bisection midpoints and both ends.
-	want := []int{0, 299, 300, 599}
-	for _, i := range want {
-		subs[i].Proof.S = subs[i].Proof.S.Add(group.NewScalar(1))
-	}
-
-	check := func(label string) {
-		t.Helper()
-		if got := VerifySubmissionProofs(subs, 1, 0); !equalInts(got, want) {
-			t.Fatalf("%s: blamed %v, want %v", label, got, want)
-		}
-	}
-	// Whatever GOMAXPROCS the host has: one 600-proof chunk fails,
-	// splits at 300 (still > bisectSerialCutoff on the left/right),
-	// and sweeps serially below it.
-	check("bisection")
-	// Force many small chunks so several workers claim, verify and
-	// merge ranges concurrently.
-	old := runtime.GOMAXPROCS(8)
-	defer runtime.GOMAXPROCS(old)
-	check("multi-chunk")
 }
 
 // TestParamsTablesStayOffTheWire: a Chain's Params carry fixed-key

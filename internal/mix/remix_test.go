@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/aead"
 	"repro/internal/group"
+	"repro/internal/nizk"
 	"repro/internal/onion"
 )
 
@@ -295,6 +296,135 @@ func TestBlameRequestsNameTheMixedRound(t *testing.T) {
 	}
 	if _, err := h.ReProveSubset(1, 1, keep); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRevealEndsTheBatch: a server holds its last input keys for blame
+// reveals and re-certification, which nothing can ask for once the
+// round's inner key is out — so the reveal drops them (and a failed
+// Mix's powers), requests after it get the wrong-round error, and a
+// reveal for round ρ leaves a batch already mixed for ρ+1 alone, as
+// does BeginRound until the batch is two rounds behind the newest
+// announcement (the prune for chains that halt and never reveal).
+func TestRevealEndsTheBatch(t *testing.T) {
+	c := testChain(t, 2)
+	s := c.Servers[0]
+	h := LocalHop(s)
+	subs, _ := submitMany(t, c, 4)
+	in := make([]onion.Envelope, len(subs))
+	for i, sub := range subs {
+		in[i] = sub.Envelope
+	}
+	keep := []bool{true, false, true, true}
+	held := func(round uint64) bool {
+		t.Helper()
+		_, errReveal := h.BlameReveal(round, 0, 1)
+		_, errProve := h.ReProveSubset(round, 1, keep)
+		if (errReveal == nil) != (errProve == nil) {
+			t.Fatalf("round %d: reveal %v, re-certification %v", round, errReveal, errProve)
+		}
+		return errReveal == nil
+	}
+	mix := func(round uint64, in []onion.Envelope) {
+		t.Helper()
+		if _, _, err := h.BeginRound(round); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := h.Mix(round, aead.RoundNonce(round, 0), in); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// A failed Mix leaves keys and powers; the reveal drops both.
+	dirty := append([]onion.Envelope(nil), in...)
+	dirty[2] = dirty[2].Clone()
+	garble(dirty[2].Ct)
+	mix(1, dirty)
+	if !held(1) || s.lastPows[0] == nil {
+		t.Fatal("a failed Mix's batch is not held")
+	}
+	if _, err := h.RevealInnerKey(1); err != nil {
+		t.Fatal(err)
+	}
+	if held(1) || s.lastIn != nil || s.lastPows[0] != nil || s.lastPows[1] != nil {
+		t.Fatalf("the reveal left %d keys and %d powers", len(s.lastIn), len(s.lastPows[0]))
+	}
+
+	// Round 3 is mixed before round 2 reveals: its batch stays.
+	if _, _, err := h.BeginRound(2); err != nil {
+		t.Fatal(err)
+	}
+	mix(3, in)
+	if _, err := h.RevealInnerKey(2); err != nil {
+		t.Fatal(err)
+	}
+	if !held(3) {
+		t.Fatal("revealing round 2 dropped round 3's batch")
+	}
+
+	// The chain halts: no reveal for round 3. Announcements up to two
+	// rounds ahead leave the batch, the next one prunes it.
+	for _, round := range []uint64{4, 5} {
+		if _, _, err := h.BeginRound(round); err != nil {
+			t.Fatal(err)
+		}
+		if !held(3) {
+			t.Fatalf("announcing round %d pruned round 3's batch", round)
+		}
+	}
+	if _, _, err := h.BeginRound(6); err != nil {
+		t.Fatal(err)
+	}
+	if held(3) || s.lastIn != nil {
+		t.Fatal("a batch three rounds behind the newest announcement is still held")
+	}
+	// The next Mix starts from nothing and holds its own batch.
+	mix(6, in)
+	if !held(6) {
+		t.Fatal("Mix after a prune holds nothing")
+	}
+}
+
+// BenchmarkBlameReveal times one layer of one blame walk: a position's
+// BlameRevealAt and the two VerifyDleq that check it, at a position
+// past the first (bare bases on both sides of every proof).
+func BenchmarkBlameReveal(b *testing.B) {
+	c := testChain(b, 2)
+	subs, _ := submitMany(b, c, 8)
+	in := make([]onion.Envelope, len(subs))
+	for i, sub := range subs {
+		in[i] = sub.Envelope
+	}
+	nonce := aead.RoundNonce(1, 0)
+	first, err := c.Servers[0].Mix(1, nonce, in)
+	if err != nil || len(first.Failed) != 0 {
+		b.Fatalf("first position: %v", err)
+	}
+	s := c.Servers[1]
+	mr, err := s.Mix(1, nonce, first.Out)
+	if err != nil || len(mr.Failed) != 0 {
+		b.Fatalf("second position: %v", err)
+	}
+	k := s.Keys()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pos := i % len(in)
+		rev, err := s.BlameRevealAt(1, 0, pos)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var xout group.Point
+		for p, j := range mr.Out2In {
+			if j == pos {
+				xout = mr.Out[p].DHKey
+			}
+		}
+		if err := nizk.VerifyDleq(blameContext(1, s.Chain, s.Index, 0, "blind"), rev.Xin, xout, k.BpkPrev, k.Bpk, rev.BlindProof); err != nil {
+			b.Fatal(err)
+		}
+		if err := nizk.VerifyDleq(blameContext(1, s.Chain, s.Index, 0, "key"), rev.Xin, rev.K, k.BpkPrev, k.Mpk, rev.KeyProof); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

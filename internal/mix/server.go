@@ -46,10 +46,11 @@ type Server struct {
 	bskProof    nizk.Proof
 	mskProof    nizk.Proof
 	baselineKey group.KeyPair // plain g^msk' pair for Algorithm 1 mode
-	// innerMu guards innerKeys and lastKeyRound. With round
-	// pipelining the coordinator announces round ρ+2's keys
-	// (BeginRound) while round ρ's mixing still reads and prunes the
-	// map (InnerPublicKey, RevealInnerKey), so access is concurrent.
+	// innerMu guards innerKeys, lastKeyRound and the last batch
+	// (lastIn, lastRound, lastPows). With round pipelining the
+	// coordinator announces round ρ+2's keys (BeginRound, which prunes
+	// both) while round ρ's mixing still reads them, so access is
+	// concurrent.
 	innerMu sync.Mutex
 	// innerKeys holds the per-round inner key pairs (isk, ipk=g^isk).
 	// Keys for round ρ+1 are generated during round ρ so users can
@@ -69,7 +70,10 @@ type Server struct {
 	// outputs and the permutation are returned to the orchestrator in
 	// MixResult; each verifier keeps its own record of those (Chain
 	// does, per position), so the server holds only what it alone can
-	// produce.
+	// produce. Its lifetime ends at the reveal: once the round's inner
+	// key is out nothing can ask for either, so RevealInnerKey drops the
+	// batch (lastIn is nil again) and BeginRound's prune does the same
+	// for a halted or skipped chain that never reveals.
 	lastIn    []group.Point
 	lastRound uint64
 	// lastPows is set only between a Mix that found decryption
@@ -168,6 +172,9 @@ func (s *Server) BeginRound(round uint64) (group.Point, nizk.Proof) {
 				delete(s.innerKeys, r)
 			}
 		}
+		if s.lastRound+2 < s.lastKeyRound {
+			s.dropBatch()
+		}
 	}
 	s.innerMu.Unlock()
 	proof := nizk.ProveDlog(innerKeyContext(s.Chain, s.Index, round), group.Generator(), kp.Private)
@@ -202,7 +209,17 @@ func (s *Server) RevealInnerKey(round uint64) (group.Scalar, error) {
 			delete(s.innerKeys, r)
 		}
 	}
+	// A depth-2 pipeline may already have mixed round+1; that batch
+	// stays.
+	if s.lastRound == round {
+		s.dropBatch()
+	}
 	return kp.Private, nil
+}
+
+// dropBatch forgets the last Mix's keys and powers; innerMu is held.
+func (s *Server) dropBatch() {
+	s.lastIn, s.lastPows = nil, [2][]group.Point{}
 }
 
 // mixContext binds a shuffle certificate to round, chain, position
@@ -250,8 +267,10 @@ func (s *Server) Mix(round uint64, nonce [aead.NonceSize]byte, in []onion.Envelo
 	keys := dhKeys(in)
 	exchanged := make([]group.Point, len(in)) // X^msk
 	blinded := make([]group.Point, len(in))   // X^bsk
+	s.innerMu.Lock()
 	hit, miss := s.recall(keys, exchanged, blinded)
 	s.lastIn, s.lastRound, s.lastPows = keys, round, [2][]group.Point{}
+	s.innerMu.Unlock()
 
 	peeled := make([][]byte, len(in))
 	opened := make([]bool, len(in))
@@ -281,7 +300,9 @@ func (s *Server) Mix(round uint64, nonce [aead.NonceSize]byte, in []onion.Envelo
 		}
 	}
 	if len(failed) > 0 {
-		s.lastPows = [2][]group.Point{exchanged, blinded}
+		s.innerMu.Lock()
+		s.lastIn, s.lastRound, s.lastPows = keys, round, [2][]group.Point{exchanged, blinded}
+		s.innerMu.Unlock()
 		return &MixResult{Failed: failed}, nil
 	}
 	if s.Corruption != nil && len(s.Corruption.FalselyAccuse) > 0 {
@@ -302,7 +323,7 @@ func (s *Server) Mix(round uint64, nonce [aead.NonceSize]byte, in []onion.Envelo
 	}
 
 	// Step 3: shuffle certificate.
-	proof := nizk.ProveDleq(mixContext(round, s.Chain, s.Index, epoch), group.Product(keys), s.bpkPrev, s.bsk)
+	proof := s.certify(mixContext(round, s.Chain, s.Index, epoch), keys)
 	if s.Corruption != nil && s.Corruption.BadMixProof {
 		proof.S = proof.S.Add(group.NewScalar(1))
 	}
@@ -344,18 +365,21 @@ func (s *Server) recall(keys, exchanged, blinded []group.Point) (hit, miss []int
 // hostile orchestrator must get an error — never a panic, and never a
 // reveal bound to one round's context over another round's keys.
 func (s *Server) BlameRevealAt(round uint64, msg, pos int) (BlameReveal, error) {
-	if err := s.mixedIn(round); err != nil {
+	in, err := s.mixedIn(round)
+	if err != nil {
 		return BlameReveal{}, err
 	}
-	if pos < 0 || pos >= len(s.lastIn) {
+	if pos < 0 || pos >= len(in) {
 		return BlameReveal{}, fmt.Errorf("mix: server %d has no input position %d", s.Index, pos)
 	}
-	xin := s.lastIn[pos]
+	// Each power is raised once and handed to its proof.
+	xin := in[pos]
+	xout, k := xin.Mul(s.bsk), xin.Mul(s.msk)
 	return BlameReveal{
 		Xin:        xin,
-		BlindProof: nizk.ProveDleq(blameContext(round, s.Chain, s.Index, msg, "blind"), xin, s.bpkPrev, s.bsk),
-		K:          xin.Mul(s.msk),
-		KeyProof:   nizk.ProveDleq(blameContext(round, s.Chain, s.Index, msg, "key"), xin, s.bpkPrev, s.msk),
+		BlindProof: nizk.ProveDleqPrecomputed(blameContext(round, s.Chain, s.Index, msg, "blind"), xin, xout, s.bpkPrev, s.bpk, s.bsk),
+		K:          k,
+		KeyProof:   nizk.ProveDleqPrecomputed(blameContext(round, s.Chain, s.Index, msg, "key"), xin, k, s.bpkPrev, s.mpk, s.msk),
 	}, nil
 }
 
@@ -364,9 +388,10 @@ func (s *Server) BlameRevealAt(round uint64, msg, pos int) (BlameReveal, error) 
 // matches the published mixing key, so everyone can check the
 // decryption really fails.
 func (s *Server) Accuse(round uint64, msg int, key group.Point) AccuseReveal {
+	k := key.Mul(s.msk)
 	return AccuseReveal{
-		K:     key.Mul(s.msk),
-		Proof: nizk.ProveDleq(blameContext(round, s.Chain, s.Index, msg, "accuse"), key, s.bpkPrev, s.msk),
+		K:     k,
+		Proof: nizk.ProveDleqPrecomputed(blameContext(round, s.Chain, s.Index, msg, "accuse"), key, k, s.bpkPrev, s.mpk, s.msk),
 	}
 }
 
@@ -390,28 +415,39 @@ func VerifyMix(round uint64, chain, index, epoch int, bpkPrev, bpk group.Point, 
 // step 3"). keep[j] says whether input j of this server's last Mix
 // call, which must have been round's, survived.
 func (s *Server) ReProveSubset(round uint64, epoch int, keep []bool) (nizk.Proof, error) {
-	if err := s.mixedIn(round); err != nil {
+	in, err := s.mixedIn(round)
+	if err != nil {
 		return nizk.Proof{}, err
 	}
-	if len(keep) != len(s.lastIn) {
-		return nizk.Proof{}, fmt.Errorf("mix: server %d re-proof over %d messages, had %d", s.Index, len(keep), len(s.lastIn))
+	if len(keep) != len(in) {
+		return nizk.Proof{}, fmt.Errorf("mix: server %d re-proof over %d messages, had %d", s.Index, len(keep), len(in))
 	}
-	var kept []group.Point
+	kept := make([]group.Point, 0, len(in))
 	for j, k := range keep {
 		if k {
-			kept = append(kept, s.lastIn[j])
+			kept = append(kept, in[j])
 		}
 	}
-	return nizk.ProveDleq(mixContext(round, s.Chain, s.Index, epoch), group.Product(kept), s.bpkPrev, s.bsk), nil
+	return s.certify(mixContext(round, s.Chain, s.Index, epoch), kept), nil
 }
 
-// mixedIn refuses a blame or re-certification request for a round
-// other than the one lastIn was mixed in.
-func (s *Server) mixedIn(round uint64) error {
-	if round != s.lastRound {
-		return fmt.Errorf("mix: server %d last mixed round %d, not %d", s.Index, s.lastRound, round)
+// certify issues the shuffle certificate over a batch's input keys:
+// (∏ keys)^bsk against bpk = bpkPrev^bsk, the product raised once here
+// and bpk the server's own.
+func (s *Server) certify(context string, keys []group.Point) nizk.Proof {
+	prod := group.Product(keys)
+	return nizk.ProveDleqPrecomputed(context, prod, prod.Mul(s.bsk), s.bpkPrev, s.bpk, s.bsk)
+}
+
+// mixedIn returns the last Mix's input keys, refusing a request for a
+// round other than theirs or for a batch already dropped.
+func (s *Server) mixedIn(round uint64) ([]group.Point, error) {
+	s.innerMu.Lock()
+	defer s.innerMu.Unlock()
+	if s.lastIn == nil || round != s.lastRound {
+		return nil, fmt.Errorf("mix: server %d holds no batch of round %d (last mixed round %d; a batch is dropped once its round's inner key is revealed)", s.Index, round, s.lastRound)
 	}
-	return nil
+	return s.lastIn, nil
 }
 
 // dhKeys returns the envelopes' Diffie-Hellman keys as a new slice.

@@ -6,43 +6,46 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/group"
 	"repro/internal/onion"
 )
 
 // Submission proof checking (§6.2). The serial seed verified one
 // Schnorr proof at a time; this is the round's single biggest
-// public-key cost, so it is now batched (one multi-scalar
-// multiplication per chunk, see nizk.VerifyDlogBatch) and fanned over
-// a worker pool. Batch verification is all-or-nothing, so a failing
-// chunk is bisected until the culprits are isolated — the blamed
-// indices come out exactly as the per-proof loop would produce them,
-// the all-honest fast path just no longer pays per-proof prices.
+// public-key cost, so it is batched and fanned over a worker pool: a
+// chunk is prepared once (nizk.DlogBatch) and its defect computed with
+// one multi-scalar multiplication — the identity iff every proof in it
+// verifies, which is all the all-honest path pays. A failing chunk is
+// not a boolean but a point: defects of adjacent ranges multiply, so
+// one half-sized multiplication per failing range gives both halves'
+// defects, and the walk descends only into halves whose defect is not
+// the identity, down to ranges of bisectFloor where the per-proof loop
+// names the culprits — exactly the indices that loop alone would.
+//
+// What a prover can force: an isolated bad proof costs less than one
+// more pass over its chunk at the batch price and bisectFloor single
+// checks; a bad proof in every leaf costs half a pass per level, then
+// the single checks a sweep would have run anyway (DESIGN.md, "Blame
+// attribution under batching"; TestDefectWalkCost pins both counts).
 
 const (
 	// submissionChunkMax caps one batch's multi-scalar
 	// multiplication; beyond this the bucket width stops growing and
-	// chunks only add bisection depth.
+	// chunks only add walk depth.
 	submissionChunkMax = 4096
 	// submissionChunkMin is the smallest batch worth the MSM setup
 	// when splitting work across workers.
 	submissionChunkMin = 64
-	// bisectFloor is the subdivision size below which per-proof
-	// verification beats further batch calls.
+	// bisectFloor is the range size below which per-proof
+	// verification beats further halving.
 	bisectFloor = 8
-	// bisectSerialCutoff bounds the work an adversary can force by
-	// flooding a chunk with invalid proofs: every bisection level
-	// re-runs MSM work over the failing subtree, so once a failing
-	// range is this small the per-proof sweep is cheaper than more
-	// doomed batch attempts. It only engages after a batch has
-	// already failed — the all-honest path never pays it.
-	bisectSerialCutoff = 256
 )
 
 // VerifySubmissionProofs checks all submission knowledge proofs and
 // returns the indices whose proofs are invalid, in ascending order.
 // Chunks of the batch are verified concurrently by a bounded worker
-// pool, each chunk with one multi-scalar multiplication; failing
-// chunks are bisected so the returned indices match a serial
+// pool, each chunk with one multi-scalar multiplication; a failing
+// chunk's defect is halved so the returned indices match a serial
 // onion.VerifySubmission sweep exactly.
 func VerifySubmissionProofs(subs []onion.Submission, round uint64, chain int) []int {
 	n := len(subs)
@@ -50,13 +53,7 @@ func VerifySubmissionProofs(subs []onion.Submission, round uint64, chain int) []
 		return nil
 	}
 	workers := runtime.GOMAXPROCS(0)
-	chunk := (n + workers - 1) / workers
-	if chunk > submissionChunkMax {
-		chunk = submissionChunkMax
-	}
-	if chunk < submissionChunkMin {
-		chunk = submissionChunkMin
-	}
+	chunk := submissionChunk(n, workers)
 	nChunks := (n + chunk - 1) / chunk
 	if workers > nChunks {
 		workers = nChunks
@@ -95,22 +92,43 @@ func VerifySubmissionProofs(subs []onion.Submission, round uint64, chain int) []
 	return bad
 }
 
-// badProofsIn verifies subs[lo:hi]: batch first, then bisect on
-// failure, with serial sweeps once a failing range is too small for
-// retried batches to pay off.
+// submissionChunk is the batch size n proofs are cut into for workers
+// workers: an even split, within the two bounds.
+func submissionChunk(n, workers int) int {
+	return min(max((n+workers-1)/workers, submissionChunkMin), submissionChunkMax)
+}
+
+// badProofsIn verifies subs[lo:hi]: one defect for the whole range,
+// halved to the culprits if it is not the identity.
 func badProofsIn(subs []onion.Submission, lo, hi int, round uint64, chain int) []int {
-	if hi-lo <= bisectFloor {
-		return sweepProofs(subs, lo, hi, round, chain)
+	sweep := func(l, h int) []int { return sweepProofs(subs, lo+l, lo+h, round, chain) }
+	n := hi - lo
+	if n <= bisectFloor {
+		return sweep(0, n)
 	}
-	if onion.VerifySubmissionBatch(subs[lo:hi], round, chain) == nil {
+	b, err := onion.PrepareSubmissionBatch(subs[lo:hi], round, chain)
+	if err != nil {
+		// No weights to batch with; the ground truth needs none.
+		return sweep(0, n)
+	}
+	return halveDefect(b.Defect, sweep, 0, n, b.Defect(0, n))
+}
+
+// halveDefect returns what sweep finds in the leaves of [lo, hi) that
+// hold a bad proof, given the range's defect d: the left half's defect
+// is computed and the right half's follows from the two. defect and
+// sweep are a DlogBatch's and sweepProofs, or the test's that counts.
+func halveDefect(defect func(lo, hi int) group.Point, sweep func(lo, hi int) []int, lo, hi int, d group.Point) []int {
+	if d.IsIdentity() {
 		return nil
 	}
-	if hi-lo <= bisectSerialCutoff {
-		return sweepProofs(subs, lo, hi, round, chain)
+	if hi-lo <= bisectFloor {
+		return sweep(lo, hi)
 	}
 	mid := lo + (hi-lo)/2
-	return append(badProofsIn(subs, lo, mid, round, chain),
-		badProofsIn(subs, mid, hi, round, chain)...)
+	left := defect(lo, mid)
+	return append(halveDefect(defect, sweep, lo, mid, left),
+		halveDefect(defect, sweep, mid, hi, d.Add(left.Neg()))...)
 }
 
 // sweepProofs is the per-proof reference loop, the ground truth the

@@ -146,17 +146,20 @@ func benchWrapRound() {
 }
 
 // benchBlameOneLayer is one layer of the blame protocol for one
-// message (§6.4): the revealing server's two DLEQ proofs plus every
-// verifier's two DLEQ checks and one replayed decryption.
+// message (§6.4), the way mix.Server.BlameRevealAt and Chain.blameOne
+// do it: the revealing server raises the message's key to its two
+// secrets once and hands both powers, with its published keys, to the
+// two DLEQ provers; every verifier runs two DLEQ checks and one
+// replayed decryption.
 func benchBlameOneLayer() {
 	measureSetup()
 	x := ms.sub.DHKey
-	blind := nizk.ProveDleq("blame/blind", x, ms.bpkPrev, ms.bskFirst)
-	keyp := nizk.ProveDleq("blame/key", x, ms.bpkPrev, ms.mskFirst)
-	if err := nizk.VerifyDleq("blame/blind", x, x.Mul(ms.bskFirst), ms.bpkPrev, ms.bpk, blind); err != nil {
+	xout, k := x.Mul(ms.bskFirst), x.Mul(ms.mskFirst)
+	blind := nizk.ProveDleqPrecomputed("blame/blind", x, xout, ms.bpkPrev, ms.bpk, ms.bskFirst)
+	keyp := nizk.ProveDleqPrecomputed("blame/key", x, k, ms.bpkPrev, ms.mpk, ms.mskFirst)
+	if err := nizk.VerifyDleq("blame/blind", x, xout, ms.bpkPrev, ms.bpk, blind); err != nil {
 		panic(err)
 	}
-	k := x.Mul(ms.mskFirst)
 	if err := nizk.VerifyDleq("blame/key", x, k, ms.bpkPrev, ms.mpk, keyp); err != nil {
 		panic(err)
 	}

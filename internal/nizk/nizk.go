@@ -19,7 +19,7 @@
 // per-round server proofs; user submissions use the commitment-format
 // DlogProof (commitment, response), because transmitting the
 // commitment instead of the challenge is what makes batch
-// verification possible (see VerifyDlogBatch).
+// verification possible (see DlogBatch).
 //
 // All proofs bind a caller-supplied context string (round, chain and
 // server identifiers) so a proof cannot be replayed elsewhere.
@@ -83,23 +83,33 @@ func dleqChallenge(context string, b1, y1, b2, y2, t1, t2 group.Point) group.Sca
 // ProveDleq proves log_b1(y1) = log_b2(y2) = x, i.e. y1 = b1^x and
 // y2 = b2^x for the same secret x.
 func ProveDleq(context string, b1, b2 group.Point, x group.Scalar) Proof {
-	v := group.MustRandomScalar()
-	t1 := b1.Mul(v)
-	t2 := b2.Mul(v)
-	y1 := b1.Mul(x)
-	y2 := b2.Mul(x)
-	c := dleqChallenge(context, b1, y1, b2, y2, t1, t2)
+	return ProveDleqPrecomputed(context, b1, b1.Mul(x), b2, b2.Mul(x), x)
+}
+
+// ProveDleqPrecomputed is ProveDleq for callers that already hold
+// y1 = b1^x and y2 = b2^x (a server's y2 is its own published key), so
+// each base is raised once, to the nonce. A wrong y1 or y2 only yields
+// a proof VerifyDleq rejects.
+func ProveDleqPrecomputed(context string, b1, y1, b2, y2 group.Point, x group.Scalar) Proof {
+	return proveDleq(context, b1, y1, b2, y2, x, group.MustRandomScalar())
+}
+
+// proveDleq is the one prover, its nonce v explicit for the tests.
+func proveDleq(context string, b1, y1, b2, y2 group.Point, x, v group.Scalar) Proof {
+	c := dleqChallenge(context, b1, y1, b2, y2, b1.Mul(v), b2.Mul(v))
 	return Proof{C: c, S: v.Add(c.Mul(x))}
 }
 
 // VerifyDleq checks a ProveDleq proof for the statement
-// y1 = b1^x ∧ y2 = b2^x.
+// y1 = b1^x ∧ y2 = b2^x, reconstructing each commitment as one
+// two-term product b^s·y^−c (≈ 0.6 of two ladders).
 func VerifyDleq(context string, b1, y1, b2, y2 group.Point, p Proof) error {
 	if b1.IsIdentity() || b2.IsIdentity() {
 		return ErrInvalidProof
 	}
-	t1 := b1.Mul(p.S).Add(y1.Mul(p.C).Neg())
-	t2 := b2.Mul(p.S).Add(y2.Mul(p.C).Neg())
+	sc := []group.Scalar{p.S, p.C}
+	t1 := group.MultiScalarMult([]group.Point{b1, y1.Neg()}, sc)
+	t2 := group.MultiScalarMult([]group.Point{b2, y2.Neg()}, sc)
 	if !dleqChallenge(context, b1, y1, b2, y2, t1, t2).Equal(p.C) {
 		return ErrInvalidProof
 	}
@@ -188,56 +198,88 @@ func VerifyDlogCommit(context string, base, public group.Point, p DlogProof) err
 }
 
 // batchRandomizerBytes sizes the per-proof random weights rᵢ of the
-// batch check. 128 bits make the probability that a batch containing
-// any invalid proof still verifies at most 2^−128.
+// batch check. 128 bits make the probability that a range containing
+// any invalid proof still has the identity for its defect at most
+// 2^−128.
 const batchRandomizerBytes = 16
 
-// VerifyDlogBatch verifies many commitment-format proofs over a
-// common base in one shot. Each proof i asserts
-// base^sᵢ = Tᵢ·publicsᵢ^cᵢ with cᵢ re-derived from contextsᵢ; the
-// batch check draws random weights rᵢ and tests the single equation
-//
-//	base^(Σ rᵢ·sᵢ) = Π Tᵢ^rᵢ · Π publicsᵢ^(rᵢ·cᵢ)
-//
-// via one multi-scalar multiplication, which costs far less than n
-// separate verifications. A nil return guarantees (up to the 2^−128
-// randomizer soundness) that every individual proof verifies; on
-// error the caller learns only that at least one proof is bad and
-// must bisect or fall back to VerifyDlogCommit to attribute blame.
-func VerifyDlogBatch(contexts []string, base group.Point, publics []group.Point, proofs []DlogProof) error {
+// DlogBatch is a run of commitment-format proofs over a common base,
+// prepared for batch verification. Proof i asserts
+// base^sᵢ = Tᵢ·publicsᵢ^cᵢ, i.e. that its defect
+// Eᵢ = Tᵢ·publicsᵢ^cᵢ·base^−sᵢ is the identity; preparation hashes
+// every cᵢ and draws one random 128-bit weight rᵢ per proof, after the
+// proofs are fixed, and the weights never leave the value. Any range
+// holding a bad proof then has a non-identity Defect except with
+// probability 2^−128, however the bad proofs were aimed (DESIGN.md,
+// "Blame attribution under batching"). A proof VerifyDlogCommit refuses
+// outright (an identity public key) is given Eᵢ = base.
+type DlogBatch struct {
+	base    group.Point
+	points  []group.Point  // T₀, X₀, T₁, X₁, …
+	scalars []group.Scalar // r₀, r₀c₀, r₁, r₁c₁, …
+	sums    []group.Scalar // sums[i] = Σ_{j<i} rⱼsⱼ
+}
+
+// PrepareDlogBatch prepares proofs of publics[i] = base^x under
+// contexts[i]. It fails on mismatched lengths, a trivial base or a
+// failing randomness source, never because of what a proof contains.
+func PrepareDlogBatch(contexts []string, base group.Point, publics []group.Point, proofs []DlogProof) (*DlogBatch, error) {
 	n := len(proofs)
 	if len(contexts) != n || len(publics) != n {
-		return fmt.Errorf("nizk: batch of %d proofs with %d contexts and %d publics", n, len(contexts), len(publics))
+		return nil, fmt.Errorf("nizk: batch of %d proofs with %d contexts and %d publics", n, len(contexts), len(publics))
 	}
-	if n == 0 {
-		return nil
-	}
-	if base.IsIdentity() {
-		return ErrInvalidProof
+	if n > 0 && base.IsIdentity() {
+		return nil, ErrInvalidProof
 	}
 	rnd := make([]byte, n*batchRandomizerBytes)
 	if _, err := rand.Read(rnd); err != nil {
-		return fmt.Errorf("nizk: sampling batch randomizers: %w", err)
+		return nil, fmt.Errorf("nizk: sampling batch randomizers: %w", err)
 	}
-	points := make([]group.Point, 0, 2*n)
-	scalars := make([]group.Scalar, 0, 2*n)
-	sSum := group.NewScalar(0)
+	b := &DlogBatch{
+		base:    base,
+		points:  make([]group.Point, 2*n),
+		scalars: make([]group.Scalar, 2*n),
+		sums:    make([]group.Scalar, n+1),
+	}
 	for i := range proofs {
-		if publics[i].IsIdentity() {
-			return ErrInvalidProof
-		}
-		c := dlogCommitChallenge(contexts[i], base, publics[i], proofs[i].T)
 		r := group.ScalarFromBig(new(big.Int).SetBytes(rnd[i*batchRandomizerBytes : (i+1)*batchRandomizerBytes]))
 		if r.IsZero() {
 			r = group.NewScalar(1)
 		}
-		sSum = sSum.Add(r.Mul(proofs[i].S))
-		points = append(points, proofs[i].T, publics[i])
-		scalars = append(scalars, r, r.Mul(c))
+		if publics[i].IsIdentity() {
+			// Eᵢ = base: no points, and −rᵢ where rᵢsᵢ would go.
+			b.sums[i+1] = b.sums[i].Sub(r)
+			continue
+		}
+		c := dlogCommitChallenge(contexts[i], base, publics[i], proofs[i].T)
+		b.points[2*i], b.points[2*i+1] = proofs[i].T, publics[i]
+		b.scalars[2*i], b.scalars[2*i+1] = r, r.Mul(c)
+		b.sums[i+1] = b.sums[i].Add(r.Mul(proofs[i].S))
 	}
-	lhs := base.Mul(sSum)
-	rhs := group.MultiScalarMult(points, scalars)
-	if !lhs.Equal(rhs) {
+	return b, nil
+}
+
+// Defect returns Π_{lo≤i<hi} Eᵢ^rᵢ, the identity iff every proof in
+// [lo, hi) verifies: one multi-scalar multiplication over 2(hi−lo)
+// points and one multiplication of the base. Defects of adjacent ranges
+// multiply, so a range's and its left half's give the right half's.
+func (b *DlogBatch) Defect(lo, hi int) group.Point {
+	rhs := group.MultiScalarMult(b.points[2*lo:2*hi], b.scalars[2*lo:2*hi])
+	return rhs.Add(b.base.Mul(b.sums[lo].Sub(b.sums[hi])))
+}
+
+// VerifyDlogBatch verifies many commitment-format proofs over a
+// common base in one shot — the whole batch's Defect — which costs far
+// less than n separate verifications. A nil return guarantees (up to
+// the 2^−128 randomizer soundness) that every proof verifies; on error
+// at least one is bad, and a caller that must know which halves a
+// DlogBatch's defect down to VerifyDlogCommit.
+func VerifyDlogBatch(contexts []string, base group.Point, publics []group.Point, proofs []DlogProof) error {
+	b, err := PrepareDlogBatch(contexts, base, publics, proofs)
+	if err != nil {
+		return err
+	}
+	if !b.Defect(0, len(proofs)).IsIdentity() {
 		return ErrInvalidProof
 	}
 	return nil

@@ -2,6 +2,7 @@ package nizk
 
 import (
 	"fmt"
+	"math/big"
 	"testing"
 
 	"repro/internal/group"
@@ -157,27 +158,117 @@ func BenchmarkVerifyDlog(b *testing.B) {
 	}
 }
 
-func BenchmarkProveDleq(b *testing.B) {
+// BenchmarkDleq times the Chaum-Pedersen prover both ways and the
+// verifier over bare bases, as a server's are past the first position:
+// prove raises every base to x as well as to the nonce (four ladders),
+// provePrecomputed is handed both powers (two), verify is two two-term
+// products.
+func BenchmarkDleq(b *testing.B) {
 	x := group.MustRandomScalar()
-	b1 := group.Generator()
+	b1 := group.Base(group.MustRandomScalar())
 	b2 := group.Base(group.MustRandomScalar())
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		ProveDleq("bench", b1, b2, x)
+	y1, y2 := b1.Mul(x), b2.Mul(x)
+	p := ProveDleq("bench", b1, b2, x)
+	b.Run("prove", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			ProveDleq("bench", b1, b2, x)
+		}
+	})
+	b.Run("provePrecomputed", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			ProveDleqPrecomputed("bench", b1, y1, b2, y2, x)
+		}
+	})
+	b.Run("verify", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if err := VerifyDleq("bench", b1, y1, b2, y2, p); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+func hexScalar(t *testing.T, h string) group.Scalar {
+	t.Helper()
+	n, ok := new(big.Int).SetString(h, 16)
+	if !ok {
+		t.Fatalf("bad hex scalar %q", h)
+	}
+	return group.ScalarFromBig(n)
+}
+
+// TestDleqGoldenTranscript pins the DLEQ wire format across the prover
+// rewrite. The (c, s) below were computed by the four-ladder prover
+// this package had before ProveDleqPrecomputed (commit 2db2217) with
+// its nonce fixed to v; both names must still emit exactly that, and
+// three proofs that prover made with nonces of its own must still
+// verify.
+func TestDleqGoldenTranscript(t *testing.T) {
+	b1, b2 := group.Base(hexScalar(t, "0b1")), group.Base(hexScalar(t, "0b2"))
+	x := hexScalar(t, "6d1f3c8e5a7b9d0123456789abcdef00fedcba98765432100f1e2d3c4b5a6978")
+	v := hexScalar(t, "1badc0de5eed5eed0123456789abcdef13579bdf2468ace0f0e1d2c3b4a59687")
+	want := Proof{
+		C: hexScalar(t, "a36e757d75e010488d1ab8fe9be37516bd90ed88f70bb11f00b3f7d58c5dc56a"),
+		S: hexScalar(t, "df75601b6592e9ca00df12b7855632f9bdbd92a2cbda59da1fbc015deeca09d3"),
+	}
+	y1, y2 := b1.Mul(x), b2.Mul(x)
+	got := proveDleq("xrd/test/dleq-golden", b1, y1, b2, y2, x, v)
+	if !got.C.Equal(want.C) || !got.S.Equal(want.S) {
+		t.Fatalf("transcript changed: c=%x s=%x", got.C.Bytes(), got.S.Bytes())
+	}
+	if err := VerifyDleq("xrd/test/dleq-golden", b1, y1, b2, y2, want); err != nil {
+		t.Fatalf("golden proof rejected: %v", err)
+	}
+	// Both exported names run that one body, over the same statement.
+	for name, p := range map[string]Proof{
+		"ProveDleq":            ProveDleq("ctx", b1, b2, x),
+		"ProveDleqPrecomputed": ProveDleqPrecomputed("ctx", b1, y1, b2, y2, x),
+	} {
+		if err := VerifyDleq("ctx", b1, y1, b2, y2, p); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+
+	vectors := []struct {
+		b1   group.Point
+		c, s string
+	}{
+		{b1, "339c7c2e09d9b9f216eab5d73713d68036b4d473d32f42462c2bde4410dc2167", "055e3ee8ee6132595d21af4a9d593ea2489849d041e1c0572fa20f0292056720"},
+		{group.Generator(), "63573caca7e9dd9b2c42d2a729feda28c80ed9cae32449ac4f75de81999611f9", "5e230e80ba04bb1f435ea1220af04c6eb4a71688ad276405674ccbaa3c9524f3"},
+		{b1, "52f56f7debcb73c3fa59a9cd8ea41518f0e89b15ddb6f31854924a3ca30980cf", "8a61b74ee9db92585f69b159e0d0529d3e2e5245c091e6df07688b90b60ca21a"},
+	}
+	for i, vec := range vectors {
+		ctx := fmt.Sprintf("xrd/test/dleq-vector/%d", i)
+		p := Proof{C: hexScalar(t, vec.c), S: hexScalar(t, vec.s)}
+		if err := VerifyDleq(ctx, vec.b1, vec.b1.Mul(x), b2, y2, p); err != nil {
+			t.Fatalf("vector %d from the old prover rejected: %v", i, err)
+		}
+		p.S = p.S.Add(group.NewScalar(1))
+		if err := VerifyDleq(ctx, vec.b1, vec.b1.Mul(x), b2, y2, p); err == nil {
+			t.Fatalf("vector %d verifies with a wrong response", i)
+		}
 	}
 }
 
-func BenchmarkVerifyDleq(b *testing.B) {
+// TestDleqPrecomputedWrongPower: the prover trusts the powers it is
+// handed, and a wrong one buys nothing — the proof does not verify
+// against the true statement or against the false one.
+func TestDleqPrecomputedWrongPower(t *testing.T) {
 	x := group.MustRandomScalar()
-	b1 := group.Generator()
+	b1 := group.Base(group.MustRandomScalar())
 	b2 := group.Base(group.MustRandomScalar())
-	p := ProveDleq("bench", b1, b2, x)
 	y1, y2 := b1.Mul(x), b2.Mul(x)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if err := VerifyDleq("bench", b1, y1, b2, y2, p); err != nil {
-			b.Fatal(err)
-		}
+	wrong := b1.Mul(group.MustRandomScalar())
+	p := ProveDleqPrecomputed("ctx", b1, wrong, b2, y2, x)
+	if err := VerifyDleq("ctx", b1, y1, b2, y2, p); err == nil {
+		t.Fatal("proof made over a wrong y1 verifies for the true statement")
+	}
+	if err := VerifyDleq("ctx", b1, wrong, b2, y2, p); err == nil {
+		t.Fatal("proof made over a wrong y1 verifies for the false statement")
+	}
+	p = ProveDleqPrecomputed("ctx", b1, y1, b2, wrong, x)
+	if err := VerifyDleq("ctx", b1, y1, b2, y2, p); err == nil {
+		t.Fatal("proof made over a wrong y2 verifies")
 	}
 }
 
@@ -318,8 +409,8 @@ func TestDlogBatchEdgeCases(t *testing.T) {
 }
 
 // TestDlogBatchSizesAcrossMSMPaths walks batch sizes spanning the
-// MSM's naive, Straus and Pippenger paths (the point count is twice
-// the proof count).
+// MSM's Straus and Pippenger paths (the point count is twice the proof
+// count).
 func TestDlogBatchSizesAcrossMSMPaths(t *testing.T) {
 	base := group.Generator()
 	for _, n := range []int{1, 2, 5, 15, 16, 40, 70} {
@@ -332,5 +423,101 @@ func TestDlogBatchSizesAcrossMSMPaths(t *testing.T) {
 		if err := VerifyDlogBatch(contexts, base, publics, proofs); err == nil {
 			t.Fatalf("batch of %d accepted with a tampered proof", n)
 		}
+	}
+}
+
+// mustPrepare prepares a batch over the generator.
+func mustPrepare(t *testing.T, contexts []string, publics []group.Point, proofs []DlogProof) *DlogBatch {
+	t.Helper()
+	b, err := PrepareDlogBatch(contexts, group.Generator(), publics, proofs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestDlogBatchDefectsMultiply pins what the halving walk rests on:
+// within one preparation the defects of adjacent ranges multiply to the
+// defect of their union, a clean range's is the identity, and a range
+// holding a bad proof's is not. A build that drew fresh weights per
+// Defect call would fail the first of these.
+func TestDlogBatchDefectsMultiply(t *testing.T) {
+	const n = 40
+	contexts, publics, proofs := batchFixture(t, n)
+	proofs[7].S = proofs[7].S.Add(group.NewScalar(1))
+	proofs[31].T = proofs[31].T.Add(group.Generator())
+	b := mustPrepare(t, contexts, publics, proofs)
+	whole := b.Defect(0, n)
+	if whole.IsIdentity() {
+		t.Fatal("a batch with two bad proofs has the identity for its defect")
+	}
+	for _, mid := range []int{0, 1, 7, 8, 20, 31, 32, n} {
+		if got := b.Defect(0, mid).Add(b.Defect(mid, n)); !got.Equal(whole) {
+			t.Fatalf("defects of [0,%d) and [%d,%d) do not multiply to the whole's", mid, mid, n)
+		}
+	}
+	for _, r := range [][2]int{{0, 7}, {8, 31}, {32, n}, {12, 12}} {
+		if !b.Defect(r[0], r[1]).IsIdentity() {
+			t.Fatalf("clean range %v has a defect", r)
+		}
+	}
+	for _, r := range [][2]int{{7, 8}, {0, 8}, {31, 32}, {20, n}} {
+		if b.Defect(r[0], r[1]).IsIdentity() {
+			t.Fatalf("range %v holds a bad proof and has none", r)
+		}
+	}
+}
+
+// TestDlogBatchWeightsAreFresh: two preparations of the same proofs
+// weigh them differently, so nothing learnt from one call's outcome
+// helps aim at the next. A build that kept a chunk's weights for the
+// next call would fail here.
+func TestDlogBatchWeightsAreFresh(t *testing.T) {
+	contexts, publics, proofs := batchFixture(t, 4)
+	proofs[2].S = proofs[2].S.Add(group.NewScalar(1))
+	first := mustPrepare(t, contexts, publics, proofs).Defect(0, 4)
+	second := mustPrepare(t, contexts, publics, proofs).Defect(0, 4)
+	if first.IsIdentity() || second.IsIdentity() || first.Equal(second) {
+		t.Fatal("two preparations of one bad batch produced the same defect")
+	}
+}
+
+// TestDlogBatchCancellingDefectsConvicted is the attack the weights
+// exist for: two proofs whose own defects are Δ and −Δ, which any
+// unweighted (or equally weighted) product would pass. A thousand
+// draws, every one must leave a defect on the pair and on each alone.
+func TestDlogBatchCancellingDefectsConvicted(t *testing.T) {
+	contexts, publics, proofs := batchFixture(t, 2)
+	// The response is not hashed into the challenge, so shifting it by
+	// ∓δ moves a proof's defect by exactly ±g^δ and nothing else.
+	delta := group.MustRandomScalar()
+	proofs[0].S = proofs[0].S.Sub(delta)
+	proofs[1].S = proofs[1].S.Add(delta)
+	for run := 0; run < 1000; run++ {
+		b := mustPrepare(t, contexts, publics, proofs)
+		if b.Defect(0, 2).IsIdentity() || b.Defect(0, 1).IsIdentity() || b.Defect(1, 2).IsIdentity() {
+			t.Fatalf("run %d: cancelling defects passed", run)
+		}
+	}
+}
+
+// TestDlogBatchRefusedPublic: a proof VerifyDlogCommit refuses without
+// looking at it — an identity public key, for which a prover can make
+// the equation hold — fails every range it is in and no other.
+func TestDlogBatchRefusedPublic(t *testing.T) {
+	const n, at = 12, 5
+	contexts, publics, proofs := batchFixture(t, n)
+	v := group.MustRandomScalar()
+	publics[at] = group.Identity()
+	proofs[at] = DlogProof{T: group.Base(v), S: v} // g^s = T·1^c
+	if err := VerifyDlogCommit(contexts[at], group.Generator(), publics[at], proofs[at]); err == nil {
+		t.Fatal("the serial check accepts an identity public key")
+	}
+	b := mustPrepare(t, contexts, publics, proofs)
+	if b.Defect(0, n).IsIdentity() || b.Defect(at, at+1).IsIdentity() {
+		t.Fatal("an identity public key left no defect")
+	}
+	if !b.Defect(0, at).IsIdentity() || !b.Defect(at+1, n).IsIdentity() {
+		t.Fatal("an identity public key left a defect on its neighbours")
 	}
 }

@@ -375,11 +375,12 @@ func VerifySubmission(sub Submission, round uint64, chain int) error {
 	return nizk.VerifyDlogCommit(SubmitContext(round, chain), group.Generator(), sub.DHKey, sub.Proof)
 }
 
-// VerifySubmissionBatch checks every submission's knowledge proof in
-// one batched multi-scalar multiplication. A nil return means all
-// proofs verify; on error at least one is invalid and the caller must
-// bisect or fall back to VerifySubmission to identify culprits.
-func VerifySubmissionBatch(subs []Submission, round uint64, chain int) error {
+// PrepareSubmissionBatch prepares every submission's knowledge proof
+// for batch verification: the defect of the whole batch is one
+// multi-scalar multiplication, and a caller that finds it is not the
+// identity halves it to the culprits (mix.VerifySubmissionProofs) with
+// VerifySubmission as the ground truth.
+func PrepareSubmissionBatch(subs []Submission, round uint64, chain int) (*nizk.DlogBatch, error) {
 	ctx := SubmitContext(round, chain)
 	contexts := make([]string, len(subs))
 	publics := make([]group.Point, len(subs))
@@ -389,7 +390,21 @@ func VerifySubmissionBatch(subs []Submission, round uint64, chain int) error {
 		publics[i] = subs[i].DHKey
 		proofs[i] = subs[i].Proof
 	}
-	return nizk.VerifyDlogBatch(contexts, group.Generator(), publics, proofs)
+	return nizk.PrepareDlogBatch(contexts, group.Generator(), publics, proofs)
+}
+
+// VerifySubmissionBatch checks every submission's knowledge proof in
+// one batched multi-scalar multiplication. A nil return means all
+// proofs verify; on error at least one is invalid.
+func VerifySubmissionBatch(subs []Submission, round uint64, chain int) error {
+	b, err := PrepareSubmissionBatch(subs, round, chain)
+	if err != nil {
+		return err
+	}
+	if !b.Defect(0, len(subs)).IsIdentity() {
+		return nizk.ErrInvalidProof
+	}
+	return nil
 }
 
 // PeelAHS removes one outer layer: the server derives the key from

@@ -149,7 +149,8 @@ func TestHopBlameOutOfRangeRejected(t *testing.T) {
 // and re-certification over the batch it mixed last, so a request
 // naming another round is an error on the wire — not a panic, not
 // material bound to that round's context — and the connection keeps
-// serving.
+// serving. Once the round's inner key is revealed the batch is gone,
+// and its own round is refused the same way.
 func TestHopBlameWrongRoundRejected(t *testing.T) {
 	_, hc := startHop(t)
 	chain, err := mix.NewChainFromHops(0, []mix.Hop{hc}, nil)
@@ -188,6 +189,17 @@ func TestHopBlameWrongRoundRejected(t *testing.T) {
 	}
 	if _, err := hc.ReProveSubset(7, 1, keep); err != nil {
 		t.Fatal(err)
+	}
+	// The reveal ends the batch: the same requests are now as wrong as
+	// another round's.
+	if _, err := hc.RevealInnerKey(7); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := hc.BlameReveal(7, 0, 1); err == nil || !strings.Contains(err.Error(), "last mixed round 7") {
+		t.Fatalf("blame reveal after the inner key was revealed: %v", err)
+	}
+	if _, err := hc.ReProveSubset(7, 1, keep); err == nil || !strings.Contains(err.Error(), "last mixed round 7") {
+		t.Fatalf("re-certification after the inner key was revealed: %v", err)
 	}
 }
 

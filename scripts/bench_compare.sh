@@ -9,10 +9,17 @@
 # CI passes the merge base and the head. N is the number of pairs
 # (default 5).
 #
-# The gated families — ScalarBaseMult, MultiScalarMult, SubmissionVerify
-# and BatchMul — are tight loops of pure computation, and what a
-# regression in them means is a lost precomputation path or a batch
-# seam silently falling back to serial. Their absolute ns/op say
+# The gated families — ScalarBaseMult, MultiScalarMult, SubmissionVerify,
+# BatchMul and Dleq — are tight loops of pure computation, and what a
+# regression in them means is a lost precomputation path, a batch seam
+# silently falling back to per-item work, or a prover raising a power
+# its caller already holds. SubmissionVerify's dirty rows (1, 2, 16 and
+# n/8 bad proofs in a batch) price the halving of a failed chunk's
+# defect; there is no per-proof sweep above its 8-proof leaves any more,
+# so a row that jumps means the walk lost its inference, not that a
+# cut-off moved. Those rows and Dleq are compared from the first commit
+# both sides have them — until then they are listed as only on the
+# head. Absolute ns/op say
 # nothing across boxes or days (one untouched benchmark has read
 # 14–28 µs on one machine within one PR), so nothing here is compared
 # with a committed number: each side's test binaries are built once,
@@ -28,8 +35,8 @@ usage="usage: bench_compare.sh BASE [HEAD=.] [N=5]"
 base=${1:?$usage}
 head=${2:-.}
 pairs=${3:-5}
-gated='^Benchmark(ScalarBaseMult|MultiScalarMult|SubmissionVerify|BatchMul)$'
-packages=". ./internal/group" # where the gated families live
+gated='^Benchmark(ScalarBaseMult|MultiScalarMult|SubmissionVerify|BatchMul|Dleq)$'
+packages=". ./internal/group ./internal/nizk" # where the gated families live
 
 repo=$(cd "$(dirname "$0")/.." && pwd)
 work=$(mktemp -d)
