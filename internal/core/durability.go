@@ -342,8 +342,9 @@ func (f *Frontend) watermarkLocked() watermark {
 // emit equal bytes. Callers hold f.mu.
 func (f *Frontend) imageLocked() []byte {
 	b := appendRecord(nil, opWatermark, encodeWatermark(f.watermarkLocked()))
-	for _, who := range f.reg.transportKeys(f.rng) {
-		b = appendRecord(b, opRegister, []byte(who))
+	ids := f.reg.transportKeys(f.rng)
+	for i := range ids {
+		b = appendRecord(b, opRegister, ids[i][:])
 	}
 	for _, who := range slices.Sorted(maps.Keys(f.banned)) {
 		b = appendRecord(b, opBan, []byte(who))
@@ -405,7 +406,11 @@ func (f *Frontend) recover(rec *store.Recovered) error {
 func (f *Frontend) replayOneLocked(rec store.Record) error {
 	switch rec.Op {
 	case opRegister:
-		f.reg.insert(string(rec.Payload), &registeredUser{})
+		id, err := parseMailboxID(rec.Payload)
+		if err != nil {
+			return err
+		}
+		f.reg.register(id)
 	case opBan:
 		f.applyBanLocked(string(rec.Payload))
 	case opDeliver:
@@ -486,7 +491,7 @@ func (f *Frontend) applyWatermarkLocked(w watermark) error {
 			sh := &f.reg.shards[i]
 			sh.mu.Lock()
 			for _, ru := range sh.users {
-				if ru.removed || ru.u == nil {
+				if ru.removed {
 					continue
 				}
 				ru.cover = nil
@@ -516,12 +521,15 @@ func (f *Frontend) commitWatermarkLocked(w watermark) error {
 }
 
 // applySubmitLocked banks one external submission: current for its
-// round, cover for the round after. The chain indices are checked
-// here, so bytes read back from disk index the round's batches no
-// more freely than bytes off the wire. A lane without messages stays
-// absent: an empty current[ρ] would shadow that round's cover in
-// collectExternalsLocked. Callers hold f.mu.
+// round, cover for the round after. The mailbox's length and the chain
+// indices are checked here, so bytes read back from disk key the state
+// and index the batches no more freely than bytes off the wire. A lane
+// without messages stays absent: an empty current[ρ] would shadow that
+// round's cover in collectExternalsLocked. Callers hold f.mu.
 func (f *Frontend) applySubmitLocked(mailbox string, out *client.RoundOutput) error {
+	if _, err := parseMailboxID(mailbox); err != nil {
+		return err
+	}
 	if f.banned[mailbox] {
 		return fmt.Errorf("core: user was removed for misbehaviour; submissions are refused")
 	}

@@ -273,28 +273,32 @@ func (f *Frontend) AddUser(u *client.User) error {
 	return nil
 }
 
-// Register records a network-transport user's mailbox identifier in
-// the registry: she counts toward the user base and may submit
-// externally, but her onions are built client-side, so the entry
-// holds no client state. Banned identifiers are refused.
-func (f *Frontend) Register(mailboxID []byte) error {
-	key := string(mailboxID)
-	if !f.rng.Owns(mailboxID) {
+// Register records a network-transport user's mailbox identifier: she
+// counts toward the user base and may submit externally, but builds
+// her own onions, so the entry is the identifier alone. Banned ones and
+// any not group.PointSize bytes are refused; an in-process user's is hers.
+func (f *Frontend) Register(mailbox []byte) error {
+	id, err := parseMailboxID(mailbox)
+	if err != nil {
+		return err
+	}
+	if !f.rng.Owns(mailbox) {
 		return fmt.Errorf("core: mailbox hashes to shard %d outside range %s",
-			OwnerShard(mailboxID), f.rng)
+			OwnerShard(mailbox), f.rng)
 	}
 	f.mu.Lock()
-	banned := f.banned[key]
+	banned := f.banned[string(mailbox)]
 	f.mu.Unlock()
 	if banned {
 		return fmt.Errorf("core: user was removed for misbehaviour; registration refused")
 	}
-	f.reg.insert(key, &registeredUser{})
-	// Appended but not synced: the registration becomes durable at the
-	// next sync point (the user's first submission at the latest). A
-	// crash before then loses only the registration, which the client
-	// retries idempotently.
-	f.st.Append(opRegister, mailboxID)
+	if f.reg.register(id) {
+		// Appended but not synced: the registration becomes durable at
+		// the next sync point (the user's first submission at the
+		// latest). A crash before then loses only the registration,
+		// which the client retries idempotently.
+		f.st.Append(opRegister, mailbox)
+	}
 	return nil
 }
 
@@ -305,9 +309,6 @@ func (f *Frontend) NumUsers() int { return f.reg.countActive() }
 // Network.SetOnline for the churn semantics.
 func (f *Frontend) SetOnline(u *client.User, online bool) {
 	f.reg.update(string(u.Mailbox()), func(ru *registeredUser) {
-		if ru.u == nil {
-			return
-		}
 		if online && !ru.online && ru.coversUsed {
 			ru.u.EndAllConversations()
 			ru.coversUsed = false
@@ -319,10 +320,8 @@ func (f *Frontend) SetOnline(u *client.User, online bool) {
 // IsRemoved reports whether the user was removed for misbehaviour.
 func (f *Frontend) IsRemoved(u *client.User) bool {
 	removed := false
-	ok := f.reg.view(string(u.Mailbox()), func(ru *registeredUser) {
-		removed = ru.removed
-	})
-	return ok && removed
+	f.reg.update(string(u.Mailbox()), func(ru *registeredUser) { removed = ru.removed })
+	return removed
 }
 
 // Fetch downloads an in-process user's mailbox for a round.
@@ -571,14 +570,13 @@ func (f *Frontend) buildBatches(rho uint64, src client.ParamsSource, numChains i
 // against the build — and against nothing else. Users with a dead
 // chain among their ℓ chains cannot build a valid round (the wire
 // pattern requires all ℓ messages) and are skipped as stranded; their
-// banked covers stay banked. Registry entries without client state
-// (network-transport registrations) build nothing here — their onions
-// arrive through SubmitExternal.
+// banked covers stay banked. Transport registrations are not walked:
+// their onions arrive through SubmitExternal.
 func (f *Frontend) buildShard(sh *userShard, rho uint64, src client.ParamsSource, acc *buildAcc, dead map[int]bool) error {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	for key, ru := range sh.users {
-		if ru.removed || ru.u == nil {
+		if ru.removed {
 			continue
 		}
 		if len(dead) > 0 {

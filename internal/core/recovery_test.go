@@ -142,7 +142,7 @@ func TestCrashRecoveryExactlyOnce(t *testing.T) {
 	}
 
 	// Registry state to carry across every crash below.
-	for _, mb := range []string{"transport-user-1", "transport-user-2"} {
+	for _, mb := range []string{"transport-user-1:0123456789abcdef", "transport-user-2:0123456789abcdef"} {
 		if err := shard.cur().Register([]byte(mb)); err != nil {
 			t.Fatal(err)
 		}

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"bytes"
+	"fmt"
 	"sort"
 	"sync"
 
 	"repro/internal/client"
+	"repro/internal/group"
 )
 
 // numShards is the number of registry shards. It is a power of two so
@@ -29,10 +32,17 @@ type registry struct {
 	shards [numShards]userShard
 }
 
-// userShard is one lock domain of the registry.
+// mailboxID is a transport user's mailbox: her compressed public key
+// (§5.1), which is all onion.Recipient routes by.
+type mailboxID [group.PointSize]byte
+
+// userShard is one lock domain of the registry: users are the
+// in-process users it builds for, transport the far larger set of
+// registered mailboxes, kept as arrays the garbage collector never scans.
 type userShard struct {
-	mu    sync.RWMutex
-	users map[string]*registeredUser
+	mu        sync.RWMutex
+	users     map[string]*registeredUser
+	transport map[mailboxID]struct{}
 	// built lists the users whose built still holds its Current, so
 	// that a round's commit releases those submissions without a walk
 	// over the users who never built.
@@ -75,15 +85,26 @@ func newRegistry() *registry {
 	r := &registry{}
 	for i := range r.shards {
 		r.shards[i].users = make(map[string]*registeredUser)
+		r.shards[i].transport = make(map[mailboxID]struct{})
 	}
 	return r
+}
+
+// parseMailboxID checks a mailbox from a peer or the log for its key.
+func parseMailboxID[T string | []byte](mb T) (mailboxID, error) {
+	var id mailboxID
+	if len(mb) != len(id) {
+		return id, fmt.Errorf("core: mailbox identifier is %d bytes, want %d (a compressed public key)", len(mb), len(id))
+	}
+	copy(id[:], mb)
+	return id, nil
 }
 
 // shardIndex routes a mailbox identifier to its shard with FNV-1a.
 // Mailbox identifiers are compressed group points and thus already
 // well distributed, but hashing keeps the registry correct for any
 // identifier scheme the transport layer might use.
-func shardIndex(key string) int {
+func shardIndex[T string | []byte](key T) int {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
@@ -101,15 +122,32 @@ func (r *registry) shardOf(key string) *userShard {
 	return &r.shards[shardIndex(key)]
 }
 
-// insert registers a user under her mailbox identifier.
+// insert registers an in-process user under her mailbox identifier,
+// taking it over from a transport registration if there is one.
 func (r *registry) insert(key string, ru *registeredUser) {
 	sh := r.shardOf(key)
 	sh.mu.Lock()
 	sh.users[key] = ru
+	if id, err := parseMailboxID(key); err == nil {
+		delete(sh.transport, id)
+	}
 	sh.mu.Unlock()
 }
 
-// update runs fn on the registered user under the owning shard's write
+// register records a transport registration and reports whether it is
+// one: an identifier an in-process user holds is hers already.
+func (r *registry) register(id mailboxID) bool {
+	sh := &r.shards[shardIndex(id[:])]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if _, inProcess := sh.users[string(id[:])]; inProcess {
+		return false
+	}
+	sh.transport[id] = struct{}{}
+	return true
+}
+
+// update runs fn on the in-process user under the owning shard's write
 // lock; it is a no-op for unknown identifiers.
 func (r *registry) update(key string, fn func(*registeredUser)) {
 	sh := r.shardOf(key)
@@ -120,43 +158,37 @@ func (r *registry) update(key string, fn func(*registeredUser)) {
 	}
 }
 
-// view runs fn on the registered user under the owning shard's read
-// lock and reports whether the user exists.
-func (r *registry) view(key string, fn func(*registeredUser)) bool {
-	sh := r.shardOf(key)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	ru, ok := sh.users[key]
-	if ok {
-		fn(ru)
-	}
-	return ok
-}
-
 // markRemoved convicts a user, excluding her from future rounds
-// (§6.4). It touches only the owning shard.
+// (§6.4): an in-process user stays, marked, and a transport
+// registration is dropped. It touches only the owning shard.
 func (r *registry) markRemoved(key string) {
-	r.update(key, func(ru *registeredUser) { ru.removed = true })
+	sh := r.shardOf(key)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if ru, ok := sh.users[key]; ok {
+		ru.removed = true
+	}
+	if id, err := parseMailboxID(key); err == nil {
+		delete(sh.transport, id)
+	}
 }
 
-// transportKeys returns the mailbox identifiers of every non-removed
-// network-transport registration (entries without client state) in
-// the given range, sorted — the registration set a durable snapshot
-// persists. In-process users carry live key material that cannot be
-// serialised and are excluded by design.
-func (r *registry) transportKeys(rng ShardRange) []string {
-	var out []string
+// transportKeys returns the transport registrations in the given range,
+// sorted — the registration set a durable snapshot persists.
+// In-process users carry live key material that cannot be serialised
+// and are excluded by design.
+func (r *registry) transportKeys(rng ShardRange) []mailboxID {
+	out := make([]mailboxID, 0, r.countActive()) // bounds the range's count
 	for i := rng.Lo; i < rng.Hi; i++ {
 		sh := &r.shards[i]
 		sh.mu.RLock()
-		for key, ru := range sh.users {
-			if ru.u == nil && !ru.removed {
-				out = append(out, key)
-			}
+		for id := range sh.transport {
+			out = append(out, id)
 		}
 		sh.mu.RUnlock()
 	}
-	sort.Strings(out)
+	// In place: a comparison taking two keys by value copies both.
+	sort.Slice(out, func(i, j int) bool { return bytes.Compare(out[i][:], out[j][:]) < 0 })
 	return out
 }
 
@@ -166,6 +198,7 @@ func (r *registry) countActive() int {
 	for i := range r.shards {
 		sh := &r.shards[i]
 		sh.mu.RLock()
+		total += len(sh.transport)
 		for _, ru := range sh.users {
 			if !ru.removed {
 				total++

@@ -43,7 +43,7 @@ const NumRegistryShards = numShards
 
 // OwnerShard maps a mailbox identifier to its registry shard index —
 // the gateway front end's partition key.
-func OwnerShard(mailbox []byte) int { return shardIndex(string(mailbox)) }
+func OwnerShard(mailbox []byte) int { return shardIndex(mailbox) }
 
 // ShardRange is a contiguous half-open slice [Lo, Hi) of the registry
 // shard space.

@@ -148,8 +148,10 @@ type MultiClient struct {
 	// seen maps digests of fetched messages to the fetch round that
 	// first returned them, suppressing duplicates when a restarted
 	// gateway redelivers unacked mail (at-least-once downstream,
-	// exactly-once at the application). Pruned to dedupWindow rounds.
-	seen map[[sha256.Size]byte]uint64
+	// exactly-once at the application). Pruned to dedupWindow rounds
+	// once per round, when a fetch names a round past pruned.
+	seen   map[[sha256.Size]byte]uint64
+	pruned uint64
 }
 
 var _ client.ParamsSource = (*MultiClient)(nil)
@@ -312,7 +314,10 @@ func (m *MultiClient) Fetch(round uint64, mailbox []byte) ([][]byte, error) {
 
 // dedupFetched filters out messages whose digest an earlier fetch
 // already returned, records the survivors, and prunes digests older
-// than dedupWindow rounds.
+// than dedupWindow rounds. The prune walks the whole set, so it runs
+// once a round — the first time a fetch names a later round than any
+// before — not once a fetch; a digest recorded afterwards for a round
+// already outside the window goes at the next prune.
 func (m *MultiClient) dedupFetched(round uint64, msgs [][]byte) [][]byte {
 	if len(msgs) == 0 {
 		return msgs
@@ -328,9 +333,12 @@ func (m *MultiClient) dedupFetched(round uint64, msgs [][]byte) [][]byte {
 		m.seen[h] = round
 		out = append(out, msg)
 	}
-	for h, r := range m.seen {
-		if r+dedupWindow <= round {
-			delete(m.seen, h)
+	if round > m.pruned {
+		m.pruned = round
+		for h, r := range m.seen {
+			if r+dedupWindow <= round {
+				delete(m.seen, h)
+			}
 		}
 	}
 	return out

@@ -218,6 +218,15 @@ func TestSubmitValidation(t *testing.T) {
 	if err := conn.Submit(u.Mailbox(), out); err == nil {
 		t.Fatal("duplicate submission accepted")
 	}
+	// A mailbox identifier that is not a compressed key is refused by
+	// its length, at registration and at submission.
+	short := []byte("sixteen-byte-id!")
+	if _, err := conn.Register([][]byte{short}); err == nil || !strings.Contains(err.Error(), "is 16 bytes") {
+		t.Fatalf("16-byte registration: %v", err)
+	}
+	if err := conn.Submit(short, out); err == nil || !strings.Contains(err.Error(), "is 16 bytes") {
+		t.Fatalf("16-byte submission: %v", err)
+	}
 	// Corrupt wire key is rejected at parse time.
 	req := SubmitRequest{Round: out.Round, Mailbox: []byte("eve"), Current: out.Current[:1]}
 	var resp SubmitResponse

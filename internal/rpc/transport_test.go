@@ -187,7 +187,7 @@ func sampleRequests(e *endpoints) map[string]any {
 	}
 	return map[string]any{
 		"params":   ParamsRequest{Chain: 0, Round: e.n.Round()},
-		"submit":   SubmitRequest{Round: e.n.Round(), Mailbox: []byte("u"), Current: []client.ChainMessage{{Chain: 0, Sub: sub}}},
+		"submit":   SubmitRequest{Round: e.n.Round(), Mailbox: g.Bytes(), Current: []client.ChainMessage{{Chain: 0, Sub: sub}}},
 		"register": RegisterRequest{Mailboxes: [][]byte{g.Bytes()}},
 		"fetch":    FetchRequest{Round: 1, Mailbox: g.Bytes()},
 		"ack":      AckRequest{Round: 1, Mailbox: g.Bytes()},
@@ -270,6 +270,12 @@ func FuzzDispatch(f *testing.F) {
 	f.Add("hop.mix", body[:len(body)/20])
 	uneven := HopMixRequest{Round: 1, Envelopes: onion.Batch{e.sub.Envelope, {DHKey: e.sub.DHKey, Ct: []byte("short")}}}
 	f.Add("hop.mix", fuzzBody(f, "hop.mix", uneven))
+	// Mailbox identifiers that are not a compressed key, a short one
+	// and one a mebibyte long: refused by their length.
+	for _, mb := range [][]byte{make([]byte, 16), make([]byte, 1<<20)} {
+		f.Add("register", fuzzBody(f, "register", RegisterRequest{Mailboxes: [][]byte{mb}}))
+		f.Add("submit", fuzzBody(f, "submit", SubmitRequest{Round: 1, Mailbox: mb, Current: []client.ChainMessage{{Chain: 0, Sub: e.sub}}}))
+	}
 
 	f.Fuzz(func(t *testing.T, method string, body []byte) {
 		payload := withMethod(t, method, body)[prefixLen:]

@@ -13,7 +13,10 @@
 # BatchMul and Dleq — are tight loops of pure computation, and what a
 # regression in them means is a lost precomputation path, a batch seam
 # silently falling back to per-item work, or a prover raising a power
-# its caller already holds. SubmissionVerify's dirty rows (1, 2, 16 and
+# its caller already holds. Register and SnapshotImage (internal/core)
+# price one registered-only user at a gateway and the snapshot of
+# 100 000 of them: a row that jumps means a registration grew back into
+# an object per user. SubmissionVerify's dirty rows (1, 2, 16 and
 # n/8 bad proofs in a batch) price the halving of a failed chunk's
 # defect; there is no per-proof sweep above its 8-proof leaves any more,
 # so a row that jumps means the walk lost its inference, not that a
@@ -35,8 +38,8 @@ usage="usage: bench_compare.sh BASE [HEAD=.] [N=5]"
 base=${1:?$usage}
 head=${2:-.}
 pairs=${3:-5}
-gated='^Benchmark(ScalarBaseMult|MultiScalarMult|SubmissionVerify|BatchMul|Dleq)$'
-packages=". ./internal/group ./internal/nizk" # where the gated families live
+gated='^Benchmark(ScalarBaseMult|MultiScalarMult|SubmissionVerify|BatchMul|Dleq|Register|SnapshotImage)$'
+packages=". ./internal/group ./internal/nizk ./internal/core" # where the gated families live
 
 repo=$(cd "$(dirname "$0")/.." && pwd)
 work=$(mktemp -d)
