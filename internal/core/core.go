@@ -942,6 +942,7 @@ func (n *Network) prepareRound(rho uint64) (*preparedRound, error) {
 		Cur:       snap.cur,
 		Next:      snap.next,
 		Dead:      snap.deadList(),
+		Pipelined: n.pipelineDepth() > 1,
 	}
 	buildPhase := p.trace.StartPhase("build")
 	builds := make([]*ShardBuild, len(n.shards))

@@ -27,10 +27,10 @@ import (
 // 2 the coordinator begins round ρ+1 — which collects it — while ρ
 // mixes, so from round 2 on the upcoming round is closed the moment it
 // is announced and an external user is refused every time; the refusal
-// says so (Frontend.pipelined). Depth > 1 is for gateway-hosted users
-// until the window rule moves into a pipeline type (ROADMAP item 8);
-// TestExternalSubmitWhilePipelined pins today's behaviour for that PR
-// to flip.
+// says so (BeginRound.Pipelined, kept as Frontend.pipelined). Depth > 1
+// is for gateway-hosted users until the window rule moves into a
+// pipeline type (ROADMAP item 10); TestExternalSubmitWhilePipelined
+// pins today's behaviour for that change to flip.
 
 type externalUser struct {
 	current map[uint64][]client.ChainMessage

@@ -86,9 +86,8 @@ type Frontend struct {
 	// collected is the highest round whose external traffic has been
 	// folded into batches; see SubmitExternal.
 	collected uint64
-	// pipelined records that the last BeginRound named a round past one
-	// still collected and unfinished: the coordinator runs at pipeline
-	// depth > 1, and SubmitExternal's refusals say so.
+	// pipelined is the last BeginRound's word that the coordinator runs
+	// at pipeline depth > 1; SubmitExternal's refusals say so.
 	pipelined bool
 	// params is the last pushed parameter snapshot, serving client
 	// ChainParams between rounds.
@@ -384,7 +383,7 @@ func (f *Frontend) BeginRound(br *BeginRound) (*ShardBuild, error) {
 		return nil, err
 	}
 	f.params = newRoundParams(f.params, br.Round, br.Cur, br.Next, br.Dead)
-	f.pipelined = br.Round > f.round && f.round <= f.collected
+	f.pipelined = br.Pipelined
 	f.round = br.Round
 	params := f.params
 	f.mu.Unlock()

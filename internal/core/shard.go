@@ -91,12 +91,15 @@ func (b *ChainBatch) add(sub onion.Submission, who string) {
 // Round+1 (covers are built one round ahead, §5.3.3). Dead lists
 // chains that failed to announce and have zero parameters in the
 // snapshot; the shard strands their users instead of building.
+// Pipelined says the coordinator runs at pipeline depth > 1, so this
+// begin may come while the round before it still mixes.
 type BeginRound struct {
 	Round     uint64
 	Epoch     uint64
 	NumChains int
 	Cur, Next []mix.Params
 	Dead      []int
+	Pipelined bool
 }
 
 // ShardBuild is a shard's reply to BeginRound: its users' submissions

@@ -4,8 +4,10 @@ package group
 // trick: instead of one field inversion per point (~2.6µs each), the
 // batch pays a single inversion plus three multiplications per point.
 // This is the shared seam behind everything that materializes many
-// points at once — fixed-base table construction, BatchBase results,
-// the Straus MSM's per-point multiple tables, and BatchDH's secrets.
+// points at once — fixed-base table construction, BatchBase's small
+// batches, the Straus MSM's per-point multiple tables, and BatchDH's
+// secrets. (A tree sum, treeSum in fixedbase.go, runs the same trick
+// per level through feBatchInv.)
 
 import "math/big"
 
@@ -104,7 +106,7 @@ func invertZs(js []jacPoint) []fe {
 // BatchToAffine converts a slice of Jacobian points to affine Points
 // with one shared field inversion. Identity points (Z = 0) pass
 // through as identity Points and do not disturb the batch. It is the
-// conversion behind BatchBase and BatchDH.
+// conversion behind BatchBase's walked batches and BatchDH.
 func BatchToAffine(js []jacPoint) []Point {
 	out := make([]Point, len(js))
 	zinv := invertZs(js)

@@ -11,11 +11,11 @@ package group
 // between groups the accumulator is doubled w times (Horner over r), so
 // a walk is one addition per non-zero digit and w·(q−1) doublings.
 //
-//   - The generator (genShape: w = 13, q = 1) is used by every process
+//   - The generator (genShape: w = 11, q = 1) is used by every process
 //     for its whole life — client onion building, per-round key
-//     announcement, NIZK proving all compute g^s — so it gets the wide
-//     shape: 21 rows × 4096 entries, ~5.3 MiB, built once in ~50 ms,
-//     21 additions and no doubling per scalar.
+//     announcement, NIZK proving all compute g^s — so it gets a wide
+//     shape: 24 rows × 1024 entries, 1.5 MiB, built once in ≈ 13 ms,
+//     ≤ 24 additions and no doubling per scalar.
 //   - A chain's public keys (keyShape: w = 4, q = 4) are fixed for an
 //     epoch (mix keys) or a round (inner aggregates) and raised to a
 //     fresh scalar by every user of the chain (§6.2), so they get a
@@ -23,12 +23,12 @@ package group
 //     8.5 KiB, built in under two Point.Muls' time by the first
 //     multiplier (ensure); 65 additions and 12 doublings per scalar
 //     against the ladder's 252 doublings. Point.Precomputed attaches
-//     one. BatchDH, which raises many such keys at once, does not walk
-//     them one by one: it adds all their entries as one tree of affine
-//     additions under shared inversions (treeSum).
+//     one.
 //
-// The generator's tables additionally serve BatchBase's all-affine
-// sweep, which batches the per-window division across many scalars.
+// Many scalars at once — BatchDH over tabled keys, BatchBase over the
+// generator — are not walked one by one: all their entries are added
+// as one tree of affine additions under five shared inversions a chunk
+// (treeSum), whatever the shape.
 //
 // Everything here is variable-time (digit-dependent table indexing and
 // branches, zero digits skipped). That is a deliberate trade: the
@@ -50,16 +50,15 @@ type tableShape struct {
 }
 
 var (
-	genShape = tableShape{window: 13, groups: 1}
+	genShape = tableShape{window: 11, groups: 1}
 	keyShape = tableShape{window: 4, groups: 4}
 )
 
-// maxDigits bounds digits() over both shapes (keyShape's 66), so a
+// maxDigits bounds digits() over both shapes (keyShape's 65), so a
 // walk's digit buffer lives on the stack.
-const maxDigits = 66
+const maxDigits = 65
 
-// digits is how many signed digits cover a 256-bit scalar plus the
-// recoding carry.
+// digits is how many signed digits a 256-bit scalar recodes to.
 func (s tableShape) digits() int { return digitWindows(256, s.window) }
 
 // rows is the number of table rows: digits spread over the groups.
@@ -84,8 +83,8 @@ var genTable = fixedTable{shape: genShape}
 
 // normalizeChunk bounds how many Jacobian entries a table build holds
 // before converting them to affine: a key's whole table (136 entries)
-// shares one inversion, the generator's converts row by row instead of
-// holding 86 016 Jacobian points at once.
+// shares one inversion, the generator's converts four rows at a time
+// instead of holding 24 576 Jacobian points at once.
 const normalizeChunk = 4096
 
 // ensure builds the table of p on first use; concurrent first users
@@ -205,21 +204,25 @@ func (p Point) Precomputed() Point {
 // lanes (BenchmarkBatchDH: level at 4, −12 % at 7, −20 % from 28 up).
 const treeSumMin = 4
 
-// dhChunk is how many exchanges BatchDH resolves at a time. The tree's
-// buffers hold ≈ 6 KiB a lane, and past a few hundred KiB they fall out
-// of cache and cost more to allocate and clear than five more
-// inversions do: 64 lanes (≈ 400 KiB, reused from chunk to chunk) is
+// treeChunk is how many digit slots one tree holds: BatchDH and
+// BatchBase resolve their lanes chunkLanes at a time. The buffers take
+// 96 B a slot, and past a few hundred KiB they fall out of cache and
+// cost more to allocate and clear than five more inversions do: 4160
+// slots (≈ 400 KiB, reused from chunk to chunk) are 64 key lanes —
 // level with one pass at 56 lanes, −10 % at 231 and −20 % at 924, the
-// paper's n = 100, k = 32 round.
-const dhChunk = 64
+// paper's n = 100, k = 32 round — or 173 generator lanes.
+const treeChunk = 4160
+
+// chunkLanes is how many lanes of this shape one tree holds.
+func (s tableShape) chunkLanes() int { return treeChunk / s.digits() }
 
 // BatchDH returns DH(pubs[i], privs[i]) for every i. Precomputed keys
-// (and the generator) run on their tables — dhChunk lanes at a time,
-// summed as one tree from treeSumMin lanes up, walked one by one below
-// — into Jacobian accumulators that share one field inversion, and a
-// run of keys under the same Scalar value — an onion's mix keys under
-// its x — recodes that scalar once; bare points take Point.Mul's ladder
-// one by one, exactly as DH does.
+// (and the generator) run on their tables — in chunks sized for key
+// lanes, summed as one tree from treeSumMin lanes up, walked one by one
+// below — into Jacobian accumulators that share one field inversion,
+// and a run of keys under the same Scalar value — an onion's mix keys
+// under its x — recodes that scalar once; bare points take Point.Mul's
+// ladder one by one, exactly as DH does.
 func BatchDH(pubs []Point, privs []Scalar) [][32]byte {
 	if len(pubs) != len(privs) {
 		panic("group: BatchDH length mismatch")
@@ -227,19 +230,20 @@ func BatchDH(pubs []Point, privs []Scalar) [][32]byte {
 	out := make([][32]byte, len(pubs))
 	ts := treeSums.Get().(*treeSum)
 	defer treeSums.Put(ts)
-	for lo := 0; lo < len(pubs); lo += dhChunk {
-		hi := min(lo+dhChunk, len(pubs))
+	step := keyShape.chunkLanes()
+	for lo := 0; lo < len(pubs); lo += step {
+		hi := min(lo+step, len(pubs))
 		batchDHChunk(ts, pubs[lo:hi], privs[lo:hi], out[lo:hi])
 	}
 	return out
 }
 
-// treeSums keeps BatchDH's tree buffers from one call to the next: a
-// user's round is one call and a chunk's worth of buffers (≈ 400 KiB),
-// and allocating and clearing those per call was most of what a
-// building process allocated. Every byte a call reads it wrote first
-// (gather and reduce append; feBatchInv fills its scratch), so a
-// recycled buffer needs no clearing.
+// treeSums keeps the tree buffers of BatchDH and BatchBase from one call
+// to the next: a user's round is one call of each and at most a chunk's
+// worth of buffers (≈ 400 KiB), and allocating and clearing those per
+// call was most of what a building process allocated. Every byte a call
+// reads it wrote first (gather and reduce append; feBatchInv fills its
+// scratch), so a recycled buffer needs no clearing.
 var treeSums = sync.Pool{New: func() any { return new(treeSum) }}
 
 // batchDHChunk is BatchDH for one chunk, its tree (if the chunk has the
@@ -307,19 +311,21 @@ func batchDHChunk(ts *treeSum, pubs []Point, privs []Scalar, out [][32]byte) {
 // gathered per digit group into contiguous runs, and all runs of all
 // lanes are then reduced level by level, adjacent pairs added in affine
 // coordinates with every chord denominator of a level put through one
-// feBatchInv. A run of 17 halves 17→9→5→3→2→1, so a whole call costs
-// five true inversions and ≈ 6 field multiplications per addition
-// against addAffine's 11; only the w·(q−1) doublings between group
-// sums stay on a Jacobian accumulator (finish).
+// feBatchInv. A key's run of 17 halves 17→9→5→3→2→1 and the
+// generator's of 24 halves 24→12→6→3→2→1, so a whole tree costs five
+// true inversions and ≈ 6 field multiplications per addition against
+// addAffine's 11. A generator lane's one run ends as its affine sum
+// (readBase); a key lane's w·(q−1) doublings between group sums stay on
+// a Jacobian accumulator (finish).
 //
 // The chord formula divides by x₂−x₁, which is zero exactly when a pair
 // doubles or cancels. No canonical recoding reaches that — in every
 // pair the right operand's rows outweigh the left's, as in walk (see
 // TestKeyTableExceptionalPaths) — but a wrong answer here would be a
 // silent one, so each denominator is checked: a run that meets a zero
-// is dropped at that level, and finish sends its lane through walk,
-// which folds both cases itself. The fallback is the reference, so the
-// answer is exact either way.
+// is dropped at that level, and finish or readBase sends its lane
+// through walk, which folds both cases itself. The fallback is the
+// reference, so the answer is exact either way.
 type treeSum struct {
 	pts          []affinePoint // every run's entries, packed
 	runs         []sumRun      // groups() per lane, in gather order
@@ -337,7 +343,7 @@ type sumRun struct {
 
 // reset empties ts for lanes recoding to slots digits in all, growing
 // its buffers if they are short: 64 B of pts per digit and 32 B of
-// denominator and scratch, ≈ 6 KiB for a key-shaped lane's 66 digits,
+// denominator and scratch, ≈ 6 KiB for a key-shaped lane's 65 digits,
 // kept from chunk to chunk and, through treeSums, from call to call.
 func (ts *treeSum) reset(slots int) {
 	if cap(ts.pts) < slots {
@@ -442,119 +448,60 @@ func (ts *treeSum) finish(t *fixedTable, s Scalar, acc *jacPoint) {
 	}
 }
 
-// fbBatchMin is the batch size where the affine accumulation with
-// per-window batched inversions overtakes per-point Jacobian
-// accumulation (21 inversions amortize across the batch).
-const fbBatchMin = 8
+// fbBatchMin is the batch size from which BatchBase sums its lanes as
+// one tree instead of walking each on a Jacobian accumulator. The walk
+// pays one shared inversion at the end, the tree five, and the tree
+// saves ≈ 1.5–3 µs a lane: timed in one process, alternating, on fresh
+// scalars, the two are level at 4–5 scalars and the tree is −7 % at 6,
+// −12 % at 8 and −25 to −38 % at 24.
+const fbBatchMin = 6
 
-// BatchBase computes g^scalars[i] for every scalar with one shared
-// table walk. Large batches run the window sweep entirely in affine
-// coordinates: each window contributes one affine addition per point,
-// whose divisions are batched into a single field inversion across
-// the batch (Montgomery trick), so no per-point inversion is ever
-// paid. Zero scalars yield the identity.
+// BatchBase returns g^scalars[i] for every scalar; zero scalars yield
+// the identity. From fbBatchMin scalars up every scalar's generator
+// entries are gathered into one tree (treeSum), chunkLanes at a time,
+// and each lane's sum is read out already affine; smaller batches walk
+// each scalar and share one inversion at the end.
 func BatchBase(scalars []Scalar) []Point {
 	n := len(scalars)
 	if n == 0 {
 		return nil
 	}
 	genTable.ensure(genPoint)
-	nd := genShape.digits()
+	var buf [maxDigits]int16
 	if n < fbBatchMin {
-		// Jacobian accumulation per point, one shared inversion at
-		// the end.
 		js := make([]jacPoint, n)
-		var buf [maxDigits]int16
 		for i, s := range scalars {
 			genTable.walk(&js[i], genTable.recode(s, &buf))
 		}
 		return BatchToAffine(js)
 	}
-	digits := make([]int16, n*nd)
-	for i, s := range scalars {
-		l := scalarLimbs(s)
-		signedDigits(&l, genShape.window, nd, digits[i*nd:(i+1)*nd])
-	}
-	return batchBaseAffine(digits, n)
-}
-
-// batchBaseAffine is the all-affine window sweep behind BatchBase.
-// Accumulators stay in affine coordinates; each window collects every
-// point's pending addition (or doubling, when the table entry equals
-// the accumulator), inverts all denominators with one inversion, and
-// applies the affine chord/tangent formulas. It reads the generator's
-// table row by row, which its one-group shape (no doublings between
-// digits) is what allows.
-func batchBaseAffine(digits []int16, n int) []Point {
-	nd, half := genShape.digits(), genShape.half()
-	accX := make([]fe, n)
-	accY := make([]fe, n)
-	has := make([]bool, n)
-
-	idx := make([]int, 0, n)   // points with a pending op this window
-	den := make([]fe, 0, n)    // chord/tangent denominators
-	num := make([]fe, 0, n)    // chord/tangent numerators
-	exs := make([]fe, 0, n)    // entry x (equals accX for doublings)
-	scratch := make([]fe, n+1) // for feBatchInv
-
-	for j := 0; j < nd; j++ {
-		idx, den, num, exs = idx[:0], den[:0], num[:0], exs[:0]
-		win := genTable.entries[j*half : (j+1)*half]
-		for i := 0; i < n; i++ {
-			d := digits[i*nd+j]
-			if d == 0 {
-				continue
-			}
-			var e *affinePoint
-			var ey fe
-			if d > 0 {
-				e = &win[d-1]
-				ey = e.y
-			} else {
-				e = &win[-d-1]
-				feNeg(&ey, &e.y)
-			}
-			if !has[i] {
-				accX[i], accY[i], has[i] = e.x, ey, true
-				continue
-			}
-			if accX[i] == e.x {
-				if accY[i] == ey {
-					// Tangent: λ = 3(x²−1)/(2y).
-					var dd, nn fe
-					feDouble(&dd, &accY[i])
-					feTangentNum(&nn, &accX[i])
-					idx = append(idx, i)
-					den = append(den, dd)
-					num = append(num, nn)
-					exs = append(exs, accX[i])
-				} else {
-					has[i] = false // P + (−P): back to the identity
-				}
-				continue
-			}
-			// Chord: λ = (y2−y1)/(x2−x1).
-			var dd, nn fe
-			feSub(&dd, &e.x, &accX[i])
-			feSub(&nn, &ey, &accY[i])
-			idx = append(idx, i)
-			den = append(den, dd)
-			num = append(num, nn)
-			exs = append(exs, e.x)
-		}
-		feBatchInv(den, scratch)
-		for k, i := range idx {
-			var lam fe
-			feMul(&lam, &num[k], &den[k])
-			feChord(&accX[i], &accY[i], &lam, &accX[i], &accY[i], &exs[k])
-		}
-	}
-
 	out := make([]Point, n)
-	for i := range out {
-		if has[i] {
-			out[i] = affine(accX[i], accY[i])
+	ts := treeSums.Get().(*treeSum)
+	defer treeSums.Put(ts)
+	step := genShape.chunkLanes()
+	for lo := 0; lo < n; lo += step {
+		chunk := scalars[lo:min(lo+step, n)]
+		ts.reset(len(chunk) * genShape.digits())
+		for _, s := range chunk {
+			ts.gather(&genTable, genTable.recode(s, &buf))
 		}
+		ts.reduce()
+		ts.readBase(chunk, out[lo:])
 	}
 	return out
+}
+
+// readBase writes the reduced generator lanes gathered from scalars
+// into out. A lane is one run, and the run's one entry is its sum,
+// already affine; an empty run is a zero scalar's identity, and a run
+// that went bad is the walk's to answer, as in finish.
+func (ts *treeSum) readBase(scalars []Scalar, out []Point) {
+	for i, r := range ts.runs {
+		switch {
+		case r.bad:
+			out[i] = genTable.mul(genPoint, scalars[i])
+		case r.n == 1:
+			out[i].affinePoint = ts.pts[r.start]
+		}
+	}
 }

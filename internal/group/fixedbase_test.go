@@ -4,25 +4,29 @@ package group
 
 import (
 	"crypto/rand"
+	"fmt"
 	"math/big"
+	"sync"
 	"testing"
+	"unsafe"
 )
 
 // edgeScalars are the fixed-base edge cases every parity test and
 // fuzz corpus includes: zero, one, two, order−1 (≡ −1, exercising
-// negative digits everywhere), and values straddling window
-// boundaries.
+// negative digits everywhere), and values straddling the generator's
+// window boundaries.
 func edgeScalars() []Scalar {
 	ords := Order()
+	half := int64(genShape.half())
 	return []Scalar{
 		{}, // zero
 		NewScalar(1),
 		NewScalar(2),
-		NewScalar(4096), // exactly the largest window digit
-		NewScalar(4097), // forces a signed-recoding carry
+		NewScalar(half),     // exactly the largest window digit
+		NewScalar(half + 1), // forces a signed-recoding carry
 		ScalarFromBig(new(big.Int).Sub(ords, big.NewInt(1))), // order−1
 		ScalarFromBig(new(big.Int).Lsh(big.NewInt(1), 255)),
-		ScalarFromBig(new(big.Int).Sub(ords, big.NewInt(4096))),
+		ScalarFromBig(new(big.Int).Sub(ords, big.NewInt(half))),
 	}
 }
 
@@ -56,22 +60,27 @@ func TestFixedBaseMatchesCurve(t *testing.T) {
 	}
 }
 
-// TestBatchBaseMatchesBase covers both BatchBase strategies (Jacobian
-// accumulation below fbBatchMin, the all-affine window sweep above)
-// against single-scalar Base, with zero scalars mid-batch.
+// TestBatchBaseMatchesBase covers both BatchBase strategies (the walk
+// below fbBatchMin, the tree from there) against single-scalar Base: a
+// user's round at ℓ = 4 and ℓ = 8 (24 and 48 scalars), one tree chunk
+// and one scalar either side of it, and a probe-sized 1024. Zero and
+// edge scalars sit at the first and last lane of every chunk, and a
+// zero mid-batch.
 func TestBatchBaseMatchesBase(t *testing.T) {
-	for _, n := range []int{1, 2, fbBatchMin - 1, fbBatchMin, 64} {
+	step := genShape.chunkLanes()
+	edges := edgeScalars()
+	for _, n := range []int{1, 2, fbBatchMin - 1, fbBatchMin, 24, 48, step - 1, step, step + 1, 1024} {
 		scalars := make([]Scalar, n)
 		for i := range scalars {
-			s, err := RandomScalar(rand.Reader)
-			if err != nil {
-				t.Fatal(err)
-			}
-			scalars[i] = s
+			scalars[i] = MustRandomScalar()
 		}
 		if n >= fbBatchMin {
-			// Cover the edge cases (including zero) on the affine sweep.
-			copy(scalars, edgeScalars())
+			for lo := 0; lo < n; lo += step {
+				hi := min(lo+step, n)
+				scalars[lo] = Scalar{}
+				scalars[hi-1] = edges[(lo/step)%len(edges)]
+				copy(scalars[lo+1:max(lo+1, hi-1)], edges[1:])
+			}
 		}
 		if n > 2 {
 			scalars[n/2] = Scalar{} // zero mid-batch
@@ -85,6 +94,60 @@ func TestBatchBaseMatchesBase(t *testing.T) {
 				t.Fatalf("n=%d: BatchBase[%d] = %v, want %v", n, i, got[i], want)
 			}
 		}
+	}
+}
+
+// TestBatchBaseConcurrent: BatchBase and BatchDH share the pooled tree
+// buffers (treeSums), so goroutines interleaving calls of both — of
+// different sizes, so a recycled buffer is both longer and shorter
+// than what its next call needs — must each get Base's and DH's
+// answers. Run it under -race -count=10.
+func TestBatchBaseConcurrent(t *testing.T) {
+	keys := make([]Point, 66)
+	for i := range keys {
+		keys[i] = Base(MustRandomScalar()).Precomputed()
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 6; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for round := 0; round < 4; round++ {
+				n := []int{fbBatchMin, 24, 200, 48}[(g+round)%4]
+				scalars := make([]Scalar, n)
+				for i := range scalars {
+					scalars[i] = MustRandomScalar()
+				}
+				got := BatchBase(scalars)
+				for _, i := range []int{0, n / 2, n - 1} {
+					if !got[i].Equal(Base(scalars[i])) {
+						t.Errorf("goroutine %d round %d: BatchBase[%d] of %d differs from Base", g, round, i, n)
+					}
+				}
+				m := []int{7, 66, 28}[(g+round)%3]
+				privs := make([]Scalar, m)
+				for i := range privs {
+					privs[i] = scalars[i%n]
+				}
+				secrets := BatchDH(keys[:m], privs)
+				for _, i := range []int{0, m - 1} {
+					if secrets[i] != DH(keys[i], privs[i]) {
+						t.Errorf("goroutine %d round %d: BatchDH[%d] of %d differs from DH", g, round, i, m)
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// TestGeneratorTableBytes holds the generator's table — built and kept
+// by every process — to the size DESIGN.md states: 24 rows of 1024
+// entries, 1.5 MiB.
+func TestGeneratorTableBytes(t *testing.T) {
+	genTable.ensure(genPoint)
+	if n := len(genTable.entries) * int(unsafe.Sizeof(affinePoint{})); n > 1_600_000 {
+		t.Fatalf("the generator's table is %d bytes, over the 1.6 MB budget", n)
 	}
 }
 
@@ -125,63 +188,92 @@ func TestBatchToAffineMatchesToPoint(t *testing.T) {
 	}
 }
 
-// TestBatchBaseAffineExceptionalPaths drives the tangent (doubling)
-// and chord-cancellation (P + (−P)) branches of the affine window
-// sweep. Canonical scalar recodings can never reach them — a window
-// entry k·2^(13j)·g only collides with a partial sum via wraparound
-// mod the group order — so the test builds synthetic digit vectors:
-// it finds a high-window entry whose residue e = k·2^260 mod order
-// recodes into the low windows, encodes e there, and then adds the
-// window-20 entry itself, forcing acc == entry.
-func TestBatchBaseAffineExceptionalPaths(t *testing.T) {
-	const fbWindows = 21
-	if genShape.digits() != fbWindows {
-		t.Fatalf("generator shape has %d digits, test assumes %d", genShape.digits(), fbWindows)
-	}
-	ords := Order()
-	shift := new(big.Int).Lsh(big.NewInt(1), 13*20) // window-20 base 2^260
-	var kHit int
+// TestBatchBaseTreeFallback drives BatchBase's fallback: a generator
+// lane whose run meets a doubling or a cancelling pair is marked bad
+// and answered by the walk. No canonical recoding reaches that — an
+// entry only collides with a partial sum through the wrap mod n of the
+// top row — so the digit vectors are synthetic. e = k·2^(w·top) mod n
+// is found that recodes below the top row. The tree's last level adds
+// the sum of a lane's first h entries (h the largest power of two
+// under its entry count) to the sum of the rest, so the tangent lane
+// is e's first h non-zero digits as they are, the rest of e's digits
+// negated and k in the top row: both halves are L, the first h digits'
+// value, and the lane is 2L. The cancel lane negates the first h as
+// well: −L + L. An ordinary scalar's lane beside them must stay clean.
+func TestBatchBaseTreeFallback(t *testing.T) {
+	top := genShape.rows() - 1
+	shift := new(big.Int).Lsh(big.NewInt(1), uint(genShape.window*top))
+	var buf [maxDigits]int16
+	k := 0
 	var digits []int16
-	for k := 1; k <= 100; k++ {
+	for digits == nil {
+		if k++; k > genShape.half() {
+			t.Fatalf("no top-row entry k·2^%d wraps to a residue below row %d", genShape.window*top, top)
+		}
 		e := new(big.Int).Mul(big.NewInt(int64(k)), shift)
-		e.Mod(e, ords)
-		l := scalarLimbs(ScalarFromBig(e))
-		d := make([]int16, fbWindows)
-		signedDigits(&l, genShape.window, fbWindows, d)
-		if d[20] == 0 { // e fits in windows 0..19: window 20 is free
-			kHit, digits = k, d
-			break
+		if d := genTable.recode(ScalarFromBig(e), &buf); d[top] == 0 {
+			digits = append([]int16(nil), d...)
 		}
 	}
-	if digits == nil {
-		t.Fatal("no window-20 residue recodes into 20 windows")
+	var nonZero []int
+	for j, d := range digits {
+		if d != 0 {
+			nonZero = append(nonZero, j)
+		}
 	}
-	e := new(big.Int).Mul(big.NewInt(int64(kHit)), shift)
-	e.Mod(e, ords)
-
-	// Lane 0 (tangent): digits of e plus the window-20 entry k —
-	// the accumulator equals the entry, so the sweep must double.
+	h := 1
+	for 2*h < len(nonZero)+1 {
+		h *= 2
+	}
 	tangent := append([]int16(nil), digits...)
-	tangent[20] = int16(kHit)
-	// Lane 1 (cancel): digits of −e plus the same entry — the sum is
-	// the identity.
-	cancel := make([]int16, fbWindows)
-	for i, d := range digits {
-		cancel[i] = -d
+	cancel := append([]int16(nil), digits...)
+	low := new(big.Int)
+	for i, j := range nonZero {
+		if i < h {
+			cancel[j] = -digits[j]
+			low.Add(low, new(big.Int).Lsh(big.NewInt(int64(digits[j])), uint(genShape.window*j)))
+		} else {
+			tangent[j], cancel[j] = -digits[j], -digits[j]
+		}
 	}
-	cancel[20] = int16(kHit)
+	tangent[top], cancel[top] = int16(k), int16(k)
+	twoL := ScalarFromBig(new(big.Int).Lsh(low, 1))
 
 	genTable.ensure(genPoint)
-	all := append(append([]int16(nil), tangent...), cancel...)
-	got := batchBaseAffine(all, 2)
+	var acc jacPoint
+	genTable.walk(&acc, tangent)
+	if !acc.toPoint().Equal(Base(twoL)) {
+		t.Fatal("the tangent vector does not sum to 2L")
+	}
+	acc.setIdentity()
+	genTable.walk(&acc, cancel)
+	if !acc.isIdentity() {
+		t.Fatal("the cancel vector does not sum to the identity")
+	}
 
-	twoE := new(big.Int).Lsh(e, 1)
-	twoE.Mod(twoE, ords)
-	if want := Base(ScalarFromBig(twoE)); !got[0].Equal(want) {
-		t.Fatalf("tangent lane = %v, want g^2e = %v", got[0], want)
+	ordinary := MustRandomScalar()
+	var ts treeSum
+	ts.reset(3 * genShape.digits())
+	ts.gather(&genTable, tangent)
+	ts.gather(&genTable, cancel)
+	ts.gather(&genTable, genTable.recode(ordinary, &buf))
+	ts.reduce()
+	if !ts.runs[0].bad || !ts.runs[1].bad {
+		t.Fatal("a doubling and a cancelling pair must mark their runs")
+	}
+	if r := ts.runs[2]; r.bad || r.n != 1 {
+		t.Fatalf("the ordinary lane: bad=%v n=%d, want one clean sum", r.bad, r.n)
+	}
+	got := make([]Point, 3)
+	ts.readBase([]Scalar{twoL, {}, ordinary}, got)
+	if !got[0].Equal(Base(twoL)) {
+		t.Fatalf("tangent lane = %v, want g^2L = %v", got[0], Base(twoL))
 	}
 	if !got[1].IsIdentity() {
 		t.Fatalf("cancel lane = %v, want identity", got[1])
+	}
+	if !got[2].Equal(Base(ordinary)) {
+		t.Fatalf("ordinary lane = %v, want %v", got[2], Base(ordinary))
 	}
 }
 
@@ -229,8 +321,9 @@ func TestMulGeneratorFastPath(t *testing.T) {
 	}
 }
 
-// FuzzScalarBaseMult cross-checks Base and both BatchBase strategies
-// against crypto/elliptic for arbitrary 32-byte scalar material.
+// FuzzScalarBaseMult cross-checks Base and both BatchBase strategies —
+// the walk below fbBatchMin and the tree from there — against
+// crypto/elliptic for arbitrary 32-byte scalar material.
 func FuzzScalarBaseMult(f *testing.F) {
 	f.Add(make([]byte, 32)) // zero scalar → identity
 	one := make([]byte, 32)
@@ -255,8 +348,8 @@ func FuzzScalarBaseMult(f *testing.F) {
 				t.Fatal("Base disagrees with curve.ScalarBaseMult")
 			}
 		}
-		// Both batch strategies must agree: n=2 runs Jacobian
-		// accumulation, n=fbBatchMin runs the affine sweep.
+		// Both batch strategies must agree: n=2 walks each scalar,
+		// n=fbBatchMin sums them as one tree.
 		small := BatchBase([]Scalar{s, s})
 		batch := make([]Scalar, fbBatchMin)
 		for i := range batch {
@@ -305,11 +398,12 @@ func FuzzBatchToAffine(f *testing.F) {
 	})
 }
 
-// BenchmarkFixedBase is the before/after record for the tentpole:
-// stdlib is the crypto/elliptic path Base used to take, precomp the
-// table-driven single-scalar path, batch1024 the amortized batch path
-// (ns/op is per point: each iteration accounts for one point of a
-// 1024-point batch).
+// BenchmarkFixedBase is the generator table's record: stdlib is the
+// crypto/elliptic path Base used to take, precomp the table-driven
+// single-scalar path, batch1024 the amortized batch path (ns/op is per
+// point: each iteration accounts for one point of a 1024-point batch),
+// and build a fresh table — what every process pays before its first
+// g^s.
 func BenchmarkFixedBase(b *testing.B) {
 	s, err := RandomScalar(rand.Reader)
 	if err != nil {
@@ -339,6 +433,32 @@ func BenchmarkFixedBase(b *testing.B) {
 			BatchBase(scalars)
 		}
 	})
+	b.Run("build", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			t := fixedTable{shape: genShape}
+			t.ensure(genPoint)
+		}
+	})
+}
+
+// BenchmarkBatchBase is BatchBase at the sizes that call it, in µs a
+// call: 3 scalars (one onion: g^y, g^x, g^v) and 24 and 48 (a user's
+// round at ℓ = 4 and ℓ = 8, what WrapAHSBatch passes on mix-k6 and
+// sim-build).
+func BenchmarkBatchBase(b *testing.B) {
+	genTable.ensure(genPoint)
+	for _, n := range []int{3, 24, 48} {
+		scalars := make([]Scalar, n)
+		for i := range scalars {
+			scalars[i] = MustRandomScalar()
+		}
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				BatchBase(scalars)
+			}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "µs/call")
+		})
+	}
 }
 
 // BenchmarkBatchToAffine is the before/after record for batch

@@ -233,11 +233,11 @@ func Generator() Point { return genPoint }
 func Identity() Point { return Point{} }
 
 // Base returns g^s, the generator raised to scalar s. It runs on the
-// generator's table of fixedbase.go (one mixed addition per 13-bit
-// digit, no doublings), which is several times faster than
+// generator's table of fixedbase.go (one mixed addition per non-zero
+// 11-bit digit, no doublings), which is several times faster than
 // crypto/elliptic's ScalarBaseMult; callers producing many points at
-// once should prefer BatchBase, which also amortizes the final
-// inversion. See fixedbase.go for the variable-time trade-off
+// once should prefer BatchBase, which sums them as one tree under
+// shared inversions. See fixedbase.go for the variable-time trade-off
 // discussion.
 func Base(s Scalar) Point {
 	if s.IsZero() {

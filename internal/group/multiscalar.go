@@ -110,10 +110,14 @@ func signedDigits(l *[4]uint64, w, nw int, out []int16) {
 	}
 }
 
-// digitWindows returns how many w-bit windows cover maxBits plus the
-// possible signed-recoding carry.
+// digitWindows returns exactly how many signed w-bit digits a value of
+// maxBits bits recodes to. The ⌈maxBits/w⌉ windows cover its bits; a
+// carry out of the top one needs one more digit only when that window
+// is full (w divides maxBits): a top window of fewer than w bits holds
+// at most 2^(w−1)−1, plus a carry of 1 that is still a digit, not a
+// carry. Both cases are ⌊maxBits/w⌋+1 (TestDigitWindowsExact).
 func digitWindows(maxBits, w int) int {
-	return (maxBits+1+w-1)/w + 1
+	return maxBits/w + 1
 }
 
 // strausMSM interleaves per-point windowed tables over one shared

@@ -152,6 +152,56 @@ func TestJacobianMatchesCurve(t *testing.T) {
 	}
 }
 
+// TestDigitWindowsExact holds digitWindows to what signedDigits fills.
+// Recoded into one digit more than the count, a value of at most
+// maxBits bits leaves that digit zero and the counted digits rebuild
+// it; the largest such value needs the top counted digit, so no
+// smaller count would do. All values up to 13 bits are checked at
+// every width 2..13, and the 256-bit edges a scalar reaches (n − 1,
+// 2^255, 2^256 mod n) plus 2^256 − 1, the widest four limbs.
+func TestDigitWindowsExact(t *testing.T) {
+	check := func(v *big.Int, maxBits, w int) (top int16) {
+		t.Helper()
+		var b [ScalarSize]byte
+		l := limbsFromBytes(v.FillBytes(b[:]))
+		nd := digitWindows(maxBits, w)
+		d := make([]int16, nd+1)
+		signedDigits(&l, w, nd+1, d)
+		if d[nd] != 0 {
+			t.Fatalf("%d bits, w = %d: %v recodes past the %d counted digits", maxBits, w, v, nd)
+		}
+		sum := new(big.Int)
+		for j := nd - 1; j >= 0; j-- {
+			sum.Lsh(sum, uint(w)).Add(sum, big.NewInt(int64(d[j])))
+		}
+		if sum.Cmp(v) != 0 {
+			t.Fatalf("%d bits, w = %d: the digits of %v rebuild %v", maxBits, w, v, sum)
+		}
+		return d[nd-1]
+	}
+	pow := func(k uint) *big.Int { return new(big.Int).Lsh(big.NewInt(1), k) }
+	edges := []*big.Int{
+		new(big.Int).Sub(Order(), big.NewInt(1)),
+		pow(255),
+		new(big.Int).Mod(pow(256), Order()),
+		new(big.Int).Sub(pow(256), big.NewInt(1)),
+	}
+	for w := 2; w <= 13; w++ {
+		for maxBits := 1; maxBits <= 13; maxBits++ {
+			for v := int64(0); v < 1<<maxBits; v++ {
+				if top := check(big.NewInt(v), maxBits, w); v == 1<<maxBits-1 && top == 0 {
+					t.Fatalf("%d bits, w = %d: %d digits, one more than %d needs", maxBits, w, digitWindows(maxBits, w), v)
+				}
+			}
+		}
+		for i, v := range edges {
+			if top := check(v, 256, w); i == len(edges)-1 && top == 0 {
+				t.Fatalf("w = %d: 2^256 − 1 leaves the top of %d digits zero", w, digitWindows(256, w))
+			}
+		}
+	}
+}
+
 // TestMultiScalarMultMatchesNaive pins the MSM against the naive
 // product across its code paths (one point's Mul, Straus, Pippenger)
 // and the window-count boundaries.

@@ -82,8 +82,8 @@ func TestPrecomputedMulMatchesStdlib(t *testing.T) {
 
 // TestKeyTableExceptionalPaths drives the walker's accumulator-equals-
 // entry (doubling) and accumulator-equals-minus-entry (cancel)
-// branches on a key table. As with the generator's sweep
-// (TestBatchBaseAffineExceptionalPaths) no canonical recoding reaches
+// branches on a key table. As with the generator's tree
+// (TestBatchBaseTreeFallback) no canonical recoding reaches
 // them — every partial sum is smaller in magnitude than the next
 // entry's weight — so the digit vector is synthetic: e = 2^256 mod n
 // recodes into rows 0..15, and adding row 16's entry 1·2^256·P on top
@@ -130,9 +130,10 @@ func TestBatchDHMatchesDH(t *testing.T) {
 	if got := BatchDH(nil, nil); len(got) != 0 {
 		t.Fatalf("empty batch returned %d secrets", len(got))
 	}
-	// dhChunk−2 tabled lanes make dhChunk+2 exchanges with the four other
+	// chunk−2 tabled lanes make chunk+2 exchanges with the four other
 	// kinds: a tree chunk, then a two-lane chunk that walks.
-	for _, tabled := range []int{0, 1, treeSumMin - 1, treeSumMin, treeSumMin + 1, 56, dhChunk - 2, 924} {
+	chunk := keyShape.chunkLanes()
+	for _, tabled := range []int{0, 1, treeSumMin - 1, treeSumMin, treeSumMin + 1, 56, chunk - 2, 924} {
 		x, y := MustRandomScalar(), MustRandomScalar()
 		var bare, pubs []Point
 		var privs []Scalar

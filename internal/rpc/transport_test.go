@@ -203,7 +203,7 @@ func sampleRequests(e *endpoints) map[string]any {
 		"hop.accuse":  HopAccuseRequest{Round: 1, Msg: 0, Key: g},
 
 		"shard.init":      ShardInitRequest{Lo: 0, Hi: 32, Epoch: 0, Round: 1, NumChains: 2, ChainLength: 3, Cur: params, Next: params},
-		"shard.begin":     core.BeginRound{Round: 1, NumChains: 2, Cur: params, Next: params},
+		"shard.begin":     core.BeginRound{Round: 1, NumChains: 2, Cur: params, Next: params, Pipelined: true},
 		"shard.finish":    core.FinishRound{Round: 1, Delivered: [][]byte{g.Bytes()}, NumChains: 2, Cur: params, Next: params},
 		"shard.abort":     ShardAbortRequest{Round: 1},
 		"shard.rebalance": ShardRebalanceRequest{Epoch: 1, NumChains: 2},

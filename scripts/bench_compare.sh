@@ -9,18 +9,21 @@
 # CI passes the merge base and the head. N is the number of pairs
 # (default 5).
 #
-# The gated families — ScalarBaseMult, MultiScalarMult, SubmissionVerify,
-# BatchMul and Dleq — are tight loops of pure computation, and what a
-# regression in them means is a lost precomputation path, a batch seam
-# silently falling back to per-item work, or a prover raising a power
-# its caller already holds. Register and SnapshotImage (internal/core)
+# The gated families — ScalarBaseMult, BatchBase, MultiScalarMult,
+# SubmissionVerify, BatchMul and Dleq — are tight loops of pure
+# computation, and what a regression in them means is a lost
+# precomputation path, a batch seam silently falling back to per-item
+# work, or a prover raising a power its caller already holds. BatchBase
+# (3, 24 and 48 scalars: one onion, a user's round at ℓ = 4 and 8)
+# prices the generator's tree sum; a row that jumps means its lanes are
+# walked one by one again. Register and SnapshotImage (internal/core)
 # price one registered-only user at a gateway and the snapshot of
 # 100 000 of them: a row that jumps means a registration grew back into
 # an object per user. SubmissionVerify's dirty rows (1, 2, 16 and
 # n/8 bad proofs in a batch) price the halving of a failed chunk's
 # defect; there is no per-proof sweep above its 8-proof leaves any more,
 # so a row that jumps means the walk lost its inference, not that a
-# cut-off moved. Those rows and Dleq are compared from the first commit
+# cut-off moved. Those rows, Dleq and BatchBase are compared from the first commit
 # both sides have them — until then they are listed as only on the
 # head. Absolute ns/op say
 # nothing across boxes or days (one untouched benchmark has read
@@ -38,7 +41,7 @@ usage="usage: bench_compare.sh BASE [HEAD=.] [N=5]"
 base=${1:?$usage}
 head=${2:-.}
 pairs=${3:-5}
-gated='^Benchmark(ScalarBaseMult|MultiScalarMult|SubmissionVerify|BatchMul|Dleq|Register|SnapshotImage)$'
+gated='^Benchmark(ScalarBaseMult|BatchBase|MultiScalarMult|SubmissionVerify|BatchMul|Dleq|Register|SnapshotImage)$'
 packages=". ./internal/group ./internal/nizk ./internal/core" # where the gated families live
 
 repo=$(cd "$(dirname "$0")/.." && pwd)
