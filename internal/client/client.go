@@ -28,6 +28,7 @@ package client
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/aead"
@@ -79,23 +80,21 @@ type User struct {
 	// partners maps a meeting chain to the partner this user
 	// converses with there (§9: one conversation per chain).
 	partners map[int]*peer
-	// outbox queues message bodies per partner (keyed by compressed
-	// public key).
-	outbox map[string][][]byte
 	// former retains ended partners' keys so stragglers — most
 	// notably a former partner's banked cover messages arriving a
 	// round after the offline signal — still decrypt.
 	former []*peer
 
-	// drained records the conversation bodies each recent build
-	// consumed from the outbox, keyed by round. Rebalance marks every
-	// record stale: the builds that drained them were wrapped against
-	// the old epoch's chains, so a pipelining coordinator discards
-	// them — and when a stale record's round is then rebuilt, its
-	// bodies are pushed back to the front of the queue first (rounds
-	// execute in order, so rebuilding round ρ proves no round ≥ ρ
-	// ever ran, and those bodies would otherwise be silently lost).
-	drained map[uint64]*drainRecord
+	// drained records the conversation bodies recent builds popped
+	// from partners' queues, one record per body in the order they
+	// were popped. Rebalance marks every record stale: the builds that
+	// drained them were wrapped against the old epoch's chains, so a
+	// pipelining coordinator discards them — and when a stale record's
+	// round is then rebuilt, its body is pushed back to the front of
+	// its queue first (rounds execute in order, so rebuilding round ρ
+	// proves no round ≥ ρ ever ran, and those bodies would otherwise
+	// be silently lost).
+	drained []drainRecord
 }
 
 // peer is a conversation partner and the Diffie-Hellman secret her
@@ -111,6 +110,8 @@ type peer struct {
 	key       group.Point
 	shared    [32]byte
 	exchanged bool
+	// outbox queues the bodies to send her, one a round.
+	outbox [][]byte
 }
 
 // secret returns the static shared secret with p, exchanging on first
@@ -135,10 +136,12 @@ func (u *User) peerFor(partner group.Point) *peer {
 	return &peer{key: partner}
 }
 
-// drainRecord is the outbox bodies one round's build consumed.
+// drainRecord is one body a round's build popped from p's outbox.
 type drainRecord struct {
-	bodies map[string][]byte
-	// stale is set by Rebalance: the build that drained these bodies
+	round uint64
+	p     *peer
+	body  []byte
+	// stale is set by Rebalance: the build that drained this body
 	// predates an epoch re-formation and may never have executed.
 	stale bool
 }
@@ -154,7 +157,6 @@ func NewUser(scheme aead.Scheme, plan *chainsel.Plan) *User {
 		plan:     plan,
 		identity: group.GenerateBaseKeyPair(),
 		partners: make(map[int]*peer),
-		outbox:   make(map[string][][]byte),
 	}
 	copy(u.loopbackSecret[:], group.MustRandomScalar().Bytes())
 	return u
@@ -217,9 +219,9 @@ func (u *User) StartConversations(partners []group.Point) error {
 func (u *User) EndConversation(partner group.Point) {
 	for c, p := range u.partners {
 		if p.key.Equal(partner) {
+			p.outbox = nil
 			u.retainFormer(p)
 			delete(u.partners, c)
-			delete(u.outbox, string(p.key.Bytes()))
 		}
 	}
 }
@@ -227,10 +229,10 @@ func (u *User) EndConversation(partner group.Point) {
 // EndAllConversations reverts to loopback-only traffic.
 func (u *User) EndAllConversations() {
 	for _, p := range u.partners {
+		p.outbox = nil
 		u.retainFormer(p)
 	}
 	u.partners = make(map[int]*peer)
-	u.outbox = make(map[string][][]byte)
 }
 
 func (u *User) retainFormer(p *peer) {
@@ -275,8 +277,7 @@ func (u *User) QueueMessageFor(partner group.Point, body []byte) error {
 	}
 	for _, p := range u.partners {
 		if p.key.Equal(partner) {
-			key := string(partner.Bytes())
-			u.outbox[key] = append(u.outbox[key], append([]byte(nil), body...))
+			p.outbox = append(p.outbox, append([]byte(nil), body...))
 			return nil
 		}
 	}
@@ -321,8 +322,8 @@ func (u *User) Rebalance(plan *chainsel.Plan) (dropped []group.Point) {
 	// Builds made so far were wrapped against the old epoch's chain
 	// keys, so any of them not yet executed will be rebuilt; mark
 	// their drained bodies restorable.
-	for _, d := range u.drained {
-		d.stale = true
+	for i := range u.drained {
+		u.drained[i].stale = true
 	}
 
 	// Deterministic order: both ends of every conversation, and every
@@ -337,8 +338,8 @@ func (u *User) Rebalance(plan *chainsel.Plan) (dropped []group.Point) {
 	for _, p := range ps {
 		meeting := plan.MeetingChainForUsers(u.Mailbox(), p.key.Bytes())
 		if _, taken := u.partners[meeting]; taken {
+			p.outbox = nil
 			u.retainFormer(p)
-			delete(u.outbox, string(p.key.Bytes()))
 			dropped = append(dropped, p.key)
 			continue
 		}
@@ -374,6 +375,10 @@ type RoundOutput struct {
 // the bodies its stale predecessor drained are restored first.
 func (u *User) BuildRound(rho uint64, src ParamsSource) (*RoundOutput, error) {
 	u.restoreDrained(rho)
+	// Rounds before rho−1 have run, so their records are never restored;
+	// dropping them before this build's appends keeps the slice at two
+	// rounds' worth.
+	u.drained = slices.DeleteFunc(u.drained, func(d drainRecord) bool { return d.round+2 <= rho })
 	cur, err := u.laneJobs(rho, LaneCurrent, src)
 	if err != nil {
 		return nil, fmt.Errorf("client: building round %d: %w", rho, err)
@@ -387,11 +392,6 @@ func (u *User) BuildRound(rho uint64, src ParamsSource) (*RoundOutput, error) {
 	subs, err := onion.WrapAHSBatch(u.scheme, append(cur, cover...))
 	if err != nil {
 		return nil, fmt.Errorf("client: building round %d: %w", rho, err)
-	}
-	for r := range u.drained {
-		if r+2 <= rho {
-			delete(u.drained, r)
-		}
 	}
 	// The lanes get an array each: covers are banked for a round after
 	// the current lane's messages are done with.
@@ -414,22 +414,17 @@ func chainMessages(jobs []onion.WrapJob, subs []onion.Submission) []ChainMessage
 // restoreDrained pushes back every outbox body consumed by a stale
 // build for round rho or later. It runs when rho is built fresh,
 // which proves no round ≥ rho has executed — whatever those stale
-// builds drained was never delivered. Later rounds' bodies are
-// restored first so the queue ends up in original send order.
+// builds drained was never delivered. The records are in pop order,
+// so undoing them newest first (later rounds first) puts each queue
+// back in original send order.
 func (u *User) restoreDrained(rho uint64) {
-	var rounds []uint64
-	for r, d := range u.drained {
-		if r >= rho && d.stale {
-			rounds = append(rounds, r)
+	restorable := func(d drainRecord) bool { return d.stale && d.round >= rho }
+	for i := len(u.drained) - 1; i >= 0; i-- {
+		if d := u.drained[i]; restorable(d) {
+			d.p.outbox = slices.Insert(d.p.outbox, 0, d.body)
 		}
 	}
-	sort.Slice(rounds, func(i, j int) bool { return rounds[i] > rounds[j] })
-	for _, r := range rounds {
-		for pk, body := range u.drained[r].bodies {
-			u.outbox[pk] = append([][]byte{body}, u.outbox[pk]...)
-		}
-		delete(u.drained, r)
-	}
+	u.drained = slices.DeleteFunc(u.drained, restorable)
 }
 
 // laneJobs lays out the ℓ onions of one lane for the given round: the
@@ -480,24 +475,15 @@ func (u *User) laneJobs(round uint64, lane byte, src ParamsSource) ([]onion.Wrap
 // is recorded in drained so a discarded build's bodies can be
 // restored (see restoreDrained).
 func (u *User) conversationMessage(round uint64, partner *peer, lane byte, nonce [aead.NonceSize]byte) ([]byte, error) {
-	pkb := partner.key.Bytes()
-	key := kdf.ConversationKey(u.secret(partner), pkb)
+	key := kdf.ConversationKey(u.secret(partner), partner.key.Bytes())
 	payload := onion.Payload{Kind: onion.KindConversation}
 	if lane == LaneCover {
 		payload.Kind = onion.KindOffline
-	} else {
-		pk := string(pkb)
-		if q := u.outbox[pk]; len(q) > 0 {
-			payload.Body = q[0]
-			u.outbox[pk] = q[1:]
-			if u.drained == nil {
-				u.drained = make(map[uint64]*drainRecord, 2)
-			}
-			if u.drained[round] == nil {
-				u.drained[round] = &drainRecord{bodies: make(map[string][]byte, 1)}
-			}
-			u.drained[round].bodies[pk] = payload.Body
-		}
+	} else if q := partner.outbox; len(q) > 0 {
+		payload.Body = q[0]
+		q[0] = nil // the queue's array must not pin a sent body
+		partner.outbox = q[1:]
+		u.drained = append(u.drained, drainRecord{round: round, p: partner, body: payload.Body})
 	}
 	return onion.SealMailboxMessage(u.scheme, key, nonce, partner.key, payload)
 }

@@ -353,16 +353,9 @@ func (f *Frontend) imageLocked() []byte {
 		b = appendRecord(b, opDeliver, encodeDeliver(rm.Round, rm.Msgs))
 	}
 	for _, who := range slices.Sorted(maps.Keys(f.externals)) {
-		eu := f.externals[who]
-		// A submission for round r fills current[r] and cover[r+1].
-		rounds := slices.Collect(maps.Keys(eu.current))
-		for r := range eu.cover {
-			rounds = append(rounds, r-1)
-		}
-		slices.Sort(rounds)
-		for _, r := range slices.Compact(rounds) {
+		for _, s := range f.externals[who].subs {
 			b = appendRecord(b, opSubmit, encodeSubmit(who, &client.RoundOutput{
-				Round: r, Current: eu.current[r], Cover: eu.cover[r+1],
+				Round: s.round, Current: s.current, Cover: s.cover,
 			}))
 		}
 	}
@@ -524,8 +517,8 @@ func (f *Frontend) commitWatermarkLocked(w watermark) error {
 // round, cover for the round after. The mailbox's length and the chain
 // indices are checked here, so bytes read back from disk key the state
 // and index the batches no more freely than bytes off the wire. A lane
-// without messages stays absent: an empty current[ρ] would shadow that
-// round's cover in collectExternalsLocked. Callers hold f.mu.
+// without messages leaves the entry's lane as it was, and a submission
+// with neither banks nothing. Callers hold f.mu.
 func (f *Frontend) applySubmitLocked(mailbox string, out *client.RoundOutput) error {
 	if _, err := parseMailboxID(mailbox); err != nil {
 		return err
@@ -543,19 +536,20 @@ func (f *Frontend) applySubmitLocked(mailbox string, out *client.RoundOutput) er
 			}
 		}
 	}
-	eu, ok := f.externals[mailbox]
-	if !ok {
-		eu = &externalUser{
-			current: make(map[uint64][]client.ChainMessage),
-			cover:   make(map[uint64][]client.ChainMessage),
-		}
+	if len(out.Current)+len(out.Cover) == 0 {
+		return nil
+	}
+	eu := f.externals[mailbox]
+	if eu == nil {
+		eu = &externalUser{}
 		f.externals[mailbox] = eu
 	}
+	s := eu.entry(out.Round)
 	if len(out.Current) > 0 {
-		eu.current[out.Round] = out.Current
+		s.current = out.Current
 	}
 	if len(out.Cover) > 0 {
-		eu.cover[out.Round+1] = out.Cover
+		s.cover = out.Cover
 	}
 	return nil
 }

@@ -327,10 +327,10 @@ func TestCoverSurvivesRecovery(t *testing.T) {
 			}
 			s.crash()
 			eu := s.fe.externals[who]
-			if eu == nil || len(eu.cover[2]) != 2 {
+			if eu == nil || len(eu.cover(2)) != 2 {
 				t.Fatalf("round 2's cover did not survive recovery: %+v", eu)
 			}
-			if _, ok := eu.current[1]; ok {
+			if eu.current(1) != nil {
 				t.Fatal("the consumed current lane came back")
 			}
 			// Round 2 runs on her cover.

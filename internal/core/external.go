@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/client"
 )
@@ -32,9 +33,73 @@ import (
 // pipeline type (ROADMAP item 10); TestExternalSubmitWhilePipelined
 // pins today's behaviour for that change to flip.
 
+// externalUser is one remote user's banked traffic: an entry per
+// accepted submission, in round order. A user holds one or two at a
+// time — the upcoming round's, and the last collected one's covers.
 type externalUser struct {
-	current map[uint64][]client.ChainMessage
-	cover   map[uint64][]client.ChainMessage
+	subs []externalSub
+}
+
+// externalSub is what one submission banked: the messages for its
+// round and the covers for the round after. A lane without messages
+// is nil, and an entry with neither is dropped.
+type externalSub struct {
+	round          uint64
+	current, cover []client.ChainMessage
+}
+
+// current returns the messages submitted for round r.
+func (eu *externalUser) current(r uint64) []client.ChainMessage {
+	for i := range eu.subs {
+		if eu.subs[i].round == r {
+			return eu.subs[i].current
+		}
+	}
+	return nil
+}
+
+// cover returns the covers banked for round r, which the submission
+// for round r−1 carried.
+func (eu *externalUser) cover(r uint64) []client.ChainMessage {
+	for i := range eu.subs {
+		if eu.subs[i].round+1 == r {
+			return eu.subs[i].cover
+		}
+	}
+	return nil
+}
+
+// entry returns round r's entry, inserting an empty one in round order
+// if there is none.
+func (eu *externalUser) entry(r uint64) *externalSub {
+	i := 0
+	for i < len(eu.subs) && eu.subs[i].round < r {
+		i++
+	}
+	if i == len(eu.subs) || eu.subs[i].round != r {
+		eu.subs = slices.Insert(eu.subs, i, externalSub{round: r})
+	}
+	return &eu.subs[i]
+}
+
+// dropThrough drops the traffic for rounds up to and including rho,
+// and the entries left empty, and reports whether any traffic is left.
+func (eu *externalUser) dropThrough(rho uint64) bool {
+	kept := eu.subs[:0]
+	for _, s := range eu.subs {
+		if s.round <= rho {
+			s.current = nil
+		}
+		if s.round < rho { // its covers are for round s.round+1
+			s.cover = nil
+		}
+		if len(s.current)+len(s.cover) > 0 {
+			kept = append(kept, s)
+		}
+	}
+	clear(eu.subs[len(kept):])
+	eu.subs = kept
+	return len(kept) > 0
 }
 
 // SubmitExternal queues a remote user's round output. current must
@@ -59,10 +124,8 @@ func (f *Frontend) SubmitExternal(mailbox string, out *client.RoundOutput) error
 	if len(out.Current) == 0 {
 		return fmt.Errorf("core: submission carries no messages for round %d", out.Round)
 	}
-	if eu := f.externals[mailbox]; eu != nil {
-		if _, dup := eu.current[out.Round]; dup {
-			return fmt.Errorf("core: duplicate submission for round %d", out.Round)
-		}
+	if eu := f.externals[mailbox]; eu != nil && len(eu.current(out.Round)) > 0 {
+		return fmt.Errorf("core: duplicate submission for round %d", out.Round)
 	}
 	if err := f.applySubmitLocked(mailbox, out); err != nil {
 		return err
@@ -78,8 +141,10 @@ func (f *Frontend) SubmitExternal(mailbox string, out *client.RoundOutput) error
 	}
 	if err != nil {
 		eu := f.externals[mailbox]
-		delete(eu.current, out.Round)
-		delete(eu.cover, out.Round+1)
+		eu.subs = slices.DeleteFunc(eu.subs, func(s externalSub) bool { return s.round == out.Round })
+		if len(eu.subs) == 0 {
+			delete(f.externals, mailbox)
+		}
 		return fmt.Errorf("core: persisting submission: %w", err)
 	}
 	return nil
@@ -95,9 +160,9 @@ func (f *Frontend) collectExternalsLocked(rho uint64, batches []ChainBatch) int 
 	}
 	covered := 0
 	for who, eu := range f.externals {
-		msgs, ok := eu.current[rho]
-		if !ok {
-			if msgs, ok = eu.cover[rho]; ok {
+		msgs := eu.current(rho)
+		if len(msgs) == 0 {
+			if msgs = eu.cover(rho); len(msgs) > 0 {
 				covered++
 			}
 		}
@@ -114,14 +179,7 @@ func (f *Frontend) collectExternalsLocked(rho uint64, batches []ChainBatch) int 
 // left with none. Callers hold f.mu.
 func (f *Frontend) dropExternalsThroughLocked(rho uint64) {
 	for who, eu := range f.externals {
-		for _, lane := range []map[uint64][]client.ChainMessage{eu.current, eu.cover} {
-			for r := range lane {
-				if r <= rho {
-					delete(lane, r)
-				}
-			}
-		}
-		if len(eu.current)+len(eu.cover) == 0 {
+		if !eu.dropThrough(rho) {
 			delete(f.externals, who)
 		}
 	}

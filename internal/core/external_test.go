@@ -1,12 +1,16 @@
 package core
 
 import (
+	"errors"
+	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
 	"repro/internal/aead"
 	"repro/internal/client"
 	"repro/internal/mix"
+	"repro/internal/store"
 )
 
 // TestSubmitExternalRejectsCollectedRound pins the submission-window
@@ -158,5 +162,94 @@ func TestExternalSubmitWhilePipelined(t *testing.T) {
 	serial := depthNetwork(t, 6, 2, 1, false)
 	if err := serial.SubmitExternal(mailbox, &ahead); err == nil || !strings.Contains(err.Error(), "round 1 is open") {
 		t.Fatalf("serial early submission: %v", err)
+	}
+}
+
+// syncFails is a store whose Sync fails while fail is set.
+type syncFails struct {
+	store.Mem
+	fail bool
+}
+
+func (s *syncFails) Sync() error {
+	if s.fail {
+		return errors.New("sync: device gone")
+	}
+	return nil
+}
+
+// TestSubmitRefusedAtPersistLeavesNoTrace: a submission the shard
+// cannot log is refused, and a refused first submission leaves no
+// record behind (one used to stay, empty, until the next collection).
+// A refused submission from a user with banked covers keeps them.
+func TestSubmitRefusedAtPersistLeavesNoTrace(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	st := &syncFails{fail: true}
+	fe, err := NewFrontend(FrontendConfig{NumChains: 3, Store: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stranger, banked := string(testMailbox(0)), string(testMailbox(1))
+	if err := fe.SubmitExternal(stranger, testOutput(rng, 1, 3)); err == nil || !strings.Contains(err.Error(), "persisting") {
+		t.Fatalf("submission with a failing sync: err = %v", err)
+	}
+	if len(fe.externals) != 0 {
+		t.Fatalf("a refused first submission left %d records", len(fe.externals))
+	}
+	st.fail = false
+	if err := fe.SubmitExternal(banked, testOutput(rng, 1, 3)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fe.BeginRound(&BeginRound{Round: 1, NumChains: 3}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fe.FinishRound(&FinishRound{Round: 1}); err != nil {
+		t.Fatal(err)
+	}
+	st.fail = true
+	if err := fe.SubmitExternal(banked, testOutput(rng, 2, 3)); err == nil {
+		t.Fatal("round 2's submission was accepted with a failing sync")
+	}
+	if len(fe.externals) != 1 {
+		t.Fatalf("%d records after the refusal, want the banked user's", len(fe.externals))
+	}
+	build, err := fe.BeginRound(&BeginRound{Round: 2, NumChains: 3})
+	if err != nil || build.Covered != 1 {
+		t.Fatalf("round 2 covered %d users (err %v), want the banked one", build.Covered, err)
+	}
+}
+
+// TestExternalUserBytes pins what the gateway adds to hold a remote
+// user's banked submission, apart from the submission itself (every
+// user here submits one shared output, built before the measurement)
+// and the caller's key: the map slot, the record and its one entry.
+// While a record was a map per lane it cost ≈ 725 B.
+func TestExternalUserBytes(t *testing.T) {
+	const n = 10_000
+	rng := rand.New(rand.NewSource(4))
+	out := testOutput(rng, 1, 3)
+	who := make([]string, n)
+	for i, id := range randomMailboxes(4, n) {
+		who[i] = string(id)
+	}
+	fe, err := NewFrontend(FrontendConfig{NumChains: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for _, mb := range who {
+		if err := fe.SubmitExternal(mb, out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(who)
+	per := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / n
+	t.Logf("%.1f B per banked external user", per)
+	if len(fe.externals) != n || per > 256 {
+		t.Fatalf("%d banked users cost %.1f B each, want ≤ 256", len(fe.externals), per)
 	}
 }

@@ -20,13 +20,20 @@ import (
 //
 // That gives 496 buckets covering 1 ns to ~292 years with bounded
 // relative error, no configuration, and no per-histogram sizing
-// decisions at instrumentation sites. Observe is two atomic adds on
-// a pre-sized array — no locks, no allocation, no float math beyond
-// one multiply — so it is safe on the round hot path.
+// decisions at instrumentation sites. The buckets are held as 62
+// octaves of eight, each allocated by the first observation that lands
+// in it: a series records a few octaves of latency, so an untouched
+// histogram costs ≈ 0.5 KB and each octave it touches 64 B, not 4 KB
+// up front. Observe is an atomic pointer load and two atomic adds — no
+// locks, no float math beyond one multiply, and an allocation only on
+// an octave's first hit — so it is safe on the round hot path.
 type Histogram struct {
-	buckets [numHistBuckets]atomic.Uint64
+	octaves [numHistOctaves]atomic.Pointer[histOctave]
 	sumNs   atomic.Int64
 }
+
+// histOctave is one octave's sub-bucket counts.
+type histOctave [histSubs]atomic.Uint64
 
 const (
 	// histSubBits is log2 of the linear sub-buckets per octave.
@@ -35,6 +42,7 @@ const (
 	// numHistBuckets: 8 unit buckets for values < 8 ns, then 8 subs
 	// for each octave with exponent 4..64.
 	numHistBuckets = histSubs + (64-histSubBits)*histSubs
+	numHistOctaves = numHistBuckets / histSubs
 )
 
 // NewHistogram returns an unregistered histogram. Instrumentation
@@ -69,24 +77,38 @@ func histBucketBounds(idx int) (lo, hi uint64) {
 }
 
 // Observe records a duration given in seconds.
-func (h *Histogram) Observe(seconds float64) {
-	ns := int64(seconds * 1e9)
-	h.buckets[histBucketIndex(ns)].Add(1)
+func (h *Histogram) Observe(seconds float64) { h.observe(int64(seconds * 1e9)) }
+
+// ObserveDuration records d.
+func (h *Histogram) ObserveDuration(d time.Duration) { h.observe(int64(d)) }
+
+func (h *Histogram) observe(ns int64) {
+	i := histBucketIndex(ns)
+	oct := h.octaves[i/histSubs].Load()
+	if oct == nil {
+		// Of two first observers racing here, one CompareAndSwap wins
+		// and both count into the winner's octave.
+		h.octaves[i/histSubs].CompareAndSwap(nil, new(histOctave))
+		oct = h.octaves[i/histSubs].Load()
+	}
+	oct[i%histSubs].Add(1)
 	h.sumNs.Add(ns)
 }
 
-// ObserveDuration records d.
-func (h *Histogram) ObserveDuration(d time.Duration) {
-	h.buckets[histBucketIndex(int64(d))].Add(1)
-	h.sumNs.Add(int64(d))
+// bucket returns bucket i's count; an octave never observed holds zeros.
+func (h *Histogram) bucket(i int) uint64 {
+	if oct := h.octaves[i/histSubs].Load(); oct != nil {
+		return oct[i%histSubs].Load()
+	}
+	return 0
 }
 
 // Count returns the number of observations (summed from the buckets,
 // so it is always consistent with the bucket counts themselves).
 func (h *Histogram) Count() uint64 {
 	var n uint64
-	for i := range h.buckets {
-		n += h.buckets[i].Load()
+	for i := 0; i < numHistBuckets; i++ {
+		n += h.bucket(i)
 	}
 	return n
 }
@@ -101,8 +123,8 @@ func (h *Histogram) Sum() float64 { return float64(h.sumNs.Load()) / 1e9 }
 func (h *Histogram) Quantile(q float64) (lo, hi float64) {
 	var snap [numHistBuckets]uint64
 	var total uint64
-	for i := range h.buckets {
-		snap[i] = h.buckets[i].Load()
+	for i := range snap {
+		snap[i] = h.bucket(i)
 		total += snap[i]
 	}
 	if total == 0 {
@@ -149,8 +171,8 @@ func (h *Histogram) writeProm(w *bufio.Writer, name string) {
 		return base + suffix + "{" + labels + "}"
 	}
 	var cum uint64
-	for i := range h.buckets {
-		n := h.buckets[i].Load()
+	for i := 0; i < numHistBuckets; i++ {
+		n := h.bucket(i)
 		if n == 0 {
 			continue
 		}

@@ -1,16 +1,20 @@
 package obs
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand/v2"
 	"net/http"
+	"os"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // TestCounterConcurrent hammers one counter from many goroutines and
@@ -47,27 +51,65 @@ func TestGauge(t *testing.T) {
 }
 
 // TestHistogramConcurrent checks no observation is lost under
-// concurrent Observe and that count/sum stay consistent.
+// concurrent Observe and that count/sum stay consistent. Every
+// goroutine starts on a fresh histogram at once and lands in the same
+// untouched octave, so they race to allocate it.
 func TestHistogramConcurrent(t *testing.T) {
 	h := NewHistogram()
 	const goroutines, perG = 8, 4000
 	var wg sync.WaitGroup
+	var sumNs atomic.Int64
+	start := make(chan struct{})
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(seed uint64) {
 			defer wg.Done()
 			rng := rand.New(rand.NewPCG(seed, 42))
+			<-start
 			for i := 0; i < perG; i++ {
-				h.ObserveDuration(time.Duration(rng.Int64N(int64(time.Second))))
+				d := time.Duration(1<<20 + rng.Int64N(1<<20)) // one octave: [2^20, 2^21) ns
+				h.ObserveDuration(d)
+				sumNs.Add(int64(d))
 			}
 		}(uint64(g))
 	}
+	close(start)
 	wg.Wait()
 	if got := h.Count(); got != goroutines*perG {
 		t.Fatalf("count = %d, want %d", got, goroutines*perG)
 	}
-	if h.Sum() <= 0 {
-		t.Fatalf("sum = %g, want > 0", h.Sum())
+	if got := h.sumNs.Load(); got != sumNs.Load() {
+		t.Fatalf("sum = %d ns, want %d", got, sumNs.Load())
+	}
+	touched := 0
+	for i := range h.octaves {
+		if h.octaves[i].Load() != nil {
+			touched++
+		}
+	}
+	if touched != 1 {
+		t.Fatalf("%d octaves allocated for values in one octave", touched)
+	}
+}
+
+// TestHistogramBytes pins what a series costs the heap. A histogram is
+// one allocation of at most 512 B (4 KB while all 496 buckets were held
+// up front), and an observation allocates one 64-byte octave the first
+// time it lands in it and nothing after. Sizes and allocation counts
+// are exact where a heap reading moves by a few bytes an object.
+func TestHistogramBytes(t *testing.T) {
+	if n := unsafe.Sizeof(Histogram{}); n > 512 {
+		t.Fatalf("a histogram is %d B, want ≤ 512", n)
+	}
+	if n := unsafe.Sizeof(histOctave{}); n != 64 {
+		t.Fatalf("an octave is %d B, want 64", n)
+	}
+	var h *Histogram
+	if got := testing.AllocsPerRun(100, func() { h = NewHistogram(); h.Observe(0.0123) }); got != 2 {
+		t.Fatalf("a fresh histogram and its first observation make %v allocations, want 2", got)
+	}
+	if got := testing.AllocsPerRun(100, func() { h.Observe(0.0124) }); got != 0 {
+		t.Fatalf("an observation into a touched octave makes %v allocations, want 0", got)
 	}
 }
 
@@ -134,6 +176,39 @@ func TestHistogramBucketsContiguous(t *testing.T) {
 		if uint64(ns) < lo || uint64(ns) >= hi {
 			t.Errorf("value %d landed in bucket %d [%d, %d)", ns, idx, lo, hi)
 		}
+	}
+}
+
+// expositionSample is the exposition of a seeded spread of values from
+// 0 to 2^40 ns, a few hand-picked edges (negative, the unit buckets, an
+// hour) and an untouched histogram, with and without labels.
+func expositionSample() []byte {
+	h := NewHistogram()
+	rng := rand.New(rand.NewPCG(7, 7))
+	for i := 0; i < 2000; i++ {
+		h.ObserveDuration(time.Duration(rng.Int64N(int64(1) << rng.IntN(41))))
+	}
+	for _, s := range []float64{-1e-9, 0, 3e-9, 7e-9, 8e-9, 1e-6, 0.0025, 2.5, 3600} {
+		h.Observe(s)
+	}
+	var buf bytes.Buffer
+	w := bufio.NewWriter(&buf)
+	h.writeProm(w, `xrd_hop_call_seconds{chain="0",pos="1",method="hop.mix"}`)
+	NewHistogram().writeProm(w, "xrd_idle_seconds")
+	w.Flush()
+	return buf.Bytes()
+}
+
+// TestHistogramExposition pins writeProm's text to bytes:
+// testdata/exposition.golden was written when every histogram held all
+// 496 buckets up front, so storing them by octave changed no line.
+func TestHistogramExposition(t *testing.T) {
+	golden, err := os.ReadFile("testdata/exposition.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := expositionSample(); !bytes.Equal(got, golden) {
+		t.Fatalf("exposition differs from the golden:\n%s", got)
 	}
 }
 

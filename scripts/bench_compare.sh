@@ -19,8 +19,11 @@
 # walked one by one again. Register and SnapshotImage (internal/core)
 # price one registered-only user at a gateway and the snapshot of
 # 100 000 of them: a row that jumps means a registration grew back into
-# an object per user. SubmissionVerify's dirty rows (1, 2, 16 and
-# n/8 bad proofs in a batch) price the halving of a failed chunk's
+# an object per user. BuildRound (internal/client) prices one user's
+# whole round at k = 32. HistogramObserve (internal/obs) is one Observe
+# contended by every P into an octave already allocated: a row that
+# jumps means the hot path took a lock or an allocation.
+# SubmissionVerify's dirty rows (1, 2, 16 and n/8 bad proofs in a batch) price the halving of a failed chunk's
 # defect; there is no per-proof sweep above its 8-proof leaves any more,
 # so a row that jumps means the walk lost its inference, not that a
 # cut-off moved. Those rows, Dleq and BatchBase are compared from the first commit
@@ -41,8 +44,8 @@ usage="usage: bench_compare.sh BASE [HEAD=.] [N=5]"
 base=${1:?$usage}
 head=${2:-.}
 pairs=${3:-5}
-gated='^Benchmark(ScalarBaseMult|BatchBase|MultiScalarMult|SubmissionVerify|BatchMul|Dleq|Register|SnapshotImage)$'
-packages=". ./internal/group ./internal/nizk ./internal/core" # where the gated families live
+gated='^Benchmark(ScalarBaseMult|BatchBase|MultiScalarMult|SubmissionVerify|BatchMul|Dleq|Register|SnapshotImage|BuildRound|HistogramObserve)$'
+packages=". ./internal/group ./internal/nizk ./internal/core ./internal/client ./internal/obs" # where the gated families live
 
 repo=$(cd "$(dirname "$0")/.." && pwd)
 work=$(mktemp -d)
