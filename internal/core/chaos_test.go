@@ -346,6 +346,85 @@ func TestChaosScenarios(t *testing.T) {
 	}
 }
 
+// TestReformEvictsEveryDeadServerAtOnce: a re-formation attempt evicts
+// the server behind every failure it can attribute, so two survivors
+// that died unnoticed cost one retry, not two. Round 2 kills chain 0's
+// second member, server 0, which is evicted at round 3's re-formation.
+// Before round 3, servers 1 and 5 die too, after the last announcement
+// that could have noticed them. On this seed every draw holds each
+// server at most once (a fleet endpoint hosts one position an epoch),
+// and the re-formation's first draw (epoch 1) puts servers 1 and 5 in
+// different chains: that attempt finds both, and the second (epoch 2)
+// forms. A keying loop that stops at its first failure finds one of
+// them in epoch 1 and the other in epoch 2, and forms in epoch 3.
+func TestReformEvictsEveryDeadServerAtOnce(t *testing.T) {
+	inj := faults.New(42)
+	fleet := newChaosFleet(t, 8, inj)
+	net, err := core.NewNetwork(core.Config{
+		NumServers:          8,
+		NumChains:           2,
+		ChainLengthOverride: 2,
+		Seed:                []byte("chaos/evict-every-dead/182"),
+		Recover:             true,
+		HopForServer:        fleet.provider(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	alice, bob := net.NewUser(), net.NewUser()
+	if err := alice.StartConversation(bob.PublicKey()); err != nil {
+		t.Fatal(err)
+	}
+	if err := bob.StartConversation(alice.PublicKey()); err != nil {
+		t.Fatal(err)
+	}
+	first, late := 0, []int{1, 5}
+	if got := net.Topology().Chains[0][1]; got != first {
+		t.Fatalf("the seed's founding chain 0 has server %d second, want %d", got, first)
+	}
+	for round := 1; round <= 3; round++ {
+		switch round {
+		case 2:
+			fleet.kill(first)
+		case 3:
+			fleet.kill(late[0])
+			fleet.kill(late[1])
+		}
+		msg := fmt.Sprintf("evict-every-dead r%d", round)
+		if err := alice.QueueMessage([]byte(msg)); err != nil {
+			t.Fatal(err)
+		}
+		// Round 2's trailing announcement fails on the dead server; the
+		// report stands, as in TestChaosScenarios.
+		rep, err := net.RunRound()
+		if rep == nil {
+			t.Fatalf("round %d: no report (err=%v)", round, err)
+		}
+		if len(rep.BlamedUsers) != 0 {
+			t.Fatalf("round %d: honest users blamed: %v", round, rep.BlamedUsers)
+		}
+		if round != 3 {
+			continue
+		}
+		want := []int{first, late[0], late[1]}
+		for _, s := range want {
+			found := false
+			for _, e := range rep.Evicted {
+				found = found || e == s
+			}
+			if !found {
+				t.Fatalf("server %d was not evicted (evicted %v, want %v)", s, rep.Evicted, want)
+			}
+		}
+		if got := net.Epoch(); got != 2 {
+			t.Fatalf("re-formation took until epoch %d, want 2: one attempt to find both dead servers, one to form", got)
+		}
+		if got := readConversation(bob, net, rep.Round); got != msg {
+			t.Fatalf("round 3 did not deliver after the re-formation (got %q)", got)
+		}
+	}
+}
+
 // TestStrandedUsersGetRetryError is the regression test for the
 // silent-drop bug: users whose traffic rode a halted chain must be
 // reported stranded and get a deterministic ErrRoundRetry from

@@ -94,9 +94,13 @@ type Config struct {
 	// [0, NumRegistryShards). Empty means one in-process full-range
 	// Frontend — the monolith.
 	Shards []GatewayShard
-	// RemoteHops, when non-nil, is consulted for every chain position
-	// while the network is assembled, in chain order then position
-	// order. Returning a non-nil mix.Hop hosts that position on a
+	// RemoteHops, when non-nil, is consulted once for every chain
+	// position while the network is assembled. Chains are keyed
+	// concurrently, but the provider is called under one lock, so it
+	// never runs concurrently with itself and needs none of its own.
+	// A chain's positions are called in order 0…k−1 (each one's base is
+	// its predecessor's blinding key); different chains' calls
+	// interleave. Returning a non-nil mix.Hop hosts that position on a
 	// remote process reached through the hop transport (typically an
 	// rpc.HopClient initialised against the given base key, which is
 	// g for position 0 and the previous position's blinding key
@@ -109,7 +113,9 @@ type Config struct {
 	// HopForServer, when non-nil, supplies the transport for chain
 	// positions keyed by server identity, and is consulted again at
 	// every epoch re-formation: server ids are stable across epochs
-	// while chain coordinates are not. Returning nil hosts the
+	// while chain coordinates are not. It is called under the same
+	// contract as RemoteHops: one call at a time, each chain's
+	// positions in order, chains interleaved. Returning nil hosts the
 	// position in-process (the provider may mix local and remote
 	// positions). Takes precedence over RemoteHops.
 	HopForServer func(epoch uint64, server, chain, position int, base group.Point) (mix.Hop, error)
@@ -153,6 +159,11 @@ type Network struct {
 
 	// runMu serialises RunRound executions.
 	runMu sync.Mutex
+	// hopMu serialises calls into Config.RemoteHops and
+	// Config.HopForServer: chains key concurrently, and a provider is
+	// never called concurrently with itself. It is held across the
+	// provider call only and guards nothing else.
+	hopMu sync.Mutex
 	// pending is the round prepared ahead of time under
 	// Config.PipelineDepth ≥ 2, awaiting validation and execution by
 	// the next RunRound. Guarded by runMu.
@@ -240,13 +251,13 @@ func NewNetwork(cfg Config) (*Network, error) {
 	if err := n.indexShards(); err != nil {
 		return nil, err
 	}
-	for c := range topo.Chains {
-		chain, err := n.assembleChainAt(0, topo, c)
+	chains, errs := n.keyChains(0, topo)
+	for _, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("core: keying chain %d: %w", c, err)
+			return nil, err
 		}
-		n.chains = append(n.chains, chain)
 	}
+	n.chains = chains
 	if err := n.announce(n.round); err != nil {
 		return nil, err
 	}
@@ -307,15 +318,39 @@ func (n *Network) frontendFor(mailbox []byte) *Frontend {
 // Shards exposes the gateway shards (for tests and the rpc layer).
 func (n *Network) Shards() []GatewayShard { return n.shards }
 
+// keyChains keys every chain of a topology for an epoch, each on its
+// own goroutine: the chains share no key material, so an epoch forms in
+// the time of its slowest chain rather than of all of them. It returns
+// the chains and each one's error, naming the chain (a failed chain's
+// entry is nil), so a caller can attribute every failure, not only the
+// first.
+func (n *Network) keyChains(epoch uint64, topo *topology.Topology) ([]*mix.Chain, []error) {
+	chains := make([]*mix.Chain, len(topo.Chains))
+	errs := make([]error, len(topo.Chains))
+	var wg sync.WaitGroup
+	for c := range topo.Chains {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			var err error
+			if chains[c], err = n.assembleChainAt(epoch, topo, c); err != nil {
+				errs[c] = fmt.Errorf("core: keying chain %d: %w", c, err)
+			}
+		}(c)
+	}
+	wg.Wait()
+	return chains, errs
+}
+
 // assembleChainAt keys one chain of a topology for an epoch, placing
 // each position in-process or on a remote hop according to
 // Config.HopForServer (id-keyed, epoch-aware) or the legacy
-// Config.RemoteHops (coordinate-keyed, founding epoch only). Remote
-// key setup is inherently sequential within a chain — position i's
-// keys chain off position i−1's blinding key (§6.1) — which is why
-// the provider receives the base point. A provider failure is
-// returned as a mix.HopError so the reform loop can evict the
-// offending server.
+// Config.RemoteHops (coordinate-keyed, founding epoch only). Key setup
+// is inherently sequential within a chain — position i's keys chain off
+// position i−1's blinding key (§6.1) — which is why the provider
+// receives the base point. Providers are called under hopMu, since
+// chains key concurrently (keyChains). A provider failure is returned
+// as a mix.HopError so the reform loop can evict the offending server.
 func (n *Network) assembleChainAt(epoch uint64, topo *topology.Topology, c int) (*mix.Chain, error) {
 	if n.cfg.HopForServer == nil && (n.cfg.RemoteHops == nil || epoch > 0) {
 		return mix.NewChain(c, topo.ChainLength, n.scheme)
@@ -325,11 +360,13 @@ func (n *Network) assembleChainAt(epoch uint64, topo *topology.Topology, c int) 
 	for i := range hops {
 		var h mix.Hop
 		var err error
+		n.hopMu.Lock()
 		if n.cfg.HopForServer != nil {
 			h, err = n.cfg.HopForServer(epoch, topo.Chains[c][i], c, i, base)
 		} else {
 			h, err = n.cfg.RemoteHops(c, i, base)
 		}
+		n.hopMu.Unlock()
 		if err != nil {
 			return nil, &mix.HopError{Chain: c, Position: i, Err: fmt.Errorf("core: remote hop setup: %w", err)}
 		}

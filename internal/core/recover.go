@@ -77,8 +77,9 @@ func (n *Network) attributeHopError(topo *topology.Topology, err error) {
 }
 
 // reform expels every pending-evict server and re-forms the chains
-// over the survivors, retrying with further evictions if a survivor
-// turns out to be unreachable during re-keying or announcement.
+// over the survivors, retrying with further evictions if survivors
+// turn out to be unreachable during re-keying or announcement — every
+// server an attempt found failing is evicted before the next attempt.
 // Returns the servers evicted (nil if every pending server was
 // already gone and nothing needed to change). Called from RunRound
 // under runMu.
@@ -141,48 +142,41 @@ func (n *Network) reform() ([]int, error) {
 			return evicted, fmt.Errorf("core: re-forming chain-selection plan: %w", err)
 		}
 
-		// Re-key every chain, then announce the upcoming rounds. A
-		// hop failure at either step evicts the server behind it and
-		// restarts the formation over the remaining survivors.
-		evictAndRetry := func(err error) (bool, error) {
-			if s, ok := hopErrorServer(topo2, err); ok {
-				if n.evictor.Evict(s) {
-					evicted = append(evicted, s)
-				}
-				return true, nil
-			}
-			return false, err
-		}
-		chains2 := make([]*mix.Chain, len(topo2.Chains))
-		retry := false
-		for c := range topo2.Chains {
-			chain, err := n.assembleChainAt(newEpoch, topo2, c)
-			if err != nil {
-				ok, err := evictAndRetry(err)
-				if !ok {
-					sort.Ints(evicted)
-					return evicted, fmt.Errorf("core: re-keying chain %d for epoch %d: %w", c, newEpoch, err)
-				}
-				retry = true
-				break
-			}
-			chains2[c] = chain
-		}
-		if !retry {
-			for _, e := range append(announceEach(chains2, rho), announceEach(chains2, rho+1)...) {
+		// Re-key every chain, then announce the upcoming rounds. Every
+		// hop failure at either step evicts the server behind it, and
+		// the formation restarts over the remaining survivors; an
+		// unattributable failure ends it, and evictAll returns it.
+		evictAll := func(errs []error) (failed bool, err error) {
+			for _, e := range errs {
 				if e == nil {
 					continue
 				}
-				ok, err := evictAndRetry(e)
+				s, ok := hopErrorServer(topo2, e)
 				if !ok {
-					sort.Ints(evicted)
-					return evicted, fmt.Errorf("core: announcing epoch %d: %w", newEpoch, err)
+					return true, e
 				}
-				retry = true
-				break
+				if n.evictor.Evict(s) {
+					evicted = append(evicted, s)
+				}
+				failed = true
 			}
+			return failed, nil
 		}
-		if retry {
+		chains2, errs := n.keyChains(newEpoch, topo2)
+		failed, err := evictAll(errs)
+		if err != nil {
+			sort.Ints(evicted)
+			return evicted, fmt.Errorf("core: re-forming epoch %d: %w", newEpoch, err)
+		}
+		if failed {
+			continue
+		}
+		failed, err = evictAll(append(announceEach(chains2, rho), announceEach(chains2, rho+1)...))
+		if err != nil {
+			sort.Ints(evicted)
+			return evicted, fmt.Errorf("core: announcing epoch %d: %w", newEpoch, err)
+		}
+		if failed {
 			continue
 		}
 

@@ -14,8 +14,8 @@ package group
 //   - The generator (genShape: w = 11, q = 1) is used by every process
 //     for its whole life — client onion building, per-round key
 //     announcement, NIZK proving all compute g^s — so it gets a wide
-//     shape: 24 rows × 1024 entries, 1.5 MiB, built once in ≈ 13 ms,
-//     ≤ 24 additions and no doubling per scalar.
+//     shape: 24 rows × 1024 entries, 1.5 MiB, built once across cores
+//     (≈ 9 ms on two), ≤ 24 additions and no doubling per scalar.
 //   - A chain's public keys (keyShape: w = 4, q = 4) are fixed for an
 //     epoch (mix keys) or a round (inner aggregates) and raised to a
 //     fresh scalar by every user of the chain (§6.2), so they get a
@@ -40,7 +40,11 @@ package group
 // server-side mix network, not a shared host with a cache-timing
 // adversary. See DESIGN.md for the discussion.
 
-import "sync"
+import (
+	"runtime"
+	"sync"
+	"sync/atomic"
+)
 
 // tableShape fixes a table's layout: the signed-digit width and how
 // many digit groups share one row. Everything else follows from it.
@@ -83,27 +87,44 @@ var genTable = fixedTable{shape: genShape}
 
 // normalizeChunk bounds how many Jacobian entries a table build holds
 // before converting them to affine: a key's whole table (136 entries)
-// shares one inversion, the generator's converts four rows at a time
-// instead of holding 24 576 Jacobian points at once.
+// is one chunk under one inversion, the generator's is six chunks of
+// four rows, built on up to GOMAXPROCS goroutines, instead of 24 576
+// Jacobian points at once.
 const normalizeChunk = 4096
 
 // ensure builds the table of p on first use; concurrent first users
-// wait for the one build. Row j's multiples d·Bⱼ of its base
+// wait for the one build. The table is built a chunk of rows at a
+// time, and each chunk's first base B = 2^(w·q·j₀)·P is doubled out
+// serially first. Within a chunk, row j's multiples d·Bⱼ of its base
 // Bⱼ = 2^(w·q·j)·P are built in Jacobian form — even ones by doubling
-// d/2, odd ones by adding Bⱼ — and the next base is the last entry
-// 2^(w−1)·Bⱼ doubled the rest of the way, so a key's table costs 276
-// doublings, 51 additions and one inversion: under two Point.Muls.
+// d/2, odd ones by adding Bⱼ — the next base is the last entry
+// 2^(w−1)·Bⱼ doubled the rest of the way, and the chunk is converted
+// to affine under one inversion. Chunks are independent, so a table of
+// several (the generator's six) spreads them over up to GOMAXPROCS
+// goroutines; a table of one (every key's: 276 doublings, 51 additions
+// and one inversion, under two Point.Muls) stays on the caller. Affine
+// entries are canonical, so the table is the same however it was split.
 func (t *fixedTable) ensure(p Point) {
 	t.once.Do(func() {
 		rows, half := t.shape.rows(), t.shape.half()
-		toNext := t.shape.window*t.shape.groups - (t.shape.window - 1)
+		rowBits := t.shape.window * t.shape.groups
 		chunkRows := max(1, min(rows, normalizeChunk/half))
+		chunks := (rows + chunkRows - 1) / chunkRows
+		bases := make([]jacPoint, chunks)
+		bases[0].fromAffine(&p.affinePoint, false)
+		for c := 1; c < chunks; c++ {
+			bases[c] = bases[c-1]
+			for i := 0; i < rowBits*chunkRows; i++ {
+				bases[c].double()
+			}
+		}
 		entries := make([]affinePoint, rows*half)
-		jtab := make([]jacPoint, chunkRows*half)
-		var base jacPoint
-		base.fromAffine(&p.affinePoint, false)
-		for j0 := 0; j0 < rows; j0 += chunkRows {
-			j1 := min(j0+chunkRows, rows)
+		// build fills chunk c's rows on jtab, one chunk's worth of
+		// Jacobian scratch a goroutine; work takes chunks until none is
+		// left, on the caller and on each helper.
+		build := func(c int, jtab []jacPoint) {
+			j0, j1 := c*chunkRows, min((c+1)*chunkRows, rows)
+			base := bases[c]
 			for j := j0; j < j1; j++ {
 				row := jtab[(j-j0)*half : (j-j0+1)*half]
 				row[0] = base
@@ -117,7 +138,7 @@ func (t *fixedTable) ensure(p Point) {
 					}
 				}
 				base = row[half-1]
-				for i := 0; i < toNext; i++ {
+				for i := 0; i < rowBits-(t.shape.window-1); i++ {
 					base.double()
 				}
 			}
@@ -125,6 +146,23 @@ func (t *fixedTable) ensure(p Point) {
 			// group are never the identity, so batchNormalize applies.
 			batchNormalize(jtab[:(j1-j0)*half], entries[j0*half:j1*half])
 		}
+		var next atomic.Int32
+		work := func() {
+			jtab := make([]jacPoint, chunkRows*half)
+			for c := int(next.Add(1)) - 1; c < chunks; c = int(next.Add(1)) - 1 {
+				build(c, jtab)
+			}
+		}
+		var wg sync.WaitGroup
+		for w := 1; w < min(chunks, runtime.GOMAXPROCS(0)); w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				work()
+			}()
+		}
+		work()
+		wg.Wait()
 		t.entries = entries
 	})
 }

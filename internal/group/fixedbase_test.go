@@ -6,6 +6,7 @@ import (
 	"crypto/rand"
 	"fmt"
 	"math/big"
+	"runtime"
 	"sync"
 	"testing"
 	"unsafe"
@@ -148,6 +149,70 @@ func TestGeneratorTableBytes(t *testing.T) {
 	genTable.ensure(genPoint)
 	if n := len(genTable.entries) * int(unsafe.Sizeof(affinePoint{})); n > 1_600_000 {
 		t.Fatalf("the generator's table is %d bytes, over the 1.6 MB budget", n)
+	}
+}
+
+// serialTableEntries is the reference table build: every row in order on
+// one goroutine, the next row's base doubled out of the last entry, one
+// chunk of rows at a time under one inversion — ensure as it was before
+// its chunks ran concurrently.
+func serialTableEntries(shape tableShape, p Point) []affinePoint {
+	rows, half := shape.rows(), shape.half()
+	toNext := shape.window*shape.groups - (shape.window - 1)
+	chunkRows := max(1, min(rows, normalizeChunk/half))
+	entries := make([]affinePoint, rows*half)
+	jtab := make([]jacPoint, chunkRows*half)
+	var base jacPoint
+	base.fromAffine(&p.affinePoint, false)
+	for j0 := 0; j0 < rows; j0 += chunkRows {
+		j1 := min(j0+chunkRows, rows)
+		for j := j0; j < j1; j++ {
+			row := jtab[(j-j0)*half : (j-j0+1)*half]
+			row[0] = base
+			for d := 2; d <= half; d++ {
+				if d%2 == 0 {
+					row[d-1] = row[d/2-1]
+					row[d-1].double()
+				} else {
+					row[d-1] = row[d-2]
+					row[d-1].add(&base)
+				}
+			}
+			base = row[half-1]
+			for i := 0; i < toNext; i++ {
+				base.double()
+			}
+		}
+		batchNormalize(jtab[:(j1-j0)*half], entries[j0*half:j1*half])
+	}
+	return entries
+}
+
+// TestFixedTableBuildMatchesSerial: the generator's table (six chunks,
+// spread over goroutines) and a key's (one chunk, on the caller), built
+// by ensure at GOMAXPROCS 1, 2 and 8, equal the serial reference entry
+// for entry. Run it under -race.
+func TestFixedTableBuildMatchesSerial(t *testing.T) {
+	key := Base(MustRandomScalar())
+	want := map[tableShape][]affinePoint{
+		genShape: serialTableEntries(genShape, genPoint),
+		keyShape: serialTableEntries(keyShape, key),
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		for shape, p := range map[tableShape]Point{genShape: genPoint, keyShape: key} {
+			tab := fixedTable{shape: shape}
+			tab.ensure(p)
+			if len(tab.entries) != len(want[shape]) {
+				t.Fatalf("GOMAXPROCS=%d, shape %+v: %d entries, want %d", procs, shape, len(tab.entries), len(want[shape]))
+			}
+			for i := range tab.entries {
+				if tab.entries[i] != want[shape][i] {
+					t.Fatalf("GOMAXPROCS=%d, shape %+v: entry %d differs from the serial build", procs, shape, i)
+				}
+			}
+		}
 	}
 }
 

@@ -115,8 +115,8 @@ func NewChainServer(chain, index int, base group.Point, scheme aead.Scheme) *Ser
 	s.msk = group.MustRandomScalar()
 	s.bpk = base.Mul(s.bsk)
 	s.mpk = base.Mul(s.msk)
-	s.bskProof = nizk.ProveDlog(keyGenContext(chain, index, "bsk"), base, s.bsk)
-	s.mskProof = nizk.ProveDlog(keyGenContext(chain, index, "msk"), base, s.msk)
+	s.bskProof = nizk.ProveDlogPrecomputed(keyGenContext(chain, index, "bsk"), base, s.bpk, s.bsk)
+	s.mskProof = nizk.ProveDlogPrecomputed(keyGenContext(chain, index, "msk"), base, s.mpk, s.msk)
 	s.baselineKey = group.GenerateBaseKeyPair()
 	return s
 }
@@ -177,7 +177,7 @@ func (s *Server) BeginRound(round uint64) (group.Point, nizk.Proof) {
 		}
 	}
 	s.innerMu.Unlock()
-	proof := nizk.ProveDlog(innerKeyContext(s.Chain, s.Index, round), group.Generator(), kp.Private)
+	proof := nizk.ProveDlogPrecomputed(innerKeyContext(s.Chain, s.Index, round), group.Generator(), kp.Public, kp.Private)
 	return kp.Public, proof
 }
 

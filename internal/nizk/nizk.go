@@ -52,23 +52,34 @@ func dlogChallenge(context string, base, public, commit group.Point) group.Scala
 
 // ProveDlog proves knowledge of x such that public = base^x.
 func ProveDlog(context string, base group.Point, x group.Scalar) Proof {
-	v := group.MustRandomScalar()
-	commit := base.Mul(v)
-	public := base.Mul(x)
-	c := dlogChallenge(context, base, public, commit)
+	return ProveDlogPrecomputed(context, base, base.Mul(x), x)
+}
+
+// ProveDlogPrecomputed is ProveDlog for callers that already hold
+// public = base^x (a server proving the key it has just published), so
+// the base is raised once, to the nonce. A wrong public only yields a
+// proof VerifyDlog rejects.
+func ProveDlogPrecomputed(context string, base, public group.Point, x group.Scalar) Proof {
+	return proveDlog(context, base, public, x, group.MustRandomScalar())
+}
+
+// proveDlog is the one prover, its nonce v explicit for the tests.
+func proveDlog(context string, base, public group.Point, x, v group.Scalar) Proof {
+	c := dlogChallenge(context, base, public, base.Mul(v))
 	return Proof{C: c, S: v.Add(c.Mul(x))}
 }
 
 // VerifyDlog checks a ProveDlog proof for the statement
-// public = base^x. The commitment is recomputed as
-// base^s · public^(-c) and the challenge re-derived.
+// public = base^x. The commitment is recomputed as one two-term
+// product base^s · public^(-c) (≈ 0.6 of two ladders) and the
+// challenge re-derived.
 func VerifyDlog(context string, base, public group.Point, p Proof) error {
 	if base.IsIdentity() || public.IsIdentity() {
 		// A trivial base or key admits degenerate proofs; XRD never
 		// produces them, so reject outright.
 		return ErrInvalidProof
 	}
-	commit := base.Mul(p.S).Add(public.Mul(p.C).Neg())
+	commit := group.MultiScalarMult([]group.Point{base, public.Neg()}, []group.Scalar{p.S, p.C})
 	if !dlogChallenge(context, base, public, commit).Equal(p.C) {
 		return ErrInvalidProof
 	}

@@ -1,6 +1,7 @@
 package nizk
 
 import (
+	"bytes"
 	"fmt"
 	"math/big"
 	"testing"
@@ -75,6 +76,110 @@ func TestDlogRejectsIdentityInputs(t *testing.T) {
 	}
 }
 
+// verifyDlogLadders is the reference verifier: the commitment recomputed
+// as base^s · (public^c)^−1 with two separate multiplications, as
+// VerifyDlog did before it took one two-term product.
+func verifyDlogLadders(context string, base, public group.Point, p Proof) error {
+	if base.IsIdentity() || public.IsIdentity() {
+		return ErrInvalidProof
+	}
+	commit := base.Mul(p.S).Add(public.Mul(p.C).Neg())
+	if !dlogChallenge(context, base, public, commit).Equal(p.C) {
+		return ErrInvalidProof
+	}
+	return nil
+}
+
+// TestVerifyDlogMatchesLadders holds VerifyDlog's verdict to the
+// two-ladder reference over bare, Precomputed and generator bases, on
+// valid proofs from both provers and on each tampering a verifier must
+// catch.
+func TestVerifyDlogMatchesLadders(t *testing.T) {
+	n := 100
+	if testing.Short() {
+		n = 10
+	}
+	one := group.NewScalar(1)
+	for i := 0; i < 3*n; i++ {
+		var base group.Point
+		switch i % 3 {
+		case 0:
+			base = group.Base(group.MustRandomScalar())
+		case 1:
+			base = group.Base(group.MustRandomScalar()).Precomputed()
+		default:
+			base = group.Generator()
+		}
+		x := group.MustRandomScalar()
+		public := base.Mul(x)
+		p := ProveDlog("ctx", base, x)
+		if i%2 == 1 {
+			p = ProveDlogPrecomputed("ctx", base, public, x)
+		}
+		cases := []struct {
+			name         string
+			ctx          string
+			base, public group.Point
+			p            Proof
+			valid        bool
+		}{
+			{"valid", "ctx", base, public, p, true},
+			{"wrong public", "ctx", base, public.Add(base), p, false},
+			{"wrong context", "ctx2", base, public, p, false},
+			{"C+1", "ctx", base, public, Proof{C: p.C.Add(one), S: p.S}, false},
+			{"S+1", "ctx", base, public, Proof{C: p.C, S: p.S.Add(one)}, false},
+			{"identity base", "ctx", group.Identity(), public, p, false},
+			{"identity public", "ctx", base, group.Identity(), p, false},
+		}
+		for _, tc := range cases {
+			got := VerifyDlog(tc.ctx, tc.base, tc.public, tc.p)
+			want := verifyDlogLadders(tc.ctx, tc.base, tc.public, tc.p)
+			if (got == nil) != (want == nil) || (got == nil) != tc.valid {
+				t.Fatalf("base %d (kind %d), %s: VerifyDlog = %v, reference = %v", i, i%3, tc.name, got, want)
+			}
+		}
+	}
+}
+
+// TestDlogGoldenTranscript pins the knowledge proof's (c, s) at a fixed
+// nonce: the key proofs on the wire are unchanged by the prover reusing
+// its caller's public key. The values were computed by the prover that
+// raised base^x itself.
+func TestDlogGoldenTranscript(t *testing.T) {
+	base := group.Base(hexScalar(t, "0b1"))
+	x := hexScalar(t, "6d1f3c8e5a7b9d0123456789abcdef00fedcba98765432100f1e2d3c4b5a6978")
+	v := hexScalar(t, "1badc0de5eed5eed0123456789abcdef13579bdf2468ace0f0e1d2c3b4a59687")
+	want := Proof{
+		C: hexScalar(t, "e0947af913e29be261dd26d49a7c4a1112f767e3da78438a7a1ac7983eca6e85"),
+		S: hexScalar(t, "da59ee14a8684f5301a701250218998683b07b3647497ba355e7807b31185bf6"),
+	}
+	got := proveDlog("xrd/test/dlog-golden", base, base.Mul(x), x, v)
+	if !got.C.Equal(want.C) || !got.S.Equal(want.S) {
+		t.Fatalf("transcript changed: c=%x s=%x", got.C.Bytes(), got.S.Bytes())
+	}
+	if err := VerifyDlog("xrd/test/dlog-golden", base, base.Mul(x), want); err != nil {
+		t.Fatalf("golden proof rejected: %v", err)
+	}
+}
+
+// TestDlogPrecomputedWrongPublic: the prover trusts the public key it is
+// handed, and a wrong one buys nothing — the proof verifies for neither
+// the true statement nor the false one.
+func TestDlogPrecomputedWrongPublic(t *testing.T) {
+	for _, base := range []group.Point{group.Generator(), group.Base(group.MustRandomScalar())} {
+		x := group.MustRandomScalar()
+		public := base.Mul(x)
+		wrong := base.Mul(group.MustRandomScalar())
+		p := ProveDlogPrecomputed("ctx", base, wrong, x)
+		if err := VerifyDlog("ctx", base, public, p); err == nil {
+			t.Fatal("proof made over a wrong public verifies for the true statement")
+		}
+		if err := VerifyDlog("ctx", base, wrong, p); err == nil {
+			t.Fatal("proof made over a wrong public verifies for the false statement")
+		}
+	}
+}
+
 func TestDleqProofVerifies(t *testing.T) {
 	x := group.MustRandomScalar()
 	b1 := group.Generator()
@@ -136,25 +241,51 @@ func TestDleqContextBinding(t *testing.T) {
 	}
 }
 
+// BenchmarkProveDlog is the prover servers call, handed the public key
+// they hold, on the generator (an inner-key proof, a chain's first
+// position: one table walk) and on a bare base (a key proof past the
+// first position: one ladder).
 func BenchmarkProveDlog(b *testing.B) {
 	x := group.MustRandomScalar()
-	base := group.Generator()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		ProveDlog("bench", base, x)
+	for _, bc := range []struct {
+		name string
+		base group.Point
+	}{
+		{"generator", group.Generator()},
+		{"bare", group.Base(group.MustRandomScalar())},
+	} {
+		public := bc.base.Mul(x)
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				ProveDlogPrecomputed("bench", bc.base, public, x)
+			}
+		})
 	}
 }
 
+// BenchmarkVerifyDlog is the verifier on the generator (an inner-key
+// proof) and on a bare base (a key proof past a chain's first
+// position); both are one two-term product.
 func BenchmarkVerifyDlog(b *testing.B) {
 	x := group.MustRandomScalar()
-	base := group.Generator()
-	public := base.Mul(x)
-	p := ProveDlog("bench", base, x)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if err := VerifyDlog("bench", base, public, p); err != nil {
-			b.Fatal(err)
-		}
+	for _, bc := range []struct {
+		name string
+		base group.Point
+	}{
+		{"generator", group.Generator()},
+		{"bare", group.Base(group.MustRandomScalar())},
+	} {
+		public := bc.base.Mul(x)
+		p := ProveDlog("bench", bc.base, x)
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := VerifyDlog("bench", bc.base, public, p); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -329,6 +460,24 @@ func TestDlogProofEncodingRoundTrip(t *testing.T) {
 	if _, err := ParseDlogProof(garbage); err == nil {
 		t.Fatal("off-curve commitment accepted")
 	}
+}
+
+// FuzzParseDlogProof: an accepted encoding is the one Bytes writes for
+// the proof it decodes to.
+func FuzzParseDlogProof(f *testing.F) {
+	p := ProveDlogCommit("ctx", group.Generator(), group.MustRandomScalar())
+	f.Add(p.Bytes())
+	f.Add(make([]byte, DlogProofSize))
+	f.Add(p.Bytes()[:DlogProofSize-1])
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := ParseDlogProof(data)
+		if err != nil {
+			return
+		}
+		if enc := p.Bytes(); !bytes.Equal(enc, data) {
+			t.Fatalf("accepted %x, re-encodes as %x", data, enc)
+		}
+	})
 }
 
 // batchFixture builds n valid commitment-format proofs with distinct

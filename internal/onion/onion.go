@@ -99,7 +99,9 @@ func (p Payload) Marshal() ([]byte, error) {
 	return out, nil
 }
 
-// ParsePayload decodes a fixed-size plaintext produced by Marshal.
+// ParsePayload decodes a fixed-size plaintext produced by Marshal. It
+// accepts exactly what Marshal emits: padding after the body that is
+// not all zeros is refused, so one payload has one encoding.
 func ParsePayload(b []byte) (Payload, error) {
 	if len(b) != PlaintextSize {
 		return Payload{}, fmt.Errorf("%w: plaintext length %d", ErrFormat, len(b))
@@ -107,6 +109,11 @@ func ParsePayload(b []byte) (Payload, error) {
 	n := int(binary.BigEndian.Uint16(b[1:3]))
 	if n > BodySize {
 		return Payload{}, fmt.Errorf("%w: body length %d", ErrFormat, n)
+	}
+	for _, c := range b[payloadHeaderSize+n:] {
+		if c != 0 {
+			return Payload{}, fmt.Errorf("%w: non-zero padding after a %d-byte body", ErrFormat, n)
+		}
 	}
 	body := make([]byte, n)
 	copy(body, b[payloadHeaderSize:payloadHeaderSize+n])

@@ -72,6 +72,45 @@ func TestParsePayloadRejectsBadLength(t *testing.T) {
 	}
 }
 
+// TestParsePayloadRejectsPadding: Marshal pads with zeros, so a byte
+// set after the body is not a plaintext Marshal made.
+func TestParsePayloadRejectsPadding(t *testing.T) {
+	b, err := Payload{Kind: KindConversation, Body: []byte("hi")}.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[len(b)-1] = 1
+	if _, err := ParsePayload(b); err == nil {
+		t.Fatal("non-zero padding accepted")
+	}
+}
+
+// FuzzParsePayload: an accepted plaintext marshals back to the same
+// bytes — one payload, one encoding.
+func FuzzParsePayload(f *testing.F) {
+	for _, p := range []Payload{{}, {Kind: KindConversation, Body: []byte("hello")}, {Kind: KindOffline, Body: bytes.Repeat([]byte{0xAB}, BodySize)}} {
+		b, err := p.Marshal()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+		tail := bytes.Clone(b)
+		tail[len(tail)-1] ^= 1
+		f.Add(tail)
+	}
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := ParsePayload(data)
+		if err != nil {
+			return
+		}
+		enc, err := p.Marshal()
+		if err != nil || !bytes.Equal(enc, data) {
+			t.Fatalf("accepted %x, marshals as %x (%v)", data, enc, err)
+		}
+	})
+}
+
 func TestMailboxMessageRoundTrip(t *testing.T) {
 	recipient := group.GenerateBaseKeyPair()
 	key := testKey()

@@ -10,8 +10,8 @@
 # (default 5).
 #
 # The gated families — ScalarBaseMult, BatchBase, MultiScalarMult,
-# SubmissionVerify, BatchMul and Dleq — are tight loops of pure
-# computation, and what a regression in them means is a lost
+# SubmissionVerify, BatchMul, Dleq, ProveDlog and VerifyDlog — are
+# tight loops of pure computation, and what a regression in them means is a lost
 # precomputation path, a batch seam silently falling back to per-item
 # work, or a prover raising a power its caller already holds. BatchBase
 # (3, 24 and 48 scalars: one onion, a user's round at ℓ = 4 and 8)
@@ -22,13 +22,21 @@
 # an object per user. BuildRound (internal/client) prices one user's
 # whole round at k = 32. HistogramObserve (internal/obs) is one Observe
 # contended by every P into an octave already allocated: a row that
-# jumps means the hot path took a lock or an allocation.
+# jumps means the hot path took a lock or an allocation. ProveDlog
+# (internal/nizk: ProveDlogPrecomputed, the prover servers call, on the
+# generator and on a bare base) and VerifyDlog (one two-term product on
+# either base) price a key-knowledge proof, and NewNetwork
+# (internal/core) stands up 8 chains of 6: a ProveDlog row that jumps
+# means the prover raises again the power its caller holds, a VerifyDlog
+# row that the product fell back to two ladders, and NewNetwork that
+# chains are keyed one by one again.
 # SubmissionVerify's dirty rows (1, 2, 16 and n/8 bad proofs in a batch) price the halving of a failed chunk's
 # defect; there is no per-proof sweep above its 8-proof leaves any more,
 # so a row that jumps means the walk lost its inference, not that a
-# cut-off moved. Those rows, Dleq and BatchBase are compared from the first commit
-# both sides have them — until then they are listed as only on the
-# head. Absolute ns/op say
+# cut-off moved. Those rows, Dleq, BatchBase, ProveDlog's and
+# VerifyDlog's generator and bare rows and NewNetwork are compared from
+# the first commit both sides have them — until then they are listed as
+# only on the head. Absolute ns/op say
 # nothing across boxes or days (one untouched benchmark has read
 # 14–28 µs on one machine within one PR), so nothing here is compared
 # with a committed number: each side's test binaries are built once,
@@ -44,7 +52,7 @@ usage="usage: bench_compare.sh BASE [HEAD=.] [N=5]"
 base=${1:?$usage}
 head=${2:-.}
 pairs=${3:-5}
-gated='^Benchmark(ScalarBaseMult|BatchBase|MultiScalarMult|SubmissionVerify|BatchMul|Dleq|Register|SnapshotImage|BuildRound|HistogramObserve)$'
+gated='^Benchmark(ScalarBaseMult|BatchBase|MultiScalarMult|SubmissionVerify|BatchMul|Dleq|Register|SnapshotImage|BuildRound|HistogramObserve|ProveDlog|VerifyDlog|NewNetwork)$'
 packages=". ./internal/group ./internal/nizk ./internal/core ./internal/client ./internal/obs" # where the gated families live
 
 repo=$(cd "$(dirname "$0")/.." && pwd)
