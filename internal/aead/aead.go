@@ -10,8 +10,12 @@
 // XRD's security argument needs two properties of the AEAD (§3.1):
 // (1) a correctly authenticating ciphertext cannot be produced without
 // the key, and (2) the same ciphertext does not authenticate under two
-// different keys except with negligible probability. Both hold for
-// these encrypt-then-MAC-style schemes.
+// different keys except with negligible probability. Both schemes have
+// (1). Property (2) is open: ChaCha20-Poly1305 and AES-GCM as
+// standardised are not key-committing, and one who picks both keys can
+// build a ciphertext that opens under each. Blame opens accused
+// ciphertexts with revealed keys, so whether the onion's key
+// derivation rules that forgery out here is unsettled (ROADMAP item 4).
 package aead
 
 import (

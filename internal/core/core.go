@@ -598,15 +598,28 @@ func (n *Network) PruneBefore(round uint64) {
 	}
 }
 
-// Register records a network-transport user's mailbox identifier
-// with the shard owning it (see Frontend.Register).
-func (n *Network) Register(mailbox []byte) error {
-	fe := n.frontendFor(mailbox)
-	if fe == nil {
-		return fmt.Errorf("core: mailbox's gateway shard %s is remote; register through its transport",
-			n.shardFor(mailbox).Range())
+// Register records network-transport users' mailbox identifiers, each
+// owning shard's share in one Frontend.Register call, all or nothing
+// per shard. An identifier whose shard is remote refuses the whole
+// call before any shard registers.
+func (n *Network) Register(mailboxes ...[]byte) error {
+	parts := make([][][]byte, len(n.shards))
+	for _, mb := range mailboxes {
+		i := n.owner[OwnerShard(mb)]
+		if _, ok := n.shards[i].(*Frontend); !ok {
+			return fmt.Errorf("core: mailbox's gateway shard %s is remote; register through its transport",
+				n.shards[i].Range())
+		}
+		parts[i] = append(parts[i], mb)
 	}
-	return fe.Register(mailbox)
+	for i, part := range parts {
+		if len(part) > 0 {
+			if err := n.shards[i].(*Frontend).Register(part...); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // SubmitExternal queues a remote user's round output with the shard

@@ -22,7 +22,10 @@ import (
 // is the shortest run of the same records that reproduces the current
 // state (imageLocked), so recovery walks the image and then the WAL
 // tail through that one interpreter, and a live mutation takes the
-// same apply step replay takes before it appends its record.
+// same apply step replay takes. A submission or a watermark applies
+// before it appends its record, the apply step being its check;
+// registrations and a round's deliveries and bans are checked,
+// appended and only then applied, so a refused append changes nothing.
 //
 // Everything a restarted shard must come back with is in the log:
 // mailbox contents, transport registrations and the banned set,
@@ -40,12 +43,16 @@ import (
 // boundary applies as a message decodes, so a corrupted payload
 // cannot smuggle an invalid group element into a batch.
 const (
-	// opRegister: a transport user registered. Payload: mailbox bytes.
+	// opRegister: transport users registered. Payload: their mailbox
+	// identifiers concatenated, group.PointSize bytes each, at most
+	// registerChunk of them.
 	opRegister store.Op = 1
 	// opBan: a user was convicted and banned. Payload: mailbox bytes.
 	opBan store.Op = 2
-	// opDeliver: a round's routed messages landed. Payload: round,
-	// count, then count length-prefixed messages.
+	// opDeliver: routed messages of a round landed. Payload: round,
+	// count, then count length-prefixed messages, at most
+	// deliverRecordBytes in all; a round's mail is as many records as
+	// that takes, and replay accumulates them.
 	opDeliver store.Op = 3
 	// opAck: the owner confirmed receipt of a round's mailbox.
 	// Payload: round, then mailbox bytes.
@@ -62,6 +69,14 @@ const (
 	// opPrune: mailbox rounds before the payload round were dropped
 	// on request (Frontend.PruneBefore).
 	opPrune store.Op = 7
+)
+
+// Record bounds, both far under the 64 MiB a store.Durable record may
+// take: registerChunk identifiers are ≈ 2.1 MiB, and deliverRecordBytes
+// holds ≈ 3 400 mailbox messages.
+const (
+	registerChunk      = 1 << 16
+	deliverRecordBytes = 1 << 20
 )
 
 // mailboxRetention is how many finished rounds of mail a shard keeps:
@@ -204,6 +219,26 @@ func encodeDeliver(round uint64, msgs [][]byte) []byte {
 	return b
 }
 
+// deliverRuns cuts a round's mail into the runs encodeDeliver turns
+// into records of at most deliverRecordBytes each; a message larger
+// than that would run alone.
+func deliverRuns(msgs [][]byte) [][][]byte {
+	var runs [][][]byte
+	lo, size := 0, 0
+	for i, m := range msgs {
+		n := binary.MaxVarintLen32 + len(m)
+		if i > lo && 2*binary.MaxVarintLen64+size+n > deliverRecordBytes {
+			runs = append(runs, msgs[lo:i])
+			lo, size = i, 0
+		}
+		size += n
+	}
+	if lo < len(msgs) {
+		runs = append(runs, msgs[lo:])
+	}
+	return runs
+}
+
 func decodeDeliver(p []byte) (uint64, [][]byte, error) {
 	r := &reader{b: p}
 	round, err := r.uvarint()
@@ -336,21 +371,28 @@ func (f *Frontend) watermarkLocked() watermark {
 
 // imageLocked emits the shard's durable state as the shortest record
 // run that reproduces it: the watermark first (so the plan is in place
-// before any submission is checked against it), then registrations,
-// bans, one delivery per retained round and one submission per (user,
-// round). Every collection is walked in sorted order, so equal states
-// emit equal bytes. Callers hold f.mu.
+// before any submission is checked against it), then the registrations
+// registerChunk to a record, bans, each retained round's mail in as
+// few deliveries as the record bound allows, and one submission per
+// (user, round). Every collection is walked in sorted order, so equal
+// states emit equal bytes. Callers hold f.mu.
 func (f *Frontend) imageLocked() []byte {
 	b := appendRecord(nil, opWatermark, encodeWatermark(f.watermarkLocked()))
 	ids := f.reg.transportKeys(f.rng)
-	for i := range ids {
-		b = appendRecord(b, opRegister, ids[i][:])
+	for lo := 0; lo < len(ids); lo += registerChunk {
+		chunk := ids[lo:min(lo+registerChunk, len(ids))]
+		b = appendUvarint(append(b, byte(opRegister)), uint64(len(chunk)*group.PointSize))
+		for i := range chunk {
+			b = append(b, chunk[i][:]...)
+		}
 	}
 	for _, who := range slices.Sorted(maps.Keys(f.banned)) {
 		b = appendRecord(b, opBan, []byte(who))
 	}
 	for _, rm := range f.boxes.Export() {
-		b = appendRecord(b, opDeliver, encodeDeliver(rm.Round, rm.Msgs))
+		for _, run := range deliverRuns(rm.Msgs) {
+			b = appendRecord(b, opDeliver, encodeDeliver(rm.Round, run))
+		}
 	}
 	for _, who := range slices.Sorted(maps.Keys(f.externals)) {
 		for _, s := range f.externals[who].subs {
@@ -399,11 +441,13 @@ func (f *Frontend) recover(rec *store.Recovered) error {
 func (f *Frontend) replayOneLocked(rec store.Record) error {
 	switch rec.Op {
 	case opRegister:
-		id, err := parseMailboxID(rec.Payload)
-		if err != nil {
-			return err
+		if len(rec.Payload) == 0 || len(rec.Payload)%group.PointSize != 0 {
+			return fmt.Errorf("core: register record is %d bytes, want a non-empty multiple of %d (compressed public keys)", len(rec.Payload), group.PointSize)
 		}
-		f.reg.register(id)
+		for p := rec.Payload; len(p) > 0; p = p[group.PointSize:] {
+			id, _ := parseMailboxID(p[:group.PointSize])
+			f.reg.register(id)
+		}
 	case opBan:
 		f.applyBanLocked(string(rec.Payload))
 	case opDeliver:

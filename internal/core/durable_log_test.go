@@ -178,7 +178,11 @@ func scheduleStep(t testing.TB, rng *rand.Rand, shards []*durableShard, epoch *u
 	who := testMailbox(rng.Intn(scheduleUsers))
 	switch p := rng.Intn(100); {
 	case p < 10:
-		each("register", func(fe *Frontend) any { return errText(fe.Register(who)) })
+		batch := [][]byte{who}
+		for i := rng.Intn(3); i > 0; i-- {
+			batch = append(batch, testMailbox(rng.Intn(scheduleUsers)))
+		}
+		each("register", func(fe *Frontend) any { return errText(fe.Register(batch...)) })
 	case p < 55:
 		// Mostly the open round; sometimes the one before or after.
 		target := round
@@ -342,6 +346,104 @@ func TestCoverSurvivesRecovery(t *testing.T) {
 	}
 }
 
+// refusingStore refuses every record of one op.
+type refusingStore struct {
+	store.Store
+	op store.Op
+}
+
+func (s refusingStore) Append(op store.Op, payload []byte) error {
+	if op == s.op {
+		return fmt.Errorf("store: op %d refused", op)
+	}
+	return s.Store.Append(op, payload)
+}
+
+// TestFinishRefusedAtPersistCommitsNothing: a store that refuses a
+// round's deliveries or bans fails the commit, and the shard has
+// delivered, banned and advanced nothing, so the round finishes again
+// once the store takes it.
+func TestFinishRefusedAtPersistCommitsNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	who := testMailbox(0)
+	for _, op := range []store.Op{opDeliver, opBan} {
+		st := &refusingStore{Store: store.Mem{}, op: op}
+		fe, err := NewFrontend(FrontendConfig{MailboxServers: 2, Store: st})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fe.Register(who); err != nil {
+			t.Fatal(err)
+		}
+		fr := &FinishRound{Round: 1, Delivered: [][]byte{testMail(rng, who)}, Removed: []string{string(testMailbox(1))}}
+		if _, err := fe.FinishRound(fr); err == nil {
+			t.Fatalf("op %d refused: the round committed", op)
+		}
+		if fe.Round() != 1 || len(fe.FetchMailbox(1, who)) != 0 || len(fe.banned) != 0 {
+			t.Fatalf("op %d refused: round %d, %d messages, %d bans; want round 1 and nothing", op, fe.Round(), len(fe.FetchMailbox(1, who)), len(fe.banned))
+		}
+		st.op = 0
+		if _, err := fe.FinishRound(fr); err != nil {
+			t.Fatal(err)
+		}
+		if fe.Round() != 2 || len(fe.FetchMailbox(1, who)) != 1 || len(fe.banned) != 1 {
+			t.Fatalf("op %d accepted again: round %d, %d messages, %d bans", op, fe.Round(), len(fe.FetchMailbox(1, who)), len(fe.banned))
+		}
+	}
+}
+
+// TestSplitDeliveriesReplay: a round's mail larger than three records'
+// bound is logged as four or more opDeliver records, none over the
+// bound, and the bare log and the image both replay it to identical
+// mailboxes.
+func TestSplitDeliveriesReplay(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	s := openShard(t, 1_000_000)
+	fr := &FinishRound{Round: 1}
+	for size := 0; size <= 3*deliverRecordBytes; {
+		m := testMail(rng, testMailbox(rng.Intn(8)))
+		fr.Delivered = append(fr.Delivered, m)
+		size += len(m)
+	}
+	if _, err := s.fe.FinishRound(fr); err != nil {
+		t.Fatal(err)
+	}
+	records := 0
+	for _, rec := range s.tap.records {
+		if rec.Op == opDeliver {
+			records++
+			if len(rec.Payload) > deliverRecordBytes {
+				t.Fatalf("a %d-byte deliver record, bound %d", len(rec.Payload), deliverRecordBytes)
+			}
+		}
+	}
+	if records < 4 {
+		t.Fatalf("%d messages logged as %d deliver records, want 4 or more", len(fr.Delivered), records)
+	}
+	fetchAll := func(fe *Frontend) [][][]byte {
+		var out [][][]byte
+		for u := 0; u < 8; u++ {
+			out = append(out, fe.FetchMailbox(1, testMailbox(u)))
+		}
+		return out
+	}
+	want, image := fetchAll(s.fe), s.emit()
+	s.crash()
+	if !reflect.DeepEqual(fetchAll(s.fe), want) {
+		t.Fatal("the bare log replays to different mailboxes")
+	}
+	if !bytes.Equal(s.emit(), image) {
+		t.Fatal("the bare log replays to a different image")
+	}
+	fe, err := NewFrontend(FrontendConfig{MailboxServers: 2, Recovered: &store.Recovered{Snapshot: image}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(fetchAll(fe), want) {
+		t.Fatal("the image replays to different mailboxes")
+	}
+}
+
 // FuzzDurableReplay feeds the one decoder arbitrary record runs, as an
 // image and as a WAL tail. Recovery may refuse them; a shard it does
 // hand back must begin and finish a round and emit an image, which
@@ -364,6 +466,14 @@ func FuzzDurableReplay(f *testing.F) {
 	f.Add(run)
 	f.Add(run[:len(run)/2])
 	f.Add(s.emit())
+	// Three identifiers in one register record, and the same cut one
+	// byte short; one round's mail as two deliver records.
+	wm := appendRecord(nil, opWatermark, encodeWatermark(watermark{round: 2, numChains: 3}))
+	ids := bytes.Join([][]byte{testMailbox(1), testMailbox(2), testMailbox(3)}, nil)
+	f.Add(appendRecord(wm, opRegister, ids))
+	f.Add(appendRecord(wm, opRegister, ids[:len(ids)-1]))
+	mail := [][]byte{testMail(rng, testMailbox(1)), testMail(rng, testMailbox(2)), testMail(rng, testMailbox(1))}
+	f.Add(appendRecord(appendRecord(wm, opDeliver, encodeDeliver(1, mail[:1])), opDeliver, encodeDeliver(1, mail[1:])))
 	f.Add([]byte{byte(opWatermark), 4, 0, 0, 0, 0})
 	f.Add([]byte{byte(opAck), 1, 9})
 	f.Add([]byte{byte(opPrune), 2, 1, 1})

@@ -272,33 +272,91 @@ func (f *Frontend) AddUser(u *client.User) error {
 	return nil
 }
 
-// Register records a network-transport user's mailbox identifier: she
+// Register records network-transport users' mailbox identifiers: each
 // counts toward the user base and may submit externally, but builds
-// her own onions, so the entry is the identifier alone. Banned ones and
-// any not group.PointSize bytes are refused; an in-process user's is hers.
-func (f *Frontend) Register(mailbox []byte) error {
-	id, err := parseMailboxID(mailbox)
-	if err != nil {
-		return err
-	}
-	if !f.rng.Owns(mailbox) {
-		return fmt.Errorf("core: mailbox hashes to shard %d outside range %s",
-			OwnerShard(mailbox), f.rng)
-	}
+// her own onions, so the entry is the identifier alone. The call is
+// all or nothing. One f.mu hold checks every identifier (length,
+// owning range, not banned), logs them as one opRegister record per
+// registerChunk, and only then inserts them, so a ban cannot land
+// between a user's check and her insertion, and a refused identifier
+// or a failed append registers nothing. An in-process user's
+// identifier is hers: it is neither logged nor touched.
+func (f *Frontend) Register(mailboxes ...[]byte) error {
 	f.mu.Lock()
-	banned := f.banned[string(mailbox)]
-	f.mu.Unlock()
-	if banned {
-		return fmt.Errorf("core: user was removed for misbehaviour; registration refused")
+	defer f.mu.Unlock()
+	// Each identifier's registry shard, hashed once.
+	var one [1]*userShard
+	shards := one[:]
+	if len(mailboxes) != 1 {
+		shards = make([]*userShard, len(mailboxes))
 	}
-	if f.reg.register(id) {
-		// Appended but not synced: the registration becomes durable at
-		// the next sync point (the user's first submission at the
-		// latest). A crash before then loses only the registration,
-		// which the client retries idempotently.
-		f.st.Append(opRegister, mailbox)
+	for i, mb := range mailboxes {
+		sh, err := f.admitLocked(mb)
+		if err != nil {
+			if len(mailboxes) > 1 {
+				err = fmt.Errorf("core: identifier %d of %d: %w", i, len(mailboxes), err)
+			}
+			return err
+		}
+		shards[i] = sh
+	}
+	// Appended but not synced: the registrations become durable at the
+	// next sync point (a user's first submission at the latest). A
+	// crash before then loses only registrations, which clients retry
+	// idempotently.
+	var buf []byte
+	if len(mailboxes) > 1 {
+		buf = make([]byte, 0, min(len(mailboxes), registerChunk)*len(mailboxID{}))
+	}
+	for lo := 0; lo < len(mailboxes); lo += registerChunk {
+		hi := min(lo+registerChunk, len(mailboxes))
+		payload := registrationRecord(mailboxes[lo:hi], shards[lo:hi], buf[:0])
+		if len(payload) == 0 {
+			continue
+		}
+		if err := f.st.Append(opRegister, payload); err != nil {
+			return fmt.Errorf("core: shard %s logging registrations: %w", f.rng, err)
+		}
+	}
+	for i, mb := range mailboxes {
+		id, _ := parseMailboxID(mb)
+		shards[i].register(id)
 	}
 	return nil
+}
+
+// admitLocked is Register's test for one identifier — its length, its
+// owning range, not banned — returning its registry shard. Callers
+// hold f.mu.
+func (f *Frontend) admitLocked(mailbox []byte) (*userShard, error) {
+	if _, err := parseMailboxID(mailbox); err != nil {
+		return nil, err
+	}
+	shard := OwnerShard(mailbox)
+	if !f.rng.Contains(shard) {
+		return nil, fmt.Errorf("core: mailbox hashes to shard %d outside range %s", shard, f.rng)
+	}
+	if f.banned[string(mailbox)] {
+		return nil, fmt.Errorf("core: user was removed for misbehaviour; registration refused")
+	}
+	return &f.reg.shards[shard], nil
+}
+
+// registrationRecord is the opRegister payload for admitted identifiers
+// on their registry shards: their concatenation, in-process users' left
+// out, appended to buf. A lone identifier is its own payload, so
+// registering one user copies nothing.
+func registrationRecord(mailboxes [][]byte, shards []*userShard, buf []byte) []byte {
+	for i, mb := range mailboxes {
+		if shards[i].holdsInProcess(mb) {
+			continue
+		}
+		if len(mailboxes) == 1 {
+			return mb
+		}
+		buf = append(buf, mb...)
+	}
+	return buf
 }
 
 // NumUsers returns the number of registered, non-removed users.
@@ -404,19 +462,20 @@ func (f *Frontend) BeginRound(br *BeginRound) (*ShardBuild, error) {
 // the next round's parameters. The round commit is one durability
 // point: the deliveries, bans and advanced watermark are logged and
 // synced together, so a crash either shows the round fully finished
-// or not finished at all — never half.
+// or not finished at all — never half. The deliveries and bans are
+// logged before they apply: a store that refuses one fails the commit
+// with nothing delivered, banned or advanced, and the round can be
+// finished again.
 func (f *Frontend) FinishRound(fr *FinishRound) (FinishStats, error) {
 	defer func(t0 time.Time) { obsShardFinishSeconds.ObserveDuration(time.Since(t0)) }(time.Now())
-	delivered, _, dropped := f.boxes.Deliver(fr.Round, fr.Delivered)
-
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if len(fr.Delivered) > 0 {
-		f.st.Append(opDeliver, encodeDeliver(fr.Round, fr.Delivered))
+	if err := f.logFinishLocked(fr); err != nil {
+		return FinishStats{}, fmt.Errorf("core: shard %s round %d commit: %w", f.rng, fr.Round, err)
 	}
+	delivered, _, dropped := f.boxes.Deliver(fr.Round, fr.Delivered)
 	for _, who := range fr.Removed {
 		f.applyBanLocked(who)
-		f.st.Append(opBan, []byte(who))
 	}
 	if len(fr.Stranded) > 0 {
 		set := make(map[string]bool, len(fr.Stranded))
@@ -457,6 +516,22 @@ func (f *Frontend) FinishRound(fr *FinishRound) (FinishStats, error) {
 	}
 	f.dropBuiltThroughLocked(fr.Round)
 	return FinishStats{Delivered: delivered, Dropped: dropped}, nil
+}
+
+// logFinishLocked appends a round's deliveries, as many records as
+// deliverRecordBytes takes, and its bans. Callers hold f.mu.
+func (f *Frontend) logFinishLocked(fr *FinishRound) error {
+	for _, run := range deliverRuns(fr.Delivered) {
+		if err := f.st.Append(opDeliver, encodeDeliver(fr.Round, run)); err != nil {
+			return err
+		}
+	}
+	for _, who := range fr.Removed {
+		if err := f.st.Append(opBan, []byte(who)); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // dropBuiltThroughLocked releases what in-process users submitted in

@@ -134,17 +134,28 @@ func (r *registry) insert(key string, ru *registeredUser) {
 	sh.mu.Unlock()
 }
 
-// register records a transport registration and reports whether it is
-// one: an identifier an in-process user holds is hers already.
-func (r *registry) register(id mailboxID) bool {
-	sh := &r.shards[shardIndex(id[:])]
+// register records a transport registration, unless an in-process user
+// holds the identifier: then it is hers already.
+func (r *registry) register(id mailboxID) {
+	r.shards[shardIndex(id[:])].register(id)
+}
+
+// register is registry.register on the identifier's shard.
+func (sh *userShard) register(id mailboxID) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if _, inProcess := sh.users[string(id[:])]; inProcess {
-		return false
+	if _, inProcess := sh.users[string(id[:])]; !inProcess {
+		sh.transport[id] = struct{}{}
 	}
-	sh.transport[id] = struct{}{}
-	return true
+}
+
+// holdsInProcess reports whether an in-process user on the shard holds
+// the identifier.
+func (sh *userShard) holdsInProcess(key []byte) bool {
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	_, ok := sh.users[string(key)]
+	return ok
 }
 
 // update runs fn on the in-process user under the owning shard's write

@@ -9,6 +9,8 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/client"
@@ -91,32 +93,30 @@ func goldenShard(t testing.TB) *Frontend {
 	return fe
 }
 
-// TestImageGolden pins the snapshot image to bytes: a seeded shard
-// emits exactly testdata/image.golden, which was computed when a
-// registration was still a registeredUser behind a string key. The
-// image replays to the same user count, bans and image.
-func TestImageGolden(t *testing.T) {
-	fe := goldenShard(t)
-	fe.mu.Lock()
-	image := fe.imageLocked()
-	fe.mu.Unlock()
-	golden, err := os.ReadFile("testdata/image.golden")
+// goldenImage reads a hex image from testdata.
+func goldenImage(t testing.TB, name string) []byte {
+	t.Helper()
+	golden, err := os.ReadFile("testdata/" + name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := hex.DecodeString(strings.TrimSpace(string(golden)))
+	image, err := hex.DecodeString(strings.TrimSpace(string(golden)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(image, want) {
-		t.Fatalf("image is %d bytes, the golden %d; they differ", len(image), len(want))
-	}
-	again, err := NewFrontend(FrontendConfig{MailboxServers: 2, Recovered: &store.Recovered{Snapshot: image}})
+	return image
+}
+
+// checkReplaysAs requires a frontend recovered from rec to hold the
+// golden shard's users and bans and to re-emit image.
+func checkReplaysAs(t *testing.T, rec *store.Recovered, fe *Frontend, image []byte) {
+	t.Helper()
+	again, err := NewFrontend(FrontendConfig{MailboxServers: 2, Recovered: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got, want := again.NumUsers(), fe.NumUsers(); got != want || want != 22 {
-		t.Fatalf("replayed image counts %d users, the shard %d (want 22)", got, want)
+		t.Fatalf("replay counts %d users, the shard %d (want 22)", got, want)
 	}
 	if !reflect.DeepEqual(again.banned, fe.banned) {
 		t.Fatalf("replayed bans %v, the shard's %v", again.banned, fe.banned)
@@ -124,8 +124,53 @@ func TestImageGolden(t *testing.T) {
 	again.mu.Lock()
 	defer again.mu.Unlock()
 	if !bytes.Equal(again.imageLocked(), image) {
-		t.Fatal("the replayed image re-emits different bytes")
+		t.Fatal("the replayed state re-emits different bytes")
 	}
+}
+
+// TestImageGolden pins the snapshot image to bytes: a seeded shard
+// emits exactly testdata/image.golden, whose registrations are one
+// opRegister record of concatenated identifiers. The image replays to
+// the same user count, bans and image.
+func TestImageGolden(t *testing.T) {
+	fe := goldenShard(t)
+	fe.mu.Lock()
+	image := fe.imageLocked()
+	fe.mu.Unlock()
+	if want := goldenImage(t, "image.golden"); !bytes.Equal(image, want) {
+		t.Fatalf("image is %d bytes, the golden %d; they differ", len(image), len(want))
+	}
+	checkReplaysAs(t, &store.Recovered{Snapshot: image}, fe, image)
+}
+
+// TestPerIDImageReplays: testdata/image_per_id.golden is the same
+// shard's image as written while an opRegister record carried one
+// identifier (and a registration was still a registeredUser before
+// that). As an image and as a WAL of those records it replays to the
+// same users and bans, and the state re-emits image.golden.
+func TestPerIDImageReplays(t *testing.T) {
+	fe := goldenShard(t)
+	old, image := goldenImage(t, "image_per_id.golden"), goldenImage(t, "image.golden")
+	var recs []store.Record
+	registers := 0
+	for r := (&reader{b: old}); len(r.b) > 0; {
+		rc, err := r.record()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rc.Op == opRegister {
+			if len(rc.Payload) != group.PointSize {
+				t.Fatalf("a per-identifier record of %d bytes", len(rc.Payload))
+			}
+			registers++
+		}
+		recs = append(recs, rc)
+	}
+	if registers != 22 {
+		t.Fatalf("%d register records, want 22", registers)
+	}
+	checkReplaysAs(t, &store.Recovered{Snapshot: old}, fe, image)
+	checkReplaysAs(t, &store.Recovered{Records: recs}, fe, image)
 }
 
 // TestRegisterKeepsInProcessUser: registering the identifier an
@@ -189,6 +234,133 @@ func TestMailboxIdentifierLength(t *testing.T) {
 	}
 }
 
+// TestRegisterBatchIsOneRecord: a register call logs its identifiers
+// as one opRegister record per registerChunk, an in-process user's left
+// out; a call holding one identifier it refuses (wrong length, banned,
+// outside the range) registers and logs nothing; and the records replay
+// to the same registrations.
+func TestRegisterBatchIsOneRecord(t *testing.T) {
+	s := openShard(t, 1_000_000)
+	if err := s.fe.Rebalance(0, 3); err != nil {
+		t.Fatal(err)
+	}
+	logged := func() (records, ids int) {
+		for _, rec := range s.tap.records {
+			if rec.Op == opRegister {
+				records++
+				ids += len(rec.Payload) / group.PointSize
+			}
+		}
+		return records, ids
+	}
+	ids := randomMailboxes(8, registerChunk+3)
+	if err := s.fe.Register(ids[:registerChunk]...); err != nil {
+		t.Fatal(err)
+	}
+	if r, n := logged(); r != 1 || n != registerChunk {
+		t.Fatalf("%d identifiers logged as %d records, want %d as 1", n, r, registerChunk)
+	}
+	u := s.fe.NewUser()
+	if err := s.fe.Register(ids[registerChunk], u.Mailbox(), ids[registerChunk+1]); err != nil {
+		t.Fatal(err)
+	}
+	if r, n := logged(); r != 2 || n != registerChunk+2 {
+		t.Fatalf("a batch with an in-process user: %d records, %d identifiers logged; want 2, %d", r, n, registerChunk+2)
+	}
+	users := s.fe.NumUsers()
+	if users != registerChunk+3 {
+		t.Fatalf("%d users, want %d", users, registerChunk+3)
+	}
+
+	banned := ids[registerChunk+2]
+	if _, err := s.fe.FinishRound(&FinishRound{Round: 1, Removed: []string{string(banned)}}); err != nil {
+		t.Fatal(err)
+	}
+	fresh := randomMailboxes(9, 2)
+	records := len(s.tap.records)
+	for what, bad := range map[string][]byte{"is 16 bytes": make([]byte, 16), "removed for misbehaviour": banned} {
+		if err := s.fe.Register(fresh[0], bad, fresh[1]); err == nil || !strings.Contains(err.Error(), what) {
+			t.Fatalf("a batch holding a mailbox that %s: err = %v", what, err)
+		}
+	}
+	if s.fe.NumUsers() != users || len(s.tap.records) != records {
+		t.Fatalf("refused batches left %d users (want %d) and %d records", s.fe.NumUsers(), users, len(s.tap.records)-records)
+	}
+
+	tap := &tapStore{Store: store.Mem{}}
+	half, err := NewFrontend(FrontendConfig{Range: ShardRange{Lo: 0, Hi: 32}, Store: tap})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var owned, foreign []byte
+	for _, id := range randomMailboxes(10, 64) {
+		if half.Range().Owns(id) {
+			owned = id
+		} else {
+			foreign = id
+		}
+	}
+	if err := half.Register(owned, foreign); err == nil || !strings.Contains(err.Error(), "outside range") {
+		t.Fatalf("a batch with a foreign mailbox: err = %v", err)
+	}
+	if half.NumUsers() != 0 || len(tap.records) != 0 {
+		t.Fatalf("the refused batch left %d users and %d records", half.NumUsers(), len(tap.records))
+	}
+
+	s.crash()
+	if got := s.fe.NumUsers(); got != users-1 {
+		t.Fatalf("replay counts %d users, want the %d transport registrations", got, users-1)
+	}
+}
+
+// TestRegisterBanRace: a ban that races a registration of the same
+// mailbox leaves the user registered and then removed, or banned and
+// refused, never banned and registered. Every identifier here is
+// banned, so none may be counted. Run with -race.
+func TestRegisterBanRace(t *testing.T) {
+	n := 20_000
+	if testing.Short() {
+		n = 2_000
+	}
+	for attempt := int64(0); attempt < 3; attempt++ {
+		fe, err := NewFrontend(FrontendConfig{SnapshotEvery: 1 << 30})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids := randomMailboxes(attempt, n)
+		// reached is the index the registering goroutine has begun; the
+		// banning one waits for it, so each ban lands while or just after
+		// its registration runs.
+		var reached atomic.Int64
+		reached.Store(-1)
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for i, id := range ids {
+				reached.Store(int64(i))
+				fe.Register(id)
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for i, id := range ids {
+				for reached.Load() < int64(i) {
+					runtime.Gosched()
+				}
+				if _, err := fe.FinishRound(&FinishRound{Round: uint64(i + 1), Removed: []string{string(id)}}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+		wg.Wait()
+		if got := fe.NumUsers(); got != 0 {
+			t.Fatalf("attempt %d: %d of %d banned users are registered", attempt, got, n)
+		}
+	}
+}
+
 // TestRegistrationBytes pins what a registered-only user costs the
 // gateway's heap: the identifier and a map slot, at most 64 bytes.
 func TestRegistrationBytes(t *testing.T) {
@@ -241,6 +413,44 @@ func BenchmarkRegister(b *testing.B) {
 		if err := fe.Register(ids[base+i%base]); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkRegisterDurable is registration into a shard logging to a
+// store.Durable: ns and allocations per registered user, at one
+// identifier a call and at the batch of a client's register request.
+// Every 100 000 registrations it starts over on a fresh shard and data
+// directory.
+func BenchmarkRegisterDurable(b *testing.B) {
+	const base = 100_000
+	ids := randomMailboxes(4, base)
+	for _, batch := range []int{1, 10_000} {
+		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
+			var fe *Frontend
+			b.ReportAllocs()
+			for i := 0; i < b.N; i += batch {
+				if i%base == 0 {
+					b.StopTimer()
+					if fe != nil {
+						fe.Close()
+					}
+					dur, rec, err := store.Open(b.TempDir(), store.Options{})
+					if err != nil {
+						b.Fatal(err)
+					}
+					if fe, err = NewFrontend(FrontendConfig{Store: dur, Recovered: rec}); err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
+				}
+				lo := i % base
+				if err := fe.Register(ids[lo:min(lo+batch, lo+b.N-i)]...); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			fe.Close()
+		})
 	}
 }
 

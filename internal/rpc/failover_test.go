@@ -82,7 +82,7 @@ func TestBackoffSleepBounds(t *testing.T) {
 // connection to handle. It returns the endpoint and a stop function
 // that kills the listener outright — the "then dead" half of a
 // slow-then-dead gateway.
-func startFakeGateway(t *testing.T, handle func(net.Conn)) (Endpoint, func()) {
+func startFakeGateway(t testing.TB, handle func(net.Conn)) (Endpoint, func()) {
 	t.Helper()
 	srvCfg, cliCfg, err := SelfSignedTLS("127.0.0.1")
 	if err != nil {

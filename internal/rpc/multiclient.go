@@ -9,6 +9,7 @@ import (
 	"math/rand/v2"
 	"net"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -216,8 +217,13 @@ func (m *MultiClient) Refresh() error {
 func (m *MultiClient) ownerIdx(mailbox []byte) int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for i, r := range m.ranges {
-		if r.Width() > 0 && r.Owns(mailbox) {
+	return ownerIn(m.ranges, core.OwnerShard(mailbox))
+}
+
+// ownerIn is ownerIdx for a registry shard over given ranges.
+func ownerIn(ranges []core.ShardRange, shard int) int {
+	for i, r := range ranges {
+		if r.Width() > 0 && r.Contains(shard) {
 			return i
 		}
 	}
@@ -351,18 +357,37 @@ func (m *MultiClient) Ack(round uint64, mailbox []byte) (int, error) {
 	return m.ClientFor(mailbox).Ack(round, mailbox)
 }
 
-// Register records mailbox identifiers, routing each batch to the
-// owning gateway.
+// Register records mailbox identifiers, each owning gateway's share as
+// one batch, the gateways' batches concurrently. It returns how many
+// the gateways accepted and the lowest-indexed gateway's error.
 func (m *MultiClient) Register(mailboxes [][]byte) (int, error) {
-	buckets := make(map[int][][]byte)
+	m.mu.Lock()
+	ranges := slices.Clone(m.ranges)
+	m.mu.Unlock()
+	buckets := make([][][]byte, len(m.clients))
 	for _, mb := range mailboxes {
-		i := m.ownerIdx(mb)
+		i := ownerIn(ranges, core.OwnerShard(mb))
 		buckets[i] = append(buckets[i], mb)
 	}
-	total := 0
+	counts := make([]int, len(buckets))
+	errs := make([]error, len(buckets))
+	var wg sync.WaitGroup
 	for i, batch := range buckets {
-		n, err := m.clients[i].Register(batch)
+		if len(batch) == 0 {
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			counts[i], errs[i] = m.clients[i].Register(batch)
+		}()
+	}
+	wg.Wait()
+	total := 0
+	for _, n := range counts {
 		total += n
+	}
+	for _, err := range errs {
 		if err != nil {
 			return total, err
 		}

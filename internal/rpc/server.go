@@ -1,8 +1,6 @@
 package rpc
 
 import (
-	"fmt"
-
 	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/mix"
@@ -14,7 +12,7 @@ import (
 type gateway interface {
 	ChainParams(chain int, round uint64) (mix.Params, error)
 	SubmitExternal(mailbox string, out *client.RoundOutput) error
-	Register(mailbox []byte) error
+	Register(mailboxes ...[]byte) error
 	FetchMailbox(round uint64, mailbox []byte) [][]byte
 	AckMailbox(round uint64, mailbox []byte) int
 }
@@ -36,10 +34,8 @@ func userMethods(g gateway) map[string]handler {
 			return SubmitResponse{Accepted: true}, nil
 		}),
 		"register": typed(func(r *RegisterRequest) (RegisterResponse, error) {
-			for i, mb := range r.Mailboxes {
-				if err := g.Register(mb); err != nil {
-					return RegisterResponse{}, fmt.Errorf("rpc: after %d registrations: %w", i, err)
-				}
+			if err := g.Register(r.Mailboxes...); err != nil {
+				return RegisterResponse{}, err
 			}
 			return RegisterResponse{Registered: len(r.Mailboxes)}, nil
 		}),

@@ -1,18 +1,22 @@
 package rpc
 
 import (
+	"maps"
 	"net"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/aead"
 	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/group"
 	"repro/internal/mix"
+	"repro/internal/nizk"
 	"repro/internal/onion"
 )
 
@@ -284,5 +288,135 @@ func FuzzDispatch(f *testing.F) {
 				t.Fatalf("%s: a well-formed method name cost the connection: %v", method, err)
 			}
 		}
+	})
+}
+
+// replies is one well-formed reply per method — FuzzReply's seed
+// corpus. Its points and proofs are real, so each seed decodes.
+func replies(params mix.Params, sub onion.Submission) map[string]any {
+	g := group.Generator()
+	x := group.NewScalar(5)
+	proof := nizk.ProveDlog("fuzz", g, x)
+	return map[string]any{
+		"params":   params,
+		"submit":   SubmitResponse{Accepted: true},
+		"register": RegisterResponse{Registered: 1},
+		"fetch":    FetchResponse{Messages: [][]byte{g.Bytes()}},
+		"ack":      AckResponse{Pruned: 1},
+		"status":   StatusResponse{Round: 1, NumChains: 2, ChainLength: 3, L: 2, Role: "gateway", ShardHi: 32, Users: 1},
+		"runround": core.RoundReport{Round: 1, Delivered: 2, BlamedServers: [][2]int{{0, 1}}},
+
+		"hop.init":    mix.HopKeys{BpkPrev: g, Bpk: g, Mpk: g, BaselinePub: g, BskProof: proof, MskProof: proof},
+		"hop.begin":   HopBeginResponse{Ipk: g, Proof: proof},
+		"hop.reveal":  HopRevealResponse{Isk: x},
+		"hop.mix":     mix.MixResult{Out: onion.Batch{sub.Envelope}, Proof: proof, Out2In: []int{0}},
+		"hop.certify": proof,
+		"hop.blame":   mix.BlameReveal{Xin: g, BlindProof: proof, K: g, KeyProof: proof},
+		"hop.accuse":  mix.AccuseReveal{K: g, Proof: proof},
+
+		"shard.init":      ShardInitResponse{},
+		"shard.begin":     core.ShardBuild{Batches: []core.ChainBatch{{Subs: []onion.Submission{sub}, Submitters: []string{string(g.Bytes())}}}, Covered: 1},
+		"shard.finish":    core.FinishStats{Delivered: 1},
+		"shard.abort":     ack{},
+		"shard.rebalance": ack{},
+	}
+}
+
+// FuzzReply is FuzzDispatch from the caller's side: a fake endpoint
+// answers every request with one fuzzed reply body, and each method in
+// policies is called through the client type that makes it — Client,
+// MultiClient, HopClient or ShardClient. The property: an error or a
+// decoded reply, never a panic.
+func FuzzReply(f *testing.F) {
+	n, _ := newDeployment(f)
+	out, err := newRemoteUser(f, n).BuildRound(n.Round(), n)
+	if err != nil {
+		f.Fatal(err)
+	}
+	sub := out.Current[0].Sub
+	params, err := n.ChainParams(0, n.Round())
+	if err != nil {
+		f.Fatal(err)
+	}
+
+	var reply atomic.Pointer[[]byte]
+	ep, _ := startFakeGateway(f, func(conn net.Conn) {
+		defer conn.Close()
+		for {
+			if _, err := ReadFrame(conn); err != nil {
+				return
+			}
+			frame := NewFrame()
+			frame.Write(*reply.Load())
+			if WriteFrame(conn, frame) != nil {
+				return
+			}
+		}
+	})
+	c := NewClient(ep.Addr, ep.TLS)
+	m, err := NewMultiClient([]Endpoint{ep})
+	if err != nil {
+		f.Fatal(err)
+	}
+	m.Backoff = Backoff{Attempts: 1}
+	hc := DialHop(ep.Addr, ep.TLS)
+	sc, err := NewShardClient(0, 32, ep.Addr, ep.TLS)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { c.Close(); m.Close(); hc.Close(); sc.Close() })
+
+	g := group.Generator()
+	mb := g.Bytes()
+	calls := map[string]func(){
+		"params": func() {
+			// A client of its own on the shared link: a decoded reply is
+			// cached, and a cached one would never reach the decoder again.
+			fresh := NewClient(ep.Addr, ep.TLS)
+			fresh.link = c.link
+			fresh.ChainParams(0, 1)
+		},
+		"submit":   func() { m.Submit(mb, out) },
+		"register": func() { m.Register([][]byte{mb}) },
+		"fetch":    func() { m.Fetch(1, mb) },
+		"ack":      func() { m.Ack(1, mb) },
+		"status":   func() { m.Refresh() },
+		"runround": func() { c.RunRound() },
+
+		"hop.init":    func() { hc.Init(0, 0, g) },
+		"hop.begin":   func() { hc.BeginRound(1) },
+		"hop.reveal":  func() { hc.RevealInnerKey(1) },
+		"hop.mix":     func() { hc.Mix(1, [aead.NonceSize]byte{}, []onion.Envelope{sub.Envelope}) },
+		"hop.certify": func() { hc.ReProveSubset(1, 0, []bool{true}) },
+		"hop.blame":   func() { hc.BlameReveal(1, 0, 0) },
+		"hop.accuse":  func() { hc.Accuse(1, 0, g) },
+
+		"shard.init":      func() { sc.Init(n) },
+		"shard.begin":     func() { sc.BeginRound(&core.BeginRound{Round: 1, NumChains: 2}) },
+		"shard.finish":    func() { sc.FinishRound(&core.FinishRound{Round: 1}) },
+		"shard.abort":     func() { sc.AbortRound(1) },
+		"shard.rebalance": func() { sc.Rebalance(1, 2) },
+	}
+	samples := replies(params, sub)
+	for name := range policies {
+		if calls[name] == nil || samples[name] == nil {
+			f.Fatalf("method %q has no caller or no sample reply", name)
+		}
+	}
+	for _, name := range slices.Sorted(maps.Keys(samples)) {
+		body := fuzzBody(f, "", samples[name])
+		f.Add(name, body)
+		f.Add(name, body[:len(body)/2])
+		f.Add(name, []byte{})
+	}
+
+	f.Fuzz(func(t *testing.T, method string, body []byte) {
+		call := calls[method]
+		if call == nil {
+			return
+		}
+		payload := withMethod(t, "", body)[prefixLen:]
+		reply.Store(&payload)
+		call()
 	})
 }

@@ -19,7 +19,10 @@
 # walked one by one again. Register and SnapshotImage (internal/core)
 # price one registered-only user at a gateway and the snapshot of
 # 100 000 of them: a row that jumps means a registration grew back into
-# an object per user. BuildRound (internal/client) prices one user's
+# an object per user. RegisterDurable prices a registration logged to a
+# store.Durable, one identifier a call and 10 000 (a client's register
+# request): a batch row that jumps means a call's identifiers went back
+# to a record and a write each. BuildRound (internal/client) prices one user's
 # whole round at k = 32. HistogramObserve (internal/obs) is one Observe
 # contended by every P into an octave already allocated: a row that
 # jumps means the hot path took a lock or an allocation. ProveDlog
@@ -34,7 +37,7 @@
 # defect; there is no per-proof sweep above its 8-proof leaves any more,
 # so a row that jumps means the walk lost its inference, not that a
 # cut-off moved. Those rows, Dleq, BatchBase, ProveDlog's and
-# VerifyDlog's generator and bare rows and NewNetwork are compared from
+# VerifyDlog's generator and bare rows, NewNetwork and RegisterDurable are compared from
 # the first commit both sides have them — until then they are listed as
 # only on the head. Absolute ns/op say
 # nothing across boxes or days (one untouched benchmark has read
@@ -52,7 +55,7 @@ usage="usage: bench_compare.sh BASE [HEAD=.] [N=5]"
 base=${1:?$usage}
 head=${2:-.}
 pairs=${3:-5}
-gated='^Benchmark(ScalarBaseMult|BatchBase|MultiScalarMult|SubmissionVerify|BatchMul|Dleq|Register|SnapshotImage|BuildRound|HistogramObserve|ProveDlog|VerifyDlog|NewNetwork)$'
+gated='^Benchmark(ScalarBaseMult|BatchBase|MultiScalarMult|SubmissionVerify|BatchMul|Dleq|Register|RegisterDurable|SnapshotImage|BuildRound|HistogramObserve|ProveDlog|VerifyDlog|NewNetwork)$'
 packages=". ./internal/group ./internal/nizk ./internal/core ./internal/client ./internal/obs" # where the gated families live
 
 repo=$(cd "$(dirname "$0")/.." && pwd)
