@@ -606,6 +606,37 @@ func TestMaliciousUsersAtDifferentLayers(t *testing.T) {
 	}
 }
 
+// TestDuplicateSubmissionsBothConvicted: two submitters send
+// byte-identical submissions that fail at a middle layer. The copies
+// are one envelope at every position, so blame must trace them to two
+// distinct submissions — both submitters convicted, no server blamed,
+// and the upstream re-certification over the survivors still verifies.
+func TestDuplicateSubmissionsBothConvicted(t *testing.T) {
+	c := testChain(t, 4)
+	subs, want := submitMany(t, c, 10)
+	bad, err := MaliciousSubmission(scheme, c.Params(), 1, 0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	subs = append(subs[:3:3], append([]onion.Submission{bad}, subs[3:]...)...)
+	subs = append(subs, bad)
+	res, err := c.RunRound(1, 0, subs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Halted || len(res.BlamedServers) != 0 {
+		t.Fatalf("servers blamed for two identical user attacks: %+v", res)
+	}
+	got := append([]int(nil), res.BlamedUsers...)
+	sort.Ints(got)
+	if !equalInts(got, []int{3, 11}) {
+		t.Fatalf("blamed users %v, want [3 11]", got)
+	}
+	if len(res.Delivered) != len(want) {
+		t.Fatalf("delivered %d of %d", len(res.Delivered), len(want))
+	}
+}
+
 // TestLastServerGarbleDropsInner exercises §6's central observation:
 // tampering downstream of the honest shuffler gains the adversary
 // nothing. Garbling the LAST server's output corrupts only inner

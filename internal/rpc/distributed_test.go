@@ -253,6 +253,64 @@ func TestDistributedBlameTwoLayersMatchesLocal(t *testing.T) {
 	}
 }
 
+// TestDistributedBlameDuplicateSubmissions: two submitters send
+// byte-identical submissions that fail at the middle position, to the
+// same three mix servers reached over TLS and in-process. The copies
+// are one envelope at every position, and each chain must still trace
+// them to two submissions: both convicted, no server blamed, every
+// honest message delivered.
+func TestDistributedBlameDuplicateSubmissions(t *testing.T) {
+	const k, honest = 3, 12
+	scheme := aead.ChaCha20Poly1305()
+	fleet := startHopFleet(t, k)
+	remote, local := make([]mix.Hop, k), make([]mix.Hop, k)
+	base := group.Generator()
+	for i, hs := range fleet {
+		hc := DialHop(hs.Addr(), hs.ClientTLS())
+		t.Cleanup(func() { hc.Close() })
+		keys, err := hc.Init(0, i, base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		remote[i], local[i], base = hc, mix.LocalHop(hs.srv), keys.Bpk
+	}
+	for name, hops := range map[string][]mix.Hop{"over TLS": remote, "in-process": local} {
+		chain, err := mix.NewChainFromHops(0, hops, scheme)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := chain.BeginRound(1); err != nil {
+			t.Fatal(err)
+		}
+		params, err := chain.ParamsFor(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		subs := make([]onion.Submission, honest)
+		for i := range subs {
+			if subs[i], err = mix.CraftValidOnion(scheme, params, 1, client.LaneCurrent, group.Generator()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		bad, err := mix.MaliciousSubmission(scheme, params, 1, client.LaneCurrent, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		subs[2], subs[9] = bad, bad
+		res, err := chain.RunRound(1, client.LaneCurrent, subs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sort.Ints(res.BlamedUsers)
+		if res.Halted || len(res.BlamedServers) != 0 || !reflect.DeepEqual(res.BlamedUsers, []int{2, 9}) {
+			t.Fatalf("%s: halted %v, blamed servers %v and users %v, want users [2 9] only", name, res.Halted, res.BlamedServers, res.BlamedUsers)
+		}
+		if len(res.Delivered) != honest-2 {
+			t.Fatalf("%s: delivered %d of %d honest messages", name, len(res.Delivered), honest-2)
+		}
+	}
+}
+
 // TestDistributedHopDeath kills one hop endpoint mid-deployment. The
 // round must absorb the loss — halt the chain, blame the position,
 // return a report — instead of wedging or crashing; announcing the
