@@ -60,10 +60,10 @@ func TestMixBatchMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(mr.Failed) != 0 || len(mr.Out) != len(clean) || !isPermutation(mr.Out2In, len(clean)) {
+	if len(mr.Failed) != 0 || len(mr.Out) != len(clean) || len(s.lastPerm) != len(clean) {
 		t.Fatalf("clean batch: failed %v, %d outputs", mr.Failed, len(mr.Out))
 	}
-	for p, j := range mr.Out2In {
+	for p, j := range s.lastPerm {
 		pt, err := onion.PeelAHS(scheme, s.msk, nonce, clean[j])
 		if err != nil {
 			t.Fatal(err)

@@ -311,36 +311,32 @@ type RoundResult struct {
 
 // roundState tracks the working set between mixing steps.
 type roundState struct {
-	// envs are the envelopes entering the current server.
+	// envs are the envelopes entering the current position.
 	envs []onion.Envelope
-	// origin[j] is the original submission index of envs[j]. In the
-	// distributed protocol this mapping is secret (held piecewise in
-	// the servers' permutations) and only revealed per message by the
-	// blame protocol; the orchestrator tracks it for attribution and
-	// reporting, reading the same permutations blame would reveal.
-	origin []int
-	// slot[j] is envs[j]'s position in the current server's original
-	// (pre-blame-removal) input, i.e. in the previous server's stored
-	// output. It anchors upstream walks after removals.
-	slot []int
-	// subs are the originally submitted, proof-checked submissions,
-	// indexed by original submission index, for the blame protocol's
-	// step 3 ("check c_1 matches the user submitted ciphertext").
-	subs map[int]onion.Submission
+	// accepted[j] is the submission index of position 0's input j:
+	// the only link from a batch back to its submitters the chain
+	// holds. Blame at position 0 filters it along with envs; blame
+	// further down reaches it through the reveal walk (blame.go).
+	accepted []int
+	// states are the per-position traffic records of this round.
+	states []posRecord
 }
 
 // posRecord is the orchestrator's record of one position's traffic:
-// the batch it sent in, the batch it got back, the disclosed
-// permutation, and where each input sat in the previous position's
-// output. Every verification — shuffle certificates, blame replays,
-// re-certification after removals — reads these records, never the
-// position's own claims, which is what lets a position live on an
-// untrusted remote process.
+// the batch it sent in and the batch it got back, and which of each
+// the blame walks traced a removed message through. Every
+// verification — shuffle certificates, blame replays, re-certification
+// after removals — reads these records, never the position's own
+// claims, which is what lets a position live on an untrusted remote
+// process. Nothing here says which output came from which input: that
+// is each position's secret, opened by a reveal for an accused message
+// only.
 type posRecord struct {
-	in      []onion.Envelope
-	out     []onion.Envelope
-	out2in  []int
-	inSlots []int
+	in, out []onion.Envelope
+	// inGone and outGone mark the inputs and outputs that blame walks
+	// traced removed messages through, accumulated over the round's
+	// blame runs; re-certification covers the rest.
+	inGone, outGone []bool
 }
 
 // RunRound executes one full AHS round (§6.3) over the submissions:
@@ -368,20 +364,18 @@ func (c *Chain) RunRound(round uint64, lane byte, subs []onion.Submission) (*Rou
 	// (one multi-scalar multiplication per chunk); failing chunks are
 	// bisected, so the blamed indices are identical to the seed's
 	// serial per-proof loop.
-	st := &roundState{subs: make(map[int]onion.Submission, len(subs))}
+	st := &roundState{states: make([]posRecord, len(c.hops))}
 	bad := VerifySubmissionProofs(subs, round, c.ID)
 	res.BlamedUsers = append(res.BlamedUsers, bad...)
-	badSet := make(map[int]bool, len(bad))
-	for _, i := range bad {
-		badSet[i] = true
-	}
+	accepted := make([]onion.Submission, 0, len(subs)-len(bad))
 	for i, sub := range subs {
-		if badSet[i] {
+		if len(bad) > 0 && bad[0] == i {
+			bad = bad[1:]
 			continue
 		}
 		st.envs = append(st.envs, sub.Envelope)
-		st.origin = append(st.origin, i)
-		st.subs[i] = sub
+		st.accepted = append(st.accepted, i)
+		accepted = append(accepted, sub)
 	}
 
 	// Input agreement (§6.3): "the servers first agree on the inputs
@@ -391,10 +385,6 @@ func (c *Chain) RunRound(round uint64, lane byte, subs []onion.Submission) (*Rou
 	// copy of the submissions to hash; no mix.Hop method carries either
 	// today — every position's input is the batch this orchestrator
 	// sends it — so a loop here would compare this hash with itself.
-	accepted := make([]onion.Submission, len(st.envs))
-	for j := range st.envs {
-		accepted[j] = st.subs[st.origin[j]]
-	}
 	res.InputDigest = InputDigest(round, c.ID, accepted)
 	res.VerifyDur = time.Since(verifyStart)
 	obsChainVerifySeconds.ObserveDuration(res.VerifyDur)
@@ -411,17 +401,14 @@ func (c *Chain) RunRound(round uint64, lane byte, subs []onion.Submission) (*Rou
 		return res, nil
 	}
 
-	// Mixing steps. states holds the orchestrator's per-position
-	// traffic records for this round's blame and re-certification.
-	states := make([]posRecord, len(c.hops))
+	// Mixing steps, each recorded in st.states for this round's blame
+	// and re-certification.
 	i := 0
 	epochs := make([]int, len(c.hops))
 	for i < len(c.hops) {
 		h := c.hops[i]
 		hk := c.keys[i]
-		st.slot = identitySlots(len(st.envs), st.slot, st.slot == nil)
-		states[i].in = st.envs
-		states[i].inSlots = append([]int(nil), st.slot...)
+		st.states[i] = posRecord{in: st.envs, inGone: make([]bool, len(st.envs))}
 		mr, err := h.Mix(round, nonce, st.envs)
 		if err != nil {
 			// The hop transport failed: the position is unreachable,
@@ -441,7 +428,7 @@ func (c *Chain) RunRound(round uint64, lane byte, subs []onion.Submission) (*Rou
 				return res, nil
 			}
 			res.BlameRounds++
-			verdict := c.runBlame(round, nonce, i, mr.Failed, st, states)
+			verdict := c.runBlame(round, nonce, i, mr.Failed, st)
 			res.BlamedServers = append(res.BlamedServers, verdict.Servers...)
 			res.BlamedUsers = append(res.BlamedUsers, verdict.Users...)
 			if len(verdict.Servers) > 0 {
@@ -459,30 +446,20 @@ func (c *Chain) RunRound(round uint64, lane byte, subs []onion.Submission) (*Rou
 			// position already sees — but not a whole Mix's work: the
 			// server kept the failing call's exponentiations and
 			// recalls them for every survivor (Server.lastPows).
-			removed := make(map[int]bool, len(mr.Failed))
-			for _, j := range mr.Failed {
-				removed[j] = true
-			}
-			if len(removed) == len(st.envs) {
+			if len(mr.Failed) == len(st.envs) {
 				// Every remaining message was removed as malicious;
 				// nothing is left to mix, certify or deliver.
-				st.filter(removed)
 				return res, nil
 			}
-			if i > 0 {
-				keepFull := make([]bool, len(states[i-1].out))
-				for j := range st.envs {
-					if !removed[j] {
-						keepFull[st.slot[j]] = true
-					}
-				}
-				if err := c.reCertifyUpstream(round, i, keepFull, epochs, states); err != nil {
-					res.Halted = true
-					res.BlamedServers = append(res.BlamedServers, i-1)
-					return res, nil
-				}
+			if pos := c.reCertifyUpstream(round, i, epochs, st.states); pos >= 0 {
+				res.Halted = true
+				res.BlamedServers = append(res.BlamedServers, pos)
+				return res, nil
 			}
-			st.filter(removed)
+			st.envs = without(st.envs, mr.Failed)
+			if i == 0 {
+				st.accepted = without(st.accepted, mr.Failed)
+			}
 			continue
 		}
 		// Every member verifies the shuffle certificate; the chain
@@ -492,24 +469,10 @@ func (c *Chain) RunRound(round uint64, lane byte, subs []onion.Submission) (*Rou
 			res.BlamedServers = append(res.BlamedServers, i)
 			return res, nil
 		}
-		// The disclosed permutation must actually be one before the
-		// orchestrator indexes with it — a remote position's word is
-		// not trusted for memory safety.
-		if !isPermutation(mr.Out2In, len(st.envs)) {
-			res.Halted = true
-			res.BlamedServers = append(res.BlamedServers, i)
-			return res, nil
-		}
-		// Record the position's output and lineage, then advance:
-		// outputs become the next position's inputs and origins
-		// follow the permutation the server privately applied.
-		states[i].out = mr.Out
-		states[i].out2in = mr.Out2In
-		newOrigin := make([]int, len(st.origin))
-		for p, j := range mr.Out2In {
-			newOrigin[p] = st.origin[j]
-		}
-		st.envs, st.origin, st.slot = mr.Out, newOrigin, nil
+		// Record the position's output, then advance: it is the next
+		// position's input.
+		st.states[i].out, st.states[i].outGone = mr.Out, make([]bool, len(mr.Out))
+		st.envs = mr.Out
 		i++
 	}
 
@@ -570,40 +533,26 @@ func openInnerBatch(scheme aead.Scheme, innerSum group.Scalar, nonce [aead.Nonce
 	return msgs
 }
 
-// identitySlots resets the slot map when entering a new server (each
-// message's slot is then simply its index) and keeps it across blame
-// retries at the same server.
-func identitySlots(n int, cur []int, reset bool) []int {
-	if !reset && cur != nil {
-		return cur
-	}
-	s := make([]int, n)
-	for i := range s {
-		s[i] = i
-	}
-	return s
-}
-
-// filter drops the removed working indices.
-func (st *roundState) filter(removed map[int]bool) {
-	var envs []onion.Envelope
-	var origin, slot []int
-	for j := range st.envs {
-		if removed[j] {
+// without returns s minus the entries at the given sorted indices,
+// in order.
+func without[T any](s []T, drop []int) []T {
+	out := make([]T, 0, len(s)-len(drop))
+	for j, e := range s {
+		if len(drop) > 0 && drop[0] == j {
+			drop = drop[1:]
 			continue
 		}
-		envs = append(envs, st.envs[j])
-		origin = append(origin, st.origin[j])
-		slot = append(slot, st.slot[j])
+		out = append(out, e)
 	}
-	st.envs, st.origin, st.slot = envs, origin, slot
+	return out
 }
 
-// keptKeys returns the Diffie-Hellman keys of the envelopes keep marks.
-func keptKeys(envs []onion.Envelope, keep []bool) []group.Point {
+// keptKeys returns the Diffie-Hellman keys of the envelopes gone does
+// not mark.
+func keptKeys(envs []onion.Envelope, gone []bool) []group.Point {
 	keys := make([]group.Point, 0, len(envs))
-	for j, k := range keep {
-		if k {
+	for j, g := range gone {
+		if !g {
 			keys = append(keys, envs[j].DHKey)
 		}
 	}
@@ -611,41 +560,24 @@ func keptKeys(envs []onion.Envelope, keep []bool) []group.Point {
 }
 
 // reCertifyUpstream makes positions 0..upto-1 re-issue their shuffle
-// certificates over the surviving messages after blame removal, and
-// verifies them against the reduced key products. keepFull is indexed
-// by position upto-1's output positions; walking upstream, positions
-// are translated through each server's permutation and its input
-// slot map (non-identity only if it re-mixed a reduced set).
-func (c *Chain) reCertifyUpstream(round uint64, upto int, keepFull []bool, epochs []int, states []posRecord) error {
-	keepAt := keepFull
+// certificates over the messages the round's blame walks did not trace
+// (§6.4 closing paragraph), and verifies each against the products of
+// its kept inputs and outputs. It returns the first position whose
+// certificate fails, or -1.
+func (c *Chain) reCertifyUpstream(round uint64, upto int, epochs []int, states []posRecord) int {
 	for i := upto - 1; i >= 0; i-- {
 		rec := &states[i]
-		inKeep := make([]bool, len(rec.in))
-		for p, k := range keepAt {
-			if k {
-				inKeep[rec.out2in[p]] = true
-			}
+		keep := make([]bool, len(rec.in))
+		for j, g := range rec.inGone {
+			keep[j] = !g
 		}
 		epochs[i]++
-		proof, err := c.hops[i].ReProveSubset(round, epochs[i], inKeep)
-		if err != nil {
-			return fmt.Errorf("mix: server %d re-certification: %w", i, err)
+		proof, err := c.hops[i].ReProveSubset(round, epochs[i], keep)
+		if err != nil || nizk.VerifyDleq(mixContext(round, c.ID, i, epochs[i]),
+			group.Product(keptKeys(rec.in, rec.inGone)), group.Product(keptKeys(rec.out, rec.outGone)),
+			c.keys[i].BpkPrev, c.keys[i].Bpk, proof) != nil {
+			return i
 		}
-		if err := nizk.VerifyDleq(mixContext(round, c.ID, i, epochs[i]),
-			group.Product(keptKeys(rec.in, inKeep)), group.Product(keptKeys(rec.out, keepAt)),
-			c.keys[i].BpkPrev, c.keys[i].Bpk, proof); err != nil {
-			return fmt.Errorf("mix: server %d re-certification: %w", i, err)
-		}
-		if i == 0 {
-			break
-		}
-		prevKeep := make([]bool, len(states[i-1].out))
-		for j, k := range inKeep {
-			if k {
-				prevKeep[rec.inSlots[j]] = true
-			}
-		}
-		keepAt = prevKeep
 	}
-	return nil
+	return -1
 }

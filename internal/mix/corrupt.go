@@ -46,7 +46,7 @@ type Corruption struct {
 
 // applyMix mutates the server's output according to the corruption
 // and returns the (possibly resized) output slice.
-func (c *Corruption) applyMix(s *Server, in, out []onion.Envelope, out2in []int) []onion.Envelope {
+func (c *Corruption) applyMix(out []onion.Envelope) []onion.Envelope {
 	for _, pair := range c.TamperPairs {
 		p1, p2 := pair[0], pair[1]
 		if p1 >= len(out) || p2 >= len(out) || p1 == p2 {

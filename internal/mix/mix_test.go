@@ -2,6 +2,7 @@ package mix
 
 import (
 	"bytes"
+	"crypto/rand"
 	"encoding/gob"
 	"sort"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/aead"
 	"repro/internal/group"
 	"repro/internal/kdf"
+	"repro/internal/nizk"
 	"repro/internal/onion"
 )
 
@@ -634,6 +636,58 @@ func TestDuplicateSubmissionsBothConvicted(t *testing.T) {
 	}
 	if len(res.Delivered) != len(want) {
 		t.Fatalf("delivered %d of %d", len(res.Delivered), len(want))
+	}
+}
+
+// sameKeySubmission seals inner in outer layers for the chain's first
+// layers positions under the secret x, with a valid knowledge proof:
+// how a malicious user sends several envelopes under one key.
+func sameKeySubmission(t testing.TB, p Params, x group.Scalar, layers int) onion.Submission {
+	t.Helper()
+	ct := make([]byte, onion.AHSCiphertextSize(len(p.MixKeys))-layers*aead.Overhead)
+	if _, err := rand.Read(ct); err != nil {
+		t.Fatal(err)
+	}
+	privs := make([]group.Scalar, layers)
+	for i := range privs {
+		privs[i] = x
+	}
+	nonce := aead.RoundNonce(p.Round, 0)
+	secrets := group.BatchDH(p.MixKeys[:layers], privs)
+	for i := layers - 1; i >= 0; i-- {
+		key := [aead.KeySize]byte(kdf.OnionKey(secrets[i]))
+		ct = scheme.Seal(nil, &key, &nonce, ct)
+	}
+	v := group.MustRandomScalar()
+	proof := nizk.ProveDlogCommitPrecomputed(onion.SubmitContext(p.Round, p.ChainID), group.Generator(), group.Base(x), x, v, group.Base(v))
+	return onion.Submission{Envelope: onion.Envelope{DHKey: group.Base(x), Ct: ct}, Proof: proof}
+}
+
+// TestSameKeyDifferentCiphertexts: a malicious user sends two
+// envelopes under one key, one failing at position 2 and one opening
+// at every position. At positions 0 and 1 the two are one key with two
+// ciphertexts, so a reveal's key alone does not say which input it
+// is; the walk must take the one whose ciphertext opens to what the
+// position forwarded, or it would convict an honest position. Each run
+// draws fresh shuffles, so eight runs put the two in both orders.
+func TestSameKeyDifferentCiphertexts(t *testing.T) {
+	c := testChain(t, 4)
+	subs, want := submitMany(t, c, 6)
+	x := group.MustRandomScalar()
+	failing, opening := sameKeySubmission(t, c.Params(), x, 2), sameKeySubmission(t, c.Params(), x, 4)
+	subs = append(subs, opening, failing)
+	for run := 0; run < 8; run++ {
+		res, err := c.RunRound(1, 0, subs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Halted || len(res.BlamedServers) != 0 || !equalInts(res.BlamedUsers, []int{7}) {
+			t.Fatalf("run %d: halted %v, blamed servers %v and users %v, want user 7 only", run, res.Halted, res.BlamedServers, res.BlamedUsers)
+		}
+		// The envelope that opens everywhere carries no inner envelope.
+		if res.DroppedInner != 1 || len(res.Delivered) != len(want) {
+			t.Fatalf("run %d: dropped %d, delivered %d of %d", run, res.DroppedInner, len(res.Delivered), len(want))
+		}
 	}
 }
 

@@ -20,29 +20,17 @@ func memoless(s *Server) *Server {
 		bsk: s.bsk, msk: s.msk, bpk: s.bpk, mpk: s.mpk, bpkPrev: s.bpkPrev}
 }
 
-// without returns envs minus the given (sorted) indices, in order —
-// what the chain hands back to a position after blame.
-func without(envs []onion.Envelope, drop []int) []onion.Envelope {
-	var out []onion.Envelope
-	for j, e := range envs {
-		if len(drop) > 0 && drop[0] == j {
-			drop = drop[1:]
-			continue
-		}
-		out = append(out, e)
-	}
-	return out
-}
-
 // checkMixAgrees requires got, s's answer for batch in, to be what a
 // memo-less server answers for it: the same Failed list, or — undone
-// by each side's own permutation — the same blinded key and peeled
-// ciphertext for every input, under a certificate VerifyMix accepts.
-// It then requires s to hold in's keys as lastIn, and powers only if
-// the call failed.
+// by each side's own kept permutation — the same blinded key and
+// peeled ciphertext for every input, under a certificate VerifyMix
+// accepts. It then requires s to hold in's keys as lastIn, a
+// permutation only if the call succeeded, and powers only if it
+// failed.
 func checkMixAgrees(t *testing.T, s *Server, round uint64, nonce [aead.NonceSize]byte, in []onion.Envelope, got *MixResult) {
 	t.Helper()
-	want, err := memoless(s).Mix(round, nonce, in)
+	ref := memoless(s)
+	want, err := ref.Mix(round, nonce, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,22 +38,22 @@ func checkMixAgrees(t *testing.T, s *Server, round uint64, nonce [aead.NonceSize
 		t.Fatalf("failed %v, reference %v", got.Failed, want.Failed)
 	}
 	if len(got.Failed) > 0 {
-		if got.Out != nil || got.Out2In != nil {
-			t.Fatalf("a failed Mix returned %d outputs", len(got.Out))
+		if got.Out != nil || s.lastPerm != nil {
+			t.Fatalf("a failed Mix returned %d outputs and kept a permutation of %d", len(got.Out), len(s.lastPerm))
 		}
 		if len(s.lastPows[0]) != len(in) || len(s.lastPows[1]) != len(in) {
 			t.Fatalf("failed Mix of %d kept %d and %d powers", len(in), len(s.lastPows[0]), len(s.lastPows[1]))
 		}
 	} else {
-		if len(got.Out) != len(in) || !isPermutation(got.Out2In, len(in)) || !isPermutation(want.Out2In, len(in)) {
-			t.Fatalf("%d inputs, %d outputs, permutation of %d", len(in), len(got.Out), len(got.Out2In))
+		if len(got.Out) != len(in) || len(s.lastPerm) != len(in) || len(ref.lastPerm) != len(in) {
+			t.Fatalf("%d inputs, %d outputs, permutation of %d", len(in), len(got.Out), len(s.lastPerm))
 		}
-		ref := make([]onion.Envelope, len(in))
-		for p, j := range want.Out2In {
-			ref[j] = want.Out[p]
+		byInput := make([]onion.Envelope, len(in))
+		for p, j := range ref.lastPerm {
+			byInput[j] = want.Out[p]
 		}
-		for p, j := range got.Out2In {
-			if !got.Out[p].DHKey.Equal(ref[j].DHKey) || !bytes.Equal(got.Out[p].Ct, ref[j].Ct) {
+		for p, j := range s.lastPerm {
+			if !got.Out[p].DHKey.Equal(byInput[j].DHKey) || !bytes.Equal(got.Out[p].Ct, byInput[j].Ct) {
 				t.Fatalf("output %d is not the reference's output for input %d", p, j)
 			}
 		}
@@ -291,7 +279,7 @@ func TestBlameRequestsNameTheMixedRound(t *testing.T) {
 		}
 	}
 	rev, err := h.BlameReveal(1, 0, 1)
-	if err != nil || !rev.Xin.Equal(in[1].DHKey) {
+	if err != nil || !rev.Xin.Equal(in[s.lastPerm[1]].DHKey) {
 		t.Fatalf("reveal for the mixed round: %v", err)
 	}
 	if _, err := h.ReProveSubset(1, 1, keep); err != nil {
@@ -299,10 +287,11 @@ func TestBlameRequestsNameTheMixedRound(t *testing.T) {
 	}
 }
 
-// TestRevealEndsTheBatch: a server holds its last input keys for blame
-// reveals and re-certification, which nothing can ask for once the
-// round's inner key is out — so the reveal drops them (and a failed
-// Mix's powers), and requests after it get the wrong-round error.
+// TestRevealEndsTheBatch: a server holds its last input keys and
+// permutation for blame reveals and re-certification, which nothing
+// can ask for once the round's inner key is out — so the reveal drops
+// them (and a failed Mix's powers), and requests after it get the
+// wrong-round error.
 // BeginRound leaves a batch until it is two rounds behind the newest
 // announcement (the prune for chains that halt and never reveal).
 func TestRevealEndsTheBatch(t *testing.T) {
@@ -319,10 +308,11 @@ func TestRevealEndsTheBatch(t *testing.T) {
 		t.Helper()
 		_, errReveal := h.BlameReveal(round, 0, 1)
 		_, errProve := h.ReProveSubset(round, 1, keep)
-		if (errReveal == nil) != (errProve == nil) {
+		// A failed Mix's batch has no output, so nothing to reveal.
+		if (errReveal == nil) != (errProve == nil && s.lastPerm != nil) {
 			t.Fatalf("round %d: reveal %v, re-certification %v", round, errReveal, errProve)
 		}
-		return errReveal == nil
+		return errProve == nil
 	}
 	mix := func(round uint64, in []onion.Envelope) {
 		t.Helper()
@@ -345,7 +335,7 @@ func TestRevealEndsTheBatch(t *testing.T) {
 	if _, err := h.RevealInnerKey(1); err != nil {
 		t.Fatal(err)
 	}
-	if held(1) || s.lastIn != nil || s.lastPows[0] != nil || s.lastPows[1] != nil {
+	if held(1) || s.lastIn != nil || s.lastPerm != nil || s.lastPows[0] != nil || s.lastPows[1] != nil {
 		t.Fatalf("the reveal left %d keys and %d powers", len(s.lastIn), len(s.lastPows[0]))
 	}
 
@@ -362,7 +352,7 @@ func TestRevealEndsTheBatch(t *testing.T) {
 	if _, _, err := h.BeginRound(4); err != nil {
 		t.Fatal(err)
 	}
-	if held(2) || s.lastIn != nil {
+	if held(2) || s.lastIn != nil || s.lastPerm != nil {
 		t.Fatal("a batch two rounds behind the newest announcement is still held")
 	}
 	// The next Mix starts from nothing and holds its own batch.
@@ -373,8 +363,9 @@ func TestRevealEndsTheBatch(t *testing.T) {
 }
 
 // BenchmarkBlameReveal times one layer of one blame walk: a position's
-// BlameRevealAt and the two VerifyDleq that check it, at a position
-// past the first (bare bases on both sides of every proof).
+// BlameRevealAt for one of its outputs and the two VerifyDleq that
+// check it, at a position past the first (bare bases on both sides of
+// every proof).
 func BenchmarkBlameReveal(b *testing.B) {
 	c := testChain(b, 2)
 	subs, _ := submitMany(b, c, 8)
@@ -400,12 +391,7 @@ func BenchmarkBlameReveal(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		var xout group.Point
-		for p, j := range mr.Out2In {
-			if j == pos {
-				xout = mr.Out[p].DHKey
-			}
-		}
+		xout := mr.Out[pos].DHKey
 		if err := nizk.VerifyDleq(blameContext(1, s.Chain, s.Index, 0, "blind"), rev.Xin, xout, k.BpkPrev, k.Bpk, rev.BlindProof); err != nil {
 			b.Fatal(err)
 		}

@@ -47,7 +47,7 @@ type Server struct {
 	mskProof    nizk.Proof
 	baselineKey group.KeyPair // plain g^msk' pair for Algorithm 1 mode
 	// innerMu guards innerKeys, lastKeyRound and the last batch
-	// (lastIn, lastRound, lastPows). A remote position's hop handlers
+	// (lastIn, lastPerm, lastRound, lastPows). A remote position's hop handlers
 	// run on their connections' goroutines, so an announce (BeginRound,
 	// which prunes both), a Mix and a reveal may arrive concurrently.
 	innerMu sync.Mutex
@@ -62,18 +62,22 @@ type Server struct {
 	lastKeyRound uint64
 
 	// lastIn holds the Diffie-Hellman keys of the last Mix call's
-	// input batch and lastRound the round that call named, retained
-	// for the blame protocol's reveals and for re-certification after
-	// blame removals — both read only the keys, so the ciphertexts are
-	// not kept, and both refuse a caller that names another round. The
-	// outputs and the permutation are returned to the orchestrator in
-	// MixResult; each verifier keeps its own record of those (Chain
-	// does, per position), so the server holds only what it alone can
-	// produce. Its lifetime ends at the reveal: once the round's inner
-	// key is out nothing can ask for either, so RevealInnerKey drops the
-	// batch (lastIn is nil again) and BeginRound's prune does the same
-	// for a halted or skipped chain that never reveals.
+	// input batch, lastPerm the shuffle it applied (output p is input
+	// lastPerm[p]; nil unless the call produced output) and lastRound
+	// the round that call named, retained for the blame protocol's
+	// reveals and for re-certification after blame removals — both
+	// read only the keys, so the ciphertexts are not kept, and both
+	// refuse a caller that names another round. The outputs are
+	// returned to the orchestrator in MixResult and every verifier
+	// keeps its own record of them (Chain does, per position); the
+	// permutation never leaves the server: a reveal names an output
+	// position and gets the input behind it (§6.4). The batch's
+	// lifetime ends at the reveal: once the round's inner key is out
+	// nothing can ask for it, so RevealInnerKey drops it (lastIn and
+	// lastPerm are nil again) and BeginRound's prune does the same for
+	// a halted or skipped chain that never reveals.
 	lastIn    []group.Point
+	lastPerm  []int
 	lastRound uint64
 	// lastPows is set only between a Mix that found decryption
 	// failures and the next Mix: lastIn[j]^msk in [0] and lastIn[j]^bsk
@@ -213,9 +217,10 @@ func (s *Server) RevealInnerKey(round uint64) (group.Scalar, error) {
 	return kp.Private, nil
 }
 
-// dropBatch forgets the last Mix's keys and powers; innerMu is held.
+// dropBatch forgets the last Mix's keys, permutation and powers;
+// innerMu is held.
 func (s *Server) dropBatch() {
-	s.lastIn, s.lastPows = nil, [2][]group.Point{}
+	s.lastIn, s.lastPerm, s.lastPows = nil, nil, [2][]group.Point{}
 }
 
 // mixContext binds a shuffle certificate to round, chain, position
@@ -225,20 +230,16 @@ func mixContext(round uint64, chain, index, epoch int) string {
 }
 
 // MixResult is a server's output for one mixing step (§6.3): the
-// blinded, shuffled envelopes, the shuffle certificate, the
-// indices (into its input) whose authenticated decryption failed, and
-// the output-to-input permutation. The permutation is disclosed to
-// the orchestrator for lineage attribution and blame tracing — the
-// same information the blame protocol would reveal per message (see
-// roundState.origin); an honest deployment's privacy rests on the
-// honest member's permutation staying inside that member. Out is an
+// blinded, shuffled envelopes, the shuffle certificate, and the
+// indices (into its input) whose authenticated decryption failed. The
+// permutation is not in it: it stays with the server (lastPerm), and
+// the blame protocol opens it one accused message at a time. Out is an
 // onion.Batch so that a remote position's reply crosses as one block
 // (rpc's hop.mix); in process it is the slice it always was.
 type MixResult struct {
 	Out    onion.Batch
 	Proof  nizk.Proof
 	Failed []int
-	Out2In []int
 }
 
 // Mix performs §6.3 steps 1-3: decrypt every envelope, blind every
@@ -265,7 +266,7 @@ func (s *Server) Mix(round uint64, nonce [aead.NonceSize]byte, in []onion.Envelo
 	blinded := make([]group.Point, len(in))   // X^bsk
 	s.innerMu.Lock()
 	hit, miss := s.recall(keys, exchanged, blinded)
-	s.lastIn, s.lastRound, s.lastPows = keys, round, [2][]group.Point{}
+	s.lastIn, s.lastPerm, s.lastRound, s.lastPows = keys, nil, round, [2][]group.Point{}
 	s.innerMu.Unlock()
 
 	peeled := make([][]byte, len(in))
@@ -308,14 +309,17 @@ func (s *Server) Mix(round uint64, nonce [aead.NonceSize]byte, in []onion.Envelo
 	}
 
 	out := make([]onion.Envelope, len(in))
-	out2in := randomPermutation(len(in))
-	for p, j := range out2in {
+	perm := randomPermutation(len(in))
+	for p, j := range perm {
 		out[p] = onion.Envelope{DHKey: blinded[j], Ct: peeled[j]}
 	}
+	s.innerMu.Lock()
+	s.lastPerm = perm
+	s.innerMu.Unlock()
 
 	const epoch = 0
 	if s.Corruption != nil {
-		out = s.Corruption.applyMix(s, in, out, out2in)
+		out = s.Corruption.applyMix(out)
 	}
 
 	// Step 3: shuffle certificate.
@@ -324,7 +328,7 @@ func (s *Server) Mix(round uint64, nonce [aead.NonceSize]byte, in []onion.Envelo
 		proof.S = proof.S.Add(group.NewScalar(1))
 	}
 
-	return &MixResult{Out: out, Proof: proof, Out2In: out2in}, nil
+	return &MixResult{Out: out, Proof: proof}, nil
 }
 
 // recall fills exchanged[j] and blinded[j] for every key that
@@ -354,22 +358,24 @@ func (s *Server) recall(keys, exchanged, blinded []group.Point) (hit, miss []int
 	return hit, miss
 }
 
-// BlameRevealAt produces the server's blame disclosure for the
-// message at input position pos of its last Mix call; msg names the
-// accused working index and only binds the proof contexts. The round
-// and bounds checks matter for the remote transport: a confused or
-// hostile orchestrator must get an error — never a panic, and never a
-// reveal bound to one round's context over another round's keys.
+// BlameRevealAt produces the server's blame disclosure (§6.4 steps
+// 1-2) for the message at output position pos of its last Mix call:
+// the input key behind that output, which only this server's
+// permutation knows. msg names the accused working index and only
+// binds the proof contexts. The round and bounds checks matter for the
+// remote transport: a confused or hostile orchestrator must get an
+// error — never a panic, and never a reveal bound to one round's
+// context over another round's keys.
 func (s *Server) BlameRevealAt(round uint64, msg, pos int) (BlameReveal, error) {
-	in, err := s.mixedIn(round)
+	in, perm, err := s.mixed(round)
 	if err != nil {
 		return BlameReveal{}, err
 	}
-	if pos < 0 || pos >= len(in) {
-		return BlameReveal{}, fmt.Errorf("mix: server %d has no input position %d", s.Index, pos)
+	if pos < 0 || pos >= len(perm) {
+		return BlameReveal{}, fmt.Errorf("mix: server %d has no output position %d", s.Index, pos)
 	}
 	// Each power is raised once and handed to its proof.
-	xin := in[pos]
+	xin := in[perm[pos]]
 	xout, k := xin.Mul(s.bsk), xin.Mul(s.msk)
 	return BlameReveal{
 		Xin:        xin,
@@ -411,7 +417,7 @@ func VerifyMix(round uint64, chain, index, epoch int, bpkPrev, bpk group.Point, 
 // step 3"). keep[j] says whether input j of this server's last Mix
 // call, which must have been round's, survived.
 func (s *Server) ReProveSubset(round uint64, epoch int, keep []bool) (nizk.Proof, error) {
-	in, err := s.mixedIn(round)
+	in, _, err := s.mixed(round)
 	if err != nil {
 		return nizk.Proof{}, err
 	}
@@ -435,15 +441,16 @@ func (s *Server) certify(context string, keys []group.Point) nizk.Proof {
 	return nizk.ProveDleqPrecomputed(context, prod, prod.Mul(s.bsk), s.bpkPrev, s.bpk, s.bsk)
 }
 
-// mixedIn returns the last Mix's input keys, refusing a request for a
-// round other than theirs or for a batch already dropped.
-func (s *Server) mixedIn(round uint64) ([]group.Point, error) {
+// mixed returns the last Mix's input keys and permutation, refusing a
+// request for a round other than theirs or for a batch already
+// dropped.
+func (s *Server) mixed(round uint64) ([]group.Point, []int, error) {
 	s.innerMu.Lock()
 	defer s.innerMu.Unlock()
 	if s.lastIn == nil || round != s.lastRound {
-		return nil, fmt.Errorf("mix: server %d holds no batch of round %d (last mixed round %d; a batch is dropped once its round's inner key is revealed)", s.Index, round, s.lastRound)
+		return nil, nil, fmt.Errorf("mix: server %d holds no batch of round %d (last mixed round %d; a batch is dropped once its round's inner key is revealed)", s.Index, round, s.lastRound)
 	}
-	return s.lastIn, nil
+	return s.lastIn, s.lastPerm, nil
 }
 
 // dhKeys returns the envelopes' Diffie-Hellman keys as a new slice.

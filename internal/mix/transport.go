@@ -80,8 +80,8 @@ type AccuseReveal struct {
 //
 // Implementations must validate anything that crossed a network
 // before returning it (parse points and proofs, check index ranges);
-// the Chain additionally re-checks structural properties (permutation
-// validity, batch sizes) so a hostile hop can at worst halt its own
+// the Chain additionally re-checks structural properties (failure
+// indices, batch sizes) so a hostile hop can at worst halt its own
 // chain.
 type Hop interface {
 	// Keys returns the position's published key material. It must be
@@ -97,16 +97,16 @@ type Hop interface {
 	RevealInnerKey(round uint64) (group.Scalar, error)
 	// Mix carries the batch to the position and returns its mixing
 	// step output: either Failed indices (decryption failures, blame
-	// follows) or the shuffled output with certificate and the
-	// output-to-input permutation for the orchestrator's lineage
-	// bookkeeping (see roundState.origin for why it is revealed).
+	// follows) or the shuffled output with its certificate. The
+	// permutation stays with the position.
 	Mix(round uint64, nonce [aead.NonceSize]byte, in []onion.Envelope) (*MixResult, error)
 	// ReProveSubset re-issues the shuffle certificate over the
 	// messages that survived blame removal (§6.4).
 	ReProveSubset(round uint64, epoch int, keep []bool) (nizk.Proof, error)
 	// BlameReveal produces the position's blame disclosure for the
-	// message at its input position pos; msg names the accused
-	// working index (context binding only).
+	// message at output position pos of its last Mix: the input key
+	// behind it, with proofs. msg names the accused working index
+	// (context binding only).
 	BlameReveal(round uint64, msg, pos int) (BlameReveal, error)
 	// Accuse produces the accusing position's step 4 disclosure for
 	// the given submitted Diffie-Hellman key.
@@ -162,23 +162,6 @@ func (h localHop) BlameReveal(round uint64, msg, pos int) (BlameReveal, error) {
 
 func (h localHop) Accuse(round uint64, msg int, key group.Point) (AccuseReveal, error) {
 	return h.s.Accuse(round, msg, key), nil
-}
-
-// isPermutation reports whether p is a permutation of [0, n). The
-// chain checks every permutation a hop returns before indexing with
-// it, so a byzantine remote cannot crash the orchestrator.
-func isPermutation(p []int, n int) bool {
-	if len(p) != n {
-		return false
-	}
-	seen := make([]bool, n)
-	for _, v := range p {
-		if v < 0 || v >= n || seen[v] {
-			return false
-		}
-		seen[v] = true
-	}
-	return true
 }
 
 // validFailedIndices reports whether a hop's Failed list is sorted,

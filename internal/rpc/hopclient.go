@@ -129,8 +129,8 @@ func (h *HopClient) RevealInnerKey(round uint64) (group.Scalar, error) {
 }
 
 // Mix implements mix.Hop. The result's points and proof were
-// validated when it decoded; its shape — output count, permutation,
-// failure indices — is the chain's to check, as for any hop.
+// validated when it decoded; its shape — output count, failure
+// indices — is the chain's to check, as for any hop.
 func (h *HopClient) Mix(round uint64, nonce [aead.NonceSize]byte, in []onion.Envelope) (*mix.MixResult, error) {
 	var mr mix.MixResult
 	if err := h.call("hop.mix", HopMixRequest{Round: round, Nonce: nonce, Envelopes: in}, &mr); err != nil {

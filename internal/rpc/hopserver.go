@@ -31,9 +31,8 @@ type HopServer struct {
 	*listenerCore
 	scheme aead.Scheme
 
-	// mu serialises the handlers: mix.Server keeps its last input for
-	// the blame protocol (and a failed Mix's powers for the retry)
-	// unguarded, and a rebind swaps srv.
+	// mu serialises the handlers: one mix.Server call at a time, and a
+	// rebind swaps srv.
 	mu  sync.Mutex
 	srv *mix.Server
 

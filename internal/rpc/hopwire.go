@@ -85,8 +85,8 @@ type HopCertifyRequest struct {
 }
 
 // HopBlameRequest asks for the hop's blame disclosure (§6.4 steps
-// 1-2, a mix.BlameReveal) for the message at its input position Pos;
-// Msg names the accused working index and binds the proof contexts.
+// 1-2, a mix.BlameReveal) for the input behind its output position
+// Pos; Msg names the accused working index and binds proof contexts.
 type HopBlameRequest struct {
 	Round uint64
 	Msg   int

@@ -3,7 +3,9 @@ package rpc
 import (
 	"crypto/tls"
 	"net"
+	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -135,6 +137,55 @@ func TestHealthInfoDuringMix(t *testing.T) {
 	}
 }
 
+// TestHopRepliesCarryNoPermutation walks the type of every reply a
+// hop sends its orchestrator (FuzzReply's table, every hop.* method)
+// through each exported — so encoded — field, and fails on any slice
+// of integers but mix.MixResult.Failed. A position's shuffle is its
+// own secret: the blame protocol opens it for one accused message at
+// a time (§6.4), and no reply may carry it whole.
+func TestHopRepliesCarryNoPermutation(t *testing.T) {
+	seen := make(map[reflect.Type]bool)
+	var walk func(path string, ty reflect.Type)
+	walk = func(path string, ty reflect.Type) {
+		switch ty.Kind() {
+		case reflect.Pointer, reflect.Array:
+			walk(path, ty.Elem())
+		case reflect.Map:
+			walk(path+"[key]", ty.Key())
+			walk(path+"[]", ty.Elem())
+		case reflect.Slice:
+			if k := ty.Elem().Kind(); k >= reflect.Int && k <= reflect.Uintptr && k != reflect.Uint8 {
+				if path != "mix.MixResult.Failed" {
+					t.Errorf("%s is a %s in a hop reply", path, ty)
+				}
+				return
+			}
+			walk(path+"[]", ty.Elem())
+		case reflect.Struct:
+			if seen[ty] {
+				return
+			}
+			seen[ty] = true
+			for i := 0; i < ty.NumField(); i++ {
+				if f := ty.Field(i); f.IsExported() {
+					walk(path+"."+f.Name, f.Type)
+				}
+			}
+		}
+	}
+	n := 0
+	for method, reply := range replies(mix.Params{}, onion.Submission{}) {
+		if strings.HasPrefix(method, "hop.") {
+			ty := reflect.TypeOf(reply)
+			walk(ty.String(), ty)
+			n++
+		}
+	}
+	if n != 7 {
+		t.Fatalf("walked %d hop replies, want the 7 hop.* methods", n)
+	}
+}
+
 func TestHopBlameOutOfRangeRejected(t *testing.T) {
 	_, hc := startHop(t)
 	if _, err := hc.BlameReveal(1, 0, 99); err == nil {
@@ -184,7 +235,9 @@ func TestHopBlameWrongRoundRejected(t *testing.T) {
 			t.Fatalf("re-certification for round %d over round 7's batch: %v", round, err)
 		}
 	}
-	if rev, err := hc.BlameReveal(7, 0, 1); err != nil || !rev.Xin.Equal(in[1].DHKey) {
+	// Pos names an output; the reveal is the input key behind it.
+	rev, err := hc.BlameReveal(7, 0, 1)
+	if err != nil || !slices.ContainsFunc(in, func(e onion.Envelope) bool { return e.DHKey.Equal(rev.Xin) }) {
 		t.Fatalf("blame reveal for the mixed round: %v", err)
 	}
 	if _, err := hc.ReProveSubset(7, 1, keep); err != nil {

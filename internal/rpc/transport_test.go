@@ -309,7 +309,7 @@ func replies(params mix.Params, sub onion.Submission) map[string]any {
 		"hop.init":    mix.HopKeys{BpkPrev: g, Bpk: g, Mpk: g, BaselinePub: g, BskProof: proof, MskProof: proof},
 		"hop.begin":   HopBeginResponse{Ipk: g, Proof: proof},
 		"hop.reveal":  HopRevealResponse{Isk: x},
-		"hop.mix":     mix.MixResult{Out: onion.Batch{sub.Envelope}, Proof: proof, Out2In: []int{0}},
+		"hop.mix":     mix.MixResult{Out: onion.Batch{sub.Envelope}, Proof: proof},
 		"hop.certify": proof,
 		"hop.blame":   mix.BlameReveal{Xin: g, BlindProof: proof, K: g, KeyProof: proof},
 		"hop.accuse":  mix.AccuseReveal{K: g, Proof: proof},
