@@ -94,11 +94,11 @@ func (c *Chain) blameOne(round uint64, nonce [aead.NonceSize]byte, h, j int, st 
 			// from hiding misbehaviour — the position is blamed.
 			return blameVerdict{Servers: []int{i}}
 		}
-		xout := rec.out[p]
+		fwd := rec.out[p]
 
 		// (1) The blinding was applied correctly to this message.
 		if err := nizk.VerifyDleq(blameContext(round, c.ID, i, j, "blind"),
-			rev.Xin, xout.DHKey, c.keys[i].BpkPrev, c.keys[i].Bpk, rev.BlindProof); err != nil {
+			rev.Xin, fwd.DHKey, c.keys[i].BpkPrev, c.keys[i].Bpk, rev.BlindProof); err != nil {
 			return blameVerdict{Servers: []int{i}}
 		}
 		// (2) The revealed decryption key matches the mixing key.
@@ -116,7 +116,7 @@ func (c *Chain) blameOne(round uint64, nonce [aead.NonceSize]byte, h, j int, st 
 				return false
 			}
 			got, err := onion.OpenWithRevealedKey(c.scheme, rev.K, nonce, e.Ct)
-			return err == nil && bytes.Equal(got, xout.Ct)
+			return err == nil && bytes.Equal(got, fwd.Ct)
 		})
 		if !ok {
 			return blameVerdict{Servers: []int{i}}

@@ -47,9 +47,10 @@ type Server struct {
 	mskProof    nizk.Proof
 	baselineKey group.KeyPair // plain g^msk' pair for Algorithm 1 mode
 	// innerMu guards innerKeys, lastKeyRound and the last batch
-	// (lastIn, lastPerm, lastRound, lastPows). A remote position's hop handlers
-	// run on their connections' goroutines, so an announce (BeginRound,
-	// which prunes both), a Mix and a reveal may arrive concurrently.
+	// (lastIn, lastPerm, lastRound, lastPows). A remote position's hop
+	// handlers run on their connections' goroutines, so an announce
+	// (BeginRound, which prunes both), a Mix and a reveal may arrive
+	// concurrently.
 	innerMu sync.Mutex
 	// innerKeys holds the per-round inner key pairs (isk, ipk=g^isk).
 	// Keys for round ρ+1 are generated during round ρ so users can
@@ -314,7 +315,7 @@ func (s *Server) Mix(round uint64, nonce [aead.NonceSize]byte, in []onion.Envelo
 		out[p] = onion.Envelope{DHKey: blinded[j], Ct: peeled[j]}
 	}
 	s.innerMu.Lock()
-	s.lastPerm = perm
+	s.lastIn, s.lastPerm, s.lastRound = keys, perm, round
 	s.innerMu.Unlock()
 
 	const epoch = 0
