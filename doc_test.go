@@ -1,6 +1,9 @@
 package repro
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -10,7 +13,8 @@ import (
 )
 
 // citingDocs are the documents whose backticked test names must name a
-// test, benchmark or fuzz target that exists.
+// test, benchmark or fuzz target that exists, and whose backticked
+// internal identifiers must name a declaration that exists.
 var citingDocs = []string{
 	"README.md",
 	"DESIGN.md",
@@ -27,13 +31,18 @@ var (
 	// citedName matches a code span that is one such name, optionally
 	// followed by a sub-test or sub-benchmark path.
 	citedName = regexp.MustCompile(`^((?:Test|Benchmark|Fuzz)\w+)(?:/\S*)?$`)
+	// citedDecl matches a code span that is pkg.Exported or
+	// pkg.Type.Member, optionally called.
+	citedDecl = regexp.MustCompile(`^([a-z][a-z0-9]*)\.([A-Z]\w*(?:\.\w+)?)(?:\(.*\))?$`)
 )
 
 // TestDocsCiteExistingTests: every test, benchmark or fuzz target a
 // document names in an inline code span is a func in some _test.go of
-// the repository, the bench module's included, so a renamed or deleted
-// test cannot leave a document pointing at nothing. Fenced code blocks
-// are skipped: their -run and -bench arguments are patterns, not names.
+// the repository, the bench module's included, and every `pkg.Name`
+// or `pkg.Type.Member` it names for an internal/ package is declared
+// there, so a renamed or deleted test or identifier cannot leave a
+// document pointing at nothing. Fenced code blocks are skipped: their
+// -run and -bench arguments are patterns, not names.
 func TestDocsCiteExistingTests(t *testing.T) {
 	defined := make(map[string]bool)
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
@@ -61,6 +70,13 @@ func TestDocsCiteExistingTests(t *testing.T) {
 	if !defined["TestDocsCiteExistingTests"] {
 		t.Fatal("the walk did not find this test's own file")
 	}
+	decls, err := internalDecls()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !decls["mix"].has("Chain.Corrupt") || !decls["mix"].has("Corruption.FailMix") {
+		t.Fatal("the declaration index misses a method or a field")
+	}
 	for _, doc := range citingDocs {
 		text, err := os.ReadFile(doc)
 		if err != nil {
@@ -69,10 +85,15 @@ func TestDocsCiteExistingTests(t *testing.T) {
 		}
 		prose := withoutFences(string(text))
 		for _, m := range codeSpan.FindAllStringSubmatchIndex(prose, -1) {
-			name := citedName.FindStringSubmatch(prose[m[2]:m[3]])
-			if name != nil && !defined[name[1]] {
-				line := 1 + strings.Count(prose[:m[0]], "\n")
+			span := prose[m[2]:m[3]]
+			line := 1 + strings.Count(prose[:m[0]], "\n")
+			if name := citedName.FindStringSubmatch(span); name != nil && !defined[name[1]] {
 				t.Errorf("%s:%d cites `%s`, which no _test.go defines", doc, line, name[1])
+			}
+			if d := citedDecl.FindStringSubmatch(span); d != nil {
+				if pkg, ok := decls[d[1]]; ok && !pkg.has(d[2]) {
+					t.Errorf("%s:%d cites `%s.%s`, which internal/%s does not declare", doc, line, d[1], d[2], d[1])
+				}
 			}
 		}
 	}
@@ -94,4 +115,95 @@ func withoutFences(text string) string {
 		}
 	}
 	return strings.Join(lines, "\n")
+}
+
+// pkgDecls is what one internal package declares: its top-level names,
+// and each type's fields and methods.
+type pkgDecls struct {
+	top     map[string]bool
+	members map[string]map[string]bool
+}
+
+// has reports whether name, Name or Type.Member, is declared.
+func (p pkgDecls) has(name string) bool {
+	if typ, member, ok := strings.Cut(name, "."); ok {
+		return p.top[typ] && p.members[typ][member]
+	}
+	return p.top[name]
+}
+
+// internalDecls parses every Go file under internal/, tests included
+// (a document may cite a benchmark as pkg.BenchmarkName), into each
+// package's declarations, keyed by package name.
+func internalDecls() (map[string]pkgDecls, error) {
+	decls := make(map[string]pkgDecls)
+	fset := token.NewFileSet()
+	err := filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
+			return err
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		name := strings.TrimSuffix(f.Name.Name, "_test")
+		p, ok := decls[name]
+		if !ok {
+			p = pkgDecls{top: map[string]bool{}, members: map[string]map[string]bool{}}
+			decls[name] = p
+		}
+		member := func(typ, name string) {
+			if p.members[typ] == nil {
+				p.members[typ] = make(map[string]bool)
+			}
+			p.members[typ][name] = true
+		}
+		for _, decl := range f.Decls {
+			switch decl := decl.(type) {
+			case *ast.FuncDecl:
+				if decl.Recv == nil {
+					p.top[decl.Name.Name] = true
+				} else {
+					member(typeName(decl.Recv.List[0].Type), decl.Name.Name)
+				}
+			case *ast.GenDecl:
+				for _, spec := range decl.Specs {
+					switch spec := spec.(type) {
+					case *ast.ValueSpec:
+						for _, n := range spec.Names {
+							p.top[n.Name] = true
+						}
+					case *ast.TypeSpec:
+						typ := spec.Name.Name
+						p.top[typ] = true
+						var fields []*ast.Field
+						switch body := spec.Type.(type) {
+						case *ast.StructType:
+							fields = body.Fields.List
+						case *ast.InterfaceType:
+							fields = body.Methods.List
+						}
+						for _, fld := range fields {
+							for _, n := range fld.Names {
+								member(typ, n.Name)
+							}
+						}
+					}
+				}
+			}
+		}
+		return nil
+	})
+	return decls, err
+}
+
+// typeName is the name of a method's receiver type: T for T and *T.
+func typeName(e ast.Expr) string {
+	if star, ok := e.(*ast.StarExpr); ok {
+		e = star.X
+	}
+	if id, ok := e.(*ast.Ident); ok {
+		return id.Name
+	}
+	return ""
 }

@@ -520,8 +520,10 @@ func (n *Network) RestoreServer(server int) {
 	delete(n.failedServers, server)
 }
 
-// CorruptServer attaches a corruption to the server at the given
-// position of a chain (fault injection; see mix.Corruption).
+// CorruptServer makes the given position of a chain deviate by c's
+// moves (fault injection; see mix.Corruption and mix.Chain.Corrupt).
+// Any position can be corrupted, in-process or hosted remotely; a nil
+// c restores it. Call it between rounds.
 func (n *Network) CorruptServer(chain, position int, c *mix.Corruption) error {
 	_, _, chains := n.topoView()
 	if chain < 0 || chain >= len(chains) {
@@ -530,11 +532,7 @@ func (n *Network) CorruptServer(chain, position int, c *mix.Corruption) error {
 	if position < 0 || position >= chains[chain].Len() {
 		return fmt.Errorf("core: chain %d has no position %d", chain, position)
 	}
-	s := chains[chain].Servers[position]
-	if s == nil {
-		return fmt.Errorf("core: chain %d position %d is hosted remotely; corruption hooks need an in-process server", chain, position)
-	}
-	s.Corruption = c
+	chains[chain].Corrupt(position, c)
 	return nil
 }
 

@@ -42,8 +42,8 @@ type Chain struct {
 	// ID is the chain index within the network.
 	ID int
 	// Servers are the in-process members in mixing order; a position
-	// hosted remotely has a nil entry. Fault injection (Corruption)
-	// and baseline mode need the in-process server.
+	// hosted remotely has a nil entry. Only baseline mode needs the
+	// in-process server.
 	Servers []*Server
 
 	// hops are the transport handles, one per position.
@@ -185,14 +185,20 @@ func NewChainFromHops(id int, hops []Hop, scheme aead.Scheme) (*Chain, error) {
 // Len returns k, the number of positions in the chain.
 func (c *Chain) Len() int { return len(c.hops) }
 
-// Remote reports whether any position is hosted outside this process.
-func (c *Chain) Remote() bool {
-	for _, s := range c.Servers {
-		if s == nil {
-			return true
-		}
+// Corrupt makes position pos deviate by cr's moves, wrapping whatever
+// hop the chain holds there, in-process or remote, in place of any
+// earlier corruption; a nil cr restores the honest hop. It is fault
+// injection for tests and experiments, and must not run concurrently
+// with a round.
+func (c *Chain) Corrupt(pos int, cr *Corruption) {
+	h := c.hops[pos]
+	if ch, ok := h.(corruptHop); ok {
+		h = ch.Hop
 	}
-	return false
+	if cr != nil {
+		h = corruptHop{Hop: h, c: cr}
+	}
+	c.hops[pos] = h
 }
 
 // BeginRound ensures every position has an inner key for the round,

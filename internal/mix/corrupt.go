@@ -2,6 +2,7 @@ package mix
 
 import (
 	"crypto/rand"
+	"errors"
 	"fmt"
 
 	"repro/internal/aead"
@@ -9,9 +10,14 @@ import (
 	"repro/internal/onion"
 )
 
-// Corruption makes a server deviate from the protocol, simulating the
-// active attacks of §4.1 and §6 for tests and experiments. Each field
-// corresponds to an attack the AHS design claims to detect.
+// Corruption makes a chain position deviate from the protocol,
+// simulating the active attacks of §4.1 and §6 for tests and
+// experiments. Each field is one move; any of them may be combined.
+// Chain.Corrupt applies them at the Hop seam, to whatever the
+// position's hop returns, so an in-process server and a remote one
+// deviate alike and the honest server never knows. The output moves
+// run after an honest Mix, which changes no proof: the shuffle
+// certificate covers the input keys only (Server.certify).
 type Corruption struct {
 	// TamperPairs applies a product-preserving tamper to pairs of
 	// output positions: the two Diffie-Hellman keys are shifted by D
@@ -35,17 +41,72 @@ type Corruption struct {
 	DropOutput *int
 	// BadMixProof emits an invalid shuffle certificate.
 	BadMixProof bool
-	// FalselyAccuse starts the blame protocol against the given input
-	// positions even though their decryption succeeds. The accuser is
-	// convicted in blame step 4.
+	// FalselyAccuse replaces a clean Mix result with these Failed
+	// indices, as given: unsorted, repeated or out of range ones are
+	// refused as they arrive, and the rest start the blame protocol
+	// against messages whose decryption succeeds, which convicts the
+	// accuser in blame step 4. A Mix that really failed is passed
+	// through.
 	FalselyAccuse []int
+	// FailMix fails every Mix call, as a dead or garbled transport
+	// would.
+	FailMix bool
 	// WithholdInnerKey refuses to reveal the per-round inner key
 	// after mixing, halting the round without any delivery.
 	WithholdInnerKey bool
+	// SubstituteInnerKey reveals a fresh secret in place of the
+	// round's inner key: a pair consistent with itself, not with the
+	// public key proved at announce time.
+	SubstituteInnerKey bool
+	// RefuseBlameReveal refuses every blame reveal asked of the
+	// position.
+	RefuseBlameReveal bool
 }
 
-// applyMix mutates the server's output according to the corruption
-// and returns the (possibly resized) output slice.
+// corruptHop is a position's hop with a Corruption's moves applied to
+// what it returns.
+type corruptHop struct {
+	Hop
+	c *Corruption
+}
+
+func (h corruptHop) Mix(round uint64, nonce [aead.NonceSize]byte, in []onion.Envelope) (*MixResult, error) {
+	if h.c.FailMix {
+		return nil, errors.New("mix: corrupt position failed its Mix")
+	}
+	mr, err := h.Hop.Mix(round, nonce, in)
+	if err != nil || len(mr.Failed) > 0 {
+		return mr, err
+	}
+	if len(h.c.FalselyAccuse) > 0 {
+		return &MixResult{Failed: append([]int(nil), h.c.FalselyAccuse...)}, nil
+	}
+	mr.Out = h.c.applyMix(mr.Out)
+	if h.c.BadMixProof {
+		mr.Proof.S = mr.Proof.S.Add(group.NewScalar(1))
+	}
+	return mr, nil
+}
+
+func (h corruptHop) RevealInnerKey(round uint64) (group.Scalar, error) {
+	switch {
+	case h.c.WithholdInnerKey:
+		return group.Scalar{}, errors.New("mix: corrupt position withheld its inner key")
+	case h.c.SubstituteInnerKey:
+		return group.MustRandomScalar(), nil
+	}
+	return h.Hop.RevealInnerKey(round)
+}
+
+func (h corruptHop) BlameReveal(round uint64, msg, pos int) (BlameReveal, error) {
+	if h.c.RefuseBlameReveal {
+		return BlameReveal{}, errors.New("mix: corrupt position refused a blame reveal")
+	}
+	return h.Hop.BlameReveal(round, msg, pos)
+}
+
+// applyMix mutates a Mix output according to the corruption and
+// returns the (possibly resized) output slice.
 func (c *Corruption) applyMix(out []onion.Envelope) []onion.Envelope {
 	for _, pair := range c.TamperPairs {
 		p1, p2 := pair[0], pair[1]

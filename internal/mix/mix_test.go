@@ -225,152 +225,6 @@ func TestManyMaliciousUsers(t *testing.T) {
 	}
 }
 
-// TestServerTamperPairDetected: the product-preserving key tamper
-// passes the shuffle certificate but is convicted by the blame
-// protocol at the next server, and the chain halts with no delivery
-// (Appendix A's game).
-func TestServerTamperPairDetected(t *testing.T) {
-	c := testChain(t, 4)
-	c.Servers[1].Corruption = &Corruption{TamperPairs: [][2]int{{0, 1}}}
-	subs, _ := submitMany(t, c, 6)
-	res, err := c.RunRound(1, 0, subs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Halted {
-		t.Fatal("tampering did not halt the chain")
-	}
-	if len(res.Delivered) != 0 {
-		t.Fatal("messages delivered despite tampering")
-	}
-	if len(res.BlamedServers) != 1 || res.BlamedServers[0] != 1 {
-		t.Fatalf("blamed servers = %v, want [1]", res.BlamedServers)
-	}
-	if len(res.BlamedUsers) != 0 {
-		t.Fatalf("honest users blamed: %v", res.BlamedUsers)
-	}
-}
-
-// TestServerReplaceEnvelopeDetected: wholesale substitution (§4.1's
-// attack) breaks the key product and fails the shuffle certificate
-// immediately.
-func TestServerReplaceEnvelopeDetected(t *testing.T) {
-	c := testChain(t, 4)
-	target := group.GenerateBaseKeyPair()
-	crafted, err := CraftValidOnion(scheme, c.Params(), 1, 0, target.Public)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The substituted envelope must look like a position-1 envelope;
-	// using the fresh submission envelope suffices for the test since
-	// detection happens before any decryption of it.
-	c.Servers[1].Corruption = &Corruption{ReplaceOutput: map[int]onion.Envelope{2: crafted.Envelope}}
-	subs, _ := submitMany(t, c, 6)
-	res, err := c.RunRound(1, 0, subs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Halted || len(res.Delivered) != 0 {
-		t.Fatal("substitution not detected")
-	}
-	if len(res.BlamedServers) != 1 || res.BlamedServers[0] != 1 {
-		t.Fatalf("blamed servers = %v, want [1]", res.BlamedServers)
-	}
-}
-
-// TestServerGarbleCiphertextDetected: garbling a ciphertext while
-// leaving keys intact is convicted by the blame replay (step 3b).
-func TestServerGarbleCiphertextDetected(t *testing.T) {
-	c := testChain(t, 4)
-	c.Servers[0].Corruption = &Corruption{GarbleCiphertext: []int{3}}
-	subs, _ := submitMany(t, c, 6)
-	res, err := c.RunRound(1, 0, subs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Halted || len(res.Delivered) != 0 {
-		t.Fatal("garbling not detected")
-	}
-	if len(res.BlamedServers) != 1 || res.BlamedServers[0] != 0 {
-		t.Fatalf("blamed servers = %v, want [0]", res.BlamedServers)
-	}
-	if len(res.BlamedUsers) != 0 {
-		t.Fatalf("honest users blamed: %v", res.BlamedUsers)
-	}
-}
-
-// TestServerDropMessageDetected: dropping a message changes the count
-// and every verifier notices.
-func TestServerDropMessageDetected(t *testing.T) {
-	c := testChain(t, 3)
-	drop := 2
-	c.Servers[1].Corruption = &Corruption{DropOutput: &drop}
-	subs, _ := submitMany(t, c, 5)
-	res, err := c.RunRound(1, 0, subs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Halted || len(res.BlamedServers) != 1 || res.BlamedServers[0] != 1 {
-		t.Fatalf("drop not detected: %+v", res)
-	}
-}
-
-// TestServerBadProofDetected: an invalid shuffle certificate halts
-// the round at once.
-func TestServerBadProofDetected(t *testing.T) {
-	c := testChain(t, 3)
-	c.Servers[2].Corruption = &Corruption{BadMixProof: true}
-	subs, _ := submitMany(t, c, 4)
-	res, err := c.RunRound(1, 0, subs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Halted || len(res.BlamedServers) != 1 || res.BlamedServers[0] != 2 {
-		t.Fatalf("bad proof not detected: %+v", res)
-	}
-}
-
-// TestFalseAccusationConvictsAccuser: a server that accuses an honest
-// message is itself blamed when the revealed key decrypts the
-// ciphertext successfully (§6.4 analysis), and no honest user is
-// convicted.
-func TestFalseAccusationConvictsAccuser(t *testing.T) {
-	c := testChain(t, 4)
-	c.Servers[2].Corruption = &Corruption{FalselyAccuse: []int{1}}
-	subs, _ := submitMany(t, c, 5)
-	res, err := c.RunRound(1, 0, subs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Halted {
-		t.Fatal("false accusation did not halt the round")
-	}
-	if len(res.BlamedUsers) != 0 {
-		t.Fatalf("honest users convicted by false accusation: %v", res.BlamedUsers)
-	}
-	if len(res.BlamedServers) != 1 || res.BlamedServers[0] != 2 {
-		t.Fatalf("blamed servers = %v, want [2]", res.BlamedServers)
-	}
-}
-
-// TestWithheldInnerKeyHaltsWithoutDelivery: refusing the inner key
-// reveal denies service but reveals nothing.
-func TestWithheldInnerKeyHaltsWithoutDelivery(t *testing.T) {
-	c := testChain(t, 3)
-	c.Servers[1].Corruption = &Corruption{WithholdInnerKey: true}
-	subs, _ := submitMany(t, c, 4)
-	res, err := c.RunRound(1, 0, subs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Halted || len(res.Delivered) != 0 {
-		t.Fatal("withheld inner key did not halt delivery")
-	}
-	if len(res.BlamedServers) != 1 || res.BlamedServers[0] != 1 {
-		t.Fatalf("blamed servers = %v, want [1]", res.BlamedServers)
-	}
-}
-
 // TestMalformedInnerEnvelopeDropped: garbage below the outer layers
 // (valid outer onion, broken inner envelope) survives mixing and is
 // dropped at inner decryption without affecting others.
@@ -698,7 +552,7 @@ func TestSameKeyDifferentCiphertexts(t *testing.T) {
 // inner decryption and no blame is needed for privacy.
 func TestLastServerGarbleDropsInner(t *testing.T) {
 	c := testChain(t, 3)
-	c.Servers[2].Corruption = &Corruption{GarbleCiphertext: []int{0}}
+	c.Corrupt(2, &Corruption{GarbleCiphertext: []int{0}})
 	subs, _ := submitMany(t, c, 4)
 	res, err := c.RunRound(1, 0, subs)
 	if err != nil {
@@ -719,8 +573,8 @@ func TestLastServerGarbleDropsInner(t *testing.T) {
 // earliest tamper triggers blame against it.
 func TestTwoCorruptServers(t *testing.T) {
 	c := testChain(t, 4)
-	c.Servers[0].Corruption = &Corruption{TamperPairs: [][2]int{{0, 1}}}
-	c.Servers[2].Corruption = &Corruption{TamperPairs: [][2]int{{2, 3}}}
+	c.Corrupt(0, &Corruption{TamperPairs: [][2]int{{0, 1}}})
+	c.Corrupt(2, &Corruption{TamperPairs: [][2]int{{2, 3}}})
 	subs, _ := submitMany(t, c, 6)
 	res, err := c.RunRound(1, 0, subs)
 	if err != nil {
@@ -742,7 +596,7 @@ func TestTwoCorruptServers(t *testing.T) {
 // chain and the honest users stay unconvicted.
 func TestMixedUserAndServerMisbehaviour(t *testing.T) {
 	c := testChain(t, 4)
-	c.Servers[2].Corruption = &Corruption{GarbleCiphertext: []int{1}}
+	c.Corrupt(2, &Corruption{GarbleCiphertext: []int{1}})
 	subs, _ := submitMany(t, c, 5)
 	bad, err := MaliciousSubmission(scheme, c.Params(), 1, 0, 1)
 	if err != nil {

@@ -7,8 +7,10 @@
 // A Chain bundles the k servers of one anytrust group and runs rounds
 // against them. Every server verifies every other server's proofs, as
 // in the real protocol; the security guarantee only needs one of them
-// to be honest. Fault injection hooks (Corruption) simulate malicious
-// servers and users for tests and experiments.
+// to be honest. A Server is always honest: a position deviates at the
+// Hop seam, where Chain.Corrupt wraps its hop in a Corruption's moves,
+// and MaliciousSubmission and InvalidProofSubmission build misbehaving
+// users' traffic, for tests and experiments.
 package mix
 
 import (
@@ -17,7 +19,6 @@ import (
 	"fmt"
 	"math/big"
 	"runtime"
-	"sort"
 	"sync"
 
 	"repro/internal/aead"
@@ -88,10 +89,6 @@ type Server struct {
 	// ciphertext, round or nonce — so whatever batch the next Mix is
 	// handed, an input Equal to lastIn[j] has exactly these two powers.
 	lastPows [2][]group.Point
-
-	// Corruption, when non-nil, makes the server misbehave; see
-	// corrupt.go.
-	Corruption *Corruption
 }
 
 // keyGenContext binds key-knowledge proofs to a chain position.
@@ -194,18 +191,15 @@ func (s *Server) InnerPublicKey(round uint64) (group.Point, bool) {
 }
 
 // RevealInnerKey discloses the per-round inner secret after mixing
-// succeeded (§6.3) and prunes older rounds. Corrupt servers may
-// refuse; the chain then halts without delivering, which leaks
-// nothing (messages stay encrypted).
+// succeeded (§6.3) and prunes older rounds. A position that refuses
+// (Corruption.WithholdInnerKey) halts the chain without delivering,
+// which leaks nothing (messages stay encrypted).
 func (s *Server) RevealInnerKey(round uint64) (group.Scalar, error) {
 	s.innerMu.Lock()
 	defer s.innerMu.Unlock()
 	kp, ok := s.innerKeys[round]
 	if !ok {
 		return group.Scalar{}, fmt.Errorf("mix: server %d has no inner key for round %d", s.Index, round)
-	}
-	if s.Corruption != nil && s.Corruption.WithholdInnerKey {
-		return group.Scalar{}, fmt.Errorf("mix: server %d withheld its inner key", s.Index)
 	}
 	for r := range s.innerKeys {
 		if r < round {
@@ -259,8 +253,7 @@ type MixResult struct {
 // of the point alone.
 //
 // If any decryption fails, Mix returns the failed indices and no
-// output; the chain moves to the blame protocol. Corrupt servers
-// tamper according to their Corruption before proving.
+// output; the chain moves to the blame protocol.
 func (s *Server) Mix(round uint64, nonce [aead.NonceSize]byte, in []onion.Envelope) (*MixResult, error) {
 	keys := dhKeys(in)
 	exchanged := make([]group.Point, len(in)) // X^msk
@@ -303,12 +296,6 @@ func (s *Server) Mix(round uint64, nonce [aead.NonceSize]byte, in []onion.Envelo
 		s.innerMu.Unlock()
 		return &MixResult{Failed: failed}, nil
 	}
-	if s.Corruption != nil && len(s.Corruption.FalselyAccuse) > 0 {
-		f := append([]int(nil), s.Corruption.FalselyAccuse...)
-		sort.Ints(f)
-		return &MixResult{Failed: f}, nil
-	}
-
 	out := make([]onion.Envelope, len(in))
 	perm := randomPermutation(len(in))
 	for p, j := range perm {
@@ -318,18 +305,9 @@ func (s *Server) Mix(round uint64, nonce [aead.NonceSize]byte, in []onion.Envelo
 	s.lastIn, s.lastPerm, s.lastRound = keys, perm, round
 	s.innerMu.Unlock()
 
-	const epoch = 0
-	if s.Corruption != nil {
-		out = s.Corruption.applyMix(out)
-	}
-
 	// Step 3: shuffle certificate.
-	proof := s.certify(mixContext(round, s.Chain, s.Index, epoch), keys)
-	if s.Corruption != nil && s.Corruption.BadMixProof {
-		proof.S = proof.S.Add(group.NewScalar(1))
-	}
-
-	return &MixResult{Out: out, Proof: proof}, nil
+	const epoch = 0
+	return &MixResult{Out: out, Proof: s.certify(mixContext(round, s.Chain, s.Index, epoch), keys)}, nil
 }
 
 // recall fills exchanged[j] and blinded[j] for every key that

@@ -1,10 +1,8 @@
 package mix
 
 import (
-	"errors"
 	"testing"
 
-	"repro/internal/aead"
 	"repro/internal/group"
 	"repro/internal/onion"
 )
@@ -30,9 +28,6 @@ func TestChainFromHopsMatchesNewChain(t *testing.T) {
 	c, err := NewChainFromHops(0, buildHops(t, 3), scheme)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if c.Remote() {
-		t.Fatal("all-local chain reports remote positions")
 	}
 	if err := c.BeginRound(1); err != nil {
 		t.Fatal(err)
@@ -74,162 +69,74 @@ func TestChainFromHopsRejectsWrongPosition(t *testing.T) {
 	}
 }
 
-// byzantineHop decorates a position's hop, letting tests corrupt one
-// response the way a hostile or broken remote process could. The
-// chain must absorb every such response by halting and blaming the
-// position — never by panicking.
-type byzantineHop struct {
-	Hop
-	mutateMix  func(*MixResult) *MixResult
-	mixErr     error
-	revealErr  bool
-	fakeReveal bool
-}
-
-func (b *byzantineHop) Mix(round uint64, nonce [aead.NonceSize]byte, in []onion.Envelope) (*MixResult, error) {
-	if b.mixErr != nil {
-		return nil, b.mixErr
-	}
-	mr, err := b.Hop.Mix(round, nonce, in)
-	if err != nil {
-		return nil, err
-	}
-	if b.mutateMix != nil {
-		mr = b.mutateMix(mr)
-	}
-	return mr, nil
-}
-
-func (b *byzantineHop) RevealInnerKey(round uint64) (group.Scalar, error) {
-	if b.revealErr {
-		return group.Scalar{}, errors.New("connection reset by peer")
-	}
-	if b.fakeReveal {
-		// A self-consistent but substituted key pair: g^isk' matches
-		// an ipk' the hop would now claim, but not the ipk it proved
-		// at announce time.
-		return group.MustRandomScalar(), nil
-	}
-	return b.Hop.RevealInnerKey(round)
-}
-
-// runByzantine assembles a 3-position chain with position 1 decorated
-// by bz, runs a round of honest submissions, and returns the result.
-func runByzantine(t *testing.T, configure func(*byzantineHop)) *RoundResult {
-	t.Helper()
-	hops := buildHops(t, 3)
-	bz := &byzantineHop{Hop: hops[1]}
-	configure(bz)
-	hops[1] = bz
-	c, err := NewChainFromHops(0, hops, scheme)
+// TestCorruptionMoveConvictsItsPosition: each Corruption move alone,
+// made by one position, halts the chain, delivers nothing and blames
+// exactly that position — and no user who did not misbehave, and no
+// message as malformed by its sender. Row k, pos and n are the chain
+// length, the deviating position and the honest messages submitted;
+// badLayer ≥ 0 adds one malicious submission failing at that layer,
+// which a move on the blame path needs to be asked anything.
+func TestCorruptionMoveConvictsItsPosition(t *testing.T) {
+	// The substitute is a valid onion for a chain of the same shape:
+	// the key product breaks before anything decrypts it.
+	crafted, err := CraftValidOnion(scheme, testChain(t, 4).Params(), 1, 0, group.GenerateBaseKeyPair().Public)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.BeginRound(1); err != nil {
-		t.Fatal(err)
-	}
-	subs, _ := submitMany(t, c, 6)
-	res, err := c.RunRound(1, 0, subs)
-	if err != nil {
-		t.Fatalf("byzantine hop leaked as orchestration error: %v", err)
-	}
-	return res
-}
-
-func expectHaltBlaming(t *testing.T, res *RoundResult, position int) {
-	t.Helper()
-	if !res.Halted {
-		t.Fatal("chain did not halt")
-	}
-	for _, b := range res.BlamedServers {
-		if b == position {
-			return
-		}
-	}
-	t.Fatalf("blamed %v, want position %d", res.BlamedServers, position)
-}
-
-func TestByzantineHopTransportErrorHalts(t *testing.T) {
-	res := runByzantine(t, func(b *byzantineHop) {
-		b.mixErr = errors.New("dial tcp: connection refused")
-	})
-	expectHaltBlaming(t, res, 1)
-	if len(res.Delivered) != 0 {
-		t.Fatal("halted chain delivered messages")
-	}
-}
-
-func TestByzantineHopBogusFailedIndicesHalt(t *testing.T) {
-	for _, failed := range [][]int{{-4}, {1 << 30}, {2, 2}, {3, 1}} {
-		res := runByzantine(t, func(b *byzantineHop) {
-			b.mutateMix = func(mr *MixResult) *MixResult {
-				return &MixResult{Failed: failed}
+	drop, last := 2, 5
+	for _, row := range []struct {
+		name      string
+		k, pos, n int
+		badLayer  int
+		move      Corruption
+	}{
+		{"TamperPairs", 4, 1, 6, -1, Corruption{TamperPairs: [][2]int{{0, 1}}}},
+		{"ReplaceOutput", 4, 1, 6, -1, Corruption{ReplaceOutput: map[int]onion.Envelope{2: crafted.Envelope}}},
+		{"GarbleCiphertext", 4, 0, 6, -1, Corruption{GarbleCiphertext: []int{3}}},
+		{"DropOutput", 3, 1, 5, -1, Corruption{DropOutput: &drop}},
+		{"DropOutput/last", 3, 1, 6, -1, Corruption{DropOutput: &last}},
+		{"BadMixProof", 3, 2, 4, -1, Corruption{BadMixProof: true}},
+		{"FalselyAccuse", 4, 2, 5, -1, Corruption{FalselyAccuse: []int{1}}},
+		{"FalselyAccuse/negative", 3, 1, 6, -1, Corruption{FalselyAccuse: []int{-4}}},
+		{"FalselyAccuse/past-batch", 3, 1, 6, -1, Corruption{FalselyAccuse: []int{1 << 30}}},
+		{"FalselyAccuse/repeated", 3, 1, 6, -1, Corruption{FalselyAccuse: []int{2, 2}}},
+		{"FalselyAccuse/unsorted", 3, 1, 6, -1, Corruption{FalselyAccuse: []int{3, 1}}},
+		{"FailMix", 3, 1, 6, -1, Corruption{FailMix: true}},
+		{"WithholdInnerKey", 3, 1, 4, -1, Corruption{WithholdInnerKey: true}},
+		// A self-consistent but substituted key pair must be caught
+		// against the pair proved at announce time, not corrupt the
+		// inner sum and drop every message as malformed by its sender.
+		{"SubstituteInnerKey", 3, 1, 6, -1, Corruption{SubstituteInnerKey: true}},
+		// The malicious submission fails at position 1, so the blame
+		// walk needs position 0's reveal.
+		{"RefuseBlameReveal", 3, 0, 6, 1, Corruption{RefuseBlameReveal: true}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			c := testChain(t, row.k)
+			c.Corrupt(row.pos, &row.move)
+			subs, _ := submitMany(t, c, row.n)
+			if row.badLayer >= 0 {
+				bad, err := MaliciousSubmission(scheme, c.Params(), 1, 0, row.badLayer)
+				if err != nil {
+					t.Fatal(err)
+				}
+				subs = append(subs, bad)
+			}
+			res, err := c.RunRound(1, 0, subs)
+			if err != nil {
+				t.Fatalf("a deviating position leaked as an orchestration error: %v", err)
+			}
+			if !res.Halted || len(res.Delivered) != 0 || res.DroppedInner != 0 {
+				t.Fatalf("halted %v, delivered %d, dropped %d as malformed; want a halt and nothing else", res.Halted, len(res.Delivered), res.DroppedInner)
+			}
+			if !equalInts(res.BlamedServers, []int{row.pos}) {
+				t.Fatalf("blamed servers %v, want [%d]", res.BlamedServers, row.pos)
+			}
+			for _, u := range res.BlamedUsers {
+				if u < row.n {
+					t.Fatalf("honest user %d blamed (users %v)", u, res.BlamedUsers)
+				}
 			}
 		})
-		expectHaltBlaming(t, res, 1)
 	}
-}
-
-func TestByzantineHopRevealFailureHalts(t *testing.T) {
-	res := runByzantine(t, func(b *byzantineHop) { b.revealErr = true })
-	expectHaltBlaming(t, res, 1)
-}
-
-// TestByzantineHopSubstitutedInnerKeyHalts: revealing a different —
-// internally consistent — inner key pair than the one proved at
-// announce time must be caught against the orchestrator's record,
-// not silently corrupt the inner sum (which would drop every message
-// as "malformed by its sender" with nobody blamed).
-func TestByzantineHopSubstitutedInnerKeyHalts(t *testing.T) {
-	res := runByzantine(t, func(b *byzantineHop) { b.fakeReveal = true })
-	expectHaltBlaming(t, res, 1)
-	if res.DroppedInner != 0 {
-		t.Fatalf("substituted inner key misattributed to users: %d dropped", res.DroppedInner)
-	}
-}
-
-// TestByzantineHopShortOutputHalts: dropping envelopes from the
-// output fails the count check in VerifyMix.
-func TestByzantineHopShortOutputHalts(t *testing.T) {
-	res := runByzantine(t, func(b *byzantineHop) {
-		b.mutateMix = func(mr *MixResult) *MixResult {
-			mr.Out = mr.Out[:len(mr.Out)-1]
-			return mr
-		}
-	})
-	expectHaltBlaming(t, res, 1)
-}
-
-// TestByzantineHopBlameRevealRefusalConvicts: a hop that cannot (or
-// will not) produce a blame reveal is convicted by the blame walk.
-// Position 1 falsely fails a message so the blame protocol runs, and
-// position 0 — whose reveal the walk needs — refuses.
-type refusingHop struct{ Hop }
-
-func (r refusingHop) BlameReveal(round uint64, msg, pos int) (BlameReveal, error) {
-	return BlameReveal{}, errors.New("connection reset by peer")
-}
-
-func TestByzantineHopBlameRevealRefusalConvicts(t *testing.T) {
-	hops := buildHops(t, 3)
-	hops[0] = refusingHop{hops[0]}
-	c, err := NewChainFromHops(0, hops, scheme)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.BeginRound(1); err != nil {
-		t.Fatal(err)
-	}
-	subs, _ := submitMany(t, c, 6)
-	// A malicious submission whose decryption fails at position 1
-	// forces the blame walk through position 0's reveal.
-	bad, err := MaliciousSubmission(scheme, c.Params(), 1, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := c.RunRound(1, 0, append(subs, bad))
-	if err != nil {
-		t.Fatal(err)
-	}
-	expectHaltBlaming(t, res, 0)
 }

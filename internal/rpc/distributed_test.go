@@ -174,6 +174,33 @@ func TestDistributedBlameOverTransport(t *testing.T) {
 	}
 }
 
+// TestDistributedCorruptServer: core.Network.CorruptServer corrupts a
+// position hosted on a remote hop endpoint as it does an in-process
+// one. The product-preserving tamper at position 1 is caught at
+// position 2 over TLS, and the blame walk convicts position 1 alone.
+func TestDistributedCorruptServer(t *testing.T) {
+	dist := distributedNetwork(t, startHopFleet(t, 3))
+	alice, bob := converse(t, dist)
+	for _, u := range []*coreUser{alice, bob} {
+		if err := u.u.QueueMessage([]byte("tampered")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := dist.CorruptServer(0, 1, &mix.Corruption{TamperPairs: [][2]int{{0, 1}}}); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := dist.RunRound()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rep.HaltedChains, []int{0}) || !reflect.DeepEqual(rep.BlamedServers, [][2]int{{0, 1}}) {
+		t.Fatalf("halted %v blaming %v, want chain 0 halted blaming [[0 1]]", rep.HaltedChains, rep.BlamedServers)
+	}
+	if rep.Delivered != 0 || len(rep.BlamedUsers) != 0 {
+		t.Fatalf("delivered %d, blamed users %v; want neither", rep.Delivered, rep.BlamedUsers)
+	}
+}
+
 // TestDistributedBlameTwoLayersMatchesLocal runs a batch wide enough
 // for the batched hop kernel and its worker ranges through one set of
 // three mix servers twice — reached over TLS, and in-process through
