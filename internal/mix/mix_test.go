@@ -568,6 +568,24 @@ func TestLastServerGarbleDropsInner(t *testing.T) {
 	}
 }
 
+// TestWithheldInnerKeyHaltsWithoutDelivery: refusing the inner key
+// reveal denies service but reveals nothing.
+func TestWithheldInnerKeyHaltsWithoutDelivery(t *testing.T) {
+	c := testChain(t, 3)
+	c.Corrupt(1, &Corruption{WithholdInnerKey: true})
+	subs, _ := submitMany(t, c, 4)
+	res, err := c.RunRound(1, 0, subs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Halted || len(res.Delivered) != 0 {
+		t.Fatal("withheld inner key did not halt delivery")
+	}
+	if len(res.BlamedServers) != 1 || res.BlamedServers[0] != 1 {
+		t.Fatalf("blamed servers = %v, want [1]", res.BlamedServers)
+	}
+}
+
 // TestTwoCorruptServers: colluding tamperers at different positions
 // are still caught — the first decryption failure downstream of the
 // earliest tamper triggers blame against it.

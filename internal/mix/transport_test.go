@@ -69,6 +69,41 @@ func TestChainFromHopsRejectsWrongPosition(t *testing.T) {
 	}
 }
 
+// TestByzantineHopRevealFailureHalts: a hop in a chain assembled from
+// explicit hops that fails its inner-key reveal halts the round and is
+// blamed; once the hop is honest again the next round delivers.
+func TestByzantineHopRevealFailureHalts(t *testing.T) {
+	c, err := NewChainFromHops(0, buildHops(t, 3), scheme)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.BeginRound(1); err != nil {
+		t.Fatal(err)
+	}
+	c.Corrupt(1, &Corruption{WithholdInnerKey: true})
+	subs, _ := submitMany(t, c, 6)
+	res, err := c.RunRound(1, 0, subs)
+	if err != nil {
+		t.Fatalf("a failed reveal leaked as an orchestration error: %v", err)
+	}
+	if !res.Halted || len(res.Delivered) != 0 || !equalInts(res.BlamedServers, []int{1}) {
+		t.Fatalf("halted %v, delivered %d, blamed %v; want a halt blaming [1]", res.Halted, len(res.Delivered), res.BlamedServers)
+	}
+
+	c.Corrupt(1, nil)
+	if err := c.BeginRound(2); err != nil {
+		t.Fatal(err)
+	}
+	subs, _ = submitMany(t, c, 6)
+	res, err = c.RunRound(2, 0, subs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Halted || len(res.Delivered) != len(subs) {
+		t.Fatalf("after recovery: delivered %d of %d (halted=%v)", len(res.Delivered), len(subs), res.Halted)
+	}
+}
+
 // TestCorruptionMoveConvictsItsPosition: each Corruption move alone,
 // made by one position, halts the chain, delivers nothing and blames
 // exactly that position — and no user who did not misbehave, and no
