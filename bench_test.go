@@ -10,7 +10,9 @@ package repro
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/aead"
@@ -19,6 +21,7 @@ import (
 	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/group"
+	"repro/internal/kdf"
 	"repro/internal/mix"
 	"repro/internal/model"
 	"repro/internal/nizk"
@@ -320,8 +323,9 @@ func BenchmarkRoundPipeline(b *testing.B) {
 }
 
 // BenchmarkAblationAHSVsBaseline quantifies what active-attack
-// protection costs (§6's motivation): the same batch through the same
-// chain with AHS verification versus plain Algorithm 1.
+// protection costs (§6's motivation): the same batch through a chain
+// of the same length with AHS verification versus plain Algorithm 1
+// (algorithm1 below, which exists only for this question).
 func BenchmarkAblationAHSVsBaseline(b *testing.B) {
 	scheme := aead.ChaCha20Poly1305()
 	const k, msgs = 8, 64
@@ -343,25 +347,166 @@ func BenchmarkAblationAHSVsBaseline(b *testing.B) {
 		}
 	})
 	b.Run("baseline", func(b *testing.B) {
+		a := newAlgorithm1(scheme, k)
 		nonce := aead.RoundNonce(1, 0)
-		params := chain.Params()
 		cts := make([][]byte, msgs)
 		for i := range cts {
-			msg := makeMailboxMsg(b, scheme, nonce, byte(i))
-			ct, err := onion.WrapBaseline(scheme, params.BaselineKeys, nonce, msg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			cts[i] = ct
+			cts[i] = a.wrap(nonce, makeMailboxMsg(b, scheme, nonce, byte(i)))
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			out, err := chain.RunRoundBaseline(1, 0, cts)
-			if err != nil || len(out) != msgs {
-				b.Fatalf("err=%v delivered=%d", err, len(out))
+			if out := a.run(nonce, cts); len(out) != msgs {
+				b.Fatalf("delivered %d of %d", len(out), msgs)
 			}
 		}
 	})
+}
+
+// algorithm1 is the paper's naive mix chain (Algorithm 1, onions as in
+// Algorithm 2), secure only against passive adversaries: every layer
+// carries its own ephemeral Diffie-Hellman key, and each position
+// peels its layer with a plain key pair and shuffles, proving nothing.
+// A message that fails to open is dropped with nobody blamed, which is
+// what AHS (§6) exists to prevent. XRD itself never runs it.
+type algorithm1 struct {
+	scheme aead.Scheme
+	keys   []group.KeyPair // one per position, first first
+}
+
+func newAlgorithm1(scheme aead.Scheme, k int) algorithm1 {
+	a := algorithm1{scheme: scheme, keys: make([]group.KeyPair, k)}
+	for i := range a.keys {
+		a.keys[i] = group.GenerateBaseKeyPair()
+	}
+	return a
+}
+
+// algorithm1Size is an onion's size through k positions: each layer
+// prepends an ephemeral key and appends an AEAD tag.
+func algorithm1Size(k int) int {
+	return onion.MailboxMessageSize + k*(group.PointSize+aead.Overhead)
+}
+
+// wrap builds cᵢ = (g^xᵢ, AEnc(DH(pkᵢ, xᵢ), ρ, cᵢ₊₁)) around a mailbox
+// message, innermost layer for the last position.
+func (a algorithm1) wrap(nonce [aead.NonceSize]byte, msg []byte) []byte {
+	ct := append([]byte(nil), msg...)
+	for i := len(a.keys) - 1; i >= 0; i-- {
+		x := group.MustRandomScalar()
+		key := [aead.KeySize]byte(kdf.OnionKey(group.DH(a.keys[i].Public, x)))
+		ct = a.scheme.Seal(group.Base(x).Bytes(), &key, &nonce, ct)
+	}
+	return ct
+}
+
+// peel removes position i's layer.
+func (a algorithm1) peel(i int, nonce [aead.NonceSize]byte, ct []byte) ([]byte, error) {
+	if len(ct) < group.PointSize+aead.Overhead {
+		return nil, fmt.Errorf("layer of %d bytes", len(ct))
+	}
+	eph, err := group.ParsePoint(ct[:group.PointSize])
+	if err != nil {
+		return nil, err
+	}
+	key := [aead.KeySize]byte(kdf.OnionKey(group.DH(eph, a.keys[i].Private)))
+	return a.scheme.Open(nil, &key, &nonce, ct[group.PointSize:])
+}
+
+// run passes a batch through every position in turn: each peels its
+// layer of every message on GOMAXPROCS goroutines, silently drops the
+// ones that fail and shuffles the rest.
+func (a algorithm1) run(nonce [aead.NonceSize]byte, cts [][]byte) [][]byte {
+	cur := cts
+	for i := range a.keys {
+		next := make([][]byte, len(cur))
+		var wg sync.WaitGroup
+		workers := runtime.GOMAXPROCS(0)
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for j := w; j < len(cur); j += workers {
+					next[j], _ = a.peel(i, nonce, cur[j])
+				}
+			}(w)
+		}
+		wg.Wait()
+		kept := next[:0]
+		for _, m := range next {
+			if m != nil {
+				kept = append(kept, m)
+			}
+		}
+		rand.Shuffle(len(kept), func(x, y int) { kept[x], kept[y] = kept[y], kept[x] })
+		cur = kept
+	}
+	return cur
+}
+
+// TestBaselineOnionPeelsToMailboxMessage: algorithm1's onion has its
+// fixed size and its positions peel it, in order, to the mailbox
+// message.
+func TestBaselineOnionPeelsToMailboxMessage(t *testing.T) {
+	const k = 5
+	a := newAlgorithm1(aead.ChaCha20Poly1305(), k)
+	nonce := aead.RoundNonce(1, 0)
+	msg := makeMailboxMsg(t, a.scheme, nonce, 1)
+	ct := a.wrap(nonce, msg)
+	if len(ct) != algorithm1Size(k) {
+		t.Fatalf("ciphertext size %d, want %d", len(ct), algorithm1Size(k))
+	}
+	for i := 0; i < k; i++ {
+		var err error
+		if ct, err = a.peel(i, nonce, ct); err != nil {
+			t.Fatalf("position %d peel: %v", i, err)
+		}
+	}
+	if string(ct) != string(msg) {
+		t.Fatal("peeled onion does not match mailbox message")
+	}
+}
+
+func TestBaselinePeelOutOfOrderFails(t *testing.T) {
+	a := newAlgorithm1(aead.ChaCha20Poly1305(), 3)
+	nonce := aead.RoundNonce(1, 0)
+	ct := a.wrap(nonce, makeMailboxMsg(t, a.scheme, nonce, 1))
+	if _, err := a.peel(1, nonce, ct); err == nil {
+		t.Fatal("second position peeled the first layer")
+	}
+}
+
+func TestBaselineRoundTrip(t *testing.T) {
+	a := newAlgorithm1(aead.ChaCha20Poly1305(), 4)
+	nonce := aead.RoundNonce(1, 0)
+	const n = 10
+	cts := make([][]byte, n)
+	want := make(map[string]bool, n)
+	for i := range cts {
+		msg := makeMailboxMsg(t, a.scheme, nonce, byte(i))
+		want[string(msg)] = true
+		cts[i] = a.wrap(nonce, msg)
+	}
+	out := a.run(nonce, cts)
+	if len(out) != n {
+		t.Fatalf("delivered %d of %d", len(out), n)
+	}
+	for _, m := range out {
+		if !want[string(m)] {
+			t.Fatal("delivered an unexpected message")
+		}
+	}
+}
+
+// TestBaselineSilentlyDropsTampered documents why AHS exists: Algorithm
+// 1 cannot attribute tampering, or even report it.
+func TestBaselineSilentlyDropsTampered(t *testing.T) {
+	a := newAlgorithm1(aead.ChaCha20Poly1305(), 3)
+	nonce := aead.RoundNonce(1, 0)
+	ct := a.wrap(nonce, makeMailboxMsg(t, a.scheme, nonce, 1))
+	ct[40] ^= 1
+	if out := a.run(nonce, [][]byte{ct}); len(out) != 0 {
+		t.Fatal("tampered message was delivered")
+	}
 }
 
 // BenchmarkAblationVerifiableShuffle compares AHS's per-message
@@ -384,37 +529,6 @@ func BenchmarkAblationVerifiableShuffle(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkAblationStaggering measures §5.2.1's utilisation
-// optimisation: position spread with and without staggering.
-func BenchmarkAblationStaggering(b *testing.B) {
-	for _, disabled := range []bool{false, true} {
-		name := "staggered"
-		if disabled {
-			name = "aligned"
-		}
-		b.Run(name, func(b *testing.B) {
-			var spread float64
-			for i := 0; i < b.N; i++ {
-				topo, err := topology.Build(topology.Config{
-					NumServers:        64,
-					F:                 0.2,
-					Seed:              []byte("ablation"),
-					DisableStaggering: disabled,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				sum := 0.0
-				for s := 0; s < 64; s++ {
-					sum += topo.PositionSpread(s)
-				}
-				spread = sum / 64
-			}
-			b.ReportMetric(spread, "position-spread")
-		})
-	}
 }
 
 // BenchmarkAblationCoverMessages quantifies §5.3.3: cover traffic
@@ -481,7 +595,7 @@ func BenchmarkChainSelection(b *testing.B) {
 
 // --- helpers ---
 
-func makeMailboxMsg(b *testing.B, scheme aead.Scheme, nonce [aead.NonceSize]byte, tag byte) []byte {
+func makeMailboxMsg(b testing.TB, scheme aead.Scheme, nonce [aead.NonceSize]byte, tag byte) []byte {
 	b.Helper()
 	recipient := group.Base(group.NewScalar(int64(tag) + 1))
 	var key [32]byte
@@ -528,10 +642,10 @@ func BenchmarkSubmissionVerify(b *testing.B) {
 		ctx := onion.SubmitContext(round, chain)
 		subs := make([]onion.Submission, n)
 		for i := range subs {
-			x := group.MustRandomScalar()
+			x, v := group.MustRandomScalar(), group.MustRandomScalar()
 			subs[i] = onion.Submission{
 				Envelope: onion.Envelope{DHKey: group.Base(x)},
-				Proof:    nizk.ProveDlogCommit(ctx, group.Generator(), x),
+				Proof:    nizk.ProveDlogCommitPrecomputed(ctx, group.Generator(), group.Base(x), x, v, group.Base(v)),
 			}
 		}
 		return subs

@@ -3,7 +3,6 @@ package main
 // Shared flag-parsing and wiring helpers used by every role. All
 // remote-process flags use the same "key=addr=certfile" shape:
 //
-//	-hops         chain:pos=addr=certfile,...   (coordinator → mix, coordinate-keyed)
 //	-mix-servers  id=addr=certfile,...          (coordinator → mix, identity-keyed)
 //	-gateways     lo:hi=addr=certfile,...       (coordinator → gateway shard)
 //
@@ -75,25 +74,6 @@ func parseIntPair(s, what string) (int, int, error) {
 		return 0, 0, fmt.Errorf("%q: %w", s, err)
 	}
 	return a, b, nil
-}
-
-// parseHopSpecs parses "chain:pos=addr=certfile,..." into a position
-// map.
-func parseHopSpecs(s string) (map[[2]int]hopSpec, error) {
-	out := make(map[[2]int]hopSpec)
-	err := eachSpec(s, "chain:pos=addr=certfile", func(entry, key string, spec hopSpec) error {
-		chain, pos, err := parseIntPair(key, "chain:pos")
-		if err != nil {
-			return fmt.Errorf("entry %q: %w", entry, err)
-		}
-		k := [2]int{chain, pos}
-		if _, dup := out[k]; dup {
-			return fmt.Errorf("position %d:%d listed twice", chain, pos)
-		}
-		out[k] = spec
-		return nil
-	})
-	return out, err
 }
 
 // parseServerSpecs parses "id=addr=certfile,..." into a server

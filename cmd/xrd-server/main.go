@@ -19,14 +19,13 @@
 // Role "mix" hosts a single mix server at one chain position. It
 // starts keyless and unbound; the coordinator binds it to its
 // position (and supplies the base its keys chain off) during setup.
-// Which position it serves is decided by the coordinator's -hops or
+// Which position it serves is decided by the coordinator's
 // -mix-servers flag.
 //
-// -hops keys remote processes by chain coordinate ("chain:pos=...").
-// -mix-servers keys them by server identity ("id=...") instead, which
-// is what epoch recovery needs: after a halt the coordinator evicts
-// the blamed server, re-forms the chains from the survivors and
-// re-binds each surviving process at its new coordinate — only a
+// -mix-servers keys remote processes by server identity ("id=..."),
+// which is what epoch recovery needs: after a halt the coordinator
+// evicts the blamed server, re-forms the chains from the survivors
+// and re-binds each surviving process at its new coordinate — only a
 // stable identity survives that re-shuffle. -mix-servers therefore
 // enables recovery (-recover) by default.
 //
@@ -86,7 +85,6 @@ func main() {
 		boxes      = flag.Int("mailboxes", 2, "mailbox server count (coordinator monolith or gateway shard)")
 		workers    = flag.Int("workers", 0, "build worker pool size (0 = GOMAXPROCS)")
 		interval   = flag.Duration("interval", 10*time.Second, "round interval (0 = rounds only via client trigger)")
-		hops       = flag.String("hops", "", `remote chain positions as "chain:pos=addr=certfile,..." (coordinator role)`)
 		mixServers = flag.String("mix-servers", "", `remote mix processes as "id=addr=certfile,..." keyed by server identity (coordinator role; enables -recover)`)
 		gateways   = flag.String("gateways", "", `remote gateway shards as "lo:hi=addr=certfile,..." partitioning the 64 registry shards (coordinator role)`)
 		shardRange = flag.String("shard-range", "0:64", `registry-shard range this gateway owns, as "lo:hi" (gateway role)`)
@@ -120,7 +118,6 @@ func main() {
 			boxes:       *boxes,
 			workers:     *workers,
 			interval:    *interval,
-			hopSpec:     *hops,
 			serverSpec:  *mixServers,
 			gatewaySpec: *gateways,
 			recover:     *recoverOn || *mixServers != "",
@@ -261,7 +258,6 @@ type coordinatorOpts struct {
 	boxes           int
 	workers         int
 	interval        time.Duration
-	hopSpec         string // chain:pos-keyed remote mixes
 	serverSpec      string // server-identity-keyed remote mixes
 	gatewaySpec     string // shard-range-keyed remote gateways
 	recover         bool
@@ -270,19 +266,12 @@ type coordinatorOpts struct {
 }
 
 // runCoordinator assembles the deployment (dialing remote gateways
-// and hops first), serves users (directly when monolithic), and
-// drives rounds.
+// and mix processes first), serves users (directly when monolithic),
+// and drives rounds.
 func runCoordinator(o coordinatorOpts) {
-	remotes, err := parseHopSpecs(o.hopSpec)
-	if err != nil {
-		log.Fatalf("parsing -hops: %v", err)
-	}
 	byServer, err := parseServerSpecs(o.serverSpec)
 	if err != nil {
 		log.Fatalf("parsing -mix-servers: %v", err)
-	}
-	if len(remotes) > 0 && len(byServer) > 0 {
-		log.Fatal("-hops and -mix-servers are mutually exclusive")
 	}
 	for id := range byServer {
 		if id < 0 || id >= o.servers {
@@ -294,7 +283,6 @@ func runCoordinator(o coordinatorOpts) {
 		log.Fatalf("parsing -gateways: %v", err)
 	}
 
-	used := make(map[[2]int]bool)
 	cfg := core.Config{
 		NumServers:          o.servers,
 		NumChains:           o.chains,
@@ -317,23 +305,6 @@ func runCoordinator(o coordinatorOpts) {
 		}
 		shardClients = append(shardClients, sc)
 		cfg.Shards = append(cfg.Shards, sc)
-	}
-	if len(remotes) > 0 {
-		cfg.RemoteHops = func(chain, pos int, base group.Point) (mix.Hop, error) {
-			spec, ok := remotes[[2]int{chain, pos}]
-			if !ok {
-				return nil, nil
-			}
-			hc, err := dialSpec(spec, fmt.Sprintf("hop%d:%d", chain, pos), o.inj)
-			if err != nil {
-				return nil, err
-			}
-			if _, err := hc.Init(chain, pos, base); err != nil {
-				return nil, fmt.Errorf("binding %s to %d:%d: %w", spec.addr, chain, pos, err)
-			}
-			used[[2]int{chain, pos}] = true
-			return hc, nil
-		}
 	}
 	usedServers := make(map[int]bool)
 	if len(byServer) > 0 {
@@ -382,11 +353,6 @@ func runCoordinator(o coordinatorOpts) {
 		}
 	})
 	defer closeAdmin()
-	for key := range remotes {
-		if !used[key] {
-			log.Fatalf("-hops entry %d:%d matches no chain position of this topology", key[0], key[1])
-		}
-	}
 	for id := range byServer {
 		if !usedServers[id] {
 			log.Fatalf("-mix-servers entry %d holds no chain position of this topology", id)
@@ -410,7 +376,7 @@ func runCoordinator(o coordinatorOpts) {
 	}
 
 	fmt.Printf("xrd-server: %d chains of %d servers, l=%d chains per user, %d remote positions, %d gateway shards, recover=%v\n",
-		net.NumChains(), net.Topology().ChainLength, net.Plan().L, len(remotes)+len(byServer), len(shardClients), o.recover)
+		net.NumChains(), net.Topology().ChainLength, net.Plan().L, len(byServer), len(shardClients), o.recover)
 	fmt.Printf("xrd-server: listening on %s (certificate in %s)\n", gw.Addr(), o.certOut)
 
 	stop := make(chan os.Signal, 1)

@@ -13,8 +13,9 @@ import (
 )
 
 // citingDocs are the documents whose backticked test names must name a
-// test, benchmark or fuzz target that exists, and whose backticked
-// internal identifiers must name a declaration that exists.
+// test, benchmark or fuzz target that exists, whose backticked
+// internal identifiers must name a declaration that exists, and whose
+// backticked repository paths must exist.
 var citingDocs = []string{
 	"README.md",
 	"DESIGN.md",
@@ -34,15 +35,22 @@ var (
 	// citedDecl matches a code span that is pkg.Exported or
 	// pkg.Type.Member, optionally called.
 	citedDecl = regexp.MustCompile(`^([a-z][a-z0-9]*)\.([A-Z]\w*(?:\.\w+)?)(?:\(.*\))?$`)
+	// citedPath matches a code span whose first token is a path under
+	// one of the source trees, optionally written ./path.
+	citedPath = regexp.MustCompile(`^(?:\./)?((?:internal|cmd|scripts|examples|bench)/\S*)`)
 )
 
 // TestDocsCiteExistingTests: every test, benchmark or fuzz target a
 // document names in an inline code span is a func in some _test.go of
-// the repository, the bench module's included, and every `pkg.Name`
-// or `pkg.Type.Member` it names for an internal/ package is declared
-// there, so a renamed or deleted test or identifier cannot leave a
-// document pointing at nothing. Fenced code blocks are skipped: their
-// -run and -bench arguments are patterns, not names.
+// the repository, the bench module's included, every `pkg.Name` or
+// `pkg.Type.Member` it names for an internal/ package is declared
+// there, and every path under internal/, cmd/, scripts/, examples/ or
+// bench/ that a span starts with (a file, a directory, or a command's
+// program) exists, so a renamed or deleted test, identifier or file
+// cannot leave a document pointing at nothing. A fuzz crasher
+// directory (testdata/fuzz/) is exempt: it exists only after a crash.
+// Fenced code blocks are skipped: their -run and -bench arguments are
+// patterns, not names.
 func TestDocsCiteExistingTests(t *testing.T) {
 	defined := make(map[string]bool)
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
@@ -93,6 +101,11 @@ func TestDocsCiteExistingTests(t *testing.T) {
 			if d := citedDecl.FindStringSubmatch(span); d != nil {
 				if pkg, ok := decls[d[1]]; ok && !pkg.has(d[2]) {
 					t.Errorf("%s:%d cites `%s.%s`, which internal/%s does not declare", doc, line, d[1], d[2], d[1])
+				}
+			}
+			if p := citedPath.FindStringSubmatch(span); p != nil && !strings.Contains(p[1], "testdata/fuzz/") {
+				if _, err := os.Stat(p[1]); err != nil {
+					t.Errorf("%s:%d cites `%s`, which does not exist", doc, line, p[1])
 				}
 			}
 		}

@@ -10,7 +10,9 @@ package main
 import (
 	"errors"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"repro/internal/client"
 	"repro/internal/core"
@@ -18,6 +20,15 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run holds the example logic so the smoke test can execute it end to
+// end without spawning a process; it fails unless every member reads
+// the line each other member sent.
+func run(w io.Writer) error {
 	// Re-draw user identities until the three pairwise meeting chains
 	// are distinct; with n=21 chains most triples qualify (the
 	// paper's scenario: "(Alice, Bob), (Alice, Charlie), and
@@ -28,12 +39,12 @@ func main() {
 		Seed:                []byte("groupchat"),
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	var alice, bob, charlie *client.User
 	for attempt := 0; ; attempt++ {
 		if attempt > 200 {
-			log.Fatal("no clash-free triple found; enlarge the network")
+			return errors.New("no clash-free triple found; enlarge the network")
 		}
 		alice, bob, charlie = net.NewUser(), net.NewUser(), net.NewUser()
 		plan := net.Plan()
@@ -41,7 +52,7 @@ func main() {
 		ac := plan.MeetingChainForUsers(alice.Mailbox(), charlie.Mailbox())
 		bc := plan.MeetingChainForUsers(bob.Mailbox(), charlie.Mailbox())
 		if ab != ac && ab != bc && ac != bc {
-			fmt.Printf("pairs meet on distinct chains: ab=%d ac=%d bc=%d\n\n", ab, ac, bc)
+			fmt.Fprintf(w, "pairs meet on distinct chains: ab=%d ac=%d bc=%d\n\n", ab, ac, bc)
 			break
 		}
 	}
@@ -57,51 +68,62 @@ func main() {
 			}
 			if err := u.StartConversation(v.PublicKey()); err != nil {
 				if errors.Is(err, client.ErrChainClash) {
-					log.Fatalf("%s-%s clash on a meeting chain; rerun with another seed: %v",
+					return fmt.Errorf("%s-%s clash on a meeting chain; rerun with another seed: %w",
 						names[u], names[v], err)
 				}
-				log.Fatal(err)
+				return err
 			}
 		}
 	}
 	for _, u := range group {
-		fmt.Printf("%s converses on chains %v (of her %v)\n",
+		fmt.Fprintf(w, "%s converses on chains %v (of her %v)\n",
 			names[u], keysOf(u.MeetingChains()), u.Chains())
 	}
 
 	// Each member broadcasts one line to the group: one queued body
 	// per partner.
+	line := func(u *client.User) string { return fmt.Sprintf("hi group, from %s", names[u]) }
 	for _, u := range group {
-		line := fmt.Sprintf("hi group, from %s", names[u])
 		for _, p := range u.Partners() {
-			if err := u.QueueMessageFor(p, []byte(line)); err != nil {
-				log.Fatal(err)
+			if err := u.QueueMessageFor(p, []byte(line(u))); err != nil {
+				return err
 			}
 		}
 	}
 
 	rep, err := net.RunRound()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("\nround %d: %d messages delivered\n\n", rep.Round, rep.Delivered)
+	fmt.Fprintf(w, "\nround %d: %d messages delivered\n\n", rep.Round, rep.Delivered)
 
 	for _, u := range group {
 		recv, bad := u.OpenMailbox(rep.Round, net.Fetch(u, rep.Round))
 		if bad != 0 {
-			log.Fatalf("%s: %d undecryptable", names[u], bad)
+			return fmt.Errorf("%s: %d undecryptable", names[u], bad)
+		}
+		want := make(map[string]bool)
+		for _, v := range group {
+			if v != u {
+				want[line(v)] = true
+			}
 		}
 		for _, r := range recv {
 			if r.FromPartner && r.Kind == onion.KindConversation {
-				fmt.Printf("%s reads: %q\n", names[u], r.Body)
+				fmt.Fprintf(w, "%s reads: %q\n", names[u], r.Body)
+				delete(want, string(r.Body))
 			}
 		}
+		if len(want) != 0 {
+			return fmt.Errorf("%s did not read %v", names[u], keysOf(want))
+		}
 	}
-	fmt.Println("\neach member still sends exactly l fixed-size messages; the group is invisible")
+	fmt.Fprintln(w, "\neach member still sends exactly l fixed-size messages; the group is invisible")
+	return nil
 }
 
-func keysOf[V any](m map[int]V) []int {
-	out := make([]int, 0, len(m))
+func keysOf[K comparable, V any](m map[K]V) []K {
+	out := make([]K, 0, len(m))
 	for k := range m {
 		out = append(out, k)
 	}

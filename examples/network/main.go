@@ -8,12 +8,18 @@
 // crosses a real socket. Users trust the gateway only for
 // availability.
 //
+// The gateway names each hop endpoint by the server identity it
+// stands for, as `xrd-server -mix-servers` does, so the same provider
+// would re-bind the survivors if chains re-formed after an eviction.
+//
 // Run with: go run ./examples/network
 package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"repro/internal/client"
 	"repro/internal/core"
@@ -24,19 +30,30 @@ import (
 )
 
 func main() {
-	// "Machines": one hop endpoint per chain position, each with its
-	// own pinned certificate. In a real deployment these are
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+const greeting = "hello across three processes"
+
+// run holds the example logic so the smoke test can execute it end to
+// end without spawning a process; it fails unless Bob reads Alice's
+// exact message.
+func run(w io.Writer) error {
+	// "Machines": one hop endpoint per mix server, each with its own
+	// pinned certificate. In a real deployment these are
 	// `xrd-server -role mix` processes on separate hosts.
 	const chainLen = 3
 	hopServers := make([]*rpc.HopServer, chainLen)
 	for i := range hopServers {
 		hs, err := rpc.NewHopServer("127.0.0.1:0", nil)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		defer hs.Close()
 		hopServers[i] = hs
-		fmt.Printf("mix position %d listening on %s\n", i, hs.Addr())
+		fmt.Fprintf(w, "mix server %d listening on %s\n", i, hs.Addr())
 	}
 
 	// Gateway side: assemble a single chain whose every position is
@@ -47,88 +64,94 @@ func main() {
 		NumChains:           1,
 		ChainLengthOverride: chainLen,
 		Seed:                []byte("network-demo"),
-		RemoteHops: func(chain, pos int, base group.Point) (mix.Hop, error) {
-			hc := rpc.DialHop(hopServers[pos].Addr(), hopServers[pos].ClientTLS())
-			if _, err := hc.Init(chain, pos, base); err != nil {
+		HopForServer: func(epoch uint64, server, chain, pos int, base group.Point) (mix.Hop, error) {
+			hs := hopServers[server]
+			hc := rpc.DialHop(hs.Addr(), hs.ClientTLS())
+			if _, err := hc.InitEpoch(epoch, chain, pos, base); err != nil {
 				return nil, err
 			}
 			return hc, nil
 		},
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	gateway, err := rpc.NewServer(net, "127.0.0.1:0")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer gateway.Close()
-	fmt.Printf("gateway listening on %s (TLS 1.3, pinned certificate)\n", gateway.Addr())
+	fmt.Fprintf(w, "gateway listening on %s (TLS 1.3, pinned certificate)\n", gateway.Addr())
 
 	// Client side: each user dials the gateway independently.
-	dial := func() *rpc.Client {
+	conns := make([]*rpc.Client, 3)
+	for i := range conns {
 		c, err := rpc.Dial(gateway.Addr(), gateway.ClientTLS())
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		return c
+		defer c.Close()
+		conns[i] = c
 	}
-	aliceConn, bobConn, driver := dial(), dial(), dial()
-	defer aliceConn.Close()
-	defer bobConn.Close()
-	defer driver.Close()
+	aliceConn, bobConn, driver := conns[0], conns[1], conns[2]
 
 	alice := client.NewUser(nil, net.Plan())
 	bob := client.NewUser(nil, net.Plan())
 	if err := alice.StartConversation(bob.PublicKey()); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if err := bob.StartConversation(alice.PublicKey()); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	if err := alice.QueueMessage([]byte("hello across three processes")); err != nil {
-		log.Fatal(err)
+	if err := alice.QueueMessage([]byte(greeting)); err != nil {
+		return err
 	}
 
 	st, err := driver.Status()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("deployment: round %d, %d chain(s) of %d, l=%d\n", st.Round, st.NumChains, st.ChainLength, st.L)
+	fmt.Fprintf(w, "deployment: round %d, %d chain(s) of %d, l=%d\n", st.Round, st.NumChains, st.ChainLength, st.L)
 
 	// Build and submit both users' rounds remotely; the rpc.Client is
 	// a client.ParamsSource, so the user code is identical to the
 	// in-process path.
-	for name, pair := range map[string]struct {
-		u *client.User
-		c *rpc.Client
-	}{"alice": {alice, aliceConn}, "bob": {bob, bobConn}} {
+	for _, pair := range []struct {
+		name string
+		u    *client.User
+		c    *rpc.Client
+	}{{"alice", alice, aliceConn}, {"bob", bob, bobConn}} {
 		out, err := pair.u.BuildRound(st.Round, pair.c)
 		if err != nil {
-			log.Fatalf("%s build: %v", name, err)
+			return fmt.Errorf("%s build: %w", pair.name, err)
 		}
 		if err := pair.c.Submit(pair.u.Mailbox(), out); err != nil {
-			log.Fatalf("%s submit: %v", name, err)
+			return fmt.Errorf("%s submit: %w", pair.name, err)
 		}
 	}
 
 	rep, err := driver.RunRound()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("round %d executed over the distributed chain: %d messages delivered\n", rep.Round, rep.Delivered)
+	fmt.Fprintf(w, "round %d executed over the distributed chain: %d messages delivered\n", rep.Round, rep.Delivered)
 
 	msgs, err := bobConn.Fetch(rep.Round, bob.Mailbox())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	recv, bad := bob.OpenMailbox(rep.Round, msgs)
 	if bad != 0 {
-		log.Fatalf("%d undecryptable messages", bad)
+		return fmt.Errorf("%d undecryptable messages", bad)
 	}
 	for _, r := range recv {
 		if r.FromPartner && r.Kind == onion.KindConversation {
-			fmt.Printf("bob reads: %q\n", r.Body)
+			fmt.Fprintf(w, "bob reads: %q\n", r.Body)
+			if string(r.Body) != greeting {
+				return fmt.Errorf("bob read %q, want %q", r.Body, greeting)
+			}
+			return nil
 		}
 	}
+	return fmt.Errorf("bob received no message from alice")
 }

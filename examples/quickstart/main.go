@@ -7,13 +7,25 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"repro/internal/core"
 	"repro/internal/onion"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run holds the example logic so the smoke test can execute it end to
+// end without spawning a process; it fails unless Bob reads each of
+// Alice's lines in its round and every mailbox holds exactly ℓ
+// messages.
+func run(w io.Writer) error {
 	// A small deployment: 12 mix servers organised into 12 chains of
 	// 4 (production would derive k from the malicious fraction f;
 	// see core.Config.F).
@@ -23,10 +35,11 @@ func main() {
 		Seed:                []byte("quickstart-public-beacon"),
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("network: %d chains of %d servers, l=%d chains per user\n\n",
-		net.NumChains(), net.Topology().ChainLength, net.Plan().L)
+	l := net.Plan().L
+	fmt.Fprintf(w, "network: %d chains of %d servers, l=%d chains per user\n\n",
+		net.NumChains(), net.Topology().ChainLength, l)
 
 	alice := net.NewUser()
 	bob := net.NewUser()
@@ -35,10 +48,10 @@ func main() {
 	// Conversations start by out-of-band agreement (§3.1): both sides
 	// set each other as partner for the same round.
 	if err := alice.StartConversation(bob.PublicKey()); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if err := bob.StartConversation(alice.PublicKey()); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	script := []string{
@@ -46,33 +59,48 @@ func main() {
 		"every user sends the same l messages either way",
 		"see you at the crossroads",
 	}
-	for round, line := range script {
+	for _, line := range script {
 		if err := alice.QueueMessage([]byte(line)); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		rep, err := net.RunRound()
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 
 		// Bob downloads his mailbox and decrypts.
 		recv, bad := bob.OpenMailbox(rep.Round, net.Fetch(bob, rep.Round))
 		if bad != 0 {
-			log.Fatalf("round %d: %d undecryptable messages", rep.Round, bad)
+			return fmt.Errorf("round %d: %d undecryptable messages", rep.Round, bad)
 		}
+		read := false
 		for _, r := range recv {
 			if r.FromPartner && r.Kind == onion.KindConversation {
-				fmt.Printf("round %d | bob reads: %q\n", rep.Round, r.Body)
+				fmt.Fprintf(w, "round %d | bob reads: %q\n", rep.Round, r.Body)
+				if string(r.Body) != line {
+					return fmt.Errorf("round %d: bob read %q, want %q", rep.Round, r.Body, line)
+				}
+				read = true
 			}
+		}
+		if !read {
+			return fmt.Errorf("round %d: bob received nothing from alice", rep.Round)
 		}
 
 		// The observable pattern is identical for everyone.
-		fmt.Printf("round %d | mailbox sizes: alice=%d bob=%d carol(idle)=%d\n",
-			rep.Round,
+		sizes := [3]int{
 			len(net.Fetch(alice, rep.Round)),
 			len(net.Fetch(bob, rep.Round)),
-			len(net.Fetch(carol, rep.Round)))
-		_ = round
+			len(net.Fetch(carol, rep.Round)),
+		}
+		fmt.Fprintf(w, "round %d | mailbox sizes: alice=%d bob=%d carol(idle)=%d\n",
+			rep.Round, sizes[0], sizes[1], sizes[2])
+		for _, n := range sizes {
+			if n != l {
+				return fmt.Errorf("round %d: mailbox sizes %v, want %d each", rep.Round, sizes, l)
+			}
+		}
 	}
-	fmt.Println("\nan observer sees every user send and receive exactly l messages per round")
+	fmt.Fprintln(w, "\nan observer sees every user send and receive exactly l messages per round")
+	return nil
 }

@@ -150,57 +150,18 @@ func (p *Plan) MeetingChainForUsers(pkA, pkB []byte) int {
 	return p.MeetingChain(ga, gb)
 }
 
-// ChainLoadFactors returns, for each chain, how many groups include
-// it (counting multiplicity from index wrapping). With M users spread
-// evenly over groups, chain c receives ≈ M/(ℓ+1) · factors[c]
-// messages; for triangular n every factor is the same.
-func (p *Plan) ChainLoadFactors() []int {
-	factors := make([]int, p.NumChains)
-	for _, s := range p.sets {
-		for _, c := range s {
-			factors[c]++
-		}
-	}
-	return factors
-}
-
-// MessagesPerUser returns ℓ, the number of messages each user submits
-// per lane per round. With cover traffic for round ρ+1 (§5.3.3) the
-// wire count doubles.
-func (p *Plan) MessagesPerUser() int { return p.L }
-
-// Migration relates the chain-selection plans of two consecutive
-// epochs. When chains are re-formed after an eviction (the halted
-// epoch's blamed servers leave and n shrinks), every participant
-// recomputes group membership and meeting chains under the new plan;
-// Migration answers which conversations moved, for re-routing users
-// off a dead chain and for scenario assertions.
-type Migration struct {
-	// Old and New are the plans before and after re-formation.
-	Old, New *Plan
-}
-
-// Reform computes the plan for a re-formed network of n chains and
-// the migration from prev. It is the epoch-boundary counterpart of
-// NewPlan: purely deterministic in n, so gateway and users agree on
-// the new assignment without coordination beyond learning n.
-func Reform(prev *Plan, n int) (*Plan, *Migration, error) {
+// Reform computes the plan for a re-formed network of n chains. It is
+// the epoch-boundary counterpart of NewPlan: purely deterministic in
+// n, so gateway and users agree on the new assignment without
+// coordination beyond learning n; every participant recomputes group
+// membership and meeting chains under it.
+func Reform(prev *Plan, n int) (*Plan, error) {
 	if prev == nil {
-		return nil, nil, fmt.Errorf("chainsel: reform needs the previous plan")
+		return nil, fmt.Errorf("chainsel: reform needs the previous plan")
 	}
 	next, err := NewPlan(n)
 	if err != nil {
-		return nil, nil, fmt.Errorf("chainsel: reforming from %d to %d chains: %w", prev.NumChains, n, err)
+		return nil, fmt.Errorf("chainsel: reforming from %d to %d chains: %w", prev.NumChains, n, err)
 	}
-	return next, &Migration{Old: prev, New: next}, nil
-}
-
-// Moved reports whether the conversation between the holders of pkA
-// and pkB changed meeting chain across the migration, and returns the
-// chain under each plan. Group membership itself can change when the
-// group count ℓ+1 differs between the plans.
-func (m *Migration) Moved(pkA, pkB []byte) (oldChain, newChain int, moved bool) {
-	oldChain = m.Old.MeetingChainForUsers(pkA, pkB)
-	newChain = m.New.MeetingChainForUsers(pkA, pkB)
-	return oldChain, newChain, oldChain != newChain
+	return next, nil
 }

@@ -138,10 +138,21 @@ func TestChainSetSizes(t *testing.T) {
 				t.Fatalf("n=%d group %d: |C| = %d, want ℓ=%d", n, g, got, p.L)
 			}
 		}
-		if p.MessagesPerUser() != p.L {
-			t.Fatal("MessagesPerUser != L")
+	}
+}
+
+// loadFactors returns, for each chain, how many groups include it
+// (counting multiplicity from index wrapping). With M users spread
+// evenly over groups, chain c receives ≈ M/(ℓ+1) · factors[c]
+// messages.
+func loadFactors(p *Plan) []int {
+	factors := make([]int, p.NumChains)
+	for _, s := range p.sets {
+		for _, c := range s {
+			factors[c]++
 		}
 	}
+	return factors
 }
 
 func TestAllChainsUsed(t *testing.T) {
@@ -150,7 +161,7 @@ func TestAllChainsUsed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		factors := p.ChainLoadFactors()
+		factors := loadFactors(p)
 		for c, f := range factors {
 			if f == 0 {
 				t.Fatalf("n=%d: chain %d unused", n, c)
@@ -167,7 +178,7 @@ func TestLoadBalance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for c, f := range p.ChainLoadFactors() {
+	for c, f := range loadFactors(p) {
 		if f != 2 {
 			t.Fatalf("triangular n: chain %d has load factor %d, want 2", c, f)
 		}
@@ -178,7 +189,7 @@ func TestLoadBalance(t *testing.T) {
 		t.Fatal(err)
 	}
 	minF, maxF := math.MaxInt, 0
-	for _, f := range p.ChainLoadFactors() {
+	for _, f := range loadFactors(p) {
 		if f < minF {
 			minF = f
 		}

@@ -68,8 +68,6 @@ type Config struct {
 	// F is the assumed fraction of malicious servers; ignored if
 	// ChainLengthOverride is set.
 	F float64
-	// SecurityBits is λ for the anytrust bound; zero means 64.
-	SecurityBits int
 	// ChainLengthOverride fixes the chain length k directly, for
 	// small test deployments and exact-paper comparisons (k=32).
 	ChainLengthOverride int
@@ -81,9 +79,6 @@ type Config struct {
 	MailboxServers int
 	// Scheme is the AEAD; nil means ChaCha20-Poly1305.
 	Scheme aead.Scheme
-	// DisableStaggering turns off position staggering (§5.2.1), for
-	// the ablation benchmark.
-	DisableStaggering bool
 	// Workers sizes the round pipeline's build worker pool; zero
 	// means runtime.GOMAXPROCS(0). One worker reproduces the serial
 	// build order for deterministic comparisons. Applies to the
@@ -94,37 +89,30 @@ type Config struct {
 	// [0, NumRegistryShards). Empty means one in-process full-range
 	// Frontend — the monolith.
 	Shards []GatewayShard
-	// RemoteHops, when non-nil, is consulted once for every chain
-	// position while the network is assembled. Chains are keyed
+	// HopForServer, when non-nil, supplies the transport for each
+	// chain position, keyed by the server holding it, and is consulted
+	// again at every epoch re-formation: server ids are stable across
+	// epochs while chain coordinates are not. Chains are keyed
 	// concurrently, but the provider is called under one lock, so it
-	// never runs concurrently with itself and needs none of its own.
-	// A chain's positions are called in order 0…k−1 (each one's base is
+	// never runs concurrently with itself and needs none of its own. A
+	// chain's positions are called in order 0…k−1 (each one's base is
 	// its predecessor's blinding key); different chains' calls
 	// interleave. Returning a non-nil mix.Hop hosts that position on a
 	// remote process reached through the hop transport (typically an
-	// rpc.HopClient initialised against the given base key, which is
-	// g for position 0 and the previous position's blinding key
-	// otherwise); returning nil keeps the position in-process.
-	//
-	// RemoteHops is keyed by chain coordinates, which do not survive a
-	// chain re-formation; deployments that enable Recover should use
-	// HopForServer instead.
-	RemoteHops func(chain, position int, base group.Point) (mix.Hop, error)
-	// HopForServer, when non-nil, supplies the transport for chain
-	// positions keyed by server identity, and is consulted again at
-	// every epoch re-formation: server ids are stable across epochs
-	// while chain coordinates are not. It is called under the same
-	// contract as RemoteHops: one call at a time, each chain's
-	// positions in order, chains interleaved. Returning nil hosts the
-	// position in-process (the provider may mix local and remote
-	// positions). Takes precedence over RemoteHops.
+	// rpc.HopClient bound with InitEpoch against the given base key,
+	// which is g for position 0 and the previous position's blinding
+	// key otherwise); returning nil keeps the position in-process.
 	HopForServer func(epoch uint64, server, chain, position int, base group.Point) (mix.Hop, error)
+	// RemoteHops is the benchmark harness's adapter (bench/topo.go):
+	// a provider keyed by chain coordinates, which NewNetwork turns
+	// into a HopForServer that consults it in the founding epoch only
+	// and hosts every re-formed chain in-process. It is ignored when
+	// HopForServer is set.
+	RemoteHops func(chain, position int, base group.Point) (mix.Hop, error)
 	// Recover enables epoch recovery: after a chain halts with blame,
 	// or fails to announce keys, the responsible servers are evicted
 	// and chains re-form over the survivors before the next round
-	// (halt → blame → evict → re-form → resume). Remotely hosted
-	// positions additionally need HopForServer so re-formed chains can
-	// reference them.
+	// (halt → blame → evict → re-form → resume).
 	Recover bool
 }
 
@@ -148,10 +136,10 @@ type Network struct {
 
 	// runMu serialises RunRound executions.
 	runMu sync.Mutex
-	// hopMu serialises calls into Config.RemoteHops and
-	// Config.HopForServer: chains key concurrently, and a provider is
-	// never called concurrently with itself. It is held across the
-	// provider call only and guards nothing else.
+	// hopMu serialises calls into Config.HopForServer: chains key
+	// concurrently, and a provider is never called concurrently with
+	// itself. It is held across the provider call only and guards
+	// nothing else.
 	hopMu sync.Mutex
 
 	// evictor records servers expelled across epochs (Config.Recover).
@@ -184,14 +172,20 @@ func NewNetwork(cfg Config) (*Network, error) {
 	if cfg.Scheme == nil {
 		cfg.Scheme = aead.ChaCha20Poly1305()
 	}
+	if remote := cfg.RemoteHops; remote != nil && cfg.HopForServer == nil {
+		cfg.HopForServer = func(epoch uint64, _, chain, pos int, base group.Point) (mix.Hop, error) {
+			if epoch > 0 {
+				return nil, nil
+			}
+			return remote(chain, pos, base)
+		}
+	}
 	topo, err := topology.Build(topology.Config{
 		NumServers:          cfg.NumServers,
 		NumChains:           cfg.NumChains,
 		F:                   cfg.F,
-		SecurityBits:        cfg.SecurityBits,
 		ChainLengthOverride: cfg.ChainLengthOverride,
 		Seed:                cfg.Seed,
-		DisableStaggering:   cfg.DisableStaggering,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: building topology: %w", err)
@@ -328,29 +322,22 @@ func (n *Network) keyChains(epoch uint64, topo *topology.Topology) ([]*mix.Chain
 }
 
 // assembleChainAt keys one chain of a topology for an epoch, placing
-// each position in-process or on a remote hop according to
-// Config.HopForServer (id-keyed, epoch-aware) or the legacy
-// Config.RemoteHops (coordinate-keyed, founding epoch only). Key setup
-// is inherently sequential within a chain — position i's keys chain off
-// position i−1's blinding key (§6.1) — which is why the provider
-// receives the base point. Providers are called under hopMu, since
-// chains key concurrently (keyChains). A provider failure is returned
-// as a mix.HopError so the reform loop can evict the offending server.
+// each position in-process or on the remote hop Config.HopForServer
+// returns for it. Key setup is inherently sequential within a chain —
+// position i's keys chain off position i−1's blinding key (§6.1) —
+// which is why the provider receives the base point. Providers are
+// called under hopMu, since chains key concurrently (keyChains). A
+// provider failure is returned as a mix.HopError so the reform loop
+// can evict the offending server.
 func (n *Network) assembleChainAt(epoch uint64, topo *topology.Topology, c int) (*mix.Chain, error) {
-	if n.cfg.HopForServer == nil && (n.cfg.RemoteHops == nil || epoch > 0) {
+	if n.cfg.HopForServer == nil {
 		return mix.NewChain(c, topo.ChainLength, n.scheme)
 	}
 	hops := make([]mix.Hop, topo.ChainLength)
 	base := group.Generator()
 	for i := range hops {
-		var h mix.Hop
-		var err error
 		n.hopMu.Lock()
-		if n.cfg.HopForServer != nil {
-			h, err = n.cfg.HopForServer(epoch, topo.Chains[c][i], c, i, base)
-		} else {
-			h, err = n.cfg.RemoteHops(c, i, base)
-		}
+		h, err := n.cfg.HopForServer(epoch, topo.Chains[c][i], c, i, base)
 		n.hopMu.Unlock()
 		if err != nil {
 			return nil, &mix.HopError{Chain: c, Position: i, Err: fmt.Errorf("core: remote hop setup: %w", err)}

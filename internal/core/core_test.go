@@ -7,6 +7,7 @@ import (
 	"repro/internal/client"
 	"repro/internal/mix"
 	"repro/internal/onion"
+	"repro/internal/topology"
 )
 
 func testNetwork(t testing.TB, servers, k int) *Network {
@@ -417,6 +418,35 @@ func TestNetworkConfigValidation(t *testing.T) {
 	}
 	if _, err := NewNetwork(Config{NumServers: 5, F: 0.2}); err == nil {
 		t.Fatal("k > N accepted without override")
+	}
+}
+
+// TestChainLengthDerivedFromF: without ChainLengthOverride, k is the
+// anytrust bound's for Config.F (§5.2.1), the deployment's one other
+// way to size chains.
+func TestChainLengthDerivedFromF(t *testing.T) {
+	const servers, f = 8, 0.001
+	n, err := NewNetwork(Config{NumServers: servers, F: f, Seed: []byte("test-beacon")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := topology.ChainLength(f, servers, topology.DefaultSecurityBits)
+	if got := n.Topology().ChainLength; got != want || want < 2 {
+		t.Fatalf("k = %d, want %d", got, want)
+	}
+}
+
+// TestMailboxServersSizesTheCluster: Config.MailboxServers sizes the
+// default Frontend's mailbox cluster (§5.1); zero means one server.
+func TestMailboxServersSizesTheCluster(t *testing.T) {
+	for _, tc := range []struct{ cfg, want int }{{0, 1}, {3, 3}} {
+		n, err := NewNetwork(Config{NumServers: 4, ChainLengthOverride: 2, MailboxServers: tc.cfg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := n.shards[0].(*Frontend).boxes.NumServers(); got != tc.want {
+			t.Fatalf("MailboxServers %d: %d mailbox servers, want %d", tc.cfg, got, tc.want)
+		}
 	}
 }
 

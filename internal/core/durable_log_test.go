@@ -91,12 +91,12 @@ func testOutput(rng *rand.Rand, round uint64, numChains int) *client.RoundOutput
 	lane := func() []client.ChainMessage {
 		out := make([]client.ChainMessage, 2)
 		for i := range out {
-			x := group.NewScalar(rng.Int63() | 1)
+			x, v := group.NewScalar(rng.Int63()|1), group.MustRandomScalar()
 			ct := make([]byte, 40)
 			rng.Read(ct)
 			out[i] = client.ChainMessage{Chain: rng.Intn(numChains), Sub: onion.Submission{
 				Envelope: onion.Envelope{DHKey: group.Base(x), Ct: ct},
-				Proof:    nizk.ProveDlogCommit("test", group.Generator(), x),
+				Proof:    nizk.ProveDlogCommitPrecomputed("test", group.Generator(), group.Base(x), x, v, group.Base(v)),
 			}}
 		}
 		return out

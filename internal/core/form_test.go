@@ -1,13 +1,17 @@
 package core
 
 import (
+	"reflect"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/aead"
 	"repro/internal/group"
 	"repro/internal/mix"
+	"repro/internal/onion"
 )
 
 // providerLog records hop-provider calls for TestHopProvidersCalledOneAtATime:
@@ -135,6 +139,131 @@ func TestHopProvidersCalledOneAtATime(t *testing.T) {
 		}
 		l.check(t, map[uint64]int{0: founding, n.Epoch(): n.NumChains()}, k)
 	})
+}
+
+// placingHop is a position the hop provider placed "remote": an
+// in-process server whose Mix calls are counted.
+type placingHop struct {
+	mix.Hop
+	mixes *atomic.Int64
+}
+
+func (h placingHop) Mix(round uint64, nonce [aead.NonceSize]byte, in []onion.Envelope) (*mix.MixResult, error) {
+	h.mixes.Add(1)
+	return h.Hop.Mix(round, nonce, in)
+}
+
+// TestRemoteHopsAdapter pins Config.RemoteHops, the benchmark's
+// coordinate-keyed provider, as an adapter onto HopForServer: in the
+// founding epoch it places the same positions remote as an equivalent
+// HopForServer and delivers the same mail through them; after a
+// re-formation it is not consulted, and every re-formed position is
+// in-process.
+func TestRemoteHopsAdapter(t *testing.T) {
+	const servers, k = 8, 3
+	type slot struct {
+		epoch      uint64
+		chain, pos int
+	}
+	deploy := func(t *testing.T, adapter bool) {
+		// Both providers run under hopMu, so neither needs a lock.
+		var placed []slot
+		var consulted int
+		var mixes atomic.Int64
+		place := func(epoch uint64, chain, pos int, base group.Point) mix.Hop {
+			consulted++
+			if epoch > 0 || (chain+pos)%2 == 1 {
+				return nil
+			}
+			placed = append(placed, slot{epoch, chain, pos})
+			return placingHop{Hop: mix.LocalHop(mix.NewChainServer(chain, pos, base, nil)), mixes: &mixes}
+		}
+		cfg := Config{NumServers: servers, ChainLengthOverride: k, Seed: []byte("adapter"), Recover: true}
+		if adapter {
+			cfg.RemoteHops = func(chain, pos int, base group.Point) (mix.Hop, error) {
+				return place(0, chain, pos, base), nil
+			}
+		} else {
+			cfg.HopForServer = func(epoch uint64, _, chain, pos int, base group.Point) (mix.Hop, error) {
+				return place(epoch, chain, pos, base), nil
+			}
+		}
+		n, err := NewNetwork(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if consulted != n.NumChains()*k {
+			t.Fatalf("provider consulted %d times at founding, want %d", consulted, n.NumChains()*k)
+		}
+		sort.Slice(placed, func(i, j int) bool {
+			return placed[i].chain < placed[j].chain || placed[i].chain == placed[j].chain && placed[i].pos < placed[j].pos
+		})
+		var want []slot
+		for c := 0; c < n.NumChains(); c++ {
+			for p := c % 2; p < k; p += 2 {
+				want = append(want, slot{0, c, p})
+			}
+		}
+		if !reflect.DeepEqual(placed, want) {
+			t.Fatalf("remote positions %v, want %v", placed, want)
+		}
+
+		alice, bob := n.NewUser(), n.NewUser()
+		if err := alice.StartConversation(bob.PublicKey()); err != nil {
+			t.Fatal(err)
+		}
+		if err := bob.StartConversation(alice.PublicKey()); err != nil {
+			t.Fatal(err)
+		}
+		delivers := func(body string) {
+			t.Helper()
+			if err := alice.QueueMessage([]byte(body)); err != nil {
+				t.Fatal(err)
+			}
+			rep := runRound(t, n)
+			recv, bad := bob.OpenMailbox(rep.Round, n.Fetch(bob, rep.Round))
+			if bad != 0 {
+				t.Fatalf("round %d: %d undecryptable messages", rep.Round, bad)
+			}
+			for _, r := range recv {
+				if r.FromPartner && r.Kind == onion.KindConversation && string(r.Body) == body {
+					return
+				}
+			}
+			t.Fatalf("round %d: bob did not read %q", rep.Round, body)
+		}
+		delivers("founding epoch")
+		if mixes.Load() == 0 {
+			t.Fatal("no batch crossed a remote position")
+		}
+
+		// Halt a chain alice rides, so the next round evicts and
+		// re-forms.
+		victim := n.Plan().ChainsForUser(alice.Mailbox())[0]
+		if err := n.CorruptServer(victim, 1, &mix.Corruption{FalselyAccuse: []int{0}}); err != nil {
+			t.Fatal(err)
+		}
+		if rep := runRound(t, n); len(rep.HaltedChains) == 0 {
+			t.Fatalf("the false accusation halted no chain: %+v", rep)
+		}
+		founding := consulted
+		mixed := mixes.Load()
+		if rep := runRound(t, n); len(rep.Evicted) == 0 || n.Epoch() == 0 {
+			t.Fatalf("no re-formation after the halt: %+v", rep)
+		}
+		delivers("re-formed epoch")
+		if adapter && consulted != founding {
+			t.Fatalf("RemoteHops consulted %d times after the re-formation", consulted-founding)
+		}
+		if !adapter && consulted == founding {
+			t.Fatal("HopForServer not consulted at the re-formation")
+		}
+		if got := mixes.Load(); got != mixed {
+			t.Fatalf("%d batches crossed a founding-epoch hop after the re-formation", got-mixed)
+		}
+	}
+	t.Run("RemoteHops", func(t *testing.T) { deploy(t, true) })
+	t.Run("HopForServer", func(t *testing.T) { deploy(t, false) })
 }
 
 // BenchmarkNewNetwork stands up mix-k6's shape — 8 chains of 6

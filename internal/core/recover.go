@@ -130,13 +130,12 @@ func (n *Network) reform() ([]int, error) {
 			NumChains:           numChains,
 			ChainLengthOverride: k,
 			Seed:                seed,
-			DisableStaggering:   n.cfg.DisableStaggering,
 		})
 		if err != nil {
 			sort.Ints(evicted)
 			return evicted, fmt.Errorf("core: re-forming topology for epoch %d: %w", newEpoch, err)
 		}
-		plan2, _, err := chainsel.Reform(curPlan, len(topo2.Chains))
+		plan2, err := chainsel.Reform(curPlan, len(topo2.Chains))
 		if err != nil {
 			sort.Ints(evicted)
 			return evicted, fmt.Errorf("core: re-forming chain-selection plan: %w", err)

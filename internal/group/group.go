@@ -213,16 +213,6 @@ func (s Scalar) Neg() Scalar {
 	return Scalar{n}
 }
 
-// Inverse returns s^-1 mod the group order. It panics on the zero
-// scalar, which has no inverse; callers must never invert zero.
-func (s Scalar) Inverse() Scalar {
-	if s.IsZero() {
-		panic("group: inverse of zero scalar")
-	}
-	n := new(big.Int).ModInverse(s.big(), order)
-	return Scalar{n}
-}
-
 // String implements fmt.Stringer with a short hex prefix for logging.
 func (s Scalar) String() string { return fmt.Sprintf("scalar(%x…)", s.Bytes()[:4]) }
 
@@ -453,12 +443,6 @@ func (p Point) String() string {
 type KeyPair struct {
 	Private Scalar
 	Public  Point
-}
-
-// GenerateKeyPair returns a fresh key pair with Public = base^Private.
-func GenerateKeyPair(base Point) KeyPair {
-	priv := MustRandomScalar()
-	return KeyPair{Private: priv, Public: base.Mul(priv)}
 }
 
 // GenerateBaseKeyPair returns a fresh key pair against the generator g.

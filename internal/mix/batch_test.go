@@ -30,7 +30,7 @@ func TestMixBatchMatchesReference(t *testing.T) {
 		clean[i] = sub.Envelope.Clone()
 	}
 	clean[9] = clean[8].Clone() // duplicate key and ciphertext
-	s := c.Servers[0]
+	s := c.server(0)
 
 	dirty := make([]onion.Envelope, len(clean))
 	for i, env := range clean {
@@ -78,14 +78,14 @@ func TestMixBatchMatchesReference(t *testing.T) {
 
 	// Inner open: run the clean batch through the second hop to reach
 	// the inner envelopes, then damage three of them.
-	mr, err = c.Servers[1].Mix(1, nonce, mr.Out)
+	mr, err = c.server(1).Mix(1, nonce, mr.Out)
 	if err != nil || len(mr.Failed) != 0 {
 		t.Fatalf("second hop: %v, failed %v", err, mr.Failed)
 	}
 	inner := mr.Out
 	innerSum := group.NewScalar(0)
-	for _, srv := range c.Servers {
-		isk, err := srv.RevealInnerKey(1)
+	for i := 0; i < c.Len(); i++ {
+		isk, err := c.server(i).RevealInnerKey(1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -41,11 +41,6 @@ func newDigest() hash.Hash { return sha256.New() }
 type Chain struct {
 	// ID is the chain index within the network.
 	ID int
-	// Servers are the in-process members in mixing order; a position
-	// hosted remotely has a nil entry. Only baseline mode needs the
-	// in-process server.
-	Servers []*Server
-
 	// hops are the transport handles, one per position.
 	hops []Hop
 	// keys caches every position's verified public key material. The
@@ -87,8 +82,6 @@ type Params struct {
 	MixKeys []group.Point
 	// BlindKeys are the blinding keys bpk_i in order.
 	BlindKeys []group.Point
-	// BaselineKeys are the plain g^msk keys for Algorithm 1 mode.
-	BaselineKeys []group.Point
 	// InnerAggregate is ∏ ipk_i for the current round (AHS inner
 	// envelope key).
 	InnerAggregate group.Point
@@ -172,11 +165,6 @@ func NewChainFromHops(id int, hops []Hop, scheme aead.Scheme) (*Chain, error) {
 		k.Mpk = k.Mpk.Precomputed()
 		c.hops = append(c.hops, h)
 		c.keys = append(c.keys, k)
-		if lh, ok := h.(localHop); ok {
-			c.Servers = append(c.Servers, lh.s)
-		} else {
-			c.Servers = append(c.Servers, nil)
-		}
 		base = k.Bpk
 	}
 	return c, nil
@@ -262,9 +250,9 @@ func (c *Chain) ParamsFor(round uint64) (Params, error) {
 	// Sized once: this runs once per user per chain per round.
 	k := len(c.keys)
 	p := Params{ChainID: c.ID, InnerAggregate: agg, Round: round,
-		MixKeys: make([]group.Point, k), BlindKeys: make([]group.Point, k), BaselineKeys: make([]group.Point, k)}
+		MixKeys: make([]group.Point, k), BlindKeys: make([]group.Point, k)}
 	for i, hk := range c.keys {
-		p.MixKeys[i], p.BlindKeys[i], p.BaselineKeys[i] = hk.Mpk, hk.Bpk, hk.BaselinePub
+		p.MixKeys[i], p.BlindKeys[i] = hk.Mpk, hk.Bpk
 	}
 	return p, nil
 }

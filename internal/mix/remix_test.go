@@ -86,7 +86,7 @@ func TestRemixRecallsFailedMix(t *testing.T) {
 	defer runtime.GOMAXPROCS(old)
 
 	c := testChain(t, 2)
-	s := c.Servers[0]
+	s := c.server(0)
 	nonce := aead.RoundNonce(1, 0)
 	subs, _ := submitMany(t, c, 2*minRange+5)
 	dirty := make([]onion.Envelope, len(subs))
@@ -148,7 +148,7 @@ func TestRemixHostileRetry(t *testing.T) {
 	defer runtime.GOMAXPROCS(old)
 
 	c := testChain(t, 2)
-	s := c.Servers[0]
+	s := c.server(0)
 	nonce := aead.RoundNonce(1, 0)
 	subs, _ := submitMany(t, c, 4*minRange+20)
 	fresh := make([]onion.Envelope, len(subs))
@@ -255,7 +255,7 @@ func TestRemixHostileRetry(t *testing.T) {
 // context over another round's keys.
 func TestBlameRequestsNameTheMixedRound(t *testing.T) {
 	c := testChain(t, 2)
-	s := c.Servers[0]
+	s := c.server(0)
 	h := LocalHop(s)
 	subs, _ := submitMany(t, c, 4)
 	in := make([]onion.Envelope, len(subs))
@@ -296,7 +296,7 @@ func TestBlameRequestsNameTheMixedRound(t *testing.T) {
 // announcement (the prune for chains that halt and never reveal).
 func TestRevealEndsTheBatch(t *testing.T) {
 	c := testChain(t, 2)
-	s := c.Servers[0]
+	s := c.server(0)
 	h := LocalHop(s)
 	subs, _ := submitMany(t, c, 4)
 	in := make([]onion.Envelope, len(subs))
@@ -374,11 +374,11 @@ func BenchmarkBlameReveal(b *testing.B) {
 		in[i] = sub.Envelope
 	}
 	nonce := aead.RoundNonce(1, 0)
-	first, err := c.Servers[0].Mix(1, nonce, in)
+	first, err := c.server(0).Mix(1, nonce, in)
 	if err != nil || len(first.Failed) != 0 {
 		b.Fatalf("first position: %v", err)
 	}
-	s := c.Servers[1]
+	s := c.server(1)
 	mr, err := s.Mix(1, nonce, first.Out)
 	if err != nil || len(mr.Failed) != 0 {
 		b.Fatalf("second position: %v", err)
@@ -408,7 +408,7 @@ func BenchmarkBlameReveal(b *testing.B) {
 func BenchmarkRemix(b *testing.B) {
 	const n = 512
 	c := testChain(b, 2)
-	s := c.Servers[0]
+	s := c.server(0)
 	nonce := aead.RoundNonce(1, 0)
 	subs, _ := submitMany(b, c, n+2)
 	dirty := make([]onion.Envelope, len(subs))

@@ -1,6 +1,5 @@
-// Package mix implements XRD's mix chains: the baseline
-// decrypt-and-shuffle of Algorithm 1, the aggregate hybrid shuffle
-// (AHS) of §6 that detects active attacks with cheap discrete-log
+// Package mix implements XRD's mix chains: the aggregate hybrid
+// shuffle (AHS) of §6 that detects active attacks with cheap discrete-log
 // NIZKs, and the blame protocol of §6.4 that identifies misbehaving
 // users and servers without hurting honest users' privacy.
 //
@@ -41,12 +40,11 @@ type Server struct {
 
 	// AHS long-term keys (§6.1). bpkPrev is the base of this server's
 	// keys: g for the first server, bpk_{i-1} otherwise.
-	bsk, msk    group.Scalar
-	bpk, mpk    group.Point
-	bpkPrev     group.Point
-	bskProof    nizk.Proof
-	mskProof    nizk.Proof
-	baselineKey group.KeyPair // plain g^msk' pair for Algorithm 1 mode
+	bsk, msk group.Scalar
+	bpk, mpk group.Point
+	bpkPrev  group.Point
+	bskProof nizk.Proof
+	mskProof nizk.Proof
 	// innerMu guards innerKeys, lastKeyRound and the last batch
 	// (lastIn, lastPerm, lastRound, lastPows). A remote position's hop
 	// handlers run on their connections' goroutines, so an announce
@@ -118,7 +116,6 @@ func NewChainServer(chain, index int, base group.Point, scheme aead.Scheme) *Ser
 	s.mpk = base.Mul(s.msk)
 	s.bskProof = nizk.ProveDlogPrecomputed(keyGenContext(chain, index, "bsk"), base, s.bpk, s.bsk)
 	s.mskProof = nizk.ProveDlogPrecomputed(keyGenContext(chain, index, "msk"), base, s.mpk, s.msk)
-	s.baselineKey = group.GenerateBaseKeyPair()
 	return s
 }
 
@@ -127,21 +124,14 @@ func NewChainServer(chain, index int, base group.Point, scheme aead.Scheme) *Ser
 // verify and chain off.
 func (s *Server) Keys() HopKeys {
 	return HopKeys{
-		Chain:       s.Chain,
-		Index:       s.Index,
-		BpkPrev:     s.bpkPrev,
-		Bpk:         s.bpk,
-		Mpk:         s.mpk,
-		BaselinePub: s.baselineKey.Public,
-		BskProof:    s.bskProof,
-		MskProof:    s.mskProof,
+		Chain:    s.Chain,
+		Index:    s.Index,
+		BpkPrev:  s.bpkPrev,
+		Bpk:      s.bpk,
+		Mpk:      s.mpk,
+		BskProof: s.bskProof,
+		MskProof: s.mskProof,
 	}
-}
-
-// VerifyKeys checks the server's key-knowledge proofs against its
-// published public keys, as every other chain member does at setup.
-func (s *Server) VerifyKeys() error {
-	return VerifyHopKeys(s.Keys())
 }
 
 // BeginRound generates the per-round inner key pair for the given
@@ -179,15 +169,6 @@ func (s *Server) BeginRound(round uint64) (group.Point, nizk.Proof) {
 	s.innerMu.Unlock()
 	proof := nizk.ProveDlogPrecomputed(innerKeyContext(s.Chain, s.Index, round), group.Generator(), kp.Public, kp.Private)
 	return kp.Public, proof
-}
-
-// InnerPublicKey returns the server's inner public key for round, if
-// generated.
-func (s *Server) InnerPublicKey(round uint64) (group.Point, bool) {
-	s.innerMu.Lock()
-	kp, ok := s.innerKeys[round]
-	s.innerMu.Unlock()
-	return kp.Public, ok
 }
 
 // RevealInnerKey discloses the per-round inner secret after mixing

@@ -22,8 +22,7 @@ import (
 
 // HopKeys is the public key material one chain position publishes at
 // setup (§6.1): the blinding and mixing keys chained off the previous
-// position's blinding key, the Algorithm 1 baseline key, and the
-// knowledge proofs every other member checks.
+// position's blinding key, and the knowledge proofs every other member checks.
 type HopKeys struct {
 	Chain int
 	Index int
@@ -32,8 +31,6 @@ type HopKeys struct {
 	BpkPrev group.Point
 	// Bpk and Mpk are the AHS blinding and mixing public keys.
 	Bpk, Mpk group.Point
-	// BaselinePub is the plain g^msk' key for Algorithm 1 mode.
-	BaselinePub group.Point
 	// BskProof and MskProof prove knowledge of the two secrets.
 	BskProof, MskProof nizk.Proof
 }

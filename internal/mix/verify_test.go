@@ -20,10 +20,10 @@ func proofSubs(tb testing.TB, n int) []onion.Submission {
 	ctx := onion.SubmitContext(1, 0)
 	subs := make([]onion.Submission, n)
 	for i := range subs {
-		x := group.MustRandomScalar()
+		x, v := group.MustRandomScalar(), group.MustRandomScalar()
 		subs[i] = onion.Submission{
 			Envelope: onion.Envelope{DHKey: group.Base(x)},
-			Proof:    nizk.ProveDlogCommit(ctx, group.Generator(), x),
+			Proof:    nizk.ProveDlogCommitPrecomputed(ctx, group.Generator(), group.Base(x), x, v, group.Base(v)),
 		}
 		if i == 5 {
 			subs[i].Proof = nizk.ProveDlogCommitPrecomputed(ctx, group.Generator(), subs[i].DHKey, x, group.Scalar{}, group.Identity())

@@ -50,14 +50,10 @@ func dlogChallenge(context string, base, public, commit group.Point) group.Scala
 		[]byte(context), base.Bytes(), public.Bytes(), commit.Bytes())
 }
 
-// ProveDlog proves knowledge of x such that public = base^x.
-func ProveDlog(context string, base group.Point, x group.Scalar) Proof {
-	return ProveDlogPrecomputed(context, base, base.Mul(x), x)
-}
-
-// ProveDlogPrecomputed is ProveDlog for callers that already hold
-// public = base^x (a server proving the key it has just published), so
-// the base is raised once, to the nonce. A wrong public only yields a
+// ProveDlogPrecomputed proves knowledge of x such that public =
+// base^x, for callers that already hold public (a server proving the
+// key it has just published), so the base is raised once, to the
+// nonce. A wrong public only yields a
 // proof VerifyDlog rejects.
 func ProveDlogPrecomputed(context string, base, public group.Point, x group.Scalar) Proof {
 	return proveDlog(context, base, public, x, group.MustRandomScalar())
@@ -69,7 +65,7 @@ func proveDlog(context string, base, public group.Point, x, v group.Scalar) Proo
 	return Proof{C: c, S: v.Add(c.Mul(x))}
 }
 
-// VerifyDlog checks a ProveDlog proof for the statement
+// VerifyDlog checks a ProveDlogPrecomputed proof for the statement
 // public = base^x. The commitment is recomputed as one two-term
 // product base^s · public^(-c) (≈ 0.6 of two ladders) and the
 // challenge re-derived.
@@ -173,15 +169,9 @@ func dlogCommitChallenge(context string, base, public, commit group.Point) group
 		[]byte(context), base.Bytes(), public.Bytes(), commit.Bytes())
 }
 
-// ProveDlogCommit proves knowledge of x such that public = base^x, in
-// commitment format.
-func ProveDlogCommit(context string, base group.Point, x group.Scalar) DlogProof {
-	v := group.MustRandomScalar()
-	return ProveDlogCommitPrecomputed(context, base, base.Mul(x), x, v, base.Mul(v))
-}
-
-// ProveDlogCommitPrecomputed is ProveDlogCommit for callers that have
-// already computed public = base^x and the commitment pair
+// ProveDlogCommitPrecomputed proves knowledge of x such that public =
+// base^x, in commitment format, for callers that have already computed
+// public and the commitment pair
 // (v, commit = base^v) — typically through group.BatchBase, which
 // amortizes the fixed-base work across a whole onion. The caller must
 // supply a fresh uniformly random v per proof; reusing v leaks x.
@@ -190,9 +180,9 @@ func ProveDlogCommitPrecomputed(context string, base, public group.Point, x, v g
 	return DlogProof{T: commit, S: v.Add(c.Mul(x))}
 }
 
-// VerifyDlogCommit checks a ProveDlogCommit proof for the statement
-// public = base^x: the challenge is re-derived from the transmitted
-// commitment and base^s must equal T·public^c.
+// VerifyDlogCommit checks a ProveDlogCommitPrecomputed proof for the
+// statement public = base^x: the challenge is re-derived from the
+// transmitted commitment and base^s must equal T·public^c.
 func VerifyDlogCommit(context string, base, public group.Point, p DlogProof) error {
 	if base.IsIdentity() || public.IsIdentity() {
 		// A trivial base or key admits degenerate proofs; XRD never

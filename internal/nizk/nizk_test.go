@@ -9,11 +9,24 @@ import (
 	"repro/internal/group"
 )
 
+// proveDlogOf proves knowledge of x for base^x, computing the public
+// key the provers are handed.
+func proveDlogOf(context string, base group.Point, x group.Scalar) Proof {
+	return ProveDlogPrecomputed(context, base, base.Mul(x), x)
+}
+
+// proveDlogCommitOf is proveDlogOf in commitment format, with a fresh
+// nonce.
+func proveDlogCommitOf(context string, base group.Point, x group.Scalar) DlogProof {
+	v := group.MustRandomScalar()
+	return ProveDlogCommitPrecomputed(context, base, base.Mul(x), x, v, base.Mul(v))
+}
+
 func TestDlogProofVerifies(t *testing.T) {
 	x := group.MustRandomScalar()
 	base := group.Generator()
 	public := base.Mul(x)
-	p := ProveDlog("ctx", base, x)
+	p := proveDlogOf("ctx", base, x)
 	if err := VerifyDlog("ctx", base, public, p); err != nil {
 		t.Fatalf("valid proof rejected: %v", err)
 	}
@@ -23,7 +36,7 @@ func TestDlogProofNonGeneratorBase(t *testing.T) {
 	// AHS uses chained bases bpk_{i-1}, not just g.
 	base := group.Base(group.MustRandomScalar())
 	x := group.MustRandomScalar()
-	p := ProveDlog("ctx", base, x)
+	p := proveDlogOf("ctx", base, x)
 	if err := VerifyDlog("ctx", base, base.Mul(x), p); err != nil {
 		t.Fatalf("valid proof over chained base rejected: %v", err)
 	}
@@ -32,7 +45,7 @@ func TestDlogProofNonGeneratorBase(t *testing.T) {
 func TestDlogProofWrongStatement(t *testing.T) {
 	base := group.Generator()
 	x := group.MustRandomScalar()
-	p := ProveDlog("ctx", base, x)
+	p := proveDlogOf("ctx", base, x)
 	other := base.Mul(group.MustRandomScalar())
 	if err := VerifyDlog("ctx", base, other, p); err == nil {
 		t.Fatal("proof accepted for a different public key")
@@ -43,7 +56,7 @@ func TestDlogProofContextBinding(t *testing.T) {
 	base := group.Generator()
 	x := group.MustRandomScalar()
 	public := base.Mul(x)
-	p := ProveDlog("round-1/chain-2", base, x)
+	p := proveDlogOf("round-1/chain-2", base, x)
 	if err := VerifyDlog("round-1/chain-3", base, public, p); err == nil {
 		t.Fatal("proof replayed across contexts")
 	}
@@ -53,12 +66,12 @@ func TestDlogProofTamperedResponse(t *testing.T) {
 	base := group.Generator()
 	x := group.MustRandomScalar()
 	public := base.Mul(x)
-	p := ProveDlog("ctx", base, x)
+	p := proveDlogOf("ctx", base, x)
 	p.S = p.S.Add(group.NewScalar(1))
 	if err := VerifyDlog("ctx", base, public, p); err == nil {
 		t.Fatal("tampered response accepted")
 	}
-	p2 := ProveDlog("ctx", base, x)
+	p2 := proveDlogOf("ctx", base, x)
 	p2.C = p2.C.Add(group.NewScalar(1))
 	if err := VerifyDlog("ctx", base, public, p2); err == nil {
 		t.Fatal("tampered challenge accepted")
@@ -67,7 +80,7 @@ func TestDlogProofTamperedResponse(t *testing.T) {
 
 func TestDlogRejectsIdentityInputs(t *testing.T) {
 	x := group.MustRandomScalar()
-	p := ProveDlog("ctx", group.Generator(), x)
+	p := proveDlogOf("ctx", group.Generator(), x)
 	if err := VerifyDlog("ctx", group.Identity(), group.Base(x), p); err == nil {
 		t.Fatal("identity base accepted")
 	}
@@ -112,7 +125,7 @@ func TestVerifyDlogMatchesLadders(t *testing.T) {
 		}
 		x := group.MustRandomScalar()
 		public := base.Mul(x)
-		p := ProveDlog("ctx", base, x)
+		p := proveDlogOf("ctx", base, x)
 		if i%2 == 1 {
 			p = ProveDlogPrecomputed("ctx", base, public, x)
 		}
@@ -277,7 +290,7 @@ func BenchmarkVerifyDlog(b *testing.B) {
 		{"bare", group.Base(group.MustRandomScalar())},
 	} {
 		public := bc.base.Mul(x)
-		p := ProveDlog("bench", bc.base, x)
+		p := proveDlogOf("bench", bc.base, x)
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -408,7 +421,7 @@ func TestDleqPrecomputedWrongPower(t *testing.T) {
 func TestDlogCommitProofVerifies(t *testing.T) {
 	x := group.MustRandomScalar()
 	base := group.Generator()
-	p := ProveDlogCommit("ctx", base, x)
+	p := proveDlogCommitOf("ctx", base, x)
 	if err := VerifyDlogCommit("ctx", base, base.Mul(x), p); err != nil {
 		t.Fatalf("valid commitment-format proof rejected: %v", err)
 	}
@@ -438,7 +451,7 @@ func TestDlogCommitProofVerifies(t *testing.T) {
 
 func TestDlogProofEncodingRoundTrip(t *testing.T) {
 	x := group.MustRandomScalar()
-	p := ProveDlogCommit("ctx", group.Generator(), x)
+	p := proveDlogCommitOf("ctx", group.Generator(), x)
 	b := p.Bytes()
 	if len(b) != DlogProofSize {
 		t.Fatalf("encoded size = %d, want %d", len(b), DlogProofSize)
@@ -465,7 +478,7 @@ func TestDlogProofEncodingRoundTrip(t *testing.T) {
 // FuzzParseDlogProof: an accepted encoding is the one Bytes writes for
 // the proof it decodes to.
 func FuzzParseDlogProof(f *testing.F) {
-	p := ProveDlogCommit("ctx", group.Generator(), group.MustRandomScalar())
+	p := proveDlogCommitOf("ctx", group.Generator(), group.MustRandomScalar())
 	f.Add(p.Bytes())
 	f.Add(make([]byte, DlogProofSize))
 	f.Add(p.Bytes()[:DlogProofSize-1])
@@ -490,7 +503,7 @@ func batchFixture(t *testing.T, n int) (contexts []string, publics []group.Point
 		x := group.MustRandomScalar()
 		contexts = append(contexts, ctx)
 		publics = append(publics, base.Mul(x))
-		proofs = append(proofs, ProveDlogCommit(ctx, base, x))
+		proofs = append(proofs, proveDlogCommitOf(ctx, base, x))
 	}
 	return contexts, publics, proofs
 }

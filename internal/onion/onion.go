@@ -3,11 +3,9 @@
 // Three nested layers exist (outermost first):
 //
 //  1. Outer onion: one AEAD layer per mix server, peeled during
-//     mixing. Two constructions are provided: the baseline of
-//     Algorithm 2 (a fresh Diffie-Hellman key per layer, secure only
-//     against passive adversaries) and the AHS double envelope of
-//     §6.2 (a single Diffie-Hellman key g^x with a knowledge proof,
-//     blinded as it travels). Building an AHS onion costs k+1
+//     mixing: the AHS double envelope of §6.2 (a single
+//     Diffie-Hellman key g^x with a knowledge proof, blinded as it
+//     travels). Building an AHS onion costs k+1
 //     exponentiations of public keys that are fixed for the epoch
 //     (mpkᵢ) or the round (∏ipkᵢ) while only the scalars x, y are
 //     per message: WrapAHSBatch hands those of every onion a user
@@ -17,7 +15,7 @@
 //     rpc.Client attach them) as one tree of affine additions, and
 //     takes the stdlib path for bare points.
 //
-//  2. Inner ciphertext (AHS only): a one-shot encryption under the
+//  2. Inner ciphertext: a one-shot encryption under the
 //     product of the servers' per-round inner keys ∏ipkᵢ, opened
 //     only after every server reveals its inner key at the end of a
 //     successful round (§6.3). It keeps message contents hidden even
@@ -156,52 +154,6 @@ func OpenMailboxMessage(s aead.Scheme, key kdf.Key, nonce [aead.NonceSize]byte, 
 		return Payload{}, err
 	}
 	return ParsePayload(pt)
-}
-
-// BaselineCiphertextSize is the submission size for the baseline
-// onion through k servers: each layer prepends a fresh ephemeral key
-// and an AEAD tag.
-func BaselineCiphertextSize(k int) int {
-	return MailboxMessageSize + k*(group.PointSize+aead.Overhead)
-}
-
-// WrapBaseline onion-encrypts a mailbox message for a chain whose
-// mixing public keys are mixKeys (first server first), following
-// Algorithm 2 step 2: cᵢ = (g^xᵢ, AEnc(DH(mpkᵢ, xᵢ), ρ, cᵢ₊₁)).
-func WrapBaseline(s aead.Scheme, mixKeys []group.Point, nonce [aead.NonceSize]byte, mailboxMsg []byte) ([]byte, error) {
-	if len(mailboxMsg) != MailboxMessageSize {
-		return nil, fmt.Errorf("%w: mailbox message length %d", ErrFormat, len(mailboxMsg))
-	}
-	privs := make([]group.Scalar, len(mixKeys))
-	for i := range privs {
-		privs[i] = group.MustRandomScalar()
-	}
-	// One batched fixed-base walk for all per-layer ephemeral keys.
-	pubs := group.BatchBase(privs)
-	ct := append([]byte(nil), mailboxMsg...)
-	for i := len(mixKeys) - 1; i >= 0; i-- {
-		key := kdf.OnionKey(group.DH(mixKeys[i], privs[i]))
-		k := [aead.KeySize]byte(key)
-		layer := make([]byte, 0, group.PointSize+len(ct)+aead.Overhead)
-		layer = append(layer, pubs[i].Bytes()...)
-		ct = s.Seal(layer, &k, &nonce, ct)
-	}
-	return ct, nil
-}
-
-// PeelBaseline removes one baseline layer with the server's mixing
-// secret (Algorithm 1 step 1).
-func PeelBaseline(s aead.Scheme, msk group.Scalar, nonce [aead.NonceSize]byte, ct []byte) ([]byte, error) {
-	if len(ct) < group.PointSize+aead.Overhead {
-		return nil, fmt.Errorf("%w: layer length %d", ErrFormat, len(ct))
-	}
-	eph, err := group.ParsePoint(ct[:group.PointSize])
-	if err != nil {
-		return nil, err
-	}
-	key := kdf.OnionKey(group.DH(eph, msk))
-	k := [aead.KeySize]byte(key)
-	return s.Open(nil, &k, &nonce, ct[group.PointSize:])
 }
 
 // Envelope is the unit that travels through an AHS chain: the user's
@@ -400,20 +352,6 @@ func PrepareSubmissionBatch(subs []Submission, round uint64, chain int) (*nizk.D
 	return nizk.PrepareDlogBatch(contexts, group.Generator(), publics, proofs)
 }
 
-// VerifySubmissionBatch checks every submission's knowledge proof in
-// one batched multi-scalar multiplication. A nil return means all
-// proofs verify; on error at least one is invalid.
-func VerifySubmissionBatch(subs []Submission, round uint64, chain int) error {
-	b, err := PrepareSubmissionBatch(subs, round, chain)
-	if err != nil {
-		return err
-	}
-	if !b.Defect(0, len(subs)).IsIdentity() {
-		return nizk.ErrInvalidProof
-	}
-	return nil
-}
-
 // PeelAHS removes one outer layer: the server derives the key from
 // the (blinded) user DH key and its mixing secret, Xᵢ^mskᵢ (§6.3
 // step 1). A failed authentication surfaces as aead.ErrAuth, which
@@ -422,13 +360,6 @@ func PeelAHS(s aead.Scheme, msk group.Scalar, nonce [aead.NonceSize]byte, env En
 	key := kdf.OnionKey(group.DH(env.DHKey, msk))
 	k := [aead.KeySize]byte(key)
 	return s.Open(nil, &k, &nonce, env.Ct)
-}
-
-// DecryptKeyFor returns the AEAD key the server at this envelope
-// would use; the blame protocol reveals it alongside a DLEQ proof
-// (§6.4 step 2).
-func DecryptKeyFor(env Envelope, msk group.Scalar) group.Point {
-	return env.DHKey.Mul(msk)
 }
 
 // OpenWithRevealedKey decrypts one layer given the revealed exchanged

@@ -156,16 +156,6 @@ func TestMailboxMessageWrongKeyOrRound(t *testing.T) {
 	}
 }
 
-func chainKeys(k int) ([]group.Point, []group.Scalar) {
-	pub := make([]group.Point, k)
-	priv := make([]group.Scalar, k)
-	for i := 0; i < k; i++ {
-		kp := group.GenerateBaseKeyPair()
-		pub[i], priv[i] = kp.Public, kp.Private
-	}
-	return pub, priv
-}
-
 func testMailboxMsg(t *testing.T, nonce [aead.NonceSize]byte) []byte {
 	t.Helper()
 	recipient := group.GenerateBaseKeyPair()
@@ -174,42 +164,6 @@ func testMailboxMsg(t *testing.T, nonce [aead.NonceSize]byte) []byte {
 		t.Fatal(err)
 	}
 	return msg
-}
-
-func TestBaselineOnionPeelsToMailboxMessage(t *testing.T) {
-	const k = 5
-	nonce := aead.RoundNonce(1, 0)
-	mixPub, mixPriv := chainKeys(k)
-	inner := testMailboxMsg(t, nonce)
-
-	ct, err := WrapBaseline(scheme, mixPub, nonce, inner)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ct) != BaselineCiphertextSize(k) {
-		t.Fatalf("ciphertext size %d, want %d", len(ct), BaselineCiphertextSize(k))
-	}
-	for i := 0; i < k; i++ {
-		ct, err = PeelBaseline(scheme, mixPriv[i], nonce, ct)
-		if err != nil {
-			t.Fatalf("server %d peel: %v", i, err)
-		}
-	}
-	if !bytes.Equal(ct, inner) {
-		t.Fatal("peeled onion does not match mailbox message")
-	}
-}
-
-func TestBaselinePeelOutOfOrderFails(t *testing.T) {
-	nonce := aead.RoundNonce(1, 0)
-	mixPub, mixPriv := chainKeys(3)
-	ct, err := WrapBaseline(scheme, mixPub, nonce, testMailboxMsg(t, nonce))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := PeelBaseline(scheme, mixPriv[1], nonce, ct); err == nil {
-		t.Fatal("second server peeled the first layer")
-	}
 }
 
 // aggInner builds the aggregate inner key and its secret sum as the
@@ -397,7 +351,7 @@ func TestAHSRevealedKeyDecryption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	revealed := DecryptKeyFor(sub.Envelope, msk[0])
+	revealed := sub.DHKey.Mul(msk[0])
 	viaReveal, err := OpenWithRevealedKey(scheme, revealed, nonce, sub.Ct)
 	if err != nil {
 		t.Fatal(err)
@@ -438,9 +392,6 @@ func TestWireSizes(t *testing.T) {
 	}
 	if got := AHSCiphertextSize(32); got != 33+308+16+32*16 {
 		t.Fatalf("AHSCiphertextSize(32) = %d", got)
-	}
-	if got := BaselineCiphertextSize(32); got != 308+32*49 {
-		t.Fatalf("BaselineCiphertextSize(32) = %d", got)
 	}
 }
 

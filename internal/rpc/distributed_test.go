@@ -33,8 +33,8 @@ func startHopFleet(t testing.TB, k int) []*HopServer {
 }
 
 // distributedNetwork assembles a deployment whose single chain of k
-// positions is hosted entirely on the fleet, wired through the TLS
-// hop transport.
+// positions is hosted entirely on the fleet, fleet[i] at position i,
+// wired through the TLS hop transport.
 func distributedNetwork(t testing.TB, fleet []*HopServer) *core.Network {
 	t.Helper()
 	n, err := core.NewNetwork(core.Config{
@@ -42,9 +42,9 @@ func distributedNetwork(t testing.TB, fleet []*HopServer) *core.Network {
 		NumChains:           1,
 		ChainLengthOverride: len(fleet),
 		Seed:                []byte("distributed-test"),
-		RemoteHops: func(chain, pos int, base group.Point) (mix.Hop, error) {
+		HopForServer: func(epoch uint64, _, chain, pos int, base group.Point) (mix.Hop, error) {
 			hc := DialHop(fleet[pos].Addr(), fleet[pos].ClientTLS())
-			if _, err := hc.Init(chain, pos, base); err != nil {
+			if _, err := hc.InitEpoch(epoch, chain, pos, base); err != nil {
 				return nil, err
 			}
 			return hc, nil

@@ -296,7 +296,7 @@ func FuzzDispatch(f *testing.F) {
 func replies(params mix.Params, sub onion.Submission) map[string]any {
 	g := group.Generator()
 	x := group.NewScalar(5)
-	proof := nizk.ProveDlog("fuzz", g, x)
+	proof := nizk.ProveDlogPrecomputed("fuzz", g, g.Mul(x), x)
 	return map[string]any{
 		"params":   params,
 		"submit":   SubmitResponse{Accepted: true},
@@ -306,7 +306,7 @@ func replies(params mix.Params, sub onion.Submission) map[string]any {
 		"status":   StatusResponse{Round: 1, NumChains: 2, ChainLength: 3, L: 2, Role: "gateway", ShardHi: 32, Users: 1},
 		"runround": core.RoundReport{Round: 1, Delivered: 2, BlamedServers: [][2]int{{0, 1}}},
 
-		"hop.init":    mix.HopKeys{BpkPrev: g, Bpk: g, Mpk: g, BaselinePub: g, BskProof: proof, MskProof: proof},
+		"hop.init":    mix.HopKeys{BpkPrev: g, Bpk: g, Mpk: g, BskProof: proof, MskProof: proof},
 		"hop.begin":   HopBeginResponse{Ipk: g, Proof: proof},
 		"hop.reveal":  HopRevealResponse{Isk: x},
 		"hop.mix":     mix.MixResult{Out: onion.Batch{sub.Envelope}, Proof: proof},

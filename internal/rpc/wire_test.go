@@ -358,7 +358,9 @@ func TestWireSizes(t *testing.T) {
 	for i := range envs {
 		envs[i] = onion.Envelope{DHKey: pt(), Ct: make([]byte, onion.AHSCiphertextSize(k))}
 	}
-	params := mix.Params{ChainID: 3, Round: 7, MixKeys: pts(k), BlindKeys: pts(k), BaselineKeys: pts(k), InnerAggregate: pt()}
+	params := mix.Params{ChainID: 3, Round: 7, MixKeys: pts(k), BlindKeys: pts(k), InnerAggregate: pt()}
+	proof := nizk.Proof{C: group.MustRandomScalar(), S: group.MustRandomScalar()}
+	keys := mix.HopKeys{Chain: 3, Index: 5, BpkPrev: pt(), Bpk: pt(), Mpk: pt(), BskProof: proof, MskProof: proof}
 	small, large := submit(l), submit(2*l)
 	perSub := (large - small) / (2 * l)
 	for _, tc := range []struct {
@@ -376,8 +378,13 @@ func TestWireSizes(t *testing.T) {
 		// mix.MixResult, is the same block plus a proof and a
 		// permutation.
 		{"hop.mix request, 512 envelopes", size("hop.mix", HopMixRequest{Round: 7, Nonce: aead.RoundNonce(7, client.LaneCurrent), Envelopes: envs}), 264919},
-		// What every user fetches 2ℓ times a round: 3k+1 points.
-		{"params reply, k=6", size("", params), 823},
+		// What every user fetches 2ℓ times a round: 2k+1 points. It
+		// was 3k+1 = 823 B while each position also published a key
+		// for the unverified baseline mix (Algorithm 1).
+		{"params reply, k=6", size("", params), 599},
+		// What each position answers once an epoch when bound: three
+		// points and two proofs. One point more (BaselinePub) before.
+		{"hop.init reply", size("", keys), 430},
 		// A user's upload, ℓ current + ℓ cover submissions, and what
 		// each further submission adds to it.
 		{"submit, 2ℓ = 8", small, 4936},

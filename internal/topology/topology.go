@@ -29,7 +29,7 @@ import (
 )
 
 // DefaultSecurityBits is λ in n·f^k ≤ 2^−λ, matching the paper's
-// 2^−64 target (§5.2.1).
+// 2^−64 target (§5.2.1); Build derives k for it.
 const DefaultSecurityBits = 64
 
 // ChainLength returns the smallest k such that n·f^k ≤ 2^−λ. It
@@ -77,16 +77,11 @@ type Config struct {
 	// F is the assumed fraction of malicious servers (paper default
 	// 0.2).
 	F float64
-	// SecurityBits is λ; zero means DefaultSecurityBits.
-	SecurityBits int
 	// ChainLengthOverride, if nonzero, fixes k instead of deriving it
 	// (the paper's evaluation uses k=32 for f=0.2).
 	ChainLengthOverride int
 	// Seed is the public randomness used to sample chains.
 	Seed []byte
-	// DisableStaggering turns off the position-staggering
-	// optimisation, for the ablation benchmark.
-	DisableStaggering bool
 }
 
 // Topology is the assignment of servers to chain positions.
@@ -145,9 +140,14 @@ func (p *prg) intn(n int) int {
 	}
 }
 
-// Build samples the topology from cfg. All participants given the
-// same cfg compute the same topology.
-func Build(cfg Config) (*Topology, error) {
+// Build samples the topology from cfg, its positions staggered
+// (§5.2.1). All participants given the same cfg compute the same
+// topology.
+func Build(cfg Config) (*Topology, error) { return build(cfg, true) }
+
+// build is Build, with the staggering optional for the tests that
+// measure what it buys.
+func build(cfg Config, stagger bool) (*Topology, error) {
 	servers := cfg.Servers
 	if len(servers) == 0 {
 		if cfg.NumServers < 1 {
@@ -163,16 +163,12 @@ func Build(cfg Config) (*Topology, error) {
 	if n == 0 {
 		n = N
 	}
-	bits := cfg.SecurityBits
-	if bits == 0 {
-		bits = DefaultSecurityBits
-	}
 	k := cfg.ChainLengthOverride
 	if k == 0 {
 		if cfg.F <= 0 || cfg.F >= 1 {
 			return nil, fmt.Errorf("topology: fraction of malicious servers f=%v outside (0,1)", cfg.F)
 		}
-		k = ChainLength(cfg.F, n, bits)
+		k = ChainLength(cfg.F, n, DefaultSecurityBits)
 	}
 	if k > N {
 		// Chains sample distinct servers; with very few servers the
@@ -191,7 +187,7 @@ func Build(cfg Config) (*Topology, error) {
 		chains[c] = sampleDistinct(r, N, k)
 	}
 	t := &Topology{NumServers: N, ChainLength: k, Servers: append([]int(nil), servers...), Chains: chains}
-	if !cfg.DisableStaggering {
+	if stagger {
 		t.stagger()
 	}
 	for _, members := range t.Chains {

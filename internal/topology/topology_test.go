@@ -170,20 +170,12 @@ func TestStaggeringSpreadsPositions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.DisableStaggering = true
-	plain, err := Build(cfg)
+	plain, err := build(cfg, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	spreadOf := func(top *Topology) float64 {
-		sum := 0.0
-		for s := 0; s < top.NumServers; s++ {
-			sum += top.PositionSpread(s)
-		}
-		return sum / float64(top.NumServers)
-	}
-	ss, sp := spreadOf(staggered), spreadOf(plain)
+	ss, sp := meanSpread(staggered), meanSpread(plain)
 	if ss < sp {
 		t.Fatalf("staggering reduced position spread: %.3f < %.3f", ss, sp)
 	}
@@ -204,6 +196,37 @@ func TestStaggeringSpreadsPositions(t *testing.T) {
 				t.Fatalf("staggering changed membership of chain %d", c)
 			}
 		}
+	}
+}
+
+// meanSpread is PositionSpread averaged over every server.
+func meanSpread(top *Topology) float64 {
+	sum := 0.0
+	for s := 0; s < top.NumServers; s++ {
+		sum += top.PositionSpread(s)
+	}
+	return sum / float64(top.NumServers)
+}
+
+// BenchmarkAblationStaggering measures §5.2.1's utilisation
+// optimisation: position spread with and without staggering.
+func BenchmarkAblationStaggering(b *testing.B) {
+	for _, stagger := range []bool{true, false} {
+		name := "staggered"
+		if !stagger {
+			name = "aligned"
+		}
+		b.Run(name, func(b *testing.B) {
+			var spread float64
+			for i := 0; i < b.N; i++ {
+				top, err := build(Config{NumServers: 64, F: 0.2, Seed: []byte("ablation")}, stagger)
+				if err != nil {
+					b.Fatal(err)
+				}
+				spread = meanSpread(top)
+			}
+			b.ReportMetric(spread, "position-spread")
+		})
 	}
 }
 

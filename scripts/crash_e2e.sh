@@ -55,12 +55,12 @@ wait_for_file() {
 }
 
 echo "== launching 3 mix processes"
-hops=""
+specs=""
 for i in 0 1 2; do
     port=$((7941 + i))
     ./xrd-server -role mix -addr "127.0.0.1:$port" -cert-out "mix$i.pem" >"mix$i.log" 2>&1 &
     pids+=($!)
-    hops="${hops:+$hops,}0:$i=127.0.0.1:$port=mix$i.pem"
+    specs="${specs:+$specs,}$i=127.0.0.1:$port=mix$i.pem"
 done
 for i in 0 1 2; do
     wait_for_file "mix$i.pem"
@@ -82,7 +82,7 @@ gateways="127.0.0.1:7951=gw1.pem,127.0.0.1:7952=gw2.pem"
 
 echo "== launching coordinator (1 chain of 3, all positions remote)"
 ./xrd-server -role coordinator -addr 127.0.0.1:7940 -servers 3 -chains 1 -k 3 \
-    -interval 0 -cert-out coord.pem -hops "$hops" \
+    -interval 0 -cert-out coord.pem -mix-servers "$specs" \
     -gateways "0:32=127.0.0.1:7951=gw1.pem,32:64=127.0.0.1:7952=gw2.pem" >coord.log 2>&1 &
 pids+=($!)
 wait_for_file coord.pem

@@ -6,7 +6,8 @@
 #
 #   coordinator (round driver, 1 chain of 3, all positions remote)
 #   2 gateway shards owning registry shards [0:32) and [32:64)
-#   3 `-role mix` processes reached over the TLS hop transport
+#   3 `-role mix` processes reached over the TLS hop transport, keyed
+#     by server identity (-mix-servers)
 #
 # then runs two full rounds through xrd-client with -cross-shard, so
 # each round proves a message submitted on one gateway shard comes out
@@ -68,13 +69,13 @@ wait_for_file() {
 }
 
 echo "== launching 3 mix processes"
-hops=""
+specs=""
 for i in 0 1 2; do
     port=$((7911 + i))
     ./xrd-server -role mix -addr "127.0.0.1:$port" -cert-out "mix$i.pem" \
         -admin-addr "127.0.0.1:$((7933 + i))" >"mix$i.log" 2>&1 &
     pids+=($!)
-    hops="${hops:+$hops,}0:$i=127.0.0.1:$port=mix$i.pem"
+    specs="${specs:+$specs,}$i=127.0.0.1:$port=mix$i.pem"
 done
 for i in 0 1 2; do
     wait_for_file "mix$i.pem"
@@ -93,7 +94,7 @@ gateways="127.0.0.1:7921=gw1.pem,127.0.0.1:7922=gw2.pem"
 
 echo "== launching coordinator (1 chain of 3, all positions remote, 2 gateway shards)"
 ./xrd-server -role coordinator -addr 127.0.0.1:7910 -servers 3 -chains 1 -k 3 \
-    -interval 0 -cert-out coord.pem -hops "$hops" \
+    -interval 0 -cert-out coord.pem -mix-servers "$specs" \
     -admin-addr 127.0.0.1:7930 \
     -gateways "0:32=127.0.0.1:7921=gw1.pem,32:64=127.0.0.1:7922=gw2.pem" >coord.log 2>&1 &
 pids+=($!)
