@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -49,6 +50,9 @@ var (
 // program) exists, so a renamed or deleted test, identifier or file
 // cannot leave a document pointing at nothing. A fuzz crasher
 // directory (testdata/fuzz/) is exempt: it exists only after a crash.
+// So is a run-time output directory that the root .gitignore declares
+// as an anchored directory entry (/bench/out/), and everything under
+// it: it exists only after a run.
 // Fenced code blocks are skipped: their -run and -bench arguments are
 // patterns, not names.
 func TestDocsCiteExistingTests(t *testing.T) {
@@ -85,6 +89,23 @@ func TestDocsCiteExistingTests(t *testing.T) {
 	if !decls["mix"].has("Chain.Corrupt") || !decls["mix"].has("Corruption.FailMix") {
 		t.Fatal("the declaration index misses a method or a field")
 	}
+	outputs, err := ignoredDirs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Contains(outputs, "bench/out/") {
+		t.Fatalf("the output directories read from .gitignore, %q, miss bench/out/", outputs)
+	}
+	for _, p := range []string{"internal/nosuch.go", "bench/outer.go"} {
+		if !stalePath(p, outputs) {
+			t.Fatalf("the path check passes the missing %s", p)
+		}
+	}
+	for _, p := range []string{"bench/out/", "bench/out/seed1.json", "internal/rpc/testdata/fuzz/FuzzDispatch/"} {
+		if stalePath(p, outputs) {
+			t.Fatalf("the path check does not exempt %s", p)
+		}
+	}
 	for _, doc := range citingDocs {
 		text, err := os.ReadFile(doc)
 		if err != nil {
@@ -103,13 +124,46 @@ func TestDocsCiteExistingTests(t *testing.T) {
 					t.Errorf("%s:%d cites `%s.%s`, which internal/%s does not declare", doc, line, d[1], d[2], d[1])
 				}
 			}
-			if p := citedPath.FindStringSubmatch(span); p != nil && !strings.Contains(p[1], "testdata/fuzz/") {
-				if _, err := os.Stat(p[1]); err != nil {
-					t.Errorf("%s:%d cites `%s`, which does not exist", doc, line, p[1])
-				}
+			if p := citedPath.FindStringSubmatch(span); p != nil && stalePath(p[1], outputs) {
+				t.Errorf("%s:%d cites `%s`, which does not exist", doc, line, p[1])
 			}
 		}
 	}
+}
+
+// stalePath reports whether a cited path does not exist and is not
+// exempt: not under a fuzz crasher directory, and not one of the
+// output directories (each ending in /) or under one, matched by whole
+// path component.
+func stalePath(path string, outputs []string) bool {
+	if strings.Contains(path, "testdata/fuzz/") {
+		return false
+	}
+	for _, dir := range outputs {
+		if strings.HasPrefix(path+"/", dir) {
+			return false
+		}
+	}
+	_, err := os.Stat(path)
+	return err != nil
+}
+
+// ignoredDirs reads the anchored directory entries (/dir/) of the root
+// .gitignore, each returned as dir/: what building, testing and
+// running write at a fixed place in the repository.
+func ignoredDirs() ([]string, error) {
+	text, err := os.ReadFile(".gitignore")
+	if err != nil {
+		return nil, err
+	}
+	var dirs []string
+	for _, line := range strings.Split(string(text), "\n") {
+		line = strings.TrimSpace(line)
+		if len(line) > 2 && strings.HasPrefix(line, "/") && strings.HasSuffix(line, "/") {
+			dirs = append(dirs, line[1:])
+		}
+	}
+	return dirs, nil
 }
 
 // withoutFences blanks the lines of fenced code blocks, keeping the
