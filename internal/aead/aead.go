@@ -15,7 +15,8 @@
 // standardised are not key-committing, and one who picks both keys can
 // build a ciphertext that opens under each. Blame opens accused
 // ciphertexts with revealed keys, so whether the onion's key
-// derivation rules that forgery out here is unsettled (ROADMAP item 4).
+// derivation rules that forgery out here is unsettled (ROADMAP, "The
+// AEAD key-commitment claim: settle it").
 package aead
 
 import (

@@ -15,9 +15,10 @@ import "math/big"
 var fePrime, _ = new(big.Int).SetString("ffffffff00000001000000000000000000000000ffffffffffffffffffffffff", 16)
 
 // feInv sets z to the Montgomery-domain inverse of a non-zero x. It is
-// the one place field arithmetic leaves fe: big.Int's Lehmer GCD inverts
-// in ≈ 3.1 µs, allocations and both conversions included, where the
-// 255-squaring Fermat chain over feSqrN takes ≈ 5.
+// the one place field arithmetic leaves fe: big.Int's Lehmer GCD,
+// allocations and both conversions included, inverts in ≈ 0.77 of the
+// time the 255-squaring Fermat chain over the assembly feSqrN takes
+// (≈ 4.7 µs against ≈ 6.1, in one process, alternating).
 func feInv(z, x *fe) {
 	var b [32]byte
 	x.putBytes(b[:])

@@ -53,16 +53,17 @@ const (
 	bmDigits = 256 / bmWindow
 	// bmBuckets is one bucket per odd digit magnitude 1,3,…,15.
 	bmBuckets = 1 << (bmWindow - 1)
-	// batchMulMin is the cutover to the kernel, in units of ≈ 13 µs
-	// saved. Against the ladder behind Point.Mul at ≈ 64 µs per base
-	// per scalar, timed in one process, the kernel costs ≈ 0.63 ms a
-	// call whatever the batch size (its inversions) plus ≈ 36 µs per
-	// base and ≈ 11 µs per base per scalar. With s scalars it saves
-	// ≈ 4s − 3 units per base against ≈ 48 fixed: measured level at
-	// 9–10 bases under two scalars, 5–6 under three and already 37
-	// under one (the inner-layer opening, which at a chain's few
-	// hundred messages runs ≈ 25 % under the ladder).
-	batchMulMin = 50
+	// batchMulMin is the cutover to the kernel. Against the ladder
+	// behind Point.Mul, L per base per scalar and timed in one process
+	// with the two alternating, the kernel costs ≈ 13 L a call whatever
+	// the batch size (its ≈ 263 inversions, which run on big.Int in
+	// feInv and so kept their price when the field multiply moved to
+	// assembly) plus ≈ 0.6 L per base and ≈ 0.14 L per base per scalar.
+	// With s scalars it saves ≈ 0.86s − 0.6 L per base, in proportion
+	// ≈ 4s − 3: measured level at 12 bases under two scalars, ≈ 7 under
+	// three and ≈ 48 under one (the inner-layer opening, which at a
+	// chain's few hundred messages runs ≈ 27 % under the ladder).
+	batchMulMin = 56
 )
 
 // bmCoef is an accumulator's coefficient mod n, little-endian limbs;

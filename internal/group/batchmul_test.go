@@ -61,10 +61,15 @@ func TestBatchMulMatchesMul(t *testing.T) {
 	edges := batchMulEdgeScalars()
 	random := []Scalar{MustRandomScalar(), MustRandomScalar(), MustRandomScalar()}
 
-	// Sizes: empty, below any cutover, the cutover under three, two and
-	// one scalars (n·(4s−3) = batchMulMin: 6, 10 and 50 bases) with its
+	// Sizes: empty, below any cutover, the first size past the cutover
+	// under three, two and one scalars (n·(4s−3) ≥ batchMulMin) with its
 	// neighbours, and one well past it that is not a round number.
-	for _, n := range []int{0, 1, 2, 5, 6, 9, 10, 11, batchMulMin - 1, batchMulMin, batchMulMin + 1, 257} {
+	sizes := []int{0, 1, 2, 257}
+	for s := 3; s >= 1; s-- {
+		c := (batchMulMin + 4*s - 4) / (4*s - 3)
+		sizes = append(sizes, c-1, c, c+1)
+	}
+	for _, n := range sizes {
 		pts := testBases("batchmul/sizes", n)
 		for ns := 1; ns <= 3; ns++ {
 			checkBatchMul(t, pts, random[:ns])

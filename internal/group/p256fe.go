@@ -25,6 +25,13 @@ import (
 // always fully reduced: equal values have equal limbs.
 type fe [4]uint64
 
+// feADX is whether feMul and feSqrN run on the MULX/ADCX/ADOX assembly
+// of p256fe_amd64.s: CPUID's answer on amd64 (BMI2 and ADX both), read
+// once here, and false on every other GOARCH. Where it is false they
+// are feMulGeneric and feSqrNGeneric; the two give bit-identical
+// results (FuzzFieldOps), and nothing else selects between them.
+var feADX = feHasADX()
+
 // The prime's limbs as constants so the hot paths can fold them into
 // immediates: p = 2^256 − 2^224 + 2^192 + 2^96 − 1.
 const (
@@ -108,10 +115,11 @@ func (x *fe) isOdd() bool {
 
 func (x *fe) isZero() bool { return x[0]|x[1]|x[2]|x[3] == 0 }
 
-// feMul sets z = x·y·2^−256 mod p (Montgomery product). Fully
-// unrolled CIOS: each of the four rounds adds one product row x[i]·y
-// into a 6-limb accumulator and immediately folds the low limb away
-// with one Montgomery reduction step. With −p⁻¹ ≡ 1 mod 2^64 the
+// feMulGeneric sets z = x·y·2^−256 mod p (Montgomery product): feMul
+// wherever the assembly does not run (see feADX). Fully unrolled CIOS:
+// each of the four rounds adds one product row x[i]·y into a 6-limb
+// accumulator and immediately folds the low limb away with one
+// Montgomery reduction step. With −p⁻¹ ≡ 1 mod 2^64 the
 // quotient word of each step is the accumulator's low limb m, and
 // because p = 2^256 − 2^224 + 2^192 + 2^96 − 1 the m·p addition needs
 // no multiplications at all, only shifts of m:
@@ -119,7 +127,7 @@ func (x *fe) isZero() bool { return x[0]|x[1]|x[2]|x[3] == 0 }
 //	(t + m·p)/2^64 = t/2^64 + m·2^32 + m·(2^64−2^32+1)·2^128
 //
 // (the −m term exactly cancels the low limb t0 = m).
-func feMul(z, x, y *fe) {
+func feMulGeneric(z, x, y *fe) {
 	x0, x1, x2, x3 := x[0], x[1], x[2], x[3]
 	y0, y1, y2, y3 := y[0], y[1], y[2], y[3]
 	var t0, t1, t2, t3, t4, t5 uint64
@@ -189,12 +197,13 @@ func feMul(z, x, y *fe) {
 // feSqr sets z = x²·2^−256 mod p.
 func feSqr(z, x *fe) { feSqrN(z, x, 1) }
 
-// feSqrN sets z = x^(2^n) in the Montgomery domain, n ≥ 1: n squarings
-// with the running value held in locals, which is what an
-// exponentiation chain (feSqrt) is made of. For each squaring the six
-// cross products are computed once and doubled, then the four
-// shift-only reduction steps of feMul run over the full 512-bit square.
-func feSqrN(z, x *fe, n int) {
+// feSqrNGeneric sets z = x^(2^n) in the Montgomery domain, n ≥ 1:
+// feSqrN wherever the assembly does not run. n squarings with the
+// running value held in locals, which is what an exponentiation chain
+// (feSqrt) is made of. For each squaring the six cross products are
+// computed once and doubled, then the four shift-only reduction steps
+// of feMulGeneric run over the full 512-bit square.
+func feSqrNGeneric(z, x *fe, n int) {
 	x0, x1, x2, x3 := x[0], x[1], x[2], x[3]
 	for ; n > 0; n-- {
 		// Off-diagonal products into t1..t6.

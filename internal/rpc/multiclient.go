@@ -126,6 +126,13 @@ func retriable(err error) bool {
 // rounds without growing the set unboundedly.
 const dedupWindow = 8
 
+// fetchDigest names a fetched message in the dedup window: the first
+// half of its SHA-256. At 128 bits a chance collision among the
+// window's ≈ 10⁵ digests has probability ≈ 2⁻⁹⁵, and making a message
+// collide with another user's takes a second preimage; the half-size
+// key halves what the window holds.
+type fetchDigest [16]byte
+
 // MultiClient is a user's view of a sharded gateway front end: a set
 // of gateways, the shard ranges they own (discovered from their
 // status endpoints), and failover. Operations that any gateway can
@@ -146,12 +153,15 @@ type MultiClient struct {
 	// means unknown (not yet refreshed, or a coordinator serving the
 	// full space — which FullRange covers either way).
 	ranges []core.ShardRange
-	// seen maps digests of fetched messages to the fetch round that
-	// first returned them, suppressing duplicates when a restarted
-	// gateway redelivers unacked mail (at-least-once downstream,
-	// exactly-once at the application). Pruned to dedupWindow rounds
-	// once per round, when a fetch names a round past pruned.
-	seen   map[[sha256.Size]byte]uint64
+	// seen holds the digests of fetched messages, one set per fetch
+	// round that first returned them, suppressing duplicates when a
+	// restarted gateway redelivers unacked mail (at-least-once
+	// downstream, exactly-once at the application). Pruned to
+	// dedupWindow rounds once per round, when a fetch names a round past
+	// pruned, by dropping whole sets: the held digests are never walked,
+	// and what a round's set took is freed with it (a map never shrinks,
+	// so one set for the whole window would keep its largest size).
+	seen   map[uint64]map[fetchDigest]struct{}
 	pruned uint64
 }
 
@@ -165,7 +175,7 @@ func NewMultiClient(endpoints []Endpoint) (*MultiClient, error) {
 	}
 	m := &MultiClient{
 		ranges: make([]core.ShardRange, len(endpoints)),
-		seen:   make(map[[sha256.Size]byte]uint64),
+		seen:   make(map[uint64]map[fetchDigest]struct{}),
 	}
 	for _, ep := range endpoints {
 		m.clients = append(m.clients, NewClient(ep.Addr, ep.TLS))
@@ -319,11 +329,11 @@ func (m *MultiClient) Fetch(round uint64, mailbox []byte) ([][]byte, error) {
 }
 
 // dedupFetched filters out messages whose digest an earlier fetch
-// already returned, records the survivors, and prunes digests older
-// than dedupWindow rounds. The prune walks the whole set, so it runs
-// once a round — the first time a fetch names a later round than any
-// before — not once a fetch; a digest recorded afterwards for a round
-// already outside the window goes at the next prune.
+// already returned, records the survivors in their round's set, and
+// drops the sets of rounds older than dedupWindow. The prune runs once
+// a round — the first time a fetch names a later round than any before
+// — not once a fetch; a set recorded afterwards for a round already
+// outside the window goes at the next prune.
 func (m *MultiClient) dedupFetched(round uint64, msgs [][]byte) [][]byte {
 	if len(msgs) == 0 {
 		return msgs
@@ -332,22 +342,38 @@ func (m *MultiClient) dedupFetched(round uint64, msgs [][]byte) [][]byte {
 	defer m.mu.Unlock()
 	out := make([][]byte, 0, len(msgs))
 	for _, msg := range msgs {
-		h := sha256.Sum256(msg)
-		if _, dup := m.seen[h]; dup {
+		sum := sha256.Sum256(msg)
+		h := fetchDigest(sum[:len(fetchDigest{})])
+		if m.fetchedBefore(h) {
 			continue
 		}
-		m.seen[h] = round
+		set := m.seen[round]
+		if set == nil {
+			set = make(map[fetchDigest]struct{})
+			m.seen[round] = set
+		}
+		set[h] = struct{}{}
 		out = append(out, msg)
 	}
 	if round > m.pruned {
 		m.pruned = round
-		for h, r := range m.seen {
+		for r := range m.seen {
 			if r+dedupWindow <= round {
-				delete(m.seen, h)
+				delete(m.seen, r)
 			}
 		}
 	}
 	return out
+}
+
+// fetchedBefore reports whether any held round's set has h.
+func (m *MultiClient) fetchedBefore(h fetchDigest) bool {
+	for _, set := range m.seen {
+		if _, dup := set[h]; dup {
+			return true
+		}
+	}
+	return false
 }
 
 // Ack confirms receipt of a round's mailbox contents with the owning

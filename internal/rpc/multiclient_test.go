@@ -1,7 +1,6 @@
 package rpc
 
 import (
-	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"testing"
@@ -13,7 +12,7 @@ import (
 // is suppressed, one whose digest is older than the window comes back,
 // and the set holds no digest past the window.
 func TestDedupFetched(t *testing.T) {
-	m := &MultiClient{seen: make(map[[sha256.Size]byte]uint64)}
+	m := &MultiClient{seen: make(map[uint64]map[fetchDigest]struct{})}
 	a, b := []byte("a"), []byte("b")
 	steps := []struct {
 		round uint64
@@ -47,7 +46,7 @@ func BenchmarkDedupFetched(b *testing.B) {
 	for _, held := range []int{1_000, 16_000} {
 		b.Run(fmt.Sprintf("held=%d", held), func(b *testing.B) {
 			const round = 10
-			m := &MultiClient{seen: make(map[[sha256.Size]byte]uint64)}
+			m := &MultiClient{seen: make(map[uint64]map[fetchDigest]struct{})}
 			msg := func(i int) []byte {
 				buf := make([]byte, onion.MailboxMessageSize)
 				binary.LittleEndian.PutUint64(buf, uint64(i))
