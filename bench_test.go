@@ -56,15 +56,20 @@ func BenchmarkFig2UserBandwidth(b *testing.B) {
 func BenchmarkFig3UserCompute(b *testing.B) {
 	for _, n := range []int{36, 105} { // real builds at laptop scale
 		b.Run(fmt.Sprintf("real/servers=%d", n), func(b *testing.B) {
+			fe, err := core.NewFrontend(core.FrontendConfig{})
+			if err != nil {
+				b.Fatal(err)
+			}
 			net, err := core.NewNetwork(core.Config{
 				NumServers:          n,
 				ChainLengthOverride: 32,
 				Seed:                []byte("fig3"),
+				Shards:              []core.GatewayShard{fe},
 			})
 			if err != nil {
 				b.Fatal(err)
 			}
-			u := net.NewUser()
+			u := fe.NewUser()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := u.BuildRound(net.Round(), net); err != nil {
@@ -228,17 +233,22 @@ func BenchmarkFig8ChurnFailure(b *testing.B) {
 // laptop scale (the §8.2 experiment shrunk to one machine): 60 users
 // on 12 chains of 8 servers, conversations on, covers on, AHS on.
 func BenchmarkHeadlineEndToEnd(b *testing.B) {
+	fe, err := core.NewFrontend(core.FrontendConfig{})
+	if err != nil {
+		b.Fatal(err)
+	}
 	net, err := core.NewNetwork(core.Config{
 		NumServers:          12,
 		ChainLengthOverride: 8,
 		Seed:                []byte("headline"),
+		Shards:              []core.GatewayShard{fe},
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
 	users := make([]*client.User, 60)
 	for i := range users {
-		users[i] = net.NewUser()
+		users[i] = fe.NewUser()
 	}
 	for i := 0; i+1 < len(users); i += 2 {
 		users[i].StartConversation(users[i+1].PublicKey())
@@ -275,19 +285,22 @@ func BenchmarkRoundPipeline(b *testing.B) {
 	for _, users := range []int{100, 1_000, 10_000} {
 		for _, workers := range workerCounts {
 			b.Run(fmt.Sprintf("users=%d/workers=%d", users, workers), func(b *testing.B) {
+				fe, err := core.NewFrontend(core.FrontendConfig{MailboxServers: 4, Workers: workers})
+				if err != nil {
+					b.Fatal(err)
+				}
 				net, err := core.NewNetwork(core.Config{
 					NumServers:          6,
 					ChainLengthOverride: 2,
 					Seed:                []byte("pipeline"),
-					MailboxServers:      4,
-					Workers:             workers,
+					Shards:              []core.GatewayShard{fe},
 				})
 				if err != nil {
 					b.Fatal(err)
 				}
 				population := make([]*client.User, users)
 				for i := range population {
-					population[i] = net.NewUser()
+					population[i] = fe.NewUser()
 				}
 				// A tenth of the population converses so the batches
 				// carry a realistic mix of loopbacks and messages.
@@ -313,7 +326,7 @@ func BenchmarkRoundPipeline(b *testing.B) {
 					if rep.Delivered != users*l {
 						b.Fatalf("delivered %d, want %d", rep.Delivered, users*l)
 					}
-					net.PruneBefore(rep.Round)
+					fe.PruneBefore(rep.Round)
 				}
 				b.StopTimer()
 				b.ReportMetric(float64(users)*float64(b.N)/b.Elapsed().Seconds(), "users/s")
@@ -535,15 +548,20 @@ func BenchmarkAblationVerifiableShuffle(b *testing.B) {
 // doubles the client's build cost ("the cover messages make up half
 // of the client overhead", §8.1).
 func BenchmarkAblationCoverMessages(b *testing.B) {
+	fe, err := core.NewFrontend(core.FrontendConfig{})
+	if err != nil {
+		b.Fatal(err)
+	}
 	net, err := core.NewNetwork(core.Config{
 		NumServers:          36,
 		ChainLengthOverride: 8,
 		Seed:                []byte("covers"),
+		Shards:              []core.GatewayShard{fe},
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
-	u := net.NewUser()
+	u := fe.NewUser()
 	b.Run("with-covers", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := u.BuildRound(net.Round(), net); err != nil {

@@ -3,14 +3,15 @@
 // gateway front end over TLS, exchanges a message through the mix
 // network and prints the decrypted result.
 //
-// Against a monolithic deployment (one coordinator serving users
-// directly) one address is enough:
+// Against a single-machine deployment (a coordinator started without
+// -gateways, serving the users of its one in-process gateway shard)
+// one address is enough:
 //
 //	xrd-client -addr 127.0.0.1:7900 -cert xrd-gateway.pem -msg "hello"
 //
 // Against a sharded front end, -gateways lists every gateway shard as
-// "addr=certfile,..." and -addr names the coordinator (which drives
-// rounds but no longer hosts users). The client discovers which
+// "addr=certfile,..." and -addr names the coordinator, which drives
+// rounds and refuses user submissions and fetches. The client discovers which
 // gateway owns each user's mailbox from the gateways' status
 // endpoints, and retries the next gateway when one fails at the
 // transport level (refused connection, deadline):
@@ -35,7 +36,7 @@ import (
 
 func main() {
 	var (
-		addr     = flag.String("addr", "127.0.0.1:7900", "coordinator address (drives rounds; serves users when monolithic)")
+		addr     = flag.String("addr", "127.0.0.1:7900", "coordinator address (drives rounds; serves users when started without -gateways)")
 		cert     = flag.String("cert", "xrd-gateway.pem", "coordinator certificate (from xrd-server -cert-out)")
 		gateways = flag.String("gateways", "", `gateway shards as "addr=certfile,..." (empty: users talk to -addr directly)`)
 		msg      = flag.String("msg", "hello from xrd-client", "message Alice sends Bob")

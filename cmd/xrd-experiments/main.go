@@ -192,10 +192,16 @@ func fig8() {
 // endToEnd runs one real round at laptop scale and reports wall time.
 func endToEnd() {
 	header("Real end-to-end round (laptop scale: 12 servers, k=8, 60 users, all conversing)")
+	fe, err := core.NewFrontend(core.FrontendConfig{})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 	net, err := core.NewNetwork(core.Config{
 		NumServers:          12,
 		ChainLengthOverride: 8,
 		Seed:                []byte("e2e"),
+		Shards:              []core.GatewayShard{fe},
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -203,7 +209,7 @@ func endToEnd() {
 	}
 	users := make([]*client.User, 60)
 	for i := range users {
-		users[i] = net.NewUser()
+		users[i] = fe.NewUser()
 	}
 	for i := 0; i+1 < len(users); i += 2 {
 		if err := users[i].StartConversation(users[i+1].PublicKey()); err != nil {
@@ -228,7 +234,7 @@ func endToEnd() {
 	elapsed := time.Since(start)
 	delivered := 0
 	for _, u := range users {
-		recv, bad := u.OpenMailbox(rep.Round, net.Fetch(u, rep.Round))
+		recv, bad := u.OpenMailbox(rep.Round, fe.Fetch(u, rep.Round))
 		if bad != 0 {
 			fmt.Fprintf(os.Stderr, "undecryptable messages: %d\n", bad)
 			os.Exit(1)

@@ -3,12 +3,15 @@
 //
 // Role "coordinator" (default) assembles the deployment — mix chains,
 // chain-selection plan, round driver (Figure 1) — and drives one
-// logical round per interval (or per client trigger). With no
-// -gateways it also hosts the entire user base in-process: the
-// single-machine monolith. With -gateways the user base lives in
-// separate gateway-shard processes, each owning a contiguous slice of
-// the 64-shard registry, and the coordinator fans each round out to
-// them (begin/batch/deliver/finish; see internal/core/shard.go).
+// logical round per interval (or per client trigger). The coordinator
+// holds no users itself: they live on gateway shards, each owning a
+// contiguous slice of the 64-shard registry, and the coordinator fans
+// each round out to them (begin/batch/deliver/finish; see
+// internal/core/shard.go). With -gateways the shards are separate
+// processes, and the coordinator's endpoint refuses user submissions,
+// registrations and fetches. With no -gateways it builds one
+// full-range shard in-process, as the gateway role does, and serves
+// that shard's users on its own endpoint: a single-machine deployment.
 //
 // Role "gateway" hosts one gateway shard: registration, submission
 // intake, cover banking and mailbox storage for the users whose
@@ -82,7 +85,7 @@ func main() {
 		k          = flag.Int("k", 6, "chain length override (0 derives k from -f)")
 		f          = flag.Float64("f", 0.2, "assumed fraction of malicious servers")
 		seed       = flag.String("seed", "public-beacon", "public randomness seed for chain formation")
-		boxes      = flag.Int("mailboxes", 2, "mailbox server count (coordinator monolith or gateway shard)")
+		boxes      = flag.Int("mailboxes", 2, "mailbox server count of a gateway shard (the gateway role's, or the coordinator's own without -gateways)")
 		workers    = flag.Int("workers", 0, "build worker pool size (0 = GOMAXPROCS)")
 		interval   = flag.Duration("interval", 10*time.Second, "round interval (0 = rounds only via client trigger)")
 		mixServers = flag.String("mix-servers", "", `remote mix processes as "id=addr=certfile,..." keyed by server identity (coordinator role; enables -recover)`)
@@ -266,7 +269,8 @@ type coordinatorOpts struct {
 }
 
 // runCoordinator assembles the deployment (dialing remote gateways
-// and mix processes first), serves users (directly when monolithic),
+// and mix processes first, or building its one in-process gateway
+// shard without -gateways), serves that shard's users if it has one,
 // and drives rounds.
 func runCoordinator(o coordinatorOpts) {
 	byServer, err := parseServerSpecs(o.serverSpec)
@@ -289,9 +293,16 @@ func runCoordinator(o coordinatorOpts) {
 		ChainLengthOverride: o.k,
 		F:                   o.f,
 		Seed:                []byte(o.seed),
-		MailboxServers:      o.boxes,
-		Workers:             o.workers,
 		Recover:             o.recover,
+	}
+	// fe is the in-process gateway shard of a deployment without
+	// -gateways; nil when the user base lives in gateway processes.
+	var fe *core.Frontend
+	if len(gwSpecs) == 0 {
+		if fe, err = core.NewFrontend(core.FrontendConfig{MailboxServers: o.boxes, Workers: o.workers}); err != nil {
+			log.Fatalf("building gateway shard: %v", err)
+		}
+		cfg.Shards = []core.GatewayShard{fe}
 	}
 	var shardClients []*rpc.ShardClient
 	for _, gs := range gwSpecs {
@@ -344,13 +355,16 @@ func runCoordinator(o coordinatorOpts) {
 		log.Fatalf("assembling network: %v", err)
 	}
 	closeAdmin := startAdmin(o.adminAddr, "coordinator", func() obs.Health {
-		return obs.Health{
+		h := obs.Health{
 			Role:   "coordinator",
 			Epoch:  net.Epoch(),
 			Round:  net.Round(),
-			Users:  net.NumUsers(),
 			Chains: net.NumChains(),
 		}
+		if fe != nil {
+			h.Users = fe.NumUsers()
+		}
+		return h
 	})
 	defer closeAdmin()
 	for id := range byServer {
@@ -366,7 +380,7 @@ func runCoordinator(o coordinatorOpts) {
 		}
 	}
 
-	gw, err := rpc.NewServer(net, o.addr)
+	gw, err := rpc.NewServer(net, fe, o.addr)
 	if err != nil {
 		log.Fatalf("starting coordinator endpoint: %v", err)
 	}

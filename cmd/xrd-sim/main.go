@@ -37,11 +37,17 @@ func main() {
 	)
 	flag.Parse()
 
+	// The users live on one full-range Frontend, the coordinator's only
+	// gateway shard.
+	fe, err := core.NewFrontend(core.FrontendConfig{Workers: *workers})
+	if err != nil {
+		log.Fatalf("assembling gateway: %v", err)
+	}
 	net, err := core.NewNetwork(core.Config{
 		NumServers:          *servers,
 		ChainLengthOverride: *k,
 		Seed:                []byte("xrd-sim"),
-		Workers:             *workers,
+		Shards:              []core.GatewayShard{fe},
 	})
 	if err != nil {
 		log.Fatalf("assembling network: %v", err)
@@ -52,7 +58,7 @@ func main() {
 				Role:   "sim",
 				Epoch:  net.Epoch(),
 				Round:  net.Round(),
-				Users:  net.NumUsers(),
+				Users:  fe.NumUsers(),
 				Chains: net.NumChains(),
 			}
 		}})
@@ -73,7 +79,7 @@ func main() {
 	}
 	population := make([]*client.User, *users)
 	for i := range population {
-		population[i] = net.NewUser()
+		population[i] = fe.NewUser()
 	}
 	for i, p := range w.Pairs {
 		a, b := population[p[0]], population[p[1]]
@@ -88,7 +94,7 @@ func main() {
 		}
 	}
 	fmt.Printf("xrd-sim: %d users (%d conversing, %d idle) on %d chains of %d, l=%d, %d build workers\n",
-		*users, w.PairedUsers(), w.IdleUsers(), net.NumChains(), net.Topology().ChainLength, net.Plan().L, net.Workers())
+		*users, w.PairedUsers(), w.IdleUsers(), net.NumChains(), net.Topology().ChainLength, net.Plan().L, fe.Workers())
 
 	if *attack {
 		if err := net.CorruptServer(0, 1, &mix.Corruption{TamperPairs: [][2]int{{0, 1}}}); err != nil {
@@ -104,7 +110,7 @@ func main() {
 
 	for r := 0; r < *rounds; r++ {
 		for _, u := range sched[r] {
-			net.SetOnline(population[u], false)
+			fe.SetOnline(population[u], false)
 		}
 		start := time.Now()
 		rep, err := net.RunRound()
@@ -115,7 +121,7 @@ func main() {
 
 		received, undecryptable := 0, 0
 		for _, u := range population {
-			recv, bad := u.OpenMailbox(rep.Round, net.Fetch(u, rep.Round))
+			recv, bad := u.OpenMailbox(rep.Round, fe.Fetch(u, rep.Round))
 			received += len(recv)
 			undecryptable += bad
 		}
@@ -124,8 +130,8 @@ func main() {
 			rep.HaltedChains, rep.BlamedServers, rep.OfflineCovered)
 
 		for _, u := range sched[r] {
-			net.SetOnline(population[u], true)
+			fe.SetOnline(population[u], true)
 		}
-		net.PruneBefore(rep.Round)
+		fe.PruneBefore(rep.Round)
 	}
 }

@@ -39,6 +39,11 @@ var (
 	// citedPath matches a code span whose first token is a path under
 	// one of the source trees, optionally written ./path.
 	citedPath = regexp.MustCompile(`^(?:\./)?((?:internal|cmd|scripts|examples|bench)/\S*)`)
+	// roadmapNumber matches a ROADMAP item cited by its number
+	// ("ROADMAP item 12", "ROADMAP's former 6(c)", "item 6(b)", "item
+	// 11's"): the numbers change at every re-anchor, so a document
+	// names an item by its title.
+	roadmapNumber = regexp.MustCompile(`ROADMAP(?:'s)? (?:former )?(?:item )?\d+\b(?:\([a-z]\))?|\bitems? \d+(?:\([a-z]\)|'s)`)
 )
 
 // TestDocsCiteExistingTests: every test, benchmark or fuzz target a
@@ -54,7 +59,8 @@ var (
 // as an anchored directory entry (/bench/out/), and everything under
 // it: it exists only after a run.
 // Fenced code blocks are skipped: their -run and -bench arguments are
-// patterns, not names.
+// patterns, not names. No line of a document, fenced or not, cites a
+// ROADMAP item by its number.
 func TestDocsCiteExistingTests(t *testing.T) {
 	defined := make(map[string]bool)
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
@@ -106,11 +112,26 @@ func TestDocsCiteExistingTests(t *testing.T) {
 			t.Fatalf("the path check does not exempt %s", p)
 		}
 	}
+	for _, s := range []string{"ROADMAP item 12", "ROADMAP's former 6(c)", "ROADMAP item 6(b))", "item 11's stopping rule", "(1(e)) is item 1(e)"} {
+		if !roadmapNumber.MatchString(s) {
+			t.Fatalf("the item-number check passes %q", s)
+		}
+	}
+	for _, s := range []string{"the ROADMAP's 1M registered", "ROADMAP's *Secrecy is a type* item", "§5.3.1", "12 items", "round 4's"} {
+		if roadmapNumber.MatchString(s) {
+			t.Fatalf("the item-number check flags %q", s)
+		}
+	}
 	for _, doc := range citingDocs {
 		text, err := os.ReadFile(doc)
 		if err != nil {
 			t.Error(err)
 			continue
+		}
+		for i, line := range strings.Split(string(text), "\n") {
+			if m := roadmapNumber.FindString(line); m != "" {
+				t.Errorf("%s:%d cites %q; name the ROADMAP item by its title", doc, i+1, m)
+			}
 		}
 		prose := withoutFences(string(text))
 		for _, m := range codeSpan.FindAllStringSubmatchIndex(prose, -1) {

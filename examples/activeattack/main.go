@@ -34,17 +34,24 @@ func main() {
 // run holds the example logic so the smoke test can execute it end to
 // end without spawning a process.
 func run(w io.Writer) error {
+	// The one gateway shard: a single-process deployment's users live
+	// on one full-range Frontend, the coordinator reaches it per round.
+	fe, err := core.NewFrontend(core.FrontendConfig{})
+	if err != nil {
+		return err
+	}
 	net, err := core.NewNetwork(core.Config{
 		NumServers:          10,
 		ChainLengthOverride: 4,
 		Seed:                []byte("active-attack-demo"),
+		Shards:              []core.GatewayShard{fe},
 	})
 	if err != nil {
 		return err
 	}
 	users := make([]*client.User, 8)
 	for i := range users {
-		users[i] = net.NewUser()
+		users[i] = fe.NewUser()
 	}
 
 	fmt.Fprintln(w, "=== attack 1: tampering mix server ===")

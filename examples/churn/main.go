@@ -30,18 +30,25 @@ func main() {
 // run holds the example logic so the smoke test can execute it end to
 // end without spawning a process.
 func run(w io.Writer) error {
+	// The one gateway shard: a single-process deployment's users live
+	// on one full-range Frontend, the coordinator reaches it per round.
+	fe, err := core.NewFrontend(core.FrontendConfig{})
+	if err != nil {
+		return err
+	}
 	net, err := core.NewNetwork(core.Config{
 		NumServers:          10,
 		ChainLengthOverride: 3,
 		Seed:                []byte("churn-demo"),
+		Shards:              []core.GatewayShard{fe},
 	})
 	if err != nil {
 		return err
 	}
-	alice := net.NewUser()
-	bob := net.NewUser()
+	alice := fe.NewUser()
+	bob := fe.NewUser()
 	for i := 0; i < 4; i++ {
-		net.NewUser() // bystanders
+		fe.NewUser() // bystanders
 	}
 	if err := alice.StartConversation(bob.PublicKey()); err != nil {
 		return err
@@ -59,7 +66,7 @@ func run(w io.Writer) error {
 		return err
 	}
 	read := false
-	recv, _ := bob.OpenMailbox(rep.Round, net.Fetch(bob, rep.Round))
+	recv, _ := bob.OpenMailbox(rep.Round, fe.Fetch(bob, rep.Round))
 	for _, r := range recv {
 		if r.FromPartner {
 			fmt.Fprintf(w, "round %d | bob reads: %q\n", rep.Round, r.Body)
@@ -71,7 +78,7 @@ func run(w io.Writer) error {
 	}
 
 	// Round 2: Alice vanishes. Her banked covers run instead.
-	net.SetOnline(alice, false)
+	fe.SetOnline(alice, false)
 	rep, err = net.RunRound()
 	if err != nil {
 		return err
@@ -81,7 +88,7 @@ func run(w io.Writer) error {
 	}
 	fmt.Fprintf(w, "round %d | users covered by pre-submitted covers: %d\n", rep.Round, rep.OfflineCovered)
 	signalled := false
-	recv, _ = bob.OpenMailbox(rep.Round, net.Fetch(bob, rep.Round))
+	recv, _ = bob.OpenMailbox(rep.Round, fe.Fetch(bob, rep.Round))
 	for _, r := range recv {
 		if r.FromPartner && r.Kind == onion.KindOffline {
 			fmt.Fprintf(w, "round %d | bob receives the offline signal; conversation ends quietly\n", rep.Round)
@@ -92,7 +99,7 @@ func run(w io.Writer) error {
 		return fmt.Errorf("round %d: offline signal never reached bob", rep.Round)
 	}
 	fmt.Fprintf(w, "round %d | bob still received a full mailbox of %d messages\n",
-		rep.Round, len(net.Fetch(bob, rep.Round)))
+		rep.Round, len(fe.Fetch(bob, rep.Round)))
 
 	// Round 3: Bob is back to loopbacks; traffic pattern unchanged.
 	rep, err = net.RunRound()
@@ -100,7 +107,7 @@ func run(w io.Writer) error {
 		return err
 	}
 	fmt.Fprintf(w, "round %d | bob's mailbox: %d messages (all loopbacks now)\n\n",
-		rep.Round, len(net.Fetch(bob, rep.Round)))
+		rep.Round, len(fe.Fetch(bob, rep.Round)))
 
 	// Server churn: crash one server; only its chains fail (§5.2.3).
 	net.FailServer(3)

@@ -29,6 +29,12 @@ func main() {
 // end without spawning a process; it fails unless every member reads
 // the line each other member sent.
 func run(w io.Writer) error {
+	// The one gateway shard: a single-process deployment's users live
+	// on one full-range Frontend, the coordinator reaches it per round.
+	fe, err := core.NewFrontend(core.FrontendConfig{})
+	if err != nil {
+		return err
+	}
 	// Re-draw user identities until the three pairwise meeting chains
 	// are distinct; with n=21 chains most triples qualify (the
 	// paper's scenario: "(Alice, Bob), (Alice, Charlie), and
@@ -37,6 +43,7 @@ func run(w io.Writer) error {
 		NumServers:          21,
 		ChainLengthOverride: 3,
 		Seed:                []byte("groupchat"),
+		Shards:              []core.GatewayShard{fe},
 	})
 	if err != nil {
 		return err
@@ -46,7 +53,7 @@ func run(w io.Writer) error {
 		if attempt > 200 {
 			return errors.New("no clash-free triple found; enlarge the network")
 		}
-		alice, bob, charlie = net.NewUser(), net.NewUser(), net.NewUser()
+		alice, bob, charlie = fe.NewUser(), fe.NewUser(), fe.NewUser()
 		plan := net.Plan()
 		ab := plan.MeetingChainForUsers(alice.Mailbox(), bob.Mailbox())
 		ac := plan.MeetingChainForUsers(alice.Mailbox(), charlie.Mailbox())
@@ -98,7 +105,7 @@ func run(w io.Writer) error {
 	fmt.Fprintf(w, "\nround %d: %d messages delivered\n\n", rep.Round, rep.Delivered)
 
 	for _, u := range group {
-		recv, bad := u.OpenMailbox(rep.Round, net.Fetch(u, rep.Round))
+		recv, bad := u.OpenMailbox(rep.Round, fe.Fetch(u, rep.Round))
 		if bad != 0 {
 			return fmt.Errorf("%s: %d undecryptable", names[u], bad)
 		}

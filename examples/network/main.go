@@ -56,14 +56,20 @@ func run(w io.Writer) error {
 		fmt.Fprintf(w, "mix server %d listening on %s\n", i, hs.Addr())
 	}
 
-	// Gateway side: assemble a single chain whose every position is
+	// Gateway side: one full-range Frontend holds the users, and the
+	// coordinator assembles a single chain whose every position is
 	// remote. The provider is called in position order because each
 	// position's keys chain off the previous one's blinding key.
+	fe, err := core.NewFrontend(core.FrontendConfig{})
+	if err != nil {
+		return err
+	}
 	net, err := core.NewNetwork(core.Config{
 		NumServers:          chainLen,
 		NumChains:           1,
 		ChainLengthOverride: chainLen,
 		Seed:                []byte("network-demo"),
+		Shards:              []core.GatewayShard{fe},
 		HopForServer: func(epoch uint64, server, chain, pos int, base group.Point) (mix.Hop, error) {
 			hs := hopServers[server]
 			hc := rpc.DialHop(hs.Addr(), hs.ClientTLS())
@@ -76,7 +82,7 @@ func run(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	gateway, err := rpc.NewServer(net, "127.0.0.1:0")
+	gateway, err := rpc.NewServer(net, fe, "127.0.0.1:0")
 	if err != nil {
 		return err
 	}

@@ -26,6 +26,12 @@ func main() {
 // Alice's lines in its round and every mailbox holds exactly ℓ
 // messages.
 func run(w io.Writer) error {
+	// The one gateway shard: a single-process deployment's users live
+	// on one full-range Frontend, the coordinator reaches it per round.
+	fe, err := core.NewFrontend(core.FrontendConfig{})
+	if err != nil {
+		return err
+	}
 	// A small deployment: 12 mix servers organised into 12 chains of
 	// 4 (production would derive k from the malicious fraction f;
 	// see core.Config.F).
@@ -33,6 +39,7 @@ func run(w io.Writer) error {
 		NumServers:          12,
 		ChainLengthOverride: 4,
 		Seed:                []byte("quickstart-public-beacon"),
+		Shards:              []core.GatewayShard{fe},
 	})
 	if err != nil {
 		return err
@@ -41,9 +48,9 @@ func run(w io.Writer) error {
 	fmt.Fprintf(w, "network: %d chains of %d servers, l=%d chains per user\n\n",
 		net.NumChains(), net.Topology().ChainLength, l)
 
-	alice := net.NewUser()
-	bob := net.NewUser()
-	carol := net.NewUser() // idle bystander
+	alice := fe.NewUser()
+	bob := fe.NewUser()
+	carol := fe.NewUser() // idle bystander
 
 	// Conversations start by out-of-band agreement (§3.1): both sides
 	// set each other as partner for the same round.
@@ -69,7 +76,7 @@ func run(w io.Writer) error {
 		}
 
 		// Bob downloads his mailbox and decrypts.
-		recv, bad := bob.OpenMailbox(rep.Round, net.Fetch(bob, rep.Round))
+		recv, bad := bob.OpenMailbox(rep.Round, fe.Fetch(bob, rep.Round))
 		if bad != 0 {
 			return fmt.Errorf("round %d: %d undecryptable messages", rep.Round, bad)
 		}
@@ -89,9 +96,9 @@ func run(w io.Writer) error {
 
 		// The observable pattern is identical for everyone.
 		sizes := [3]int{
-			len(net.Fetch(alice, rep.Round)),
-			len(net.Fetch(bob, rep.Round)),
-			len(net.Fetch(carol, rep.Round)),
+			len(fe.Fetch(alice, rep.Round)),
+			len(fe.Fetch(bob, rep.Round)),
+			len(fe.Fetch(carol, rep.Round)),
 		}
 		fmt.Fprintf(w, "round %d | mailbox sizes: alice=%d bob=%d carol(idle)=%d\n",
 			rep.Round, sizes[0], sizes[1], sizes[2])

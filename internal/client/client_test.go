@@ -16,22 +16,29 @@ import (
 	"repro/internal/rpc"
 )
 
-func testNet(t testing.TB) *core.Network {
+// testNet is a coordinator over one full-range Frontend, which holds
+// the users.
+func testNet(t testing.TB) (*core.Network, *core.Frontend) {
 	t.Helper()
+	fe, err := core.NewFrontend(core.FrontendConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	n, err := core.NewNetwork(core.Config{
 		NumServers:          6,
 		ChainLengthOverride: 3,
 		Seed:                []byte("client-test-beacon"),
+		Shards:              []core.GatewayShard{fe},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return n
+	return n, fe
 }
 
 func TestBuildRoundShape(t *testing.T) {
-	n := testNet(t)
-	u := n.NewUser()
+	n, fe := testNet(t)
+	u := fe.NewUser()
 	out, err := u.BuildRound(n.Round(), n)
 	if err != nil {
 		t.Fatal(err)
@@ -69,9 +76,9 @@ func TestBuildRoundShape(t *testing.T) {
 }
 
 func TestBuildRoundFixedSizeSubmissions(t *testing.T) {
-	n := testNet(t)
-	u := n.NewUser()
-	v := n.NewUser()
+	n, fe := testNet(t)
+	u := fe.NewUser()
+	v := fe.NewUser()
 	if err := u.StartConversation(v.PublicKey()); err != nil {
 		t.Fatal(err)
 	}
@@ -98,12 +105,12 @@ func TestBuildRoundFixedSizeSubmissions(t *testing.T) {
 }
 
 func TestQueueMessageValidation(t *testing.T) {
-	n := testNet(t)
-	u := n.NewUser()
+	_, fe := testNet(t)
+	u := fe.NewUser()
 	if err := u.QueueMessage([]byte("x")); err == nil {
 		t.Fatal("QueueMessage succeeded without a conversation")
 	}
-	v := n.NewUser()
+	v := fe.NewUser()
 	if err := u.StartConversation(v.PublicKey()); err != nil {
 		t.Fatal(err)
 	}
@@ -116,9 +123,9 @@ func TestQueueMessageValidation(t *testing.T) {
 }
 
 func TestMeetingChainAgreement(t *testing.T) {
-	n := testNet(t)
-	a := n.NewUser()
-	b := n.NewUser()
+	_, fe := testNet(t)
+	a := fe.NewUser()
+	b := fe.NewUser()
 	if err := a.StartConversation(b.PublicKey()); err != nil {
 		t.Fatal(err)
 	}
@@ -136,15 +143,15 @@ func TestMeetingChainAgreement(t *testing.T) {
 	if ca != cb {
 		t.Fatalf("meeting chains disagree: %d vs %d", ca, cb)
 	}
-	if _, err := n.NewUser().MeetingChain(); err == nil {
+	if _, err := fe.NewUser().MeetingChain(); err == nil {
 		t.Fatal("MeetingChain without conversation succeeded")
 	}
 }
 
 func TestEndConversationRevertsToLoopbacks(t *testing.T) {
-	n := testNet(t)
-	a := n.NewUser()
-	b := n.NewUser()
+	_, fe := testNet(t)
+	a := fe.NewUser()
+	b := fe.NewUser()
 	if err := a.StartConversation(b.PublicKey()); err != nil {
 		t.Fatal(err)
 	}
@@ -161,8 +168,8 @@ func TestEndConversationRevertsToLoopbacks(t *testing.T) {
 }
 
 func TestOpenMailboxIgnoresGarbage(t *testing.T) {
-	n := testNet(t)
-	u := n.NewUser()
+	_, fe := testNet(t)
+	u := fe.NewUser()
 	garbage := make([]byte, onion.MailboxMessageSize)
 	recv, bad := u.OpenMailbox(1, [][]byte{garbage, []byte("short")})
 	if len(recv) != 0 || bad != 2 {
@@ -172,9 +179,9 @@ func TestOpenMailboxIgnoresGarbage(t *testing.T) {
 
 func TestOpenMailboxCrossUserIsolation(t *testing.T) {
 	// A message sealed for one user must not decrypt for another.
-	n := testNet(t)
-	a := n.NewUser()
-	b := n.NewUser()
+	n, fe := testNet(t)
+	a := fe.NewUser()
+	b := fe.NewUser()
 	if err := a.StartConversation(b.PublicKey()); err != nil {
 		t.Fatal(err)
 	}
@@ -188,8 +195,8 @@ func TestOpenMailboxCrossUserIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bobMsgs := n.Fetch(b, rep.Round)
-	eve := n.NewUser()
+	bobMsgs := fe.Fetch(b, rep.Round)
+	eve := fe.NewUser()
 	recv, bad := eve.OpenMailbox(rep.Round, bobMsgs)
 	if len(recv) != 0 || bad != len(bobMsgs) {
 		t.Fatalf("eve decrypted %d of bob's messages", len(recv))
@@ -197,9 +204,9 @@ func TestOpenMailboxCrossUserIsolation(t *testing.T) {
 }
 
 func TestDistinctUsersDistinctKeys(t *testing.T) {
-	n := testNet(t)
-	a := n.NewUser()
-	b := n.NewUser()
+	_, fe := testNet(t)
+	a := fe.NewUser()
+	b := fe.NewUser()
 	if a.PublicKey().Equal(b.PublicKey()) {
 		t.Fatal("two users share a public key")
 	}
@@ -224,15 +231,20 @@ func TestCoverLaneNonceSeparation(t *testing.T) {
 }
 
 func BenchmarkBuildRound(b *testing.B) {
+	fe, err := core.NewFrontend(core.FrontendConfig{})
+	if err != nil {
+		b.Fatal(err)
+	}
 	n, err := core.NewNetwork(core.Config{
 		NumServers:          100,
 		ChainLengthOverride: 32,
 		Seed:                []byte("bench"),
+		Shards:              []core.GatewayShard{fe},
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
-	u := n.NewUser()
+	u := fe.NewUser()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -295,11 +307,11 @@ func TestUserBookkeepingBytes(t *testing.T) {
 
 // findDistinctTriple draws users until the three pairwise meeting
 // chains are distinct (the §9 group precondition).
-func findDistinctTriple(t *testing.T, n *core.Network) (a, b, c *client.User) {
+func findDistinctTriple(t *testing.T, n *core.Network, fe *core.Frontend) (a, b, c *client.User) {
 	t.Helper()
 	plan := n.Plan()
 	for attempt := 0; attempt < 300; attempt++ {
-		a, b, c = n.NewUser(), n.NewUser(), n.NewUser()
+		a, b, c = fe.NewUser(), fe.NewUser(), fe.NewUser()
 		ab := plan.MeetingChainForUsers(a.Mailbox(), b.Mailbox())
 		ac := plan.MeetingChainForUsers(a.Mailbox(), c.Mailbox())
 		bc := plan.MeetingChainForUsers(b.Mailbox(), c.Mailbox())
@@ -315,15 +327,20 @@ func findDistinctTriple(t *testing.T, n *core.Network) (a, b, c *client.User) {
 // conversations on distinct chains, every body delivered, and the
 // wire pattern still exactly ℓ messages per user.
 func TestGroupConversation(t *testing.T) {
+	fe, err := core.NewFrontend(core.FrontendConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	n, err := core.NewNetwork(core.Config{
 		NumServers:          21,
 		ChainLengthOverride: 3,
 		Seed:                []byte("group-test"),
+		Shards:              []core.GatewayShard{fe},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, b, c := findDistinctTriple(t, n)
+	a, b, c := findDistinctTriple(t, n, fe)
 	group := []*client.User{a, b, c}
 	for _, u := range group {
 		for _, v := range group {
@@ -350,7 +367,7 @@ func TestGroupConversation(t *testing.T) {
 	}
 	l := n.Plan().L
 	for i, u := range group {
-		msgs := n.Fetch(u, rep.Round)
+		msgs := fe.Fetch(u, rep.Round)
 		if len(msgs) != l {
 			t.Fatalf("user %d received %d messages, want ℓ=%d", i, len(msgs), l)
 		}
@@ -373,13 +390,13 @@ func TestGroupConversation(t *testing.T) {
 // TestChainClashRejected: a second partner on an occupied meeting
 // chain must be rejected atomically.
 func TestChainClashRejected(t *testing.T) {
-	n := testNet(t) // 6 chains: clashes are common
+	n, fe := testNet(t) // 6 chains: clashes are common
 	plan := n.Plan()
-	u := n.NewUser()
+	u := fe.NewUser()
 	// Find two other users whose meeting chains with u collide.
 	var v, w *client.User
 	for attempt := 0; attempt < 500 && w == nil; attempt++ {
-		x := n.NewUser()
+		x := fe.NewUser()
 		if v == nil {
 			v = x
 			continue
@@ -403,7 +420,7 @@ func TestChainClashRejected(t *testing.T) {
 		t.Fatalf("partners = %d after rejected start", len(u.Partners()))
 	}
 	// Atomic batch: the whole StartConversations must fail.
-	u2 := n.NewUser()
+	u2 := fe.NewUser()
 	if err := u2.StartConversations([]group.Point{v.PublicKey(), w.PublicKey()}); err != nil {
 		// Clash relative to u2 may or may not exist; only verify
 		// atomicity when it does.
@@ -416,15 +433,20 @@ func TestChainClashRejected(t *testing.T) {
 // TestEndOneOfSeveralConversations: ending one conversation leaves
 // the others running.
 func TestEndOneOfSeveralConversations(t *testing.T) {
+	fe, err := core.NewFrontend(core.FrontendConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	n, err := core.NewNetwork(core.Config{
 		NumServers:          21,
 		ChainLengthOverride: 3,
 		Seed:                []byte("end-one"),
+		Shards:              []core.GatewayShard{fe},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, b, c := findDistinctTriple(t, n)
+	a, b, c := findDistinctTriple(t, n, fe)
 	if err := a.StartConversations([]group.Point{b.PublicKey(), c.PublicKey()}); err != nil {
 		t.Fatal(err)
 	}
@@ -443,15 +465,20 @@ func TestEndOneOfSeveralConversations(t *testing.T) {
 // TestQueueMessageAmbiguousWithSeveralPartners: the single-partner
 // convenience must refuse when the target is ambiguous.
 func TestQueueMessageAmbiguousWithSeveralPartners(t *testing.T) {
+	fe, err := core.NewFrontend(core.FrontendConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	n, err := core.NewNetwork(core.Config{
 		NumServers:          21,
 		ChainLengthOverride: 3,
 		Seed:                []byte("ambiguous"),
+		Shards:              []core.GatewayShard{fe},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, b, c := findDistinctTriple(t, n)
+	a, b, c := findDistinctTriple(t, n, fe)
 	if err := a.StartConversations([]group.Point{b.PublicKey(), c.PublicKey()}); err != nil {
 		t.Fatal(err)
 	}
@@ -749,15 +776,20 @@ func TestBatchedBuildRoundThroughRealChains(t *testing.T) {
 // aggregate's twice in its life — so it is where a table that cost
 // more to build than it saved would show.
 func BenchmarkBuildRoundRemote(b *testing.B) {
+	fe, err := core.NewFrontend(core.FrontendConfig{})
+	if err != nil {
+		b.Fatal(err)
+	}
 	n, err := core.NewNetwork(core.Config{
 		NumServers:          8,
 		ChainLengthOverride: 6,
 		Seed:                []byte("bench-remote"),
+		Shards:              []core.GatewayShard{fe},
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
-	srv, err := rpc.NewServer(n, "127.0.0.1:0")
+	srv, err := rpc.NewServer(n, fe, "127.0.0.1:0")
 	if err != nil {
 		b.Fatal(err)
 	}

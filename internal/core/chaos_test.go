@@ -132,8 +132,8 @@ func (e *chaosEnv) member(chain, pos int) int {
 
 // readConversation fetches and opens a user's mailbox for a round and
 // returns the partner's conversation payload, if any.
-func readConversation(u *client.User, n *core.Network, round uint64) string {
-	recv, _ := u.OpenMailbox(round, n.Fetch(u, round))
+func readConversation(u *client.User, fe *core.Frontend, round uint64) string {
+	recv, _ := u.OpenMailbox(round, fe.Fetch(u, round))
 	for _, r := range recv {
 		if r.FromPartner && r.Kind == onion.KindConversation {
 			return string(r.Body)
@@ -246,11 +246,16 @@ func TestChaosScenarios(t *testing.T) {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
 			inj := faults.New(42)
+			fe, err := core.NewFrontend(core.FrontendConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
 			cfg := core.Config{
 				NumServers:          sc.servers,
 				NumChains:           sc.chains,
 				ChainLengthOverride: sc.k,
 				Seed:                []byte("chaos/" + sc.name),
+				Shards:              []core.GatewayShard{fe},
 				Recover:             true,
 			}
 			var fleet *chaosFleet
@@ -264,7 +269,7 @@ func TestChaosScenarios(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			alice, bob := net.NewUser(), net.NewUser()
+			alice, bob := fe.NewUser(), fe.NewUser()
 			if err := alice.StartConversation(bob.PublicKey()); err != nil {
 				t.Fatal(err)
 			}
@@ -302,11 +307,11 @@ func TestChaosScenarios(t *testing.T) {
 				// Everyone reported stranded must get the deterministic
 				// retry error, not a silent drop.
 				for _, who := range rep.Stranded {
-					if se := net.StrandedError(rep.Round, []byte(who)); !errors.Is(se, core.ErrRoundRetry) {
+					if se := fe.StrandedError(rep.Round, []byte(who)); !errors.Is(se, core.ErrRoundRetry) {
 						t.Fatalf("round %d: stranded user got %v, want ErrRoundRetry", round, se)
 					}
 				}
-				if readConversation(bob, net, rep.Round) == msg {
+				if readConversation(bob, fe, rep.Round) == msg {
 					delivered[round] = true
 				} else if round < firstHook {
 					t.Fatalf("round %d: delivery failed before any injected fault", round)
@@ -360,6 +365,10 @@ func TestChaosScenarios(t *testing.T) {
 func TestReformEvictsEveryDeadServerAtOnce(t *testing.T) {
 	inj := faults.New(42)
 	fleet := newChaosFleet(t, 8, inj)
+	fe, err := core.NewFrontend(core.FrontendConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	net, err := core.NewNetwork(core.Config{
 		NumServers:          8,
 		NumChains:           2,
@@ -367,11 +376,12 @@ func TestReformEvictsEveryDeadServerAtOnce(t *testing.T) {
 		Seed:                []byte("chaos/evict-every-dead/182"),
 		Recover:             true,
 		HopForServer:        fleet.provider(),
+		Shards:              []core.GatewayShard{fe},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	alice, bob := net.NewUser(), net.NewUser()
+	alice, bob := fe.NewUser(), fe.NewUser()
 	if err := alice.StartConversation(bob.PublicKey()); err != nil {
 		t.Fatal(err)
 	}
@@ -419,7 +429,7 @@ func TestReformEvictsEveryDeadServerAtOnce(t *testing.T) {
 		if got := net.Epoch(); got != 2 {
 			t.Fatalf("re-formation took until epoch %d, want 2: one attempt to find both dead servers, one to form", got)
 		}
-		if got := readConversation(bob, net, rep.Round); got != msg {
+		if got := readConversation(bob, fe, rep.Round); got != msg {
 			t.Fatalf("round 3 did not deliver after the re-formation (got %q)", got)
 		}
 	}
@@ -430,18 +440,23 @@ func TestReformEvictsEveryDeadServerAtOnce(t *testing.T) {
 // reported stranded and get a deterministic ErrRoundRetry from
 // StrandedError — and users on healthy chains must not.
 func TestStrandedUsersGetRetryError(t *testing.T) {
+	fe, err := core.NewFrontend(core.FrontendConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	net, err := core.NewNetwork(core.Config{
 		NumServers:          6,
 		NumChains:           3,
 		ChainLengthOverride: 3,
 		Seed:                []byte("stranded-regression"),
+		Shards:              []core.GatewayShard{fe},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	users := make([]*client.User, 6)
 	for i := range users {
-		users[i] = net.NewUser()
+		users[i] = fe.NewUser()
 	}
 	// Halt the busiest chain with a server-side tamper; every
 	// submitter to it is stranded, everyone else delivers. The chain is
@@ -475,7 +490,7 @@ func TestStrandedUsersGetRetryError(t *testing.T) {
 	strandedSet := make(map[string]bool, len(rep.Stranded))
 	for _, who := range rep.Stranded {
 		strandedSet[who] = true
-		if se := net.StrandedError(rep.Round, []byte(who)); !errors.Is(se, core.ErrRoundRetry) {
+		if se := fe.StrandedError(rep.Round, []byte(who)); !errors.Is(se, core.ErrRoundRetry) {
 			t.Fatalf("stranded user got %v, want ErrRoundRetry", se)
 		}
 	}
@@ -484,7 +499,7 @@ func TestStrandedUsersGetRetryError(t *testing.T) {
 	for _, u := range users {
 		if !strandedSet[string(u.Mailbox())] {
 			clean = true
-			if se := net.StrandedError(rep.Round, u.Mailbox()); se != nil {
+			if se := fe.StrandedError(rep.Round, u.Mailbox()); se != nil {
 				t.Fatalf("unaffected user got %v", se)
 			}
 		}
@@ -493,7 +508,7 @@ func TestStrandedUsersGetRetryError(t *testing.T) {
 		t.Skip("every user rode chain 0; tighten the topology seed")
 	}
 	// An unknown round has no stranded records at all.
-	if se := net.StrandedError(rep.Round+100, users[0].Mailbox()); se != nil {
+	if se := fe.StrandedError(rep.Round+100, users[0].Mailbox()); se != nil {
 		t.Fatalf("future round reported stranded: %v", se)
 	}
 }

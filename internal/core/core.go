@@ -14,9 +14,10 @@
 //     the in-process implementation; rpc.ShardClient hosts a shard in
 //     another process.
 //
-// When Config.Shards is empty, NewNetwork builds one full-range
-// in-process Frontend and the Network behaves exactly like the
-// pre-split monolith — same API, same locking, same round pipeline.
+// The coordinator holds no users: every deployment names its gateway
+// shards in Config.Shards, and users reach their own shard. A
+// single-process deployment is the coordinator plus one full-range
+// Frontend, whose users the caller creates and serves through it.
 //
 // Each call to RunRound executes one communication round end to end
 // (Figure 1): every shard builds its users' ℓ messages plus the next
@@ -25,12 +26,12 @@
 // verification (§6), results fan back out to the shard owning each
 // recipient mailbox, and users fetch and decrypt.
 //
-// Registry operations (NewUser, SetOnline, IsRemoved, NumUsers) and
-// mailbox fetches are safe to call concurrently with RunRound; a user
-// registered mid-round joins either the running round or the next
-// one, depending on whether her registry shard was already built.
-// RunRound itself is serialised: concurrent calls execute one at a
-// time.
+// A Frontend's registry operations (NewUser, SetOnline, IsRemoved,
+// NumUsers) and mailbox fetches are safe to call concurrently with
+// RunRound; a user registered mid-round joins either the running round
+// or the next one, depending on whether her registry shard was already
+// built. RunRound itself is serialised: concurrent calls execute one
+// at a time.
 //
 // Misbehaviour injected through CorruptServer or InjectSubmission
 // surfaces in the RoundReport: halted chains, blamed servers, blamed
@@ -42,13 +43,11 @@ package core
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
 	"time"
 
-	"repro/internal/aead"
 	"repro/internal/chainsel"
 	"repro/internal/churn"
 	"repro/internal/client"
@@ -73,21 +72,9 @@ type Config struct {
 	ChainLengthOverride int
 	// Seed is the public randomness for chain formation.
 	Seed []byte
-	// MailboxServers is the mailbox cluster size; zero means 1. Used
-	// by the default full-range Frontend; ignored when Shards is set
-	// (each shard sizes its own cluster).
-	MailboxServers int
-	// Scheme is the AEAD; nil means ChaCha20-Poly1305.
-	Scheme aead.Scheme
-	// Workers sizes the round pipeline's build worker pool; zero
-	// means runtime.GOMAXPROCS(0). One worker reproduces the serial
-	// build order for deterministic comparisons. Applies to the
-	// default Frontend; explicit Shards carry their own pools.
-	Workers int
-	// Shards, when non-empty, supplies the gateway front-end shards.
-	// Their ranges must exactly partition the registry-shard space
-	// [0, NumRegistryShards). Empty means one in-process full-range
-	// Frontend — the monolith.
+	// Shards supplies the gateway front-end shards; their ranges must
+	// exactly partition the registry-shard space [0, NumRegistryShards).
+	// A single-process deployment passes one full-range Frontend.
 	Shards []GatewayShard
 	// HopForServer, when non-nil, supplies the transport for each
 	// chain position, keyed by the server holding it, and is consulted
@@ -116,17 +103,14 @@ type Config struct {
 	Recover bool
 }
 
-// Network is the round coordinator of an XRD deployment. With the
-// default single full-range Frontend it is also the complete
-// deployment, and every pre-split monolith method keeps working by
-// delegating to the shard owning the mailbox in question.
+// Network is the round coordinator of an XRD deployment. It reaches
+// users only through the GatewayShard interface of the shards that own
+// them.
 type Network struct {
-	cfg     Config
-	scheme  aead.Scheme
-	plan    *chainsel.Plan
-	topo    *topology.Topology
-	chains  []*mix.Chain
-	workers int
+	cfg    Config
+	plan   *chainsel.Plan
+	topo   *topology.Topology
+	chains []*mix.Chain
 
 	// shards are the gateway front ends; owner maps each registry
 	// shard index to its position in shards. Both are fixed at
@@ -169,9 +153,6 @@ type Network struct {
 // (and round 2 cover) keys, and installs the founding chain-selection
 // plan on every gateway shard.
 func NewNetwork(cfg Config) (*Network, error) {
-	if cfg.Scheme == nil {
-		cfg.Scheme = aead.ChaCha20Poly1305()
-	}
 	if remote := cfg.RemoteHops; remote != nil && cfg.HopForServer == nil {
 		cfg.HopForServer = func(epoch uint64, _, chain, pos int, base group.Point) (mix.Hop, error) {
 			if epoch > 0 {
@@ -194,38 +175,16 @@ func NewNetwork(cfg Config) (*Network, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: building chain-selection plan: %w", err)
 	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > numShards {
-		workers = numShards
-	}
 	n := &Network{
 		cfg:           cfg,
-		scheme:        cfg.Scheme,
 		plan:          plan,
 		topo:          topo,
-		workers:       workers,
+		shards:        cfg.Shards,
 		round:         1,
 		evictor:       churn.NewEvictor(),
 		failedServers: make(map[int]bool),
 		injected:      make(map[int][]onion.Submission),
 		pendingEvict:  make(map[int]bool),
-	}
-	if len(cfg.Shards) == 0 {
-		fe, err := NewFrontend(FrontendConfig{
-			Range:          FullRange(),
-			MailboxServers: cfg.MailboxServers,
-			Scheme:         cfg.Scheme,
-			Workers:        cfg.Workers,
-		})
-		if err != nil {
-			return nil, err
-		}
-		n.shards = []GatewayShard{fe}
-	} else {
-		n.shards = cfg.Shards
 	}
 	if err := n.indexShards(); err != nil {
 		return nil, err
@@ -282,21 +241,6 @@ func (n *Network) indexShards() error {
 	return nil
 }
 
-// shardFor returns the gateway shard owning a mailbox identifier.
-func (n *Network) shardFor(mailbox []byte) GatewayShard {
-	return n.shards[n.owner[OwnerShard(mailbox)]]
-}
-
-// frontendFor returns the in-process Frontend owning a mailbox
-// identifier, or nil when that shard is hosted remotely.
-func (n *Network) frontendFor(mailbox []byte) *Frontend {
-	fe, _ := n.shardFor(mailbox).(*Frontend)
-	return fe
-}
-
-// Shards exposes the gateway shards (for tests and the rpc layer).
-func (n *Network) Shards() []GatewayShard { return n.shards }
-
 // keyChains keys every chain of a topology for an epoch, each on its
 // own goroutine: the chains share no key material, so an epoch forms in
 // the time of its slowest chain rather than of all of them. It returns
@@ -331,7 +275,7 @@ func (n *Network) keyChains(epoch uint64, topo *topology.Topology) ([]*mix.Chain
 // can evict the offending server.
 func (n *Network) assembleChainAt(epoch uint64, topo *topology.Topology, c int) (*mix.Chain, error) {
 	if n.cfg.HopForServer == nil {
-		return mix.NewChain(c, topo.ChainLength, n.scheme)
+		return mix.NewChain(c, topo.ChainLength, nil)
 	}
 	hops := make([]mix.Hop, topo.ChainLength)
 	base := group.Generator()
@@ -343,12 +287,12 @@ func (n *Network) assembleChainAt(epoch uint64, topo *topology.Topology, c int) 
 			return nil, &mix.HopError{Chain: c, Position: i, Err: fmt.Errorf("core: remote hop setup: %w", err)}
 		}
 		if h == nil {
-			h = mix.LocalHop(mix.NewChainServer(c, i, base, n.scheme))
+			h = mix.LocalHop(mix.NewChainServer(c, i, base, nil))
 		}
 		hops[i] = h
 		base = h.Keys().Bpk
 	}
-	return mix.NewChainFromHops(c, hops, n.scheme)
+	return mix.NewChainFromHops(c, hops, nil)
 }
 
 // announceEach publishes round's inner keys on every chain, in
@@ -415,9 +359,6 @@ func (n *Network) Epoch() uint64 {
 	return n.epoch
 }
 
-// Workers returns the size of the round pipeline's build worker pool.
-func (n *Network) Workers() int { return n.workers }
-
 // Round returns the upcoming round number.
 func (n *Network) Round() uint64 {
 	n.mu.Lock()
@@ -432,64 +373,6 @@ func (n *Network) ChainParams(chain int, round uint64) (mix.Params, error) {
 		return mix.Params{}, fmt.Errorf("core: no chain %d", chain)
 	}
 	return chains[chain].ParamsFor(round)
-}
-
-// NewUser creates and registers a user; she participates in every
-// round until she goes offline or is removed for misbehaviour. Safe
-// to call concurrently with a running round: the user joins the round
-// if her registry shard has not been built yet, the next one
-// otherwise. Key generation repeats until the identity lands on an
-// in-process shard; returns nil if every shard is remote (remote
-// users register through their gateway's transport instead).
-func (n *Network) NewUser() *client.User {
-	plan, _, _ := n.topoView()
-	inProcess := false
-	for _, sh := range n.shards {
-		if _, ok := sh.(*Frontend); ok {
-			inProcess = true
-			break
-		}
-	}
-	if !inProcess {
-		return nil
-	}
-	for {
-		u := client.NewUser(n.scheme, plan)
-		if fe := n.frontendFor(u.Mailbox()); fe != nil {
-			if err := fe.AddUser(u); err == nil {
-				return u
-			}
-		}
-	}
-}
-
-// NumUsers returns the number of registered, non-removed users across
-// the in-process shards.
-func (n *Network) NumUsers() int {
-	total := 0
-	for _, sh := range n.shards {
-		if fe, ok := sh.(*Frontend); ok {
-			total += fe.NumUsers()
-		}
-	}
-	return total
-}
-
-// SetOnline marks a user online or offline for subsequent rounds. The
-// first offline round is covered by her pre-submitted cover messages
-// (§5.3.3). If those covers ran while she was away, her conversation
-// was ended by the offline signal, so reconnecting reverts her to
-// loopback traffic until a conversation is re-initiated.
-func (n *Network) SetOnline(u *client.User, online bool) {
-	if fe := n.frontendFor(u.Mailbox()); fe != nil {
-		fe.SetOnline(u, online)
-	}
-}
-
-// IsRemoved reports whether the user was removed for misbehaviour.
-func (n *Network) IsRemoved(u *client.User) bool {
-	fe := n.frontendFor(u.Mailbox())
-	return fe != nil && fe.IsRemoved(u)
 }
 
 // FailServer crashes a mix server: every chain containing it halts
@@ -531,89 +414,6 @@ func (n *Network) InjectSubmission(chain int, sub onion.Submission) {
 	n.injected[chain] = append(n.injected[chain], sub)
 }
 
-// Fetch downloads a user's mailbox for a round.
-func (n *Network) Fetch(u *client.User, round uint64) [][]byte {
-	if fe := n.frontendFor(u.Mailbox()); fe != nil {
-		return fe.Fetch(u, round)
-	}
-	return nil
-}
-
-// FetchMailbox downloads a mailbox by identifier, the transport-layer
-// variant of Fetch.
-func (n *Network) FetchMailbox(round uint64, mailbox []byte) [][]byte {
-	if fe := n.frontendFor(mailbox); fe != nil {
-		return fe.FetchMailbox(round, mailbox)
-	}
-	return nil
-}
-
-// AckMailbox prunes a mailbox's messages for a round after its owner
-// confirmed receipt (see Frontend.AckMailbox), returning how many
-// were removed.
-func (n *Network) AckMailbox(round uint64, mailbox []byte) int {
-	if fe := n.frontendFor(mailbox); fe != nil {
-		return fe.AckMailbox(round, mailbox)
-	}
-	return 0
-}
-
-// PruneBefore discards mailbox state older than the given round on
-// every in-process shard.
-func (n *Network) PruneBefore(round uint64) {
-	for _, sh := range n.shards {
-		if fe, ok := sh.(*Frontend); ok {
-			fe.PruneBefore(round)
-		}
-	}
-}
-
-// Register records network-transport users' mailbox identifiers, each
-// owning shard's share in one Frontend.Register call, all or nothing
-// per shard. An identifier whose shard is remote refuses the whole
-// call before any shard registers.
-func (n *Network) Register(mailboxes ...[]byte) error {
-	parts := make([][][]byte, len(n.shards))
-	for _, mb := range mailboxes {
-		i := n.owner[OwnerShard(mb)]
-		if _, ok := n.shards[i].(*Frontend); !ok {
-			return fmt.Errorf("core: mailbox's gateway shard %s is remote; register through its transport",
-				n.shards[i].Range())
-		}
-		parts[i] = append(parts[i], mb)
-	}
-	for i, part := range parts {
-		if len(part) > 0 {
-			if err := n.shards[i].(*Frontend).Register(part...); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// SubmitExternal queues a remote user's round output with the shard
-// owning her mailbox (see external.go for the window semantics).
-func (n *Network) SubmitExternal(mailbox string, out *client.RoundOutput) error {
-	fe := n.frontendFor([]byte(mailbox))
-	if fe == nil {
-		return fmt.Errorf("core: mailbox's gateway shard %s is remote; submit through its transport",
-			n.shardFor([]byte(mailbox)).Range())
-	}
-	return fe.SubmitExternal(mailbox, out)
-}
-
-// StrandedError reports whether the user behind mailbox was stranded
-// in the given executed round: a deterministic error wrapping
-// ErrRoundRetry if so, nil otherwise. Records are kept for the last
-// strandedRetention rounds on the owning shard.
-func (n *Network) StrandedError(round uint64, mailbox []byte) error {
-	if fe := n.frontendFor(mailbox); fe != nil {
-		return fe.StrandedError(round, mailbox)
-	}
-	return nil
-}
-
 // RoundReport summarises one executed round.
 type RoundReport struct {
 	// Round is the executed round number.
@@ -642,9 +442,8 @@ type RoundReport struct {
 	// keys (an unreachable hop); their users are stranded for the
 	// round and, with Recover on, the chain re-forms before the next.
 	DeadChains []int
-	// DeadShards lists gateway shards (indices into Config.Shards, or
-	// 0 for the default Frontend) that failed their round-begin or
-	// round-finish call: their users contributed nothing (begin) or
+	// DeadShards lists gateway shards (indices into Config.Shards) that
+	// failed their round-begin or round-finish call: their users contributed nothing (begin) or
 	// lost their deliveries (finish); everyone else's round completed.
 	DeadShards []int
 	// LostDeliveries counts mailbox messages that were mixed but could
@@ -1005,7 +804,7 @@ func (n *Network) prepareRound(rho uint64) (*preparedRound, error) {
 // failed announce) are evicted and the chains re-formed over the
 // survivors before this round executes, and chains that cannot
 // announce this round's keys run dead — their users are stranded for
-// the round (see StrandedError) rather than wedging the deployment.
+// the round (see Frontend.StrandedError) rather than wedging the deployment.
 // A gateway shard that fails its round-begin call is dead for the
 // round: it contributes no traffic and the round proceeds without it.
 func (n *Network) RunRound() (*RoundReport, error) {
@@ -1230,7 +1029,7 @@ func (n *Network) executeRound(p *preparedRound) (*RoundReport, error) {
 		for _, msg := range deliveries[c] {
 			rcpt, err := onion.Recipient(msg)
 			if err != nil {
-				continue // malformed; the monolith dropped these at the cluster
+				continue // malformed: it names no recipient to route to
 			}
 			i := n.owner[OwnerShard(rcpt)]
 			perShard[i] = append(perShard[i], msg)

@@ -4,24 +4,39 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/aead"
 	"repro/internal/client"
 	"repro/internal/mix"
 	"repro/internal/onion"
 	"repro/internal/topology"
 )
 
-func testNetwork(t testing.TB, servers, k int) *Network {
+// fullFrontend is one full-range Frontend: the gateway shard of a
+// single-process deployment.
+func fullFrontend(t testing.TB, cfg FrontendConfig) *Frontend {
 	t.Helper()
+	fe, err := NewFrontend(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fe
+}
+
+// testNetwork builds the single-process deployment: a coordinator
+// over one full-range Frontend, which holds the users.
+func testNetwork(t testing.TB, servers, k int) (*Network, *Frontend) {
+	t.Helper()
+	fe := fullFrontend(t, FrontendConfig{MailboxServers: 2})
 	n, err := NewNetwork(Config{
 		NumServers:          servers,
 		ChainLengthOverride: k,
 		Seed:                []byte("test-beacon"),
-		MailboxServers:      2,
+		Shards:              []GatewayShard{fe},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return n
+	return n, fe
 }
 
 // runRound executes a round and fails the test on orchestration
@@ -36,10 +51,10 @@ func runRound(t testing.TB, n *Network) *RoundReport {
 }
 
 func TestIdleUsersReceiveAllLoopbacks(t *testing.T) {
-	n := testNetwork(t, 6, 3)
+	n, fe := testNetwork(t, 6, 3)
 	users := make([]*client.User, 5)
 	for i := range users {
-		users[i] = n.NewUser()
+		users[i] = fe.NewUser()
 	}
 	rep := runRound(t, n)
 	if len(rep.HaltedChains) != 0 || len(rep.BlamedUsers) != 0 {
@@ -50,7 +65,7 @@ func TestIdleUsersReceiveAllLoopbacks(t *testing.T) {
 		t.Fatalf("delivered %d, want %d", rep.Delivered, want)
 	}
 	for i, u := range users {
-		msgs := n.Fetch(u, rep.Round)
+		msgs := fe.Fetch(u, rep.Round)
 		if len(msgs) != l {
 			t.Fatalf("user %d got %d messages, want ℓ=%d", i, len(msgs), l)
 		}
@@ -67,12 +82,12 @@ func TestIdleUsersReceiveAllLoopbacks(t *testing.T) {
 }
 
 func TestConversationDeliversBodies(t *testing.T) {
-	n := testNetwork(t, 6, 3)
-	alice := n.NewUser()
-	bob := n.NewUser()
+	n, fe := testNetwork(t, 6, 3)
+	alice := fe.NewUser()
+	bob := fe.NewUser()
 	// A few bystanders so chains carry more than the pair.
 	for i := 0; i < 4; i++ {
-		n.NewUser()
+		fe.NewUser()
 	}
 	alice.StartConversation(bob.PublicKey())
 	bob.StartConversation(alice.PublicKey())
@@ -84,11 +99,11 @@ func TestConversationDeliversBodies(t *testing.T) {
 	}
 
 	rep := runRound(t, n)
-	gotAtBob := openAndFindPartnerBody(t, n, bob, rep.Round)
+	gotAtBob := openAndFindPartnerBody(t, fe, bob, rep.Round)
 	if string(gotAtBob) != "hi bob, meet at the crossroads" {
 		t.Fatalf("bob received %q", gotAtBob)
 	}
-	gotAtAlice := openAndFindPartnerBody(t, n, alice, rep.Round)
+	gotAtAlice := openAndFindPartnerBody(t, fe, alice, rep.Round)
 	if string(gotAtAlice) != "hi alice" {
 		t.Fatalf("alice received %q", gotAtAlice)
 	}
@@ -96,9 +111,9 @@ func TestConversationDeliversBodies(t *testing.T) {
 
 // openAndFindPartnerBody fetches and returns the single conversation
 // body a user received in the round.
-func openAndFindPartnerBody(t testing.TB, n *Network, u *client.User, round uint64) []byte {
+func openAndFindPartnerBody(t testing.TB, fe *Frontend, u *client.User, round uint64) []byte {
 	t.Helper()
-	recv, bad := u.OpenMailbox(round, n.Fetch(u, round))
+	recv, bad := u.OpenMailbox(round, fe.Fetch(u, round))
 	if bad != 0 {
 		t.Fatalf("%d undecryptable messages", bad)
 	}
@@ -120,17 +135,17 @@ func openAndFindPartnerBody(t testing.TB, n *Network, u *client.User, round uint
 // behind relationship unobservability (§4.1): every user sends and
 // receives exactly ℓ messages per round whether or not she converses.
 func TestTrafficCountsIndistinguishable(t *testing.T) {
-	n := testNetwork(t, 6, 3)
-	alice := n.NewUser()
-	bob := n.NewUser()
-	idle := n.NewUser()
+	n, fe := testNetwork(t, 6, 3)
+	alice := fe.NewUser()
+	bob := fe.NewUser()
+	idle := fe.NewUser()
 	alice.StartConversation(bob.PublicKey())
 	bob.StartConversation(alice.PublicKey())
 
 	rep := runRound(t, n)
 	l := n.Plan().L
 	for name, u := range map[string]*client.User{"alice": alice, "bob": bob, "idle": idle} {
-		if got := len(n.Fetch(u, rep.Round)); got != l {
+		if got := len(fe.Fetch(u, rep.Round)); got != l {
 			t.Fatalf("%s received %d messages, want ℓ=%d", name, got, l)
 		}
 		if got := len(u.Chains()); got != l {
@@ -140,9 +155,9 @@ func TestTrafficCountsIndistinguishable(t *testing.T) {
 }
 
 func TestMultipleRounds(t *testing.T) {
-	n := testNetwork(t, 6, 3)
-	alice := n.NewUser()
-	bob := n.NewUser()
+	n, fe := testNetwork(t, 6, 3)
+	alice := fe.NewUser()
+	bob := fe.NewUser()
 	alice.StartConversation(bob.PublicKey())
 	bob.StartConversation(alice.PublicKey())
 	for r := 0; r < 3; r++ {
@@ -151,7 +166,7 @@ func TestMultipleRounds(t *testing.T) {
 			t.Fatal(err)
 		}
 		rep := runRound(t, n)
-		got := openAndFindPartnerBody(t, n, bob, rep.Round)
+		got := openAndFindPartnerBody(t, fe, bob, rep.Round)
 		if string(got) != msg {
 			t.Fatalf("round %d: bob got %q", r, got)
 		}
@@ -165,28 +180,28 @@ func TestMultipleRounds(t *testing.T) {
 // covers run in her place and Bob receives the KindOffline signal,
 // after which he reverts to loopbacks (§5.3.3).
 func TestUserChurnCoverMessages(t *testing.T) {
-	n := testNetwork(t, 6, 3)
-	alice := n.NewUser()
-	bob := n.NewUser()
+	n, fe := testNetwork(t, 6, 3)
+	alice := fe.NewUser()
+	bob := fe.NewUser()
 	alice.StartConversation(bob.PublicKey())
 	bob.StartConversation(alice.PublicKey())
 
 	// Round 1: both online; covers for round 2 are stored.
 	runRound(t, n)
-	recvBob, _ := bob.OpenMailbox(1, n.Fetch(bob, 1))
+	recvBob, _ := bob.OpenMailbox(1, fe.Fetch(bob, 1))
 	if len(recvBob) != n.Plan().L {
 		t.Fatalf("bob got %d messages in round 1", len(recvBob))
 	}
 
 	// Round 2: Alice is offline; her covers are used.
-	n.SetOnline(alice, false)
+	fe.SetOnline(alice, false)
 	rep := runRound(t, n)
 	if rep.OfflineCovered != 1 {
 		t.Fatalf("OfflineCovered = %d, want 1", rep.OfflineCovered)
 	}
 	// Bob still receives a full mailbox: ℓ−1 loopbacks plus Alice's
 	// cover conversation message signalling she left.
-	msgs := n.Fetch(bob, rep.Round)
+	msgs := fe.Fetch(bob, rep.Round)
 	if len(msgs) != n.Plan().L {
 		t.Fatalf("bob got %d messages in round 2, want ℓ=%d", len(msgs), n.Plan().L)
 	}
@@ -213,7 +228,7 @@ func TestUserChurnCoverMessages(t *testing.T) {
 	if rep3.OfflineCovered != 0 {
 		t.Fatalf("covers reused: %d", rep3.OfflineCovered)
 	}
-	recv3, bad3 := bob.OpenMailbox(rep3.Round, n.Fetch(bob, rep3.Round))
+	recv3, bad3 := bob.OpenMailbox(rep3.Round, fe.Fetch(bob, rep3.Round))
 	if bad3 != 0 || len(recv3) != n.Plan().L {
 		t.Fatalf("round 3: bob got %d messages (%d bad)", len(recv3), bad3)
 	}
@@ -227,10 +242,10 @@ func TestUserChurnCoverMessages(t *testing.T) {
 // TestServerChurnFailsOnlyAffectedChains (§5.2.3): chains without the
 // crashed server keep delivering.
 func TestServerChurnFailsOnlyAffectedChains(t *testing.T) {
-	n := testNetwork(t, 10, 3)
+	n, fe := testNetwork(t, 10, 3)
 	users := make([]*client.User, 6)
 	for i := range users {
-		users[i] = n.NewUser()
+		users[i] = fe.NewUser()
 	}
 	n.FailServer(0)
 	rep := runRound(t, n)
@@ -253,7 +268,7 @@ func TestServerChurnFailsOnlyAffectedChains(t *testing.T) {
 				healthy++
 			}
 		}
-		if got := len(n.Fetch(u, rep.Round)); got != healthy {
+		if got := len(fe.Fetch(u, rep.Round)); got != healthy {
 			t.Fatalf("user %d received %d, want %d healthy-chain messages", i, got, healthy)
 		}
 	}
@@ -269,10 +284,10 @@ func TestServerChurnFailsOnlyAffectedChains(t *testing.T) {
 // chain with no delivery and is blamed; other chains are unaffected
 // (§6).
 func TestActiveServerAttackHaltsChain(t *testing.T) {
-	n := testNetwork(t, 6, 3)
+	n, fe := testNetwork(t, 6, 3)
 	users := make([]*client.User, 6)
 	for i := range users {
-		users[i] = n.NewUser()
+		users[i] = fe.NewUser()
 	}
 	// Pick a chain that at least two users send to: the
 	// product-preserving tamper needs two messages to shift against
@@ -314,7 +329,7 @@ func TestActiveServerAttackHaltsChain(t *testing.T) {
 				expected++
 			}
 		}
-		if got := len(n.Fetch(u, rep.Round)); got != expected {
+		if got := len(fe.Fetch(u, rep.Round)); got != expected {
 			t.Fatalf("user %d received %d, want %d", i, got, expected)
 		}
 	}
@@ -324,16 +339,16 @@ func TestActiveServerAttackHaltsChain(t *testing.T) {
 // submission is convicted, the round completes for honest users, and
 // the report names the injection.
 func TestMaliciousUserRemovedNetworkWide(t *testing.T) {
-	n := testNetwork(t, 6, 3)
+	n, fe := testNetwork(t, 6, 3)
 	users := make([]*client.User, 4)
 	for i := range users {
-		users[i] = n.NewUser()
+		users[i] = fe.NewUser()
 	}
 	params, err := n.ChainParams(2, n.Round())
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad, err := mix.MaliciousSubmission(n.scheme, params, n.Round(), client.LaneCurrent, 1)
+	bad, err := mix.MaliciousSubmission(aead.ChaCha20Poly1305(), params, n.Round(), client.LaneCurrent, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,16 +372,16 @@ func TestMaliciousUserRemovedNetworkWide(t *testing.T) {
 // TestRegisteredMaliciousUserIsRemoved: a registered user who also
 // submits garbage is convicted and stops participating.
 func TestRegisteredMaliciousUserIsRemoved(t *testing.T) {
-	n := testNetwork(t, 6, 3)
-	honest := n.NewUser()
-	mallory := n.NewUser()
+	n, fe := testNetwork(t, 6, 3)
+	honest := fe.NewUser()
+	mallory := fe.NewUser()
 	// Mallory's real submissions are fine; she additionally injects
 	// garbage attributed to her mailbox by submitting directly.
 	params, err := n.ChainParams(1, n.Round())
 	if err != nil {
 		t.Fatal(err)
 	}
-	badSub, err := mix.MaliciousSubmission(n.scheme, params, n.Round(), client.LaneCurrent, 0)
+	badSub, err := mix.MaliciousSubmission(aead.ChaCha20Poly1305(), params, n.Round(), client.LaneCurrent, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,11 +392,11 @@ func TestRegisteredMaliciousUserIsRemoved(t *testing.T) {
 	if len(rep.BlamedUsers) != 1 {
 		t.Fatalf("blamed = %v", rep.BlamedUsers)
 	}
-	if n.IsRemoved(honest) || n.IsRemoved(mallory) {
+	if fe.IsRemoved(honest) || fe.IsRemoved(mallory) {
 		t.Fatal("registered users wrongly removed for injected garbage")
 	}
 	// Honest traffic was unaffected.
-	recv, bad := honest.OpenMailbox(rep.Round, n.Fetch(honest, rep.Round))
+	recv, bad := honest.OpenMailbox(rep.Round, fe.Fetch(honest, rep.Round))
 	if bad != 0 || len(recv) != n.Plan().L {
 		t.Fatalf("honest user got %d messages (%d bad)", len(recv), bad)
 	}
@@ -390,14 +405,14 @@ func TestRegisteredMaliciousUserIsRemoved(t *testing.T) {
 func TestSelfConversation(t *testing.T) {
 	// The security game allows (X_i, Y_i) with X_i = Y_i: a user
 	// "conversing with herself" must behave like any conversation.
-	n := testNetwork(t, 6, 3)
-	alice := n.NewUser()
+	n, fe := testNetwork(t, 6, 3)
+	alice := fe.NewUser()
 	alice.StartConversation(alice.PublicKey())
 	if err := alice.QueueMessage([]byte("note to self")); err != nil {
 		t.Fatal(err)
 	}
 	rep := runRound(t, n)
-	recv, bad := alice.OpenMailbox(rep.Round, n.Fetch(alice, rep.Round))
+	recv, bad := alice.OpenMailbox(rep.Round, fe.Fetch(alice, rep.Round))
 	if bad != 0 {
 		t.Fatalf("%d undecryptable", bad)
 	}
@@ -413,11 +428,15 @@ func TestSelfConversation(t *testing.T) {
 }
 
 func TestNetworkConfigValidation(t *testing.T) {
-	if _, err := NewNetwork(Config{NumServers: 0}); err == nil {
+	shards := []GatewayShard{fullFrontend(t, FrontendConfig{})}
+	if _, err := NewNetwork(Config{NumServers: 0, Shards: shards}); err == nil {
 		t.Fatal("zero servers accepted")
 	}
-	if _, err := NewNetwork(Config{NumServers: 5, F: 0.2}); err == nil {
+	if _, err := NewNetwork(Config{NumServers: 5, F: 0.2, Shards: shards}); err == nil {
 		t.Fatal("k > N accepted without override")
+	}
+	if _, err := NewNetwork(Config{NumServers: 4, ChainLengthOverride: 2}); err == nil {
+		t.Fatal("a network without gateway shards accepted")
 	}
 }
 
@@ -426,7 +445,7 @@ func TestNetworkConfigValidation(t *testing.T) {
 // way to size chains.
 func TestChainLengthDerivedFromF(t *testing.T) {
 	const servers, f = 8, 0.001
-	n, err := NewNetwork(Config{NumServers: servers, F: f, Seed: []byte("test-beacon")})
+	n, err := NewNetwork(Config{NumServers: servers, F: f, Seed: []byte("test-beacon"), Shards: []GatewayShard{fullFrontend(t, FrontendConfig{})}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,22 +455,18 @@ func TestChainLengthDerivedFromF(t *testing.T) {
 	}
 }
 
-// TestMailboxServersSizesTheCluster: Config.MailboxServers sizes the
-// default Frontend's mailbox cluster (§5.1); zero means one server.
+// TestMailboxServersSizesTheCluster: FrontendConfig.MailboxServers
+// sizes a shard's mailbox cluster (§5.1); zero means one server.
 func TestMailboxServersSizesTheCluster(t *testing.T) {
 	for _, tc := range []struct{ cfg, want int }{{0, 1}, {3, 3}} {
-		n, err := NewNetwork(Config{NumServers: 4, ChainLengthOverride: 2, MailboxServers: tc.cfg})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := n.shards[0].(*Frontend).boxes.NumServers(); got != tc.want {
+		if got := fullFrontend(t, FrontendConfig{MailboxServers: tc.cfg}).boxes.NumServers(); got != tc.want {
 			t.Fatalf("MailboxServers %d: %d mailbox servers, want %d", tc.cfg, got, tc.want)
 		}
 	}
 }
 
 func TestChainParamsErrors(t *testing.T) {
-	n := testNetwork(t, 6, 3)
+	n, _ := testNetwork(t, 6, 3)
 	if _, err := n.ChainParams(-1, 1); err == nil {
 		t.Fatal("negative chain accepted")
 	}
@@ -464,16 +479,18 @@ func TestChainParamsErrors(t *testing.T) {
 }
 
 func BenchmarkNetworkRound(b *testing.B) {
+	fe := fullFrontend(b, FrontendConfig{})
 	n, err := NewNetwork(Config{
 		NumServers:          10,
 		ChainLengthOverride: 3,
 		Seed:                []byte("bench"),
+		Shards:              []GatewayShard{fe},
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
 	for i := 0; i < 20; i++ {
-		n.NewUser()
+		fe.NewUser()
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -493,13 +510,14 @@ func BenchmarkNetworkRound(b *testing.B) {
 func TestTwoWorldsIndistinguishableCounts(t *testing.T) {
 	type world struct {
 		n     *Network
+		fe    *Frontend
 		users []*client.User
 	}
 	build := func(converse bool) world {
-		n := testNetwork(t, 6, 3)
-		w := world{n: n}
+		n, fe := testNetwork(t, 6, 3)
+		w := world{n: n, fe: fe}
 		for i := 0; i < 6; i++ {
-			w.users = append(w.users, n.NewUser())
+			w.users = append(w.users, fe.NewUser())
 		}
 		if converse {
 			if err := w.users[0].StartConversation(w.users[1].PublicKey()); err != nil {
@@ -515,7 +533,7 @@ func TestTwoWorldsIndistinguishableCounts(t *testing.T) {
 
 	observe := func(w world, round uint64) (recvCounts []int, total int) {
 		for _, u := range w.users {
-			msgs := w.n.Fetch(u, round)
+			msgs := w.fe.Fetch(u, round)
 			recvCounts = append(recvCounts, len(msgs))
 			for _, m := range msgs {
 				total += len(m)
@@ -526,8 +544,8 @@ func TestTwoWorldsIndistinguishableCounts(t *testing.T) {
 	for r := 0; r < 3; r++ {
 		if r == 2 {
 			// Same churn event in both worlds.
-			wa.n.SetOnline(wa.users[0], false)
-			wb.n.SetOnline(wb.users[0], false)
+			wa.fe.SetOnline(wa.users[0], false)
+			wb.fe.SetOnline(wb.users[0], false)
 		}
 		ra, err := wa.n.RunRound()
 		if err != nil {

@@ -21,7 +21,7 @@ import (
 // silently never mixed. A submission for a round after the open one is
 // refused too, naming the round that is open.
 func TestSubmitExternalRejectsCollectedRound(t *testing.T) {
-	n := testNetwork(t, 6, 2)
+	n, fe := testNetwork(t, 6, 2)
 	u := client.NewUser(nil, n.Plan())
 	out, err := u.BuildRound(n.Round(), n)
 	if err != nil {
@@ -30,19 +30,18 @@ func TestSubmitExternalRejectsCollectedRound(t *testing.T) {
 
 	ahead := *out
 	ahead.Round++
-	if err := n.SubmitExternal(string(u.Mailbox()), &ahead); err == nil || !strings.Contains(err.Error(), "round 1 is open") {
+	if err := fe.SubmitExternal(string(u.Mailbox()), &ahead); err == nil || !strings.Contains(err.Error(), "round 1 is open") {
 		t.Fatalf("early submission: %v", err)
 	}
 
 	// Before collection the submission is accepted.
-	if err := n.SubmitExternal(string(u.Mailbox()), out); err != nil {
+	if err := fe.SubmitExternal(string(u.Mailbox()), out); err != nil {
 		t.Fatalf("pre-collection submission rejected: %v", err)
 	}
 
 	// Simulate the mid-round window: the round is still open (the
 	// counter advances only after mixing and delivery) but external
 	// traffic has been collected.
-	fe := n.Shards()[0].(*Frontend)
 	fe.mu.Lock()
 	fe.collected = fe.round
 	fe.mu.Unlock()
@@ -52,7 +51,7 @@ func TestSubmitExternalRejectsCollectedRound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = n.SubmitExternal(string(u2.Mailbox()), out2)
+	err = fe.SubmitExternal(string(u2.Mailbox()), out2)
 	if err == nil {
 		t.Fatal("submission accepted after its round's traffic was collected")
 	}
@@ -66,7 +65,7 @@ func TestSubmitExternalRejectsCollectedRound(t *testing.T) {
 // transport-layer users, so without the transport ban a convicted
 // remote user could resubmit every round in violation of §6.4.
 func TestConvictedExternalUserIsBanned(t *testing.T) {
-	n := testNetwork(t, 6, 2)
+	n, fe := testNetwork(t, 6, 2)
 	u := client.NewUser(nil, n.Plan())
 	mailbox := string(u.Mailbox())
 
@@ -84,7 +83,7 @@ func TestConvictedExternalUserIsBanned(t *testing.T) {
 		Round:   n.Round(),
 		Current: []client.ChainMessage{{Chain: 0, Sub: bad}},
 	}
-	if err := n.SubmitExternal(mailbox, out); err != nil {
+	if err := fe.SubmitExternal(mailbox, out); err != nil {
 		t.Fatalf("initial submission rejected: %v", err)
 	}
 
@@ -105,7 +104,7 @@ func TestConvictedExternalUserIsBanned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = n.SubmitExternal(mailbox, out2)
+	err = fe.SubmitExternal(mailbox, out2)
 	if err == nil {
 		t.Fatal("convicted external user's submission accepted")
 	}
@@ -119,7 +118,7 @@ func TestConvictedExternalUserIsBanned(t *testing.T) {
 	if rep2.OfflineCovered != 0 {
 		t.Fatalf("a banned user's covers ran: %+v", rep2)
 	}
-	if err := n.SubmitExternal(mailbox, out2); err == nil {
+	if err := fe.SubmitExternal(mailbox, out2); err == nil {
 		t.Fatal("ban lapsed after a round")
 	}
 }
@@ -131,7 +130,7 @@ func TestConvictedExternalUserIsBanned(t *testing.T) {
 // round the gateway announces. A submission for the round after it is
 // refused, naming the round that is open.
 func TestExternalSubmitWhilePipelined(t *testing.T) {
-	n := testNetwork(t, 6, 2)
+	n, fe := testNetwork(t, 6, 2)
 	u := client.NewUser(nil, n.Plan())
 	mailbox := string(u.Mailbox())
 	for want := uint64(1); want <= 2; want++ {
@@ -141,10 +140,10 @@ func TestExternalSubmitWhilePipelined(t *testing.T) {
 		}
 		ahead := *out
 		ahead.Round++
-		if err := n.SubmitExternal(mailbox, &ahead); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("round %d is open", want)) {
+		if err := fe.SubmitExternal(mailbox, &ahead); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("round %d is open", want)) {
 			t.Fatalf("round %d: early submission: %v", want, err)
 		}
-		if err := n.SubmitExternal(mailbox, out); err != nil {
+		if err := fe.SubmitExternal(mailbox, out); err != nil {
 			t.Fatalf("round %d refused the announced round: %v", want, err)
 		}
 		if rep := runRound(t, n); rep.Round != want || rep.Delivered == 0 {
@@ -173,8 +172,11 @@ func (s *syncFails) Sync() error {
 func TestSubmitRefusedAtPersistLeavesNoTrace(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	st := &syncFails{fail: true}
-	fe, err := NewFrontend(FrontendConfig{NumChains: 3, Store: st})
+	fe, err := NewFrontend(FrontendConfig{Store: st})
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fe.Rebalance(0, 3); err != nil {
 		t.Fatal(err)
 	}
 	stranger, banked := string(testMailbox(0)), string(testMailbox(1))
@@ -220,8 +222,11 @@ func TestExternalUserBytes(t *testing.T) {
 	for i, id := range randomMailboxes(4, n) {
 		who[i] = string(id)
 	}
-	fe, err := NewFrontend(FrontendConfig{NumChains: 3})
+	fe, err := NewFrontend(FrontendConfig{})
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fe.Rebalance(0, 3); err != nil {
 		t.Fatal(err)
 	}
 	var before, after runtime.MemStats

@@ -95,6 +95,7 @@ func TestHopProvidersCalledOneAtATime(t *testing.T) {
 			NumServers:          servers,
 			ChainLengthOverride: k,
 			Seed:                []byte("provider-contract"),
+			Shards:              []GatewayShard{fullFrontend(t, FrontendConfig{})},
 			RemoteHops: func(chain, pos int, base group.Point) (mix.Hop, error) {
 				return l.call(0, chain, pos, base), nil
 			},
@@ -106,10 +107,12 @@ func TestHopProvidersCalledOneAtATime(t *testing.T) {
 	})
 	t.Run("HopForServer", func(t *testing.T) {
 		l := &providerLog{calls: make(map[[2]int][]providerCall)}
+		fe := fullFrontend(t, FrontendConfig{})
 		n, err := NewNetwork(Config{
 			NumServers:          servers,
 			ChainLengthOverride: k,
 			Seed:                []byte("provider-contract"),
+			Shards:              []GatewayShard{fe},
 			Recover:             true,
 			HopForServer: func(epoch uint64, server, chain, pos int, base group.Point) (mix.Hop, error) {
 				return l.call(epoch, chain, pos, base), nil
@@ -119,7 +122,7 @@ func TestHopProvidersCalledOneAtATime(t *testing.T) {
 			t.Fatal(err)
 		}
 		founding := n.NumChains()
-		alice, bob := n.NewUser(), n.NewUser()
+		alice, bob := fe.NewUser(), fe.NewUser()
 		if err := alice.StartConversation(bob.PublicKey()); err != nil {
 			t.Fatal(err)
 		}
@@ -178,7 +181,8 @@ func TestRemoteHopsAdapter(t *testing.T) {
 			placed = append(placed, slot{epoch, chain, pos})
 			return placingHop{Hop: mix.LocalHop(mix.NewChainServer(chain, pos, base, nil)), mixes: &mixes}
 		}
-		cfg := Config{NumServers: servers, ChainLengthOverride: k, Seed: []byte("adapter"), Recover: true}
+		fe := fullFrontend(t, FrontendConfig{})
+		cfg := Config{NumServers: servers, ChainLengthOverride: k, Seed: []byte("adapter"), Recover: true, Shards: []GatewayShard{fe}}
 		if adapter {
 			cfg.RemoteHops = func(chain, pos int, base group.Point) (mix.Hop, error) {
 				return place(0, chain, pos, base), nil
@@ -208,7 +212,7 @@ func TestRemoteHopsAdapter(t *testing.T) {
 			t.Fatalf("remote positions %v, want %v", placed, want)
 		}
 
-		alice, bob := n.NewUser(), n.NewUser()
+		alice, bob := fe.NewUser(), fe.NewUser()
 		if err := alice.StartConversation(bob.PublicKey()); err != nil {
 			t.Fatal(err)
 		}
@@ -221,7 +225,7 @@ func TestRemoteHopsAdapter(t *testing.T) {
 				t.Fatal(err)
 			}
 			rep := runRound(t, n)
-			recv, bad := bob.OpenMailbox(rep.Round, n.Fetch(bob, rep.Round))
+			recv, bad := bob.OpenMailbox(rep.Round, fe.Fetch(bob, rep.Round))
 			if bad != 0 {
 				t.Fatalf("round %d: %d undecryptable messages", rep.Round, bad)
 			}
@@ -267,14 +271,20 @@ func TestRemoteHopsAdapter(t *testing.T) {
 }
 
 // BenchmarkNewNetwork stands up mix-k6's shape — 8 chains of 6
-// in-process positions, the default Frontend — from topology to the
-// announced founding rounds: what an epoch's formation costs.
+// in-process positions and one full-range Frontend, built inside the
+// timed loop — from topology to the announced founding rounds: what an
+// epoch's formation costs.
 func BenchmarkNewNetwork(b *testing.B) {
 	for i := 0; i < b.N; i++ {
+		fe, err := NewFrontend(FrontendConfig{})
+		if err != nil {
+			b.Fatal(err)
+		}
 		if _, err := NewNetwork(Config{
 			NumServers:          8,
 			ChainLengthOverride: 6,
 			Seed:                []byte("bench-new-network"),
+			Shards:              []GatewayShard{fe},
 		}); err != nil {
 			b.Fatal(err)
 		}

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/aead"
 	"repro/internal/chainsel"
 	"repro/internal/client"
 	"repro/internal/mailbox"
@@ -19,17 +18,10 @@ import (
 // FrontendConfig describes one gateway front-end shard.
 type FrontendConfig struct {
 	// Range is the registry-shard slice this frontend owns; the zero
-	// value means the full space (the monolith).
+	// value means the full space (a single-process deployment).
 	Range ShardRange
-	// NumChains, when nonzero, installs the chain-selection plan for
-	// epoch 0 immediately; zero defers it to the first Rebalance or
-	// BeginRound (a gateway process learns the chain count from the
-	// coordinator).
-	NumChains int
 	// MailboxServers sizes this shard's mailbox cluster; zero means 1.
 	MailboxServers int
-	// Scheme is the AEAD; nil means ChaCha20-Poly1305.
-	Scheme aead.Scheme
 	// Workers sizes the build worker pool; zero means GOMAXPROCS.
 	Workers int
 	// MailboxDepth caps each mailbox's retained messages, evicting
@@ -66,7 +58,6 @@ type FrontendConfig struct {
 // calls are safe concurrently with all of them.
 type Frontend struct {
 	rng     ShardRange
-	scheme  aead.Scheme
 	boxes   *mailbox.Cluster
 	workers int
 	reg     *registry
@@ -89,8 +80,7 @@ type Frontend struct {
 	// params is the last pushed parameter snapshot, serving client
 	// ChainParams between rounds.
 	params *roundParams
-	// stranded, externals, banned: see the corresponding Network
-	// fields before the split (external.go, recover.go).
+	// stranded, externals, banned: see external.go and recover.go.
 	stranded  map[uint64]map[string]bool
 	externals map[string]*externalUser
 	banned    map[string]bool
@@ -105,9 +95,6 @@ func NewFrontend(cfg FrontendConfig) (*Frontend, error) {
 	}
 	if err := cfg.Range.Validate(); err != nil {
 		return nil, err
-	}
-	if cfg.Scheme == nil {
-		cfg.Scheme = aead.ChaCha20Poly1305()
 	}
 	if cfg.MailboxServers == 0 {
 		cfg.MailboxServers = 1
@@ -133,7 +120,6 @@ func NewFrontend(cfg FrontendConfig) (*Frontend, error) {
 	}
 	f := &Frontend{
 		rng:           cfg.Range,
-		scheme:        cfg.Scheme,
 		boxes:         boxes,
 		workers:       workers,
 		reg:           newRegistry(),
@@ -146,11 +132,6 @@ func NewFrontend(cfg FrontendConfig) (*Frontend, error) {
 	}
 	if cfg.Recovered != nil {
 		if err := f.recover(cfg.Recovered); err != nil {
-			return nil, err
-		}
-	}
-	if cfg.NumChains > 0 {
-		if err := f.Rebalance(0, cfg.NumChains); err != nil {
 			return nil, err
 		}
 	}
@@ -249,7 +230,7 @@ func (f *Frontend) NewUser() *client.User {
 		return nil
 	}
 	for {
-		u := client.NewUser(f.scheme, plan)
+		u := client.NewUser(nil, plan)
 		if !f.rng.Owns(u.Mailbox()) {
 			continue
 		}
@@ -359,8 +340,11 @@ func registrationRecord(mailboxes [][]byte, shards []*userShard, buf []byte) []b
 // NumUsers returns the number of registered, non-removed users.
 func (f *Frontend) NumUsers() int { return f.reg.countActive() }
 
-// SetOnline marks an in-process user online or offline; see
-// Network.SetOnline for the churn semantics.
+// SetOnline marks an in-process user online or offline for subsequent
+// rounds. The first offline round is covered by her pre-submitted
+// cover messages (§5.3.3). If those covers ran while she was away, her
+// conversation was ended by the offline signal, so reconnecting
+// reverts her to loopback traffic until a conversation is re-initiated.
 func (f *Frontend) SetOnline(u *client.User, online bool) {
 	f.reg.update(string(u.Mailbox()), func(ru *registeredUser) {
 		if online && !ru.online && ru.coversUsed {

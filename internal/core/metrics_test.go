@@ -30,10 +30,10 @@ func roundCounterSnapshot() map[string]uint64 {
 // RoundReport carries — the report and /metrics must never disagree
 // about what a round did.
 func TestRoundReportMetricsParity(t *testing.T) {
-	n := testNetwork(t, 6, 3)
-	alice, bob := n.NewUser(), n.NewUser()
+	n, fe := testNetwork(t, 6, 3)
+	alice, bob := fe.NewUser(), fe.NewUser()
 	for i := 0; i < 3; i++ {
-		n.NewUser()
+		fe.NewUser()
 	}
 	alice.StartConversation(bob.PublicKey())
 	bob.StartConversation(alice.PublicKey())

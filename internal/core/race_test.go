@@ -13,10 +13,10 @@ import (
 // RunRound, and the rounds stay honest. Run with -race; it is the
 // regression test for the sharded-registry locking rules.
 func TestConcurrentRegistryDuringRounds(t *testing.T) {
-	n := testNetwork(t, 6, 2)
+	n, fe := testNetwork(t, 6, 2)
 	users := make([]*client.User, 12)
 	for i := range users {
-		users[i] = n.NewUser()
+		users[i] = fe.NewUser()
 	}
 	if err := users[0].StartConversation(users[1].PublicKey()); err != nil {
 		t.Fatal(err)
@@ -43,7 +43,7 @@ func TestConcurrentRegistryDuringRounds(t *testing.T) {
 			default:
 			}
 			for _, u := range users[2:6] {
-				n.SetOnline(u, online)
+				fe.SetOnline(u, online)
 			}
 			online = !online
 		}
@@ -63,7 +63,7 @@ func TestConcurrentRegistryDuringRounds(t *testing.T) {
 				return
 			default:
 			}
-			u := n.NewUser()
+			u := fe.NewUser()
 			lateMu.Lock()
 			late = append(late, u)
 			lateMu.Unlock()
@@ -84,10 +84,10 @@ func TestConcurrentRegistryDuringRounds(t *testing.T) {
 			default:
 			}
 			for _, u := range users {
-				n.Fetch(u, n.Round())
-				n.IsRemoved(u)
+				fe.Fetch(u, n.Round())
+				fe.IsRemoved(u)
 			}
-			n.NumUsers()
+			fe.NumUsers()
 		}
 	}()
 
@@ -106,7 +106,7 @@ func TestConcurrentRegistryDuringRounds(t *testing.T) {
 	// With churn quiesced, a final round must deliver ℓ messages to
 	// every stably-online user, including every late joiner.
 	for _, u := range users[2:6] {
-		n.SetOnline(u, true)
+		fe.SetOnline(u, true)
 	}
 	rep, err := n.RunRound()
 	if err != nil {
@@ -118,7 +118,7 @@ func TestConcurrentRegistryDuringRounds(t *testing.T) {
 	check = append(check, late...)
 	lateMu.Unlock()
 	for i, u := range check {
-		msgs := n.Fetch(u, rep.Round)
+		msgs := fe.Fetch(u, rep.Round)
 		if len(msgs) != l {
 			t.Fatalf("user %d got %d messages in quiesced round, want ℓ=%d", i, len(msgs), l)
 		}

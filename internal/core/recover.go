@@ -179,7 +179,7 @@ func (n *Network) reform() ([]int, error) {
 			continue
 		}
 
-		// Commit: swap the topology state first, so NewUser and the
+		// Commit: swap the topology state first, so Plan and the
 		// transport Status see the new plan, then broadcast the new
 		// epoch to every gateway shard — each rebalances its own users
 		// and discards external submissions built against the old

@@ -81,7 +81,6 @@ func TestCrashRecoveryExactlyOnce(t *testing.T) {
 		NumServers:          6,
 		ChainLengthOverride: 3,
 		Seed:                []byte("crash-beacon"),
-		MailboxServers:      2,
 		Shards:              []GatewayShard{shard},
 	})
 	if err != nil {

@@ -58,8 +58,11 @@ func goldenOutput(rng *rand.Rand, round uint64, numChains int) *client.RoundOutp
 func goldenShard(t testing.TB) *Frontend {
 	t.Helper()
 	rng := rand.New(rand.NewSource(33))
-	fe, err := NewFrontend(FrontendConfig{MailboxServers: 2, NumChains: 3})
+	fe, err := NewFrontend(FrontendConfig{MailboxServers: 2})
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fe.Rebalance(0, 3); err != nil {
 		t.Fatal(err)
 	}
 	ids := randomMailboxes(33, 24)
@@ -177,22 +180,22 @@ func TestPerIDImageReplays(t *testing.T) {
 // in-process user holds leaves her as she was — her client, her
 // conversation and her count of one.
 func TestRegisterKeepsInProcessUser(t *testing.T) {
-	n := testNetwork(t, 6, 3)
-	alice, bob := n.NewUser(), n.NewUser()
+	n, fe := testNetwork(t, 6, 3)
+	alice, bob := fe.NewUser(), fe.NewUser()
 	alice.StartConversation(bob.PublicKey())
 	bob.StartConversation(alice.PublicKey())
 	if err := alice.QueueMessage([]byte("still here")); err != nil {
 		t.Fatal(err)
 	}
-	users := n.NumUsers()
-	if err := n.Register(alice.Mailbox()); err != nil {
+	users := fe.NumUsers()
+	if err := fe.Register(alice.Mailbox()); err != nil {
 		t.Fatal(err)
 	}
-	if got := n.NumUsers(); got != users {
+	if got := fe.NumUsers(); got != users {
 		t.Fatalf("registering an in-process user's mailbox: %d users, want %d", got, users)
 	}
 	rep := runRound(t, n)
-	if got := openAndFindPartnerBody(t, n, bob, rep.Round); string(got) != "still here" {
+	if got := openAndFindPartnerBody(t, fe, bob, rep.Round); string(got) != "still here" {
 		t.Fatalf("bob received %q", got)
 	}
 }
@@ -457,8 +460,11 @@ func BenchmarkRegisterDurable(b *testing.B) {
 // BenchmarkSnapshotImage is the snapshot image of a shard holding
 // 100 000 registrations.
 func BenchmarkSnapshotImage(b *testing.B) {
-	fe, err := NewFrontend(FrontendConfig{NumChains: 3})
+	fe, err := NewFrontend(FrontendConfig{})
 	if err != nil {
+		b.Fatal(err)
+	}
+	if err := fe.Rebalance(0, 3); err != nil {
 		b.Fatal(err)
 	}
 	for _, id := range randomMailboxes(3, 100_000) {

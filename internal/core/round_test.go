@@ -10,14 +10,14 @@ import (
 	"repro/internal/onion"
 )
 
-// conversationScript sets up nPairs conversing pairs on a network and
+// conversationScript sets up nPairs conversing pairs on a Frontend and
 // queues every round's bodies up front, one per user per round, so the
 // body each round must deliver is known in advance.
-func conversationScript(t *testing.T, n *Network, nPairs, rounds int) []*client.User {
+func conversationScript(t *testing.T, fe *Frontend, nPairs, rounds int) []*client.User {
 	t.Helper()
 	users := make([]*client.User, 2*nPairs)
 	for i := range users {
-		users[i] = n.NewUser()
+		users[i] = fe.NewUser()
 	}
 	for i := 0; i < len(users); i += 2 {
 		a, b := users[i], users[i+1]
@@ -41,9 +41,9 @@ func conversationScript(t *testing.T, n *Network, nPairs, rounds int) []*client.
 
 // conversationBodies fetches and decrypts one user's mailbox for a
 // round and returns the conversation bodies received.
-func conversationBodies(t *testing.T, n *Network, u *client.User, round uint64) [][]byte {
+func conversationBodies(t *testing.T, fe *Frontend, u *client.User, round uint64) [][]byte {
 	t.Helper()
-	msgs := n.Fetch(u, round)
+	msgs := fe.Fetch(u, round)
 	received, undecryptable := u.OpenMailbox(round, msgs)
 	if undecryptable != 0 {
 		t.Fatalf("round %d: %d undecryptable messages", round, undecryptable)
@@ -64,17 +64,18 @@ func conversationBodies(t *testing.T, n *Network, u *client.User, round uint64) 
 // scripts are delivered on schedule.
 func TestHaltReformDeliversOnSchedule(t *testing.T) {
 	const rounds = 4
+	fe := fullFrontend(t, FrontendConfig{MailboxServers: 2})
 	n, err := NewNetwork(Config{
 		NumServers:          6,
 		ChainLengthOverride: 3,
 		Seed:                []byte("test-beacon"),
-		MailboxServers:      2,
+		Shards:              []GatewayShard{fe},
 		Recover:             true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	users := conversationScript(t, n, 1, rounds)
+	users := conversationScript(t, fe, 1, rounds)
 	a := users[0]
 
 	// Corrupt a chain away from the pair's meeting chain so the
@@ -86,7 +87,7 @@ func TestHaltReformDeliversOnSchedule(t *testing.T) {
 	}
 	victim := (meeting + 1) % n.NumChains()
 	for i := 0; i < 8; i++ {
-		n.NewUser()
+		fe.NewUser()
 	}
 
 	rep1 := runRound(t, n)
@@ -113,7 +114,7 @@ func TestHaltReformDeliversOnSchedule(t *testing.T) {
 			t.Fatalf("round %d: want epoch 1, re-formed %v, nothing halted; got %+v", r, reform, rep)
 		}
 		for i, u := range users {
-			bodies := conversationBodies(t, n, u, rep.Round)
+			bodies := conversationBodies(t, fe, u, rep.Round)
 			if want := fmt.Sprintf("round %d pair 0", r); len(bodies) != 1 || !bytes.HasPrefix(bodies[0], []byte(want)) {
 				t.Fatalf("round %d user %d: want the round-%d body, got %q", r, i, r, bodies)
 			}
@@ -127,16 +128,15 @@ func TestHaltReformDeliversOnSchedule(t *testing.T) {
 // resubmits.
 func TestCommittedRoundReleasesSubmissions(t *testing.T) {
 	const users = 12
-	n := testNetwork(t, 6, 3)
+	n, fe := testNetwork(t, 6, 3)
 	for i := 0; i < users; i++ {
-		n.NewUser()
+		fe.NewUser()
 	}
-	f := n.shards[0].(*Frontend)
 	for round := 1; round <= 3; round++ {
 		rep := runRound(t, n)
 		held, listed := 0, 0
-		for i := range f.reg.shards {
-			sh := &f.reg.shards[i]
+		for i := range fe.reg.shards {
+			sh := &fe.reg.shards[i]
 			listed += len(sh.built)
 			for _, ru := range sh.users {
 				if ru.built == nil || len(ru.built.Cover) == 0 || &ru.built.Cover[0] != &ru.cover[0] {

@@ -14,10 +14,9 @@
 // The partition key is the registry shard index (registry.go): each
 // gateway shard owns a contiguous half-open range [Lo, Hi) of the 64
 // registry shards, and a mailbox identifier hashes to its owner with
-// OwnerShard. The monolithic deployment is the degenerate case of one
-// in-process Frontend owning the full range — NewNetwork builds
-// exactly that when Config.Shards is empty, so a single-process
-// deployment pays nothing for the split.
+// OwnerShard. A single-process deployment is the degenerate case of
+// one in-process Frontend owning the full range, passed to NewNetwork
+// like any other shard, so it pays nothing for the split.
 //
 // One round crosses the boundary four times: BeginRound pushes the
 // round's parameters and collects every shard's batches (submission
@@ -51,7 +50,8 @@ type ShardRange struct {
 	Lo, Hi int
 }
 
-// FullRange spans the whole registry-shard space — the monolith.
+// FullRange spans the whole registry-shard space: the one Frontend of
+// a single-process deployment.
 func FullRange() ShardRange { return ShardRange{0, numShards} }
 
 // Contains reports whether the registry shard index is in the range.

@@ -26,7 +26,6 @@ func twoShardConfig(t testing.TB, servers, k int) (Config, *Frontend, *Frontend)
 		NumServers:          servers,
 		ChainLengthOverride: k,
 		Seed:                []byte("test-beacon"),
-		MailboxServers:      2,
 		Shards:              []GatewayShard{feA, feB},
 	}, feA, feB
 }
@@ -42,14 +41,15 @@ func sortedMailbox(msgs [][]byte) [][]byte {
 }
 
 // TestShardedRoundParity runs the same user population through a
-// monolithic network and a two-shard network, round for round, and
-// requires byte-identical mailbox contents. Mailbox seals are
+// single-shard network (one full-range Frontend) and a two-shard
+// network, round for round, and requires byte-identical mailbox
+// contents. Mailbox seals are
 // deterministic (static conversation keys, round-derived nonces), so
 // any divergence means the sharded round protocol dropped, duplicated
-// or rerouted traffic relative to the monolith.
+// or rerouted traffic relative to the single shard.
 func TestShardedRoundParity(t *testing.T) {
-	mono := testNetwork(t, 6, 3)
-	shardedCfg, _, _ := twoShardConfig(t, 6, 3)
+	mono, monoFE := testNetwork(t, 6, 3)
+	shardedCfg, feA, feB := twoShardConfig(t, 6, 3)
 	sharded, err := NewNetwork(shardedCfg)
 	if err != nil {
 		t.Fatal(err)
@@ -60,16 +60,19 @@ func TestShardedRoundParity(t *testing.T) {
 
 	// The same user objects are registered with both networks; each
 	// network holds its own registry entry (covers, online state), the
-	// client-side keys are shared.
+	// client-side keys are shared. A user's sharded Frontend is the one
+	// whose range owns her mailbox.
+	owner := func(u *client.User) *Frontend {
+		if feA.Range().Owns(u.Mailbox()) {
+			return feA
+		}
+		return feB
+	}
 	users := make([]*client.User, 8)
 	for i := range users {
-		u := mono.NewUser()
+		u := monoFE.NewUser()
 		users[i] = u
-		fe := sharded.frontendFor(u.Mailbox())
-		if fe == nil {
-			t.Fatal("no owning frontend")
-		}
-		if err := fe.AddUser(u); err != nil {
+		if err := owner(u).AddUser(u); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -109,8 +112,8 @@ func TestShardedRoundParity(t *testing.T) {
 			t.Fatalf("round %d: healthy shards reported dead: %v", round, repSharded.DeadShards)
 		}
 		for i, u := range users {
-			m := sortedMailbox(mono.Fetch(u, repMono.Round))
-			s := sortedMailbox(sharded.Fetch(u, repSharded.Round))
+			m := sortedMailbox(monoFE.Fetch(u, repMono.Round))
+			s := sortedMailbox(owner(u).Fetch(u, repSharded.Round))
 			if len(m) != len(s) {
 				t.Fatalf("round %d user %d: %d messages (monolith) vs %d (sharded)", round, i, len(m), len(s))
 			}

@@ -75,8 +75,8 @@ func TestSlowReaderConnReaped(t *testing.T) {
 	assertReaped(t, conn, "silent")
 	waitNoConns(t, fleet[1])
 
-	dist := distributedNetwork(t, fleet)
-	alice, bob := converse(t, dist)
+	dist, distFE := distributedNetwork(t, fleet)
+	alice, bob := converse(t, distFE)
 	if err := alice.u.QueueMessage([]byte("after the reap")); err != nil {
 		t.Fatal(err)
 	}
@@ -99,8 +99,8 @@ func TestSlowReaderConnReaped(t *testing.T) {
 // deadline covers the gap.
 func TestStalledWriterConnReaped(t *testing.T) {
 	fleet := shortIdleFleet(t, 3, 500*time.Millisecond)
-	dist := distributedNetwork(t, fleet)
-	alice, bob := converse(t, dist)
+	dist, distFE := distributedNetwork(t, fleet)
+	alice, bob := converse(t, distFE)
 
 	conn, err := tls.Dial("tcp", fleet[0].Addr(), fleet[0].ClientTLS())
 	if err != nil {

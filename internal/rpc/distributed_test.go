@@ -35,13 +35,18 @@ func startHopFleet(t testing.TB, k int) []*HopServer {
 // distributedNetwork assembles a deployment whose single chain of k
 // positions is hosted entirely on the fleet, fleet[i] at position i,
 // wired through the TLS hop transport.
-func distributedNetwork(t testing.TB, fleet []*HopServer) *core.Network {
+func distributedNetwork(t testing.TB, fleet []*HopServer) (*core.Network, *core.Frontend) {
 	t.Helper()
+	fe, err := core.NewFrontend(core.FrontendConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	n, err := core.NewNetwork(core.Config{
 		NumServers:          len(fleet),
 		NumChains:           1,
 		ChainLengthOverride: len(fleet),
 		Seed:                []byte("distributed-test"),
+		Shards:              []core.GatewayShard{fe},
 		HopForServer: func(epoch uint64, _, chain, pos int, base group.Point) (mix.Hop, error) {
 			hc := DialHop(fleet[pos].Addr(), fleet[pos].ClientTLS())
 			if _, err := hc.InitEpoch(epoch, chain, pos, base); err != nil {
@@ -53,37 +58,42 @@ func distributedNetwork(t testing.TB, fleet []*HopServer) *core.Network {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return n
+	return n, fe
 }
 
 // localTwin is the same deployment shape with every position
 // in-process: the reference the distributed transport must match.
-func localTwin(t testing.TB, k int) *core.Network {
+func localTwin(t testing.TB, k int) (*core.Network, *core.Frontend) {
 	t.Helper()
+	fe, err := core.NewFrontend(core.FrontendConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	n, err := core.NewNetwork(core.Config{
 		NumServers:          k,
 		NumChains:           1,
 		ChainLengthOverride: k,
 		Seed:                []byte("distributed-test"),
+		Shards:              []core.GatewayShard{fe},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return n
+	return n, fe
 }
 
 // converse registers two users in conversation, with a message from
 // alice queued each round by the caller.
-func converse(t testing.TB, n *core.Network) (alice, bob *coreUser) {
+func converse(t testing.TB, fe *core.Frontend) (alice, bob *coreUser) {
 	t.Helper()
-	a, b := n.NewUser(), n.NewUser()
+	a, b := fe.NewUser(), fe.NewUser()
 	if err := a.StartConversation(b.PublicKey()); err != nil {
 		t.Fatal(err)
 	}
 	if err := b.StartConversation(a.PublicKey()); err != nil {
 		t.Fatal(err)
 	}
-	return &coreUser{n: n, u: a}, &coreUser{n: n, u: b}
+	return &coreUser{fe: fe, u: a}, &coreUser{fe: fe, u: b}
 }
 
 // TestDistributedChainParity pins the acceptance criterion: a chain
@@ -91,11 +101,11 @@ func converse(t testing.TB, n *core.Network) (alice, bob *coreUser) {
 // with delivery output identical to the in-process transport.
 func TestDistributedChainParity(t *testing.T) {
 	fleet := startHopFleet(t, 3)
-	dist := distributedNetwork(t, fleet)
-	local := localTwin(t, 3)
+	dist, distFE := distributedNetwork(t, fleet)
+	local, localFE := localTwin(t, 3)
 
-	da, db := converse(t, dist)
-	la, lb := converse(t, local)
+	da, db := converse(t, distFE)
+	la, lb := converse(t, localFE)
 
 	for round := 1; round <= 2; round++ {
 		text := []byte{'r', byte('0' + round)}
@@ -134,8 +144,8 @@ func TestDistributedChainParity(t *testing.T) {
 // while honest traffic still delivers.
 func TestDistributedBlameOverTransport(t *testing.T) {
 	fleet := startHopFleet(t, 3)
-	dist := distributedNetwork(t, fleet)
-	alice, bob := converse(t, dist)
+	dist, distFE := distributedNetwork(t, fleet)
+	alice, bob := converse(t, distFE)
 	if err := alice.u.QueueMessage([]byte("survives blame")); err != nil {
 		t.Fatal(err)
 	}
@@ -179,8 +189,8 @@ func TestDistributedBlameOverTransport(t *testing.T) {
 // one. The product-preserving tamper at position 1 is caught at
 // position 2 over TLS, and the blame walk convicts position 1 alone.
 func TestDistributedCorruptServer(t *testing.T) {
-	dist := distributedNetwork(t, startHopFleet(t, 3))
-	alice, bob := converse(t, dist)
+	dist, distFE := distributedNetwork(t, startHopFleet(t, 3))
+	alice, bob := converse(t, distFE)
 	for _, u := range []*coreUser{alice, bob} {
 		if err := u.u.QueueMessage([]byte("tampered")); err != nil {
 			t.Fatal(err)
@@ -345,8 +355,8 @@ func TestDistributedBlameDuplicateSubmissions(t *testing.T) {
 // surfaces.
 func TestDistributedHopDeath(t *testing.T) {
 	fleet := startHopFleet(t, 3)
-	dist := distributedNetwork(t, fleet)
-	alice, _ := converse(t, dist)
+	dist, distFE := distributedNetwork(t, fleet)
+	alice, _ := converse(t, distFE)
 	if err := alice.u.QueueMessage([]byte("doomed")); err != nil {
 		t.Fatal(err)
 	}
@@ -546,13 +556,13 @@ func TestLargeBatchRoundTrip(t *testing.T) {
 
 // coreUser wraps a registered user with mailbox reading.
 type coreUser struct {
-	n *core.Network
-	u *client.User
+	fe *core.Frontend
+	u  *client.User
 }
 
 func (c *coreUser) read(t testing.TB, round uint64) []byte {
 	t.Helper()
-	msgs := c.n.FetchMailbox(round, c.u.Mailbox())
+	msgs := c.fe.FetchMailbox(round, c.u.Mailbox())
 	recv, bad := c.u.OpenMailbox(round, msgs)
 	if bad != 0 {
 		t.Fatalf("%d undecryptable messages", bad)

@@ -28,7 +28,8 @@ type Endpoint struct {
 // ParseEndpoints builds the user-facing gateway set from the xrd-*
 // commands' flags: the -gateways list ("addr=certfile,...", each
 // certfile the pinned certificate that gateway wrote) when given, else
-// the coordinator itself (monolith).
+// the coordinator itself, which serves the users of its one in-process
+// gateway shard.
 func ParseEndpoints(coordAddr, coordCert, gateways string) ([]Endpoint, error) {
 	specs := [][]string{{coordAddr, coordCert}}
 	if strings.TrimSpace(gateways) != "" {
@@ -222,8 +223,9 @@ func (m *MultiClient) Refresh() error {
 
 // ownerIdx returns the index of the gateway owning a mailbox, falling
 // back to the first gateway when no discovered range covers it
-// (correct for a monolith; an application error from a shard that
-// does not own the mailbox otherwise).
+// (correct for a coordinator serving its one full-range shard; an
+// application error from a shard that does not own the mailbox
+// otherwise).
 func (m *MultiClient) ownerIdx(mailbox []byte) int {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -39,11 +39,14 @@ func TestDedupFetched(t *testing.T) {
 }
 
 // BenchmarkDedupFetched is one fetch of ℓ = 2 already-seen messages by
-// a client holding `held` digests of the round — ≈ 16 000 is what one
-// MultiClient of the wire-durable workload holds. Its ns/op should not
-// grow with held.
+// a client holding a full window: dedupWindow rounds of perRound
+// digests each, filled round by round as fetches fill it. ≈ 6 000 a
+// round is what one MultiClient of the wire-durable workload records,
+// so its full window is held = dedupWindow × 6 000 ≈ 48 000. Its ns/op
+// should not grow with held.
 func BenchmarkDedupFetched(b *testing.B) {
-	for _, held := range []int{1_000, 16_000} {
+	for _, perRound := range []int{125, 6_000} {
+		held := dedupWindow * perRound
 		b.Run(fmt.Sprintf("held=%d", held), func(b *testing.B) {
 			const round = 10
 			m := &MultiClient{seen: make(map[uint64]map[fetchDigest]struct{})}
@@ -52,13 +55,26 @@ func BenchmarkDedupFetched(b *testing.B) {
 				binary.LittleEndian.PutUint64(buf, uint64(i))
 				return buf
 			}
-			for i := 0; i < held; i++ {
-				m.dedupFetched(round, [][]byte{msg(i)})
+			for w := 0; w < dedupWindow; w++ {
+				batch := make([][]byte, perRound)
+				for j := range batch {
+					batch[j] = msg(w*perRound + j)
+				}
+				m.dedupFetched(round-dedupWindow+1+uint64(w), batch)
+			}
+			total := 0
+			for _, set := range m.seen {
+				total += len(set)
+			}
+			if len(m.seen) != dedupWindow || total != held {
+				b.Fatalf("%d rounds holding %d digests, want %d holding %d", len(m.seen), total, dedupWindow, held)
 			}
 			msgs := [][]byte{msg(0), msg(1)}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				m.dedupFetched(round, msgs)
+				if got := m.dedupFetched(round, msgs); len(got) != 0 {
+					b.Fatalf("%d already-seen messages returned", len(got))
+				}
 			}
 		})
 	}

@@ -30,18 +30,25 @@ func TestSelfSignedTLSPinning(t *testing.T) {
 	}
 }
 
-// newDeployment starts a gateway over a small in-process network.
+// newDeployment starts the single-process deployment: a coordinator
+// over one full-range Frontend, whose users the coordinator's endpoint
+// serves.
 func newDeployment(t testing.TB) (*core.Network, *Server) {
 	t.Helper()
+	fe, err := core.NewFrontend(core.FrontendConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	n, err := core.NewNetwork(core.Config{
 		NumServers:          6,
 		ChainLengthOverride: 3,
 		Seed:                []byte("rpc-test"),
+		Shards:              []core.GatewayShard{fe},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewServer(n, "127.0.0.1:0")
+	srv, err := NewServer(n, fe, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,11 +361,15 @@ func TestManyConcurrentClients(t *testing.T) {
 // before it, not every round it ever built against, and still answers
 // the round it is building from memory.
 func TestParamsCacheBoundedByRound(t *testing.T) {
-	n, err := core.NewNetwork(core.Config{NumServers: 8, ChainLengthOverride: 2, Seed: []byte("params-cache")})
+	fe, err := core.NewFrontend(core.FrontendConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewServer(n, "127.0.0.1:0")
+	n, err := core.NewNetwork(core.Config{NumServers: 8, ChainLengthOverride: 2, Seed: []byte("params-cache"), Shards: []core.GatewayShard{fe}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServer(n, fe, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}

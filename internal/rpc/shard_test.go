@@ -1,6 +1,7 @@
 package rpc
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/client"
@@ -51,7 +52,7 @@ func newShardedDeployment(t testing.TB) (*core.Network, *Server, []*ShardServer)
 			t.Fatal(err)
 		}
 	}
-	srv, err := NewServer(n, "127.0.0.1:0")
+	srv, err := NewServer(n, nil, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,6 +170,46 @@ func TestShardedRemoteConversation(t *testing.T) {
 		}
 		if got != string(body) {
 			t.Fatalf("round %d: bob received %q, want %q", round, got, body)
+		}
+	}
+}
+
+// TestShardedCoordinatorRefusesUsers: over TLS, the coordinator
+// endpoint of a sharded deployment holds no users, so it refuses
+// register, submit, fetch and ack rather than answering with an empty
+// mailbox; the single-process endpoint serves all four. Both answer
+// params from the coordinator's chains before round 1.
+func TestShardedCoordinatorRefusesUsers(t *testing.T) {
+	sharded, shardedSrv, _ := newShardedDeployment(t)
+	single, singleSrv := newDeployment(t)
+	for _, tc := range []struct {
+		name   string
+		n      *core.Network
+		srv    *Server
+		refuse bool
+	}{{"sharded", sharded, shardedSrv, true}, {"single", single, singleSrv, false}} {
+		c, err := Dial(tc.srv.Addr(), tc.srv.ClientTLS())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		u := client.NewUser(nil, tc.n.Plan())
+		out, err := u.BuildRound(tc.n.Round(), c)
+		if err != nil {
+			t.Fatalf("%s: params before round 1: %v", tc.name, err)
+		}
+		errs := make(map[string]error)
+		_, errs["register"] = c.Register([][]byte{u.Mailbox()})
+		errs["submit"] = c.Submit(u.Mailbox(), out)
+		_, errs["fetch"] = c.Fetch(out.Round, u.Mailbox())
+		_, errs["ack"] = c.Ack(out.Round, u.Mailbox())
+		for method, err := range errs {
+			if tc.refuse && (err == nil || !strings.Contains(err.Error(), "holds no users")) {
+				t.Errorf("%s coordinator: %s answered with err = %v, want a refusal", tc.name, method, err)
+			}
+			if !tc.refuse && err != nil {
+				t.Errorf("%s coordinator: %s refused: %v", tc.name, method, err)
+			}
 		}
 	}
 }

@@ -20,8 +20,8 @@ import (
 	"repro/internal/onion"
 )
 
-// endpoints stands up one of each serving endpoint — a monolith
-// Server, a ShardServer, a bound HopServer — the fixtures of the
+// endpoints stands up one of each serving endpoint — a single-process
+// coordinator Server, a ShardServer, a bound HopServer — the fixtures of the
 // method-table tests and of FuzzDispatch.
 type endpoints struct {
 	n     *core.Network

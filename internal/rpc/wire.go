@@ -78,8 +78,9 @@ type StatusResponse struct {
 	// Epoch is the topology epoch; clients compare it across polls to
 	// notice a re-formation and rebuild against the new plan.
 	Epoch uint64
-	// Role distinguishes endpoint kinds: "coordinator" serves the full
-	// monolith API, "gateway" a shard of the user base.
+	// Role distinguishes endpoint kinds: "coordinator" drives rounds
+	// (and, in a single-process deployment, serves its one Frontend's
+	// users), "gateway" a shard of the user base.
 	Role string
 	// ShardLo/ShardHi are the registry-shard range a gateway shard
 	// owns ([0, 64) half-open); both zero on a coordinator.

@@ -257,8 +257,8 @@ func TestHostileMixReplyHaltsChain(t *testing.T) {
 		}
 		return mr, err
 	}))
-	dist := distributedNetwork(t, fleet)
-	alice, _ := converse(t, dist)
+	dist, distFE := distributedNetwork(t, fleet)
+	alice, _ := converse(t, distFE)
 	if err := alice.u.QueueMessage([]byte("padded")); err != nil {
 		t.Fatal(err)
 	}

@@ -2,10 +2,10 @@
 # chaos_e2e.sh — fault-injection deployment test: epoch recovery after
 # a mix process dies.
 #
-# Builds xrd-server and xrd-client, launches a monolithic coordinator
-# plus three `-role mix` processes (one chain of 3, every position its
-# own OS process, identity-keyed via -mix-servers so epoch recovery is
-# on), delivers a round end to end, then SIGKILLs one mix process and
+# Builds xrd-server and xrd-client, launches a coordinator with its own
+# in-process gateway shard plus three `-role mix` processes (one chain
+# of 3, every position its own OS process, identity-keyed via
+# -mix-servers so epoch recovery is on), delivers a round end to end, then SIGKILLs one mix process and
 # keeps driving rounds. The dead hop halts its chain (the round
 # reports an error and delivers nothing); the coordinator must evict
 # the dead server, re-form the chain from the two survivors and resume
