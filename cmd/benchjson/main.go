@@ -4,23 +4,6 @@
 // instead of scrolling away in build logs.
 //
 //	go test -run '^$' -bench . -benchtime=1x ./... | benchjson -o BENCH_ci.json
-//
-// With -compare it instead diffs a fresh report (the last argument)
-// against one or more baseline archives (oldest first; per benchmark
-// the newest baseline carrying it wins) and warns (in GitHub Actions
-// annotation syntax) when the watched throughput metric regressed
-// past -threshold:
-//
-//	benchjson -compare -metric users/s -threshold 0.20 BENCH_0001.json BENCH_0002.json BENCH_ci.json
-//
-// For latency-shaped metrics, -lower-better flips the regression
-// direction, -match restricts the gate to a benchmark subset, and
-// -fail turns regressions into a failing exit (with ::error
-// annotations) — the shape the CI crypto-bench gate uses:
-//
-//	benchjson -compare -metric ns/op -lower-better -fail \
-//	    -match '^(ScalarBaseMult|MultiScalarMult)' -threshold 0.25 \
-//	    BENCH_0001.json BENCH_ci.json
 package main
 
 import (
@@ -29,57 +12,11 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"regexp"
 )
 
 func main() {
 	out := flag.String("o", "", "output file (default stdout)")
-	compare := flag.Bool("compare", false, "compare archived reports: benchjson -compare OLD.json [OLD2.json ...] NEW.json")
-	metric := flag.String("metric", "users/s", "metric to watch in -compare mode")
-	threshold := flag.Float64("threshold", 0.20, "relative change in -compare mode that counts as a regression")
-	lowerBetter := flag.Bool("lower-better", false, "treat an increase in the watched metric as the regression (ns/op-shaped metrics)")
-	match := flag.String("match", "", "regexp restricting -compare to matching benchmark names (after -N suffix normalisation)")
-	failOnRegress := flag.Bool("fail", false, "exit non-zero on regressions (and when -match selects no shared benchmarks)")
 	flag.Parse()
-
-	if *compare {
-		if flag.NArg() < 2 {
-			log.Fatal("benchjson: -compare wants baseline(s) then the fresh report: OLD.json [OLD2.json ...] NEW.json")
-		}
-		var matchRe *regexp.Regexp
-		if *match != "" {
-			var err error
-			if matchRe, err = regexp.Compile(*match); err != nil {
-				log.Fatalf("benchjson: -match: %v", err)
-			}
-		}
-		args := flag.Args()
-		res, err := Compare(os.Stdout, args[:len(args)-1], args[len(args)-1], compareOpts{
-			metric:      *metric,
-			threshold:   *threshold,
-			lowerBetter: *lowerBetter,
-			match:       matchRe,
-			hard:        *failOnRegress,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		if res.regressions > 0 {
-			fmt.Fprintf(os.Stderr, "benchjson: %d regression(s) past the %.0f%% threshold\n", res.regressions, 100**threshold)
-		}
-		if *failOnRegress {
-			// A gate that compared nothing is a misconfigured gate
-			// (renamed benchmarks, wrong -match) — fail loudly rather
-			// than pass vacuously.
-			if res.compared == 0 {
-				log.Fatal("benchjson: -fail with no shared benchmarks to compare")
-			}
-			if res.regressions > 0 {
-				os.Exit(1)
-			}
-		}
-		return
-	}
 
 	report, err := Parse(os.Stdin)
 	if err != nil {

@@ -7,8 +7,8 @@
 // Large-scale latency points come from the calibrated cost models in
 // internal/model; pass -measure to recalibrate the XRD constants from
 // this machine's real crypto instead of the paper's fitted values.
-// Figure 8 is a Monte-Carlo simulation over the real topology, and
-// -e2e runs a real end-to-end deployment at laptop scale.
+// Figure 8 is a Monte-Carlo simulation over the real topology. A real
+// end-to-end deployment at laptop scale is cmd/xrd-sim's job.
 package main
 
 import (
@@ -16,11 +16,8 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
 	"repro/internal/churn"
-	"repro/internal/client"
-	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/topology"
 )
@@ -29,7 +26,6 @@ func main() {
 	fig := flag.String("fig", "all", "figure to regenerate: 2-8, headline, or all")
 	measure := flag.Bool("measure", false, "calibrate XRD constants from this machine's real crypto")
 	iters := flag.Int("iters", 50, "measurement iterations for -measure")
-	e2e := flag.Bool("e2e", false, "also run a real end-to-end round at laptop scale")
 	flag.Parse()
 
 	cal := model.PaperCalibration()
@@ -68,9 +64,6 @@ func main() {
 	}
 	if want("8") {
 		fig8()
-	}
-	if *e2e {
-		endToEnd()
 	}
 }
 
@@ -187,64 +180,4 @@ func fig8() {
 	}
 	fmt.Println("  (paper: ~27% at 1% churn, ~70% at 4%)")
 	fmt.Println()
-}
-
-// endToEnd runs one real round at laptop scale and reports wall time.
-func endToEnd() {
-	header("Real end-to-end round (laptop scale: 12 servers, k=8, 60 users, all conversing)")
-	fe, err := core.NewFrontend(core.FrontendConfig{})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	net, err := core.NewNetwork(core.Config{
-		NumServers:          12,
-		ChainLengthOverride: 8,
-		Seed:                []byte("e2e"),
-		Shards:              []core.GatewayShard{fe},
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	users := make([]*client.User, 60)
-	for i := range users {
-		users[i] = fe.NewUser()
-	}
-	for i := 0; i+1 < len(users); i += 2 {
-		if err := users[i].StartConversation(users[i+1].PublicKey()); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := users[i+1].StartConversation(users[i].PublicKey()); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := users[i].QueueMessage([]byte(fmt.Sprintf("hello from %d", i))); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
-	start := time.Now()
-	rep, err := net.RunRound()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	elapsed := time.Since(start)
-	delivered := 0
-	for _, u := range users {
-		recv, bad := u.OpenMailbox(rep.Round, fe.Fetch(u, rep.Round))
-		if bad != 0 {
-			fmt.Fprintf(os.Stderr, "undecryptable messages: %d\n", bad)
-			os.Exit(1)
-		}
-		for _, r := range recv {
-			if r.FromPartner {
-				delivered++
-			}
-		}
-	}
-	fmt.Printf("  round %d: %d mailbox messages, %d conversation deliveries, %.2f s wall time\n\n",
-		rep.Round, rep.Delivered, delivered, elapsed.Seconds())
 }

@@ -1,4 +1,4 @@
-// Command xrd-loadgen drives open-loop load against a running XRD
+// Command xrd-loadgen drives closed-loop load against a running XRD
 // deployment and reports latency/throughput numbers in the same JSON
 // shape benchjson archives (BENCH_*.json), so load-harness runs sit
 // next to microbenchmark runs in the repo's performance trajectory.
@@ -9,7 +9,8 @@
 // no per-round work) and a smaller active set that actually submits
 // each round. Active users are real client.User instances arranged in
 // conversation pairs, so every delivered message is decryptable and a
-// sample is verified end to end after the round.
+// sample of sampleSize receivers is verified end to end after the
+// round.
 //
 // Phases, each timed and reported as one benchmark entry:
 //
@@ -20,10 +21,10 @@
 //  2. build: every active user builds its round locally — onion
 //     encryption for current + cover lanes (metric users/s).
 //
-//  3. submit: upload every active user's round output, open-loop at
-//     -rate arrivals/s (0 = closed-loop as fast as the connections
-//     go), recording per-submission latency from scheduled arrival to
-//     acknowledgement (metrics subs/s, p50/p90/p99/max ms).
+//  3. submit: upload every active user's round output over four
+//     connections per CPU, as fast as they go, recording each
+//     submission's latency from send to acknowledgement (metrics
+//     subs/s, p50/p90/p99/max ms).
 //
 //  4. round: trigger one mixing round on the coordinator and wait for
 //     delivery (metrics round-s, users/s, delivered).
@@ -62,9 +63,6 @@ func main() {
 		gateways   = flag.String("gateways", "", `gateway shards as "addr=certfile,..." (empty: users talk to -addr directly)`)
 		registered = flag.Int("registered", 1_000_000, "total registered user population")
 		active     = flag.Int("active", 100_000, "users that submit this round (must be even; <= registered)")
-		rate       = flag.Float64("rate", 0, "open-loop submission arrival rate per second (0 = closed loop)")
-		workers    = flag.Int("workers", 4*runtime.GOMAXPROCS(0), "concurrent submission connections")
-		sample     = flag.Int("sample", 64, "receivers to verify end to end after the round")
 		out        = flag.String("out", "", "write the benchjson report here (default stdout)")
 		seed       = flag.Int64("seed", 1, "workload seed: pairing, message bodies and the synthetic registered population are reproducible for a given seed (keys stay random)")
 		admin      = flag.String("admin", "", `comma-separated admin endpoints ("host:port,...") to scrape after the round, merging server-side phase timings into the report`)
@@ -129,10 +127,10 @@ func main() {
 		"users/s": float64(len(outs)) / buildDur.Seconds(),
 	})
 
-	// Phase 3: open-loop submission.
-	fmt.Printf("xrd-loadgen: submitting %d round outputs (rate=%v/s, %d workers)...\n",
-		len(outs), *rate, *workers)
-	subDur, lats := submitAll(endpoints, users, outs, *rate, *workers)
+	// Phase 3: closed-loop submission, four connections per CPU.
+	workers := 4 * runtime.GOMAXPROCS(0)
+	fmt.Printf("xrd-loadgen: submitting %d round outputs (%d workers)...\n", len(outs), workers)
+	subDur, lats := submitAll(endpoints, users, outs, workers)
 	h := histogram(lats)
 	fmt.Printf("xrd-loadgen: %d submissions in %s (%.0f subs/s) latency p50=%.1fms p90=%.1fms p99=%.1fms max=%.1fms\n",
 		len(outs), subDur.Round(time.Millisecond), float64(len(outs))/subDur.Seconds(),
@@ -176,7 +174,7 @@ func main() {
 		"delivered": float64(rep.Delivered),
 	})
 
-	verifySample(front, users, rep.Round, *sample)
+	verifySample(front, users, rep.Round)
 
 	if *admin != "" {
 		scrapeAdmin(report, *admin)
@@ -310,14 +308,13 @@ func buildAll(users []*client.User, round uint64, src client.ParamsSource) []*cl
 	return outs
 }
 
-// submitAll uploads every round output, open-loop when rate > 0:
-// submission i is scheduled at start + i/rate and its latency runs
-// from that scheduled arrival (so queueing delay counts, as it should
-// in an open-loop harness). Each worker keeps its own connections.
-func submitAll(endpoints []rpc.Endpoint, users []*client.User, outs []*client.RoundOutput, rate float64, workers int) (time.Duration, []time.Duration) {
-	if workers < 1 {
-		workers = 1
-	}
+// sampleSize is how many receivers verifySample checks.
+const sampleSize = 64
+
+// submitAll uploads every round output, each worker taking the next
+// one as soon as its previous submission is acknowledged. Each worker
+// keeps its own connections.
+func submitAll(endpoints []rpc.Endpoint, users []*client.User, outs []*client.RoundOutput, workers int) (time.Duration, []time.Duration) {
 	lats := make([]time.Duration, len(outs))
 	var idx int64
 	var mu sync.Mutex
@@ -350,19 +347,11 @@ func submitAll(endpoints []rpc.Endpoint, users []*client.User, outs []*client.Ro
 				if i < 0 {
 					return
 				}
-				scheduled := start
-				if rate > 0 {
-					scheduled = start.Add(time.Duration(float64(i) / rate * float64(time.Second)))
-					if d := time.Until(scheduled); d > 0 {
-						time.Sleep(d)
-					}
-				} else {
-					scheduled = time.Now()
-				}
+				sent := time.Now()
 				if err := front.Submit(users[i].Mailbox(), outs[i]); err != nil {
 					log.Fatalf("submit %d: %v", i, err)
 				}
-				lats[i] = time.Since(scheduled)
+				lats[i] = time.Since(sent)
 			}
 		}()
 	}
@@ -370,11 +359,9 @@ func submitAll(endpoints []rpc.Endpoint, users []*client.User, outs []*client.Ro
 	return time.Since(start), lats
 }
 
-// verifySample fetches and decrypts a sample of receivers' mailboxes.
-func verifySample(front *rpc.MultiClient, users []*client.User, round uint64, sample int) {
-	if sample > len(users) {
-		sample = len(users)
-	}
+// verifySample fetches and decrypts sampleSize receivers' mailboxes.
+func verifySample(front *rpc.MultiClient, users []*client.User, round uint64) {
+	sample := min(sampleSize, len(users))
 	stride := 1
 	if sample > 0 {
 		stride = len(users) / sample

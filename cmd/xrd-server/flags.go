@@ -16,7 +16,6 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/faults"
 	"repro/internal/rpc"
 )
 
@@ -27,18 +26,13 @@ type hopSpec struct {
 }
 
 // dialSpec opens a hop client for one remote mix process, pinning its
-// certificate and installing the fault-injection wrapper when one is
-// configured.
-func dialSpec(spec hopSpec, label string, inj *faults.Injector) (*rpc.HopClient, error) {
+// certificate.
+func dialSpec(spec hopSpec) (*rpc.HopClient, error) {
 	tlsCfg, err := rpc.ClientTLSFromFile(spec.certFile)
 	if err != nil {
 		return nil, err
 	}
-	hc := rpc.DialHop(spec.addr, tlsCfg)
-	if inj != nil {
-		hc.SetConnWrapper(inj.Wrapper(label))
-	}
-	return hc, nil
+	return rpc.DialHop(spec.addr, tlsCfg), nil
 }
 
 // eachSpec walks a "key=addr=certfile,..." flag value, handing fn

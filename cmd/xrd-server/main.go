@@ -29,8 +29,7 @@
 // which is what epoch recovery needs: after a halt the coordinator
 // evicts the blamed server, re-forms the chains from the survivors
 // and re-binds each surviving process at its new coordinate — only a
-// stable identity survives that re-shuffle. -mix-servers therefore
-// enables recovery (-recover) by default.
+// stable identity survives that re-shuffle.
 //
 // Every process writes its pinned TLS certificate to -cert-out (the
 // paper's assumed PKI distributes server identities; the files play
@@ -46,12 +45,9 @@
 //	    -mix-servers "0=127.0.0.1:7901=mix1.pem,1=127.0.0.1:7902=mix2.pem,2=127.0.0.1:7903=mix3.pem" \
 //	    -gateways "0:32=127.0.0.1:7911=gw1.pem,32:64=127.0.0.1:7912=gw2.pem"
 //
-// -faults injects deterministic connection faults (drops, delays,
-// corruption, partitions — see internal/faults) into the hop
-// transport: on the coordinator it wraps every hop connection it
-// dials, on a mix it wraps every connection it accepts. The chaos
-// end-to-end suite drives a live deployment through halts and
-// recovery with it.
+// scripts/chaos_e2e.sh drives such a deployment through a halt and
+// its recovery by SIGKILLing a mix process; a shipped binary carries
+// no fault hook (internal/faults serves in-process tests only).
 package main
 
 import (
@@ -67,7 +63,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/faults"
 	"repro/internal/group"
 	"repro/internal/mix"
 	"repro/internal/obs"
@@ -85,28 +80,14 @@ func main() {
 		k          = flag.Int("k", 6, "chain length override (0 derives k from -f)")
 		f          = flag.Float64("f", 0.2, "assumed fraction of malicious servers")
 		seed       = flag.String("seed", "public-beacon", "public randomness seed for chain formation")
-		boxes      = flag.Int("mailboxes", 2, "mailbox server count of a gateway shard (the gateway role's, or the coordinator's own without -gateways)")
-		workers    = flag.Int("workers", 0, "build worker pool size (0 = GOMAXPROCS)")
 		interval   = flag.Duration("interval", 10*time.Second, "round interval (0 = rounds only via client trigger)")
-		mixServers = flag.String("mix-servers", "", `remote mix processes as "id=addr=certfile,..." keyed by server identity (coordinator role; enables -recover)`)
+		mixServers = flag.String("mix-servers", "", `remote mix processes as "id=addr=certfile,..." keyed by server identity (coordinator role)`)
 		gateways   = flag.String("gateways", "", `remote gateway shards as "lo:hi=addr=certfile,..." partitioning the 64 registry shards (coordinator role)`)
 		shardRange = flag.String("shard-range", "0:64", `registry-shard range this gateway owns, as "lo:hi" (gateway role)`)
 		dataDir    = flag.String("data-dir", "", "directory for durable WAL+snapshot state; restart with the same directory to recover (gateway role; empty = in-memory only)")
-		recoverOn  = flag.Bool("recover", false, "evict blamed servers and re-form chains after a halt (on by default with -mix-servers)")
-		faultSpec  = flag.String("faults", "", `fault-injection spec, e.g. "delay,target=srv1,delay=2s,after=3;drop,target=srv2" (see internal/faults)`)
-		faultSeed  = flag.Int64("fault-seed", 1, "deterministic seed for -faults probability coins")
 		adminAddr  = flag.String("admin-addr", "", "plain-HTTP admin listen address serving /metrics, /healthz and /debug/pprof (empty = disabled; bind to loopback or a management network)")
 	)
 	flag.Parse()
-
-	var inj *faults.Injector
-	if *faultSpec != "" {
-		var err error
-		inj, err = faults.Parse(*faultSpec, *faultSeed)
-		if err != nil {
-			log.Fatalf("parsing -faults: %v", err)
-		}
-	}
 
 	switch *role {
 	case "coordinator":
@@ -118,19 +99,15 @@ func main() {
 			k:           *k,
 			f:           *f,
 			seed:        *seed,
-			boxes:       *boxes,
-			workers:     *workers,
 			interval:    *interval,
 			serverSpec:  *mixServers,
 			gatewaySpec: *gateways,
-			recover:     *recoverOn || *mixServers != "",
-			inj:         inj,
 			adminAddr:   *adminAddr,
 		})
 	case "gateway":
-		runGatewayShard(*addr, *certOut, *shardRange, *dataDir, *adminAddr, *boxes, *workers)
+		runGatewayShard(*addr, *certOut, *shardRange, *dataDir, *adminAddr)
 	case "mix":
-		runMix(*addr, *certOut, *adminAddr, inj)
+		runMix(*addr, *certOut, *adminAddr)
 	default:
 		log.Fatalf("unknown role %q (want coordinator, gateway or mix)", *role)
 	}
@@ -151,7 +128,7 @@ func startAdmin(addr, role string, health func() obs.Health) func() {
 }
 
 // runMix hosts one chain position behind the hop transport and waits.
-func runMix(addr, certOut, adminAddr string, inj *faults.Injector) {
+func runMix(addr, certOut, adminAddr string) {
 	hs, err := rpc.NewHopServer(addr, nil)
 	if err != nil {
 		log.Fatalf("starting hop endpoint: %v", err)
@@ -166,9 +143,6 @@ func runMix(addr, certOut, adminAddr string, inj *faults.Injector) {
 		return h
 	})
 	defer closeAdmin()
-	if inj != nil {
-		hs.SetConnWrapper(inj.Wrapper("accept@" + addr))
-	}
 	if err := writeCert(hs.CertificatePEM, certOut); err != nil {
 		log.Fatal(err)
 	}
@@ -186,16 +160,12 @@ func runMix(addr, certOut, adminAddr string, inj *faults.Injector) {
 // restarted over the same directory replays to its pre-crash
 // watermark and resumes serving (the coordinator re-adopts it through
 // the ordinary rebalance path).
-func runGatewayShard(addr, certOut, shardRange, dataDir, adminAddr string, boxes, workers int) {
+func runGatewayShard(addr, certOut, shardRange, dataDir, adminAddr string) {
 	lo, hi, err := parseIntPair(shardRange, "lo:hi")
 	if err != nil {
 		log.Fatalf("parsing -shard-range: %v", err)
 	}
-	cfg := core.FrontendConfig{
-		Range:          core.ShardRange{Lo: lo, Hi: hi},
-		MailboxServers: boxes,
-		Workers:        workers,
-	}
+	cfg := core.FrontendConfig{Range: core.ShardRange{Lo: lo, Hi: hi}}
 	var serverTLS, clientTLS *tls.Config
 	if dataDir != "" {
 		st, rec, err := store.Open(dataDir, store.Options{})
@@ -258,13 +228,9 @@ type coordinatorOpts struct {
 	k               int
 	f               float64
 	seed            string
-	boxes           int
-	workers         int
 	interval        time.Duration
 	serverSpec      string // server-identity-keyed remote mixes
 	gatewaySpec     string // shard-range-keyed remote gateways
-	recover         bool
-	inj             *faults.Injector
 	adminAddr       string
 }
 
@@ -293,13 +259,12 @@ func runCoordinator(o coordinatorOpts) {
 		ChainLengthOverride: o.k,
 		F:                   o.f,
 		Seed:                []byte(o.seed),
-		Recover:             o.recover,
 	}
 	// fe is the in-process gateway shard of a deployment without
 	// -gateways; nil when the user base lives in gateway processes.
 	var fe *core.Frontend
 	if len(gwSpecs) == 0 {
-		if fe, err = core.NewFrontend(core.FrontendConfig{MailboxServers: o.boxes, Workers: o.workers}); err != nil {
+		if fe, err = core.NewFrontend(core.FrontendConfig{}); err != nil {
 			log.Fatalf("building gateway shard: %v", err)
 		}
 		cfg.Shards = []core.GatewayShard{fe}
@@ -333,7 +298,7 @@ func runCoordinator(o coordinatorOpts) {
 			hc, ok := clients[server]
 			if !ok {
 				var err error
-				hc, err = dialSpec(spec, fmt.Sprintf("srv%d", server), o.inj)
+				hc, err = dialSpec(spec)
 				if err != nil {
 					mu.Unlock()
 					return nil, err
@@ -389,8 +354,8 @@ func runCoordinator(o coordinatorOpts) {
 		log.Fatal(err)
 	}
 
-	fmt.Printf("xrd-server: %d chains of %d servers, l=%d chains per user, %d remote positions, %d gateway shards, recover=%v\n",
-		net.NumChains(), net.Topology().ChainLength, net.Plan().L, len(byServer), len(shardClients), o.recover)
+	fmt.Printf("xrd-server: %d chains of %d servers, l=%d chains per user, %d remote positions, %d gateway shards\n",
+		net.NumChains(), net.Topology().ChainLength, net.Plan().L, len(byServer), len(shardClients))
 	fmt.Printf("xrd-server: listening on %s (certificate in %s)\n", gw.Addr(), o.certOut)
 
 	stop := make(chan os.Signal, 1)

@@ -1,9 +1,9 @@
 // Command xrd-sim drives an in-process XRD deployment with a
-// synthetic workload (internal/trace): paired conversations, user
-// churn and optional attacks, printing per-round reports and timing —
-// the laptop-scale counterpart of the paper's testbed runs.
+// synthetic workload (internal/trace): every user in a conversation,
+// user churn and an optional attack, printing per-round reports and
+// timing — the laptop-scale counterpart of the paper's testbed runs.
 //
-//	xrd-sim -users 200 -servers 20 -k 6 -rounds 5 -paired 1.0 -user-churn 0.05
+//	xrd-sim -users 200 -servers 20 -k 6 -rounds 5 -user-churn 0.05
 //
 // -workers sizes the round pipeline's build worker pool (0 = one per
 // CPU); -workers 1 reproduces the serial build for comparisons.
@@ -28,7 +28,6 @@ func main() {
 		servers   = flag.Int("servers", 20, "number of mix servers N")
 		k         = flag.Int("k", 6, "chain length override")
 		rounds    = flag.Int("rounds", 3, "rounds to run")
-		paired    = flag.Float64("paired", 1.0, "fraction of users in conversations")
 		userChurn = flag.Float64("user-churn", 0, "per-round probability a user goes offline")
 		attack    = flag.Bool("attack", false, "corrupt one server with a product-preserving tamper")
 		seed      = flag.Int64("seed", 1, "workload seed")
@@ -70,7 +69,7 @@ func main() {
 	}
 	w, err := trace.Generate(trace.Config{
 		NumUsers:       *users,
-		PairedFraction: *paired,
+		PairedFraction: 1,
 		BodySize:       64,
 		Seed:           *seed,
 	})
@@ -128,6 +127,10 @@ func main() {
 		fmt.Printf("round %d: %.3fs delivered=%d received=%d undecryptable=%d halted=%v blamed-servers=%v covered=%d\n",
 			rep.Round, elapsed.Seconds(), rep.Delivered, received, undecryptable,
 			rep.HaltedChains, rep.BlamedServers, rep.OfflineCovered)
+		if rep.Reformed {
+			fmt.Printf("round %d: re-formed chains at epoch %d after evicting servers %v\n",
+				rep.Round, rep.Epoch, rep.Evicted)
+		}
 
 		for _, u := range sched[r] {
 			fe.SetOnline(population[u], true)

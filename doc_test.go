@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -39,6 +40,8 @@ var (
 	// citedPath matches a code span whose first token is a path under
 	// one of the source trees, optionally written ./path.
 	citedPath = regexp.MustCompile(`^(?:\./)?((?:internal|cmd|scripts|examples|bench)/\S*)`)
+	// tableRow matches a table row whose first cell is one code span.
+	tableRow = regexp.MustCompile("^\\| `([^`]+)` \\|")
 	// roadmapNumber matches a ROADMAP item cited by its number
 	// ("ROADMAP item 12", "ROADMAP's former 6(c)", "item 6(b)", "item
 	// 11's"): the numbers change at every re-anchor, so a document
@@ -152,6 +155,191 @@ func TestDocsCiteExistingTests(t *testing.T) {
 	}
 }
 
+// knobStructs are the config structs whose every field DESIGN.md's
+// "Configuration knobs" table must have a row for, by internal
+// package.
+var knobStructs = map[string][]string{
+	"core":     {"Config", "FrontendConfig"},
+	"topology": {"Config"},
+	"rpc":      {"Backoff"},
+}
+
+// TestKnobTablesComplete: DESIGN.md's "Configuration knobs" table has
+// a row for every field of the knobStructs, and its "Command flags"
+// table a row for every flag that non-test code under cmd/ defines, so
+// a knob or flag cannot arrive without saying what it is and what
+// fails without it. A row naming a field or flag that no longer exists
+// fails too.
+func TestKnobTablesComplete(t *testing.T) {
+	// Self-check, both directions: a flag without a row is missing, a
+	// row without its flag is stale.
+	fset := token.NewFileSet()
+	src := `package main
+import "flag"
+var n = flag.Int("n", 1, "")
+func main() { flag.StringVar(&s, "m", "", ""); flag.Func("f", "", nil) }`
+	f, err := parser.ParseFile(fset, "main.go", src, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make(map[string]bool)
+	if err := addFlags(got, "tool", f); err != nil {
+		t.Fatal(err)
+	}
+	rows := tableRows("## Command flags\n\n| flag | x |\n|---|---|\n| `tool -n` | y |\n| `tool -gone` | y |\n\n## Next\n| `tool -m` | z |\n", "Command flags")
+	missing, stale := mismatch(got, rows)
+	if !slices.Equal(missing, []string{"tool -f", "tool -m"}) || !slices.Equal(stale, []string{"tool -gone"}) {
+		t.Fatalf("self-check: missing %q, stale %q; want [tool -f tool -m], [tool -gone]", missing, stale)
+	}
+
+	design, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fields, err := knobFields()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !fields["core.Config.NumServers"] || !fields["topology.Config.Seed"] || fields["rpc.Backoff.attempts"] {
+		t.Fatalf("the field walk misses core.Config.NumServers or topology.Config.Seed, or counts a method: %v", fields)
+	}
+	flags, err := cmdFlags()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !flags["xrd-server -role"] || !flags["benchjson -o"] {
+		t.Fatalf("the flag walk misses xrd-server -role or benchjson -o: %v", flags)
+	}
+	for table, defined := range map[string]map[string]bool{"Configuration knobs": fields, "Command flags": flags} {
+		missing, stale := mismatch(defined, tableRows(string(design), table))
+		for _, k := range missing {
+			t.Errorf("DESIGN.md's %q table has no row for `%s`", table, k)
+		}
+		for _, k := range stale {
+			t.Errorf("DESIGN.md's %q table has a row for `%s`, which no longer exists", table, k)
+		}
+	}
+}
+
+// mismatch returns, sorted, the names defined but without a row and
+// the rows naming nothing defined.
+func mismatch(defined, rows map[string]bool) (missing, stale []string) {
+	for k := range defined {
+		if !rows[k] {
+			missing = append(missing, k)
+		}
+	}
+	for k := range rows {
+		if !defined[k] {
+			stale = append(stale, k)
+		}
+	}
+	slices.Sort(missing)
+	slices.Sort(stale)
+	return missing, stale
+}
+
+// tableRows returns the code span opening each table row of the
+// document's "## title" section.
+func tableRows(doc, title string) map[string]bool {
+	rows := make(map[string]bool)
+	in := false
+	for _, line := range strings.Split(doc, "\n") {
+		if strings.HasPrefix(line, "## ") {
+			in = line == "## "+title
+			continue
+		}
+		if m := tableRow.FindStringSubmatch(line); in && m != nil {
+			rows[m[1]] = true
+		}
+	}
+	return rows
+}
+
+// knobFields returns every field of the knobStructs as pkg.Type.Field.
+func knobFields() (map[string]bool, error) {
+	decls, err := internalDecls()
+	if err != nil {
+		return nil, err
+	}
+	fields := make(map[string]bool)
+	for pkg, types := range knobStructs {
+		for _, typ := range types {
+			for _, name := range decls[pkg].fields[typ] {
+				fields[pkg+"."+typ+"."+name] = true
+			}
+		}
+	}
+	return fields, nil
+}
+
+// cmdFlags returns every flag that non-test code of the commands under
+// cmd/ defines, as "command -name".
+func cmdFlags() (map[string]bool, error) {
+	flags := make(map[string]bool)
+	paths, err := filepath.Glob("cmd/*/*.go")
+	if err != nil {
+		return nil, err
+	}
+	fset := token.NewFileSet()
+	for _, path := range paths {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		if err := addFlags(flags, filepath.Base(filepath.Dir(path)), f); err != nil {
+			return nil, err
+		}
+	}
+	return flags, nil
+}
+
+// addFlags adds the flags one file of command cmd defines through the
+// flag package's functions: the name is the first argument, or the
+// second of the *Var forms. A name that is not a string literal is an
+// error: the table could not be checked against it.
+func addFlags(flags map[string]bool, cmd string, f *ast.File) error {
+	var err error
+	ast.Inspect(f, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok || err != nil {
+			return err == nil
+		}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok || !definesFlag(sel) {
+			return true
+		}
+		arg := 0
+		if strings.HasSuffix(sel.Sel.Name, "Var") {
+			arg = 1
+		}
+		lit, ok := call.Args[arg].(*ast.BasicLit)
+		if !ok || lit.Kind != token.STRING {
+			err = fmt.Errorf("cmd/%s: flag.%s with a name that is not a string literal", cmd, sel.Sel.Name)
+			return false
+		}
+		flags[cmd+" -"+strings.Trim(lit.Value, "`\"")] = true
+		return true
+	})
+	return err
+}
+
+// definesFlag reports whether a selector is one of the flag package's
+// functions that define a flag on the command line.
+func definesFlag(sel *ast.SelectorExpr) bool {
+	if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "flag" {
+		return false
+	}
+	switch strings.TrimSuffix(sel.Sel.Name, "Var") {
+	case "Bool", "BoolFunc", "Duration", "Float64", "Func", "Int", "Int64", "String", "Text", "Uint", "Uint64", "":
+		return true
+	}
+	return false
+}
+
 // stalePath reports whether a cited path does not exist and is not
 // exempt: not under a fuzz crasher directory, and not one of the
 // output directories (each ending in /) or under one, matched by whole
@@ -206,10 +394,11 @@ func withoutFences(text string) string {
 }
 
 // pkgDecls is what one internal package declares: its top-level names,
-// and each type's fields and methods.
+// each type's fields and methods, and each struct's fields alone.
 type pkgDecls struct {
 	top     map[string]bool
 	members map[string]map[string]bool
+	fields  map[string][]string
 }
 
 // has reports whether name, Name or Type.Member, is declared.
@@ -237,7 +426,7 @@ func internalDecls() (map[string]pkgDecls, error) {
 		name := strings.TrimSuffix(f.Name.Name, "_test")
 		p, ok := decls[name]
 		if !ok {
-			p = pkgDecls{top: map[string]bool{}, members: map[string]map[string]bool{}}
+			p = pkgDecls{top: map[string]bool{}, members: map[string]map[string]bool{}, fields: map[string][]string{}}
 			decls[name] = p
 		}
 		member := func(typ, name string) {
@@ -271,9 +460,13 @@ func internalDecls() (map[string]pkgDecls, error) {
 						case *ast.InterfaceType:
 							fields = body.Methods.List
 						}
+						_, isStruct := spec.Type.(*ast.StructType)
 						for _, fld := range fields {
 							for _, n := range fld.Names {
 								member(typ, n.Name)
+								if isStruct {
+									p.fields[typ] = append(p.fields[typ], n.Name)
+								}
 							}
 						}
 					}

@@ -4,7 +4,9 @@
 //  1. A malicious server applies the strongest algebraic tamper — a
 //     product-preserving key shift that passes the shuffle
 //     certificate — and is convicted by the blame protocol; the chain
-//     halts with nothing delivered and no privacy lost.
+//     halts with nothing delivered and no privacy lost. The next round
+//     evicts the convicted server and re-forms the chains over the
+//     survivors, and every message is delivered again.
 //  2. A malicious user submits a ciphertext that fails deep inside
 //     the chain; the blame protocol walks the decryption chain,
 //     convicts exactly that user, and the round completes for
@@ -95,6 +97,15 @@ func run(w io.Writer) error {
 	if err := net.CorruptServer(target, 1, nil); err != nil {
 		return err
 	}
+	rep, err = net.RunRound()
+	if err != nil {
+		return err
+	}
+	if !rep.Reformed || len(rep.Evicted) != 1 || len(rep.HaltedChains) != 0 {
+		return fmt.Errorf("the convicted server was not evicted: %+v", rep)
+	}
+	fmt.Fprintf(w, "next round:     evicted server %v, chains re-formed at epoch %d\n", rep.Evicted, rep.Epoch)
+	fmt.Fprintf(w, "delivered:      %d of %d messages\n\n", rep.Delivered, len(users)*net.Plan().L)
 
 	fmt.Fprintln(w, "=== attack 2: malicious user ===")
 	// A user submits an onion whose outer layers authenticate at the

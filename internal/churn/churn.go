@@ -48,13 +48,6 @@ func (e *Evictor) Evict(server int) bool {
 	return true
 }
 
-// IsEvicted reports whether a server has been expelled.
-func (e *Evictor) IsEvicted(server int) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.evicted[server]
-}
-
 // Evicted returns the expelled servers in ascending order.
 func (e *Evictor) Evicted() []int {
 	e.mu.Lock()

@@ -256,7 +256,6 @@ func TestChaosScenarios(t *testing.T) {
 				ChainLengthOverride: sc.k,
 				Seed:                []byte("chaos/" + sc.name),
 				Shards:              []core.GatewayShard{fe},
-				Recover:             true,
 			}
 			var fleet *chaosFleet
 			if sc.remote {
@@ -374,7 +373,6 @@ func TestReformEvictsEveryDeadServerAtOnce(t *testing.T) {
 		NumChains:           2,
 		ChainLengthOverride: 2,
 		Seed:                []byte("chaos/evict-every-dead/182"),
-		Recover:             true,
 		HopForServer:        fleet.provider(),
 		Shards:              []core.GatewayShard{fe},
 	})

@@ -96,11 +96,6 @@ type Config struct {
 	// and hosts every re-formed chain in-process. It is ignored when
 	// HopForServer is set.
 	RemoteHops func(chain, position int, base group.Point) (mix.Hop, error)
-	// Recover enables epoch recovery: after a chain halts with blame,
-	// or fails to announce keys, the responsible servers are evicted
-	// and chains re-form over the survivors before the next round
-	// (halt → blame → evict → re-form → resume).
-	Recover bool
 }
 
 // Network is the round coordinator of an XRD deployment. It reaches
@@ -126,7 +121,7 @@ type Network struct {
 	// nothing else.
 	hopMu sync.Mutex
 
-	// evictor records servers expelled across epochs (Config.Recover).
+	// evictor records servers expelled across epochs (see recover.go).
 	evictor *churn.Evictor
 
 	// mu guards the control state below — never user state, which
@@ -440,7 +435,7 @@ type RoundReport struct {
 	BlameRounds int
 	// DeadChains lists chains that could not announce this round's
 	// keys (an unreachable hop); their users are stranded for the
-	// round and, with Recover on, the chain re-forms before the next.
+	// round and the chain re-forms before the next.
 	DeadChains []int
 	// DeadShards lists gateway shards (indices into Config.Shards) that
 	// failed their round-begin or round-finish call: their users contributed nothing (begin) or
@@ -603,9 +598,6 @@ type preparedRound struct {
 // survivors (halt → blame → evict → re-form → resume). Callers hold
 // runMu.
 func (n *Network) maybeReform() (reformed bool, evicted []int, err error) {
-	if !n.cfg.Recover {
-		return false, nil, nil
-	}
 	n.mu.Lock()
 	pending := len(n.pendingEvict) > 0
 	n.mu.Unlock()
@@ -799,12 +791,12 @@ func (n *Network) prepareRound(rho uint64) (*preparedRound, error) {
 // removed from the network before the next round. Concurrent RunRound
 // calls are serialised.
 //
-// With Config.Recover set, RunRound additionally performs epoch
-// recovery: servers blamed by a previous round (a halted chain, a
-// failed announce) are evicted and the chains re-formed over the
-// survivors before this round executes, and chains that cannot
-// announce this round's keys run dead — their users are stranded for
-// the round (see Frontend.StrandedError) rather than wedging the deployment.
+// RunRound also performs epoch recovery: servers blamed by a previous
+// round (a halted chain, a failed announce) are evicted and the chains
+// re-formed over the survivors before this round executes, and chains
+// that cannot announce this round's keys run dead — their users are
+// stranded for the round (see Frontend.StrandedError) rather than
+// wedging the deployment.
 // A gateway shard that fails its round-begin call is dead for the
 // round: it contributes no traffic and the round proceeds without it.
 func (n *Network) RunRound() (*RoundReport, error) {
@@ -960,7 +952,7 @@ func (n *Network) executeRound(p *preparedRound) (*RoundReport, error) {
 		}
 		for _, s := range res.BlamedServers {
 			report.BlamedServers = append(report.BlamedServers, [2]int{c, s})
-			if n.cfg.Recover && s >= 0 && s < len(topo.Chains[c]) {
+			if s >= 0 && s < len(topo.Chains[c]) {
 				n.mu.Lock()
 				n.pendingEvict[topo.Chains[c][s]] = true
 				n.mu.Unlock()

@@ -113,7 +113,6 @@ func TestHopProvidersCalledOneAtATime(t *testing.T) {
 			ChainLengthOverride: k,
 			Seed:                []byte("provider-contract"),
 			Shards:              []GatewayShard{fe},
-			Recover:             true,
 			HopForServer: func(epoch uint64, server, chain, pos int, base group.Point) (mix.Hop, error) {
 				return l.call(epoch, chain, pos, base), nil
 			},
@@ -182,7 +181,7 @@ func TestRemoteHopsAdapter(t *testing.T) {
 			return placingHop{Hop: mix.LocalHop(mix.NewChainServer(chain, pos, base, nil)), mixes: &mixes}
 		}
 		fe := fullFrontend(t, FrontendConfig{})
-		cfg := Config{NumServers: servers, ChainLengthOverride: k, Seed: []byte("adapter"), Recover: true, Shards: []GatewayShard{fe}}
+		cfg := Config{NumServers: servers, ChainLengthOverride: k, Seed: []byte("adapter"), Shards: []GatewayShard{fe}}
 		if adapter {
 			cfg.RemoteHops = func(chain, pos int, base group.Point) (mix.Hop, error) {
 				return place(0, chain, pos, base), nil

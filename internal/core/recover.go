@@ -11,7 +11,7 @@ import (
 	"repro/internal/topology"
 )
 
-// Epoch recovery (Config.Recover). A halted chain names the position
+// Epoch recovery. A halted chain names the position
 // that misbehaved (§6.4); a dead chain names the position that could
 // not be reached. Either way RunRound queues the server identity
 // behind the position in pendingEvict, and the next RunRound — before
@@ -63,12 +63,9 @@ func hopErrorServer(topo *topology.Topology, err error) (int, bool) {
 
 // attributeHopError queues the server behind a hop failure for
 // eviction at the next round's re-formation. Failures that do not
-// carry position attribution (or with Recover off) are ignored here —
-// there is nothing to evict.
+// carry position attribution are ignored here — there is nothing to
+// evict.
 func (n *Network) attributeHopError(topo *topology.Topology, err error) {
-	if !n.cfg.Recover || err == nil {
-		return
-	}
 	if s, ok := hopErrorServer(topo, err); ok {
 		n.mu.Lock()
 		n.pendingEvict[s] = true

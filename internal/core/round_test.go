@@ -70,7 +70,6 @@ func TestHaltReformDeliversOnSchedule(t *testing.T) {
 		ChainLengthOverride: 3,
 		Seed:                []byte("test-beacon"),
 		Shards:              []GatewayShard{fe},
-		Recover:             true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -14,20 +14,17 @@
 // failing scenario replays exactly under `-race`, in CI, and across
 // machines.
 //
-// Rules are armed and disarmed at runtime (scenario tables flip them
-// between rounds) or parsed once from a -faults flag spec, so the
-// same injector drives both unit tests and multi-process deployments
-// (scripts/chaos_e2e.sh).
+// Rules are armed and disarmed at runtime: scenario tables flip them
+// between rounds (internal/core's chaos tests). No shipped binary
+// links this package; a multi-process deployment is faulted from
+// outside, by killing its processes (scripts/chaos_e2e.sh).
 package faults
 
 import (
 	"errors"
-	"fmt"
 	"net"
 	"os"
 	"path"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -56,23 +53,6 @@ const (
 	// rule is armed: a full network partition between the two ends.
 	Partition
 )
-
-var opNames = map[string]Op{
-	"drop":      Drop,
-	"delay":     Delay,
-	"corrupt":   Corrupt,
-	"blackhole": Blackhole,
-	"partition": Partition,
-}
-
-func (o Op) String() string {
-	for name, op := range opNames {
-		if op == o {
-			return name
-		}
-	}
-	return fmt.Sprintf("faults.Op(%d)", int(o))
-}
 
 // Injection errors. Drop and Partition surface as transport errors so
 // the chain orchestrator cannot distinguish them from a genuinely
@@ -135,7 +115,7 @@ func (r *Rule) matches(label string) bool {
 }
 
 // Injector applies a rule set to wrapped connections. The zero value
-// is unusable; construct with New or Parse.
+// is unusable; construct with New.
 type Injector struct {
 	seed uint64
 
@@ -160,91 +140,6 @@ func (in *Injector) Add(r *Rule) *Rule {
 	defer in.mu.Unlock()
 	in.rules = append(in.rules, r)
 	return r
-}
-
-// Rules returns the installed rules in order.
-func (in *Injector) Rules() []*Rule {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return append([]*Rule(nil), in.rules...)
-}
-
-// Parse builds an injector from a -faults flag spec: rules separated
-// by ';', each "op[,key=value...]" with keys target, delay, after,
-// count, prob. Examples:
-//
-//	drop,target=srv1,after=12,count=1
-//	delay,delay=2s,target=srv*
-//	partition,target=srv2
-//	corrupt,prob=0.05
-//
-// An empty spec yields an injector with no rules (all traffic passes
-// untouched).
-func Parse(spec string, seed int64) (*Injector, error) {
-	in := New(seed)
-	spec = strings.TrimSpace(spec)
-	if spec == "" {
-		return in, nil
-	}
-	for _, part := range strings.Split(spec, ";") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		fields := strings.Split(part, ",")
-		op, ok := opNames[strings.TrimSpace(fields[0])]
-		if !ok {
-			return nil, fmt.Errorf("faults: unknown op %q in rule %q", fields[0], part)
-		}
-		r := &Rule{Op: op}
-		for _, f := range fields[1:] {
-			k, v, found := strings.Cut(strings.TrimSpace(f), "=")
-			if !found {
-				return nil, fmt.Errorf("faults: field %q in rule %q is not key=value", f, part)
-			}
-			var err error
-			switch k {
-			case "target":
-				// path.Match reports malformed patterns lazily, per
-				// call; validate here so a typo ("srv[") fails the flag
-				// parse instead of silently matching nothing forever.
-				if _, merr := path.Match(v, "probe"); merr != nil {
-					err = fmt.Errorf("bad target pattern %q: %v", v, merr)
-					break
-				}
-				r.Target = v
-			case "delay":
-				r.Delay, err = time.ParseDuration(v)
-			case "after":
-				r.After, err = strconv.Atoi(v)
-				if err == nil && r.After < 0 {
-					err = fmt.Errorf("after %d is negative", r.After)
-				}
-			case "count":
-				r.Count, err = strconv.Atoi(v)
-				if err == nil && r.Count < 0 {
-					err = fmt.Errorf("count %d is negative", r.Count)
-				}
-			case "prob":
-				r.Prob, err = strconv.ParseFloat(v, 64)
-				// The inverted comparison also rejects NaN, which would
-				// otherwise slip past both bounds and always fire.
-				if err == nil && !(r.Prob >= 0 && r.Prob <= 1) {
-					err = fmt.Errorf("probability %v outside [0,1]", r.Prob)
-				}
-			default:
-				err = fmt.Errorf("unknown key %q", k)
-			}
-			if err != nil {
-				return nil, fmt.Errorf("faults: rule %q: %v", part, err)
-			}
-		}
-		if r.Op == Delay && r.Delay <= 0 {
-			return nil, fmt.Errorf("faults: rule %q: delay op needs delay=<duration>", part)
-		}
-		in.Add(r)
-	}
-	return in, nil
 }
 
 // decide returns the rule that fires for one I/O operation on a
@@ -304,28 +199,6 @@ func (in *Injector) Wrapper(label string) func(net.Conn) net.Conn {
 		return nil
 	}
 	return func(c net.Conn) net.Conn { return in.WrapConn(label, c) }
-}
-
-// WrapListener wraps every accepted connection under the label.
-func (in *Injector) WrapListener(label string, ln net.Listener) net.Listener {
-	if in == nil {
-		return ln
-	}
-	return &faultListener{Listener: ln, in: in, label: label}
-}
-
-type faultListener struct {
-	net.Listener
-	in    *Injector
-	label string
-}
-
-func (l *faultListener) Accept() (net.Conn, error) {
-	c, err := l.Listener.Accept()
-	if err != nil {
-		return nil, err
-	}
-	return l.in.WrapConn(l.label, c), nil
 }
 
 // faultConn injects the matching rules into every Read and Write. It

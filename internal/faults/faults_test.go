@@ -30,34 +30,6 @@ func pipePair(t *testing.T, in *Injector, label string) (net.Conn, net.Conn) {
 	return in.WrapConn(label, a), b
 }
 
-func TestParseSpec(t *testing.T) {
-	in, err := Parse("drop,target=srv1,after=3,count=1; delay,delay=250ms,target=srv*; corrupt,prob=0.5", 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rules := in.Rules()
-	if len(rules) != 3 {
-		t.Fatalf("parsed %d rules, want 3", len(rules))
-	}
-	if rules[0].Op != Drop || rules[0].Target != "srv1" || rules[0].After != 3 || rules[0].Count != 1 {
-		t.Fatalf("rule 0 parsed wrong: %+v", rules[0])
-	}
-	if rules[1].Op != Delay || rules[1].Delay != 250*time.Millisecond {
-		t.Fatalf("rule 1 parsed wrong: %+v", rules[1])
-	}
-	if rules[2].Op != Corrupt || rules[2].Prob != 0.5 {
-		t.Fatalf("rule 2 parsed wrong: %+v", rules[2])
-	}
-	if in, err := Parse("", 0); err != nil || len(in.Rules()) != 0 {
-		t.Fatalf("empty spec: %v, %d rules", err, len(in.Rules()))
-	}
-	for _, bad := range []string{"explode", "drop,after=x", "delay,target=a", "drop,prob=1.5", "drop,foo=1"} {
-		if _, err := Parse(bad, 0); err == nil {
-			t.Errorf("spec %q parsed without error", bad)
-		}
-	}
-}
-
 func TestDropAfterN(t *testing.T) {
 	in := New(1, &Rule{Op: Drop, Target: "srv0", After: 2, Count: 1})
 	c, _ := pipePair(t, in, "srv0")
@@ -228,34 +200,5 @@ func TestNilInjectorPassthrough(t *testing.T) {
 	}
 	if in.Wrapper("x") != nil {
 		t.Fatal("nil injector returned a wrapper")
-	}
-}
-
-func TestWrapListener(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	in := New(1, &Rule{Op: Drop, Target: "accept@*"})
-	wrapped := in.WrapListener("accept@test", ln)
-	done := make(chan error, 1)
-	go func() {
-		c, err := wrapped.Accept()
-		if err != nil {
-			done <- err
-			return
-		}
-		defer c.Close()
-		_, err = c.Write([]byte("x"))
-		done <- err
-	}()
-	c, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if err := <-done; !errors.Is(err, ErrDropped) {
-		t.Fatalf("accepted conn not wrapped: %v", err)
 	}
 }

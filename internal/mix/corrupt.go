@@ -150,8 +150,12 @@ func garble(ct []byte) {
 // MaliciousSubmission builds a user submission whose knowledge proof
 // and outer layers 0..badLayer-1 are valid but whose content at
 // badLayer fails authenticated decryption — the malicious-user attack
-// the blame protocol must attribute (§6.4, Figure 7's workload).
+// the blame protocol must attribute (§6.4, Figure 7's workload). A nil
+// scheme means ChaCha20-Poly1305, as for NewChain.
 func MaliciousSubmission(scheme aead.Scheme, p Params, round uint64, lane byte, badLayer int) (onion.Submission, error) {
+	if scheme == nil {
+		scheme = aead.ChaCha20Poly1305()
+	}
 	k := len(p.MixKeys)
 	if badLayer < 0 || badLayer >= k {
 		return onion.Submission{}, fmt.Errorf("mix: bad layer %d outside chain of %d", badLayer, k)
@@ -172,7 +176,8 @@ func MaliciousSubmission(scheme aead.Scheme, p Params, round uint64, lane byte, 
 }
 
 // InvalidProofSubmission builds a submission whose knowledge proof is
-// broken; servers reject it at submission time (§6.4 first case).
+// broken; servers reject it at submission time (§6.4 first case). A
+// nil scheme means ChaCha20-Poly1305.
 func InvalidProofSubmission(scheme aead.Scheme, p Params, round uint64, lane byte) (onion.Submission, error) {
 	sub, err := MaliciousSubmission(scheme, p, round, lane, len(p.MixKeys)-1)
 	if err != nil {
@@ -185,8 +190,11 @@ func InvalidProofSubmission(scheme aead.Scheme, p Params, round uint64, lane byt
 // CraftValidOnion builds a fully valid submission addressed to the
 // given recipient — what a malicious first server substitutes for a
 // user's message in the §4.1 attack. The key product check makes the
-// substitution detectable.
+// substitution detectable. A nil scheme means ChaCha20-Poly1305.
 func CraftValidOnion(scheme aead.Scheme, p Params, round uint64, lane byte, recipient group.Point) (onion.Submission, error) {
+	if scheme == nil {
+		scheme = aead.ChaCha20Poly1305()
+	}
 	nonce := aead.RoundNonce(round, lane)
 	var key [32]byte
 	if _, err := rand.Read(key[:]); err != nil {

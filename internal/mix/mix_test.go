@@ -190,6 +190,44 @@ func TestMaliciousUserMisauthenticatedCiphertext(t *testing.T) {
 	}
 }
 
+// TestCraftedSubmissionsNilScheme: the crafting helpers read a nil
+// scheme as ChaCha20-Poly1305, the chain's own, so a crafted
+// submission built without naming one still meets the chain: the
+// malicious and the invalid-proof ones are convicted, the valid onion
+// delivered.
+func TestCraftedSubmissionsNilScheme(t *testing.T) {
+	c := testChain(t, 3)
+	subs, _ := submitMany(t, c, 4)
+	bad, err := MaliciousSubmission(nil, c.Params(), 1, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	invalid, err := InvalidProofSubmission(nil, c.Params(), 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	valid, err := CraftValidOnion(nil, c.Params(), 1, 0, group.GenerateBaseKeyPair().Public)
+	if err != nil {
+		t.Fatal(err)
+	}
+	subs = append(subs, bad, invalid, valid)
+	res, err := c.RunRound(1, 0, subs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Halted || len(res.BlamedServers) != 0 {
+		t.Fatalf("servers blamed for user submissions: %+v", res)
+	}
+	blamed := append([]int(nil), res.BlamedUsers...)
+	sort.Ints(blamed)
+	if len(blamed) != 2 || blamed[0] != 4 || blamed[1] != 5 {
+		t.Fatalf("blamed users = %v, want [4 5]", res.BlamedUsers)
+	}
+	if len(res.Delivered) != 5 {
+		t.Fatalf("delivered %d of 5: the four honest messages and the crafted onion", len(res.Delivered))
+	}
+}
+
 // TestManyMaliciousUsers: multiple misauthenticated ciphertexts are
 // all attributed in one blame round (Figure 7's scenario).
 func TestManyMaliciousUsers(t *testing.T) {

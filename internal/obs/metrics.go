@@ -254,10 +254,6 @@ func GetOrCreateGauge(name string) *Gauge { return Default.Gauge(name) }
 // registry, creating it if needed.
 func GetOrCreateHistogram(name string) *Histogram { return Default.Histogram(name) }
 
-// RegisterGaugeFunc registers a pull-time gauge on the Default
-// registry.
-func RegisterGaugeFunc(name string, fn func() float64) { Default.GaugeFunc(name, fn) }
-
 // ---------------------------------------------------------------- names
 
 // checkMetricName panics on names the exposition writer cannot

@@ -55,26 +55,28 @@ func TestRetriableClassification(t *testing.T) {
 }
 
 func TestBackoffSleepBounds(t *testing.T) {
-	b := Backoff{Base: 40 * time.Millisecond, Max: 160 * time.Millisecond}
-	for a := 1; a <= 6; a++ {
-		want := b.Base << (a - 1)
-		if want > b.Max {
-			want = b.Max
+	for a := 1; a <= 8; a++ {
+		want := backoffBase << (a - 1)
+		if want > backoffMax {
+			want = backoffMax
 		}
 		for i := 0; i < 64; i++ {
-			d := b.sleep(a)
+			d := backoffSleep(a)
 			if d < want/2 || d > want {
-				t.Fatalf("sleep(%d) = %v outside [%v, %v]", a, d, want/2, want)
+				t.Fatalf("backoffSleep(%d) = %v outside [%v, %v]", a, d, want/2, want)
 			}
 		}
+	}
+	if d := backoffSleep(1); d < 25*time.Millisecond || d > 50*time.Millisecond {
+		t.Fatalf("backoffSleep(1) = %v, want within [25ms, 50ms]", d)
+	}
+	if d := backoffSleep(64); d < time.Second || d > 2*time.Second {
+		t.Fatalf("backoffSleep(64) = %v, want the 2s cap's [1s, 2s]", d)
 	}
 	// The zero value must still produce a sane schedule.
 	var zero Backoff
 	if zero.attempts() != 3 {
 		t.Fatalf("zero Backoff attempts = %d", zero.attempts())
-	}
-	if d := zero.sleep(1); d < 25*time.Millisecond || d > 50*time.Millisecond {
-		t.Fatalf("zero Backoff sleep(1) = %v", d)
 	}
 }
 

@@ -53,19 +53,23 @@ func ParseEndpoints(coordAddr, coordCert, gateways string) ([]Endpoint, error) {
 	return eps, nil
 }
 
-// Backoff bounds MultiClient's retry schedule. One "attempt" is a
-// full failover cycle over every gateway; between attempts the client
-// sleeps an exponentially growing, jittered interval — long enough
-// for a crashed gateway to restart and replay its WAL, spread out so
-// a fleet of clients does not stampede it the moment it returns.
+// MultiClient's retry schedule. One "attempt" is a full failover cycle
+// over every gateway; between attempts the client sleeps an
+// exponentially growing, jittered interval — long enough for a
+// crashed gateway to restart and replay its WAL, spread out so a fleet
+// of clients does not stampede it the moment it returns. The first
+// sleep is about backoffBase, doubling per cycle up to backoffMax.
+const (
+	backoffBase = 50 * time.Millisecond
+	backoffMax  = 2 * time.Second
+)
+
+// Backoff bounds the number of MultiClient's failover cycles.
 type Backoff struct {
-	// Attempts is the number of failover cycles; zero means 3.
+	// Attempts is the number of failover cycles; zero means 3. A
+	// one-cycle client never sleeps, which keeps FuzzReply's
+	// executions off the sleep schedule.
 	Attempts int
-	// Base is the sleep after the first failed cycle, doubling per
-	// cycle; zero means 50ms.
-	Base time.Duration
-	// Max caps the per-cycle sleep; zero means 2s.
-	Max time.Duration
 }
 
 func (b Backoff) attempts() int {
@@ -75,19 +79,13 @@ func (b Backoff) attempts() int {
 	return b.Attempts
 }
 
-// sleep returns the jittered pause before retry cycle a (a ≥ 1):
-// half the exponential interval fixed plus half uniformly random.
-func (b Backoff) sleep(a int) time.Duration {
-	base, max := b.Base, b.Max
-	if base <= 0 {
-		base = 50 * time.Millisecond
-	}
-	if max <= 0 {
-		max = 2 * time.Second
-	}
-	d := base << (a - 1)
-	if d > max || d <= 0 { // <= 0 guards shift overflow
-		d = max
+// backoffSleep returns the jittered pause before retry cycle a
+// (a ≥ 1): half the exponential interval fixed plus half uniformly
+// random.
+func backoffSleep(a int) time.Duration {
+	d := backoffBase << (a - 1)
+	if d > backoffMax || d <= 0 { // <= 0 guards shift overflow
+		d = backoffMax
 	}
 	return d/2 + rand.N(d/2+1)
 }
@@ -145,8 +143,8 @@ type fetchDigest [16]byte
 // against a single gateway.
 type MultiClient struct {
 	clients []*Client
-	// Backoff tunes the retry schedule; the zero value means 3
-	// attempts, 50ms base, 2s cap. Set before concurrent use.
+	// Backoff bounds the retry cycles; the zero value means 3. Set
+	// before concurrent use.
 	Backoff Backoff
 
 	mu sync.Mutex
@@ -259,7 +257,7 @@ func (m *MultiClient) tryEach(preferred, width int, op func(*Client) error) erro
 	for a := 0; a < m.Backoff.attempts(); a++ {
 		if a > 0 {
 			obsRetryCycles.Inc()
-			d := m.Backoff.sleep(a)
+			d := backoffSleep(a)
 			obsBackoffSeconds.ObserveDuration(d)
 			time.Sleep(d)
 		}

@@ -5,7 +5,8 @@
 # Builds xrd-server and xrd-client, launches a coordinator with its own
 # in-process gateway shard plus three `-role mix` processes (one chain
 # of 3, every position its own OS process, identity-keyed via
-# -mix-servers so epoch recovery is on), delivers a round end to end, then SIGKILLs one mix process and
+# -mix-servers, the stable identities epoch recovery re-binds), delivers
+# a round end to end, then SIGKILLs one mix process and
 # keeps driving rounds. The dead hop halts its chain (the round
 # reports an error and delivers nothing); the coordinator must evict
 # the dead server, re-form the chain from the two survivors and resume
@@ -63,7 +64,7 @@ for i in 0 1 2; do
     wait_for_file "mix$i.pem"
 done
 
-echo "== launching coordinator (1 chain of 3, identity-keyed remotes, recovery on)"
+echo "== launching coordinator (1 chain of 3, identity-keyed remotes)"
 ./xrd-server -role coordinator -addr 127.0.0.1:7920 -servers 3 -chains 1 -k 3 \
     -interval 0 -cert-out gw.pem -mix-servers "$specs" >gw.log 2>&1 &
 pids+=($!)
