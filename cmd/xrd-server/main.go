@@ -77,8 +77,7 @@ func main() {
 		certOut    = flag.String("cert-out", "xrd-gateway.pem", "file to write the pinned TLS certificate to")
 		servers    = flag.Int("servers", 20, "number of mix servers N (coordinator)")
 		chains     = flag.Int("chains", 0, "number of chains n (0 means n = N as in the paper)")
-		k          = flag.Int("k", 6, "chain length override (0 derives k from -f)")
-		f          = flag.Float64("f", 0.2, "assumed fraction of malicious servers")
+		k          = flag.Int("k", 6, "chain length override (0 derives k from the paper's f = 0.2)")
 		seed       = flag.String("seed", "public-beacon", "public randomness seed for chain formation")
 		interval   = flag.Duration("interval", 10*time.Second, "round interval (0 = rounds only via client trigger)")
 		mixServers = flag.String("mix-servers", "", `remote mix processes as "id=addr=certfile,..." keyed by server identity (coordinator role)`)
@@ -97,7 +96,6 @@ func main() {
 			servers:     *servers,
 			chains:      *chains,
 			k:           *k,
-			f:           *f,
 			seed:        *seed,
 			interval:    *interval,
 			serverSpec:  *mixServers,
@@ -165,7 +163,7 @@ func runGatewayShard(addr, certOut, shardRange, dataDir, adminAddr string) {
 	if err != nil {
 		log.Fatalf("parsing -shard-range: %v", err)
 	}
-	cfg := core.FrontendConfig{Range: core.ShardRange{Lo: lo, Hi: hi}}
+	cfg := core.FrontendConfig{Range: core.ShardRange{Lo: lo, Hi: hi}, MailboxServers: gatewayMailboxServers}
 	var serverTLS, clientTLS *tls.Config
 	if dataDir != "" {
 		st, rec, err := store.Open(dataDir, store.Options{})
@@ -222,11 +220,19 @@ func runGatewayShard(addr, certOut, shardRange, dataDir, adminAddr string) {
 	}
 }
 
+// paperF is the assumed fraction of malicious servers from which
+// -k 0 derives the chain length: the paper's f = 0.2.
+const paperF = 0.2
+
+// gatewayMailboxServers sizes every gateway shard's mailbox cluster:
+// two servers, so deliveries run in parallel and users' fetches and
+// acks are spread over two locks rather than one.
+const gatewayMailboxServers = 2
+
 type coordinatorOpts struct {
 	addr, certOut   string
 	servers, chains int
 	k               int
-	f               float64
 	seed            string
 	interval        time.Duration
 	serverSpec      string // server-identity-keyed remote mixes
@@ -257,14 +263,14 @@ func runCoordinator(o coordinatorOpts) {
 		NumServers:          o.servers,
 		NumChains:           o.chains,
 		ChainLengthOverride: o.k,
-		F:                   o.f,
+		F:                   paperF,
 		Seed:                []byte(o.seed),
 	}
 	// fe is the in-process gateway shard of a deployment without
 	// -gateways; nil when the user base lives in gateway processes.
 	var fe *core.Frontend
 	if len(gwSpecs) == 0 {
-		if fe, err = core.NewFrontend(core.FrontendConfig{}); err != nil {
+		if fe, err = core.NewFrontend(core.FrontendConfig{MailboxServers: gatewayMailboxServers}); err != nil {
 			log.Fatalf("building gateway shard: %v", err)
 		}
 		cfg.Shards = []core.GatewayShard{fe}

@@ -155,13 +155,13 @@ func TestDocsCiteExistingTests(t *testing.T) {
 	}
 }
 
-// knobStructs are the config structs whose every field DESIGN.md's
+// knobStructs are the structs whose every exported field DESIGN.md's
 // "Configuration knobs" table must have a row for, by internal
 // package.
 var knobStructs = map[string][]string{
 	"core":     {"Config", "FrontendConfig"},
 	"topology": {"Config"},
-	"rpc":      {"Backoff"},
+	"rpc":      {"MultiClient"},
 }
 
 // TestKnobTablesComplete: DESIGN.md's "Configuration knobs" table has
@@ -200,8 +200,8 @@ func main() { flag.StringVar(&s, "m", "", ""); flag.Func("f", "", nil) }`
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !fields["core.Config.NumServers"] || !fields["topology.Config.Seed"] || fields["rpc.Backoff.attempts"] {
-		t.Fatalf("the field walk misses core.Config.NumServers or topology.Config.Seed, or counts a method: %v", fields)
+	if !fields["core.Config.NumServers"] || !fields["topology.Config.Seed"] || fields["rpc.MultiClient.clients"] {
+		t.Fatalf("the field walk misses core.Config.NumServers or topology.Config.Seed, or counts an unexported field: %v", fields)
 	}
 	flags, err := cmdFlags()
 	if err != nil {
@@ -256,7 +256,8 @@ func tableRows(doc, title string) map[string]bool {
 	return rows
 }
 
-// knobFields returns every field of the knobStructs as pkg.Type.Field.
+// knobFields returns every exported field of the knobStructs, the
+// ones a caller can set, as pkg.Type.Field.
 func knobFields() (map[string]bool, error) {
 	decls, err := internalDecls()
 	if err != nil {
@@ -266,7 +267,9 @@ func knobFields() (map[string]bool, error) {
 	for pkg, types := range knobStructs {
 		for _, typ := range types {
 			for _, name := range decls[pkg].fields[typ] {
-				fields[pkg+"."+typ+"."+name] = true
+				if token.IsExported(name) {
+					fields[pkg+"."+typ+"."+name] = true
+				}
 			}
 		}
 	}

@@ -123,17 +123,6 @@ func (g *Gauge) writeProm(w *bufio.Writer, name string) {
 	fmt.Fprintf(w, "%s %d\n", name, g.Value())
 }
 
-// gaugeFunc is a pull-time gauge: the callback runs at scrape, not
-// per event, so state that is already tracked elsewhere (goroutine
-// count, registry sizes) costs nothing between scrapes.
-type gaugeFunc struct {
-	fn func() float64
-}
-
-func (g *gaugeFunc) writeProm(w *bufio.Writer, name string) {
-	fmt.Fprintf(w, "%s %g\n", name, g.fn())
-}
-
 // ---------------------------------------------------------------- Registry
 
 // Registry holds named metrics and renders them in Prometheus text
@@ -177,21 +166,6 @@ func (r *Registry) Gauge(name string) *Gauge {
 		panic(fmt.Sprintf("obs: %q already registered as %T, not Gauge", name, m))
 	}
 	return g
-}
-
-// GaugeFunc registers a pull-time gauge evaluated at each scrape.
-// Re-registering the same name replaces the callback (so a restarted
-// subsystem can rebind its closure).
-func (r *Registry) GaugeFunc(name string, fn func() float64) {
-	checkMetricName(name)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if old, ok := r.metrics[name]; ok {
-		if _, isFn := old.(*gaugeFunc); !isFn {
-			panic(fmt.Sprintf("obs: %q already registered as %T, not GaugeFunc", name, old))
-		}
-	}
-	r.metrics[name] = &gaugeFunc{fn: fn}
 }
 
 // Histogram returns the histogram registered under name, creating it

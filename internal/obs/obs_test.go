@@ -220,7 +220,6 @@ func TestWritePrometheus(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter(`test_total{kind="a"}`).Add(7)
 	reg.Gauge("test_depth").Set(3)
-	reg.GaugeFunc("test_pull", func() float64 { return 1.5 })
 	h := reg.Histogram(`test_seconds{phase="mix"}`)
 	h.Observe(0.001)
 	h.Observe(0.002)
@@ -233,7 +232,6 @@ func TestWritePrometheus(t *testing.T) {
 	for _, want := range []string{
 		"test_total{kind=\"a\"} 7\n",
 		"test_depth 3\n",
-		"test_pull 1.5\n",
 		"test_seconds_count{phase=\"mix\"} 3\n",
 		"test_seconds_bucket{phase=\"mix\",le=\"+Inf\"} 3\n",
 	} {

@@ -73,11 +73,6 @@ func TestBackoffSleepBounds(t *testing.T) {
 	if d := backoffSleep(64); d < time.Second || d > 2*time.Second {
 		t.Fatalf("backoffSleep(64) = %v, want the 2s cap's [1s, 2s]", d)
 	}
-	// The zero value must still produce a sane schedule.
-	var zero Backoff
-	if zero.attempts() != 3 {
-		t.Fatalf("zero Backoff attempts = %d", zero.attempts())
-	}
 }
 
 // startFakeGateway runs a TLS listener that hands each accepted
@@ -153,7 +148,7 @@ func TestFailoverOnRelayedDeadline(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	m.Backoff = Backoff{Attempts: 1} // failover within the cycle; no sleeps
+	m.Attempts = 1 // failover within the cycle; no sleeps
 
 	st, err := m.Status()
 	if err != nil {
@@ -184,7 +179,7 @@ func TestFailoverOnStalledGateway(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	m.Backoff = Backoff{Attempts: 1}
+	m.Attempts = 1
 	for _, c := range m.Clients() {
 		c.Timeout = 300 * time.Millisecond
 	}

@@ -64,21 +64,6 @@ const (
 	backoffMax  = 2 * time.Second
 )
 
-// Backoff bounds the number of MultiClient's failover cycles.
-type Backoff struct {
-	// Attempts is the number of failover cycles; zero means 3. A
-	// one-cycle client never sleeps, which keeps FuzzReply's
-	// executions off the sleep schedule.
-	Attempts int
-}
-
-func (b Backoff) attempts() int {
-	if b.Attempts <= 0 {
-		return 3
-	}
-	return b.Attempts
-}
-
 // backoffSleep returns the jittered pause before retry cycle a
 // (a ≥ 1): half the exponential interval fixed plus half uniformly
 // random.
@@ -143,9 +128,10 @@ type fetchDigest [16]byte
 // against a single gateway.
 type MultiClient struct {
 	clients []*Client
-	// Backoff bounds the retry cycles; the zero value means 3. Set
-	// before concurrent use.
-	Backoff Backoff
+	// Attempts is the number of failover cycles; zero means 3. A
+	// one-cycle client never sleeps, which keeps FuzzReply's
+	// executions off the sleep schedule. Set before concurrent use.
+	Attempts int
 
 	mu sync.Mutex
 	// ranges[i] is clients[i]'s discovered shard range; the zero value
@@ -249,12 +235,16 @@ func (m *MultiClient) ClientFor(mailbox []byte) *Client { return m.clients[m.own
 // retriable errors (transport failures and deadline expiries — see
 // retriable); an application-level rejection is authoritative and
 // returned as is. When a whole cycle fails it backs off (bounded
-// exponential with jitter) and runs another, up to Backoff.Attempts
-// cycles — covering the window in which a crashed gateway restarts
-// and replays its data directory.
+// exponential with jitter) and runs another, up to Attempts cycles —
+// covering the window in which a crashed gateway restarts and replays
+// its data directory.
 func (m *MultiClient) tryEach(preferred, width int, op func(*Client) error) error {
 	var lastErr error
-	for a := 0; a < m.Backoff.attempts(); a++ {
+	attempts := m.Attempts
+	if attempts <= 0 {
+		attempts = 3
+	}
+	for a := 0; a < attempts; a++ {
 		if a > 0 {
 			obsRetryCycles.Inc()
 			d := backoffSleep(a)

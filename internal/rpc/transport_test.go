@@ -358,7 +358,7 @@ func FuzzReply(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	m.Backoff = Backoff{Attempts: 1}
+	m.Attempts = 1
 	hc := DialHop(ep.Addr, ep.TLS)
 	sc, err := NewShardClient(0, 32, ep.Addr, ep.TLS)
 	if err != nil {
