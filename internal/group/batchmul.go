@@ -27,6 +27,16 @@ import "math/bits"
 //     inversion), an addition 6 and 7, against 8 and 11 mults in
 //     Jacobian form; a call makes 261 inversions and one per scalar.
 //
+// Where the CPU has AVX-512 IFMA (feIFMA) the per-lane loops run
+// eight lanes at once on fe8 (p256fe8.go): the same operations in the
+// same order, a multiply ≈ 4.5 ns a lane against feMul's ≈ 18–22 ns.
+// Only those loops have a second body (step8); the bookkeeping, the
+// sweep and the fold are shared. A call's cost is then a fixed
+// ≈ 1.3–1.4 ms — the 263 inversions, which still run one feInv on
+// big.Int each (the eight SIMD slots share it through feBatchInv) —
+// plus ≈ 12–14 µs a base under one or two scalars, where the scalar
+// kernel costs ≈ 1.0–1.2 ms plus ≈ 52–67 µs (bmCost).
+//
 // The exceptional cases of affine arithmetic — adding a point to
 // itself, to its inverse, or to the identity — cannot depend on the
 // base: every lane of an accumulator holds c·Pᵢ for the same integer
@@ -53,18 +63,40 @@ const (
 	bmDigits = 256 / bmWindow
 	// bmBuckets is one bucket per odd digit magnitude 1,3,…,15.
 	bmBuckets = 1 << (bmWindow - 1)
-	// batchMulMin is the cutover to the kernel. Against the ladder
-	// behind Point.Mul, L per base per scalar and timed in one process
-	// with the two alternating, the kernel costs ≈ 13 L a call whatever
-	// the batch size (its ≈ 263 inversions, which run on big.Int in
-	// feInv and so kept their price when the field multiply moved to
-	// assembly) plus ≈ 0.6 L per base and ≈ 0.14 L per base per scalar.
-	// With s scalars it saves ≈ 0.86s − 0.6 L per base, in proportion
-	// ≈ 4s − 3: measured level at 12 bases under two scalars, ≈ 7 under
-	// three and ≈ 48 under one (the inner-layer opening, which at a
-	// chain's few hundred messages runs ≈ 27 % under the ladder).
-	batchMulMin = 56
 )
+
+// bmCost is the kernel's price against the ladder behind Point.Mul, in
+// hundredths of L, the ladder's time per base per scalar: fixed a call
+// (its 263 inversions, on big.Int in feInv), per base, and per base per
+// scalar. Each path's figures were timed in one process with the
+// kernel and the ladder alternating; EXPERIMENTS.md ("BatchMul runs
+// eight lanes at once") has the runs.
+type bmCost struct{ fixed, base, baseScalar int }
+
+var (
+	// bmCostIFMA: ≈ 20 L a call, 0.14 L a base, 0.04 L a base and
+	// scalar; the kernel levels with the ladder at ≈ 23 bases under one
+	// scalar, 11 under two, 7 under three.
+	bmCostIFMA = bmCost{2000, 14, 4}
+	// bmCostScalar: ≈ 14 L a call, 0.51 L a base, 0.17 L a base and
+	// scalar; level at ≈ 45, 13 and 7.5 bases.
+	bmCostScalar = bmCost{1400, 51, 17}
+)
+
+// batchMulMin returns the fewest non-identity bases for which BatchMul
+// runs the kernel under s ≥ 1 scalars: where its saving per base,
+// s·L less the per-base costs, first pays for its fixed cost. The
+// eight-lane kernel cuts the per-base cost ≈ 3× and not the fixed one,
+// so it pays from about half the size the scalar kernel does under
+// one scalar and from about the same size under two or three.
+func batchMulMin(s int) int {
+	c := bmCostScalar
+	if feIFMA {
+		c = bmCostIFMA
+	}
+	save := s*(100-c.baseScalar) - c.base
+	return (c.fixed + save - 1) / save
+}
 
 // bmCoef is an accumulator's coefficient mod n, little-endian limbs;
 // bmOrder is n.
@@ -96,20 +128,104 @@ func (a bmCoef) neg() bmCoef {
 }
 
 // bmAcc is one accumulator of the kernel: lane i holds coef·Pᵢ, affine
-// and in the Montgomery domain. A zero coef means every lane is the
-// identity, whatever x and y hold.
+// and in the Montgomery domain, in x and y on the scalar kernel and in
+// slot i%8 of x8[i/8] and y8[i/8] on the eight-lane one (feIFMA). A
+// zero coef means every lane is the identity, whatever the lanes hold.
 type bmAcc struct {
-	x, y []fe
-	coef bmCoef
+	x, y   []fe
+	x8, y8 []fe8
+	coef   bmCoef
+}
+
+// set loads lane i with the coordinates x, y.
+func (a *bmAcc) set(i int, x, y *fe) {
+	if a.x8 == nil {
+		a.x[i], a.y[i] = *x, *y
+		return
+	}
+	fe8Put(&a.x8[i/8], i%8, x)
+	fe8Put(&a.y8[i/8], i%8, y)
+}
+
+// lane returns lane i's coordinates, canonical.
+func (a *bmAcc) lane(i int) (x, y fe) {
+	if a.x8 == nil {
+		return a.x[i], a.y[i]
+	}
+	return fe8Get(&a.x8[i/8], i%8), fe8Get(&a.y8[i/8], i%8)
+}
+
+// pad copies lane 0 into the eight-lane form's slots from n on, so
+// that they too hold coef·P for a non-identity P and never give a step
+// a zero denominator.
+func (a *bmAcc) pad(n int) {
+	for i := n; i < 8*len(a.x8); i++ {
+		for j := range a.x8[0] {
+			a.x8[i/8][j][i%8], a.y8[i/8][j][i%8] = a.x8[0][j][0], a.y8[0][j][0]
+		}
+	}
+}
+
+// negY sets dst's y to −a's lane by lane.
+func (a *bmAcc) negY(dst *bmAcc) {
+	for i := range a.y {
+		feNeg(&dst.y[i], &a.y[i])
+	}
+	for i := range a.y8 {
+		fe8Neg(&dst.y8[i], &a.y8[i])
+	}
+}
+
+// bmSlab hands out a run's lane arrays from one allocation: n fe each
+// for the scalar kernel, ⌈n/8⌉ fe8 each for the eight-lane one.
+type bmSlab struct {
+	s    []fe
+	v    []fe8
+	wide bool
+	size int // elements per array
+}
+
+// newBmSlab makes room for arrays lane arrays of n lanes and one
+// element more (an inversion chain's).
+func newBmSlab(n, arrays int) *bmSlab {
+	if feIFMA {
+		g := (n + 7) / 8
+		return &bmSlab{v: make([]fe8, arrays*g+1), wide: true, size: g}
+	}
+	return &bmSlab{s: make([]fe, arrays*n+1), size: n}
+}
+
+func (s *bmSlab) take(m int) (x []fe, x8 []fe8) {
+	if s.wide {
+		x8, s.v = s.v[:m:m], s.v[m:]
+	} else {
+		x, s.s = s.s[:m:m], s.s[m:]
+	}
+	return x, x8
+}
+
+// lanes gives a its x and y arrays.
+func (s *bmSlab) lanes(a *bmAcc) {
+	a.x, a.x8 = s.take(s.size)
+	a.y, a.y8 = s.take(s.size)
+}
+
+// kernel returns a kernel whose chains hold ops operations a step.
+func (s *bmSlab) kernel(ops int) *bmKernel {
+	k := &bmKernel{}
+	k.buf, k.buf8 = s.take(ops*s.size + 1)
+	return k
 }
 
 // bmAdd is one addition of a step: dst += src.
 type bmAdd struct{ dst, src *bmAcc }
 
-// bmKernel runs the sweep's steps; buf is for their chains' prefix
-// products, a lane per operation of a step and one element.
+// bmKernel runs the sweep's steps; buf (buf8 on the eight-lane kernel)
+// is for their chains' prefix products, a lane array per operation of
+// a step and one element.
 type bmKernel struct {
 	buf        []fe
+	buf8       []fe8
 	inversions int
 }
 
@@ -131,6 +247,8 @@ func (k *bmKernel) addAll(adds []bmAdd, dbl *bmAcc) {
 		case d == bmCoef{}:
 			copy(a.dst.x, a.src.x)
 			copy(a.dst.y, a.src.y)
+			copy(a.dst.x8, a.src.x8)
+			copy(a.dst.y8, a.src.y8)
 			a.dst.coef = c
 		case d == c:
 			k.addAll(nil, a.dst)
@@ -149,6 +267,20 @@ func (k *bmKernel) addAll(adds []bmAdd, dbl *bmAcc) {
 		return
 	}
 
+	if k.buf8 != nil {
+		k.step8(chords, dbl)
+	} else {
+		k.step(chords, dbl)
+	}
+	k.inversions++
+	if dbl != nil {
+		dbl.coef = dbl.coef.add(dbl.coef)
+	}
+}
+
+// step is addAll's lane work on the scalar kernel: the chords and the
+// doubling under one inversion.
+func (k *bmKernel) step(chords []bmAdd, dbl *bmAcc) {
 	// Forward, every denominator into the chain. The tangent's, y, go in
 	// first and so come out last, after every chord has read dbl.
 	var c feInvChain
@@ -167,7 +299,6 @@ func (k *bmKernel) addAll(adds []bmAdd, dbl *bmAcc) {
 		}
 	}
 	c.invert()
-	k.inversions++
 
 	// Backward: one iteration unwinds a lane's inverse and applies it.
 	for r := len(chords) - 1; r >= 0; r-- {
@@ -199,7 +330,53 @@ func (k *bmKernel) addAll(adds []bmAdd, dbl *bmAcc) {
 			feMul(&lam, &lam, &dinv)
 			feChord(&x[i], &y[i], &lam, &x[i], &y[i], &x[i])
 		}
-		dbl.coef = dbl.coef.add(dbl.coef)
+	}
+}
+
+// step8 is step on the eight-lane kernel, the same operations in the
+// same order, eight lanes to an element.
+func (k *bmKernel) step8(chords []bmAdd, dbl *bmAcc) {
+	// Declared once: a temporary in the loops would be zeroed a lane.
+	var c fe8InvChain
+	var d, lam, dinv, t fe8
+	c.reset(k.buf8)
+	if dbl != nil {
+		for i := range dbl.y8 {
+			c.push(&dbl.y8[i])
+		}
+	}
+	for _, a := range chords {
+		ax, bx := a.dst.x8, a.src.x8
+		for i := range ax {
+			fe8Sub(&d, &bx[i], &ax[i])
+			c.push(&d)
+		}
+	}
+	c.invert()
+
+	for r := len(chords) - 1; r >= 0; r-- {
+		a := chords[r]
+		ax, ay, bx, by := a.dst.x8, a.dst.y8, a.src.x8, a.src.y8
+		for i := len(ax) - 1; i >= 0; i-- {
+			fe8Sub(&d, &bx[i], &ax[i])
+			fe8Sub(&lam, &by[i], &ay[i])
+			c.inverse(&dinv)
+			c.drop(&d)
+			fe8Mul(&lam, &lam, &dinv)
+			fe8Chord(&ax[i], &ay[i], &lam, &ax[i], &ay[i], &bx[i], &d, &t)
+		}
+	}
+	if dbl != nil {
+		fe8MulConst(&c.run, &c.run, &fe8ThreeHalves)
+		x, y := dbl.x8, dbl.y8
+		for i := len(x) - 1; i >= 0; i-- {
+			c.inverse(&dinv)
+			c.drop(&y[i])
+			fe8Mul(&lam, &x[i], &x[i])
+			fe8Sub(&lam, &lam, &fe8One)
+			fe8Mul(&lam, &lam, &dinv)
+			fe8Chord(&x[i], &y[i], &lam, &x[i], &y[i], &x[i], &d, &t)
+		}
 	}
 }
 
@@ -286,7 +463,7 @@ func BatchMul(points []Point, scalars ...Scalar) [][]Point {
 		}
 	}
 	n := len(live)
-	if n*(4*len(scalars)-3) < batchMulMin {
+	if len(scalars) == 0 || n < batchMulMin(len(scalars)) {
 		for k, s := range scalars {
 			for _, i := range live {
 				out[k][i] = points[i].Mul(s)
@@ -327,23 +504,21 @@ func batchMulKernel(points []Point, live []int, scalars []Scalar, out [][]Point)
 	// the kernel's prefix products (no step holds more than two
 	// operations per scalar).
 	maxOps := 2 * len(rows)
-	slab := make([]fe, (3+2*bmBuckets*len(rows)+maxOps)*n+1)
-	take := func(m int) []fe {
-		s := slab[:m:m]
-		slab = slab[m:]
-		return s
-	}
-	kern := &bmKernel{buf: take(maxOps*n + 1)}
+	slab := newBmSlab(n, 3+2*bmBuckets*len(rows)+maxOps)
+	kern := slab.kernel(maxOps)
 	adds := make([]bmAdd, 0, maxOps)
-	q := &bmAcc{x: take(n), y: take(n), coef: bmCoef{1}}
-	qneg := &bmAcc{x: q.x, y: take(n)} // −q, for the negative digits
-	signed := [2]*bmAcc{q, qneg}       // by a digit's sign bit
+	q := &bmAcc{coef: bmCoef{1}}
+	slab.lanes(q)
+	qneg := &bmAcc{x: q.x, x8: q.x8} // −q, for the negative digits
+	qneg.y, qneg.y8 = slab.take(slab.size)
+	signed := [2]*bmAcc{q, qneg} // by a digit's sign bit
 	for j, i := range live {
-		q.x[j], q.y[j] = points[i].x, points[i].y
+		q.set(j, &points[i].x, &points[i].y)
 	}
+	q.pad(n)
 	for r := range rows {
 		for b := range rows[r].buckets {
-			rows[r].buckets[b].x, rows[r].buckets[b].y = take(n), take(n)
+			slab.lanes(&rows[r].buckets[b])
 		}
 	}
 
@@ -351,9 +526,7 @@ func batchMulKernel(points []Point, live []int, scalars []Scalar, out [][]Point)
 	// doublings to window j+1 both read ±16ʲ·P and share an inversion.
 	for j := 0; j < bmDigits; j++ {
 		qneg.coef = q.coef.neg()
-		for i := range qneg.y {
-			feNeg(&qneg.y[i], &q.y[i])
-		}
+		q.negY(qneg)
 		adds = adds[:0]
 		for r := range rows {
 			d := rows[r].digits[j]
@@ -399,11 +572,11 @@ func batchMulKernel(points []Point, live []int, scalars []Scalar, out [][]Point)
 			panic("group: BatchMul coefficient bookkeeping is wrong")
 		}
 		for j, i := range live {
-			y := res.y[j]
+			x, y := res.lane(j)
 			if rows[r].neg {
 				feNeg(&y, &y)
 			}
-			out[rows[r].k][i] = affine(res.x[j], y)
+			out[rows[r].k][i] = affine(x, y)
 		}
 	}
 	return kern.inversions

@@ -62,11 +62,11 @@ func TestBatchMulMatchesMul(t *testing.T) {
 	random := []Scalar{MustRandomScalar(), MustRandomScalar(), MustRandomScalar()}
 
 	// Sizes: empty, below any cutover, the first size past the cutover
-	// under three, two and one scalars (n·(4s−3) ≥ batchMulMin) with its
+	// under three, two and one scalars (batchMulMin) with its
 	// neighbours, and one well past it that is not a round number.
 	sizes := []int{0, 1, 2, 257}
 	for s := 3; s >= 1; s-- {
-		c := (batchMulMin + 4*s - 4) / (4*s - 3)
+		c := batchMulMin(s)
 		sizes = append(sizes, c-1, c, c+1)
 	}
 	for _, n := range sizes {
@@ -78,8 +78,8 @@ func TestBatchMulMatchesMul(t *testing.T) {
 
 	// Identity, duplicate and mutually inverse bases interleaved: the
 	// lanes are independent, so none may disturb its neighbours. The
-	// identities also pull the live count under the two-scalar cutover
-	// at 12.
+	// identities also pull the live count of 12 under the two-scalar
+	// cutover.
 	for _, n := range []int{12, 40} {
 		pts := testBases("batchmul/mixed", n)
 		pts[0] = Identity()
@@ -116,7 +116,7 @@ func TestBatchMulMatchesMul(t *testing.T) {
 // copies, tangents and cancellations; the even ones run as n−s, whose
 // digits wrap around the order.
 func TestBatchMulBucketEdges(t *testing.T) {
-	pts := testBases("batchmul/edges", batchMulMin/5+1)
+	pts := testBases("batchmul/edges", batchMulMin(2))
 	one := big.NewInt(1)
 	for j := 0; j < bmDigits; j++ {
 		p := new(big.Int).Lsh(one, uint(bmWindow*j))
@@ -156,17 +156,23 @@ func TestBatchMulCost(t *testing.T) {
 	}
 }
 
-// testAcc returns an accumulator holding c·P for every base, with a
-// kernel whose chain has room for ops operations over them.
+// testAcc returns an accumulator holding c·P for every base, in the
+// kernel's current lane form (feIFMA's).
 func testAcc(pts []Point, c int64) *bmAcc {
-	a := &bmAcc{x: make([]fe, len(pts)), y: make([]fe, len(pts)), coef: scalarLimbs(NewScalar(c))}
+	a := &bmAcc{coef: scalarLimbs(NewScalar(c))}
+	newBmSlab(len(pts), 2).lanes(a)
 	for i, p := range pts {
 		if q := p.Mul(NewScalar(c)); !q.IsIdentity() {
-			a.x[i], a.y[i] = q.x, q.y
+			a.set(i, &q.x, &q.y)
 		}
 	}
+	a.pad(len(pts))
 	return a
 }
+
+// testKernel returns a kernel whose chains have room for ops
+// operations over n lanes.
+func testKernel(n, ops int) *bmKernel { return newBmSlab(n, ops).kernel(ops) }
 
 func checkAcc(t *testing.T, what string, pts []Point, a *bmAcc, want int64) {
 	t.Helper()
@@ -177,7 +183,7 @@ func checkAcc(t *testing.T, what string, pts []Point, a *bmAcc, want int64) {
 		return
 	}
 	for i, p := range pts {
-		if got := affine(a.x[i], a.y[i]); !got.Equal(p.Mul(NewScalar(want))) {
+		if got := affine(a.lane(i)); !got.Equal(p.Mul(NewScalar(want))) {
 			t.Fatalf("%s: lane %d is not %d·P", what, i, want)
 		}
 	}
@@ -202,7 +208,7 @@ func TestBatchKernelAdd(t *testing.T) {
 		{4, 0, 0}, {0, 0, 0}, // identity operand
 	}
 	for _, tc := range cases {
-		kern := &bmKernel{buf: make([]fe, len(pts)+1)}
+		kern := testKernel(len(pts), 1)
 		dst, src := testAcc(pts, tc.dst), testAcc(pts, tc.src)
 		kern.addAll([]bmAdd{{dst, src}}, nil)
 		checkAcc(t, fmt.Sprintf("%+v", tc), pts, dst, tc.dst+tc.src)
@@ -215,9 +221,9 @@ func TestBatchKernelAdd(t *testing.T) {
 	// One step: every case that adds ±3·P adds the same q or −q, which
 	// share their x as the sweep's do, and q doubles under the same
 	// inversion.
-	kern := &bmKernel{buf: make([]fe, (len(cases)+1)*len(pts)+1)}
+	kern := testKernel(len(pts), len(cases)+1)
 	q, qneg := testAcc(pts, 3), testAcc(pts, -3)
-	qneg.x = q.x
+	qneg.x, qneg.x8 = q.x, q.x8
 	var adds []bmAdd
 	var dsts []*bmAcc
 	for _, tc := range cases {
@@ -243,7 +249,7 @@ func TestBatchKernelAdd(t *testing.T) {
 // identity.
 func TestBatchKernelDouble(t *testing.T) {
 	pts := testBases("batchmul/kernel", 5)
-	kern := &bmKernel{buf: make([]fe, len(pts)+1)}
+	kern := testKernel(len(pts), 1)
 	for _, c := range []int64{1, -1, 7} {
 		a := testAcc(pts, c)
 		kern.doubleAll(a)
@@ -339,48 +345,62 @@ func TestFeBatchInv(t *testing.T) {
 // duplicate bases). The seeds put every exceptional scalar through
 // it.
 func FuzzBatchMul(f *testing.F) {
+	for _, in := range fuzzBatchMulSeeds() {
+		f.Add(in)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) { checkFuzzBatchMul(t, "", data) })
+}
+
+// fuzzBatchMulSeeds is FuzzBatchMul's seed corpus, which
+// TestFieldDispatch reruns on the scalar kernel.
+func fuzzBatchMulSeeds() [][]byte {
 	bases := []byte{1, 2, 3, 0, 3, 250, 251, 252, 9, 8, 7, 6, 5, 4, 11, 12, 13, 14, 15, 16}
 	random := HashToScalar("fuzzbatchmul/seed").Bytes()
+	var seeds [][]byte
 	for _, s := range batchMulEdgeScalars() {
-		f.Add(append(append(s.Bytes(), random...), bases...))
-		f.Add(append(append(random, s.Bytes()...), bases...))
-		f.Add(append(append(s.Bytes(), s.Bytes()...), bases...))
+		seeds = append(seeds,
+			append(append(s.Bytes(), random...), bases...),
+			append(append(random, s.Bytes()...), bases...),
+			append(append(s.Bytes(), s.Bytes()...), bases...))
 	}
-	f.Add(Order().FillBytes(make([]byte, 64))) // short: no bases at all
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 64 {
-			return
+	return append(seeds, Order().FillBytes(make([]byte, 64))) // short: no bases at all
+}
+
+func checkFuzzBatchMul(t *testing.T, name string, data []byte) {
+	t.Helper()
+	if len(data) < 64 {
+		return
+	}
+	if len(data) > 64+48 {
+		data = data[:64+48]
+	}
+	scalars := []Scalar{
+		ScalarFromBig(new(big.Int).SetBytes(data[:32])),
+		ScalarFromBig(new(big.Int).SetBytes(data[32:64])),
+	}
+	pts := make([]Point, len(data)-64)
+	for i, b := range data[64:] {
+		if b != 0 {
+			pts[i] = Base(HashToScalar("fuzzbatchmul", []byte{b}))
 		}
-		if len(data) > 64+48 {
-			data = data[:64+48]
-		}
-		scalars := []Scalar{
-			ScalarFromBig(new(big.Int).SetBytes(data[:32])),
-			ScalarFromBig(new(big.Int).SetBytes(data[32:64])),
-		}
-		pts := make([]Point, len(data)-64)
-		for i, b := range data[64:] {
-			if b != 0 {
-				pts[i] = Base(HashToScalar("fuzzbatchmul", []byte{b}))
+	}
+	out := BatchMul(pts, scalars...)
+	for k, s := range scalars {
+		for i, p := range pts {
+			if !out[k][i].Equal(p.Mul(s)) {
+				t.Fatalf("%s: out[%d][%d] disagrees with Point.Mul", name, k, i)
 			}
 		}
-		out := BatchMul(pts, scalars...)
-		for k, s := range scalars {
-			for i, p := range pts {
-				if !out[k][i].Equal(p.Mul(s)) {
-					t.Fatalf("out[%d][%d] disagrees with Point.Mul", k, i)
-				}
-			}
-		}
-	})
+	}
 }
 
 // BenchmarkBatchMul reports the per-base cost of raising a batch to
 // one and to two shared scalars; BenchmarkPointMul is the per-base,
 // per-scalar cost it replaces. x1 is the inner-layer opening's shape
 // and x2 a hop's; both run the kernel at these sizes (see batchMulMin).
-// 200 and 400 are what a mix-k6 hop really runs: a 404-message median
-// batch mixed over two worker ranges, and opened whole.
+// 200 and 400 are mix-k6's shapes: its hops' 404-message median batch
+// (mixed over two worker ranges while mix.minRange was 128, whole
+// since) and half of it.
 func BenchmarkBatchMul(b *testing.B) {
 	scalars := []Scalar{MustRandomScalar(), MustRandomScalar()}
 	for _, n := range []int{128, 200, 400, 512, 2048} {

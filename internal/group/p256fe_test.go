@@ -2,6 +2,7 @@ package group
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math/big"
 	"os"
 	"runtime"
@@ -139,10 +140,10 @@ func FuzzFieldOps(f *testing.F) {
 	})
 }
 
-// cpuinfoHasADX reads BMI2 and ADX from /proc/cpuinfo's flags: the
-// kernel's CPUID, independent of the package's. ok is false where the
-// file is not there.
-func cpuinfoHasADX() (has, ok bool) {
+// cpuinfoHas reports whether /proc/cpuinfo's flags list every one of
+// names: the kernel's CPUID, independent of the package's. ok is false
+// where the file is not there.
+func cpuinfoHas(names ...string) (has, ok bool) {
 	b, err := os.ReadFile("/proc/cpuinfo")
 	if err != nil {
 		return false, false
@@ -151,35 +152,231 @@ func cpuinfoHasADX() (has, ok bool) {
 		name, flags, found := strings.Cut(line, ":")
 		if found && strings.TrimSpace(name) == "flags" {
 			f := strings.Fields(flags)
-			return slices.Contains(f, "bmi2") && slices.Contains(f, "adx"), true
+			for _, n := range names {
+				if !slices.Contains(f, n) {
+					return false, true
+				}
+			}
+			return true, true
 		}
 	}
 	return false, false
 }
 
-// TestFieldDispatch pins the selection: the assembly runs whenever the
-// CPU has BMI2 and ADX (a broken CPUID check would otherwise fall back
-// silently, visible only in a benchmark), never off amd64, and with the
-// selection forced to the Go bodies the known-answer checks of BatchMul,
-// the ladder and BatchDH still pass.
+// TestFieldDispatch pins the selections: the MULX/ADX assembly runs
+// whenever the CPU has BMI2 and ADX, and BatchMul's eight-lane kernel
+// whenever it has AVX-512F and IFMA (a broken CPUID check would
+// otherwise fall back silently, visible only in a benchmark); neither
+// off amd64. With each forced off, the known-answer checks of what
+// runs on it pass again: BatchMul, the ladder and BatchDH on the Go
+// field bodies, and the kernel's own tests on the scalar kernel.
 func TestFieldDispatch(t *testing.T) {
-	switch has, ok := cpuinfoHasADX(); {
-	case runtime.GOARCH != "amd64":
-		if feADX {
-			t.Fatalf("feADX set on %s", runtime.GOARCH)
+	for _, sel := range []struct {
+		name  string
+		on    bool
+		flags []string
+	}{
+		{"feADX", feADX, []string{"bmi2", "adx"}},
+		{"feIFMA", feIFMA, []string{"avx512f", "avx512ifma"}},
+	} {
+		switch has, ok := cpuinfoHas(sel.flags...); {
+		case runtime.GOARCH != "amd64":
+			if sel.on {
+				t.Fatalf("%s set on %s", sel.name, runtime.GOARCH)
+			}
+		case !ok:
+			t.Logf("no /proc/cpuinfo to check %s = %v against", sel.name, sel.on)
+		case sel.on != has:
+			t.Fatalf("%s = %v, but /proc/cpuinfo says %v = %v", sel.name, sel.on, sel.flags, has)
 		}
-	case !ok:
-		t.Logf("no /proc/cpuinfo to check feADX = %v against", feADX)
-	case feADX != has:
-		t.Fatalf("feADX = %v, but /proc/cpuinfo says BMI2+ADX = %v", feADX, has)
+	}
+	if feIFMA {
+		t.Log("kernel: ifma")
+	} else {
+		t.Log("kernel: scalar")
 	}
 
-	if !feADX {
-		return // every other test already runs on the Go bodies
+	if feIFMA {
+		feIFMA = false
+		t.Run("scalar/BatchMul", TestBatchMulMatchesMul)
+		t.Run("scalar/BatchMulCost", TestBatchMulCost)
+		t.Run("scalar/KernelAdd", TestBatchKernelAdd)
+		t.Run("scalar/KernelDouble", TestBatchKernelDouble)
+		t.Run("scalar/FuzzBatchMulSeeds", func(t *testing.T) {
+			for i, in := range fuzzBatchMulSeeds() {
+				checkFuzzBatchMul(t, fmt.Sprintf("seed#%d", i), in)
+			}
+		})
+		feIFMA = true
 	}
-	feADX = false
-	t.Cleanup(func() { feADX = true })
-	t.Run("generic/BatchMul", TestBatchMulMatchesMul)
-	t.Run("generic/Ladder", TestLadderMatchesStdlib)
-	t.Run("generic/BatchDH", TestBatchDHMatchesDH)
+	if feADX {
+		feADX = false
+		t.Cleanup(func() { feADX = true })
+		t.Run("generic/BatchMul", TestBatchMulMatchesMul)
+		t.Run("generic/Ladder", TestLadderMatchesStdlib)
+		t.Run("generic/BatchDH", TestBatchDHMatchesDH)
+	}
+}
+
+// The eight-lane primitives of p256fe8_amd64.s, held to math/big on
+// raw limbs like the scalar ones: a lane's value is Σ limb_j·2^(52j),
+// any value below 2p is an input, and every output must be below 2p
+// with each limb below 2^52.
+
+var (
+	twoP    = new(big.Int).Lsh(fePrime, 1)
+	r260Inv = new(big.Int).ModInverse(new(big.Int).Lsh(big.NewInt(1), 260), fePrime)
+)
+
+func fe8LaneBig(x *fe8, l int) *big.Int {
+	v := new(big.Int)
+	for j := 4; j >= 0; j-- {
+		v.Lsh(v, 52)
+		v.Add(v, new(big.Int).SetUint64(x[j][l]))
+	}
+	return v
+}
+
+func fe8SetLaneBig(x *fe8, l int, v *big.Int) {
+	w := new(big.Int).Set(v)
+	mask := big.NewInt(fe8Mask)
+	for j := range 5 {
+		x[j][l] = new(big.Int).And(w, mask).Uint64()
+		w.Rsh(w, 52)
+	}
+}
+
+// checkFe8Lanes fails unless every lane of got is below 2p, has every
+// limb below 2^52, and is ≡ want(lane) mod p.
+func checkFe8Lanes(t *testing.T, op string, got *fe8, want func(l int) *big.Int) {
+	t.Helper()
+	for l := range 8 {
+		for j := range 5 {
+			if got[j][l] > fe8Mask {
+				t.Fatalf("%s lane %d: limb %d is %#x, past 52 bits", op, l, j, got[j][l])
+			}
+		}
+		v := fe8LaneBig(got, l)
+		w := new(big.Int).Mod(want(l), fePrime)
+		if v.Cmp(twoP) >= 0 || new(big.Int).Mod(v, fePrime).Cmp(w) != 0 {
+			t.Fatalf("%s lane %d: got %#x, want %#x mod p, below 2p", op, l, v, w)
+		}
+	}
+}
+
+// checkFieldOps8 runs fe8Mul, fe8MulConst, fe8Sub and fe8Neg on eight
+// lanes spread around a and b (below 2p; the last lane has x = y), and
+// a chain of n multiplications, against math/big.
+func checkFieldOps8(t *testing.T, a, b *big.Int, n int) {
+	t.Helper()
+	a = new(big.Int).Mod(a, twoP)
+	b = new(big.Int).Mod(b, twoP)
+	var x, y fe8
+	xs, ys := make([]*big.Int, 8), make([]*big.Int, 8)
+	step := new(big.Int).Rsh(fePrime, 3)
+	for l := range 8 {
+		d := new(big.Int).Mul(step, big.NewInt(int64(l)))
+		xs[l] = new(big.Int).Mod(new(big.Int).Add(a, d), twoP)
+		ys[l] = new(big.Int).Mod(new(big.Int).Sub(b, d), twoP)
+		if l == 7 {
+			ys[l] = xs[l]
+		}
+		fe8SetLaneBig(&x, l, xs[l])
+		fe8SetLaneBig(&y, l, ys[l])
+	}
+	mont := func(u, v *big.Int) *big.Int {
+		z := new(big.Int).Mul(u, v)
+		return z.Mul(z, r260Inv)
+	}
+
+	var z fe8
+	fe8Mul(&z, &x, &y)
+	checkFe8Lanes(t, "mul", &z, func(l int) *big.Int { return mont(xs[l], ys[l]) })
+	z = x
+	fe8Mul(&z, &z, &z)
+	checkFe8Lanes(t, "mul z=x=y", &z, func(l int) *big.Int { return mont(xs[l], xs[l]) })
+	var c [5]uint64
+	for j := range c {
+		c[j] = y[j][0]
+	}
+	fe8MulConst(&z, &x, &c)
+	checkFe8Lanes(t, "mulConst", &z, func(l int) *big.Int { return mont(xs[l], ys[0]) })
+	fe8Sub(&z, &x, &y)
+	checkFe8Lanes(t, "sub", &z, func(l int) *big.Int { return new(big.Int).Sub(xs[l], ys[l]) })
+	z = y
+	fe8Sub(&z, &x, &z)
+	checkFe8Lanes(t, "sub z=y", &z, func(l int) *big.Int { return new(big.Int).Sub(xs[l], ys[l]) })
+	fe8Neg(&z, &x)
+	checkFe8Lanes(t, "neg", &z, func(l int) *big.Int { return new(big.Int).Neg(xs[l]) })
+
+	z = x
+	want := slices.Clone(xs)
+	for range n {
+		fe8Mul(&z, &z, &y)
+		for l := range want {
+			want[l] = new(big.Int).Mod(mont(want[l], ys[l]), fePrime)
+		}
+	}
+	checkFe8Lanes(t, fmt.Sprintf("%d-step chain", n), &z, func(l int) *big.Int { return want[l] })
+}
+
+// checkFe8RoundTrip holds the conversions: an fe put into a lane comes
+// back bit for bit, a lane holding v + p comes back as v, and the
+// eight-lane multiply of converted values converts back to feMul's.
+func checkFe8RoundTrip(t *testing.T, a, b *big.Int) {
+	t.Helper()
+	fa, fb := feRawFromBig(new(big.Int).Mod(a, fePrime)), feRawFromBig(new(big.Int).Mod(b, fePrime))
+	var x, y fe8
+	for l := range 8 {
+		fe8Put(&x, l, &fa)
+		fe8Put(&y, l, &fb)
+	}
+	if got := fe8Get(&x, 3); got != fa {
+		t.Fatalf("round trip of %#x gives %#x", feRawBig(&fa), feRawBig(&got))
+	}
+	fe8SetLaneBig(&x, 5, new(big.Int).Add(fe8LaneBig(&x, 5), fePrime))
+	if got := fe8Get(&x, 5); got != fa {
+		t.Fatalf("lane holding %#x + p comes back as %#x", feRawBig(&fa), feRawBig(&got))
+	}
+	if !feIFMA {
+		return
+	}
+	var z fe8
+	var want fe
+	fe8Mul(&z, &x, &y)
+	feMul(&want, &fa, &fb)
+	if got := fe8Get(&z, 0); got != want {
+		t.Fatalf("fe8Mul of %#x, %#x converts to %#x, feMul gives %#x", feRawBig(&fa), feRawBig(&fb), feRawBig(&got), feRawBig(&want))
+	}
+}
+
+// FuzzFieldOps8 holds the eight-lane primitives to math/big and the
+// conversions to themselves: a and b are 33 big-endian bytes taken mod
+// 2p, n picks a 1–1000-step multiply chain. The seeds are 0, 1, p−1,
+// p−2, R = 2^260 mod p, 2p−1 and equal operands, one with a
+// 1000-step chain. Without IFMA only the conversions run.
+func FuzzFieldOps8(f *testing.F) {
+	p := fePrime
+	r := new(big.Int).Mod(new(big.Int).Lsh(big.NewInt(1), 260), p)
+	edges := []*big.Int{
+		big.NewInt(0), big.NewInt(1),
+		new(big.Int).Sub(p, big.NewInt(1)), new(big.Int).Sub(p, big.NewInt(2)),
+		r, new(big.Int).Sub(twoP, big.NewInt(1)),
+	}
+	for i, a := range edges {
+		for j, b := range edges {
+			f.Add(a.FillBytes(make([]byte, 33)), b.FillBytes(make([]byte, 33)), uint16(i+j))
+		}
+	}
+	f.Add(r.FillBytes(make([]byte, 33)), p.FillBytes(make([]byte, 33)), uint16(999))
+	f.Fuzz(func(t *testing.T, a, b []byte, n uint16) {
+		if len(a) > 33 || len(b) > 33 {
+			t.Skip()
+		}
+		av, bv := new(big.Int).SetBytes(a), new(big.Int).SetBytes(b)
+		checkFe8RoundTrip(t, av, bv)
+		if feIFMA {
+			checkFieldOps8(t, av, bv, 1+int(n)%1000)
+		}
+	})
 }

@@ -143,3 +143,43 @@ func TestParallelRangesMinimum(t *testing.T) {
 		}
 	}
 }
+
+// TestRandomPermutationUniform checks the shuffle's distribution: over
+// 24 000 permutations of four elements each of the 24 appears about
+// 1 000 times, and a count past 1 000 ± 6σ (σ = √(24 000·(1/24)·(23/24))
+// ≈ 31, so ± 186) fails — about a one-in-10⁷ chance for a uniform
+// shuffle. A single bounded draw is checked for modulo bias at
+// n = 3·2⁶¹, where taking x mod n would put 56.25 % of the draws below
+// n/2; a uniform draw puts 50 % there, and 30 000 draws must land
+// within 6σ (≈ 1.7 points) of it.
+func TestRandomPermutationUniform(t *testing.T) {
+	const draws, perms = 24000, 24
+	counts := map[[4]int]int{}
+	for range draws {
+		var key [4]int
+		copy(key[:], randomPermutation(4))
+		counts[key]++
+	}
+	if len(counts) != perms {
+		t.Fatalf("%d distinct permutations of 4, want %d", len(counts), perms)
+	}
+	const want, bound = draws / perms, 186
+	for p, c := range counts {
+		if c < want-bound || c > want+bound {
+			t.Fatalf("permutation %v drawn %d times, want %d ± %d", p, c, want, bound)
+		}
+	}
+
+	var s shuffleStream
+	copy(s.key[:], "a fixed key for the bias check..")
+	const n, m = 3 << 61, 30000
+	below := 0
+	for range m {
+		if s.below(n) < n/2 {
+			below++
+		}
+	}
+	if share := float64(below) / m; share < 0.5-0.017 || share > 0.5+0.017 {
+		t.Fatalf("%.4f of draws below n/2 at n = 3·2⁶¹, want 0.5 ± 0.017", share)
+	}
+}

@@ -16,11 +16,12 @@ import (
 	"crypto/rand"
 	"encoding/binary"
 	"fmt"
-	"math/big"
+	"math/bits"
 	"runtime"
 	"sync"
 
 	"repro/internal/aead"
+	"repro/internal/chacha20"
 	"repro/internal/group"
 	"repro/internal/nizk"
 	"repro/internal/onion"
@@ -426,36 +427,87 @@ func productOfKeys(envs []onion.Envelope) group.Point {
 	return group.Product(dhKeys(envs))
 }
 
-// randomPermutation draws a uniform permutation from crypto/rand;
-// the honest server's secret permutation is what hides message
-// origins, so it must not come from a seedable PRNG.
+// randomPermutation draws a uniform permutation: a Fisher–Yates
+// shuffle whose draws come from one fresh 32-byte crypto/rand key,
+// expanded by ChaCha20 (shuffleStream). The honest server's secret
+// permutation is what hides message origins, so its randomness must
+// not come from a seedable PRNG; the key is drawn here and nowhere
+// else, and one key per permutation costs one read of crypto/rand
+// rather than one per element.
 func randomPermutation(n int) []int {
+	var s shuffleStream
+	if _, err := rand.Read(s.key[:]); err != nil {
+		panic(fmt.Sprintf("mix: system randomness failed: %v", err))
+	}
 	p := make([]int, n)
 	for i := range p {
 		p[i] = i
 	}
 	for i := n - 1; i > 0; i-- {
-		j := randInt(i + 1)
+		j := s.below(uint64(i + 1))
 		p[i], p[j] = p[j], p[i]
 	}
 	return p
 }
 
-func randInt(n int) int {
-	v, err := rand.Int(rand.Reader, big.NewInt(int64(n)))
-	if err != nil {
-		panic(fmt.Sprintf("mix: system randomness failed: %v", err))
+// shuffleStream reads ChaCha20's keystream under key (zero nonce, so a
+// key must never be used twice) as little-endian uint64s.
+type shuffleStream struct {
+	key  [chacha20.KeySize]byte
+	buf  [512]byte
+	rest []byte // the unread part of buf
+	ctr  uint32
+}
+
+func (s *shuffleStream) uint64() uint64 {
+	if len(s.rest) == 0 {
+		var nonce [chacha20.NonceSize]byte
+		clear(s.buf[:])
+		if err := chacha20.XORKeyStream(s.buf[:], s.buf[:], s.key[:], nonce[:], s.ctr); err != nil {
+			panic(err) // the key and nonce sizes are the package's own
+		}
+		s.ctr += uint32(len(s.buf) / chacha20.BlockSize)
+		s.rest = s.buf[:]
 	}
-	return int(v.Int64())
+	v := binary.LittleEndian.Uint64(s.rest)
+	s.rest = s.rest[8:]
+	return v
+}
+
+// below returns a uniform draw from [0, n), n > 0, by Lemire's
+// multiply-and-reject: the high word of x·n for a uniform 64-bit x,
+// redrawing x when the low word falls in the 2^64 mod n values that
+// would bias it.
+func (s *shuffleStream) below(n uint64) uint64 {
+	hi, lo := bits.Mul64(s.uint64(), n)
+	if lo < n {
+		for thresh := -n % n; lo < thresh; {
+			hi, lo = bits.Mul64(s.uint64(), n)
+		}
+	}
+	return hi
 }
 
 // minRange is the fewest messages parallelRanges gives a worker. The
-// ranges feed group.BatchMul, which pays 263 true field inversions per
-// call whatever the batch size: ≈ 0.6 ms, against ≈ 55 µs a message
-// under a hop's two secrets, so 9 % of a call at 128 messages, 4 % at
-// 256 — and when several chains already mix concurrently, cutting
-// each one's batch finer buys no parallelism at all.
-const minRange = 128
+// ranges feed group.BatchMul, whose call costs a fixed ≈ 1.3–1.5 ms
+// (263 true field inversions on big.Int, whatever the batch size) plus
+// a per-message cost that the eight-lane kernel cut to ≈ 14 µs under a
+// hop's two secrets (≈ 50–65 µs on the scalar kernel). A split into
+// two ranges therefore costs one more fixed share of CPU, ≈ 1.5 ms,
+// and on the eight-lane kernel ≈ 20 % more per-message CPU besides
+// (measured on a 2-vCPU Xeon whose vCPUs share one core's vector
+// unit). What it buys, when positions run one to a process and a
+// second core is otherwise idle, is wall time: there, alternating, two
+// ranges took 0.82 of one call's time at 128 messages, 0.70 at 256
+// and 0.63–0.65 from 512 on (0.52–0.62 on the scalar kernel); when
+// several chains already mix concurrently, as in one process, a split
+// buys no parallelism at all and only costs. The constant keeps the
+// fixed cost at ≈ 10 % of a range, as 128 did when a message cost
+// ≈ 55 µs: the fixed-to-per-message ratio is now ≈ 95 messages, so
+// splits start at 2048. A mix-k6 hop (≈ 400 messages) runs whole; four
+// alternating pairs against 128 read the same round_s (0.996) at
+// 2 % less CPU.
+const minRange = 1024
 
 // parallelRanges splits [0, n) into contiguous ranges of at least
 // minRange, at most one per CPU, and runs fn on each concurrently.
