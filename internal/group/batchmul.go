@@ -35,7 +35,7 @@ import "math/bits"
 // ≈ 1.3–1.4 ms — the 263 inversions, which still run one feInv on
 // big.Int each (the eight SIMD slots share it through feBatchInv) —
 // plus ≈ 12–14 µs a base under one or two scalars, where the scalar
-// kernel costs ≈ 1.0–1.2 ms plus ≈ 52–67 µs (bmCost).
+// kernel costs ≈ 1.0–1.2 ms plus ≈ 52–67 µs (batchMulMin).
 //
 // The exceptional cases of affine arithmetic — adding a point to
 // itself, to its inverse, or to the identity — cannot depend on the
@@ -65,38 +65,21 @@ const (
 	bmBuckets = 1 << (bmWindow - 1)
 )
 
-// bmCost is the kernel's price against the ladder behind Point.Mul, in
-// hundredths of L, the ladder's time per base per scalar: fixed a call
-// (its 263 inversions, on big.Int in feInv), per base, and per base per
-// scalar. Each path's figures were timed in one process with the
-// kernel and the ladder alternating; EXPERIMENTS.md ("BatchMul runs
-// eight lanes at once") has the runs.
-type bmCost struct{ fixed, base, baseScalar int }
-
-var (
-	// bmCostIFMA: ≈ 20 L a call, 0.14 L a base, 0.04 L a base and
-	// scalar; the kernel levels with the ladder at ≈ 23 bases under one
-	// scalar, 11 under two, 7 under three.
-	bmCostIFMA = bmCost{2000, 14, 4}
-	// bmCostScalar: ≈ 14 L a call, 0.51 L a base, 0.17 L a base and
-	// scalar; level at ≈ 45, 13 and 7.5 bases.
-	bmCostScalar = bmCost{1400, 51, 17}
-)
-
-// batchMulMin returns the fewest non-identity bases for which BatchMul
-// runs the kernel under s ≥ 1 scalars: where its saving per base,
-// s·L less the per-base costs, first pays for its fixed cost. The
-// eight-lane kernel cuts the per-base cost ≈ 3× and not the fixed one,
-// so it pays from about half the size the scalar kernel does under
-// one scalar and from about the same size under two or three.
-func batchMulMin(s int) int {
-	c := bmCostScalar
-	if feIFMA {
-		c = bmCostIFMA
-	}
-	save := s*(100-c.baseScalar) - c.base
-	return (c.fixed + save - 1) / save
-}
+// batchMulMin[s−1] is the fewest non-identity bases for which
+// BatchMul runs the kernel under s scalars, the last entry standing
+// for three or more. Against the ladder behind Point.Mul, L per base
+// per scalar, and timed in one process with the two alternating, the
+// kernel costs a fixed F a call (its 263 inversions, on big.Int in
+// feInv) plus a per base and b per base per scalar, so it pays from
+// n ≥ F/(s − a − b·s). On the scalar kernel F ≈ 14 L, a ≈ 0.51 L and
+// b ≈ 0.17 L: level at ≈ 45, 13 and 7.5 bases, which is the table. On
+// the eight-lane one F ≈ 20 L, a ≈ 0.14 L, b ≈ 0.04 L: level at ≈ 23,
+// 11 and 7, so under one scalar it would pay from half the size. No
+// caller's one-scalar batch falls between 23 and 44 (an inner open
+// runs a chain's messages: hundreds in the benchmark, ≈ 20 in
+// xrd-sim), so one table serves both paths. EXPERIMENTS.md ("BatchMul
+// runs eight lanes at once") has the runs.
+var batchMulMin = [...]int{44, 13, 8}
 
 // bmCoef is an accumulator's coefficient mod n, little-endian limbs;
 // bmOrder is n.
@@ -463,7 +446,7 @@ func BatchMul(points []Point, scalars ...Scalar) [][]Point {
 		}
 	}
 	n := len(live)
-	if len(scalars) == 0 || n < batchMulMin(len(scalars)) {
+	if len(scalars) == 0 || n < batchMulMin[min(len(scalars), len(batchMulMin))-1] {
 		for k, s := range scalars {
 			for _, i := range live {
 				out[k][i] = points[i].Mul(s)

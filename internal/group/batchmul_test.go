@@ -66,7 +66,7 @@ func TestBatchMulMatchesMul(t *testing.T) {
 	// neighbours, and one well past it that is not a round number.
 	sizes := []int{0, 1, 2, 257}
 	for s := 3; s >= 1; s-- {
-		c := batchMulMin(s)
+		c := batchMulMin[s-1]
 		sizes = append(sizes, c-1, c, c+1)
 	}
 	for _, n := range sizes {
@@ -116,7 +116,7 @@ func TestBatchMulMatchesMul(t *testing.T) {
 // copies, tangents and cancellations; the even ones run as n−s, whose
 // digits wrap around the order.
 func TestBatchMulBucketEdges(t *testing.T) {
-	pts := testBases("batchmul/edges", batchMulMin(2))
+	pts := testBases("batchmul/edges", batchMulMin[1])
 	one := big.NewInt(1)
 	for j := 0; j < bmDigits; j++ {
 		p := new(big.Int).Lsh(one, uint(bmWindow*j))
@@ -398,9 +398,8 @@ func checkFuzzBatchMul(t *testing.T, name string, data []byte) {
 // one and to two shared scalars; BenchmarkPointMul is the per-base,
 // per-scalar cost it replaces. x1 is the inner-layer opening's shape
 // and x2 a hop's; both run the kernel at these sizes (see batchMulMin).
-// 200 and 400 are mix-k6's shapes: its hops' 404-message median batch
-// (mixed over two worker ranges while mix.minRange was 128, whole
-// since) and half of it.
+// 200 and 400 are what a mix-k6 hop really runs: a 404-message median
+// batch mixed over two worker ranges, and opened whole.
 func BenchmarkBatchMul(b *testing.B) {
 	scalars := []Scalar{MustRandomScalar(), MustRandomScalar()}
 	for _, n := range []int{128, 200, 400, 512, 2048} {

@@ -148,10 +148,10 @@ func TestParallelRangesMinimum(t *testing.T) {
 // 24 000 permutations of four elements each of the 24 appears about
 // 1 000 times, and a count past 1 000 ± 6σ (σ = √(24 000·(1/24)·(23/24))
 // ≈ 31, so ± 186) fails — about a one-in-10⁷ chance for a uniform
-// shuffle. A single bounded draw is checked for modulo bias at
-// n = 3·2⁶¹, where taking x mod n would put 56.25 % of the draws below
-// n/2; a uniform draw puts 50 % there, and 30 000 draws must land
-// within 6σ (≈ 1.7 points) of it.
+// shuffle. A single bounded draw, randInt, is checked for modulo bias
+// at n = 3·2⁶¹, where taking a uniform 63-bit x mod n would put 62.5 %
+// of the draws below n/2; a uniform draw puts 50 % there, and 30 000
+// draws must land within 6σ (≈ 1.7 points) of it.
 func TestRandomPermutationUniform(t *testing.T) {
 	const draws, perms = 24000, 24
 	counts := map[[4]int]int{}
@@ -170,12 +170,10 @@ func TestRandomPermutationUniform(t *testing.T) {
 		}
 	}
 
-	var s shuffleStream
-	copy(s.key[:], "a fixed key for the bias check..")
 	const n, m = 3 << 61, 30000
 	below := 0
 	for range m {
-		if s.below(n) < n/2 {
+		if randInt(n) < n/2 {
 			below++
 		}
 	}

@@ -16,12 +16,11 @@ import (
 	"crypto/rand"
 	"encoding/binary"
 	"fmt"
-	"math/bits"
+	"math/big"
 	"runtime"
 	"sync"
 
 	"repro/internal/aead"
-	"repro/internal/chacha20"
 	"repro/internal/group"
 	"repro/internal/nizk"
 	"repro/internal/onion"
@@ -427,87 +426,49 @@ func productOfKeys(envs []onion.Envelope) group.Point {
 	return group.Product(dhKeys(envs))
 }
 
-// randomPermutation draws a uniform permutation: a Fisher–Yates
-// shuffle whose draws come from one fresh 32-byte crypto/rand key,
-// expanded by ChaCha20 (shuffleStream). The honest server's secret
-// permutation is what hides message origins, so its randomness must
-// not come from a seedable PRNG; the key is drawn here and nowhere
-// else, and one key per permutation costs one read of crypto/rand
-// rather than one per element.
+// randomPermutation draws a uniform permutation from crypto/rand;
+// the honest server's secret permutation is what hides message
+// origins, so it must not come from a seedable PRNG.
 func randomPermutation(n int) []int {
-	var s shuffleStream
-	if _, err := rand.Read(s.key[:]); err != nil {
-		panic(fmt.Sprintf("mix: system randomness failed: %v", err))
-	}
 	p := make([]int, n)
 	for i := range p {
 		p[i] = i
 	}
 	for i := n - 1; i > 0; i-- {
-		j := s.below(uint64(i + 1))
+		j := randInt(i + 1)
 		p[i], p[j] = p[j], p[i]
 	}
 	return p
 }
 
-// shuffleStream reads ChaCha20's keystream under key (zero nonce, so a
-// key must never be used twice) as little-endian uint64s.
-type shuffleStream struct {
-	key  [chacha20.KeySize]byte
-	buf  [512]byte
-	rest []byte // the unread part of buf
-	ctr  uint32
-}
-
-func (s *shuffleStream) uint64() uint64 {
-	if len(s.rest) == 0 {
-		var nonce [chacha20.NonceSize]byte
-		clear(s.buf[:])
-		if err := chacha20.XORKeyStream(s.buf[:], s.buf[:], s.key[:], nonce[:], s.ctr); err != nil {
-			panic(err) // the key and nonce sizes are the package's own
-		}
-		s.ctr += uint32(len(s.buf) / chacha20.BlockSize)
-		s.rest = s.buf[:]
+func randInt(n int) int {
+	v, err := rand.Int(rand.Reader, big.NewInt(int64(n)))
+	if err != nil {
+		panic(fmt.Sprintf("mix: system randomness failed: %v", err))
 	}
-	v := binary.LittleEndian.Uint64(s.rest)
-	s.rest = s.rest[8:]
-	return v
-}
-
-// below returns a uniform draw from [0, n), n > 0, by Lemire's
-// multiply-and-reject: the high word of x·n for a uniform 64-bit x,
-// redrawing x when the low word falls in the 2^64 mod n values that
-// would bias it.
-func (s *shuffleStream) below(n uint64) uint64 {
-	hi, lo := bits.Mul64(s.uint64(), n)
-	if lo < n {
-		for thresh := -n % n; lo < thresh; {
-			hi, lo = bits.Mul64(s.uint64(), n)
-		}
-	}
-	return hi
+	return int(v.Int64())
 }
 
 // minRange is the fewest messages parallelRanges gives a worker. The
-// ranges feed group.BatchMul, whose call costs a fixed ≈ 1.3–1.5 ms
-// (263 true field inversions on big.Int, whatever the batch size) plus
-// a per-message cost that the eight-lane kernel cut to ≈ 14 µs under a
-// hop's two secrets (≈ 50–65 µs on the scalar kernel). A split into
-// two ranges therefore costs one more fixed share of CPU, ≈ 1.5 ms,
-// and on the eight-lane kernel ≈ 20 % more per-message CPU besides
-// (measured on a 2-vCPU Xeon whose vCPUs share one core's vector
-// unit). What it buys, when positions run one to a process and a
-// second core is otherwise idle, is wall time: there, alternating, two
-// ranges took 0.82 of one call's time at 128 messages, 0.70 at 256
-// and 0.63–0.65 from 512 on (0.52–0.62 on the scalar kernel); when
+// ranges feed group.BatchMul, whose call costs a fixed F (263 true
+// field inversions on big.Int, whatever the batch size) plus c a
+// message under a hop's two secrets: F ≈ 1.3 ms and c ≈ 14 µs on the
+// eight-lane kernel, F ≈ 1.1 ms and c ≈ 58 µs on the scalar one, a
+// ratio r = F/c of ≈ 95 and ≈ 20 messages. Splitting n messages in
+// two costs one more F of CPU, r/(r+n) of a call's; where a second
+// core would otherwise idle, as when positions run one to a process,
+// it buys wall time, (r+n/2)/(r+n) of a call's. Timed in one process
+// with both kernels alternating (GOMAXPROCS 2, 15 pairs a size), two
+// ranges took 0.65 of one call's wall time at 256 messages and
+// 0.54–0.58 from 512 on with the eight-lane kernel, 0.52–0.55 with
+// the scalar one, for 1–2 ms more CPU and nothing per message. Where
 // several chains already mix concurrently, as in one process, a split
-// buys no parallelism at all and only costs. The constant keeps the
-// fixed cost at ≈ 10 % of a range, as 128 did when a message cost
-// ≈ 55 µs: the fixed-to-per-message ratio is now ≈ 95 messages, so
-// splits start at 2048. A mix-k6 hop (≈ 400 messages) runs whole; four
-// alternating pairs against 128 read the same round_s (0.996) at
-// 2 % less CPU.
-const minRange = 1024
+// buys no parallelism and costs its F. minRange is the ratio rounded
+// up over both kernels: no range's per-message work is less than the
+// fixed cost it adds. A mix-k6 hop (≈ 400 messages) runs as two
+// ranges; four alternating mix-k6 pairs against minRange 1024 read the
+// same round_s (0.996).
+const minRange = 128
 
 // parallelRanges splits [0, n) into contiguous ranges of at least
 // minRange, at most one per CPU, and runs fn on each concurrently.

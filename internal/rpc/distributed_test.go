@@ -212,7 +212,7 @@ func TestDistributedCorruptServer(t *testing.T) {
 }
 
 // TestDistributedBlameTwoLayersMatchesLocal runs a batch wide enough
-// for the batched hop kernel through one set of
+// for the batched hop kernel and its worker ranges through one set of
 // three mix servers twice — reached over TLS, and in-process through
 // mix.LocalHop — with ciphertexts that fail at two different
 // positions. Each failing position re-mixes the survivors, recalling
