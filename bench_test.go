@@ -1,12 +1,12 @@
 package repro
 
-// One benchmark per table/figure of the paper's evaluation (§8), plus
-// the ablation benches DESIGN.md calls out. Large-scale latency
-// points come from the calibrated analytic models (internal/model);
-// per-message crypto costs, wire sizes, blame runs and small
-// end-to-end rounds are measured on this repository's real code. Each
-// bench reports its figure's series through b.ReportMetric so
-// `go test -bench` output doubles as the figure data.
+// The benchmarks of the paper's evaluation (§8) that run this
+// repository's real code and have no home in a package: Figure 7's
+// blame runs, the round pipeline's worker scaling, AHS against the
+// paper's Algorithm 1, the AEAD choice and batched submission-proof
+// verification. The figures that are formulas (internal/model,
+// churn.Simulate) are what cmd/xrd-experiments prints; EXPERIMENTS.md's
+// figure ledger names the one command behind every figure.
 
 import (
 	"fmt"
@@ -16,8 +16,6 @@ import (
 	"testing"
 
 	"repro/internal/aead"
-	"repro/internal/chainsel"
-	"repro/internal/churn"
 	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/group"
@@ -26,123 +24,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/nizk"
 	"repro/internal/onion"
-	"repro/internal/topology"
 )
-
-// BenchmarkFig2UserBandwidth regenerates Figure 2: bytes each user
-// uploads per round versus the number of servers, for XRD (from this
-// repo's real wire sizes), Pung XPIR/SealPIR and Stadium (published
-// models).
-func BenchmarkFig2UserBandwidth(b *testing.B) {
-	cal := model.PaperCalibration()
-	for _, n := range []int{100, 500, 1000, 1500, 2000} {
-		b.Run(fmt.Sprintf("servers=%d", n), func(b *testing.B) {
-			var bw int
-			for i := 0; i < b.N; i++ {
-				bw = cal.XRDUserBandwidth(n)
-			}
-			b.ReportMetric(float64(bw), "xrd-B")
-			b.ReportMetric(float64(model.PungXPIRBandwidth(1_000_000)), "pung-xpir-1M-B")
-			b.ReportMetric(float64(model.PungXPIRBandwidth(4_000_000)), "pung-xpir-4M-B")
-			b.ReportMetric(float64(model.PungSealPIRBandwidth()), "pung-sealpir-B")
-			b.ReportMetric(float64(model.StadiumBandwidth()), "stadium-B")
-		})
-	}
-}
-
-// BenchmarkFig3UserCompute regenerates Figure 3: single-core client
-// computation per round versus servers. The XRD series is measured:
-// the bench actually builds a full round of AHS submissions.
-func BenchmarkFig3UserCompute(b *testing.B) {
-	for _, n := range []int{36, 105} { // real builds at laptop scale
-		b.Run(fmt.Sprintf("real/servers=%d", n), func(b *testing.B) {
-			fe, err := core.NewFrontend(core.FrontendConfig{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			net, err := core.NewNetwork(core.Config{
-				NumServers:          n,
-				ChainLengthOverride: 32,
-				Seed:                []byte("fig3"),
-				Shards:              []core.GatewayShard{fe},
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			u := fe.NewUser()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := u.BuildRound(net.Round(), net); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-	cal := model.PaperCalibration()
-	for _, n := range []int{100, 500, 1000, 2000} {
-		b.Run(fmt.Sprintf("model/servers=%d", n), func(b *testing.B) {
-			var s float64
-			for i := 0; i < b.N; i++ {
-				s = cal.XRDUserCompute(n)
-			}
-			b.ReportMetric(s, "xrd-s")
-			b.ReportMetric(model.PungUserCompute(1_000_000), "pung-1M-s")
-			b.ReportMetric(model.StadiumUserCompute(), "stadium-s")
-		})
-	}
-}
-
-// BenchmarkFig4LatencyVsUsers regenerates Figure 4: end-to-end
-// latency with 100 servers as users grow, for all four systems.
-func BenchmarkFig4LatencyVsUsers(b *testing.B) {
-	cal := model.PaperCalibration()
-	for _, m := range []int{1_000_000, 2_000_000, 4_000_000, 8_000_000} {
-		b.Run(fmt.Sprintf("users=%dM", m/1_000_000), func(b *testing.B) {
-			var x float64
-			for i := 0; i < b.N; i++ {
-				x = cal.XRDLatency(m, 100)
-			}
-			b.ReportMetric(x, "xrd-s")
-			b.ReportMetric(cal.AtomLatency(m, 100), "atom-s")
-			b.ReportMetric(cal.PungLatency(m, 100), "pung-s")
-			b.ReportMetric(cal.StadiumLatency(m, 100), "stadium-s")
-		})
-	}
-}
-
-// BenchmarkFig5LatencyVsServers regenerates Figure 5: latency for 2M
-// users as servers grow; XRD falls as √2/√N, others as 1/N.
-func BenchmarkFig5LatencyVsServers(b *testing.B) {
-	cal := model.PaperCalibration()
-	for _, n := range []int{50, 100, 150, 200, 1000, 3000} {
-		b.Run(fmt.Sprintf("servers=%d", n), func(b *testing.B) {
-			var x float64
-			for i := 0; i < b.N; i++ {
-				x = cal.XRDLatency(2_000_000, n)
-			}
-			b.ReportMetric(x, "xrd-s")
-			b.ReportMetric(cal.AtomLatency(2_000_000, n), "atom-s")
-			b.ReportMetric(cal.PungLatency(2_000_000, n), "pung-s")
-			b.ReportMetric(cal.StadiumLatency(2_000_000, n), "stadium-s")
-		})
-	}
-}
-
-// BenchmarkFig6ImpactOfF regenerates Figure 6: latency versus the
-// assumed malicious fraction, driven by k(f) ∝ −1/log f.
-func BenchmarkFig6ImpactOfF(b *testing.B) {
-	cal := model.PaperCalibration()
-	for _, f := range []float64{0.1, 0.2, 0.3, 0.4, 0.45} {
-		b.Run(fmt.Sprintf("f=%.2f", f), func(b *testing.B) {
-			var x float64
-			for i := 0; i < b.N; i++ {
-				x = cal.XRDLatencyWithF(2_000_000, 100, f)
-			}
-			b.ReportMetric(x, "xrd-s")
-			b.ReportMetric(float64(topology.ChainLength(f, 100, 64)), "k")
-		})
-	}
-}
 
 // BenchmarkFig7BlameLatency regenerates Figure 7 at laptop scale: a
 // real chain runs the real blame protocol against real malicious
@@ -201,78 +83,13 @@ func BenchmarkFig7BlameLatency(b *testing.B) {
 	}
 }
 
-// BenchmarkFig8ChurnFailure regenerates Figure 8: conversation
-// failure fraction under server churn, by Monte-Carlo simulation over
-// the real topology and chain-selection plan.
-func BenchmarkFig8ChurnFailure(b *testing.B) {
-	for _, n := range []int{100, 500, 1000} {
-		for _, rate := range []float64{0.01, 0.02, 0.04} {
-			b.Run(fmt.Sprintf("servers=%d/churn=%.2f", n, rate), func(b *testing.B) {
-				var fail float64
-				for i := 0; i < b.N; i++ {
-					res, err := churn.Simulate(churn.Config{
-						NumServers: n,
-						F:          0.2,
-						ChurnRate:  rate,
-						Pairs:      2000,
-						Trials:     10,
-						Seed:       int64(i),
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					fail = res.FailureRate
-				}
-				b.ReportMetric(fail, "failure-rate")
-			})
-		}
-	}
-}
-
-// BenchmarkHeadlineEndToEnd measures a real, complete XRD round at
-// laptop scale (the §8.2 experiment shrunk to one machine): 60 users
-// on 12 chains of 8 servers, conversations on, covers on, AHS on.
-func BenchmarkHeadlineEndToEnd(b *testing.B) {
-	fe, err := core.NewFrontend(core.FrontendConfig{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	net, err := core.NewNetwork(core.Config{
-		NumServers:          12,
-		ChainLengthOverride: 8,
-		Seed:                []byte("headline"),
-		Shards:              []core.GatewayShard{fe},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	users := make([]*client.User, 60)
-	for i := range users {
-		users[i] = fe.NewUser()
-	}
-	for i := 0; i+1 < len(users); i += 2 {
-		users[i].StartConversation(users[i+1].PublicKey())
-		users[i+1].StartConversation(users[i].PublicKey())
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rep, err := net.RunRound()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rep.HaltedChains) != 0 {
-			b.Fatal("halted")
-		}
-	}
-}
-
 // BenchmarkRoundPipeline measures the parallel round pipeline:
 // end-to-end rounds (build fan-out over registry shards, concurrent
 // chain mixing, concurrent mailbox delivery) swept over user counts
 // and build-worker counts. Per-round user throughput is reported as
 // users/s; comparing workers=1 against workers=GOMAXPROCS shows the
 // pipeline's scaling on the host (near-linear until the chain-mix
-// stage saturates). EXPERIMENTS.md records trajectories.
+// stage saturates). EXPERIMENTS.md's figure ledger has the sweep.
 func BenchmarkRoundPipeline(b *testing.B) {
 	maxWorkers := runtime.GOMAXPROCS(0)
 	workerCounts := []int{1}
@@ -522,64 +339,6 @@ func TestBaselineSilentlyDropsTampered(t *testing.T) {
 	}
 }
 
-// BenchmarkAblationVerifiableShuffle compares AHS's per-message
-// server cost (1 DH + 1 blinding exponentiation) against the ≥8
-// exponentiations per message of a Neff-style verifiable shuffle —
-// the paper's core efficiency claim against [39,24,8,26].
-func BenchmarkAblationVerifiableShuffle(b *testing.B) {
-	p := group.Base(group.MustRandomScalar())
-	s := group.MustRandomScalar()
-	b.Run("ahs-2-exp", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			p.Mul(s)
-			p.Mul(s)
-		}
-	})
-	b.Run("verifiable-shuffle-8-exp", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for e := 0; e < 8; e++ {
-				p.Mul(s)
-			}
-		}
-	})
-}
-
-// BenchmarkAblationCoverMessages quantifies §5.3.3: cover traffic
-// doubles the client's build cost ("the cover messages make up half
-// of the client overhead", §8.1).
-func BenchmarkAblationCoverMessages(b *testing.B) {
-	fe, err := core.NewFrontend(core.FrontendConfig{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	net, err := core.NewNetwork(core.Config{
-		NumServers:          36,
-		ChainLengthOverride: 8,
-		Seed:                []byte("covers"),
-		Shards:              []core.GatewayShard{fe},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	u := fe.NewUser()
-	b.Run("with-covers", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := u.BuildRound(net.Round(), net); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	cal := model.PaperCalibration()
-	b.Run("bandwidth-ratio", func(b *testing.B) {
-		var with int
-		for i := 0; i < b.N; i++ {
-			with = cal.XRDUserBandwidth(100)
-		}
-		b.ReportMetric(float64(with), "with-covers-B")
-		b.ReportMetric(float64(with)/2, "without-covers-B")
-	})
-}
-
 // BenchmarkAblationAEAD compares the from-scratch ChaCha20-Poly1305
 // against stdlib AES-GCM on the system's message size.
 func BenchmarkAblationAEAD(b *testing.B) {
@@ -592,20 +351,6 @@ func BenchmarkAblationAEAD(b *testing.B) {
 			b.SetBytes(int64(len(msg)))
 			for i := 0; i < b.N; i++ {
 				buf = s.Seal(buf[:0], &key, &nonce, msg)
-			}
-		})
-	}
-}
-
-// BenchmarkChainSelection measures the publicly computable plan
-// construction users run at join time (§5.3.1).
-func BenchmarkChainSelection(b *testing.B) {
-	for _, n := range []int{100, 1000, 5000} {
-		b.Run(fmt.Sprintf("chains=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := chainsel.NewPlan(n); err != nil {
-					b.Fatal(err)
-				}
 			}
 		})
 	}

@@ -30,15 +30,34 @@ func runExperiments(t *testing.T, args ...string) string {
 	return string(text)
 }
 
-// TestFigureSelection: -fig prints the one figure it names, under the
-// paper's calibration.
+// TestFigureSelection: every -fig value prints its own figure's
+// header under the paper's calibration and no other figure's; all
+// prints every header. These are the only runs of the figure code
+// under go test.
 func TestFigureSelection(t *testing.T) {
-	out := runExperiments(t, "-fig", "6")
-	if !strings.Contains(out, "calibration: paper-calibrated") || !strings.Contains(out, "Figure 6:") {
-		t.Fatalf("-fig 6 printed no Figure 6:\n%s", out)
+	headers := map[string]string{
+		"headline": "Headline (§1, §8.2):",
+		"2":        "Figure 2:",
+		"3":        "Figure 3:",
+		"4":        "Figure 4:",
+		"5":        "Figure 5:",
+		"6":        "Figure 6:",
+		"7":        "Figure 7:",
+		"8":        "Figure 8:",
 	}
-	if strings.Contains(out, "Figure 2:") || strings.Contains(out, "Headline") {
-		t.Fatalf("-fig 6 printed other figures:\n%s", out)
+	for _, fig := range []string{"2", "3", "4", "5", "6", "7", "8", "headline", "all"} {
+		t.Run(fig, func(t *testing.T) {
+			out := runExperiments(t, "-fig", fig)
+			if !strings.Contains(out, "calibration: paper-calibrated") {
+				t.Fatalf("-fig %s printed no calibration line:\n%s", fig, out)
+			}
+			for name, header := range headers {
+				want := fig == "all" || fig == name
+				if got := strings.Contains(out, header); got != want {
+					t.Errorf("-fig %s: %q printed = %v, want %v", fig, header, got, want)
+				}
+			}
+		})
 	}
 }
 

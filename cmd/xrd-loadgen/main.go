@@ -1,7 +1,8 @@
 // Command xrd-loadgen drives closed-loop load against a running XRD
-// deployment and reports latency/throughput numbers in the same JSON
-// shape benchjson archives (BENCH_*.json), so load-harness runs sit
-// next to microbenchmark runs in the repo's performance trajectory.
+// deployment and reports latency/throughput numbers as JSON: one entry
+// per phase or scraped histogram, each a name, an iteration count and
+// named metrics. BENCH_0005.json, the committed 1M-user rounds, holds
+// four such reports' entries.
 //
 // The harness models the paper's user population split: a large
 // registered base (mailbox identifiers known to the gateway shards,
@@ -63,7 +64,7 @@ func main() {
 		gateways   = flag.String("gateways", "", `gateway shards as "addr=certfile,..." (empty: users talk to -addr directly)`)
 		registered = flag.Int("registered", 1_000_000, "total registered user population")
 		active     = flag.Int("active", 100_000, "users that submit this round (must be even; <= registered)")
-		out        = flag.String("out", "", "write the benchjson report here (default stdout)")
+		out        = flag.String("out", "", "write the report here (default stdout)")
 		seed       = flag.Int64("seed", 1, "workload seed: pairing, message bodies and the synthetic registered population are reproducible for a given seed (keys stay random)")
 		admin      = flag.String("admin", "", `comma-separated admin endpoints ("host:port,...") to scrape after the round, merging server-side phase timings into the report`)
 	)
@@ -476,7 +477,8 @@ func histogram(lats []time.Duration) map[string]float64 {
 	}
 }
 
-// benchReport mirrors cmd/benchjson's archived Report shape.
+// benchReport is the report -out writes: the host, then one entry per
+// phase or scraped histogram.
 type benchReport struct {
 	Goos       string      `json:"goos,omitempty"`
 	Goarch     string      `json:"goarch,omitempty"`

@@ -16,7 +16,7 @@ import (
 
 // The -admin scrape step: after the round, pull each process's
 // /healthz (for its role) and /metrics, reduce the round-phase and
-// storage histograms to quantiles, and merge them into the benchjson
+// storage histograms to quantiles, and merge them into the -out
 // report. The loadgen's own numbers measure the client side of the
 // deployment; these are the server side of the same round, so one
 // report file carries both.

@@ -10,7 +10,8 @@
 // internal/rpc for the TLS transport, and internal/{model,churn,
 // trace} for the evaluation. See README.md for a tour, DESIGN.md for
 // the system inventory, and EXPERIMENTS.md for paper-versus-measured
-// results. The benchmarks in bench_test.go regenerate every figure of
-// the paper's evaluation section; runnable examples live under
-// examples/ and command-line tools under cmd/.
+// results: its figure ledger names the one command that regenerates
+// each figure of the paper's evaluation section (most are
+// cmd/xrd-experiments). Runnable examples live under examples/ and
+// command-line tools under cmd/.
 package repro

@@ -207,8 +207,8 @@ func main() { flag.StringVar(&s, "m", "", ""); flag.Func("f", "", nil) }`
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !flags["xrd-server -role"] || !flags["benchjson -o"] {
-		t.Fatalf("the flag walk misses xrd-server -role or benchjson -o: %v", flags)
+	if !flags["xrd-server -role"] || !flags["xrd-loadgen -out"] {
+		t.Fatalf("the flag walk misses xrd-server -role or xrd-loadgen -out: %v", flags)
 	}
 	for table, defined := range map[string]map[string]bool{"Configuration knobs": fields, "Command flags": flags} {
 		missing, stale := mismatch(defined, tableRows(string(design), table))

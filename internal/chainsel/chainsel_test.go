@@ -43,7 +43,8 @@ func TestLIsMinimalTriangularCover(t *testing.T) {
 // 100 servers (n=N=100) each user submits 15 messages... The paper
 // says "each user submits 15 messages with 100 servers"; our formula
 // gives ℓ=14 plus the paper appears to round √(2·100)=14.14 up. We
-// assert ℓ ∈ {14, 15} and record the exact value in EXPERIMENTS.md.
+// assert ℓ ∈ {14, 15}; EXPERIMENTS.md's figure ledger records L(100) =
+// 14 beside the paper's 15.
 func TestPaperL100Servers(t *testing.T) {
 	l := L(100)
 	if l != 14 && l != 15 {

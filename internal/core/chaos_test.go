@@ -15,6 +15,7 @@ package core_test
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -472,6 +473,16 @@ func TestStrandedUsersGetRetryError(t *testing.T) {
 			victim = c
 		}
 	}
+	// The check below needs a user off the victim chain; mailboxes are
+	// random, so register users until one rides other chains only.
+	for tries := 0; !slices.ContainsFunc(users, func(u *client.User) bool {
+		return !slices.Contains(net.Plan().ChainsForUser(u.Mailbox()), victim)
+	}); tries++ {
+		if tries == 100 {
+			t.Fatalf("100 more users all rode chain %d", victim)
+		}
+		users = append(users, fe.NewUser())
+	}
 	if err := net.CorruptServer(victim, 1, &mix.Corruption{TamperPairs: [][2]int{{0, 1}}}); err != nil {
 		t.Fatal(err)
 	}
@@ -503,7 +514,7 @@ func TestStrandedUsersGetRetryError(t *testing.T) {
 		}
 	}
 	if !clean {
-		t.Skip("every user rode chain 0; tighten the topology seed")
+		t.Fatal("no user rode the healthy chains alone")
 	}
 	// An unknown round has no stranded records at all.
 	if se := fe.StrandedError(rep.Round+100, users[0].Mailbox()); se != nil {

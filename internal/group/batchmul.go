@@ -77,8 +77,8 @@ const (
 // 11 and 7, so under one scalar it would pay from half the size. No
 // caller's one-scalar batch falls between 23 and 44 (an inner open
 // runs a chain's messages: hundreds in the benchmark, ≈ 20 in
-// xrd-sim), so one table serves both paths. EXPERIMENTS.md ("BatchMul
-// runs eight lanes at once") has the runs.
+// xrd-sim), so one table serves both paths. EXPERIMENTS.md
+// ("Cutovers") has the runs.
 var batchMulMin = [...]int{44, 13, 8}
 
 // bmCoef is an accumulator's coefficient mod n, little-endian limbs;

@@ -42,11 +42,12 @@ import (
 // A hop batch is one onion.Batch block, 64 B of key and the ciphertext
 // per message on the chain — 517 B each at k = 6 (493 B while keys
 // crossed compressed): 1M registered / 100k active users is ≈ 52 MB per
-// hop.mix (BENCH_0002 recorded 27–49 MB at 493 B), and the paper's
-// headline point — 2M users, 100 chains, ≈ 280k envelopes a chain — is
-// ≈ 145 MB (was ≈ 138). 256 MiB covers both with headroom. A gateway
-// shard's whole build (shard.begin's reply) is bounded the way the
-// protocol scales everything else about a gateway: by adding shards.
+// hop.mix (BENCH_0005.json recorded 46.9 MB on a chain of 3, 469 B a
+// message at position 0), and the paper's headline point — 2M users,
+// 100 chains, ≈ 280k envelopes a chain — is ≈ 145 MB (was ≈ 138).
+// 256 MiB covers both with headroom. A gateway shard's whole build
+// (shard.begin's reply) is bounded the way the protocol scales
+// everything else about a gateway: by adding shards.
 const MaxFrameSize = 256 << 20
 
 // prefixLen is the big-endian payload length in front of every frame.

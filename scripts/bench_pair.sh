@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # bench_pair.sh — the paired end-to-end comparison every performance PR
-# reports (EXPERIMENTS.md, "Running"), as a tool.
+# reports (EXPERIMENTS.md, "Method"), as a tool.
 #
 #   scripts/bench_pair.sh PARENT CHANGE [WORKLOAD] [N]
 #
