@@ -51,7 +51,6 @@ import (
 
 	"repro/internal/chainsel"
 	"repro/internal/client"
-	"repro/internal/mix"
 	"repro/internal/onion"
 	"repro/internal/rpc"
 	"repro/internal/trace"
@@ -287,19 +286,15 @@ func registerAll(front *rpc.MultiClient, users []*client.User, synthetic int, se
 	return total
 }
 
-// buildAll builds every user's round output. Parameters are fetched
-// once and served from memory: every user needs the same per-chain
-// values, and 100k RPCs for identical bytes would measure the
-// parameter cache, not the build.
+// buildAll builds every user's round output. Every user needs the
+// same per-chain values, which src's rpc.Client fetches once a chain
+// and round and then serves from memory, so the build is what is
+// measured, not 100k RPCs for identical bytes.
 func buildAll(users []*client.User, round uint64, src client.ParamsSource) []*client.RoundOutput {
-	cache, err := newParamsCache(src, round)
-	if err != nil {
-		log.Fatalf("fetching chain parameters: %v", err)
-	}
 	outs := make([]*client.RoundOutput, len(users))
 	par(len(users), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			out, err := users[i].BuildRound(round, cache)
+			out, err := users[i].BuildRound(round, src)
 			if err != nil {
 				log.Fatalf("user %d build: %v", i, err)
 			}
@@ -390,44 +385,6 @@ func verifySample(front *rpc.MultiClient, users []*client.User, round uint64) {
 		log.Fatalf("verification: only %d of %d sampled users received their partner's message", got, checked)
 	}
 	fmt.Printf("xrd-loadgen: verified %d sampled mailboxes end to end\n", checked)
-}
-
-// paramsCache snapshots every chain's parameters for one round and
-// the next, serving BuildRound from memory.
-type paramsCache struct {
-	round uint64
-	cur   []mix.Params
-	next  []mix.Params
-}
-
-func newParamsCache(src client.ParamsSource, round uint64) (*paramsCache, error) {
-	st, err := src.(*rpc.MultiClient).Status()
-	if err != nil {
-		return nil, err
-	}
-	pc := &paramsCache{round: round, cur: make([]mix.Params, st.NumChains), next: make([]mix.Params, st.NumChains)}
-	for c := 0; c < st.NumChains; c++ {
-		if pc.cur[c], err = src.ChainParams(c, round); err != nil {
-			return nil, err
-		}
-		if pc.next[c], err = src.ChainParams(c, round+1); err != nil {
-			return nil, err
-		}
-	}
-	return pc, nil
-}
-
-func (p *paramsCache) ChainParams(chain int, round uint64) (mix.Params, error) {
-	if chain < 0 || chain >= len(p.cur) {
-		return mix.Params{}, fmt.Errorf("loadgen: chain %d out of range", chain)
-	}
-	switch round {
-	case p.round:
-		return p.cur[chain], nil
-	case p.round + 1:
-		return p.next[chain], nil
-	}
-	return mix.Params{}, fmt.Errorf("loadgen: parameters for round %d not cached", round)
 }
 
 // par splits [0, n) across GOMAXPROCS goroutines.

@@ -43,6 +43,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -361,6 +362,17 @@ func (n *Network) Round() uint64 {
 	return n.round
 }
 
+// Params returns the parameter snapshot the coordinator would push to
+// a gateway shard now: the upcoming round's and the next, at the
+// current epoch. A shard process joining a running deployment starts
+// from it (rpc.ShardClient.Init).
+func (n *Network) Params() RoundParams {
+	n.mu.Lock()
+	epoch, rho, chains := n.epoch, n.round, n.chains
+	n.mu.Unlock()
+	return snapshot(epoch, rho, chains, nil)
+}
+
 // ChainParams implements client.ParamsSource.
 func (n *Network) ChainParams(chain int, round uint64) (mix.Params, error) {
 	_, _, chains := n.topoView()
@@ -465,106 +477,97 @@ type RoundReport struct {
 	Evicted  []int
 }
 
-// roundParams is an immutable per-round snapshot of every chain's
-// public parameters for rounds ρ and ρ+1. Build workers read it
-// without any lock, and it saves each of the M·ℓ·2 per-message
-// parameter lookups from reassembling key slices. Dead chains — those
-// that failed to announce — carry zero parameters and are refused by
-// ChainParams.
-type roundParams struct {
-	rho  uint64
-	cur  []mix.Params
-	next []mix.Params
-	dead map[int]bool
+// RoundParams is one immutable snapshot of every chain's public
+// parameters for rounds ρ and ρ+1: users build a round's onions and
+// its covers one round ahead (§5.3.3), so a gateway serves both. The
+// coordinator builds it (snapshot) and pushes it to every gateway
+// shard in BeginRound, FinishRound and shard.init; a shard derives its
+// epoch's chain count from it, its build workers read it without a
+// lock, and it answers its users' ChainParams without a coordinator
+// round trip.
+type RoundParams struct {
+	// Round is ρ.
+	Round uint64
+	// Epoch is the topology epoch the chains belong to.
+	Epoch uint64
+	// Cur and Next hold each chain's parameters for ρ and ρ+1; their
+	// common length is the epoch's chain count.
+	Cur, Next []mix.Params
+	// Dead lists, ascending, the chains whose parameters could not be
+	// read — a chain that failed to announce. Their entries are zero,
+	// ChainParams refuses them, and a shard strands their users.
+	Dead []int
 }
 
-// newRoundParams assembles a snapshot from its wire representation.
-// Every key the shard's users will exponentiate gets a fixed-key table
-// (a no-op for parameters that came from an in-process mix.Chain,
-// which carry theirs already); a remote shard, whose parameters arrive
-// as bare points every round, keeps the tables of prev, the snapshot
-// being replaced, for keys that did not change — round rho's aggregate
-// was prev's next, and mix keys live for the epoch. The input slices
-// are shared between in-process shards and are not written.
-func newRoundParams(prev *roundParams, rho uint64, cur, next []mix.Params, dead []int) *roundParams {
-	p := &roundParams{rho: rho, cur: make([]mix.Params, len(cur)), next: make([]mix.Params, len(next))}
-	for c := range cur {
-		var old mix.Params
-		if prev != nil {
-			old, _ = prev.ChainParams(c, rho) // no such chain or round: nothing to keep
+// snapshot reads the chains' parameters for rounds rho and rho+1. A
+// chain in dead, or one whose parameters it cannot read, is marked
+// dead rather than failing the snapshot.
+func snapshot(epoch, rho uint64, chains []*mix.Chain, dead []int) RoundParams {
+	p := RoundParams{Round: rho, Epoch: epoch, Cur: make([]mix.Params, len(chains)), Next: make([]mix.Params, len(chains))}
+	for c, chain := range chains {
+		cur, errCur := chain.ParamsFor(rho)
+		next, errNext := chain.ParamsFor(rho + 1)
+		if slices.Contains(dead, c) || errCur != nil || errNext != nil {
+			p.Dead = append(p.Dead, c)
+			continue
 		}
-		p.cur[c] = cur[c].Precomputed(old)
-	}
-	for c := range next {
-		var sameEpoch mix.Params
-		if c < len(p.cur) {
-			sameEpoch = p.cur[c]
-		}
-		p.next[c] = next[c].Precomputed(sameEpoch)
-	}
-	if len(dead) > 0 {
-		p.dead = make(map[int]bool, len(dead))
-		for _, c := range dead {
-			p.dead[c] = true
-		}
+		p.Cur[c], p.Next[c] = cur, next
 	}
 	return p
 }
 
-// deadList returns the dead-chain set as a sorted slice.
-func (p *roundParams) deadList() []int {
-	if len(p.dead) == 0 {
-		return nil
+// NumChains returns the epoch's chain count.
+func (p *RoundParams) NumChains() int { return len(p.Cur) }
+
+func (p *RoundParams) dead(chain int) bool { return slices.Contains(p.Dead, chain) }
+
+// validate refuses a snapshot no shard could serve from: a peer's
+// word, and ChainParams indexes Next by a chain Cur bounds.
+func (p *RoundParams) validate() error {
+	if n := p.NumChains(); n < 1 || len(p.Next) != n {
+		return fmt.Errorf("core: parameter snapshot has %d and %d chains", n, len(p.Next))
 	}
-	out := make([]int, 0, len(p.dead))
-	for c := range p.dead {
-		out = append(out, c)
-	}
-	sort.Ints(out)
-	return out
+	return nil
 }
 
 // ChainParams implements client.ParamsSource.
-func (p *roundParams) ChainParams(chain int, round uint64) (mix.Params, error) {
-	if chain < 0 || chain >= len(p.cur) {
+func (p *RoundParams) ChainParams(chain int, round uint64) (mix.Params, error) {
+	if chain < 0 || chain >= p.NumChains() {
 		return mix.Params{}, fmt.Errorf("core: no chain %d", chain)
 	}
-	if p.dead[chain] {
-		return mix.Params{}, fmt.Errorf("core: chain %d is dead for round %d", chain, p.rho)
+	if p.dead(chain) {
+		return mix.Params{}, fmt.Errorf("core: chain %d is dead for round %d", chain, p.Round)
 	}
 	switch round {
-	case p.rho:
-		return p.cur[chain], nil
-	case p.rho + 1:
-		return p.next[chain], nil
+	case p.Round:
+		return p.Cur[chain], nil
+	case p.Round + 1:
+		return p.Next[chain], nil
 	}
 	return mix.Params{}, fmt.Errorf("core: no parameter snapshot for round %d", round)
 }
 
-// snapshotParams captures every live chain's parameters for rounds
-// rho and rho+1 (covers are built for the next round, §5.3.3). Dead
-// chains — those that failed to announce — keep zero parameters; the
-// build stage strands their users instead of reading them.
-func snapshotParams(chains []*mix.Chain, rho uint64, dead map[int]bool) (*roundParams, error) {
-	p := &roundParams{
-		rho:  rho,
-		cur:  make([]mix.Params, len(chains)),
-		next: make([]mix.Params, len(chains)),
-		dead: dead,
-	}
-	for c, chain := range chains {
-		if dead[c] {
+// withTables returns a copy of p whose keys carry fixed-key tables
+// (mix.Params.Precomputed), for the shard that serves it: parameters
+// that crossed the wire are bare points. A key that prev, the snapshot
+// being replaced, already holds keeps prev's table — round ρ's
+// aggregate was prev's next, and mix keys live for the epoch. p's own
+// slices, which in-process shards share, are not written.
+func (p *RoundParams) withTables(prev *RoundParams) *RoundParams {
+	q := *p
+	q.Cur, q.Next = make([]mix.Params, len(p.Cur)), make([]mix.Params, len(p.Next))
+	for c := range p.Cur {
+		if p.dead(c) {
 			continue
 		}
-		var err error
-		if p.cur[c], err = chain.ParamsFor(rho); err != nil {
-			return nil, fmt.Errorf("core: snapshotting chain %d: %w", c, err)
+		var old mix.Params
+		if prev != nil {
+			old, _ = prev.ChainParams(c, p.Round) // no such chain or round: nothing to keep
 		}
-		if p.next[c], err = chain.ParamsFor(rho + 1); err != nil {
-			return nil, fmt.Errorf("core: snapshotting chain %d: %w", c, err)
-		}
+		q.Cur[c] = p.Cur[c].Precomputed(old)
+		q.Next[c] = p.Next[c].Precomputed(q.Cur[c])
 	}
-	return p, nil
+	return &q
 }
 
 // preparedRound is the output of a round's preparation half: keys
@@ -579,9 +582,10 @@ type preparedRound struct {
 	// execution must run over the same snapshot.
 	chains []*mix.Chain
 	report *RoundReport
-	// dead marks chains that failed to announce; deadShards marks
-	// gateway shards that failed their round-begin call.
-	dead       map[int]bool
+	// params is the snapshot the shards built from; its dead chains
+	// are those that failed to announce. deadShards marks gateway
+	// shards that failed their round-begin call.
+	params     RoundParams
 	deadShards map[int]bool
 	batches    []ChainBatch
 	// skipped are users stranded at build time (a dead chain among
@@ -644,7 +648,6 @@ func (n *Network) prepareRound(rho uint64) (*preparedRound, error) {
 		topo:       topo,
 		chains:     chains,
 		report:     &RoundReport{Round: rho, Epoch: epoch},
-		dead:       make(map[int]bool),
 		deadShards: make(map[int]bool),
 		trace:      obs.DefaultTracer.StartRound(rho, epoch),
 	}
@@ -653,45 +656,26 @@ func (n *Network) prepareRound(rho uint64) (*preparedRound, error) {
 	// idempotent, so on the happy path this is a map hit per chain;
 	// after a failed trailing announce (a remote hop that blipped
 	// last round and recovered) it is the retry that un-wedges the
-	// deployment. A chain that still cannot announce is dead for the
-	// round: it is excluded from the parameter snapshot, the shards
-	// strand its users, and — when the failure is attributable to a
-	// position — the server behind it is queued for eviction.
-	noteDead := func(errs []error) {
-		for c, err := range errs {
-			if err == nil {
-				continue
-			}
-			if !p.dead[c] {
-				p.dead[c] = true
-				p.report.DeadChains = append(p.report.DeadChains, c)
-			}
+	// deployment. A chain that still cannot announce has no parameters
+	// to snapshot, so it is dead for the round: the shards strand its
+	// users, and — when the failure is attributable to a position —
+	// the server behind it is queued for eviction.
+	announcePhase := p.trace.StartPhase("announce")
+	for _, err := range append(announceEach(chains, rho), announceEach(chains, rho+1)...) {
+		if err != nil {
 			n.attributeHopError(topo, err)
 		}
 	}
-	announcePhase := p.trace.StartPhase("announce")
-	noteDead(announceEach(chains, rho))
-	noteDead(announceEach(chains, rho+1))
 	announcePhase.End()
+	p.params = snapshot(epoch, rho, chains, nil)
+	p.report.DeadChains = slices.Clone(p.params.Dead)
 
 	// Stage 1: build, distributed. Push the parameter snapshot to
 	// every gateway shard; each builds its users' onions over its
 	// worker pool, folds in collected external traffic and closes its
 	// submission window for the round. A shard erroring here is dead
 	// for the round: only its users are missing from the batches.
-	snap, err := snapshotParams(chains, rho, p.dead)
-	if err != nil {
-		n.restoreInjected(injected)
-		return nil, err
-	}
-	br := &BeginRound{
-		Round:     rho,
-		Epoch:     epoch,
-		NumChains: len(chains),
-		Cur:       snap.cur,
-		Next:      snap.next,
-		Dead:      snap.deadList(),
-	}
+	br := &BeginRound{Round: rho, Params: p.params}
 	buildPhase := p.trace.StartPhase("build")
 	builds := make([]*ShardBuild, len(n.shards))
 	beginErrs := make([]error, len(n.shards))
@@ -829,7 +813,7 @@ func (n *Network) executeRound(p *preparedRound) (*RoundReport, error) {
 	rho, epoch := p.rho, p.epoch
 	topo, chains := p.topo, p.chains
 	report := p.report
-	dead, deadShards := p.dead, p.deadShards
+	dead, deadShards := p.params.dead, p.deadShards
 	batches, skipped := p.batches, p.skipped
 
 	// abortShards rolls the live shards' submission windows back if
@@ -870,7 +854,7 @@ func (n *Network) executeRound(p *preparedRound) (*RoundReport, error) {
 	outcomes := make([]chainOutcome, len(chains))
 	var wg sync.WaitGroup
 	for c := range chains {
-		if failedChains[c] || dead[c] {
+		if failedChains[c] || dead(c) {
 			continue
 		}
 		wg.Add(1)
@@ -887,7 +871,7 @@ func (n *Network) executeRound(p *preparedRound) (*RoundReport, error) {
 	// deliveries and removal verdicts are then fanned back out to the
 	// owning shards.
 	for c := range chains {
-		if !failedChains[c] && !dead[c] && outcomes[c].err != nil {
+		if !failedChains[c] && !dead(c) && outcomes[c].err != nil {
 			abortShards()
 			return nil, fmt.Errorf("core: chain %d: %w", c, outcomes[c].err)
 		}
@@ -902,7 +886,7 @@ func (n *Network) executeRound(p *preparedRound) (*RoundReport, error) {
 	if p.trace != nil {
 		var maxVerify time.Duration
 		for c := range chains {
-			if failedChains[c] || dead[c] || outcomes[c].res == nil {
+			if failedChains[c] || dead(c) || outcomes[c].res == nil {
 				continue
 			}
 			if v := outcomes[c].res.VerifyDur; v > maxVerify {
@@ -912,7 +896,7 @@ func (n *Network) executeRound(p *preparedRound) (*RoundReport, error) {
 		vp := p.trace.AddPhase("verify", mixStart, maxVerify)
 		mp := p.trace.AddPhase("mix", mixStart, mixWall)
 		for c := range chains {
-			if failedChains[c] || dead[c] || outcomes[c].res == nil {
+			if failedChains[c] || dead(c) || outcomes[c].res == nil {
 				continue
 			}
 			res := outcomes[c].res
@@ -939,7 +923,7 @@ func (n *Network) executeRound(p *preparedRound) (*RoundReport, error) {
 	var convicted []string
 	deliveries := make([][][]byte, len(chains))
 	for c := range chains {
-		if failedChains[c] || dead[c] {
+		if failedChains[c] || dead(c) {
 			strandChain(c)
 			continue
 		}
@@ -992,23 +976,12 @@ func (n *Network) executeRound(p *preparedRound) (*RoundReport, error) {
 	n.mu.Unlock()
 	finishPhase := p.trace.StartPhase("finish")
 	trailing := announceEach(chains, next)
-	deadNext := make(map[int]bool, len(dead))
-	for c := range dead {
-		deadNext[c] = true
-	}
-	for c, e := range trailing {
+	for _, e := range trailing {
 		if e != nil {
-			deadNext[c] = true
 			n.attributeHopError(topo, e)
 		}
 	}
-	finishSnap, snapErr := snapshotParams(chains, rho+1, deadNext)
-	if snapErr != nil {
-		// A chain with announced keys that cannot be snapshotted is as
-		// dead as one that failed to announce; ship the finish without
-		// parameters rather than losing the deliveries.
-		finishSnap = &roundParams{rho: rho + 1}
-	}
+	finishSnap := snapshot(epoch, rho+1, chains, p.params.Dead)
 	finishPhase.End()
 
 	// Stage 4: deliver, distributed. Route every mixed mailbox
@@ -1056,11 +1029,7 @@ func (n *Network) executeRound(p *preparedRound) (*RoundReport, error) {
 				Delivered: perShard[i],
 				Removed:   removedPer[i],
 				Stranded:  strandedPer[i],
-				Epoch:     epoch,
-				NumChains: len(chains),
-				Cur:       finishSnap.cur,
-				Next:      finishSnap.next,
-				Dead:      finishSnap.deadList(),
+				Params:    finishSnap,
 			})
 		}(i, sh)
 	}

@@ -520,9 +520,11 @@ func (f *Frontend) applyWatermarkLocked(w watermark) error {
 			return fmt.Errorf("core: shard %s plan for epoch %d: %w", f.rng, w.epoch, err)
 		}
 		f.plan, f.epoch = plan, w.epoch
-		// Banked covers and external submissions were built against
-		// the old chains' keys; running them under the new epoch would
-		// get their honest owners blamed (see recover.go).
+		// Banked covers, external submissions and the parameters they
+		// were built from are the old chains' keys; running them under
+		// the new epoch would get their honest owners blamed (see
+		// recover.go).
+		f.params = nil
 		f.externals = make(map[string]*externalUser)
 		for i := f.rng.Lo; i < f.rng.Hi; i++ {
 			sh := &f.reg.shards[i]

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/group"
+	"repro/internal/mix"
 	"repro/internal/nizk"
 	"repro/internal/onion"
 	"repro/internal/store"
@@ -71,6 +72,12 @@ func (s *durableShard) emit() []byte {
 	s.fe.mu.Lock()
 	defer s.fe.mu.Unlock()
 	return s.fe.imageLocked()
+}
+
+// bareParams is a parameter snapshot of numChains chains with zero
+// keys, for shards whose users all build their own onions.
+func bareParams(round, epoch uint64, numChains int) RoundParams {
+	return RoundParams{Round: round, Epoch: epoch, Cur: make([]mix.Params, numChains), Next: make([]mix.Params, numChains)}
 }
 
 // testMailbox is a mailbox identifier: any PointSize bytes route.
@@ -192,7 +199,7 @@ func scheduleStep(t testing.TB, rng *rand.Rand, shards []*durableShard, epoch *u
 		out := testOutput(rng, target, *numChains)
 		each("submit", func(fe *Frontend) any { return errText(fe.SubmitExternal(string(who), out)) })
 	case p < 70:
-		br := &BeginRound{Round: round, Epoch: *epoch, NumChains: *numChains}
+		br := &BeginRound{Round: round, Params: bareParams(round, *epoch, *numChains)}
 		each("begin", func(fe *Frontend) any {
 			build, err := fe.BeginRound(br)
 			if err != nil {
@@ -323,7 +330,7 @@ func TestCoverSurvivesRecovery(t *testing.T) {
 			if err := s.fe.SubmitExternal(who, testOutput(rng, 1, 3)); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := s.fe.BeginRound(&BeginRound{Round: 1, NumChains: 3}); err != nil {
+			if _, err := s.fe.BeginRound(&BeginRound{Round: 1, Params: bareParams(1, 0, 3)}); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := s.fe.FinishRound(&FinishRound{Round: 1}); err != nil {
@@ -338,7 +345,7 @@ func TestCoverSurvivesRecovery(t *testing.T) {
 				t.Fatal("the consumed current lane came back")
 			}
 			// Round 2 runs on her cover.
-			build, err := s.fe.BeginRound(&BeginRound{Round: 2, NumChains: 3})
+			build, err := s.fe.BeginRound(&BeginRound{Round: 2, Params: bareParams(2, 0, 3)})
 			if err != nil || build.Covered != 1 {
 				t.Fatalf("round 2 covered %d users (err %v), want 1", build.Covered, err)
 			}
@@ -492,13 +499,14 @@ func FuzzDurableReplay(f *testing.F) {
 			if err != nil {
 				continue
 			}
-			br := &BeginRound{Round: fe.Round(), Epoch: fe.Epoch(), NumChains: 3}
+			numChains := 3
 			if plan := fe.Plan(); plan != nil {
-				br.NumChains = plan.NumChains
+				numChains = plan.NumChains
 			}
-			if br.NumChains > 64 {
+			if numChains > 64 {
 				continue // a plan this wide is slow to build, not wrong
 			}
+			br := &BeginRound{Round: fe.Round(), Params: bareParams(fe.Round(), fe.Epoch(), numChains)}
 			if _, err := fe.BeginRound(br); err != nil {
 				t.Fatalf("begin on a recovered shard: %v", err)
 			}

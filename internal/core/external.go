@@ -22,7 +22,8 @@ import (
 // "already mixing" error; the client's move is to re-poll the round
 // number and rebuild for the next round. If the round fails and will
 // be retried, AbortRound reopens the window so consumed submissions
-// can be resent.
+// can be resent. A re-formation closes the upcoming round's window
+// early (recover.go): what a client built for it is on the old keys.
 
 // externalUser is one remote user's banked traffic: an entry per
 // accepted submission, in round order. A user holds one or two at a

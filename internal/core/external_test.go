@@ -190,7 +190,7 @@ func TestSubmitRefusedAtPersistLeavesNoTrace(t *testing.T) {
 	if err := fe.SubmitExternal(banked, testOutput(rng, 1, 3)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fe.BeginRound(&BeginRound{Round: 1, NumChains: 3}); err != nil {
+	if _, err := fe.BeginRound(&BeginRound{Round: 1, Params: bareParams(1, 0, 3)}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := fe.FinishRound(&FinishRound{Round: 1}); err != nil {
@@ -203,7 +203,7 @@ func TestSubmitRefusedAtPersistLeavesNoTrace(t *testing.T) {
 	if len(fe.externals) != 1 {
 		t.Fatalf("%d records after the refusal, want the banked user's", len(fe.externals))
 	}
-	build, err := fe.BeginRound(&BeginRound{Round: 2, NumChains: 3})
+	build, err := fe.BeginRound(&BeginRound{Round: 2, Params: bareParams(2, 0, 3)})
 	if err != nil || build.Covered != 1 {
 		t.Fatalf("round 2 covered %d users (err %v), want the banked one", build.Covered, err)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -78,8 +79,9 @@ type Frontend struct {
 	// folded into batches; see SubmitExternal.
 	collected uint64
 	// params is the last pushed parameter snapshot, serving client
-	// ChainParams between rounds.
-	params *roundParams
+	// ChainParams between rounds; nil from a re-formation until the
+	// new epoch's snapshot arrives.
+	params *RoundParams
 	// stranded, externals, banned: see external.go and recover.go.
 	stranded  map[uint64]map[string]bool
 	externals map[string]*externalUser
@@ -166,24 +168,34 @@ func (f *Frontend) Plan() *chainsel.Plan {
 	return f.plan
 }
 
-// SetRound force-sets the upcoming round, used when a shard process
-// (re)joins a deployment whose round counter is past 1.
-func (f *Frontend) SetRound(round uint64) {
+// Join attaches the shard to a running deployment outside the round
+// flow — the init path for a shard process that must serve clients
+// before its first BeginRound: it adopts the snapshot's epoch, makes
+// its round the upcoming one, open for submissions, and serves it.
+func (f *Frontend) Join(p *RoundParams) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.round = round
-	if round > 0 {
-		f.collected = round - 1
+	if err := f.adoptLocked(p); err != nil {
+		return err
 	}
+	f.round = p.Round
+	if p.Round > 0 {
+		f.collected = p.Round - 1
+	}
+	return nil
 }
 
-// SetParams installs a parameter snapshot outside the round flow —
-// the init path for a shard process that must serve clients before
-// its first BeginRound.
-func (f *Frontend) SetParams(rho uint64, cur, next []mix.Params, dead []int) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.params = newRoundParams(f.params, rho, cur, next, dead)
+// adoptLocked moves the shard to a snapshot's epoch and serves the
+// snapshot. Callers hold f.mu.
+func (f *Frontend) adoptLocked(p *RoundParams) error {
+	if err := p.validate(); err != nil {
+		return err
+	}
+	if err := f.rebalanceLocked(p.Epoch, p.NumChains()); err != nil {
+		return err
+	}
+	f.params = p.withTables(f.params)
+	return nil
 }
 
 // ChainParams implements client.ParamsSource from the last pushed
@@ -216,6 +228,12 @@ func (f *Frontend) rebalanceLocked(epoch uint64, numChains int) error {
 	}
 	w := f.watermarkLocked()
 	w.epoch, w.numChains = epoch, numChains
+	if f.plan != nil {
+		// A re-formation: what a client builds for the upcoming round
+		// from parameters it fetched before now is on the old chains'
+		// keys, so the round's window closes (recover.go).
+		w.collected = max(w.collected, w.round)
+	}
 	return f.commitWatermarkLocked(w)
 }
 
@@ -413,20 +431,22 @@ func (f *Frontend) StrandedError(round uint64, mailboxID []byte) error {
 // round's submission window.
 func (f *Frontend) BeginRound(br *BeginRound) (*ShardBuild, error) {
 	defer func(t0 time.Time) { obsShardBuildSeconds.ObserveDuration(time.Since(t0)) }(time.Now())
+	if br.Params.Round != br.Round {
+		return nil, fmt.Errorf("core: round %d begins with the parameter snapshot of round %d", br.Round, br.Params.Round)
+	}
 	f.mu.Lock()
 	// A shard that missed (or predates) the epoch broadcast adopts it
 	// here: the plan is deterministic in the chain count, so no
 	// separate state transfer is needed.
-	if err := f.rebalanceLocked(br.Epoch, br.NumChains); err != nil {
+	if err := f.adoptLocked(&br.Params); err != nil {
 		f.mu.Unlock()
 		return nil, err
 	}
-	f.params = newRoundParams(f.params, br.Round, br.Cur, br.Next, br.Dead)
 	f.round = br.Round
 	params := f.params
 	f.mu.Unlock()
 
-	build, err := f.buildBatches(br.Round, params, br.NumChains, params.dead)
+	build, err := f.buildBatches(br.Round, params)
 	if err != nil {
 		return nil, err
 	}
@@ -450,6 +470,14 @@ func (f *Frontend) FinishRound(fr *FinishRound) (FinishStats, error) {
 	defer func(t0 time.Time) { obsShardFinishSeconds.ObserveDuration(time.Since(t0)) }(time.Now())
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	if fr.Params.NumChains() > 0 {
+		if fr.Params.Round != fr.Round+1 {
+			return FinishStats{}, fmt.Errorf("core: round %d finishes with the parameter snapshot of round %d", fr.Round, fr.Params.Round)
+		}
+		if err := f.adoptLocked(&fr.Params); err != nil {
+			return FinishStats{}, fmt.Errorf("core: shard %s round %d commit: %w", f.rng, fr.Round, err)
+		}
+	}
 	if err := f.logFinishLocked(fr); err != nil {
 		return FinishStats{}, fmt.Errorf("core: shard %s round %d commit: %w", f.rng, fr.Round, err)
 	}
@@ -468,9 +496,6 @@ func (f *Frontend) FinishRound(fr *FinishRound) (FinishStats, error) {
 		if r+strandedRetention <= fr.Round {
 			delete(f.stranded, r)
 		}
-	}
-	if len(fr.Cur) > 0 {
-		f.params = newRoundParams(f.params, fr.Round+1, fr.Cur, fr.Next, fr.Dead)
 	}
 	// The commit is the advanced watermark; applying it also drops the
 	// mail that just left the retention window, so no separate prune
@@ -568,7 +593,8 @@ type buildAcc struct {
 // offline users spend their banked covers exactly once (§5.3.3). The
 // worker-local per-chain slices are then merged into one batch per
 // chain.
-func (f *Frontend) buildBatches(rho uint64, src client.ParamsSource, numChains int, dead map[int]bool) (*ShardBuild, error) {
+func (f *Frontend) buildBatches(rho uint64, params *RoundParams) (*ShardBuild, error) {
+	numChains := params.NumChains()
 	workers := f.workers
 	accs := make([]buildAcc, workers)
 	cursor := atomic.Int64{}
@@ -584,7 +610,7 @@ func (f *Frontend) buildBatches(rho uint64, src client.ParamsSource, numChains i
 				if i >= f.rng.Hi {
 					return
 				}
-				if err := f.buildShard(&f.reg.shards[i], rho, src, acc, dead); err != nil {
+				if err := f.buildShard(&f.reg.shards[i], rho, params, acc); err != nil {
 					acc.err = err
 					return
 				}
@@ -625,31 +651,22 @@ func (f *Frontend) buildBatches(rho uint64, src client.ParamsSource, numChains i
 // pattern requires all ℓ messages) and are skipped as stranded; their
 // banked covers stay banked. Transport registrations are not walked:
 // their onions arrive through SubmitExternal.
-func (f *Frontend) buildShard(sh *userShard, rho uint64, src client.ParamsSource, acc *buildAcc, dead map[int]bool) error {
+func (f *Frontend) buildShard(sh *userShard, rho uint64, params *RoundParams, acc *buildAcc) error {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	for key, ru := range sh.users {
 		if ru.removed {
 			continue
 		}
-		if len(dead) > 0 {
-			onDead := false
-			for _, c := range ru.u.Chains() {
-				if dead[c] {
-					onDead = true
-					break
-				}
+		if len(params.Dead) > 0 && slices.ContainsFunc(ru.u.Chains(), params.dead) {
+			if ru.online {
+				acc.skipped = append(acc.skipped, key)
 			}
-			if onDead {
-				if ru.online {
-					acc.skipped = append(acc.skipped, key)
-				}
-				continue
-			}
+			continue
 		}
 		if ru.online {
 			if ru.built == nil || ru.builtRound != rho {
-				out, err := ru.u.BuildRound(rho, src)
+				out, err := ru.u.BuildRound(rho, params)
 				if err != nil {
 					return fmt.Errorf("core: user build failed: %w", err)
 				}

@@ -30,9 +30,17 @@ import (
 //     parameters, but decryption under the new chains would fail, and
 //     the blame protocol would convict the — honest — user. Covers
 //     are discarded and rebuilt on the user's next online round.
-//   - External submissions. Same hazard, same remedy: the stored
-//     traffic is dropped and the transport clients rebuild against
-//     the new parameters (they re-derive the plan from Status).
+//   - External submissions, and the parameters they are built from.
+//     Same hazard, same remedy: the stored traffic is dropped and the
+//     transport clients rebuild against the new parameters (they
+//     re-derive the plan from Status, and rpc.Client drops the
+//     parameters it cached under the old epoch there). Until the new
+//     epoch's snapshot reaches the shard it serves no parameters and
+//     its window for the upcoming round is closed: a submission built
+//     before the re-formation, and landing after it, is refused
+//     rather than mixed on the new chains. The watermark record that
+//     logs the new epoch carries the closed window, so a replayed
+//     shard refuses it too.
 
 // strandedRetention is how many rounds of stranded-user records are
 // kept for StrandedError queries.
@@ -179,12 +187,12 @@ func (n *Network) reform() ([]int, error) {
 		// Commit: swap the topology state first, so Plan and the
 		// transport Status see the new plan, then broadcast the new
 		// epoch to every gateway shard — each rebalances its own users
-		// and discards external submissions built against the old
-		// parameters (see the package comment above for why keeping
-		// them would get honest users blamed). A shard unreachable for
-		// the broadcast is tolerated: BeginRound carries the epoch too
-		// and the shard adopts it there, since the plan is
-		// deterministic in the chain count.
+		// and discards external submissions and the parameter snapshot
+		// of the old epoch (see the package comment above for why
+		// keeping them would get honest users blamed). A shard
+		// unreachable for the broadcast is tolerated: BeginRound's
+		// snapshot carries the epoch too and the shard adopts it
+		// there, since the plan is deterministic in the chain count.
 		n.mu.Lock()
 		n.plan, n.topo, n.chains = plan2, topo2, chains2
 		n.epoch = newEpoch

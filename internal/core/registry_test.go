@@ -80,7 +80,7 @@ func goldenShard(t testing.TB) *Frontend {
 	for _, who := range ids[:6] {
 		submit(1, who)
 	}
-	if _, err := fe.BeginRound(&BeginRound{Round: 1, NumChains: 3}); err != nil {
+	if _, err := fe.BeginRound(&BeginRound{Round: 1, Params: bareParams(1, 0, 3)}); err != nil {
 		t.Fatal(err)
 	}
 	fr := &FinishRound{Round: 1, Removed: []string{string(ids[0]), string(ids[7]), "never-registered"}}

@@ -154,3 +154,86 @@ func TestCommittedRoundReleasesSubmissions(t *testing.T) {
 		}
 	}
 }
+
+// lateSubmitShard lands a remote user's submission on its Frontend
+// right after the coordinator's re-formation broadcast, before the
+// round that broadcast precedes begins.
+type lateSubmitShard struct {
+	*Frontend
+	afterRebalance func()
+}
+
+func (s *lateSubmitShard) Rebalance(epoch uint64, numChains int) error {
+	err := s.Frontend.Rebalance(epoch, numChains)
+	if f := s.afterRebalance; f != nil {
+		s.afterRebalance = nil
+		f()
+	}
+	return err
+}
+
+// TestStaleEpochSubmissionRefused: a registered remote user builds the
+// upcoming round from her gateway's parameters, and the round then
+// re-forms the chains. Her submission arrives after the shard adopted
+// the new epoch. It was built on the old chains' keys, so mixing it
+// would fail its inner decryption and blame would convict her: the
+// shard refuses it, stops serving the old epoch's parameters, and she
+// is neither blamed nor banned.
+func TestStaleEpochSubmissionRefused(t *testing.T) {
+	fe := fullFrontend(t, FrontendConfig{})
+	shard := &lateSubmitShard{Frontend: fe}
+	n, err := NewNetwork(Config{
+		NumServers:          8,
+		NumChains:           3,
+		ChainLengthOverride: 3,
+		Seed:                []byte("stale-epoch"),
+		Shards:              []GatewayShard{shard},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// An online in-process user rides the accused chain, so the
+	// accusation has a message to name.
+	victim := fe.NewUser().Chains()[0]
+	u := client.NewUser(nil, n.Plan())
+	if err := fe.Register(u.Mailbox()); err != nil {
+		t.Fatal(err)
+	}
+	runRound(t, n)
+	if err := n.CorruptServer(victim, 1, &mix.Corruption{FalselyAccuse: []int{0}}); err != nil {
+		t.Fatal(err)
+	}
+	if rep := runRound(t, n); len(rep.HaltedChains) != 1 || len(rep.BlamedServers) == 0 {
+		t.Fatalf("the false accusation did not halt chain %d: %+v", victim, rep)
+	}
+
+	rho := n.Round()
+	out, err := u.BuildRound(rho, fe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var submitErr error
+	var staleParams error
+	shard.afterRebalance = func() {
+		submitErr = fe.SubmitExternal(string(u.Mailbox()), out)
+		_, staleParams = fe.ChainParams(0, rho)
+	}
+	rep := runRound(t, n)
+	if !rep.Reformed {
+		t.Fatalf("round %d did not re-form: %+v", rho, rep)
+	}
+	if submitErr == nil {
+		t.Error("a submission built on the old epoch's keys was accepted after the re-formation")
+	}
+	if staleParams == nil {
+		t.Error("the shard served the old epoch's parameters after adopting the new epoch")
+	}
+	for _, who := range rep.BlamedUsers {
+		if who == string(u.Mailbox()) {
+			t.Fatalf("round %d convicted the honest user (%d convictions)", rho, len(rep.BlamedUsers))
+		}
+	}
+	if err := fe.Register(u.Mailbox()); err != nil {
+		t.Fatalf("the honest user was banned: %v", err)
+	}
+}

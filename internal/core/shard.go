@@ -19,19 +19,22 @@
 // like any other shard, so it pays nothing for the split.
 //
 // One round crosses the boundary four times: BeginRound pushes the
-// round's parameters and collects every shard's batches (submission
-// forwarding), the coordinator mixes, FinishRound fans the delivered
-// mailbox messages back out to their owning shards along with the
-// per-shard blame report, and AbortRound reopens a shard's submission
-// window when a round fails and will be retried. Rebalance installs a
-// re-formed epoch's plan (recover.go). internal/rpc carries the same
-// four exchanges over TLS for shards in other processes.
+// round's parameter snapshot (RoundParams: every chain's parameters
+// for the round and the next, the epoch and its dead chains) and
+// collects every shard's batches (submission forwarding), the
+// coordinator mixes, FinishRound fans the delivered mailbox messages
+// back out to their owning shards along with the per-shard blame
+// report and the next round's snapshot, and AbortRound reopens a
+// shard's submission window when a round fails and will be retried.
+// Rebalance installs a re-formed epoch's plan and closes the upcoming
+// round's submission window until that epoch's snapshot arrives
+// (recover.go). internal/rpc carries the same four exchanges over TLS
+// for shards in other processes.
 package core
 
 import (
 	"fmt"
 
-	"repro/internal/mix"
 	"repro/internal/onion"
 )
 
@@ -86,17 +89,13 @@ func (b *ChainBatch) add(sub onion.Submission, who string) {
 }
 
 // BeginRound is the coordinator's round-begin message to a gateway
-// shard: the round and epoch it is about to execute and an immutable
-// snapshot of every chain's public parameters for rounds Round and
-// Round+1 (covers are built one round ahead, §5.3.3). Dead lists
-// chains that failed to announce and have zero parameters in the
-// snapshot; the shard strands their users instead of building.
+// shard: the round it is about to execute and the parameter snapshot
+// for rounds Round and Round+1, whose epoch and chain count the shard
+// adopts. The shard strands the users of the snapshot's dead chains
+// instead of building.
 type BeginRound struct {
-	Round     uint64
-	Epoch     uint64
-	NumChains int
-	Cur, Next []mix.Params
-	Dead      []int
+	Round  uint64
+	Params RoundParams
 }
 
 // ShardBuild is a shard's reply to BeginRound: its users' submissions
@@ -126,17 +125,13 @@ func (b *ShardBuild) validate() error {
 // routed to this shard's users, the users it owns that were convicted
 // (to remove and ban) or stranded (for StrandedError), and — so the
 // shard can keep serving clients between rounds — the parameter
-// snapshot for the next round (Cur is Round+1, Next is Round+2).
+// snapshot for rounds Round+1 and Round+2.
 type FinishRound struct {
 	Round     uint64
 	Delivered [][]byte
 	Removed   []string
 	Stranded  []string
-
-	Epoch     uint64
-	NumChains int
-	Cur, Next []mix.Params
-	Dead      []int
+	Params    RoundParams
 }
 
 // FinishStats is a shard's round-finish accounting: messages stored

@@ -489,10 +489,13 @@ func (ts *treeSum) finish(t *fixedTable, s Scalar, acc *jacPoint) {
 // fbBatchMin is the batch size from which BatchBase sums its lanes as
 // one tree instead of walking each on a Jacobian accumulator. The walk
 // pays one shared inversion at the end, the tree five, and the tree
-// saves ≈ 1.5–3 µs a lane: timed in one process, alternating, on fresh
-// scalars, the two are level at 4–5 scalars and the tree is −7 % at 6,
-// −12 % at 8 and −25 to −38 % at 24.
-const fbBatchMin = 6
+// saves a little on every lane. Both timed in one process on a 2-vCPU
+// AVX-512 IFMA Xeon, 2 001 alternating calls a size on fresh scalars,
+// six runs (medians, tree against walk): +8 to +17 % at 6, −0.4 to
+// +8.5 % at 8, −3.9 to +5.2 % at 9, −5.9 to +2.5 % at 10, where the
+// tree first wins more than half of the pairs in every run, −0.7 to
+// −5.3 % at 11 and −14 to −18 % at 24.
+const fbBatchMin = 10
 
 // BatchBase returns g^scalars[i] for every scalar; zero scalars yield
 // the identity. From fbBatchMin scalars up every scalar's generator

@@ -78,10 +78,10 @@ type Chain struct {
 // Params is the public key material users need to submit to a chain.
 type Params struct {
 	ChainID int
-	// MixKeys are the AHS mixing keys mpk_i in order (§6.1).
+	// MixKeys are the AHS mixing keys mpk_i in order (§6.1). Users
+	// never need the blinding keys bpk_i, which the positions and the
+	// orchestrator hold in HopKeys.
 	MixKeys []group.Point
-	// BlindKeys are the blinding keys bpk_i in order.
-	BlindKeys []group.Point
 	// InnerAggregate is ∏ ipk_i for the current round (AHS inner
 	// envelope key).
 	InnerAggregate group.Point
@@ -247,12 +247,9 @@ func (c *Chain) ParamsFor(round uint64) (Params, error) {
 	if !ok {
 		return Params{}, fmt.Errorf("mix: chain %d has not begun round %d", c.ID, round)
 	}
-	// Sized once: this runs once per user per chain per round.
-	k := len(c.keys)
-	p := Params{ChainID: c.ID, InnerAggregate: agg, Round: round,
-		MixKeys: make([]group.Point, k), BlindKeys: make([]group.Point, k)}
+	p := Params{ChainID: c.ID, InnerAggregate: agg, Round: round, MixKeys: make([]group.Point, len(c.keys))}
 	for i, hk := range c.keys {
-		p.MixKeys[i], p.BlindKeys[i] = hk.Mpk, hk.Bpk
+		p.MixKeys[i] = hk.Mpk
 	}
 	return p, nil
 }

@@ -29,10 +29,12 @@ type Client struct {
 	// client's keys get their fixed-key tables (mix.Params.Precomputed).
 	// It holds the newest round fetched and the one before it — what
 	// mix.Chain itself keeps — so a long-lived client's memory does not
-	// grow with the rounds it has seen.
+	// grow with the rounds it has seen, and only the epoch the last
+	// Status reported (see Status).
 	paramsMu    sync.Mutex
 	paramsCache map[[2]uint64]mix.Params
 	newestRound uint64
+	epoch       uint64
 }
 
 var _ client.ParamsSource = (*Client)(nil)
@@ -138,10 +140,29 @@ func (c *Client) Ack(round uint64, mailbox []byte) (int, error) {
 }
 
 // Status reports the deployment's shape and current round.
+//
+// A status naming another epoch than the last one means the chains
+// re-formed, and the cached parameters are the old chains' keys: a
+// round built on them would be mixed on the new chains and its
+// sender convicted. They are dropped, so the next build fetches the
+// new epoch's.
 func (c *Client) Status() (StatusResponse, error) {
 	var resp StatusResponse
 	err := c.call("status", struct{}{}, &resp)
+	if err == nil {
+		c.noteEpoch(resp.Epoch)
+	}
 	return resp, err
+}
+
+// noteEpoch drops the cached parameters unless they are epoch's.
+func (c *Client) noteEpoch(epoch uint64) {
+	c.paramsMu.Lock()
+	defer c.paramsMu.Unlock()
+	if epoch != c.epoch {
+		c.epoch = epoch
+		clear(c.paramsCache)
+	}
 }
 
 // RunRound triggers execution of the open round (round driver role).

@@ -485,18 +485,7 @@ func TestLargeBatchRoundTrip(t *testing.T) {
 			fe.NewUser()
 		}
 		rho := n.Round()
-		br := &core.BeginRound{Round: rho, Epoch: n.Epoch(), NumChains: n.NumChains()}
-		for c := 0; c < n.NumChains(); c++ {
-			cur, err := n.ChainParams(c, rho)
-			if err != nil {
-				t.Fatal(err)
-			}
-			next, err := n.ChainParams(c, rho+1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			br.Cur, br.Next = append(br.Cur, cur), append(br.Next, next)
-		}
+		br := &core.BeginRound{Round: rho, Params: n.Params()}
 		bySubmitter := func(build *core.ShardBuild, err error) []map[string]onion.Submission {
 			t.Helper()
 			if err != nil {
@@ -521,7 +510,7 @@ func TestLargeBatchRoundTrip(t *testing.T) {
 			t.Fatalf("build is %d bytes on the wire, not a large one", size)
 		}
 
-		fr := &core.FinishRound{Round: rho, Epoch: br.Epoch, NumChains: br.NumChains}
+		fr := &core.FinishRound{Round: rho}
 		for i := 0; i < 4000; i++ {
 			msg := make([]byte, onion.MailboxMessageSize)
 			if _, err := rand.Read(msg); err != nil {

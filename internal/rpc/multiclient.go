@@ -276,7 +276,9 @@ func (m *MultiClient) ChainParams(chain int, round uint64) (mix.Params, error) {
 	return p, err
 }
 
-// Status returns the first reachable gateway's status.
+// Status returns the first reachable gateway's status. A new epoch
+// there drops every gateway client's cached parameters (see
+// Client.Status), since ChainParams may fail over to any of them.
 func (m *MultiClient) Status() (StatusResponse, error) {
 	var st StatusResponse
 	err := m.tryEach(0, len(m.clients), func(c *Client) error {
@@ -284,6 +286,11 @@ func (m *MultiClient) Status() (StatusResponse, error) {
 		st, err = c.Status()
 		return err
 	})
+	if err == nil {
+		for _, c := range m.clients {
+			c.noteEpoch(st.Epoch)
+		}
+	}
 	return st, err
 }
 

@@ -4,8 +4,10 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/chainsel"
 	"repro/internal/client"
 	"repro/internal/core"
+	"repro/internal/mix"
 	"repro/internal/onion"
 )
 
@@ -321,5 +323,126 @@ func TestShardAbortRoundZero(t *testing.T) {
 	}
 	if err := front.Submit(u.Mailbox(), out); err != nil {
 		t.Fatalf("submission after a round-0 abort frame: %v", err)
+	}
+}
+
+// TestRemoteUserAcrossReformation: a cross-shard pair of remote users
+// keeps conversing over TLS while a false accusation halts a chain and
+// the next round re-forms the chains into a new epoch. The round that
+// re-forms drops what they submitted on the old keys without blaming
+// them; from the next round on they build against the new epoch — the
+// parameters their gateway serves, not ones their client cached
+// before the re-formation — and deliver; and alice's own gateway
+// serves her the new epoch's parameters.
+func TestRemoteUserAcrossReformation(t *testing.T) {
+	n, srv, servers := newShardedDeployment(t)
+	front := shardedFront(t, servers)
+	driver, err := Dial(srv.Addr(), srv.ClientTLS())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer driver.Close()
+	alice, bob := crossShardPair(t, n, front)
+
+	var epoch uint64
+	play := func(body string) core.RoundReport {
+		t.Helper()
+		st, err := front.Status()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Epoch != epoch {
+			plan, err := chainsel.NewPlan(st.NumChains)
+			if err != nil {
+				t.Fatal(err)
+			}
+			alice.Rebalance(plan)
+			bob.Rebalance(plan)
+			epoch = st.Epoch
+		}
+		if err := alice.QueueMessage([]byte(body)); err != nil {
+			t.Fatal(err)
+		}
+		for _, u := range []*client.User{alice, bob} {
+			out, err := u.BuildRound(st.Round, front)
+			if err != nil {
+				t.Fatalf("round %d build: %v", st.Round, err)
+			}
+			if err := front.Submit(u.Mailbox(), out); err != nil {
+				t.Fatalf("round %d submit: %v", st.Round, err)
+			}
+		}
+		rep, err := driver.RunRound()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.BlamedUsers) != 0 {
+			t.Fatalf("round %d convicted %d users", rep.Round, len(rep.BlamedUsers))
+		}
+		return rep
+	}
+	received := func(round uint64) string {
+		t.Helper()
+		msgs, err := front.Fetch(round, bob.Mailbox())
+		if err != nil {
+			t.Fatal(err)
+		}
+		recv, bad := bob.OpenMailbox(round, msgs)
+		if bad != 0 {
+			t.Fatalf("round %d: %d undecryptable", round, bad)
+		}
+		for _, r := range recv {
+			if r.FromPartner && r.Kind == onion.KindConversation {
+				return string(r.Body)
+			}
+		}
+		return ""
+	}
+
+	if rep := play("before"); received(rep.Round) != "before" {
+		t.Fatal("round 1 did not deliver")
+	}
+	meeting, err := alice.MeetingChain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim := alice.Chains()[0]
+	if victim == meeting {
+		victim = alice.Chains()[1]
+	}
+	if err := n.CorruptServer(victim, 1, &mix.Corruption{FalselyAccuse: []int{0}}); err != nil {
+		t.Fatal(err)
+	}
+	if rep := play("halt"); len(rep.HaltedChains) != 1 {
+		t.Fatalf("round %d: the false accusation halted %v", rep.Round, rep.HaltedChains)
+	}
+	if rep := play("re-form"); !rep.Reformed || rep.Epoch != 1 {
+		t.Fatalf("round %d did not re-form: %+v", rep.Round, rep)
+	}
+	for _, body := range []string{"after", "later"} {
+		if rep := play(body); received(rep.Round) != body {
+			t.Fatalf("round %d after the re-formation did not deliver %q", rep.Round, body)
+		}
+	}
+
+	own := front.ClientFor(alice.Mailbox())
+	rho := n.Round()
+	for _, c := range alice.Chains() {
+		got, err := own.ChainParams(c, rho)
+		if err != nil {
+			t.Fatalf("alice's gateway serves no parameters for chain %d: %v", c, err)
+		}
+		want, err := n.ChainParams(c, rho)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.InnerAggregate.Equal(want.InnerAggregate) || len(got.MixKeys) != len(want.MixKeys) {
+			t.Fatalf("chain %d: alice's gateway serves other parameters than the coordinator's", c)
+		}
+		for i := range want.MixKeys {
+			if !got.MixKeys[i].Equal(want.MixKeys[i]) {
+				t.Fatalf("chain %d: mix key %d is not the new epoch's", c, i)
+			}
+		}
 	}
 }

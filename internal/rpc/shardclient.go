@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/mix"
 )
 
 // ShardClient is the coordinator's handle on a gateway shard hosted
@@ -37,32 +36,11 @@ func (s *ShardClient) Close() error { return s.c.Close() }
 func (s *ShardClient) Range() core.ShardRange { return s.rng }
 
 // Init attaches the shard process to a running deployment: it pushes
-// the current epoch, round and parameter snapshot so the gateway can
-// serve clients before its first BeginRound, and verifies the remote
-// end owns the range this handle was configured with.
+// the coordinator's parameter snapshot so the gateway can serve
+// clients before its first BeginRound, and verifies the remote end
+// owns the range this handle was configured with.
 func (s *ShardClient) Init(n *core.Network) error {
-	rho := n.Round()
-	numChains := n.NumChains()
-	req := ShardInitRequest{
-		Lo:          s.rng.Lo,
-		Hi:          s.rng.Hi,
-		Epoch:       n.Epoch(),
-		Round:       rho,
-		NumChains:   numChains,
-		ChainLength: n.Topology().ChainLength,
-	}
-	req.Cur = make([]mix.Params, numChains)
-	req.Next = make([]mix.Params, numChains)
-	for c := 0; c < numChains; c++ {
-		cur, errCur := n.ChainParams(c, rho)
-		next, errNext := n.ChainParams(c, rho+1)
-		if errCur != nil || errNext != nil {
-			// A dead chain's entries stay zero, as in a BeginRound.
-			req.Dead = append(req.Dead, c)
-			continue
-		}
-		req.Cur[c], req.Next[c] = cur, next
-	}
+	req := ShardInitRequest{Lo: s.rng.Lo, Hi: s.rng.Hi, ChainLength: n.Topology().ChainLength, Params: n.Params()}
 	var resp ShardInitResponse
 	if err := s.c.call("shard.init", req, &resp); err != nil {
 		return fmt.Errorf("rpc: initialising shard %s at %s: %w", s.rng, s.c.Addr(), err)

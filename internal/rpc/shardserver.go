@@ -76,16 +76,8 @@ func (s *ShardServer) init(ir *ShardInitRequest) (ShardInitResponse, error) {
 	if ir.Lo != rng.Lo || ir.Hi != rng.Hi {
 		return ShardInitResponse{}, fmt.Errorf("rpc: coordinator expects shard range %d:%d but this gateway owns %s", ir.Lo, ir.Hi, rng)
 	}
-	if ir.NumChains > 0 {
-		if err := s.fe.Rebalance(ir.Epoch, ir.NumChains); err != nil {
-			return ShardInitResponse{}, err
-		}
-	}
-	if ir.Round > 0 {
-		s.fe.SetRound(ir.Round)
-	}
-	if len(ir.Cur) > 0 {
-		s.fe.SetParams(ir.Round, ir.Cur, ir.Next, ir.Dead)
+	if err := s.fe.Join(&ir.Params); err != nil {
+		return ShardInitResponse{}, err
 	}
 	s.chainLength.Store(int64(ir.ChainLength))
 	return ShardInitResponse{Lo: rng.Lo, Hi: rng.Hi}, nil

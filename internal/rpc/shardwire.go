@@ -9,22 +9,22 @@ package rpc
 // reopens the submission window after a failed round, shard.rebalance
 // broadcasts a re-formed epoch, and shard.init, the one method the
 // interface does not have, attaches a (re)started shard process to a
-// running deployment. The endpoint keeps nothing between exchanges.
+// running deployment. shard.begin, shard.finish and shard.init each
+// carry one core.RoundParams, the snapshot of two rounds' chain
+// parameters; the shard takes the epoch and its chain count from it.
+// The endpoint keeps nothing between exchanges.
 
-import "repro/internal/mix"
+import "repro/internal/core"
 
 // ShardInitRequest pushes a joining gateway shard everything it needs
-// to serve clients before its first round: the epoch (and its chain
-// count, from which the shard re-derives the deterministic plan), the
-// upcoming round, and the current parameter snapshot.
+// to serve clients before its first round: the coordinator's current
+// parameter snapshot, whose round is the upcoming one and whose chain
+// count the shard re-derives the deterministic plan from, and the
+// chain length its status endpoint reports.
 type ShardInitRequest struct {
 	Lo, Hi      int
-	Epoch       uint64
-	Round       uint64
-	NumChains   int
 	ChainLength int
-	Cur, Next   []mix.Params
-	Dead        []int
+	Params      core.RoundParams
 }
 
 // ShardInitResponse echoes the shard's configured range so the

@@ -185,10 +185,8 @@ func TestParseEndpoints(t *testing.T) {
 func sampleRequests(e *endpoints) map[string]any {
 	g := group.Generator()
 	sub := e.sub
-	params := make([]mix.Params, 2)
-	for c := range params {
-		params[c], _ = e.n.ChainParams(c, e.n.Round())
-	}
+	snap := e.n.Params()
+	next := core.RoundParams{Round: snap.Round + 1, Epoch: snap.Epoch, Cur: snap.Next, Next: snap.Next}
 	return map[string]any{
 		"params":   ParamsRequest{Chain: 0, Round: e.n.Round()},
 		"submit":   SubmitRequest{Round: e.n.Round(), Mailbox: g.Bytes(), Current: []client.ChainMessage{{Chain: 0, Sub: sub}}},
@@ -206,9 +204,9 @@ func sampleRequests(e *endpoints) map[string]any {
 		"hop.blame":   HopBlameRequest{Round: 1, Msg: 0, Pos: 0},
 		"hop.accuse":  HopAccuseRequest{Round: 1, Msg: 0, Key: g},
 
-		"shard.init":      ShardInitRequest{Lo: 0, Hi: 32, Epoch: 0, Round: 1, NumChains: 2, ChainLength: 3, Cur: params, Next: params},
-		"shard.begin":     core.BeginRound{Round: 1, NumChains: 2, Cur: params, Next: params},
-		"shard.finish":    core.FinishRound{Round: 1, Delivered: [][]byte{g.Bytes()}, NumChains: 2, Cur: params, Next: params},
+		"shard.init":      ShardInitRequest{Lo: 0, Hi: 32, ChainLength: 3, Params: snap},
+		"shard.begin":     core.BeginRound{Round: snap.Round, Params: snap},
+		"shard.finish":    core.FinishRound{Round: snap.Round, Delivered: [][]byte{g.Bytes()}, Params: next},
 		"shard.abort":     ShardAbortRequest{Round: 1},
 		"shard.rebalance": ShardRebalanceRequest{Epoch: 1, NumChains: 2},
 	}
@@ -392,7 +390,7 @@ func FuzzReply(f *testing.F) {
 		"hop.accuse":  func() { hc.Accuse(1, 0, g) },
 
 		"shard.init":      func() { sc.Init(n) },
-		"shard.begin":     func() { sc.BeginRound(&core.BeginRound{Round: 1, NumChains: 2}) },
+		"shard.begin":     func() { sc.BeginRound(&core.BeginRound{Round: 1}) },
 		"shard.finish":    func() { sc.FinishRound(&core.FinishRound{Round: 1}) },
 		"shard.abort":     func() { sc.AbortRound(1) },
 		"shard.rebalance": func() { sc.Rebalance(1, 2) },

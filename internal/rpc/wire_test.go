@@ -358,7 +358,15 @@ func TestWireSizes(t *testing.T) {
 	for i := range envs {
 		envs[i] = onion.Envelope{DHKey: pt(), Ct: make([]byte, onion.AHSCiphertextSize(k))}
 	}
-	params := mix.Params{ChainID: 3, Round: 7, MixKeys: pts(k), BlindKeys: pts(k), InnerAggregate: pt()}
+	params := mix.Params{ChainID: 3, Round: 7, MixKeys: pts(k), InnerAggregate: pt()}
+	lane := func(round uint64) []mix.Params {
+		ps := make([]mix.Params, 8)
+		for c := range ps {
+			ps[c] = mix.Params{ChainID: c, Round: round, MixKeys: pts(k), InnerAggregate: pt()}
+		}
+		return ps
+	}
+	snap := core.RoundParams{Round: 7, Epoch: 1, Cur: lane(7), Next: lane(8)}
 	proof := nizk.Proof{C: group.MustRandomScalar(), S: group.MustRandomScalar()}
 	keys := mix.HopKeys{Chain: 3, Index: 5, BpkPrev: pt(), Bpk: pt(), Mpk: pt(), BskProof: proof, MskProof: proof}
 	small, large := submit(l), submit(2*l)
@@ -378,10 +386,19 @@ func TestWireSizes(t *testing.T) {
 		// mix.MixResult, is the same block plus a proof and a
 		// permutation.
 		{"hop.mix request, 512 envelopes", size("hop.mix", HopMixRequest{Round: 7, Nonce: aead.RoundNonce(7, client.LaneCurrent), Envelopes: envs}), 264919},
-		// What every user fetches 2ℓ times a round: 2k+1 points. It
-		// was 3k+1 = 823 B while each position also published a key
-		// for the unverified baseline mix (Algorithm 1).
-		{"params reply, k=6", size("", params), 599},
+		// What every user fetches 2ℓ times a round: k+1 points. It
+		// was 2k+1 = 599 B while it also carried the blinding keys,
+		// which no user reads, and 3k+1 = 823 B while each position
+		// also published a key for the unverified baseline mix
+		// (Algorithm 1).
+		{"params reply, k=6", size("", params), 377},
+		// What the coordinator pushes each gateway shard twice a
+		// round: the snapshot of both rounds' parameters, 8 chains of
+		// k+1 points each, with a finish's routed mail left out.
+		// 7 532 and 7 625 B while the snapshot crossed as loose fields
+		// and carried the blinding keys.
+		{"shard.begin, 8 chains", size("shard.begin", core.BeginRound{Round: 7, Params: snap}), 4258},
+		{"shard.finish, 8 chains, no mail", size("shard.finish", core.FinishRound{Round: 6, Params: snap}), 4349},
 		// What each position answers once an epoch when bound: three
 		// points and two proofs. One point more (BaselinePub) before.
 		{"hop.init reply", size("", keys), 430},
