@@ -9,10 +9,10 @@
 //     blame aggregation, and drives each round end to end.
 //   - GatewayShard is the per-user front end. Each shard owns a
 //     contiguous slice of the 64-shard registry: registration,
-//     presence, onion building, external submissions, cover banking
-//     and mailbox storage for its users. Frontend (frontend.go) is
-//     the in-process implementation; rpc.ShardClient hosts a shard in
-//     another process.
+//     presence, onion building, the bank of its users' round traffic
+//     and covers, and mailbox storage for its users. Frontend
+//     (frontend.go) is the in-process implementation; rpc.ShardClient
+//     hosts a shard in another process.
 //
 // The coordinator holds no users: every deployment names its gateway
 // shards in Config.Shards, and users reach their own shard. A
@@ -671,10 +671,11 @@ func (n *Network) prepareRound(rho uint64) (*preparedRound, error) {
 	p.report.DeadChains = slices.Clone(p.params.Dead)
 
 	// Stage 1: build, distributed. Push the parameter snapshot to
-	// every gateway shard; each builds its users' onions over its
-	// worker pool, folds in collected external traffic and closes its
-	// submission window for the round. A shard erroring here is dead
-	// for the round: only its users are missing from the batches.
+	// every gateway shard; each builds its in-process users' onions
+	// over its worker pool into its bank, collects the round's banked
+	// traffic and closes its submission window for the round. A shard
+	// erroring here is dead for the round: only its users are missing
+	// from the batches.
 	br := &BeginRound{Round: rho, Params: p.params}
 	buildPhase := p.trace.StartPhase("build")
 	builds := make([]*ShardBuild, len(n.shards))
@@ -807,26 +808,15 @@ func (n *Network) RunRound() (*RoundReport, error) {
 
 // executeRound runs the mix, aggregation and delivery halves of a
 // prepared round and advances the round counter. On an orchestration
-// failure the shards' submission windows are rolled back and the
-// round stays current, so the caller can retry it.
+// failure the round stays current, so the caller can retry it: the
+// shards still bank its traffic and collect it again at the next
+// begin.
 func (n *Network) executeRound(p *preparedRound) (*RoundReport, error) {
 	rho, epoch := p.rho, p.epoch
 	topo, chains := p.topo, p.chains
 	report := p.report
 	dead, deadShards := p.params.dead, p.deadShards
 	batches, skipped := p.batches, p.skipped
-
-	// abortShards rolls the live shards' submission windows back if
-	// the round fails after collection: the round will be retried, so
-	// external users must be able to resubmit for it (their collected
-	// traffic was consumed by the failed attempt).
-	abortShards := func() {
-		for i, sh := range n.shards {
-			if !deadShards[i] {
-				sh.AbortRound(rho)
-			}
-		}
-	}
 
 	// The failed-server set is read at execution time, not at
 	// preparation time, so a crash reported while the round was being
@@ -872,7 +862,6 @@ func (n *Network) executeRound(p *preparedRound) (*RoundReport, error) {
 	// owning shards.
 	for c := range chains {
 		if !failedChains[c] && !dead(c) && outcomes[c].err != nil {
-			abortShards()
 			return nil, fmt.Errorf("core: chain %d: %w", c, outcomes[c].err)
 		}
 	}

@@ -29,11 +29,11 @@ import (
 //
 // Everything a restarted shard must come back with is in the log:
 // mailbox contents, transport registrations and the banned set,
-// accepted-but-unmixed external submissions, and the round/epoch
-// watermark. In-process users (NewUser/AddUser) hold live client key
-// material that cannot be serialised, so they are deliberately NOT
-// persisted — the durable edge is for network-transport clients,
-// which is what a production gateway serves.
+// remote users' banked submissions, and the round/epoch watermark.
+// In-process users (NewUser/AddUser) hold live client key material
+// that cannot be serialised, so they are deliberately NOT persisted,
+// nor is what they bank — the durable edge is for network-transport
+// clients, which is what a production gateway serves.
 //
 // Payloads are hand-rolled uvarint/length-prefixed binary rather than
 // gob: replay happens on every restart, records are written on the
@@ -374,8 +374,8 @@ func (f *Frontend) watermarkLocked() watermark {
 // before any submission is checked against it), then the registrations
 // registerChunk to a record, bans, each retained round's mail in as
 // few deliveries as the record bound allows, and one submission per
-// (user, round). Every collection is walked in sorted order, so equal
-// states emit equal bytes. Callers hold f.mu.
+// (remote user, round). Every collection is walked in sorted order, so
+// equal states emit equal bytes. Callers hold f.mu.
 func (f *Frontend) imageLocked() []byte {
 	b := appendRecord(nil, opWatermark, encodeWatermark(f.watermarkLocked()))
 	ids := f.reg.transportKeys(f.rng)
@@ -394,8 +394,11 @@ func (f *Frontend) imageLocked() []byte {
 			b = appendRecord(b, opDeliver, encodeDeliver(rm.Round, run))
 		}
 	}
-	for _, who := range slices.Sorted(maps.Keys(f.externals)) {
-		for _, s := range f.externals[who].subs {
+	for _, who := range slices.Sorted(maps.Keys(f.bank)) {
+		if holdsInProcess(f.reg.shardOf(who), who) {
+			continue
+		}
+		for _, s := range f.bank[who].subs {
 			b = appendRecord(b, opSubmit, encodeSubmit(who, &client.RoundOutput{
 				Round: s.round, Current: s.current, Cover: s.cover,
 			}))
@@ -492,14 +495,12 @@ func (f *Frontend) replayOneLocked(rec store.Record) error {
 
 // --- apply steps shared by the live path and replay ---
 
-// applyBanLocked bans a convicted user at the transport layer and
-// drops her banked traffic, which must never run (§6.4): external
-// users have no registry client state for markRemoved to act on.
-// Callers hold f.mu.
+// applyBanLocked bans a convicted user, drops her registration and
+// her banked traffic, which must never run (§6.4). Callers hold f.mu.
 func (f *Frontend) applyBanLocked(who string) {
 	f.banned[who] = true
-	delete(f.externals, who)
-	f.reg.markRemoved(who)
+	delete(f.bank, who)
+	f.reg.remove(who)
 }
 
 // onPlanLocked reports whether the shard already runs the epoch's
@@ -511,8 +512,8 @@ func (f *Frontend) onPlanLocked(epoch uint64, numChains int) bool {
 // applyWatermarkLocked moves the shard to a position: it adopts the
 // epoch's (deterministic) chain plan if the shard is not on it yet,
 // sets the round counters, and drops what the position makes
-// unreachable — external traffic for collected rounds and mail older
-// than the retention window. Callers hold f.mu.
+// unreachable — banked traffic of committed rounds and mail older than
+// the retention window. Callers hold f.mu.
 func (f *Frontend) applyWatermarkLocked(w watermark) error {
 	if w.numChains > 0 && !f.onPlanLocked(w.epoch, w.numChains) {
 		plan, err := chainsel.NewPlan(w.numChains)
@@ -520,30 +521,24 @@ func (f *Frontend) applyWatermarkLocked(w watermark) error {
 			return fmt.Errorf("core: shard %s plan for epoch %d: %w", f.rng, w.epoch, err)
 		}
 		f.plan, f.epoch = plan, w.epoch
-		// Banked covers, external submissions and the parameters they
-		// were built from are the old chains' keys; running them under
-		// the new epoch would get their honest owners blamed (see
-		// recover.go).
+		// The bank and the parameters its traffic was built from are
+		// the old chains' keys; running it under the new epoch would
+		// get its honest owners blamed (see recover.go).
 		f.params = nil
-		f.externals = make(map[string]*externalUser)
+		f.bank = make(map[string]*bankedUser)
 		for i := f.rng.Lo; i < f.rng.Hi; i++ {
 			sh := &f.reg.shards[i]
 			sh.mu.Lock()
 			for _, ru := range sh.users {
-				if ru.removed {
-					continue
-				}
-				ru.cover = nil
-				ru.coverRound = 0
-				ru.built = nil
 				ru.u.Rebalance(plan)
 			}
-			sh.built = nil
 			sh.mu.Unlock()
 		}
 	}
 	f.round, f.collected = w.round, w.collected
-	f.dropExternalsThroughLocked(w.collected)
+	if w.round > 0 {
+		f.dropBankThroughLocked(w.round - 1)
+	}
 	if w.round > mailboxRetention {
 		f.boxes.PruneBefore(w.round - mailboxRetention)
 	}
@@ -559,12 +554,13 @@ func (f *Frontend) commitWatermarkLocked(w watermark) error {
 	return f.st.Append(opWatermark, encodeWatermark(w))
 }
 
-// applySubmitLocked banks one external submission: current for its
-// round, cover for the round after. The mailbox's length and the chain
-// indices are checked here, so bytes read back from disk key the state
-// and index the batches no more freely than bytes off the wire. A lane
-// without messages leaves the entry's lane as it was, and a submission
-// with neither banks nothing. Callers hold f.mu.
+// applySubmitLocked banks one deposit, a remote user's submission or
+// an in-process user's build: current for its round, cover for the
+// round after. The mailbox's length and the chain indices are checked
+// here, so bytes read back from disk key the state and index the
+// batches no more freely than bytes off the wire. A lane without
+// messages leaves the entry's lane as it was, and a deposit with
+// neither banks nothing. Callers hold f.mu.
 func (f *Frontend) applySubmitLocked(mailbox string, out *client.RoundOutput) error {
 	if _, err := parseMailboxID(mailbox); err != nil {
 		return err
@@ -585,10 +581,10 @@ func (f *Frontend) applySubmitLocked(mailbox string, out *client.RoundOutput) er
 	if len(out.Current)+len(out.Cover) == 0 {
 		return nil
 	}
-	eu := f.externals[mailbox]
+	eu := f.bank[mailbox]
 	if eu == nil {
-		eu = &externalUser{}
-		f.externals[mailbox] = eu
+		eu = &bankedUser{}
+		f.bank[mailbox] = eu
 	}
 	s := eu.entry(out.Round)
 	if len(out.Current) > 0 {

@@ -337,7 +337,7 @@ func TestCoverSurvivesRecovery(t *testing.T) {
 				t.Fatal(err)
 			}
 			s.crash()
-			eu := s.fe.externals[who]
+			eu := s.fe.bank[who]
 			if eu == nil || len(eu.cover(2)) != 2 {
 				t.Fatalf("round 2's cover did not survive recovery: %+v", eu)
 			}

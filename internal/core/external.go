@@ -7,41 +7,50 @@ import (
 	"repro/internal/client"
 )
 
-// External users participate over the network transport
-// (internal/rpc) rather than through the in-process registry. Their
-// gateway shard stores their submissions per round and their covers
-// for the following round, applying the same §5.3.3 churn rule: if an
-// external user misses a round for which she pre-submitted covers,
-// the covers run in her place exactly once.
+// The bank: every user's round traffic, as the gateway shard holds it
+// between submission and the round's commit. A remote user deposits
+// through SubmitExternal, over the network transport (internal/rpc);
+// an in-process user's round output is deposited by BeginRound's
+// build. Both take the same apply step (applySubmitLocked), and one
+// collect step folds every user's traffic into the round's batches,
+// applying the §5.3.3 churn rule alike: a user who misses a round for
+// which she pre-submitted covers has the covers run in her place.
+// Only remote users' deposits are logged and imaged; in-process users
+// hold live key material and are not persisted (durability.go).
+//
+// A round's traffic stays banked until that round commits at
+// FinishRound's watermark, so a round begun again after a failure
+// finds every user's traffic again: a remote user's accepted
+// submission runs in the retry without being resent, and an
+// in-process user who has a bank entry for the round is not rebuilt
+// (her outbox drained at the first build).
 //
 // Submission window: round ρ is open from the moment it becomes the
-// upcoming round until the coordinator's BeginRound folds external
-// traffic into the chain batches (just after the build stage). From
+// upcoming round until the coordinator's BeginRound collects it. From
 // then until FinishRound advances the round counter — the mix and
-// delivery phase — submissions for ρ are rejected with an explicit
-// "already mixing" error; the client's move is to re-poll the round
-// number and rebuild for the next round. If the round fails and will
-// be retried, AbortRound reopens the window so consumed submissions
-// can be resent. A re-formation closes the upcoming round's window
-// early (recover.go): what a client built for it is on the old keys.
+// delivery phase, and any retry of the round — submissions for ρ are
+// rejected with an explicit "already mixing" error; the client's move
+// is to re-poll the round number and rebuild for the next round. A
+// re-formation closes the upcoming round's window early (recover.go):
+// what a client built for it is on the old keys.
 
-// externalUser is one remote user's banked traffic: an entry per
-// accepted submission, in round order. A user holds one or two at a
-// time — the upcoming round's, and the last collected one's covers.
-type externalUser struct {
-	subs []externalSub
+// bankedUser is one user's banked traffic: an entry per deposit, in
+// round order. A user holds one or two at a time — the upcoming
+// round's, and the last committed one's covers.
+type bankedUser struct {
+	subs []bankedSub
 }
 
-// externalSub is what one submission banked: the messages for its
-// round and the covers for the round after. A lane without messages
-// is nil, and an entry with neither is dropped.
-type externalSub struct {
+// bankedSub is what one deposit banked: the messages for its round
+// and the covers for the round after. A lane without messages is nil,
+// and an entry with neither is dropped.
+type bankedSub struct {
 	round          uint64
 	current, cover []client.ChainMessage
 }
 
 // current returns the messages submitted for round r.
-func (eu *externalUser) current(r uint64) []client.ChainMessage {
+func (eu *bankedUser) current(r uint64) []client.ChainMessage {
 	for i := range eu.subs {
 		if eu.subs[i].round == r {
 			return eu.subs[i].current
@@ -52,7 +61,7 @@ func (eu *externalUser) current(r uint64) []client.ChainMessage {
 
 // cover returns the covers banked for round r, which the submission
 // for round r−1 carried.
-func (eu *externalUser) cover(r uint64) []client.ChainMessage {
+func (eu *bankedUser) cover(r uint64) []client.ChainMessage {
 	for i := range eu.subs {
 		if eu.subs[i].round+1 == r {
 			return eu.subs[i].cover
@@ -63,20 +72,20 @@ func (eu *externalUser) cover(r uint64) []client.ChainMessage {
 
 // entry returns round r's entry, inserting an empty one in round order
 // if there is none.
-func (eu *externalUser) entry(r uint64) *externalSub {
+func (eu *bankedUser) entry(r uint64) *bankedSub {
 	i := 0
 	for i < len(eu.subs) && eu.subs[i].round < r {
 		i++
 	}
 	if i == len(eu.subs) || eu.subs[i].round != r {
-		eu.subs = slices.Insert(eu.subs, i, externalSub{round: r})
+		eu.subs = slices.Insert(eu.subs, i, bankedSub{round: r})
 	}
 	return &eu.subs[i]
 }
 
 // dropThrough drops the traffic for rounds up to and including rho,
 // and the entries left empty, and reports whether any traffic is left.
-func (eu *externalUser) dropThrough(rho uint64) bool {
+func (eu *bankedUser) dropThrough(rho uint64) bool {
 	kept := eu.subs[:0]
 	for _, s := range eu.subs {
 		if s.round <= rho {
@@ -113,7 +122,7 @@ func (f *Frontend) SubmitExternal(mailbox string, out *client.RoundOutput) error
 	if len(out.Current) == 0 {
 		return fmt.Errorf("core: submission carries no messages for round %d", out.Round)
 	}
-	if eu := f.externals[mailbox]; eu != nil && len(eu.current(out.Round)) > 0 {
+	if eu := f.bank[mailbox]; eu != nil && len(eu.current(out.Round)) > 0 {
 		return fmt.Errorf("core: duplicate submission for round %d", out.Round)
 	}
 	if err := f.applySubmitLocked(mailbox, out); err != nil {
@@ -129,47 +138,52 @@ func (f *Frontend) SubmitExternal(mailbox string, out *client.RoundOutput) error
 		err = f.st.Sync()
 	}
 	if err != nil {
-		eu := f.externals[mailbox]
-		eu.subs = slices.DeleteFunc(eu.subs, func(s externalSub) bool { return s.round == out.Round })
+		eu := f.bank[mailbox]
+		eu.subs = slices.DeleteFunc(eu.subs, func(s bankedSub) bool { return s.round == out.Round })
 		if len(eu.subs) == 0 {
-			delete(f.externals, mailbox)
+			delete(f.bank, mailbox)
 		}
 		return fmt.Errorf("core: persisting submission: %w", err)
 	}
 	return nil
 }
 
-// collectExternalsLocked merges external users' traffic into the
-// round's batches and closes the round for further submissions; must
-// be called with f.mu held. Returns the number of external users
-// covered by their pre-submitted covers.
-func (f *Frontend) collectExternalsLocked(rho uint64, batches []ChainBatch) int {
-	if rho > f.collected {
-		f.collected = rho
-	}
-	covered := 0
-	for who, eu := range f.externals {
+// collectLocked folds round rho's banked traffic into per-chain
+// batches and closes the round for further submissions: each user's
+// messages for rho or, failing those, the covers she banked for it.
+// held are in-process users whom a dead chain keeps out of the round,
+// covers included. Nothing is dropped here: the traffic stays banked
+// until the round commits. Callers hold f.mu.
+func (f *Frontend) collectLocked(rho uint64, numChains int, held map[string]bool) *ShardBuild {
+	f.collected = max(f.collected, rho)
+	build := &ShardBuild{Batches: make([]ChainBatch, numChains)}
+	for who, eu := range f.bank {
+		if held[who] {
+			continue
+		}
 		msgs := eu.current(rho)
 		if len(msgs) == 0 {
 			if msgs = eu.cover(rho); len(msgs) > 0 {
-				covered++
+				build.Covered++
+				// An in-process user's conversation ended with the
+				// covers' offline signal (SetOnline).
+				f.reg.update(who, func(ru *registeredUser) { ru.coversUsed = true })
 			}
 		}
 		for _, cm := range msgs {
-			batches[cm.Chain].add(cm.Sub, who)
+			build.Batches[cm.Chain].add(cm.Sub, who)
 		}
 	}
-	f.dropExternalsThroughLocked(rho)
-	return covered
+	return build
 }
 
-// dropExternalsThroughLocked drops external traffic for rounds up to
-// and including rho — state that can no longer be used — and users
-// left with none. Callers hold f.mu.
-func (f *Frontend) dropExternalsThroughLocked(rho uint64) {
-	for who, eu := range f.externals {
+// dropBankThroughLocked drops the traffic for rounds up to and
+// including rho — committed, so nothing resubmits it — and users left
+// with none. Callers hold f.mu.
+func (f *Frontend) dropBankThroughLocked(rho uint64) {
+	for who, eu := range f.bank {
 		if !eu.dropThrough(rho) {
-			delete(f.externals, who)
+			delete(f.bank, who)
 		}
 	}
 }

@@ -183,8 +183,8 @@ func TestSubmitRefusedAtPersistLeavesNoTrace(t *testing.T) {
 	if err := fe.SubmitExternal(stranger, testOutput(rng, 1, 3)); err == nil || !strings.Contains(err.Error(), "persisting") {
 		t.Fatalf("submission with a failing sync: err = %v", err)
 	}
-	if len(fe.externals) != 0 {
-		t.Fatalf("a refused first submission left %d records", len(fe.externals))
+	if len(fe.bank) != 0 {
+		t.Fatalf("a refused first submission left %d records", len(fe.bank))
 	}
 	st.fail = false
 	if err := fe.SubmitExternal(banked, testOutput(rng, 1, 3)); err != nil {
@@ -200,8 +200,8 @@ func TestSubmitRefusedAtPersistLeavesNoTrace(t *testing.T) {
 	if err := fe.SubmitExternal(banked, testOutput(rng, 2, 3)); err == nil {
 		t.Fatal("round 2's submission was accepted with a failing sync")
 	}
-	if len(fe.externals) != 1 {
-		t.Fatalf("%d records after the refusal, want the banked user's", len(fe.externals))
+	if len(fe.bank) != 1 {
+		t.Fatalf("%d records after the refusal, want the banked user's", len(fe.bank))
 	}
 	build, err := fe.BeginRound(&BeginRound{Round: 2, Params: bareParams(2, 0, 3)})
 	if err != nil || build.Covered != 1 {
@@ -242,7 +242,7 @@ func TestExternalUserBytes(t *testing.T) {
 	runtime.KeepAlive(who)
 	per := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / n
 	t.Logf("%.1f B per banked external user", per)
-	if len(fe.externals) != n || per > 256 {
-		t.Fatalf("%d banked users cost %.1f B each, want ≤ 256", len(fe.externals), per)
+	if len(fe.bank) != n || per > 256 {
+		t.Fatalf("%d banked users cost %.1f B each, want ≤ 256", len(fe.bank), per)
 	}
 }

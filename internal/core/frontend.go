@@ -12,7 +12,6 @@ import (
 	"repro/internal/client"
 	"repro/internal/mailbox"
 	"repro/internal/mix"
-	"repro/internal/onion"
 	"repro/internal/store"
 )
 
@@ -46,17 +45,17 @@ type FrontendConfig struct {
 
 // Frontend is the in-process gateway shard: the per-user half of a
 // deployment. It owns a slice of the sharded user registry, the
-// mailbox storage for those users, their external submissions, bans
-// and stranded-round records, and the round pipeline's onion-building
-// worker pool — everything that scales with users rather than with
-// chains. It implements GatewayShard for the coordinator and the
-// user-facing operations (registration, submission, fetch) that
-// rpc.ShardServer exposes to remote clients.
+// mailbox storage for those users, the bank of their round traffic,
+// bans and stranded-round records, and the round pipeline's
+// onion-building worker pool — everything that scales with users
+// rather than with chains. It implements GatewayShard for the
+// coordinator and the user-facing operations (registration,
+// submission, fetch) that rpc.ShardServer exposes to remote clients.
 //
 // Locking: reg has per-shard locks (registry.go); mu guards the
-// remaining control state. BeginRound, FinishRound, AbortRound and
-// Rebalance are driven by one coordinator at a time; user-facing
-// calls are safe concurrently with all of them.
+// remaining control state. BeginRound, FinishRound and Rebalance are
+// driven by one coordinator at a time; user-facing calls are safe
+// concurrently with all of them.
 type Frontend struct {
 	rng     ShardRange
 	boxes   *mailbox.Cluster
@@ -75,17 +74,17 @@ type Frontend struct {
 	epoch     uint64
 	// round is the upcoming round as of the last Begin/FinishRound.
 	round uint64
-	// collected is the highest round whose external traffic has been
+	// collected is the highest round whose banked traffic has been
 	// folded into batches; see SubmitExternal.
 	collected uint64
 	// params is the last pushed parameter snapshot, serving client
 	// ChainParams between rounds; nil from a re-formation until the
 	// new epoch's snapshot arrives.
 	params *RoundParams
-	// stranded, externals, banned: see external.go and recover.go.
-	stranded  map[uint64]map[string]bool
-	externals map[string]*externalUser
-	banned    map[string]bool
+	// stranded, bank, banned: see external.go and recover.go.
+	stranded map[uint64]map[string]bool
+	bank     map[string]*bankedUser
+	banned   map[string]bool
 }
 
 var _ GatewayShard = (*Frontend)(nil)
@@ -129,7 +128,7 @@ func NewFrontend(cfg FrontendConfig) (*Frontend, error) {
 		snapshotEvery: cfg.SnapshotEvery,
 		round:         1,
 		stranded:      make(map[uint64]map[string]bool),
-		externals:     make(map[string]*externalUser),
+		bank:          make(map[string]*bankedUser),
 		banned:        make(map[string]bool),
 	}
 	if cfg.Recovered != nil {
@@ -213,9 +212,8 @@ func (f *Frontend) ChainParams(chain int, round uint64) (mix.Params, error) {
 
 // Rebalance implements GatewayShard: it installs the new epoch's
 // deterministic chain-selection plan, re-derives every owned user's
-// chain assignments and discards banked covers and stored external
-// submissions (all keyed to the old chains' keys). An epoch the shard
-// already runs is a no-op.
+// chain assignments and empties the bank (its traffic is on the old
+// chains' keys). An epoch the shard already runs is a no-op.
 func (f *Frontend) Rebalance(epoch uint64, numChains int) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -258,11 +256,17 @@ func (f *Frontend) NewUser() *client.User {
 }
 
 // AddUser registers an existing in-process user; it must hash into
-// this shard's range.
+// this shard's range and not have been banned. The ban check and the
+// insertion share one f.mu hold, as in Register.
 func (f *Frontend) AddUser(u *client.User) error {
 	if !f.rng.Owns(u.Mailbox()) {
 		return fmt.Errorf("core: user %x hashes to shard %d outside range %s",
 			u.Mailbox()[:4], OwnerShard(u.Mailbox()), f.rng)
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.banned[string(u.Mailbox())] {
+		return fmt.Errorf("core: user was removed for misbehaviour; registration refused")
 	}
 	f.reg.insert(string(u.Mailbox()), &registeredUser{u: u, online: true})
 	return nil
@@ -344,7 +348,7 @@ func (f *Frontend) admitLocked(mailbox []byte) (*userShard, error) {
 // registering one user copies nothing.
 func registrationRecord(mailboxes [][]byte, shards []*userShard, buf []byte) []byte {
 	for i, mb := range mailboxes {
-		if shards[i].holdsInProcess(mb) {
+		if holdsInProcess(shards[i], mb) {
 			continue
 		}
 		if len(mailboxes) == 1 {
@@ -375,9 +379,9 @@ func (f *Frontend) SetOnline(u *client.User, online bool) {
 
 // IsRemoved reports whether the user was removed for misbehaviour.
 func (f *Frontend) IsRemoved(u *client.User) bool {
-	removed := false
-	f.reg.update(string(u.Mailbox()), func(ru *registeredUser) { removed = ru.removed })
-	return removed
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.banned[string(u.Mailbox())]
 }
 
 // Fetch downloads an in-process user's mailbox for a round.
@@ -427,8 +431,10 @@ func (f *Frontend) StrandedError(round uint64, mailboxID []byte) error {
 
 // BeginRound implements GatewayShard: it adopts the pushed epoch and
 // parameters, fans onion building out over the owned registry shards,
-// folds collected external traffic into the batches and closes the
-// round's submission window.
+// deposits what its in-process users built in the bank, collects the
+// round's banked traffic into batches and closes the round's
+// submission window. A round begun again collects the same traffic:
+// a user with a bank entry for the round is not rebuilt.
 func (f *Frontend) BeginRound(br *BeginRound) (*ShardBuild, error) {
 	defer func(t0 time.Time) { obsShardBuildSeconds.ObserveDuration(time.Since(t0)) }(time.Now())
 	if br.Params.Round != br.Round {
@@ -444,17 +450,49 @@ func (f *Frontend) BeginRound(br *BeginRound) (*ShardBuild, error) {
 	}
 	f.round = br.Round
 	params := f.params
+	banked := f.bankedLocked(br.Round)
 	f.mu.Unlock()
 
-	build, err := f.buildBatches(br.Round, params)
+	acc, err := f.buildUsers(br.Round, params, banked)
 	if err != nil {
 		return nil, err
 	}
 
 	f.mu.Lock()
-	build.Covered += f.collectExternalsLocked(br.Round, build.Batches)
-	f.mu.Unlock()
+	defer f.mu.Unlock()
+	// In-process users' deposits are not logged: they are not
+	// persisted (durability.go).
+	for _, d := range acc.built {
+		if err := f.applySubmitLocked(d.who, d.out); err != nil {
+			return nil, err
+		}
+	}
+	var held map[string]bool
+	if len(acc.held) > 0 {
+		held = make(map[string]bool, len(acc.held))
+		for _, who := range acc.held {
+			held[who] = true
+		}
+	}
+	build := f.collectLocked(br.Round, params.NumChains(), held)
+	build.Skipped = acc.skipped
 	return build, nil
+}
+
+// bankedLocked returns the users with traffic banked for round rho:
+// none unless rho was collected before and is being begun again.
+// Callers hold f.mu.
+func (f *Frontend) bankedLocked(rho uint64) map[string]bool {
+	if f.collected < rho {
+		return nil
+	}
+	banked := make(map[string]bool)
+	for who, eu := range f.bank {
+		if eu.current(rho) != nil {
+			banked[who] = true
+		}
+	}
+	return banked
 }
 
 // FinishRound implements GatewayShard: deliver the routed mailbox
@@ -519,7 +557,6 @@ func (f *Frontend) FinishRound(fr *FinishRound) (FinishStats, error) {
 	if err != nil {
 		return FinishStats{}, fmt.Errorf("core: shard %s round %d commit: %w", f.rng, fr.Round, err)
 	}
-	f.dropBuiltThroughLocked(fr.Round)
 	return FinishStats{Delivered: delivered, Dropped: dropped}, nil
 }
 
@@ -539,62 +576,30 @@ func (f *Frontend) logFinishLocked(fr *FinishRound) error {
 	return nil
 }
 
-// dropBuiltThroughLocked releases what in-process users submitted in
-// rounds up to round, which has committed: only a round still to
-// commit, a failed one retried under its number, is ever resubmitted
-// from built. Callers hold f.mu.
-func (f *Frontend) dropBuiltThroughLocked(round uint64) {
-	for i := f.rng.Lo; i < f.rng.Hi; i++ {
-		sh := &f.reg.shards[i]
-		sh.mu.Lock()
-		kept := sh.built[:0]
-		for _, ru := range sh.built {
-			if ru.builtRound > round {
-				kept = append(kept, ru)
-			} else {
-				ru.built.Current = nil
-			}
-		}
-		clear(sh.built[len(kept):])
-		sh.built = kept
-		sh.mu.Unlock()
-	}
-}
-
-// AbortRound implements GatewayShard: the round failed after its
-// submission window closed and will be retried, so external users
-// must be able to resubmit for it. Rounds start at 1; round 0, which
-// only a remote peer can name, is ignored — round-1 would wrap and
-// close every future round's window.
-func (f *Frontend) AbortRound(round uint64) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if round > 0 && f.collected >= round {
-		f.collected = round - 1
-	}
-}
-
-// buildAcc is one build worker's private accumulator: per-chain
-// batches plus bookkeeping counters. Workers never share
-// accumulators, so the build fan-out appends without synchronisation.
+// buildAcc is one build worker's private accumulator. Workers never
+// share accumulators, so the build fan-out appends without
+// synchronisation.
 type buildAcc struct {
-	batches []ChainBatch
-	covered int
-	// skipped are users who could not participate this round because
-	// one of their ℓ chains is dead (failed to announce keys).
-	skipped []string
-	err     error
+	// built are the round outputs to deposit in the bank.
+	built []deposit
+	// held are users one of whose ℓ chains is dead (failed to announce
+	// keys): they cannot take part in the round, covers included.
+	// skipped are the online ones among them, stranded for the round.
+	held, skipped []string
+	err           error
 }
 
-// buildBatches fans user onion building out over the worker pool.
+// deposit is one in-process user's round output, for the bank.
+type deposit struct {
+	who string
+	out *client.RoundOutput
+}
+
+// buildUsers fans user onion building out over the worker pool.
 // Workers claim owned registry shards from an atomic cursor and build
-// every non-removed user in a claimed shard under that shard's lock:
-// online users build fresh messages and bank next-round covers,
-// offline users spend their banked covers exactly once (§5.3.3). The
-// worker-local per-chain slices are then merged into one batch per
-// chain.
-func (f *Frontend) buildBatches(rho uint64, params *RoundParams) (*ShardBuild, error) {
-	numChains := params.NumChains()
+// every online user of a claimed shard under that shard's lock, except
+// those in banked. The worker-local lists are then merged.
+func (f *Frontend) buildUsers(rho uint64, params *RoundParams, banked map[string]bool) (*buildAcc, error) {
 	workers := f.workers
 	accs := make([]buildAcc, workers)
 	cursor := atomic.Int64{}
@@ -604,13 +609,12 @@ func (f *Frontend) buildBatches(rho uint64, params *RoundParams) (*ShardBuild, e
 		wg.Add(1)
 		go func(acc *buildAcc) {
 			defer wg.Done()
-			acc.batches = make([]ChainBatch, numChains)
 			for {
 				i := int(cursor.Add(1)) - 1
 				if i >= f.rng.Hi {
 					return
 				}
-				if err := f.buildShard(&f.reg.shards[i], rho, params, acc); err != nil {
+				if err := f.buildShard(&f.reg.shards[i], rho, params, banked, acc); err != nil {
 					acc.err = err
 					return
 				}
@@ -619,77 +623,45 @@ func (f *Frontend) buildBatches(rho uint64, params *RoundParams) (*ShardBuild, e
 	}
 	wg.Wait()
 
-	out := &ShardBuild{}
+	out := &buildAcc{}
 	for w := range accs {
 		if accs[w].err != nil {
 			return nil, accs[w].err
 		}
-		out.Covered += accs[w].covered
-		out.Skipped = append(out.Skipped, accs[w].skipped...)
-	}
-	out.Batches = make([]ChainBatch, numChains)
-	for c := range out.Batches {
-		total := 0
-		for w := range accs {
-			total += len(accs[w].batches[c].Subs)
-		}
-		out.Batches[c].Subs = make([]onion.Submission, 0, total)
-		out.Batches[c].Submitters = make([]string, 0, total)
-		for w := range accs {
-			out.Batches[c].Subs = append(out.Batches[c].Subs, accs[w].batches[c].Subs...)
-			out.Batches[c].Submitters = append(out.Batches[c].Submitters, accs[w].batches[c].Submitters...)
-		}
+		out.built = append(out.built, accs[w].built...)
+		out.held = append(out.held, accs[w].held...)
+		out.skipped = append(out.skipped, accs[w].skipped...)
 	}
 	return out, nil
 }
 
-// buildShard builds one registry shard's users into the worker's
-// accumulator. The shard lock is held for the duration, so presence
-// changes and conversation mutations for these users serialise
-// against the build — and against nothing else. Users with a dead
-// chain among their ℓ chains cannot build a valid round (the wire
-// pattern requires all ℓ messages) and are skipped as stranded; their
-// banked covers stay banked. Transport registrations are not walked:
-// their onions arrive through SubmitExternal.
-func (f *Frontend) buildShard(sh *userShard, rho uint64, params *RoundParams, acc *buildAcc) error {
+// buildShard builds one registry shard's online users into the
+// worker's accumulator. The shard lock is held for the duration, so
+// presence changes and conversation mutations for these users
+// serialise against the build — and against nothing else. Users with
+// a dead chain among their ℓ chains cannot build a valid round (the
+// wire pattern requires all ℓ messages) and are held out; their banked
+// covers stay banked. Transport registrations are not walked: their
+// onions arrive through SubmitExternal.
+func (f *Frontend) buildShard(sh *userShard, rho uint64, params *RoundParams, banked map[string]bool, acc *buildAcc) error {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	for key, ru := range sh.users {
-		if ru.removed {
-			continue
-		}
 		if len(params.Dead) > 0 && slices.ContainsFunc(ru.u.Chains(), params.dead) {
+			acc.held = append(acc.held, key)
 			if ru.online {
 				acc.skipped = append(acc.skipped, key)
 			}
 			continue
 		}
-		if ru.online {
-			if ru.built == nil || ru.builtRound != rho {
-				out, err := ru.u.BuildRound(rho, params)
-				if err != nil {
-					return fmt.Errorf("core: user build failed: %w", err)
-				}
-				if ru.built == nil || ru.built.Current == nil {
-					sh.built = append(sh.built, ru)
-				}
-				ru.built, ru.builtRound = out, rho
-			}
-			for _, cm := range ru.built.Current {
-				acc.batches[cm.Chain].add(cm.Sub, key)
-			}
-			ru.cover = ru.built.Cover
-			ru.coverRound = rho + 1
+		if !ru.online || banked[key] {
 			continue
 		}
-		if ru.cover != nil && ru.coverRound == rho {
-			for _, cm := range ru.cover {
-				acc.batches[cm.Chain].add(cm.Sub, key)
-			}
-			ru.cover = nil
-			ru.coversUsed = true
-			acc.covered++
+		out, err := ru.u.BuildRound(rho, params)
+		if err != nil {
+			return fmt.Errorf("core: user build failed: %w", err)
 		}
+		acc.built = append(acc.built, deposit{who: key, out: out})
 	}
 	return nil
 }

@@ -25,16 +25,17 @@ import (
 //
 // Two states deliberately do NOT survive a re-formation:
 //
-//   - Banked covers. They were built against the old chains' keys.
+//   - The bank: every user's banked submissions and covers
+//     (external.go). They were built against the old chains' keys.
 //     Their submission proofs would still verify against the old
 //     parameters, but decryption under the new chains would fail, and
-//     the blame protocol would convict the — honest — user. Covers
-//     are discarded and rebuilt on the user's next online round.
-//   - External submissions, and the parameters they are built from.
-//     Same hazard, same remedy: the stored traffic is dropped and the
-//     transport clients rebuild against the new parameters (they
-//     re-derive the plan from Status, and rpc.Client drops the
-//     parameters it cached under the old epoch there). Until the new
+//     the blame protocol would convict the — honest — user. The bank
+//     is emptied; in-process users rebuild in the round that re-forms
+//     (client.User restores the bodies their last build drained), and
+//     remote users on their next submission, against the new
+//     parameters (they re-derive the plan from Status, and rpc.Client
+//     drops the parameters it cached under the old epoch there).
+//   - The parameters the bank's traffic was built from. Until the new
 //     epoch's snapshot reaches the shard it serves no parameters and
 //     its window for the upcoming round is closed: a submission built
 //     before the re-formation, and landing after it, is refused
@@ -187,8 +188,8 @@ func (n *Network) reform() ([]int, error) {
 		// Commit: swap the topology state first, so Plan and the
 		// transport Status see the new plan, then broadcast the new
 		// epoch to every gateway shard — each rebalances its own users
-		// and discards external submissions and the parameter snapshot
-		// of the old epoch (see the package comment above for why
+		// and discards its bank and the parameter snapshot of the old
+		// epoch (see the comment at the top of this file for why
 		// keeping them would get honest users blamed). A shard
 		// unreachable for the broadcast is tolerated: BeginRound's
 		// snapshot carries the epoch too and the shard adopts it

@@ -45,7 +45,6 @@ func (s *swapShard) BeginRound(br *BeginRound) (*ShardBuild, error) { return s.c
 func (s *swapShard) FinishRound(fr *FinishRound) (FinishStats, error) {
 	return s.cur().FinishRound(fr)
 }
-func (s *swapShard) AbortRound(round uint64) { s.cur().AbortRound(round) }
 func (s *swapShard) Rebalance(epoch uint64, numChains int) error {
 	return s.cur().Rebalance(epoch, numChains)
 }

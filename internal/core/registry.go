@@ -43,34 +43,14 @@ type userShard struct {
 	mu        sync.RWMutex
 	users     map[string]*registeredUser
 	transport map[mailboxID]struct{}
-	// built lists the users whose built still holds its Current, so
-	// that a round's commit releases those submissions without a walk
-	// over the users who never built.
-	built []*registeredUser
 }
 
 // registeredUser is the network's bookkeeping for one in-process
-// user. All fields are guarded by the owning shard's mutex.
+// user; her round traffic is in the frontend's bank (external.go). All
+// fields are guarded by the owning shard's mutex.
 type registeredUser struct {
-	u       *client.User
-	online  bool
-	removed bool
-	// cover holds the covers submitted last round, usable exactly in
-	// round coverRound if the user is offline (§5.3.3).
-	cover      []client.ChainMessage
-	coverRound uint64
-	// built is the user's most recent round output and the round it
-	// was built for, reused verbatim when the coordinator re-begins
-	// the same round: a failed round retried under its old number. A
-	// user's outbox drains at build time, so rebuilding would lose
-	// queued bodies; reuse keeps the resubmission byte-identical.
-	// Once the round has committed nothing resubmits it, and
-	// FinishRound drops Current, ℓ whole submissions; Cover, which
-	// cover aliases, stays. Cleared on Rebalance — an epoch
-	// re-formation invalidates the onions — whereupon client.User
-	// restores the drained bodies.
-	built      *client.RoundOutput
-	builtRound uint64
+	u      *client.User
+	online bool
 	// coversUsed records that the covers ran while the user was away:
 	// the KindOffline signal went out and the partner reverted to
 	// loopbacks, so on reconnection the user's conversation is over
@@ -150,7 +130,7 @@ func (sh *userShard) register(id mailboxID) {
 
 // holdsInProcess reports whether an in-process user on the shard holds
 // the identifier.
-func (sh *userShard) holdsInProcess(key []byte) bool {
+func holdsInProcess[T string | []byte](sh *userShard, key T) bool {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	_, ok := sh.users[string(key)]
@@ -168,16 +148,15 @@ func (r *registry) update(key string, fn func(*registeredUser)) {
 	}
 }
 
-// markRemoved convicts a user, excluding her from future rounds
-// (§6.4): an in-process user stays, marked, and a transport
-// registration is dropped. It touches only the owning shard.
-func (r *registry) markRemoved(key string) {
+// remove drops a convicted user's registration, in-process or
+// transport, excluding her from future rounds (§6.4); the frontend's
+// banned set is the record of the conviction. It touches only the
+// owning shard.
+func (r *registry) remove(key string) {
 	sh := r.shardOf(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if ru, ok := sh.users[key]; ok {
-		ru.removed = true
-	}
+	delete(sh.users, key)
 	if id, err := parseMailboxID(key); err == nil {
 		delete(sh.transport, id)
 	}
@@ -202,18 +181,13 @@ func (r *registry) transportKeys(rng ShardRange) []mailboxID {
 	return out
 }
 
-// countActive returns the number of registered, non-removed users.
+// countActive returns the number of registered users.
 func (r *registry) countActive() int {
 	total := 0
 	for i := range r.shards {
 		sh := &r.shards[i]
 		sh.mu.RLock()
-		total += len(sh.transport)
-		for _, ru := range sh.users {
-			if !ru.removed {
-				total++
-			}
-		}
+		total += len(sh.transport) + len(sh.users)
 		sh.mu.RUnlock()
 	}
 	return total

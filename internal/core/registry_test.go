@@ -222,8 +222,8 @@ func TestMailboxIdentifierLength(t *testing.T) {
 			}
 		}
 	}
-	if s.fe.NumUsers() != 0 || len(s.fe.externals) != 0 || len(s.tap.records) != logged {
-		t.Fatalf("refusals left %d users, %d externals, %d records", s.fe.NumUsers(), len(s.fe.externals), len(s.tap.records)-logged)
+	if s.fe.NumUsers() != 0 || len(s.fe.bank) != 0 || len(s.tap.records) != logged {
+		t.Fatalf("refusals left %d users, %d externals, %d records", s.fe.NumUsers(), len(s.fe.bank), len(s.tap.records)-logged)
 	}
 	short := []byte("transport-user-1")
 	for _, rec := range []store.Record{

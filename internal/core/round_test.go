@@ -121,36 +121,130 @@ func TestHaltReformDeliversOnSchedule(t *testing.T) {
 	}
 }
 
-// TestCommittedRoundReleasesSubmissions checks what a gateway keeps of
-// a user's built round once that round has committed: the covers, which
-// the next round may need, and not the ℓ submissions, which nothing
-// resubmits.
+// TestCommittedRoundReleasesSubmissions checks what a gateway's bank
+// keeps of a user's round once that round has committed: the covers,
+// which the next round may need, and not the ℓ submissions, which
+// nothing resubmits. In-process users and a remote user alike.
 func TestCommittedRoundReleasesSubmissions(t *testing.T) {
 	const users = 12
 	n, fe := testNetwork(t, 6, 3)
 	for i := 0; i < users; i++ {
 		fe.NewUser()
 	}
+	remote := client.NewUser(nil, n.Plan())
 	for round := 1; round <= 3; round++ {
+		out, err := remote.BuildRound(n.Round(), n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fe.SubmitExternal(string(remote.Mailbox()), out); err != nil {
+			t.Fatal(err)
+		}
 		rep := runRound(t, n)
-		held, listed := 0, 0
-		for i := range fe.reg.shards {
-			sh := &fe.reg.shards[i]
-			listed += len(sh.built)
-			for _, ru := range sh.users {
-				if ru.built == nil || len(ru.built.Cover) == 0 || &ru.built.Cover[0] != &ru.cover[0] {
-					t.Fatalf("round %d: a user's built round lost its covers", round)
-				}
-				if committed := ru.builtRound <= rep.Round; committed != (ru.built.Current == nil) {
-					t.Fatalf("after round %d, submissions for round %d held: %v", rep.Round, ru.builtRound, !committed)
-				}
-				if ru.built.Current != nil {
-					held++
-				}
+		if len(fe.bank) != users+1 {
+			t.Fatalf("round %d: %d users banked, want %d", round, len(fe.bank), users+1)
+		}
+		for who, eu := range fe.bank {
+			if len(eu.subs) != 1 || eu.subs[0].round != rep.Round || eu.subs[0].current != nil || len(eu.cover(rep.Round+1)) == 0 {
+				t.Fatalf("after round %d, %x banks %+v, want only the covers for round %d", rep.Round, who[:4], eu.subs, rep.Round+1)
 			}
 		}
-		if held != 0 || listed != 0 {
-			t.Fatalf("round %d: %d users hold submissions, %d listed, want 0", round, held, listed)
+	}
+}
+
+// twiceBegun begins every round twice on its Frontend, as a shard does
+// whose first begin reply was lost and re-asked: the build the
+// coordinator mixes is the second one.
+type twiceBegun struct{ *Frontend }
+
+func (s twiceBegun) BeginRound(br *BeginRound) (*ShardBuild, error) {
+	if _, err := s.Frontend.BeginRound(br); err != nil {
+		return nil, err
+	}
+	return s.Frontend.BeginRound(br)
+}
+
+// TestReBeginKeepsBankedTraffic: a round begun twice collects the same
+// traffic both times. An in-process user is not rebuilt (her outbox
+// drained at the first build), a remote user's accepted submission
+// is not dropped at the first collection, and both deliver their body
+// exactly once, with nobody stranded.
+func TestReBeginKeepsBankedTraffic(t *testing.T) {
+	fe := fullFrontend(t, FrontendConfig{MailboxServers: 2})
+	n, err := NewNetwork(Config{
+		NumServers:          6,
+		ChainLengthOverride: 3,
+		Seed:                []byte("test-beacon"),
+		Shards:              []GatewayShard{twiceBegun{fe}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	local := conversationScript(t, fe, 1, 2)
+	carol, erin := client.NewUser(nil, n.Plan()), client.NewUser(nil, n.Plan())
+	if err := carol.StartConversation(erin.PublicKey()); err != nil {
+		t.Fatal(err)
+	}
+	if err := erin.StartConversation(carol.PublicKey()); err != nil {
+		t.Fatal(err)
+	}
+	for round := uint64(1); round <= 2; round++ {
+		if err := carol.QueueMessage([]byte(fmt.Sprintf("round %d carol", round))); err != nil {
+			t.Fatal(err)
+		}
+		for _, u := range []*client.User{carol, erin} {
+			out, err := u.BuildRound(round, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := fe.SubmitExternal(string(u.Mailbox()), out); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rep := runRound(t, n)
+		if len(rep.Stranded) != 0 || len(rep.HaltedChains) != 0 {
+			t.Fatalf("round %d: stranded %d, halted %v", round, len(rep.Stranded), rep.HaltedChains)
+		}
+		bodies := conversationBodies(t, fe, local[1], round)
+		if want := fmt.Sprintf("round %d pair 0 a->b", round); len(bodies) != 1 || string(bodies[0]) != want {
+			t.Fatalf("round %d: the in-process user received %q, want %q once", round, bodies, want)
+		}
+		recv, bad := erin.OpenMailbox(round, fe.FetchMailbox(round, erin.Mailbox()))
+		var remote []string
+		for _, r := range recv {
+			if r.FromPartner && r.Kind == onion.KindConversation {
+				remote = append(remote, string(r.Body))
+			}
+		}
+		if want := fmt.Sprintf("round %d carol", round); bad != 0 || len(remote) != 1 || remote[0] != want {
+			t.Fatalf("round %d: the remote user received %q (%d undecryptable), want %q once", round, remote, bad, want)
+		}
+	}
+}
+
+// TestDeadChainHoldsInProcessUsers: an in-process user one of whose
+// chains is dead cannot build the round and spends no banked cover. An
+// online one is skipped, to be stranded; an offline one's covers do
+// not run; neither has traffic in the round's batches.
+func TestDeadChainHoldsInProcessUsers(t *testing.T) {
+	n, fe := testNetwork(t, 6, 2)
+	on, off := fe.NewUser(), fe.NewUser()
+	runRound(t, n) // both bank covers for round 2
+	fe.SetOnline(off, false)
+	p := n.Params()
+	for c := range p.NumChains() {
+		p.Dead = append(p.Dead, c)
+	}
+	build, err := fe.BeginRound(&BeginRound{Round: p.Round, Params: p})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(build.Skipped) != 1 || build.Skipped[0] != string(on.Mailbox()) || build.Covered != 0 {
+		t.Fatalf("skipped %d users, covered %d; want the online one skipped and no cover spent", len(build.Skipped), build.Covered)
+	}
+	for c, b := range build.Batches {
+		if len(b.Subs) != 0 {
+			t.Fatalf("chain %d carries %d submissions", c, len(b.Subs))
 		}
 	}
 }

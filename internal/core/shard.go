@@ -8,8 +8,8 @@
 //     announcement, driving the mix chains, blame aggregation.
 //   - A gateway shard (GatewayShard; Frontend is the in-process
 //     implementation) owns everything that is per user: registration,
-//     presence, onion intake and external submissions, cover banking,
-//     mailbox storage and fetches.
+//     presence, onion building and intake, the bank that holds every
+//     user's round traffic and covers, mailbox storage and fetches.
 //
 // The partition key is the registry shard index (registry.go): each
 // gateway shard owns a contiguous half-open range [Lo, Hi) of the 64
@@ -18,17 +18,18 @@
 // one in-process Frontend owning the full range, passed to NewNetwork
 // like any other shard, so it pays nothing for the split.
 //
-// One round crosses the boundary four times: BeginRound pushes the
-// round's parameter snapshot (RoundParams: every chain's parameters
-// for the round and the next, the epoch and its dead chains) and
-// collects every shard's batches (submission forwarding), the
-// coordinator mixes, FinishRound fans the delivered mailbox messages
-// back out to their owning shards along with the per-shard blame
-// report and the next round's snapshot, and AbortRound reopens a
-// shard's submission window when a round fails and will be retried.
+// One round crosses the boundary twice: BeginRound pushes the round's
+// parameter snapshot (RoundParams: every chain's parameters for the
+// round and the next, the epoch and its dead chains) and collects
+// every shard's batches, the coordinator mixes, and FinishRound fans
+// the delivered mailbox messages back out to their owning shards
+// along with the per-shard blame report and the next round's
+// snapshot. A round that fails between the two is begun again under
+// its number: the shard's bank still holds the round's traffic until
+// FinishRound commits it, so the retry collects the same submissions.
 // Rebalance installs a re-formed epoch's plan and closes the upcoming
 // round's submission window until that epoch's snapshot arrives
-// (recover.go). internal/rpc carries the same four exchanges over TLS
+// (recover.go). internal/rpc carries the same three exchanges over TLS
 // for shards in other processes.
 package core
 
@@ -98,9 +99,9 @@ type BeginRound struct {
 	Params RoundParams
 }
 
-// ShardBuild is a shard's reply to BeginRound: its users' submissions
-// batched per chain (in-process users it built plus external
-// submissions it collected), the number of offline users covered by
+// ShardBuild is a shard's reply to BeginRound: the round's banked
+// traffic batched per chain (what its in-process users built and its
+// remote users submitted), the number of absent users covered by
 // banked covers, and the online users skipped because a dead chain
 // made their round impossible.
 type ShardBuild struct {
@@ -145,9 +146,10 @@ type FinishStats struct {
 // GatewayShard is the coordinator's handle on one gateway front-end
 // shard. Frontend implements it in-process; rpc.ShardClient carries
 // it to a shard in another process over TLS. Implementations must
-// tolerate the coordinator's per-round call sequence BeginRound →
-// (FinishRound | AbortRound), with Rebalance interleaved before a
-// round when an epoch re-forms.
+// tolerate the coordinator's per-round call sequence BeginRound+ →
+// FinishRound: a round may be begun again, after a failure or a lost
+// reply, and collects the same traffic until it is finished, with
+// Rebalance interleaved before a round when an epoch re-forms.
 type GatewayShard interface {
 	// Range returns the registry-shard slice this shard owns.
 	Range() ShardRange
@@ -158,9 +160,6 @@ type GatewayShard interface {
 	// FinishRound delivers routed messages and blame results, returns
 	// storage accounting (messages stored, depth-cap evictions).
 	FinishRound(fr *FinishRound) (FinishStats, error)
-	// AbortRound reopens the submission window for a round that
-	// failed after BeginRound and will be retried.
-	AbortRound(round uint64)
 	// Rebalance installs a new epoch's chain count; the shard
 	// re-derives the (deterministic) chain-selection plan, rebalances
 	// its users and discards state keyed to the old chains' keys.

@@ -1,7 +1,11 @@
 package rpc
 
 import (
+	"bytes"
+	"net"
+	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/chainsel"
@@ -17,6 +21,14 @@ import (
 // ShardClients over TLS, and the coordinator's own user endpoint.
 func newShardedDeployment(t testing.TB) (*core.Network, *Server, []*ShardServer) {
 	t.Helper()
+	return newShardedDeploymentWrapped(t, nil)
+}
+
+// newShardedDeploymentWrapped is newShardedDeployment with wrap, if not
+// nil, installed on every shard server's connections before the
+// coordinator dials it.
+func newShardedDeploymentWrapped(t testing.TB, wrap func(net.Conn) net.Conn) (*core.Network, *Server, []*ShardServer) {
+	t.Helper()
 	var servers []*ShardServer
 	var clients []*ShardClient
 	var shards []core.GatewayShard
@@ -30,6 +42,9 @@ func newShardedDeployment(t testing.TB) (*core.Network, *Server, []*ShardServer)
 			t.Fatal(err)
 		}
 		ss.Logf = func(string, ...any) {}
+		if wrap != nil {
+			ss.SetConnWrapper(wrap)
+		}
 		t.Cleanup(func() { ss.Close() })
 		sc, err := NewShardClient(r.Lo, r.Hi, ss.Addr(), ss.ClientTLS())
 		if err != nil {
@@ -300,29 +315,81 @@ func TestShardProcessDeathMidRound(t *testing.T) {
 	}
 }
 
-// TestShardAbortRoundZero: shard.abort takes its round off the wire,
-// and rounds start at 1. A round-0 frame used to wrap the shard's
-// collected watermark to 2⁶⁴−1, after which every submission was
-// answered "already mixing" — for good, once a watermark persisted it.
-// The frame must leave the submission window as it was.
-func TestShardAbortRoundZero(t *testing.T) {
-	n, _, servers := newShardedDeployment(t)
+// cutBeginReply is a shard server's connection that, the first time
+// any connection sharing cut reads a shard.begin request, closes
+// instead of writing the reply: the shard has begun the round, and the
+// coordinator never hears of it.
+type cutBeginReply struct {
+	net.Conn
+	cut      *atomic.Bool
+	sawBegin bool
+}
+
+func (c *cutBeginReply) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	if bytes.Contains(p[:n], []byte("shard.begin")) {
+		c.sawBegin = true
+	}
+	return n, err
+}
+
+func (c *cutBeginReply) Write(p []byte) (int, error) {
+	if c.sawBegin && c.cut.CompareAndSwap(false, true) {
+		c.Conn.Close()
+		return 0, net.ErrClosed
+	}
+	return c.Conn.Write(p)
+}
+
+// TestShardBeginRetryKeepsRemoteTraffic: the first shard.begin reply
+// of the round is lost, ShardClient re-asks once on a fresh
+// connection, and the shard begins the round a second time. The
+// re-begun round collects the remote users' banked submissions again:
+// the body alice queued is delivered exactly once, and nobody is
+// stranded.
+func TestShardBeginRetryKeepsRemoteTraffic(t *testing.T) {
+	var cut atomic.Bool
+	n, _, servers := newShardedDeploymentWrapped(t, func(c net.Conn) net.Conn {
+		return &cutBeginReply{Conn: c, cut: &cut}
+	})
 	front := shardedFront(t, servers)
-	for _, ss := range servers {
-		peer := NewClient(ss.Addr(), ss.ClientTLS())
-		defer peer.Close()
-		var resp ack
-		if err := peer.call("shard.abort", ShardAbortRequest{Round: 0}, &resp); err != nil {
-			t.Fatalf("shard.abort round 0: %v", err)
+	alice, bob := crossShardPair(t, n, front)
+	if err := alice.QueueMessage([]byte("once")); err != nil {
+		t.Fatal(err)
+	}
+	rho := n.Round()
+	for _, u := range []*client.User{alice, bob} {
+		out, err := u.BuildRound(rho, front)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := front.Submit(u.Mailbox(), out); err != nil {
+			t.Fatal(err)
 		}
 	}
-	u := client.NewUser(nil, n.Plan())
-	out, err := u.BuildRound(n.Round(), front)
+	rep, err := n.RunRound()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := front.Submit(u.Mailbox(), out); err != nil {
-		t.Fatalf("submission after a round-0 abort frame: %v", err)
+	if !cut.Load() {
+		t.Fatal("no shard.begin reply was cut")
+	}
+	if len(rep.DeadShards) != 0 || len(rep.Stranded) != 0 {
+		t.Fatalf("round %d: dead shards %v, stranded %d", rep.Round, rep.DeadShards, len(rep.Stranded))
+	}
+	msgs, err := front.Fetch(rho, bob.Mailbox())
+	if err != nil {
+		t.Fatal(err)
+	}
+	recv, bad := bob.OpenMailbox(rho, msgs)
+	var bodies []string
+	for _, r := range recv {
+		if r.FromPartner && r.Kind == onion.KindConversation {
+			bodies = append(bodies, string(r.Body))
+		}
+	}
+	if bad != 0 || len(bodies) != 1 || bodies[0] != "once" {
+		t.Fatalf("bob received %q (%d undecryptable), want \"once\" exactly once", bodies, bad)
 	}
 }
 
@@ -381,7 +448,7 @@ func TestRemoteUserAcrossReformation(t *testing.T) {
 		}
 		return rep
 	}
-	received := func(round uint64) string {
+	bodies := func(round uint64) []string {
 		t.Helper()
 		msgs, err := front.Fetch(round, bob.Mailbox())
 		if err != nil {
@@ -391,10 +458,18 @@ func TestRemoteUserAcrossReformation(t *testing.T) {
 		if bad != 0 {
 			t.Fatalf("round %d: %d undecryptable", round, bad)
 		}
+		var out []string
 		for _, r := range recv {
 			if r.FromPartner && r.Kind == onion.KindConversation {
-				return string(r.Body)
+				out = append(out, string(r.Body))
 			}
+		}
+		return out
+	}
+	received := func(round uint64) string {
+		t.Helper()
+		if b := bodies(round); len(b) > 0 {
+			return b[0]
 		}
 		return ""
 	}
@@ -416,12 +491,25 @@ func TestRemoteUserAcrossReformation(t *testing.T) {
 	if rep := play("halt"); len(rep.HaltedChains) != 1 {
 		t.Fatalf("round %d: the false accusation halted %v", rep.Round, rep.HaltedChains)
 	}
-	if rep := play("re-form"); !rep.Reformed || rep.Epoch != 1 {
-		t.Fatalf("round %d did not re-form: %+v", rep.Round, rep)
+	reform := play("re-form")
+	if !reform.Reformed || reform.Epoch != 1 {
+		t.Fatalf("round %d did not re-form: %+v", reform.Round, reform)
 	}
 	for _, body := range []string{"after", "later"} {
 		if rep := play(body); received(rep.Round) != body {
 			t.Fatalf("round %d after the re-formation did not deliver %q", rep.Round, body)
+		}
+	}
+	// A known gap, pinned as it stands: the body alice queued for the
+	// round that re-forms is delivered neither in that round nor in the
+	// two after it. Her shard drops her submission when it adopts the
+	// new epoch, and her next build does not re-send the body.
+	// CHANGES.md records it in the FOUND line on the loss of a remote
+	// user's messages for the round that re-forms the chains; the
+	// change that mends it turns this check around.
+	for round := reform.Round; round <= reform.Round+2; round++ {
+		if got := bodies(round); slices.Contains(got, "re-form") {
+			t.Fatalf("round %d delivered the re-forming round's body: %q", round, got)
 		}
 	}
 

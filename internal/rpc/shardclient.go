@@ -64,15 +64,6 @@ func (s *ShardClient) FinishRound(fr *core.FinishRound) (core.FinishStats, error
 	return stats, err
 }
 
-// AbortRound implements core.GatewayShard. Best-effort: an
-// unreachable shard will reject resubmissions until its next
-// successful BeginRound, which is the same position a freshly
-// restarted shard is in.
-func (s *ShardClient) AbortRound(round uint64) {
-	var resp ack
-	_ = s.c.call("shard.abort", ShardAbortRequest{Round: round}, &resp)
-}
-
 // Rebalance implements core.GatewayShard.
 func (s *ShardClient) Rebalance(epoch uint64, numChains int) error {
 	var resp ack

@@ -43,7 +43,6 @@ func NewShardServerTLS(fe *core.Frontend, addr string, serverTLS, clientTLS *tls
 	methods["shard.init"] = typed(s.init)
 	methods["shard.begin"] = typed(fe.BeginRound)
 	methods["shard.finish"] = typed(fe.FinishRound)
-	methods["shard.abort"] = typed(s.abort)
 	methods["shard.rebalance"] = typed(s.rebalance)
 	lc, err := newListenerCore(addr, serverTLS, clientTLS, methods)
 	if err != nil {
@@ -81,11 +80,6 @@ func (s *ShardServer) init(ir *ShardInitRequest) (ShardInitResponse, error) {
 	}
 	s.chainLength.Store(int64(ir.ChainLength))
 	return ShardInitResponse{Lo: rng.Lo, Hi: rng.Hi}, nil
-}
-
-func (s *ShardServer) abort(ar *ShardAbortRequest) (ack, error) {
-	s.fe.AbortRound(ar.Round)
-	return ack{}, nil
 }
 
 func (s *ShardServer) rebalance(rr *ShardRebalanceRequest) (ack, error) {

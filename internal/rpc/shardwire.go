@@ -5,13 +5,13 @@ package rpc
 // exchange per method and the interface's own types on the wire.
 // shard.begin carries core.BeginRound and answers with the shard's
 // core.ShardBuild; shard.finish carries core.FinishRound — routed
-// deliveries included — and answers with core.FinishStats. shard.abort
-// reopens the submission window after a failed round, shard.rebalance
-// broadcasts a re-formed epoch, and shard.init, the one method the
-// interface does not have, attaches a (re)started shard process to a
-// running deployment. shard.begin, shard.finish and shard.init each
-// carry one core.RoundParams, the snapshot of two rounds' chain
-// parameters; the shard takes the epoch and its chain count from it.
+// deliveries included — and answers with core.FinishStats.
+// shard.rebalance broadcasts a re-formed epoch, and shard.init, the one
+// method the interface does not have, attaches a (re)started shard
+// process to a running deployment. shard.begin, shard.finish and
+// shard.init each carry one core.RoundParams, the snapshot of two
+// rounds' chain parameters; the shard takes the epoch and its chain
+// count from it.
 // The endpoint keeps nothing between exchanges.
 
 import "repro/internal/core"
@@ -31,11 +31,6 @@ type ShardInitRequest struct {
 // coordinator can detect a mis-wired deployment.
 type ShardInitResponse struct {
 	Lo, Hi int
-}
-
-// ShardAbortRequest reopens the submission window for a failed round.
-type ShardAbortRequest struct {
-	Round uint64
 }
 
 // ShardRebalanceRequest broadcasts a re-formed epoch's chain count.

@@ -106,15 +106,14 @@ var policies = map[string]policy{
 	"hop.blame":   {},
 	"hop.accuse":  {},
 
-	// Coordinator → gateway shard. Begin, init, rebalance and abort
-	// are idempotent at the shard (a re-begin at worst rebuilds the
-	// batches). shard.finish must NOT be retried: it commits the
-	// round, and a commit processed but unacknowledged would deliver
-	// twice.
+	// Coordinator → gateway shard. Begin, init and rebalance are
+	// idempotent at the shard: a re-begun round collects the same
+	// banked traffic, its users' builds and remote submissions alike.
+	// shard.finish must NOT be retried: it commits the round, and a
+	// commit processed but unacknowledged would deliver twice.
 	"shard.init":      {class: classBuild, retry: true},
 	"shard.begin":     {class: classBuild, retry: true},
 	"shard.finish":    {class: classBuild},
-	"shard.abort":     {class: classBuild, retry: true},
 	"shard.rebalance": {class: classBuild, retry: true},
 }
 

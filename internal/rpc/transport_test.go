@@ -207,7 +207,6 @@ func sampleRequests(e *endpoints) map[string]any {
 		"shard.init":      ShardInitRequest{Lo: 0, Hi: 32, ChainLength: 3, Params: snap},
 		"shard.begin":     core.BeginRound{Round: snap.Round, Params: snap},
 		"shard.finish":    core.FinishRound{Round: snap.Round, Delivered: [][]byte{g.Bytes()}, Params: next},
-		"shard.abort":     ShardAbortRequest{Round: 1},
 		"shard.rebalance": ShardRebalanceRequest{Epoch: 1, NumChains: 2},
 	}
 }
@@ -315,7 +314,6 @@ func replies(params mix.Params, sub onion.Submission) map[string]any {
 		"shard.init":      ShardInitResponse{},
 		"shard.begin":     core.ShardBuild{Batches: []core.ChainBatch{{Subs: []onion.Submission{sub}, Submitters: []string{string(g.Bytes())}}}, Covered: 1},
 		"shard.finish":    core.FinishStats{Delivered: 1},
-		"shard.abort":     ack{},
 		"shard.rebalance": ack{},
 	}
 }
@@ -392,7 +390,6 @@ func FuzzReply(f *testing.F) {
 		"shard.init":      func() { sc.Init(n) },
 		"shard.begin":     func() { sc.BeginRound(&core.BeginRound{Round: 1}) },
 		"shard.finish":    func() { sc.FinishRound(&core.FinishRound{Round: 1}) },
-		"shard.abort":     func() { sc.AbortRound(1) },
 		"shard.rebalance": func() { sc.Rebalance(1, 2) },
 	}
 	samples := replies(params, sub)

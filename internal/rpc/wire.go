@@ -4,8 +4,12 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"io"
 
 	"repro/internal/client"
+	"repro/internal/core"
+	"repro/internal/mix"
+	"repro/internal/nizk"
 )
 
 // Messages are gob-encoded domain types: mix.Params, onion.Submission,
@@ -99,6 +103,39 @@ type RegisterRequest struct {
 // RegisterResponse reports how many identifiers were accepted.
 type RegisterResponse struct {
 	Registered int
+}
+
+// gob numbers a type the first time the process sends it, process-wide
+// and from 64 up, and a number from 128 up takes one more byte in every
+// frame whose type descriptors name it. init sends every request and
+// reply body once, in one fixed order, so each type's number, and so
+// each frame's size, does not depend on what the process encoded first
+// (TestWireSizes, run alone or with its package).
+func init() {
+	enc := gob.NewEncoder(io.Discard)
+	for _, body := range []any{
+		ParamsRequest{}, mix.Params{},
+		SubmitRequest{}, SubmitResponse{},
+		RegisterRequest{}, RegisterResponse{},
+		FetchRequest{}, FetchResponse{},
+		AckRequest{}, AckResponse{},
+		struct{}{}, StatusResponse{}, core.RoundReport{},
+		HopInitRequest{}, mix.HopKeys{},
+		HopBeginRequest{}, HopBeginResponse{},
+		HopRevealRequest{}, HopRevealResponse{},
+		HopMixRequest{}, mix.MixResult{},
+		HopCertifyRequest{}, nizk.Proof{},
+		HopBlameRequest{}, mix.BlameReveal{},
+		HopAccuseRequest{}, mix.AccuseReveal{},
+		ShardInitRequest{}, ShardInitResponse{},
+		core.BeginRound{}, core.ShardBuild{},
+		core.FinishRound{}, core.FinishStats{},
+		ShardRebalanceRequest{}, ack{},
+	} {
+		if err := enc.Encode(body); err != nil {
+			panic(fmt.Sprintf("rpc: registering %T: %v", body, err))
+		}
+	}
 }
 
 // encodeFrame builds the frame for head and body; a nil body is

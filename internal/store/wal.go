@@ -339,9 +339,6 @@ func (d *Durable) Crash() {
 	d.f.Close()
 }
 
-// Dir returns the data directory path.
-func (d *Durable) Dir() string { return d.dir }
-
 // replaySegment reads one segment's intact frames into rec,
 // truncating the file at the first torn or corrupt frame. Returns
 // the number of bytes cut.
