@@ -13,7 +13,6 @@ package churn
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
 
 	"repro/internal/chainsel"
@@ -46,18 +45,6 @@ func (e *Evictor) Evict(server int) bool {
 	}
 	e.evicted[server] = true
 	return true
-}
-
-// Evicted returns the expelled servers in ascending order.
-func (e *Evictor) Evicted() []int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make([]int, 0, len(e.evicted))
-	for s := range e.evicted {
-		out = append(out, s)
-	}
-	sort.Ints(out)
-	return out
 }
 
 // Survivors filters the evicted servers out of a server id list,

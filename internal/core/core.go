@@ -19,12 +19,13 @@
 // single-process deployment is the coordinator plus one full-range
 // Frontend, whose users the caller creates and serves through it.
 //
-// Each call to RunRound executes one communication round end to end
-// (Figure 1): every shard builds its users' ℓ messages plus the next
-// round's covers (fanning out over a worker pool that claims registry
-// shards), every chain mixes with aggregate-hybrid-shuffle
-// verification (§6), results fan back out to the shard owning each
-// recipient mailbox, and users fetch and decrypt.
+// Each call to RunRound executes one communication round end to end,
+// in one pass (Figure 1): every shard builds its users' ℓ messages plus
+// the next round's covers (fanning out over a worker pool that claims
+// registry shards) and returns the round's banked traffic, every chain
+// mixes with aggregate-hybrid-shuffle verification (§6), results fan
+// back out to the shard owning each recipient mailbox, and users fetch
+// and decrypt.
 //
 // A Frontend's registry operations (NewUser, SetOnline, IsRemoved,
 // NumUsers) and mailbox fetches are safe to call concurrently with
@@ -37,12 +38,16 @@
 // surfaces in the RoundReport: halted chains, blamed servers, blamed
 // (and automatically removed) users — mirroring §6.4's guarantees. A
 // gateway shard failing mid-round surfaces as DeadShards: only its
-// own users are affected, the round completes for everyone else.
+// own users are affected, the round completes for everyone else. A
+// user who loses the round, to a failed, dead or halted chain or to a
+// re-formation that dropped her messages, is listed in Stranded,
+// whatever kind of user she is.
 package core
 
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"strings"
@@ -192,10 +197,7 @@ func NewNetwork(cfg Config) (*Network, error) {
 		}
 	}
 	n.chains = chains
-	if err := n.announce(n.round); err != nil {
-		return nil, err
-	}
-	if err := n.announce(n.round + 1); err != nil {
+	if err := n.announce(topo, chains, n.round, n.round+1); err != nil {
 		return nil, err
 	}
 	// Install the founding plan everywhere. Like mix hops, shards must
@@ -315,9 +317,20 @@ func announceEach(chains []*mix.Chain, round uint64) []error {
 	return errs
 }
 
-// announce is announceEach with the errors joined.
-func (n *Network) announce(round uint64) error {
-	return errors.Join(announceEach(n.chains, round)...)
+// announce publishes the rounds' inner keys on every chain, one round
+// after the other, queues the server behind each failure that names a
+// position for eviction, and returns the failures joined.
+func (n *Network) announce(topo *topology.Topology, chains []*mix.Chain, rounds ...uint64) error {
+	var errs []error
+	for _, r := range rounds {
+		for _, err := range announceEach(chains, r) {
+			if err != nil {
+				n.attributeHopError(topo, err)
+				errs = append(errs, err)
+			}
+		}
+	}
+	return errors.Join(errs...)
 }
 
 // topoView snapshots the mutable topology state under mu. Epoch
@@ -465,9 +478,10 @@ type RoundReport struct {
 	// land the same (byte-identical) submission on two gateways; the
 	// coordinator keeps the first copy per (chain, DH key).
 	DedupedSubmissions int
-	// Stranded lists users (mailbox identifiers) whose traffic rode a
-	// halted, failed or dead chain this round: nothing of theirs was
-	// delivered and StrandedError reports ErrRoundRetry for them.
+	// Stranded lists users (mailbox identifiers) who lost this round:
+	// their traffic rode a halted, failed or dead chain, or a
+	// re-formation dropped it. Nothing of theirs was delivered, and
+	// StrandedError reports ErrRoundRetry for them.
 	Stranded []string
 	// Epoch is the topology epoch the round executed in.
 	Epoch uint64
@@ -570,486 +584,330 @@ func (p *RoundParams) withTables(prev *RoundParams) *RoundParams {
 	return &q
 }
 
-// preparedRound is the output of a round's preparation half: keys
-// announced, parameters snapshotted, every shard's users built and
-// the per-chain batches merged — everything up to (but not including)
-// the mix. RunRound prepares and executes back to back.
-type preparedRound struct {
-	rho   uint64
-	epoch uint64
-	topo  *topology.Topology
-	// chains is the topology snapshot the round was prepared against;
-	// execution must run over the same snapshot.
-	chains []*mix.Chain
-	report *RoundReport
-	// params is the snapshot the shards built from; its dead chains
-	// are those that failed to announce. deadShards marks gateway
-	// shards that failed their round-begin call.
-	params     RoundParams
-	deadShards map[int]bool
-	batches    []ChainBatch
-	// skipped are users stranded at build time (a dead chain among
-	// their ℓ chains).
-	skipped []string
-	// trace is the round's span tree, started at preparation so the
-	// announce and build phases land in it. A round that fails drops
-	// it unfinished.
-	trace *obs.RoundTrace
-}
-
-// maybeReform performs epoch recovery if evictions are pending: expel
-// the servers blamed since the last round and re-form chains over the
-// survivors (halt → blame → evict → re-form → resume). Callers hold
-// runMu.
-func (n *Network) maybeReform() (reformed bool, evicted []int, err error) {
-	n.mu.Lock()
-	pending := len(n.pendingEvict) > 0
-	n.mu.Unlock()
-	if !pending {
-		return false, nil, nil
-	}
-	if evicted, err = n.reform(); err != nil {
-		return false, nil, err
-	}
-	return len(evicted) > 0, evicted, nil
-}
-
-// restoreInjected returns consumed fault-injection submissions to the
-// front of the queue (a preparation that failed).
-func (n *Network) restoreInjected(injected map[int][]onion.Submission) {
-	if len(injected) == 0 {
-		return
-	}
-	n.mu.Lock()
-	for c, subs := range injected {
-		n.injected[c] = append(append([]onion.Submission{}, subs...), n.injected[c]...)
-	}
-	n.mu.Unlock()
-}
-
-// prepareRound runs the preparation half of round rho: announce the
-// keys the round needs, snapshot the live chains' parameters, fan the
-// build out to every gateway shard and merge the per-chain batches.
-// It advances no state other than consuming the injected-submission
-// queue (returned to it if the preparation fails) and closing the
-// shards' submission windows (which executeRound reopens if the round
-// fails).
-func (n *Network) prepareRound(rho uint64) (*preparedRound, error) {
-	n.mu.Lock()
-	epoch := n.epoch
-	injected := n.injected
-	n.injected = make(map[int][]onion.Submission)
-	topo, chains := n.topo, n.chains
-	n.mu.Unlock()
-
-	p := &preparedRound{
-		rho:        rho,
-		epoch:      epoch,
-		topo:       topo,
-		chains:     chains,
-		report:     &RoundReport{Round: rho, Epoch: epoch},
-		deadShards: make(map[int]bool),
-		trace:      obs.DefaultTracer.StartRound(rho, epoch),
-	}
-
-	// Re-announce the rounds this execution needs. BeginRound is
-	// idempotent, so on the happy path this is a map hit per chain;
-	// after a failed trailing announce (a remote hop that blipped
-	// last round and recovered) it is the retry that un-wedges the
-	// deployment. A chain that still cannot announce has no parameters
-	// to snapshot, so it is dead for the round: the shards strand its
-	// users, and — when the failure is attributable to a position —
-	// the server behind it is queued for eviction.
-	announcePhase := p.trace.StartPhase("announce")
-	for _, err := range append(announceEach(chains, rho), announceEach(chains, rho+1)...) {
-		if err != nil {
-			n.attributeHopError(topo, err)
-		}
-	}
-	announcePhase.End()
-	p.params = snapshot(epoch, rho, chains, nil)
-	p.report.DeadChains = slices.Clone(p.params.Dead)
-
-	// Stage 1: build, distributed. Push the parameter snapshot to
-	// every gateway shard; each builds its in-process users' onions
-	// over its worker pool into its bank, collects the round's banked
-	// traffic and closes its submission window for the round. A shard
-	// erroring here is dead for the round: only its users are missing
-	// from the batches.
-	br := &BeginRound{Round: rho, Params: p.params}
-	buildPhase := p.trace.StartPhase("build")
-	builds := make([]*ShardBuild, len(n.shards))
-	beginErrs := make([]error, len(n.shards))
-	var beginWG sync.WaitGroup
-	for i, sh := range n.shards {
-		beginWG.Add(1)
-		go func(i int, sh GatewayShard) {
-			defer beginWG.Done()
-			child := buildPhase.StartChild("shard " + sh.Range().String())
-			build, err := sh.BeginRound(br)
-			if err == nil {
-				err = build.validate()
-			}
-			if err == nil {
-				builds[i] = build
-			}
-			beginErrs[i] = err
-			child.End()
-		}(i, sh)
-	}
-	beginWG.Wait()
-
-	for i := range n.shards {
-		if beginErrs[i] != nil {
-			p.deadShards[i] = true
-			p.report.DeadShards = append(p.report.DeadShards, i)
-			continue
-		}
-		p.report.OfflineCovered += builds[i].Covered
-		p.skipped = append(p.skipped, builds[i].Skipped...)
-	}
-	if len(p.deadShards) == len(n.shards) {
-		n.restoreInjected(injected)
-		return nil, fmt.Errorf("core: every gateway shard failed round %d begin: %w", rho, errors.Join(beginErrs...))
-	}
-
-	// Merge the shards' per-chain batches plus injected submissions.
-	// With more than one shard, duplicate submissions are possible: a
-	// client whose gateway stalled mid-submit retries against another
-	// shard, and both may have accepted the (byte-identical) copy.
-	// The merge keeps the first copy per (chain, DH key) — without
-	// this, the duplicate would fail the chain's shuffle-cardinality
-	// checks or deliver the message twice.
-	var seen map[string]bool
-	if len(n.shards) > 1 {
-		seen = make(map[string]bool)
-	}
-	batches := make([]ChainBatch, len(chains))
-	for c := range batches {
-		total := 0
-		for i := range builds {
-			if builds[i] != nil && c < len(builds[i].Batches) {
-				total += len(builds[i].Batches[c].Subs)
-			}
-		}
-		batches[c].Subs = make([]onion.Submission, 0, total)
-		batches[c].Submitters = make([]string, 0, total)
-		for i := range builds {
-			if builds[i] == nil || c >= len(builds[i].Batches) {
-				continue
-			}
-			b := &builds[i].Batches[c]
-			for j, sub := range b.Subs {
-				if seen != nil {
-					key := string(sub.DHKey.Bytes())
-					if seen[key] {
-						p.report.DedupedSubmissions++
-						continue
-					}
-					seen[key] = true
-				}
-				batches[c].add(sub, b.Submitters[j])
-			}
-		}
-	}
-	for chain, subs := range injected {
-		if chain < 0 || chain >= len(batches) {
-			continue
-		}
-		for _, sub := range subs {
-			batches[chain].add(sub, fmt.Sprintf("injected:%d", chain))
-		}
-	}
-	p.batches = batches
-	buildPhase.End()
-	return p, nil
-}
-
-// RunRound executes the upcoming round and advances the round
-// counter. The coordinator's view of the pipeline: announce this
-// round's keys; push the round parameters to every gateway shard and
-// collect their per-chain batches (each shard builds its own users in
-// parallel over its worker pool); mix every chain in parallel (they
-// are independent local mix-nets, §4.2); fan the delivered mailbox
-// messages back out to the shard owning each recipient, along with
-// the blame verdicts and stranded-user records. Blamed users are
-// removed from the network before the next round. Concurrent RunRound
-// calls are serialised.
+// RunRound executes the upcoming round and advances the round counter,
+// in one pass (Figure 1):
 //
-// RunRound also performs epoch recovery: servers blamed by a previous
-// round (a halted chain, a failed announce) are evicted and the chains
-// re-formed over the survivors before this round executes, and chains
-// that cannot announce this round's keys run dead — their users are
-// stranded for the round (see Frontend.StrandedError) rather than
-// wedging the deployment.
-// A gateway shard that fails its round-begin call is dead for the
-// round: it contributes no traffic and the round proceeds without it.
+//  1. Re-form: servers blamed by an earlier round (a halted chain, a
+//     failed announce) are evicted and the chains re-formed over the
+//     survivors (recover.go).
+//  2. Announce the round's keys and the next round's, and snapshot
+//     every chain's parameters. A chain that cannot announce runs dead:
+//     its users are stranded for the round rather than wedging the
+//     deployment.
+//  3. Begin: every gateway shard gets the snapshot, builds its
+//     in-process users' onions over its worker pool, and returns the
+//     round's banked traffic batched per chain. A shard that fails is
+//     dead for the round: its users contribute nothing.
+//  4. Merge the shards' batches and the injected submissions per chain.
+//  5. Mix every chain that runs in parallel: chains are independent
+//     local mix-nets (§4.2).
+//  6. Verdicts: each chain's result goes into the report, blamed
+//     servers are queued for eviction, and the convicted and the
+//     stranded are collected.
+//  7. Finish: advance the round counter, announce round ρ+2's keys, and
+//     send each shard the mail for its users, its convicted users (to
+//     remove), its stranded users (see Frontend.StrandedError) and the
+//     next snapshot.
+//
+// A failure before the counter advances leaves the round current, so
+// the caller can run it again under its number: the shards bank its
+// traffic until it finishes, and the next begin collects it again.
+// Concurrent calls are serialised.
 func (n *Network) RunRound() (*RoundReport, error) {
 	n.runMu.Lock()
 	defer n.runMu.Unlock()
 
-	reformed, evicted, err := n.maybeReform()
+	evicted, err := n.reform()
 	if err != nil {
 		return nil, err
 	}
-
 	n.mu.Lock()
-	rho := n.round
+	rho, epoch, topo, chains := n.round, n.epoch, n.topo, n.chains
 	n.mu.Unlock()
+	report := &RoundReport{Round: rho, Epoch: epoch, Reformed: len(evicted) > 0, Evicted: evicted}
+	trace := obs.DefaultTracer.StartRound(rho, epoch)
 
-	p, err := n.prepareRound(rho)
-	if err != nil {
-		return nil, err
-	}
-	p.report.Reformed = reformed
-	p.report.Evicted = evicted
-	return n.executeRound(p)
-}
+	// Announce. Chain.BeginRound is idempotent, so on the happy path
+	// this is a map hit per chain; after a failed trailing announce (a
+	// remote hop that blipped last round and recovered) it is the retry
+	// that un-wedges the deployment. A chain that still cannot announce
+	// has no parameters to snapshot, so it is dead for the round.
+	phase := trace.StartPhase("announce")
+	n.announce(topo, chains, rho, rho+1)
+	phase.End()
+	params := snapshot(epoch, rho, chains, nil)
+	report.DeadChains = slices.Clone(params.Dead)
 
-// executeRound runs the mix, aggregation and delivery halves of a
-// prepared round and advances the round counter. On an orchestration
-// failure the round stays current, so the caller can retry it: the
-// shards still bank its traffic and collect it again at the next
-// begin.
-func (n *Network) executeRound(p *preparedRound) (*RoundReport, error) {
-	rho, epoch := p.rho, p.epoch
-	topo, chains := p.topo, p.chains
-	report := p.report
-	dead, deadShards := p.params.dead, p.deadShards
-	batches, skipped := p.batches, p.skipped
-
-	// The failed-server set is read at execution time, not at
-	// preparation time, so a crash reported while the round was being
-	// built still fails its chains.
-	n.mu.Lock()
-	failed := make(map[int]bool, len(n.failedServers))
-	for s := range n.failedServers {
-		failed[s] = true
-	}
-	n.mu.Unlock()
-
-	failedChains := make(map[int]bool)
-	for _, c := range topo.FailedChains(failed) {
-		failedChains[c] = true
-		report.FailedChains = append(report.FailedChains, c)
-	}
-
-	// Stage 2: mix. Run every healthy chain in parallel — the heart
-	// of the design: chains are independent local mix-nets (§4.2).
-	type chainOutcome struct {
-		res *mix.RoundResult
-		err error
-	}
-	mixStart := time.Now()
-	outcomes := make([]chainOutcome, len(chains))
-	var wg sync.WaitGroup
-	for c := range chains {
-		if failedChains[c] || dead(c) {
+	phase = trace.StartPhase("build")
+	br := &BeginRound{Round: rho, Params: params}
+	builds, errs := fanOut(phase, n.shards, nil, func(_ int, sh GatewayShard) (*ShardBuild, error) {
+		b, err := sh.BeginRound(br)
+		if err == nil {
+			err = b.validate()
+		}
+		if err != nil {
+			return nil, err
+		}
+		return b, nil
+	})
+	var skipped []string
+	for i, b := range builds {
+		if b == nil {
+			report.DeadShards = append(report.DeadShards, i)
 			continue
 		}
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			res, err := chains[c].RunRound(rho, client.LaneCurrent, batches[c].Subs)
-			outcomes[c] = chainOutcome{res: res, err: err}
-		}(c)
+		report.OfflineCovered += b.Covered
+		skipped = append(skipped, b.Skipped...)
 	}
-	wg.Wait()
+	if len(report.DeadShards) == len(n.shards) {
+		return nil, fmt.Errorf("core: every gateway shard failed round %d begin: %w", rho, errors.Join(errs...))
+	}
+	// The injected submissions are taken only once a shard has begun
+	// the round, so a round that fails before here leaves them queued.
+	n.mu.Lock()
+	injected := n.injected
+	n.injected = make(map[int][]onion.Submission)
+	n.mu.Unlock()
+	batches, deduped := mergeBatches(builds, injected, len(chains))
+	report.DedupedSubmissions = deduped
+	phase.End()
+
+	// Mix. A chain runs unless it is dead or a member crashed; the
+	// crashed set is read now, so a crash reported while the shards
+	// were building still fails its chains. A chain that did not run
+	// has a nil result.
+	n.mu.Lock()
+	report.FailedChains = topo.FailedChains(n.failedServers)
+	n.mu.Unlock()
+	mixStart := time.Now()
+	results, err := mixChains(chains, rho, batches, func(c int) bool {
+		return !params.dead(c) && !slices.Contains(report.FailedChains, c)
+	})
+	if err != nil {
+		return nil, err
+	}
 	mixWall := time.Since(mixStart)
-
-	// Stage 3: aggregate. Reports are folded serially (cheap); the
-	// deliveries and removal verdicts are then fanned back out to the
-	// owning shards.
-	for c := range chains {
-		if !failedChains[c] && !dead(c) && outcomes[c].err != nil {
-			return nil, fmt.Errorf("core: chain %d: %w", c, outcomes[c].err)
+	// The verify phase is the chains' submission-proof stage, measured
+	// inside the parallel section, so its duration is the slowest
+	// chain's; the mix phase is the section's wall clock, with each
+	// chain's mixing after verification as a child.
+	var maxVerify time.Duration
+	for _, res := range results {
+		if res != nil {
+			maxVerify = max(maxVerify, res.VerifyDur)
 		}
 	}
-
-	// Trace phase synthesis from the chains' own stage timings. The
-	// verify phase is the per-chain submission-proof stage, measured
-	// inside the parallel section, so its top-level duration is the
-	// max across chains (the wall-clock contribution); the mix phase
-	// is the whole parallel section's wall clock, with each chain's
-	// post-verification mixing as a child.
-	if p.trace != nil {
-		var maxVerify time.Duration
-		for c := range chains {
-			if failedChains[c] || dead(c) || outcomes[c].res == nil {
-				continue
-			}
-			if v := outcomes[c].res.VerifyDur; v > maxVerify {
-				maxVerify = v
-			}
-		}
-		vp := p.trace.AddPhase("verify", mixStart, maxVerify)
-		mp := p.trace.AddPhase("mix", mixStart, mixWall)
-		for c := range chains {
-			if failedChains[c] || dead(c) || outcomes[c].res == nil {
-				continue
-			}
-			res := outcomes[c].res
+	vp := trace.AddPhase("verify", mixStart, maxVerify)
+	mp := trace.AddPhase("mix", mixStart, mixWall)
+	for c, res := range results {
+		if res != nil {
 			name := fmt.Sprintf("chain %d", c)
 			vp.AddChild(name, mixStart, res.VerifyDur)
 			mp.AddChild(name, mixStart.Add(res.VerifyDur), res.MixDur)
 		}
 	}
-	// stranded collects everyone whose traffic rode a chain that did
-	// not deliver this round: skipped at build (dead chain among their
-	// ℓ), or batched onto a failed, dead or halted chain. They get
-	// ErrRoundRetry from StrandedError rather than a silent drop.
+
+	// Verdicts. Everyone whose traffic rode a chain that did not
+	// deliver is stranded: skipped by a shard (a dead chain among her ℓ,
+	// or traffic a re-formation dropped) or batched onto a failed, dead
+	// or halted chain. The convicted are removed instead: there is no
+	// honest retry for them.
 	stranded := make(map[string]bool)
 	for _, who := range skipped {
 		stranded[who] = true
 	}
-	strandChain := func(c int) {
+	deliveries := make([][][]byte, len(chains))
+	n.mu.Lock()
+	for c, res := range results {
+		if res != nil {
+			report.DroppedInner += res.DroppedInner
+			report.BlameRounds += res.BlameRounds
+			for _, s := range res.BlamedServers {
+				report.BlamedServers = append(report.BlamedServers, [2]int{c, s})
+				if s >= 0 && s < len(topo.Chains[c]) {
+					n.pendingEvict[topo.Chains[c][s]] = true
+				}
+			}
+			for _, idx := range res.BlamedUsers {
+				report.BlamedUsers = append(report.BlamedUsers, batches[c].Submitters[idx])
+			}
+			if !res.Halted {
+				deliveries[c] = res.Delivered
+				continue
+			}
+			report.HaltedChains = append(report.HaltedChains, c)
+		}
 		for _, who := range batches[c].Submitters {
 			if !strings.HasPrefix(who, "injected:") {
 				stranded[who] = true
 			}
 		}
 	}
-	var convicted []string
-	deliveries := make([][][]byte, len(chains))
-	for c := range chains {
-		if failedChains[c] || dead(c) {
-			strandChain(c)
-			continue
-		}
-		res := outcomes[c].res
-		report.DroppedInner += res.DroppedInner
-		report.BlameRounds += res.BlameRounds
-		if res.Halted {
-			report.HaltedChains = append(report.HaltedChains, c)
-			strandChain(c)
-		}
-		for _, s := range res.BlamedServers {
-			report.BlamedServers = append(report.BlamedServers, [2]int{c, s})
-			if s >= 0 && s < len(topo.Chains[c]) {
-				n.mu.Lock()
-				n.pendingEvict[topo.Chains[c][s]] = true
-				n.mu.Unlock()
-			}
-		}
-		for _, idx := range res.BlamedUsers {
-			who := batches[c].Submitters[idx]
-			report.BlamedUsers = append(report.BlamedUsers, who)
-			convicted = append(convicted, who)
-		}
-		if !res.Halted {
-			deliveries[c] = res.Delivered
-		}
-	}
-
-	// Convicted users are removed, not stranded: there is no honest
-	// retry for them.
-	for _, who := range convicted {
+	n.mu.Unlock()
+	for _, who := range report.BlamedUsers {
 		delete(stranded, who)
 	}
 	if len(stranded) > 0 {
-		report.Stranded = make([]string, 0, len(stranded))
-		for who := range stranded {
-			report.Stranded = append(report.Stranded, who)
-		}
-		sort.Strings(report.Stranded)
+		report.Stranded = slices.Sorted(maps.Keys(stranded))
 	}
 
-	// Advance the round and announce the keys the NEXT round's covers
-	// will need, before closing this round on the shards — the finish
-	// message carries the (ρ+1, ρ+2) parameter snapshot so gateway
-	// processes can serve clients without another coordinator round
-	// trip.
+	// Finish. Round ρ+2's keys, which the next round's covers need, are
+	// announced only now that every chain has revealed ρ: that bounds a
+	// chain's inner-key retention to two rounds (TestInnerAggPruning).
 	n.mu.Lock()
 	n.round = rho + 1
-	next := n.round + 1
 	n.mu.Unlock()
-	finishPhase := p.trace.StartPhase("finish")
-	trailing := announceEach(chains, next)
-	for _, e := range trailing {
-		if e != nil {
-			n.attributeHopError(topo, e)
-		}
-	}
-	finishSnap := snapshot(epoch, rho+1, chains, p.params.Dead)
-	finishPhase.End()
+	phase = trace.StartPhase("finish")
+	trailing := n.announce(topo, chains, rho+2)
+	next := snapshot(epoch, rho+1, chains, params.Dead)
+	phase.End()
 
-	// Stage 4: deliver, distributed. Route every mixed mailbox
-	// message to the shard owning its recipient, the blame verdicts to
-	// the shard owning the convicted user, the stranded records
-	// likewise, and close the round everywhere in parallel.
-	deliverPhase := p.trace.StartPhase("deliver")
-	perShard := make([][][]byte, len(n.shards))
-	for c := range deliveries {
-		for _, msg := range deliveries[c] {
+	phase = trace.StartPhase("deliver")
+	finishes := make([]FinishRound, len(n.shards))
+	for i := range finishes {
+		finishes[i] = FinishRound{Round: rho, Params: next}
+	}
+	for _, msgs := range deliveries {
+		for _, msg := range msgs {
 			rcpt, err := onion.Recipient(msg)
 			if err != nil {
 				continue // malformed: it names no recipient to route to
 			}
-			i := n.owner[OwnerShard(rcpt)]
-			perShard[i] = append(perShard[i], msg)
+			fr := &finishes[n.owner[OwnerShard(rcpt)]]
+			fr.Delivered = append(fr.Delivered, msg)
 		}
 	}
-	removedPer := make([][]string, len(n.shards))
-	for _, who := range convicted {
-		i := n.owner[shardIndex(who)]
-		removedPer[i] = append(removedPer[i], who)
+	for _, who := range report.BlamedUsers {
+		fr := &finishes[n.owner[shardIndex(who)]]
+		fr.Removed = append(fr.Removed, who)
 	}
-	strandedPer := make([][]string, len(n.shards))
 	for _, who := range report.Stranded {
-		i := n.owner[shardIndex(who)]
-		strandedPer[i] = append(strandedPer[i], who)
+		fr := &finishes[n.owner[shardIndex(who)]]
+		fr.Stranded = append(fr.Stranded, who)
 	}
-
-	finishErrs := make([]error, len(n.shards))
-	statsPer := make([]FinishStats, len(n.shards))
-	var finishWG sync.WaitGroup
-	for i, sh := range n.shards {
-		if deadShards[i] {
-			report.LostDeliveries += len(perShard[i])
-			continue
-		}
-		finishWG.Add(1)
-		go func(i int, sh GatewayShard) {
-			defer finishWG.Done()
-			child := deliverPhase.StartChild("shard " + sh.Range().String())
-			defer child.End()
-			statsPer[i], finishErrs[i] = sh.FinishRound(&FinishRound{
-				Round:     rho,
-				Delivered: perShard[i],
-				Removed:   removedPer[i],
-				Stranded:  strandedPer[i],
-				Params:    finishSnap,
-			})
-		}(i, sh)
-	}
-	finishWG.Wait()
-	for i := range n.shards {
-		if deadShards[i] {
-			continue
-		}
-		if finishErrs[i] != nil {
-			deadShards[i] = true
+	stats, errs := fanOut(phase, n.shards, func(i int) bool { return builds[i] != nil }, func(i int, sh GatewayShard) (FinishStats, error) {
+		return sh.FinishRound(&finishes[i])
+	})
+	for i := range finishes {
+		switch {
+		case builds[i] == nil:
+			report.LostDeliveries += len(finishes[i].Delivered)
+		case errs[i] != nil:
 			report.DeadShards = append(report.DeadShards, i)
-			report.LostDeliveries += len(perShard[i])
-			continue
+			report.LostDeliveries += len(finishes[i].Delivered)
+		default:
+			report.Delivered += stats[i].Delivered
+			report.MailboxDropped += stats[i].Dropped
 		}
-		report.Delivered += statsPer[i].Delivered
-		report.MailboxDropped += statsPer[i].Dropped
 	}
 	sort.Ints(report.DeadShards)
-	deliverPhase.End()
+	phase.End()
 	recordRoundReport(report)
-	p.trace.Finish()
+	trace.Finish()
+	// The round is complete and its report valid even when announcing
+	// round ρ+2's keys failed (typically a remote hop that died, its
+	// chain halted above): both are returned, so the caller keeps the
+	// round's outcome alongside the failure.
+	return report, trailing
+}
 
-	for _, e := range trailing {
-		if e != nil {
-			// The executed round is complete and its report valid; what
-			// failed is announcing round next's keys — typically a
-			// remote hop that died (its chain halted above). Return
-			// both so the caller keeps this round's outcome alongside
-			// the failure.
-			return report, errors.Join(trailing...)
+// fanOut calls call on every shard that runs admits (nil admits all),
+// each on its own goroutine under a child span of phase, and returns
+// each shard's result and error.
+func fanOut[T any](phase *obs.Span, shards []GatewayShard, runs func(int) bool, call func(int, GatewayShard) (T, error)) ([]T, []error) {
+	out := make([]T, len(shards))
+	errs := make([]error, len(shards))
+	var wg sync.WaitGroup
+	for i, sh := range shards {
+		if runs != nil && !runs(i) {
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			child := phase.StartChild("shard " + sh.Range().String())
+			defer child.End()
+			out[i], errs[i] = call(i, sh)
+		}()
+	}
+	wg.Wait()
+	return out, errs
+}
+
+// mergeBatches merges the shards' per-chain batches (a dead shard's
+// build is nil) and then the injected submissions. With more than one
+// shard a submission can arrive twice: a client whose gateway stalled
+// mid-submit retries against another shard, and both may have
+// accepted the byte-identical copy. The merge keeps the first copy per
+// (chain, DH key) and counts the rest; the duplicate would otherwise
+// fail the chain's shuffle-cardinality checks or deliver the message
+// twice.
+func mergeBatches(builds []*ShardBuild, injected map[int][]onion.Submission, numChains int) ([]ChainBatch, int) {
+	var seen map[string]bool
+	if len(builds) > 1 {
+		seen = make(map[string]bool)
+	}
+	deduped := 0
+	batches := make([]ChainBatch, numChains)
+	for c := range batches {
+		total := 0
+		for _, b := range builds {
+			if b != nil && c < len(b.Batches) {
+				total += len(b.Batches[c].Subs)
+			}
+		}
+		batches[c].Subs = make([]onion.Submission, 0, total)
+		batches[c].Submitters = make([]string, 0, total)
+		for _, b := range builds {
+			if b == nil || c >= len(b.Batches) {
+				continue
+			}
+			for j, sub := range b.Batches[c].Subs {
+				if seen != nil {
+					key := string(sub.DHKey.Bytes())
+					if seen[key] {
+						deduped++
+						continue
+					}
+					seen[key] = true
+				}
+				batches[c].add(sub, b.Batches[c].Submitters[j])
+			}
 		}
 	}
-	return report, nil
+	for c, subs := range injected {
+		if c < 0 || c >= numChains {
+			continue
+		}
+		for _, sub := range subs {
+			batches[c].add(sub, fmt.Sprintf("injected:%d", c))
+		}
+	}
+	return batches, deduped
+}
+
+// mixChains runs round rho on every chain that runs admits, each on its
+// own goroutine, and returns each chain's result (nil for a chain that
+// did not run) or the first chain's orchestration failure.
+func mixChains(chains []*mix.Chain, rho uint64, batches []ChainBatch, runs func(int) bool) ([]*mix.RoundResult, error) {
+	results := make([]*mix.RoundResult, len(chains))
+	errs := make([]error, len(chains))
+	var wg sync.WaitGroup
+	for c := range chains {
+		if !runs(c) {
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[c], errs[c] = chains[c].RunRound(rho, client.LaneCurrent, batches[c].Subs)
+		}()
+	}
+	wg.Wait()
+	for c, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("core: chain %d: %w", c, err)
+		}
+	}
+	return results, nil
 }

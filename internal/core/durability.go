@@ -513,7 +513,9 @@ func (f *Frontend) onPlanLocked(epoch uint64, numChains int) bool {
 // epoch's (deterministic) chain plan if the shard is not on it yet,
 // sets the round counters, and drops what the position makes
 // unreachable — banked traffic of committed rounds and mail older than
-// the retention window. Callers hold f.mu.
+// the retention window. A new epoch empties the bank, and the remote
+// users whose messages for the position's round it drops are
+// remembered for that round's Skipped. Callers hold f.mu.
 func (f *Frontend) applyWatermarkLocked(w watermark) error {
 	if w.numChains > 0 && !f.onPlanLocked(w.epoch, w.numChains) {
 		plan, err := chainsel.NewPlan(w.numChains)
@@ -525,6 +527,11 @@ func (f *Frontend) applyWatermarkLocked(w watermark) error {
 		// the old chains' keys; running it under the new epoch would
 		// get its honest owners blamed (see recover.go).
 		f.params = nil
+		for who, eu := range f.bank {
+			if len(eu.current(w.round)) > 0 && !holdsInProcess(f.reg.shardOf(who), who) {
+				f.dropped[who] = w.round
+			}
+		}
 		f.bank = make(map[string]*bankedUser)
 		for i := f.rng.Lo; i < f.rng.Hi; i++ {
 			sh := &f.reg.shards[i]
@@ -539,6 +546,7 @@ func (f *Frontend) applyWatermarkLocked(w watermark) error {
 	if w.round > 0 {
 		f.dropBankThroughLocked(w.round - 1)
 	}
+	maps.DeleteFunc(f.dropped, func(_ string, r uint64) bool { return r < w.round })
 	if w.round > mailboxRetention {
 		f.boxes.PruneBefore(w.round - mailboxRetention)
 	}

@@ -151,17 +151,24 @@ func (f *Frontend) SubmitExternal(mailbox string, out *client.RoundOutput) error
 // collectLocked folds round rho's banked traffic into per-chain
 // batches and closes the round for further submissions: each user's
 // messages for rho or, failing those, the covers she banked for it.
-// held are in-process users whom a dead chain keeps out of the round,
-// covers included. Nothing is dropped here: the traffic stays banked
-// until the round commits. Callers hold f.mu.
-func (f *Frontend) collectLocked(rho uint64, numChains int, held map[string]bool) *ShardBuild {
+// A user with a dead chain in params among her ℓ is held out, covers
+// included: the wire pattern needs all ℓ messages, and a cover spent on
+// a dead chain is her one §5.3.3 cover round lost. A held user with
+// messages for rho is listed in Skipped, as is every remote user whose
+// messages for rho a re-formation dropped (recover.go). Nothing is
+// dropped here: the traffic stays banked until the round commits.
+// Callers hold f.mu.
+func (f *Frontend) collectLocked(rho uint64, params *RoundParams) *ShardBuild {
 	f.collected = max(f.collected, rho)
-	build := &ShardBuild{Batches: make([]ChainBatch, numChains)}
+	build := &ShardBuild{Batches: make([]ChainBatch, params.NumChains())}
 	for who, eu := range f.bank {
-		if held[who] {
+		msgs := eu.current(rho)
+		if len(params.Dead) > 0 && slices.ContainsFunc(f.plan.ChainsForUser([]byte(who)), params.dead) {
+			if len(msgs) > 0 {
+				build.Skipped = append(build.Skipped, who)
+			}
 			continue
 		}
-		msgs := eu.current(rho)
 		if len(msgs) == 0 {
 			if msgs = eu.cover(rho); len(msgs) > 0 {
 				build.Covered++
@@ -172,6 +179,11 @@ func (f *Frontend) collectLocked(rho uint64, numChains int, held map[string]bool
 		}
 		for _, cm := range msgs {
 			build.Batches[cm.Chain].add(cm.Sub, who)
+		}
+	}
+	for who, r := range f.dropped {
+		if r == rho {
+			build.Skipped = append(build.Skipped, who)
 		}
 	}
 	return build

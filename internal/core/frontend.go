@@ -85,6 +85,10 @@ type Frontend struct {
 	stranded map[uint64]map[string]bool
 	bank     map[string]*bankedUser
 	banned   map[string]bool
+	// dropped maps each remote user whose messages a re-formation
+	// emptied from the bank to their round, until that round commits;
+	// collectLocked lists them in its Skipped (recover.go).
+	dropped map[string]uint64
 }
 
 var _ GatewayShard = (*Frontend)(nil)
@@ -130,6 +134,7 @@ func NewFrontend(cfg FrontendConfig) (*Frontend, error) {
 		stranded:      make(map[uint64]map[string]bool),
 		bank:          make(map[string]*bankedUser),
 		banned:        make(map[string]bool),
+		dropped:       make(map[string]uint64),
 	}
 	if cfg.Recovered != nil {
 		if err := f.recover(cfg.Recovered); err != nil {
@@ -467,15 +472,8 @@ func (f *Frontend) BeginRound(br *BeginRound) (*ShardBuild, error) {
 			return nil, err
 		}
 	}
-	var held map[string]bool
-	if len(acc.held) > 0 {
-		held = make(map[string]bool, len(acc.held))
-		for _, who := range acc.held {
-			held[who] = true
-		}
-	}
-	build := f.collectLocked(br.Round, params.NumChains(), held)
-	build.Skipped = acc.skipped
+	build := f.collectLocked(br.Round, params)
+	build.Skipped = append(build.Skipped, acc.skipped...)
 	return build, nil
 }
 
@@ -580,13 +578,11 @@ func (f *Frontend) logFinishLocked(fr *FinishRound) error {
 // share accumulators, so the build fan-out appends without
 // synchronisation.
 type buildAcc struct {
-	// built are the round outputs to deposit in the bank.
-	built []deposit
-	// held are users one of whose ℓ chains is dead (failed to announce
-	// keys): they cannot take part in the round, covers included.
-	// skipped are the online ones among them, stranded for the round.
-	held, skipped []string
-	err           error
+	// built are the round outputs to deposit in the bank; skipped are
+	// the users a dead chain kept from building, stranded for the round.
+	built   []deposit
+	skipped []string
+	err     error
 }
 
 // deposit is one in-process user's round output, for the bank.
@@ -629,7 +625,6 @@ func (f *Frontend) buildUsers(rho uint64, params *RoundParams, banked map[string
 			return nil, accs[w].err
 		}
 		out.built = append(out.built, accs[w].built...)
-		out.held = append(out.held, accs[w].held...)
 		out.skipped = append(out.skipped, accs[w].skipped...)
 	}
 	return out, nil
@@ -638,23 +633,20 @@ func (f *Frontend) buildUsers(rho uint64, params *RoundParams, banked map[string
 // buildShard builds one registry shard's online users into the
 // worker's accumulator. The shard lock is held for the duration, so
 // presence changes and conversation mutations for these users
-// serialise against the build — and against nothing else. Users with
-// a dead chain among their ℓ chains cannot build a valid round (the
-// wire pattern requires all ℓ messages) and are held out; their banked
-// covers stay banked. Transport registrations are not walked: their
-// onions arrive through SubmitExternal.
+// serialise against the build — and against nothing else. A user with
+// a dead chain among her ℓ chains cannot build a valid round (the wire
+// pattern requires all ℓ messages): she is skipped, and collectLocked
+// holds her banked covers out too. Transport registrations are not
+// walked: their onions arrive through SubmitExternal.
 func (f *Frontend) buildShard(sh *userShard, rho uint64, params *RoundParams, banked map[string]bool, acc *buildAcc) error {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	for key, ru := range sh.users {
-		if len(params.Dead) > 0 && slices.ContainsFunc(ru.u.Chains(), params.dead) {
-			acc.held = append(acc.held, key)
-			if ru.online {
-				acc.skipped = append(acc.skipped, key)
-			}
+		if !ru.online || banked[key] {
 			continue
 		}
-		if !ru.online || banked[key] {
+		if len(params.Dead) > 0 && slices.ContainsFunc(ru.u.Chains(), params.dead) {
+			acc.skipped = append(acc.skipped, key)
 			continue
 		}
 		out, err := ru.u.BuildRound(rho, params)

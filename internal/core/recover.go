@@ -31,10 +31,16 @@ import (
 //     parameters, but decryption under the new chains would fail, and
 //     the blame protocol would convict the — honest — user. The bank
 //     is emptied; in-process users rebuild in the round that re-forms
-//     (client.User restores the bodies their last build drained), and
-//     remote users on their next submission, against the new
-//     parameters (they re-derive the plan from Status, and rpc.Client
-//     drops the parameters it cached under the old epoch there).
+//     (client.User restores the bodies their last build drained). A
+//     remote user whose messages for that round were dropped is
+//     listed in its ShardBuild.Skipped (Frontend.dropped), so the
+//     round strands her and StrandedError tells her to retry. She
+//     submits again from the next round, against the new parameters
+//     (she re-derives the plan from Status, and rpc.Client drops the
+//     parameters it cached under the old epoch there); the dropped
+//     body is not re-sent, since until the epoch's first round is on
+//     the wire a client cannot tell a dropped round from a delivered
+//     one.
 //   - The parameters the bank's traffic was built from. Until the new
 //     epoch's snapshot reaches the shard it serves no parameters and
 //     its window for the upcoming round is closed: a submission built

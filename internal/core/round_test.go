@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/client"
@@ -247,6 +248,65 @@ func TestDeadChainHoldsInProcessUsers(t *testing.T) {
 			t.Fatalf("chain %d carries %d submissions", c, len(b.Subs))
 		}
 	}
+}
+
+// TestDeadChainHoldsRemoteUsers: the dead-chain rule holds for remote
+// users as it does for in-process ones. A remote user who went silent
+// after round 1 spends no banked cover when every chain is dead in
+// round 2; one with messages for the round and a dead chain among her ℓ
+// is skipped, to be stranded, and none of her messages is batched.
+func TestDeadChainHoldsRemoteUsers(t *testing.T) {
+	// begin registers a remote user, banks her round-1 submission, runs
+	// the rounds before the one to test and begins that one with the
+	// chains dead picks from her row.
+	begin := func(t *testing.T, rounds int, dead func(u *client.User, numChains int) []int) (*client.User, *ShardBuild) {
+		t.Helper()
+		n, fe := testNetwork(t, 6, 2)
+		u := client.NewUser(nil, n.Plan())
+		if err := fe.Register(u.Mailbox()); err != nil {
+			t.Fatal(err)
+		}
+		out, err := u.BuildRound(n.Round(), n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fe.SubmitExternal(string(u.Mailbox()), out); err != nil {
+			t.Fatal(err)
+		}
+		for range rounds {
+			runRound(t, n)
+		}
+		p := n.Params()
+		p.Dead = dead(u, p.NumChains())
+		build, err := fe.BeginRound(&BeginRound{Round: p.Round, Params: p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for c, b := range build.Batches {
+			if slices.Contains(b.Submitters, string(u.Mailbox())) {
+				t.Fatalf("chains %v dead: chain %d carries the held user", p.Dead, c)
+			}
+		}
+		return u, build
+	}
+	t.Run("silent", func(t *testing.T) {
+		_, build := begin(t, 1, func(_ *client.User, numChains int) []int {
+			var all []int
+			for c := range numChains {
+				all = append(all, c)
+			}
+			return all
+		})
+		if build.Covered != 0 {
+			t.Fatalf("every chain dead: covered %d, want no cover spent", build.Covered)
+		}
+	})
+	t.Run("current", func(t *testing.T) {
+		u, build := begin(t, 0, func(u *client.User, _ int) []int { return []int{u.Chains()[0]} })
+		if len(build.Skipped) != 1 || build.Skipped[0] != string(u.Mailbox()) {
+			t.Fatalf("skipped %d users, want the user with a dead chain", len(build.Skipped))
+		}
+	})
 }
 
 // lateSubmitShard lands a remote user's submission on its Frontend

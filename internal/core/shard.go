@@ -92,8 +92,8 @@ func (b *ChainBatch) add(sub onion.Submission, who string) {
 // BeginRound is the coordinator's round-begin message to a gateway
 // shard: the round it is about to execute and the parameter snapshot
 // for rounds Round and Round+1, whose epoch and chain count the shard
-// adopts. The shard strands the users of the snapshot's dead chains
-// instead of building.
+// adopts. The shard holds every user with a dead chain of the snapshot
+// among her ℓ out of the round, covers included.
 type BeginRound struct {
 	Round  uint64
 	Params RoundParams
@@ -102,8 +102,10 @@ type BeginRound struct {
 // ShardBuild is a shard's reply to BeginRound: the round's banked
 // traffic batched per chain (what its in-process users built and its
 // remote users submitted), the number of absent users covered by
-// banked covers, and the online users skipped because a dead chain
-// made their round impossible.
+// banked covers, and the users Skipped: those with messages for the
+// round (or, in-process, online to build them) whom a dead chain among
+// their ℓ held out, and the remote users whose messages for the round
+// a re-formation dropped. The coordinator strands every skipped user.
 type ShardBuild struct {
 	Batches []ChainBatch
 	Covered int

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"testing"
 
+	"repro/internal/aead"
 	"repro/internal/client"
+	"repro/internal/mix"
 )
 
 // twoShardConfig returns a config whose front end is split across two
@@ -147,6 +150,39 @@ func (s *flakyShard) FinishRound(fr *FinishRound) (FinishStats, error) {
 		return FinishStats{}, errors.New("injected: shard down at finish")
 	}
 	return s.Frontend.FinishRound(fr)
+}
+
+// TestInjectedSubmissionSurvivesFailedBegin: a round whose every
+// gateway shard fails its begin errors, and the submission injected
+// before it is still queued: the round run again convicts it.
+func TestInjectedSubmissionSurvivesFailedBegin(t *testing.T) {
+	cfg, feA, feB := twoShardConfig(t, 6, 3)
+	a, b := &flakyShard{Frontend: feA, failBegin: true}, &flakyShard{Frontend: feB, failBegin: true}
+	cfg.Shards = []GatewayShard{a, b}
+	n, err := NewNetwork(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feA.NewUser()
+	feB.NewUser()
+	const c = 1
+	params, err := n.ChainParams(c, n.Round())
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad, err := mix.MaliciousSubmission(aead.ChaCha20Poly1305(), params, n.Round(), client.LaneCurrent, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.InjectSubmission(c, bad)
+	if rep, err := n.RunRound(); err == nil {
+		t.Fatalf("round %d ran with every shard down at begin", rep.Round)
+	}
+	a.failBegin, b.failBegin = false, false
+	rep := runRound(t, n)
+	if want := fmt.Sprintf("injected:%d", c); !slices.Contains(rep.BlamedUsers, want) {
+		t.Fatalf("round %d blamed %v, want %q", rep.Round, rep.BlamedUsers, want)
+	}
 }
 
 // TestDeadGatewayShardStrandsOnlyItsUsers kills one of two gateway

@@ -397,10 +397,10 @@ func TestShardBeginRetryKeepsRemoteTraffic(t *testing.T) {
 // keeps conversing over TLS while a false accusation halts a chain and
 // the next round re-forms the chains into a new epoch. The round that
 // re-forms drops what they submitted on the old keys without blaming
-// them; from the next round on they build against the new epoch — the
-// parameters their gateway serves, not ones their client cached
-// before the re-formation — and deliver; and alice's own gateway
-// serves her the new epoch's parameters.
+// them and lists them as stranded; from the next round on they build
+// against the new epoch — the parameters their gateway serves, not
+// ones their client cached before the re-formation — and deliver; and
+// alice's own gateway serves her the new epoch's parameters.
 func TestRemoteUserAcrossReformation(t *testing.T) {
 	n, srv, servers := newShardedDeployment(t)
 	front := shardedFront(t, servers)
@@ -495,18 +495,21 @@ func TestRemoteUserAcrossReformation(t *testing.T) {
 	if !reform.Reformed || reform.Epoch != 1 {
 		t.Fatalf("round %d did not re-form: %+v", reform.Round, reform)
 	}
+	if !slices.Contains(reform.Stranded, string(alice.Mailbox())) {
+		t.Fatalf("round %d dropped alice's submission without stranding her (%d stranded)", reform.Round, len(reform.Stranded))
+	}
 	for _, body := range []string{"after", "later"} {
 		if rep := play(body); received(rep.Round) != body {
 			t.Fatalf("round %d after the re-formation did not deliver %q", rep.Round, body)
 		}
 	}
-	// A known gap, pinned as it stands: the body alice queued for the
-	// round that re-forms is delivered neither in that round nor in the
-	// two after it. Her shard drops her submission when it adopts the
-	// new epoch, and her next build does not re-send the body.
-	// CHANGES.md records it in the FOUND line on the loss of a remote
-	// user's messages for the round that re-forms the chains; the
-	// change that mends it turns this check around.
+	// The body alice queued for the round that re-forms is delivered
+	// neither in that round nor in the two after it: her shard drops
+	// her submission when it adopts the new epoch, and her next build
+	// does not re-send the body. Stranding tells her the round was
+	// lost; re-sending it needs the epoch's first round on the wire,
+	// since without it a client cannot tell a dropped round from a
+	// delivered one.
 	for round := reform.Round; round <= reform.Round+2; round++ {
 		if got := bodies(round); slices.Contains(got, "re-form") {
 			t.Fatalf("round %d delivered the re-forming round's body: %q", round, got)
