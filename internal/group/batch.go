@@ -1,13 +1,13 @@
 package group
 
 // Batch Jacobian→affine conversion via the Montgomery inversion
-// trick: instead of one field inversion per point (~2.6µs each), the
+// trick: instead of one field inversion per point (≈ 4.3 µs each), the
 // batch pays a single inversion plus three multiplications per point.
 // This is the shared seam behind everything that materializes many
 // points at once — fixed-base table construction, BatchBase's small
 // batches, the Straus MSM's per-point multiple tables, and BatchDH's
 // secrets. (A tree sum, treeSum in fixedbase.go, runs the same trick
-// per level through feBatchInv.)
+// per level on feInvChain, or on fe8InvChain eight slots at once.)
 
 import "math/big"
 
@@ -16,9 +16,10 @@ var fePrime, _ = new(big.Int).SetString("ffffffff0000000100000000000000000000000
 
 // feInv sets z to the Montgomery-domain inverse of a non-zero x. It is
 // the one place field arithmetic leaves fe: big.Int's Lehmer GCD,
-// allocations and both conversions included, inverts in ≈ 0.77 of the
-// time the 255-squaring Fermat chain over the assembly feSqrN takes
-// (≈ 4.7 µs against ≈ 6.1, in one process, alternating).
+// allocations and both conversions included, inverts in ≈ 4.3 µs
+// (BenchmarkFeBatchInv/feInv), ≈ 0.77 of the time the 255-squaring
+// Fermat chain over the assembly feSqrN takes (in one process,
+// alternating).
 func feInv(z, x *fe) {
 	var b [32]byte
 	x.putBytes(b[:])
@@ -34,8 +35,8 @@ func feInv(z, x *fe) {
 // going forward, invert the product once, and coming back take each
 // denominator's inverse and drop it, last pushed first: 3 field mults
 // per element. feBatchInv is written on it, and with it everything
-// that normalizes in bulk; batchmul.go's steps apply their chords in
-// the backward pass.
+// that normalizes in bulk; batchmul.go's steps and treeSum's levels
+// apply their chords in the backward pass.
 type feInvChain struct {
 	prefix []fe // prefix[i] is the product ahead of push i
 	run    fe   // from invert on, 1/∏ of what is still to drop

@@ -416,13 +416,19 @@ func BenchmarkBatchMul(b *testing.B) {
 }
 
 // BenchmarkFeBatchInv is the Montgomery trick on its own: ns per
-// element, the true inversion's share included.
+// element, the true inversion's share included; feInv is that one true
+// inversion.
 func BenchmarkFeBatchInv(b *testing.B) {
 	const n = 512
 	src, den, scratch := make([]fe, n), make([]fe, n), make([]fe, n+1)
 	for i, p := range testBases("benchfebatchinv", n) {
 		src[i] = p.x
 	}
+	b.Run("feInv", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			feInv(&den[0], &src[i%n])
+		}
+	})
 	b.Run(fmt.Sprint(n), func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			copy(den, src)

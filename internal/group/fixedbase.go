@@ -237,14 +237,19 @@ func (p Point) Precomputed() Point {
 
 // treeSumMin is the tabled-lane count from which BatchDH sums its table
 // entries as one tree instead of walking each lane on a Jacobian
-// accumulator: the tree saves ≈ 4 µs a lane and costs five field
-// inversions (≈ 13 µs) a time, so it breaks even between two and four
-// lanes (BenchmarkBatchDH: level at 4, −12 % at 7, −20 % from 28 up).
+// accumulator: the tree costs five field inversions (≈ 4.3 µs each) a
+// call and saves a little on every lane. Timed in one process against
+// the walk, 2 001 alternating calls a size, four runs a kernel: the
+// eight-lane tree +68 to +88 % at 2 lanes, +21 to +23 % at 3, −1.6 to
+// −3.8 % at 4 (winning 52–70 % of the pairs), −16 to −19 % at 5 and
+// −36 to −43 % at 8; the scalar tree +22 to +40 % at 2, +9 to +10 % at
+// 3, +1.1 to +3.0 % at 4, −2.2 to −3.1 % at 5 and −10 % at 8. Both
+// level at 4, so one constant serves both kernels.
 const treeSumMin = 4
 
 // treeChunk is how many digit slots one tree holds: BatchDH and
 // BatchBase resolve their lanes chunkLanes at a time. The buffers take
-// 96 B a slot, and past a few hundred KiB they fall out of cache and
+// ≈ 100 B a slot, and past a few hundred KiB they fall out of cache and
 // cost more to allocate and clear than five more inversions do: 4160
 // slots (≈ 400 KiB, reused from chunk to chunk) are 64 key lanes —
 // level with one pass at 56 lanes, −10 % at 231 and −20 % at 924, the
@@ -267,7 +272,7 @@ func BatchDH(pubs []Point, privs []Scalar) [][32]byte {
 	}
 	out := make([][32]byte, len(pubs))
 	ts := treeSums.Get().(*treeSum)
-	defer treeSums.Put(ts)
+	defer ts.release()
 	step := keyShape.chunkLanes()
 	for lo := 0; lo < len(pubs); lo += step {
 		hi := min(lo+step, len(pubs))
@@ -279,16 +284,24 @@ func BatchDH(pubs []Point, privs []Scalar) [][32]byte {
 // treeSums keeps the tree buffers of BatchDH and BatchBase from one call
 // to the next: a user's round is one call of each and at most a chunk's
 // worth of buffers (≈ 400 KiB), and allocating and clearing those per
-// call was most of what a building process allocated. Every byte a call
-// reads it wrote first (gather and reduce append; feBatchInv fills its
-// scratch), so a recycled buffer needs no clearing.
+// call was most of what a building process allocated. A recycled
+// buffer needs no clearing: every entry a call sums it wrote first, and
+// what an earlier call left in a slot no run of this one owns only ever
+// flows into that slot's own lane.
 var treeSums = sync.Pool{New: func() any { return new(treeSum) }}
+
+// release returns ts to treeSums without the tables it gathered from,
+// which a pooled buffer must not keep alive.
+func (ts *treeSum) release() {
+	clear(ts.tabs)
+	treeSums.Put(ts)
+}
 
 // batchDHChunk is BatchDH for one chunk, its tree (if the chunk has the
 // lanes for one) on ts's buffers.
 func batchDHChunk(ts *treeSum, pubs []Point, privs []Scalar, out [][32]byte) {
 	tabs := make([]*fixedTable, len(pubs)) // nil: not a tabled lane
-	lanes, slots := 0, 0                   // tabled lanes, and the digits they recode to
+	lanes, groups, rows := 0, 0, 0         // tabled lanes, and the widest shape's groups and rows
 	for i, p := range pubs {
 		if !p.IsIdentity() && !privs[i].IsZero() {
 			tabs[i] = p.table()
@@ -298,14 +311,14 @@ func batchDHChunk(ts *treeSum, pubs []Point, privs []Scalar, out [][32]byte) {
 			continue
 		}
 		lanes++
-		slots += tabs[i].shape.digits()
+		groups, rows = max(groups, tabs[i].shape.groups), max(rows, tabs[i].shape.rows())
 	}
 	if lanes == 0 {
 		return
 	}
 	tree := lanes >= treeSumMin
 	if tree {
-		ts.reset(slots)
+		ts.reset(lanes, groups, rows)
 	}
 	js := make([]jacPoint, len(pubs))
 	var buf [maxDigits]int16
@@ -329,11 +342,7 @@ func batchDHChunk(ts *treeSum, pubs []Point, privs []Scalar, out [][32]byte) {
 	}
 	if tree {
 		ts.reduce()
-		for i, t := range tabs {
-			if t != nil {
-				ts.finish(t, privs[i], &js[i])
-			}
-		}
+		ts.finish(tabs, privs, js)
 	}
 	// A tabled lane's accumulator is never the identity (non-zero
 	// scalar, non-identity key, prime order), so Z marks those slots.
@@ -346,144 +355,432 @@ func batchDHChunk(ts *treeSum, pubs []Point, privs []Scalar, out [][32]byte) {
 
 // treeSum is the batched form of walk. A walk is a sum of known table
 // entries, and a sum can be re-associated: every lane's entries are
-// gathered per digit group into contiguous runs, and all runs of all
-// lanes are then reduced level by level, adjacent pairs added in affine
-// coordinates with every chord denominator of a level put through one
-// feBatchInv. A key's run of 17 halves 17→9→5→3→2→1 and the
-// generator's of 24 halves 24→12→6→3→2→1, so a whole tree costs five
-// true inversions and ≈ 6 field multiplications per addition against
-// addAffine's 11. A generator lane's one run ends as its affine sum
-// (readBase); a key lane's w·(q−1) doublings between group sums stay on
-// a Jacobian accumulator (finish).
+// gathered per digit group into runs, and all runs of all lanes are
+// then reduced level by level, entries 2i and 2i+1 of a run added in
+// affine coordinates into entry i, with every chord denominator of a
+// level put through one inversion chain. A key's run of 17 halves
+// 17→9→5→3→2→1 and the generator's of 24 halves 24→12→6→3→2→1, so a
+// whole tree costs five true inversions and ≈ 6 field multiplications
+// per addition against addAffine's 11. A generator lane's one run ends
+// as its affine sum (readBase); a key lane's w·(q−1) doublings between
+// group sums run on a Jacobian accumulator (finish).
+//
+// Layout. Eight runs share a block group, one SIMD slot each: the q
+// runs of gathered lane k sit in slot k%8 of groups (k/8)·q … (k/8)·q+q−1,
+// q being the widest shape's, and entry j of a group's eight runs is
+// the group's block j. A level pairs blocks 2i·s and (2i+1)·s in place,
+// s doubling from level to level, so the live entries of a run stay at
+// multiples of s and nothing moves between levels. Where the CPU has
+// AVX-512 IFMA (feIFMA) a block is one fe8 each for x and y and a level
+// runs eight slots at once (level8); elsewhere it is eight affinePoints
+// and a level runs one run at a time. Only that per-level arithmetic,
+// the domain crossings and finish's fold have two bodies; the layout,
+// the run bookkeeping and the fallbacks are one.
 //
 // The chord formula divides by x₂−x₁, which is zero exactly when a pair
 // doubles or cancels. No canonical recoding reaches that — in every
 // pair the right operand's rows outweigh the left's, as in walk (see
 // TestKeyTableExceptionalPaths) — but a wrong answer here would be a
-// silent one, so each denominator is checked: a run that meets a zero
-// is dropped at that level, and finish or readBase sends its lane
-// through walk, which folds both cases itself. The fallback is the
-// reference, so the answer is exact either way.
+// silent one, so a level that meets a zero denominator marks that run
+// bad (and only that run) and starts over without it, and finish or
+// readBase sends its lane through walk, which folds both cases itself.
+// The fallback is the reference, so the answer is exact either way.
 type treeSum struct {
-	pts          []affinePoint // every run's entries, packed
-	runs         []sumRun      // groups() per lane, in gather order
-	next         int           // finish's cursor into runs
-	den, scratch []fe          // one level's denominators; feBatchInv's scratch
+	runs []sumRun // slot l of block group g is runs[8g+l]
+	// refs[(8g+l)·rows+j] is entry j of that run, as gather found it:
+	// 1 + its index in the lane's table, negated for a negative digit.
+	refs         []int16
+	tabs         []*fixedTable // each gathered lane's
+	groups, rows int           // block groups a gathered octet of lanes takes, and blocks a group
+	wide         bool          // the blocks are fe8 (feIFMA at reset)
+	pts          []affinePoint
+	x8, y8       []fe8
+	chain        []fe  // a level's prefix products, scalar
+	chain8       []fe8 // and eight-lane
 }
 
-// sumRun is one digit group's entries, pts[start:start+n]: n shrinks to
-// 1 (the group's sum) as the levels go by, 0 is a group with no
-// non-zero digit.
+// sumRun is one digit group's entries, at blocks 0, s, 2s, … of its
+// slot at stride s: n shrinks to 1 (the group's sum) as the levels go
+// by, 0 is a group with no non-zero digit or a run gone bad.
 type sumRun struct {
-	start, n int
-	bad      bool // met a doubling or cancelling pair
+	n   int
+	bad bool // met a doubling or cancelling pair
 }
 
-// reset empties ts for lanes recoding to slots digits in all, growing
-// its buffers if they are short: 64 B of pts per digit and 32 B of
-// denominator and scratch, ≈ 6 KiB for a key-shaped lane's 65 digits,
-// kept from chunk to chunk and, through treeSums, from call to call.
-func (ts *treeSum) reset(slots int) {
-	if cap(ts.pts) < slots {
-		ts.pts = make([]affinePoint, 0, slots)
-		ts.den = make([]fe, 0, slots/2)
-		ts.scratch = make([]fe, slots/2+1)
+// reset empties ts for lanes gathered lanes whose shapes take at most
+// groups groups of rows entries, growing its buffers if they are
+// short: a block per entry (64 B a slot, 80 on the eight-lane kernel),
+// its ref (2 B) and the longest level's prefix products (≈ 16 B a
+// slot). A key lane's 65 digits take ≈ 6 KiB, kept from chunk to chunk
+// and, through treeSums, from call to call.
+func (ts *treeSum) reset(lanes, groups, rows int) {
+	ts.groups, ts.rows, ts.wide = groups, rows, feIFMA
+	g := (lanes + 7) / 8 * groups
+	blocks, pairs := g*rows, g*(rows/2)
+	if cap(ts.runs) < 8*g {
+		ts.runs = make([]sumRun, 8*g)
 	}
-	ts.pts, ts.runs, ts.next = ts.pts[:0], ts.runs[:0], 0
+	if cap(ts.refs) < 8*blocks {
+		ts.refs = make([]int16, 8*blocks)
+	}
+	ts.runs, ts.refs = ts.runs[:8*g], ts.refs[:8*blocks]
+	clear(ts.runs)
+	ts.tabs = ts.tabs[:0]
+	if ts.wide {
+		if cap(ts.x8) < blocks {
+			ts.x8, ts.y8 = make([]fe8, blocks), make([]fe8, blocks)
+		}
+		if cap(ts.chain8) < pairs+1 {
+			ts.chain8 = make([]fe8, pairs+1)
+		}
+		ts.x8, ts.y8 = ts.x8[:blocks], ts.y8[:blocks]
+		return
+	}
+	if cap(ts.pts) < 8*blocks {
+		ts.pts = make([]affinePoint, 8*blocks)
+	}
+	if cap(ts.chain) < 8*pairs+1 {
+		ts.chain = make([]fe, 8*pairs+1)
+	}
+	ts.pts = ts.pts[:8*blocks]
 }
 
-// gather appends one lane: for each digit group, walk's entries in
-// walk's order, y negated for a negative digit.
+// group is the block group holding gathered lane k's group r, in slot
+// k%8: its run is runs[8·group+k%8], its entries blocks group·rows on.
+func (ts *treeSum) group(k, r int) int { return k/8*ts.groups + r }
+
+// gather adds the next lane: for each digit group, walk's entries in
+// walk's order, as refs.
 func (ts *treeSum) gather(t *fixedTable, digits []int16) {
 	q, half := t.shape.groups, t.shape.half()
+	k := len(ts.tabs)
+	ts.tabs = append(ts.tabs, t)
 	for r := 0; r < q; r++ {
-		start, row := len(ts.pts), 0
+		slot := 8*ts.group(k, r) + k%8
+		refs := ts.refs[slot*ts.rows:]
+		n, row := 0, int16(0)
 		for i := r; i < len(digits); i += q {
-			if d := int(digits[i]); d > 0 {
-				ts.pts = append(ts.pts, t.entries[row+d-1])
+			if d := digits[i]; d > 0 {
+				refs[n] = row + d
+				n++
 			} else if d < 0 {
-				e := t.entries[row-d-1]
-				feNeg(&e.y, &e.y)
-				ts.pts = append(ts.pts, e)
+				refs[n] = -(row - d)
+				n++
 			}
-			row += half
+			row += int16(half)
 		}
-		ts.runs = append(ts.runs, sumRun{start: start, n: len(ts.pts) - start})
+		ts.runs[slot].n = n
 	}
+}
+
+// load writes every gathered entry into its block, a block's eight
+// slots one after another, y negated for a negative digit. On the
+// eight-lane kernel the slots take the entries' limbs as they are,
+// and one fe8MulConst a coordinate moves the block to R = 2^260 on its
+// way in.
+func (ts *treeSum) load() {
+	var x, y fe8 // a block, raw
+	for g := range len(ts.runs) / 8 {
+		runs := ts.runs[8*g : 8*g+8]
+		tabs := ts.tabs[g/ts.groups*8:] // the octet's lanes
+		refs := ts.refs[8*g*ts.rows:]
+		for j := range ts.longest(g) {
+			b := g*ts.rows + j
+			for l, r := range runs {
+				if j >= r.n {
+					continue
+				}
+				ref := refs[l*ts.rows+j]
+				e := tabs[l].entries[max(ref, -ref)-1]
+				if ref < 0 {
+					feNeg(&e.y, &e.y)
+				}
+				if ts.wide {
+					fe8SetRaw(&x, l, &e.x)
+					fe8SetRaw(&y, l, &e.y)
+				} else {
+					ts.pts[8*b+l] = e
+				}
+			}
+			if ts.wide {
+				fe8MulConst(&ts.x8[b], &x, &fe8FromRaw)
+				fe8MulConst(&ts.y8[b], &y, &fe8FromRaw)
+			}
+		}
+	}
+}
+
+// longest is the entry count of group g's longest run.
+func (ts *treeSum) longest(g int) int {
+	m := 0
+	for _, r := range ts.runs[8*g : 8*g+8] {
+		m = max(m, r.n)
+	}
+	return m
 }
 
 // reduce halves every run until each holds its group's sum.
 func (ts *treeSum) reduce() {
-	for {
-		ts.den = ts.den[:0]
-		for ri := range ts.runs {
-			r := &ts.runs[ri]
-			base := len(ts.den)
-			for i := 0; i+1 < r.n; i += 2 {
-				var d fe
-				feSub(&d, &ts.pts[r.start+i+1].x, &ts.pts[r.start+i].x)
-				if d.isZero() {
-					ts.den = ts.den[:base]
-					r.n, r.bad = 0, true
-					break
-				}
-				ts.den = append(ts.den, d)
-			}
+	ts.load()
+	for s := 1; ; s *= 2 {
+		more := false
+		for _, r := range ts.runs {
+			more = more || r.n > 1
 		}
-		if len(ts.den) == 0 {
+		if !more {
 			return
 		}
-		feBatchInv(ts.den, ts.scratch)
-		k := 0
-		for ri := range ts.runs {
-			r := &ts.runs[ri]
-			if r.n < 2 {
-				continue
-			}
-			run := ts.pts[r.start : r.start+r.n]
-			for i := 0; i+1 < r.n; i += 2 {
-				// Chord through a = run[i], b = run[i+1]:
-				// λ = (y_b−y_a)/(x_b−x_a), x₃ = λ²−x_a−x_b,
-				// y₃ = λ(x_a−x₃)−y_a. Slot i/2 is behind both reads.
-				a, b, sum := &run[i], &run[i+1], &run[i/2]
-				var lam fe
-				feSub(&lam, &b.y, &a.y)
-				feMul(&lam, &lam, &ts.den[k])
-				feChord(&sum.x, &sum.y, &lam, &a.x, &a.y, &b.x)
-				k++
-			}
-			if r.n%2 == 1 {
-				run[r.n/2] = run[r.n-1]
-			}
-			r.n = (r.n + 1) / 2
+		for !ts.level(s) {
+		}
+		for i := range ts.runs {
+			ts.runs[i].n = (ts.runs[i].n + 1) / 2
 		}
 	}
 }
 
-// finish resolves the next gathered lane, t's under s, into the
-// identity accumulator acc: its group sums folded the way walk orders
-// them — highest group first, w doublings between groups — or, if one
-// of its runs went bad, the walk itself.
-func (ts *treeSum) finish(t *fixedTable, s Scalar, acc *jacPoint) {
-	w, q := t.shape.window, t.shape.groups
-	runs := ts.runs[ts.next : ts.next+q]
-	ts.next += q
-	for r := q - 1; r >= 0; r-- {
-		if runs[r].bad {
-			var buf [maxDigits]int16
-			acc.setIdentity()
-			t.walk(acc, t.recode(s, &buf))
-			return
-		}
-		if r < q-1 {
-			for i := 0; i < w; i++ {
-				acc.double()
+// level adds every run's pairs at stride s, or, if it meets a zero
+// denominator, marks that run bad and returns false without having
+// written an entry, for the caller to run the level again.
+func (ts *treeSum) level(s int) bool {
+	if ts.wide {
+		return ts.level8(s)
+	}
+	var c feInvChain
+	c.reset(ts.chain)
+	for g := range len(ts.runs) / 8 {
+		for l := range 8 {
+			r := &ts.runs[8*g+l]
+			run := ts.pts[8*g*ts.rows+l:] // entry j at run[8j]
+			for i := 0; 2*i+1 < r.n; i++ {
+				var d fe
+				feSub(&d, &run[8*(2*i+1)*s].x, &run[8*2*i*s].x)
+				if d.isZero() {
+					r.n, r.bad = 0, true
+					return false
+				}
+				c.push(&d)
 			}
 		}
-		if runs[r].n == 1 {
-			acc.addAffine(&ts.pts[runs[r].start], false)
+	}
+	c.invert()
+	for g := len(ts.runs)/8 - 1; g >= 0; g-- {
+		for l := 7; l >= 0; l-- {
+			run := ts.pts[8*g*ts.rows+l:]
+			for i := ts.runs[8*g+l].n/2 - 1; i >= 0; i-- {
+				// Chord through a = entry 2i, b = entry 2i+1:
+				// λ = (y_b−y_a)/(x_b−x_a), x₃ = λ²−x_a−x_b,
+				// y₃ = λ(x_a−x₃)−y_a, into a.
+				a, b := &run[8*2*i*s], &run[8*(2*i+1)*s]
+				var d, lam, dinv fe
+				feSub(&d, &b.x, &a.x)
+				feSub(&lam, &b.y, &a.y)
+				c.inverse(&dinv)
+				c.drop(&d)
+				feMul(&lam, &lam, &dinv)
+				feChord(&a.x, &a.y, &lam, &a.x, &a.y, &b.x)
+			}
 		}
 	}
+	return true
+}
+
+// pairLanes is which slots of group g have a pair at index i (real)
+// and which have entry 2i as their last (tail).
+func (ts *treeSum) pairLanes(g, i int) (real, tail uint8) {
+	for l, r := range ts.runs[8*g : 8*g+8] {
+		switch {
+		case 2*i+1 < r.n:
+			real |= 1 << l
+		case 2*i+1 == r.n:
+			tail |= 1 << l
+		}
+	}
+	return real, tail
+}
+
+// level8 is level on the eight-lane kernel: a block pair's eight
+// slots under one chord, their denominators in one fe8InvChain. A slot
+// without a pair at that index gets 1 for a denominator, and a run's
+// last entry, which the chord would overwrite, is kept aside and put
+// back.
+func (ts *treeSum) level8(s int) bool {
+	// Declared once: a temporary in the loops would be zeroed a block.
+	var c fe8InvChain
+	var d, lam, dinv, t, u, tx, ty fe8
+	dummy := func(real uint8) {
+		for l := range 8 {
+			if real&(1<<l) == 0 {
+				for j := range d {
+					d[j][l] = fe8One[j][l]
+				}
+			}
+		}
+	}
+	groups := len(ts.runs) / 8
+	c.reset(ts.chain8)
+	for g := range groups {
+		for i := 0; 2*i+1 < ts.longest(g); i++ {
+			a, b := g*ts.rows+2*i*s, g*ts.rows+(2*i+1)*s
+			real, _ := ts.pairLanes(g, i)
+			fe8Sub(&d, &ts.x8[b], &ts.x8[a])
+			dummy(real)
+			c.push(&d)
+		}
+	}
+	if zero := c.invert(); zero != 0 {
+		ts.markZero(s, zero)
+		return false
+	}
+	for g := groups - 1; g >= 0; g-- {
+		for i := ts.longest(g)/2 - 1; i >= 0; i-- {
+			a, b := g*ts.rows+2*i*s, g*ts.rows+(2*i+1)*s
+			real, tail := ts.pairLanes(g, i)
+			fe8Sub(&d, &ts.x8[b], &ts.x8[a])
+			dummy(real)
+			fe8Sub(&lam, &ts.y8[b], &ts.y8[a])
+			c.inverse(&dinv)
+			c.drop(&d)
+			fe8Mul(&lam, &lam, &dinv)
+			if tail != 0 {
+				tx, ty = ts.x8[a], ts.y8[a]
+			}
+			fe8Chord(&ts.x8[a], &ts.y8[a], &lam, &ts.x8[a], &ts.y8[a], &ts.x8[b], &t, &u)
+			for l := range 8 {
+				if tail&(1<<l) != 0 {
+					for j := range tx {
+						ts.x8[a][j][l], ts.y8[a][j][l] = tx[j][l], ty[j][l]
+					}
+				}
+			}
+		}
+	}
+	return true
+}
+
+// markZero marks bad every run in the slots zero whose pair at stride
+// s has a zero denominator: a zero chain total has a zero factor.
+func (ts *treeSum) markZero(s int, zero uint8) {
+	found := false
+	for g := range len(ts.runs) / 8 {
+		for i := 0; 2*i+1 < ts.longest(g); i++ {
+			real, _ := ts.pairLanes(g, i)
+			if real&zero == 0 {
+				continue
+			}
+			var d fe8
+			fe8Sub(&d, &ts.x8[g*ts.rows+(2*i+1)*s], &ts.x8[g*ts.rows+2*i*s])
+			for l := range 8 {
+				if real&zero&fe8Zero(&d)&(1<<l) != 0 {
+					ts.runs[8*g+l] = sumRun{bad: true}
+					found = true
+				}
+			}
+		}
+	}
+	if !found {
+		panic("group: a zero chain total without a zero denominator")
+	}
+}
+
+// sum reads entry 0 of group g's run in slot l, canonical: the run's
+// sum once reduce is done.
+func (ts *treeSum) sum(g, l int) affinePoint {
+	b := g * ts.rows
+	if !ts.wide {
+		return ts.pts[8*b+l]
+	}
+	return affinePoint{fe8Get(&ts.x8[b], l), fe8Get(&ts.y8[b], l)}
+}
+
+// finish resolves the gathered lanes — tabs' non-nil entries in order,
+// the scalars privs — into their identity accumulators in js: each
+// lane's group sums folded the way walk orders them, highest group
+// first and w doublings between groups, or, if one of its runs went
+// bad, the walk itself. On the eight-lane kernel the lanes of an octet
+// that share a shape and whose every group has a sum fold together
+// (fold8); the rest, and every lane on the scalar kernel, one by one.
+func (ts *treeSum) finish(tabs []*fixedTable, privs []Scalar, js []jacPoint) {
+	var octet [8]int // an octet's lanes, by their index in tabs
+	k := 0
+	for i, t := range tabs {
+		if t == nil {
+			continue
+		}
+		octet[k%8] = i
+		if k++; k%8 == 0 || k == len(ts.tabs) {
+			ts.finishOctet((k-1)/8, octet[:(k-1)%8+1], tabs, privs, js)
+		}
+	}
+}
+
+func (ts *treeSum) finishOctet(o int, octet []int, tabs []*fixedTable, privs []Scalar, js []jacPoint) {
+	var vec uint8 // the lanes fold8 takes
+	var shape tableShape
+	for l, i := range octet {
+		t := tabs[i]
+		if !ts.wide || t.shape.groups < 2 || vec != 0 && t.shape != shape {
+			continue
+		}
+		clean := true
+		for r := range t.shape.groups {
+			clean = clean && ts.runs[8*ts.group(8*o, r)+l].n == 1
+		}
+		if clean {
+			shape, vec = t.shape, vec|1<<l
+		}
+	}
+	if vec != 0 {
+		vec = ts.fold8(o, shape, vec, octet, js)
+	}
+	for l, i := range octet {
+		if vec&(1<<l) != 0 {
+			continue
+		}
+		t, acc := tabs[i], &js[i]
+		for r := t.shape.groups - 1; r >= 0; r-- {
+			g := ts.group(8*o, r)
+			run := ts.runs[8*g+l]
+			if run.bad {
+				var buf [maxDigits]int16
+				acc.setIdentity()
+				t.walk(acc, t.recode(privs[i], &buf))
+				break
+			}
+			if r < t.shape.groups-1 {
+				for range t.shape.window {
+					acc.double()
+				}
+			}
+			if run.n == 1 {
+				sum := ts.sum(g, l)
+				acc.addAffine(&sum, false)
+			}
+		}
+	}
+}
+
+// fold8 is finish's fold for the lanes of octet o in vec, all of one
+// shape and with a sum in every group, on eight lanes at once. It
+// returns the lanes it resolved: a lane whose accumulator meets a
+// group sum at the same x is left to the one-lane fold, which handles
+// doublings and cancels.
+func (ts *treeSum) fold8(o int, shape tableShape, vec uint8, octet []int, js []jacPoint) uint8 {
+	w, q := shape.window, shape.groups
+	block := func(r int) int { return ts.group(8*o, r) * ts.rows }
+	var p jac8
+	p.x, p.y, p.z = ts.x8[block(q-1)], ts.y8[block(q-1)], fe8One
+	for r := q - 2; r >= 0; r-- {
+		for range w {
+			p.double()
+		}
+		vec &^= p.addAffine(&ts.x8[block(r)], &ts.y8[block(r)])
+	}
+	for l, i := range octet {
+		if vec&(1<<l) != 0 {
+			js[i] = jacPoint{fe8Get(&p.x, l), fe8Get(&p.y, l), fe8Get(&p.z, l)}
+		}
+	}
+	return vec
 }
 
 // fbBatchMin is the batch size from which BatchBase sums its lanes as
@@ -491,10 +788,14 @@ func (ts *treeSum) finish(t *fixedTable, s Scalar, acc *jacPoint) {
 // pays one shared inversion at the end, the tree five, and the tree
 // saves a little on every lane. Both timed in one process on a 2-vCPU
 // AVX-512 IFMA Xeon, 2 001 alternating calls a size on fresh scalars,
-// six runs (medians, tree against walk): +8 to +17 % at 6, −0.4 to
-// +8.5 % at 8, −3.9 to +5.2 % at 9, −5.9 to +2.5 % at 10, where the
-// tree first wins more than half of the pairs in every run, −0.7 to
-// −5.3 % at 11 and −14 to −18 % at 24.
+// four runs a kernel (medians, tree against walk). The eight-lane tree
+// runs in octets of lanes, so a ninth lane costs a whole second block
+// group: +7 to +9 % at 6, −8 to −10 % at 8, −1 to +12 % at 9 (winning
+// 28–47 % of the pairs), −6 to −7 % at 10, −12 % at 11, −16 to −17 %
+// at 12 and −29 % at 16. The scalar tree: +3 to +6 % at 6, −3 to −6 %
+// at 8, −4 to −13 % at 9, −6 to −8 % at 10 and −14 to −19 % at 16. 10
+// is the first size from which the tree wins more than half of the
+// pairs in every run on both kernels.
 const fbBatchMin = 10
 
 // BatchBase returns g^scalars[i] for every scalar; zero scalars yield
@@ -518,11 +819,11 @@ func BatchBase(scalars []Scalar) []Point {
 	}
 	out := make([]Point, n)
 	ts := treeSums.Get().(*treeSum)
-	defer treeSums.Put(ts)
+	defer ts.release()
 	step := genShape.chunkLanes()
 	for lo := 0; lo < n; lo += step {
 		chunk := scalars[lo:min(lo+step, n)]
-		ts.reset(len(chunk) * genShape.digits())
+		ts.reset(len(chunk), genShape.groups, genShape.rows())
 		for _, s := range chunk {
 			ts.gather(&genTable, genTable.recode(s, &buf))
 		}
@@ -533,16 +834,17 @@ func BatchBase(scalars []Scalar) []Point {
 }
 
 // readBase writes the reduced generator lanes gathered from scalars
-// into out. A lane is one run, and the run's one entry is its sum,
-// already affine; an empty run is a zero scalar's identity, and a run
-// that went bad is the walk's to answer, as in finish.
+// into out. A lane is one run, runs[k] for lane k, and the run's one
+// entry is its sum, already affine; an empty run is a zero scalar's
+// identity, and a run that went bad is the walk's to answer, as in
+// finish.
 func (ts *treeSum) readBase(scalars []Scalar, out []Point) {
-	for i, r := range ts.runs {
+	for k, r := range ts.runs[:len(scalars)] {
 		switch {
 		case r.bad:
-			out[i] = genTable.mul(genPoint, scalars[i])
+			out[k] = genTable.mul(genPoint, scalars[k])
 		case r.n == 1:
-			out[i].affinePoint = ts.pts[r.start]
+			out[k].affinePoint = ts.sum(k/8, k%8)
 		}
 	}
 }

@@ -318,7 +318,7 @@ func TestBatchBaseTreeFallback(t *testing.T) {
 
 	ordinary := MustRandomScalar()
 	var ts treeSum
-	ts.reset(3 * genShape.digits())
+	ts.reset(3, genShape.groups, genShape.rows())
 	ts.gather(&genTable, tangent)
 	ts.gather(&genTable, cancel)
 	ts.gather(&genTable, genTable.recode(ordinary, &buf))

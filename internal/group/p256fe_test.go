@@ -164,12 +164,13 @@ func cpuinfoHas(names ...string) (has, ok bool) {
 }
 
 // TestFieldDispatch pins the selections: the MULX/ADX assembly runs
-// whenever the CPU has BMI2 and ADX, and BatchMul's eight-lane kernel
-// whenever it has AVX-512F and IFMA (a broken CPUID check would
-// otherwise fall back silently, visible only in a benchmark); neither
-// off amd64. With each forced off, the known-answer checks of what
-// runs on it pass again: BatchMul, the ladder and BatchDH on the Go
-// field bodies, and the kernel's own tests on the scalar kernel.
+// whenever the CPU has BMI2 and ADX, and the eight-lane bodies of
+// BatchMul's kernel and of the tree sum whenever it has AVX-512F and
+// IFMA (a broken CPUID check would otherwise fall back silently,
+// visible only in a benchmark); neither off amd64. With each forced
+// off, the known-answer checks of what runs on it pass again: BatchMul,
+// the ladder and BatchDH on the Go field bodies, and the kernel's and
+// the tree's own tests on the scalar kernel and tree.
 func TestFieldDispatch(t *testing.T) {
 	for _, sel := range []struct {
 		name  string
@@ -205,6 +206,16 @@ func TestFieldDispatch(t *testing.T) {
 		t.Run("scalar/FuzzBatchMulSeeds", func(t *testing.T) {
 			for i, in := range fuzzBatchMulSeeds() {
 				checkFuzzBatchMul(t, fmt.Sprintf("seed#%d", i), in)
+			}
+		})
+		t.Run("scalar/BatchDH", TestBatchDHMatchesDH)
+		t.Run("scalar/TreeSumExceptionalRuns", TestTreeSumExceptionalRuns)
+		t.Run("scalar/TreeSumSharedSlot", TestTreeSumSharedSlot)
+		t.Run("scalar/BatchBaseTreeFallback", TestBatchBaseTreeFallback)
+		t.Run("scalar/KeyTableExceptionalPaths", TestKeyTableExceptionalPaths)
+		t.Run("scalar/FuzzBatchDHSeeds", func(t *testing.T) {
+			for _, in := range fuzzBatchDHSeeds() {
+				checkFuzzBatchDH(t, in.key, in.s1, in.s2, in.lanes)
 			}
 		})
 		feIFMA = true
@@ -379,4 +390,59 @@ func FuzzFieldOps8(f *testing.F) {
 			checkFieldOps8(t, av, bv, 1+int(n)%1000)
 		}
 	})
+}
+
+// TestFe8InvChain holds the eight-lane inversion chain to feInv lane by
+// lane: twenty pushes whose lanes are spread over [0, 2p) — half of
+// them p above a value below p, which the handoff to feBatchInv must
+// reduce — come back as their inverses, and a zero lane is reported
+// as its slot instead of inverted.
+func TestFe8InvChain(t *testing.T) {
+	if !feIFMA {
+		t.Skip("no IFMA")
+	}
+	var ds [20]fe8
+	for i := range ds {
+		for l := range 8 {
+			v := new(big.Int).SetBytes(HashToScalar(fmt.Sprintf("fe8invchain/%d/%d", i, l)).Bytes())
+			v.Mod(v, fePrime)
+			if v.Sign() == 0 {
+				v.SetInt64(1)
+			}
+			if (i+l)%2 == 1 {
+				v.Add(v, fePrime) // in [p, 2p)
+			}
+			fe8SetLaneBig(&ds[i], l, v)
+		}
+	}
+	buf := make([]fe8, len(ds)+1)
+	var c fe8InvChain
+	c.reset(buf)
+	for i := range ds {
+		c.push(&ds[i])
+	}
+	if zero := c.invert(); zero != 0 {
+		t.Fatalf("invert reports zero totals in slots %08b", zero)
+	}
+	for i := len(ds) - 1; i >= 0; i-- {
+		var dinv fe8
+		c.inverse(&dinv)
+		c.drop(&ds[i])
+		for l := range 8 {
+			var want fe
+			d := fe8Get(&ds[i], l)
+			feInv(&want, &d)
+			if got := fe8Get(&dinv, l); got != want {
+				t.Fatalf("push %d lane %d: inverse %#x, feInv gives %#x", i, l, feRawBig(&got), feRawBig(&want))
+			}
+		}
+	}
+	ds[7][0][5], ds[7][1][5], ds[7][2][5], ds[7][3][5], ds[7][4][5] = fe8P[0], fe8P[1], fe8P[2], fe8P[3], fe8P[4]
+	c.reset(buf)
+	for i := range ds {
+		c.push(&ds[i])
+	}
+	if zero := c.invert(); zero != 1<<5 {
+		t.Fatalf("a lane holding p: invert reports slots %08b, want %08b", zero, 1<<5)
+	}
 }

@@ -215,6 +215,46 @@ func TestBatchDHConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
+// doctorRun sets entries to..to+len(from)−1 of gathered lane k's group
+// r to its entries from, y negated if neg.
+func doctorRun(ts *treeSum, k, r, to int, from []int, neg bool) {
+	refs := ts.refs[(8*ts.group(k, r)+k%8)*ts.rows:]
+	for i, j := range from {
+		refs[to+i] = refs[j]
+		if neg {
+			refs[to+i] = -refs[j]
+		}
+	}
+}
+
+// gatherTree gathers one key lane a scalar into a fresh tree.
+func gatherTree(keys []Point, scalars []Scalar) *treeSum {
+	ts := new(treeSum)
+	ts.reset(len(keys), keyShape.groups, keyShape.rows())
+	var buf [maxDigits]int16
+	for i, k := range keys {
+		k.tab.ensure(k)
+		ts.gather(k.tab, k.tab.recode(scalars[i], &buf))
+	}
+	return ts
+}
+
+// checkTreeLanes finishes ts's lanes and holds each to the stdlib.
+func checkTreeLanes(t *testing.T, ts *treeSum, keys []Point, scalars []Scalar) {
+	t.Helper()
+	tabs := make([]*fixedTable, len(keys))
+	for i, k := range keys {
+		tabs[i] = k.tab
+	}
+	js := make([]jacPoint, len(keys))
+	ts.finish(tabs, scalars, js)
+	for i, k := range keys {
+		if got, want := js[i].toPoint(), stdlibMul(k, scalars[i]); !got.Equal(want) {
+			t.Fatalf("lane %d = %v, want %v", i, got, want)
+		}
+	}
+}
+
 // TestTreeSumExceptionalRuns drives the reducer's zero-denominator
 // branch and the walk fallback behind it. No digit vector reaches them
 // through gather (every pair's right operand outweighs its left), so
@@ -229,37 +269,57 @@ func TestTreeSumExceptionalRuns(t *testing.T) {
 	// zero digit, and the carry out of the top fills row 16 of group 0.
 	all := ScalarFromBig(new(big.Int).SetBytes(bytes.Repeat([]byte{0x99}, 32)))
 	keys := []Point{Base(MustRandomScalar()).Precomputed(), Base(MustRandomScalar()).Precomputed(), Base(MustRandomScalar()).Precomputed()}
-	var ts treeSum
-	ts.reset(3 * keyShape.digits())
-	var buf [maxDigits]int16
-	for _, k := range keys {
-		k.tab.ensure(k)
-		ts.gather(k.tab, k.tab.recode(all, &buf))
-	}
-	if n := ts.runs[8].n; n != 17 {
+	scalars := []Scalar{all, all, all}
+	ts := gatherTree(keys, scalars)
+	run := func(k, r int) *sumRun { return &ts.runs[8*ts.group(k, r)+k%8] }
+	if n := run(2, 0).n; n != 17 {
 		t.Fatalf("lane 2's first run holds %d entries, want all 17 rows", n)
 	}
-	first := ts.runs[0]
-	ts.pts[first.start+1] = ts.pts[first.start]
-	last := ts.runs[7]
-	ts.pts[last.start+1] = ts.pts[last.start]
-	feNeg(&ts.pts[last.start+1].y, &ts.pts[last.start+1].y)
+	doctorRun(ts, 0, 0, 1, []int{0}, false)
+	doctorRun(ts, 1, 3, 1, []int{0}, true)
 	ts.reduce()
-	if !ts.runs[0].bad || !ts.runs[7].bad {
+	if !run(0, 0).bad || !run(1, 3).bad {
 		t.Fatal("a doubling and a cancelling pair must mark their runs")
 	}
-	for ri, r := range ts.runs {
-		if ri != 0 && ri != 7 && (r.bad || r.n != 1) {
-			t.Fatalf("run %d: bad=%v n=%d, want one clean sum", ri, r.bad, r.n)
+	for k := range keys {
+		for r := range keyShape.groups {
+			if rr := run(k, r); (k != 0 || r != 0) && (k != 1 || r != 3) && (rr.bad || rr.n != 1) {
+				t.Fatalf("lane %d group %d: bad=%v n=%d, want one clean sum", k, r, rr.bad, rr.n)
+			}
 		}
 	}
-	for i, k := range keys {
-		var acc jacPoint
-		ts.finish(k.tab, all, &acc)
-		if got, want := acc.toPoint(), stdlibMul(k, all); !got.Equal(want) {
-			t.Fatalf("lane %d = %v, want %v", i, got, want)
+	checkTreeLanes(t, ts, keys, scalars)
+}
+
+// TestTreeSumSharedSlot: more than eight lanes, so that slot 1's chain
+// carries the runs of lanes 1 and 9, and a zero denominator in one of
+// them — lane 9's third group made to repeat its first two entries, so
+// that the second level adds a sum to itself. Only that run may come
+// out bad, the level is redone without it, and every lane must equal
+// crypto/elliptic's answer, lane 1 from its tree sums and lane 9 from
+// the walk.
+func TestTreeSumSharedSlot(t *testing.T) {
+	keys := make([]Point, 10)
+	scalars := make([]Scalar, len(keys))
+	for i := range keys {
+		keys[i] = Base(MustRandomScalar()).Precomputed()
+		scalars[i] = MustRandomScalar()
+	}
+	ts := gatherTree(keys, scalars)
+	if ts.runs[8*ts.group(9, 2)+9%8].n < 4 {
+		t.Skip("lane 9's third group has under four entries")
+	}
+	doctorRun(ts, 9, 2, 2, []int{0, 1}, false)
+	ts.reduce()
+	for k := range keys {
+		for r := range keyShape.groups {
+			rr := ts.runs[8*ts.group(k, r)+k%8]
+			if bad := k == 9 && r == 2; rr.bad != bad || !bad && rr.n != 1 {
+				t.Fatalf("lane %d group %d: bad=%v n=%d", k, r, rr.bad, rr.n)
+			}
 		}
 	}
+	checkTreeLanes(t, ts, keys, scalars)
 }
 
 // TestPrecomputedConcurrentFirstUse has 64 goroutines race to be a
@@ -326,39 +386,56 @@ func FuzzPrecomputedMul(f *testing.F) {
 // treeSumMin, so the tree runs) alternate between two scalars, with a
 // bare and an identity key among them.
 func FuzzBatchDH(f *testing.F) {
+	for _, in := range fuzzBatchDHSeeds() {
+		f.Add(in.key, in.s1, in.s2, in.lanes)
+	}
+	f.Fuzz(checkFuzzBatchDH)
+}
+
+type batchDHSeed struct {
+	key, s1, s2 []byte
+	lanes       uint8
+}
+
+// fuzzBatchDHSeeds is FuzzBatchDH's seed corpus, which
+// TestFieldDispatch reruns on the scalar tree.
+func fuzzBatchDHSeeds() []batchDHSeed {
 	pow := func(k uint) []byte { return new(big.Int).Lsh(big.NewInt(1), k).Bytes() }
 	nMinus := func(d int64) []byte { return new(big.Int).Sub(Order(), big.NewInt(d)).Bytes() }
-	f.Add([]byte{1}, nMinus(1), nMinus(2), uint8(0))
-	f.Add([]byte{2}, pow(16), pow(252), uint8(3))
-	f.Add([]byte{3}, pow(255), pow(4), uint8(13))
-	f.Add([]byte{4}, bytes.Repeat([]byte{0xFF}, 32), bytes.Repeat([]byte{0x88}, 32), uint8(7))
-	f.Add([]byte{5}, bytes.Repeat([]byte{0x11}, 32), []byte{}, uint8(60))
-	f.Fuzz(func(t *testing.T, key, s1, s2 []byte, lanes uint8) {
-		trim := func(b []byte) *big.Int {
-			if len(b) > 32 {
-				b = b[:32]
-			}
-			return new(big.Int).SetBytes(b)
+	return []batchDHSeed{
+		{[]byte{1}, nMinus(1), nMinus(2), 0},
+		{[]byte{2}, pow(16), pow(252), 3},
+		{[]byte{3}, pow(255), pow(4), 13},
+		{[]byte{4}, bytes.Repeat([]byte{0xFF}, 32), bytes.Repeat([]byte{0x88}, 32), 7},
+		{[]byte{5}, bytes.Repeat([]byte{0x11}, 32), []byte{}, 60},
+	}
+}
+
+func checkFuzzBatchDH(t *testing.T, key, s1, s2 []byte, lanes uint8) {
+	trim := func(b []byte) *big.Int {
+		if len(b) > 32 {
+			b = b[:32]
 		}
-		k0 := trim(key)
-		scalars := [2]Scalar{ScalarFromBig(trim(s1)), ScalarFromBig(trim(s2))}
-		n := treeSumMin + int(lanes%64)
-		bare := make([]Point, n+2)
-		pubs := make([]Point, n+2)
-		privs := make([]Scalar, n+2)
-		for i := 0; i < n; i++ {
-			bare[i] = Base(ScalarFromBig(new(big.Int).Add(k0, big.NewInt(int64(i)))))
-			pubs[i] = bare[i].Precomputed()
-			privs[i] = scalars[i/3%2]
+		return new(big.Int).SetBytes(b)
+	}
+	k0 := trim(key)
+	scalars := [2]Scalar{ScalarFromBig(trim(s1)), ScalarFromBig(trim(s2))}
+	n := treeSumMin + int(lanes%64)
+	bare := make([]Point, n+2)
+	pubs := make([]Point, n+2)
+	privs := make([]Scalar, n+2)
+	for i := 0; i < n; i++ {
+		bare[i] = Base(ScalarFromBig(new(big.Int).Add(k0, big.NewInt(int64(i)))))
+		pubs[i] = bare[i].Precomputed()
+		privs[i] = scalars[i/3%2]
+	}
+	bare[n], pubs[n], privs[n] = bare[0], bare[0], scalars[0]
+	privs[n+1] = scalars[1] // under the identity
+	for i, sec := range BatchDH(pubs, privs) {
+		if sec != SharedSecret(stdlibMul(bare[i], privs[i])) {
+			t.Fatalf("BatchDH[%d] of %d disagrees with the stdlib", i, n)
 		}
-		bare[n], pubs[n], privs[n] = bare[0], bare[0], scalars[0]
-		privs[n+1] = scalars[1] // under the identity
-		for i, sec := range BatchDH(pubs, privs) {
-			if sec != SharedSecret(stdlibMul(bare[i], privs[i])) {
-				t.Fatalf("BatchDH[%d] of %d disagrees with the stdlib", i, n)
-			}
-		}
-	})
+	}
 }
 
 // BenchmarkPrecomputedMul is the fixed-key record: stdlib is what a

@@ -9,8 +9,9 @@
 # CI passes the merge base and the head. N is the number of pairs
 # (default 5).
 #
-# The gated families — ScalarBaseMult, BatchBase, MultiScalarMult,
-# SubmissionVerify, BatchMul, Dleq, ProveDlog and VerifyDlog — are
+# The gated families — ScalarBaseMult, BatchBase, BatchDH,
+# MultiScalarMult, SubmissionVerify, BatchMul, Dleq, ProveDlog and
+# VerifyDlog — are
 # tight loops of pure computation, and what a regression in them means is a lost
 # precomputation path, a batch seam silently falling back to per-item
 # work, or a prover raising a power its caller already holds. FeMul
@@ -19,7 +20,10 @@
 # (a broken CPUID check, or a runner without BMI2 and ADX). BatchBase
 # (3, 24 and 48 scalars: one onion, a user's round at ℓ = 4 and 8)
 # prices the generator's tree sum; a row that jumps means its lanes are
-# walked one by one again. Register and SnapshotImage (internal/core)
+# walked one by one again, or that the tree went back to one lane at a
+# time. BatchDH (internal/group: 4 to 924 key lanes, and each size's
+# walk) prices the key tree under every onion build: a row that jumps
+# means the key tree went back to one lane at a time. Register and SnapshotImage (internal/core)
 # price one registered-only user at a gateway and the snapshot of
 # 100 000 of them: a row that jumps means a registration grew back into
 # an object per user. RegisterDurable prices a registration logged to a
@@ -58,7 +62,7 @@ usage="usage: bench_compare.sh BASE [HEAD=.] [N=5]"
 base=${1:?$usage}
 head=${2:-.}
 pairs=${3:-5}
-gated='^Benchmark(FeMul|ScalarBaseMult|BatchBase|MultiScalarMult|SubmissionVerify|BatchMul|Dleq|Register|RegisterDurable|SnapshotImage|BuildRound|HistogramObserve|ProveDlog|VerifyDlog|NewNetwork)$'
+gated='^Benchmark(FeMul|ScalarBaseMult|BatchBase|BatchDH|MultiScalarMult|SubmissionVerify|BatchMul|Dleq|Register|RegisterDurable|SnapshotImage|BuildRound|HistogramObserve|ProveDlog|VerifyDlog|NewNetwork)$'
 packages=". ./internal/group ./internal/nizk ./internal/core ./internal/client ./internal/obs" # where the gated families live
 
 repo=$(cd "$(dirname "$0")/.." && pwd)
