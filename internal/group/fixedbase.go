@@ -713,6 +713,8 @@ func (ts *treeSum) finish(tabs []*fixedTable, privs []Scalar, js []jacPoint) {
 	}
 }
 
+// finishOctet is finish for gathered octet o, whose lane in slot l is
+// tabs[octet[l]].
 func (ts *treeSum) finishOctet(o int, octet []int, tabs []*fixedTable, privs []Scalar, js []jacPoint) {
 	var vec uint8 // the lanes fold8 takes
 	var shape tableShape

@@ -211,6 +211,7 @@ func TestFieldDispatch(t *testing.T) {
 		t.Run("scalar/BatchDH", TestBatchDHMatchesDH)
 		t.Run("scalar/TreeSumExceptionalRuns", TestTreeSumExceptionalRuns)
 		t.Run("scalar/TreeSumSharedSlot", TestTreeSumSharedSlot)
+		t.Run("scalar/TreeSumFoldFallback", TestTreeSumFoldFallback)
 		t.Run("scalar/BatchBaseTreeFallback", TestBatchBaseTreeFallback)
 		t.Run("scalar/KeyTableExceptionalPaths", TestKeyTableExceptionalPaths)
 		t.Run("scalar/FuzzBatchDHSeeds", func(t *testing.T) {

@@ -322,6 +322,73 @@ func TestTreeSumSharedSlot(t *testing.T) {
 	checkTreeLanes(t, ts, keys, scalars)
 }
 
+// TestTreeSumFoldFallback drives finish's fold into its exceptional
+// additions. As with the runs no recoding reaches them, so the sums are
+// doctored after reduce: lane 3's first group sum is set to the
+// accumulator the fold holds before adding it (a doubling) and lane 5's
+// to its negation (a cancel). The eight-lane fold must hand both lanes
+// back, and the one-lane fold must give 2A and the identity; the six
+// lanes beside them must still equal the stdlib's answer.
+func TestTreeSumFoldFallback(t *testing.T) {
+	keys := make([]Point, 8)
+	scalars := make([]Scalar, len(keys))
+	for i := range keys {
+		keys[i] = Base(MustRandomScalar()).Precomputed()
+		scalars[i] = MustRandomScalar()
+	}
+	ts := gatherTree(keys, scalars)
+	ts.reduce()
+	// acc is what the fold holds before adding lane l's first group sum.
+	acc := func(l int) affinePoint {
+		var j jacPoint
+		for r := keyShape.groups - 1; r >= 1; r-- {
+			for range keyShape.window {
+				j.double()
+			}
+			sum := ts.sum(ts.group(l, r), l)
+			j.addAffine(&sum, false)
+		}
+		for range keyShape.window {
+			j.double()
+		}
+		return j.toPoint().affinePoint
+	}
+	setSum := func(l int, p affinePoint) {
+		b := ts.group(l, 0) * ts.rows
+		if ts.wide {
+			fe8Put(&ts.x8[b], l, &p.x)
+			fe8Put(&ts.y8[b], l, &p.y)
+			return
+		}
+		ts.pts[8*b+l] = p
+	}
+	a3, a5 := acc(3), acc(5)
+	setSum(3, a3)
+	neg := a5
+	feNeg(&neg.y, &neg.y)
+	setSum(5, neg)
+	tabs := make([]*fixedTable, len(keys))
+	for i, k := range keys {
+		tabs[i] = k.tab
+	}
+	js := make([]jacPoint, len(keys))
+	ts.finish(tabs, scalars, js)
+	if want := (Point{affinePoint: a3}).Add(Point{affinePoint: a3}); !js[3].toPoint().Equal(want) {
+		t.Fatalf("doubling lane = %v, want %v", js[3].toPoint(), want)
+	}
+	if !js[5].isIdentity() {
+		t.Fatalf("cancelling lane = %v, want the identity", js[5].toPoint())
+	}
+	for i, k := range keys {
+		if i == 3 || i == 5 {
+			continue
+		}
+		if got, want := js[i].toPoint(), stdlibMul(k, scalars[i]); !got.Equal(want) {
+			t.Fatalf("lane %d = %v, want %v", i, got, want)
+		}
+	}
+}
+
 // TestPrecomputedConcurrentFirstUse has 64 goroutines race to be a
 // key's first multiplier (run under -race): one table, equal answers.
 func TestPrecomputedConcurrentFirstUse(t *testing.T) {
