@@ -120,7 +120,8 @@ func fe8Put(z *fe8, l int, x *fe) {
 // fe8SetRaw sets lane l of z to x's limbs as they are: x·2^256 read as
 // an fe8 value, for fe8FromRaw to finish. It is fe8Split written
 // straight into the lane: copying fe8Split's array in stalls on store
-// forwarding, which cost the tree's load about three times its time.
+// forwarding, the largest single cost a CPU profile of the tree's load
+// showed.
 func fe8SetRaw(z *fe8, l int, x *fe) {
 	z[0][l] = x[0] & fe8Mask
 	z[1][l] = (x[0]>>52 | x[1]<<12) & fe8Mask
