@@ -302,12 +302,12 @@ func TestTreeSumSharedSlot(t *testing.T) {
 	keys := make([]Point, 10)
 	scalars := make([]Scalar, len(keys))
 	for i := range keys {
-		keys[i] = Base(MustRandomScalar()).Precomputed()
-		scalars[i] = MustRandomScalar()
+		keys[i] = Base(HashToScalar(fmt.Sprintf("sharedslot/key/%d", i))).Precomputed()
+		scalars[i] = HashToScalar(fmt.Sprintf("sharedslot/scalar/%d", i))
 	}
 	ts := gatherTree(keys, scalars)
-	if ts.runs[8*ts.group(9, 2)+9%8].n < 4 {
-		t.Skip("lane 9's third group has under four entries")
+	if n := ts.runs[8*ts.group(9, 2)+9%8].n; n < 4 {
+		t.Fatalf("lane 9's third group holds %d entries, want at least four", n)
 	}
 	doctorRun(ts, 9, 2, 2, []int{0, 1}, false)
 	ts.reduce()
