@@ -1,34 +1,13 @@
 package group
 
 // Batch Jacobian→affine conversion via the Montgomery inversion
-// trick: instead of one field inversion per point (≈ 4.3 µs each), the
-// batch pays a single inversion plus three multiplications per point.
-// This is the shared seam behind everything that materializes many
+// trick: instead of one field inversion per point (feInv, ≈ 2–3 µs
+// each), the batch pays a single inversion plus three multiplications
+// per point. This is the shared seam behind everything that materializes many
 // points at once — fixed-base table construction, BatchBase's small
 // batches, the Straus MSM's per-point multiple tables, and BatchDH's
 // secrets. (A tree sum, treeSum in fixedbase.go, runs the same trick
 // per level on feInvChain, or on fe8InvChain eight slots at once.)
-
-import "math/big"
-
-// fePrime is p as feInv wants it.
-var fePrime, _ = new(big.Int).SetString("ffffffff00000001000000000000000000000000ffffffffffffffffffffffff", 16)
-
-// feInv sets z to the Montgomery-domain inverse of a non-zero x. It is
-// the one place field arithmetic leaves fe: big.Int's Lehmer GCD,
-// allocations and both conversions included, inverts in ≈ 4.3 µs
-// (BenchmarkFeBatchInv/feInv), ≈ 0.77 of the time the 255-squaring
-// Fermat chain over the assembly feSqrN takes (in one process,
-// alternating).
-func feInv(z, x *fe) {
-	var b [32]byte
-	x.putBytes(b[:])
-	v := new(big.Int).SetBytes(b[:])
-	if v.ModInverse(v, fePrime) == nil {
-		panic("group: inverse of zero field element")
-	}
-	*z, _ = feFromBytes(v.FillBytes(b[:]))
-}
 
 // feInvChain is the Montgomery trick — the one copy of it — taken apart
 // so that a caller can work in its two passes: push every denominator

@@ -184,7 +184,7 @@ func fe8Chord(x3, y3, lam, xa, ya, xb, x, t *fe8) {
 }
 
 // fe8InvChain is feInvChain with a chain per SIMD slot. The slots'
-// eight totals share one feBatchInv, so a chain still costs one true
+// eight totals share one feInv, so a chain still costs one true
 // inversion.
 type fe8InvChain struct {
 	prefix []fe8
@@ -204,9 +204,12 @@ func (c *fe8InvChain) push(d *fe8) {
 // inverts nothing: the chain is spent and must be reset. The totals
 // cross to fe and back as raw limbs (fe8Join, fe8SetRaw), which leaves
 // each inverse off by 2^−8; one fe8MulConst by fe8InvFix puts it back.
+// The eight totals share their inversion by the Montgomery trick
+// written out on fixed arrays, which stay on the stack where
+// feBatchInv's scratch would not.
 func (c *fe8InvChain) invert() (zero uint8) {
 	n := len(c.prefix) - 1
-	var tot [17]fe // eight totals, then feBatchInv's scratch
+	var tot, pre [8]fe // the totals, and pre[l] = tot[0]·…·tot[l]
 	for l := range 8 {
 		tot[l] = fe8Join(&c.prefix[n], l)
 		if tot[l].isZero() {
@@ -216,10 +219,18 @@ func (c *fe8InvChain) invert() (zero uint8) {
 	if zero != 0 {
 		return zero
 	}
-	feBatchInv(tot[:8], tot[8:])
-	for l := range 8 {
-		fe8SetRaw(&c.run, l, &tot[l])
+	pre[0] = tot[0]
+	for l := 1; l < 8; l++ {
+		feMul(&pre[l], &pre[l-1], &tot[l])
 	}
+	var inv, t fe // inv is 1/(tot[0]·…·tot[l]) at lane l
+	feInv(&inv, &pre[7])
+	for l := 7; l > 0; l-- {
+		feMul(&t, &inv, &pre[l-1])
+		fe8SetRaw(&c.run, l, &t)
+		feMul(&inv, &inv, &tot[l])
+	}
+	fe8SetRaw(&c.run, 0, &inv)
 	fe8MulConst(&c.run, &c.run, &fe8InvFix)
 	c.prefix = c.prefix[:n]
 	return 0

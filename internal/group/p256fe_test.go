@@ -32,6 +32,10 @@ func feRawFromBig(v *big.Int) fe {
 	return fe(limbsFromBytes(v.FillBytes(b[:])))
 }
 
+// fePrime is p, the modulus of every math/big oracle here:
+// crypto/elliptic's.
+var fePrime = curve.Params().P
+
 // rInv is 2^−256 mod p.
 var rInv = new(big.Int).ModInverse(new(big.Int).Lsh(big.NewInt(1), 256), fePrime)
 
@@ -395,9 +399,9 @@ func FuzzFieldOps8(f *testing.F) {
 
 // TestFe8InvChain holds the eight-lane inversion chain to feInv lane by
 // lane: twenty pushes whose lanes are spread over [0, 2p) — half of
-// them p above a value below p, which the handoff to feBatchInv must
-// reduce — come back as their inverses, and a zero lane is reported
-// as its slot instead of inverted.
+// them p above a value below p, which the handoff to feInv must
+// reduce — come back as their inverses, invert allocates nothing, and
+// a zero lane is reported as its slot instead of inverted.
 func TestFe8InvChain(t *testing.T) {
 	if !feIFMA {
 		t.Skip("no IFMA")
@@ -437,6 +441,15 @@ func TestFe8InvChain(t *testing.T) {
 				t.Fatalf("push %d lane %d: inverse %#x, feInv gives %#x", i, l, feRawBig(&got), feRawBig(&want))
 			}
 		}
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		c.reset(buf)
+		for i := range ds {
+			c.push(&ds[i])
+		}
+		c.invert()
+	}); allocs != 0 {
+		t.Fatalf("a chain of %d pushes allocates %v objects", len(ds), allocs)
 	}
 	ds[7][0][5], ds[7][1][5], ds[7][2][5], ds[7][3][5], ds[7][4][5] = fe8P[0], fe8P[1], fe8P[2], fe8P[3], fe8P[4]
 	c.reset(buf)

@@ -48,11 +48,12 @@ func TestConstantsMatchStdlib(t *testing.T) {
 		got, want *big.Int
 	}{
 		{"order", order, params.N},
-		{"fePrime", fePrime, params.P},
 		{"feP0..feP3", rawLimbs(fe{feP0, feP1, feP2, feP3}), params.P},
 		{"feOne", feOne.toBig(), big.NewInt(1)},
 		{"feOne's limbs", rawLimbs(feOne), new(big.Int).Mod(r, params.P)},
 		{"feR2's limbs", rawLimbs(feR2), new(big.Int).Mod(new(big.Int).Mul(r, r), params.P)},
+		{"feR3's limbs", rawLimbs(feR3), new(big.Int).Exp(r, big.NewInt(3), params.P)},
+		{"invP0..invP4", s62Big(s62{invP0, invP1, 0, invP3, invP4}), params.P},
 		{"feB", feB.toBig(), params.B},
 		{"genPoint.x", genPoint.bigX(), params.Gx},
 		{"genPoint.y", genPoint.bigY(), params.Gy},
@@ -61,6 +62,15 @@ func TestConstantsMatchStdlib(t *testing.T) {
 			t.Errorf("%s = %x, crypto/elliptic has %x", c.name, c.got, c.want)
 		}
 	}
+}
+
+// s62Big is the integer x's signed 62-bit limbs spell.
+func s62Big(x s62) *big.Int {
+	v := new(big.Int)
+	for i := 4; i >= 0; i-- {
+		v.Lsh(v, 62).Add(v, big.NewInt(x[i]))
+	}
+	return v
 }
 
 // rawLimbs is the integer x's limbs spell, no domain conversion.
