@@ -32,10 +32,10 @@ import "math/bits"
 // same order, a multiply ≈ 4.5 ns a lane against feMul's ≈ 18–22 ns.
 // Only those loops have a second body (step8); the bookkeeping, the
 // sweep and the fold are shared. A call's cost is then a fixed
-// ≈ 1.3–1.4 ms — the 263 inversions, which still run one feInv on
-// big.Int each (the eight SIMD slots share it through feBatchInv) —
-// plus ≈ 12–14 µs a base under one or two scalars, where the scalar
-// kernel costs ≈ 1.0–1.2 ms plus ≈ 52–67 µs (batchMulMin).
+// ≈ 0.6–0.8 ms — mostly the 263 inversions, one feInv each, which the
+// eight SIMD slots share (fe8InvChain) — plus ≈ 12–17 µs a base under
+// one or two scalars, where the scalar kernel costs a like fixed
+// amount plus ≈ 46–65 µs a base (batchMulMin).
 //
 // The exceptional cases of affine arithmetic — adding a point to
 // itself, to its inverse, or to the identity — cannot depend on the
@@ -68,18 +68,19 @@ const (
 // batchMulMin[s−1] is the fewest non-identity bases for which
 // BatchMul runs the kernel under s scalars, the last entry standing
 // for three or more. Against the ladder behind Point.Mul, L per base
-// per scalar, and timed in one process with the two alternating, the
-// kernel costs a fixed F a call (its 263 inversions, on big.Int in
-// feInv) plus a per base and b per base per scalar, so it pays from
-// n ≥ F/(s − a − b·s). On the scalar kernel F ≈ 14 L, a ≈ 0.51 L and
-// b ≈ 0.17 L: level at ≈ 45, 13 and 7.5 bases, which is the table. On
-// the eight-lane one F ≈ 20 L, a ≈ 0.14 L, b ≈ 0.04 L: level at ≈ 23,
-// 11 and 7, so under one scalar it would pay from half the size. No
-// caller's one-scalar batch falls between 23 and 44 (an inner open
-// runs a chain's messages: hundreds in the benchmark, ≈ 20 in
-// xrd-sim), so one table serves both paths. EXPERIMENTS.md
-// ("Cutovers") has the runs.
-var batchMulMin = [...]int{44, 13, 8}
+// per scalar, the kernel costs a fixed F a call (its 263 inversions
+// and the steps around them) plus a per base and b per base per
+// scalar, so it pays from n ≥ F/(s − a − b·s). Timed in one process
+// with the two alternating, 81 calls a size: on the scalar kernel
+// F ≈ 8–10 L, a ≈ 0.5 L and b ≈ 0.2 L, level at ≈ 30, 7.5 and 4
+// bases; on the eight-lane one F ≈ 11 L, a ≈ 0.12 L and b ≈ 0.06 L,
+// level at ≈ 14, 6.5 and 4.5. The table is the first size from which
+// the kernel wins on both. Under one scalar the eight-lane kernel
+// would pay from half the size, and an inner open of xrd-sim's ≈ 20
+// messages falls in between: there it gives up 5–15 % on IFMA. (While
+// feInv ran on big.Int, F was ≈ 14 L and ≈ 20 L and the table
+// {44, 13, 8}.) EXPERIMENTS.md ("Cutovers") has the runs.
+var batchMulMin = [...]int{32, 8, 5}
 
 // bmCoef is an accumulator's coefficient mod n, little-endian limbs;
 // bmOrder is n.

@@ -77,15 +77,15 @@ func TestBatchMulMatchesMul(t *testing.T) {
 	}
 
 	// Identity, duplicate and mutually inverse bases interleaved: the
-	// lanes are independent, so none may disturb its neighbours. The
-	// identities also pull the live count of 12 under the two-scalar
-	// cutover.
-	for _, n := range []int{12, 40} {
+	// lanes are independent, so none may disturb its neighbours. In the
+	// smaller batch the three identities also pull the live count one
+	// under the two-scalar cutover.
+	for _, n := range []int{batchMulMin[1] + 2, 40} {
 		pts := testBases("batchmul/mixed", n)
 		pts[0] = Identity()
+		pts[2] = Identity()
 		pts[5] = pts[4]
 		pts[7] = pts[4].Neg()
-		pts[9] = Identity()
 		pts[n-1] = Identity()
 		checkBatchMul(t, pts, random[:2])
 		checkBatchMul(t, pts, []Scalar{edges[1], random[0], edges[9]})

@@ -237,14 +237,15 @@ func (p Point) Precomputed() Point {
 
 // treeSumMin is the tabled-lane count from which BatchDH sums its table
 // entries as one tree instead of walking each lane on a Jacobian
-// accumulator: the tree costs five field inversions (≈ 4.3 µs each) a
-// call and saves a little on every lane. Timed in one process against
-// the walk, 2 001 alternating calls a size, four runs a kernel: the
-// eight-lane tree +68 to +88 % at 2 lanes, +21 to +23 % at 3, −1.6 to
-// −3.8 % at 4 (winning 52–70 % of the pairs), −16 to −19 % at 5 and
-// −36 to −43 % at 8; the scalar tree +22 to +40 % at 2, +9 to +10 % at
-// 3, +1.1 to +3.0 % at 4, −2.2 to −3.1 % at 5 and −10 % at 8. Both
-// level at 4, so one constant serves both kernels.
+// accumulator: the tree costs five field inversions (feInv, ≈ 2 µs
+// each) a call and saves a little on every lane. Timed in one process
+// against the walk, 2 001 alternating calls a size, two runs a kernel:
+// the eight-lane tree +43 to +64 % at 2 lanes, +1 to +16 % at 3
+// (winning 21–41 % of the pairs), −21 % at 4 (96–97 %) and −34 % at 5;
+// the scalar tree +8 % at 2, −2 % at 3 (64–66 %), −7 % at 4 (83–85 %)
+// and −9 % at 5. 4 is the first count from which the tree wins on both
+// kernels. (While feInv ran on big.Int, at ≈ 4.3 µs, both levelled at
+// 4 and the eight-lane tree lost 21–23 % at 3.)
 const treeSumMin = 4
 
 // treeChunk is how many digit slots one tree holds: BatchDH and
@@ -790,15 +791,15 @@ func (ts *treeSum) fold8(o int, shape tableShape, vec uint8, octet []int, js []j
 // pays one shared inversion at the end, the tree five, and the tree
 // saves a little on every lane. Both timed in one process on a 2-vCPU
 // AVX-512 IFMA Xeon, 2 001 alternating calls a size on fresh scalars,
-// four runs a kernel (medians, tree against walk). The eight-lane tree
+// two runs a kernel (medians, tree against walk). The eight-lane tree
 // runs in octets of lanes, so a ninth lane costs a whole second block
-// group: +7 to +9 % at 6, −8 to −10 % at 8, −1 to +12 % at 9 (winning
-// 28–47 % of the pairs), −6 to −7 % at 10, −12 % at 11, −16 to −17 %
-// at 12 and −29 % at 16. The scalar tree: +3 to +6 % at 6, −3 to −6 %
-// at 8, −4 to −13 % at 9, −6 to −8 % at 10 and −14 to −19 % at 16. 10
-// is the first size from which the tree wins more than half of the
-// pairs in every run on both kernels.
-const fbBatchMin = 10
+// group: −4 to +11 % at 5, −15 % at 6 (winning 95–96 % of the pairs),
+// −14 to −24 % at 7, −30 % at 8 and −16 % at 9. The scalar tree: −5 to
+// +2 % at 5, +3 % at 6 (39–54 %), −13 % at 7 (85–88 %), −4 to −11 % at
+// 8 and −6 to −14 % at 9. 7 is the first size from which the tree wins
+// more than half of the pairs in every run on both kernels. (While
+// feInv ran on big.Int, at ≈ 4.3 µs, the same rule gave 10.)
+const fbBatchMin = 7
 
 // BatchBase returns g^scalars[i] for every scalar; zero scalars yield
 // the identity. From fbBatchMin scalars up every scalar's generator

@@ -451,23 +451,26 @@ func randInt(n int) int {
 
 // minRange is the fewest messages parallelRanges gives a worker. The
 // ranges feed group.BatchMul, whose call costs a fixed F (263 true
-// field inversions on big.Int, whatever the batch size) plus c a
-// message under a hop's two secrets: F ≈ 1.3 ms and c ≈ 14 µs on the
-// eight-lane kernel, F ≈ 1.1 ms and c ≈ 58 µs on the scalar one, a
-// ratio r = F/c of ≈ 95 and ≈ 20 messages. Splitting n messages in
-// two costs one more F of CPU, r/(r+n) of a call's; where a second
-// core would otherwise idle, as when positions run one to a process,
-// it buys wall time, (r+n/2)/(r+n) of a call's. Timed in one process
-// with both kernels alternating (GOMAXPROCS 2, 15 pairs a size), two
-// ranges took 0.65 of one call's wall time at 256 messages and
-// 0.54–0.58 from 512 on with the eight-lane kernel, 0.52–0.55 with
-// the scalar one, for 1–2 ms more CPU and nothing per message. Where
-// several chains already mix concurrently, as in one process, a split
-// buys no parallelism and costs its F. minRange is the ratio rounded
-// up over both kernels: no range's per-message work is less than the
-// fixed cost it adds. A mix-k6 hop (≈ 400 messages) runs as two
-// ranges; four alternating mix-k6 pairs against minRange 1024 read the
-// same round_s (0.996).
+// field inversions and the steps around them, whatever the batch
+// size) plus c a message under a hop's two secrets: F ≈ 0.6–0.8 ms and
+// c ≈ 17 µs on the eight-lane kernel, F ≈ 0.6 ms and c ≈ 65 µs on the
+// scalar one, a ratio r = F/c of ≈ 35–45 and ≈ 10 messages. Splitting
+// n messages in two costs one more F of CPU, r/(r+n) of a call's;
+// where a second core would otherwise idle, as when positions run one
+// to a process, it buys wall time, (r+n/2)/(r+n) of a call's. Timed in
+// one process with both kernels alternating (GOMAXPROCS 2, 15 pairs a
+// size) while F was ≈ 1.3 ms, two ranges took 0.65 of one call's wall
+// time at 256 messages and 0.54–0.58 from 512 on with the eight-lane
+// kernel, 0.52–0.55 with the scalar one, for 1–2 ms more CPU and
+// nothing per message. Where several chains already mix concurrently,
+// as in one process, a split buys no parallelism and costs its F.
+// minRange was the ratio rounded up over both kernels while feInv ran
+// on big.Int (r ≈ 95); it stays above the ratio, so no range's
+// per-message work is less than the fixed cost it adds, and it stays
+// at 128 because 64 would split sim-build's ≈ 250-message hops, in a
+// process whose 32 chains already fill both cores. A mix-k6 hop
+// (≈ 400 messages) runs as two ranges; four alternating mix-k6 pairs
+// against minRange 1024 read the same round_s (0.996).
 const minRange = 128
 
 // parallelRanges splits [0, n) into contiguous ranges of at least

@@ -10,14 +10,18 @@
 # (default 5).
 #
 # The gated families — ScalarBaseMult, BatchBase, BatchDH,
-# MultiScalarMult, SubmissionVerify, BatchMul, Dleq, ProveDlog and
-# VerifyDlog — are
+# MultiScalarMult, SubmissionVerify, BatchMul, FeBatchInv, Dleq,
+# ProveDlog and VerifyDlog — are
 # tight loops of pure computation, and what a regression in them means is a lost
 # precomputation path, a batch seam silently falling back to per-item
 # work, or a prover raising a power its caller already holds. FeMul
 # (internal/group) is one field multiplication: a row that jumps means
 # the dispatch fell back from the MULX/ADX assembly to the Go body
-# (a broken CPUID check, or a runner without BMI2 and ADX). BatchBase
+# (a broken CPUID check, or a runner without BMI2 and ADX). FeBatchInv
+# (internal/group: one feInv, and the Montgomery trick over 512
+# elements) prices the field inversion under every batch: a row that
+# jumps means the inversion went back to math/big or started
+# allocating. BatchBase
 # (3, 24 and 48 scalars: one onion, a user's round at ℓ = 4 and 8)
 # prices the generator's tree sum; a row that jumps means its lanes are
 # walked one by one again, or that the tree went back to one lane at a
@@ -62,7 +66,7 @@ usage="usage: bench_compare.sh BASE [HEAD=.] [N=5]"
 base=${1:?$usage}
 head=${2:-.}
 pairs=${3:-5}
-gated='^Benchmark(FeMul|ScalarBaseMult|BatchBase|BatchDH|MultiScalarMult|SubmissionVerify|BatchMul|Dleq|Register|RegisterDurable|SnapshotImage|BuildRound|HistogramObserve|ProveDlog|VerifyDlog|NewNetwork)$'
+gated='^Benchmark(FeMul|FeBatchInv|ScalarBaseMult|BatchBase|BatchDH|MultiScalarMult|SubmissionVerify|BatchMul|Dleq|Register|RegisterDurable|SnapshotImage|BuildRound|HistogramObserve|ProveDlog|VerifyDlog|NewNetwork)$'
 packages=". ./internal/group ./internal/nizk ./internal/core ./internal/client ./internal/obs" # where the gated families live
 
 repo=$(cd "$(dirname "$0")/.." && pwd)
