@@ -1,12 +1,12 @@
 package group
 
 // Batch Jacobian→affine conversion via the Montgomery inversion
-// trick: instead of one field inversion per point (feInv, ≈ 2–3 µs
+// trick: instead of one field inversion per point (feInv, ≈ 2 µs
 // each), the batch pays a single inversion plus three multiplications
-// per point. This is the shared seam behind everything that materializes many
-// points at once — fixed-base table construction, BatchBase's small
-// batches, the Straus MSM's per-point multiple tables, and BatchDH's
-// secrets. (A tree sum, treeSum in fixedbase.go, runs the same trick
+// per point. This is the shared seam behind everything that
+// materializes many points at once — fixed-base table construction,
+// BatchBase's small batches, the Straus MSM's per-point multiple
+// tables, and BatchDH's secrets. (A tree sum, treeSum in fixedbase.go, runs the same trick
 // per level on feInvChain, or on fe8InvChain eight slots at once.)
 
 // feInvChain is the Montgomery trick — the one copy of it — taken apart

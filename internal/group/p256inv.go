@@ -5,8 +5,9 @@ package group
 // https://eprint.iacr.org/2019/266) in the variable-time form that
 // libsecp256k1 ships, 62 divsteps a pass on the low words. It is what
 // every batch's one true inversion (feInvChain, fe8InvChain) and every
-// lone affine addition run on; ≈ 0.65 of the time big.Int's Lehmer GCD
-// took, with no allocation (EXPERIMENTS.md, "Component rows").
+// lone affine addition run on: ≈ 2 µs, 0.55–0.57 of the time big.Int's
+// Lehmer GCD took, with no allocation (EXPERIMENTS.md, "Component
+// rows").
 //
 // Representation: five signed 62-bit limbs, Σ v[i]·2^(62i), every limb
 // but the top one in [0, 2^62) once carried. For the input a the
@@ -64,11 +65,11 @@ func (x i128) add(y i128) i128 {
 func (x i128) shr62() i128 { return i128{uint64(int64(x.hi) >> 62), x.lo>>62 | x.hi<<2} }
 
 // divsteps62 runs 62 divsteps on the low words f0 (odd) and g0 and
-// returns the new eta (−δ of the paper). A run of zeros at the bottom
+// returns the new eta (−δ of the paper) and their transition. A run of zeros at the bottom
 // of g is skipped at once, and each odd step cancels up to six bits of
 // g with one multiple of f: up to four where eta stays non-negative,
 // where it tends to be small.
-func divsteps62(eta int64, f0, g0 uint64, t *invTrans) int64 {
+func divsteps62(eta int64, f0, g0 uint64) (int64, invTrans) {
 	u, v, q, r := uint64(1), uint64(0), uint64(0), uint64(1)
 	f, g := f0, g0
 	i := uint(62)
@@ -106,8 +107,7 @@ func divsteps62(eta int64, f0, g0 uint64, t *invTrans) int64 {
 		q += u * w
 		r += v * w
 	}
-	*t = invTrans{int64(u), int64(v), int64(q), int64(r)}
-	return eta
+	return eta, invTrans{int64(u), int64(v), int64(q), int64(r)}
 }
 
 // updateDE sets (d, e) = t·(d, e)/2^62 mod p, each kept in (−2p, p): a
@@ -228,7 +228,7 @@ func feInv(z, x *fe) {
 	eta, n := int64(-1), 5
 	for {
 		var t invTrans
-		eta = divsteps62(eta, uint64(f[0]), uint64(g[0]), &t)
+		eta, t = divsteps62(eta, uint64(f[0]), uint64(g[0]))
 		updateDE(&d, &e, &t)
 		updateFG(n, &f, &g, &t)
 		if g[0] == 0 {
