@@ -77,9 +77,8 @@ const (
 // level at ≈ 14, 6.5 and 4.5. The table is the first size from which
 // the kernel wins on both. Under one scalar the eight-lane kernel
 // would pay from half the size, and an inner open of xrd-sim's ≈ 20
-// messages falls in between: there it gives up 5–15 % on IFMA. (While
-// feInv ran on big.Int, F was ≈ 14 L and ≈ 20 L and the table
-// {44, 13, 8}.) EXPERIMENTS.md ("Cutovers") has the runs.
+// messages falls in between: there it gives up 5–15 % on IFMA.
+// EXPERIMENTS.md ("Cutovers") has the runs.
 var batchMulMin = [...]int{32, 8, 5}
 
 // bmCoef is an accumulator's coefficient mod n, little-endian limbs;

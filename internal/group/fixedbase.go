@@ -244,8 +244,7 @@ func (p Point) Precomputed() Point {
 // (winning 21–41 % of the pairs), −21 % at 4 (96–97 %) and −34 % at 5;
 // the scalar tree +8 % at 2, −2 % at 3 (64–66 %), −7 % at 4 (83–85 %)
 // and −9 % at 5. 4 is the first count from which the tree wins on both
-// kernels. (While feInv ran on big.Int, at ≈ 4.3 µs, both levelled at
-// 4 and the eight-lane tree lost 21–23 % at 3.)
+// kernels.
 const treeSumMin = 4
 
 // treeChunk is how many digit slots one tree holds: BatchDH and
@@ -797,8 +796,7 @@ func (ts *treeSum) fold8(o int, shape tableShape, vec uint8, octet []int, js []j
 // −14 to −24 % at 7, −30 % at 8 and −16 % at 9. The scalar tree: −5 to
 // +2 % at 5, +3 % at 6 (39–54 %), −13 % at 7 (85–88 %), −4 to −11 % at
 // 8 and −6 to −14 % at 9. 7 is the first size from which the tree wins
-// more than half of the pairs in every run on both kernels. (While
-// feInv ran on big.Int, at ≈ 4.3 µs, the same rule gave 10.)
+// more than half of the pairs in every run on both kernels.
 const fbBatchMin = 7
 
 // BatchBase returns g^scalars[i] for every scalar; zero scalars yield

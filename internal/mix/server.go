@@ -464,11 +464,10 @@ func randInt(n int) int {
 // kernel, 0.52–0.55 with the scalar one, for 1–2 ms more CPU and
 // nothing per message. Where several chains already mix concurrently,
 // as in one process, a split buys no parallelism and costs its F.
-// minRange was the ratio rounded up over both kernels while feInv ran
-// on big.Int (r ≈ 95); it stays above the ratio, so no range's
-// per-message work is less than the fixed cost it adds, and it stays
-// at 128 because 64 would split sim-build's ≈ 250-message hops, in a
-// process whose 32 chains already fill both cores. A mix-k6 hop
+// minRange is above the ratio on both kernels, so no range's
+// per-message work is less than the fixed cost it adds, and no lower
+// power of two because 64 would split sim-build's ≈ 250-message hops,
+// in a process whose 32 chains already fill both cores. A mix-k6 hop
 // (≈ 400 messages) runs as two ranges; four alternating mix-k6 pairs
 // against minRange 1024 read the same round_s (0.996).
 const minRange = 128
