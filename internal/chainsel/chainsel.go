@@ -149,19 +149,3 @@ func (p *Plan) MeetingChainForUsers(pkA, pkB []byte) int {
 	gb := GroupOf(pkB, p.NumGroups())
 	return p.MeetingChain(ga, gb)
 }
-
-// Reform computes the plan for a re-formed network of n chains. It is
-// the epoch-boundary counterpart of NewPlan: purely deterministic in
-// n, so gateway and users agree on the new assignment without
-// coordination beyond learning n; every participant recomputes group
-// membership and meeting chains under it.
-func Reform(prev *Plan, n int) (*Plan, error) {
-	if prev == nil {
-		return nil, fmt.Errorf("chainsel: reform needs the previous plan")
-	}
-	next, err := NewPlan(n)
-	if err != nil {
-		return nil, fmt.Errorf("chainsel: reforming from %d to %d chains: %w", prev.NumChains, n, err)
-	}
-	return next, nil
-}

@@ -85,15 +85,10 @@ type User struct {
 	// round after the offline signal — still decrypt.
 	former []*peer
 
-	// drained records the conversation bodies recent builds popped
-	// from partners' queues, one record per body in the order they
-	// were popped. Rebalance marks every record stale: the builds that
-	// drained them were wrapped against the old epoch's chains, so a
-	// round that failed before the re-formation is rebuilt rather than
-	// resubmitted — and when a stale record's round is rebuilt, its
-	// body is pushed back to the front of its queue first (rounds
-	// execute in order, so rebuilding round ρ proves no round ≥ ρ ever
-	// ran, and those bodies would otherwise be silently lost).
+	// epoch is plan's topology epoch. drained records the bodies recent
+	// builds popped from partners' queues, in pop order, until Settle or
+	// restoreDrained settles them.
+	epoch   uint64
 	drained []drainRecord
 }
 
@@ -136,14 +131,22 @@ func (u *User) peerFor(partner group.Point) *peer {
 	return &peer{key: partner}
 }
 
-// drainRecord is one body a round's build popped from p's outbox.
+// drainRecord is one body a round's build popped from p's outbox, with
+// the epoch and plan it was built under: the plan still gives its chain
+// and her row once she has moved to another.
 type drainRecord struct {
-	round uint64
-	p     *peer
-	body  []byte
-	// stale is set by Rebalance: the build that drained this body
-	// predates an epoch re-formation and may never have executed.
-	stale bool
+	round, epoch uint64
+	plan         *chainsel.Plan
+	p            *peer
+	body         []byte
+}
+
+// Outcome is a finished round's public result (Settle): the epoch it
+// ran under, the chains dead at its begin and those that halted or did
+// not run.
+type Outcome struct {
+	Round, Epoch uint64
+	Dead, Failed []int
 }
 
 // NewUser creates a user with a fresh identity key pair. A nil scheme
@@ -306,25 +309,19 @@ func (u *User) MeetingChains() map[int]group.Point {
 	return out
 }
 
-// Rebalance re-derives the user's conversation placement under a new
-// chain-selection plan, after the network re-forms chains for a new
-// epoch (eviction of a blamed server changes n, which changes both
+// Rebalance re-derives the user's conversation placement under the
+// chain-selection plan of a new epoch, after the network re-forms its
+// chains (eviction of a blamed server changes n, which changes both
 // group membership and meeting chains). Every partner is re-mapped to
 // the pair's meeting chain under the new plan; if two partners now
 // collide on one chain — the clash XRD cannot multiplex (§9) — all
 // but the first (by partner key order, so both sides agree) are
 // dropped and returned. Dropped partners' keys (and shared secrets)
 // are retained so their in-flight messages still decrypt.
-func (u *User) Rebalance(plan *chainsel.Plan) (dropped []group.Point) {
+func (u *User) Rebalance(plan *chainsel.Plan, epoch uint64) (dropped []group.Point) {
 	old := u.partners
-	u.plan = plan
+	u.plan, u.epoch = plan, epoch
 	u.partners = make(map[int]*peer, len(old))
-	// Builds made so far were wrapped against the old epoch's chain
-	// keys, so any of them not yet executed will be rebuilt; mark
-	// their drained bodies restorable.
-	for i := range u.drained {
-		u.drained[i].stale = true
-	}
 
 	// Deterministic order: both ends of every conversation, and every
 	// replica of this user, resolve clashes identically.
@@ -372,13 +369,9 @@ type RoundOutput struct {
 // in, so the caller (the gateway shard for in-process users) reuses a
 // round's output on a same-epoch retry rather than calling BuildRound
 // twice; after an epoch re-formation the round is rebuilt here, and
-// the bodies its stale predecessor drained are restored first.
+// the bodies its discarded predecessor drained are restored first.
 func (u *User) BuildRound(rho uint64, src ParamsSource) (*RoundOutput, error) {
 	u.restoreDrained(rho)
-	// Rounds before rho−1 have run, so their records are never restored;
-	// dropping them before this build's appends keeps the slice at two
-	// rounds' worth.
-	u.drained = slices.DeleteFunc(u.drained, func(d drainRecord) bool { return d.round+2 <= rho })
 	cur, err := u.laneJobs(rho, LaneCurrent, src)
 	if err != nil {
 		return nil, fmt.Errorf("client: building round %d: %w", rho, err)
@@ -411,20 +404,54 @@ func chainMessages(jobs []onion.WrapJob, subs []onion.Submission) []ChainMessage
 	return out
 }
 
-// restoreDrained pushes back every outbox body consumed by a stale
-// build for round rho or later. It runs when rho is built fresh,
-// which proves no round ≥ rho has executed — whatever those stale
-// builds drained was never delivered. The records are in pop order,
-// so undoing them newest first (later rounds first) puts each queue
-// back in original send order.
+// restoreDrained is BuildRound's half of the restore rule: building
+// round rho proves no round ≥ rho has run, so what builds for them
+// under another epoch drained goes back to its queue. Records of rounds
+// before rho−1 are dropped, settled or not.
 func (u *User) restoreDrained(rho uint64) {
-	restorable := func(d drainRecord) bool { return d.stale && d.round >= rho }
+	u.undo(func(d *drainRecord) (bool, bool) {
+		restore := d.round >= rho && d.epoch != u.epoch
+		return restore || d.round+2 <= rho, restore
+	})
+}
+
+// Settle puts back at the front of its queue, in send order, each
+// drained body whose round's outcome shows it undelivered: the round
+// ran under another epoch than the body was built in, a chain of her
+// row was dead at its begin, or the body's own chain failed. A body its
+// round delivered is forgotten and one whose round has no outcome is
+// kept, so settling twice restores nothing twice.
+func (u *User) Settle(outcomes []Outcome) {
+	u.undo(func(d *drainRecord) (bool, bool) {
+		i := slices.IndexFunc(outcomes, func(o Outcome) bool { return o.Round == d.round })
+		if i < 0 {
+			return false, false
+		}
+		o := &outcomes[i]
+		if o.Epoch != d.epoch || len(o.Dead)+len(o.Failed) == 0 {
+			return true, o.Epoch != d.epoch
+		}
+		me := u.Mailbox()
+		dead := func(c int) bool { return slices.Contains(o.Dead, c) }
+		return true, slices.ContainsFunc(d.plan.ChainsForUser(me), dead) ||
+			slices.Contains(o.Failed, d.plan.MeetingChainForUsers(me, d.p.key.Bytes()))
+	})
+}
+
+// undo removes the drain records settle reports done, newest first,
+// and pushes each one it restores back to the front of its queue: the
+// records are in pop order, so every queue ends in send order.
+func (u *User) undo(settle func(*drainRecord) (done, restore bool)) {
 	for i := len(u.drained) - 1; i >= 0; i-- {
-		if d := u.drained[i]; restorable(d) {
-			d.p.outbox = slices.Insert(d.p.outbox, 0, d.body)
+		d := &u.drained[i]
+		if done, restore := settle(d); done {
+			if restore {
+				d.p.outbox = slices.Insert(d.p.outbox, 0, d.body)
+			}
+			d.p = nil // marks the record for removal
 		}
 	}
-	u.drained = slices.DeleteFunc(u.drained, restorable)
+	u.drained = slices.DeleteFunc(u.drained, func(d drainRecord) bool { return d.p == nil })
 }
 
 // laneJobs lays out the ℓ onions of one lane for the given round: the
@@ -472,8 +499,7 @@ func (u *User) laneJobs(round uint64, lane byte, src ParamsSource) ([]onion.Wrap
 // conversationMessage builds the message for one partner: a fresh
 // body from that partner's outbox (possibly empty) for the current
 // lane, or the KindOffline signal for the cover lane. A popped body
-// is recorded in drained so a discarded build's bodies can be
-// restored (see restoreDrained).
+// is recorded in drained until its round is settled (see Settle).
 func (u *User) conversationMessage(round uint64, partner *peer, lane byte, nonce [aead.NonceSize]byte) ([]byte, error) {
 	key := kdf.ConversationKey(u.secret(partner), partner.key.Bytes())
 	payload := onion.Payload{Kind: onion.KindConversation}
@@ -483,7 +509,7 @@ func (u *User) conversationMessage(round uint64, partner *peer, lane byte, nonce
 		payload.Body = q[0]
 		q[0] = nil // the queue's array must not pin a sent body
 		partner.outbox = q[1:]
-		u.drained = append(u.drained, drainRecord{round: round, p: partner, body: payload.Body})
+		u.drained = append(u.drained, drainRecord{round: round, epoch: u.epoch, plan: u.plan, p: partner, body: payload.Body})
 	}
 	return onion.SealMailboxMessage(u.scheme, key, nonce, partner.key, payload)
 }

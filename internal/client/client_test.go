@@ -578,7 +578,7 @@ func TestPartnerSecretSurvivesRebalance(t *testing.T) {
 	if !open(b).FromPartner || !open(c).FromPartner {
 		t.Fatal("active partners' messages must open as such")
 	}
-	dropped := a.Rebalance(narrow)
+	dropped := a.Rebalance(narrow, 1)
 	if len(dropped) != 1 {
 		t.Fatalf("Rebalance dropped %d partners, want 1", len(dropped))
 	}
@@ -600,7 +600,7 @@ func TestPartnerSecretSurvivesRebalance(t *testing.T) {
 	}
 
 	// Back on the wide plan the dropped partner fits again.
-	if d := a.Rebalance(wide); len(d) != 0 {
+	if d := a.Rebalance(wide, 2); len(d) != 0 {
 		t.Fatalf("Rebalance to the wide plan dropped %d partners", len(d))
 	}
 	if err := a.StartConversation(gone.Public); err != nil {

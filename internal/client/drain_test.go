@@ -26,11 +26,12 @@ func queued(p *peer) []string {
 	return out
 }
 
-// TestRestoreDrainedOrder: two builds drain one body per partner each,
-// Rebalance marks them stale and drops one partner (clearing her queue),
-// she is added back and given her third body again, and rebuilding the
-// first round restores both queues to the order the bodies were sent
-// in. EndAllConversations then leaves nothing queued.
+// TestRestoreDrainedOrder: two builds drain one body per partner each
+// under epoch 0, Rebalance moves the user to epochs 1 and 2 and drops
+// one partner on the way (clearing her queue), she is added back and
+// given her third body again, and rebuilding the first round under
+// epoch 2 restores both queues to the order the bodies were sent in.
+// EndAllConversations then leaves nothing queued.
 func TestRestoreDrainedOrder(t *testing.T) {
 	wide, err := chainsel.NewPlan(21)
 	if err != nil {
@@ -86,7 +87,7 @@ func TestRestoreDrainedOrder(t *testing.T) {
 		}
 	}
 
-	dropped := a.Rebalance(narrow)
+	dropped := a.Rebalance(narrow, 1)
 	if len(dropped) != 1 {
 		t.Fatalf("Rebalance dropped %d partners, want 1", len(dropped))
 	}
@@ -97,7 +98,7 @@ func TestRestoreDrainedOrder(t *testing.T) {
 	if q := queued(peers[gone]); len(q) != 0 {
 		t.Fatalf("the dropped partner still has %q queued", q)
 	}
-	if d := a.Rebalance(wide); len(d) != 0 {
+	if d := a.Rebalance(wide, 2); len(d) != 0 {
 		t.Fatalf("Rebalance to the wide plan dropped %d partners", len(d))
 	}
 	if err := a.StartConversation(names[gone]); err != nil {
@@ -119,6 +120,123 @@ func TestRestoreDrainedOrder(t *testing.T) {
 	for name, p := range peers {
 		if q := queued(p); len(q) != 0 {
 			t.Fatalf("%s still has %q queued after EndAllConversations", name, q)
+		}
+	}
+}
+
+// settleFixture is a user conversing with one partner under a plan of
+// seven chains, whose build of round 5 drained the body "x".
+func settleFixture(t *testing.T) (*User, *peer, *chainsel.Plan) {
+	t.Helper()
+	plan, err := chainsel.NewPlan(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := NewUser(nil, plan)
+	b := group.GenerateBaseKeyPair()
+	if err := a.StartConversation(b.Public); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.QueueMessage([]byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.BuildRound(5, innerAgg{agg: group.Base(group.MustRandomScalar())}); err != nil {
+		t.Fatal(err)
+	}
+	p := a.partners[plan.MeetingChainForUsers(a.Mailbox(), b.Public.Bytes())]
+	if len(a.drained) != 1 || len(p.outbox) != 0 {
+		t.Fatalf("the build drained %d records and left %d queued", len(a.drained), len(p.outbox))
+	}
+	return a, p, plan
+}
+
+// TestSettleRules: each rule of the round's outcome, applied to the one
+// body round 5 drained. A body its round delivered is forgotten at
+// once; one whose round ran under another epoch, whose row held a dead
+// chain or whose own chain failed goes back to its queue; one whose
+// round has no outcome stays recorded.
+func TestSettleRules(t *testing.T) {
+	_, _, plan := settleFixture(t)
+	row := func(a *User) []int { return plan.ChainsForUser(a.Mailbox()) }
+	meeting := func(a *User) int { c, _ := a.MeetingChain(); return c }
+	// other names a chain besides her meeting chain, in her row or not;
+	// seven chains give her four slots, so both exist.
+	other := func(a *User, inRow bool) []int {
+		for c := range plan.NumChains {
+			if c != meeting(a) && slices.Contains(row(a), c) == inRow {
+				return []int{c}
+			}
+		}
+		return []int{-1}
+	}
+	for _, tc := range []struct {
+		name    string
+		outcome func(a *User) Outcome
+		queued  bool // the body is back in the queue
+		kept    bool // the record is still held
+	}{
+		{"delivered", func(*User) Outcome { return Outcome{Round: 5} }, false, false},
+		{"no outcome yet", func(*User) Outcome { return Outcome{Round: 4} }, false, true},
+		{"another epoch", func(*User) Outcome { return Outcome{Round: 5, Epoch: 1} }, true, false},
+		{"dead chain in her row", func(a *User) Outcome { return Outcome{Round: 5, Dead: other(a, true)} }, true, false},
+		{"dead chain outside her row", func(a *User) Outcome { return Outcome{Round: 5, Dead: other(a, false)} }, false, false},
+		{"her chain failed", func(a *User) Outcome { return Outcome{Round: 5, Failed: []int{meeting(a)}} }, true, false},
+		{"another chain of her row failed", func(a *User) Outcome { return Outcome{Round: 5, Failed: other(a, true)} }, false, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a, p, _ := settleFixture(t)
+			o := tc.outcome(a)
+			if slices.Contains(append(o.Dead, o.Failed...), -1) {
+				t.Fatal("no chain of that kind")
+			}
+			a.Settle([]Outcome{o})
+			if got := queued(p); tc.queued != slices.Equal(got, []string{"x"}) || !tc.queued && len(got) != 0 {
+				t.Fatalf("queue %q after settling, want the body back: %v", got, tc.queued)
+			}
+			if kept := len(a.drained) == 1; kept != tc.kept {
+				t.Fatalf("%d records held after settling, want the record kept: %v", len(a.drained), tc.kept)
+			}
+		})
+	}
+}
+
+// TestSettleTwiceRestoresOnce: the same outcomes settled again restore
+// nothing again, and once the restored body is drained by the next
+// round's build, the stale outcome does not touch that round's record.
+func TestSettleTwiceRestoresOnce(t *testing.T) {
+	a, p, _ := settleFixture(t)
+	outcomes := []Outcome{{Round: 5, Epoch: 1}, {Round: 4}}
+	a.Rebalance(a.plan, 1)
+	a.Settle(outcomes)
+	a.Settle(outcomes)
+	if got := queued(p); !slices.Equal(got, []string{"x"}) {
+		t.Fatalf("queue %q after settling twice, want the body once", got)
+	}
+	if _, err := a.BuildRound(6, innerAgg{agg: group.Base(group.MustRandomScalar())}); err != nil {
+		t.Fatal(err)
+	}
+	a.Settle(outcomes)
+	if got := queued(p); len(got) != 0 || len(a.drained) != 1 || a.drained[0].round != 6 {
+		t.Fatalf("queue %q and %d records after the rebuild, want the round-6 record alone", got, len(a.drained))
+	}
+}
+
+// TestDrainRecordsStayInWindow: a user whose rounds are never settled,
+// or settled with outcomes of other rounds, holds the records of the
+// last two rounds' builds at most, whatever the number of rounds.
+func TestDrainRecordsStayInWindow(t *testing.T) {
+	a, _, _ := settleFixture(t)
+	src := innerAgg{agg: group.Base(group.MustRandomScalar())}
+	for rho := uint64(6); rho <= 12; rho++ {
+		if err := a.QueueMessage([]byte{byte(rho)}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := a.BuildRound(rho, src); err != nil {
+			t.Fatal(err)
+		}
+		a.Settle([]Outcome{{Round: rho + 1}})
+		if len(a.drained) > 2 || a.drained[0].round+1 < rho {
+			t.Fatalf("after round %d: %d records, the oldest of round %d", rho, len(a.drained), a.drained[0].round)
 		}
 	}
 }

@@ -13,7 +13,6 @@
 package core_test
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -141,6 +140,40 @@ func readConversation(u *client.User, fe *core.Frontend, round uint64) string {
 		}
 	}
 	return ""
+}
+
+// lostByOutcome reports whether the outcome fe serves for round marks
+// the round lost for the user behind who: a chain of her row was dead
+// at its begin, halted or did not run.
+func lostByOutcome(t *testing.T, fe *core.Frontend, round uint64, who []byte) bool {
+	t.Helper()
+	for _, o := range fe.Outcomes() {
+		if o.Round == round {
+			return slices.ContainsFunc(fe.Plan().ChainsForUser(who), func(c int) bool {
+				return slices.Contains(o.Dead, c) || slices.Contains(o.Failed, c)
+			})
+		}
+	}
+	t.Fatalf("the gateway serves no outcome for round %d", round)
+	return false
+}
+
+// checkStrandedByOutcome: every user rep strands is one the round's
+// served outcome marks lost, and each of users is stranded exactly
+// when it marks her lost.
+func checkStrandedByOutcome(t *testing.T, fe *core.Frontend, rep *core.RoundReport, users ...*client.User) {
+	t.Helper()
+	for _, who := range rep.Stranded {
+		if !lostByOutcome(t, fe, rep.Round, []byte(who)) {
+			t.Fatalf("round %d stranded %x, whose chains its outcome shows delivered", rep.Round, who[:4])
+		}
+	}
+	for _, u := range users {
+		lost := lostByOutcome(t, fe, rep.Round, u.Mailbox())
+		if stranded := slices.Contains(rep.Stranded, string(u.Mailbox())); stranded != lost {
+			t.Fatalf("round %d: user %x stranded %v, but its outcome marks her lost: %v", rep.Round, u.Mailbox()[:4], stranded, lost)
+		}
+	}
 }
 
 func TestChaosScenarios(t *testing.T) {
@@ -279,6 +312,7 @@ func TestChaosScenarios(t *testing.T) {
 			e := &chaosEnv{t: t, net: net, fleet: fleet, inj: inj}
 
 			var evicted []int
+			var sent, got []string
 			delivered := make(map[int]bool)
 			firstHook := sc.rounds + 1
 			for r := range sc.hooks {
@@ -294,6 +328,7 @@ func TestChaosScenarios(t *testing.T) {
 				if err := alice.QueueMessage([]byte(msg)); err != nil {
 					t.Fatal(err)
 				}
+				sent = append(sent, msg)
 				rep, err := net.RunRound()
 				if rep == nil {
 					t.Fatalf("round %d: no report (err=%v)", round, err)
@@ -304,17 +339,20 @@ func TestChaosScenarios(t *testing.T) {
 					t.Fatalf("round %d: honest users blamed: %v", round, rep.BlamedUsers)
 				}
 				evicted = append(evicted, rep.Evicted...)
-				// Everyone reported stranded must get the deterministic
-				// retry error, not a silent drop.
-				for _, who := range rep.Stranded {
-					if se := fe.StrandedError(rep.Round, []byte(who)); !errors.Is(se, core.ErrRoundRetry) {
-						t.Fatalf("round %d: stranded user got %v, want ErrRoundRetry", round, se)
-					}
-				}
-				if readConversation(bob, fe, rep.Round) == msg {
+				// The round strands exactly the users its public outcome
+				// marks lost, so each can settle her own bodies.
+				checkStrandedByOutcome(t, fe, rep, alice, bob)
+				if body := readConversation(bob, fe, rep.Round); body != "" {
 					delivered[round] = true
+					got = append(got, body)
 				} else if round < firstHook {
 					t.Fatalf("round %d: delivery failed before any injected fault", round)
+				}
+				// A body a disrupted round lost goes again in a later
+				// round: bob reads alice's bodies in send order, each
+				// once.
+				if !slices.Equal(got, sent[:len(got)]) {
+					t.Fatalf("round %d: bob has read %q of %q", round, got, sent)
 				}
 			}
 
@@ -387,6 +425,7 @@ func TestReformEvictsEveryDeadServerAtOnce(t *testing.T) {
 	if err := bob.StartConversation(alice.PublicKey()); err != nil {
 		t.Fatal(err)
 	}
+	var sent, got []string
 	first, late := 0, []int{1, 5}
 	if got := net.Topology().Chains[0][1]; got != first {
 		t.Fatalf("the seed's founding chain 0 has server %d second, want %d", got, first)
@@ -403,6 +442,7 @@ func TestReformEvictsEveryDeadServerAtOnce(t *testing.T) {
 		if err := alice.QueueMessage([]byte(msg)); err != nil {
 			t.Fatal(err)
 		}
+		sent = append(sent, msg)
 		// Round 2's trailing announcement fails on the dead server; the
 		// report stands, as in TestChaosScenarios.
 		rep, err := net.RunRound()
@@ -411,6 +451,13 @@ func TestReformEvictsEveryDeadServerAtOnce(t *testing.T) {
 		}
 		if len(rep.BlamedUsers) != 0 {
 			t.Fatalf("round %d: honest users blamed: %v", round, rep.BlamedUsers)
+		}
+		body := readConversation(bob, fe, rep.Round)
+		if body != "" {
+			got = append(got, body)
+		}
+		if !slices.Equal(got, sent[:len(got)]) {
+			t.Fatalf("round %d: bob has read %q of %q, want them in send order, each once", round, got, sent)
 		}
 		if round != 3 {
 			continue
@@ -428,16 +475,17 @@ func TestReformEvictsEveryDeadServerAtOnce(t *testing.T) {
 		if got := net.Epoch(); got != 2 {
 			t.Fatalf("re-formation took until epoch %d, want 2: one attempt to find both dead servers, one to form", got)
 		}
-		if got := readConversation(bob, fe, rep.Round); got != msg {
-			t.Fatalf("round 3 did not deliver after the re-formation (got %q)", got)
+		if body == "" {
+			t.Fatal("round 3 did not deliver after the re-formation")
 		}
 	}
 }
 
 // TestStrandedUsersGetRetryError is the regression test for the
 // silent-drop bug: users whose traffic rode a halted chain must be
-// reported stranded and get a deterministic ErrRoundRetry from
-// StrandedError — and users on healthy chains must not.
+// reported stranded, and the round's outcome their gateway serves
+// must mark them lost, so each client settles her own bodies — and
+// users on healthy chains must be neither.
 func TestStrandedUsersGetRetryError(t *testing.T) {
 	fe, err := core.NewFrontend(core.FrontendConfig{})
 	if err != nil {
@@ -496,28 +544,5 @@ func TestStrandedUsersGetRetryError(t *testing.T) {
 	if len(rep.Stranded) == 0 {
 		t.Fatal("halted chain stranded nobody")
 	}
-	strandedSet := make(map[string]bool, len(rep.Stranded))
-	for _, who := range rep.Stranded {
-		strandedSet[who] = true
-		if se := fe.StrandedError(rep.Round, []byte(who)); !errors.Is(se, core.ErrRoundRetry) {
-			t.Fatalf("stranded user got %v, want ErrRoundRetry", se)
-		}
-	}
-	// A user with no chain-0 traffic must not carry the error.
-	clean := false
-	for _, u := range users {
-		if !strandedSet[string(u.Mailbox())] {
-			clean = true
-			if se := fe.StrandedError(rep.Round, u.Mailbox()); se != nil {
-				t.Fatalf("unaffected user got %v", se)
-			}
-		}
-	}
-	if !clean {
-		t.Fatal("no user rode the healthy chains alone")
-	}
-	// An unknown round has no stranded records at all.
-	if se := fe.StrandedError(rep.Round+100, users[0].Mailbox()); se != nil {
-		t.Fatalf("future round reported stranded: %v", se)
-	}
+	checkStrandedByOutcome(t, fe, rep, users...)
 }

@@ -148,6 +148,9 @@ type Network struct {
 	// injected are raw submissions added to chain batches this round
 	// (fault injection for malicious users).
 	injected map[int][]onion.Submission
+	// outcomes are the last two finished rounds' outcomes, newest
+	// first, which every parameter snapshot carries.
+	outcomes []client.Outcome
 }
 
 // NewNetwork builds the topology, keys every chain, announces round 1
@@ -381,9 +384,9 @@ func (n *Network) Round() uint64 {
 // from it (rpc.ShardClient.Init).
 func (n *Network) Params() RoundParams {
 	n.mu.Lock()
-	epoch, rho, chains := n.epoch, n.round, n.chains
+	epoch, rho, chains, outcomes := n.epoch, n.round, n.chains, n.outcomes
 	n.mu.Unlock()
-	return snapshot(epoch, rho, chains, nil)
+	return snapshot(epoch, rho, chains, nil, outcomes)
 }
 
 // ChainParams implements client.ParamsSource.
@@ -478,10 +481,11 @@ type RoundReport struct {
 	// land the same (byte-identical) submission on two gateways; the
 	// coordinator keeps the first copy per (chain, DH key).
 	DedupedSubmissions int
-	// Stranded lists users (mailbox identifiers) who lost this round:
-	// their traffic rode a halted, failed or dead chain, or a
-	// re-formation dropped it. Nothing of theirs was delivered, and
-	// StrandedError reports ErrRoundRetry for them.
+	// Stranded lists users (mailbox identifiers) who lost this round,
+	// in whole or in part: their traffic rode a halted, failed or dead
+	// chain, or a re-formation dropped it. Each client learns from the
+	// round's public outcome which of her bodies to send again
+	// (client.User.Settle).
 	Stranded []string
 	// Epoch is the topology epoch the round executed in.
 	Epoch uint64
@@ -511,13 +515,16 @@ type RoundParams struct {
 	// read — a chain that failed to announce. Their entries are zero,
 	// ChainParams refuses them, and a shard strands their users.
 	Dead []int
+	// Outcomes are the last two finished rounds' outcomes, newest
+	// first, from which clients settle their bodies.
+	Outcomes []client.Outcome
 }
 
 // snapshot reads the chains' parameters for rounds rho and rho+1. A
 // chain in dead, or one whose parameters it cannot read, is marked
 // dead rather than failing the snapshot.
-func snapshot(epoch, rho uint64, chains []*mix.Chain, dead []int) RoundParams {
-	p := RoundParams{Round: rho, Epoch: epoch, Cur: make([]mix.Params, len(chains)), Next: make([]mix.Params, len(chains))}
+func snapshot(epoch, rho uint64, chains []*mix.Chain, dead []int, outcomes []client.Outcome) RoundParams {
+	p := RoundParams{Round: rho, Epoch: epoch, Cur: make([]mix.Params, len(chains)), Next: make([]mix.Params, len(chains)), Outcomes: outcomes}
 	for c, chain := range chains {
 		cur, errCur := chain.ParamsFor(rho)
 		next, errNext := chain.ParamsFor(rho + 1)
@@ -604,10 +611,10 @@ func (p *RoundParams) withTables(prev *RoundParams) *RoundParams {
 //  6. Verdicts: each chain's result goes into the report, blamed
 //     servers are queued for eviction, and the convicted and the
 //     stranded are collected.
-//  7. Finish: advance the round counter, announce round ρ+2's keys, and
-//     send each shard the mail for its users, its convicted users (to
-//     remove), its stranded users (see Frontend.StrandedError) and the
-//     next snapshot.
+//  7. Finish: record the round's outcome, advance the round counter,
+//     announce round ρ+2's keys, and send each shard the mail for its
+//     users, its convicted users (to remove) and the next snapshot,
+//     which carries the outcome.
 //
 // A failure before the counter advances leaves the round current, so
 // the caller can run it again under its number: the shards bank its
@@ -622,7 +629,7 @@ func (n *Network) RunRound() (*RoundReport, error) {
 		return nil, err
 	}
 	n.mu.Lock()
-	rho, epoch, topo, chains := n.round, n.epoch, n.topo, n.chains
+	rho, epoch, topo, chains, outcomes := n.round, n.epoch, n.topo, n.chains, n.outcomes
 	n.mu.Unlock()
 	report := &RoundReport{Round: rho, Epoch: epoch, Reformed: len(evicted) > 0, Evicted: evicted}
 	trace := obs.DefaultTracer.StartRound(rho, epoch)
@@ -635,7 +642,7 @@ func (n *Network) RunRound() (*RoundReport, error) {
 	phase := trace.StartPhase("announce")
 	n.announce(topo, chains, rho, rho+1)
 	phase.End()
-	params := snapshot(epoch, rho, chains, nil)
+	params := snapshot(epoch, rho, chains, nil, outcomes)
 	report.DeadChains = slices.Clone(params.Dead)
 
 	phase = trace.StartPhase("build")
@@ -754,12 +761,15 @@ func (n *Network) RunRound() (*RoundReport, error) {
 	// Finish. Round ρ+2's keys, which the next round's covers need, are
 	// announced only now that every chain has revealed ρ: that bounds a
 	// chain's inner-key retention to two rounds (TestInnerAggPruning).
+	failed := slices.Concat(report.HaltedChains, report.FailedChains)
+	slices.Sort(failed)
+	outcomes = append([]client.Outcome{{Round: rho, Epoch: epoch, Dead: params.Dead, Failed: failed}}, outcomes[:min(len(outcomes), 1)]...)
 	n.mu.Lock()
-	n.round = rho + 1
+	n.round, n.outcomes = rho+1, outcomes
 	n.mu.Unlock()
 	phase = trace.StartPhase("finish")
 	trailing := n.announce(topo, chains, rho+2)
-	next := snapshot(epoch, rho+1, chains, params.Dead)
+	next := snapshot(epoch, rho+1, chains, params.Dead, outcomes)
 	phase.End()
 
 	phase = trace.StartPhase("deliver")
@@ -780,10 +790,6 @@ func (n *Network) RunRound() (*RoundReport, error) {
 	for _, who := range report.BlamedUsers {
 		fr := &finishes[n.owner[shardIndex(who)]]
 		fr.Removed = append(fr.Removed, who)
-	}
-	for _, who := range report.Stranded {
-		fr := &finishes[n.owner[shardIndex(who)]]
-		fr.Stranded = append(fr.Stranded, who)
 	}
 	stats, errs := fanOut(phase, n.shards, func(i int) bool { return builds[i] != nil }, func(i int, sh GatewayShard) (FinishStats, error) {
 		return sh.FinishRound(&finishes[i])

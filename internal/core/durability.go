@@ -537,7 +537,7 @@ func (f *Frontend) applyWatermarkLocked(w watermark) error {
 			sh := &f.reg.shards[i]
 			sh.mu.Lock()
 			for _, ru := range sh.users {
-				ru.u.Rebalance(plan)
+				ru.u.Rebalance(plan, w.epoch)
 			}
 			sh.mu.Unlock()
 		}

@@ -46,7 +46,7 @@ type FrontendConfig struct {
 // Frontend is the in-process gateway shard: the per-user half of a
 // deployment. It owns a slice of the sharded user registry, the
 // mailbox storage for those users, the bank of their round traffic,
-// bans and stranded-round records, and the round pipeline's
+// bans, and the round pipeline's
 // onion-building worker pool — everything that scales with users
 // rather than with chains. It implements GatewayShard for the
 // coordinator and the user-facing operations (registration,
@@ -81,10 +81,9 @@ type Frontend struct {
 	// ChainParams between rounds; nil from a re-formation until the
 	// new epoch's snapshot arrives.
 	params *RoundParams
-	// stranded, bank, banned: see external.go and recover.go.
-	stranded map[uint64]map[string]bool
-	bank     map[string]*bankedUser
-	banned   map[string]bool
+	// bank, banned: see external.go.
+	bank   map[string]*bankedUser
+	banned map[string]bool
 	// dropped maps each remote user whose messages a re-formation
 	// emptied from the bank to their round, until that round commits;
 	// collectLocked lists them in its Skipped (recover.go).
@@ -131,7 +130,6 @@ func NewFrontend(cfg FrontendConfig) (*Frontend, error) {
 		st:            cfg.Store,
 		snapshotEvery: cfg.SnapshotEvery,
 		round:         1,
-		stranded:      make(map[uint64]map[string]bool),
 		bank:          make(map[string]*bankedUser),
 		banned:        make(map[string]bool),
 		dropped:       make(map[string]uint64),
@@ -202,6 +200,17 @@ func (f *Frontend) adoptLocked(p *RoundParams) error {
 	return nil
 }
 
+// Outcomes returns the finished rounds' outcomes the served snapshot
+// carries (none while the shard serves no snapshot).
+func (f *Frontend) Outcomes() []client.Outcome {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.params == nil {
+		return nil
+	}
+	return f.params.Outcomes
+}
+
 // ChainParams implements client.ParamsSource from the last pushed
 // snapshot, so a gateway shard answers parameter queries without a
 // coordinator round trip.
@@ -245,7 +254,7 @@ func (f *Frontend) rebalanceLocked(epoch uint64, numChains int) error {
 // into it (the network-wide operation is: ask the owning gateway).
 func (f *Frontend) NewUser() *client.User {
 	f.mu.Lock()
-	plan := f.plan
+	plan, epoch := f.plan, f.epoch
 	f.mu.Unlock()
 	if plan == nil {
 		return nil
@@ -255,6 +264,7 @@ func (f *Frontend) NewUser() *client.User {
 		if !f.rng.Owns(u.Mailbox()) {
 			continue
 		}
+		u.Rebalance(plan, epoch)
 		f.reg.insert(string(u.Mailbox()), &registeredUser{u: u, online: true})
 		return u
 	}
@@ -262,7 +272,8 @@ func (f *Frontend) NewUser() *client.User {
 
 // AddUser registers an existing in-process user; it must hash into
 // this shard's range and not have been banned. The ban check and the
-// insertion share one f.mu hold, as in Register.
+// insertion share one f.mu hold, as in Register. She moves to the
+// shard's plan and epoch, which her drained bodies are settled by.
 func (f *Frontend) AddUser(u *client.User) error {
 	if !f.rng.Owns(u.Mailbox()) {
 		return fmt.Errorf("core: user %x hashes to shard %d outside range %s",
@@ -272,6 +283,9 @@ func (f *Frontend) AddUser(u *client.User) error {
 	defer f.mu.Unlock()
 	if f.banned[string(u.Mailbox())] {
 		return fmt.Errorf("core: user was removed for misbehaviour; registration refused")
+	}
+	if f.plan != nil {
+		u.Rebalance(f.plan, f.epoch)
 	}
 	f.reg.insert(string(u.Mailbox()), &registeredUser{u: u, online: true})
 	return nil
@@ -423,17 +437,6 @@ func (f *Frontend) PruneBefore(round uint64) {
 // records. The frontend itself holds no other external resources.
 func (f *Frontend) Close() error { return f.st.Close() }
 
-// StrandedError reports whether the mailbox's user was stranded in
-// the given executed round; see recover.go.
-func (f *Frontend) StrandedError(round uint64, mailboxID []byte) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.stranded[round][string(mailboxID)] {
-		return fmt.Errorf("core: round %d: %w", round, ErrRoundRetry)
-	}
-	return nil
-}
-
 // BeginRound implements GatewayShard: it adopts the pushed epoch and
 // parameters, fans onion building out over the owned registry shards,
 // deposits what its in-process users built in the bank, collects the
@@ -494,11 +497,11 @@ func (f *Frontend) bankedLocked(rho uint64) map[string]bool {
 }
 
 // FinishRound implements GatewayShard: deliver the routed mailbox
-// messages, remove and ban the convicted, record the stranded, adopt
-// the next round's parameters. The round commit is one durability
-// point: the deliveries, bans and advanced watermark are logged and
-// synced together, so a crash either shows the round fully finished
-// or not finished at all — never half. The deliveries and bans are
+// messages, remove and ban the convicted, adopt the next round's
+// parameters. The round commit is one durability point: the
+// deliveries, bans and advanced watermark are logged and synced
+// together, so a crash either shows the round fully finished or not
+// finished at all — never half. The deliveries and bans are
 // logged before they apply: a store that refuses one fails the commit
 // with nothing delivered, banned or advanced, and the round can be
 // finished again.
@@ -520,18 +523,6 @@ func (f *Frontend) FinishRound(fr *FinishRound) (FinishStats, error) {
 	delivered, _, dropped := f.boxes.Deliver(fr.Round, fr.Delivered)
 	for _, who := range fr.Removed {
 		f.applyBanLocked(who)
-	}
-	if len(fr.Stranded) > 0 {
-		set := make(map[string]bool, len(fr.Stranded))
-		for _, who := range fr.Stranded {
-			set[who] = true
-		}
-		f.stranded[fr.Round] = set
-	}
-	for r := range f.stranded {
-		if r+strandedRetention <= fr.Round {
-			delete(f.stranded, r)
-		}
 	}
 	// The commit is the advanced watermark; applying it also drops the
 	// mail that just left the retention window, so no separate prune
@@ -631,9 +622,11 @@ func (f *Frontend) buildUsers(rho uint64, params *RoundParams, banked map[string
 }
 
 // buildShard builds one registry shard's online users into the
-// worker's accumulator. The shard lock is held for the duration, so
-// presence changes and conversation mutations for these users
-// serialise against the build — and against nothing else. A user with
+// worker's accumulator, after settling every user's drained bodies,
+// offline ones too, with the snapshot's outcomes. The shard lock is
+// held for the duration, so presence changes and conversation
+// mutations for these users serialise against the build — and against
+// nothing else. A user with
 // a dead chain among her ℓ chains cannot build a valid round (the wire
 // pattern requires all ℓ messages): she is skipped, and collectLocked
 // holds her banked covers out too. Transport registrations are not
@@ -642,6 +635,7 @@ func (f *Frontend) buildShard(sh *userShard, rho uint64, params *RoundParams, ba
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	for key, ru := range sh.users {
+		ru.u.Settle(params.Outcomes)
 		if !ru.online || banked[key] {
 			continue
 		}

@@ -19,9 +19,7 @@ import (
 // over the survivors: a fresh topology from the public seed (extended
 // with the epoch number so the draw differs), a migrated
 // chain-selection plan, re-keyed chains, re-announced round keys, and
-// every registered user rebalanced onto the new plan. Users of the
-// dead chain are re-routed, not stranded forever; the stranding is
-// one round deep.
+// every in-process user rebalanced onto the new plan.
 //
 // Two states deliberately do NOT survive a re-formation:
 //
@@ -30,17 +28,16 @@ import (
 //     Their submission proofs would still verify against the old
 //     parameters, but decryption under the new chains would fail, and
 //     the blame protocol would convict the — honest — user. The bank
-//     is emptied; in-process users rebuild in the round that re-forms
-//     (client.User restores the bodies their last build drained). A
-//     remote user whose messages for that round were dropped is
-//     listed in its ShardBuild.Skipped (Frontend.dropped), so the
-//     round strands her and StrandedError tells her to retry. She
-//     submits again from the next round, against the new parameters
-//     (she re-derives the plan from Status, and rpc.Client drops the
-//     parameters it cached under the old epoch there); the dropped
-//     body is not re-sent, since until the epoch's first round is on
-//     the wire a client cannot tell a dropped round from a delivered
-//     one.
+//     is emptied; in-process users rebuild in the round that re-forms.
+//     A remote user whose messages for that round were dropped is
+//     listed in its ShardBuild.Skipped (Frontend.dropped), and the
+//     round strands her. The round's outcome names the new epoch, so
+//     Settle restores her dropped body (client.User), and she sends it
+//     again once her client has moved to the new plan: a driver that
+//     sees a new epoch in Status re-derives the plan from its chain
+//     count and calls Rebalance (rpc.Client drops the parameters it
+//     cached under the old epoch there). The rpc tests' driver does;
+//     the command-line drivers do not yet.
 //   - The parameters the bank's traffic was built from. Until the new
 //     epoch's snapshot reaches the shard it serves no parameters and
 //     its window for the upcoming round is closed: a submission built
@@ -48,16 +45,6 @@ import (
 //     rather than mixed on the new chains. The watermark record that
 //     logs the new epoch carries the closed window, so a replayed
 //     shard refuses it too.
-
-// strandedRetention is how many rounds of stranded-user records are
-// kept for StrandedError queries.
-const strandedRetention = 8
-
-// ErrRoundRetry is the sentinel wrapped by StrandedError: the user's
-// traffic was not delivered this round because a chain she rides
-// halted, failed or was unreachable — nothing was leaked and nothing
-// is wrong with her; she should simply participate in the next round.
-var ErrRoundRetry = errors.New("core: round did not deliver for this user; retry next round")
 
 // hopErrorServer translates a *mix.HopError in err's chain into the
 // server identity occupying the failing position under topo.
@@ -99,7 +86,7 @@ func (n *Network) reform() ([]int, error) {
 	n.mu.Lock()
 	pend := n.pendingEvict
 	n.pendingEvict = make(map[int]bool)
-	curPlan, curTopo := n.plan, n.topo
+	curTopo := n.topo
 	epoch := n.epoch
 	rho := n.round
 	n.mu.Unlock()
@@ -113,6 +100,7 @@ func (n *Network) reform() ([]int, error) {
 	if len(evicted) == 0 {
 		return nil, nil
 	}
+	defer func() { sort.Ints(evicted) }() // every return below hands evicted back
 
 	// Each attempt draws a fresh epoch number: remote hops refuse a
 	// second, conflicting binding in the same epoch, so a failed
@@ -122,7 +110,6 @@ func (n *Network) reform() ([]int, error) {
 		newEpoch++
 		survivors := n.evictor.Survivors(curTopo.Servers)
 		if len(survivors) == 0 {
-			sort.Ints(evicted)
 			return evicted, errors.New("core: every server evicted; cannot re-form chains")
 		}
 		numChains := n.cfg.NumChains
@@ -144,12 +131,10 @@ func (n *Network) reform() ([]int, error) {
 			Seed:                seed,
 		})
 		if err != nil {
-			sort.Ints(evicted)
 			return evicted, fmt.Errorf("core: re-forming topology for epoch %d: %w", newEpoch, err)
 		}
-		plan2, err := chainsel.Reform(curPlan, len(topo2.Chains))
+		plan2, err := chainsel.NewPlan(len(topo2.Chains))
 		if err != nil {
-			sort.Ints(evicted)
 			return evicted, fmt.Errorf("core: re-forming chain-selection plan: %w", err)
 		}
 
@@ -176,7 +161,6 @@ func (n *Network) reform() ([]int, error) {
 		chains2, errs := n.keyChains(newEpoch, topo2)
 		failed, err := evictAll(errs)
 		if err != nil {
-			sort.Ints(evicted)
 			return evicted, fmt.Errorf("core: re-forming epoch %d: %w", newEpoch, err)
 		}
 		if failed {
@@ -184,7 +168,6 @@ func (n *Network) reform() ([]int, error) {
 		}
 		failed, err = evictAll(append(announceEach(chains2, rho), announceEach(chains2, rho+1)...))
 		if err != nil {
-			sort.Ints(evicted)
 			return evicted, fmt.Errorf("core: announcing epoch %d: %w", newEpoch, err)
 		}
 		if failed {
@@ -207,9 +190,7 @@ func (n *Network) reform() ([]int, error) {
 		for _, sh := range n.shards {
 			_ = sh.Rebalance(newEpoch, len(chains2))
 		}
-		sort.Ints(evicted)
 		return evicted, nil
 	}
-	sort.Ints(evicted)
 	return evicted, errors.New("core: chain re-formation did not converge")
 }

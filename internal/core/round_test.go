@@ -122,6 +122,123 @@ func TestHaltReformDeliversOnSchedule(t *testing.T) {
 	}
 }
 
+// haltedMeetingChain is the scenario of a halt on a conversation's
+// own chain: 8 servers in chains of 3, nPairs conversing pairs with
+// rounds bodies each queued up front (conversationScript), and the
+// first pair's meeting chain set to halt in the next round by a
+// tampering second position. Mailboxes are random, so the scenario is
+// drawn again until some pair meets on another chain. Padding users
+// make every chain's batch large enough to tamper with.
+func haltedMeetingChain(t *testing.T, nPairs, rounds int) (*Network, *Frontend, []*client.User, int) {
+	t.Helper()
+	for range 20 {
+		n, fe := testNetwork(t, 8, 3)
+		users := conversationScript(t, fe, nPairs, rounds)
+		meeting := make([]int, len(users))
+		for i, u := range users {
+			var err error
+			if meeting[i], err = u.MeetingChain(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		victim := meeting[0]
+		if !slices.ContainsFunc(meeting, func(c int) bool { return c != victim }) {
+			continue
+		}
+		for range 8 {
+			fe.NewUser()
+		}
+		if err := n.CorruptServer(victim, 1, &mix.Corruption{TamperPairs: [][2]int{{0, 1}}}); err != nil {
+			t.Fatal(err)
+		}
+		return n, fe, users, victim
+	}
+	t.Fatal("20 draws put every pair on one meeting chain")
+	return nil, nil, nil, 0
+}
+
+// TestHaltedChainDeliversNothing pins the premise the restore rule
+// rests on. In the round a chain halts, every user receives ℓ messages
+// minus her slots on that chain, and no body batched on it reaches any
+// mailbox.
+func TestHaltedChainDeliversNothing(t *testing.T) {
+	n, fe, users, victim := haltedMeetingChain(t, 4, 1)
+	l := n.Plan().L
+	rep := runRound(t, n)
+	if !slices.Equal(rep.HaltedChains, []int{victim}) {
+		t.Fatalf("want chain %d halted, got %v", victim, rep.HaltedChains)
+	}
+	onVictim := 0
+	for i, u := range users {
+		slots := 0
+		for _, c := range u.Chains() {
+			if c == victim {
+				slots++
+			}
+		}
+		onVictim += slots
+		if got := len(fe.Fetch(u, rep.Round)); got != l-slots {
+			t.Fatalf("user %d holds %d slots on the halted chain and received %d messages, want %d", i, slots, got, l-slots)
+		}
+		meeting, err := u.MeetingChain()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bodies := conversationBodies(t, fe, u, rep.Round); (meeting == victim) != (len(bodies) == 0) {
+			t.Fatalf("user %d meets on chain %d and received %q with chain %d halted", i, meeting, bodies, victim)
+		}
+	}
+	if onVictim == 0 {
+		t.Fatal("no conversing user rode the halted chain")
+	}
+}
+
+// TestHaltedBodyDeliveredOnce: a pair's meeting chain halts in round
+// 1, and round 2 evicts the tampering server and re-forms the chains.
+// The round's outcome tells each client of a pair meeting there that
+// her round-1 body rode a chain that failed, so she sends it again:
+// such a pair receives every scripted body exactly once, in send
+// order, each a round late from round 2 on. Every other pair, whose
+// bodies all delivered, receives each body exactly once in its own
+// round.
+func TestHaltedBodyDeliveredOnce(t *testing.T) {
+	const pairs, rounds = 4, 6
+	n, fe, users, victim := haltedMeetingChain(t, pairs, rounds)
+	late := make([]bool, len(users))
+	for i, u := range users {
+		meeting, err := u.MeetingChain()
+		if err != nil {
+			t.Fatal(err)
+		}
+		late[i] = meeting == victim
+	}
+	for r := 1; r <= rounds+2; r++ {
+		rep := runRound(t, n)
+		var halted []int
+		if r == 1 {
+			halted = []int{victim}
+		}
+		if !slices.Equal(rep.HaltedChains, halted) || rep.Reformed != (r == 2) {
+			t.Fatalf("round %d: halted %v, re-formed %v", r, rep.HaltedChains, rep.Reformed)
+		}
+		for i, u := range users {
+			// The scripted round whose body this round delivers, or 0.
+			want := r
+			if late[i] {
+				want = r - 1
+			}
+			if want > rounds {
+				want = 0
+			}
+			bodies := conversationBodies(t, fe, u, rep.Round)
+			if prefix := fmt.Sprintf("round %d pair %d", want, i/2); want == 0 && len(bodies) != 0 ||
+				want > 0 && (len(bodies) != 1 || !bytes.HasPrefix(bodies[0], []byte(prefix))) {
+				t.Fatalf("round %d: user %d (late %v) received %q, want the round-%d body", r, i, late[i], bodies, want)
+			}
+		}
+	}
+}
+
 // TestCommittedRoundReleasesSubmissions checks what a gateway's bank
 // keeps of a user's round once that round has committed: the covers,
 // which the next round may need, and not the ℓ submissions, which

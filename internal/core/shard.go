@@ -20,11 +20,11 @@
 //
 // One round crosses the boundary twice: BeginRound pushes the round's
 // parameter snapshot (RoundParams: every chain's parameters for the
-// round and the next, the epoch and its dead chains) and collects
-// every shard's batches, the coordinator mixes, and FinishRound fans
-// the delivered mailbox messages back out to their owning shards
-// along with the per-shard blame report and the next round's
-// snapshot. A round that fails between the two is begun again under
+// round and the next, the epoch and its dead chains, the last two
+// rounds' outcomes) and collects every shard's batches, the
+// coordinator mixes, and FinishRound fans the delivered mailbox
+// messages back out to their owning shards along with the per-shard
+// blame report and the next round's snapshot. A round that fails between the two is begun again under
 // its number: the shard's bank still holds the round's traffic until
 // FinishRound commits it, so the retry collects the same submissions.
 // Rebalance installs a re-formed epoch's plan and closes the upcoming
@@ -126,14 +126,13 @@ func (b *ShardBuild) validate() error {
 
 // FinishRound closes a round on a gateway shard: the mailbox messages
 // routed to this shard's users, the users it owns that were convicted
-// (to remove and ban) or stranded (for StrandedError), and — so the
-// shard can keep serving clients between rounds — the parameter
-// snapshot for rounds Round+1 and Round+2.
+// (to remove and ban), and — so the shard can keep serving clients
+// between rounds — the parameter snapshot for rounds Round+1 and
+// Round+2, which carries the round's outcome.
 type FinishRound struct {
 	Round     uint64
 	Delivered [][]byte
 	Removed   []string
-	Stranded  []string
 	Params    RoundParams
 }
 

@@ -94,7 +94,7 @@ func (s *Server) status(*struct{}) (StatusResponse, error) {
 		Role:        "coordinator",
 	}
 	if s.fe != nil {
-		resp.Users = s.fe.NumUsers()
+		resp.Users, resp.Outcomes = s.fe.NumUsers(), s.fe.Outcomes()
 	}
 	return resp, nil
 }

@@ -397,10 +397,13 @@ func TestShardBeginRetryKeepsRemoteTraffic(t *testing.T) {
 // keeps conversing over TLS while a false accusation halts a chain and
 // the next round re-forms the chains into a new epoch. The round that
 // re-forms drops what they submitted on the old keys without blaming
-// them and lists them as stranded; from the next round on they build
+// them and lists them as stranded. From the next round on they build
 // against the new epoch — the parameters their gateway serves, not
-// ones their client cached before the re-formation — and deliver; and
-// alice's own gateway serves her the new epoch's parameters.
+// ones their client cached before the re-formation — and settle their
+// drained bodies with the outcomes Status serves: the dropped body
+// names another epoch than the round ran under, so alice sends it
+// again, and bob receives every body once, in send order. alice's own
+// gateway serves her the new epoch's parameters.
 func TestRemoteUserAcrossReformation(t *testing.T) {
 	n, srv, servers := newShardedDeployment(t)
 	front := shardedFront(t, servers)
@@ -423,14 +426,17 @@ func TestRemoteUserAcrossReformation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			alice.Rebalance(plan)
-			bob.Rebalance(plan)
+			alice.Rebalance(plan, st.Epoch)
+			bob.Rebalance(plan, st.Epoch)
 			epoch = st.Epoch
 		}
-		if err := alice.QueueMessage([]byte(body)); err != nil {
-			t.Fatal(err)
+		if body != "" {
+			if err := alice.QueueMessage([]byte(body)); err != nil {
+				t.Fatal(err)
+			}
 		}
 		for _, u := range []*client.User{alice, bob} {
+			u.Settle(st.Outcomes)
 			out, err := u.BuildRound(st.Round, front)
 			if err != nil {
 				t.Fatalf("round %d build: %v", st.Round, err)
@@ -498,22 +504,17 @@ func TestRemoteUserAcrossReformation(t *testing.T) {
 	if !slices.Contains(reform.Stranded, string(alice.Mailbox())) {
 		t.Fatalf("round %d dropped alice's submission without stranding her (%d stranded)", reform.Round, len(reform.Stranded))
 	}
-	for _, body := range []string{"after", "later"} {
-		if rep := play(body); received(rep.Round) != body {
-			t.Fatalf("round %d after the re-formation did not deliver %q", rep.Round, body)
-		}
+	// The body alice queued for the round that re-forms goes again in
+	// the round after, once: her shard dropped her submission when it
+	// adopted the new epoch, and the outcome Status serves for the
+	// round names that epoch. The bodies queued after it follow, in
+	// order.
+	got := bodies(reform.Round)
+	for _, body := range []string{"after", "later", ""} {
+		got = append(got, bodies(play(body).Round)...)
 	}
-	// The body alice queued for the round that re-forms is delivered
-	// neither in that round nor in the two after it: her shard drops
-	// her submission when it adopts the new epoch, and her next build
-	// does not re-send the body. Stranding tells her the round was
-	// lost; re-sending it needs the epoch's first round on the wire,
-	// since without it a client cannot tell a dropped round from a
-	// delivered one.
-	for round := reform.Round; round <= reform.Round+2; round++ {
-		if got := bodies(round); slices.Contains(got, "re-form") {
-			t.Fatalf("round %d delivered the re-forming round's body: %q", round, got)
-		}
+	if want := []string{"re-form", "after", "later"}; !slices.Equal(got, want) {
+		t.Fatalf("rounds %d–%d delivered %q, want %q", reform.Round, reform.Round+3, got, want)
 	}
 
 	own := front.ClientFor(alice.Mailbox())

@@ -62,6 +62,7 @@ func (s *ShardServer) status(*struct{}) (StatusResponse, error) {
 		ShardLo:     rng.Lo,
 		ShardHi:     rng.Hi,
 		Users:       s.fe.NumUsers(),
+		Outcomes:    s.fe.Outcomes(),
 	}
 	if plan := s.fe.Plan(); plan != nil {
 		resp.NumChains = plan.NumChains

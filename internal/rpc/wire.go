@@ -92,6 +92,10 @@ type StatusResponse struct {
 	// Users is the registered, non-removed population behind this
 	// endpoint.
 	Users int
+	// Outcomes are the last two finished rounds' outcomes, from the
+	// parameter snapshot a gateway serves; a client settles its
+	// drained bodies with them (client.User.Settle).
+	Outcomes []client.Outcome
 }
 
 // RegisterRequest records mailbox identifiers with a gateway, in

@@ -366,7 +366,11 @@ func TestWireSizes(t *testing.T) {
 		}
 		return ps
 	}
-	snap := core.RoundParams{Round: 7, Epoch: 1, Cur: lane(7), Next: lane(8)}
+	// The last two rounds' outcomes, as a healthy deployment has them:
+	// nothing dead, nothing failed.
+	outcomes := []client.Outcome{{Round: 6, Epoch: 1}, {Round: 5, Epoch: 1}}
+	snap := core.RoundParams{Round: 7, Epoch: 1, Cur: lane(7), Next: lane(8), Outcomes: outcomes}
+	status := StatusResponse{Round: 7, NumChains: 8, ChainLength: k, L: l, Epoch: 1, Role: "gateway", ShardLo: 0, ShardHi: 32, Users: 51000, Outcomes: outcomes}
 	proof := nizk.Proof{C: group.MustRandomScalar(), S: group.MustRandomScalar()}
 	keys := mix.HopKeys{Chain: 3, Index: 5, BpkPrev: pt(), Bpk: pt(), Mpk: pt(), BskProof: proof, MskProof: proof}
 	small, large := submit(l), submit(2*l)
@@ -397,8 +401,16 @@ func TestWireSizes(t *testing.T) {
 		// k+1 points each, with a finish's routed mail left out.
 		// 7 532 and 7 625 B while the snapshot crossed as loose fields
 		// and carried the blinding keys.
-		{"shard.begin, 8 chains", size("shard.begin", core.BeginRound{Round: 7, Params: snap}), 4258},
-		{"shard.finish, 8 chains, no mail", size("shard.finish", core.FinishRound{Round: 6, Params: snap}), 4349},
+		// The two outcomes add 122 B to each, most of it the type
+		// descriptor of client.Outcome: 4 258, 4 349 and 4 285 B
+		// without them (finish also carried an empty Stranded list).
+		{"shard.begin, 8 chains", size("shard.begin", core.BeginRound{Round: 7, Params: snap}), 4380},
+		{"shard.finish, 8 chains, no mail", size("shard.finish", core.FinishRound{Round: 6, Params: snap}), 4457},
+		{"shard.init, 8 chains", size("shard.init", ShardInitRequest{Lo: 0, Hi: 32, ChainLength: k, Params: snap}), 4407},
+		// What a client polls each round: the deployment's shape and
+		// the last two rounds' outcomes, which take 143 B of it (162
+		// without them).
+		{"status reply", size("", status), 305},
 		// What each position answers once an epoch when bound: three
 		// points and two proofs. One point more (BaselinePub) before.
 		{"hop.init reply", size("", keys), 430},
