@@ -78,11 +78,6 @@ func main() {
 		log.Fatalf("discovering gateways: %v", err)
 	}
 
-	if *drill != "" {
-		runCrashDrill(front, driver, *drill, *msg)
-		return
-	}
-
 	st, err := front.Status()
 	if err != nil {
 		log.Fatalf("status: %v", err)
@@ -95,51 +90,42 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	if *drill != "" {
+		runCrashDrill(front, driver, plan, *drill, *msg)
+		return
+	}
+	// Mailbox placement follows the (random) key, so with -cross-shard
+	// bob is drawn until the pair provably spans two gateways.
 	alice := client.NewUser(nil, plan)
-	bob := client.NewUser(nil, plan)
+	bob := drawUser(plan, func(u *client.User) bool {
+		return !*cross || front.ClientFor(u.Mailbox()) != front.ClientFor(alice.Mailbox())
+	})
 	if *cross {
-		// Mailbox placement follows the (random) key, so draw users
-		// until the pair provably spans two gateways.
-		for tries := 0; front.ClientFor(alice.Mailbox()) == front.ClientFor(bob.Mailbox()); tries++ {
-			if tries > 1000 {
-				log.Fatal("-cross-shard: could not place users on different gateways (is more than one gateway configured?)")
-			}
-			bob = client.NewUser(nil, plan)
-		}
 		fmt.Printf("cross-shard: alice on %s, bob on %s\n",
 			front.ClientFor(alice.Mailbox()).Addr(), front.ClientFor(bob.Mailbox()).Addr())
 	}
-	outA := submitPair(front, alice, bob, st.Round, *msg)
-	fmt.Printf("submitted %d+%d messages (current + covers) per user; triggering round...\n",
-		len(outA.Current), len(outA.Cover))
-
-	rep, err := driver.RunRound()
-	if err != nil {
-		log.Fatalf("round: %v", err)
+	round := playPair(front, alice, bob, *msg)
+	fmt.Printf("submitted round %d for both users; triggering round...\n", round)
+	if copies, _ := awaitBody(front, driver, bob, round, 1, *msg); copies == 0 {
+		log.Fatal("conversation message not delivered")
 	}
-	fmt.Printf("round %d executed: %d messages delivered\n", rep.Round, rep.Delivered)
-
-	msgs, err := front.Fetch(rep.Round, bob.Mailbox())
-	if err != nil {
-		log.Fatalf("fetch: %v", err)
-	}
-	recv, bad := bob.OpenMailbox(rep.Round, msgs)
-	if bad != 0 {
-		log.Fatalf("%d undecryptable messages", bad)
-	}
-	for _, r := range recv {
-		if r.FromPartner && r.Kind == onion.KindConversation {
-			fmt.Printf("bob reads: %q\n", r.Body)
-			return
-		}
-	}
-	log.Fatal("conversation message not delivered")
+	fmt.Printf("bob reads: %q\n", *msg)
 }
 
-// submitPair puts alice and bob in conversation with msg queued from
-// alice, builds both users' outputs for the round and submits them.
-// It returns alice's output.
-func submitPair(front *rpc.MultiClient, alice, bob *client.User, round uint64, msg string) *client.RoundOutput {
+// drawUser draws users of plan until want accepts one.
+func drawUser(plan *chainsel.Plan, want func(*client.User) bool) *client.User {
+	for range 2000 {
+		if u := client.NewUser(nil, plan); want(u) {
+			return u
+		}
+	}
+	log.Fatal("could not place a user on the gateway asked for (is more than one gateway configured?)")
+	return nil
+}
+
+// playPair puts alice and bob in conversation with msg queued from
+// alice and plays one round for both. It returns the round played.
+func playPair(front *rpc.MultiClient, alice, bob *client.User, msg string) uint64 {
 	if err := alice.StartConversation(bob.PublicKey()); err != nil {
 		log.Fatal(err)
 	}
@@ -149,21 +135,34 @@ func submitPair(front *rpc.MultiClient, alice, bob *client.User, round uint64, m
 	if err := alice.QueueMessage([]byte(msg)); err != nil {
 		log.Fatal(err)
 	}
-	outA, err := alice.BuildRound(round, front)
+	round, err := front.Play(alice, bob)
 	if err != nil {
-		log.Fatalf("alice build: %v", err)
+		log.Fatalf("round %d: %v", round, err)
 	}
-	outB, err := bob.BuildRound(round, front)
-	if err != nil {
-		log.Fatalf("bob build: %v", err)
+	return round
+}
+
+// awaitBody triggers a round at a time, up to rounds of them from
+// round on, and counts the copies of msg bob receives in each until one
+// has any. It returns the count and the round that delivered them.
+func awaitBody(front *rpc.MultiClient, driver *rpc.Client, bob *client.User, round uint64, rounds int, msg string) (copies int, delivered uint64) {
+	for r := round; r < round+uint64(rounds) && copies == 0; r++ {
+		rep, err := driver.RunRound()
+		if err != nil {
+			log.Fatalf("round: %v", err)
+		}
+		fmt.Printf("round %d executed: %d messages delivered\n", rep.Round, rep.Delivered)
+		recv, err := front.Receive(r, bob)
+		if err != nil {
+			log.Fatalf("receive: %v", err)
+		}
+		for _, m := range recv {
+			if m.FromPartner && m.Kind == onion.KindConversation && string(m.Body) == msg {
+				copies, delivered = copies+1, r
+			}
+		}
 	}
-	if err := front.Submit(alice.Mailbox(), outA); err != nil {
-		log.Fatalf("alice submit: %v", err)
-	}
-	if err := front.Submit(bob.Mailbox(), outB); err != nil {
-		log.Fatalf("bob submit: %v", err)
-	}
-	return outA
+	return copies, delivered
 }
 
 // runCrashDrill is the client half of scripts/crash_e2e.sh. Both
@@ -177,31 +176,14 @@ func submitPair(front *rpc.MultiClient, alice, bob *client.User, round uint64, m
 // replayed its WAL), the gateway redelivers until acked
 // (at-least-once), the MultiClient suppresses the redelivery
 // (exactly-once at the application), and an ack prunes it for good.
-func runCrashDrill(front *rpc.MultiClient, driver *rpc.Client, dir, msg string) {
-	st, err := front.Status()
-	if err != nil {
-		log.Fatalf("status: %v", err)
-	}
-	plan, err := chainsel.NewPlan(st.NumChains)
-	if err != nil {
-		log.Fatal(err)
-	}
+func runCrashDrill(front *rpc.MultiClient, driver *rpc.Client, plan *chainsel.Plan, dir, msg string) {
 	// Both mailboxes — submissions and delivery — must live on the
 	// gateway the script kills, or the drill proves nothing.
 	target := front.Clients()[0].Addr()
-	draw := func() *client.User {
-		for tries := 0; ; tries++ {
-			if tries > 2000 {
-				log.Fatalf("crash-drill: could not place a user on %s", target)
-			}
-			if u := client.NewUser(nil, plan); front.ClientFor(u.Mailbox()).Addr() == target {
-				return u
-			}
-		}
-	}
-	alice, bob := draw(), draw()
-	submitPair(front, alice, bob, st.Round, msg)
-	fmt.Printf("crash-drill: round %d outputs acknowledged by %s\n", st.Round, target)
+	onTarget := func(u *client.User) bool { return front.ClientFor(u.Mailbox()).Addr() == target }
+	alice, bob := drawUser(plan, onTarget), drawUser(plan, onTarget)
+	round := playPair(front, alice, bob, msg)
+	fmt.Printf("crash-drill: round %d outputs acknowledged by %s\n", round, target)
 
 	if err := os.WriteFile(filepath.Join(dir, "submitted"), nil, 0o644); err != nil {
 		log.Fatal(err)
@@ -229,28 +211,7 @@ func runCrashDrill(front *rpc.MultiClient, driver *rpc.Client, dir, msg string) 
 
 	// Exactly-once within two rounds: the replayed submissions feed
 	// the round they were built for.
-	copies, delivered := 0, uint64(0)
-	for attempt := 1; attempt <= 2 && copies == 0; attempt++ {
-		rep, err := driver.RunRound()
-		if err != nil {
-			log.Fatalf("round (attempt %d): %v", attempt, err)
-		}
-		fmt.Printf("crash-drill: round %d executed, %d delivered\n", rep.Round, rep.Delivered)
-		msgs, err := front.Fetch(rep.Round, bob.Mailbox())
-		if err != nil {
-			log.Fatalf("fetch: %v", err)
-		}
-		recv, bad := bob.OpenMailbox(rep.Round, msgs)
-		if bad != 0 {
-			log.Fatalf("%d undecryptable messages", bad)
-		}
-		for _, r := range recv {
-			if r.FromPartner && r.Kind == onion.KindConversation && string(r.Body) == msg {
-				copies++
-				delivered = rep.Round
-			}
-		}
-	}
+	copies, delivered := awaitBody(front, driver, bob, round, 2, msg)
 	if copies != 1 {
 		log.Fatalf("crash-drill: %d copies delivered across two rounds, want exactly 1", copies)
 	}

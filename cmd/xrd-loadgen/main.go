@@ -364,14 +364,9 @@ func verifySample(front *rpc.MultiClient, users []*client.User, round uint64) {
 	}
 	checked, got := 0, 0
 	for i := 0; i < len(users) && checked < sample; i += stride {
-		u := users[i]
-		msgs, err := front.Fetch(round, u.Mailbox())
+		recv, err := front.Receive(round, users[i])
 		if err != nil {
-			log.Fatalf("fetch user %d: %v", i, err)
-		}
-		recv, bad := u.OpenMailbox(round, msgs)
-		if bad != 0 {
-			log.Fatalf("user %d: %d undecryptable messages", i, bad)
+			log.Fatalf("user %d: %v", i, err)
 		}
 		checked++
 		for _, r := range recv {

@@ -89,17 +89,13 @@ func run(w io.Writer) error {
 	defer gateway.Close()
 	fmt.Fprintf(w, "gateway listening on %s (TLS 1.3, pinned certificate)\n", gateway.Addr())
 
-	// Client side: each user dials the gateway independently.
-	conns := make([]*rpc.Client, 3)
-	for i := range conns {
-		c, err := rpc.Dial(gateway.Addr(), gateway.ClientTLS())
-		if err != nil {
-			return err
-		}
-		defer c.Close()
-		conns[i] = c
+	// Client side: the users play through one MultiClient; the gateway
+	// is also the coordinator here, so it triggers the round too.
+	front, err := rpc.NewMultiClient([]rpc.Endpoint{{Addr: gateway.Addr(), TLS: gateway.ClientTLS()}})
+	if err != nil {
+		return err
 	}
-	aliceConn, bobConn, driver := conns[0], conns[1], conns[2]
+	defer front.Close()
 
 	alice := client.NewUser(nil, net.Plan())
 	bob := client.NewUser(nil, net.Plan())
@@ -113,42 +109,25 @@ func run(w io.Writer) error {
 		return err
 	}
 
-	st, err := driver.Status()
+	st, err := front.Status()
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "deployment: round %d, %d chain(s) of %d, l=%d\n", st.Round, st.NumChains, st.ChainLength, st.L)
 
-	// Build and submit both users' rounds remotely; the rpc.Client is
-	// a client.ParamsSource, so the user code is identical to the
-	// in-process path.
-	for _, pair := range []struct {
-		name string
-		u    *client.User
-		c    *rpc.Client
-	}{{"alice", alice, aliceConn}, {"bob", bob, bobConn}} {
-		out, err := pair.u.BuildRound(st.Round, pair.c)
-		if err != nil {
-			return fmt.Errorf("%s build: %w", pair.name, err)
-		}
-		if err := pair.c.Submit(pair.u.Mailbox(), out); err != nil {
-			return fmt.Errorf("%s submit: %w", pair.name, err)
-		}
+	round, err := front.Play(alice, bob)
+	if err != nil {
+		return err
 	}
-
-	rep, err := driver.RunRound()
+	rep, err := front.Clients()[0].RunRound()
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "round %d executed over the distributed chain: %d messages delivered\n", rep.Round, rep.Delivered)
 
-	msgs, err := bobConn.Fetch(rep.Round, bob.Mailbox())
+	recv, err := front.Receive(round, bob)
 	if err != nil {
 		return err
-	}
-	recv, bad := bob.OpenMailbox(rep.Round, msgs)
-	if bad != 0 {
-		return fmt.Errorf("%d undecryptable messages", bad)
 	}
 	for _, r := range recv {
 		if r.FromPartner && r.Kind == onion.KindConversation {

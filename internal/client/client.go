@@ -86,8 +86,8 @@ type User struct {
 	former []*peer
 
 	// epoch is plan's topology epoch. drained records the bodies recent
-	// builds popped from partners' queues, in pop order, until Settle or
-	// restoreDrained settles them.
+	// builds popped from partners' queues, in pop order, until Settle,
+	// Withdraw or restoreDrained settles them.
 	epoch   uint64
 	drained []drainRecord
 }
@@ -345,6 +345,9 @@ func (u *User) Rebalance(plan *chainsel.Plan, epoch uint64) (dropped []group.Poi
 	return dropped
 }
 
+// Epoch returns the topology epoch of the user's plan (Rebalance).
+func (u *User) Epoch() uint64 { return u.epoch }
+
 // ChainMessage is one submission addressed to one chain.
 type ChainMessage struct {
 	Chain int
@@ -436,6 +439,13 @@ func (u *User) Settle(outcomes []Outcome) {
 		return true, slices.ContainsFunc(d.plan.ChainsForUser(me), dead) ||
 			slices.Contains(o.Failed, d.plan.MeetingChainForUsers(me, d.p.key.Bytes()))
 	})
+}
+
+// Withdraw undoes round rho's build that never reached a gateway: its
+// bodies go back to the front of their queues, in send order, and
+// their records go, so no later Settle restores them again.
+func (u *User) Withdraw(rho uint64) {
+	u.undo(func(d *drainRecord) (bool, bool) { return d.round == rho, d.round == rho })
 }
 
 // undo removes the drain records settle reports done, newest first,

@@ -240,3 +240,31 @@ func TestDrainRecordsStayInWindow(t *testing.T) {
 		}
 	}
 }
+
+// TestWithdraw: withdrawing round 6's build puts the body it drained
+// back at the front of the queue and drops its record, and leaves round
+// 5's record alone. Outcomes that would restore both rounds then
+// restore round 5's body alone, ahead of it, so the queue is in send
+// order, and settling them again restores nothing more.
+func TestWithdraw(t *testing.T) {
+	a, p, _ := settleFixture(t)
+	for _, body := range []string{"y", "z"} {
+		if err := a.QueueMessage([]byte(body)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := a.BuildRound(6, innerAgg{agg: group.Base(group.MustRandomScalar())}); err != nil {
+		t.Fatal(err)
+	}
+	a.Withdraw(6)
+	if got := queued(p); !slices.Equal(got, []string{"y", "z"}) || len(a.drained) != 1 || a.drained[0].round != 5 {
+		t.Fatalf("queue %q and %d records after withdrawing round 6, want [y z] and round 5's record", got, len(a.drained))
+	}
+	outcomes := []Outcome{{Round: 6, Epoch: 1}, {Round: 5, Epoch: 1}}
+	for range 2 {
+		a.Settle(outcomes)
+		if got := queued(p); !slices.Equal(got, []string{"x", "y", "z"}) || len(a.drained) != 0 {
+			t.Fatalf("queue %q and %d records after settling, want [x y z] and none", got, len(a.drained))
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 
@@ -70,6 +71,14 @@ func (eu *bankedUser) cover(r uint64) []client.ChainMessage {
 	return nil
 }
 
+// holds reports whether out's lanes are the ones banked for its round.
+func (eu *bankedUser) holds(out *client.RoundOutput) bool {
+	i := slices.IndexFunc(eu.subs, func(s bankedSub) bool { return s.round == out.Round })
+	return i >= 0 &&
+		bytes.Equal(appendChainMessages(nil, eu.subs[i].current), appendChainMessages(nil, out.Current)) &&
+		bytes.Equal(appendChainMessages(nil, eu.subs[i].cover), appendChainMessages(nil, out.Cover))
+}
+
 // entry returns round r's entry, inserting an empty one in round order
 // if there is none.
 func (eu *bankedUser) entry(r uint64) *bankedSub {
@@ -109,9 +118,21 @@ func (eu *bankedUser) dropThrough(rho uint64) bool {
 // user's submission (the batches are global), which is what lets a
 // client fail over to another gateway when its own is briefly
 // unreachable.
+//
+// A resubmission of what is already banked for its round is acked
+// again, window open or not, and logs nothing: it is the client's retry
+// after a lost reply, and refusing it would make the client send the
+// banked body a second time. A different submission for that round is
+// refused.
 func (f *Frontend) SubmitExternal(mailbox string, out *client.RoundOutput) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	if eu := f.bank[mailbox]; eu != nil && len(eu.current(out.Round)) > 0 {
+		if eu.holds(out) {
+			return nil
+		}
+		return fmt.Errorf("core: duplicate submission for round %d", out.Round)
+	}
 	switch open := f.round > f.collected; {
 	case out.Round == f.round && open:
 	case open:
@@ -121,9 +142,6 @@ func (f *Frontend) SubmitExternal(mailbox string, out *client.RoundOutput) error
 	}
 	if len(out.Current) == 0 {
 		return fmt.Errorf("core: submission carries no messages for round %d", out.Round)
-	}
-	if eu := f.bank[mailbox]; eu != nil && len(eu.current(out.Round)) > 0 {
-		return fmt.Errorf("core: duplicate submission for round %d", out.Round)
 	}
 	if err := f.applySubmitLocked(mailbox, out); err != nil {
 		return err

@@ -246,3 +246,37 @@ func TestExternalUserBytes(t *testing.T) {
 		t.Fatalf("%d banked users cost %.1f B each, want ≤ 256", len(fe.bank), per)
 	}
 }
+
+// TestIdenticalResubmitLogsNothing: a resubmission of the output banked
+// for its round is acked without a log write — it succeeds on a store
+// whose sync fails — before the round is collected and while it
+// mixes; a different submission for the round is refused.
+func TestIdenticalResubmitLogsNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	st := &syncFails{}
+	fe, err := NewFrontend(FrontendConfig{Store: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fe.Rebalance(0, 3); err != nil {
+		t.Fatal(err)
+	}
+	who, out := string(testMailbox(0)), testOutput(rng, 1, 3)
+	if err := fe.SubmitExternal(who, out); err != nil {
+		t.Fatal(err)
+	}
+	st.fail = true
+	for _, phase := range []string{"open", "mixing"} {
+		if phase == "mixing" {
+			if _, err := fe.BeginRound(&BeginRound{Round: 1, Params: bareParams(1, 0, 3)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := fe.SubmitExternal(who, out); err != nil {
+			t.Fatalf("%s: identical resubmission: %v", phase, err)
+		}
+		if err := fe.SubmitExternal(who, testOutput(rng, 1, 3)); err == nil || !strings.Contains(err.Error(), "duplicate") {
+			t.Fatalf("%s: a different submission: %v, want the duplicate refusal", phase, err)
+		}
+	}
+}

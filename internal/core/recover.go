@@ -33,11 +33,11 @@ import (
 //     listed in its ShardBuild.Skipped (Frontend.dropped), and the
 //     round strands her. The round's outcome names the new epoch, so
 //     Settle restores her dropped body (client.User), and she sends it
-//     again once her client has moved to the new plan: a driver that
-//     sees a new epoch in Status re-derives the plan from its chain
-//     count and calls Rebalance (rpc.Client drops the parameters it
-//     cached under the old epoch there). The rpc tests' driver does;
-//     the command-line drivers do not yet.
+//     again once her client has moved to the new plan: rpc.MultiClient's
+//     Play, every remote driver's round loop, sees the new epoch in
+//     Status, re-derives the plan from its chain count and calls
+//     Rebalance (rpc.Client drops the parameters it cached under the
+//     old epoch there).
 //   - The parameters the bank's traffic was built from. Until the new
 //     epoch's snapshot reaches the shard it serves no parameters and
 //     its window for the upcoming round is closed: a submission built

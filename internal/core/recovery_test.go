@@ -185,15 +185,23 @@ func TestCrashRecoveryExactlyOnce(t *testing.T) {
 
 	// Round 2: crash between the submission ack and the round — the
 	// SubmitExternal durability point. The replayed submissions must
-	// feed the round exactly once, and a client retry of the same
+	// feed the round exactly once: a client retry of the same
 	// submission (its at-least-once move after losing the connection)
-	// must be refused as the duplicate it is.
+	// is acked as the one the replay banked, and a different one for
+	// the round is refused as a duplicate.
 	out2 := submit(alice, "r2")
 	submit(bob, "r2")
 	crash()
-	err = shard.cur().SubmitExternal(string(alice.Mailbox()), out2)
+	if err := shard.cur().SubmitExternal(string(alice.Mailbox()), out2); err != nil {
+		t.Fatalf("retried submission after crash: %v, want it acked", err)
+	}
+	other, err := alice.BuildRound(n.Round(), n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = shard.cur().SubmitExternal(string(alice.Mailbox()), other)
 	if err == nil || !strings.Contains(err.Error(), "duplicate") {
-		t.Fatalf("retried submission after crash: err = %v, want duplicate rejection", err)
+		t.Fatalf("a different submission after crash: err = %v, want duplicate rejection", err)
 	}
 	rep2 := runRound(t, n)
 	if rep2.Delivered == 0 {

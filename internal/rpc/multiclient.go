@@ -14,6 +14,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/chainsel"
 	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/mix"
@@ -416,4 +417,57 @@ func (m *MultiClient) Register(mailboxes [][]byte) (int, error) {
 		}
 	}
 	return total, nil
+}
+
+// Play runs one round for remote users: one Status call, then for
+// each user, whatever another's result, Rebalance onto the plan of a
+// new epoch, Settle with the served outcomes, BuildRound and Submit. It
+// returns the round built and the users' errors joined. A round whose
+// build fails or whose submission a gateway refuses (an error retriable
+// rejects) left nothing at the gateway, so it is withdrawn and its
+// bodies go next round. A transport failure that outlasts Attempts is
+// ambiguous, since a gateway may have banked the submission; its
+// records stay for Settle, which restores by the round's outcome.
+func (m *MultiClient) Play(users ...*client.User) (uint64, error) {
+	st, err := m.Status()
+	if err != nil {
+		return 0, err
+	}
+	moved := func(u *client.User) bool { return u.Epoch() != st.Epoch }
+	var plan *chainsel.Plan
+	if slices.ContainsFunc(users, moved) {
+		if plan, err = chainsel.NewPlan(st.NumChains); err != nil {
+			return st.Round, err
+		}
+	}
+	var errs []error
+	for _, u := range users {
+		if moved(u) {
+			u.Rebalance(plan, st.Epoch)
+		}
+		u.Settle(st.Outcomes)
+		out, err := u.BuildRound(st.Round, m)
+		if err == nil {
+			err = m.Submit(u.Mailbox(), out)
+		}
+		if err != nil && (out == nil || !retriable(err)) {
+			u.Withdraw(st.Round)
+		}
+		errs = append(errs, err)
+	}
+	return st.Round, errors.Join(errs...)
+}
+
+// Receive fetches u's mailbox for round and opens it. A message none
+// of her keys opens is an error: an honest deployment delivers none.
+func (m *MultiClient) Receive(round uint64, u *client.User) ([]client.Received, error) {
+	msgs, err := m.Fetch(round, u.Mailbox())
+	if err != nil {
+		return nil, err
+	}
+	recv, bad := u.OpenMailbox(round, msgs)
+	if bad != 0 {
+		return recv, fmt.Errorf("rpc: round %d: %d undecryptable messages", round, bad)
+	}
+	return recv, nil
 }

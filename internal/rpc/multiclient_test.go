@@ -3,8 +3,19 @@ package rpc
 import (
 	"encoding/binary"
 	"fmt"
+	"net"
+	"slices"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
+	"repro/internal/aead"
+	"repro/internal/chainsel"
+	"repro/internal/client"
+	"repro/internal/core"
+	"repro/internal/group"
+	"repro/internal/mix"
 	"repro/internal/onion"
 )
 
@@ -77,5 +88,207 @@ func BenchmarkDedupFetched(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// playRounds plays and runs rounds rounds of alice and bob and returns
+// the bodies bob received, leaving out the empty one a round with
+// nothing queued carries.
+func playRounds(t testing.TB, front *MultiClient, n *core.Network, rounds int, alice, bob *client.User) []string {
+	t.Helper()
+	var got []string
+	for range rounds {
+		rho, err := front.Play(alice, bob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := n.RunRound(); err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range bodiesFor(t, front, rho, bob) {
+			if b != "" {
+				got = append(got, b)
+			}
+		}
+	}
+	return got
+}
+
+// heldHop is a position whose first Mix, of all the positions sharing
+// once, signals mixing and waits for release: the round stays in its
+// mixing phase until then.
+type heldHop struct {
+	mix.Hop
+	once            *sync.Once
+	mixing, release chan struct{}
+}
+
+func (h heldHop) Mix(round uint64, nonce [aead.NonceSize]byte, in []onion.Envelope) (*mix.MixResult, error) {
+	h.once.Do(func() { close(h.mixing); <-h.release })
+	return h.Hop.Mix(round, nonce, in)
+}
+
+// TestRefusedSubmissionSendsAgain: alice plays while round ρ is
+// mixing, so the gateway refuses her submission for it, and Play puts
+// the body her build drained back in her queue. Round ρ's outcome shows
+// every chain delivered, so nothing but that withdrawal sends the body
+// again: the next rounds deliver it to bob exactly once.
+func TestRefusedSubmissionSendsAgain(t *testing.T) {
+	fe, err := core.NewFrontend(core.FrontendConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var once sync.Once
+	mixing, release := make(chan struct{}), make(chan struct{})
+	n, err := core.NewNetwork(core.Config{
+		NumServers:          3,
+		NumChains:           1,
+		ChainLengthOverride: 3,
+		Seed:                []byte("refused-submission"),
+		Shards:              []core.GatewayShard{fe},
+		HopForServer: func(_ uint64, _, chain, pos int, base group.Point) (mix.Hop, error) {
+			h := mix.LocalHop(mix.NewChainServer(chain, pos, base, nil))
+			return heldHop{Hop: h, once: &once, mixing: mixing, release: release}, nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServer(n, fe, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Logf = func(string, ...any) {}
+	t.Cleanup(func() { srv.Close() })
+	front := newFront(t, srv.listenerCore)
+	alice, bob := conversingPair(t, n)
+	if err := alice.QueueMessage([]byte("again")); err != nil {
+		t.Fatal(err)
+	}
+
+	// bob's round gives the held round a batch to mix.
+	if _, err := front.Play(bob); err != nil {
+		t.Fatal(err)
+	}
+	unblock := sync.OnceFunc(func() { close(release) })
+	defer unblock()
+	done := make(chan error, 1)
+	go func() {
+		_, err := n.RunRound()
+		done <- err
+	}()
+	select {
+	case <-mixing:
+	case err := <-done:
+		t.Fatalf("the round ran without mixing: %v", err)
+	}
+	if rho, err := front.Play(alice); err == nil || retriable(err) {
+		t.Fatalf("alice's play of round %d while it mixes: %v, want the gateway's refusal", rho, err)
+	}
+	unblock()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+
+	if got := playRounds(t, front, n, 2, alice, bob); !slices.Equal(got, []string{"again"}) {
+		t.Fatalf("bob received %q over the next two rounds, want \"again\" once", got)
+	}
+}
+
+// TestPlayResubmitAfterLostReply: the one gateway banks alice's
+// submission and the reply is lost. MultiClient submits again on a
+// fresh connection, the gateway acks the identical resubmission (a
+// refusal would make Play withdraw a body the gateway holds), and bob
+// receives the body exactly once.
+func TestPlayResubmitAfterLostReply(t *testing.T) {
+	n, srv := newDeployment(t)
+	var cut atomic.Bool
+	srv.SetConnWrapper(func(c net.Conn) net.Conn {
+		return &cutReply{Conn: c, method: "submit", cut: &cut}
+	})
+	front := newFront(t, srv.listenerCore)
+	alice, bob := conversingPair(t, n)
+	if err := alice.QueueMessage([]byte("once")); err != nil {
+		t.Fatal(err)
+	}
+	got := playRounds(t, front, n, 2, alice, bob)
+	if !cut.Load() {
+		t.Fatal("no submit reply was cut")
+	}
+	if !slices.Equal(got, []string{"once"}) {
+		t.Fatalf("bob received %q over two rounds, want \"once\" once", got)
+	}
+}
+
+// TestPlayWithdrawsFailedBuild: alice's client holds a plan of one
+// chain more than the deployment runs, so her build drains the body on
+// her meeting chain and then fails on the chain the gateway does not
+// serve. Nothing reached the gateway, so Play puts the body back, and
+// once her plan is the deployment's the next Play delivers it to bob
+// exactly once.
+func TestPlayWithdrawsFailedBuild(t *testing.T) {
+	n, srv := newDeployment(t)
+	front := newFront(t, srv.listenerCore)
+	wide, err := chainsel.NewPlan(n.NumChains() + 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	extra := n.NumChains()
+	var alice, bob *client.User
+	for tries := 0; ; tries++ {
+		if tries == 1000 {
+			t.Fatal("no pair whose meeting chain comes before the extra chain in alice's row")
+		}
+		alice, bob = client.NewUser(nil, wide), client.NewUser(nil, n.Plan())
+		row := alice.Chains()
+		meeting := wide.MeetingChainForUsers(alice.Mailbox(), bob.Mailbox())
+		if i := slices.Index(row, extra); i > 0 && slices.Index(row, meeting) < i && meeting != extra {
+			break
+		}
+	}
+	if err := alice.StartConversation(bob.PublicKey()); err != nil {
+		t.Fatal(err)
+	}
+	if err := alice.QueueMessage([]byte("kept")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := front.Play(alice); err == nil || !strings.Contains(err.Error(), "building round") {
+		t.Fatalf("a build on a chain the deployment does not run: %v, want it to fail", err)
+	}
+	alice.Rebalance(n.Plan(), n.Epoch())
+	if err := bob.StartConversation(alice.PublicKey()); err != nil {
+		t.Fatal(err)
+	}
+	if got := playRounds(t, front, n, 2, alice, bob); !slices.Equal(got, []string{"kept"}) {
+		t.Fatalf("bob received %q over two rounds, want \"kept\" once", got)
+	}
+}
+
+// TestPlayKeepsAmbiguousSubmission: with one attempt, the lost reply of
+// a submission the gateway banked is a transport failure Play cannot
+// resolve. It keeps the records for Settle rather than withdrawing, so
+// the body the round delivers is not sent again.
+func TestPlayKeepsAmbiguousSubmission(t *testing.T) {
+	n, srv := newDeployment(t)
+	var cut atomic.Bool
+	srv.SetConnWrapper(func(c net.Conn) net.Conn {
+		return &cutReply{Conn: c, method: "submit", cut: &cut}
+	})
+	front := newFront(t, srv.listenerCore)
+	front.Attempts = 1
+	alice, bob := conversingPair(t, n)
+	if err := alice.QueueMessage([]byte("once")); err != nil {
+		t.Fatal(err)
+	}
+	rho, err := front.Play(alice, bob)
+	if !IsTransportError(err) {
+		t.Fatalf("play with the reply cut: %v, want a transport error", err)
+	}
+	if _, err := n.RunRound(); err != nil {
+		t.Fatal(err)
+	}
+	got := append(bodiesFor(t, front, rho, bob), playRounds(t, front, n, 1, alice, bob)...)
+	if !slices.Equal(got, []string{"once"}) {
+		t.Fatalf("bob received %q over two rounds, want \"once\" once", got)
 	}
 }

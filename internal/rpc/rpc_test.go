@@ -1,6 +1,7 @@
 package rpc
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -78,45 +79,18 @@ func TestStatusOverTLS(t *testing.T) {
 // submit, trigger, fetch, decrypt.
 func TestRemoteConversation(t *testing.T) {
 	n, srv := newDeployment(t)
+	front := newFront(t, srv.listenerCore)
 
-	dial := func() *Client {
-		c, err := Dial(srv.Addr(), srv.ClientTLS())
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { c.Close() })
-		return c
-	}
-	aliceConn, bobConn, driver := dial(), dial(), dial()
-
-	aliceU := newRemoteUser(t, n)
-	bobU := newRemoteUser(t, n)
-	aliceU.StartConversation(bobU.PublicKey())
-	bobU.StartConversation(aliceU.PublicKey())
+	aliceU, bobU := conversingPair(t, n)
 	if err := aliceU.QueueMessage([]byte("over the wire")); err != nil {
 		t.Fatal(err)
 	}
 
-	st, err := driver.Status()
+	round, err := front.Play(aliceU, bobU)
 	if err != nil {
 		t.Fatal(err)
 	}
-	outA, err := aliceU.BuildRound(st.Round, aliceConn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	outB, err := bobU.BuildRound(st.Round, bobConn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := aliceConn.Submit(aliceU.Mailbox(), outA); err != nil {
-		t.Fatal(err)
-	}
-	if err := bobConn.Submit(bobU.Mailbox(), outB); err != nil {
-		t.Fatal(err)
-	}
-
-	rep, err := driver.RunRound()
+	rep, err := front.Clients()[0].RunRound()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,22 +101,7 @@ func TestRemoteConversation(t *testing.T) {
 	if rep.Delivered != 2*l {
 		t.Fatalf("delivered %d, want %d", rep.Delivered, 2*l)
 	}
-
-	msgs, err := bobConn.Fetch(rep.Round, bobU.Mailbox())
-	if err != nil {
-		t.Fatal(err)
-	}
-	recv, bad := bobU.OpenMailbox(rep.Round, msgs)
-	if bad != 0 {
-		t.Fatalf("%d undecryptable", bad)
-	}
-	var got []byte
-	for _, r := range recv {
-		if r.FromPartner && r.Kind == onion.KindConversation {
-			got = r.Body
-		}
-	}
-	if string(got) != "over the wire" {
+	if got := bodiesFor(t, front, round, bobU); !slices.Equal(got, []string{"over the wire"}) {
 		t.Fatalf("bob received %q", got)
 	}
 }
@@ -154,25 +113,68 @@ func newRemoteUser(t testing.TB, n *core.Network) *client.User {
 	return client.NewUser(nil, n.Plan())
 }
 
+// conversingPair draws two remote users of n's plan in conversation
+// with each other.
+func conversingPair(t testing.TB, n *core.Network) (*client.User, *client.User) {
+	t.Helper()
+	alice, bob := newRemoteUser(t, n), newRemoteUser(t, n)
+	if err := alice.StartConversation(bob.PublicKey()); err != nil {
+		t.Fatal(err)
+	}
+	if err := bob.StartConversation(alice.PublicKey()); err != nil {
+		t.Fatal(err)
+	}
+	return alice, bob
+}
+
+// newFront builds a MultiClient over the given endpoints and discovers
+// their ranges.
+func newFront(t testing.TB, endpoints ...*listenerCore) *MultiClient {
+	t.Helper()
+	var eps []Endpoint
+	for _, lc := range endpoints {
+		eps = append(eps, Endpoint{Addr: lc.Addr(), TLS: lc.ClientTLS()})
+	}
+	front, err := NewMultiClient(eps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { front.Close() })
+	if err := front.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	return front
+}
+
+// bodiesFor returns the conversation bodies u received in round, read
+// through Receive.
+func bodiesFor(t testing.TB, front *MultiClient, round uint64, u *client.User) []string {
+	t.Helper()
+	recv, err := front.Receive(round, u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for _, r := range recv {
+		if r.FromPartner && r.Kind == onion.KindConversation {
+			out = append(out, string(r.Body))
+		}
+	}
+	return out
+}
+
 // TestRemoteUserChurn: a remote user submits covers, misses the next
 // round, and her covers run in her place.
 func TestRemoteUserChurn(t *testing.T) {
 	n, srv := newDeployment(t)
-	conn, err := Dial(srv.Addr(), srv.ClientTLS())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
+	front := newFront(t, srv.listenerCore)
+	driver := front.Clients()[0]
 
 	u := newRemoteUser(t, n)
-	out, err := u.BuildRound(n.Round(), conn)
-	if err != nil {
+	if _, err := front.Play(u); err != nil {
 		t.Fatal(err)
 	}
-	if err := conn.Submit(u.Mailbox(), out); err != nil {
-		t.Fatal(err)
-	}
-	rep1, err := conn.RunRound()
+	rep1, err := driver.RunRound()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +182,7 @@ func TestRemoteUserChurn(t *testing.T) {
 		t.Fatalf("round 1 delivered %d", rep1.Delivered)
 	}
 	// She misses round 2: her covers must run.
-	rep2, err := conn.RunRound()
+	rep2, err := driver.RunRound()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +192,7 @@ func TestRemoteUserChurn(t *testing.T) {
 	if rep2.Delivered != n.Plan().L {
 		t.Fatalf("round 2 delivered %d, want ℓ", rep2.Delivered)
 	}
-	msgs, err := conn.Fetch(rep2.Round, u.Mailbox())
+	msgs, err := driver.Fetch(rep2.Round, u.Mailbox())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,12 +220,20 @@ func TestSubmitValidation(t *testing.T) {
 	if err := conn.Submit(u.Mailbox(), &stale); err == nil {
 		t.Fatal("stale-round submission accepted")
 	}
-	// Duplicate submission is rejected.
+	// A resubmission of the banked output is acked again — the retry
+	// after a lost reply — and a different one for the round is refused.
 	if err := conn.Submit(u.Mailbox(), out); err != nil {
 		t.Fatal(err)
 	}
-	if err := conn.Submit(u.Mailbox(), out); err == nil {
-		t.Fatal("duplicate submission accepted")
+	if err := conn.Submit(u.Mailbox(), out); err != nil {
+		t.Fatalf("identical resubmission refused: %v", err)
+	}
+	other, err := u.BuildRound(n.Round(), conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.Submit(u.Mailbox(), other); err == nil || !strings.Contains(err.Error(), "duplicate submission") {
+		t.Fatalf("a different submission for the banked round: %v", err)
 	}
 	// A mailbox identifier that is not a compressed key is refused by
 	// its length, at registration and at submission.
@@ -240,6 +250,63 @@ func TestSubmitValidation(t *testing.T) {
 	err = conn.send("submit", forge(t, "submit", req, out.Current[0].Sub.DHKey.Bytes(), offCurve), &resp)
 	if err == nil || !strings.Contains(err.Error(), "point") {
 		t.Fatalf("off-curve key accepted: %v", err)
+	}
+}
+
+// TestSubmitRowChecked: the submit handler accepts a lane only as the
+// sender's row, in order — one message to each of her ℓ chains — so a
+// remote user cannot put more traffic on the wire than ℓ messages a
+// round, nor choose her chains. Each refused submission leaves the
+// round open to her well-formed one.
+func TestSubmitRowChecked(t *testing.T) {
+	n, srv := newDeployment(t)
+	conn, err := Dial(srv.Addr(), srv.ClientTLS())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	u := newRemoteUser(t, n)
+	out, err := u.BuildRound(n.Round(), conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out.Current) < 2 {
+		t.Fatalf("ℓ = %d: no row to reorder", len(out.Current))
+	}
+	swapped := slices.Clone(out.Current)
+	swapped[0], swapped[len(swapped)-1] = swapped[len(swapped)-1], swapped[0]
+	if swapped[0].Chain == out.Current[0].Chain {
+		swapped[0].Chain = (swapped[0].Chain + 1) % n.NumChains()
+	}
+	for name, bad := range map[string]*client.RoundOutput{
+		"twice ℓ messages":   {Round: out.Round, Current: append(slices.Clone(out.Current), out.Current...), Cover: out.Cover},
+		"one message short":  {Round: out.Round, Current: out.Current[1:], Cover: out.Cover},
+		"chains out of row":  {Round: out.Round, Current: swapped, Cover: out.Cover},
+		"covers out of row":  {Round: out.Round, Current: out.Current, Cover: swapped},
+		"another user's row": {Round: out.Round, Current: out.Current, Cover: out.Cover},
+	} {
+		mailbox := u.Mailbox()
+		if name == "another user's row" {
+			for other := newRemoteUser(t, n); ; other = newRemoteUser(t, n) {
+				if !slices.Equal(other.Chains(), u.Chains()) {
+					mailbox = other.Mailbox()
+					break
+				}
+			}
+		}
+		if err := conn.Submit(mailbox, bad); err == nil || !strings.Contains(err.Error(), "not the sender's row") {
+			t.Errorf("%s: %v, want the row refusal", name, err)
+		}
+	}
+	if err := conn.Submit(u.Mailbox(), out); err != nil {
+		t.Fatalf("her own row refused: %v", err)
+	}
+	rep, err := conn.RunRound()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Delivered != len(out.Current) {
+		t.Fatalf("round delivered %d, want her ℓ = %d", rep.Delivered, len(out.Current))
 	}
 }
 
@@ -302,29 +369,20 @@ func TestDialRejectsUntrustedServer(t *testing.T) {
 }
 
 // TestManyConcurrentClients: the gateway must serve interleaved
-// requests from many connections; a full cohort of remote users
-// submits concurrently and one round delivers everything.
+// requests from many connections; a full cohort of remote users, each
+// on a client of her own, plays concurrently and one round delivers
+// everything.
 func TestManyConcurrentClients(t *testing.T) {
 	n, srv := newDeployment(t)
 	const cohort = 8
 	users := make([]*client.User, cohort)
 	errs := make(chan error, cohort)
-	round := n.Round()
 	for i := 0; i < cohort; i++ {
 		users[i] = newRemoteUser(t, n)
+		front := newFront(t, srv.listenerCore)
 		go func(u *client.User) {
-			conn, err := Dial(srv.Addr(), srv.ClientTLS())
-			if err != nil {
-				errs <- err
-				return
-			}
-			defer conn.Close()
-			out, err := u.BuildRound(round, conn)
-			if err != nil {
-				errs <- err
-				return
-			}
-			errs <- conn.Submit(u.Mailbox(), out)
+			_, err := front.Play(u)
+			errs <- err
 		}(users[i])
 	}
 	for i := 0; i < cohort; i++ {
@@ -332,12 +390,8 @@ func TestManyConcurrentClients(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	driver, err := Dial(srv.Addr(), srv.ClientTLS())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer driver.Close()
-	rep, err := driver.RunRound()
+	front := newFront(t, srv.listenerCore)
+	rep, err := front.Clients()[0].RunRound()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,13 +399,9 @@ func TestManyConcurrentClients(t *testing.T) {
 		t.Fatalf("delivered %d, want %d", rep.Delivered, want)
 	}
 	for i, u := range users {
-		msgs, err := driver.Fetch(rep.Round, u.Mailbox())
-		if err != nil {
-			t.Fatal(err)
-		}
-		recv, bad := u.OpenMailbox(rep.Round, msgs)
-		if bad != 0 || len(recv) != n.Plan().L {
-			t.Fatalf("user %d: %d messages (%d bad)", i, len(recv), bad)
+		recv, err := front.Receive(rep.Round, u)
+		if err != nil || len(recv) != n.Plan().L {
+			t.Fatalf("user %d: %d messages (%v)", i, len(recv), err)
 		}
 	}
 }

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"slices"
 
+	"repro/internal/chainsel"
 	"repro/internal/client"
 	"repro/internal/core"
+	"repro/internal/group"
 	"repro/internal/mix"
 )
 
@@ -22,6 +25,9 @@ func userMethods(fe *core.Frontend) map[string]handler {
 		}),
 		"submit": typed(func(r *SubmitRequest) (SubmitResponse, error) {
 			out := &client.RoundOutput{Round: r.Round, Current: r.Current, Cover: r.Cover}
+			if err := checkRow(fe.Plan(), r.Mailbox, out); err != nil {
+				return SubmitResponse{}, err
+			}
 			if err := fe.SubmitExternal(string(r.Mailbox), out); err != nil {
 				return SubmitResponse{}, err
 			}
@@ -40,6 +46,25 @@ func userMethods(fe *core.Frontend) map[string]handler {
 			return AckResponse{Pruned: fe.AckMailbox(r.Round, r.Mailbox)}, nil
 		}),
 	}
+}
+
+// checkRow refuses a submission unless each non-empty lane is the
+// sender's row under plan, in order: one message to each of her ℓ
+// chains (§5.3.1), so the wire sees ℓ messages from her whoever sends
+// them. A shard without a plan, or an identifier that is not a key's
+// length, is left to SubmitExternal, which refuses both.
+func checkRow(plan *chainsel.Plan, mailbox []byte, out *client.RoundOutput) error {
+	if plan == nil || len(mailbox) != group.PointSize {
+		return nil
+	}
+	row := plan.ChainsForUser(mailbox)
+	onRow := func(cm client.ChainMessage, c int) bool { return cm.Chain == c }
+	for _, lane := range [][]client.ChainMessage{out.Current, out.Cover} {
+		if len(lane) > 0 && !slices.EqualFunc(lane, row, onRow) {
+			return fmt.Errorf("rpc: submission for round %d is not the sender's row of %d chains", out.Round, len(row))
+		}
+	}
+	return nil
 }
 
 // Server is the round coordinator's endpoint: deployment status, round

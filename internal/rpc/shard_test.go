@@ -8,11 +8,9 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"repro/internal/chainsel"
 	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/mix"
-	"repro/internal/onion"
 )
 
 // newShardedDeployment assembles the full remote-shard topology in one
@@ -82,19 +80,11 @@ func newShardedDeploymentWrapped(t testing.TB, wrap func(net.Conn) net.Conn) (*c
 // discovers their ranges.
 func shardedFront(t testing.TB, servers []*ShardServer) *MultiClient {
 	t.Helper()
-	var eps []Endpoint
+	var lcs []*listenerCore
 	for _, ss := range servers {
-		eps = append(eps, Endpoint{Addr: ss.Addr(), TLS: ss.ClientTLS()})
+		lcs = append(lcs, ss.listenerCore)
 	}
-	front, err := NewMultiClient(eps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { front.Close() })
-	if err := front.Refresh(); err != nil {
-		t.Fatal(err)
-	}
-	return front
+	return newFront(t, lcs...)
 }
 
 // crossShardPair draws two users guaranteed to live on different
@@ -152,40 +142,14 @@ func TestShardedRemoteConversation(t *testing.T) {
 		if err := alice.QueueMessage(body); err != nil {
 			t.Fatal(err)
 		}
-		rho := n.Round()
-		outA, err := alice.BuildRound(rho, front)
+		rho, err := front.Play(alice, bob)
 		if err != nil {
-			t.Fatalf("round %d: alice build: %v", round, err)
+			t.Fatalf("round %d: %v", round, err)
 		}
-		outB, err := bob.BuildRound(rho, front)
-		if err != nil {
-			t.Fatalf("round %d: bob build: %v", round, err)
-		}
-		if err := front.Submit(alice.Mailbox(), outA); err != nil {
+		if _, err := driver.RunRound(); err != nil {
 			t.Fatal(err)
 		}
-		if err := front.Submit(bob.Mailbox(), outB); err != nil {
-			t.Fatal(err)
-		}
-		rep, err := driver.RunRound()
-		if err != nil {
-			t.Fatal(err)
-		}
-		msgs, err := front.Fetch(rep.Round, bob.Mailbox())
-		if err != nil {
-			t.Fatal(err)
-		}
-		recv, bad := bob.OpenMailbox(rep.Round, msgs)
-		if bad != 0 {
-			t.Fatalf("round %d: %d undecryptable", round, bad)
-		}
-		got := ""
-		for _, r := range recv {
-			if r.FromPartner && r.Kind == onion.KindConversation {
-				got = string(r.Body)
-			}
-		}
-		if got != string(body) {
+		if got := bodiesFor(t, front, rho, bob); !slices.Equal(got, []string{string(body)}) {
 			t.Fatalf("round %d: bob received %q, want %q", round, got, body)
 		}
 	}
@@ -260,15 +224,8 @@ func TestShardProcessDeathMidRound(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rho := n.Round()
-	for _, u := range []*client.User{alice, bob, survivor1, survivor2} {
-		out, err := u.BuildRound(rho, front)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := front.Submit(u.Mailbox(), out); err != nil {
-			t.Fatal(err)
-		}
+	if _, err := front.Play(alice, bob, survivor1, survivor2); err != nil {
+		t.Fatal(err)
 	}
 
 	// SIGKILL, in-process form: the listener drops every connection
@@ -288,21 +245,7 @@ func TestShardProcessDeathMidRound(t *testing.T) {
 	}
 
 	// The surviving shard's pair made their round.
-	msgs, err := front.Fetch(rep.Round, survivor2.Mailbox())
-	if err != nil {
-		t.Fatal(err)
-	}
-	recv, bad := survivor2.OpenMailbox(rep.Round, msgs)
-	if bad != 0 {
-		t.Fatalf("%d undecryptable", bad)
-	}
-	got := ""
-	for _, r := range recv {
-		if r.FromPartner && r.Kind == onion.KindConversation {
-			got = string(r.Body)
-		}
-	}
-	if got != "still here" {
+	if got := bodiesFor(t, front, rep.Round, survivor2); !slices.Equal(got, []string{"still here"}) {
 		t.Fatalf("survivor received %q", got)
 	}
 
@@ -315,26 +258,27 @@ func TestShardProcessDeathMidRound(t *testing.T) {
 	}
 }
 
-// cutBeginReply is a shard server's connection that, the first time
-// any connection sharing cut reads a shard.begin request, closes
-// instead of writing the reply: the shard has begun the round, and the
-// coordinator never hears of it.
-type cutBeginReply struct {
+// cutReply is a server's connection that, the first time any
+// connection sharing cut reads a request for method, closes instead of
+// writing the reply: the server has handled the request, and the
+// caller never hears of it.
+type cutReply struct {
 	net.Conn
-	cut      *atomic.Bool
-	sawBegin bool
+	method string
+	cut    *atomic.Bool
+	saw    bool
 }
 
-func (c *cutBeginReply) Read(p []byte) (int, error) {
+func (c *cutReply) Read(p []byte) (int, error) {
 	n, err := c.Conn.Read(p)
-	if bytes.Contains(p[:n], []byte("shard.begin")) {
-		c.sawBegin = true
+	if bytes.Contains(p[:n], []byte(c.method)) {
+		c.saw = true
 	}
 	return n, err
 }
 
-func (c *cutBeginReply) Write(p []byte) (int, error) {
-	if c.sawBegin && c.cut.CompareAndSwap(false, true) {
+func (c *cutReply) Write(p []byte) (int, error) {
+	if c.saw && c.cut.CompareAndSwap(false, true) {
 		c.Conn.Close()
 		return 0, net.ErrClosed
 	}
@@ -350,22 +294,16 @@ func (c *cutBeginReply) Write(p []byte) (int, error) {
 func TestShardBeginRetryKeepsRemoteTraffic(t *testing.T) {
 	var cut atomic.Bool
 	n, _, servers := newShardedDeploymentWrapped(t, func(c net.Conn) net.Conn {
-		return &cutBeginReply{Conn: c, cut: &cut}
+		return &cutReply{Conn: c, method: "shard.begin", cut: &cut}
 	})
 	front := shardedFront(t, servers)
 	alice, bob := crossShardPair(t, n, front)
 	if err := alice.QueueMessage([]byte("once")); err != nil {
 		t.Fatal(err)
 	}
-	rho := n.Round()
-	for _, u := range []*client.User{alice, bob} {
-		out, err := u.BuildRound(rho, front)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := front.Submit(u.Mailbox(), out); err != nil {
-			t.Fatal(err)
-		}
+	rho, err := front.Play(alice, bob)
+	if err != nil {
+		t.Fatal(err)
 	}
 	rep, err := n.RunRound()
 	if err != nil {
@@ -377,19 +315,8 @@ func TestShardBeginRetryKeepsRemoteTraffic(t *testing.T) {
 	if len(rep.DeadShards) != 0 || len(rep.Stranded) != 0 {
 		t.Fatalf("round %d: dead shards %v, stranded %d", rep.Round, rep.DeadShards, len(rep.Stranded))
 	}
-	msgs, err := front.Fetch(rho, bob.Mailbox())
-	if err != nil {
-		t.Fatal(err)
-	}
-	recv, bad := bob.OpenMailbox(rho, msgs)
-	var bodies []string
-	for _, r := range recv {
-		if r.FromPartner && r.Kind == onion.KindConversation {
-			bodies = append(bodies, string(r.Body))
-		}
-	}
-	if bad != 0 || len(bodies) != 1 || bodies[0] != "once" {
-		t.Fatalf("bob received %q (%d undecryptable), want \"once\" exactly once", bodies, bad)
+	if bodies := bodiesFor(t, front, rho, bob); !slices.Equal(bodies, []string{"once"}) {
+		t.Fatalf("bob received %q, want \"once\" exactly once", bodies)
 	}
 }
 
@@ -414,36 +341,15 @@ func TestRemoteUserAcrossReformation(t *testing.T) {
 	defer driver.Close()
 	alice, bob := crossShardPair(t, n, front)
 
-	var epoch uint64
 	play := func(body string) core.RoundReport {
 		t.Helper()
-		st, err := front.Status()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.Epoch != epoch {
-			plan, err := chainsel.NewPlan(st.NumChains)
-			if err != nil {
-				t.Fatal(err)
-			}
-			alice.Rebalance(plan, st.Epoch)
-			bob.Rebalance(plan, st.Epoch)
-			epoch = st.Epoch
-		}
 		if body != "" {
 			if err := alice.QueueMessage([]byte(body)); err != nil {
 				t.Fatal(err)
 			}
 		}
-		for _, u := range []*client.User{alice, bob} {
-			u.Settle(st.Outcomes)
-			out, err := u.BuildRound(st.Round, front)
-			if err != nil {
-				t.Fatalf("round %d build: %v", st.Round, err)
-			}
-			if err := front.Submit(u.Mailbox(), out); err != nil {
-				t.Fatalf("round %d submit: %v", st.Round, err)
-			}
+		if _, err := front.Play(alice, bob); err != nil {
+			t.Fatal(err)
 		}
 		rep, err := driver.RunRound()
 		if err != nil {
@@ -456,21 +362,7 @@ func TestRemoteUserAcrossReformation(t *testing.T) {
 	}
 	bodies := func(round uint64) []string {
 		t.Helper()
-		msgs, err := front.Fetch(round, bob.Mailbox())
-		if err != nil {
-			t.Fatal(err)
-		}
-		recv, bad := bob.OpenMailbox(round, msgs)
-		if bad != 0 {
-			t.Fatalf("round %d: %d undecryptable", round, bad)
-		}
-		var out []string
-		for _, r := range recv {
-			if r.FromPartner && r.Kind == onion.KindConversation {
-				out = append(out, string(r.Body))
-			}
-		}
-		return out
+		return bodiesFor(t, front, round, bob)
 	}
 	received := func(round uint64) string {
 		t.Helper()

@@ -283,14 +283,8 @@ func TestHostileShardBuildRefused(t *testing.T) {
 	n, _, servers := newShardedDeployment(t)
 	front := shardedFront(t, servers)
 	alice, bob := crossShardPair(t, n, front)
-	for _, u := range []*client.User{alice, bob} {
-		out, err := u.BuildRound(n.Round(), front)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := front.Submit(u.Mailbox(), out); err != nil {
-			t.Fatal(err)
-		}
+	if _, err := front.Play(alice, bob); err != nil {
+		t.Fatal(err)
 	}
 	evil := servers[0]
 	serve(evil.listenerCore, "shard.begin", typed(func(br *core.BeginRound) (*core.ShardBuild, error) {
