@@ -1,6 +1,7 @@
 package core
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -513,9 +514,10 @@ func (f *Frontend) onPlanLocked(epoch uint64, numChains int) bool {
 // epoch's (deterministic) chain plan if the shard is not on it yet,
 // sets the round counters, and drops what the position makes
 // unreachable — banked traffic of committed rounds and mail older than
-// the retention window. A new epoch empties the bank, and the remote
-// users whose messages for the position's round it drops are
-// remembered for that round's Skipped. Callers hold f.mu.
+// the retention window, and the accepted digests of rounds before the
+// last committed one. A new epoch empties the bank and the digests,
+// and the remote users whose messages for the position's round it
+// drops are remembered for that round's Skipped. Callers hold f.mu.
 func (f *Frontend) applyWatermarkLocked(w watermark) error {
 	if w.numChains > 0 && !f.onPlanLocked(w.epoch, w.numChains) {
 		plan, err := chainsel.NewPlan(w.numChains)
@@ -533,6 +535,7 @@ func (f *Frontend) applyWatermarkLocked(w watermark) error {
 			}
 		}
 		f.bank = make(map[string]*bankedUser)
+		clear(f.accepted)
 		for i := f.rng.Lo; i < f.rng.Hi; i++ {
 			sh := &f.reg.shards[i]
 			sh.mu.Lock()
@@ -547,6 +550,7 @@ func (f *Frontend) applyWatermarkLocked(w watermark) error {
 		f.dropBankThroughLocked(w.round - 1)
 	}
 	maps.DeleteFunc(f.dropped, func(_ string, r uint64) bool { return r < w.round })
+	maps.DeleteFunc(f.accepted, func(r uint64, _ [][sha256.Size]byte) bool { return r+1 < w.round })
 	if w.round > mailboxRetention {
 		f.boxes.PruneBefore(w.round - mailboxRetention)
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"slices"
 
@@ -123,7 +124,12 @@ func (eu *bankedUser) dropThrough(rho uint64) bool {
 // again, window open or not, and logs nothing: it is the client's retry
 // after a lost reply, and refusing it would make the client send the
 // banked body a second time. A different submission for that round is
-// refused.
+// refused. A retry that arrives after its round committed, and its bank
+// entry with it, is acked the same way, by the SHA-256 of the WAL
+// record its first copy was accepted with, which names the user and the
+// round (Frontend.accepted): kept until the round after it commits,
+// emptied by a re-formation, and never logged, so a restarted shard
+// refuses such a retry.
 func (f *Frontend) SubmitExternal(mailbox string, out *client.RoundOutput) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -132,6 +138,10 @@ func (f *Frontend) SubmitExternal(mailbox string, out *client.RoundOutput) error
 			return nil
 		}
 		return fmt.Errorf("core: duplicate submission for round %d", out.Round)
+	}
+	if out.Round < f.round && !f.banned[mailbox] &&
+		slices.Contains(f.accepted[out.Round], sha256.Sum256(encodeSubmit(mailbox, out))) {
+		return nil
 	}
 	switch open := f.round > f.collected; {
 	case out.Round == f.round && open:
@@ -151,7 +161,8 @@ func (f *Frontend) SubmitExternal(mailbox string, out *client.RoundOutput) error
 	// message survives a crash — the restarted shard replays it into
 	// the same round's batch. A submission that cannot be logged is
 	// refused and leaves no trace.
-	err := f.st.Append(opSubmit, encodeSubmit(mailbox, out))
+	rec := encodeSubmit(mailbox, out)
+	err := f.st.Append(opSubmit, rec)
 	if err == nil {
 		err = f.st.Sync()
 	}
@@ -163,6 +174,7 @@ func (f *Frontend) SubmitExternal(mailbox string, out *client.RoundOutput) error
 		}
 		return fmt.Errorf("core: persisting submission: %w", err)
 	}
+	f.accepted[out.Round] = append(f.accepted[out.Round], sha256.Sum256(rec))
 	return nil
 }
 

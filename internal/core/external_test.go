@@ -249,8 +249,9 @@ func TestExternalUserBytes(t *testing.T) {
 
 // TestIdenticalResubmitLogsNothing: a resubmission of the output banked
 // for its round is acked without a log write — it succeeds on a store
-// whose sync fails — before the round is collected and while it
-// mixes; a different submission for the round is refused.
+// whose sync fails — before the round is collected, while it mixes and
+// after it has committed, when the bank no longer holds it; a
+// different submission for the round is refused.
 func TestIdenticalResubmitLogsNothing(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	st := &syncFails{}
@@ -266,17 +267,25 @@ func TestIdenticalResubmitLogsNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	st.fail = true
-	for _, phase := range []string{"open", "mixing"} {
-		if phase == "mixing" {
+	for _, phase := range []string{"open", "mixing", "committed"} {
+		refusal := "duplicate"
+		switch phase {
+		case "mixing":
 			if _, err := fe.BeginRound(&BeginRound{Round: 1, Params: bareParams(1, 0, 3)}); err != nil {
 				t.Fatal(err)
 			}
+		case "committed":
+			st.fail = false
+			if _, err := fe.FinishRound(&FinishRound{Round: 1, Params: bareParams(2, 0, 3)}); err != nil {
+				t.Fatal(err)
+			}
+			st.fail, refusal = true, "round 2 is open"
 		}
 		if err := fe.SubmitExternal(who, out); err != nil {
 			t.Fatalf("%s: identical resubmission: %v", phase, err)
 		}
-		if err := fe.SubmitExternal(who, testOutput(rng, 1, 3)); err == nil || !strings.Contains(err.Error(), "duplicate") {
-			t.Fatalf("%s: a different submission: %v, want the duplicate refusal", phase, err)
+		if err := fe.SubmitExternal(who, testOutput(rng, 1, 3)); err == nil || !strings.Contains(err.Error(), refusal) {
+			t.Fatalf("%s: a different submission: %v, want the %q refusal", phase, err, refusal)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"runtime"
 	"slices"
@@ -88,6 +89,10 @@ type Frontend struct {
 	// emptied from the bank to their round, until that round commits;
 	// collectLocked lists them in its Skipped (recover.go).
 	dropped map[string]uint64
+	// accepted holds, by round, the SHA-256 of the WAL record of every
+	// remote submission accepted for the open round and for the last
+	// committed one; see SubmitExternal.
+	accepted map[uint64][][sha256.Size]byte
 }
 
 var _ GatewayShard = (*Frontend)(nil)
@@ -133,6 +138,7 @@ func NewFrontend(cfg FrontendConfig) (*Frontend, error) {
 		bank:          make(map[string]*bankedUser),
 		banned:        make(map[string]bool),
 		dropped:       make(map[string]uint64),
+		accepted:      make(map[uint64][][sha256.Size]byte),
 	}
 	if cfg.Recovered != nil {
 		if err := f.recover(cfg.Recovered); err != nil {

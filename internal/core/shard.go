@@ -34,8 +34,12 @@
 package core
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"math"
 
+	"repro/internal/group"
 	"repro/internal/onion"
 )
 
@@ -89,6 +93,180 @@ func (b *ChainBatch) add(sub onion.Submission, who string) {
 	b.Submitters = append(b.Submitters, who)
 }
 
+// ChainBatches is a shard build's batches, one per chain, and the raw
+// block that shard.begin's reply carries them in after its gob header
+// (internal/rpc). Each submission's Diffie-Hellman key and proof
+// commitment cross as x‖y, checked against the curve equation on
+// arrival, as an onion.Batch's keys do: the coordinator parses ≈ 8 000
+// of them a round at the benchmark's shape, and recovering y from a
+// sign bit would cost a square root each. Users still submit
+// compressed, and the WAL records them compressed.
+//
+//	chain count (uint32), then per chain:
+//	  submission count (uint32), then per submission:
+//	    key x‖y (64), commitment x‖y (64), response (32),
+//	    ciphertext length (uint32), the ciphertext
+//	  submitter count (uint32), then per submitter:
+//	    length (uint32), the identifier
+//
+// The submitters are counted apart from the submissions, so a build
+// whose two do not align crosses as it is and is refused where every
+// build is checked (ShardBuild.validate).
+type ChainBatches []ChainBatch
+
+// subFixed is a submission's bytes besides its ciphertext.
+const subFixed = 2*group.UncompressedSize + group.ScalarSize + 4
+
+var (
+	errGob       = errors.New("core: chain batches cross as a raw block, not inside gob")
+	errMalformed = errors.New("core: malformed chain batches")
+)
+
+// GobEncode and GobDecode refuse: shard.begin's reply crosses with its
+// batches taken out of the gob header and appended raw after it.
+func (ChainBatches) GobEncode() ([]byte, error) { return nil, errGob }
+func (*ChainBatches) GobDecode([]byte) error    { return errGob }
+
+// AppendBinary implements encoding.BinaryAppender: the block described
+// on ChainBatches appended to dst, which grows once, to exactly its
+// length and the block's, if it has not the room.
+func (bs ChainBatches) AppendBinary(dst []byte) ([]byte, error) {
+	size := 4
+	for _, b := range bs {
+		size += 8 + len(b.Subs)*subFixed + len(b.Submitters)*4
+		for _, sub := range b.Subs {
+			size += len(sub.Ct)
+		}
+		for _, who := range b.Submitters {
+			size += len(who)
+		}
+	}
+	if uint64(size) > math.MaxUint32 {
+		return nil, fmt.Errorf("core: chain batches of %d bytes", size)
+	}
+	if cap(dst)-len(dst) < size {
+		dst = append(make([]byte, 0, len(dst)+size), dst...)
+	}
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(bs)))
+	for _, b := range bs {
+		dst = binary.BigEndian.AppendUint32(dst, uint32(len(b.Subs)))
+		for _, sub := range b.Subs {
+			dst = sub.DHKey.AppendUncompressed(dst)
+			dst = sub.Proof.T.AppendUncompressed(dst)
+			dst = append(dst, sub.Proof.S.Bytes()...)
+			dst = binary.BigEndian.AppendUint32(dst, uint32(len(sub.Ct)))
+			dst = append(dst, sub.Ct...)
+		}
+		dst = binary.BigEndian.AppendUint32(dst, uint32(len(b.Submitters)))
+		for _, who := range b.Submitters {
+			dst = binary.BigEndian.AppendUint32(dst, uint32(len(who)))
+			dst = append(dst, who...)
+		}
+	}
+	return dst, nil
+}
+
+// Decode sets *bs to the batches the block data encodes, in place:
+// each ciphertext is a slice of data with its capacity clipped, and
+// data is the batches' from here on (the submitters are copied, as
+// strings are). Every count is checked against the bytes left before
+// anything is allocated for it, every key and commitment is validated
+// by group.ParseUncompressed and every response by group.ParseScalar,
+// and the block must end where its last chain does. On error *bs is
+// left as it was.
+func (bs *ChainBatches) Decode(data []byte) error {
+	r := blockReader{b: data}
+	out := make(ChainBatches, r.count(8))
+	for c := range out {
+		b := &out[c]
+		b.Subs = make([]onion.Submission, r.count(subFixed))
+		for i := range b.Subs {
+			b.Subs[i].DHKey = r.point()
+			b.Subs[i].Proof.T = r.point()
+			b.Subs[i].Proof.S = r.scalar()
+			b.Subs[i].Ct = r.bytes()
+		}
+		b.Submitters = make([]string, r.count(4))
+		for i := range b.Submitters {
+			b.Submitters[i] = string(r.bytes())
+		}
+	}
+	if r.err == nil && len(r.b) > 0 {
+		r.err = fmt.Errorf("%w: %d bytes after the last chain", errMalformed, len(r.b))
+	}
+	if r.err != nil {
+		return r.err
+	}
+	*bs = out
+	return nil
+}
+
+// blockReader reads a ChainBatches block front to back. Its first
+// error sticks: every later read returns a zero value, and every later
+// count is zero, so a refused block stops allocating where it failed.
+type blockReader struct {
+	b   []byte
+	err error
+}
+
+func (r *blockReader) take(n uint64) []byte {
+	if r.err == nil && uint64(len(r.b)) < n {
+		r.err = fmt.Errorf("%w: %d bytes wanted, %d left", errMalformed, n, len(r.b))
+	}
+	if r.err != nil {
+		return nil
+	}
+	out := r.b[:n:n]
+	r.b = r.b[n:]
+	return out
+}
+
+func (r *blockReader) uint32() uint64 {
+	if b := r.take(4); b != nil {
+		return uint64(binary.BigEndian.Uint32(b))
+	}
+	return 0
+}
+
+// count reads a count of items at least least bytes each, refusing one
+// that the bytes left cannot hold.
+func (r *blockReader) count(least uint64) uint64 {
+	n := r.uint32()
+	if r.err == nil && n > uint64(len(r.b))/least {
+		r.err = fmt.Errorf("%w: %d items claimed in %d bytes", errMalformed, n, len(r.b))
+	}
+	if r.err != nil {
+		return 0
+	}
+	return n
+}
+
+func (r *blockReader) bytes() []byte { return r.take(r.uint32()) }
+
+func (r *blockReader) point() group.Point {
+	b := r.take(group.UncompressedSize)
+	if b == nil {
+		return group.Point{}
+	}
+	p, err := group.ParseUncompressed(b)
+	if err != nil {
+		r.err = fmt.Errorf("core: chain batches: %w", err)
+	}
+	return p
+}
+
+func (r *blockReader) scalar() group.Scalar {
+	b := r.take(group.ScalarSize)
+	if b == nil {
+		return group.Scalar{}
+	}
+	s, err := group.ParseScalar(b)
+	if err != nil {
+		r.err = fmt.Errorf("core: chain batches: %w", err)
+	}
+	return s
+}
+
 // BeginRound is the coordinator's round-begin message to a gateway
 // shard: the round it is about to execute and the parameter snapshot
 // for rounds Round and Round+1, whose epoch and chain count the shard
@@ -107,7 +285,7 @@ type BeginRound struct {
 // their ℓ held out, and the remote users whose messages for the round
 // a re-formation dropped. The coordinator strands every skipped user.
 type ShardBuild struct {
-	Batches []ChainBatch
+	Batches ChainBatches
 	Covered int
 	Skipped []string
 }

@@ -2,15 +2,22 @@ package core
 
 import (
 	"bytes"
+	"crypto/elliptic"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"repro/internal/aead"
 	"repro/internal/client"
+	"repro/internal/group"
 	"repro/internal/mix"
+	"repro/internal/nizk"
+	"repro/internal/onion"
 )
 
 // twoShardConfig returns a config whose front end is split across two
@@ -309,4 +316,194 @@ func TestDeadGatewayShardStrandsOnlyItsUsers(t *testing.T) {
 	if !receives(feA, a2, rep.Round, "r4") || !receives(feB, b2, rep.Round, "r5") {
 		t.Fatal("healed round did not deliver on both shards")
 	}
+}
+
+// testBatches is a build's batches over chains chains, n submissions
+// on each, ciphertexts of ctLen(i) bytes, every submitter a distinct
+// 33-byte identifier.
+func testBatches(chains, n int, ctLen func(i int) int) ChainBatches {
+	bs := make(ChainBatches, chains)
+	for c := range bs {
+		for i := range n {
+			x := int64(c*n + i + 2)
+			ct := bytes.Repeat([]byte{byte(x)}, ctLen(i))
+			bs[c].add(onion.Submission{
+				Envelope: onion.Envelope{DHKey: group.Base(group.NewScalar(x)), Ct: ct},
+				Proof:    nizk.DlogProof{T: group.Base(group.NewScalar(x + 1000)), S: group.NewScalar(x + 2000)},
+			}, string(group.Base(group.NewScalar(x+3000)).Bytes()))
+		}
+	}
+	return bs
+}
+
+// shardBuildBlocks are FuzzShardBuild's seeds and TestChainBatchesHostile's
+// cases: blocks that decode, and blocks a hostile shard could send, each
+// with the error its decode must end in (nil for one that decodes).
+func shardBuildBlocks(t testing.TB) []struct {
+	name string
+	in   []byte
+	want error
+} {
+	enc := func(bs ChainBatches) []byte {
+		b, err := bs.AppendBinary(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	good := enc(testBatches(2, 2, func(int) int { return onion.AHSCiphertextSize(3) }))
+	mutate := func(fn func(b []byte)) []byte {
+		b := bytes.Clone(good)
+		fn(b)
+		return b
+	}
+	// good's first submission starts after the chain and submission
+	// counts; its ciphertext length sits after the two points and the
+	// response.
+	const sub0 = 8
+	const ctLen0 = sub0 + subFixed - 4
+	withIdentity := testBatches(1, 2, func(int) int { return 5 })
+	withIdentity[0].Subs[1].DHKey = group.Identity()
+	unaligned := testBatches(2, 3, func(i int) int { return i })
+	unaligned[0].Submitters = unaligned[0].Submitters[:1]
+	unaligned[1].Submitters = append(unaligned[1].Submitters, "one too many")
+	p := elliptic.P256().Params().P.FillBytes(make([]byte, 32))
+	return []struct {
+		name string
+		in   []byte
+		want error
+	}{
+		{"two chains of two", good, nil},
+		{"no chains", enc(ChainBatches{}), nil},
+		{"empty chains", enc(make(ChainBatches, 3)), nil},
+		{"ciphertexts of differing lengths", enc(testBatches(1, 3, func(i int) int { return 7 * i })), nil},
+		{"identity key", enc(withIdentity), nil},
+		{"submitters not aligned with submissions", enc(unaligned), nil},
+		{"no bytes", nil, errMalformed},
+		{"chain count beyond the bytes", binary.BigEndian.AppendUint32(nil, 1<<30), errMalformed},
+		{"submission count beyond the bytes", mutate(func(b []byte) { b[4] = 0x7F }), errMalformed},
+		{"submitter count beyond the bytes", append(binary.BigEndian.AppendUint32(binary.BigEndian.AppendUint32(binary.BigEndian.AppendUint32(nil, 1), 0), 1<<31), 0, 0, 0), errMalformed},
+		{"ciphertext longer than the block", mutate(func(b []byte) { b[ctLen0] = 0x10 }), errMalformed},
+		{"ciphertext shorter than claimed", mutate(func(b []byte) { b[ctLen0+3]-- }), group.ErrInvalidPoint},
+		{"off-curve key", mutate(func(b []byte) { b[sub0+63] ^= 1 }), group.ErrInvalidPoint},
+		{"off-curve commitment", mutate(func(b []byte) { b[sub0+64+63] ^= 1 }), group.ErrInvalidPoint},
+		{"key x = p", mutate(func(b []byte) { copy(b[sub0:], p) }), group.ErrInvalidPoint},
+		{"response ≥ the order", mutate(func(b []byte) { copy(b[sub0+128:], bytes.Repeat([]byte{0xFF}, 32)) }), group.ErrInvalidScalar},
+		{"one byte short", good[:len(good)-1], errMalformed},
+		{"trailing byte", append(bytes.Clone(good), 0), errMalformed},
+	}
+}
+
+// TestChainBatchesRoundTrip: a build's batches, to the exact size the
+// layout promises and back, with every ciphertext a slice of the block
+// and a submitter list that does not align with its submissions kept
+// as it came, for ShardBuild.validate to refuse.
+func TestChainBatchesRoundTrip(t *testing.T) {
+	ctLen := onion.AHSCiphertextSize(6)
+	bs := testBatches(8, 5, func(int) int { return ctLen })
+	bs[3].Submitters = bs[3].Submitters[:4]
+	enc, err := bs.AppendBinary(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 4 + 8*8 + 40*(subFixed+ctLen+4+group.PointSize) - 4 - group.PointSize; len(enc) != want || cap(enc) != want {
+		t.Fatalf("%d bytes in a buffer of %d, want exactly %d", len(enc), cap(enc), want)
+	}
+	var back ChainBatches
+	if err := back.Decode(enc); err != nil {
+		t.Fatal(err)
+	}
+	if len(back) != len(bs) {
+		t.Fatalf("%d chains back, want %d", len(back), len(bs))
+	}
+	for c := range bs {
+		if !slices.Equal(back[c].Submitters, bs[c].Submitters) || len(back[c].Subs) != len(bs[c].Subs) {
+			t.Fatalf("chain %d: %d submissions and submitters %q back", c, len(back[c].Subs), back[c].Submitters)
+		}
+		for i, sub := range bs[c].Subs {
+			got := back[c].Subs[i]
+			if !got.DHKey.Equal(sub.DHKey) || !got.Proof.T.Equal(sub.Proof.T) || !got.Proof.S.Equal(sub.Proof.S) || !bytes.Equal(got.Ct, sub.Ct) {
+				t.Fatalf("chain %d submission %d differs", c, i)
+			}
+			if !inBlock(got.Ct, enc) {
+				t.Fatalf("chain %d submission %d: ciphertext copied out of the block", c, i)
+			}
+		}
+	}
+	if err := (&ShardBuild{Batches: back}).validate(); err == nil {
+		t.Fatal("a build with 5 submissions and 4 submitters on a chain validated")
+	}
+}
+
+// TestChainBatchesHostile: each hostile block is refused with its
+// error, leaves the destination as it was and allocates by the bytes
+// it holds, not by the counts it claims.
+func TestChainBatchesHostile(t *testing.T) {
+	for _, tc := range shardBuildBlocks(t) {
+		got := ChainBatches{{Submitters: []string{"kept"}}}
+		var err error
+		// TotalAlloc is process-wide: the least of three decodes is
+		// what this one allocates.
+		spent := ^uint64(0)
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err = got.Decode(tc.in)
+			runtime.ReadMemStats(&after)
+			spent = min(spent, after.TotalAlloc-before.TotalAlloc)
+		}
+		if tc.want == nil {
+			if err != nil {
+				t.Errorf("%s: %v", tc.name, err)
+			}
+			continue
+		}
+		if !errors.Is(err, tc.want) {
+			t.Errorf("%s: %v, want %v", tc.name, err, tc.want)
+		}
+		if len(got) != 1 || len(got[0].Submitters) != 1 {
+			t.Errorf("%s: a refused block changed the destination", tc.name)
+		}
+		if spent > 1<<16+8*uint64(len(tc.in)) {
+			t.Errorf("%s: %d bytes made the decoder allocate %d", tc.name, len(tc.in), spent)
+		}
+	}
+}
+
+// inBlock reports whether b's bytes lie within block's.
+func inBlock(b, block []byte) bool {
+	start := uintptr(unsafe.Pointer(unsafe.SliceData(block)))
+	p := uintptr(unsafe.Pointer(unsafe.SliceData(b)))
+	return p >= start && p+uintptr(len(b)) <= start+uintptr(len(block))
+}
+
+// FuzzShardBuild: any bytes are an error or a build's batches — never
+// a panic — and an accepted block re-encodes to the same bytes, with
+// every ciphertext a slice of it. The seeds are TestChainBatchesHostile's
+// blocks: counts beyond the bytes, off-curve x‖y, disagreeing lengths
+// and submitters that do not align with their submissions among them.
+func FuzzShardBuild(f *testing.F) {
+	for _, tc := range shardBuildBlocks(f) {
+		f.Add(tc.in)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var bs ChainBatches
+		if err := bs.Decode(data); err != nil {
+			if bs != nil {
+				t.Fatalf("refused block left %d chains behind", len(bs))
+			}
+			return
+		}
+		enc, err := bs.AppendBinary(nil)
+		if err != nil || !bytes.Equal(enc, data) {
+			t.Fatalf("accepted %x, re-encodes as %x (%v)", data, enc, err)
+		}
+		for _, b := range bs {
+			for _, sub := range b.Subs {
+				if len(sub.Ct) > 0 && !inBlock(sub.Ct, data) {
+					t.Fatal("a ciphertext was copied out of the block")
+				}
+			}
+		}
+	})
 }

@@ -210,8 +210,10 @@ func mixContext(round uint64, chain, index, epoch int) string {
 // indices (into its input) whose authenticated decryption failed. The
 // permutation is not in it: it stays with the server (lastPerm), and
 // the blame protocol opens it one accused message at a time. Out is an
-// onion.Batch so that a remote position's reply crosses as one block
-// (rpc's hop.mix); in process it is the slice it always was.
+// onion.Batch so that a remote position's reply carries it as one raw
+// block after the rest in gob (rpc's hop.mix), where its ciphertexts
+// alias the frame it arrived in; in process it is the slice it always
+// was.
 type MixResult struct {
 	Out    onion.Batch
 	Proof  nizk.Proof

@@ -2,6 +2,7 @@ package onion
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 
@@ -9,9 +10,10 @@ import (
 )
 
 // Batch is what one chain position hands the next (§6.3): every
-// envelope on the chain at that hop. It is its own wire format — the
-// field type of a hop.mix request and of mix.MixResult.Out — and the
-// one place an AHS Diffie-Hellman key crosses a link uncompressed.
+// envelope on the chain at that hop. It is its own wire format, the
+// raw block after the gob header of a hop.mix request and of its
+// reply (mix.MixResult.Out) in internal/rpc, and never crosses inside
+// gob.
 //
 // A batch encodes as one block, sized before a byte is written:
 //
@@ -32,6 +34,10 @@ import (
 // field multiplications where recovering y from a sign bit costs a
 // square root, ≈ 260 (group.ParseUncompressed against group.ParsePoint,
 // 0.2 µs against 4.3), and 32 more bytes cost a link 0.26 µs at 1 Gb/s.
+// Keys cross uncompressed in two places: here, between the coordinator
+// and a remote mix position, and in a gateway shard's build on its way
+// to the coordinator (core.ChainBatches), whose submissions' keys the
+// coordinator verifies proofs over before position 0 raises them.
 // Anything a user sends or stores and anything hashed — submissions,
 // parameters, digests, KDF input, WAL records — stays compressed.
 type Batch []Envelope
@@ -43,9 +49,22 @@ const (
 	batchPrefixSize = 1 + 4
 )
 
-// MarshalBinary implements encoding.BinaryMarshaler (encoding/gob calls
-// it): the block described on Batch, allocated once at its final size.
-func (b Batch) MarshalBinary() ([]byte, error) {
+// errGob is what a batch answers encoding/gob with.
+var errGob = errors.New("onion: a batch crosses as a raw block, not inside gob")
+
+// GobEncode and GobDecode refuse: a body that carries a batch crosses
+// with the batch taken out of its gob header and appended raw after it
+// (internal/rpc), so gob never holds one.
+func (Batch) GobEncode() ([]byte, error) { return nil, errGob }
+func (*Batch) GobDecode([]byte) error    { return errGob }
+
+// MarshalBinary implements encoding.BinaryMarshaler: AppendBinary(nil).
+func (b Batch) MarshalBinary() ([]byte, error) { return b.AppendBinary(nil) }
+
+// AppendBinary implements encoding.BinaryAppender: the block described
+// on Batch appended to dst, which grows once, to exactly its length
+// and the block's, if it has not the room.
+func (b Batch) AppendBinary(dst []byte) ([]byte, error) {
 	if uint64(len(b)) > math.MaxUint32 {
 		return nil, fmt.Errorf("%w: batch of %d envelopes", ErrFormat, len(b))
 	}
@@ -61,7 +80,7 @@ func (b Batch) MarshalBinary() ([]byte, error) {
 	if !uniform {
 		lengths = len(b)
 	}
-	out := make([]byte, 0, batchPrefixSize+4*lengths+group.UncompressedSize*len(b)+ctBytes)
+	out := grow(dst, batchPrefixSize+4*lengths+group.UncompressedSize*len(b)+ctBytes)
 	if uniform {
 		out = append(out, batchUniform)
 		out = binary.BigEndian.AppendUint32(out, uint32(len(b)))
@@ -86,15 +105,31 @@ func (b Batch) MarshalBinary() ([]byte, error) {
 	return out, nil
 }
 
-// UnmarshalBinary implements encoding.BinaryUnmarshaler for bytes off
-// the network. The count and the lengths are claims: they are checked
-// against the bytes actually present — exactly, so nothing trails the
-// block — before anything is allocated, so what is then allocated (the
-// envelopes, their keys, one copy of the ciphertext column) follows the
-// bytes a peer really sent. Every key is validated by group.ParseUncompressed,
-// so an off-curve or non-canonical point fails the decode before any
-// handler sees the batch. On error *b is left as it was.
-func (b *Batch) UnmarshalBinary(data []byte) error {
+// grow returns dst with room for n more bytes: dst itself if it has
+// it, else a copy in a buffer of exactly len(dst)+n, where append would
+// round up and copy again as it went.
+func grow(dst []byte, n int) []byte {
+	if cap(dst)-len(dst) >= n {
+		return dst
+	}
+	return append(make([]byte, 0, len(dst)+n), dst...)
+}
+
+// Decode sets *b to the batch the block data encodes, in place: each
+// ciphertext is a slice of data, its capacity clipped so that
+// appending to one cannot reach the next, and data is the batch's from
+// here on. internal/rpc hands it the frame the batch arrived in, which
+// nothing else holds; anything kept past the call that received it is
+// copied out where it is kept.
+//
+// The count and the lengths are claims: they are checked against the
+// bytes actually present — exactly, so nothing trails the block —
+// before anything is allocated, so what is then allocated (the
+// envelopes, their keys) follows the bytes a peer really sent. Every
+// key is validated by group.ParseUncompressed, so an off-curve or
+// non-canonical point fails the decode before any handler sees the
+// batch. On error *b is left as it was.
+func (b *Batch) Decode(data []byte) error {
 	if len(data) < batchPrefixSize+4 {
 		return fmt.Errorf("%w: batch block of %d bytes", ErrFormat, len(data))
 	}
@@ -102,7 +137,7 @@ func (b *Batch) UnmarshalBinary(data []byte) error {
 	rest := data[batchPrefixSize:]
 	var ctLen uint64   // uniform layout
 	var lengths []byte // per-envelope layout: n uint32s
-	var ctBytes uint64 // the ciphertext column's size
+	var ctBytes uint64 // the ciphertext column's size, per-envelope layout
 	switch layout {
 	case batchUniform:
 		ctLen, rest = uint64(binary.BigEndian.Uint32(rest)), rest[4:]
@@ -111,7 +146,6 @@ func (b *Batch) UnmarshalBinary(data []byte) error {
 		if n > uint64(len(rest))/per || n*per != uint64(len(rest)) || n == 0 && ctLen != 0 {
 			return fmt.Errorf("%w: batch claims %d envelopes of %d+%d bytes in %d", ErrFormat, n, group.UncompressedSize, ctLen, len(rest))
 		}
-		ctBytes = n * ctLen
 	case batchPerEnvelope:
 		const per = 4 + group.UncompressedSize
 		if n > uint64(len(rest))/per {
@@ -140,11 +174,6 @@ func (b *Batch) UnmarshalBinary(data []byte) error {
 		}
 		out[i].DHKey = key
 	}
-	// data is the caller's buffer (gob reuses its own), so the
-	// ciphertexts are copied — once, as a column — and sliced out of the
-	// copy with their capacity clipped: appending to one cannot reach
-	// the next.
-	cts = append(make([]byte, 0, ctBytes), cts...)
 	for i := range out {
 		l := ctLen
 		if lengths != nil {

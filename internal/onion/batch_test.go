@@ -7,9 +7,11 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"repro/internal/group"
 )
@@ -46,7 +48,9 @@ func sameBatch(a, b Batch) bool {
 // a chain position, a batch with the identity as a key, zero-length
 // ciphertexts, the empty batch, and the per-envelope fallback for
 // ciphertexts of different lengths — each to the exact size the layout
-// promises, back to an equal batch, and through gob as a struct field.
+// promises, appended after what a buffer already holds, and back to an
+// equal batch whose ciphertexts are the block's own bytes. gob refuses
+// a batch: it crosses only as a raw block.
 func TestBatchRoundTrip(t *testing.T) {
 	k := 6
 	withIdentity := testBatch(5, uniformLen(40))
@@ -72,12 +76,22 @@ func TestBatchRoundTrip(t *testing.T) {
 		if len(enc) != tc.size || cap(enc) != tc.size {
 			t.Errorf("%s: %d bytes in a buffer of %d, want exactly %d", tc.name, len(enc), cap(enc), tc.size)
 		}
+		head := []byte("gob header")
+		appended, err := tc.b.AppendBinary(head)
+		if err != nil || !bytes.Equal(appended[len(head):], enc) || cap(appended) != len(head)+tc.size {
+			t.Errorf("%s: appended after %d bytes: %d bytes in a buffer of %d (%v), want the block in exactly %d", tc.name, len(head), len(appended), cap(appended), err, len(head)+tc.size)
+		}
 		got := Batch{{Ct: []byte("stale")}}
-		if err := got.UnmarshalBinary(enc); err != nil {
+		if err := got.Decode(enc); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		if !sameBatch(got, tc.b) {
 			t.Errorf("%s: decoded batch differs", tc.name)
+		}
+		for i := range got {
+			if len(got[i].Ct) > 0 && !inside(got[i].Ct, enc) {
+				t.Errorf("%s: ciphertext %d was copied out of the block", tc.name, i)
+			}
 		}
 		// The decoded ciphertexts share one buffer; growing one must
 		// not write into the next.
@@ -93,21 +107,24 @@ func TestBatchRoundTrip(t *testing.T) {
 			Round uint64
 			B     Batch
 		}
-		var buf bytes.Buffer
-		var back carrier
-		if err := gob.NewEncoder(&buf).Encode(carrier{Round: 7, B: tc.b}); err != nil {
-			t.Fatalf("%s: gob: %v", tc.name, err)
-		}
-		if err := gob.NewDecoder(&buf).Decode(&back); err != nil || back.Round != 7 || !sameBatch(back.B, tc.b) {
-			t.Errorf("%s: through gob: %v", tc.name, err)
+		if err := gob.NewEncoder(io.Discard).Encode(carrier{Round: 7, B: tc.b}); len(tc.b) > 0 && !errors.Is(err, errGob) {
+			t.Errorf("%s: gob encoded a batch: %v", tc.name, err)
 		}
 	}
 }
 
+// inside reports whether b's bytes lie within buf's.
+func inside(b, buf []byte) bool {
+	start := uintptr(unsafe.Pointer(unsafe.SliceData(buf)))
+	p := uintptr(unsafe.Pointer(unsafe.SliceData(b)))
+	return p >= start && p+uintptr(len(b)) <= start+uintptr(len(buf))
+}
+
 // TestBatchDecodeAllocationsAreFlat: a key is a value inside its
-// envelope, so decoding a uniform batch allocates the envelopes and the
-// ciphertext column — two objects — however many envelopes it holds.
-// (While group.Point held big.Ints it was four more per key.)
+// envelope and a ciphertext a slice of the block, so decoding a uniform
+// batch allocates the envelopes — one object — however many envelopes
+// it holds. (Two while the ciphertexts were copied out as a column;
+// four more per key while group.Point held big.Ints.)
 func TestBatchDecodeAllocationsAreFlat(t *testing.T) {
 	allocs := func(n int) float64 {
 		data, err := testBatch(n, uniformLen(AHSCiphertextSize(6))).MarshalBinary()
@@ -116,13 +133,13 @@ func TestBatchDecodeAllocationsAreFlat(t *testing.T) {
 		}
 		return testing.AllocsPerRun(10, func() {
 			var b Batch
-			if err := b.UnmarshalBinary(data); err != nil {
+			if err := b.Decode(data); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
-	if small, large := allocs(8), allocs(512); small != large || large > 2 {
-		t.Fatalf("decoding 8 envelopes allocates %v objects, 512 envelopes %v; want 2 and 2", small, large)
+	if small, large := allocs(8), allocs(512); small != large || large > 1 {
+		t.Fatalf("decoding 8 envelopes allocates %v objects, 512 envelopes %v; want 1 and 1", small, large)
 	}
 }
 
@@ -208,7 +225,7 @@ func TestBatchUnmarshalHostile(t *testing.T) {
 		got := Batch{{Ct: []byte("kept")}}
 		var err error
 		const limit = 1 << 20
-		spent := allocated(limit, func() { err = got.UnmarshalBinary(tc.in) })
+		spent := allocated(limit, func() { err = got.Decode(tc.in) })
 		if !errors.Is(err, tc.want) {
 			t.Errorf("%s: %v, want %v", tc.name, err, tc.want)
 		}
@@ -221,22 +238,28 @@ func TestBatchUnmarshalHostile(t *testing.T) {
 	}
 	// The mutations are of a block that does decode.
 	var back Batch
-	if err := back.UnmarshalBinary(enc); err != nil || !sameBatch(back, good) {
+	if err := back.Decode(enc); err != nil || !sameBatch(back, good) {
 		t.Fatalf("the unmutated block: %v", err)
 	}
-	if err := back.UnmarshalBinary(unevenEnc); err != nil || !sameBatch(back, uneven) {
+	if err := back.Decode(unevenEnc); err != nil || !sameBatch(back, uneven) {
 		t.Fatalf("the unmutated per-envelope block: %v", err)
 	}
 }
 
 // FuzzBatchUnmarshal: any bytes are an error or a batch — never a panic
-// — and an accepted block is the only encoding of its batch.
+// — an accepted block is the only encoding of its batch, and its
+// ciphertexts are slices of the block. The seeds include blocks as a
+// hop.mix frame carries them after its gob header: position 0's
+// ciphertexts on a chain of 6, one key the identity.
 func FuzzBatchUnmarshal(f *testing.F) {
+	withIdentity := testBatch(4, uniformLen(AHSCiphertextSize(6)))
+	withIdentity[1].DHKey = group.Identity()
 	for _, b := range []Batch{
 		nil,
 		testBatch(1, uniformLen(0)),
 		testBatch(3, uniformLen(AHSCiphertextSize(2))),
 		testBatch(3, func(i int) int { return 3 * i }),
+		withIdentity,
 	} {
 		enc, err := b.MarshalBinary()
 		if err != nil {
@@ -250,15 +273,20 @@ func FuzzBatchUnmarshal(f *testing.F) {
 	f.Add([]byte{batchPerEnvelope, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var b Batch
-		if err := b.UnmarshalBinary(data); err != nil {
+		if err := b.Decode(data); err != nil {
 			if b != nil {
 				t.Fatalf("refused block left %d envelopes behind", len(b))
 			}
 			return
 		}
-		enc, err := b.MarshalBinary()
+		enc, err := b.AppendBinary(nil)
 		if err != nil || !bytes.Equal(enc, data) {
 			t.Fatalf("accepted %x, re-encodes as %x (%v)", data, enc, err)
+		}
+		for i := range b {
+			if len(b[i].Ct) > 0 && !inside(b[i].Ct, data) {
+				t.Fatalf("ciphertext %d was copied out of the block", i)
+			}
 		}
 	})
 }
@@ -266,8 +294,8 @@ func FuzzBatchUnmarshal(f *testing.F) {
 // BenchmarkBatchCodec: a chain position's batch to its block and back,
 // per envelope (ns/env and B/env; -benchmem's B/op and allocs/op are
 // for the whole batch). Encoding is two FillBytes and a copy an
-// envelope into one allocation; decoding is the curve equation and the
-// two big.Ints of a group.Point.
+// envelope into one allocation; decoding is the curve equation an
+// envelope, in place.
 func BenchmarkBatchCodec(b *testing.B) {
 	for _, n := range []int{512, 4096} {
 		batch := make(Batch, n)
@@ -299,6 +327,6 @@ func BenchmarkBatchCodec(b *testing.B) {
 		}
 		run("encode", func() error { _, err := batch.MarshalBinary(); return err })
 		var out Batch
-		run("decode", func() error { return out.UnmarshalBinary(enc) })
+		run("decode", func() error { return out.Decode(enc) })
 	}
 }

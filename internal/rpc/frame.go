@@ -11,7 +11,9 @@
 // idle and write deadlines, and dispatch by method name into a table
 // of handlers whose typed adapter owns decoding and encoding. A
 // message is one frame, however large the batch inside it: carrying a
-// round-sized body is this file's job, not the protocol's.
+// round-sized body is this file's job, not the protocol's. A listener
+// grows a frame's buffer as its bytes arrive (ReadFrame); a caller
+// reads the reply of a server it pinned into one buffer (readFrame).
 //
 // Three endpoints are built from it, each a method-for-method mapping
 // of an interface the rest of the system already has. Server/Client is
@@ -35,19 +37,16 @@ import (
 	"io"
 )
 
-// MaxFrameSize is the one message cap of the transport: no peer can
-// make a receiver buffer more than this for a single message, and no
-// sender emits more. It is sized from the largest message the seams
-// produce at the scale the ROADMAP targets, not from a chunking rule.
-// A hop batch is one onion.Batch block, 64 B of key and the ciphertext
-// per message on the chain — 517 B each at k = 6 (493 B while keys
-// crossed compressed): 1M registered / 100k active users is ≈ 52 MB per
-// hop.mix (BENCH_0005.json recorded 46.9 MB on a chain of 3, 469 B a
-// message at position 0), and the paper's headline point — 2M users,
-// 100 chains, ≈ 280k envelopes a chain — is ≈ 145 MB (was ≈ 138).
-// 256 MiB covers both with headroom. A gateway shard's whole build
-// (shard.begin's reply) is bounded the way the protocol scales
-// everything else about a gateway: by adding shards.
+// MaxFrameSize is the one message cap of the transport: no sender
+// emits more, and no receiver reads more for a single message. It is
+// sized from the largest message the seams produce at the scale the
+// ROADMAP targets, not from a chunking rule: a hop batch is 517 B a
+// message at k = 6, so 1M registered / 100k active users is ≈ 52 MB per
+// hop.mix and the paper's headline point (2M users, 100 chains) is
+// ≈ 145 MB; a gateway shard's build is bounded by adding shards. A
+// listener's peer makes it allocate at most about five times what it
+// sent; a pinned hop or shard server turned hostile can make the
+// coordinator allocate MaxFrameSize a call in flight, by announcing it.
 const MaxFrameSize = 256 << 20
 
 // prefixLen is the big-endian payload length in front of every frame.
@@ -81,12 +80,17 @@ func WriteFrame(w io.Writer, frame *bytes.Buffer) error {
 	return nil
 }
 
-// ReadFrame reads one frame's payload. The prefix is only a claim: it
-// is refused above MaxFrameSize, and below it the buffer grows as
-// bytes actually arrive (bytes.Buffer's doubling), so a peer that
-// announces a large frame and stalls or hangs up has made the receiver
-// allocate no more than a small multiple of what it really sent.
-func ReadFrame(r io.Reader) ([]byte, error) {
+// ReadFrame reads one frame's payload by the listener's rule. The
+// prefix is only a claim: it is refused above MaxFrameSize, and below
+// it the buffer grows as bytes arrive, from at most 32 KiB in steps of
+// at most four times what has been read: a peer that announces a large
+// frame and stalls has made the receiver allocate at most about five
+// times what it sent, and an honest frame costs at most 4/3 its length.
+func ReadFrame(r io.Reader) ([]byte, error) { return readFrame(r, 32<<10) }
+
+// readFrame reads a frame whose first step is at most first bytes; a
+// caller reading its reply passes MaxFrameSize, for one exact buffer.
+func readFrame(r io.Reader, first int) ([]byte, error) {
 	var hdr [prefixLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err // io.EOF passes through for clean shutdown
@@ -95,12 +99,20 @@ func ReadFrame(r io.Reader) ([]byte, error) {
 	if n > MaxFrameSize {
 		return nil, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
 	}
-	var buf bytes.Buffer
-	if _, err := io.CopyN(&buf, r, int64(n)); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return nil, fmt.Errorf("rpc: reading frame body: %w", err)
+	step := int(n)
+	for step > first {
+		step = (step + 3) / 4
 	}
-	return buf.Bytes(), nil
+	buf := []byte{}
+	for ; len(buf) < int(n); step = min(int(n), 4*step) {
+		read := len(buf)
+		buf = append(make([]byte, 0, step), buf...)[:step]
+		if _, err := io.ReadFull(r, buf[read:]); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, fmt.Errorf("rpc: reading frame body: %w", err)
+		}
+	}
+	return buf, nil
 }

@@ -7,6 +7,9 @@ import (
 	"io"
 	"runtime"
 	"testing"
+
+	"repro/internal/group"
+	"repro/internal/onion"
 )
 
 // rawFrame is a frame around payload, for tests that speak bytes
@@ -135,10 +138,22 @@ func TestFrameAllocationFollowsBytes(t *testing.T) {
 // FuzzReadFrame: any byte stream is an error or a frame, never a
 // panic, the frame is exactly the bytes that followed its prefix, and
 // what ReadFrame allocates is bounded by the bytes supplied, never by
-// the prefix: under 4× for the buffer's doublings (twice that under
-// the race detector, whose build does not fuse the grow's make and
-// copy), plus slack for the runtime.
+// the prefix: about 5× for the buffer's steps, plus its first step and
+// slack for the runtime. The seeds include raw-bodied frames: a hop.mix
+// request whose batch follows its gob header, whole and with its block
+// cut short of the length the prefix claims.
 func FuzzReadFrame(f *testing.F) {
+	var mixFrame bytes.Buffer
+	req := HopMixRequest{Round: 1, Envelopes: make(onion.Batch, 80)}
+	for i := range req.Envelopes {
+		req.Envelopes[i] = onion.Envelope{DHKey: group.Generator(), Ct: make([]byte, onion.AHSCiphertextSize(3))}
+	}
+	frame, err := encodeFrame("hop.mix", req)
+	if err != nil || WriteFrame(&mixFrame, frame) != nil {
+		f.Fatal(err)
+	}
+	f.Add(mixFrame.Bytes())
+	f.Add(mixFrame.Bytes()[:mixFrame.Len()-mixFrame.Len()/3])
 	f.Add([]byte{})
 	f.Add([]byte{0, 0})
 	f.Add(prefixed(0, nil))

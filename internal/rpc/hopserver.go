@@ -2,7 +2,6 @@ package rpc
 
 import (
 	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"sync"
@@ -73,7 +72,7 @@ func (h *HopServer) methods() map[string]handler {
 		"hop.accuse":  bound(h, h.accuse),
 	}
 	for name, fn := range m {
-		m[name] = func(body *gob.Decoder) (*bytes.Buffer, error) {
+		m[name] = func(body frameBody) (*bytes.Buffer, error) {
 			h.mu.Lock()
 			defer h.mu.Unlock()
 			return fn(body)

@@ -14,9 +14,9 @@ import (
 // carry the domain types themselves — onion.Batch and nizk.Proof as
 // fields, mix.HopKeys, mix.BlameReveal and mix.AccuseReveal as whole
 // replies — and their group elements validate on arrival in
-// group.Point/Scalar.UnmarshalBinary and onion.Batch.UnmarshalBinary,
-// so an off-curve point or a non-canonical scalar fails the decode
-// before any handler runs.
+// group.Point/Scalar.UnmarshalBinary and onion.Batch.Decode, so an
+// off-curve point or a non-canonical scalar fails the decode before
+// any handler runs.
 //
 // The methods are mix.Hop's, one exchange each: hop.begin, hop.reveal,
 // hop.mix (the whole batch in, the whole mix.MixResult back),
@@ -64,10 +64,8 @@ type HopRevealResponse struct {
 // HopMixRequest is one mixing step (§6.3 steps 1-3): the round, the
 // round nonce and the position's whole input batch. The reply is the
 // mix.MixResult itself, whose Out is an onion.Batch too: in both
-// directions the batch crosses as one block with its keys as x‖y,
-// checked against the curve equation on arrival (see onion.Batch), and
-// hop.mix has no other encoding. A nonce of any other length fails the
-// decode.
+// directions the batch crosses as the frame's raw block (wire.go), its
+// keys x‖y. A nonce of any other length fails the decode.
 type HopMixRequest struct {
 	Round     uint64
 	Nonce     [aead.NonceSize]byte

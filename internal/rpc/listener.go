@@ -3,7 +3,6 @@ package rpc
 import (
 	"bytes"
 	"crypto/tls"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -32,15 +31,15 @@ const (
 	DefaultWriteTimeout = time.Minute
 )
 
-// handler serves one method: a decoder positioned at the request body
-// in, the finished reply frame out.
-type handler func(body *gob.Decoder) (*bytes.Buffer, error)
+// handler serves one method: the request's body in, the finished
+// reply frame out.
+type handler func(body frameBody) (*bytes.Buffer, error)
 
 // typed adapts a handler written against its request and response
 // types to the wire: it owns the body's decode and the reply's encode,
 // so a malformed body is an error response before fn ever runs.
 func typed[Req, Resp any](fn func(*Req) (Resp, error)) handler {
-	return func(body *gob.Decoder) (*bytes.Buffer, error) {
+	return func(body frameBody) (*bytes.Buffer, error) {
 		var req Req
 		if err := decodeBody(body, &req); err != nil {
 			return nil, err
@@ -237,7 +236,7 @@ func (s *listenerCore) dispatch(payload []byte) (*bytes.Buffer, error) {
 	}
 	fn := s.methods[method]
 	if fn == nil {
-		fn = func(*gob.Decoder) (*bytes.Buffer, error) { return nil, fmt.Errorf("rpc: unknown method %q", method) }
+		fn = func(frameBody) (*bytes.Buffer, error) { return nil, fmt.Errorf("rpc: unknown method %q", method) }
 	}
 	reply, err := fn(body)
 	if err != nil {

@@ -1,6 +1,7 @@
 package rpc
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"net"
@@ -290,5 +291,78 @@ func TestPlayKeepsAmbiguousSubmission(t *testing.T) {
 	got := append(bodiesFor(t, front, rho, bob), playRounds(t, front, n, 1, alice, bob)...)
 	if !slices.Equal(got, []string{"once"}) {
 		t.Fatalf("bob received %q over two rounds, want \"once\" once", got)
+	}
+}
+
+// lateReply is a server's connection that counts the submit requests
+// read on every connection sharing submits: the first one's reply is
+// cut, the second's is held until release is closed and then cut, and
+// the rest are answered.
+type lateReply struct {
+	net.Conn
+	submits       *atomic.Int32
+	held, release chan struct{}
+	nth           int32
+}
+
+func (c *lateReply) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	if bytes.Contains(p[:n], []byte("submit")) {
+		c.nth = c.submits.Add(1)
+	}
+	return n, err
+}
+
+func (c *lateReply) Write(p []byte) (int, error) {
+	switch c.nth {
+	case 2:
+		close(c.held)
+		<-c.release
+		fallthrough
+	case 1:
+		c.nth = 0
+		c.Conn.Close()
+		return 0, net.ErrClosed
+	}
+	return c.Conn.Write(p)
+}
+
+// TestLateRetryAcked: the gateway banks alice's submission for round
+// 1 and its reply is lost; her retry is acked, but that reply is held
+// until round 1 has committed, and lost too. Her third attempt arrives
+// with round 2 open and round 1's bank entry gone: the gateway acks it
+// by the digest of what it accepted, Play keeps the body, and bob
+// receives it exactly once over rounds 1–3.
+func TestLateRetryAcked(t *testing.T) {
+	n, srv := newDeployment(t)
+	var submits atomic.Int32
+	held, release := make(chan struct{}), make(chan struct{})
+	srv.SetConnWrapper(func(c net.Conn) net.Conn {
+		return &lateReply{Conn: c, submits: &submits, held: held, release: release}
+	})
+	front := newFront(t, srv.listenerCore)
+	alice, bob := conversingPair(t, n)
+	if err := alice.QueueMessage([]byte("once")); err != nil {
+		t.Fatal(err)
+	}
+	played := make(chan error, 1)
+	go func() {
+		_, err := front.Play(alice)
+		played <- err
+	}()
+	<-held
+	if _, err := n.RunRound(); err != nil {
+		t.Fatal(err)
+	}
+	close(release)
+	if err := <-played; err != nil {
+		t.Fatalf("alice's play with round 1 committed under her retry: %v", err)
+	}
+	if got := submits.Load(); got != 3 {
+		t.Fatalf("%d submit requests, want 3", got)
+	}
+	got := append(bodiesFor(t, front, 1, bob), playRounds(t, front, n, 2, alice, bob)...)
+	if !slices.Equal(got, []string{"once"}) {
+		t.Fatalf("bob received %q over rounds 1–3, want \"once\" once", got)
 	}
 }

@@ -2,7 +2,6 @@ package rpc
 
 import (
 	"bytes"
-	"encoding/gob"
 	"fmt"
 	"slices"
 
@@ -91,7 +90,7 @@ func NewServer(network *core.Network, fe *core.Frontend, addr string) (*Server, 
 	} else {
 		methods = make(map[string]handler)
 		for _, name := range []string{"submit", "register", "fetch", "ack"} {
-			methods[name] = func(*gob.Decoder) (*bytes.Buffer, error) {
+			methods[name] = func(frameBody) (*bytes.Buffer, error) {
 				return nil, fmt.Errorf("rpc: %s refused: this coordinator holds no users; use the gateway shard owning the mailbox", name)
 			}
 		}

@@ -214,7 +214,7 @@ func (l *link) exchange(method string, frame *bytes.Buffer, timeout time.Duratio
 		conn.Close()
 		return fail("sending "+method, err)
 	}
-	reply, err := ReadFrame(conn)
+	reply, err := readFrame(conn, MaxFrameSize)
 	if err != nil {
 		conn.Close()
 		return fail("reading "+method+" response", err)

@@ -1,6 +1,7 @@
 package rpc
 
 import (
+	"bytes"
 	"maps"
 	"net"
 	"os"
@@ -271,6 +272,14 @@ func FuzzDispatch(f *testing.F) {
 	f.Add("hop.mix", body[:len(body)/20])
 	uneven := HopMixRequest{Round: 1, Envelopes: onion.Batch{e.sub.Envelope, {DHKey: e.sub.DHKey, Ct: []byte("short")}}}
 	f.Add("hop.mix", fuzzBody(f, "hop.mix", uneven))
+	// The raw block's edges: the gob header with no block after it,
+	// and the block with a byte more than it holds.
+	block, err := batch.Envelopes.AppendBinary(nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add("hop.mix", body[:len(body)-len(block)])
+	f.Add("hop.mix", append(bytes.Clone(body), 0))
 	// Mailbox identifiers that are not a compressed key, a short one
 	// and one a mebibyte long: refused by their length.
 	for _, mb := range [][]byte{make([]byte, 16), make([]byte, 1<<20)} {
@@ -403,6 +412,24 @@ func FuzzReply(f *testing.F) {
 		f.Add(name, body)
 		f.Add(name, body[:len(body)/2])
 		f.Add(name, []byte{})
+	}
+	// Raw-bodied replies at a round's size — a position's output of 512
+	// envelopes and a shard's build of 64 submissions over 8 chains —
+	// whole, with the block's last byte cut and with a byte more.
+	mixed := make(onion.Batch, 512)
+	build := core.ShardBuild{Batches: make(core.ChainBatches, 8)}
+	for i := range mixed {
+		mixed[i] = sub.Envelope
+		if i < 64 {
+			build.Batches[i%8].Subs = append(build.Batches[i%8].Subs, sub)
+			build.Batches[i%8].Submitters = append(build.Batches[i%8].Submitters, string(g.Bytes()))
+		}
+	}
+	for name, reply := range map[string]any{"hop.mix": &mix.MixResult{Out: mixed, Proof: samples["hop.certify"].(nizk.Proof)}, "shard.begin": &build} {
+		body := fuzzBody(f, "", reply)
+		f.Add(name, body)
+		f.Add(name, body[:len(body)-1])
+		f.Add(name, append(bytes.Clone(body), 0))
 	}
 
 	f.Fuzz(func(t *testing.T, method string, body []byte) {

@@ -2,9 +2,11 @@ package rpc
 
 import (
 	"bytes"
+	"encoding"
 	"encoding/gob"
 	"fmt"
 	"io"
+	"reflect"
 
 	"repro/internal/client"
 	"repro/internal/core"
@@ -20,12 +22,14 @@ import (
 // are the per-method requests and replies that no domain type already
 // is.
 //
-// A frame's payload is one gob stream of two values: a string, then
-// the body. In a request the string is the method name; in a reply it
-// is the error, empty on success, and a failed call has no body. One
-// encoder writes both straight into the frame, so a body is encoded
-// once and copied never; the reader decodes the string and hands the
-// same decoder, positioned at the body, to whoever knows its type.
+// A frame's payload is one gob stream of two values, a string and then
+// the body, written by one encoder straight into the frame. In a
+// request the string is the method name; in a reply it is the error,
+// empty on success, and a failed call has no body. A body with a block
+// field (hop.mix's onion.Batch both ways, shard.begin's reply's
+// core.ChainBatches) crosses with that field zero in gob and the block
+// appended raw after it, into the frame grown once; the reader decodes
+// the block in place from the frame it read, keys x‖y.
 
 // ParamsRequest asks for a chain's public parameters (a mix.Params)
 // for a round.
@@ -142,9 +146,37 @@ func init() {
 	}
 }
 
+// block is a batch that crosses raw after its body's gob.
+type block interface {
+	AppendBinary([]byte) ([]byte, error)
+	Decode([]byte) error
+}
+
+// blockField returns the struct body is or points to and its block
+// field's index, or -1.
+func blockField(body any) (reflect.Value, int) {
+	v := reflect.Indirect(reflect.ValueOf(body))
+	if v.Kind() == reflect.Struct {
+		for i := range v.NumField() {
+			if reflect.PointerTo(v.Field(i).Type()).Implements(reflect.TypeFor[block]()) {
+				return v, i
+			}
+		}
+	}
+	return v, -1
+}
+
 // encodeFrame builds the frame for head and body; a nil body is
 // omitted.
 func encodeFrame(head string, body any) (*bytes.Buffer, error) {
+	var blk encoding.BinaryAppender
+	if v, i := blockField(body); i >= 0 {
+		blk = v.Field(i).Interface().(encoding.BinaryAppender)
+		hdr := reflect.New(v.Type()).Elem()
+		hdr.Set(v)
+		hdr.Field(i).SetZero()
+		body = hdr.Interface()
+	}
 	frame := NewFrame()
 	enc := gob.NewEncoder(frame)
 	if err := enc.Encode(head); err != nil {
@@ -155,24 +187,45 @@ func encodeFrame(head string, body any) (*bytes.Buffer, error) {
 			return nil, fmt.Errorf("rpc: encoding %T: %w", body, err)
 		}
 	}
+	if blk != nil {
+		b, err := blk.AppendBinary(frame.Bytes())
+		if err != nil {
+			return nil, fmt.Errorf("rpc: encoding %T: %w", body, err)
+		}
+		frame = bytes.NewBuffer(b)
+	}
 	return frame, nil
 }
 
-// openFrame decodes a payload's leading string and returns it with
-// the decoder positioned at the body.
-func openFrame(payload []byte) (string, *gob.Decoder, error) {
-	dec := gob.NewDecoder(bytes.NewReader(payload))
-	var head string
-	if err := dec.Decode(&head); err != nil {
-		return "", nil, fmt.Errorf("rpc: decoding frame header: %w", err)
-	}
-	return head, dec, nil
+// frameBody is a payload past its head: the body's gob, then its block.
+type frameBody struct {
+	dec     *gob.Decoder
+	r       *bytes.Reader
+	payload []byte
 }
 
-// decodeBody decodes the body a frame's decoder is positioned at.
-func decodeBody(dec *gob.Decoder, v any) error {
-	if err := dec.Decode(v); err != nil {
+// openFrame decodes a payload's leading string and returns it with
+// the body that follows.
+func openFrame(payload []byte) (string, frameBody, error) {
+	r := bytes.NewReader(payload)
+	body := frameBody{dec: gob.NewDecoder(r), r: r, payload: payload}
+	var head string
+	if err := body.dec.Decode(&head); err != nil {
+		return "", body, fmt.Errorf("rpc: decoding frame header: %w", err)
+	}
+	return head, body, nil
+}
+
+// decodeBody decodes a body into v, a pointer: gob, then v's block.
+func decodeBody(body frameBody, v any) error {
+	if err := body.dec.Decode(v); err != nil {
 		return fmt.Errorf("rpc: decoding %T: %w", v, err)
+	}
+	if s, i := blockField(v); i >= 0 {
+		rest := body.payload[len(body.payload)-body.r.Len():]
+		if err := s.Field(i).Addr().Interface().(block).Decode(rest); err != nil {
+			return fmt.Errorf("rpc: decoding %T: %w", v, err)
+		}
 	}
 	return nil
 }

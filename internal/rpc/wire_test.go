@@ -2,9 +2,12 @@ package rpc
 
 import (
 	"bytes"
+	"crypto/tls"
 	"errors"
+	"io"
 	"net"
 	"reflect"
+	"runtime/debug"
 	"sort"
 	"strings"
 	"testing"
@@ -63,12 +66,20 @@ func replyError(t testing.TB, lc *listenerCore, frame *bytes.Buffer) string {
 
 // elements collects the encoding of every non-zero group.Point and
 // group.Scalar reachable from v, proofs' included — as the message
-// carries it: x‖y for the keys of an onion.Batch, compressed elsewhere.
+// carries it: x‖y for the keys of an onion.Batch and for a
+// core.ChainBatches' keys and commitments, compressed elsewhere.
 func elements(v reflect.Value, out *[][]byte) {
 	switch x := v.Interface().(type) {
 	case onion.Batch:
 		for _, env := range x {
 			*out = append(*out, env.DHKey.AppendUncompressed(nil))
+		}
+		return
+	case core.ChainBatches:
+		for _, b := range x {
+			for _, sub := range b.Subs {
+				*out = append(*out, sub.DHKey.AppendUncompressed(nil), sub.Proof.T.AppendUncompressed(nil), sub.Proof.S.Bytes())
+			}
 		}
 		return
 	case group.Point:
@@ -97,7 +108,8 @@ func elements(v reflect.Value, out *[][]byte) {
 // TestCorruptElementFailsDecode is the one place the "validated on
 // arrival" decision is checked for every method at once: whichever
 // point or scalar of a request is replaced by a non-element, the reply
-// is the decode error, so no handler ever saw the request.
+// is the decode error, so no handler ever saw the request, and
+// whichever of a reply's raw block, the caller's decode fails.
 func TestCorruptElementFailsDecode(t *testing.T) {
 	e := startEndpoints(t)
 	samples := sampleRequests(e)
@@ -136,6 +148,35 @@ func TestCorruptElementFailsDecode(t *testing.T) {
 	// submit, hop.init, hop.mix, hop.accuse, shard.init/begin/finish.
 	if carrying != 7 {
 		t.Errorf("%d sample requests carry group elements, want 7", carrying)
+	}
+
+	// The replies whose batch crosses as a raw block, from the caller's
+	// side: the decode link.send runs refuses every corrupted key,
+	// commitment and response before any caller sees the reply.
+	sample := replies(mix.Params{}, e.sub)
+	for name, into := range map[string]func() any{
+		"hop.mix":     func() any { return new(mix.MixResult) },
+		"shard.begin": func() any { return new(core.ShardBuild) },
+	} {
+		var elems [][]byte
+		elements(reflect.ValueOf(sample[name]), &elems)
+		if len(elems) < 3 {
+			t.Errorf("%s reply carries %d elements, want its block's and more", name, len(elems))
+		}
+		for i, good := range elems {
+			bad := offCurveXY
+			if len(good) == group.ScalarSize {
+				bad = overOrder
+			}
+			frame := forge(t, "", sample[name], good, bad)
+			_, body, err := openFrame(frame.Bytes()[prefixLen:])
+			if err == nil {
+				err = decodeBody(body, into())
+			}
+			if err == nil || !strings.HasPrefix(err.Error(), "rpc: decoding") || !strings.Contains(err.Error(), "group: invalid") {
+				t.Errorf("%s reply with element %d of %d corrupted: %v, want the decode error", name, i, len(elems), err)
+			}
+		}
 	}
 }
 
@@ -369,6 +410,26 @@ func TestWireSizes(t *testing.T) {
 	keys := mix.HopKeys{Chain: 3, Index: 5, BpkPrev: pt(), Bpk: pt(), Mpk: pt(), BskProof: proof, MskProof: proof}
 	small, large := submit(l), submit(2*l)
 	perSub := (large - small) / (2 * l)
+	// A shard's build at the benchmark's 8 chains, perChain
+	// submissions on each, every submitter a mailbox identifier.
+	build := func(perChain int) int {
+		b := core.ShardBuild{Batches: make(core.ChainBatches, 8)}
+		for c := range b.Batches {
+			for range perChain {
+				b.Batches[c].Subs = append(b.Batches[c].Subs, onion.Submission{
+					Envelope: onion.Envelope{DHKey: pt(), Ct: make([]byte, onion.AHSCiphertextSize(k))},
+					Proof:    nizk.DlogProof{T: pt(), S: group.MustRandomScalar()},
+				})
+				b.Batches[c].Submitters = append(b.Batches[c].Submitters, string(pt().Bytes()))
+			}
+		}
+		return size("", &b)
+	}
+	buildFixed, buildPerSub := build(0), (build(2)-build(1))/8
+	mixed := make([]onion.Envelope, len(envs))
+	for i := range mixed {
+		mixed[i] = onion.Envelope{DHKey: pt(), Ct: make([]byte, onion.AHSCiphertextSize(k)-aead.Overhead)}
+	}
 	for _, tc := range []struct {
 		name      string
 		got, want int
@@ -376,14 +437,19 @@ func TestWireSizes(t *testing.T) {
 		// The benchmark's per-chain batch into one position: the
 		// frame that dominates rpc.hop_bytes_out. One onion.Batch
 		// block — 9 bytes of header, then 512 × (64-byte x‖y key +
-		// 453-byte ciphertext) = 264 713 — inside 206 bytes of gob
-		// (method name, type descriptors, round, nonce). While the
-		// keys crossed compressed, one reflected struct per envelope,
-		// it was 252 635 = 512 × (33 + 453 + 7 of gob) + 219: 517 B
-		// an envelope against 493, +4.9 %. Its reply, a
-		// mix.MixResult, is the same block plus a proof and a
-		// permutation.
-		{"hop.mix request, 512 envelopes", size("hop.mix", HopMixRequest{Round: 7, Nonce: aead.RoundNonce(7, client.LaneCurrent), Envelopes: envs}), 264919},
+		// 453-byte ciphertext) = 264 713 — after 198 bytes of gob
+		// (method name, type descriptors, round, nonce). 264 919
+		// while gob carried the block inside the header, as a byte
+		// slice with its length; 252 635 = 512 × (33 + 453 + 7 of
+		// gob) + 219 while the keys crossed compressed, one reflected
+		// struct per envelope: 517 B an envelope against 493, +4.9 %.
+		{"hop.mix request, 512 envelopes", size("hop.mix", HopMixRequest{Round: 7, Nonce: aead.RoundNonce(7, client.LaneCurrent), Envelopes: envs}), 264911},
+		// Its reply, a mix.MixResult: the same block one layer
+		// thinner (512 × (64 + 437) + 9 = 256 521) after the shuffle
+		// certificate in gob. It carries no permutation
+		// (TestHopRepliesCarryNoPermutation). 256 813 with the block
+		// inside gob.
+		{"hop.mix reply, 512 envelopes", size("", &mix.MixResult{Out: mixed, Proof: proof}), 256805},
 		// What every user fetches 2ℓ times a round: k+1 points. It
 		// was 2k+1 = 599 B while it also carried the blinding keys,
 		// which no user reads, and 3k+1 = 823 B while each position
@@ -412,9 +478,165 @@ func TestWireSizes(t *testing.T) {
 		// each further submission adds to it.
 		{"submit, 2ℓ = 8", small, 4936},
 		{"submit, per submission", perSub, 570},
+		// What a gateway shard answers shard.begin with: its build,
+		// gob's header and the chain counts of one core.ChainBatches
+		// block (4 + 8 × 8 bytes), and what each submission adds to
+		// it: two x‖y points, the response, the 453-byte ciphertext
+		// and the 33-byte submitter, with 8 bytes of lengths. While
+		// gob carried the build, with both points compressed, they
+		// were 388 and 600: each submission's keys take 62 bytes
+		// more and its framing 8 less.
+		{"shard.begin reply, 8 chains, fixed part", buildFixed, 438},
+		{"shard.begin reply, per submission", buildPerSub, 654},
 	} {
 		if tc.got != tc.want {
 			t.Errorf("%s: %d bytes, pinned at %d", tc.name, tc.got, tc.want)
+		}
+	}
+}
+
+// tlsPair returns the two ends of one loopback TLS connection, the
+// dialing one first, with the handshake done.
+func tlsPair(t testing.TB) (net.Conn, net.Conn) {
+	t.Helper()
+	srvCfg, cliCfg, err := SelfSignedTLS("127.0.0.1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := tls.Listen("tcp", "127.0.0.1:0", srvCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		conn, err := ln.Accept()
+		if err == nil {
+			err = conn.(*tls.Conn).Handshake()
+		}
+		if err != nil {
+			conn = nil
+		}
+		accepted <- conn
+	}()
+	dialed, err := tls.Dial("tcp", ln.Addr().String(), cliCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer := <-accepted
+	if peer == nil {
+		t.Fatal("no TLS connection accepted")
+	}
+	t.Cleanup(func() { dialed.Close(); peer.Close() })
+	return dialed, peer
+}
+
+// TestFrameCopies: a batch crosses a link with one copy a side. Over
+// one loopback TLS connection, with the GC off, each frame that
+// carries a batch costs the side that builds and writes it, and the
+// side that reads and decodes it, at most twice the frame's length in
+// allocated bytes (TotalAlloc, with the other end writing or reading
+// a buffer it already holds). The receiver reads by the rule of its
+// side: a listener's growing buffer for the hop's request, one buffer
+// of the announced size for the replies the coordinator reads.
+//
+// Now they cost 1.03–1.06× sending and 1.25–1.61× receiving. While gob
+// carried each batch inside the body, with a doubling bytes.Buffer on
+// every read, the same frames cost: the hop.mix request 3.07× sending
+// and 6.09× receiving, its reply 3.07× and 4.18×, and shard.begin's
+// reply (300 429 bytes with its points compressed) 6.62× and 6.02×:
+// the batch codec's buffer, gob's buffer and its copy of the bytes, the
+// reader's doublings, and the decoder's copy of every ciphertext.
+func TestFrameCopies(t *testing.T) {
+	const k = 6
+	pt := func() group.Point { return group.Base(group.MustRandomScalar()) }
+	in := make(onion.Batch, 512)
+	out := make(onion.Batch, len(in))
+	for i := range in {
+		in[i] = onion.Envelope{DHKey: pt(), Ct: make([]byte, onion.AHSCiphertextSize(k))}
+		out[i] = onion.Envelope{DHKey: pt(), Ct: make([]byte, onion.AHSCiphertextSize(k)-aead.Overhead)}
+	}
+	build := &core.ShardBuild{Batches: make(core.ChainBatches, 8), Covered: 3}
+	for i := range 500 {
+		b := &build.Batches[i%8]
+		b.Subs = append(b.Subs, onion.Submission{
+			Envelope: onion.Envelope{DHKey: pt(), Ct: make([]byte, onion.AHSCiphertextSize(k))},
+			Proof:    nizk.DlogProof{T: pt(), S: group.MustRandomScalar()},
+		})
+		b.Submitters = append(b.Submitters, string(pt().Bytes()))
+	}
+	proof := nizk.Proof{C: group.MustRandomScalar(), S: group.MustRandomScalar()}
+
+	coord, peer := tlsPair(t)
+	readReply := func(r io.Reader) ([]byte, error) { return readFrame(r, MaxFrameSize) }
+	cases := []struct {
+		name     string
+		from, to net.Conn
+		head     string
+		body     any
+		decoded  func() any
+		read     func(io.Reader) ([]byte, error)
+	}{
+		{"hop.mix request", coord, peer, "hop.mix", &HopMixRequest{Round: 7, Envelopes: in}, func() any { return new(HopMixRequest) }, ReadFrame},
+		{"hop.mix reply", peer, coord, "", &mix.MixResult{Out: out, Proof: proof}, func() any { return new(mix.MixResult) }, readReply},
+		{"shard.begin reply", peer, coord, "", build, func() any { return new(core.ShardBuild) }, readReply},
+	}
+	// send writes frame from one end while the other reads it into a
+	// buffer it holds.
+	sink := make([]byte, 1<<20)
+	send := func(from, to net.Conn, frame *bytes.Buffer) error {
+		done := make(chan error, 1)
+		go func() { _, err := io.ReadFull(to, sink[:frame.Len()]); done <- err }()
+		return errors.Join(WriteFrame(from, frame), <-done)
+	}
+	// Warm both directions up: TLS's record buffers grow once a
+	// connection, and gob registers a type once a process.
+	for _, tc := range cases {
+		frame, err := encodeFrame(tc.head, tc.body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for range 2 {
+			if err := send(tc.from, tc.to, frame); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, tc := range cases {
+		frame, err := encodeFrame(tc.head, tc.body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := frame.Len()
+		limit := uint64(2 * n)
+		var sendErr, recvErr error
+		sent := allocated(limit, func() {
+			f, err := encodeFrame(tc.head, tc.body)
+			if err == nil {
+				err = send(tc.from, tc.to, f)
+			}
+			sendErr = err
+		})
+		got := allocated(limit, func() {
+			done := make(chan error, 1)
+			go func() { done <- WriteFrame(tc.from, frame) }()
+			payload, err := tc.read(tc.to)
+			if err == nil {
+				var body frameBody
+				if _, body, err = openFrame(payload); err == nil {
+					err = decodeBody(body, tc.decoded())
+				}
+			}
+			recvErr = errors.Join(err, <-done)
+		})
+		if sendErr != nil || recvErr != nil {
+			t.Fatalf("%s: %v, %v", tc.name, sendErr, recvErr)
+		}
+		t.Logf("%s: %d-byte frame, %.2f× sending, %.2f× receiving", tc.name, n, float64(sent)/float64(n), float64(got)/float64(n))
+		if sent > limit || got > limit {
+			t.Errorf("%s: a %d-byte frame allocated %d bytes sending and %d receiving, want at most %d a side", tc.name, n, sent, got, limit)
 		}
 	}
 }
